@@ -12,7 +12,14 @@ from __future__ import annotations
 
 import dataclasses
 import os
+import sys
 from typing import Optional
+
+# The committed engine digests (and their helpers) live with the tier-1
+# tests; bare ``pytest benchmarks/`` does not put the repo root on the
+# path the way ``python -m pytest`` does.
+sys.path.insert(0, os.path.dirname(os.path.dirname(os.path.abspath(
+    __file__))))
 
 from repro import BTRConfig, BTRSystem
 from repro.faults import SingleFaultAdversary
@@ -20,6 +27,7 @@ from repro.net import full_mesh_topology
 from repro.perf import CACHE_ENV_VAR
 from repro.perf.timing import append_jsonl
 from repro.workload import industrial_workload
+from tests import golden  # noqa: F401  (re-exported to E17/E19/E22)
 
 RESULTS_DIR = os.path.join(os.path.dirname(__file__), "results")
 
@@ -36,9 +44,11 @@ PLANNER_STATS_PATH = os.path.join(RESULTS_DIR, "planner_stats.jsonl")
 #: aggregates it into ``BENCH_obs.json`` after a suite run.
 OBS_STATS_PATH = os.path.join(RESULTS_DIR, "obs_stats.jsonl")
 
-#: Per-run online-runtime stats (events/sec, HMAC counts, memo hit
-#: rates), appended by :func:`record_sim` from the E17 benchmark;
-#: ``tools/run_experiments.py`` aggregates it into ``BENCH_sim.json``.
+#: Per-run engine stats (absolute events/sec per trace mode, sweep and
+#: pool throughput, HMAC counts, memo hit rates, golden-digest
+#: verdicts), appended by :func:`record_sim` from E17/E19/E22;
+#: ``tools/run_experiments.py`` folds it into the *committed*
+#: ``BENCH_sim.json`` trajectory that ``tools/bench_check.py`` gates.
 SIM_STATS_PATH = os.path.join(RESULTS_DIR, "sim_stats.jsonl")
 
 #: Per-campaign model-checking stats (paths, dedup hit-rate, pruning
@@ -59,14 +69,6 @@ FUZZ_STATS_PATH = os.path.join(RESULTS_DIR, "fuzz_stats.jsonl")
 #: ``tools/run_experiments.py`` folds it into the *committed*
 #: ``BENCH_bounds.json`` trajectory that ``tools/bench_check.py`` gates.
 BOUNDS_STATS_PATH = os.path.join(RESULTS_DIR, "bounds_stats.jsonl")
-
-#: Per-case geo-sharding stats (wall clocks for the single-loop
-#: reference vs the sharded geo engine, shard window/lookahead
-#: counters, pool sweep speedups, byte-identity verdicts), appended by
-#: :func:`record_geo` from the E22 benchmark; ``tools/run_experiments.py``
-#: folds it into the *committed* ``BENCH_geo.json`` trajectory that
-#: ``tools/bench_check.py`` gates.
-GEO_STATS_PATH = os.path.join(RESULTS_DIR, "geo_stats.jsonl")
 
 
 def harness_cache_dir() -> Optional[str]:
@@ -122,7 +124,7 @@ def record_obs(result, label: Optional[str] = None,
 
 
 def record_sim(row: dict, label: Optional[str] = None) -> None:
-    """Append one online-runtime measurement to the sim stats stream."""
+    """Append one engine measurement to the sim stats stream."""
     if label is None:
         label = os.environ.get("PYTEST_CURRENT_TEST", "adhoc").split(" ")[0]
     append_jsonl(SIM_STATS_PATH, {"experiment": label, **row})
@@ -147,13 +149,6 @@ def record_bounds(row: dict, label: Optional[str] = None) -> None:
     if label is None:
         label = os.environ.get("PYTEST_CURRENT_TEST", "adhoc").split(" ")[0]
     append_jsonl(BOUNDS_STATS_PATH, {"experiment": label, **row})
-
-
-def record_geo(row: dict, label: Optional[str] = None) -> None:
-    """Append one geo-sharding case's stats to the geo stream."""
-    if label is None:
-        label = os.environ.get("PYTEST_CURRENT_TEST", "adhoc").split(" ")[0]
-    append_jsonl(GEO_STATS_PATH, {"experiment": label, **row})
 
 
 def write_result(name: str, text: str) -> None:

@@ -1,80 +1,64 @@
-"""E22 — Region-sharded engine: geo-scale throughput, byte-identical traces.
+"""E22 — Geo scale: multi-region throughput, byte-identical traces.
 
-PR 4's fast path (E17) optimised the work inside each event and PR 6's
-batched core (E19) restructured the event stream; the sharded core
-(``repro.perf.shardcore``, ``BTRConfig(sharded_core=True, shards=N)``)
-partitions the event loop itself by topology region, exploiting WAN
-latency as conservative lookahead. The benchmark runs multi-region geo
-deployments (``geo_topology``, 3–6 regions x 20–30 nodes/region, WAN
-links three orders of magnitude slower than local ones) under the
-shape-validated ``geo:RxM`` scenarios, with the industrial workload
-stretched to WAN-scale periods (``stretched_workload``).
+The benchmark runs multi-region geo deployments (``geo_topology``, 3–6
+regions x 20–30 nodes/region, WAN links three orders of magnitude slower
+than local ones) under the shape-validated ``geo:RxM`` scenarios, with
+the industrial workload stretched to WAN-scale periods
+(``stretched_workload``).
 
-Columns per case, all from one process so runner load cancels out:
+Columns per case:
 
-* the **single-loop reference** — the engine as it stood before the
-  partitioned-execution work (PR 4 fast path, one heap, no batching);
-* the **geo engine** — sharded core (one heap shard per region) riding
-  the batched emitters, the configuration ``--shards`` enables;
-* the in-process **shard ratio** — sharded vs the batched single loop,
-  isolating what heap partitioning alone buys (or costs) on one core;
+* the **engine** — absolute events/s on the milestone trace, recorded
+  with the host's core count and interpreter version in
+  ``BENCH_sim.json``;
 * the **pool sweep** — ``run_sweep_pool`` fanning seeds over worker
   processes vs the in-process serial sweep. Its speedup scales with
   available cores and is gated only on multi-core machines (a 1-core
   runner records ~1.0x honestly instead of faking parallelism).
 
 The inherited invariant is asserted hardest: for every scenario x seed
-x shard count (shards in {1, 2, R} and the non-sharded reference) the
-**full-mode trace is byte-identical** (``trace_fingerprint``), and pool
-workers must reproduce the serial per-seed fingerprints exactly.
+the **full-mode trace is byte-identical** (fingerprint,
+``events_executed``, census) to the digest the per-message single-loop
+path generated before it was deleted
+(``tests/golden/engine_digests.json``), and pool workers must reproduce
+the serial per-seed fingerprints exactly.
 
-Acceptance bar (full sweep): the geo engine is >=2x the single-loop
-reference on the >=100-node case (ISSUE 10's gate; measured ~12x —
-batching dominates at geo fan-outs, sharding adds locality on top).
+Environment knobs (used by the CI engine-smoke job):
 
-Environment knobs (used by the CI geo-smoke job):
-
-* ``REPRO_E22_SWEEP=smoke`` — one small case (3x8), shards {1, R},
-  no speedup assertions (byte-equality gates always enforced).
+* ``REPRO_E22_SWEEP=smoke`` — one small case (3x8), no speedup
+  assertions (byte-equality gates always enforced).
 """
 
 import os
 
 from harness import (
+    golden,
     harness_cache_dir,
     one_shot,
-    record_geo,
+    record_sim,
     write_result,
 )
 from repro import BTRConfig, BTRSystem
 from repro.analysis import format_table
 from repro.faults.scenarios import stage
 from repro.net import geo_topology
-from repro.perf import trace_fingerprint
 from repro.perf.batchcore import run_sweep
 from repro.perf.shardcore import GeoSweepSpec, run_sweep_pool, system_for_spec
 from repro.perf.timing import Stopwatch
 from repro.workload import industrial_workload, stretched_workload
 
-#: (regions, nodes_per_region, shard counts, seeds, n_periods, pool).
-#: Shard counts always include 1 and 0 (= one shard per region) so the
-#: byte gate covers the {1, 2, R} matrix the property tests promise.
-#: The 4x30 case is the >=100-node deployment the speedup gate rides on.
+#: (regions, nodes_per_region, seeds, n_periods, pool). The 4x30 and
+#: 6x20 cases are the >=100-node deployments.
 SWEEP_FULL = [
-    (3, 20, (1, 2, 0), (42, 43), 8, False),
-    (6, 20, (1, 0), (42,), 8, False),
-    (4, 30, (1, 0), (42, 43), 8, True),
+    (3, 20, (42, 43), 8, False),
+    (6, 20, (42,), 8, False),
+    (4, 30, (42, 43), 8, True),
 ]
-SWEEP_SMOKE = [(3, 8, (1, 0), (42,), 6, True)]
+SWEEP_SMOKE = [(3, 8, (42,), 6, True)]
 
 #: Extra seeds for the pool sweep (parallelism needs enough work per
 #: worker for the fork + rebuild overhead to amortise).
 POOL_SEEDS = (42, 43, 44, 45)
-
-#: Acceptance bar: geo engine vs single-loop reference wall clock on
-#: the >=100-node case. Both columns run in this process on milestone
-#: traces, so shared-runner load moves them together.
-SPEEDUP_GATE = 2.0
 
 #: Pool sweeps are gated only where parallelism is physically possible.
 POOL_GATE = 1.5
@@ -84,17 +68,15 @@ def smoke() -> bool:
     return os.environ.get("REPRO_E22_SWEEP") == "smoke"
 
 
-def _prepared(regions: int, npr: int, seed: int, *, sharded: bool,
-              shards: int, batched: bool, trace_mode: str) -> BTRSystem:
+def _prepared(regions: int, npr: int, seed: int,
+              trace_mode: str) -> BTRSystem:
     """A prepared geo system; same deployment recipe as GeoSweepSpec
-    (stretched industrial workload, default WAN latency) with the
-    engine knobs exposed per benchmark column."""
+    (stretched industrial workload, default WAN latency)."""
     system = BTRSystem(
         stretched_workload(industrial_workload(), 10),
         geo_topology(regions, npr, bandwidth=1e8),
         BTRConfig(f=1, seed=seed, cache=harness_cache_dir(),
-                  trace_mode=trace_mode, batched_core=batched,
-                  sharded_core=sharded, shards=shards),
+                  trace_mode=trace_mode),
     )
     system.prepare()
     return system
@@ -108,53 +90,26 @@ def _timed_run(system, scenario_name: str, n_periods: int):
     return result, watch.elapsed_s()
 
 
-def _fingerprint_run(regions, npr, seed, scenario_name, n_periods, *,
-                     sharded, shards, batched):
-    """One full-trace run, reduced to (fingerprint, events) so traces
-    at geo scale (millions of events) never accumulate across runs."""
-    system = _prepared(regions, npr, seed, sharded=sharded, shards=shards,
-                       batched=batched, trace_mode="full")
-    result, _ = _timed_run(system, scenario_name, n_periods)
-    return trace_fingerprint(result.trace), system.sim.events_executed
-
-
-def run_case(regions, npr, shard_counts, seeds, n_periods, pool):
+def run_case(regions, npr, seeds, n_periods, pool):
     scenario_name = f"geo:{regions}x{npr}"
     n_nodes = regions * npr
 
-    # --- The gate: full traces byte-identical for every seed x shard
-    # count, against the single-loop reference. ---
+    # --- The gate: full traces byte-identical to the per-message
+    # digests for every seed. ---
     for seed in seeds:
-        fp_ref, events_ref = _fingerprint_run(
-            regions, npr, seed, scenario_name, n_periods,
-            sharded=False, shards=0, batched=False)
-        for shards in shard_counts:
-            fp, events = _fingerprint_run(
-                regions, npr, seed, scenario_name, n_periods,
-                sharded=True, shards=shards, batched=True)
-            assert fp == fp_ref, (
-                f"{scenario_name} seed={seed} shards={shards}: sharded "
-                f"core changed the full trace")
-            assert events == events_ref, (
-                f"{scenario_name} seed={seed} shards={shards}: "
-                f"events_executed gauge diverged")
+        system = _prepared(regions, npr, seed, "full")
+        result, _ = _timed_run(system, scenario_name, n_periods)
+        golden.assert_matches(system, result, scenario_name)
 
-    # --- The clocks: milestone traces, first seed. ---
-    seed = seeds[0]
-    ref_sys = _prepared(regions, npr, seed, sharded=False, shards=0,
-                        batched=False, trace_mode="milestones")
-    ref_res, ref_s = _timed_run(ref_sys, scenario_name, n_periods)
-    fp_miles = trace_fingerprint(ref_res.trace)
-    bat_sys = _prepared(regions, npr, seed, sharded=False, shards=0,
-                        batched=True, trace_mode="milestones")
-    bat_res, bat_s = _timed_run(bat_sys, scenario_name, n_periods)
-    shd_sys = _prepared(regions, npr, seed, sharded=True, shards=0,
-                        batched=True, trace_mode="milestones")
-    shd_res, shd_s = _timed_run(shd_sys, scenario_name, n_periods)
-    assert trace_fingerprint(bat_res.trace) == fp_miles
-    assert trace_fingerprint(shd_res.trace) == fp_miles
-    events = ref_sys.sim.events_executed
-    shard_stats = shd_sys.sim.shard_stats()
+    # --- The clock: milestone trace, first seed; same events and census
+    # as that seed's digest. ---
+    miles_sys = _prepared(regions, npr, seeds[0], "milestones")
+    miles_res, wall_s = _timed_run(miles_sys, scenario_name, n_periods)
+    want = golden.expected(
+        golden.cell_key(miles_sys, scenario_name, n_periods))
+    events = miles_sys.sim.events_executed
+    assert events == want["events_executed"]
+    assert miles_res.trace.kind_counts() == want["kind_counts"]
 
     row = {
         "scenario": scenario_name,
@@ -164,19 +119,11 @@ def run_case(regions, npr, shard_counts, seeds, n_periods, pool):
         "f": 1,
         "n_periods": n_periods,
         "seeds": len(seeds),
-        "shard_counts": list(shard_counts),
         "sim_events": events,
-        "wall_single_loop_s": round(ref_s, 4),
-        "wall_batched_s": round(bat_s, 4),
-        "wall_sharded_s": round(shd_s, 4),
-        "speedup_vs_single_loop": (round(ref_s / shd_s, 2)
-                                   if shd_s else None),
-        "shard_ratio": round(bat_s / shd_s, 2) if shd_s else None,
-        "shards": shard_stats["shards"],
-        "lookahead_us": shard_stats["lookahead_us"],
-        "shard_windows": shard_stats["shard_windows"],
-        "cross_shard_events": shard_stats["cross_shard_events"],
-        "traces_identical": True,
+        "wall_milestones_s": round(wall_s, 4),
+        "events_per_s_milestones": (round(events / wall_s)
+                                    if wall_s else None),
+        "digest_match": True,
     }
 
     # --- The pool: per-seed fingerprints must survive the process
@@ -217,10 +164,9 @@ def run_case(regions, npr, shard_counts, seeds, n_periods, pool):
 def run_experiment():
     sweep = SWEEP_SMOKE if smoke() else SWEEP_FULL
     cases = []
-    for regions, npr, shard_counts, seeds, n_periods, pool in sweep:
-        case = run_case(regions, npr, shard_counts, seeds, n_periods,
-                        pool)
-        record_geo(case, label=f"e22:{case['scenario']}")
+    for regions, npr, seeds, n_periods, pool in sweep:
+        case = run_case(regions, npr, seeds, n_periods, pool)
+        record_sim(case, label=f"e22:{case['scenario']}")
         cases.append(case)
     return cases
 
@@ -230,41 +176,27 @@ def test_e22_geo_shards(benchmark):
 
     rows = [[
         c["scenario"], c["n_nodes"], f"{c['sim_events']:,}",
-        f"{c['wall_single_loop_s']:.2f}s", f"{c['wall_sharded_s']:.2f}s",
-        f"{c['speedup_vs_single_loop']:.2f}x",
-        f"{c['shard_ratio']:.2f}x",
-        f"{c['lookahead_us']}us", c["shard_windows"],
+        f"{c['wall_milestones_s']:.2f}s",
+        f"{c['events_per_s_milestones']:,}",
         (f"{c['pool_speedup']:.2f}x@{c['pool_workers']}w"
          if c.get("pool_speedup") else "-"),
-        "identical",
+        "matches",
     ] for c in cases]
     write_result("e22_geo_shards", format_table(
-        "E22: region-sharded engine (stretched industrial workload on "
-        "geo topologies; single-loop = PR 4 fast path, geo engine = "
-        "sharded core + batched emitters, both on milestone traces; "
-        "full traces asserted byte-identical per scenario x seed x "
-        "shard count)",
-        ["scenario", "nodes", "sim events", "single loop", "geo engine",
-         "speedup", "shard ratio", "lookahead", "windows", "pool",
-         "full trace"],
+        "E22: geo scale (stretched industrial workload on geo "
+        "topologies; milestone traces, absolute events/s of this host; "
+        "full traces asserted byte-identical to the per-message "
+        "single-loop digests per scenario x seed)",
+        ["scenario", "nodes", "sim events", "wall", "ev/s", "pool",
+         "legacy digest"],
         rows,
     ))
 
     for c in cases:
-        assert c["traces_identical"]
-        # The shard machinery engaged: windows were cut per region and
-        # WAN deliveries crossed shards.
-        assert c["shards"] > 1
-        assert c["cross_shard_events"] > 0
-        assert c["lookahead_us"] > 0
+        assert c["digest_match"]
     if not smoke():
-        big = [c for c in cases if c["n_nodes"] >= 100]
-        assert big, "full sweep must include a >=100-node deployment"
-        for c in big:
-            assert c["speedup_vs_single_loop"] >= SPEEDUP_GATE, (
-                f"{c['scenario']}: geo engine under the bar: "
-                f"{c['speedup_vs_single_loop']:.2f}x < {SPEEDUP_GATE}x "
-                f"over the single-loop reference")
+        assert any(c["n_nodes"] >= 100 for c in cases), (
+            "full sweep must include a >=100-node deployment")
         # Pool parallelism is gated only where it physically exists;
         # 1-core runners record the honest ~1x instead.
         for c in cases:

@@ -161,20 +161,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="memoise symmetric fault patterns (opt-in; "
                             "verifier-clean, may differ from exhaustive "
                             "planning)")
-        p.add_argument("--no-fastpath", action="store_true",
-                       help="disable the online verify memo (the fast "
-                            "path is behaviour-preserving; this exists "
-                            "for benchmarking and bisection)")
-        p.add_argument("--batched", action="store_true",
-                       help="enable the batched event core (vectorised "
-                            "periodic traffic + message pools; "
-                            "behaviour-preserving, requires the fast "
-                            "path — see docs/PERFORMANCE.md)")
-        p.add_argument("--shards", type=int, default=None, metavar="N",
-                       help="enable the region-sharded event core with N "
-                            "heap shards (0 = one per region; needs a "
-                            "geo topology; behaviour-preserving — full "
-                            "traces are byte-identical, E22 gates it)")
         p.add_argument("--stretch", type=int, default=1, metavar="K",
                        help="run the workload at Kx slower periods and "
                             "deadlines (geo deployments: WAN latency "
@@ -391,22 +377,9 @@ def config_from_args(args) -> BTRConfig:
         else:
             from .perf import default_cache_dir
             cache = default_cache_dir()
-    if args.batched and args.no_fastpath:
-        raise SystemExit("--batched requires the fast path "
-                         "(drop --no-fastpath)")
-    sharded = args.shards is not None
-    if sharded and args.no_fastpath:
-        raise SystemExit("--shards requires the fast path "
-                         "(drop --no-fastpath)")
-    if sharded and args.shards < 0:
-        raise SystemExit("--shards must be >= 0 (0 = one per region)")
     return BTRConfig(f=args.f, seed=args.seed, planner_jobs=args.jobs,
                      cache=cache, symmetry_memo=args.memo,
-                     runtime_fastpath=not args.no_fastpath,
-                     trace_mode=args.trace_mode,
-                     batched_core=args.batched,
-                     sharded_core=sharded,
-                     shards=args.shards if sharded else 0)
+                     trace_mode=args.trace_mode)
 
 
 def cmd_plan(args) -> int:

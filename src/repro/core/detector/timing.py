@@ -54,7 +54,7 @@ def planned_send_offset(plan: Plan, flow_name: str) -> Optional[int]:
 
 
 def planned_send_offset_cached(plan: Plan, flow_name: str) -> Optional[int]:
-    """Memoised :func:`planned_send_offset` (the runtime fast path).
+    """Memoised :func:`planned_send_offset`.
 
     The offset is a pure function of the plan (immutable once built), so
     the memo — stored on the plan object itself, keyed by flow name —
@@ -82,11 +82,10 @@ class TimingPolicy:
     #: Allowed deviation of the *actual* arrival from the plan.
     arrival_slack_us: int = 1_000
 
-    def send_window(self, plan: Plan, flow_name: str,
-                    fast: bool = False) -> Optional[Tuple[int, int]]:
+    def send_window(self, plan: Plan, flow_name: str
+                    ) -> Optional[Tuple[int, int]]:
         """Accepted period-relative handoff offsets for a logical flow."""
-        planned = (planned_send_offset_cached(plan, flow_name) if fast
-                   else planned_send_offset(plan, flow_name))
+        planned = planned_send_offset_cached(plan, flow_name)
         if planned is None:
             return None
         return planned - self.slack_us, planned + self.slack_us
@@ -99,13 +98,10 @@ class TimingPolicy:
         return arrival + self.arrival_slack_us
 
     def judge(self, plan: Plan, flow_name: str, flow_copy: str,
-              claimed_send_offset: int, actual_arrival_offset: int,
-              fast: bool = False) -> str:
+              claimed_send_offset: int, actual_arrival_offset: int) -> str:
         """Classify one delivery. ``flow_name`` is the logical flow in the
-        signed statement; ``flow_copy`` is the concrete copy delivered.
-        ``fast`` memoises the per-plan window lookups (same verdicts; see
-        :func:`planned_send_offset_cached`)."""
-        window = self.send_window(plan, flow_name, fast=fast)
+        signed statement; ``flow_copy`` is the concrete copy delivered."""
+        window = self.send_window(plan, flow_name)
         if window is not None:
             earliest, latest = window
             if not earliest <= claimed_send_offset <= latest:

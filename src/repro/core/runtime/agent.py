@@ -79,17 +79,13 @@ class NodeAgent:
         self.node = node
         self.node_id = node.node_id
         self.config = system.config
-        #: The online fast path (verify memo, per-plan window memos,
-        #: cached neighbour lists). Behaviour preserving either way.
-        self._fastpath = system.config.runtime_fastpath
         #: Static topology: the sorted neighbour list never changes
-        #: mid-run, so the fast path computes it once per agent instead
-        #: of re-sorting the adjacency on every broadcast/heartbeat.
+        #: mid-run, so it is computed once per agent (the batched
+        #: emitters build their per-sender fan-out plans from it).
         self._neighbors = tuple(system.topology.neighbors(self.node_id))
-        #: The batched event core's per-run state (None unless
-        #: ``config.batched_core``): fan-outs route through its
-        #: vectorised emitters, per-period timers coalesce, and hot-path
-        #: messages come from its pool. Behaviour preserving (E19).
+        #: The run's batched emitters and message pool: fan-outs route
+        #: through the vectorised emitters and hot-path messages come
+        #: from the pool.
         self._batched = system.batch_runtime
         self.behavior: FaultBehavior = FaultBehavior()
         self.switcher = ModeSwitcher(
@@ -153,8 +149,9 @@ class NodeAgent:
         #: (sender, period) -> control records whose verification this
         #: node has already paid for (per-sender CPU quota, §4.3).
         self._ctrl_quota: Dict[Tuple[str, int], int] = {}
-        #: Flow copies this node is the final consumer of (per plan).
-        self._expected: List[Tuple[str, str, int]] = []
+        #: (planned arrival, [flow copies this node finally consumes])
+        #: under the current plan.
+        self._expected_groups: List[Tuple[int, List[str]]] = []
         self._refresh_expected()
         node.add_handler(self._on_message)
 
@@ -187,30 +184,25 @@ class NodeAgent:
         return self.system.topology.endpoint_map.get(flow.dst)
 
     def _refresh_expected(self) -> None:
-        self._expected = []
+        # Expectations sharing a planned arrival share a check time (the
+        # omission wait is a constant) and coalesce into one heap event
+        # per period. Groups and their members keep flow order, so checks
+        # run in the order one timer per expectation would run them
+        # (consecutive-seq argument, see _exec_groups).
+        groups = []
+        by_arrival = {}
         for flow in self.plan.augmented.flows:
             if self._final_consumer_node(flow) != self.node_id:
                 continue
             arrival = self.plan.planned_arrival(flow.name)
             if arrival is None:
                 continue
-            self._expected.append((flow.name, naming.base_flow(flow.name),
-                                   arrival))
-        # Arrival-grouped view for the batched core: the omission wait is
-        # a constant, so expectations sharing a planned arrival share a
-        # check time and coalesce into one heap event per period. Group
-        # order and within-group order follow self._expected, preserving
-        # the reference execution order (consecutive-seq argument, see
-        # _exec_groups).
-        groups = []
-        by_arrival = {}
-        for flow_copy, _base, arrival in self._expected:
             bucket = by_arrival.get(arrival)
             if bucket is None:
                 bucket = []
                 by_arrival[arrival] = bucket
                 groups.append((arrival, bucket))
-            bucket.append(flow_copy)
+            bucket.append(flow.name)
         self._expected_groups = groups
 
     # ------------------------------------------------------- fault injection
@@ -230,18 +222,7 @@ class NodeAgent:
             return
         period_start = k * self.period
         self._emit_sources(k)
-        if self._batched is not None:
-            self._schedule_exec_groups(k, period_start)
-        else:
-            for instance in self.plan.instances_on(self.node_id):
-                slot = self.plan.schedule.slot_for(instance)
-                if slot is None or instance in self.pending_state:
-                    continue
-                self.sim.call_at(
-                    period_start + slot.finish,
-                    lambda inst=instance, kk=k:
-                        self._execute_instance(inst, kk),
-                )
+        self._schedule_exec_groups(k, period_start)
         self._schedule_omission_checks(k)
         self._schedule_sink_audits(k)
         self._emit_heartbeat(k)
@@ -263,25 +244,12 @@ class NodeAgent:
         # synthesizer serialized the source lanes in exactly this order,
         # so any other order would reshuffle lane queueing and break the
         # timetable (a small reading queued behind a large one misses its
-        # consumer's slot).
-        if self._batched is not None:
-            self._emit_sources_batched(hosted, k)
-            return
-        for flow in self.plan.augmented.flows:
-            if flow.src not in hosted:
-                continue
-            value = sensor_reading(flow.src, k)
-            base = naming.base_flow(flow.name)
-            stmt = self._signed_forward(base, k, value, planned_offset=0)
-            self._send_copy(flow.name, stmt, k)
-
-    def _emit_sources_batched(self, hosted, k: int) -> None:
-        """Batched-core source emission: build every frame's payload in
-        flow order, sign the uncached ones in one authenticator pass
-        (:meth:`AuthenticatedStatement.make_batch` — bit-identical tags,
-        same ``signs`` count as the per-miss reference), then send the
-        copies in the same flow order. Signing schedules nothing, so the
-        two-pass split is trace-identical to sign-then-send per flow."""
+        # consumer's slot). Build every frame's payload in that order,
+        # sign the uncached ones in one authenticator pass
+        # (:meth:`AuthenticatedStatement.make_batch` — same tags and
+        # ``signs`` count as signing each miss on its own), then send the
+        # copies in the same order; signing schedules nothing, so the
+        # two passes are trace-identical to sign-then-send per flow.
         emissions = []
         pending_keys = []
         pending_payloads = []
@@ -333,13 +301,13 @@ class NodeAgent:
 
     def _exec_groups(self):
         """Static ``(finish, [instances])`` groups for this node under
-        the current plan, in the reference emission order. Grouping
-        equal finish times is order-preserving: the reference loop's
-        schedules carry consecutive sequence numbers (no foreign
-        schedule interleaves the loop), so members at one finish time
-        fire back-to-back in emission order either way, and members at
-        different times are ordered by time regardless of seq. Memoised
-        on the plan object like the other plan-riding memos."""
+        the current plan, in ``instances_on`` order. Grouping equal
+        finish times preserves the order one timer per instance would
+        give: those timers would carry consecutive sequence numbers (no
+        foreign schedule interleaves the loop), so members at one finish
+        time fire back-to-back in emission order either way, and members
+        at different times are ordered by time regardless of seq.
+        Memoised on the plan object like the other plan-riding memos."""
         memo = self.plan.__dict__.get("_exec_groups")
         if memo is None:
             memo = {}
@@ -362,8 +330,8 @@ class NodeAgent:
         return groups
 
     def _schedule_exec_groups(self, k: int, period_start: int) -> None:
-        """Batched-core variant of the per-instance execution timers:
-        one heap event per distinct slot finish time."""
+        """Execution timers: one heap event per distinct slot finish
+        time."""
         pending = self.pending_state
         for finish, instances in self._exec_groups():
             if pending:
@@ -372,20 +340,13 @@ class NodeAgent:
                     continue
             else:
                 live = instances
-            if len(live) == 1:
-                self.sim.call_at(
-                    period_start + finish,
-                    lambda inst=live[0], kk=k:
-                        self._execute_instance(inst, kk))
-            else:
-                self.sim.call_at(
-                    period_start + finish,
-                    lambda insts=live, kk=k:
-                        self._execute_group(insts, kk))
+            self.sim.call_at(
+                period_start + finish,
+                lambda insts=live, kk=k: self._execute_group(insts, kk))
 
     def _execute_group(self, instances, k: int) -> None:
         # One heap pop stands for len(instances) scheduled executions;
-        # keep the events-executed gauge identical to the reference.
+        # the events-executed gauge counts logical events.
         self.sim.events_executed += len(instances) - 1
         for instance in instances:
             self._execute_instance(instance, k)
@@ -728,37 +689,28 @@ class NodeAgent:
         route = self.plan.routes.get(flow_copy)
         if not route:
             return
-        if self._fastpath:
-            # (flow, final consumer) are pure functions of the immutable
-            # plan + static topology; memoised on the plan object like
-            # the timing-window lookups (see detector.timing).
-            memo = self.plan.__dict__.get("_send_copy_memo")
-            if memo is None:
-                memo = {}
-                self.plan.__dict__["_send_copy_memo"] = memo
-            entry = memo.get(flow_copy)
-            if entry is None:
-                flow = next((f for f in self.plan.augmented.flows
-                             if f.name == flow_copy), None)
-                final = (self._final_consumer_node(flow)
-                         if flow is not None else None)
-                entry = (flow, final)
-                memo[flow_copy] = entry
-            flow, final = entry
-            if flow is None or final is None:
-                return
-        else:
+        # (flow, final consumer) are pure functions of the immutable
+        # plan + static topology; memoised on the plan object like the
+        # timing-window lookups (see detector.timing).
+        memo = self.plan.__dict__.get("_send_copy_memo")
+        if memo is None:
+            memo = {}
+            self.plan.__dict__["_send_copy_memo"] = memo
+        entry = memo.get(flow_copy)
+        if entry is None:
             flow = next((f for f in self.plan.augmented.flows
                          if f.name == flow_copy), None)
-            if flow is None:
-                return
-            final = self._final_consumer_node(flow)
-            if final is None:
-                return
+            final = (self._final_consumer_node(flow)
+                     if flow is not None else None)
+            entry = (flow, final)
+            memo[flow_copy] = entry
+        flow, final = entry
+        if flow is None or final is None:
+            return
         if self.behavior.drops_message(flow_copy, k, final):
             return
-        if self._batched is not None and final != self.node_id:
-            # Pooled on the transmit path: the fast delivery/drop paths
+        if final != self.node_id:
+            # Pooled on the transmit path: the delivery/drop paths
             # release the message once its journey ends. Local deliveries
             # keep a plain Message (nothing releases them).
             message = self._batched.pool.acquire(
@@ -778,8 +730,7 @@ class NodeAgent:
                                 lambda: self.node.deliver(message,
                                                           self.sim.now))
             return
-        next_hop = (self._next_hop_cached(flow_copy) if self._fastpath
-                    else self.plan.next_hop(flow_copy, self.node_id))
+        next_hop = self._next_hop_cached(flow_copy)
         if next_hop is None:
             return
         if delay > 0:
@@ -810,8 +761,7 @@ class NodeAgent:
         _, flow_copy, k, _stmt = message.payload
         if self.behavior.drops_message(flow_copy, k, message.dst):
             return
-        next_hop = (self._next_hop_cached(flow_copy) if self._fastpath
-                    else self.plan.next_hop(flow_copy, self.node_id))
+        next_hop = self._next_hop_cached(flow_copy)
         if next_hop is None:
             return
         delay = self.behavior.delay_send(flow_copy, k)
@@ -821,16 +771,6 @@ class NodeAgent:
                                                     message))
         else:
             self.system.transmit(self.node_id, next_hop, message)
-
-    def _signed_forward(self, flow_base: str, k: int, value: int,
-                        planned_offset: int) -> AuthenticatedStatement:
-        actual_offset = self._local_offset(k)
-        payload = build_forward_statement(
-            flow=flow_base, period=k, value=value,
-            send_offset=self.behavior.claimed_send_offset(
-                actual_offset, planned_offset),
-        )
-        return self._sign_cached(flow_base, k, payload)
 
     # ------------------------------------------------------------ deliveries
 
@@ -879,7 +819,7 @@ class NodeAgent:
             return
         verdict = self.config.timing.judge(
             self.plan, stmt.statement.get("flow", flow_copy), flow_copy,
-            offset, arrival_offset, fast=self._fastpath,
+            offset, arrival_offset,
         )
         if verdict in (SELF_INCRIMINATING, SUSPICIOUS_ARRIVAL):
             # Wrong slot within the period: real, but only provable
@@ -913,24 +853,10 @@ class NodeAgent:
         period_start = k * self.period
         wait = (self.config.timing.arrival_slack_us
                 + self.config.omission_grace_us)
-        if self._batched is not None:
-            for arrival, copies in self._expected_groups:
-                if len(copies) == 1:
-                    self.sim.call_at(
-                        period_start + arrival + wait,
-                        lambda c=copies[0], kk=k:
-                            self._check_arrival(c, kk))
-                else:
-                    self.sim.call_at(
-                        period_start + arrival + wait,
-                        lambda cs=copies, kk=k:
-                            self._check_arrival_group(cs, kk))
-            return
-        for flow_copy, _base, arrival in self._expected:
+        for arrival, copies in self._expected_groups:
             self.sim.call_at(
                 period_start + arrival + wait,
-                lambda c=flow_copy, kk=k: self._check_arrival(c, kk),
-            )
+                lambda cs=copies, kk=k: self._check_arrival_group(cs, kk))
 
     def _check_arrival_group(self, copies, k: int) -> None:
         # One heap pop stands for len(copies) scheduled checks.
@@ -1015,7 +941,7 @@ class NodeAgent:
         self.system.trace.record(EvidenceGenerated(
             time=self.sim.now, detector_node=self.node_id,
             accused_node=accused, fault_kind=kind,
-            evidence_id=hash(evidence.evidence_id) & 0xFFFFFFFF,
+            evidence_id=int(evidence.evidence_id[:8], 16),
         ))
         if self.log.note_evidence(evidence):
             self._handle_evidence(evidence, from_neighbor=None)
@@ -1053,7 +979,7 @@ class NodeAgent:
             self.system.trace.record(EvidenceAccepted(
                 time=self.sim.now, node=self.node_id,
                 accused_node=evidence.accused,
-                evidence_id=hash(evidence.evidence_id) & 0xFFFFFFFF,
+                evidence_id=int(evidence.evidence_id[:8], 16),
             ))
         if decision.reason == "unsupported_soft":
             self._retry_evidence.append(evidence)
@@ -1163,20 +1089,8 @@ class NodeAgent:
         # record is signed and immutable, so receivers can safely alias
         # it, and N neighbours cost one tuple build instead of N.
         envelope = payload + (endorsement,)
-        if self._batched is not None:
-            self._batched.flood_messages(self, MessageKind.EVIDENCE,
-                                         envelope, bits, exclude)
-            return
-        neighbors = (self._neighbors if self._fastpath
-                     else self.system.topology.neighbors(self.node_id))
-        for neighbor in neighbors:
-            if neighbor == exclude:
-                continue
-            message = Message(
-                src=self.node_id, dst=neighbor, kind=MessageKind.EVIDENCE,
-                payload=envelope, size_bits=bits,
-            )
-            self.system.transmit(self.node_id, neighbor, message)
+        self._batched.flood_messages(self, MessageKind.EVIDENCE,
+                                     envelope, bits, exclude)
 
     def _on_evidence_message(self, message: Message) -> None:
         payload = message.payload
@@ -1184,8 +1098,8 @@ class NodeAgent:
             return  # unendorsed records cost nothing: dropped outright
         tag, record, endorsement = payload
         # Hoisted: the deferred verification callbacks below must not
-        # capture the message object — pooled messages (batched core) are
-        # recycled as soon as delivery dispatch returns.
+        # capture the message object — pooled messages are recycled as
+        # soon as delivery dispatch returns.
         src = message.src
         # §4.3: nodes endorse what they distribute. The endorsement must
         # be by the forwarding hop itself; anything else is dropped before
@@ -1303,25 +1217,9 @@ class NodeAgent:
             self._last_heartbeat[origin] = self.sim.now
         if self.node.crashed:
             return
-        if self._batched is not None:
-            # Vectorised fan-out: one heap event per distinct arrival
-            # time, no Message objects for standard receivers.
-            self._batched.flood_heartbeat(self, origin, k, exclude)
-            return
-        neighbors = (self._neighbors if self._fastpath
-                     else self.system.topology.neighbors(self.node_id))
-        # Hoisted out of the loop: the payload tuple is immutable and
-        # identical for every copy, and transmit is rebound per run.
-        payload = ("heartbeat", origin, k)
-        transmit = self.system.transmit
-        me = self.node_id
-        for neighbor in neighbors:
-            if neighbor == exclude:
-                continue
-            transmit(me, neighbor, Message(
-                src=me, dst=neighbor, kind=MessageKind.CONTROL,
-                payload=payload, size_bits=128,
-            ))
+        # Vectorised fan-out: one heap event per distinct arrival time,
+        # no Message objects for standard receivers.
+        self._batched.flood_heartbeat(self, origin, k, exclude)
 
     # ----------------------------------------------------------- control
 

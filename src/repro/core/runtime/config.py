@@ -89,35 +89,11 @@ class BTRConfig:
     #: planning when distance-minimising placement is on.
     symmetry_memo: bool = False
 
-    # --- online runtime performance (repro.perf.fastpath) ----------------
-    #: Memoise signature verification results in the KeyDirectory so a
-    #: statement broadcast to N correct receivers pays the HMAC once.
-    #: Behaviour preserving: full-mode traces are byte-identical with the
-    #: fast path on and off (E17 asserts this).
-    runtime_fastpath: bool = True
+    # --- trace recording --------------------------------------------------
     #: Trace recording mode: "full" keeps every event; "milestones" keeps
     #: only recovery-relevant kinds and tallies per-hop traffic;
     #: "counts-only" tallies everything (see :mod:`repro.sim.trace`).
     trace_mode: str = "full"
-    #: The batched event core (:mod:`repro.perf.batchcore`): periodic
-    #: traffic (heartbeat/evidence fan-outs) is emitted as one vectorised
-    #: heap event per (sender, arrival) group, hot-path messages come from
-    #: a recycling pool, and per-period timers are coalesced per plan
-    #: phase. Behaviour preserving: full-mode traces are byte-identical
-    #: with the batched core on and off (E19 asserts this). Requires
-    #: ``runtime_fastpath`` — batching builds on the fast transmit path.
-    batched_core: bool = False
-    #: The region-sharded event core (:mod:`repro.perf.shardcore`): the
-    #: simulator heap is partitioned by topology region and executed in
-    #: per-shard windows bounded by the conservative WAN-lookahead
-    #: horizon (minimum cross-region link latency), with a deterministic
-    #: exact merge — full-mode traces stay byte-identical with sharding
-    #: on and off (E22 asserts this per scenario x seed x shard count).
-    #: Requires ``runtime_fastpath`` and a region-tagged (geo) topology.
-    sharded_core: bool = False
-    #: Shard count when ``sharded_core`` is on: 0 = one shard per
-    #: region; requests above the region count are clamped.
-    shards: int = 0
 
     def __post_init__(self) -> None:
         if self.f < 1:
@@ -134,21 +110,4 @@ class BTRConfig:
             raise ValueError(
                 f"trace_mode must be one of {TRACE_MODES}, "
                 f"got {self.trace_mode!r}"
-            )
-        if self.batched_core and not self.runtime_fastpath:
-            raise ValueError(
-                "batched_core requires runtime_fastpath: the batched "
-                "emitters build on the fast transmit path and heap"
-            )
-        if self.sharded_core and not self.runtime_fastpath:
-            raise ValueError(
-                "sharded_core requires runtime_fastpath: the sharded "
-                "executor stores bare (time, seq, callback) heap "
-                "entries, the fast-heap representation"
-            )
-        if self.shards < 0:
-            raise ValueError("shards must be >= 0 (0 = one per region)")
-        if self.shards and not self.sharded_core:
-            raise ValueError(
-                "shards is only meaningful with sharded_core=True"
             )

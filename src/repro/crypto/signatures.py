@@ -72,18 +72,14 @@ class KeyDirectory:
                  verify_memo: bool = False) -> None:
         self._master_seed = master_seed
         self._keys: Dict[str, bytes] = {}
-        #: Per-signer HMAC prototypes (key schedule pre-applied); a batch
-        #: of N signatures pays the two key-block compressions once and
-        #: N ``copy()+update()`` passes (see :meth:`sign_bytes_batch`).
+        #: Per-signer HMAC prototypes (key schedule pre-applied): every
+        #: sign/verify pays the two key-block compressions once per signer
+        #: and one ``copy()+update()`` pass per message. ``HMAC.copy()``
+        #: forks the inner state exactly, so tags equal ``hmac.new``'s.
         self._hmac_protos: Dict[str, "hmac.HMAC"] = {}
         #: HMAC computations actually performed (memo hits excluded).
         self.signs = 0
         self.verifies = 0
-        #: When True, single-shot sign/verify also go through the cached
-        #: prototypes (bit-identical tags, one key schedule per signer per
-        #: run instead of per call). Set by the batched core only, so the
-        #: reference benchmark column keeps the legacy per-call cost.
-        self.hot_protos = False
         self.verify_memo = None
         if verify_memo:
             # Lazy import: repro.perf.__init__ pulls in the offline
@@ -118,17 +114,14 @@ class KeyDirectory:
         return self.sign_bytes(signer, canonical_bytes(payload))
 
     def sign_bytes(self, signer: str, canonical: bytes) -> Signature:
-        """Sign an already-canonicalized payload (the fast path)."""
+        """Sign an already-canonicalized payload."""
         key = self._keys.get(signer)
         if key is None:
             raise SignatureError(f"no key registered for {signer!r}")
         self.signs += 1
-        if self.hot_protos:
-            mac = self._proto(signer, key).copy()
-            mac.update(canonical)
-            return Signature(signer=signer, tag=mac.hexdigest())
-        tag = hmac.new(key, canonical, hashlib.sha256)
-        return Signature(signer=signer, tag=tag.hexdigest())
+        mac = self._proto(signer, key).copy()
+        mac.update(canonical)
+        return Signature(signer=signer, tag=mac.hexdigest())
 
     def _proto(self, signer: str, key: bytes) -> "hmac.HMAC":
         proto = self._hmac_protos.get(signer)
@@ -139,15 +132,10 @@ class KeyDirectory:
 
     def sign_bytes_batch(self, signer: str,
                          canonicals) -> "list[Signature]":
-        """Sign a batch of canonical payloads in one authenticator pass.
-
-        HMAC's per-message cost splits into the key schedule (hashing the
-        ipad/opad key blocks) and the message pass; a cached prototype
-        with the key schedule pre-applied makes a batch of N cost one
-        schedule plus N ``copy()+update()`` message passes. The tags are
-        bit-identical to :meth:`sign_bytes` — ``HMAC.copy()`` forks the
-        inner state exactly — and ``signs`` still counts every item, so
-        the crypto accounting stays honest about logical signatures.
+        """Sign a batch of canonical payloads in one authenticator pass:
+        one key/prototype lookup for the batch, then :meth:`sign_bytes`'
+        message pass per item. ``signs`` counts every item, so the crypto
+        accounting stays honest about logical signatures.
         """
         key = self._keys.get(signer)
         if key is None:
@@ -166,18 +154,14 @@ class KeyDirectory:
         return self.verify_bytes(canonical_bytes(payload), signature)
 
     def verify_bytes(self, canonical: bytes, signature: Signature) -> bool:
-        """Verify against an already-canonicalized payload (the fast path)."""
+        """Verify against an already-canonicalized payload."""
         key = self._keys.get(signature.signer)
         if key is None:
             return False
         self.verifies += 1
-        if self.hot_protos:
-            mac = self._proto(signature.signer, key).copy()
-            mac.update(canonical)
-            expected = mac.hexdigest()
-        else:
-            expected = hmac.new(key, canonical, hashlib.sha256).hexdigest()
-        return hmac.compare_digest(expected, signature.tag)
+        mac = self._proto(signature.signer, key).copy()
+        mac.update(canonical)
+        return hmac.compare_digest(mac.hexdigest(), signature.tag)
 
     def verify_statement(self, stmt) -> bool:
         """Verify an :class:`AuthenticatedStatement`, memoised if enabled.
@@ -187,10 +171,8 @@ class KeyDirectory:
         so a forged signature is recomputed (and rejected) on every call
         and can never be served as valid from the cache.
 
-        Without the memo this is the legacy runtime: the payload is
-        re-serialized on every verification, exactly as the pre-fastpath
-        code did, so the ``runtime_fastpath=False`` benchmark column is a
-        faithful baseline rather than a half-optimised hybrid.
+        A memo-less directory re-serializes and re-verifies on every
+        call.
         """
         memo = self.verify_memo
         if memo is None:

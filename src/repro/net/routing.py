@@ -75,10 +75,9 @@ class Router:
                       excluding: Optional[set] = None) -> int:
         """How many WAN (inter-region) links the route traverses.
 
-        Zero on flat topologies and for intra-region routes. The geo
-        scenarios and the sharded executor's stats use this to tell
-        region-local traffic (which sharding runs without coordination)
-        from cross-region traffic (which rides the lookahead horizon).
+        Zero on flat topologies and for intra-region routes; the geo
+        scenarios use this to tell region-local from cross-region
+        traffic.
         """
         return sum(
             1 for a, b in self.hops(src, dst, excluding)

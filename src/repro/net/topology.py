@@ -150,9 +150,7 @@ class Topology:
         """Region names in the canonical (sorted) order.
 
         Geo builders name regions so that this order equals the order of
-        the regions' node-id blocks under plain string sort — the sharded
-        executor's per-shard agent groups concatenate back to the global
-        sorted node order because of exactly this property.
+        the regions' node-id blocks under plain string sort.
         """
         return sorted(self.regions)
 
@@ -162,17 +160,14 @@ class Topology:
                 if self.links[lid].is_wan]
 
     def min_wan_latency_us(self) -> int:
-        """Minimum propagation delay over the WAN links — the sharded
-        executor's conservative lookahead horizon.
+        """Minimum propagation delay over the WAN links: how long any
+        region runs before another region's traffic can reach it.
 
-        Raises :class:`TopologyError` when the topology has no WAN links
-        (a flat topology has no safe cross-shard horizon).
+        Raises :class:`TopologyError` when the topology has no WAN links.
         """
         wan = self.wan_links()
         if not wan:
-            raise TopologyError(
-                f"topology {self.name} has no WAN links; no lookahead"
-            )
+            raise TopologyError(f"topology {self.name} has no WAN links")
         return min(link.propagation_us for link in wan)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
@@ -317,16 +312,13 @@ def geo_topology(regions: int, nodes_per_region: int,
     strategy can plan around a region that one crash can cut off.
 
     Every node and intra-region link is tagged with its region; WAN
-    links are tagged ``is_wan``. The minimum WAN propagation delay is
-    the sharded executor's conservative lookahead, so ``wan_latency``
-    must exceed the intra-region ``propagation`` — the builder enforces
-    a 10x separation floor rather than silently producing a topology on
-    which sharding degenerates.
+    links are tagged ``is_wan``. ``wan_latency`` must dominate the
+    intra-region ``propagation`` for the deployment to be geo-scale at
+    all — the builder enforces a 10x separation floor.
 
     Region names are zero-padded to a fixed width so that sorted region
     order equals the string-sorted order of their node-id blocks (e.g.
-    ``r02n5`` sorts inside region ``r02``'s block) — the property the
-    sharded executor's deterministic merge relies on.
+    ``r02n5`` sorts inside region ``r02``'s block).
     """
     if regions < 2:
         raise TopologyError("geo topology needs >= 2 regions")
@@ -341,8 +333,8 @@ def geo_topology(regions: int, nodes_per_region: int,
     if wan_latency < 10 * propagation:
         raise TopologyError(
             f"wan_latency ({wan_latency}) must be >= 10x the intra-region "
-            f"propagation ({propagation}); WAN latency is the sharded "
-            f"lookahead and must dominate local delays"
+            f"propagation ({propagation}); WAN latency must dominate "
+            f"local delays"
         )
     topo = Topology(name=f"geo{regions}x{nodes_per_region}")
     width = len(str(regions - 1))

@@ -1,25 +1,20 @@
-"""The batched event core: vectorised periodic traffic, pooled messages,
-and multi-seed sweep execution.
+"""The engine's batched emitters: vectorised periodic traffic, pooled
+messages, and multi-seed sweep execution.
 
-PR 4's fast path (:mod:`repro.perf.fastpath`) memoised crypto and inlined
-the per-message hot loops; this module removes the *per-message heap
-event* itself for the event classes that dominate steady-state traffic.
-Three mechanisms, gated behind ``BTRConfig(batched_core=True)`` (CLI
-``--batched``) and all behaviour preserving — full-mode traces are
-byte-identical with the batched core on and off (E19 asserts this per
-scenario x seed):
+The event classes that dominate steady-state traffic do not pay one heap
+event per message:
 
 * **fan-out batching** — a heartbeat flood or evidence broadcast emits N
-  single-hop copies whose deliveries are scheduled back-to-back with
-  consecutive sequence numbers. All copies that arrive at the same time
-  are coalesced into ONE heap event (a :class:`_HeartbeatBatch` /
+  single-hop copies whose deliveries would be scheduled back-to-back
+  with consecutive sequence numbers. All copies that arrive at the same
+  time are coalesced into ONE heap event (a :class:`_HeartbeatBatch` /
   :class:`_MessageBatch`) that dispatches the deliveries in emission
   order. This is order-preserving by construction: two coalesced
   entries have equal timestamps and no foreign event can hold a sequence
   number between theirs (the emission loop issues no other schedules),
-  so the (time, seq) total order of *observable* work is unchanged.
-  ``events_executed`` is bumped per logical delivery so the metrics
-  gauge stays comparable with the reference run;
+  so the (time, seq) total order of *observable* work is the one a
+  heap event per message would give. ``events_executed`` is bumped per
+  logical delivery, so the gauge counts messages, not heap pops;
 
 * **message/event pools** — fan-out and data-plane messages come from a
   :class:`~repro.sim.message.MessagePool` (released when they reach
@@ -36,8 +31,9 @@ scenario x seed):
   being rebuilt per run.
 
 The invariant gate is :func:`~repro.perf.fastpath.trace_fingerprint`
-equality between batched and reference runs; see docs/PERFORMANCE.md
-("Batched core") and the E19 benchmark.
+equality with the digests committed in ``tests/golden/``, which a
+message-per-heap-event engine generated; see docs/PERFORMANCE.md
+("Engine") and the E19 benchmark.
 """
 
 from __future__ import annotations
@@ -60,8 +56,8 @@ class _HeartbeatBatch:
     heartbeat is known (``_on_message`` -> ``_on_control`` -> re-flood),
     so when the receiver's handlers are exactly the standard agent
     dispatch the batch calls ``_flood_heartbeat`` directly. Receivers
-    with custom handlers (tests attach observers) fall back to a real
-    message dispatched through the normal handler loop.
+    with custom handlers (tests attach observers) get a real message
+    dispatched through the normal handler loop.
     """
 
     __slots__ = ("runtime", "sender", "origin", "k", "arrival",
@@ -94,8 +90,8 @@ class _HeartbeatBatch:
         agents = self.agents
         lost = self.lost
         n = len(rids)
-        # One engine pop stands for n logical deliveries; keep the
-        # events-executed gauge identical to the per-message reference.
+        # One engine pop stands for n logical deliveries; the
+        # events-executed gauge counts messages.
         sim.events_executed += n - 1
         runtime.batches_fired += 1
         runtime.entries_batched += n
@@ -129,14 +125,14 @@ class _HeartbeatBatch:
             if agent is not None:
                 # Inlined seen-check: ~85% of steady-state deliveries are
                 # duplicate copies whose reflood call would return on its
-                # first line (and, per the reference, NOT refresh
-                # _last_heartbeat — only first receipt does that).
+                # first line (without refreshing _last_heartbeat — only
+                # first receipt does that).
                 if seen_key in agent._heartbeats_seen:
                     continue
                 agent._flood_heartbeat(origin, k, exclude=sender)
             else:
                 # Non-standard handler chain: dispatch a real message so
-                # observers see exactly what the reference path delivers.
+                # observers see every heartbeat copy.
                 message = Message(  # lint: ignore[allocation-in-loop]
                     src=sender, dst=rid, kind=MessageKind.CONTROL,
                     payload=("heartbeat", origin, k),
@@ -158,9 +154,9 @@ class _HeartbeatBatch:
 class _MessageBatch:
     """One coalesced heap event delivering same-arrival pooled messages
     (evidence/declaration broadcast fan-out). Dispatch per entry is the
-    inlined ``Node.deliver`` of the fast path; messages are released to
-    the pool once delivered at (or dropped short of) their final
-    destination."""
+    inlined ``Node.deliver`` of ``BTRSystem._deliver``; messages are
+    released to the pool once delivered at (or dropped short of) their
+    final destination."""
 
     __slots__ = ("runtime", "sender", "arrival", "nodes", "messages",
                  "lost")
@@ -235,20 +231,16 @@ class _MessageBatch:
 
 
 class BatchRuntime:
-    """Per-run state of the batched core, owned by a
-    :class:`~repro.core.runtime.system.BTRSystem` when
-    ``config.batched_core`` is on: the message pool, the batch-event
-    free lists, and the per-node heartbeat dispatch shortcuts."""
+    """Per-run state of the batched emitters, owned by a
+    :class:`~repro.core.runtime.system.BTRSystem`: the message pool, the
+    batch-event free lists, and the per-node heartbeat dispatch
+    shortcuts."""
 
     def __init__(self, system, pool_prealloc: int = 256) -> None:
         self.system = system
         self.pool = MessagePool(prealloc=pool_prealloc)
         self._hb_free: List[_HeartbeatBatch] = []
         self._msg_free: List[_MessageBatch] = []
-        #: node_id -> agent when the node's handler chain is exactly the
-        #: standard agent dispatch (heartbeats then skip Message objects),
-        #: else None (generic fallback).
-        self.hb_shortcut: Dict[str, Optional[object]] = {}
         #: Static per-sender emission plans (see :meth:`begin_run`).
         self._hb_plans: Dict[str, list] = {}
         self._ev_plans: Dict[str, list] = {}
@@ -267,17 +259,20 @@ class BatchRuntime:
         and — for the fixed-size heartbeat frame — the serialization
         duration itself. ``loss_probability`` is read live per emission
         (link scripts mutate it mid-run)."""
-        self.hb_shortcut = {}
         self._hb_plans = {}
         self._ev_plans = {}
         self.batches_fired = 0
         self.entries_batched = 0
         topology = self.system.topology
+        # node_id -> agent when the node's handler chain is exactly the
+        # standard agent dispatch (heartbeats then skip Message objects),
+        # else None (a real message is dispatched).
+        shortcut = {}
         for node_id, agent in sorted(agents.items()):
             handlers = agent.node._handlers
             standard = (len(handlers) == 1
                         and handlers[0] == agent._on_message)
-            self.hb_shortcut[node_id] = agent if standard else None
+            shortcut[node_id] = agent if standard else None
         for node_id, agent in sorted(agents.items()):
             # Setup-time plan construction, once per run — not the
             # steady-state loop the allocation rule protects.
@@ -295,7 +290,7 @@ class BatchRuntime:
                 if duration < 1:
                     duration = 1
                 hb_plan.append((neighbor, link, ctrl, node,
-                                self.hb_shortcut.get(neighbor), duration,
+                                shortcut.get(neighbor), duration,
                                 duration + link.propagation_us))
                 ev_plan.append((neighbor, link,
                                 link.lane_for(node_id,
@@ -311,7 +306,7 @@ class BatchRuntime:
         """Vectorised heartbeat fan-out: one lane reservation + trace
         entry per receiver, one heap event per distinct arrival time.
         RNG draws (lossy links) and the delivery hook are consulted per
-        receiver in emission order, exactly like the reference loop."""
+        receiver in emission order."""
         system = self.system
         sim = system.sim
         trace = system.trace
@@ -475,7 +470,7 @@ def run_sweep(system, seeds, n_periods: int, scenario: Optional[str] = None,
     are seed-relative; alternatively pass ``adversary``/``link_script``
     directly. Returns one :class:`SweepRun` per seed, in order, each with
     the run's trace fingerprint so callers can gate on byte-identity
-    against independently constructed reference runs.
+    against independently constructed runs.
     """
     from .timing import Stopwatch
 

@@ -1,12 +1,8 @@
-"""Online-runtime fast path: verify memoisation + trace fingerprints.
+"""Verify memoisation + trace fingerprints for the online runtime.
 
-PR 2 attacked *offline* planning cost; this module attacks the *online*
-simulation hot path, the way real BFT implementations do — PBFT batches
-authenticators and Zyzzyva's speculative path exists precisely to avoid
-redundant per-receiver crypto work. Three mechanisms, all gated behind
-``BTRConfig(runtime_fastpath=...)`` (default on) and all **behaviour
-preserving** — the full-mode trace is byte-identical with the fast path
-enabled and disabled (E17 asserts this for every benchmarked scenario):
+The simulation hot path avoids redundant per-receiver crypto work the way
+real BFT implementations do — PBFT batches authenticators and Zyzzyva's
+speculative path exists for the same reason:
 
 * statement canonicalization caching — each
   :class:`~repro.crypto.authenticator.AuthenticatedStatement` serializes
@@ -128,13 +124,12 @@ class VerifyMemo:
 def trace_fingerprint(events: Iterable) -> str:
     """A content hash of a trace (or any iterable of trace events).
 
-    The E17 benchmark and the determinism property tests compare runs by
-    this fingerprint: dataclass ``repr`` covers every field, and the
-    events iterate in record order, so two traces fingerprint equal iff
-    they are event-for-event, field-for-field identical.
-
-    Only valid *within* one process: event reprs may embed values whose
-    rendering depends on interpreter state across processes.
+    The committed engine digests (``tests/golden/``), E17/E19/E22 and
+    the determinism property tests compare runs by this fingerprint:
+    dataclass ``repr`` covers every field, and the events iterate in
+    record order, so two traces fingerprint equal iff they are
+    event-for-event, field-for-field identical. Stable across processes
+    and ``PYTHONHASHSEED`` values (tests/test_sim_determinism.py).
     """
     h = hashlib.sha256()
     for event in events:
@@ -148,13 +143,12 @@ def online_stats(system) -> Dict[str, object]:
 
     Returns sign/verify HMAC counts from the system's
     :class:`~repro.crypto.signatures.KeyDirectory` plus the verify-memo
-    stats (empty stats when the fast path is disabled). The E17 benchmark
-    records these per scenario into ``sim_stats.jsonl``.
+    stats. The E17 benchmark records these per scenario into
+    ``sim_stats.jsonl``.
     """
     directory = system.directory
-    memo = directory.verify_memo
     return {
         "signs": directory.signs,
         "verifies": directory.verifies,
-        "memo": memo.stats() if memo is not None else None,
+        "memo": directory.verify_memo.stats(),
     }

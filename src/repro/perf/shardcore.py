@@ -1,456 +1,55 @@
-"""Region-sharded event core: per-region heaps, WAN lookahead, and a
-process-pool sweep for geo-scale topologies.
+"""Geo-scale sweeps: picklable deployment recipes and a process-pool
+multi-seed sweep.
 
-PR 6's batched core (:mod:`repro.perf.batchcore`) exhausted the headroom
-of a *single* event loop; this module partitions the loop itself. A
-:func:`~repro.net.topology.geo_topology` tags every node with a region,
-and :class:`ShardedSimulator` keeps one heap per region group (shard),
-gated behind ``BTRConfig(sharded_core=True, shards=N)`` (CLI
-``--shards N``).
-
-**Determinism argument.** The executor never trades the engine's total
-order away. All shards share one global sequence counter, so every event
-still has the engine's unique ``(time, seq)`` key. Execution proceeds in
-*windows*: pick the shard whose head event is globally minimal, set the
-horizon to the smallest foreign head key, and run that shard's heap in a
-tight local loop while its head stays below the horizon. A cross-shard
-schedule that lands below the current horizon shrinks it immediately, so
-the window can never run past a foreign event that should come first.
-Events therefore execute in exactly the global ``(time, seq)`` order of
-the single-loop reference — full traces are **byte-identical** (the same
-gate E17/E19 established, asserted per scenario x seed x shard count by
-E22 and the shard property tests), RNG draws happen in the same order,
-and :attr:`~repro.sim.engine.Simulator.delivery_hook` composes
-unchanged.
-
-**Where the lookahead comes in.** Correctness never depends on it — the
-horizon mechanism is exact regardless — but *window length* does. A
-message crossing regions rides a WAN link whose propagation delay is
-orders of magnitude above the intra-region delays, so cross-shard
-events land far beyond the horizon and intra-region windows stay long:
-the classic conservative-PDES structure where the minimum cross-region
-link latency (``lookahead_us``) bounds how far a shard can safely run
-ahead. On a flat topology every event is one hop from every other and
-windows degenerate to single events — :func:`plan_shards` refuses to
-shard a region-less topology rather than silently delivering that.
-
-**Where the wall-clock win comes from.** Inside one Python process the
-exact-merge executor is roughly bookkeeping-neutral (smaller per-shard
-heaps vs. the window scan); E22 records the in-process ratio for the
-trajectory but does not gate on it. The gated >=2x win is
-:func:`run_sweep_pool`: shard-partitioned runs are independent per seed,
-so a multi-seed sweep fans out over worker processes (reusing
-``run_sweep``/``shared_prepare`` from :mod:`repro.perf.batchcore` and
-the on-disk strategy cache warmed by the parent), sidestepping the GIL
-the way a real geo deployment would run regions on separate machines.
+A :func:`~repro.net.topology.geo_topology` deployment at 60-120 nodes
+runs seconds per seed, and runs are independent per seed, so a multi-seed
+sweep fans out over worker processes: :class:`GeoSweepSpec` names a
+deployment with primitives only, :func:`system_for_spec` rebuilds it in
+any process, and :func:`run_sweep_pool` splits the seeds over workers
+(each reusing ``run_sweep``/``shared_prepare`` from
+:mod:`repro.perf.batchcore` and the on-disk strategy cache warmed by the
+parent). Per-seed trace fingerprints are equal to the serial in-process
+sweep's across the fork boundary.
 
 Delivery hooks are the one thing that cannot cross a process boundary;
 :func:`run_sweep_pool` rejects them loudly (see ``ShardingError``)
-instead of silently running unperturbed schedules, and
-:func:`guarded_delivery_hook` enforces the may-only-delay hook contract
-that keeps the lookahead story honest for in-process sharded runs.
+instead of silently running unperturbed schedules.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import heapq
 from concurrent.futures import ProcessPoolExecutor
 from typing import Callable, Dict, List, Optional, Tuple
 
-from ..net.topology import Topology, geo_topology
-from ..sim.engine import EventHandle, SimulationError, Simulator, _Event
-from ..sim.time import NEVER
+from ..net.topology import geo_topology
 from .batchcore import run_sweep, shared_prepare
 
 
 class ShardingError(Exception):
-    """Raised for invalid sharding requests: region-less topologies,
-    non-positive lookahead, or semantics that cannot cross a process
-    boundary (delivery hooks in a pool sweep)."""
-
-
-@dataclasses.dataclass(frozen=True)
-class ShardPlan:
-    """How a topology's regions map onto heap shards."""
-
-    shard_count: int
-    #: node_id -> shard index, covering every node.
-    node_shard: Dict[str, int]
-    #: Region names per shard, in canonical order; concatenating the
-    #: shards' (sorted) node blocks reproduces the global sorted node
-    #: order — the property the per-shard tick/sync splitting relies on.
-    shard_regions: Tuple[Tuple[str, ...], ...]
-    #: Minimum propagation delay over cross-shard links; 0 when there is
-    #: a single shard (no cross-shard traffic exists).
-    lookahead_us: int
-
-
-def plan_shards(topology: Topology, shards: int = 0) -> ShardPlan:
-    """Partition a region-tagged topology into ``shards`` heap shards.
-
-    ``shards <= 0`` means one shard per region. Requests for more shards
-    than regions are clamped — a region is the atomic unit (its nodes
-    exchange events at intra-region latency, far below any safe
-    horizon). Fewer shards than regions group *contiguous* runs of the
-    canonical (sorted) region order, which keeps every shard's node-id
-    block contiguous under global sort.
-
-    Raises :class:`ShardingError` when the topology has no regions (a
-    flat topology offers no lookahead) or when a multi-shard plan would
-    have a non-positive lookahead (cross-shard links as fast as local
-    ones — sharding such a topology would be exact but pointless, and a
-    benchmark built on it would be dishonest).
-    """
-    regions = topology.region_names()
-    if not regions:
-        raise ShardingError(
-            f"topology {topology.name} has no region tags; sharded "
-            f"execution needs a geo topology (see geo_topology)"
-        )
-    shard_count = len(regions) if shards <= 0 else min(shards, len(regions))
-    base, extra = divmod(len(regions), shard_count)
-    shard_regions: List[Tuple[str, ...]] = []
-    region_shard: Dict[str, int] = {}
-    start = 0
-    for index in range(shard_count):
-        size = base + (1 if index < extra else 0)
-        group = tuple(regions[start:start + size])
-        shard_regions.append(group)
-        for region in group:
-            region_shard[region] = index
-        start += size
-    node_shard = {
-        node_id: region_shard[topology.nodes[node_id].region]
-        for node_id in topology.node_ids()
-    }
-    lookahead = NEVER
-    for link_id in sorted(topology.links):
-        link = topology.links[link_id]
-        endpoints = link.endpoints
-        first = node_shard[endpoints[0]]
-        crosses = False
-        for endpoint in endpoints:
-            if node_shard[endpoint] != first:
-                crosses = True
-                break
-        if crosses and link.propagation_us < lookahead:
-            lookahead = link.propagation_us
-    if shard_count == 1:
-        lookahead = 0
-    elif lookahead == NEVER or lookahead <= 0:
-        raise ShardingError(
-            f"topology {topology.name}: cross-shard lookahead must be "
-            f"positive (got {0 if lookahead == NEVER else lookahead}); "
-            f"WAN links must be strictly slower than zero-delay"
-        )
-    return ShardPlan(shard_count=shard_count, node_shard=node_shard,
-                     shard_regions=tuple(shard_regions),
-                     lookahead_us=lookahead)
-
-
-class ShardedSimulator(Simulator):
-    """A multi-heap simulator that executes the exact global
-    ``(time, seq)`` order of the single-loop reference.
-
-    Events are routed to per-shard heaps: deliveries to the receiver's
-    shard (the runtime fast path passes it explicitly via
-    :meth:`schedule_to`), timers to the shard whose event scheduled them
-    (``call_at`` defaults to the currently executing shard, which is the
-    scheduling agent's own region). One global sequence counter spans
-    all shards, so the merge order is the engine's own total order —
-    ties included — not an approximation of it.
-    """
-
-    def __init__(self, seed: int = 0, *, node_shard: Dict[str, int],
-                 shard_count: int, lookahead_us: int = 0) -> None:
-        if shard_count < 1:
-            raise ShardingError(f"shard_count must be >= 1, "
-                                f"got {shard_count}")
-        super().__init__(seed=seed, fast_heap=True)
-        self._queues: List[list] = [[] for _ in range(shard_count)]
-        self._n_shards = shard_count
-        self.n_shards = shard_count
-        self._node_shard = dict(node_shard)
-        #: Minimum cross-shard link latency (diagnostic; exactness never
-        #: depends on it — see the module docstring).
-        self.lookahead_us = lookahead_us
-        #: Shard whose events are currently executing; the default
-        #: target for shard-less scheduling calls.
-        self._current_shard = 0
-        #: Smallest foreign head key during a window, as two ints (no
-        #: per-event tuple allocation on the hot path). A cross-shard
-        #: schedule below this key shrinks it immediately.
-        self._horizon_time = NEVER
-        self._horizon_seq = 0
-        #: Windows executed (one per shard selection in run_until).
-        self.shard_windows = 0
-        #: Events scheduled into a shard other than the executing one.
-        self.cross_shard_events = 0
-
-    # ------------------------------------------------------- scheduling
-
-    def shard_of(self, node_id: str) -> int:
-        """Heap shard hosting ``node_id``'s events."""
-        return self._node_shard.get(node_id, 0)
-
-    def call_at(self, time: int,
-                callback: Callable[[], None]) -> EventHandle:
-        """Schedule on the currently executing shard (an agent's timers
-        stay in its own region's heap)."""
-        return self.call_at_in(self._current_shard, time, callback)
-
-    def call_at_in(self, shard: int, time: int,
-                   callback: Callable[[], None]) -> EventHandle:
-        if time < self._now:
-            raise SimulationError(
-                f"cannot schedule event at {time} (now is {self._now})"
-            )
-        event = _Event(time, next(self._seq), callback)
-        heapq.heappush(self._queues[shard], (time, event.seq, event))
-        self._live += 1
-        if shard != self._current_shard:
-            self.cross_shard_events += 1
-            # The new seq exceeds every existing one, so the event only
-            # precedes the horizon on strictly smaller time.
-            if time < self._horizon_time:
-                self._horizon_time = time
-                self._horizon_seq = event.seq
-        return EventHandle(self, event)
-
-    def schedule(self, time: int, callback: Callable[[], None]) -> None:
-        self.schedule_to(self._current_shard, time, callback)
-
-    def schedule_to(self, shard: int, time: int,
-                    callback: Callable[[], None]) -> None:
-        if time < self._now:
-            raise SimulationError(
-                f"cannot schedule event at {time} (now is {self._now})"
-            )
-        seq = next(self._seq)
-        heapq.heappush(self._queues[shard], (time, seq, callback))
-        self._live += 1
-        if shard != self._current_shard:
-            self.cross_shard_events += 1
-            if time < self._horizon_time:
-                self._horizon_time = time
-                self._horizon_seq = seq
-
-    # -------------------------------------------------------- execution
-
-    def _select_shard(self) -> int:
-        """Index of the shard holding the globally minimal live event,
-        purging cancelled heads on the way; -1 when all heaps are
-        drained."""
-        queues = self._queues
-        pop = heapq.heappop
-        best = -1
-        best_time = 0
-        best_seq = 0
-        index = 0
-        while index < self._n_shards:
-            queue = queues[index]
-            while queue:
-                head = queue[0][2]
-                if type(head) is _Event and head.cancelled:
-                    pop(queue)
-                    self._cancelled_in_queue -= 1
-                    continue
-                break
-            if queue:
-                head_time = queue[0][0]
-                head_seq = queue[0][1]
-                if (best < 0 or head_time < best_time
-                        or (head_time == best_time
-                            and head_seq < best_seq)):
-                    best = index
-                    best_time = head_time
-                    best_seq = head_seq
-            index += 1
-        return best
-
-    def peek_next_time(self) -> int:
-        best = self._select_shard()
-        return self._queues[best][0][0] if best >= 0 else NEVER
-
-    def step(self) -> bool:
-        best = self._select_shard()
-        if best < 0:
-            return False
-        entry = heapq.heappop(self._queues[best])
-        event = entry[2]
-        if type(event) is _Event:
-            event.fired = True
-            callback = event.callback
-        else:
-            callback = event
-        self._current_shard = best
-        self._horizon_time = NEVER
-        self._horizon_seq = 0
-        self._live -= 1
-        self._now = entry[0]
-        self.events_executed += 1
-        callback()
-        return True
-
-    def run_until(self, end_time: int) -> None:
-        """Run all events with time <= ``end_time`` in exact global
-        (time, seq) order, window by window (see the class docstring)."""
-        if self._running:
-            raise SimulationError("run_until called re-entrantly")
-        self._running = True
-        pop = heapq.heappop
-        try:
-            while True:
-                best = self._select_shard()
-                if best < 0 or self._queues[best][0][0] > end_time:
-                    break
-                # Horizon: the smallest foreign head key. Heads were
-                # purged of cancelled entries by the selection scan.
-                # A foreign head cancelled *during* this window only
-                # makes the horizon conservative (the window ends early
-                # and reselects) — never unsound.
-                horizon_time = NEVER
-                horizon_seq = 0
-                index = 0
-                queues = self._queues
-                while index < self._n_shards:
-                    if index != best and queues[index]:
-                        head_time = queues[index][0][0]
-                        if (head_time < horizon_time
-                                or (head_time == horizon_time
-                                    and queues[index][0][1]
-                                    < horizon_seq)):
-                            horizon_time = head_time
-                            horizon_seq = queues[index][0][1]
-                    index += 1
-                self._current_shard = best
-                self._horizon_time = horizon_time
-                self._horizon_seq = horizon_seq
-                self.shard_windows += 1
-                while True:
-                    # Re-read per iteration: callbacks can trigger
-                    # _on_cancel compaction, which rebinds the lists.
-                    queue = self._queues[best]
-                    if not queue:
-                        break
-                    entry = queue[0]
-                    entry_time = entry[0]
-                    if entry_time > end_time:
-                        break
-                    if (entry_time > self._horizon_time
-                            or (entry_time == self._horizon_time
-                                and entry[1] > self._horizon_seq)):
-                        break
-                    pop(queue)
-                    event = entry[2]
-                    if type(event) is _Event:
-                        if event.cancelled:
-                            self._cancelled_in_queue -= 1
-                            continue
-                        event.fired = True
-                        callback = event.callback
-                    else:
-                        callback = event
-                    self._live -= 1
-                    self._now = entry_time
-                    self.events_executed += 1
-                    callback()
-            if end_time > self._now:
-                self._now = end_time
-        finally:
-            self._running = False
-
-    def _on_cancel(self) -> None:
-        self._live -= 1
-        self._cancelled_in_queue += 1
-        total = 0
-        for queue in self._queues:
-            total += len(queue)
-        if self._cancelled_in_queue * 2 > total and total >= 64:
-            index = 0
-            while index < self._n_shards:
-                # Compaction is amortised (runs when cancelled entries
-                # outnumber live ones), not the steady-state loop.
-                survivors = [  # lint: ignore[allocation-in-loop]
-                    entry for entry in self._queues[index]
-                    if type(entry[2]) is not _Event
-                    or not entry[2].cancelled
-                ]
-                heapq.heapify(survivors)
-                self._queues[index] = survivors
-                index += 1
-            self._cancelled_in_queue = 0
-
-    # ------------------------------------------------------ diagnostics
-
-    def shard_stats(self) -> dict:
-        """Raw sharding counters (ratios are the benchmark's job)."""
-        return {
-            "shards": self._n_shards,
-            "lookahead_us": self.lookahead_us,
-            "shard_windows": self.shard_windows,
-            "cross_shard_events": self.cross_shard_events,
-            "events_executed": self.events_executed,
-        }
-
-
-def sharded_simulator(topology: Topology, seed: int = 0,
-                      shards: int = 0) -> ShardedSimulator:
-    """A :class:`ShardedSimulator` for a region-tagged topology."""
-    plan = plan_shards(topology, shards)
-    return ShardedSimulator(seed=seed, node_shard=plan.node_shard,
-                            shard_count=plan.shard_count,
-                            lookahead_us=plan.lookahead_us)
-
-
-def guarded_delivery_hook(hook):
-    """Wrap a delivery hook with the may-only-delay contract check.
-
-    The engine documents that hooks must never accelerate deliveries;
-    the single-loop reference tolerates a violating hook until the trace
-    notices an out-of-order record, but under sharding an accelerated
-    delivery is also what would invalidate the lookahead story — so the
-    sharded runtime installs this wrapper and fails loudly at the exact
-    offending call instead. Behaviour for conforming hooks is unchanged
-    (pure validation; same calls, same results, same traces).
-    """
-    def checked(sender: str, receiver: str, proposed: int) -> int:
-        arrival = hook(sender, receiver, proposed)
-        if arrival < proposed:
-            raise ShardingError(
-                f"delivery hook accelerated {sender}->{receiver} from "
-                f"{proposed} to {arrival}; hooks may delay deliveries, "
-                f"never accelerate them"
-            )
-        return arrival
-    return checked
+    """Raised for invalid pool-sweep requests: an unknown workload name,
+    or semantics that cannot cross a process boundary (delivery hooks)."""
 
 
 # ------------------------------------------------------------ pool sweep
 
-#: Workload factories a pool worker can rebuild by name (callables do
-#: not cross process boundaries; specs carry names only).
-_WORKLOADS: Dict[str, Callable] = {}
-
-
 def _workload_registry() -> Dict[str, Callable]:
-    if not _WORKLOADS:
-        from ..workload import (
-            automotive_workload,
-            avionics_workload,
-            industrial_workload,
-            pipeline_workload,
-            power_grid_workload,
-        )
-        _WORKLOADS.update({
-            "industrial": industrial_workload,
-            "avionics": avionics_workload,
-            "automotive": automotive_workload,
-            "pipeline": pipeline_workload,
-            "powergrid": power_grid_workload,
-        })
-    return _WORKLOADS
+    """Workload factories a pool worker can rebuild by name (callables
+    do not cross process boundaries; specs carry names only)."""
+    from ..workload import (
+        automotive_workload,
+        avionics_workload,
+        industrial_workload,
+        pipeline_workload,
+        power_grid_workload,
+    )
+    return {
+        "industrial": industrial_workload,
+        "avionics": avionics_workload,
+        "automotive": automotive_workload,
+        "pipeline": pipeline_workload,
+        "powergrid": power_grid_workload,
+    }
 
 
 @dataclasses.dataclass(frozen=True)
@@ -470,13 +69,11 @@ class GeoSweepSpec:
     wan_jitter: int = 0
     bandwidth: float = 1e8
     f: int = 1
-    shards: int = 0
     n_periods: int = 12
     seed: int = 42
     trace_mode: str = "milestones"
     cache: Optional[str] = None
     scenario: Optional[str] = None
-    sharded: bool = True
 
 
 def system_for_spec(spec: GeoSweepSpec):
@@ -500,8 +97,7 @@ def system_for_spec(spec: GeoSweepSpec):
                             wan_jitter=spec.wan_jitter,
                             bandwidth=spec.bandwidth)
     config = BTRConfig(f=spec.f, seed=spec.seed, cache=spec.cache,
-                       trace_mode=spec.trace_mode, batched_core=True,
-                       sharded_core=spec.sharded, shards=spec.shards)
+                       trace_mode=spec.trace_mode)
     return BTRSystem(workload, topology, config)
 
 
@@ -534,14 +130,14 @@ def run_sweep_pool(spec: GeoSweepSpec, seeds, workers: int,
     on-disk strategy cache (the parent prepares first, so workers hit),
     and runs its chunk with :func:`run_sweep`. Results come back in the
     input seed order as primitive dicts (seed, trace fingerprint,
-    wall seconds, events executed) — callers gate byte-identity on the
-    fingerprints exactly as E19 does in-process.
+    wall seconds, events executed) — callers gate on the fingerprints
+    being equal to the serial sweep's.
 
     ``delivery_hook`` exists only to be rejected: hooks are live
     callables consulted per delivery and cannot cross a process
     boundary, so accepting one here would silently run unperturbed
-    schedules. Passing one raises :class:`ShardingError`; use the
-    in-process engine (which composes with hooks exactly) instead.
+    schedules. Passing one raises :class:`ShardingError`; run in-process
+    instead.
 
     If no process pool can be created (restricted sandboxes, missing
     semaphores) the sweep degrades to in-process execution and reports

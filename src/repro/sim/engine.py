@@ -28,75 +28,58 @@ class SimulationError(Exception):
     """Raised for invalid uses of the simulation engine (e.g. past events)."""
 
 
-class _Event:
-    """One queue entry. ``__slots__`` keeps the per-event footprint small —
-    long runs allocate one of these per message hop and per timer."""
+class EventHandle:
+    """A cancellable timer: the heap entry :meth:`Simulator.call_at`
+    queues and the handle it returns. ``__slots__`` keeps the per-timer
+    footprint small — long runs allocate several per node per period."""
 
-    __slots__ = ("time", "seq", "callback", "cancelled", "fired")
+    __slots__ = ("_sim", "time", "callback", "cancelled", "fired")
 
-    def __init__(self, time: int, seq: int,
+    def __init__(self, sim: "Simulator", time: int,
                  callback: Callable[[], None]) -> None:
+        self._sim = sim
         self.time = time
-        self.seq = seq
         self.callback = callback
         self.cancelled = False
         self.fired = False
 
-    def __lt__(self, other: "_Event") -> bool:
-        # Total order: timestamp, then insertion sequence (tie-break).
-        if self.time != other.time:
-            return self.time < other.time
-        return self.seq < other.seq
-
-
-class EventHandle:
-    """Handle returned by :meth:`Simulator.call_at`; allows cancellation."""
-
-    __slots__ = ("_sim", "_event")
-
-    def __init__(self, sim: "Simulator", event: _Event) -> None:
-        self._sim = sim
-        self._event = event
-
     def cancel(self) -> None:
         """Prevent the event from firing. Safe to call more than once
         (and after the event has already fired)."""
-        if not self._event.cancelled and not self._event.fired:
-            self._event.cancelled = True
+        if not self.cancelled and not self.fired:
+            self.cancelled = True
             self._sim._on_cancel()
-
-    @property
-    def cancelled(self) -> bool:
-        return self._event.cancelled
-
-    @property
-    def time(self) -> int:
-        return self._event.time
 
 
 class Simulator:
     """A deterministic discrete-event simulator with integer-µs time.
 
-    ``fast_heap`` stores heap entries as ``(time, seq, event)`` tuples so
-    ordering uses C-level tuple comparison instead of ``_Event.__lt__``
-    (``seq`` is unique, so the event object itself is never compared).
-    The order is identical either way — (time, seq) — making the flag a
-    pure speed knob; it exists so the E17 A/B benchmark can hold the
-    legacy representation constant.
+    Heap entries are ``(time, seq, entry)`` tuples, so ordering is C-level
+    tuple comparison on (time, seq); ``seq`` is unique, so ``entry`` — an
+    :class:`EventHandle` for cancellable :meth:`call_at` timers, the bare
+    callable for :meth:`schedule` — is never compared.
+
+    ``fast_heap`` is accepted for callers written when an object-ordered
+    heap mode also existed; ``True`` is its only legal value.
     """
 
-    def __init__(self, seed: int = 0, fast_heap: bool = False) -> None:
+    def __init__(self, seed: int = 0, fast_heap: bool = True) -> None:
+        if fast_heap is not True:
+            raise SimulationError(
+                "fast_heap=False selected the object-ordered legacy heap "
+                "mode, which was removed; the (time, seq, entry) tuple "
+                "heap is the only mode"
+            )
         self._queue: list = []
-        self._fast_heap = fast_heap
         self._seq = itertools.count()
         self._now = 0
         self.rng = DeterministicRandom(seed)
         #: Number of events executed so far (for diagnostics).
         self.events_executed = 0
         #: Optional message-delivery choice point, consulted by the
-        #: transmit paths (``sim.link`` and the runtime fast path) just
-        #: before a delivery is scheduled: ``hook(sender, receiver,
-        #: arrival) -> arrival``. The bounded model checker
+        #: transmit paths (``Link.transmit``, ``BTRSystem.transmit``, the
+        #: batched fan-outs) just before a delivery is scheduled:
+        #: ``hook(sender, receiver, arrival) -> arrival``. The model checker
         #: (:mod:`repro.mc`) installs one to explore alternative delivery
         #: orderings; ``None`` (the default) costs one attribute read per
         #: hop. Hooks must return a time >= the proposed arrival — they
@@ -123,11 +106,10 @@ class Simulator:
             raise SimulationError(
                 f"cannot schedule event at {time} (now is {self._now})"
             )
-        event = _Event(time, next(self._seq), callback)
-        heapq.heappush(self._queue,
-                       (time, event.seq, event) if self._fast_heap else event)
+        handle = EventHandle(self, time, callback)
+        heapq.heappush(self._queue, (time, next(self._seq), handle))
         self._live += 1
-        return EventHandle(self, event)
+        return handle
 
     def call_after(self, delay: int, callback: Callable[[], None]) -> EventHandle:
         """Schedule ``callback`` after a relative ``delay`` (µs, ≥ 0)."""
@@ -136,17 +118,11 @@ class Simulator:
         return self.call_at(self._now + delay, callback)
 
     def schedule(self, time: int, callback: Callable[[], None]) -> None:
-        """Fire-and-forget :meth:`call_at` for the fast heap: no
-        :class:`EventHandle`, no ``_Event`` — the bare callable rides in
-        the heap tuple. Only for events that are never cancelled (message
-        deliveries). Ordering is identical to :meth:`call_at` — same
-        (time, seq) key from the same counter.
-
-        On a legacy-heap simulator this degrades to :meth:`call_at`
-        (handle discarded): pushing a bare tuple into an ``_Event`` heap
-        would poison every subsequent comparison, and the observable
-        behaviour of the two heap representations is pinned to be
-        identical by the engine property tests.
+        """Fire-and-forget :meth:`call_at`: no :class:`EventHandle` — the
+        bare callable rides in the heap tuple. Only for
+        events that are never cancelled (message deliveries). Ordering is
+        identical to :meth:`call_at` — same (time, seq) key from the same
+        counter.
 
         A past ``time`` is rejected like :meth:`call_at` does: a single
         integer compare is cheap, and an event silently scheduled in the
@@ -160,42 +136,8 @@ class Simulator:
             raise SimulationError(
                 f"cannot schedule event at {time} (now is {self._now})"
             )
-        if not self._fast_heap:
-            event = _Event(time, next(self._seq), callback)
-            heapq.heappush(self._queue, event)
-            self._live += 1
-            return
         heapq.heappush(self._queue, (time, next(self._seq), callback))
         self._live += 1
-
-    # ---------------------------------------------- shard-aware hooks
-
-    #: Number of heap shards. The base engine is one loop over one heap;
-    #: the region-sharded executor (:mod:`repro.perf.shardcore`)
-    #: overrides these hooks to route events to per-region heaps while
-    #: preserving the global (time, seq) execution order exactly.
-    n_shards = 1
-
-    def shard_of(self, node_id: str) -> int:
-        """Heap shard hosting ``node_id``'s events (always 0 here)."""
-        return 0
-
-    def schedule_to(self, shard: int, time: int,
-                    callback: Callable[[], None]) -> None:
-        """:meth:`schedule` with an explicit target shard.
-
-        The base engine ignores ``shard`` — there is only one heap. The
-        sharded executor routes the event to the named shard's heap and
-        advances its cross-shard horizon, so hot transmit paths can call
-        this unconditionally with the receiver's shard.
-        """
-        self.schedule(time, callback)
-
-    def call_at_in(self, shard: int, time: int,
-                   callback: Callable[[], None]) -> EventHandle:
-        """:meth:`call_at` with an explicit target shard (see
-        :meth:`schedule_to`); the base engine ignores ``shard``."""
-        return self.call_at(time, callback)
 
     def _on_cancel(self) -> None:
         """Bookkeeping for one cancellation; compacts the heap when
@@ -206,56 +148,39 @@ class Simulator:
         self._cancelled_in_queue += 1
         if self._cancelled_in_queue * 2 > len(self._queue) \
                 and len(self._queue) >= 64:
-            if self._fast_heap:
-                self._queue = [
-                    e for e in self._queue
-                    if type(e[2]) is not _Event or not e[2].cancelled
-                ]
-            else:
-                self._queue = [e for e in self._queue if not e.cancelled]
+            self._queue = [
+                e for e in self._queue
+                if type(e[2]) is not EventHandle or not e[2].cancelled
+            ]
             heapq.heapify(self._queue)
             self._cancelled_in_queue = 0
 
     def peek_next_time(self) -> int:
         """Time of the next pending (non-cancelled) event, or NEVER."""
-        if self._fast_heap:
-            queue = self._queue
-            while queue:
-                head = queue[0][2]
-                if type(head) is _Event and head.cancelled:
-                    heapq.heappop(queue)
-                    self._cancelled_in_queue -= 1
-                    continue
-                return queue[0][0]
-            return NEVER
-        while self._queue and self._queue[0].cancelled:
-            heapq.heappop(self._queue)
-            self._cancelled_in_queue -= 1
-        return self._queue[0].time if self._queue else NEVER
+        queue = self._queue
+        while queue:
+            head = queue[0][2]
+            if type(head) is EventHandle and head.cancelled:
+                heapq.heappop(queue)
+                self._cancelled_in_queue -= 1
+                continue
+            return queue[0][0]
+        return NEVER
 
     def step(self) -> bool:
         """Execute the next pending event. Returns False if queue is empty."""
-        fast = self._fast_heap
         while self._queue:
-            entry = heapq.heappop(self._queue)
-            if fast:
-                event = entry[2]
-                if type(event) is not _Event:
-                    self._live -= 1
-                    self._now = entry[0]
-                    self.events_executed += 1
-                    event()
-                    return True
-            else:
-                event = entry
-            if event.cancelled:
-                self._cancelled_in_queue -= 1
-                continue
+            time, _seq, event = heapq.heappop(self._queue)
+            if type(event) is EventHandle:
+                if event.cancelled:
+                    self._cancelled_in_queue -= 1
+                    continue
+                event.fired = True
+                event = event.callback
             self._live -= 1
-            event.fired = True
-            self._now = event.time
+            self._now = time
             self.events_executed += 1
-            event.callback()
+            event()
             return True
         return False
 
@@ -265,40 +190,32 @@ class Simulator:
             raise SimulationError("run_until called re-entrantly")
         self._running = True
         try:
-            if self._fast_heap:
-                # Inlined peek+step: one heap op per event instead of two
-                # method calls each doing their own cancelled-filtering.
-                # Same execution order — entries compare on (time, seq).
-                # self._queue is re-read every iteration because callbacks
-                # may trigger _on_cancel compaction, which rebinds it.
-                pop = heapq.heappop
-                while True:
-                    queue = self._queue
-                    if not queue:
-                        break
-                    entry = queue[0]
-                    if entry[0] > end_time:
-                        break
-                    pop(queue)
-                    event = entry[2]
-                    if type(event) is _Event:
-                        if event.cancelled:
-                            self._cancelled_in_queue -= 1
-                            continue
-                        event.fired = True
-                        callback = event.callback
-                    else:
-                        callback = event
-                    self._live -= 1
-                    self._now = entry[0]
-                    self.events_executed += 1
-                    callback()
-            else:
-                while True:
-                    next_time = self.peek_next_time()
-                    if next_time > end_time:
-                        break
-                    self.step()
+            # Inlined peek+step: one heap op per event instead of two
+            # method calls each doing their own cancelled-filtering.
+            # self._queue is re-read every iteration because callbacks
+            # may trigger _on_cancel compaction, which rebinds it.
+            pop = heapq.heappop
+            while True:
+                queue = self._queue
+                if not queue:
+                    break
+                entry = queue[0]
+                if entry[0] > end_time:
+                    break
+                pop(queue)
+                event = entry[2]
+                if type(event) is EventHandle:
+                    if event.cancelled:
+                        self._cancelled_in_queue -= 1
+                        continue
+                    event.fired = True
+                    callback = event.callback
+                else:
+                    callback = event
+                self._live -= 1
+                self._now = entry[0]
+                self.events_executed += 1
+                callback()
             if end_time > self._now:
                 self._now = end_time
         finally:

@@ -39,22 +39,6 @@ class Lane:
     next_free: int = 0      # earliest time the lane can start a new frame
     bits_sent: int = 0
 
-    def reserve(self, now: int, size_bits: int) -> int:
-        """Serialize one frame on this lane; returns the serialization
-        end time (arrival is this plus the link's propagation delay).
-
-        Exactly the math of :meth:`Link.transmit`; the batched emitters
-        (:mod:`repro.perf.batchcore`) call it per receiver so the
-        vectorised fan-out cannot drift from the per-message reference.
-        """
-        start = now if now >= self.next_free else self.next_free
-        duration = int(round(size_bits / self.rate_bits_per_us))
-        if duration < 1:
-            duration = 1
-        self.next_free = start + duration
-        self.bits_sent += size_bits
-        return start + duration
-
 
 class Link:
     """A point-to-point or shared link with guarded bandwidth lanes."""
@@ -81,10 +65,8 @@ class Link:
         #: Region tag for intra-region links (geo topologies); None for
         #: flat deployments and for inter-region (WAN) links.
         self.region = region
-        #: True for inter-region links. The sharded executor's
-        #: conservative lookahead is the minimum propagation delay over
-        #: these links, so their latency must dominate the intra-region
-        #: delays for sharding to win (the geo builder enforces that).
+        #: True for inter-region links; their latency dominates the
+        #: intra-region delays (the geo builder enforces that).
         self.is_wan = is_wan
         self._lanes: Dict[Tuple[str, MessageKind], Lane] = {}
         self._allocated = 0.0
@@ -140,9 +122,10 @@ class Link:
     def lane_for(self, sender: str, kind: MessageKind):
         """The reserved lane for ``(sender, kind)``.
 
-        Same error contract as :meth:`transmit`; exposed so the runtime
-        fast path can resolve the lane once per edge and inline the
-        serialization math instead of re-looking it up per message.
+        Same error contract as :meth:`transmit`; exposed so
+        ``BTRSystem.transmit`` can resolve the lane once per edge and
+        inline the serialization math instead of re-looking it up per
+        message.
         """
         lane = self._lanes.get((sender, kind))
         if lane is None:

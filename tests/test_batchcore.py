@@ -1,22 +1,27 @@
-"""Batched event core: identical behaviour, fewer heap events.
+"""Batched emitters: a heap event per message's behaviour, fewer heap
+events.
 
-The batched core (``repro.perf.batchcore``, gated behind
-``BTRConfig(batched_core=True)``) promises the same run, byte for byte,
-for less engine work. These tests pin that promise from four sides —
+The batched emitters (``repro.perf.batchcore``) promise the run a
+message-per-heap-event engine produces, byte for byte, for less engine
+work. These tests pin that promise from five sides —
 
-* byte-identity: batched on/off produce the same full-mode trace
-  fingerprint, the same ``events_executed`` gauge, the same recovery
-  verdict, across scenarios and seeds — while the batch machinery
-  demonstrably engages (fewer heap pops than logical deliveries);
+* byte-identity: the full-mode trace fingerprint, the
+  ``events_executed`` gauge and the event census equal the digests the
+  per-message legacy path generated (``tests/golden``), across scenarios
+  and seeds — while the batch machinery demonstrably engages (fewer heap
+  pops than logical deliveries);
 * trace modes: the reduced modes keep the census and the milestone
-  subsequence exactly as the reference run records them;
+  subsequence exactly as the full run records them;
 * message pools: exhaustion grows the pool (never fails), growth is
   visible in the counters, recycling actually happens, and a warm pool
   carries across runs of one system — all without perturbing the trace;
 * sweeps and shared preparation: :func:`run_sweep` over shared frozen
   plans is byte-identical to freshly constructed+prepared systems per
   seed, and :func:`shared_prepare` hands the *same* strategy object to
-  identically-configured systems without re-planning.
+  identically-configured systems without re-planning;
+* sweep hygiene: scenario link scripts must not leak residual loss
+  into later runs over the shared topology (the order-independence
+  regression behind the pool sweep's byte-equality gate).
 """
 
 import pytest
@@ -25,41 +30,36 @@ from repro import BTRConfig, BTRSystem
 from repro.faults.scenarios import stage
 from repro.net import full_mesh_topology
 from repro.perf.batchcore import (BatchRuntime, run_sweep, shared_prepare,
-                                  _PREPARE_MEMO, _prepare_key)
+                                  sibling_system, _PREPARE_MEMO, _prepare_key)
 from repro.perf.fastpath import trace_fingerprint
-from repro.sim.trace import MILESTONE_KINDS
 from repro.workload import industrial_workload
+from tests import golden
 
 N_PERIODS = 12
 
 
-def build_system(seed: int, batched: bool, mode: str = "full",
-                 f: int = 1, n_nodes: int = 7) -> BTRSystem:
+def build_system(seed: int, mode: str = "full", f: int = 1,
+                 n_nodes: int = 7) -> BTRSystem:
     system = BTRSystem(
         industrial_workload(),
         full_mesh_topology(n_nodes, bandwidth=1e8),
-        BTRConfig(f=f, seed=seed, runtime_fastpath=True,
-                  trace_mode=mode, batched_core=batched),
+        BTRConfig(f=f, seed=seed, trace_mode=mode),
     )
     system.prepare()
     return system
 
 
-def run_scenario(seed: int, batched: bool, mode: str = "full",
+def run_scenario(seed: int, mode: str = "full",
                  scenario: str = "single_commission", f: int = 1):
-    system = build_system(seed, batched, mode, f=f)
+    system = build_system(seed, mode, f=f)
     scn = stage(scenario, system)
     result = system.run(N_PERIODS, adversary=scn.script,
                         link_script=scn.link_script)
     return system, result
 
 
-def milestone_reprs(trace) -> list:
-    return [repr(e) for e in trace if type(e) in MILESTONE_KINDS]
-
-
 class TestByteIdentity:
-    """Full traces are byte-identical with the batched core on and off."""
+    """Full traces are byte-identical to the per-message legacy path's."""
 
     @pytest.mark.parametrize("scenario,f", [
         ("single_commission", 1),
@@ -68,36 +68,29 @@ class TestByteIdentity:
     ])
     @pytest.mark.parametrize("seed", [42, 43])
     def test_full_trace_fingerprints_agree(self, scenario, f, seed):
-        ref_sys, ref = run_scenario(seed, batched=False,
-                                    scenario=scenario, f=f)
-        bat_sys, bat = run_scenario(seed, batched=True,
-                                    scenario=scenario, f=f)
-        assert (trace_fingerprint(bat.trace)
-                == trace_fingerprint(ref.trace))
-        # The engine gauge counts *logical* deliveries, so it matches the
-        # per-message reference even though the heap popped fewer events.
-        assert bat_sys.sim.events_executed == ref_sys.sim.events_executed
-        assert bat.final_modes == ref.final_modes
+        system, result = run_scenario(seed, scenario=scenario, f=f)
+        # Fingerprint, census, and the engine gauge: it counts *logical*
+        # deliveries, so it matches the per-message digest even though
+        # the heap popped fewer events.
+        golden.assert_matches(system, result, scenario)
         # The batch machinery actually engaged: many logical entries rode
         # on fewer physical heap events.
-        stats = bat_sys.batch_runtime.stats()
+        stats = system.batch_runtime.stats()
         assert stats["entries_batched"] > 0
         assert stats["batches_fired"] < stats["entries_batched"]
-        # The reference run never constructs a batch runtime.
-        assert ref_sys.batch_runtime is None
 
     @pytest.mark.parametrize("mode", ["milestones", "counts-only"])
     def test_reduced_modes_keep_census_and_milestones(self, mode):
-        _, ref_full = run_scenario(42, batched=False, mode="full")
-        bat_sys, bat = run_scenario(42, batched=True, mode=mode)
+        _, full = run_scenario(42, mode="full")
+        system, reduced = run_scenario(42, mode=mode)
         # Tallies fill the gap left by unretained per-hop records.
-        assert bat.trace.kind_counts() == ref_full.trace.kind_counts()
+        assert reduced.trace.kind_counts() == full.trace.kind_counts()
         if mode == "milestones":
-            assert (milestone_reprs(bat.trace)
-                    == milestone_reprs(ref_full.trace))
+            assert (golden.milestone_reprs(reduced.trace)
+                    == golden.milestone_reprs(full.trace))
         else:
-            assert len(bat.trace) == 0
-        assert bat_sys.batch_runtime.stats()["entries_batched"] > 0
+            assert len(reduced.trace) == 0
+        assert system.batch_runtime.stats()["entries_batched"] > 0
 
 
 class TestMessagePool:
@@ -105,15 +98,14 @@ class TestMessagePool:
     allocation-free; none of it is observable in the trace."""
 
     def test_exhaustion_grows_pool_without_perturbing_trace(self):
-        _, ref = run_scenario(42, batched=False, scenario="flood_plus_fault")
-        system = build_system(42, batched=True)
+        system = build_system(42, f=2)
         # Pre-install a runtime with a pool far too small for the
         # evidence flood: exhaustion must grow it, not fail.
         system.batch_runtime = BatchRuntime(system, pool_prealloc=2)
         scn = stage("flood_plus_fault", system)
         result = system.run(N_PERIODS, adversary=scn.script,
                             link_script=scn.link_script)
-        assert trace_fingerprint(result.trace) == trace_fingerprint(ref.trace)
+        golden.assert_matches(system, result, "flood_plus_fault")
         stats = system.batch_runtime.pool.stats()
         # The flood acquired far more messages than were preallocated...
         assert stats["acquired"] > stats["preallocated"] == 2
@@ -124,7 +116,7 @@ class TestMessagePool:
         assert stats["peak_free"] >= 2
 
     def test_warm_pool_carries_across_runs(self):
-        system = build_system(42, batched=True)
+        system = build_system(42)
         scn = stage("flood_plus_fault", system)
 
         def one_run():
@@ -154,40 +146,67 @@ class TestSweep:
 
     def test_sweep_matches_fresh_reference_per_seed(self):
         seeds = (42, 43, 44)
-        system = build_system(42, batched=True)
+        system = build_system(42)
         runs = run_sweep(system, seeds, N_PERIODS,
                          scenario="single_commission")
         assert [r.seed for r in runs] == list(seeds)
         for run in runs:
-            _, ref = run_scenario(run.seed, batched=False)
-            assert run.fingerprint == trace_fingerprint(ref.trace)
+            key = golden.cell_key(system, "single_commission", N_PERIODS,
+                                  seed=run.seed)
+            assert run.fingerprint == golden.expected(key)["fingerprint"]
             assert run.fingerprint == trace_fingerprint(run.result.trace)
             assert run.wall_s >= 0.0
 
     def test_sweep_siblings_share_frozen_artifacts(self):
-        system = build_system(42, batched=True)
-        from repro.perf.batchcore import sibling_system
-
+        system = build_system(42)
         sibling = sibling_system(system, 43)
         assert sibling.strategy is system.strategy
         assert sibling.budget is system.budget
         assert sibling.router is system.router
         assert sibling.config.seed == 43
-        assert sibling.config.batched_core
+
+
+class TestSweepHygiene:
+    """Runs over a shared topology are order-independent."""
+
+    @pytest.fixture(scope="class")
+    def geo(self):
+        from repro.perf.shardcore import GeoSweepSpec, system_for_spec
+        system = system_for_spec(GeoSweepSpec(regions=3, nodes_per_region=4,
+                                              trace_mode="full"))
+        system.prepare()
+        return system
+
+    def test_link_scripts_restore_residual_loss(self, geo):
+        link = geo.topology.wan_links()[0]
+        before = link.loss_probability
+        geo.run(6, link_script=[(100_000, link.link_id, 0.5)])
+        assert link.loss_probability == before
+
+    def test_sibling_runs_are_order_independent(self, geo):
+        def run_one(seed):
+            system = sibling_system(geo, seed)
+            scn = stage("geo:3x4", system)
+            return system.run(6, adversary=scn.script,
+                              link_script=scn.link_script)
+
+        solo = run_one(202)
+        run_one(101)
+        again = run_one(202)
+        assert (trace_fingerprint(again.trace)
+                == trace_fingerprint(solo.trace))
 
 
 class TestSharedPrepare:
     def test_identical_inputs_share_the_strategy_object(self):
         first = BTRSystem(
             industrial_workload(), full_mesh_topology(7, bandwidth=1e8),
-            BTRConfig(f=1, seed=42, runtime_fastpath=True,
-                      batched_core=True))
+            BTRConfig(f=1, seed=42))
         _PREPARE_MEMO.pop(_prepare_key(first), None)
         budget_first = shared_prepare(first)
         second = BTRSystem(
             industrial_workload(), full_mesh_topology(7, bandwidth=1e8),
-            BTRConfig(f=1, seed=99, runtime_fastpath=True,
-                      batched_core=True))
+            BTRConfig(f=1, seed=99))
         budget_second = shared_prepare(second)
         # The memo hands over the exact objects — plan-riding memos on
         # the strategy stay warm — and the run seed is not in the key.
@@ -197,12 +216,10 @@ class TestSharedPrepare:
     def test_different_f_misses_the_memo(self):
         base = BTRSystem(
             industrial_workload(), full_mesh_topology(7, bandwidth=1e8),
-            BTRConfig(f=1, seed=42, runtime_fastpath=True,
-                      batched_core=True))
+            BTRConfig(f=1, seed=42))
         other = BTRSystem(
             industrial_workload(), full_mesh_topology(7, bandwidth=1e8),
-            BTRConfig(f=2, seed=42, runtime_fastpath=True,
-                      batched_core=True))
+            BTRConfig(f=2, seed=42))
         assert _prepare_key(base) != _prepare_key(other)
         shared_prepare(base)
         shared_prepare(other)

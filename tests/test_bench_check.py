@@ -9,42 +9,42 @@ import json
 import subprocess
 import sys
 
-from tools.bench_check import check, check_geo_floor, load_runs
+from tools.bench_check import check, load_runs
 
-RATIO = ("best_speedup_batched",)
+METRIC = ("best_events_per_s_milestones",)
 
 
 def _run(sha, scenarios, identical=True):
     return {
         "git_sha": sha,
-        "all_traces_identical": identical,
+        "all_digests_match": identical,
         "cases": len(scenarios),
-        "by_scenario": {name: {"best_speedup_batched": value}
+        "by_scenario": {name: {METRIC[0]: value}
                         for name, value in scenarios.items()},
     }
 
 
 def test_empty_trajectory_passes():
-    assert check([], RATIO, 20.0) == ([], [])
+    assert check([], METRIC, 20.0) == ([], [])
 
 
 def test_single_entry_has_no_baseline_and_reports_new():
-    problems, new = check([_run("a", {"flood": 3.0})], RATIO, 20.0)
+    problems, new = check([_run("a", {"flood": 3.0})], METRIC, 20.0)
     assert problems == []
-    assert new == ["flood: best_speedup_batched"]
+    assert new == [f"flood: {METRIC[0]}"]
 
 
 def test_new_scenario_is_announced_not_skipped():
     runs = [_run("a", {"flood": 3.0}),
             _run("b", {"flood": 3.1, "fuzz_find": 2.0})]
-    problems, new = check(runs, RATIO, 20.0)
+    problems, new = check(runs, METRIC, 20.0)
     assert problems == []
-    assert new == ["fuzz_find: best_speedup_batched"]
+    assert new == [f"fuzz_find: {METRIC[0]}"]
 
 
 def test_regression_still_fails():
     runs = [_run("a", {"flood": 3.0}), _run("b", {"flood": 1.0})]
-    problems, new = check(runs, RATIO, 20.0)
+    problems, new = check(runs, METRIC, 20.0)
     assert len(problems) == 1
     assert "regressed" in problems[0]
     assert new == []
@@ -52,19 +52,20 @@ def test_regression_still_fails():
 
 def test_broken_invariant_fails_even_without_baseline():
     problems, _ = check([_run("a", {"flood": 3.0}, identical=False)],
-                        RATIO, 20.0)
+                        METRIC, 20.0)
     assert any("invariant" in p for p in problems)
 
 
 def test_cli_passes_on_one_entry_trajectory(tmp_path):
     path = tmp_path / "BENCH_sim.json"
-    path.write_text(json.dumps({"schema": 2,
+    path.write_text(json.dumps({"schema": 3,
                                 "runs": [_run("a", {"flood": 3.0})]}))
     out = subprocess.run(
-        [sys.executable, "tools/bench_check.py", "--path", str(path)],
+        [sys.executable, "tools/bench_check.py", "--path", str(path),
+         "--absolute"],
         capture_output=True, text=True)
     assert out.returncode == 0, out.stderr
-    assert "NEW flood: best_speedup_batched" in out.stdout
+    assert f"NEW flood: {METRIC[0]}" in out.stdout
 
 
 def test_cli_rejects_unreadable_trajectory(tmp_path):
@@ -82,43 +83,14 @@ def test_load_runs_accepts_legacy_bare_aggregate(tmp_path):
     assert len(load_runs(str(path))) == 1
 
 
-def _geo_run(sha, max_nodes, scenarios):
-    return {
-        "git_sha": sha,
-        "cases": len(scenarios),
-        "max_nodes": max_nodes,
-        "all_traces_identical": True,
-        "by_scenario": {
-            name: {"n_nodes": nodes,
-                   "best_speedup_vs_single_loop": speedup}
-            for name, (nodes, speedup) in scenarios.items()
-        },
-    }
-
-
-def test_geo_floor_ignores_smoke_entries():
-    # A smoke entry never measures a >=100-node deployment; the floor
-    # has nothing to bite on and must not fail it.
-    runs = [_geo_run("a", 24, {"geo:3x8@n24": (24, 1.0)})]
-    assert check_geo_floor(runs) == []
-
-
-def test_geo_floor_fails_below_two_x_at_scale():
-    runs = [_geo_run("a", 120, {"geo:4x30@n120": (120, 1.5)})]
-    problems = check_geo_floor(runs)
-    assert len(problems) == 1
-    assert "floor" in problems[0]
-
-
-def test_geo_floor_passes_at_scale():
-    runs = [_geo_run("a", 120, {"geo:3x20@n60": (60, 1.2),
-                                "geo:4x30@n120": (120, 11.9)})]
-    assert check_geo_floor(runs) == []
-
-
-def test_geo_floor_rejects_inconsistent_entry():
-    # max_nodes says a big deployment ran, but no scenario records one.
-    runs = [_geo_run("a", 120, {"geo:3x8@n24": (24, 1.0)})]
-    problems = check_geo_floor(runs)
-    assert len(problems) == 1
-    assert "records no" in problems[0]
+def test_other_host_entries_are_never_a_baseline():
+    # Absolute events/s only compare under equal (cores, python) stamps;
+    # the unstamped ratio-era history is skipped the same way.
+    fast = dict(_run("a", {"s1": 900_000}), cores=8, python="3.12.1")
+    history = _run("b", {"s1": 700_000})
+    slow = dict(_run("c", {"s1": 100_000}), cores=2, python="3.11.7")
+    assert check([fast, history, slow], METRIC, 20.0) \
+        == ([], [f"s1: {METRIC[0]}"])
+    again = dict(_run("d", {"s1": 50_000}), cores=2, python="3.11.7")
+    problems, _ = check([fast, history, slow, again], METRIC, 20.0)
+    assert len(problems) == 1 and "regressed 100000 -> 50000" in problems[0]

@@ -1,16 +1,15 @@
-"""Online-runtime fast path: identical behaviour, cheaper execution.
+"""Verify memo, canonicalization caching and trace modes: the same run,
+byte for byte, for less work. These tests pin that promise from four
+sides —
 
-The fast path (``repro.perf.fastpath`` plus the gated surgery in crypto/,
-sim/ and core/runtime/) promises exactly one thing: the same run, byte for
-byte, for less work. These tests pin that promise from four sides —
-
-* determinism property: fastpath on/off x all trace modes produce the
-  same milestone events, the same recovery timelines, the same event
-  census, across seeds;
+* determinism property: the full trace equals the committed digest the
+  per-message legacy path generated (``tests/golden``), and all trace
+  modes produce the same milestone events, the same recovery timelines,
+  the same event census, across seeds;
 * verify-memo semantics: forged or invalid signatures are never cached,
   eviction is deterministic;
-* canonicalization caching: one serialization per statement lifetime on
-  the fast path, legacy recomputation when disabled;
+* canonicalization caching: one serialization per statement lifetime;
+  a memo-less directory recomputes every verification;
 * trace modes: reduced modes keep the census and refuse reconstruction
   they cannot support.
 """
@@ -25,30 +24,26 @@ from repro.faults.scenarios import stage
 from repro.net import full_mesh_topology
 from repro.obs import REQUIRED_KINDS
 from repro.obs.recovery import reconstruct_timelines
-from repro.perf.fastpath import VerifyMemo, trace_fingerprint
+from repro.perf.fastpath import VerifyMemo
 from repro.sim.trace import MILESTONE_KINDS, TRACE_MODES, Trace, MessageSent
 from repro.workload import industrial_workload
+from tests import golden
 
 N_PERIODS = 12
+SCENARIO = "single_commission"
 
 
-def run_scenario(seed: int, fastpath: bool, mode: str,
-                 scenario: str = "single_commission"):
+def run_scenario(seed: int, mode: str):
     system = BTRSystem(
         industrial_workload(),
         full_mesh_topology(7, bandwidth=1e8),
-        BTRConfig(f=1, seed=seed, runtime_fastpath=fastpath,
-                  trace_mode=mode),
+        BTRConfig(f=1, seed=seed, trace_mode=mode),
     )
     system.prepare()
-    scn = stage(scenario, system)
+    scn = stage(SCENARIO, system)
     result = system.run(N_PERIODS, adversary=scn.script,
                         link_script=scn.link_script)
     return system, result
-
-
-def milestone_reprs(trace) -> list:
-    return [repr(e) for e in trace if type(e) in MILESTONE_KINDS]
 
 
 class TestDeterminismProperty:
@@ -56,35 +51,33 @@ class TestDeterminismProperty:
 
     @pytest.mark.parametrize("seed", [41, 42, 43])
     def test_fastpath_and_trace_modes_agree(self, seed):
-        _, off_full = run_scenario(seed, fastpath=False, mode="full")
-        on_sys, on_full = run_scenario(seed, fastpath=True, mode="full")
-        mi_sys, on_miles = run_scenario(seed, fastpath=True,
-                                        mode="milestones")
+        full_sys, full = run_scenario(seed, mode="full")
+        mi_sys, miles = run_scenario(seed, mode="milestones")
 
-        # Full-mode traces are byte-identical with the fast path on/off.
-        assert (trace_fingerprint(on_full.trace)
-                == trace_fingerprint(off_full.trace))
+        # The full-mode trace is byte-identical to the one the legacy
+        # per-message path recorded for this cell.
+        golden.assert_matches(full_sys, full, SCENARIO)
 
         # The milestone trace is exactly the milestone-kind subsequence
         # of the full trace — same events, same fields, same order.
-        assert (milestone_reprs(on_miles.trace)
-                == milestone_reprs(off_full.trace))
+        assert (golden.milestone_reprs(miles.trace)
+                == golden.milestone_reprs(full.trace))
 
         # Recovery timelines (detect/convict/.../residual spans) agree.
-        off_tl = [t.to_dict() for t in reconstruct_timelines(off_full)]
-        mi_tl = [t.to_dict() for t in reconstruct_timelines(on_miles)]
-        assert mi_tl == off_tl
-        assert sum(t.phase_sum() for t in reconstruct_timelines(on_miles)) \
-            == sum(t.phase_sum() for t in reconstruct_timelines(off_full))
+        full_tl = [t.to_dict() for t in reconstruct_timelines(full)]
+        mi_tl = [t.to_dict() for t in reconstruct_timelines(miles)]
+        assert mi_tl == full_tl
+        assert sum(t.phase_sum() for t in reconstruct_timelines(miles)) \
+            == sum(t.phase_sum() for t in reconstruct_timelines(full))
 
         # The event census is mode-independent (tallies fill the gap)...
-        assert on_miles.trace.kind_counts() == off_full.trace.kind_counts()
+        assert miles.trace.kind_counts() == full.trace.kind_counts()
         # ...and the simulation itself executed the same event sequence.
-        assert on_sys.sim.events_executed == mi_sys.sim.events_executed
+        assert full_sys.sim.events_executed == mi_sys.sim.events_executed
 
     def test_counts_only_keeps_census_but_refuses_timelines(self):
-        _, full = run_scenario(42, fastpath=True, mode="full")
-        _, counts = run_scenario(42, fastpath=True, mode="counts-only")
+        _, full = run_scenario(42, mode="full")
+        _, counts = run_scenario(42, mode="counts-only")
         assert counts.trace.kind_counts() == full.trace.kind_counts()
         assert len(counts.trace) == 0
         with pytest.raises(ValueError, match="trace_mode"):
@@ -185,9 +178,8 @@ class TestCanonicalizationCaching:
         directory = KeyDirectory(master_seed=7, verify_memo=False)
         directory.register("n1")
         stmt = AuthenticatedStatement.make(directory, "n1", {"flow": "f", "period": 9})
-        # Without the memo, every verification performs the full legacy
-        # HMAC (serialize + digest), so the off column of the E17 A/B
-        # benchmark is a faithful baseline.
+        # Without the memo, every verification performs the full HMAC
+        # (serialize + digest).
         for expected in (1, 2, 3):
             assert stmt.valid(directory)
             assert directory.verifies == expected

@@ -397,6 +397,45 @@ def test_float_time_arithmetic_scope_and_pragma():
     assert lint_source(suppressed, BOUNDS_PATH, ALL_RULES) == []
 
 
+# --------------------------------------------------------- builtin-hash
+
+
+def test_builtin_hash_flags_values_that_leave_the_process():
+    assert rules_hit("eid = hash(evidence.evidence_id) & 0xFFFFFFFF\n",
+                     path=CORE_PATH) == ["builtin-hash"]
+    assert rules_hit("bucket = hash((node, k)) % 7\n",
+                     path=FAULTS_PATH) == ["builtin-hash"]
+    assert rules_hit("key = hash((self.a, other.a))\n",
+                     path=MC_PATH) == ["builtin-hash"]
+
+
+def test_builtin_hash_accepts_own_fields_digests_and_methods():
+    src = """
+        import hashlib
+
+        class Key:
+            def __hash__(self):
+                return hash((self.a, self.b.c))
+
+        eid = int(hashlib.sha256(b"x").hexdigest()[:8], 16)
+        tag = obj.hash(payload)
+    """
+    assert rules_hit(src, path=CORE_PATH) == []
+
+
+def test_builtin_hash_scope_and_pragma():
+    src = "eid = hash(name)\n"
+    # The analysis layer renders reports from traces; nothing it hashes
+    # feeds back into a run.
+    assert rules_hit(src, path=ANALYSIS_PATH) == []
+    for path in (SIM_PATH, CORE_PATH, MC_PATH, FAULTS_PATH,
+                 BATCHCORE_PATH, "src/repro/obs/example.py",
+                 "src/repro/fuzz/example.py"):
+        assert rules_hit(src, path=path) == ["builtin-hash"], path
+    suppressed = "eid = hash(name)  # lint: ignore[builtin-hash]\n"
+    assert lint_source(suppressed, CORE_PATH, ALL_RULES) == []
+
+
 # --------------------------------------------------- JSON output
 
 

@@ -5,8 +5,9 @@ import pytest
 from repro import BTRConfig, BTRSystem
 from repro.analysis import btr_verdict, smallest_sufficient_R
 from repro.faults import SCENARIOS, ScenarioError, stage
-from repro.net import full_mesh_topology
-from repro.workload import industrial_workload
+from repro.faults.scenarios import geo_scenario
+from repro.net import full_mesh_topology, geo_topology
+from repro.workload import industrial_workload, stretched_workload
 
 
 @pytest.fixture(scope="module")
@@ -86,3 +87,44 @@ def test_scenarios_registry_is_complete():
     for name in SCENARIOS:
         assert isinstance(name, str) and name
     assert len(SCENARIOS) >= 8
+
+
+# --------------------------------------------------------- geo scenarios
+
+
+@pytest.fixture(scope="module")
+def geo_system():
+    system = BTRSystem(stretched_workload(industrial_workload(), 10),
+                       geo_topology(3, 4, bandwidth=1e8),
+                       BTRConfig(f=1, seed=42))
+    system.prepare()
+    return system
+
+
+def test_geo_shape_mismatch_is_refused(geo_system):
+    with pytest.raises(ScenarioError, match="does not match"):
+        geo_scenario(geo_system, 4, 4)
+    with pytest.raises(ScenarioError, match="does not match"):
+        geo_scenario(geo_system, 3, 20)
+
+
+def test_geo_scenarios_refuse_flat_topology():
+    system = BTRSystem(
+        industrial_workload(), full_mesh_topology(5, bandwidth=1e8),
+        BTRConfig(f=1, seed=1))
+    with pytest.raises(ScenarioError, match="no regions"):
+        geo_scenario(system, 3, 4)
+    with pytest.raises(ScenarioError, match="no WAN links"):
+        stage("wan_brownout", system)
+
+
+def test_any_geo_name_pattern_stages(geo_system):
+    scn = stage("geo:3x4", geo_system)
+    assert scn.name == "geo:3x4"
+    assert scn.script.injections
+    assert scn.link_script
+    victim = scn.script.injections[0].node
+    browned = geo_system.topology.links[scn.link_script[0][1]]
+    assert victim not in browned.endpoints
+    with pytest.raises(ScenarioError):
+        stage("geo:9x9", geo_system)

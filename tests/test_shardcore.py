@@ -1,27 +1,15 @@
-"""Region-sharded event core: exact merge, byte-identical traces.
+"""Geo-scale sweeps (``repro.perf.shardcore``) and the engine on geo
+topologies.
 
-The sharded executor (``repro.perf.shardcore``, gated behind
-``BTRConfig(sharded_core=True, shards=N)``) partitions the simulator
-heap by topology region and promises the exact global (time, seq)
-execution order of the single-loop reference. These tests pin that
-promise from five sides —
-
-* byte-identity: full BTR runs produce identical trace fingerprints,
-  event gauges, and verdict-relevant outputs for shards in {1, 2, R}
-  and versus the non-sharded reference, under geo scenarios with fault
-  and link scripts — while the shard machinery demonstrably engages;
-* engine semantics: property-tested random event graphs execute in the
-  same order on every shard count, and cancellation / peek / step /
-  compaction behave exactly like the base engine;
-* planning: geo topologies partition into connected per-region blocks
-  whose concatenation is the global sorted node order, with a strictly
-  positive WAN lookahead; flat topologies are refused;
-* delivery hooks: conforming (delay-only) hooks compose with sharding
-  byte-identically; accelerating hooks are rejected at the offending
-  call; pool sweeps reject hooks outright;
-* sweep hygiene: scenario link scripts must not leak residual loss
-  into later runs over the shared topology (the order-independence
-  regression behind the pool sweep's byte-equality gate).
+* byte-identity: full BTR runs on a geo deployment, under geo scenarios
+  with fault and link scripts, equal the digests the per-message legacy
+  path generated (``tests/golden``);
+* topology shape: geo topologies partition into connected per-region
+  blocks whose concatenation is the global sorted node order, with a
+  strictly positive minimum WAN latency;
+* delivery hooks: a delay-only hook composes with the batched fan-outs
+  byte-identically; pool sweeps reject hooks outright;
+* pool sweep: per-seed fingerprints survive the process boundary.
 """
 
 import dataclasses
@@ -30,24 +18,17 @@ import networkx as nx
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro import BTRConfig, BTRSystem
-from repro.faults.scenarios import ScenarioError, geo_scenario, stage
+from repro.faults.scenarios import stage
 from repro.net import full_mesh_topology, geo_topology
 from repro.net.topology import TopologyError
-from repro.perf.batchcore import run_sweep
-from repro.perf.fastpath import trace_fingerprint
+from repro.perf.batchcore import run_sweep, sibling_system
 from repro.perf.shardcore import (
     GeoSweepSpec,
-    ShardedSimulator,
     ShardingError,
-    guarded_delivery_hook,
-    plan_shards,
     run_sweep_pool,
-    sharded_simulator,
     system_for_spec,
 )
-from repro.sim.time import NEVER
-from repro.workload import industrial_workload, stretched_workload
+from tests import golden
 
 N_PERIODS = 6
 
@@ -57,128 +38,25 @@ SPEC = GeoSweepSpec(regions=3, nodes_per_region=4, n_periods=N_PERIODS,
 
 @pytest.fixture(scope="module")
 def proto():
-    """One prepared geo system; variants share its frozen plan."""
+    """One prepared geo system; siblings share its frozen plan."""
     system = system_for_spec(SPEC)
     system.prepare()
     return system
-
-
-def variant(proto, seed=42, **overrides):
-    """A prepared system with config overrides, sharing the prototype's
-    planning artifacts (sharding flags never enter planning)."""
-    config = dataclasses.replace(proto.config, seed=seed, **overrides)
-    system = BTRSystem(proto.workload, proto.topology, config)
-    system.router = proto.router
-    system.lane_model = proto.lane_model
-    system.strategy = proto.strategy
-    system.budget = proto.budget
-    system.switch_lead_us = proto.switch_lead_us
-    return system
-
-
-def run_one(system, scenario=SPEC.scenario):
-    scn = stage(scenario, system)
-    return system.run(N_PERIODS, adversary=scn.script,
-                      link_script=scn.link_script or None)
 
 
 # ------------------------------------------------------- byte identity
 
 
 class TestByteIdentity:
-    """Full traces identical for shards in {1, 2, R} vs the reference."""
-
-    @pytest.mark.parametrize("shards", [1, 2, 0])
-    def test_sharded_matches_reference(self, proto, shards):
-        ref_sys = variant(proto, sharded_core=False, shards=0)
-        ref = run_one(ref_sys)
-        shd_sys = variant(proto, sharded_core=True, shards=shards)
-        shd = run_one(shd_sys)
-        assert (trace_fingerprint(shd.trace)
-                == trace_fingerprint(ref.trace))
-        assert shd_sys.sim.events_executed == ref_sys.sim.events_executed
-        assert shd.final_modes == ref.final_modes
-        assert shd.final_fault_sets == ref.final_fault_sets
-        stats = shd_sys.sim.shard_stats()
-        expected = {1: 1, 2: 2, 0: SPEC.regions}[shards]
-        assert stats["shards"] == expected
-        if expected > 1:
-            # The machinery actually engaged: windows were cut and
-            # cross-shard (WAN) events were routed.
-            assert stats["shard_windows"] > expected
-            assert stats["cross_shard_events"] > 0
-            assert stats["lookahead_us"] > 0
-        gauges = shd.metrics["gauges"]
-        assert gauges["shards"] == expected
-        assert gauges["shard_windows"] == stats["shard_windows"]
-
     def test_scenario_seed_matrix(self, proto):
-        for scenario in ("gateway_crash", "wan_brownout"):
-            for seed in (42, 202):
-                ref = run_one(variant(proto, seed=seed, sharded_core=False,
-                                      shards=0), scenario)
-                shd = run_one(variant(proto, seed=seed), scenario)
-                assert (trace_fingerprint(shd.trace)
-                        == trace_fingerprint(ref.trace)), (scenario, seed)
-
-
-# ------------------------------------------------- engine order property
-
-
-def _node_shard(grouping):
-    """node -> shard for three regions r0/r1/r2, two nodes each."""
-    return {f"r{r}n{i}": shard
-            for r, shard in enumerate(grouping) for i in range(2)}
-
-
-def _run_schedule(events, grouping):
-    """Execute a generated event graph; return the (time, tag) log."""
-    shard_count = max(grouping) + 1
-    node_shard = _node_shard(grouping)
-    sim = ShardedSimulator(seed=7, node_shard=node_shard,
-                           shard_count=shard_count, lookahead_us=50)
-    log = []
-
-    def fire(tag, children):
-        def callback():
-            log.append((sim.now, tag))
-            for child_node, delay, child_tag in children:
-                sim.schedule_to(sim.shard_of(child_node),
-                                sim.now + delay,
-                                fire(child_tag, []))
-        return callback
-
-    nodes = sorted(node_shard)
-    for index, (time, node_index, children) in enumerate(events):
-        node = nodes[node_index % len(nodes)]
-        kids = [(nodes[c % len(nodes)], d, (index, k))
-                for k, (c, d) in enumerate(children)]
-        sim.call_at_in(sim.shard_of(node), time, fire(index, kids))
-    sim.run_until(10_000)
-    return log
-
-
-EVENT_GRAPHS = st.lists(
-    st.tuples(
-        st.integers(min_value=0, max_value=2_000),       # time
-        st.integers(min_value=0, max_value=5),           # node
-        st.lists(st.tuples(st.integers(min_value=0, max_value=5),
-                           st.integers(min_value=1, max_value=400)),
-                 max_size=3),                            # children
-    ),
-    min_size=1, max_size=12,
-)
-
-
-@settings(max_examples=40, deadline=None)
-@given(events=EVENT_GRAPHS)
-def test_property_merge_order_stable_across_shard_counts(events):
-    """The same event graph executes in the same order for every
-    shard count — including cross-shard children scheduled below the
-    current horizon."""
-    reference = _run_schedule(events, (0, 0, 0))
-    assert _run_schedule(events, (0, 0, 1)) == reference
-    assert _run_schedule(events, (0, 1, 2)) == reference
+        for scenario, seed in (("geo:3x4", 42),
+                               ("gateway_crash", 42), ("gateway_crash", 202),
+                               ("wan_brownout", 42), ("wan_brownout", 202)):
+            system = sibling_system(proto, seed)
+            scn = stage(scenario, system)
+            result = system.run(N_PERIODS, adversary=scn.script,
+                                link_script=scn.link_script or None)
+            golden.assert_matches(system, result, scenario)
 
 
 @settings(max_examples=15, deadline=None)
@@ -190,7 +68,8 @@ def test_property_geo_partitions_connected_with_positive_lookahead(
     topo = geo_topology(regions, npr, gateways=gateways)
     names = topo.region_names()
     assert len(names) == regions
-    # Regions partition the node set into connected local meshes.
+    # Regions partition the node set into connected local meshes whose
+    # blocks, in region order, concatenate to the global sorted order.
     seen = []
     for name in names:
         members = sorted(topo.regions[name])
@@ -198,99 +77,14 @@ def test_property_geo_partitions_connected_with_positive_lookahead(
         local = topo.graph.subgraph(members)
         assert nx.is_connected(local)
         seen.extend(members)
-    assert sorted(seen) == sorted(topo.node_ids())
-    # Lookahead is strictly positive and equals the WAN minimum.
-    plan = plan_shards(topo)
-    assert plan.shard_count == regions
-    assert plan.lookahead_us == topo.min_wan_latency_us() > 0
-    # Shard node blocks concatenate to the global sorted order — the
-    # property the per-shard tick splitting relies on.
-    blocks = []
-    for shard in range(plan.shard_count):
-        blocks.extend(sorted(
-            n for n, s in plan.node_shard.items() if s == shard))
-    assert blocks == sorted(topo.node_ids())
-
-
-# --------------------------------------------------- planning and config
+    assert seen == sorted(topo.node_ids())
+    assert topo.min_wan_latency_us() > 0
 
 
 class TestPlanning:
-    def test_flat_topology_is_refused(self):
-        with pytest.raises(ShardingError, match="no region tags"):
-            plan_shards(full_mesh_topology(5, bandwidth=1e8))
-
-    def test_shard_requests_above_region_count_clamp(self):
-        topo = geo_topology(3, 2)
-        assert plan_shards(topo, 17).shard_count == 3
-        plan = plan_shards(topo, 2)
-        assert plan.shard_count == 2
-        # Grouping keeps contiguous runs of the canonical region order.
-        assert plan.shard_regions == (("r0", "r1"), ("r2",))
-
-    def test_single_shard_has_zero_lookahead(self):
-        plan = plan_shards(geo_topology(2, 2), 1)
-        assert plan.shard_count == 1
-        assert plan.lookahead_us == 0
-
-    def test_config_validation(self):
-        with pytest.raises(ValueError, match="requires runtime_fastpath"):
-            BTRConfig(sharded_core=True, runtime_fastpath=False)
-        with pytest.raises(ValueError, match="only meaningful"):
-            BTRConfig(shards=2)
-        with pytest.raises(ValueError, match=">= 0"):
-            BTRConfig(sharded_core=True, shards=-1)
-
     def test_min_wan_latency_requires_wan_links(self):
         with pytest.raises(TopologyError, match="no WAN links"):
             full_mesh_topology(4, bandwidth=1e8).min_wan_latency_us()
-
-
-# ----------------------------------------------------- engine semantics
-
-
-class TestEngineSemantics:
-    def _sim(self):
-        return sharded_simulator(geo_topology(3, 2), seed=3)
-
-    def test_cancellation_and_peek_cross_shards(self):
-        sim = self._sim()
-        log = []
-        keep = sim.call_at_in(0, 100, lambda: log.append("a"))
-        drop = sim.call_at_in(1, 50, lambda: log.append("b"))
-        sim.call_at_in(2, 150, lambda: log.append("c"))
-        assert sim.peek_next_time() == 50
-        drop.cancel()
-        assert drop.cancelled and not keep.cancelled
-        assert sim.peek_next_time() == 100
-        assert sim.pending_events() == 2
-        while sim.step():
-            pass
-        assert log == ["a", "c"]
-        assert sim.peek_next_time() == NEVER
-
-    def test_compaction_keeps_survivors(self):
-        sim = self._sim()
-        log = []
-        handles = [sim.call_at_in(i % 3, 10 + i, lambda i=i: log.append(i))
-                   for i in range(90)]
-        for handle in handles[1:80]:
-            handle.cancel()
-        # Compaction ran at least once (the residue is below the
-        # total >= 64 re-trigger threshold, like the base engine).
-        assert sim._cancelled_in_queue < 79
-        sim.run_until(1_000)
-        assert log == [0] + list(range(80, 90))
-
-    def test_past_scheduling_is_rejected(self):
-        from repro.sim.engine import SimulationError
-        sim = self._sim()
-        sim.call_at_in(0, 10, lambda: None)
-        sim.run_until(20)
-        with pytest.raises(SimulationError):
-            sim.call_at_in(1, 5, lambda: None)
-        with pytest.raises(SimulationError):
-            sim.schedule_to(1, 5, lambda: None)
 
 
 # ------------------------------------------------------- delivery hooks
@@ -298,25 +92,9 @@ class TestEngineSemantics:
 
 class TestDeliveryHooks:
     def test_delaying_hook_composes_byte_identically(self, proto):
-        def hook(sender, receiver, arrival):
-            return arrival + (1 if sender.endswith("n0") else 0)
-
-        ref = variant(proto, sharded_core=False, shards=0).run(
-            N_PERIODS, delivery_hook=hook)
-        shd = variant(proto).run(N_PERIODS, delivery_hook=hook)
-        assert (trace_fingerprint(shd.trace)
-                == trace_fingerprint(ref.trace))
-
-    def test_accelerating_hook_fails_loudly_under_sharding(self, proto):
-        with pytest.raises(ShardingError, match="accelerated"):
-            variant(proto).run(N_PERIODS,
-                               delivery_hook=lambda s, r, t: t - 1)
-
-    def test_guarded_hook_passes_through_conforming_results(self):
-        guarded = guarded_delivery_hook(lambda s, r, t: t + 5)
-        assert guarded("a", "b", 100) == 105
-        with pytest.raises(ShardingError):
-            guarded_delivery_hook(lambda s, r, t: t - 1)("a", "b", 100)
+        system = sibling_system(proto, 42)
+        result = system.run(N_PERIODS, delivery_hook=golden.delay_n0)
+        golden.assert_matches(system, result, golden.HOOKED)
 
     def test_pool_sweep_rejects_hooks(self):
         with pytest.raises(ShardingError, match="process boundaries"):
@@ -348,83 +126,3 @@ class TestPoolSweep:
         spec = dataclasses.replace(SPEC, workload="nope")
         with pytest.raises(ShardingError, match="unknown workload"):
             system_for_spec(spec)
-
-
-# ------------------------------------------------------- sweep hygiene
-
-
-class TestSweepHygiene:
-    def test_link_scripts_restore_residual_loss(self, proto):
-        system = variant(proto, sharded_core=False, shards=0)
-        link = system.topology.wan_links()[0]
-        before = link.loss_probability
-        system.run(N_PERIODS,
-                   link_script=[(100_000, link.link_id, 0.5)])
-        assert link.loss_probability == before
-
-    def test_sibling_runs_are_order_independent(self, proto):
-        solo = run_one(variant(proto, seed=202))
-        run_one(variant(proto, seed=101))
-        again = run_one(variant(proto, seed=202))
-        assert (trace_fingerprint(again.trace)
-                == trace_fingerprint(solo.trace))
-
-
-# --------------------------------------------------------- geo scenarios
-
-
-class TestGeoScenarios:
-    def test_shape_mismatch_is_refused(self, proto):
-        with pytest.raises(ScenarioError, match="does not match"):
-            geo_scenario(proto, 4, 4)
-        with pytest.raises(ScenarioError, match="does not match"):
-            geo_scenario(proto, 3, 20)
-
-    def test_flat_topology_is_refused(self):
-        system = BTRSystem(
-            industrial_workload(), full_mesh_topology(5, bandwidth=1e8),
-            BTRConfig(f=1, seed=1))
-        with pytest.raises(ScenarioError, match="no regions"):
-            geo_scenario(system, 3, 4)
-        with pytest.raises(ScenarioError, match="no WAN links"):
-            stage("wan_brownout", system)
-
-    def test_any_geo_name_pattern_stages(self, proto):
-        scn = stage("geo:3x4", proto)
-        assert scn.name == "geo:3x4"
-        assert scn.script.injections
-        assert scn.link_script
-        victim = scn.script.injections[0].node
-        browned = proto.topology.links[scn.link_script[0][1]]
-        assert victim not in browned.endpoints
-        with pytest.raises(ScenarioError):
-            stage("geo:9x9", proto)
-
-
-# ------------------------------------------------------ stretched loads
-
-
-class TestStretchedWorkload:
-    def test_stretch_scales_periods_and_deadlines_only(self):
-        base = industrial_workload()
-        slow = stretched_workload(base, 10)
-        assert slow.period == base.period * 10
-        assert slow.name == f"{base.name}x10"
-        base_flows = {f.name: f for f in base.flows}
-        for flow in slow.flows:
-            ref = base_flows[flow.name]
-            if ref.deadline is None:
-                assert flow.deadline is None
-            else:
-                assert flow.deadline == ref.deadline * 10
-        assert {t.name: t.wcet for t in slow.tasks.values()} \
-            == {t.name: t.wcet for t in base.tasks.values()}
-
-    def test_stretch_of_one_is_identity(self):
-        base = industrial_workload()
-        assert stretched_workload(base, 1) is base
-
-    def test_stretch_below_one_is_refused(self):
-        from repro.workload import WorkloadError
-        with pytest.raises(WorkloadError):
-            stretched_workload(industrial_workload(), 0)

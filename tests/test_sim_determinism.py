@@ -5,8 +5,13 @@ trace, bit for bit — across every layer, with faults, drift, and mode
 switches in play. These tests pin that.
 """
 
+import os
+import subprocess
+import sys
+
 import pytest
 
+import repro
 from repro import BTRConfig, BTRSystem
 from repro.baselines import BFTSystem, ZZSystem
 from repro.faults import PacingAdversary, SingleFaultAdversary
@@ -18,6 +23,7 @@ from repro.sim import (
     TaskExecuted,
 )
 from repro.workload import industrial_workload
+from tests import golden
 
 
 def fingerprint(result):
@@ -49,6 +55,26 @@ def test_full_trace_identical_across_processes_worth_of_state():
     b = fingerprint(btr_run(3, SingleFaultAdversary(at=220_000,
                                                     kind="commission")))
     assert a == b
+
+
+def test_trace_fingerprint_is_equal_across_hash_seeds():
+    """A faulted run (its evidence events carry ids derived from content
+    digests) fingerprints the same in processes with different string-hash
+    salts — and the same as the committed digest."""
+    key = "single_commission@fullmesh7/industrial/f1/p12/s42"
+    code = ("from tests import golden; "
+            f"print(golden.run_cell({key!r})['fingerprint'])")
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    src = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
+    seen = set()
+    for hash_seed in ("0", "1"):
+        env = dict(os.environ, PYTHONHASHSEED=hash_seed,
+                   PYTHONPATH=os.pathsep.join([root, src]))
+        out = subprocess.run([sys.executable, "-c", code], env=env,
+                             capture_output=True, text=True, timeout=120)
+        assert out.returncode == 0, out.stderr
+        seen.add(out.stdout.strip())
+    assert seen == {golden.expected(key)["fingerprint"]}
 
 
 def test_different_seeds_differ_under_random_adversary():

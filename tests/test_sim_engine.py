@@ -171,7 +171,7 @@ def test_rng_forks_with_different_labels_differ():
     assert x != y
 
 
-# ------------------------------------------------------- fast heap / guards
+# ------------------------------------------------------ tuple heap / guards
 
 
 def test_run_is_reentrancy_guarded():
@@ -193,7 +193,7 @@ def test_run_is_reentrancy_guarded():
 
 
 def test_run_until_is_reentrancy_guarded_with_fast_heap():
-    sim = Simulator(fast_heap=True)
+    sim = Simulator()
 
     def reenter():
         with pytest.raises(SimulationError, match="re-entrantly"):
@@ -204,32 +204,19 @@ def test_run_until_is_reentrancy_guarded_with_fast_heap():
     assert sim.now == 50
 
 
-@given(st.lists(st.integers(min_value=0, max_value=10**6),
-                min_size=1, max_size=60),
-       st.sets(st.integers(min_value=0, max_value=59)))
-def test_property_fast_heap_matches_legacy_order(times, cancel_idx):
-    """The tuple-based fast heap fires the same events in the same order
-    as the legacy _Event heap, including under cancellation."""
-    logs = {}
-    for fast in (False, True):
-        sim = Simulator(seed=3, fast_heap=fast)
-        log = logs.setdefault(fast, [])
-        handles = []
-        for i, t in enumerate(times):
-            handles.append(
-                sim.call_at(t, lambda i=i: log.append((sim.now, i))))
-        for i in cancel_idx:
-            if i < len(handles):
-                handles[i].cancel()
-        sim.run()
-    assert logs[True] == logs[False]
+def test_removed_legacy_heap_mode_is_named():
+    """``fast_heap`` survives as a keyword (older callers pass ``True``);
+    asking for the removed object-ordered mode fails loudly."""
+    Simulator(fast_heap=True)
+    with pytest.raises(SimulationError, match="legacy heap mode"):
+        Simulator(fast_heap=False)
 
 
-def test_schedule_interleaves_with_call_at_in_seq_order():
+def test_schedule_and_call_at_share_seq_order():
     """schedule() (handle-free fast-path entries) shares the sequence
     counter with call_at, so ties at one timestamp fire in submission
     order regardless of which API queued them."""
-    sim = Simulator(fast_heap=True)
+    sim = Simulator()
     fired = []
     sim.call_at(7, lambda: fired.append("a"))
     sim.schedule(7, lambda: fired.append("b"))
@@ -242,17 +229,16 @@ def test_schedule_interleaves_with_call_at_in_seq_order():
 
 
 def test_peek_next_time_skips_cancelled_fast_heap():
-    """The fast heap's peek must drain cancelled head entries exactly
-    like the legacy heap does, not report a dead event's time."""
-    for fast in (False, True):
-        sim = Simulator(fast_heap=fast)
-        h1 = sim.call_at(10, lambda: None)
-        h2 = sim.call_at(20, lambda: None)
-        sim.call_at(30, lambda: None)
-        h1.cancel()
-        h2.cancel()
-        assert sim.peek_next_time() == 30, f"fast_heap={fast}"
-        assert sim.pending_events() == 1, f"fast_heap={fast}"
+    """Peek must drain every cancelled head entry, not report a dead
+    event's time."""
+    sim = Simulator()
+    h1 = sim.call_at(10, lambda: None)
+    h2 = sim.call_at(20, lambda: None)
+    sim.call_at(30, lambda: None)
+    h1.cancel()
+    h2.cancel()
+    assert sim.peek_next_time() == 30
+    assert sim.pending_events() == 1
 
 
 _OPS = st.lists(
@@ -269,47 +255,84 @@ _OPS = st.lists(
 )
 
 
+class _Oracle:
+    """Independent model of the engine: a list, stably sorted by time
+    (ties keep insertion order), cancelled and fired entries skipped."""
+
+    def __init__(self):
+        self.now, self.executed, self.entries = 0, 0, []
+
+    def add(self, time, tag):
+        self.entries.append({"time": time, "tag": tag, "live": True})
+        return self.entries[-1]
+
+    def live(self):
+        return sorted((e for e in self.entries if e["live"]),
+                      key=lambda e: e["time"])
+
+    def fire(self, log, until=None):
+        """The next live entry (``until=None``), else all up to ``until``."""
+        for entry in self.live():
+            if until is not None and entry["time"] > until:
+                break
+            entry["live"] = False
+            self.now = entry["time"]
+            self.executed += 1
+            log.append((entry["tag"], entry["time"]))
+            if until is None:
+                return True
+        return False
+
+    def observe(self):
+        live = self.live()
+        return (self.now, live[0]["time"] if live else NEVER, len(live),
+                self.executed)
+
+
 @given(_OPS)
-def test_property_heap_modes_observably_identical(ops):
-    """Random op programs leave both heap representations in observably
-    identical states: same fire log, same ``peek_next_time`` and
+def test_property_op_programs_match_sort_oracle(ops):
+    """Random op programs leave the engine in the state an independent
+    model predicts: same fire log, same ``peek_next_time`` and
     ``pending_events`` after every operation, same clock and executed
-    count. This pins the cancelled-entry handling of the fast heap's
-    peek/pending paths to the legacy heap's behaviour."""
-    observed = {}
-    for fast in (False, True):
-        sim = Simulator(seed=11, fast_heap=fast)
-        log = observed.setdefault(fast, [])
-        handles = []
-        for op, arg in ops:
-            if op == "call_at":
-                target = max(arg, sim.now)
-                handles.append(sim.call_at(
-                    target, lambda t=target: log.append(("fire", t))))
-            elif op == "call_after":
-                handles.append(sim.call_after(
-                    arg, lambda a=arg: log.append(("after", sim.now))))
-            elif op == "schedule":
-                target = max(arg, sim.now)
-                sim.schedule(target,
-                             lambda t=target: log.append(("sched", t)))
-            elif op == "cancel" and handles:
-                handles[arg % len(handles)].cancel()
-            elif op == "step":
-                log.append(("step", sim.step()))
-            elif op == "run_until":
-                if arg >= sim.now:
-                    sim.run_until(arg)
-            log.append(("obs", sim.now, sim.peek_next_time(),
-                        sim.pending_events(), sim.events_executed))
-        sim.run()
-        log.append(("final", sim.now, sim.events_executed,
-                    sim.pending_events(), sim.peek_next_time()))
-    assert observed[True] == observed[False]
+    count — including under cancellation and heap compaction."""
+    sim, model = Simulator(seed=11), _Oracle()
+    log, expected = [], []
+    handles = []
+
+    def add(api, time, tag):
+        handle = api(time, lambda: log.append((tag, sim.now)))
+        return handle, model.add(time, tag)
+
+    for op, arg in ops:
+        if op == "call_at":
+            handles.append(add(sim.call_at, max(arg, sim.now), "fire"))
+        elif op == "call_after":
+            handle = sim.call_after(
+                arg, lambda: log.append(("after", sim.now)))
+            handles.append((handle, model.add(model.now + arg, "after")))
+        elif op == "schedule":
+            add(sim.schedule, max(arg, sim.now), "sched")
+        elif op == "cancel" and handles:
+            handle, entry = handles[arg % len(handles)]
+            handle.cancel()
+            entry["live"] = False
+        elif op == "step":
+            assert sim.step() == model.fire(expected)
+        elif op == "run_until" and arg >= sim.now:
+            sim.run_until(arg)
+            model.fire(expected, until=arg)
+            model.now = arg
+        assert (sim.now, sim.peek_next_time(), sim.pending_events(),
+                sim.events_executed) == model.observe()
+    sim.run()
+    model.fire(expected, until=NEVER)
+    assert log == expected
+    assert (sim.now, sim.peek_next_time(), sim.pending_events(),
+            sim.events_executed) == model.observe()
 
 
 def test_fast_heap_compaction_spares_schedule_entries():
-    sim = Simulator(fast_heap=True)
+    sim = Simulator()
     fired = []
     # Enough cancellable timers to trigger compaction (>= 64 queued,
     # cancelled majority), with bare schedule() entries interleaved.

@@ -17,6 +17,7 @@ from repro.workload import (
     pipeline_workload,
     random_workload,
     sensor_reading,
+    stretched_workload,
 )
 
 
@@ -246,3 +247,32 @@ def test_random_workload_is_seed_deterministic():
         t.name for t in g2.tasks.values()]
     assert [(f.name, f.src, f.dst) for f in g1.flows] == [
         (f.name, f.src, f.dst) for f in g2.flows]
+
+
+# ----------------------------------------------------------- stretched loads
+
+
+def test_stretch_scales_periods_and_deadlines_only():
+    base = industrial_workload()
+    slow = stretched_workload(base, 10)
+    assert slow.period == base.period * 10
+    assert slow.name == f"{base.name}x10"
+    base_flows = {f.name: f for f in base.flows}
+    for flow in slow.flows:
+        ref = base_flows[flow.name]
+        if ref.deadline is None:
+            assert flow.deadline is None
+        else:
+            assert flow.deadline == ref.deadline * 10
+    assert {t.name: t.wcet for t in slow.tasks.values()} \
+        == {t.name: t.wcet for t in base.tasks.values()}
+
+
+def test_stretch_of_one_is_identity():
+    base = industrial_workload()
+    assert stretched_workload(base, 1) is base
+
+
+def test_stretch_below_one_is_refused():
+    with pytest.raises(WorkloadError):
+        stretched_workload(industrial_workload(), 0)

@@ -2,23 +2,22 @@
 """Guard the tracked BENCH trajectories against regressions.
 
 ``benchmarks/results/BENCH_sim.json`` is a *tracked* trajectory: every
-suite run appends one entry (git sha, date, per-scenario speedups and
-events/sec — see ``tools/run_experiments.py``). This check compares the
-latest entry against the committed baseline (the best earlier entry per
-metric) and fails on a >20% regression.
+suite run appends one entry (git sha, date, host ``cores`` and
+``python``, per-scenario absolute events/sec from E17/E19/E22 — see
+``tools/run_experiments.py``).
 
-Two metric classes, treated differently:
-
-* **ratio metrics** (``best_speedup_milestones``, ``best_speedup_batched``
-  per scenario) — checked by default. Both columns of a speedup come
-  from the same process on the same machine, so runner load largely
-  cancels out; a 20% drop means the optimisation layer itself decayed.
-* **absolute metrics** (``best_events_per_s_*``) — only checked with
-  ``--absolute``. Wall-clock throughput on shared CI runners is advice,
-  not ground truth; enable this locally on a quiet machine.
-
-The invariant column is always enforced: an entry recording
-``all_traces_identical: false`` fails regardless of thresholds.
+* **the invariant** is always enforced: a latest entry recording
+  ``all_digests_match: false`` — some run's full trace differed from its
+  committed digest in ``tests/golden/`` — fails regardless of
+  thresholds.
+* **absolute metrics** (``best_events_per_s_*``, ``best_pool_speedup``
+  per scenario) are only checked with ``--absolute``, against the best
+  earlier entry *from the same host facts* (``cores``, ``python``), and
+  fail on a >20% regression. Wall-clock throughput on shared CI runners
+  is advice, not ground truth; enable this locally on a quiet machine.
+  Entries stamped with other host facts — including the unstamped
+  speedup-ratio entries recorded while a reference engine path still
+  existed, which stay in the file as history — are never a baseline.
 
 ``benchmarks/results/BENCH_bounds.json`` is the second tracked
 trajectory (static recovery bounds, appended by full-grid E21 runs) and
@@ -32,23 +31,8 @@ gets the same treatment with the polarity flipped:
   (smallest) earlier ratio and a >20% increase fails — a bound that
   drifts looser certifies less while still passing soundness.
 
-``benchmarks/results/BENCH_geo.json`` is the third tracked trajectory
-(region-sharded engine at geo scale, appended by E22 runs):
-
-* byte-identity across shard counts is the invariant (an entry with
-  ``all_traces_identical: false`` fails unconditionally);
-* ``best_speedup_vs_single_loop`` and ``best_shard_ratio`` per
-  deployment are ratio metrics with the usual regression threshold;
-* additionally, any full entry (one whose ``max_nodes`` is >= 100)
-  must keep the geo engine at >= 2x over the single-loop reference on
-  its >=100-node deployment — ISSUE 10's acceptance floor, enforced as
-  an absolute bar rather than a relative baseline so the trajectory
-  can never drift below it in 20% steps;
-* ``best_pool_speedup`` is core-count dependent and only checked with
-  ``--absolute``.
-
 Usage:  python tools/bench_check.py [--absolute] [--threshold PCT]
-                [--path FILE] [--bounds-path FILE] [--geo-path FILE]
+                [--path FILE] [--bounds-path FILE]
 
 Exit codes: 0 ok (or fewer than two comparable entries), 1 regression or
 broken invariant, 2 unreadable trajectory.
@@ -66,20 +50,9 @@ DEFAULT_PATH = os.path.join(REPO, "benchmarks", "results",
                             "BENCH_sim.json")
 DEFAULT_BOUNDS_PATH = os.path.join(REPO, "benchmarks", "results",
                                    "BENCH_bounds.json")
-DEFAULT_GEO_PATH = os.path.join(REPO, "benchmarks", "results",
-                                "BENCH_geo.json")
 
-RATIO_METRICS = ("best_speedup_full", "best_speedup_milestones",
-                 "best_speedup_batched")
-ABSOLUTE_METRICS = ("best_events_per_s_on", "best_events_per_s_batched",
-                    "best_sweep_events_per_s")
-GEO_RATIO_METRICS = ("best_speedup_vs_single_loop", "best_shard_ratio")
-GEO_ABSOLUTE_METRICS = ("best_pool_speedup",)
-
-#: ISSUE 10's acceptance floor: the sharded geo engine must stay >=2x
-#: the single-loop reference on a >=100-node deployment.
-GEO_SPEEDUP_FLOOR = 2.0
-GEO_FLOOR_NODES = 100
+ABSOLUTE_METRICS = ("best_events_per_s_full", "best_events_per_s_milestones",
+                    "best_sweep_events_per_s", "best_pool_speedup")
 
 
 def load_runs(path: str) -> list:
@@ -108,10 +81,13 @@ def check(runs: list, metrics, threshold_pct: float) -> tuple:
     """``(problems, new)`` comparing the last run to the best baseline.
 
     The baseline per (scenario, metric) is the *maximum* over all
-    earlier entries — a slow run appended yesterday must not become an
-    excuse for being slow today. A scenario the baseline measured but
-    the latest run didn't is skipped (smoke entries measure a subset of
-    the full sweep); a (scenario, metric) present **only** in the latest
+    earlier entries recorded under the latest entry's host facts
+    (``cores``, ``python``; unstamped entries only match each other) —
+    a slow run appended yesterday must not become an excuse for being
+    slow today, and numbers from another machine are no baseline at
+    all. A scenario the baseline measured but the latest run didn't is
+    skipped (smoke entries measure a subset of the full sweep); a
+    (scenario, metric) present **only** in the latest
     run is returned in ``new`` so a freshly added trajectory column is
     announced, never silently ignored. An empty or one-entry trajectory
     has no baseline to regress against and passes cleanly.
@@ -120,17 +96,20 @@ def check(runs: list, metrics, threshold_pct: float) -> tuple:
         return [], []
     latest = runs[-1]
     problems = []
-    if latest.get("all_traces_identical") is False:
-        problems.append("latest entry: traces NOT byte-identical "
-                        "(invariant broken — this is a bug, not a perf "
-                        "regression)")
+    if latest.get("all_digests_match") is False:
+        problems.append("latest entry: a full trace does NOT match its "
+                        "committed digest (invariant broken — this is a "
+                        "bug, not a perf regression)")
     current = scenario_metrics(latest, metrics)
     if len(runs) < 2:
         new = [f"{scenario}: {metric}"
                for scenario, metric in sorted(current)]
         return problems, new
+    host = (latest.get("cores"), latest.get("python"))
     baseline: dict = {}
     for run in runs[:-1]:
+        if (run.get("cores"), run.get("python")) != host:
+            continue
         for key, value in scenario_metrics(run, metrics).items():
             baseline[key] = max(baseline.get(key, 0), value)
     floor = 1.0 - threshold_pct / 100.0
@@ -206,37 +185,6 @@ def check_bounds(runs: list, threshold_pct: float) -> tuple:
     return problems, new
 
 
-def check_geo_floor(runs: list) -> list:
-    """The absolute >=2x floor on the latest *full* geo entry.
-
-    Smoke entries (no >=100-node deployment measured) carry the
-    byte-identity invariant but have nothing for the floor to bite on;
-    they pass. A full entry whose best >=100-node speedup dipped below
-    the floor fails regardless of how the relative baseline moved.
-    """
-    if not runs:
-        return []
-    latest = runs[-1]
-    if (latest.get("max_nodes") or 0) < GEO_FLOOR_NODES:
-        return []
-    problems = []
-    big = {name: entry
-           for name, entry in (latest.get("by_scenario") or {}).items()
-           if (entry.get("n_nodes") or 0) >= GEO_FLOOR_NODES}
-    if not big:
-        return [f"latest geo entry claims max_nodes="
-                f"{latest.get('max_nodes')} but records no "
-                f">={GEO_FLOOR_NODES}-node scenario"]
-    for name, entry in sorted(big.items()):
-        value = entry.get("best_speedup_vs_single_loop")
-        if value is None or value < GEO_SPEEDUP_FLOOR:
-            problems.append(
-                f"{name}: geo engine at {value}x < "
-                f"{GEO_SPEEDUP_FLOOR}x floor over the single-loop "
-                f"reference")
-    return problems
-
-
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--path", default=DEFAULT_PATH, metavar="FILE",
@@ -246,10 +194,6 @@ def main() -> int:
                         metavar="FILE",
                         help="static-bounds trajectory file (default: "
                              "benchmarks/results/BENCH_bounds.json)")
-    parser.add_argument("--geo-path", default=DEFAULT_GEO_PATH,
-                        metavar="FILE",
-                        help="geo-sharding trajectory file (default: "
-                             "benchmarks/results/BENCH_geo.json)")
     parser.add_argument("--threshold", type=float, default=20.0,
                         metavar="PCT",
                         help="allowed regression in percent (default 20)")
@@ -266,7 +210,7 @@ def main() -> int:
               file=sys.stderr)
         return 2
 
-    metrics = RATIO_METRICS + (ABSOLUTE_METRICS if args.absolute else ())
+    metrics = ABSOLUTE_METRICS if args.absolute else ()
     problems, new = check(runs, metrics, args.threshold)
     if not runs:
         print("bench_check: trajectory has no entries yet; nothing to "
@@ -275,7 +219,8 @@ def main() -> int:
     latest = runs[-1]
     print(f"bench_check: {len(runs)} trajectory entries; latest "
           f"{latest.get('git_sha', '?')} ({latest.get('date_utc', '?')}, "
-          f"{latest.get('cases', 0)} cases)")
+          f"{latest.get('cases', 0)} cases, {latest.get('cores', '?')} "
+          f"cores, python {latest.get('python', '?')})")
     for entry in new:
         print(f"bench_check: NEW {entry} (no earlier baseline; "
               f"becomes one next run)")
@@ -298,37 +243,14 @@ def main() -> int:
     for entry in bounds_new:
         print(f"bench_check: NEW {entry} (no earlier baseline; "
               f"becomes one next run)")
-    try:
-        geo_runs = load_runs(args.geo_path)
-    except (OSError, ValueError) as exc:
-        print(f"bench_check: cannot read geo trajectory "
-              f"{args.geo_path}: {exc}", file=sys.stderr)
-        return 2
-    geo_metrics = GEO_RATIO_METRICS + (GEO_ABSOLUTE_METRICS
-                                       if args.absolute else ())
-    geo_problems, geo_new = check(geo_runs, geo_metrics, args.threshold)
-    problems += geo_problems
-    problems += check_geo_floor(geo_runs)
-    if geo_runs:
-        g_latest = geo_runs[-1]
-        print(f"bench_check: {len(geo_runs)} geo entries; latest "
-              f"{g_latest.get('git_sha', '?')} "
-              f"({g_latest.get('date_utc', '?')}, "
-              f"{g_latest.get('cases', 0)} cases, max "
-              f"{g_latest.get('max_nodes', 0)} nodes, best "
-              f"{g_latest.get('best_speedup_vs_single_loop')}x vs "
-              f"single loop)")
-    for entry in geo_new:
-        print(f"bench_check: NEW {entry} (no earlier baseline; "
-              f"becomes one next run)")
     if problems:
         for p in problems:
             print(f"bench_check: FAIL {p}", file=sys.stderr)
         return 1
-    print(f"bench_check: OK (no sim/geo metric more than "
-          f"{args.threshold:.0f}% below baseline; bounds sound, no "
-          f"tightness more than {args.threshold:.0f}% above baseline; "
-          f"geo engine above the {GEO_SPEEDUP_FLOOR}x floor)")
+    print(f"bench_check: OK (engine digests match; no checked sim "
+          f"metric more than {args.threshold:.0f}% below its same-host "
+          f"baseline; bounds sound, no tightness more than "
+          f"{args.threshold:.0f}% above baseline)")
     return 0
 
 

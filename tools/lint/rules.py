@@ -34,6 +34,11 @@ numbers:
   literal in its arithmetic rounds a worst case down and quietly breaks
   dominance. The deliberate float sites (tightness ratios, millisecond
   display) carry pragmas saying so.
+* ``builtin-hash`` — ``hash()`` of a ``str``/``bytes`` (or anything
+  containing one) is salted per process by ``PYTHONHASHSEED``; a value
+  derived from it that reaches a trace event, a report or an ordering
+  makes runs differ between processes while every in-process comparison
+  still passes.
 
 The first two are scoped to ``src/repro/sim``, ``src/repro/core`` and
 ``src/repro/perf`` (the determinism-critical layers); the clock/RNG
@@ -41,6 +46,7 @@ façades themselves (``sim/time.py``, ``sim/clock.py``,
 ``sim/random.py``) are exempt, being the sanctioned wrappers, as is
 ``perf/timing.py`` — the one module allowed to read the host clock,
 because offline planning cost is precisely what it measures.
+``builtin-hash`` covers the same layers plus ``repro/faults``.
 ``set-iteration`` and ``float-eq`` apply everywhere;
 ``unsorted-node-iteration`` is scoped to ``repro/mc``, ``repro/faults``,
 ``repro/fuzz`` (campaign reports leak iteration order the same way
@@ -50,10 +56,9 @@ hold a simulator reference but do not own the engine (``repro/core``,
 ``repro/mc``, ``repro/obs``, ``repro/faults``, ``repro/fuzz``) plus the
 batched core's sanctioned transmit paths (which carry pragmas), and
 ``allocation-in-loop`` to the batched-core hot modules
-(``repro/perf/batchcore``, ``repro/sim/message``). The region-sharded
-core (``repro/perf/shardcore``) sits in every one of those scopes plus
-``int-time``: its window loops are the innermost loops of a sharded
-run, and its horizon arithmetic must stay in integer microseconds.
+(``repro/perf/batchcore``, ``repro/sim/message``). The pool sweep
+(``repro/perf/shardcore``) sits in the node-order scope: its per-seed
+results cross a process boundary and are merged back in seed order.
 """
 
 from __future__ import annotations
@@ -73,12 +78,11 @@ NODE_ORDER_FRAGMENTS = ("repro/mc/", "repro/faults/",
 #: Layers that hold a simulator reference but do not own the engine.
 SCHEDULE_CLIENT_FRAGMENTS = ("repro/core/", "repro/mc/", "repro/obs/",
                              "repro/faults/", "repro/perf/batchcore",
-                             "repro/perf/shardcore", "repro/fuzz/")
+                             "repro/fuzz/")
 #: Hot-path modules whose steady-state loops must not allocate.
-HOT_LOOP_FRAGMENTS = ("repro/perf/batchcore", "repro/perf/shardcore",
-                      "repro/sim/message")
+HOT_LOOP_FRAGMENTS = ("repro/perf/batchcore", "repro/sim/message")
 #: Modules whose time arithmetic must stay in integer microseconds.
-INT_TIME_FRAGMENTS = ("repro/verify/bounds", "repro/perf/shardcore")
+INT_TIME_FRAGMENTS = ("repro/verify/bounds",)
 #: Sanctioned wrapper modules, exempt from the scoped rules.
 EXEMPT_SUFFIXES = ("repro/sim/time.py", "repro/sim/random.py",
                    "repro/sim/clock.py", "repro/perf/timing.py")
@@ -430,6 +434,43 @@ class FloatTimeArithmeticRule(Rule):
                         break
 
 
+class BuiltinHashRule(Rule):
+    """Forbid builtin ``hash()`` of anything but ``self``'s own fields.
+
+    ``hash(x)`` inside a ``__hash__`` that combines the object's own
+    attributes is how hashing is meant to work and never leaves the
+    process; any other call is a value about to be stored, compared or
+    ordered by. Derive stable ids from a content digest instead.
+    """
+
+    id = "builtin-hash"
+    description = ("builtin hash() is salted per process "
+                   "(PYTHONHASHSEED) for str/bytes; derive ids from a "
+                   "content digest (hashlib) so traces and reports are "
+                   "equal across processes")
+
+    def applies_to(self, path: str) -> bool:
+        return _in_restricted_layer(path) or "repro/faults/" in _posix(path)
+
+    @staticmethod
+    def _is_self_expr(node: ast.expr) -> bool:
+        """``self``, ``self.x``, or a tuple/display of only those."""
+        if isinstance(node, ast.Tuple):
+            return all(BuiltinHashRule._is_self_expr(e) for e in node.elts)
+        while isinstance(node, ast.Attribute):
+            node = node.value
+        return isinstance(node, ast.Name) and node.id == "self"
+
+    def check(self, tree: ast.AST) -> Iterator[Hit]:
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.Call)
+                    and isinstance(node.func, ast.Name)
+                    and node.func.id == "hash"
+                    and not all(self._is_self_expr(a) for a in node.args)):
+                yield (node.lineno, node.col_offset,
+                       "builtin hash() of a non-self value")
+
+
 ALL_RULES = (
     WallClockRule(),
     UnseededRandomRule(),
@@ -439,11 +480,13 @@ ALL_RULES = (
     EngineScheduleBypassRule(),
     AllocationInLoopRule(),
     FloatTimeArithmeticRule(),
+    BuiltinHashRule(),
 )
 
 __all__ = [
     "ALL_RULES",
     "AllocationInLoopRule",
+    "BuiltinHashRule",
     "EngineScheduleBypassRule",
     "FloatEqualityRule",
     "FloatTimeArithmeticRule",

@@ -34,42 +34,6 @@ RESULTS_DIR = os.path.join(os.path.dirname(__file__), "results")
 #: Standard single-fault time for the 50 ms industrial workload.
 FAULT_AT = 220_000
 
-#: Per-prepare planning stats, appended by :func:`prepared_btr`;
-#: ``tools/run_experiments.py`` truncates it before a suite run and
-#: aggregates it into ``BENCH_planner.json`` afterwards.
-PLANNER_STATS_PATH = os.path.join(RESULTS_DIR, "planner_stats.jsonl")
-
-#: Per-run observability stats (fault timelines + drop counters),
-#: appended by :func:`record_obs`; ``tools/run_experiments.py``
-#: aggregates it into ``BENCH_obs.json`` after a suite run.
-OBS_STATS_PATH = os.path.join(RESULTS_DIR, "obs_stats.jsonl")
-
-#: Per-run engine stats (absolute events/sec per trace mode, sweep and
-#: pool throughput, HMAC counts, memo hit rates, golden-digest
-#: verdicts), appended by :func:`record_sim` from E17/E19/E22;
-#: ``tools/run_experiments.py`` folds it into the *committed*
-#: ``BENCH_sim.json`` trajectory that ``tools/bench_check.py`` gates.
-SIM_STATS_PATH = os.path.join(RESULTS_DIR, "sim_stats.jsonl")
-
-#: Per-campaign model-checking stats (paths, dedup hit-rate, pruning
-#: ratio, states/sec), appended by :func:`record_mc` from the E18
-#: benchmark; ``tools/run_experiments.py`` aggregates it into
-#: ``BENCH_mc.json``.
-MC_STATS_PATH = os.path.join(RESULTS_DIR, "mc_stats.jsonl")
-
-#: Per-campaign fuzzing stats (scripts evaluated, coverage size,
-#: violations found/confirmed, runs/sec), appended by
-#: :func:`record_fuzz` from the E20 benchmark;
-#: ``tools/run_experiments.py`` aggregates it into ``BENCH_fuzz.json``.
-FUZZ_STATS_PATH = os.path.join(RESULTS_DIR, "fuzz_stats.jsonl")
-
-#: Per-scenario static-bound soundness/tightness stats (timelines
-#: checked, dominance verdict, per-class tightness ratios), appended by
-#: :func:`record_bounds` from the E21 benchmark;
-#: ``tools/run_experiments.py`` folds it into the *committed*
-#: ``BENCH_bounds.json`` trajectory that ``tools/bench_check.py`` gates.
-BOUNDS_STATS_PATH = os.path.join(RESULTS_DIR, "bounds_stats.jsonl")
-
 
 def harness_cache_dir() -> Optional[str]:
     """The strategy-cache directory the benchmarks share.
@@ -87,68 +51,41 @@ def harness_cache_dir() -> Optional[str]:
     return os.path.join(os.path.dirname(__file__), ".strategy_cache")
 
 
-def record_planning(system: BTRSystem, label: Optional[str] = None) -> None:
-    """Append one prepare()'s planning stats to the jsonl stream."""
-    stats = getattr(system, "plan_stats", None)
-    if stats is None:
+def smoke() -> bool:
+    """Whether ``REPRO_SWEEP=smoke`` asked for the reduced sweeps."""
+    return os.environ.get("REPRO_SWEEP") == "smoke"
+
+
+def stats_path(stream: str) -> str:
+    """The scratch jsonl one benchmark stream's rows are appended to."""
+    return os.path.join(RESULTS_DIR, f"{stream}_stats.jsonl")
+
+
+def record(stream: str, row: dict, label: Optional[str] = None) -> None:
+    """Append one measurement row to ``results/<stream>_stats.jsonl``.
+
+    ``tools/run_experiments.py`` clears the streams before a suite run
+    and folds each into its ``BENCH_<stream>.json`` trajectory
+    afterwards, as its stream table says (docs/HACKING.md, "Benchmark
+    pipeline"). An empty row records nothing.
+    """
+    if not row:
         return
     if label is None:
         label = os.environ.get("PYTEST_CURRENT_TEST", "adhoc").split(" ")[0]
-    append_jsonl(PLANNER_STATS_PATH, {"experiment": label,
-                                      **stats.to_dict()})
+    append_jsonl(stats_path(stream), {"experiment": label, **row})
 
 
-def record_obs(result, label: Optional[str] = None,
-               timelines=None) -> list:
-    """Append one run's reconstructed fault timelines to the obs stream.
-
-    Returns the timelines so experiments can assert on them (notably the
-    phase-sum invariant) without reconstructing twice.
-    """
-    from repro.obs import reconstruct_timelines
-
-    if timelines is None:
-        timelines = reconstruct_timelines(result)
-    if label is None:
-        label = os.environ.get("PYTEST_CURRENT_TEST", "adhoc").split(" ")[0]
-    counters = (result.metrics or {}).get("counters", {})
-    dropped = {k: v for k, v in counters.items()
-               if k.startswith("messages_dropped")}
-    for timeline in timelines:
-        append_jsonl(OBS_STATS_PATH, {
-            "experiment": label,
-            "messages_dropped": dropped,
-            **timeline.to_dict(),
-        })
-    return timelines
-
-
-def record_sim(row: dict, label: Optional[str] = None) -> None:
-    """Append one engine measurement to the sim stats stream."""
-    if label is None:
-        label = os.environ.get("PYTEST_CURRENT_TEST", "adhoc").split(" ")[0]
-    append_jsonl(SIM_STATS_PATH, {"experiment": label, **row})
-
-
-def record_mc(row: dict, label: Optional[str] = None) -> None:
-    """Append one model-checking campaign's stats to the mc stream."""
-    if label is None:
-        label = os.environ.get("PYTEST_CURRENT_TEST", "adhoc").split(" ")[0]
-    append_jsonl(MC_STATS_PATH, {"experiment": label, **row})
-
-
-def record_fuzz(row: dict, label: Optional[str] = None) -> None:
-    """Append one fuzz campaign's stats to the fuzz stream."""
-    if label is None:
-        label = os.environ.get("PYTEST_CURRENT_TEST", "adhoc").split(" ")[0]
-    append_jsonl(FUZZ_STATS_PATH, {"experiment": label, **row})
-
-
-def record_bounds(row: dict, label: Optional[str] = None) -> None:
-    """Append one scenario's static-bound stats to the bounds stream."""
-    if label is None:
-        label = os.environ.get("PYTEST_CURRENT_TEST", "adhoc").split(" ")[0]
-    append_jsonl(BOUNDS_STATS_PATH, {"experiment": label, **row})
+def planning_row(system: BTRSystem) -> dict:
+    """The ``planner`` row for one ``prepare()``; empty when the default
+    serial, uncached path ran and kept no stats."""
+    stats = system.plan_stats
+    if stats is None:
+        return {}
+    # Only prepares that consulted a cache can miss it; E7 deliberately
+    # plans uncached to measure raw planner cost.
+    return {**stats.to_dict(),
+            "cache_miss": bool(stats.cache_key) and not stats.cache_hit}
 
 
 def write_result(name: str, text: str) -> None:
@@ -182,7 +119,7 @@ def prepared_btr(workload=None, n_nodes: int = 7, f: int = 1,
         config = dataclasses.replace(config, cache=harness_cache_dir())
     system = BTRSystem(workload, topology, config)
     system.prepare()
-    record_planning(system)
+    record("planner", planning_row(system))
     return system
 
 
@@ -215,5 +152,5 @@ def sweep_btr(seeds, scenario: Optional[str] = None, n_periods: int = 40,
     config = dataclasses.replace(config, seed=seeds[0])
     system = BTRSystem(workload, topology, config)
     system.prepare()
-    record_planning(system)
+    record("planner", planning_row(system))
     return run_sweep(system, seeds, n_periods, scenario=scenario)

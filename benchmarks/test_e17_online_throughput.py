@@ -18,18 +18,15 @@ hit rate, and wall time for two trace modes —
 * ``full``   — full trace (the digest check);
 * ``miles``  — milestone trace (the benchmark configuration).
 
-Environment knobs (used by the CI engine-smoke job):
-
-* ``REPRO_E17_SWEEP=smoke`` — single scenario, fewer periods/seeds.
+``REPRO_SWEEP=smoke`` — single scenario, fewer periods/seeds.
 """
-
-import os
 
 from harness import (
     golden,
     harness_cache_dir,
     one_shot,
-    record_sim,
+    record,
+    smoke,
     write_result,
 )
 from repro import BTRConfig, BTRSystem
@@ -54,10 +51,6 @@ SWEEP_SMOKE = [("single_commission", 7, 1, 20)]
 
 SEEDS_FULL = (42, 43)
 SEEDS_SMOKE = (42,)
-
-
-def smoke() -> bool:
-    return os.environ.get("REPRO_E17_SWEEP") == "smoke"
 
 
 def _prepared(name: str, n_nodes: int, f: int, seed: int, trace_mode: str):
@@ -135,7 +128,7 @@ def run_experiment():
     for name, n_nodes, f, n_periods in sweep:
         for seed in seeds:
             case = run_case(name, n_nodes, f, n_periods, seed)
-            record_sim(case, label=f"e17:{name}:s{seed}")
+            record("sim", case, label=f"e17:{name}:s{seed}")
             cases.append(case)
     return cases
 

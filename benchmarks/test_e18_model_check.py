@@ -20,24 +20,17 @@ dedup hit-rate, pruning ratio, states/sec, expectation label);
 ``BENCH_mc.json``. States/sec is recorded, never asserted — wall-clock
 on shared runners is advice, not ground truth.
 
-Environment knobs (used by the CI mc-smoke job):
-
-* ``REPRO_E18_SWEEP=smoke`` — tighter bounds (fewer ticks/kinds).
+``REPRO_SWEEP=smoke`` — tighter bounds (fewer ticks/kinds).
 """
 
 import json
-import os
 
-from harness import one_shot, record_mc, write_result
+from harness import one_shot, record, smoke, write_result
 from repro import BTRConfig
 from repro.analysis import format_table
 from repro.mc import CheckParams, run_campaign
 from repro.net import full_mesh_topology
 from repro.workload import pipeline_workload
-
-
-def smoke() -> bool:
-    return os.environ.get("REPRO_E18_SWEEP") == "smoke"
 
 
 def _params(**kw) -> CheckParams:
@@ -138,7 +131,7 @@ def run_experiment():
                         canonical_stats), "expect": "violate"})
 
     for row in rows:
-        record_mc(row, label="e18_model_check")
+        record("mc", row, label="e18_model_check")
 
     table_rows = [[
         r["campaign"],

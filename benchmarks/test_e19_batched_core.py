@@ -20,18 +20,15 @@ milestone trace (the benchmark configuration), the sweep throughput, and
 the coalescing ratio; recorded with the host's core count and
 interpreter version in ``BENCH_sim.json``, never asserted.
 
-Environment knobs (used by the CI engine-smoke job):
-
-* ``REPRO_E19_SWEEP=smoke`` — single scenario, small mesh.
+``REPRO_SWEEP=smoke`` — single scenario, small mesh.
 """
-
-import os
 
 from harness import (
     golden,
     harness_cache_dir,
     one_shot,
-    record_sim,
+    record,
+    smoke,
     sweep_btr,
     write_result,
 )
@@ -56,10 +53,6 @@ SWEEP_SMOKE = [("single_commission", 7, 1, 20)]
 
 SEEDS_FULL = (42, 43)
 SEEDS_SMOKE = (42,)
-
-
-def smoke() -> bool:
-    return os.environ.get("REPRO_E19_SWEEP") == "smoke"
 
 
 def _prepared(name: str, n_nodes: int, f: int, seed: int, trace_mode: str):
@@ -147,7 +140,7 @@ def run_experiment():
     for name, n_nodes, f, n_periods in sweep:
         for seed in seeds:
             case = run_case(name, n_nodes, f, n_periods, seed)
-            record_sim(case, label=f"e19:{name}:s{seed}")
+            record("sim", case, label=f"e19:{name}:s{seed}")
             cases.append(case)
     return cases
 

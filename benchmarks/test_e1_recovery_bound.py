@@ -20,12 +20,13 @@ from harness import (
     RESULTS_DIR,
     one_shot,
     prepared_btr,
-    record_obs,
+    record,
     single_fault,
     write_result,
 )
 from repro.analysis import btr_verdict, format_table, smallest_sufficient_R
-from repro.obs import PHASES, budget_attribution, export_run
+from repro.obs import (PHASES, budget_attribution, export_run,
+                       reconstruct_timelines)
 from repro.sim import to_seconds
 
 FAULT_KINDS = ("commission", "crash", "omission", "timing", "equivocation")
@@ -42,7 +43,15 @@ def run_experiment():
         result = system.run(N_PERIODS, single_fault(kind))
         budget = system.budget
         promised = budget.total_us
-        timelines = record_obs(result, label=f"e1:{kind}")
+        timelines = reconstruct_timelines(result)
+        dropped = {k: v for k, v in result.metrics["counters"].items()
+                   if k.startswith("messages_dropped")}
+        for t in timelines:
+            record("obs", {
+                "messages_dropped": dropped,
+                "phase_sum_mismatch": t.phase_sum() != t.total_us,
+                **t.to_dict(),
+            }, label=f"e1:{kind}")
         timeline = timelines[0]
         # The reported figure IS the timeline total; cross-check it
         # against the independent Definition 3.1 measurement.
@@ -134,7 +143,6 @@ def test_e1_fault_free_needs_no_recovery(benchmark):
     def run():
         system = prepared_btr(seed=42)
         result = system.run(N_PERIODS)
-        from repro.obs import reconstruct_timelines
         return (smallest_sufficient_R(result),
                 btr_verdict(result, R_us=0),
                 reconstruct_timelines(result))

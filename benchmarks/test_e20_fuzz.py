@@ -22,25 +22,18 @@ expectation label); ``tools/run_experiments.py`` aggregates the stream
 into ``BENCH_fuzz.json``. Runs/sec is recorded, never asserted —
 wall-clock on shared runners is advice, not ground truth.
 
-Environment knobs (used by the CI fuzz-smoke job):
-
-* ``REPRO_E20_SWEEP=smoke`` — tighter bounds (fewer generations/kinds).
+``REPRO_SWEEP=smoke`` — tighter bounds (fewer generations/kinds).
 """
 
 import json
-import os
 
-from harness import one_shot, record_fuzz, write_result
+from harness import one_shot, record, smoke, write_result
 from repro import BTRConfig
 from repro.analysis import format_table
 from repro.fuzz import FuzzParams, run_fuzz_campaign
 
 META = {"workload": "pipeline", "topology": "fullmesh:4",
         "bandwidth": 1e8, "f": 1, "seed": 0}
-
-
-def smoke() -> bool:
-    return os.environ.get("REPRO_E20_SWEEP") == "smoke"
 
 
 def _params(**kw) -> FuzzParams:
@@ -123,7 +116,7 @@ def run_experiment():
                  "expect": "clean"})
 
     for row in rows:
-        record_fuzz(row, label="e20_fuzz")
+        record("fuzz", row, label="e20_fuzz")
 
     table_rows = [[
         r["campaign"],

@@ -19,20 +19,19 @@ would be exact) across three artifact populations:
   checking campaign's minimised counterexamples, replayed and checked
   (a violation of a *planned* R must still sit under the static bound).
 
-Each scenario appends one row to ``bounds_stats.jsonl``;
-``tools/run_experiments.py`` folds full-grid rows into the *committed*
-``BENCH_bounds.json`` trajectory and ``tools/bench_check.py`` fails CI
-when soundness breaks or a tightness ratio regresses by >20%.
+Each scenario appends one row to the ``bounds`` stream;
+``tools/run_experiments.py`` folds them into the ``BENCH_bounds.json``
+trajectory and ``tools/bench_check.py`` fails CI when soundness breaks
+or a tightness ratio regresses by >20% against an entry of the same
+sweep.
 
-Environment knobs (used by the CI bounds-smoke job):
-
-* ``REPRO_E21_SWEEP=smoke`` — one scenario, 2 offsets, soundness only
-  (tightness needs the dense grid to be meaningful).
+``REPRO_SWEEP=smoke`` — one scenario, 2 offsets, soundness only
+(tightness needs the dense grid to be meaningful).
 """
 
 import os
 
-from harness import one_shot, record_bounds, write_result
+from harness import one_shot, record, smoke, write_result
 from repro import BTRConfig, BTRSystem
 from repro.analysis import format_table
 from repro.faults import SingleFaultAdversary
@@ -79,10 +78,6 @@ TIGHTNESS_CEILING = 3.0
 
 CORPUS_DIR = os.path.join(os.path.dirname(os.path.dirname(
     os.path.abspath(__file__))), "corpus")
-
-
-def smoke() -> bool:
-    return os.environ.get("REPRO_E21_SWEEP") == "smoke"
 
 
 def _prepared(workload_fn, topology_fn, seed: int = 42) -> BTRSystem:
@@ -225,7 +220,7 @@ def run_experiment():
     rows.append(_mc_counterexample_soundness())
 
     for row in rows:
-        record_bounds(row, label="e21_static_bounds")
+        record("bounds", row, label="e21_static_bounds")
 
     # Soundness is unconditional: every population, every grid.
     for row in rows:

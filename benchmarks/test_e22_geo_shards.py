@@ -23,10 +23,8 @@ path generated before it was deleted
 (``tests/golden/engine_digests.json``), and pool workers must reproduce
 the serial per-seed fingerprints exactly.
 
-Environment knobs (used by the CI engine-smoke job):
-
-* ``REPRO_E22_SWEEP=smoke`` — one small case (3x8), no speedup
-  assertions (byte-equality gates always enforced).
+``REPRO_SWEEP=smoke`` — one small case (3x8), no speedup assertions
+(byte-equality gates always enforced).
 """
 
 import os
@@ -35,7 +33,8 @@ from harness import (
     golden,
     harness_cache_dir,
     one_shot,
-    record_sim,
+    record,
+    smoke,
     write_result,
 )
 from repro import BTRConfig, BTRSystem
@@ -62,10 +61,6 @@ POOL_SEEDS = (42, 43, 44, 45)
 
 #: Pool sweeps are gated only where parallelism is physically possible.
 POOL_GATE = 1.5
-
-
-def smoke() -> bool:
-    return os.environ.get("REPRO_E22_SWEEP") == "smoke"
 
 
 def _prepared(regions: int, npr: int, seed: int,
@@ -166,7 +161,7 @@ def run_experiment():
     cases = []
     for regions, npr, seeds, n_periods, pool in sweep:
         case = run_case(regions, npr, seeds, n_periods, pool)
-        record_sim(case, label=f"e22:{case['scenario']}")
+        record("sim", case, label=f"e22:{case['scenario']}")
         cases.append(case)
     return cases
 

@@ -11,17 +11,15 @@ symmetry-memo speedup — asserting along the way that fan-out output is
 byte-identical to serial (parallelism is an optimisation, never a
 semantic).
 
-Environment knobs (used by the CI perf-smoke job):
-
-* ``REPRO_E7_SWEEP=smoke`` — reduced sweep for quick runs;
-* ``REPRO_E7_JOBS=N`` — worker count for the parallel column
-  (default: all cores, min 2 so the pool path is always exercised).
+Environment knobs: ``REPRO_SWEEP=smoke`` selects the reduced sweep;
+``REPRO_E7_JOBS=N`` pins the worker count of the parallel column
+(default: all cores, min 2 so the pool path is always exercised).
 """
 
 import os
 import time
 
-from harness import one_shot, record_planning, write_result
+from harness import one_shot, planning_row, record, smoke, write_result
 from repro import BTRConfig, BTRSystem
 from repro.analysis import format_table
 from repro.core.planner import strategy_to_json
@@ -34,9 +32,7 @@ SWEEP_SMOKE = [(6, 1), (8, 1), (8, 2)]
 
 
 def sweep():
-    if os.environ.get("REPRO_E7_SWEEP") == "smoke":
-        return SWEEP_SMOKE
-    return SWEEP_FULL
+    return SWEEP_SMOKE if smoke() else SWEEP_FULL
 
 
 def parallel_jobs() -> int:
@@ -56,8 +52,8 @@ def plan_once(n_nodes: int, f: int, jobs: int = 1, memo: bool = False):
     start = time.perf_counter()
     system.prepare()
     elapsed = time.perf_counter() - start
-    record_planning(system, label=f"e7:n{n_nodes}:f{f}:j{jobs}"
-                                  + (":memo" if memo else ""))
+    record("planner", planning_row(system),
+           label=f"e7:n{n_nodes}:f{f}:j{jobs}" + (":memo" if memo else ""))
     return system, elapsed
 
 

@@ -22,7 +22,7 @@ from typing import Any, Dict
 
 
 class Stopwatch:
-    """Cumulative wall-clock timer with split support.
+    """Cumulative wall-clock timer.
 
     >>> watch = Stopwatch()
     >>> ... work ...
@@ -30,11 +30,10 @@ class Stopwatch:
     0.42
     """
 
-    __slots__ = ("_start", "_laps")
+    __slots__ = ("_start",)
 
     def __init__(self) -> None:
         self._start = time.perf_counter()
-        self._laps: Dict[str, float] = {}
 
     def elapsed_s(self) -> float:
         """Seconds since construction (or the last :meth:`restart`)."""
@@ -42,38 +41,6 @@ class Stopwatch:
 
     def restart(self) -> None:
         self._start = time.perf_counter()
-
-    def lap(self, label: str) -> float:
-        """Record the current elapsed time under ``label`` and return it."""
-        elapsed = self.elapsed_s()
-        self._laps[label] = elapsed
-        return elapsed
-
-    @property
-    def laps(self) -> Dict[str, float]:
-        return dict(self._laps)
-
-
-def wall_s() -> float:
-    """A monotonic wall-clock reading in seconds (for manual deltas)."""
-    return time.perf_counter()
-
-
-def write_bench_json(path: str, payload: Dict[str, Any]) -> None:
-    """Write one ``BENCH_*.json`` artifact atomically.
-
-    The perf trajectory files (``BENCH_planner.json``,
-    ``BENCH_suite.json``) are consumed by CI and by humans diffing runs,
-    so they are written sorted-keys and indented, via a temp file +
-    rename so a crashed run never leaves a half-written artifact.
-    """
-    directory = os.path.dirname(os.path.abspath(path))
-    os.makedirs(directory, exist_ok=True)
-    tmp = path + ".tmp"
-    with open(tmp, "w") as f:
-        json.dump(payload, f, indent=2, sort_keys=True)
-        f.write("\n")
-    os.replace(tmp, path)
 
 
 def append_jsonl(path: str, record: Dict[str, Any]) -> None:

@@ -179,3 +179,32 @@ def test_cli_check_replay_rejects_bad_artifact(tmp_path, capsys):
 def test_cli_check_rejects_bad_bounds(capsys):
     code = main(["check", "--ticks", "0"])
     assert code == 2
+
+
+# --------------------------------------------------------------------- fuzz
+
+
+def test_cli_fuzz_campaign_finds_and_corpus_check_passes(tmp_path, capsys):
+    """R=30ms under-provisions commission recovery on the smoke config
+    (~40-76ms): the campaign must exit 1 with minimised, replay-confirmed
+    counterexamples; the checked-in corpus must replay clean."""
+    import json
+    import os
+
+    report_path = tmp_path / "report.json"
+    code, _ = run_cli(
+        capsys, "fuzz", "campaign", "--workload", "pipeline",
+        "--topology", "fullmesh:4", "--f", "1", "--seed", "7",
+        "--kinds", "crash", "commission", "timing", "--ticks", "2",
+        "--generations", "2", "--batch", "4", "--elite", "3",
+        "--R", "0.03", "--corpus-dir", str(tmp_path / "found"),
+        "--report", str(report_path))
+    assert code == 1
+    report = json.loads(report_path.read_text())
+    assert report["found"]
+    assert report["counterexamples"]
+    assert all(a["replay_confirmed"] for a in report["counterexamples"])
+    corpus = os.path.join(os.path.dirname(os.path.dirname(__file__)),
+                          "corpus")
+    code, _ = run_cli(capsys, "fuzz", "corpus-check", "--corpus", corpus)
+    assert code == 0

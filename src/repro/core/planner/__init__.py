@@ -4,7 +4,7 @@ from . import naming
 from .augment import AugmentConfig, augment, replication_overhead
 from .distance import PlanDistance, plan_distance
 from .placement import PlacementConfig, PlacementError, node_exposure, place
-from .plan import Plan, PlanningError, build_plan
+from .plan import Plan, PlanningError, augmented_ladder, build_plan
 from .serialize import (
     plan_from_dict,
     plan_to_dict,
@@ -34,6 +34,7 @@ __all__ = [
     "place",
     "Plan",
     "PlanningError",
+    "augmented_ladder",
     "build_plan",
     "plan_from_dict",
     "plan_to_dict",

@@ -76,7 +76,9 @@ def augment(workload: DataflowGraph, config: AugmentConfig) -> DataflowGraph:
     tasks: List[Task] = []
     flows: List[Flow] = []
 
-    for task in workload.tasks.values():
+    # Declaration order, which the serialised artifact preserves.
+    for task_name in workload.tasks:
+        task = workload.tasks[task_name]
         for i in range(r):
             tasks.append(Task(
                 name=naming.replica_name(task.name, i),
@@ -90,11 +92,9 @@ def augment(workload: DataflowGraph, config: AugmentConfig) -> DataflowGraph:
             criticality=task.criticality,
             state_bits=0,
         ))
-
-    # Replica outputs feed the task's checker: that is the edge the
-    # checking task compares on. One flow per replica, sized like the
-    # task's largest output plus a signature.
-    for task in workload.tasks.values():
+        # Replica outputs feed the task's checker: that is the edge the
+        # checking task compares on. One flow per replica, sized like the
+        # task's largest output plus a signature.
         out_bits = max(
             (fl.size_bits for fl in workload.outputs_of(task.name)),
             default=256,

@@ -44,7 +44,7 @@ def plan_distance(
     moved = 0
     bits = 0
     new = 0
-    for instance, node in child_assignment.items():
+    for instance, node in sorted(child_assignment.items()):
         parent_node = parent_assignment.get(instance)
         if parent_node is None:
             new += 1

@@ -24,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Set
 
-from ...net.routing import Router, RoutingError
+from ...net.routing import Router
 from ...net.topology import Topology
 from ...workload.dataflow import DataflowGraph
 from . import naming
@@ -63,10 +63,9 @@ def node_exposure(topology: Topology, node_id: str) -> float:
     ~1.0 for well-connected ones). This is the static proxy for the
     game-tree lookahead the paper suggests.
     """
-    rates = sorted(
-        (link.bandwidth_bps for link in topology.nodes[node_id].links.values()),
-        reverse=True,
-    )
+    links = topology.nodes[node_id].links
+    rates = sorted((links[link_id].bandwidth_bps for link_id in links),
+                   reverse=True)
     if not rates:
         return float("inf")
     if len(rates) == 1:
@@ -95,79 +94,79 @@ def place(
         raise PlacementError("no eligible nodes")
 
     # Group instances by base task so the anti-affinity constraint is local.
+    group_of = {inst: naming.base_task(inst) for inst in augmented.tasks}
     groups: Dict[str, List[str]] = {}
     for instance in augmented.tasks:
-        groups.setdefault(naming.base_task(instance), []).append(instance)
-    for members in groups.values():
-        if len(members) > len(eligible):
-            raise PlacementError(
-                f"{len(members)} instances of one task but only "
-                f"{len(eligible)} eligible nodes"
-            )
+        groups.setdefault(group_of[instance], []).append(instance)
+    largest = max(map(len, groups.values()), default=0)
+    if largest > len(eligible):
+        raise PlacementError(
+            f"{largest} instances of one task but only "
+            f"{len(eligible)} eligible nodes"
+        )
 
     assignment: Dict[str, str] = {}
     load: Dict[str, int] = {n: 0 for n in eligible}  # nominal µs per period
-
-    def producer_node(endpoint: str) -> Optional[str]:
-        if endpoint in assignment:
-            return assignment[endpoint]
-        if endpoint in topology.endpoint_map:
-            return topology.endpoint_map[endpoint]
-        return None
-
-    def locality(instance: str, node: str) -> float:
-        producers = [
-            producer_node(f.src) for f in augmented.inputs_of(instance)
-        ]
-        known = [p for p in producers if p is not None]
-        if not known:
-            return 0.0
-        hops = []
-        for p in known:
-            try:
-                hops.append(router.hop_count(p, node, excluding))
-            except RoutingError:
-                hops.append(len(topology.nodes))  # effectively unreachable
-        return sum(hops) / len(hops)
-
     capacity_us = augmented.period
-    exposure = {n: node_exposure(topology, n) for n in eligible}
-
-    def score(instance: str, node: str, wcet: int, state_bits: int) -> float:
-        fg_speed = topology.nodes[node].lanes["fg"].speed
-        projected = (load[node] + wcet) / max(fg_speed, 1e-9) / capacity_us
-        value = config.w_load * projected
-        if config.use_locality:
-            value += config.w_locality * locality(instance, node)
-        if config.use_distance and parent_assignment is not None:
-            parent_node = parent_assignment.get(instance)
-            if parent_node is not None and parent_node != node:
-                # Moving costs (normalised) state transfer.
-                value += config.w_distance * (1.0 + state_bits / 65536.0)
-        if config.use_exposure:
-            collapse = min(exposure[node] - 1.0, 10.0)
+    unreachable = len(topology.nodes)  # effectively infinitely far
+    # Per node, once: CPU speed and, for the nodes whose connectivity
+    # collapses with their fattest link, the weighted collapse.
+    fg_speed = {n: max(topology.nodes[n].lanes["fg"].speed, 1e-9)
+                for n in eligible}
+    exposure_cost: Dict[str, float] = {}
+    if config.use_exposure:
+        for n in eligible:
+            collapse = min(node_exposure(topology, n) - 1.0, 10.0)
             if collapse > 0:
-                # Stateful instances risk migrating over the thin fallback;
-                # even stateless ones push data-plane flows over it once
-                # the fat uplink's neighbour fails.
-                value += (config.w_exposure * collapse
-                          * (0.2 + state_bits / 65536.0))
-        return value
+                exposure_cost[n] = config.w_exposure * collapse
 
     # Base tasks in topological order of the *original* graph structure so
     # input producers are placed before consumers. The augmented graph's own
     # topological order gives exactly this (replicas before checkers, etc.).
     for instance in augmented.topological_order():
         task = augmented.tasks[instance]
-        group = naming.base_task(instance)
-        taken = {assignment[m] for m in groups[group] if m in assignment}
+        taken = {assignment[m] for m in groups[group_of[instance]]
+                 if m in assignment}
         candidates = [n for n in eligible if n not in taken]
         if not candidates:
             raise PlacementError(f"no node left for {instance}")
-        best = min(
-            candidates,
-            key=lambda n: (score(instance, n, task.wcet, task.state_bits), n),
-        )
+
+        # Per instance, once: where its inputs come from (already placed,
+        # or a pinned endpoint) as one hop table per known producer, what
+        # moving it away from the parent plan's host costs, and how much
+        # state it would strand on an exposed node.
+        hop_tables = []
+        if config.use_locality:
+            for flow in augmented.inputs_of(instance):
+                producer = (assignment.get(flow.src)
+                            or topology.endpoint_map.get(flow.src))
+                if producer is not None:
+                    hop_tables.append(router.hops_from(producer, excluding))
+        parent_node = (parent_assignment.get(instance)
+                       if config.use_distance and parent_assignment is not None
+                       else None)
+        move_cost = config.w_distance * (1.0 + task.state_bits / 65536.0)
+        # Stateful instances risk migrating over the thin fallback; even
+        # stateless ones push data-plane flows over it once the fat
+        # uplink's neighbour fails.
+        stranded = 0.2 + task.state_bits / 65536.0
+
+        def score(node: str) -> float:
+            projected = ((load[node] + task.wcet) / fg_speed[node]
+                         / capacity_us)
+            value = config.w_load * projected
+            if hop_tables:
+                hops = sum(t.get(node, unreachable) for t in hop_tables)
+                value += config.w_locality * (hops / len(hop_tables))
+            if parent_node is not None and parent_node != node:
+                # Moving costs (normalised) state transfer.
+                value += move_cost
+            exposed = exposure_cost.get(node)
+            if exposed is not None:
+                value += exposed * stranded
+            return value
+
+        best = min(candidates, key=lambda n: (score(n), n))
         assignment[instance] = best
         load[best] += task.wcet
 

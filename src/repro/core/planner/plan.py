@@ -21,7 +21,7 @@ tasks and retries").
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Set
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from ...faults.patterns import FaultPattern, mode_id
 from ...net.routing import Router
@@ -41,7 +41,10 @@ class PlanningError(Exception):
 
 @dataclass
 class Plan:
-    """One mode's full prescription. Immutable once built."""
+    """One mode's full prescription. Immutable once built — and because a
+    :class:`DataflowGraph` is never mutated after ``__init__``, every plan
+    of a strategy that kept the same rung holds the *same* ``workload``
+    and ``augmented`` objects."""
 
     pattern: FaultPattern
     workload: DataflowGraph          # possibly shed
@@ -57,9 +60,8 @@ class Plan:
         return mode_id(self.pattern)
 
     def instances_on(self, node: str) -> List[str]:
-        return sorted(
-            inst for inst, n in self.assignment.items() if n == node
-        )
+        return sorted(inst for inst in self.assignment
+                      if self.assignment[inst] == node)
 
     def planned_arrival(self, flow_copy: str) -> Optional[int]:
         """Planned arrival (µs after period start) at the final consumer."""
@@ -102,6 +104,20 @@ def _derive_routes(schedule: GlobalSchedule, augmented: DataflowGraph,
     return routes
 
 
+#: One rung of the shedding ladder with its augmented instance graph.
+Rung = Tuple[DataflowGraph, DataflowGraph]
+
+
+def augmented_ladder(full_workload: DataflowGraph,
+                     augment_config: AugmentConfig) -> List[Rung]:
+    """The shedding ladder of ``full_workload``, each rung augmented.
+
+    Neither half reads the fault pattern, so a strategy builds this once
+    and hands it to every :func:`build_plan` call."""
+    return [(rung, augment(rung, augment_config))
+            for rung in shedding_ladder(full_workload)]
+
+
 def build_plan(
     full_workload: DataflowGraph,
     pattern: FaultPattern,
@@ -112,19 +128,24 @@ def build_plan(
     augment_config: Optional[AugmentConfig] = None,
     placement_config: Optional[PlacementConfig] = None,
     parent_assignment: Optional[Dict[str, str]] = None,
+    ladder: Optional[Sequence[Rung]] = None,
 ) -> Plan:
-    """Build the plan for ``pattern``, shedding criticality as needed."""
-    augment_config = augment_config or AugmentConfig(replicas=f + 1)
+    """Build the plan for ``pattern``, shedding criticality as needed.
+
+    ``ladder`` is :func:`augmented_ladder` of the workload when the caller
+    plans more than one pattern; the plan keeps the rung's graph objects
+    as they are (graphs are never mutated after ``__init__``), so plans
+    built from one ladder share them."""
     lane_model = lane_model or LaneModel(topology)
-    excluding = set(pattern)
+    if ladder is None:
+        ladder = augmented_ladder(
+            full_workload, augment_config or AugmentConfig(replicas=f + 1))
 
     failures: List[str] = []
-    for rung in shedding_ladder(full_workload):
-        kept = {t.criticality for t in rung.tasks.values()}
-        augmented = augment(rung, augment_config)
+    for rung, augmented in ladder:
         try:
             assignment = place(
-                augmented, topology, router, excluding,
+                augmented, topology, router, pattern,
                 config=placement_config,
                 parent_assignment=parent_assignment,
             )
@@ -133,7 +154,7 @@ def build_plan(
             continue
         schedule = synthesize(
             augmented, assignment, topology, router,
-            lane_model=lane_model, excluding=excluding,
+            lane_model=lane_model, excluding=pattern,
         )
         if not schedule.feasible:
             failures.append(
@@ -148,7 +169,8 @@ def build_plan(
             augmented=augmented,
             assignment=assignment,
             schedule=schedule,
-            kept_levels=kept,
+            kept_levels={rung.tasks[name].criticality
+                         for name in rung.tasks},
             routes=routes,
         )
     raise PlanningError(

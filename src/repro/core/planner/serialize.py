@@ -12,7 +12,7 @@ can be shipped to (simulated) nodes, diffed, or archived with a deployment.
 from __future__ import annotations
 
 import json
-from typing import Optional
+from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
 from ...sched.synthesis import GlobalSchedule
 from ...sched.table import NodeSchedule, PlannedTransmission, ScheduleEntry
@@ -24,6 +24,8 @@ from .strategy import Strategy
 
 
 def _graph_to_dict(graph: DataflowGraph) -> dict:
+    # Tasks and flows go out in declaration order, as they always have.
+    tasks = [graph.tasks[name] for name in graph.tasks]
     return {
         "name": graph.name,
         "period": graph.period,
@@ -31,7 +33,7 @@ def _graph_to_dict(graph: DataflowGraph) -> dict:
             {"name": t.name, "wcet": t.wcet,
              "criticality": t.criticality.value,
              "state_bits": t.state_bits}
-            for t in graph.tasks.values()
+            for t in tasks
         ],
         "flows": [
             {"name": f.name, "src": f.src, "dst": f.dst,
@@ -72,7 +74,7 @@ def _schedule_to_dict(schedule: GlobalSchedule) -> dict:
         "assignment": dict(schedule.assignment),
         "node_schedules": {
             node: [[e.task, e.start, e.finish] for e in ns]
-            for node, ns in schedule.node_schedules.items()
+            for node, ns in sorted(schedule.node_schedules.items())
         },
         "transmissions": [
             [t.flow, t.sender, t.receiver, t.link_id, t.start, t.arrival,
@@ -86,7 +88,7 @@ def _schedule_to_dict(schedule: GlobalSchedule) -> dict:
 
 def _schedule_from_dict(data: dict) -> GlobalSchedule:
     node_schedules = {}
-    for node, entries in data["node_schedules"].items():
+    for node, entries in sorted(data["node_schedules"].items()):
         ns = NodeSchedule(node, data["period"])
         for task, start, finish in entries:
             ns.add(ScheduleEntry(task=task, start=start, finish=finish))
@@ -105,41 +107,76 @@ def _schedule_from_dict(data: dict) -> GlobalSchedule:
     )
 
 
-def plan_to_dict(plan: Plan) -> dict:
+def plan_to_dict(
+    plan: Plan,
+    graph_to_dict: Callable[[DataflowGraph], dict] = _graph_to_dict,
+) -> dict:
     return {
         "pattern": sorted(plan.pattern),
-        "workload": _graph_to_dict(plan.workload),
-        "augmented": _graph_to_dict(plan.augmented),
+        "workload": graph_to_dict(plan.workload),
+        "augmented": graph_to_dict(plan.augmented),
         "assignment": dict(plan.assignment),
         "schedule": _schedule_to_dict(plan.schedule),
         "kept_levels": sorted(l.value for l in plan.kept_levels),
         "routes": {name: list(route)
-                   for name, route in plan.routes.items()},
+                   for name, route in sorted(plan.routes.items())},
     }
 
 
-def plan_from_dict(data: dict) -> Plan:
+def plan_from_dict(
+    data: dict,
+    graph_from_dict: Callable[[dict], DataflowGraph] = _graph_from_dict,
+) -> Plan:
     return Plan(
         pattern=frozenset(data["pattern"]),
-        workload=_graph_from_dict(data["workload"]),
-        augmented=_graph_from_dict(data["augmented"]),
+        workload=graph_from_dict(data["workload"]),
+        augmented=graph_from_dict(data["augmented"]),
         assignment=dict(data["assignment"]),
         schedule=_schedule_from_dict(data["schedule"]),
         kept_levels={Criticality(v) for v in data["kept_levels"]},
         routes={name: list(route)
-                for name, route in data["routes"].items()},
+                for name, route in sorted(data["routes"].items())},
     )
+
+
+def shared_graphs(known: Iterable[DataflowGraph] = ()
+                  ) -> Callable[[dict], DataflowGraph]:
+    """A ``graph_from_dict`` for :func:`plan_from_dict` under which equal
+    encodings decode to one shared graph object — one of ``known`` if it
+    encodes the same — which is what the plans held before they were
+    serialised."""
+    decoded: List[Tuple[dict, DataflowGraph]] = [
+        (_graph_to_dict(graph), graph) for graph in known]
+
+    def graph_from_dict(encoded: dict) -> DataflowGraph:
+        for seen, graph in decoded:
+            if seen == encoded:
+                return graph
+        decoded.append((encoded, _graph_from_dict(encoded)))
+        return decoded[-1][1]
+
+    return graph_from_dict
 
 
 FORMAT_VERSION = 1
 
 
 def strategy_to_dict(strategy: Strategy) -> dict:
+    """The artifact as plain data. Plans share graph objects (see
+    :class:`Plan`), so each distinct graph is encoded once per call and
+    the plan entries that hold it share the encoding — read-only."""
+    encoded: Dict[int, dict] = {}
+
+    def graph_to_dict(graph: DataflowGraph) -> dict:
+        if id(graph) not in encoded:
+            encoded[id(graph)] = _graph_to_dict(graph)
+        return encoded[id(graph)]
+
     return {
         "format_version": FORMAT_VERSION,
         "f": strategy.f,
         "covered_nodes": sorted(strategy.covered_nodes),
-        "plans": [plan_to_dict(strategy.plan_for(pattern))
+        "plans": [plan_to_dict(strategy.plan_for(pattern), graph_to_dict)
                   for pattern in strategy.patterns()],
     }
 
@@ -149,9 +186,10 @@ def strategy_from_dict(data: dict) -> Strategy:
         raise ValueError(
             f"unsupported strategy format {data.get('format_version')!r}"
         )
+    graph_from_dict = shared_graphs()
     plans = {}
     for plan_data in data["plans"]:
-        plan = plan_from_dict(plan_data)
+        plan = plan_from_dict(plan_data, graph_from_dict)
         plans[plan.pattern] = plan
     return Strategy(f=data["f"], plans=plans,
                     covered_nodes=set(data["covered_nodes"]))

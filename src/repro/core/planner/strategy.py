@@ -30,7 +30,7 @@ from ...workload.dataflow import DataflowGraph
 from .augment import AugmentConfig
 from .distance import PlanDistance, plan_distance
 from .placement import PlacementConfig
-from .plan import Plan, build_plan
+from .plan import Plan, augmented_ladder, build_plan
 
 
 #: Version of the planning algorithm itself. Any change that can alter
@@ -148,7 +148,7 @@ class Strategy:
                             continue
                         try:
                             path = router.route(fetch.source, node,
-                                                excluding=set(child))
+                                                excluding=child)
                         except RoutingError:
                             # No fetch path with the faulty nodes cut out:
                             # this transfer simply cannot happen, so it
@@ -197,6 +197,7 @@ def build_strategy(
     augment_config = augment_config or AugmentConfig(replicas=f + 1)
 
     candidates = strategy_candidates(topology, config)
+    ladder = augmented_ladder(workload, augment_config)
     plans: Dict[FaultPattern, Plan] = {}
     for pattern in all_patterns_up_to(candidates, f):
         parent_assignment = None
@@ -210,8 +211,8 @@ def build_strategy(
         plans[pattern] = build_plan(
             workload, pattern, topology, router, f,
             lane_model=lane_model,
-            augment_config=augment_config,
             placement_config=config.placement,
             parent_assignment=parent_assignment,
+            ladder=ladder,
         )
     return Strategy(f=f, plans=plans, covered_nodes=set(candidates))

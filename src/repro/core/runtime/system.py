@@ -591,7 +591,7 @@ class BTRSystem:
             return
         try:
             path = self.router.route(agent.node_id, message.dst,
-                                     excluding=set(plan.pattern))
+                                     excluding=plan.pattern)
         except RoutingError:
             # No route avoiding the faulty set: the plan has partitioned
             # the sender from the destination. Count it — a silent drop

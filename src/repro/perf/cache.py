@@ -178,11 +178,24 @@ class StrategyCache:
         self.quarantined += 1
 
     def store(self, key: str, strategy: Strategy) -> str:
-        """Persist ``strategy`` under ``key`` atomically; returns the path."""
+        """Persist ``strategy`` under ``key`` atomically; returns the path.
+
+        Serialises before touching the directory, and a write or rename
+        that fails takes its temp file with it: a failed store leaves
+        neither an entry nor litter behind, and re-raises.
+        """
+        artifact = strategy_to_json(strategy)
         os.makedirs(self.root, exist_ok=True)
         path = self.path_for(key)
         tmp = f"{path}.tmp.{os.getpid()}"
-        with open(tmp, "w") as f:
-            f.write(strategy_to_json(strategy))
-        os.replace(tmp, path)
+        try:
+            with open(tmp, "w") as f:
+                f.write(artifact)
+            os.replace(tmp, path)
+        except BaseException:
+            try:
+                os.unlink(tmp)
+            except OSError:
+                pass
+            raise
         return path

@@ -17,9 +17,10 @@ siblings. :func:`build_strategy_fanout` exploits exactly that structure:
   and every sibling pattern receives the canonical plan under a node
   renaming, collapsing the ``sum C(n, k)`` cost to ``f + 1`` plans.
 
-Workers receive the (picklable) planning context once via the pool
-initializer; per-task traffic is just the pattern and its parent
-assignment out, a ``plan_to_dict`` payload back. If a pool cannot be
+Workers receive the (picklable) planning context — the shedding ladder
+with each rung's augmented graph included, built once per strategy —
+via the pool initializer; per-task traffic is just the pattern and its
+parent assignment out, a ``plan_to_dict`` payload back. If a pool cannot be
 created (restricted sandboxes, missing semaphores) the builder degrades
 to in-process planning and flags it in :class:`PlanningStats` rather
 than failing — parallelism here is an optimisation, never a semantic.
@@ -35,8 +36,12 @@ from typing import Any, Dict, List, Optional, Tuple
 
 from ..core.planner.augment import AugmentConfig
 from ..core.planner.placement import PlacementConfig
-from ..core.planner.plan import Plan, build_plan
-from ..core.planner.serialize import plan_from_dict, plan_to_dict
+from ..core.planner.plan import Plan, augmented_ladder, build_plan
+from ..core.planner.serialize import (
+    plan_from_dict,
+    plan_to_dict,
+    shared_graphs,
+)
 from ..core.planner.strategy import (
     Strategy,
     StrategyConfig,
@@ -90,14 +95,14 @@ def _plan_task(task: Tuple[Tuple[str, ...], Optional[Dict[str, str]]]
                ) -> dict:
     """Build one pattern's plan in a worker; ships back a plain dict."""
     pattern_nodes, parent_assignment = task
-    (workload, topology, router, f, lane_model, augment_config,
-     placement_config) = _WORKER_CONTEXT
+    (workload, topology, router, f, lane_model, placement_config,
+     ladder) = _WORKER_CONTEXT
     plan = build_plan(
         workload, frozenset(pattern_nodes), topology, router, f,
         lane_model=lane_model,
-        augment_config=augment_config,
         placement_config=placement_config,
         parent_assignment=parent_assignment,
+        ladder=ladder,
     )
     return plan_to_dict(plan)
 
@@ -152,6 +157,9 @@ def build_strategy_fanout(
     placement_config = config.placement
     jobs = resolve_jobs(jobs)
     candidates = strategy_candidates(topology, config)
+    ladder = augmented_ladder(workload, augment_config)
+    # Plans shipped back by workers land on the ladder's own graph objects.
+    graph_from_dict = shared_graphs(g for rung in ladder for g in rung)
     symmetric = bool(memo) and candidates_symmetric(topology, candidates)
     if stats is not None:
         stats.jobs = jobs
@@ -173,7 +181,7 @@ def build_strategy_fanout(
         if jobs > 1 and len(tasks) > 1 and not pool_failed:
             if executor is None:
                 context = (workload, topology, router, f, lane_model,
-                           augment_config, placement_config)
+                           placement_config, ladder)
                 try:
                     executor = ProcessPoolExecutor(
                         max_workers=jobs,
@@ -187,16 +195,16 @@ def build_strategy_fanout(
             if executor is not None:
                 futures = [executor.submit(_plan_task, t) for t in tasks]
                 return {
-                    p: plan_from_dict(fut.result())
+                    p: plan_from_dict(fut.result(), graph_from_dict)
                     for p, fut in zip(patterns, futures)
                 }
         return {
             p: build_plan(
                 workload, p, topology, router, f,
                 lane_model=lane_model,
-                augment_config=augment_config,
                 placement_config=placement_config,
                 parent_assignment=assignment,
+                ladder=ladder,
             )
             for p, (_, assignment) in zip(patterns, tasks)
         }

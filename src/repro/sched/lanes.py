@@ -24,6 +24,16 @@ from ..sim.message import MessageKind
 from ..net.topology import Topology
 
 
+#: Which lane a traffic class rides.
+_LANE_OF_KIND = {
+    MessageKind.DATA: "data",
+    MessageKind.STATE: "state",
+    MessageKind.EVIDENCE: "evidence",
+    MessageKind.CONTROL: "control",
+    MessageKind.BOGUS: "evidence",  # junk rides the evidence lane
+}
+
+
 @dataclass(frozen=True)
 class LaneFractions:
     """Fraction of each link's raw bandwidth granted to each traffic class."""
@@ -41,13 +51,7 @@ class LaneFractions:
             raise ValueError("all lane fractions must be positive")
 
     def for_kind(self, kind: MessageKind) -> float:
-        return {
-            MessageKind.DATA: self.data,
-            MessageKind.STATE: self.state,
-            MessageKind.EVIDENCE: self.evidence,
-            MessageKind.CONTROL: self.control,
-            MessageKind.BOGUS: self.evidence,  # junk rides the evidence lane
-        }[kind]
+        return getattr(self, _LANE_OF_KIND[kind])
 
 
 class LaneModel:
@@ -74,7 +78,7 @@ class LaneModel:
 
     def install(self) -> None:
         """Allocate every lane on every link per this model (idempotent)."""
-        for link in self.topology.links.values():
+        for _, link in sorted(self.topology.links.items()):
             for sender in link.endpoints:
                 for kind in (MessageKind.DATA, MessageKind.STATE,
                              MessageKind.EVIDENCE, MessageKind.CONTROL):

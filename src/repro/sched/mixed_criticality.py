@@ -37,7 +37,8 @@ class MCTask:
         if level in self.budgets:
             return self.budgets[level]
         # Use the most pessimistic budget available at a lower level.
-        candidates = [c for lvl, c in self.budgets.items() if lvl <= level]
+        candidates = [c for lvl, c in sorted(self.budgets.items())
+                      if lvl <= level]
         if candidates:
             return max(candidates)
         return max(self.budgets.values())
@@ -79,7 +80,8 @@ def shed_workload(
         if workload.flow_criticality(flow) in levels:
             keep |= workload.tasks_feeding_sink_flow(flow)
     keep |= {
-        t.name for t in workload.tasks.values() if t.criticality in levels
+        name for name, task in sorted(workload.tasks.items())
+        if task.criticality in levels
     }
     # Closure: kept tasks drag in their upstream dependencies.
     for task_name in list(keep):

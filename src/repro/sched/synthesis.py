@@ -13,6 +13,8 @@ list scheduler:
    long-running low-criticality task occupy a node and blow a control
    chain's deadline (priority inversion); deadline-driven ordering is
    what real table generators do. Ties break by name — deterministic.
+   The order depends on the graph alone, so the graph carries it
+   (:meth:`DataflowGraph.deadline_driven_order`).
 2. a task starts at the max of its inputs' arrival times and its node's
    earliest free time; it runs for ``wcet / fg_speed`` on its node;
 3. each output flow is transmitted hop-by-hop along the routed path,
@@ -71,7 +73,8 @@ class GlobalSchedule:
         return hops[-1] if hops else None
 
     def makespan(self) -> int:
-        ends = [s.busy_until() for s in self.node_schedules.values()]
+        ends = [s.busy_until()
+                for _, s in sorted(self.node_schedules.items())]
         ends += [t.arrival for t in self.transmissions]
         return max(ends, default=0)
 
@@ -80,49 +83,8 @@ class GlobalSchedule:
         return sum(t.size_bits for t in self.transmissions)
 
     def utilization_by_node(self) -> Dict[str, float]:
-        return {n: s.utilization() for n, s in self.node_schedules.items()}
-
-
-def _latest_finish_bounds(workload: DataflowGraph) -> Dict[str, int]:
-    """Per task: the latest finish time that can still meet every
-    downstream sink deadline (ignoring network delays — optimistic, which
-    is fine for an ordering heuristic). Tasks with no deadlined sink below
-    them get the period."""
-    bounds: Dict[str, int] = {}
-    for task_name in reversed(workload.topological_order()):
-        bound = workload.period
-        for flow in workload.outputs_of(task_name):
-            if flow.dst in workload.tasks:
-                consumer = workload.tasks[flow.dst]
-                bound = min(bound, bounds[flow.dst] - consumer.wcet)
-            elif flow.deadline is not None:
-                bound = min(bound, flow.deadline)
-        bounds[task_name] = bound
-    return bounds
-
-
-def _deadline_driven_order(workload: DataflowGraph) -> List[str]:
-    """Kahn's algorithm with an urgency-ordered ready set (see module
-    docstring). Deterministic: (latest finish, name) ordering."""
-    bounds = _latest_finish_bounds(workload)
-    indegree = {name: 0 for name in workload.tasks}
-    successors: Dict[str, List[str]] = {name: [] for name in workload.tasks}
-    for flow in workload.flows:
-        if flow.src in workload.tasks and flow.dst in workload.tasks:
-            indegree[flow.dst] += 1
-            successors[flow.src].append(flow.dst)
-    import heapq
-    ready = [(bounds[n], n) for n, deg in indegree.items() if deg == 0]
-    heapq.heapify(ready)
-    order: List[str] = []
-    while ready:
-        _, current = heapq.heappop(ready)
-        order.append(current)
-        for succ in successors[current]:
-            indegree[succ] -= 1
-            if indegree[succ] == 0:
-                heapq.heappush(ready, (bounds[succ], succ))
-    return order
+        return {n: s.utilization()
+                for n, s in sorted(self.node_schedules.items())}
 
 
 def _effective_fg_speed(topology: Topology, node_id: str) -> float:
@@ -217,7 +179,7 @@ def synthesize(
     for flow in workload.source_flows():
         schedule_flow(flow, ready_at=0)
 
-    for task_name in _deadline_driven_order(workload):
+    for task_name in workload.deadline_driven_order():
         task = workload.tasks[task_name]
         node = assignment[task_name]
         inputs = workload.inputs_of(task_name)

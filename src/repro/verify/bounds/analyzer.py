@@ -39,13 +39,15 @@ speeds, drift ppm) are scaled up front through :func:`_milli`.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, List, Mapping, Optional, Tuple
+from typing import (Callable, Dict, FrozenSet, List, Mapping, Optional,
+                    Sequence, Tuple)
 
 from ...core.planner import naming
 from ...core.planner.plan import Plan
 from ...core.planner.strategy import Strategy
 from ...core.runtime.budget import EVIDENCE_BITS, distribution_bound
 from ...core.runtime.config import BTRConfig
+from ...net.routing import Router
 from ...net.topology import Topology
 from ...obs.recovery import PHASES
 from ...sched.lanes import LaneModel
@@ -99,10 +101,11 @@ def _declaration_guaranteed(plan: Plan, copy_name: str,
     * every other copy kind is never excusable.
     """
     if "@a" in copy_name:
-        base = naming.base_flow(copy_name)
-        flow = next((f for f in plan.workload.flows if f.name == base),
-                    None)
-        if flow is None or flow.src not in plan.workload.tasks:
+        try:
+            flow = plan.workload.flow(naming.base_flow(copy_name))
+        except KeyError:
+            return True
+        if flow.src not in plan.workload.tasks:
             return True  # host-sourced audit edge: nothing to starve
         return not any(inp.src in plan.workload.tasks
                        for inp in plan.workload.inputs_of(flow.src))
@@ -204,26 +207,19 @@ def conviction_profile(plan: Plan, victim: str,
                              single_adjacency, periods)
 
 
-def _flood_depth(topology: Topology, excluding: FrozenSet[str]) -> int:
-    """Diameter of the surviving routing graph (BFS, no networkx), with
-    the node count as the safe fallback for disconnected survivors."""
-    alive = [n for n in topology.node_ids() if n not in excluding]
+def _flood_depth(router: Router, alive: Sequence[str],
+                 excluding: FrozenSet[str]) -> int:
+    """Diameter of the surviving routing graph (the router's BFS hop
+    tables, no networkx), with the node count as the safe fallback for
+    disconnected survivors."""
     depth = 0
     for start in alive:
-        dist = {start: 0}
-        frontier = [start]
-        while frontier:
-            nxt: List[str] = []
-            for node in frontier:
-                for neighbor in topology.neighbors(node):
-                    if neighbor in excluding or neighbor in dist:
-                        continue
-                    dist[neighbor] = dist[node] + 1
-                    nxt.append(neighbor)
-            frontier = nxt
-        if len(dist) < len(alive):
+        reached = [hops for node, hops
+                   in router.hops_from(start, excluding).items()
+                   if node not in excluding]
+        if len(reached) < len(alive):
             return max(len(alive), 1)
-        depth = max(depth, max(dist.values(), default=0))
+        depth = max(depth, max(reached))
     return max(depth, 1)
 
 
@@ -249,15 +245,12 @@ def _evidence_hop_us(topology: Topology, lane_model: LaneModel,
     return worst_hop, verify, decl_verify
 
 
-def _transfer_us(strategy: Strategy, topology: Topology,
-                 lane_model: LaneModel, parent: FrozenSet[str],
-                 child: FrozenSet[str]) -> int:
-    """Worst-case state-transfer time for one specific mode transition."""
-    bits = strategy.transition_distance(parent, child).state_bits
+def _min_state_rate_milli(topology: Topology,
+                          lane_model: LaneModel) -> int:
+    """The slowest STATE lane of the deployment, in milli-bits per µs."""
     rates = [_milli(lane_model.rate_bits_per_us(link, MessageKind.STATE))
              for link in topology.links.values()]
-    min_rate = min(rates, default=1000)
-    return _ceil_div(bits * 1000, max(min_rate, 1))
+    return max(min(rates, default=1000), 1)
 
 
 def _drift_eps_us(config: BTRConfig) -> int:
@@ -266,66 +259,80 @@ def _drift_eps_us(config: BTRConfig) -> int:
     return _ceil_div(config.clock_sync_interval_us * ppm, 1_000_000)
 
 
-def _silence_maskable(plan: Plan, topology: Topology,
-                      victim: str) -> bool:
-    """True when the victim's silence cannot disrupt outputs by itself,
-    established by evaluating the plan's replicated dataflow with the
-    victim removed: a stage still *works* when its checker is off the
-    victim and at least one replica (a) is hosted elsewhere, (b) receives
-    every input on a victim-free route from a working upstream stage, and
-    (c) reaches its checker on a victim-free route; every sink flow must
-    then arrive from a working stage over a victim-free ``@out`` route.
-    Conviction being unreachable is then benign — no recovery is needed,
-    so no bound is either. Audit copies deliberately don't count as
-    masking (they inform detection, not actuation)."""
-    for inst in plan.instances_on(victim):
-        if not naming.is_replica(inst) and not naming.is_checker(inst):
-            return False  # exotic singleton role: assume disruptive
+def _silence_masking(plan: Plan,
+                     topology: Topology) -> Callable[[str], bool]:
+    """The predicate "this victim's silence cannot disrupt outputs by
+    itself" for one plan, established by evaluating the plan's replicated
+    dataflow with the victim removed: a stage still *works* when its
+    checker is off the victim and at least one replica (a) is hosted
+    elsewhere, (b) receives every input on a victim-free route from a
+    working upstream stage, and (c) reaches its checker on a victim-free
+    route; every sink flow must then arrive from a working stage over a
+    victim-free ``@out`` route. Conviction being unreachable is then
+    benign — no recovery is needed, so no bound is either. Audit copies
+    deliberately don't count as masking (they inform detection, not
+    actuation).
+
+    Where each stage's replicas sit, and which hosts carry some exotic
+    singleton role, depends on the plan alone and is worked out here,
+    once, not per victim."""
     workload = plan.workload
     assignment = plan.assignment
+    replicas: Dict[str, List[Tuple[int, str]]] = {}
+    exotic_hosts = set()
+    for inst, host in assignment.items():
+        index = naming.replica_index(inst)
+        if index is not None:
+            replicas.setdefault(naming.base_task(inst), []).append(
+                (index, host))
+        elif not naming.is_checker(inst):
+            exotic_hosts.add(host)  # assume its silence is disruptive
 
-    def route_ok(copy_name: str) -> bool:
-        route = plan.routes.get(copy_name)
-        return route is None or victim not in route
-
-    memo: Dict[str, bool] = {}
-
-    def stage_ok(task: str) -> bool:
-        if task in memo:
-            return memo[task]
-        memo[task] = False  # cycle guard, conservative
-        if assignment.get(naming.checker_name(task)) == victim:
+    def maskable(victim: str) -> bool:
+        if victim in exotic_hosts:
             return False
-        working = False
-        for inst, host in assignment.items():
-            if host == victim or not naming.is_replica(inst):
-                continue
-            if naming.base_task(inst) != task:
-                continue
-            index = naming.replica_index(inst)
-            fed = True
-            for inp in workload.inputs_of(task):
-                if not route_ok(
-                        naming.flow_copy_name(inp.name, f"r{index}")):
-                    fed = False
+
+        def route_ok(copy_name: str) -> bool:
+            route = plan.routes.get(copy_name)
+            return route is None or victim not in route
+
+        memo: Dict[str, bool] = {}
+
+        def stage_ok(task: str) -> bool:
+            if task in memo:
+                return memo[task]
+            memo[task] = False  # cycle guard, conservative
+            if assignment.get(naming.checker_name(task)) == victim:
+                return False
+            working = False
+            for index, host in replicas.get(task, ()):
+                if host == victim:
+                    continue
+                fed = True
+                for inp in workload.inputs_of(task):
+                    if not route_ok(
+                            naming.flow_copy_name(inp.name, f"r{index}")):
+                        fed = False
+                        break
+                    if inp.src in workload.tasks and not stage_ok(inp.src):
+                        fed = False
+                        break
+                if fed and route_ok(naming.replica_output_flow(task, index)):
+                    working = True
                     break
-                if inp.src in workload.tasks and not stage_ok(inp.src):
-                    fed = False
-                    break
-            if fed and route_ok(naming.replica_output_flow(task, index)):
-                working = True
-                break
-        memo[task] = working
-        return working
+            memo[task] = working
+            return working
 
-    for flow in workload.sink_flows():
-        if topology.endpoint_map.get(flow.dst) == victim:
-            continue  # the only consumer died with the victim
-        if flow.src in workload.tasks and not stage_ok(flow.src):
-            return False
-        if not route_ok(naming.flow_copy_name(flow.name, "out")):
-            return False
-    return True
+        for flow in workload.sink_flows():
+            if topology.endpoint_map.get(flow.dst) == victim:
+                continue  # the only consumer died with the victim
+            if flow.src in workload.tasks and not stage_ok(flow.src):
+                return False
+            if not route_ok(naming.flow_copy_name(flow.name, "out")):
+                return False
+        return True
+
+    return maskable
 
 
 def compute_bounds(strategy: Strategy, topology: Topology,
@@ -339,14 +346,20 @@ def compute_bounds(strategy: Strategy, topology: Topology,
     read it, which is what makes the cross-validation in
     :mod:`.soundness` meaningful.
     """
+    router = Router(topology)
     if budget is None:
         from ...core.runtime.budget import compute_budget
-        from ...net.routing import Router
-        budget = compute_budget(strategy, topology, lane_model,
-                                Router(topology), config)
+        budget = compute_budget(strategy, topology, lane_model, router,
+                                config)
     period = strategy.nominal.workload.period
+    # Per topology: the evidence hop, the slowest STATE lane, the node
+    # list. Per surviving node set: the flood depth (the same faulty set
+    # is reached from each of its sub-patterns).
     hop, verify, decl_verify = _evidence_hop_us(topology, lane_model,
                                                 config)
+    state_rate = _min_state_rate_milli(topology, lane_model)
+    node_ids = topology.node_ids()
+    flood_depths: Dict[FrozenSet[str], int] = {}
     lead = (config.switch_lead_us if config.switch_lead_us is not None
             else distribution_bound(topology, lane_model, config))
     drift = _drift_eps_us(config)
@@ -363,7 +376,7 @@ def compute_bounds(strategy: Strategy, topology: Topology,
         max_arrival = max((a for a in plan.schedule.arrivals.values()
                            if a is not None), default=period)
         max_arrival = min(max(max_arrival, 0), period)
-        victims = [v for v in topology.node_ids()
+        victims = [v for v in node_ids
                    if v not in pattern
                    and strategy.has_plan(frozenset(pattern) | {v})]
         if not victims:
@@ -375,14 +388,21 @@ def compute_bounds(strategy: Strategy, topology: Topology,
         unachievable: Dict[str, str] = {}
         victim_totals: Dict[str, Dict[str, int]] = {
             c: {} for c in FAULT_CLASSES}
+        silence_maskable = _silence_masking(plan, topology)
 
         for victim in victims:
-            faulty = frozenset(pattern) | {victim}
-            depth = _flood_depth(topology, faulty)
+            faulty = pattern | {victim}
+            depth = flood_depths.get(faulty)
+            if depth is None:
+                depth = flood_depths[faulty] = _flood_depth(
+                    router, [n for n in node_ids if n not in faulty],
+                    faulty)
             flood = depth * (hop + verify)
             decl_flood = depth * (hop + decl_verify)
-            transfer = _transfer_us(strategy, topology, lane_model,
-                                    frozenset(pattern), faulty)
+            # Worst-case state transfer of this specific mode transition.
+            transfer = _ceil_div(
+                strategy.transition_distance(pattern, faulty).state_bits
+                * 1000, state_rate)
             settle = period + transfer + arrival_slack
             # With f >= 2 a fault can land inside the previous
             # recovery's post-switch confusion window, during which
@@ -392,7 +412,7 @@ def compute_bounds(strategy: Strategy, topology: Topology,
                          if strategy.f >= 2 else 0)
 
             profile = conviction_profile(plan, victim, config)
-            maskable = _silence_maskable(plan, topology, victim)
+            maskable = silence_maskable(victim)
             if profile.periods is None:
                 if not maskable:
                     unachievable[victim] = profile.reason

@@ -42,6 +42,7 @@ def check_mode_graph(
             ))
 
     # --- transitions: every single-fault step can move its state -------
+    nodes = sorted(topology.nodes)
     for child in strategy.patterns():
         if not child:
             continue
@@ -51,11 +52,17 @@ def check_mode_graph(
             if not strategy.has_plan(parent):
                 continue  # already reported as mode.missing-plan
             parent_plan = strategy.plan_for(parent)
-            for node in sorted(topology.nodes):
-                if node in child:
+            # Only a node that gains an instance in this step has anything
+            # to fetch; with distance-minimising placement that is a few.
+            parent_host = parent_plan.assignment.get
+            starting = {node for instance, node
+                        in child_plan.assignment.items()
+                        if parent_host(instance) != node}
+            for node in nodes:
+                if node in child or node not in starting:
                     continue
                 transition = compute_transition(
-                    node, parent_plan, child_plan, set(child))
+                    node, parent_plan, child_plan, child)
                 for fetch in transition.fetches:
                     subject = f"{node}<-{fetch.instance}"
                     if fetch.source is None:
@@ -79,8 +86,7 @@ def check_mode_graph(
                         ))
                         continue
                     try:
-                        router.route(fetch.source, node,
-                                     excluding=set(child))
+                        router.route(fetch.source, node, excluding=child)
                     except RoutingError:
                         findings.append(Finding(
                             rule="mode.fetch-unroutable",

@@ -40,6 +40,8 @@ def check_routes(
     mode = plan.mode
     faulty = set(plan.pattern)
     period_seconds = plan.augmented.period / 1e6
+    edge_data = topology.graph.get_edge_data
+    links = topology.links
     # (link_id, sender) -> accumulated DATA share, reservation-style.
     shares: Dict[Tuple[str, str], float] = {}
 
@@ -84,26 +86,22 @@ def check_routes(
                          f"{flow.dst} is hosted on {dst_host}"),
             ))
 
-        broken = False
+        # Reservation arithmetic (net/reservation.py): headroom times the
+        # flow's mean rate, as a fraction of each hop's raw link rate.
+        reserved_rate = headroom * (flow.size_bits / period_seconds)
         for sender, receiver in zip(route[:-1], route[1:]):
-            data = topology.graph.get_edge_data(sender, receiver)
+            data = edge_data(sender, receiver)
             if data is None:
                 findings.append(Finding(
                     rule="route.broken-path", severity=Severity.ERROR,
                     mode=mode, subject=flow_name,
                     message=f"no link between {sender} and {receiver}",
                 ))
-                broken = True
                 continue
-            link = topology.links[data["link_id"]]
-            # Reservation arithmetic (net/reservation.py): headroom times
-            # the flow's mean rate, as a fraction of the raw link rate.
-            mean_rate = flow.size_bits / period_seconds
-            share = headroom * mean_rate / link.bandwidth_bps
+            link = links[data["link_id"]]
             key = (link.link_id, sender)
-            shares[key] = shares.get(key, 0.0) + share
-        if broken:
-            continue
+            shares[key] = (shares.get(key, 0.0)
+                           + reserved_rate / link.bandwidth_bps)
 
     # Admission: the per-link sum of all accumulated sender shares must
     # fit within the link (1.0), like ReservationManager.reserve_path.

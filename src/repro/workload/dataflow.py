@@ -14,8 +14,9 @@ part of the deployment (see :mod:`repro.net.topology`), not the workload.
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Set
+from typing import Callable, Dict, Iterable, List, Optional, Set, Tuple
 
 from .criticality import Criticality
 from .task import Task
@@ -50,7 +51,13 @@ class Flow:
 
 
 class DataflowGraph:
-    """A static periodic workload: tasks, flows, sources, and sinks."""
+    """A static periodic workload: tasks, flows, sources, and sinks.
+
+    A graph is never mutated after ``__init__``: plans of one strategy
+    share graph objects on that basis, and the graph itself remembers
+    what is a function of its structure alone (the flows into and out of
+    each endpoint, the topological and deadline-driven task orders).
+    """
 
     def __init__(
         self,
@@ -83,7 +90,8 @@ class DataflowGraph:
     # ---------------------------------------------------------- validation
 
     def validate(self) -> None:
-        """Check the structural invariants from the paper's workload model."""
+        """Check the structural invariants from the paper's workload model,
+        indexing the flows by endpoint in the same pass."""
         names = set(self.tasks)
         overlap = (names & self.sources) | (names & self.sinks) | (
             self.sources & self.sinks
@@ -91,6 +99,8 @@ class DataflowGraph:
         if overlap:
             raise WorkloadError(f"names used in multiple roles: {overlap}")
 
+        inputs: Dict[str, List[Flow]] = {}
+        outputs: Dict[str, List[Flow]] = {}
         for flow in self.flows:
             if flow.src not in names and flow.src not in self.sources:
                 raise WorkloadError(
@@ -113,28 +123,36 @@ class DataflowGraph:
                     f"flow {flow.name}: deadline {flow.deadline} exceeds "
                     f"period {self.period} (constrained-deadline model)"
                 )
+            outputs.setdefault(flow.src, []).append(flow)
+            inputs.setdefault(flow.dst, []).append(flow)
+        self._inputs: Dict[str, Tuple[Flow, ...]] = {
+            name: tuple(fs) for name, fs in inputs.items()}
+        self._outputs: Dict[str, Tuple[Flow, ...]] = {
+            name: tuple(fs) for name, fs in outputs.items()}
 
         for task in self.tasks.values():
-            if not self.outputs_of(task.name):
+            if task.name not in self._outputs:
                 raise WorkloadError(
                     f"task {task.name} has no outputs (paper: every task "
                     f"sends at least one output)"
                 )
 
-        self.topological_order()  # raises on cycles
+        self._order: Tuple[str, ...] = tuple(
+            self._kahn_order(lambda name: 0))
+        self._deadline_order: Optional[Tuple[str, ...]] = None
 
     # ------------------------------------------------------------- queries
 
     def flow(self, name: str) -> Flow:
         return self._flows_by_name[name]
 
-    def inputs_of(self, task_name: str) -> List[Flow]:
-        """Flows consumed by ``task_name``."""
-        return [f for f in self.flows if f.dst == task_name]
+    def inputs_of(self, task_name: str) -> Tuple[Flow, ...]:
+        """Flows consumed by ``task_name``, in declaration order."""
+        return self._inputs.get(task_name, ())
 
-    def outputs_of(self, task_name: str) -> List[Flow]:
-        """Flows produced by ``task_name``."""
-        return [f for f in self.flows if f.src == task_name]
+    def outputs_of(self, task_name: str) -> Tuple[Flow, ...]:
+        """Flows produced by ``task_name``, in declaration order."""
+        return self._outputs.get(task_name, ())
 
     def sink_flows(self) -> List[Flow]:
         """Flows whose destination is a physical-world sink."""
@@ -154,29 +172,54 @@ class DataflowGraph:
         return consumer.criticality if consumer else Criticality.B
 
     def topological_order(self) -> List[str]:
-        """Task names in dependency order; raises WorkloadError on cycles."""
+        """Task names in dependency order (ties by name)."""
+        return list(self._order)
+
+    def _kahn_order(self, urgency: Callable[[str], int]) -> List[str]:
+        """Kahn's algorithm, always taking the ready task with the smallest
+        ``(urgency, name)``; raises WorkloadError on cycles."""
         indegree = {name: 0 for name in self.tasks}
         successors: Dict[str, List[str]] = {name: [] for name in self.tasks}
         for flow in self.flows:
             if flow.src in self.tasks and flow.dst in self.tasks:
                 indegree[flow.dst] += 1
                 successors[flow.src].append(flow.dst)
-        ready = sorted(name for name, deg in indegree.items() if deg == 0)
+        ready = [(urgency(name), name)
+                 for name, deg in indegree.items() if deg == 0]
+        heapq.heapify(ready)
         order: List[str] = []
         while ready:
-            current = ready.pop(0)
+            _, current = heapq.heappop(ready)
             order.append(current)
-            changed = False
             for succ in successors[current]:
                 indegree[succ] -= 1
                 if indegree[succ] == 0:
-                    ready.append(succ)
-                    changed = True
-            if changed:
-                ready.sort()
+                    heapq.heappush(ready, (urgency(succ), succ))
         if len(order) != len(self.tasks):
             raise WorkloadError("dataflow graph has a cycle")
         return order
+
+    def deadline_driven_order(self) -> Tuple[str, ...]:
+        """Task names in dependency order, most urgent ready task first.
+
+        Urgency is the task's latest finish time that can still meet every
+        downstream sink deadline (ignoring network delays — optimistic,
+        which is fine for an ordering heuristic); tasks with no deadlined
+        sink below them get the period. Computed on first use.
+        """
+        if self._deadline_order is None:
+            bounds: Dict[str, int] = {}
+            for task_name in reversed(self._order):
+                bound = self.period
+                for flow in self.outputs_of(task_name):
+                    if flow.dst in self.tasks:
+                        consumer = self.tasks[flow.dst]
+                        bound = min(bound, bounds[flow.dst] - consumer.wcet)
+                    elif flow.deadline is not None:
+                        bound = min(bound, flow.deadline)
+                bounds[task_name] = bound
+            self._deadline_order = tuple(self._kahn_order(bounds.__getitem__))
+        return self._deadline_order
 
     def upstream_closure(self, task_name: str) -> Set[str]:
         """All tasks that ``task_name`` transitively depends on (incl. self)."""

@@ -1,31 +1,46 @@
-"""Committed engine digests: the reference role the deleted legacy
-transmit/heap path used to play.
+"""Committed digests: references generated by code that no longer runs.
 
 ``engine_digests.json`` holds, per (scenario, topology, workload, f,
 n_periods, seed) cell, the full-trace fingerprint, the ``events_executed``
 gauge and the event census of a run. It was generated by the per-message
 legacy path before that path was deleted (HACKING.md records the sha and
 invocation); the byte-identity tests and E17/E19/E22 assert the engine
-against it. ``python -m tests.golden`` re-runs every cell in the file on
-the current engine and verifies it; given a SOURCE argument it rewrites
-the file instead — only ever with a CHANGES.md line saying why the
+against it.
+
+``planner_digests.json`` plays the same role for the offline half: per
+(workload, topology, f) cell, SHA-256 of the ``strategy_to_json``
+artifact, the recovery budget, and SHA-256 of the ``compute_bounds`` and
+``verify_strategy`` reports — multi-hop topologies included, which no
+other committed file pins. It was generated by the planner at 3e48eeb,
+before the offline hot paths were rewritten.
+
+``python -m tests.golden [engine|planner]`` re-runs every cell on the
+current code and verifies it; with ``--write SOURCE`` it rewrites the
+file instead — only ever with a CHANGES.md line saying why the
 observable behaviour was meant to change.
 """
 
+import argparse
 import functools
+import hashlib
 import json
 import os
 import re
-import sys
 
 from repro import BTRConfig, BTRSystem
+from repro.cli import WORKLOADS, make_topology
+from repro.core.planner import PlanningError, strategy_to_json
 from repro.faults.scenarios import stage
 from repro.net import full_mesh_topology, geo_topology
 from repro.perf.fastpath import trace_fingerprint
 from repro.sim.trace import MILESTONE_KINDS
+from repro.verify import verify_strategy
+from repro.verify.bounds import compute_bounds
 from repro.workload import industrial_workload, stretched_workload
 
 PATH = os.path.join(os.path.dirname(__file__), "engine_digests.json")
+PLANNER_PATH = os.path.join(os.path.dirname(__file__),
+                            "planner_digests.json")
 
 #: Scenario name of the cell run without faults under :func:`delay_n0`.
 HOOKED = "fault_free+delay_n0"
@@ -57,8 +72,8 @@ def digest(system, result) -> dict:
 
 
 @functools.lru_cache(maxsize=None)
-def _committed() -> dict:
-    with open(PATH) as f:
+def _committed(path: str = PATH) -> dict:
+    with open(path) as f:
         return json.load(f)["cells"]
 
 
@@ -99,25 +114,113 @@ def run_cell(key: str) -> dict:
     return digest(system, result)
 
 
-def write(cells: dict, source: str) -> None:
+# ------------------------------------------------------ planner digests
+
+#: The planner grid. Every multi-hop family the builders offer, plus one
+#: full mesh as the cell the e2e goldens already cover from another side.
+#: Geo cells stretch the workload x10, as E22 does: a 5 ms WAN hop does
+#: not fit the domain workloads' native periods.
+PLANNER_TOPOLOGIES = ("ring:6", "line:5", "mesh:3x3", "dualstar:5",
+                      "geo:2x4", "fullmesh:6")
+PLANNER_KEYS = tuple(
+    f"{workload}{'x10' if topology.startswith('geo') else ''}"
+    f"@{topology}/f{f}"
+    for workload in sorted(WORKLOADS)
+    for topology in PLANNER_TOPOLOGIES for f in (1, 2))
+_PLANNER_KEY = re.compile(r"(?P<workload>[a-z_]+?)(?:x(?P<stretch>\d+))?"
+                          r"@(?P<topology>[\w:]+)/f(?P<f>\d+)")
+
+#: A cell whose deployment cannot be planned is pinned as such, by name.
+UNSCHEDULABLE = {"unschedulable": True}
+
+
+def _sha(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def planner_system(key: str, **config) -> BTRSystem:
+    """The prepared deployment the planner cell ``key`` names; ``config``
+    picks how the strategy is obtained (jobs, cache), never what it is."""
+    m = _PLANNER_KEY.fullmatch(key)
+    workload = stretched_workload(WORKLOADS[m["workload"]](),
+                                  int(m["stretch"] or 1))
+    system = BTRSystem(workload, make_topology(m["topology"], 1e8),
+                       BTRConfig(f=int(m["f"]), **config))
+    system.prepare()
+    return system
+
+
+def planner_digest(system) -> dict:
+    bounds = compute_bounds(system.strategy, system.topology,
+                            system.lane_model, system.config,
+                            budget=system.budget)
+    report = verify_strategy(system.strategy, system.topology,
+                             router=system.router, config=system.config,
+                             lane_model=system.lane_model)
+    return {
+        "artifact_sha": _sha(strategy_to_json(system.strategy)),
+        "budget_us": system.budget.total_us,
+        "bounds_sha": _sha(json.dumps(bounds.to_dict(), sort_keys=True)),
+        "verify_sha": _sha("\n".join(str(f) for f in report.findings)),
+    }
+
+
+def expected_plan(key: str) -> dict:
+    return _committed(PLANNER_PATH)[key]
+
+
+def run_planner_cell(key: str) -> dict:
+    try:
+        return planner_digest(planner_system(key))
+    except PlanningError:
+        return UNSCHEDULABLE
+
+
+# ------------------------------------------------------------ the files
+
+#: name -> (path, how one cell is recomputed, which cells the file holds:
+#: the engine file is its own grid, the planner grid is the one above).
+FILES = {
+    "engine": (PATH, run_cell, lambda: sorted(_committed())),
+    "planner": (PLANNER_PATH, run_planner_cell, lambda: PLANNER_KEYS),
+}
+
+
+def write(path: str, cells: dict, source: str) -> None:
     """One cell per line, sorted, so regenerations diff cell by cell."""
     body = ",\n".join(
         f"    {json.dumps(key)}: {json.dumps(cells[key], sort_keys=True)}"
         for key in sorted(cells))
-    with open(PATH, "w") as f:
+    with open(path, "w") as f:
         f.write('{\n  "schema": 1,\n  "source": %s,\n  "cells": {\n%s\n'
                 '  }\n}\n' % (json.dumps(source), body))
 
 
 def main() -> None:
-    """``python -m tests.golden``: verify every cell (exit 1 on a
-    mismatch). ``python -m tests.golden SOURCE``: rewrite the file, with
-    SOURCE (sha + why the digests were meant to change) as its origin."""
-    committed = _committed()
-    cells = {key: run_cell(key) for key in sorted(committed)}
-    changed = [key for key in cells if cells[key] != committed[key]]
-    print(f"{len(cells)} cells, {len(changed)} differ", *changed, sep="\n")
-    if len(sys.argv) > 1:
-        write(cells, sys.argv[1])
-    elif changed:
+    """``python -m tests.golden [engine|planner]``: verify every cell of
+    the named file, or of both (exit 1 on a mismatch). With ``--write
+    SOURCE``: rewrite instead, with SOURCE (sha + why the digests were
+    meant to change) as the file's origin."""
+    parser = argparse.ArgumentParser(prog="python -m tests.golden")
+    parser.add_argument("file", nargs="?", choices=sorted(FILES),
+                        help="the digest file to check (default: both)")
+    parser.add_argument("--write", metavar="SOURCE")
+    args = parser.parse_args()
+    if args.write and not args.file:
+        parser.error("--write regenerates one file: name it")
+    failed = False
+    for name in [args.file] if args.file else FILES:
+        path, run, keys = FILES[name]
+        cells = {key: run(key) for key in keys()}
+        if args.write:
+            write(path, cells, args.write)
+            print(f"{name}: {len(cells)} cells written")
+            continue
+        committed = _committed(path)
+        changed = [key for key in sorted(set(cells) | set(committed))
+                   if cells.get(key) != committed.get(key)]
+        print(f"{name}: {len(cells)} cells, {len(changed)} differ",
+              *changed, sep="\n")
+        failed = failed or bool(changed)
+    if failed:
         raise SystemExit(1)

@@ -228,8 +228,11 @@ def test_unsorted_node_iteration_flags_dict_views():
                 print(node, state)
             return [v for v in table.values()]
     """
-    assert rules_hit(src, path=MC_PATH) == ["unsorted-node-iteration"]
-    assert rules_hit(src, path=FAULTS_PATH) == ["unsorted-node-iteration"]
+    # ...and the offline half, whose artifacts are pinned byte for byte.
+    for path in (MC_PATH, FAULTS_PATH, "src/repro/net/routing.py",
+                 "src/repro/core/planner/example.py",
+                 "src/repro/sched/example.py"):
+        assert rules_hit(src, path=path) == ["unsorted-node-iteration"], path
 
 
 def test_unsorted_node_iteration_accepts_sorted_views():
@@ -247,6 +250,8 @@ def test_unsorted_node_iteration_scope_and_pragma():
     # Outside the node-order-critical layers the rule stays silent.
     assert rules_hit(src, path=ANALYSIS_PATH) == []
     assert rules_hit(src, path=SIM_PATH) == []
+    assert rules_hit(src, path=CORE_PATH) == []
+    assert rules_hit(src, path="src/repro/net/topology.py") == []
     suppressed = ("pairs = [v for v in table.values()]"
                   "  # lint: ignore[unsorted-node-iteration]\n")
     assert rules_hit(suppressed, path=MC_PATH) == []
@@ -428,9 +433,12 @@ def test_builtin_hash_scope_and_pragma():
     # The analysis layer renders reports from traces; nothing it hashes
     # feeds back into a run.
     assert rules_hit(src, path=ANALYSIS_PATH) == []
+    assert rules_hit(src, path="src/repro/workload/example.py") == []
     for path in (SIM_PATH, CORE_PATH, MC_PATH, FAULTS_PATH,
                  BATCHCORE_PATH, "src/repro/obs/example.py",
-                 "src/repro/fuzz/example.py"):
+                 "src/repro/fuzz/example.py", "src/repro/net/example.py",
+                 "src/repro/sched/example.py",
+                 "src/repro/verify/example.py"):
         assert rules_hit(src, path=path) == ["builtin-hash"], path
     suppressed = "eid = hash(name)  # lint: ignore[builtin-hash]\n"
     assert lint_source(suppressed, CORE_PATH, ALL_RULES) == []

@@ -1,5 +1,8 @@
 """Tests for topologies, routing, and bandwidth reservation."""
 
+import itertools
+
+import networkx as nx
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -164,6 +167,79 @@ def test_property_full_mesh_routes_are_single_hop(n):
     topo = full_mesh_topology(n)
     router = Router(topo)
     assert router.hop_count("n0", f"n{n - 1}") == 1
+
+
+def oracle_route(topo, src, dst, excluding):
+    """``Router.route`` as it was before the router kept hop tables and
+    read one-hop routes off the adjacency: networkx on the subgraph view,
+    every time. The reference stays here, not in ``src/``."""
+    graph = topo.graph
+    if excluding:
+        keep = [n for n in graph.nodes
+                if n not in excluding or n in (src, dst)]
+        graph = graph.subgraph(keep)
+    if src not in graph or dst not in graph:
+        raise RoutingError(f"unknown endpoint: {src} or {dst}")
+    try:
+        return nx.shortest_path(graph, src, dst)
+    except nx.NetworkXNoPath:
+        raise RoutingError(
+            f"no route {src} -> {dst} excluding {sorted(excluding or ())}"
+        ) from None
+
+
+def outcome(query, *args):
+    try:
+        return query(*args)
+    except RoutingError as exc:
+        return str(exc)
+
+
+NODE_IDS = [f"n{i}" for i in range(7)]
+PAIRS = list(itertools.combinations(NODE_IDS, 2))
+
+
+@settings(max_examples=40, deadline=None)
+@given(edges=st.sets(st.sampled_from(PAIRS), max_size=len(PAIRS)),
+       excluded_sets=st.lists(st.sets(st.sampled_from(NODE_IDS),
+                                      max_size=4), min_size=1, max_size=3),
+       as_frozenset=st.booleans())
+def test_property_router_equals_networkx_oracle(edges, excluded_sets,
+                                                as_frozenset):
+    """Connected or partitioned graph, any excluded set (endpoints
+    included), every endpoint pair plus an unknown node: same path, same
+    hop count, or the same ``RoutingError`` message — on one router, so
+    later answers come out of what earlier ones remembered."""
+    topo = Topology()
+    for node_id in NODE_IDS:
+        topo.add_node(Node(node_id))
+    for i, pair in enumerate(sorted(edges)):
+        topo.add_link(Link(f"l{i}", pair, 1e6))
+    router = Router(topo)
+    endpoints = NODE_IDS + ["ghost"]
+    for excluded in excluded_sets + [set()]:
+        excluding = frozenset(excluded) if as_frozenset else excluded
+        for src, dst in itertools.product(endpoints, repeat=2):
+            expected = outcome(oracle_route, topo, src, dst, excluded)
+            assert outcome(router.route, src, dst, excluding) == expected
+            hops = (len(expected) - 1 if isinstance(expected, list)
+                    else expected)
+            assert outcome(router.hop_count, src, dst, excluding) == hops
+
+
+def test_invalidate_drops_hop_tables_and_adjacency():
+    topo = line_topology(4)
+    router = Router(topo)
+    assert router.hop_count("n0", "n3") == 3
+    assert router.route("n0", "n3") == ["n0", "n1", "n2", "n3"]
+    topo.add_link(Link("shortcut", ("n0", "n3"), 1e6))
+    topo.add_node(Node("n4"))
+    topo.add_link(Link("spur", ("n3", "n4"), 1e6))
+    router.invalidate()
+    assert router.hop_count("n0", "n3") == 1
+    assert router.route("n0", "n3") == ["n0", "n3"]
+    assert router.hop_count("n1", "n3", excluding={"n2"}) == 2
+    assert router.route("n0", "n4") == ["n0", "n3", "n4"]
 
 
 # -------------------------------------------------------------- reservation

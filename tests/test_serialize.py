@@ -9,6 +9,7 @@ from repro.core.planner import (
     plan_from_dict,
     plan_to_dict,
     strategy_from_json,
+    strategy_to_dict,
     strategy_to_json,
 )
 from repro.faults import SingleFaultAdversary
@@ -63,6 +64,34 @@ def test_strategy_roundtrip(system):
         b = restored.plan_for(pattern)
         assert a.assignment == b.assignment
         assert a.routes == b.routes
+
+
+def test_plans_share_graphs_and_the_artifact_does_not_notice(system):
+    """Plans of one strategy hold the same graph objects (a graph is
+    never mutated after ``__init__``); the artifact still spells each
+    plan out in full, and loading it restores the sharing."""
+    def shares_graphs(strategy):
+        nominal, *others = [strategy.plan_for(p)
+                            for p in strategy.patterns()]
+        peers = [p for p in others if p.workload is nominal.workload]
+        return peers and all(p.augmented is nominal.augmented
+                             for p in peers)
+
+    assert shares_graphs(system.strategy)
+    encoded = strategy_to_dict(system.strategy)["plans"]
+    assert encoded[0]["augmented"] is encoded[1]["augmented"]
+    assert (json.dumps(encoded[1], sort_keys=True)
+            == json.dumps(plan_to_dict(system.strategy.plan_for(
+                system.strategy.patterns()[1])), sort_keys=True))
+    # A plan encoded on its own gets its own copy: clones stay corruptible.
+    plan = system.strategy.nominal
+    assert (plan_to_dict(plan)["augmented"]
+            is not plan_to_dict(plan)["augmented"])
+
+    text = strategy_to_json(system.strategy)
+    restored = strategy_from_json(text)
+    assert shares_graphs(restored)
+    assert strategy_to_json(restored) == text
 
 
 def test_strategy_json_rejects_unknown_version(system):

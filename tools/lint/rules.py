@@ -46,12 +46,17 @@ façades themselves (``sim/time.py``, ``sim/clock.py``,
 ``sim/random.py``) are exempt, being the sanctioned wrappers, as is
 ``perf/timing.py`` — the one module allowed to read the host clock,
 because offline planning cost is precisely what it measures.
-``builtin-hash`` covers the same layers plus ``repro/faults``.
+``builtin-hash`` covers the same layers plus ``repro/faults`` and the
+rest of the offline half (``repro/net``, ``repro/sched``,
+``repro/verify``), whose memos are keyed by node-name sets and whose
+outputs are persisted artifacts.
 ``set-iteration`` and ``float-eq`` apply everywhere;
 ``unsorted-node-iteration`` is scoped to ``repro/mc``, ``repro/faults``,
 ``repro/fuzz`` (campaign reports leak iteration order the same way
-``mc`` reports do) and the batched core (whose emission plans feed the
-event queue directly), ``engine-schedule-bypass`` to the layers that
+``mc`` reports do), the batched core (whose emission plans feed the
+event queue directly) and the planner (``repro/net/routing``,
+``repro/core/planner``, ``repro/sched``: strategy artifacts are pinned
+byte for byte), ``engine-schedule-bypass`` to the layers that
 hold a simulator reference but do not own the engine (``repro/core``,
 ``repro/mc``, ``repro/obs``, ``repro/faults``, ``repro/fuzz``) plus the
 batched core's sanctioned transmit paths (which carry pragmas), and
@@ -74,7 +79,12 @@ RESTRICTED_FRAGMENTS = ("repro/sim/", "repro/core/", "repro/perf/",
 #: Layers where node-id iteration order leaks into campaign reports.
 NODE_ORDER_FRAGMENTS = ("repro/mc/", "repro/faults/",
                         "repro/perf/batchcore", "repro/perf/shardcore",
-                        "repro/fuzz/")
+                        "repro/fuzz/", "repro/net/routing",
+                        "repro/core/planner/", "repro/sched/")
+#: Layers beyond the restricted ones where a salted hash() would reach an
+#: ordering, a memo key that is iterated, or a persisted artifact.
+HASH_FRAGMENTS = ("repro/faults/", "repro/net/", "repro/sched/",
+                  "repro/verify/")
 #: Layers that hold a simulator reference but do not own the engine.
 SCHEDULE_CLIENT_FRAGMENTS = ("repro/core/", "repro/mc/", "repro/obs/",
                              "repro/faults/", "repro/perf/batchcore",
@@ -450,7 +460,9 @@ class BuiltinHashRule(Rule):
                    "equal across processes")
 
     def applies_to(self, path: str) -> bool:
-        return _in_restricted_layer(path) or "repro/faults/" in _posix(path)
+        posix = _posix(path)
+        return _in_restricted_layer(path) or any(
+            fragment in posix for fragment in HASH_FRAGMENTS)
 
     @staticmethod
     def _is_self_expr(node: ast.expr) -> bool:

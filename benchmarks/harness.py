@@ -67,24 +67,19 @@ def record(stream: str, row: dict, label: Optional[str] = None) -> None:
     ``tools/run_experiments.py`` clears the streams before a suite run
     and folds each into its ``BENCH_<stream>.json`` trajectory
     afterwards, as its stream table says (docs/HACKING.md, "Benchmark
-    pipeline"). An empty row records nothing.
+    pipeline").
     """
-    if not row:
-        return
     if label is None:
         label = os.environ.get("PYTEST_CURRENT_TEST", "adhoc").split(" ")[0]
     append_jsonl(stats_path(stream), {"experiment": label, **row})
 
 
 def planning_row(system: BTRSystem) -> dict:
-    """The ``planner`` row for one ``prepare()``; empty when the default
-    serial, uncached path ran and kept no stats."""
+    """The ``planner`` row for one ``prepare()``."""
     stats = system.plan_stats
-    if stats is None:
-        return {}
     # Only prepares that consulted a cache can miss it; E7 deliberately
     # plans uncached to measure raw planner cost.
-    return {**stats.to_dict(),
+    return {**dataclasses.asdict(stats),
             "cache_miss": bool(stats.cache_key) and not stats.cache_hit}
 
 
@@ -108,9 +103,9 @@ def prepared_btr(workload=None, n_nodes: int = 7, f: int = 1,
     """A prepared BTR system, planned through the shared strategy cache.
 
     The cache key covers every planning input (workload, topology, f,
-    seed, planner config and version), so threading one cache through
-    all benchmarks is safe: experiments that reuse a scenario hit, every
-    other configuration misses and plans as before.
+    planner config and version), so threading one cache through all
+    benchmarks is safe: experiments that reuse a scenario hit — whatever
+    their run seed — and every other configuration misses and plans.
     """
     workload = workload or industrial_workload()
     topology = full_mesh_topology(n_nodes, bandwidth=bandwidth)

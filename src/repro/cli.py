@@ -121,13 +121,15 @@ def make_topology(spec: str, bandwidth: float):
         "geo": lambda a: geo_topology(*map(int, a.split("x")),
                                       bandwidth=bandwidth),
     }
-    try:
-        return builders[kind](arg or "7")
-    except KeyError:
+    if kind not in builders:
         raise SystemExit(
             f"unknown topology {kind!r}; choose from "
             f"{', '.join(sorted(builders))}"
-        ) from None
+        )
+    try:
+        return builders[kind](arg or "7")
+    except (TypeError, ValueError) as exc:
+        raise SystemExit(f"malformed topology {spec!r}: {exc}") from None
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -139,6 +141,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p):
+        p.set_defaults(error=p.error)  # for config_from_args
         p.add_argument("--workload", choices=sorted(WORKLOADS),
                        default="industrial")
         p.add_argument("--topology", default="fullmesh:7",
@@ -148,19 +151,11 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--f", type=int, default=1, dest="f",
                        help="fault budget")
         p.add_argument("--seed", type=int, default=42)
-        p.add_argument("--jobs", type=int, default=1, metavar="N",
-                       help="worker processes for offline planning "
-                            "(0 = all cores; the strategy is "
-                            "byte-identical for every value)")
         p.add_argument("--cache", metavar="DIR", default=None,
                        help="strategy cache directory (default: "
                             "$REPRO_STRATEGY_CACHE if set)")
         p.add_argument("--no-cache", action="store_true",
                        help="replan even if $REPRO_STRATEGY_CACHE is set")
-        p.add_argument("--memo", action="store_true",
-                       help="memoise symmetric fault patterns (opt-in; "
-                            "verifier-clean, may differ from exhaustive "
-                            "planning)")
         p.add_argument("--stretch", type=int, default=1, metavar="K",
                        help="run the workload at Kx slower periods and "
                             "deadlines (geo deployments: WAN latency "
@@ -377,9 +372,11 @@ def config_from_args(args) -> BTRConfig:
         else:
             from .perf import default_cache_dir
             cache = default_cache_dir()
-    return BTRConfig(f=args.f, seed=args.seed, planner_jobs=args.jobs,
-                     cache=cache, symmetry_memo=args.memo,
-                     trace_mode=args.trace_mode)
+    try:
+        return BTRConfig(f=args.f, seed=args.seed, cache=cache,
+                         trace_mode=args.trace_mode)
+    except ValueError as exc:
+        args.error(str(exc))  # the subcommand's parser.error: exits 2
 
 
 def cmd_plan(args) -> int:
@@ -408,15 +405,9 @@ def cmd_plan(args) -> int:
           f"switch {to_seconds(budget.switch_us):.3f}s, "
           f"settling {to_seconds(budget.settling_us):.3f}s)")
     stats = system.plan_stats
-    if stats is not None:
-        if stats.cache_hit:
-            how = f"cache hit ({stats.cache_key[:12]})"
-        else:
-            how = (f"{stats.plans_computed} computed"
-                   + (f", {stats.plans_memoised} memoised"
-                      if stats.plans_memoised else "")
-                   + f", jobs={stats.jobs}")
-        print(f"planning: {stats.wall_s:.3f}s wall ({how})")
+    how = (f"cache hit ({stats.cache_key[:12]})" if stats.cache_hit
+           else f"{stats.plans_computed} computed")
+    print(f"planning: {stats.wall_s:.3f}s wall ({how})")
     if args.export:
         from .core.planner import strategy_to_json
         with open(args.export, "w") as f:
@@ -490,12 +481,12 @@ def cmd_verify(args) -> int:
     config = config_from_args(args)
     budget = None
     if args.strategy:
-        from .core.planner import strategy_from_json
+        from .core.planner import StrategyFormatError, strategy_from_json
         from .sched import LaneModel
         try:
             with open(args.strategy) as f:
                 strategy = strategy_from_json(f.read())
-        except OSError as exc:
+        except (OSError, StrategyFormatError) as exc:
             print(f"repro verify: cannot read strategy file: {exc}",
                   file=sys.stderr)
             return 2
@@ -513,7 +504,7 @@ def cmd_verify(args) -> int:
         lane_model = system.lane_model
         budget = system.budget
         origin = "freshly planned"
-        if system.plan_stats is not None and system.plan_stats.cache_hit:
+        if system.plan_stats.cache_hit:
             origin = "from cache"
 
     report = verify_strategy(strategy, topology, router=router,

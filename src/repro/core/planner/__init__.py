@@ -6,6 +6,7 @@ from .distance import PlanDistance, plan_distance
 from .placement import PlacementConfig, PlacementError, node_exposure, place
 from .plan import Plan, PlanningError, augmented_ladder, build_plan
 from .serialize import (
+    StrategyFormatError,
     plan_from_dict,
     plan_to_dict,
     strategy_from_dict,
@@ -36,6 +37,7 @@ __all__ = [
     "PlanningError",
     "augmented_ladder",
     "build_plan",
+    "StrategyFormatError",
     "plan_from_dict",
     "plan_to_dict",
     "strategy_from_dict",

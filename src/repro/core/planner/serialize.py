@@ -12,7 +12,7 @@ can be shipped to (simulated) nodes, diffed, or archived with a deployment.
 from __future__ import annotations
 
 import json
-from typing import Callable, Dict, Iterable, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 from ...sched.synthesis import GlobalSchedule
 from ...sched.table import NodeSchedule, PlannedTransmission, ScheduleEntry
@@ -139,14 +139,11 @@ def plan_from_dict(
     )
 
 
-def shared_graphs(known: Iterable[DataflowGraph] = ()
-                  ) -> Callable[[dict], DataflowGraph]:
+def shared_graphs() -> Callable[[dict], DataflowGraph]:
     """A ``graph_from_dict`` for :func:`plan_from_dict` under which equal
-    encodings decode to one shared graph object — one of ``known`` if it
-    encodes the same — which is what the plans held before they were
-    serialised."""
-    decoded: List[Tuple[dict, DataflowGraph]] = [
-        (_graph_to_dict(graph), graph) for graph in known]
+    encodings decode to one shared graph object, which is what the plans
+    held before they were serialised."""
+    decoded: List[Tuple[dict, DataflowGraph]] = []
 
     def graph_from_dict(encoded: dict) -> DataflowGraph:
         for seen, graph in decoded:
@@ -159,6 +156,11 @@ def shared_graphs(known: Iterable[DataflowGraph] = ()
 
 
 FORMAT_VERSION = 1
+
+
+class StrategyFormatError(ValueError):
+    """The text is not a strategy artifact this code can decode: not
+    JSON, not the artifact's shape, or another ``FORMAT_VERSION``."""
 
 
 def strategy_to_dict(strategy: Strategy) -> dict:
@@ -183,7 +185,7 @@ def strategy_to_dict(strategy: Strategy) -> dict:
 
 def strategy_from_dict(data: dict) -> Strategy:
     if data.get("format_version") != FORMAT_VERSION:
-        raise ValueError(
+        raise StrategyFormatError(
             f"unsupported strategy format {data.get('format_version')!r}"
         )
     graph_from_dict = shared_graphs()
@@ -202,4 +204,13 @@ def strategy_to_json(strategy: Strategy, indent: Optional[int] = None
 
 
 def strategy_from_json(text: str) -> Strategy:
-    return strategy_from_dict(json.loads(text))
+    try:
+        return strategy_from_dict(json.loads(text))
+    except StrategyFormatError:
+        raise
+    except (ValueError, KeyError, TypeError, AttributeError,
+            IndexError) as exc:
+        # json.JSONDecodeError is a ValueError; the rest are well-formed
+        # JSON of the wrong shape hitting the decoder.
+        raise StrategyFormatError(
+            f"malformed strategy artifact: {exc!r}") from exc

@@ -75,19 +75,10 @@ class BTRConfig:
     protect_endpoints: bool = True
 
     # --- offline planning performance (repro.perf) -----------------------
-    #: Worker processes for offline plan construction. 1 = serial (the
-    #: default); 0 = all cores. Any value produces a byte-identical
-    #: strategy — parallelism never changes the artifact.
-    planner_jobs: int = 1
     #: Directory of the on-disk strategy cache, or ``None`` to replan
     #: every time. Keys include the planner version, so a stale cache is
     #: never silently reused across algorithm changes.
     cache: Optional[str] = None
-    #: Reuse one canonical plan per fault-pattern *size* on symmetric
-    #: topologies (see :mod:`repro.perf.symmetry`). Opt-in: memoised
-    #: strategies are verifier-clean but may differ from exhaustive
-    #: planning when distance-minimising placement is on.
-    symmetry_memo: bool = False
 
     # --- trace recording --------------------------------------------------
     #: Trace recording mode: "full" keeps every event; "milestones" keeps
@@ -103,8 +94,6 @@ class BTRConfig:
             raise ValueError("R must be positive")
         if self.suppress_periods < 0:
             raise ValueError("suppress_periods must be >= 0")
-        if self.planner_jobs < 0:
-            raise ValueError("planner_jobs must be >= 0 (0 = all cores)")
         from ...sim.trace import TRACE_MODES
         if self.trace_mode not in TRACE_MODES:
             raise ValueError(

@@ -62,6 +62,23 @@ class NotPreparedError(Exception):
 
 
 @dataclass
+class PlanningStats:
+    """How one ``prepare()`` obtained its strategy, and at what cost."""
+
+    plans_total: int = 0
+    #: Plans built by this prepare (0 on a cache hit).
+    plans_computed: int = 0
+    #: Whether the strategy came out of the on-disk cache.
+    cache_hit: bool = False
+    #: The cache slot consulted; ``None`` when no cache is configured.
+    cache_key: Optional[str] = None
+    #: Corrupt cache entries quarantined during the lookup.
+    cache_quarantined: int = 0
+    #: Wall-clock seconds spent obtaining the strategy.
+    wall_s: float = 0.0
+
+
+@dataclass
 class RunResult:
     """Everything observable about one run."""
 
@@ -131,9 +148,8 @@ class BTRSystem:
         #: shared by prepare()-time and run()-time instrumentation and
         #: snapshotted into each RunResult.
         self.metrics = MetricsRegistry()
-        #: Filled by prepare(): how the strategy was obtained (cache hit,
-        #: plans computed vs memoised, worker count, wall time).
-        self.plan_stats = None
+        #: Filled by prepare(): how the strategy was obtained.
+        self.plan_stats: Optional[PlanningStats] = None
         #: (sender, receiver, kind) -> (link, lane, node) memo. Topology
         #: is static within a run (link scripts only mutate loss rates),
         #: but lane objects are rebuilt by lane_model.install(), so run()
@@ -219,75 +235,43 @@ class BTRSystem:
 
     def _obtain_strategy(self, strategy_config: StrategyConfig,
                          augment_config: AugmentConfig) -> Strategy:
-        """Cache lookup → fan-out/memo builder → legacy serial builder.
-
-        The perf layer is imported lazily: plain ``prepare()`` with the
-        default config (serial, no cache, no memo) must not pay for it.
-        Records how the strategy was obtained in ``self.plan_stats``.
+        """The cached strategy if ``config.cache`` holds one, otherwise
+        a planned one (stored on the way out); ``self.plan_stats`` records
+        which. The perf layer imports the planner, hence the late import.
         """
-        cfg = self.config
-        use_perf = (cfg.planner_jobs != 1 or cfg.symmetry_memo
-                    or cfg.cache is not None)
-        if not use_perf:
-            self.plan_stats = None
-            return build_strategy(
-                self.workload, self.topology, self.router, cfg.f,
-                lane_model=self.lane_model, config=strategy_config,
-                augment_config=augment_config,
-            )
-
-        from ...perf import (
-            PlanningStats,
-            StrategyCache,
-            build_strategy_fanout,
-            strategy_cache_key,
-        )
+        from ...perf.cache import StrategyCache, strategy_cache_key
         from ...perf.timing import Stopwatch
 
-        stats = PlanningStats()
-        self.plan_stats = stats
+        cfg = self.config
+        stats = self.plan_stats = PlanningStats()
         watch = Stopwatch()
-        cache = StrategyCache(cfg.cache) if cfg.cache else None
-        if cache is not None:
-            key = strategy_cache_key(
-                self.workload, self.topology, cfg.f, cfg.seed,
+        cache = strategy = None
+        if cfg.cache:
+            cache = StrategyCache(cfg.cache)
+            stats.cache_key = strategy_cache_key(
+                self.workload, self.topology, cfg.f,
                 strategy_config=strategy_config,
                 augment_config=augment_config,
                 lane_fractions=cfg.lanes,
-                memo=cfg.symmetry_memo,
             )
-            stats.cache_key = key
-            cached = cache.load(key)
+            strategy = cache.load(stats.cache_key)
             if cache.quarantined:
                 # A corrupt on-disk entry was set aside and treated as a
                 # miss — surface it, never fail prepare() over it.
                 self.metrics.inc("cache_entries_quarantined",
                                  cache.quarantined)
                 stats.cache_quarantined = cache.quarantined
-            if cached is not None:
-                stats.cache_hit = True
-                stats.plans_total = len(cached)
-                stats.wall_s = watch.elapsed_s()
-                return cached
-
-        if cfg.planner_jobs != 1 or cfg.symmetry_memo:
-            strategy = build_strategy_fanout(
-                self.workload, self.topology, self.router, cfg.f,
-                lane_model=self.lane_model, config=strategy_config,
-                augment_config=augment_config,
-                jobs=cfg.planner_jobs, memo=cfg.symmetry_memo,
-                stats=stats,
-            )
-        else:
+            stats.cache_hit = strategy is not None
+        if strategy is None:
             strategy = build_strategy(
                 self.workload, self.topology, self.router, cfg.f,
                 lane_model=self.lane_model, config=strategy_config,
                 augment_config=augment_config,
             )
-            stats.plans_total = len(strategy)
             stats.plans_computed = len(strategy)
-        if cache is not None:
-            cache.store(stats.cache_key, strategy)
+            if cache is not None:
+                cache.store(stats.cache_key, strategy)
+        stats.plans_total = len(strategy)
         stats.wall_s = watch.elapsed_s()
         return strategy
 

@@ -15,10 +15,9 @@ order. ``--workers 4`` therefore serialises byte-identically to
 ``--workers 1`` — the tests assert it. Wall-clock figures live in the
 separate :class:`CheckStats`, never in the report.
 
-**Parallelism is an optimisation, never a semantic** (same contract as
-:mod:`repro.perf.parallel`): if a worker pool cannot be created the
-campaign degrades to in-process exploration and flags
-``pool_fallback`` in the stats.
+**Parallelism is an optimisation, never a semantic**: if a worker pool
+cannot be created the campaign degrades to in-process exploration and
+flags ``pool_fallback`` in the stats.
 """
 
 from __future__ import annotations

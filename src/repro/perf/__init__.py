@@ -4,8 +4,6 @@ hot paths.
 Nothing in here changes *what* the planner or runtime computes — only
 how fast the artifact is produced and whether work is recomputed at all:
 
-* :func:`build_strategy_fanout` — level-synchronous process fan-out over
-  fault patterns, with optional structural symmetry memoisation;
 * :class:`StrategyCache` / :func:`strategy_cache_key` — content-keyed
   on-disk reuse of finished strategies;
 * :mod:`repro.perf.fastpath` — the signature :class:`VerifyMemo`
@@ -38,17 +36,11 @@ from .cache import (
     strategy_cache_key,
 )
 from .fastpath import VerifyMemo, online_stats, trace_fingerprint
-from .parallel import PlanningStats, build_strategy_fanout, resolve_jobs
 from .shardcore import (
     GeoSweepSpec,
     ShardingError,
     run_sweep_pool,
     system_for_spec,
-)
-from .symmetry import (
-    candidates_symmetric,
-    pattern_permutation,
-    rename_plan,
 )
 
 __all__ = [
@@ -61,17 +53,11 @@ __all__ = [
     "StrategyCache",
     "default_cache_dir",
     "strategy_cache_key",
-    "PlanningStats",
     "VerifyMemo",
-    "build_strategy_fanout",
     "online_stats",
-    "resolve_jobs",
     "trace_fingerprint",
     "GeoSweepSpec",
     "ShardingError",
     "run_sweep_pool",
     "system_for_spec",
-    "candidates_symmetric",
-    "pattern_permutation",
-    "rename_plan",
 ]

@@ -508,21 +508,18 @@ def _prepare_key(system) -> tuple:
     """Everything prepare() reads, as a hashable key.
 
     Workload and topology are identified by the planner cache's content
-    fingerprints (seed pinned to 0 — planning never consumes the run
-    seed, so sweeps share across seeds); the normalised config repr
-    covers every tunable the budget/switch-lead computations read.
-    ``cache``/``planner_jobs`` are normalised away because they change
-    how the artifact is obtained, never what it is; ``symmetry_memo``
-    stays in the key because a memoised strategy is a different artifact.
+    fingerprints; the normalised config repr covers every tunable the
+    budget/switch-lead computations read. ``seed`` and ``cache`` are
+    normalised away: planning never consumes the run seed (so sweeps
+    share across seeds), and the cache changes how the artifact is
+    obtained, never what it is.
     """
     from .cache import strategy_cache_key
 
     cfg = system.config
-    structural = strategy_cache_key(system.workload, system.topology,
-                                    cfg.f, 0)
+    structural = strategy_cache_key(system.workload, system.topology, cfg.f)
     return (structural,
-            repr(dataclasses.replace(cfg, seed=0, cache=None,
-                                     planner_jobs=1)))
+            repr(dataclasses.replace(cfg, seed=0, cache=None)))
 
 
 def shared_prepare(system):

@@ -1,12 +1,13 @@
 """On-disk strategy cache: content-keyed, atomically written.
 
 Strategies are pure functions of their planning inputs — the workload,
-the topology, the fault budget, the run seed, the planner configuration,
-and the planner algorithm itself. The cache key is a SHA-256 over a
-canonical JSON encoding of exactly those inputs (including
-``PLANNER_VERSION``: any change to the planning algorithm invalidates
-every cached artifact, because a stale plan silently installed on every
-node is the worst possible perf optimisation).
+the topology, the fault budget, the planner configuration, and the
+planner algorithm itself; never the run seed, which planning does not
+read. The cache key is a SHA-256 over a canonical JSON encoding of
+exactly those inputs (including ``PLANNER_VERSION``: any change to the
+planning algorithm invalidates every cached artifact, because a stale
+plan silently installed on every node is the worst possible perf
+optimisation).
 
 Entries are full ``strategy_to_json`` artifacts — the same per-node
 representation ``repro plan --export`` ships — written via temp file +
@@ -27,6 +28,7 @@ from typing import Any, Dict, Optional
 from ..core.planner.augment import AugmentConfig
 from ..core.planner.serialize import (
     FORMAT_VERSION,
+    StrategyFormatError,
     strategy_from_json,
     strategy_to_json,
 )
@@ -97,18 +99,11 @@ def strategy_cache_key(
     workload: DataflowGraph,
     topology: Topology,
     f: int,
-    seed: int,
     strategy_config: Optional[StrategyConfig] = None,
     augment_config: Optional[AugmentConfig] = None,
     lane_fractions: Optional[LaneFractions] = None,
-    memo: bool = False,
 ) -> str:
-    """The content key for one planning problem (64 hex chars).
-
-    ``memo`` participates in the key because a symmetry-memoised
-    strategy is a different (equally valid) artifact than the
-    exhaustively-planned one — the two must never share a cache entry.
-    """
+    """The content key for one planning problem (64 hex chars)."""
     strategy_config = strategy_config or StrategyConfig()
     augment_config = augment_config or AugmentConfig(replicas=f + 1)
     lane_fractions = lane_fractions or LaneFractions()
@@ -118,11 +113,9 @@ def strategy_cache_key(
         "workload": _workload_fingerprint(workload),
         "topology": _topology_fingerprint(topology),
         "f": f,
-        "seed": seed,
         "strategy_config": dataclasses.asdict(strategy_config),
         "augment_config": dataclasses.asdict(augment_config),
         "lane_fractions": dataclasses.asdict(lane_fractions),
-        "symmetry_memo": bool(memo),
     }
     canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
@@ -159,10 +152,7 @@ class StrategyCache:
             return None
         try:
             strategy = strategy_from_json(raw)
-        except (ValueError, KeyError, TypeError, AttributeError,
-                IndexError):
-            # json.JSONDecodeError is a ValueError; the rest cover
-            # structurally-wrong payloads hitting the deserializer.
+        except StrategyFormatError:
             self.quarantine(path)
             self.misses += 1
             return None

@@ -140,7 +140,7 @@ def _sha(text: str) -> str:
 
 def planner_system(key: str, **config) -> BTRSystem:
     """The prepared deployment the planner cell ``key`` names; ``config``
-    picks how the strategy is obtained (jobs, cache), never what it is."""
+    picks how the strategy is obtained (cache), never what it is."""
     m = _PLANNER_KEY.fullmatch(key)
     workload = stretched_workload(WORKLOADS[m["workload"]](),
                                   int(m["stretch"] or 1))

@@ -134,6 +134,7 @@ def test_cli_rejects_unreadable_trajectory(tmp_path):
 #: One latest entry per stream whose only defect is a broken must-hold.
 BROKEN = {
     "suite": {"by_experiment": {"benchmarks/test_e7.py": {"returncode": 1}}},
+    "planner": {"cache_quarantined": 1},
     "obs": {"phase_sum_mismatches": 1},
     "sim": {"all_digests_match": False},
     "mc": {"by_expectation": {"certify": {

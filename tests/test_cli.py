@@ -97,6 +97,38 @@ def test_cli_plan_export(tmp_path, capsys):
     assert len(restored) >= 1
 
 
+# ------------------------------------------------------------- bad input
+
+
+@pytest.mark.parametrize("argv, names", [
+    (["verify", "--strategy", "{not json"], "cannot read strategy file"),
+    (["verify", "--strategy", '{"format_version": 1}'],
+     "cannot read strategy file"),
+    (["plan", "--topology", "fullmesh:abc"], "malformed topology"),
+    (["plan", "--topology", "mesh:3"], "malformed topology"),
+    (["plan", "--topology", "geo:2"], "malformed topology"),
+    (["plan", "--f", "0"], "BTR needs f >= 1"),
+])
+def test_cli_names_bad_input_in_one_line(argv, names, tmp_path, capsys):
+    if "--strategy" in argv:  # the payload stands for a file holding it
+        path = tmp_path / "strategy.json"
+        path.write_text(argv[-1])
+        argv = argv[:-1] + [str(path)]
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    err = capsys.readouterr().err
+    if isinstance(code, str):  # SystemExit(message): stderr, status 1
+        err += code
+    assert code not in (0, None)
+    assert "Traceback" not in err
+    # argparse echoes its usage block before the one line that matters.
+    message = [line for line in err.splitlines()
+               if line and not line.startswith(("usage:", " "))]
+    assert len(message) == 1 and names in message[0]
+
+
 # -------------------------------------------------------------------- trace
 
 

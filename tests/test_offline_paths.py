@@ -37,10 +37,7 @@ def test_planner_cell_matches_committed_digest(key):
 
 
 @pytest.mark.parametrize("key", TIE_BREAK_CELLS)
-def test_jobs_and_cache_round_trip_match_the_same_digest(key, tmp_path):
-    fanned = golden.planner_system(key, planner_jobs=2)
-    assert fanned.plan_stats.jobs == 2
-    assert golden.planner_digest(fanned) == golden.expected_plan(key)
+def test_cache_round_trip_matches_the_same_digest(key, tmp_path):
     cold = golden.planner_system(key, cache=str(tmp_path))
     warm = golden.planner_system(key, cache=str(tmp_path))
     assert not cold.plan_stats.cache_hit and warm.plan_stats.cache_hit
@@ -77,7 +74,7 @@ def test_planner_artifacts_are_equal_across_hash_seeds():
 @pytest.fixture
 def planned():
     system = golden.planner_system("pipeline@fullmesh:6/f1")
-    key = strategy_cache_key(system.workload, system.topology, 1, seed=0)
+    key = strategy_cache_key(system.workload, system.topology, 1)
     return key, system.strategy
 
 

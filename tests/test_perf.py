@@ -1,14 +1,9 @@
-"""The repro.perf layer: fan-out determinism, cache, memo, hot paths.
+"""The repro.perf layer: strategy cache and hot paths.
 
-The contract under test, in decreasing strictness:
+The contract under test:
 
-* process fan-out is byte-invisible — ``build_strategy_fanout`` with any
-  worker count serialises identically to the legacy serial builder;
 * the on-disk cache is content-keyed — hits round-trip losslessly, any
   planner-version bump (or input change) invalidates;
-* symmetry memoisation is *valid*, not byte-identical — memoised
-  strategies cover the same patterns, pass ``repro verify --strict``,
-  and are themselves jobs-invariant;
 * the Trace per-kind indices and the engine's O(1) live-event counter
   agree with the naive O(n) definitions they replaced.
 """
@@ -16,15 +11,15 @@ The contract under test, in decreasing strictness:
 import pytest
 
 from repro import BTRConfig, BTRSystem
-from repro.core.planner import build_strategy, strategy_to_json
-from repro.net import Router, full_mesh_topology, ring_topology
-from repro.perf import (
-    PlanningStats,
-    StrategyCache,
-    build_strategy_fanout,
-    candidates_symmetric,
-    strategy_cache_key,
+from repro.core.planner import (
+    AugmentConfig,
+    StrategyConfig,
+    build_strategy,
+    strategy_to_json,
 )
+from repro.net import Router, full_mesh_topology
+from repro.perf import StrategyCache, strategy_cache_key
+from repro.sched import LaneFractions
 from repro.sim.engine import Simulator
 from repro.sim.trace import Custom, MessageSent, OutputProduced, Trace
 from repro.workload import industrial_workload, pipeline_workload
@@ -37,36 +32,6 @@ def planning_inputs(n_nodes=6, workload=None):
     return workload, topology, Router(topology)
 
 
-# ------------------------------------------------------------- fan-out
-
-
-class TestFanoutDeterminism:
-    @pytest.mark.parametrize("jobs", [1, 2, 4])
-    def test_byte_identical_to_serial(self, jobs):
-        workload, topology, router = planning_inputs()
-        serial = build_strategy(workload, topology, router, f=1)
-        fanned = build_strategy_fanout(workload, topology, router, f=1,
-                                       jobs=jobs)
-        assert strategy_to_json(fanned) == strategy_to_json(serial)
-
-    def test_byte_identical_at_f2(self):
-        workload, topology, router = planning_inputs()
-        serial = build_strategy(workload, topology, router, f=2)
-        fanned = build_strategy_fanout(workload, topology, router, f=2,
-                                       jobs=2)
-        assert strategy_to_json(fanned) == strategy_to_json(serial)
-
-    def test_stats_filled(self):
-        workload, topology, router = planning_inputs()
-        stats = PlanningStats()
-        strategy = build_strategy_fanout(workload, topology, router, f=1,
-                                         jobs=2, stats=stats)
-        assert stats.jobs == 2
-        assert stats.plans_total == len(strategy)
-        assert stats.plans_computed == len(strategy)
-        assert stats.plans_memoised == 0
-
-
 # --------------------------------------------------------------- cache
 
 
@@ -75,7 +40,7 @@ class TestStrategyCache:
         workload, topology, router = planning_inputs()
         strategy = build_strategy(workload, topology, router, f=1)
         cache = StrategyCache(str(tmp_path))
-        key = strategy_cache_key(workload, topology, 1, seed=0)
+        key = strategy_cache_key(workload, topology, 1)
         assert cache.load(key) is None
         cache.store(key, strategy)
         cached = cache.load(key)
@@ -85,22 +50,25 @@ class TestStrategyCache:
 
     def test_key_covers_inputs(self):
         workload, topology, _ = planning_inputs()
-        base = strategy_cache_key(workload, topology, 1, seed=0)
-        assert strategy_cache_key(workload, topology, 1, seed=1) != base
-        assert strategy_cache_key(workload, topology, 2, seed=0) != base
-        assert strategy_cache_key(workload, topology, 1, seed=0,
-                                  memo=True) != base
+        base = strategy_cache_key(workload, topology, 1)
+        assert strategy_cache_key(workload, topology, 2) != base
+        for moved in (
+            {"strategy_config": StrategyConfig(minimize_distance=False)},
+            {"augment_config": AugmentConfig(replicas=2, check_us=7)},
+            {"lane_fractions": LaneFractions(data=0.4)},
+        ):
+            assert strategy_cache_key(workload, topology, 1, **moved) != base
         other = pipeline_workload()
         topology.place_endpoints_round_robin(other.sources, other.sinks)
-        assert strategy_cache_key(other, topology, 1, seed=0) != base
+        assert strategy_cache_key(other, topology, 1) != base
 
     def test_planner_version_bump_invalidates(self, monkeypatch):
         workload, topology, _ = planning_inputs()
-        before = strategy_cache_key(workload, topology, 1, seed=0)
+        before = strategy_cache_key(workload, topology, 1)
         import repro.perf.cache as cache_module
         monkeypatch.setattr(cache_module, "PLANNER_VERSION",
                             cache_module.PLANNER_VERSION + 1)
-        assert strategy_cache_key(workload, topology, 1, seed=0) != before
+        assert strategy_cache_key(workload, topology, 1) != before
 
     def test_corrupt_entry_is_a_miss(self, tmp_path):
         cache = StrategyCache(str(tmp_path))
@@ -166,82 +134,35 @@ class TestStrategyCache:
         assert third.plan_stats.cache_hit is True
 
     def test_system_prepare_hits_across_fresh_systems(self, tmp_path):
-        def prepared():
+        def prepared(seed):
             system = BTRSystem(
                 industrial_workload(), full_mesh_topology(6),
-                BTRConfig(f=1, cache=str(tmp_path)))
+                BTRConfig(f=1, seed=seed, cache=str(tmp_path)))
             system.prepare()
             return system
 
-        first = prepared()
-        assert first.plan_stats is not None
+        # The run seed is not a planning input: every seed of a sweep
+        # shares one entry.
+        first = prepared(seed=1)
         assert not first.plan_stats.cache_hit
-        second = prepared()
+        second = prepared(seed=2)
         assert second.plan_stats.cache_hit
+        assert len(list(tmp_path.iterdir())) == 1
         assert (strategy_to_json(second.strategy)
                 == strategy_to_json(first.strategy))
         # The cached strategy powers a real run.
         result = second.run(n_periods=3)
         assert result.n_periods == 3
 
-    def test_default_config_skips_perf_layer(self):
+    def test_default_config_records_plan_stats(self):
         system = BTRSystem(industrial_workload(), full_mesh_topology(6),
                            BTRConfig(f=1))
         system.prepare()
-        assert system.plan_stats is None
-
-
-# ---------------------------------------------------------------- memo
-
-
-class TestSymmetryMemo:
-    def test_full_mesh_is_symmetric_ring_is_not(self):
-        workload, mesh, _ = planning_inputs()
-        eligible = sorted(set(mesh.nodes)
-                          - set(mesh.endpoint_map.values()))
-        assert candidates_symmetric(mesh, eligible)
-        ring = ring_topology(6, bandwidth=1e8)
-        ring.place_endpoints_round_robin(workload.sources, workload.sinks)
-        ring_eligible = sorted(set(ring.nodes)
-                               - set(ring.endpoint_map.values()))
-        assert not candidates_symmetric(ring, ring_eligible)
-
-    def test_memo_covers_same_patterns_and_verifies_strict(self):
-        from repro.verify import verify_strategy
-
-        workload, topology, router = planning_inputs()
-        stats = PlanningStats()
-        memo = build_strategy_fanout(workload, topology, router, f=2,
-                                     memo=True, stats=stats)
-        exhaustive = build_strategy(workload, topology, router, f=2)
-        assert memo.patterns() == exhaustive.patterns()
-        assert stats.symmetric
-        assert stats.plans_memoised > 0
-        assert stats.plans_computed + stats.plans_memoised == len(memo)
-        report = verify_strategy(memo, topology, router=router)
-        assert report.exit_code(strict=True) == 0
-
-    def test_memo_is_jobs_invariant(self):
-        workload, topology, router = planning_inputs()
-        one = build_strategy_fanout(workload, topology, router, f=1,
-                                    jobs=1, memo=True)
-        two = build_strategy_fanout(workload, topology, router, f=1,
-                                    jobs=2, memo=True)
-        assert strategy_to_json(one) == strategy_to_json(two)
-
-    def test_memo_skipped_on_asymmetric_topology(self):
-        workload = industrial_workload()
-        topology = ring_topology(6, bandwidth=1e8)
-        topology.place_endpoints_round_robin(workload.sources,
-                                             workload.sinks)
-        router = Router(topology)
-        stats = PlanningStats()
-        memo = build_strategy_fanout(workload, topology, router, f=1,
-                                     memo=True, stats=stats)
-        serial = build_strategy(workload, topology, router, f=1)
-        assert not stats.symmetric
-        assert stats.plans_memoised == 0
-        assert strategy_to_json(memo) == strategy_to_json(serial)
+        stats = system.plan_stats
+        assert stats.cache_key is None and not stats.cache_hit
+        assert stats.plans_computed == stats.plans_total == len(
+            system.strategy)
+        assert stats.wall_s > 0
 
 
 # ------------------------------------------------------- trace indices

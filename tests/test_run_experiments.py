@@ -17,9 +17,9 @@ from tools.run_experiments import (REPO, RESULTS, STREAMS, aggregate,
 SAMPLE_ROWS = {
     "suite": {"experiment": "benchmarks/test_e7_planner_scalability.py",
               "wall_s": 4.2, "jobs": 1, "returncode": 0},
-    "planner": {"experiment": "e7:n6:f1:j2", "jobs": 2, "cache_hit": False,
+    "planner": {"experiment": "e7:n6:f1", "cache_hit": False,
                 "cache_key": None, "cache_miss": False, "plans_total": 7,
-                "plans_computed": 7, "plans_memoised": 0, "wall_s": 0.25},
+                "plans_computed": 7, "cache_quarantined": 0, "wall_s": 0.25},
     "obs": {"experiment": "e1:crash", "fault_kind": "crash",
             "total_us": 130000, "messages_dropped": {},
             "phase_sum_mismatch": False,

@@ -8,6 +8,7 @@ from repro import BTRConfig, BTRSystem
 from repro.core.planner import (
     plan_from_dict,
     plan_to_dict,
+    StrategyFormatError,
     strategy_from_json,
     strategy_to_dict,
     strategy_to_json,
@@ -97,7 +98,7 @@ def test_plans_share_graphs_and_the_artifact_does_not_notice(system):
 def test_strategy_json_rejects_unknown_version(system):
     data = json.loads(strategy_to_json(system.strategy))
     data["format_version"] = 999
-    with pytest.raises(ValueError, match="unsupported"):
+    with pytest.raises(StrategyFormatError, match="unsupported"):
         strategy_from_json(json.dumps(data))
 
 

@@ -77,12 +77,14 @@ STREAMS = {
             "cache_misses": ("sum", "cache_miss"),
             "cache_hit_rate": ("ratio", ("cache_hits",),
                                ("cache_hits", "cache_misses"), 3),
-            "plans_computed": SUM, "plans_memoised": SUM, "plans_total": SUM,
+            "plans_computed": SUM, "plans_total": SUM,
+            "cache_quarantined": SUM,
             "planning_wall_s": ("sum", "wall_s", 3),
-            "plans_per_sec": ("ratio", ("plans_computed", "plans_memoised"),
+            "plans_per_sec": ("ratio", ("plans_computed",),
                               ("planning_wall_s",), 1),
-            "jobs_seen": ("seen", "jobs"),
         },
+        "must_hold": [(None, "cache_quarantined", 0)],
+        "compare": {"plans_per_sec": ("higher", "wall")},
     },
     "obs": {
         "experiments": ("e1_",), "by": ("by_fault_kind", "{fault_kind}"),

@@ -74,6 +74,7 @@ def _row(name: str, report: dict, stats) -> dict:
         "pool_fallback": stats.pool_fallback,
         "cells_to_first_violation": stats.cells_to_first_violation,
         "first_violation_s": stats.first_violation_s,
+        "shared_prefix_share": stats.shared_prefix_share,
     }
 
 
@@ -143,11 +144,13 @@ def run_experiment():
         str(r["violating_paths"]),
         str(r["cells_to_first_violation"]),
         f"{r['states_per_sec']:.0f}",
+        f"{r['shared_prefix_share']:.1%}",
     ] for r in rows]
     write_result("e18_model_check", format_table(
         "E18 - Bounded model checking (pipeline on fullmesh:4, f=1)",
         ["campaign", "certified", "paths", "distinct", "dedup",
-         "pruned", "violations", "1st-viol cell", "paths/s"],
+         "pruned", "violations", "1st-viol cell", "paths/s",
+         "shared prefix"],
         table_rows,
     ) + (
         "\nCertify: exhaustive pass at the prepared budget, "
@@ -158,6 +161,9 @@ def run_experiment():
         "The break campaign runs twice: static-bounds margin ordering "
         "vs canonical cell order. Reports are byte-identical; the "
         "ordered run reaches its first violation in no more cells.\n"
+        "Shared prefix: the share of the explored paths' simulated time "
+        "each has in common with its parent — the ceiling on what "
+        "snapshot-and-fork could skip (docs/PERFORMANCE.md).\n"
     ))
     return rows
 

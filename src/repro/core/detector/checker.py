@@ -25,10 +25,12 @@ statements and executes the resulting actions.
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Sequence
 
 from ...crypto.authenticator import AuthenticatedStatement
+from ...crypto.signatures import canonical_bytes
 from ...workload.task import compute_output
 from ..evidence.records import input_digest
 
@@ -58,7 +60,7 @@ class CheckOutcome:
 def run_check(
     task: str,
     period: int,
-    expected_replicas: List[str],
+    expected_replicas: Sequence[str],
     replica_statements: Dict[str, AuthenticatedStatement],
     own_input_values: Optional[List[int]],
 ) -> CheckOutcome:
@@ -122,7 +124,7 @@ def run_check(
 def audit_forward(
     fwd_statement: AuthenticatedStatement,
     audit_statements: Dict[str, AuthenticatedStatement],
-    expected_replicas: List[str],
+    expected_replicas: Sequence[str],
 ) -> bool:
     """True iff the forwarded value provably mismatches the replica set.
 
@@ -178,3 +180,88 @@ def build_forward_statement(flow: str, period: int, value: int,
     if reconstructed:
         payload["reconstructed"] = True
     return payload
+
+
+# ------------------------------------------------------------- templates
+# The two statement shapes above are signed once per message, so their
+# canonical serialisation is compiled per (task, instance) / per flow:
+# the constant keys and names are rendered once, the per-message integers
+# are formatted in. ``canonical_bytes`` stays the definition — a template
+# only answers for a payload of exactly its shape, with exactly its names,
+# whose variable fields are plain ``int`` (and a plain hex digest); any
+# other payload is handed to ``canonical_bytes`` — and the property test
+# in tests/test_detector.py holds the two equal on arbitrary names and
+# integers.
+
+def _fragment(name: str) -> str:
+    """``name`` as canonical JSON renders it, escaped for %-formatting."""
+    return json.dumps(name).replace("%", "%%")
+
+
+class OutputTemplate:
+    """Canonical bytes of :func:`build_output_statement` payloads of one
+    replica instance."""
+
+    __slots__ = ("task", "instance", "_fmt")
+
+    def __init__(self, task: str, instance: str) -> None:
+        self.task = task
+        self.instance = instance
+        self._fmt = (
+            '{"input_digest":"%s","instance":' + _fragment(instance)
+            + ',"period":%d,"send_offset":%d,"task":' + _fragment(task)
+            + ',"type":"output","value":%d}')
+
+    def canonical(self, payload: dict) -> bytes:
+        if len(payload) == 7:
+            try:
+                digest = payload["input_digest"]
+                period = payload["period"]
+                offset = payload["send_offset"]
+                value = payload["value"]
+                if (payload["type"] == "output"
+                        and payload["task"] == self.task
+                        and payload["instance"] == self.instance
+                        and type(digest) is str and digest.isalnum()
+                        and digest.isascii()
+                        and type(period) is int and type(offset) is int
+                        and type(value) is int):
+                    return (self._fmt
+                            % (digest, period, offset, value)).encode()
+            except KeyError:
+                pass
+        return canonical_bytes(payload)
+
+
+class ForwardTemplate:
+    """Canonical bytes of :func:`build_forward_statement` payloads of one
+    logical flow, with or without the ``reconstructed`` admission."""
+
+    __slots__ = ("flow", "_plain", "_reconstructed")
+
+    def __init__(self, flow: str) -> None:
+        self.flow = flow
+        head = '{"flow":' + _fragment(flow) + ',"period":%d'
+        tail = ',"send_offset":%d,"type":"fwd","value":%d}'
+        self._plain = head + tail
+        self._reconstructed = head + ',"reconstructed":true' + tail
+
+    def canonical(self, payload: dict) -> bytes:
+        size = len(payload)
+        if size == 5:
+            fmt = self._plain
+        elif size == 6 and payload.get("reconstructed") is True:
+            fmt = self._reconstructed
+        else:
+            return canonical_bytes(payload)
+        try:
+            period = payload["period"]
+            offset = payload["send_offset"]
+            value = payload["value"]
+            if (payload["type"] == "fwd" and payload["flow"] == self.flow
+                    and type(period) is int and type(offset) is int
+                    and type(value) is int):
+                return (fmt % (period, offset, value)).encode()
+        except KeyError:
+            pass
+        return canonical_bytes(payload)

@@ -25,7 +25,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
-from ..planner import naming
 from ..planner.plan import Plan
 
 OK = "ok"
@@ -34,43 +33,9 @@ SUSPICIOUS_ARRIVAL = "suspicious_arrival"
 
 
 def planned_send_offset(plan: Plan, flow_name: str) -> Optional[int]:
-    """Planned period-relative handoff time of a logical flow.
-
-    ``flow_name`` may be a logical (base) flow name or a concrete copy; all
-    copies share the producer and therefore the handoff time. Returns None
-    when the flow is unknown to this plan (e.g. shed).
-    """
-    producer: Optional[str] = None
-    for flow in plan.augmented.flows:
-        if flow.name == flow_name or naming.base_flow(flow.name) == flow_name:
-            producer = flow.src
-            break
-    if producer is None:
-        return None
-    if producer not in plan.augmented.tasks:
-        return 0  # a source endpoint: readings are handed off at period start
-    slot = plan.schedule.slot_for(producer)
-    return slot.finish if slot is not None else None
-
-
-def planned_send_offset_cached(plan: Plan, flow_name: str) -> Optional[int]:
-    """Memoised :func:`planned_send_offset`.
-
-    The offset is a pure function of the plan (immutable once built), so
-    the memo — stored on the plan object itself, keyed by flow name —
-    can never go stale. The uncached scan is O(flows) and is issued per
-    delivery judgement, which makes it one of the online hot spots.
-    """
-    memo = plan.__dict__.get("_send_offset_memo")
-    if memo is None:
-        memo = {}
-        plan.__dict__["_send_offset_memo"] = memo
-    try:
-        return memo[flow_name]
-    except KeyError:
-        offset = planned_send_offset(plan, flow_name)
-        memo[flow_name] = offset
-        return offset
+    """Planned period-relative handoff time of a logical flow or copy:
+    :meth:`Plan.planned_send_offset`."""
+    return plan.planned_send_offset(flow_name)
 
 
 @dataclass(frozen=True)
@@ -85,7 +50,7 @@ class TimingPolicy:
     def send_window(self, plan: Plan, flow_name: str
                     ) -> Optional[Tuple[int, int]]:
         """Accepted period-relative handoff offsets for a logical flow."""
-        planned = planned_send_offset_cached(plan, flow_name)
+        planned = plan.planned_send_offset(flow_name)
         if planned is None:
             return None
         return planned - self.slack_us, planned + self.slack_us

@@ -52,6 +52,7 @@ signer*).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable, Optional, Sequence, Tuple
 
 from ...crypto.authenticator import AuthenticatedStatement, digest
@@ -73,7 +74,15 @@ ATTRIBUTION_THRESHOLD = 3
 def input_digest(values: Sequence[int]) -> str:
     """Digest binding an output statement to the inputs it was computed
     from (order-independent, like the task semantics)."""
-    return digest(sorted(values))
+    return _digest_of_inputs(tuple(sorted(values)))
+
+
+@lru_cache(maxsize=4096)
+def _digest_of_inputs(sorted_values: Tuple[int, ...]) -> str:
+    """:func:`input_digest` of already-sorted inputs. Pure — a content
+    hash of its argument — so one bounded process-wide memo serves every
+    replica, checker and run."""
+    return digest(list(sorted_values))
 
 
 @dataclass(frozen=True)

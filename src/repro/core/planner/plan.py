@@ -31,6 +31,7 @@ from ...sched.mixed_criticality import shedding_ladder
 from ...sched.synthesis import GlobalSchedule, synthesize
 from ...workload.criticality import Criticality
 from ...workload.dataflow import DataflowGraph
+from . import naming
 from .augment import AugmentConfig, augment
 from .placement import PlacementConfig, PlacementError, place
 
@@ -54,6 +55,17 @@ class Plan:
     kept_levels: Set[Criticality]
     #: Route (node path, inclusive) per flow copy; [node] for local flows.
     routes: Dict[str, List[str]] = field(default_factory=dict)
+    #: node id -> that node's compiled runtime tables
+    #: (:func:`repro.core.runtime.program.node_program`), built on first
+    #: use. The plan holds them because its lifetime bounds theirs: every
+    #: run, sweep sibling and mode switch that reaches this plan object
+    #: executes the same tables.
+    programs: Dict[str, object] = field(
+        default_factory=dict, init=False, repr=False, compare=False)
+    #: flow or copy name -> planned handoff, filled by
+    #: :meth:`planned_send_offset` on first use.
+    _send_offsets: Optional[Dict[str, Optional[int]]] = field(
+        default=None, init=False, repr=False, compare=False)
 
     @property
     def mode(self) -> str:
@@ -66,6 +78,30 @@ class Plan:
     def planned_arrival(self, flow_copy: str) -> Optional[int]:
         """Planned arrival (µs after period start) at the final consumer."""
         return self.schedule.arrivals.get(flow_copy)
+
+    def planned_send_offset(self, flow_name: str) -> Optional[int]:
+        """Planned handoff (µs after period start) of a logical flow.
+
+        ``flow_name`` may be a logical (base) flow name or a concrete
+        copy; all copies share the producer and therefore the handoff:
+        its slot finish, or 0 for a source endpoint (readings are handed
+        off at period start). None when the flow is unknown to this plan
+        (e.g. shed) or its producer has no slot. Names are resolved
+        against the augmented flows in declaration order, first match
+        wins, exactly as a scan over them would."""
+        table = self._send_offsets
+        if table is None:
+            table = self._send_offsets = {}
+            tasks = self.augmented.tasks
+            for flow in self.augmented.flows:
+                if flow.src not in tasks:
+                    offset: Optional[int] = 0
+                else:
+                    slot = self.schedule.slot_for(flow.src)
+                    offset = slot.finish if slot is not None else None
+                table.setdefault(flow.name, offset)
+                table.setdefault(naming.base_flow(flow.name), offset)
+        return table.get(flow_name)
 
     def next_hop(self, flow_copy: str, current: str) -> Optional[str]:
         """Next node after ``current`` on the flow's route, or None."""

@@ -18,10 +18,19 @@ runtime behaviour:
 A compromised node's agent consults its installed
 :class:`~repro.faults.behaviors.FaultBehavior` at every output decision
 point; its resources stay enforced by the substrate.
+
+What a node does under a plan is fixed by the plan, so the agent derives
+none of it per event: ``self.program`` is the node's compiled
+:class:`~repro.core.runtime.program.NodeProgram` under ``self.plan`` —
+which copies it emits, executes, forwards, expects and audits, with every
+name already spelled — and the dispatch, data-plane and detection paths
+below are table reads. Only the cold paths (evidence, investigations,
+mode switches) still parse names.
 """
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Dict, List, Optional, Set, Tuple
 
 from ...crypto.authenticator import AuthenticatedStatement
@@ -64,6 +73,14 @@ from ..modes.switcher import ModeSwitcher
 from ..modes.transition import compute_transition
 from ..planner import naming
 from ..planner.plan import Plan
+from .program import (
+    Audit,
+    Consumed,
+    Member,
+    NodeProgram,
+    Send,
+    node_program,
+)
 
 #: Wire size of small control messages (fetch requests/responses).
 CONTROL_BITS = 1_024
@@ -79,6 +96,10 @@ class NodeAgent:
         self.node = node
         self.node_id = node.node_id
         self.config = system.config
+        #: The run's simulator and the workload period: agents live for
+        #: one run, so both are plain attributes.
+        self.sim = system.sim
+        self.period = system.workload.period
         #: Static topology: the sorted neighbour list never changes
         #: mid-run, so it is computed once per agent (the batched
         #: emitters build their per-sender fan-out plans from it).
@@ -93,6 +114,9 @@ class NodeAgent:
             metrics=system.metrics,
         )
         self.plan: Plan = system.strategy.nominal
+        #: This node's compiled tables under :attr:`plan`; replaced with
+        #: the plan on every mode switch.
+        self.program: NodeProgram = self._program_of(self.plan)
         #: Declarations older than this describe a previous plan regime
         #: (pre-switch cascades); neither local blame accounting nor
         #: attribution validation may use them.
@@ -149,21 +173,14 @@ class NodeAgent:
         #: (sender, period) -> control records whose verification this
         #: node has already paid for (per-sender CPU quota, §4.3).
         self._ctrl_quota: Dict[Tuple[str, int], int] = {}
-        #: (planned arrival, [flow copies this node finally consumes])
-        #: under the current plan.
-        self._expected_groups: List[Tuple[int, List[str]]] = []
-        self._refresh_expected()
         node.add_handler(self._on_message)
 
     # ------------------------------------------------------------ plan info
 
-    @property
-    def sim(self):
-        return self.system.sim
-
-    @property
-    def period(self) -> int:
-        return self.system.workload.period
+    def _program_of(self, plan: Plan) -> NodeProgram:
+        return node_program(plan, self.node_id,
+                            self.system.topology.endpoint_map,
+                            self.config.f + 1)
 
     def _local_offset(self, k: int) -> int:
         """Period-relative time by this node's *local* clock — what the
@@ -177,33 +194,6 @@ class NodeAgent:
             if naming.base_task(inst) == base
         }
         return roster or None
-
-    def _final_consumer_node(self, flow) -> Optional[str]:
-        if flow.dst in self.plan.augmented.tasks:
-            return self.plan.assignment.get(flow.dst)
-        return self.system.topology.endpoint_map.get(flow.dst)
-
-    def _refresh_expected(self) -> None:
-        # Expectations sharing a planned arrival share a check time (the
-        # omission wait is a constant) and coalesce into one heap event
-        # per period. Groups and their members keep flow order, so checks
-        # run in the order one timer per expectation would run them
-        # (consecutive-seq argument, see _exec_groups).
-        groups = []
-        by_arrival = {}
-        for flow in self.plan.augmented.flows:
-            if self._final_consumer_node(flow) != self.node_id:
-                continue
-            arrival = self.plan.planned_arrival(flow.name)
-            if arrival is None:
-                continue
-            bucket = by_arrival.get(arrival)
-            if bucket is None:
-                bucket = []
-                by_arrival[arrival] = bucket
-                groups.append((arrival, bucket))
-            bucket.append(flow.name)
-        self._expected_groups = groups
 
     # ------------------------------------------------------- fault injection
 
@@ -232,13 +222,8 @@ class NodeAgent:
     # --------------------------------------------------------------- sources
 
     def _emit_sources(self, k: int) -> None:
-        hosted = {
-            source for source, host
-            in self.system.topology.endpoint_map.items()
-            if host == self.node_id
-            and source in self.plan.augmented.sources
-        }
-        if not hosted:
+        sources = self.program.sources
+        if not sources:
             return
         # Emit in the augmented graph's flow order — the schedule
         # synthesizer serialized the source lanes in exactly this order,
@@ -251,98 +236,67 @@ class NodeAgent:
         # copies in the same order; signing schedules nothing, so the
         # two passes are trace-identical to sign-then-send per flow.
         emissions = []
-        pending_keys = []
-        pending_payloads = []
+        pending: Dict[tuple, tuple] = {}
         cache = self._sign_cache
-        for flow in self.plan.augmented.flows:
-            if flow.src not in hosted:
-                continue
-            value = sensor_reading(flow.src, k)
-            base = naming.base_flow(flow.name)
-            payload = build_forward_statement(
-                flow=base, period=k, value=value,
-                send_offset=self.behavior.claimed_send_offset(
-                    self._local_offset(k), 0),
-            )
-            key = (base, k, payload.get("value"))
-            emissions.append((flow.name, key))
-            if key not in cache and key not in pending_keys:
-                pending_keys.append(key)
-                pending_payloads.append(payload)
-        if pending_payloads:
+        claimed_send_offset = self.behavior.claimed_send_offset
+        actual_offset = self._local_offset(k)
+        for emission in sources:
+            value = sensor_reading(emission.source, k)
+            send_offset = claimed_send_offset(actual_offset, 0)
+            key = (emission.flow, k, value)
+            emissions.append((emission.send, key))
+            if key not in cache and key not in pending:
+                payload = build_forward_statement(
+                    flow=emission.flow, period=k, value=value,
+                    send_offset=send_offset,
+                )
+                pending[key] = (payload,
+                                emission.template.canonical(payload))
+        if pending:
+            payloads, canonicals = zip(*pending.values())
             signed = AuthenticatedStatement.make_batch(
-                self.system.directory, self.node_id, pending_payloads)
-            for key, stmt in zip(pending_keys, signed):
-                cache[key] = stmt
-        for flow_copy, key in emissions:
-            self._send_copy(flow_copy, cache[key], k)
+                self.system.directory, self.node_id, payloads, canonicals)
+            cache.update(zip(pending, signed))
+        for send, key in emissions:
+            if send is not None:
+                self._send_copy(send, cache[key], k)
 
     # ------------------------------------------------------------- execution
 
     def _execute_instance(self, instance: str, k: int) -> None:
         if self.node.crashed or instance in self.pending_state:
             return
-        if self.plan.assignment.get(instance) != self.node_id:
-            return  # plan changed between scheduling and execution
-        base = naming.base_task(instance)
-        slot = self.plan.schedule.slot_for(instance)
+        # Looked up at execution time: a group scheduled under the
+        # previous plan executes the current plan's member, or nothing if
+        # the instance moved away.
+        member = self.program.members.get(instance)
+        if member is None:
+            return
         trace = self.system.trace
         if trace.wants(TaskExecuted):
             trace.record(TaskExecuted(
                 time=self.sim.now, node=self.node_id, task=instance,
-                period_index=k, duration=slot.duration if slot else 0,
+                period_index=k, duration=member.duration,
             ))
         else:
             trace.tally(TaskExecuted)
-        if naming.is_checker(instance):
-            self._run_checker(instance, base, k)
+        if member.is_checker:
+            self._run_checker(member, k)
         else:
-            self._run_replica(instance, base, k)
-
-    def _exec_groups(self):
-        """Static ``(finish, [instances])`` groups for this node under
-        the current plan, in ``instances_on`` order. Grouping equal
-        finish times preserves the order one timer per instance would
-        give: those timers would carry consecutive sequence numbers (no
-        foreign schedule interleaves the loop), so members at one finish
-        time fire back-to-back in emission order either way, and members
-        at different times are ordered by time regardless of seq.
-        Memoised on the plan object like the other plan-riding memos."""
-        memo = self.plan.__dict__.get("_exec_groups")
-        if memo is None:
-            memo = {}
-            self.plan.__dict__["_exec_groups"] = memo
-        groups = memo.get(self.node_id)
-        if groups is None:
-            groups = []
-            by_finish = {}
-            for instance in self.plan.instances_on(self.node_id):
-                slot = self.plan.schedule.slot_for(instance)
-                if slot is None:
-                    continue
-                bucket = by_finish.get(slot.finish)
-                if bucket is None:
-                    bucket = []
-                    by_finish[slot.finish] = bucket
-                    groups.append((slot.finish, bucket))
-                bucket.append(instance)
-            memo[self.node_id] = groups
-        return groups
+            self._run_replica(member, k)
 
     def _schedule_exec_groups(self, k: int, period_start: int) -> None:
         """Execution timers: one heap event per distinct slot finish
         time."""
         pending = self.pending_state
-        for finish, instances in self._exec_groups():
+        call_at = self.sim.call_at
+        execute = self._execute_group
+        for finish, instances in self.program.exec_groups:
             if pending:
-                live = [i for i in instances if i not in pending]
-                if not live:
+                instances = [i for i in instances if i not in pending]
+                if not instances:
                     continue
-            else:
-                live = instances
-            self.sim.call_at(
-                period_start + finish,
-                lambda insts=live, kk=k: self._execute_group(insts, kk))
+            call_at(period_start + finish, partial(execute, instances, k))
 
     def _execute_group(self, instances, k: int) -> None:
         # One heap pop stands for len(instances) scheduled executions;
@@ -351,71 +305,44 @@ class NodeAgent:
         for instance in instances:
             self._execute_instance(instance, k)
 
-    # -- replica ----------------------------------------------------------
-
-    def _replica_inputs(self, instance: str, base: str, k: int
-                        ) -> Optional[List[int]]:
-        suffix = f"r{naming.replica_index(instance)}"
+    def _input_values(self, member: Member, k: int
+                      ) -> Optional[List[int]]:
+        """The values on the member's input copies for period ``k``, or
+        None while any is missing."""
+        inbox = self.inbox
         values = []
-        for flow in self.plan.workload.inputs_of(base):
-            copy = naming.flow_copy_name(flow.name, suffix)
-            stmt = self.inbox.get((copy, k))
+        for copy in member.inputs:
+            stmt = inbox.get((copy, k))
             if stmt is None:
                 return None
             values.append(stmt.statement.get("value"))
         return values
 
-    def _run_replica(self, instance: str, base: str, k: int) -> None:
-        values = self._replica_inputs(instance, base, k)
+    # -- replica ----------------------------------------------------------
+
+    def _run_replica(self, member: Member, k: int) -> None:
+        values = self._input_values(member, k)
         if values is None:
             return  # missing inputs; the checker masks with siblings
+        base = member.base
         value = compute_output(base, k, values)
         value = self.behavior.corrupt_value(base, k, value)
-        planned = self.plan.schedule.slot_for(instance)
-        planned_offset = planned.finish if planned else 0
-        actual_offset = self._local_offset(k)
         payload = build_output_statement(
-            task=base, instance=instance, period=k, value=value,
+            task=base, instance=member.instance, period=k, value=value,
             input_values=values,
             send_offset=self.behavior.claimed_send_offset(
-                actual_offset, planned_offset),
+                self._local_offset(k), member.finish),
         )
-        stmt = AuthenticatedStatement.make(self.system.directory,
-                                           self.node_id, payload)
+        stmt = AuthenticatedStatement.make(
+            self.system.directory, self.node_id, payload,
+            member.template.canonical(payload))
         # One statement, several recipients: own checker + audit copies.
-        for flow in self.plan.augmented.flows:
-            if flow.src != instance:
-                continue
-            self._send_copy(flow.name, stmt, k)
+        for send in member.outputs:
+            self._send_copy(send, stmt, k)
 
     # -- checker ----------------------------------------------------------
 
-    def _checker_replica_statements(self, base: str, k: int
-                                    ) -> Dict[str, AuthenticatedStatement]:
-        statements = {}
-        r = self.config.f + 1
-        for i in range(r):
-            copy = naming.replica_output_flow(base, i)
-            stmt = self.inbox.get((copy, k))
-            if stmt is not None:
-                statements[naming.replica_name(base, i)] = stmt
-        return statements
-
-    def _checker_own_inputs(self, base: str, k: int
-                            ) -> Tuple[Optional[List[int]],
-                                       List[AuthenticatedStatement]]:
-        values: List[int] = []
-        stmts: List[AuthenticatedStatement] = []
-        for flow in self.plan.workload.inputs_of(base):
-            copy = naming.flow_copy_name(flow.name, "c")
-            stmt = self.inbox.get((copy, k))
-            if stmt is None:
-                return None, []
-            values.append(stmt.statement.get("value"))
-            stmts.append(stmt)
-        return values, stmts
-
-    def _reconstruct_inputs_from_audits(self, base: str, k: int
+    def _reconstruct_inputs_from_audits(self, member: Member, k: int
                                         ) -> Optional[List[int]]:
         """Best-effort input reconstruction when the upstream *checker*
         went silent: the upstream replicas' audit copies carry candidate
@@ -424,40 +351,47 @@ class NodeAgent:
         good enough to keep the pipeline flowing; conviction-grade checks
         still require proper statements)."""
         values: List[int] = []
-        r = self.config.f + 1
-        for flow in self.plan.workload.inputs_of(base):
-            own = self.inbox.get((naming.flow_copy_name(flow.name, "c"), k))
+        inbox = self.inbox
+        for copy, audit in zip(member.inputs, member.audits):
+            own = inbox.get((copy, k))
             if own is not None:
                 values.append(own.statement.get("value"))
                 continue
-            if flow.src not in self.plan.workload.tasks:
+            if audit is None:
                 return None  # source-host edge: no audits exist
-            candidates: List[int] = []
-            for i in range(r):
-                stmt = self.inbox.get(
-                    (naming.flow_copy_name(flow.name, f"a{i}"), k))
-                if stmt is not None:
-                    candidates.append(stmt.statement.get("value"))
-            if not candidates:
-                return None
             counts: Dict[int, int] = {}
-            for value in candidates:
-                counts[value] = counts.get(value, 0) + 1
+            for audit_copy, _ in audit.copies:
+                stmt = inbox.get((audit_copy, k))
+                if stmt is not None:
+                    value = stmt.statement.get("value")
+                    counts[value] = counts.get(value, 0) + 1
+            if not counts:
+                return None
             values.append(max(sorted(counts), key=lambda v: counts[v]))
         return values
 
-    def _run_checker(self, instance: str, base: str, k: int) -> None:
-        expected = [naming.replica_name(base, i)
-                    for i in range(self.config.f + 1)]
-        # Demoted replicas lose fast-path priority: their unsubstantiated
-        # values are only used when nothing better arrived.
-        expected.sort(key=lambda inst: (inst in self.demoted,
-                                        naming.replica_index(inst)))
-        replica_stmts = self._checker_replica_statements(base, k)
-        own_values, own_stmts = self._checker_own_inputs(base, k)
+    def _run_checker(self, member: Member, k: int) -> None:
+        base = member.base
+        inbox = self.inbox
+        expected = member.expected
+        if self.demoted:
+            # Demoted replicas lose fast-path priority: their
+            # unsubstantiated values are only used when nothing better
+            # arrived. (Stable: index order survives within each class.)
+            expected = sorted(expected,
+                              key=lambda inst: inst in self.demoted)
+        replica_stmts = {}
+        for flow, replica in member.replica_flows:
+            stmt = inbox.get((flow, k))
+            if stmt is not None:
+                replica_stmts[replica] = stmt
+        own_values = self._input_values(member, k)
         outcome = run_check(base, k, expected, replica_stmts, own_values)
 
-        self._audit_upstream_forwarders(base, k)
+        if not self.behavior.suppresses_detection():
+            for audit in member.audits:
+                if audit is not None:
+                    self._audit_forwarder(audit, k)
 
         forward_value = outcome.forward_value
         was_reconstructed = False
@@ -468,13 +402,13 @@ class NodeAgent:
             # the inputs and re-execute, so one dead forwarding point does
             # not stall the whole downstream pipeline (and spray omission
             # blame over its innocent members).
-            reconstructed = self._reconstruct_inputs_from_audits(base, k)
+            reconstructed = self._reconstruct_inputs_from_audits(member, k)
             if reconstructed is not None:
                 forward_value = compute_output(base, k, reconstructed)
                 was_reconstructed = True
 
         if forward_value is not None:
-            self._forward_value(instance, base, k, forward_value,
+            self._forward_value(member, k, forward_value,
                                 reconstructed=was_reconstructed)
 
         if self.behavior.suppresses_detection():
@@ -485,84 +419,66 @@ class NodeAgent:
             host = self.plan.assignment.get(convicted)
             if host is None:
                 continue
-            self._emit_evidence(COMMISSION, host,
-                                [stmt] + list(own_stmts))
+            self._emit_evidence(
+                COMMISSION, host,
+                [stmt] + [inbox[(copy, k)] for copy in member.inputs])
         for suspect in outcome.investigate:
             self._start_investigation(suspect, base, k)
 
-    def _forward_value(self, instance: str, base: str, k: int,
-                       value: int, reconstructed: bool = False) -> None:
-        planned = self.plan.schedule.slot_for(instance)
-        planned_offset = planned.finish if planned else 0
+    def _forward_value(self, member: Member, k: int, value: int,
+                       reconstructed: bool = False) -> None:
+        base = member.base
+        planned_offset = member.finish
         actual_offset = self._local_offset(k)
-        for flow in self.plan.workload.outputs_of(base):
-            flow_base = flow.name
-            if flow.dst in self.plan.workload.tasks:
-                suffixes = [f"r{i}" for i in range(self.config.f + 1)] + ["c"]
-            else:
-                suffixes = ["out"]
-            for suffix in suffixes:
-                copy = naming.flow_copy_name(flow_base, suffix)
-                receiver = self._copy_receiver_node(copy)
-                sent_value = self.behavior.corrupt_value(
+        behavior = self.behavior
+        cache = self._sign_cache
+        for flow, template, targets in member.forwards:
+            for receiver, send in targets:
+                sent_value = behavior.corrupt_value(
                     base, k, value, receiver=receiver)
-                payload = build_forward_statement(
-                    flow=flow_base, period=k, value=sent_value,
-                    send_offset=self.behavior.claimed_send_offset(
-                        actual_offset, planned_offset),
-                    reconstructed=reconstructed,
-                )
-                stmt = self._sign_cached(flow_base, k, payload)
-                self._send_copy(copy, stmt, k)
-
-    def _copy_receiver_node(self, copy: str) -> Optional[str]:
-        for flow in self.plan.augmented.flows:
-            if flow.name == copy:
-                return self._final_consumer_node(flow)
-        return None
-
-    def _sign_cached(self, flow_base: str, k: int, payload: dict
-                     ) -> AuthenticatedStatement:
-        # Honest nodes sign one statement per (flow, period). Equivocators
-        # produce several (the cache key includes the value), which is the
-        # contradiction the investigation protocol later proves.
-        key = (flow_base, k, payload.get("value"))
-        cached = self._sign_cache.get(key)
-        if cached is None:
-            cached = AuthenticatedStatement.make(self.system.directory,
-                                                 self.node_id, payload)
-            self._sign_cache[key] = cached
-        return cached
-
-    # -- audit of upstream forwarders --------------------------------------
-
-    def _audit_upstream_forwarders(self, base: str, k: int) -> None:
-        if self.behavior.suppresses_detection():
-            return
-        r = self.config.f + 1
-        for flow in self.plan.workload.inputs_of(base):
-            if flow.src not in self.plan.workload.tasks:
-                continue  # source-host flows have no replica audit
-            fwd = self.inbox.get((naming.flow_copy_name(flow.name, "c"), k))
-            if fwd is None:
-                continue
-            audits = {}
-            for i in range(r):
-                stmt = self.inbox.get(
-                    (naming.flow_copy_name(flow.name, f"a{i}"), k))
-                if stmt is not None:
-                    audits[naming.replica_name(flow.src, i)] = stmt
-            expected = [naming.replica_name(flow.src, i) for i in range(r)]
-            if audit_forward(fwd, audits, expected):
-                accused = self.plan.assignment.get(
-                    naming.checker_name(flow.src))
-                if accused is not None:
-                    self._emit_evidence(
-                        FORWARD_MISMATCH, accused,
-                        [fwd] + [audits[i] for i in expected],
+                send_offset = behavior.claimed_send_offset(
+                    actual_offset, planned_offset)
+                # Honest nodes sign one statement per (flow, period).
+                # Equivocators produce several (the cache key includes
+                # the value), which is the contradiction the
+                # investigation protocol later proves.
+                key = (flow, k, sent_value)
+                stmt = cache.get(key)
+                if stmt is None:
+                    payload = build_forward_statement(
+                        flow=flow, period=k, value=sent_value,
+                        send_offset=send_offset,
+                        reconstructed=reconstructed,
                     )
+                    stmt = cache[key] = AuthenticatedStatement.make(
+                        self.system.directory, self.node_id, payload,
+                        template.canonical(payload))
+                if send is not None:
+                    self._send_copy(send, stmt, k)
 
-    # -- sink-side auditing --------------------------------------------------
+    # -- audit of forwarders ------------------------------------------------
+
+    def _audit_forwarder(self, audit: Audit, k: int) -> None:
+        """Accuse ``audit.src``'s checker if the value it forwarded this
+        period is one none of the replicas' audit copies carries."""
+        if audit.src not in self.plan.workload.tasks:
+            return  # source-host (or since-shed) flows have no audit
+        inbox = self.inbox
+        fwd = inbox.get((audit.forwarded, k))
+        if fwd is None:
+            return
+        audits = {}
+        for copy, replica in audit.copies:
+            stmt = inbox.get((copy, k))
+            if stmt is not None:
+                audits[replica] = stmt
+        if audit_forward(fwd, audits, audit.expected):
+            accused = self.plan.assignment.get(audit.checker)
+            if accused is not None:
+                self._emit_evidence(
+                    FORWARD_MISMATCH, accused,
+                    [fwd] + [audits[i] for i in audit.expected],
+                )
 
     def _schedule_sink_audits(self, k: int) -> None:
         """Sink hosts audit every actuator command against the producing
@@ -571,44 +487,17 @@ class NodeAgent:
         task-to-task edges; the actuators themselves cannot check)."""
         if self.behavior.suppresses_detection():
             return
-        mine = [
-            flow for flow in self.plan.workload.sink_flows()
-            if self.system.topology.endpoint_map.get(flow.dst)
-            == self.node_id
-        ]
-        if not mine:
+        audits = self.program.sink_audits
+        if not audits:
             return
-        self.sim.call_at(
-            (k + 1) * self.period - 1,
-            lambda kk=k, flows=mine: self._audit_sink_outputs(flows, kk),
-        )
+        self.sim.call_at((k + 1) * self.period - 1,
+                         partial(self._audit_sink_outputs, audits, k))
 
-    def _audit_sink_outputs(self, flows, k: int) -> None:
+    def _audit_sink_outputs(self, audits, k: int) -> None:
         if self.node.crashed or self.sim.now < self.suppress_until:
             return
-        r = self.config.f + 1
-        for flow in flows:
-            if flow.src not in self.plan.workload.tasks:
-                continue
-            fwd = self.inbox.get((naming.flow_copy_name(flow.name, "out"),
-                                  k))
-            if fwd is None:
-                continue
-            audits = {}
-            for i in range(r):
-                stmt = self.inbox.get(
-                    (naming.flow_copy_name(flow.name, f"a{i}"), k))
-                if stmt is not None:
-                    audits[naming.replica_name(flow.src, i)] = stmt
-            expected = [naming.replica_name(flow.src, i) for i in range(r)]
-            if audit_forward(fwd, audits, expected):
-                accused = self.plan.assignment.get(
-                    naming.checker_name(flow.src))
-                if accused is not None:
-                    self._emit_evidence(
-                        FORWARD_MISMATCH, accused,
-                        [fwd] + [audits[i] for i in expected],
-                    )
+        for audit in audits:
+            self._audit_forwarder(audit, k)
 
     # -- equivocation investigation ----------------------------------------
 
@@ -684,93 +573,56 @@ class NodeAgent:
 
     # --------------------------------------------------------- data plane
 
-    def _send_copy(self, flow_copy: str, stmt: AuthenticatedStatement,
+    def _send_copy(self, send: Send, stmt: AuthenticatedStatement,
                    k: int) -> None:
-        route = self.plan.routes.get(flow_copy)
-        if not route:
-            return
-        # (flow, final consumer) are pure functions of the immutable
-        # plan + static topology; memoised on the plan object like the
-        # timing-window lookups (see detector.timing).
-        memo = self.plan.__dict__.get("_send_copy_memo")
-        if memo is None:
-            memo = {}
-            self.plan.__dict__["_send_copy_memo"] = memo
-        entry = memo.get(flow_copy)
-        if entry is None:
-            flow = next((f for f in self.plan.augmented.flows
-                         if f.name == flow_copy), None)
-            final = (self._final_consumer_node(flow)
-                     if flow is not None else None)
-            entry = (flow, final)
-            memo[flow_copy] = entry
-        flow, final = entry
-        if flow is None or final is None:
-            return
+        flow_copy = send.name
+        final = send.final
         if self.behavior.drops_message(flow_copy, k, final):
             return
-        if final != self.node_id:
-            # Pooled on the transmit path: the delivery/drop paths
-            # release the message once its journey ends. Local deliveries
-            # keep a plain Message (nothing releases them).
-            message = self._batched.pool.acquire(
-                self.node_id, final, MessageKind.DATA,
-                ("data", flow_copy, k, stmt), flow.size_bits,
-                flow=flow_copy,
-            )
-        else:
-            message = Message(
-                src=self.node_id, dst=final, kind=MessageKind.DATA,
-                payload=("data", flow_copy, k, stmt),
-                size_bits=flow.size_bits, flow=flow_copy,
-            )
         delay = self.behavior.delay_send(flow_copy, k)
         if final == self.node_id:
-            self.sim.call_after(max(1, delay),
-                                lambda: self.node.deliver(message,
-                                                          self.sim.now))
+            # Local deliveries keep a plain Message (nothing releases
+            # them).
+            message = Message(
+                src=final, dst=final, kind=MessageKind.DATA,
+                payload=("data", flow_copy, k, stmt),
+                size_bits=send.size_bits, flow=flow_copy,
+            )
+            self.sim.call_at(self.sim.now + max(1, delay),
+                             partial(self._deliver_local, message))
             return
-        next_hop = self._next_hop_cached(flow_copy)
-        if next_hop is None:
-            return
+        # Pooled on the transmit path: the delivery/drop paths release
+        # the message once its journey ends.
+        message = self._batched.pool.acquire(
+            self.node_id, final, MessageKind.DATA,
+            ("data", flow_copy, k, stmt), send.size_bits, flow=flow_copy,
+        )
+        if send.next_hop is not None:
+            self._transmit_after(delay, send.next_hop, message)
+
+    def _deliver_local(self, message: Message) -> None:
+        self.node.deliver(message, self.sim.now)
+
+    def _transmit_after(self, delay: int, next_hop: str,
+                        message: Message) -> None:
         if delay > 0:
-            self.sim.call_after(
-                delay, lambda: self.system.transmit(self.node_id, next_hop,
-                                                    message))
+            self.sim.call_at(
+                self.sim.now + delay,
+                partial(self.system.transmit, self.node_id, next_hop,
+                        message))
         else:
             self.system.transmit(self.node_id, next_hop, message)
-
-    def _next_hop_cached(self, flow_copy: str) -> Optional[str]:
-        """Memoised ``plan.next_hop(flow_copy, self.node_id)`` — routes
-        are fixed per plan, and the uncached version is an O(route) list
-        scan issued per data send/forward."""
-        memo = self.plan.__dict__.get("_next_hop_memo")
-        if memo is None:
-            memo = {}
-            self.plan.__dict__["_next_hop_memo"] = memo
-        key = (flow_copy, self.node_id)
-        try:
-            return memo[key]
-        except KeyError:
-            hop = self.plan.next_hop(flow_copy, self.node_id)
-            memo[key] = hop
-            return hop
 
     def _forward_data(self, message: Message) -> None:
         """Intermediate hop: pass the message along its planned route."""
         _, flow_copy, k, _stmt = message.payload
         if self.behavior.drops_message(flow_copy, k, message.dst):
             return
-        next_hop = self._next_hop_cached(flow_copy)
+        next_hop = self.program.next_hop.get(flow_copy)
         if next_hop is None:
             return
-        delay = self.behavior.delay_send(flow_copy, k)
-        if delay > 0:
-            self.sim.call_after(
-                delay, lambda: self.system.transmit(self.node_id, next_hop,
-                                                    message))
-        else:
-            self.system.transmit(self.node_id, next_hop, message)
+        self._transmit_after(self.behavior.delay_send(flow_copy, k),
+                             next_hop, message)
 
     # ------------------------------------------------------------ deliveries
 
@@ -799,7 +651,17 @@ class NodeAgent:
             return  # unauthenticated data is ignored outright
         self.inbox[(flow_copy, k)] = stmt
         self._judge_timing(flow_copy, stmt, k, at)
-        self._maybe_record_output(flow_copy, stmt, k, at)
+        consumed = self.program.consumed.get(flow_copy)
+        if consumed is not None and consumed.output is not None:
+            # An actuator command (audit copies to the sink host are
+            # not commands).
+            sink, flow, criticality, deadline = consumed.output
+            self.system.trace.record(OutputProduced(
+                time=at, sink=sink, flow=flow, period_index=k,
+                value=stmt.statement.get("value"),
+                deadline=k * self.period + (deadline or self.period),
+                criticality=criticality,
+            ))
 
     def _judge_timing(self, flow_copy: str, stmt: AuthenticatedStatement,
                       k: int, at: int) -> None:
@@ -826,25 +688,6 @@ class NodeAgent:
             # relative to a plan — route through path declarations.
             self._declare_path(flow_copy, k)
 
-    def _maybe_record_output(self, flow_copy: str,
-                             stmt: AuthenticatedStatement, k: int,
-                             at: int) -> None:
-        if not flow_copy.endswith("@out"):
-            return  # audit copies to the sink host are not commands
-        flow = next((f for f in self.plan.augmented.flows
-                     if f.name == flow_copy), None)
-        if flow is None or flow.dst not in self.plan.augmented.sinks:
-            return
-        base = naming.base_flow(flow_copy)
-        criticality = self.plan.workload.flow_criticality(
-            self.plan.workload.flow(base))
-        self.system.trace.record(OutputProduced(
-            time=at, sink=flow.dst, flow=base, period_index=k,
-            value=stmt.statement.get("value"),
-            deadline=k * self.period + (flow.deadline or self.period),
-            criticality=criticality.value,
-        ))
-
     # --------------------------------------------------------- omission
 
     def _schedule_omission_checks(self, k: int) -> None:
@@ -853,10 +696,10 @@ class NodeAgent:
         period_start = k * self.period
         wait = (self.config.timing.arrival_slack_us
                 + self.config.omission_grace_us)
-        for arrival, copies in self._expected_groups:
-            self.sim.call_at(
-                period_start + arrival + wait,
-                lambda cs=copies, kk=k: self._check_arrival_group(cs, kk))
+        call_at = self.sim.call_at
+        check = self._check_arrival_group
+        for arrival, copies in self.program.arrival_groups:
+            call_at(period_start + arrival + wait, partial(check, copies, k))
 
     def _check_arrival_group(self, copies, k: int) -> None:
         # One heap pop stands for len(copies) scheduled checks.
@@ -869,42 +712,24 @@ class NodeAgent:
             return
         if self.sim.now < self.suppress_until:
             return
-        if self._producer_starved(flow_copy, k):
+        # Read at check time: a check scheduled under the previous plan
+        # judges by the current one, and a copy this node no longer
+        # consumes is no longer its expectation.
+        consumed = self.program.consumed.get(flow_copy)
+        if consumed is None or self._producer_starved(consumed, k):
             # The producer provably had nothing to send: an upstream
             # outage starved it. Blame belongs upstream (where the broken
             # @c edge is declared), not on the starved innocent.
             return
         self._declare_path(flow_copy, k)
 
-    def _producer_starved(self, flow_copy: str, k: int) -> bool:
-        """Was ``flow_copy``'s producer a replica starved by an upstream
-        outage this period? Replicas read their inputs from the upstream
-        checker; if this node's own copy of that edge is missing or
-        arrived flagged ``reconstructed`` (the upstream checker signed an
-        admission that its stage's replicas were starved), the producer
-        cannot have produced.
-
-        For audit copies the producer's input edges terminate at *its*
-        checker, not here, so this conservatively excuses them whenever
-        the producer has any task-fed input — the authoritative omission
-        detector for a silent replica is its own checker, which sees the
-        replica-output edge directly."""
-        if naming.is_replica_output_flow(flow_copy):
-            base_task, _ = naming.replica_output_parts(flow_copy)
-        elif "@a" in flow_copy:
-            base_flow = naming.base_flow(flow_copy)
-            flow = next((f for f in self.plan.workload.flows
-                         if f.name == base_flow), None)
-            if flow is None or flow.src not in self.plan.workload.tasks:
-                return False
-            base_task = flow.src
-        else:
-            return False
-        for input_flow in self.plan.workload.inputs_of(base_task):
-            if input_flow.src not in self.plan.workload.tasks:
-                continue  # source-host edges have no checker to die
-            stmt = self.inbox.get(
-                (naming.flow_copy_name(input_flow.name, "c"), k))
+    def _producer_starved(self, consumed: Consumed, k: int) -> bool:
+        """Was the copy's producer a replica starved by an upstream
+        outage this period? (:func:`repro.core.runtime.program._starved_by`
+        names the edges whose absence here proves it.)"""
+        inbox = self.inbox
+        for copy in consumed.starved_by:
+            stmt = inbox.get((copy, k))
             if stmt is None or stmt.statement.get("reconstructed"):
                 return True
         return False
@@ -1284,8 +1109,8 @@ class NodeAgent:
         transition = compute_transition(self.node_id, old_plan, new_plan,
                                         faulty)
         self.plan = new_plan
+        self.program = self._program_of(new_plan)
         self.switcher.adopt(new_plan)
-        self._refresh_expected()
         self.demoted.clear()
         self._investigations.clear()
         # Re-evaluate plan-dependent evidence under the new plan. Soft

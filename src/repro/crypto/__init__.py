@@ -2,6 +2,7 @@
 
 from .authenticator import AuthenticatedStatement, digest
 from .costs import DEFAULT_COSTS, CryptoCosts
+from .memo import VerifyMemo
 from .signatures import (
     KeyDirectory,
     Signature,
@@ -17,5 +18,6 @@ __all__ = [
     "KeyDirectory",
     "Signature",
     "SignatureError",
+    "VerifyMemo",
     "canonical_bytes",
 ]

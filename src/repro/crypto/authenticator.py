@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
-from typing import Any
+from typing import Any, Optional
 
 from .signatures import KeyDirectory, Signature, canonical_bytes
 
@@ -43,23 +43,29 @@ class AuthenticatedStatement:
     signature: Signature
 
     @classmethod
-    def make(cls, directory: KeyDirectory, signer: str,
-             statement: dict) -> "AuthenticatedStatement":
-        canonical = canonical_bytes(statement)
+    def make(cls, directory: KeyDirectory, signer: str, statement: dict,
+             canonical: Optional[bytes] = None) -> "AuthenticatedStatement":
+        """Sign ``statement``. ``canonical`` is its
+        :func:`canonical_bytes` when the caller already holds them (the
+        runtime's compiled statement templates do)."""
+        if canonical is None:
+            canonical = canonical_bytes(statement)
         stmt = cls(statement=statement,
                    signature=directory.sign_bytes(signer, canonical))
         object.__setattr__(stmt, "_canonical", canonical)
         return stmt
 
     @classmethod
-    def make_batch(cls, directory: KeyDirectory, signer: str,
-                   statements) -> "list[AuthenticatedStatement]":
+    def make_batch(cls, directory: KeyDirectory, signer: str, statements,
+                   canonicals=None) -> "list[AuthenticatedStatement]":
         """Sign several statements by one signer in one authenticator
         pass (:meth:`KeyDirectory.sign_bytes_batch`): the batched core
         uses this for a source host's per-period sensor frames. The
         resulting statements are indistinguishable from per-call
-        :meth:`make` — same tags, same cached canonical bytes."""
-        canonicals = [canonical_bytes(s) for s in statements]
+        :meth:`make` — same tags, same cached canonical bytes.
+        ``canonicals`` as in :meth:`make`, one per statement."""
+        if canonicals is None:
+            canonicals = [canonical_bytes(s) for s in statements]
         signatures = directory.sign_bytes_batch(signer, canonicals)
         out = []
         for statement, canonical, signature in zip(statements, canonicals,

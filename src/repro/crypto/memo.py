@@ -1,39 +1,24 @@
-"""Verify memoisation + trace fingerprints for the online runtime.
+"""The signature verify memo.
 
 The simulation hot path avoids redundant per-receiver crypto work the way
 real BFT implementations do — PBFT batches authenticators and Zyzzyva's
-speculative path exists for the same reason:
-
-* statement canonicalization caching — each
-  :class:`~repro.crypto.authenticator.AuthenticatedStatement` serializes
-  its payload exactly once per lifetime; ``sign``, ``verify``,
-  ``payload_digest`` and ``wire_bits`` all reuse the bytes
-  (implemented on the statement itself; see ``crypto/authenticator.py``);
-* :class:`VerifyMemo` — a positive-only memo of signature verification
-  results keyed by ``(signer, tag, payload_digest)``, consulted by
-  :meth:`~repro.crypto.signatures.KeyDirectory.verify_statement` so a
-  statement broadcast to N correct receivers pays the HMAC once.
-  Forged or otherwise invalid results are **never cached**: a miss
-  always recomputes, so a forgery can never be laundered into validity
-  by a cache hit;
-* trace recording modes (``full`` / ``milestones`` / ``counts-only``,
-  implemented in :mod:`repro.sim.trace`) — benchmark sweeps that only
-  need recovery milestones skip per-hop event allocation entirely.
-
-This module is deliberately import-light (stdlib only): the crypto layer
-imports it lazily, so nothing here may reach back into ``repro.*``.
+speculative path exists for the same reason: :class:`VerifyMemo` is a
+positive-only memo of signature verification results keyed by
+``(signer, tag, payload_digest)``, consulted by
+:meth:`~repro.crypto.signatures.KeyDirectory.verify_statement` so a
+statement broadcast to N correct receivers pays the HMAC once. Forged or
+otherwise invalid results are **never cached**: a miss always recomputes,
+so a forgery can never be laundered into validity by a cache hit.
 
 Determinism: the memo stores only results that are pure functions of its
 key; eviction (when the memo exceeds ``max_entries``) drops the oldest
-half in insertion order — no wall clock, no randomness (the determinism
-lint restricts this file like the sim/core layers).
+half in insertion order — no wall clock, no randomness.
 """
 
 from __future__ import annotations
 
-import hashlib
 from itertools import islice
-from typing import Dict, Iterable, Tuple
+from typing import Dict, Tuple
 
 #: Memo key: (claimed signer, signature tag, payload digest). The digest
 #: is the statement's cached content digest, so building the key costs
@@ -119,36 +104,3 @@ class VerifyMemo:
             "entries": len(self._valid),
             "hit_rate": round(self.hit_rate(), 4),
         }
-
-
-def trace_fingerprint(events: Iterable) -> str:
-    """A content hash of a trace (or any iterable of trace events).
-
-    The committed engine digests (``tests/golden/``), E17/E19/E22 and
-    the determinism property tests compare runs by this fingerprint:
-    dataclass ``repr`` covers every field, and the events iterate in
-    record order, so two traces fingerprint equal iff they are
-    event-for-event, field-for-field identical. Stable across processes
-    and ``PYTHONHASHSEED`` values (tests/test_sim_determinism.py).
-    """
-    h = hashlib.sha256()
-    for event in events:
-        h.update(repr(event).encode())
-        h.update(b"\n")
-    return h.hexdigest()
-
-
-def online_stats(system) -> Dict[str, object]:
-    """One run's online-runtime counters, pulled off a finished system.
-
-    Returns sign/verify HMAC counts from the system's
-    :class:`~repro.crypto.signatures.KeyDirectory` plus the verify-memo
-    stats. The E17 benchmark records these per scenario into
-    ``sim_stats.jsonl``.
-    """
-    directory = system.directory
-    return {
-        "signs": directory.signs,
-        "verifies": directory.verifies,
-        "memo": directory.verify_memo.stats(),
-    }

@@ -20,6 +20,8 @@ import json
 from dataclasses import dataclass
 from typing import Any, Dict
 
+from .memo import VerifyMemo
+
 
 class SignatureError(Exception):
     """Raised when signing is attempted with an unknown identity."""
@@ -80,13 +82,7 @@ class KeyDirectory:
         #: HMAC computations actually performed (memo hits excluded).
         self.signs = 0
         self.verifies = 0
-        self.verify_memo = None
-        if verify_memo:
-            # Lazy import: repro.perf.__init__ pulls in the offline
-            # planner stack, which would be a circular import at crypto
-            # module load time.
-            from ..perf.fastpath import VerifyMemo
-            self.verify_memo = VerifyMemo()
+        self.verify_memo = VerifyMemo() if verify_memo else None
 
     def begin_run(self) -> None:
         """Reset per-run state (memo + counters) so runs stay independent."""

@@ -100,6 +100,11 @@ class CheckStats:
     cells_to_first_violation: int = 0
     #: Wall-clock seconds until that cell's result was in hand.
     first_violation_s: float = 0.0
+    #: Share of the explored paths' simulated time that each path has in
+    #: common with its parent (Σ base arrival of the first perturbed
+    #: delivery ÷ Σ ``n_periods × period``): the ceiling on what a free
+    #: snapshot-and-fork of the simulator could skip.
+    shared_prefix_share: float = 0.0
 
     def to_dict(self) -> Dict[str, Any]:
         return asdict(self)
@@ -173,6 +178,9 @@ def _explore_one(system, cell: Cell, params: CheckParams,
     worker."""
     report = explore_cell(system, system.strategy, cell, params)
     payload = report.to_dict()
+    # Stats-only: run_campaign pops it before the payload joins the
+    # byte-compared report.
+    payload["shared_prefix_us"] = report.shared_prefix_us
     if report.violating:
         schedule, _ = report.violating[0]
         minimised, violations = minimise_schedule(
@@ -289,6 +297,7 @@ def run_campaign(workload, topology, config,
         for i in order:
             ordered.append(_explore_one(system, cells[i], resolved, meta))
             note_first_violation(ordered)
+    shared_prefix_us = sum(p.pop("shared_prefix_us") for p in ordered)
     by_index = dict(zip(order, ordered))
     results = [by_index[i] for i in range(len(cells))]
 
@@ -320,6 +329,9 @@ def run_campaign(workload, topology, config,
         "certified": certified,
     }
     stats.paths = totals["paths"]
+    if stats.paths:
+        stats.shared_prefix_share = shared_prefix_us / (
+            stats.paths * resolved.n_periods * period)
     stats.wall_s = watch.elapsed_s()
     if stats.wall_s > 0:
         stats.states_per_sec = totals["paths"] / stats.wall_s

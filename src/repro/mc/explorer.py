@@ -35,8 +35,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from ..analysis.correctness import classify_slots
-from ..perf.fastpath import trace_fingerprint
-from ..sim.trace import ModeSwitchCompleted
+from ..sim.trace import ModeSwitchCompleted, trace_fingerprint
 from .choices import Cell, DeliveryChoice, cell_script
 from .hooks import DeliveryPerturbation, ObservedDelivery
 from .invariants import Violation, check_path
@@ -152,6 +151,11 @@ class CellReport:
     truncated: bool = False
     #: (schedule, violations) per violating path, in BFS order.
     violating: Optional[list] = None
+    #: Σ over explored paths of the simulated time each shares with its
+    #: parent: the base arrival of the delivery it perturbs first (0 for
+    #: the root). A host-side figure — what a free snapshot-and-fork
+    #: could skip — so it stays out of :meth:`to_dict`.
+    shared_prefix_us: int = 0
 
     def to_dict(self) -> dict:
         return {
@@ -180,18 +184,20 @@ def explore_cell(system, strategy, cell: Cell, params) -> CellReport:
     period = system.workload.period
     report = CellReport(cell=cell, violating=[])
     visited: set = set()
-    frontier: List[Tuple[DeliveryChoice, ...]] = [()]
+    #: (schedule, time shared with the parent path).
+    frontier: List[Tuple[Tuple[DeliveryChoice, ...], int]] = [((), 0)]
     while frontier:
         if report.paths >= params.max_paths:
             report.truncated = True
             break
-        schedule = frontier.pop(0)
+        schedule, shared_us = frontier.pop(0)
         outcome = run_vector(
             system, strategy, cell, schedule,
             n_periods=params.n_periods, R_us=params.R_us,
             k=params.k, seed=params.seed,
         )
         report.paths += 1
+        report.shared_prefix_us += shared_us
         if outcome.fingerprint in visited:
             report.dedup_hits += 1
             continue
@@ -210,7 +216,8 @@ def explore_cell(system, strategy, cell: Cell, params) -> CellReport:
                                           outcome.observed, period):
                 report.pruned += 1
                 continue
-            frontier.append(schedule + ((candidate[0], delay),))
+            frontier.append((schedule + ((candidate[0], delay),),
+                             candidate[3]))
     report.distinct = len(visited)
     return report
 

@@ -6,10 +6,6 @@ how fast the artifact is produced and whether work is recomputed at all:
 
 * :class:`StrategyCache` / :func:`strategy_cache_key` — content-keyed
   on-disk reuse of finished strategies;
-* :mod:`repro.perf.fastpath` — the signature :class:`VerifyMemo`
-  (positive-only, deterministic eviction) plus trace fingerprints for
-  byte-identity checks. Kept stdlib-only so the crypto layer can import
-  it without cycles;
 * :mod:`repro.perf.batchcore` — the engine's fan-out emitters:
   vectorised periodic-traffic fan-outs, pooled messages, and multi-seed
   sweep execution;
@@ -22,9 +18,12 @@ See ``docs/PERFORMANCE.md`` for the architecture and the determinism
 guarantees each piece preserves.
 """
 
+from ..crypto.memo import VerifyMemo
+from ..sim.trace import trace_fingerprint
 from .batchcore import (
     BatchRuntime,
     SweepRun,
+    online_stats,
     run_sweep,
     shared_prepare,
     sibling_system,
@@ -35,7 +34,6 @@ from .cache import (
     default_cache_dir,
     strategy_cache_key,
 )
-from .fastpath import VerifyMemo, online_stats, trace_fingerprint
 from .shardcore import (
     GeoSweepSpec,
     ShardingError,

@@ -24,13 +24,20 @@ event per message:
   steady-state loop allocates almost nothing;
 
 * **multi-seed sweeps** — :func:`run_sweep` runs N seeds in one process
-  against one prepared system: the frozen strategy (and every plan-riding
-  memo: routes, send offsets, timing windows), the router's path cache,
-  and the derived signing keys (module-level cache in
+  against one prepared system: the frozen strategy (and, held by each
+  plan, its compiled node programs —
+  :mod:`repro.core.runtime.program`), the router's path cache, and the
+  derived signing keys (module-level cache in
   :mod:`repro.crypto.signatures`) are shared across seeds instead of
   being rebuilt per run.
 
-The invariant gate is :func:`~repro.perf.fastpath.trace_fingerprint`
+What an agent does per event under a plan is not this module's business:
+that is the node program. This module owns only what is fixed per *run*
+— the per-sender emission plans built in :meth:`BatchRuntime.begin_run`
+(lanes are re-installed every run), whose entries ride whole into the
+heartbeat batches.
+
+The invariant gate is :func:`~repro.sim.trace.trace_fingerprint`
 equality with the digests committed in ``tests/golden/``, which a
 message-per-heap-event engine generated; see docs/PERFORMANCE.md
 ("Engine") and the E19 benchmark.
@@ -42,8 +49,12 @@ import dataclasses
 from typing import Dict, List, Optional
 
 from ..sim.message import Message, MessageKind, MessagePool
-from ..sim.trace import MessageDelivered, MessageDropped, MessageSent
-from .fastpath import trace_fingerprint
+from ..sim.trace import (
+    MessageDelivered,
+    MessageDropped,
+    MessageSent,
+    trace_fingerprint,
+)
 
 #: Heartbeat frames are tiny fixed-size CONTROL messages (agent.py).
 HEARTBEAT_BITS = 128
@@ -61,7 +72,7 @@ class _HeartbeatBatch:
     """
 
     __slots__ = ("runtime", "sender", "origin", "k", "arrival",
-                 "rids", "nodes", "agents", "lost")
+                 "entries", "lost")
 
     def __init__(self, runtime: "BatchRuntime") -> None:
         self.runtime = runtime
@@ -69,10 +80,11 @@ class _HeartbeatBatch:
         self.origin = ""
         self.k = 0
         self.arrival = 0
-        self.rids: List[str] = []
-        self.nodes: List = []
-        self.agents: List = []
-        self.lost: List[bool] = []
+        #: The sender's emission-plan entries (see
+        #: :meth:`BatchRuntime.begin_run`), one per copy, whole.
+        self.entries: List[tuple] = []
+        #: Positions in ``entries`` whose frame the link lost.
+        self.lost: List[int] = []
 
     def __call__(self) -> None:
         runtime = self.runtime
@@ -85,11 +97,9 @@ class _HeartbeatBatch:
         origin = self.origin
         k = self.k
         arrival = self.arrival
-        rids = self.rids
-        nodes = self.nodes
-        agents = self.agents
+        entries = self.entries
         lost = self.lost
-        n = len(rids)
+        n = len(entries)
         # One engine pop stands for n logical deliveries; the
         # events-executed gauge counts messages.
         sim.events_executed += n - 1
@@ -98,9 +108,9 @@ class _HeartbeatBatch:
         delivered = 0
         dropped = 0
         seen_key = (origin, k)
-        for i in range(n):
-            rid = rids[i]
-            if lost[i]:
+        for i, entry in enumerate(entries):
+            rid = entry[0]
+            if lost and i in lost:
                 if retained:
                     # Trace records are immutable fresh objects by design.
                     trace.record(MessageDropped(  # lint: ignore[allocation-in-loop]
@@ -118,10 +128,10 @@ class _HeartbeatBatch:
                 ))
             else:
                 delivered += 1
-            node = nodes[i]
+            node = entry[3]
             if node.crashed:
                 continue
-            agent = agents[i]
+            agent = entry[4]
             if agent is not None:
                 # Inlined seen-check: ~85% of steady-state deliveries are
                 # duplicate copies whose reflood call would return on its
@@ -144,9 +154,7 @@ class _HeartbeatBatch:
             system._tally_delivered += delivered
         if dropped:
             system._tally_dropped += dropped
-        rids.clear()
-        nodes.clear()
-        agents.clear()
+        entries.clear()
         lost.clear()
         runtime._hb_free.append(self)
 
@@ -352,10 +360,9 @@ class BatchRuntime:
                 batch.arrival = arrival
                 groups[arrival] = batch
                 sim.schedule(arrival, batch)  # lint: ignore[engine-schedule-bypass]
-            batch.rids.append(neighbor)
-            batch.nodes.append(entry[3])
-            batch.agents.append(entry[4])
-            batch.lost.append(lost)
+            if lost:
+                batch.lost.append(len(batch.entries))
+            batch.entries.append(entry)
         if sent:
             system._tally_sent += sent
 
@@ -440,8 +447,8 @@ class SweepRun:
 
 def sibling_system(prototype, seed: int):
     """A prepared system for another seed, sharing the prototype's frozen
-    planning artifacts: the strategy (with every plan-riding memo — routes,
-    send offsets, timing windows), the recovery budget, the switch lead,
+    planning artifacts: the strategy (with each plan's compiled node
+    programs and send-offset table), the recovery budget, the switch lead,
     the router's path cache, and the lane model. The key directory is
     rebuilt for the new seed (its master seed differs) but shares derived
     keys through the process-wide cache. The sibling's runs are
@@ -457,6 +464,22 @@ def sibling_system(prototype, seed: int):
     sibling.budget = prototype.budget
     sibling.switch_lead_us = prototype.switch_lead_us
     return sibling
+
+
+def online_stats(system) -> Dict[str, object]:
+    """One run's online-runtime counters, pulled off a finished system.
+
+    Returns sign/verify HMAC counts from the system's
+    :class:`~repro.crypto.signatures.KeyDirectory` plus the verify-memo
+    stats. The E17 benchmark records these per scenario into
+    ``sim_stats.jsonl``.
+    """
+    directory = system.directory
+    return {
+        "signs": directory.signs,
+        "verifies": directory.verifies,
+        "memo": directory.verify_memo.stats(),
+    }
 
 
 def run_sweep(system, seeds, n_periods: int, scenario: Optional[str] = None,
@@ -526,7 +549,8 @@ def shared_prepare(system):
     """``system.prepare()`` through an in-process memo: a second system
     with identical planning inputs adopts the first's frozen strategy,
     budget, and switch lead without re-planning. The memo shares the
-    exact objects, so plan-riding memos stay warm across campaigns."""
+    exact objects, so the plans' compiled node programs are built once
+    for every campaign in the process."""
     key = _prepare_key(system)
     entry = _PREPARE_MEMO.get(key)
     if entry is not None:

@@ -37,6 +37,7 @@ from .trace import (
     TaskShed,
     Trace,
     TraceEvent,
+    trace_fingerprint,
 )
 
 __all__ = [
@@ -80,4 +81,5 @@ __all__ = [
     "TaskShed",
     "Trace",
     "TraceEvent",
+    "trace_fingerprint",
 ]

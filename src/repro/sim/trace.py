@@ -25,9 +25,19 @@ events, so the event census is mode-independent.
 
 from __future__ import annotations
 
+import hashlib
 from bisect import bisect_left
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterator, List, Optional, Type, TypeVar
+from typing import (
+    Any,
+    Dict,
+    Iterable,
+    Iterator,
+    List,
+    Optional,
+    Type,
+    TypeVar,
+)
 
 
 @dataclass
@@ -280,3 +290,20 @@ class Trace:
         for name, n in self._tallies.items():
             counts[name] = counts.get(name, 0) + n
         return {name: counts[name] for name in sorted(counts)}
+
+
+def trace_fingerprint(events: Iterable) -> str:
+    """A content hash of a trace (or any iterable of trace events).
+
+    The committed engine digests (``tests/golden/``), E17/E19/E22 and
+    the determinism property tests compare runs by this fingerprint:
+    dataclass ``repr`` covers every field, and the events iterate in
+    record order, so two traces fingerprint equal iff they are
+    event-for-event, field-for-field identical. Stable across processes
+    and ``PYTHONHASHSEED`` values (tests/test_sim_determinism.py).
+    """
+    h = hashlib.sha256()
+    for event in events:
+        h.update(repr(event).encode())
+        h.update(b"\n")
+    return h.hexdigest()

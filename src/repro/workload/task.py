@@ -12,17 +12,21 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
-from typing import Sequence
+from functools import lru_cache
+from typing import Sequence, Tuple
 
 from .criticality import Criticality
 
 
+@lru_cache(maxsize=4096)
 def sensor_reading(source: str, period_index: int) -> int:
     """Reference value read from the physical world by ``source``.
 
     Sources are physical-world inputs; in the simulation their readings are
     a deterministic function of (source, period) so every replica that reads
-    the same sensor sees the same value.
+    the same sensor sees the same value. Pure — a hash of its arguments —
+    so the bounded process-wide memo can only ever return what a
+    recomputation would.
     """
     digest = hashlib.sha256(f"sensor:{source}:{period_index}".encode()).digest()
     return int.from_bytes(digest[:8], "big")
@@ -35,8 +39,17 @@ def compute_output(task_name: str, period_index: int,
     Inputs are combined order-independently (sorted) so that replicas whose
     messages arrive in different orders still agree.
     """
+    return _output_of(task_name, period_index, tuple(sorted(input_values)))
+
+
+@lru_cache(maxsize=4096)
+def _output_of(task_name: str, period_index: int,
+               sorted_values: Tuple[int, ...]) -> int:
+    """:func:`compute_output` of already-sorted inputs. Pure — a hash of
+    its arguments — so the f+1 replicas of a task, their checker and
+    every run of a campaign may share one bounded process-wide memo."""
     material = f"task:{task_name}:{period_index}:" + ",".join(
-        str(v) for v in sorted(input_values)
+        str(v) for v in sorted_values
     )
     digest = hashlib.sha256(material.encode()).digest()
     return int.from_bytes(digest[:8], "big")

@@ -32,7 +32,7 @@ from repro.cli import WORKLOADS, make_topology
 from repro.core.planner import PlanningError, strategy_to_json
 from repro.faults.scenarios import stage
 from repro.net import full_mesh_topology, geo_topology
-from repro.perf.fastpath import trace_fingerprint
+from repro.sim.trace import trace_fingerprint
 from repro.sim.trace import MILESTONE_KINDS
 from repro.verify import verify_strategy
 from repro.verify.bounds import compute_bounds

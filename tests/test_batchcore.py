@@ -31,7 +31,7 @@ from repro.faults.scenarios import stage
 from repro.net import full_mesh_topology
 from repro.perf.batchcore import (BatchRuntime, run_sweep, shared_prepare,
                                   sibling_system, _PREPARE_MEMO, _prepare_key)
-from repro.perf.fastpath import trace_fingerprint
+from repro.sim.trace import trace_fingerprint
 from repro.workload import industrial_workload
 from tests import golden
 

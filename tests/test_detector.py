@@ -1,6 +1,7 @@
 """Tests for the detector logic: checking, timing windows, blame."""
 
 import pytest
+from hypothesis import given, strategies as st
 
 from repro.core.detector import (
     BlameTracker,
@@ -12,7 +13,14 @@ from repro.core.detector import (
     run_check,
 )
 from repro.core.evidence import input_digest, make_declaration
-from repro.crypto import AuthenticatedStatement, KeyDirectory
+from repro.core.planner.plan import Plan
+from repro.core.detector.checker import (
+    ForwardTemplate,
+    OutputTemplate,
+    build_forward_statement,
+    build_output_statement,
+)
+from repro.crypto import AuthenticatedStatement, KeyDirectory, canonical_bytes
 from repro.workload import compute_output
 
 
@@ -131,6 +139,11 @@ class _Slot:
 class PlanStub:
     """Minimal plan: one task-produced flow copy plus a source flow."""
 
+    # The real table behind TimingPolicy.send_window, over the stub's
+    # flows / tasks / slots.
+    _send_offsets = None
+    planned_send_offset = Plan.planned_send_offset
+
     def __init__(self):
         self.augmented = type("G", (), {})()
         self.augmented.flows = [_Flow("f@r0", "t#c"), _Flow("sens@r0", "s")]
@@ -178,6 +191,47 @@ def test_timing_unknown_flow_has_no_window():
     plan = PlanStub()
     assert policy.send_window(plan, "ghost") is None
     assert policy.judge(plan, "ghost", "ghost", 0, 0) == OK
+
+
+# ---------------------------------------------------------------- templates
+
+#: Names with quotes, backslashes, non-ASCII, control characters, ``%``.
+names = st.text(max_size=12)
+#: Arbitrary-size integers: negative, beyond 2**63.
+integers = st.integers(min_value=-2 ** 80, max_value=2 ** 80)
+
+
+@given(task=names, instance=names, period=integers, value=integers,
+       inputs=st.lists(integers, max_size=3), offset=integers)
+def test_output_template_equals_canonical_bytes(task, instance, period,
+                                                value, inputs, offset):
+    payload = build_output_statement(task, instance, period, value,
+                                     inputs, offset)
+    template = OutputTemplate(task, instance)
+    assert template.canonical(payload) == canonical_bytes(payload)
+    # Any other shape, name or field type is canonical_bytes' to answer.
+    for other in ({**payload, "extra": 1},
+                  {k: v for k, v in payload.items() if k != "value"},
+                  {**payload, "task": task + "x"},
+                  {**payload, "value": True},
+                  {**payload, "input_digest": "\"q\\"}):
+        assert template.canonical(other) == canonical_bytes(other)
+
+
+@given(flow=names, period=integers, value=integers, offset=integers,
+       reconstructed=st.booleans())
+def test_forward_template_equals_canonical_bytes(flow, period, value,
+                                                 offset, reconstructed):
+    payload = build_forward_statement(flow, period, value, offset,
+                                      reconstructed=reconstructed)
+    template = ForwardTemplate(flow)
+    assert template.canonical(payload) == canonical_bytes(payload)
+    for other in ({**payload, "extra": 1},
+                  {k: v for k, v in payload.items() if k != "period"},
+                  {**payload, "flow": flow + "x"},
+                  {**payload, "send_offset": 1.5},
+                  {**payload, "reconstructed": 1}):
+        assert template.canonical(other) == canonical_bytes(other)
 
 
 # -------------------------------------------------------------------- blame

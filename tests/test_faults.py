@@ -383,7 +383,7 @@ def test_script_round_trip_replays_byte_identically():
     from repro import BTRConfig, BTRSystem
     from repro.faults import script_from_dict, script_to_dict
     from repro.net import full_mesh_topology
-    from repro.perf.fastpath import trace_fingerprint
+    from repro.sim.trace import trace_fingerprint
     from repro.workload import pipeline_workload
 
     system = BTRSystem(pipeline_workload(),

@@ -199,17 +199,19 @@ def test_shipped_tree_is_lint_clean():
 
 
 def test_fastpath_module_is_in_lint_scope(tmp_path):
-    """The online fast path lives in the determinism-critical layer: a
-    wall-clock read or unseeded RNG sneaking into repro/perf/fastpath.py
-    must be flagged (only perf/timing.py is sanctioned to read time)."""
+    """The verify memo lives in a determinism-critical layer: a
+    wall-clock read or unseeded RNG sneaking into repro/crypto/memo.py
+    (its home since perf/fastpath.py was retired) must be flagged, and
+    only perf/timing.py is sanctioned to read time."""
     from tools.lint.rules import _in_restricted_layer
 
-    assert _in_restricted_layer("src/repro/perf/fastpath.py")
+    assert _in_restricted_layer("src/repro/crypto/memo.py")
+    assert _in_restricted_layer("src/repro/perf/batchcore.py")
     assert not _in_restricted_layer("src/repro/perf/timing.py")
 
-    pkg = tmp_path / "repro" / "perf"
+    pkg = tmp_path / "repro" / "crypto"
     pkg.mkdir(parents=True)
-    (pkg / "fastpath.py").write_text(
+    (pkg / "memo.py").write_text(
         "import time\nstamp = time.monotonic()\n")
     violations = lint_paths([str(tmp_path)])
     assert [v.rule for v in violations] == ["wallclock"]

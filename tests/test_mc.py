@@ -159,7 +159,11 @@ def test_campaign_dedup_is_nontrivial():
 def test_campaign_byte_identical_across_worker_counts():
     params = tiny_params(kinds=("crash", "commission"), ticks=2,
                          max_depth=2, max_paths=60)
-    serial, _ = run_tiny(params)
+    serial, sstats = run_tiny(params)
+    # The fork ceiling is a host-side figure: recorded in the stats,
+    # never in the byte-compared report, whoever explored the cells.
+    assert 0.0 < sstats.shared_prefix_share < 1.0
+    assert "shared_prefix" not in json.dumps(serial)
     try:
         parallel, pstats = run_tiny(
             CheckParams(**{**params.__dict__, "workers": 4}))
@@ -169,6 +173,7 @@ def test_campaign_byte_identical_across_worker_counts():
         pytest.skip("worker pool could not be created")
     assert json.dumps(serial, sort_keys=True) \
         == json.dumps(parallel, sort_keys=True)
+    assert pstats.shared_prefix_share == sstats.shared_prefix_share
 
 
 def test_campaign_underprovisioned_R_yields_confirmed_counterexample():

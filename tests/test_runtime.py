@@ -256,6 +256,15 @@ def test_mode_switches_are_lockstep():
     # Every correct node adopts each mode at the same boundary.
     for mode, times in switch_times.items():
         assert len(times) == 1, f"mode {mode} adopted at {sorted(times)}"
+    # ...and from then on executes the adopted plan's compiled program,
+    # the one that plan holds for the node.
+    assert switch_times
+    for node, agent in system.agents.items():
+        if node in faulty:
+            continue
+        assert agent.plan is system.strategy.plan_for(faulty)
+        assert agent.plan is not system.strategy.nominal
+        assert agent.program is agent.plan.programs[node]
 
 
 def test_run_result_summary_mentions_faults():

@@ -19,12 +19,12 @@ import pytest
 from repro import BTRConfig, BTRSystem
 from repro.core.evidence.records import Evidence
 from repro.crypto.authenticator import AuthenticatedStatement
+from repro.crypto.memo import VerifyMemo
 from repro.crypto.signatures import KeyDirectory, Signature, canonical_bytes
 from repro.faults.scenarios import stage
 from repro.net import full_mesh_topology
 from repro.obs import REQUIRED_KINDS
 from repro.obs.recovery import reconstruct_timelines
-from repro.perf.fastpath import VerifyMemo
 from repro.sim.trace import MILESTONE_KINDS, TRACE_MODES, Trace, MessageSent
 from repro.workload import industrial_workload
 from tests import golden

@@ -40,8 +40,9 @@ numbers:
   makes runs differ between processes while every in-process comparison
   still passes.
 
-The first two are scoped to ``src/repro/sim``, ``src/repro/core`` and
-``src/repro/perf`` (the determinism-critical layers); the clock/RNG
+The first two are scoped to ``src/repro/sim``, ``src/repro/core``,
+``src/repro/perf`` and ``src/repro/crypto`` (the determinism-critical
+layers; the verify memo's eviction lives in the last); the clock/RNG
 façades themselves (``sim/time.py``, ``sim/clock.py``,
 ``sim/random.py``) are exempt, being the sanctioned wrappers, as is
 ``perf/timing.py`` — the one module allowed to read the host clock,
@@ -75,7 +76,8 @@ Hit = Tuple[int, int, str]
 
 #: Path fragments of the determinism-critical layers (posix-style).
 RESTRICTED_FRAGMENTS = ("repro/sim/", "repro/core/", "repro/perf/",
-                        "repro/obs/", "repro/mc/", "repro/fuzz/")
+                        "repro/crypto/", "repro/obs/", "repro/mc/",
+                        "repro/fuzz/")
 #: Layers where node-id iteration order leaks into campaign reports.
 NODE_ORDER_FRAGMENTS = ("repro/mc/", "repro/faults/",
                         "repro/perf/batchcore", "repro/perf/shardcore",

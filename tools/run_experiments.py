@@ -126,6 +126,7 @@ STREAMS = {
             "distinct_states": SUM, "dedup_hits": SUM, "pruned": SUM,
             "violating_paths": SUM, "replay_confirmed": SUM,
             "best_states_per_sec": ("max", "states_per_sec", 1),
+            "shared_prefix_share": ("max", "shared_prefix_share", 3),
             "dedup_hit_rate": ("ratio", ("dedup_hits",), ("paths",), 3),
             "prune_ratio": ("ratio", ("pruned",), ("pruned", "paths"), 3),
         },

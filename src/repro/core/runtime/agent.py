@@ -274,10 +274,8 @@ class NodeAgent:
             return
         trace = self.system.trace
         if trace.wants(TaskExecuted):
-            trace.record(TaskExecuted(
-                time=self.sim.now, node=self.node_id, task=instance,
-                period_index=k, duration=member.duration,
-            ))
+            trace.record_row(self.sim.now, (
+                TaskExecuted, self.node_id, instance, k, member.duration))
         else:
             trace.tally(TaskExecuted)
         if member.is_checker:

@@ -495,15 +495,15 @@ class BTRSystem:
             self._edge_cache[key] = entry
         link, lane, node = entry
         sim = self.sim
-        # Per-hop events dominate trace volume; in milestone/counts modes
-        # skip the dataclass allocation entirely and count locally (the
-        # counters are flushed into the trace tallies at end of run).
+        # Per-hop events dominate trace volume: a full trace gets a row
+        # (the event is built only if somebody reads it back), and in
+        # milestone/counts modes even that is skipped and the hop counted
+        # locally (the counters are flushed into the trace tallies at end
+        # of run).
         if self._hops_retained:
-            self.trace.record(MessageSent(
-                time=sim.now, src=sender, dst=receiver,
-                kind=message.kind.value, size_bits=message.size_bits,
-                flow=message.flow,
-            ))
+            self.trace.record_row(sim.now, (
+                MessageSent, sender, receiver, message.kind.value,
+                message.size_bits, message.flow))
         else:
             self._tally_sent += 1
         now = sim.now
@@ -532,10 +532,9 @@ class BTRSystem:
     def _deliver(self, node, sender: str, receiver: str,
                  message: Message, arrival: int) -> None:
         if self._hops_retained:
-            self.trace.record(MessageDelivered(
-                time=arrival, src=sender, dst=receiver,
-                kind=message.kind.value, flow=message.flow,
-            ))
+            self.trace.record_row(arrival, (
+                MessageDelivered, sender, receiver, message.kind.value,
+                message.flow))
         else:
             self._tally_delivered += 1
         # Inlined Node.deliver: same crashed check, same handler order.
@@ -553,10 +552,9 @@ class BTRSystem:
     def _dropped(self, sender: str, receiver: str,
                  message: Message) -> None:
         if self._hops_retained:
-            self.trace.record(MessageDropped(
-                time=self.sim.now, src=sender, dst=receiver,
-                kind=message.kind.value, reason="link_loss",
-            ))
+            self.trace.record_row(self.sim.now, (
+                MessageDropped, sender, receiver, message.kind.value,
+                "link_loss"))
         else:
             self._tally_dropped += 1
         self.metrics.inc("messages_dropped", reason="link_loss")

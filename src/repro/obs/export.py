@@ -65,13 +65,24 @@ def run_report(result, timelines: Optional[List[FaultTimeline]] = None
 def export_run(result, path: str,
                timelines: Optional[List[FaultTimeline]] = None
                ) -> Dict[str, object]:
-    """Write the run's observability report to ``path`` and return it."""
+    """Write the run's observability report to ``path`` atomically and
+    return it: a write or rename that fails takes its temp file with it
+    and leaves whatever ``path`` held before untouched."""
     report = run_report(result, timelines)
     directory = os.path.dirname(os.path.abspath(path))
     os.makedirs(directory, exist_ok=True)
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(report, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    tmp = f"{path}.tmp.{os.getpid()}"
+    try:
+        with open(tmp, "w", encoding="utf-8") as fh:
+            json.dump(report, fh, indent=2, sort_keys=True)
+            fh.write("\n")
+        os.replace(tmp, path)
+    except BaseException:
+        try:
+            os.unlink(tmp)
+        except OSError:
+            pass
+        raise
     return report
 
 
@@ -108,6 +119,10 @@ def load_report(path: str) -> Dict[str, object]:
         raise ValueError(
             f"{path}: report is missing keys: {', '.join(missing)} — "
             f"is this a `repro run --obs` report?")
+    if report["version"] != REPORT_VERSION:
+        raise ValueError(
+            f"{path}: report version {report['version']!r} is not "
+            f"supported (this build reads version {REPORT_VERSION})")
     faults = report["faults"]
     if not isinstance(faults, list):
         raise ValueError(f"{path}: 'faults' must be a list, got "

@@ -23,6 +23,14 @@ event per message:
   the batch events themselves are free-list recycled, so the
   steady-state loop allocates almost nothing;
 
+* **hop rows** — in a ``full`` trace every send, delivery and link loss
+  here is handed to :meth:`~repro.sim.trace.Trace.record_row` as a row,
+  never built as an event. An evidence copy's row is one tuple; a
+  heartbeat copy's three possible rows (sent, delivered, lost) are fixed
+  for the run and ride prebuilt in its emission-plan entry, so recording
+  a heartbeat copy — two thirds of a ``fullmesh:7`` trace — allocates
+  nothing;
+
 * **multi-seed sweeps** — :func:`run_sweep` runs N seeds in one process
   against one prepared system: the frozen strategy (and, held by each
   plan, its compiled node programs —
@@ -81,7 +89,9 @@ class _HeartbeatBatch:
         self.k = 0
         self.arrival = 0
         #: The sender's emission-plan entries (see
-        #: :meth:`BatchRuntime.begin_run`), one per copy, whole.
+        #: :meth:`BatchRuntime.begin_run`), one per copy, whole: the
+        #: batch reads the receiver, the dispatch shortcut and the
+        #: delivered / lost trace rows off them.
         self.entries: List[tuple] = []
         #: Positions in ``entries`` whose frame the link lost.
         self.lost: List[int] = []
@@ -109,23 +119,15 @@ class _HeartbeatBatch:
         dropped = 0
         seen_key = (origin, k)
         for i, entry in enumerate(entries):
-            rid = entry[0]
             if lost and i in lost:
                 if retained:
-                    # Trace records are immutable fresh objects by design.
-                    trace.record(MessageDropped(  # lint: ignore[allocation-in-loop]
-                        time=arrival, src=sender, dst=rid, kind="control",
-                        reason="link_loss",
-                    ))
+                    trace.record_row(arrival, entry[9])
                 else:
                     dropped += 1
                 metrics.inc("messages_dropped", reason="link_loss")
                 continue
             if retained:
-                trace.record(MessageDelivered(  # lint: ignore[allocation-in-loop]
-                    time=arrival, src=sender, dst=rid, kind="control",
-                    flow=None,
-                ))
+                trace.record_row(arrival, entry[8])
             else:
                 delivered += 1
             node = entry[3]
@@ -144,7 +146,7 @@ class _HeartbeatBatch:
                 # Non-standard handler chain: dispatch a real message so
                 # observers see every heartbeat copy.
                 message = Message(  # lint: ignore[allocation-in-loop]
-                    src=sender, dst=rid, kind=MessageKind.CONTROL,
+                    src=sender, dst=entry[0], kind=MessageKind.CONTROL,
                     payload=("heartbeat", origin, k),
                     size_bits=HEARTBEAT_BITS,
                 )
@@ -200,21 +202,18 @@ class _MessageBatch:
             message = messages[i]
             if lost[i]:
                 if retained:
-                    # Trace records are immutable fresh objects by design.
-                    trace.record(MessageDropped(  # lint: ignore[allocation-in-loop]
-                        time=arrival, src=sender, dst=message.dst,
-                        kind=message.kind.value, reason="link_loss",
-                    ))
+                    trace.record_row(arrival, (
+                        MessageDropped, sender, message.dst,
+                        message.kind.value, "link_loss"))
                 else:
                     dropped += 1
                 metrics.inc("messages_dropped", reason="link_loss")
                 pool.release(message)
                 continue
             if retained:
-                trace.record(MessageDelivered(  # lint: ignore[allocation-in-loop]
-                    time=arrival, src=sender, dst=message.dst,
-                    kind=message.kind.value, flow=message.flow,
-                ))
+                trace.record_row(arrival, (
+                    MessageDelivered, sender, message.dst,
+                    message.kind.value, message.flow))
             else:
                 delivered += 1
             node = nodes[i]
@@ -265,8 +264,12 @@ class BatchRuntime:
         everything that cannot change mid-run resolved ahead of time:
         the lane, the receiving node, the heartbeat dispatch shortcut,
         and — for the fixed-size heartbeat frame — the serialization
-        duration itself. ``loss_probability`` is read live per emission
-        (link scripts mutate it mid-run)."""
+        duration itself and the three trace rows a copy can leave
+        (``MessageSent`` / ``MessageDelivered`` / ``MessageDropped``:
+        sender, neighbour, ``"control"`` and 128 bits never change), so
+        a full trace records the plan's own tuples.
+        ``loss_probability`` is read live per emission (link scripts
+        mutate it mid-run)."""
         self._hb_plans = {}
         self._ev_plans = {}
         self.batches_fired = 0
@@ -297,9 +300,14 @@ class BatchRuntime:
                                      / ctrl.rate_bits_per_us))
                 if duration < 1:
                     duration = 1
-                hb_plan.append((neighbor, link, ctrl, node,
-                                shortcut.get(neighbor), duration,
-                                duration + link.propagation_us))
+                hb_plan.append((
+                    neighbor, link, ctrl, node, shortcut.get(neighbor),
+                    duration, duration + link.propagation_us,
+                    (MessageSent, node_id, neighbor, "control",
+                     HEARTBEAT_BITS, None),
+                    (MessageDelivered, node_id, neighbor, "control", None),
+                    (MessageDropped, node_id, neighbor, "control",
+                     "link_loss")))
                 ev_plan.append((neighbor, link,
                                 link.lane_for(node_id,
                                               MessageKind.EVIDENCE),
@@ -333,10 +341,7 @@ class BatchRuntime:
             link = entry[1]
             lane = entry[2]
             if retained:
-                trace.record(MessageSent(  # lint: ignore[allocation-in-loop]
-                    time=now, src=sender, dst=neighbor, kind="control",
-                    size_bits=HEARTBEAT_BITS, flow=None,
-                ))
+                trace.record_row(now, entry[7])
             else:
                 sent += 1
             # Inlined Lane.reserve with the precomputed constant duration
@@ -392,10 +397,8 @@ class BatchRuntime:
             link = entry[1]
             lane = entry[2]
             if retained:
-                trace.record(MessageSent(  # lint: ignore[allocation-in-loop]
-                    time=now, src=sender, dst=neighbor, kind=kind_value,
-                    size_bits=bits, flow=None,
-                ))
+                trace.record_row(now, (MessageSent, sender, neighbor,
+                                 kind_value, bits, None))
             else:
                 sent += 1
             free = lane.next_free

@@ -19,6 +19,7 @@ from .node import CpuLane, Node
 from .random import DeterministicRandom
 from .time import MS, NEVER, S, US, format_time, ms, seconds, to_seconds, us
 from .trace import (
+    HOP_KINDS,
     MILESTONE_KINDS,
     TRACE_MODES,
     Custom,
@@ -63,6 +64,7 @@ __all__ = [
     "seconds",
     "to_seconds",
     "us",
+    "HOP_KINDS",
     "MILESTONE_KINDS",
     "TRACE_MODES",
     "Custom",

@@ -11,21 +11,35 @@ Recording modes trade fidelity for speed on benchmark sweeps:
 * ``full`` (default) — every event is retained, as before;
 * ``milestones`` — only the recovery-relevant kinds
   (:data:`MILESTONE_KINDS`) are retained; per-hop traffic
-  (``MessageSent``/``MessageDelivered``/``MessageDropped``/
-  ``TaskExecuted``) is tallied per kind but not allocated;
+  (:data:`HOP_KINDS`: ``MessageSent``/``MessageDelivered``/
+  ``MessageDropped``/``TaskExecuted``) is tallied per kind but not
+  allocated;
 * ``counts-only`` — nothing is retained, everything is tallied.
 
-Hot producers should ask :meth:`Trace.wants` before *constructing* an
-event and call :meth:`Trace.tally` instead when the answer is no — that
-is where the allocation win comes from. ``record()`` still accepts any
-event in any mode (tallying unretained kinds), so cold producers need no
-changes. ``count()``/``kind_counts()`` merge tallies with retained
-events, so the event census is mode-independent.
+Storage is columnar: a time column (``array('q')``) beside a row column,
+one entry each per retained event, in record order. A row is either the
+event object :meth:`Trace.record` was given, kept and returned as the
+object it is, or a *hop row* — the plain tuple ``(kind, *fields after
+time)`` a hot producer handed to :meth:`Trace.record_row` instead of
+building the dataclass. Only :data:`HOP_KINDS` may arrive as rows. An
+event object for a hop row exists only while somebody reads it:
+``__iter__`` / ``of_kind`` / ``between`` / ``last`` build
+``kind(time, *fields)`` from column + row on the way out; ``len``,
+``count`` and ``kind_counts`` never do. The out-of-order check runs on
+every recorded time, whichever way it arrives.
+
+Hot producers should ask :meth:`Trace.wants` before building even the row
+and count locally (or :meth:`Trace.tally`) when the answer is no.
+``record()`` accepts any event in any mode (tallying unretained kinds),
+so cold producers build the event and need know none of this.
+``count()``/``kind_counts()`` merge tallies with retained events, so the
+event census is mode-independent.
 """
 
 from __future__ import annotations
 
 import hashlib
+from array import array
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from typing import (
@@ -185,13 +199,31 @@ MILESTONE_KINDS = frozenset({
 })
 
 
+#: The per-hop kinds that dominate event volume — everything outside
+#: :data:`MILESTONE_KINDS`. These are the only kinds a hot producer may
+#: hand to :meth:`Trace.record_row` as a row, and the only kinds whose
+#: per-kind index is positions into the columns rather than a list of
+#: event objects.
+HOP_KINDS = frozenset({
+    MessageSent,
+    MessageDelivered,
+    MessageDropped,
+    TaskExecuted,
+})
+
+#: Below any recordable time: ``array('q')`` cannot hold less.
+_BEFORE_ALL = -(1 << 63)
+
+
 class Trace:
     """An append-only, time-ordered event log for one run.
 
-    Events are indexed by concrete type as they are recorded, so the
-    analysis layer's ``of_kind`` queries (issued per flow, per node, per
-    metric) cost O(matches) instead of rescanning the whole log each
-    time. ``between`` binary-searches the time-ordered log.
+    Two parallel columns hold the log (module docstring): ``_times`` and
+    ``_rows``. Milestone-kind events are also indexed by concrete type
+    as they are recorded, so the analysis layer's ``of_kind`` queries
+    (issued per flow, per node, per metric) are a list copy; hop kinds
+    are indexed by column position, lazily, on the first query that
+    needs them. ``between`` binary-searches the time column.
     """
 
     def __init__(self, mode: str = MODE_FULL) -> None:
@@ -200,9 +232,19 @@ class Trace:
                 f"unknown trace mode {mode!r}; expected one of {TRACE_MODES}"
             )
         self.mode = mode
-        self._events: List[TraceEvent] = []
-        #: Per-concrete-type index, maintained on record().
+        #: Time column: the timestamp of every retained event.
+        self._times = array("q")
+        #: Row column: a TraceEvent, or a hop row ``(kind, *fields)``.
+        self._rows: List[Any] = []
+        self._last_time = _BEFORE_ALL
+        #: Per-concrete-type index of the milestone-kind (strictly: not
+        #: hop-kind) event objects, maintained on record().
         self._by_kind: Dict[type, List[TraceEvent]] = {}
+        #: Per-hop-kind column positions, filled by _index_hops() up to
+        #: ``_hops_indexed``.
+        self._hop_positions: Dict[type, array] = {
+            kind: array("I") for kind in HOP_KINDS}
+        self._hops_indexed = 0
         #: Per-kind-name counts of events tallied but not retained.
         self._tallies: Dict[str, int] = {}
         if mode == MODE_FULL:
@@ -217,8 +259,8 @@ class Trace:
         return self._retained is None or kind in self._retained
 
     # ``wants`` is the hot-producer spelling of ``retains``: call it
-    # before building the event object, and ``tally`` instead when the
-    # answer is no — skipping the dataclass allocation entirely.
+    # before building the row (or event), and ``tally`` instead when the
+    # answer is no — skipping the allocation entirely.
     wants = retains
 
     def tally(self, kind: Type[TraceEvent], n: int = 1) -> None:
@@ -226,46 +268,97 @@ class Trace:
         name = kind.__name__
         self._tallies[name] = self._tallies.get(name, 0) + n
 
+    def _out_of_order(self, time: int) -> ValueError:
+        # Events are produced by the engine in time order; a violation
+        # indicates a bug in the producer, not the trace.
+        return ValueError(
+            f"out-of-order trace event at {time} "
+            f"(last was {self._last_time})"
+        )
+
     def record(self, event: TraceEvent) -> None:
-        if not self.retains(type(event)):
-            self.tally(type(event))
+        kind = type(event)
+        if not self.retains(kind):
+            self.tally(kind)
             return
-        if self._events and event.time < self._events[-1].time:
-            # Events are produced by the engine in time order; a violation
-            # indicates a bug in the producer, not the trace.
-            raise ValueError(
-                f"out-of-order trace event at {event.time} "
-                f"(last was {self._events[-1].time})"
-            )
-        self._events.append(event)
-        self._by_kind.setdefault(type(event), []).append(event)
+        time = event.time
+        if time < self._last_time:
+            raise self._out_of_order(time)
+        self._last_time = time
+        self._times.append(time)
+        self._rows.append(event)
+        if kind not in HOP_KINDS:
+            self._by_kind.setdefault(kind, []).append(event)
+
+    def record_row(self, time: int, row: tuple) -> None:
+        """Record a hop without building it: ``row`` is ``(kind, *fields
+        after time)`` with ``kind`` one of :data:`HOP_KINDS`. The row is
+        kept as handed over (producers may pass the same prebuilt tuple
+        every time) and becomes ``kind(time, *fields)`` only when read."""
+        if self._retained is not None:
+            # No hop kind is retained outside ``full``.
+            self.tally(row[0])
+            return
+        if time < self._last_time:
+            raise self._out_of_order(time)
+        self._last_time = time
+        self._times.append(time)
+        self._rows.append(row)
+
+    def _event(self, pos: int) -> TraceEvent:
+        row = self._rows[pos]
+        if type(row) is tuple:
+            return row[0](self._times[pos], *row[1:])
+        return row
+
+    def _index_hops(self) -> Dict[type, array]:
+        """Bring the hop-kind position index up to date with the columns
+        (incremental: each entry is looked at once per trace)."""
+        rows = self._rows
+        positions = self._hop_positions
+        for pos in range(self._hops_indexed, len(rows)):
+            row = rows[pos]
+            if type(row) is tuple:
+                # KeyError: somebody handed over a row of a non-hop kind.
+                positions[row[0]].append(pos)
+            elif type(row) in positions:
+                positions[type(row)].append(pos)
+        self._hops_indexed = len(rows)
+        return positions
 
     def __len__(self) -> int:
-        return len(self._events)
+        return len(self._rows)
 
     def __iter__(self) -> Iterator[TraceEvent]:
-        return iter(self._events)
+        for time, row in zip(self._times, self._rows):
+            yield row[0](time, *row[1:]) if type(row) is tuple else row
 
     def of_kind(self, kind: Type[E]) -> List[E]:
         """All events of exactly the given type, in time order."""
+        if kind in HOP_KINDS:
+            return [self._event(pos)  # type: ignore[misc]
+                    for pos in self._index_hops()[kind]]
         # Copy so later record() calls don't mutate what callers hold.
         return list(self._by_kind.get(kind, ()))  # type: ignore[arg-type]
 
     def count(self, kind: Type[E]) -> int:
-        """Number of events of exactly the given type. O(1).
+        """Number of events of exactly the given type; never builds one.
 
         Includes tallied-but-unretained events, so counts are
         mode-independent.
         """
-        return (len(self._by_kind.get(kind, ()))
-                + self._tallies.get(kind.__name__, 0))
+        if kind in HOP_KINDS:
+            retained = len(self._index_hops()[kind])
+        else:
+            retained = len(self._by_kind.get(kind, ()))
+        return retained + self._tallies.get(kind.__name__, 0)
 
     def between(self, start: int, end: int) -> List[TraceEvent]:
         """Events with start ≤ time < end."""
-        events = self._events
-        lo = bisect_left(events, start, key=lambda e: e.time)
-        hi = bisect_left(events, end, key=lambda e: e.time)
-        return events[lo:hi]
+        times = self._times
+        return [self._event(pos)
+                for pos in range(bisect_left(times, start),
+                                 bisect_left(times, end))]
 
     def outputs(self) -> List[OutputProduced]:
         return self.of_kind(OutputProduced)
@@ -274,6 +367,9 @@ class Trace:
         return self.of_kind(FaultInjected)
 
     def last(self, kind: Type[E]) -> Optional[E]:
+        if kind in HOP_KINDS:
+            positions = self._index_hops()[kind]
+            return self._event(positions[-1]) if positions else None  # type: ignore[return-value]
         events = self._by_kind.get(kind)
         return events[-1] if events else None  # type: ignore[return-value]
 
@@ -287,6 +383,9 @@ class Trace:
         """
         counts = {cls.__name__: len(events)
                   for cls, events in self._by_kind.items()}
+        for cls, positions in self._index_hops().items():
+            if positions:
+                counts[cls.__name__] = len(positions)
         for name, n in self._tallies.items():
             counts[name] = counts.get(name, 0) + n
         return {name: counts[name] for name in sorted(counts)}

@@ -192,6 +192,43 @@ class TestExport:
         for fault in load_report(path)["faults"]:
             assert sum(fault["phases"].values()) == fault["total_us"]
 
+    def test_load_rejects_a_report_of_another_version(self, commission_run,
+                                                      tmp_path):
+        from repro.cli import main as cli_main
+        from repro.obs.export import REPORT_VERSION
+
+        _, result = commission_run
+        path = tmp_path / "run.json"
+        report = export_run(result, str(path))
+        report["version"] = REPORT_VERSION + 1
+        path.write_text(json.dumps(report))
+        with pytest.raises(ValueError) as caught:
+            load_report(str(path))
+        message = str(caught.value)
+        assert str(path) in message and "\n" not in message
+        assert f"version {REPORT_VERSION + 1}" in message
+        assert f"version {REPORT_VERSION})" in message
+        assert cli_main(["trace", str(path)]) == 2
+
+    def test_failed_export_leaves_no_litter_and_the_previous_report(
+            self, commission_run, tmp_path, monkeypatch):
+        import os
+
+        _, result = commission_run
+        path = tmp_path / "run.json"
+        export_run(result, str(path))
+        before = path.read_bytes()
+
+        def failing_replace(src, dst):
+            raise OSError("disk full")
+
+        monkeypatch.setattr(os, "replace", failing_replace)
+        with pytest.raises(OSError, match="disk full"):
+            export_run(result, str(path))
+        assert os.listdir(tmp_path) == ["run.json"]
+        assert path.read_bytes() == before
+        load_report(str(path))
+
     def test_render_phase_report(self, commission_run):
         _, result = commission_run
         text = render_phase_report(run_report(result))

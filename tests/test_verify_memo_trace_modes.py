@@ -58,6 +58,23 @@ class TestDeterminismProperty:
         # per-message path recorded for this cell.
         golden.assert_matches(full_sys, full, SCENARIO)
 
+        # Every heartbeat copy in the full trace is one of the emission
+        # plan's own prebuilt rows — the same tuple object, so recording
+        # a copy allocated nothing. (Sends are recognisable by content:
+        # only a heartbeat is a 128-bit control frame to a neighbour.)
+        entries = [entry
+                   for plan in full_sys.batch_runtime._hb_plans.values()
+                   for entry in plan]
+        sends = {entry[7] for entry in entries}
+        own = {id(row) for entry in entries for row in entry[7:]}
+        rows = full.trace._rows
+        sent = [row for row in rows if type(row) is tuple and row in sends]
+        assert sent and all(id(row) in own for row in sent)
+        # ...and so are their deliveries and link losses.
+        arrived = sum(id(row) in own for row in rows) - len(sent)
+        assert 0 < arrived <= len(sent)
+        assert len(sent) + arrived > len(rows) // 2
+
         # The milestone trace is exactly the milestone-kind subsequence
         # of the full trace — same events, same fields, same order.
         assert (golden.milestone_reprs(miles.trace)

@@ -39,7 +39,6 @@ from repro.fuzz import check_corpus, load_corpus
 from repro.mc import CheckParams, replay_counterexample, run_campaign
 from repro.net import full_mesh_topology, mesh_topology
 from repro.obs import reconstruct_timelines
-from repro.perf.batchcore import shared_prepare
 from repro.verify.bounds import (SoundnessCheck, check_timelines,
                                  compute_bounds)
 from repro.workload import (automotive_workload, avionics_workload,
@@ -83,7 +82,7 @@ CORPUS_DIR = os.path.join(os.path.dirname(os.path.dirname(
 def _prepared(workload_fn, topology_fn, seed: int = 42) -> BTRSystem:
     system = BTRSystem(workload_fn(), topology_fn(),
                        BTRConfig(f=1, seed=seed))
-    shared_prepare(system)
+    system.prepare()
     return system
 
 
@@ -108,8 +107,7 @@ def _grid_campaign(name, workload_fn, topology_fn) -> dict:
         for victim in victims:
             for i in range(n_offsets):
                 at = 4 * period + i * period // n_offsets + 17
-                system = _prepared(workload_fn, topology_fn)
-                result = system.run(
+                result = probe.run(
                     N_PERIODS,
                     SingleFaultAdversary(at=at, kind=kind, node=victim))
                 check_timelines(report, reconstruct_timelines(result),

@@ -42,7 +42,7 @@ from repro.analysis import format_table
 from repro.faults.scenarios import stage
 from repro.net import geo_topology
 from repro.perf.batchcore import run_sweep
-from repro.perf.shardcore import GeoSweepSpec, run_sweep_pool, system_for_spec
+from repro.perf.pool import GeoSweepSpec, run_sweep_pool, system_for_spec
 from repro.perf.timing import Stopwatch
 from repro.workload import industrial_workload, stretched_workload
 

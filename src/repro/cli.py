@@ -1,6 +1,6 @@
 """Command-line interface: ``python -m repro <command>``.
 
-Four commands:
+Eight commands:
 
 ``plan``
     Run the offline planner and print the strategy: one row per fault
@@ -21,6 +21,11 @@ Four commands:
     :mod:`repro.verify`: schedule soundness, placement validity,
     route/bandwidth feasibility, mode-graph completeness. Exits
     nonzero on any error finding (and on warnings with ``--strict``).
+
+``bounds``
+    Derive the analytic worst-case recovery bound per fault class and
+    mode from the prepared artifacts (:mod:`repro.verify.bounds`) and
+    compare it with the planned budget. Exits 1 when a bound exceeds it.
 
 ``trace``
     Render a saved observability report (``run --obs FILE``): the
@@ -49,7 +54,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from typing import Callable, Dict, List, Optional
+from typing import List, Optional
 
 from . import BTRConfig, BTRSystem
 from .analysis import (
@@ -78,22 +83,7 @@ from .net import (
     star_topology,
 )
 from .sim import TRACE_MODES, seconds, to_seconds
-from .workload import (
-    automotive_workload,
-    avionics_workload,
-    industrial_workload,
-    pipeline_workload,
-    power_grid_workload,
-    stretched_workload,
-)
-
-WORKLOADS: Dict[str, Callable] = {
-    "industrial": industrial_workload,
-    "avionics": avionics_workload,
-    "automotive": automotive_workload,
-    "pipeline": pipeline_workload,
-    "power_grid": power_grid_workload,
-}
+from .workload import WORKLOADS, stretched_workload
 
 BASELINES = {
     "unreplicated": UnreplicatedSystem,
@@ -232,23 +222,36 @@ def build_parser() -> argparse.ArgumentParser:
     trace.add_argument("report", metavar="RUN_JSON",
                        help="a report written by `repro run --obs FILE`")
 
-    check = sub.add_parser(
-        "check", help="bounded model checking of the mode-switch protocol")
-    common(check)
-    check.add_argument("--periods", type=int, default=0,
-                       help="simulated periods per path (0 = auto-size so "
-                            "the latest injection plus a full recovery "
+    def search(p, kinds):
+        """The flags ``check`` and ``fuzz campaign`` share."""
+        p.add_argument("--periods", type=int, default=0,
+                       help="simulated periods per run (0 = auto-size so "
+                            "the latest injection plus the recovery "
                             "budget fits)")
-    check.add_argument("--kinds", nargs="+", metavar="KIND",
-                       choices=sorted(BEHAVIOR_FACTORIES),
-                       default=["crash", "commission"],
+        p.add_argument("--kinds", nargs="+", metavar="KIND",
+                       choices=sorted(BEHAVIOR_FACTORIES), default=kinds,
                        help="fault kinds the adversary may pick")
-    check.add_argument("--window", nargs=2, type=float, default=[2.0, 3.0],
+        p.add_argument("--window", nargs=2, type=float, default=[2.0, 3.0],
                        metavar=("LO", "HI"),
                        help="injection window in periods: faults land in "
                             "[LO*P, HI*P]")
-    check.add_argument("--ticks", type=int, default=2,
+        p.add_argument("--ticks", type=int, default=2,
                        help="injection ticks sampled across the window")
+        p.add_argument("--R", type=float, default=None, dest="R",
+                       help="recovery bound to check, in seconds "
+                            "(default: the prepared budget)")
+        p.add_argument("--k", type=int, default=1,
+                       help="adversary strength multiplier: bound is k*R")
+        p.add_argument("--workers", type=int, default=1,
+                       help="worker processes (the report is "
+                            "byte-identical for every value)")
+        p.add_argument("--report", metavar="FILE", default=None,
+                       help="write the full campaign report as JSON")
+
+    check = sub.add_parser(
+        "check", help="bounded model checking of the mode-switch protocol")
+    common(check)
+    search(check, ["crash", "commission"])
     check.add_argument("--max-depth", type=int, default=2,
                        help="max delivery perturbations along one path")
     check.add_argument("--branch", type=int, default=3,
@@ -258,21 +261,11 @@ def build_parser() -> argparse.ArgumentParser:
     check.add_argument("--max-states", type=int, default=400,
                        help="per-cell path cap; exceeding it leaves the "
                             "campaign uncertified")
-    check.add_argument("--workers", type=int, default=1,
-                       help="worker processes for the cell fan-out (the "
-                            "report is byte-identical for every value)")
-    check.add_argument("--R", type=float, default=None, dest="R",
-                       help="recovery bound to check, in seconds "
-                            "(default: the prepared budget)")
-    check.add_argument("--k", type=int, default=1,
-                       help="adversary strength multiplier: bound is k*R")
     check.add_argument("--no-prune", action="store_true",
                        help="disable sleep-set pruning of commuting "
                             "deliveries (explores the pruned branches too)")
     check.add_argument("--no-nominal", action="store_true",
                        help="skip the fault-free cell")
-    check.add_argument("--report", metavar="FILE", default=None,
-                       help="write the full campaign report as JSON")
     check.add_argument("--cex-dir", metavar="DIR", default=None,
                        help="write each counterexample artifact into DIR")
     check.add_argument("--replay", metavar="FILE", default=None,
@@ -286,22 +279,7 @@ def build_parser() -> argparse.ArgumentParser:
     fuzz_campaign = fuzz_sub.add_parser(
         "campaign", help="run one seeded fuzz campaign")
     common(fuzz_campaign)
-    fuzz_campaign.add_argument(
-        "--periods", type=int, default=0,
-        help="simulated periods per run (0 = auto-size so the latest "
-             "injection plus the recovery budgets fits)")
-    fuzz_campaign.add_argument(
-        "--kinds", nargs="+", metavar="KIND",
-        choices=sorted(BEHAVIOR_FACTORIES),
-        default=["crash", "commission", "omission", "timing"],
-        help="fault kinds the mutator may pick")
-    fuzz_campaign.add_argument(
-        "--window", nargs=2, type=float, default=[2.0, 3.0],
-        metavar=("LO", "HI"),
-        help="injection window in periods: faults land in [LO*P, HI*P]")
-    fuzz_campaign.add_argument(
-        "--ticks", type=int, default=2,
-        help="injection ticks the seed population samples")
+    search(fuzz_campaign, ["crash", "commission", "omission", "timing"])
     fuzz_campaign.add_argument(
         "--generations", type=int, default=4,
         help="mutation generations after the seed generation")
@@ -315,22 +293,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--max-injections", type=int, default=1,
         help="max injections per script (the paper's k)")
     fuzz_campaign.add_argument(
-        "--R", type=float, default=None, dest="R",
-        help="recovery bound to check, in seconds "
-             "(default: the prepared budget)")
-    fuzz_campaign.add_argument(
-        "--k", type=int, default=1,
-        help="adversary strength multiplier: bound is k*R")
-    fuzz_campaign.add_argument(
         "--max-artifacts", type=int, default=8,
         help="cap on minimised counterexample artifacts")
-    fuzz_campaign.add_argument(
-        "--workers", type=int, default=1,
-        help="worker processes for candidate evaluation (the report is "
-             "byte-identical for every value)")
-    fuzz_campaign.add_argument(
-        "--report", metavar="FILE", default=None,
-        help="write the full campaign report as JSON")
     fuzz_campaign.add_argument(
         "--corpus-dir", metavar="DIR", default=None,
         help="write each replay-confirmed counterexample into DIR "
@@ -643,8 +607,60 @@ def _replay_artifact(path: str, args) -> int:
     return 0
 
 
-def cmd_check(args) -> int:
+def _write_json(path: str, payload, what: str, hint: str = "") -> None:
     import json
+
+    with open(path, "w") as f:
+        json.dump(payload, f, indent=2, sort_keys=True)
+    print(f"{what} written to {path}{hint}")
+
+
+def _search_campaign(args, verb: str, per: str, run, params_cls, **own):
+    """What ``check`` and ``fuzz campaign`` share: params (search flags +
+    the verb's ``own`` fields), artifact ``meta``, the campaign itself,
+    the header line. ``wall(rate)`` renders the summary's stats clause.
+    """
+    params = params_cls(
+        kinds=tuple(sorted(set(args.kinds))),
+        window=(args.window[0], args.window[1]),
+        ticks=args.ticks,
+        n_periods=args.periods,
+        R_us=None if args.R is None else seconds(args.R),
+        k=args.k,
+        workers=args.workers,
+        seed=args.seed,
+        **own,
+    )
+    meta = {"workload": args.workload, "topology": args.topology,
+            "bandwidth": args.bandwidth, "f": args.f, "seed": args.seed}
+    report, stats = run(workload_from_args(args),
+                        make_topology(args.topology, args.bandwidth),
+                        config_from_args(args), params=params, meta=meta)
+    resolved = report["params"]
+    print(f"repro {verb}: {args.workload} on {args.topology}, f={args.f}, "
+          f"R={resolved['R_us']}us, k={resolved['k']}, "
+          f"{resolved['n_periods']} periods/{per}")
+
+    def wall(rate: float) -> str:
+        return (f"({stats.wall_s:.2f}s wall, {rate:.1f} {per}s/s, "
+                f"workers={stats.workers}"
+                + (", pool fallback" if stats.pool_fallback else "") + ")")
+
+    return report, stats, wall
+
+
+def _print_counterexample(artifact: dict, size: str) -> None:
+    from .mc import Cell
+
+    confirmed = ("replay-confirmed" if artifact["replay_confirmed"]
+                 else "NOT replay-confirmed")
+    print(f"  counterexample ({Cell.from_dict(artifact['cell']).label()}, "
+          f"{size}, {confirmed}):")
+    for violation in artifact["violations"]:
+        print(f"    [{violation['invariant']}] {violation['detail']}")
+
+
+def cmd_check(args) -> int:
     import os
 
     if args.replay:
@@ -656,44 +672,24 @@ def cmd_check(args) -> int:
             or args.max_states < 1 or args.delay_quantum_us < 1:
         print("repro check: bounds must be positive", file=sys.stderr)
         return 2
-    params = CheckParams(
-        kinds=tuple(sorted(set(args.kinds))),
-        window=(args.window[0], args.window[1]),
-        ticks=args.ticks,
+    report, stats, wall = _search_campaign(
+        args, "check", "path", run_campaign, CheckParams,
         max_depth=args.max_depth,
         branch=args.branch,
         delay_quantum_us=args.delay_quantum_us,
         max_paths=args.max_states,
-        n_periods=args.periods,
-        R_us=None if args.R is None else seconds(args.R),
-        k=args.k,
         prune=not args.no_prune,
         include_fault_free=not args.no_nominal,
-        workers=args.workers,
-        seed=args.seed,
     )
-    meta = {"workload": args.workload, "topology": args.topology,
-            "bandwidth": args.bandwidth, "f": args.f, "seed": args.seed}
-    workload = workload_from_args(args)
-    topology = make_topology(args.topology, args.bandwidth)
-    report, stats = run_campaign(workload, topology,
-                                 config_from_args(args),
-                                 params=params, meta=meta)
 
     totals = report["totals"]
     dedup_rate = (totals["dedup_hits"] / totals["paths"]
                   if totals["paths"] else 0.0)
-    print(f"repro check: {args.workload} on {args.topology}, f={args.f}, "
-          f"R={report['params']['R_us']}us, k={report['params']['k']}, "
-          f"{report['params']['n_periods']} periods/path")
     print(f"explored {totals['paths']} paths in {totals['cells']} cells: "
           f"{totals['distinct_states']} distinct states, "
           f"dedup hit-rate {dedup_rate:.0%}, "
           f"{totals['pruned']} branches pruned "
-          f"({stats.wall_s:.2f}s wall, "
-          f"{stats.states_per_sec:.1f} paths/s, "
-          f"workers={stats.workers}"
-          + (", pool fallback" if stats.pool_fallback else "") + ")")
+          + wall(stats.states_per_sec))
     for violation in report["static_violations"]:
         print(f"  [static] [{violation['invariant']}] "
               f"{violation['detail']}")
@@ -707,29 +703,18 @@ def cmd_check(args) -> int:
         if artifact is None:
             continue
         counterexamples.append(artifact)
-        label = (artifact["cell"]["victim"] and
-                 f"{artifact['cell']['victim']}/{artifact['cell']['kind']}"
-                 f"@{artifact['cell']['inject_at']}" or "nominal")
-        confirmed = ("replay-confirmed" if artifact["replay_confirmed"]
-                     else "NOT replay-confirmed")
-        print(f"  counterexample ({label}, "
-              f"{len(artifact['deliveries'])} delivery perturbation(s), "
-              f"{confirmed}):")
-        for violation in artifact["violations"]:
-            print(f"    [{violation['invariant']}] {violation['detail']}")
+        _print_counterexample(
+            artifact,
+            f"{len(artifact['deliveries'])} delivery perturbation(s)")
 
     if args.cex_dir and counterexamples:
         os.makedirs(args.cex_dir, exist_ok=True)
         for i, artifact in enumerate(counterexamples):
             path = os.path.join(args.cex_dir, f"cex_{i}.json")
-            with open(path, "w") as f:
-                json.dump(artifact, f, indent=2, sort_keys=True)
-            print(f"  counterexample written to {path} "
-                  f"(replay with: repro check --replay {path})")
+            _write_json(path, artifact, "  counterexample",
+                        f" (replay with: repro check --replay {path})")
     if args.report:
-        with open(args.report, "w") as f:
-            json.dump(report, f, indent=2, sort_keys=True)
-        print(f"campaign report written to {args.report}")
+        _write_json(args.report, report, "campaign report")
 
     if report["certified"]:
         print("CERTIFIED: all invariants hold on every explored path")
@@ -739,59 +724,31 @@ def cmd_check(args) -> int:
 
 
 def _fuzz_campaign(args) -> int:
-    import json
-
     from .fuzz import FuzzParams, run_fuzz_campaign, write_corpus
 
     if args.ticks < 1 or args.generations < 0 or args.batch < 1 \
             or args.elite < 1 or args.max_injections < 1:
         print("repro fuzz: bounds must be positive", file=sys.stderr)
         return 2
-    params = FuzzParams(
-        kinds=tuple(sorted(set(args.kinds))),
-        window=(args.window[0], args.window[1]),
-        ticks=args.ticks,
+    report, stats, wall = _search_campaign(
+        args, "fuzz", "run", run_fuzz_campaign, FuzzParams,
         generations=args.generations,
         batch=args.batch,
         elite=args.elite,
         max_injections=args.max_injections,
-        n_periods=args.periods,
-        R_us=None if args.R is None else seconds(args.R),
-        k=args.k,
         max_artifacts=args.max_artifacts,
-        workers=args.workers,
-        seed=args.seed,
     )
-    meta = {"workload": args.workload, "topology": args.topology,
-            "bandwidth": args.bandwidth, "f": args.f, "seed": args.seed}
-    workload = workload_from_args(args)
-    topology = make_topology(args.topology, args.bandwidth)
-    report, stats = run_fuzz_campaign(workload, topology,
-                                      config_from_args(args),
-                                      params=params, meta=meta)
 
-    print(f"repro fuzz: {args.workload} on {args.topology}, f={args.f}, "
-          f"R={report['params']['R_us']}us, k={report['params']['k']}, "
-          f"{report['params']['n_periods']} periods/run")
     print(f"evaluated {report['evaluated']} scripts over "
           f"{len(report['generations'])} generations: "
           f"{len(report['coverage'])} coverage keys, "
           f"best fitness {report['best_fitness']} "
-          f"({stats.wall_s:.2f}s wall, {stats.runs_per_sec:.1f} runs/s, "
-          f"workers={stats.workers}"
-          + (", pool fallback" if stats.pool_fallback else "") + ")")
+          + wall(stats.runs_per_sec))
 
     for artifact in report["counterexamples"]:
-        cell = artifact["cell"]
-        confirmed = ("replay-confirmed" if artifact["replay_confirmed"]
-                     else "NOT replay-confirmed")
-        print(f"  counterexample ({cell['victim']}/{cell['kind']}"
-              f"@{cell['inject_at']}, "
-              f"{len(artifact['fault_script']['injections'])} "
-              f"injection(s), {confirmed}):")
-        for violation in artifact["violations"]:
-            print(f"    [{violation['invariant']}] "
-                  f"{violation['detail']}")
+        _print_counterexample(
+            artifact,
+            f"{len(artifact['fault_script']['injections'])} injection(s)")
     if args.corpus_dir:
         confirmed = [a for a in report["counterexamples"]
                      if a["replay_confirmed"]]
@@ -799,9 +756,7 @@ def _fuzz_campaign(args) -> int:
             print(f"  corpus entry written to {path} "
                   f"(replay with: repro fuzz replay {path})")
     if args.report:
-        with open(args.report, "w") as f:
-            json.dump(report, f, indent=2, sort_keys=True)
-        print(f"campaign report written to {args.report}")
+        _write_json(args.report, report, "campaign report")
 
     if report["found"]:
         print(f"FOUND {report['violating_scripts']} violating script(s), "
@@ -813,8 +768,6 @@ def _fuzz_campaign(args) -> int:
 
 
 def _fuzz_corpus_check(args) -> int:
-    import json
-
     from .fuzz import check_corpus, load_corpus
 
     try:
@@ -840,9 +793,7 @@ def _fuzz_corpus_check(args) -> int:
     print(f"corpus: {report['checked']} entries, "
           f"{report['failed']} failing")
     if args.report:
-        with open(args.report, "w") as f:
-            json.dump(report, f, indent=2, sort_keys=True)
-        print(f"corpus report written to {args.report}")
+        _write_json(args.report, report, "corpus report")
     return 0 if report["ok"] else 1
 
 

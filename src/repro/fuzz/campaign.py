@@ -13,34 +13,32 @@ replay-confirmed — the artifact a corpus entry is made of.
 topology, config, params): candidate genomes derive only from the
 campaign seed, the generation index, and the candidate index; every
 evaluation is a pure function of its genome; batches are evaluated by
-an order-preserving ``pool.map`` and merged in candidate order
-regardless of completion order. ``workers=4`` therefore serialises
-byte-identically to ``workers=1`` — the tests assert it. Wall-clock
-figures live in the separate :class:`FuzzStats`, never in the report.
+the order-preserving :meth:`~repro.perf.pool.WorkerPool.map` and merged
+in candidate order regardless of completion order. ``workers=4``
+therefore serialises byte-identically to ``workers=1`` — the tests
+assert it. Wall-clock figures live in the separate :class:`FuzzStats`,
+never in the report.
 
-**Parallelism is an optimisation, never a semantic** (same contract as
-:mod:`repro.mc.campaign`): if a worker pool cannot be created the
-campaign degrades to in-process evaluation and flags ``pool_fallback``.
+**Parallelism is an optimisation, never a semantic**: same preamble,
+pool and ``pool_fallback`` contract as :mod:`repro.mc.campaign`.
 """
 
 from __future__ import annotations
 
-import json
-import math
-from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, replace
-from typing import Any, Dict, List, Optional, Tuple
+from dataclasses import asdict, dataclass
+from functools import partial
+from typing import Dict, List, Optional, Tuple
 
-from ..core.runtime.system import BTRSystem
+from ..faults.adversary import script_from_dict
+from ..mc.campaign import campaign_pool, prepare_campaign
 from ..mc.choices import Cell
 from ..mc.counterexample import (
     counterexample_to_dict,
     replay_counterexample,
 )
 from ..mc.explorer import state_fingerprint
-from ..mc.invariants import check_path
+from ..mc.judge import first_violating_prefix, judge
 from ..obs.recovery import reconstruct_timelines
-from ..perf.batchcore import shared_prepare
 from ..perf.timing import Stopwatch
 from ..sim.random import DeterministicRandom
 from .fitness import (
@@ -100,20 +98,14 @@ class FuzzStats:
     runs: int = 0
     runs_per_sec: float = 0.0
 
-    def to_dict(self) -> Dict[str, Any]:
-        return asdict(self)
 
-
-def _evaluate(system, payload: dict, params: FuzzParams) -> dict:
+def _evaluate(system, payload: dict, *, params: FuzzParams) -> dict:
     """One candidate end-to-end: run, score, cover. Pure in the genome;
     runs identically in-process or in a worker."""
-    from ..faults.adversary import script_from_dict
-
-    script = script_from_dict(payload)
-    result = system.run(n_periods=params.n_periods, adversary=script)
+    result, violations, _ = judge(
+        system, script_from_dict(payload), n_periods=params.n_periods,
+        R_us=params.R_us, k=params.k)
     timelines = reconstruct_timelines(result)
-    violations = check_path(result, system.strategy, params.R_us,
-                            k=params.k)
     coverage = coverage_keys(result, timelines, payload,
                              system.workload.period)
     coverage |= verdict_keys(violations)
@@ -127,58 +119,23 @@ def _evaluate(system, payload: dict, params: FuzzParams) -> dict:
     }
 
 
-# Per-worker campaign context, installed once by the pool initializer.
-_WORKER_CONTEXT: Optional[Tuple] = None
-_WORKER_SYSTEM: Optional[BTRSystem] = None
-
-
-def _init_worker(context: Tuple) -> None:
-    global _WORKER_CONTEXT
-    _WORKER_CONTEXT = context
-
-
-def _fuzz_task(payload_json: str) -> dict:
-    """Evaluate one candidate in a worker; ships back the plain dict."""
-    global _WORKER_SYSTEM
-    workload, topology, config, params = _WORKER_CONTEXT
-    if _WORKER_SYSTEM is None:
-        system = BTRSystem(workload, topology, config)
-        system.prepare()
-        _WORKER_SYSTEM = system
-    return _evaluate(_WORKER_SYSTEM, json.loads(payload_json), params)
-
-
-def _minimise_script(system, payload: dict, params: FuzzParams
-                     ) -> Tuple[dict, list]:
-    """Shortest violating injection prefix of a violating script.
-
-    Injections are time-ordered, so prefixes are the natural shrink: the
-    first prefix that still violates is returned with its violations
-    (the full script violates by assumption, so the search always
-    terminates with a non-empty result).
-    """
-    from ..faults.adversary import script_from_dict
-
-    entries = payload["injections"]
-    for length in range(1, len(entries) + 1):
-        candidate = {"version": payload["version"],
-                     "injections": entries[:length]}
-        result = system.run(n_periods=params.n_periods,
-                            adversary=script_from_dict(candidate))
-        violations = check_path(result, system.strategy, params.R_us,
-                                k=params.k)
-        if violations:
-            return candidate, violations
-    raise AssertionError("parent script no longer violates")
-
-
 def _make_artifact(system, payload: dict, params: FuzzParams,
                    meta: Optional[dict]) -> dict:
-    """Minimise, serialise (mc counterexample format), replay-confirm."""
-    from ..faults.adversary import script_from_dict
+    """Minimise, serialise (mc counterexample format), replay-confirm.
 
-    minimised, violations = _minimise_script(system, payload, params)
-    first = minimised["injections"][0]
+    Injections are time-ordered, so prefixes are the natural shrink: the
+    shortest non-empty injection prefix that still violates is kept.
+    """
+    def violations_of(entries):
+        candidate = {"version": payload["version"], "injections": entries}
+        return judge(system, script_from_dict(candidate),
+                     n_periods=params.n_periods, R_us=params.R_us,
+                     k=params.k)[1]
+
+    entries, violations = first_violating_prefix(
+        payload["injections"], violations_of, shortest=1)
+    minimised = {"version": payload["version"], "injections": entries}
+    first = entries[0]
     # The cell labels the artifact's first injection; the serialised
     # fault script is the authoritative replay input (deliveries are
     # empty — the fuzzer perturbs the adversary, not the network).
@@ -215,63 +172,28 @@ def run_fuzz_campaign(workload, topology, config,
     byte-comparable across worker counts; the stats carry wall-clock
     figures (runs/sec, pool fallback) for the benchmark layer.
     """
-    params = params or FuzzParams()
     watch = Stopwatch()
-    # Milestone traces carry every event the invariants, the timelines,
-    # and the coverage map read, at a fraction of full-mode volume.
-    config = replace(config, trace_mode="milestones")
-    system = BTRSystem(workload, topology, config)
-    budget = shared_prepare(system)
-    period = workload.period
-
-    R_us = params.R_us if params.R_us is not None else budget.total_us
-    window_end_us = int(params.window[1] * period)
-    # Auto-size the horizon so the latest injection plus one recovery
-    # budget per possible injection (plus a settling period) fits.
-    min_periods = math.ceil(
-        (window_end_us + params.max_injections * budget.total_us)
-        / period) + 1
-    resolved = replace(params, R_us=R_us,
-                       n_periods=max(params.n_periods, min_periods))
+    params = params or FuzzParams()
+    # One recovery budget per possible injection must fit the horizon.
+    system, resolved = prepare_campaign(
+        workload, topology, config, params,
+        recoveries=params.max_injections)
 
     space = MutationSpace.from_system(
         system, kinds=resolved.kinds, window=resolved.window,
         max_injections=resolved.max_injections)
 
-    workers = max(1, resolved.workers)
-    stats = FuzzStats(workers=workers)
-    pool: Optional[ProcessPoolExecutor] = None
-    if workers > 1:
-        # The context is pickled *before* any run attaches handler
-        # closures to topology nodes, which keeps it picklable.
-        context = (workload, topology, config, resolved)
-        try:
-            pool = ProcessPoolExecutor(max_workers=workers,
-                                       initializer=_init_worker,
-                                       initargs=(context,))
-        except (OSError, ValueError, ImportError):
-            stats.pool_fallback = True
-            pool = None
-
-    def evaluate_batch(payloads: List[dict]) -> List[dict]:
-        nonlocal pool
-        if pool is not None:
-            try:
-                return list(pool.map(
-                    _fuzz_task,
-                    [canonical_script(p) for p in payloads]))
-            except (OSError, ValueError, ImportError):
-                stats.pool_fallback = True
-                pool.shutdown(wait=False)
-                pool = None
-        return [_evaluate(system, p, resolved) for p in payloads]
+    # One pool, held open across generations.
+    pool = campaign_pool(system, partial(_evaluate, params=resolved),
+                         resolved.workers)
+    stats = FuzzStats(workers=pool.workers)
 
     evaluated: Dict[str, dict] = {}
     coverage_total: set = set()
     novel_keys: List[str] = []
     violating_keys: List[str] = []
     history: List[dict] = []
-    try:
+    with pool:
         for gen in range(resolved.generations + 1):
             if gen == 0:
                 batch = seed_scripts(space, ticks=resolved.ticks)
@@ -296,7 +218,7 @@ def run_fuzz_campaign(workload, topology, config,
                     todo.append(payload)
             fresh_cov = 0
             best: Optional[List[int]] = None
-            for record in evaluate_batch(todo):
+            for record in pool.map(todo):
                 evaluated[record["key"]] = record
                 fresh = set(record["coverage"]) - coverage_total
                 if fresh:
@@ -314,9 +236,7 @@ def run_fuzz_campaign(workload, topology, config,
                 "new_coverage": fresh_cov,
                 "best_fitness": best,
             })
-    finally:
-        if pool is not None:
-            pool.shutdown()
+    stats.pool_fallback = pool.fallback
 
     # Minimise + replay-confirm in discovery order; dedupe artifacts by
     # their minimised genome (many parents can shrink to one script).
@@ -342,7 +262,7 @@ def run_fuzz_campaign(workload, topology, config,
         "version": FUZZ_REPORT_VERSION,
         "meta": dict(meta or {}),
         "params": params_payload,
-        "budget_us": budget.total_us,
+        "budget_us": system.budget.total_us,
         "space": asdict(space),
         "generations": history,
         "evaluated": len(evaluated),

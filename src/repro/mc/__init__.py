@@ -11,9 +11,10 @@ ever implicated"), and mode-graph reachability shared with the static
 ``mode.*`` rules.
 
 Exploration is stateless: each path is one full simulator run under a
-specific :class:`~repro.mc.choices.Cell` + delivery schedule, so every
-counterexample is replayable through the normal ``repro run`` path by
-construction. Tractability comes from state-hash deduplication (the
+specific :class:`~repro.mc.choices.Cell` + delivery schedule (one call
+of :func:`~repro.mc.judge.judge`, as in the fuzzer and every replay), so
+every counterexample is replayable through the normal ``repro run`` path
+by construction. Tractability comes from state-hash deduplication (the
 invariant-relevant abstraction of a path, hashed with
 ``trace_fingerprint``) and sleep-set-style pruning of delivery
 perturbations that provably commute at per-receiver granularity. See
@@ -31,6 +32,7 @@ from .counterexample import (
 from .explorer import explore_cell, state_fingerprint
 from .hooks import DeliveryPerturbation
 from .invariants import Violation, check_path, static_mode_findings
+from .judge import first_violating_prefix, judge
 
 __all__ = [
     "Cell",
@@ -42,6 +44,8 @@ __all__ = [
     "counterexample_from_dict",
     "counterexample_to_dict",
     "explore_cell",
+    "first_violating_prefix",
+    "judge",
     "replay_counterexample",
     "run_campaign",
     "state_fingerprint",

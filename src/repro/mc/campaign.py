@@ -15,25 +15,28 @@ order. ``--workers 4`` therefore serialises byte-identically to
 ``--workers 1`` — the tests assert it. Wall-clock figures live in the
 separate :class:`CheckStats`, never in the report.
 
-**Parallelism is an optimisation, never a semantic**: if a worker pool
-cannot be created the campaign degrades to in-process exploration and
-flags ``pool_fallback`` in the stats.
+**Parallelism is an optimisation, never a semantic**
+(:class:`~repro.perf.pool.WorkerPool`): a pool that cannot be created or
+kept degrades to in-process exploration, flagged ``pool_fallback``.
+:func:`prepare_campaign` / :func:`campaign_pool` are the preamble every
+search campaign shares (docs/PERFORMANCE.md, "Search loop").
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, replace
-from typing import Any, Dict, List, Optional, Tuple
+from functools import partial
+from typing import List, Optional, Tuple
 
 from ..core.runtime.system import BTRSystem
-from ..perf.batchcore import shared_prepare
+from ..perf.pool import WorkerPool
 from ..perf.timing import Stopwatch
 from .choices import Cell, cell_script
 from .counterexample import counterexample_to_dict, replay_counterexample
-from .explorer import explore_cell, minimise_schedule
+from .explorer import explore_cell
 from .invariants import static_mode_findings
+from .judge import first_violating_prefix, judge
 
 #: Bumped when the merged report layout changes incompatibly.
 MC_REPORT_VERSION = 1
@@ -106,9 +109,6 @@ class CheckStats:
     #: snapshot-and-fork of the simulator could skip.
     shared_prefix_share: float = 0.0
 
-    def to_dict(self) -> Dict[str, Any]:
-        return asdict(self)
-
 
 def injection_ticks(period: int, window: Tuple[float, float],
                     ticks: int) -> List[int]:
@@ -171,20 +171,70 @@ def exploration_order(system, cells: List[Cell], R_us: int) -> List[int]:
     return sorted(range(len(cells)), key=lambda i: (margin(cells[i]), i))
 
 
-def _explore_one(system, cell: Cell, params: CheckParams,
+def prepared_system(workload, topology, config) -> BTRSystem:
+    """One prepared system: what each pool worker builds once, and what
+    the campaign itself searches on in-process."""
+    system = BTRSystem(workload, topology, config)
+    system.prepare()
+    return system
+
+
+def prepare_campaign(workload, topology, config, params,
+                     recoveries: int = 1):
+    """The preamble of every search campaign: ``(system, resolved)``.
+
+    Forces milestone traces (every event the invariants, timelines,
+    coverage map and state abstraction read, at a fraction of full-mode
+    volume), prepares the system, defaults ``R_us`` to the prepared
+    budget, and auto-sizes the horizon so the latest injection plus
+    ``recoveries`` recovery budgets and a settling period fit inside the
+    run — agreement at end-of-run is then meaningful unconditionally.
+    """
+    system = prepared_system(workload, topology,
+                             replace(config, trace_mode="milestones"))
+    period = workload.period
+    budget_us = system.budget.total_us
+    window_end_us = int(params.window[1] * period)
+    min_periods = math.ceil(
+        (window_end_us + recoveries * budget_us) / period) + 1
+    resolved = replace(
+        params,
+        R_us=budget_us if params.R_us is None else params.R_us,
+        n_periods=max(params.n_periods, min_periods))
+    return system, resolved
+
+
+def campaign_pool(system, task, workers: int) -> WorkerPool:
+    """The campaign's fan-out: ``task(system, payload)`` over workers
+    that each hold their own :func:`prepared_system` on the campaign's
+    deployment, the campaign's ``system`` serving in-process work."""
+    return WorkerPool(
+        task, prepared_system,
+        (system.workload, system.topology, system.config),
+        workers=workers, own=system)
+
+
+def _explore_one(system, cell: Cell, *, params: CheckParams,
                  meta: Optional[dict]) -> dict:
     """One cell end-to-end: explore, then minimise + replay-confirm the
     first violating path (if any). Runs identically in-process or in a
     worker."""
-    report = explore_cell(system, system.strategy, cell, params)
+    report = explore_cell(system, cell, params)
     payload = report.to_dict()
     # Stats-only: run_campaign pops it before the payload joins the
     # byte-compared report.
     payload["shared_prefix_us"] = report.shared_prefix_us
     if report.violating:
-        schedule, _ = report.violating[0]
-        minimised, violations = minimise_schedule(
-            system, system.strategy, cell, schedule, params)
+        # BFS found a shortest violating *schedule*; its shortest
+        # violating prefix is where the violation first manifests (often
+        # the empty schedule, when the fault alone breaks the bound).
+        def violations_of(prefix):
+            return judge(system, cell_script(cell, params.seed), prefix,
+                         n_periods=params.n_periods, R_us=params.R_us,
+                         k=params.k)[1]
+
+        minimised, violations = first_violating_prefix(
+            report.violating[0][0], violations_of)
         artifact = counterexample_to_dict(
             cell, minimised, violations,
             script=cell_script(cell, params.seed),
@@ -194,28 +244,6 @@ def _explore_one(system, cell: Cell, params: CheckParams,
         artifact["replay_confirmed"] = bool(replayed)
         payload["counterexample"] = artifact
     return payload
-
-
-# Per-worker campaign context, installed once by the pool initializer.
-_WORKER_CONTEXT: Optional[Tuple] = None
-_WORKER_SYSTEM: Optional[BTRSystem] = None
-
-
-def _init_worker(context: Tuple) -> None:
-    global _WORKER_CONTEXT
-    _WORKER_CONTEXT = context
-
-
-def _cell_task(cell_payload: dict) -> dict:
-    """Explore one cell in a worker; ships back the plain report dict."""
-    global _WORKER_SYSTEM
-    workload, topology, config, params, meta = _WORKER_CONTEXT
-    if _WORKER_SYSTEM is None:
-        system = BTRSystem(workload, topology, config)
-        system.prepare()
-        _WORKER_SYSTEM = system
-    return _explore_one(_WORKER_SYSTEM, Cell.from_dict(cell_payload),
-                        params, meta)
 
 
 def run_campaign(workload, topology, config,
@@ -228,28 +256,10 @@ def run_campaign(workload, topology, config,
     byte-comparable across worker counts; the stats carry wall-clock
     figures (states/sec, pool fallback) for the benchmark layer.
     """
-    params = params or CheckParams()
     watch = Stopwatch()
-    # Milestone traces carry every event the invariants and the state
-    # abstraction read, at a fraction of the event volume of full mode.
-    config = replace(config, trace_mode="milestones")
-    system = BTRSystem(workload, topology, config)
-    # Campaigns over one (workload, topology, config) re-run constantly
-    # (benchmark sweeps, the check suite): share the frozen strategy and
-    # budget through the in-process prepare memo instead of re-planning.
-    # Planning time is execution detail — the report stays byte-equal.
-    budget = shared_prepare(system)
+    system, resolved = prepare_campaign(workload, topology, config,
+                                        params or CheckParams())
     period = workload.period
-
-    R_us = params.R_us if params.R_us is not None else budget.total_us
-    window_end_us = int(params.window[1] * period)
-    # Auto-size the horizon so the latest injection plus one full
-    # recovery budget (plus a settling period) fits inside the run —
-    # agreement at end-of-run is then meaningful unconditionally.
-    min_periods = math.ceil(
-        (window_end_us + budget.total_us) / period) + 1
-    resolved = replace(params, R_us=R_us,
-                       n_periods=max(params.n_periods, min_periods))
 
     static = static_mode_findings(system.strategy, topology)
     cells: List[Cell] = []
@@ -257,8 +267,6 @@ def run_campaign(workload, topology, config,
         cells = build_cells(system.compromisable_nodes(), period,
                             resolved)
 
-    workers = max(1, resolved.workers)
-    stats = CheckStats(workers=workers)
     # Exploration order is an execution detail (like the worker count):
     # tight-margin cells run first so violations surface early, but the
     # results are re-merged in canonical cell order below, keeping the
@@ -268,35 +276,18 @@ def run_campaign(workload, topology, config,
     else:
         order = list(range(len(cells)))
 
-    def note_first_violation(explored: List[dict]) -> None:
-        if stats.cells_to_first_violation == 0 and explored[-1]["violating"]:
-            stats.cells_to_first_violation = len(explored)
-            stats.first_violation_s = watch.elapsed_s()
-
-    ordered: Optional[List[dict]] = None
-    if workers > 1 and len(cells) > 1:
-        # The context is pickled *before* any run attaches handler
-        # closures to topology nodes, which keeps it picklable.
-        context = (workload, topology, config, resolved, meta)
-        try:
-            with ProcessPoolExecutor(
-                    max_workers=workers,
-                    initializer=_init_worker,
-                    initargs=(context,)) as pool:
-                ordered = []
-                for payload in pool.map(
-                        _cell_task,
-                        [cells[i].to_dict() for i in order]):
-                    ordered.append(payload)
-                    note_first_violation(ordered)
-        except (OSError, ValueError, ImportError):
-            stats.pool_fallback = True
-            ordered = None
-    if ordered is None:
-        ordered = []
-        for i in order:
-            ordered.append(_explore_one(system, cells[i], resolved, meta))
-            note_first_violation(ordered)
+    pool = campaign_pool(
+        system, partial(_explore_one, params=resolved, meta=meta),
+        resolved.workers)
+    stats = CheckStats(workers=pool.workers)
+    ordered: List[dict] = []
+    with pool:
+        for payload in pool.map([cells[i] for i in order]):
+            ordered.append(payload)
+            if stats.cells_to_first_violation == 0 and payload["violating"]:
+                stats.cells_to_first_violation = len(ordered)
+                stats.first_violation_s = watch.elapsed_s()
+    stats.pool_fallback = pool.fallback
     shared_prefix_us = sum(p.pop("shared_prefix_us") for p in ordered)
     by_index = dict(zip(order, ordered))
     results = [by_index[i] for i in range(len(cells))]
@@ -322,7 +313,7 @@ def run_campaign(workload, topology, config,
         "version": MC_REPORT_VERSION,
         "meta": dict(meta or {}),
         "params": params_payload,
-        "budget_us": budget.total_us,
+        "budget_us": system.budget.total_us,
         "static_violations": [v.to_dict() for v in static],
         "cells": results,
         "totals": totals,

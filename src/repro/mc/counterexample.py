@@ -16,8 +16,8 @@ from typing import List, Optional, Tuple
 
 from ..faults.adversary import FaultScript, script_from_dict, script_to_dict
 from .choices import Cell, DeliveryChoice, validate_schedule
-from .hooks import DeliveryPerturbation
-from .invariants import Violation, check_path
+from .invariants import Violation
+from .judge import judge
 
 #: Bumped when the artifact layout changes incompatibly.
 CEX_VERSION = 1
@@ -90,11 +90,7 @@ def replay_counterexample(system, payload: dict
     _, deliveries = counterexample_from_dict(payload)
     script = script_from_dict(payload["fault_script"],
                               seed=payload["seed"])
-    result = system.run(
-        n_periods=payload["n_periods"],
-        adversary=script,
-        delivery_hook=DeliveryPerturbation(deliveries),
-    )
-    violations = check_path(result, system.strategy,
-                            payload["R_us"], k=payload["k"])
+    result, violations, _ = judge(
+        system, script, deliveries, n_periods=payload["n_periods"],
+        R_us=payload["R_us"], k=payload["k"])
     return violations, result

@@ -37,8 +37,8 @@ from typing import Dict, List, Optional, Tuple
 from ..analysis.correctness import classify_slots
 from ..sim.trace import ModeSwitchCompleted, trace_fingerprint
 from .choices import Cell, DeliveryChoice, cell_script
-from .hooks import DeliveryPerturbation, ObservedDelivery
-from .invariants import Violation, check_path
+from .hooks import ObservedDelivery
+from .judge import judge
 
 
 def state_fingerprint(result) -> str:
@@ -69,31 +69,6 @@ def state_fingerprint(result) -> str:
         ("slots", slots), ("faults", faults),
         ("switches", switches), ("final", final),
     ])
-
-
-@dataclass
-class PathOutcome:
-    """Everything the explorer keeps from one run."""
-
-    fingerprint: str
-    violations: List[Violation]
-    observed: List[ObservedDelivery]
-
-
-def run_vector(system, strategy, cell: Cell,
-               deliveries: Tuple[DeliveryChoice, ...],
-               *, n_periods: int, R_us: int, k: int,
-               seed: int) -> PathOutcome:
-    """One path: run the cell's script under one delivery schedule."""
-    hook = DeliveryPerturbation(deliveries, record=True)
-    result = system.run(n_periods=n_periods,
-                        adversary=cell_script(cell, seed),
-                        delivery_hook=hook)
-    return PathOutcome(
-        fingerprint=state_fingerprint(result),
-        violations=check_path(result, strategy, R_us, k=k),
-        observed=hook.observed,
-    )
 
 
 def _perturb_window(cell: Cell, period: int) -> Tuple[int, int]:
@@ -173,7 +148,7 @@ class CellReport:
         }
 
 
-def explore_cell(system, strategy, cell: Cell, params) -> CellReport:
+def explore_cell(system, cell: Cell, params) -> CellReport:
     """Exhaust one cell's subtree up to the configured bounds.
 
     ``params`` carries the bounds (``max_depth``, ``branch``,
@@ -191,29 +166,29 @@ def explore_cell(system, strategy, cell: Cell, params) -> CellReport:
             report.truncated = True
             break
         schedule, shared_us = frontier.pop(0)
-        outcome = run_vector(
-            system, strategy, cell, schedule,
-            n_periods=params.n_periods, R_us=params.R_us,
-            k=params.k, seed=params.seed,
-        )
+        result, violations, observed = judge(
+            system, cell_script(cell, params.seed), schedule,
+            n_periods=params.n_periods, R_us=params.R_us, k=params.k,
+            record=True)
+        fingerprint = state_fingerprint(result)
         report.paths += 1
         report.shared_prefix_us += shared_us
-        if outcome.fingerprint in visited:
+        if fingerprint in visited:
             report.dedup_hits += 1
             continue
-        visited.add(outcome.fingerprint)
-        if outcome.violations:
-            report.violating.append((schedule, outcome.violations))
+        visited.add(fingerprint)
+        if violations:
+            report.violating.append((schedule, violations))
             continue  # don't search beyond a broken state
         if len(schedule) >= params.max_depth:
             continue
         last_index = schedule[-1][0] if schedule else -1
-        for candidate in _candidates(cell, outcome.observed, last_index,
+        for candidate in _candidates(cell, observed, last_index,
                                      period=period,
                                      branch=params.branch):
             delay = params.delay_quantum_us
             if params.prune and _commutes(candidate, delay,
-                                          outcome.observed, period):
+                                          observed, period):
                 report.pruned += 1
                 continue
             frontier.append((schedule + ((candidate[0], delay),),
@@ -221,28 +196,3 @@ def explore_cell(system, strategy, cell: Cell, params) -> CellReport:
     report.distinct = len(visited)
     return report
 
-
-def minimise_schedule(system, strategy, cell: Cell,
-                      schedule: Tuple[DeliveryChoice, ...], params
-                      ) -> Tuple[Tuple[DeliveryChoice, ...],
-                                 List[Violation]]:
-    """Shrink a violating schedule to its shortest violating prefix.
-
-    BFS found a shortest *schedule*; prefix-minimisation then finds the
-    earliest point along it at which the violation already manifests
-    (often the empty schedule, when the fault alone breaks the bound).
-    Re-runs at most ``len(schedule) + 1`` paths.
-    """
-    for cut in range(len(schedule) + 1):
-        prefix = schedule[:cut]
-        outcome = run_vector(
-            system, strategy, cell, prefix,
-            n_periods=params.n_periods, R_us=params.R_us,
-            k=params.k, seed=params.seed,
-        )
-        if outcome.violations:
-            return prefix, outcome.violations
-    raise AssertionError(
-        "schedule no longer violates on re-run — the simulator is not "
-        "deterministic, which voids every result of this campaign"
-    )

@@ -9,8 +9,8 @@ how fast the artifact is produced and whether work is recomputed at all:
 * :mod:`repro.perf.batchcore` — the engine's fan-out emitters:
   vectorised periodic-traffic fan-outs, pooled messages, and multi-seed
   sweep execution;
-* :mod:`repro.perf.shardcore` — geo-scale deployment recipes and the
-  process-pool multi-seed sweep;
+* :mod:`repro.perf.pool` — the one worker pool (mc cells, fuzz
+  generations, sweeps) and the geo-scale multi-seed pool sweep;
 * :mod:`repro.perf.timing` — the one sanctioned wall-clock module (the
   determinism lint restricts ``repro/perf/`` and exempts only it).
 
@@ -25,7 +25,6 @@ from .batchcore import (
     SweepRun,
     online_stats,
     run_sweep,
-    shared_prepare,
     sibling_system,
 )
 from .cache import (
@@ -34,9 +33,10 @@ from .cache import (
     default_cache_dir,
     strategy_cache_key,
 )
-from .shardcore import (
+from .pool import (
     GeoSweepSpec,
-    ShardingError,
+    PoolSweepError,
+    WorkerPool,
     run_sweep_pool,
     system_for_spec,
 )
@@ -45,7 +45,6 @@ __all__ = [
     "BatchRuntime",
     "SweepRun",
     "run_sweep",
-    "shared_prepare",
     "sibling_system",
     "CACHE_ENV_VAR",
     "StrategyCache",
@@ -55,7 +54,8 @@ __all__ = [
     "online_stats",
     "trace_fingerprint",
     "GeoSweepSpec",
-    "ShardingError",
+    "PoolSweepError",
+    "WorkerPool",
     "run_sweep_pool",
     "system_for_spec",
 ]

@@ -521,47 +521,3 @@ def run_sweep(system, seeds, n_periods: int, scenario: Optional[str] = None,
             fingerprint=trace_fingerprint(result.trace),
         ))
     return runs
-
-
-#: In-process memo of prepared planning artifacts, keyed by the full
-#: planning-relevant configuration. Lets repeated campaigns/benchmarks in
-#: one process (the mc layer re-prepares per campaign) share one
-#: strategy+budget instead of re-planning.
-_PREPARE_MEMO: Dict[tuple, tuple] = {}
-
-
-def _prepare_key(system) -> tuple:
-    """Everything prepare() reads, as a hashable key.
-
-    Workload and topology are identified by the planner cache's content
-    fingerprints; the normalised config repr covers every tunable the
-    budget/switch-lead computations read. ``seed`` and ``cache`` are
-    normalised away: planning never consumes the run seed (so sweeps
-    share across seeds), and the cache changes how the artifact is
-    obtained, never what it is.
-    """
-    from .cache import strategy_cache_key
-
-    cfg = system.config
-    structural = strategy_cache_key(system.workload, system.topology, cfg.f)
-    return (structural,
-            repr(dataclasses.replace(cfg, seed=0, cache=None)))
-
-
-def shared_prepare(system):
-    """``system.prepare()`` through an in-process memo: a second system
-    with identical planning inputs adopts the first's frozen strategy,
-    budget, and switch lead without re-planning. The memo shares the
-    exact objects, so the plans' compiled node programs are built once
-    for every campaign in the process."""
-    key = _prepare_key(system)
-    entry = _PREPARE_MEMO.get(key)
-    if entry is not None:
-        strategy, budget, switch_lead = entry
-        system.strategy = strategy
-        system.budget = budget
-        system.switch_lead_us = switch_lead
-        return budget
-    budget = system.prepare()
-    _PREPARE_MEMO[key] = (system.strategy, budget, system.switch_lead_us)
-    return budget

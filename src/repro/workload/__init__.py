@@ -3,6 +3,7 @@
 from .criticality import Criticality
 from .dataflow import DataflowGraph, Flow, WorkloadError
 from .generators import (
+    WORKLOADS,
     automotive_workload,
     avionics_workload,
     industrial_workload,
@@ -14,6 +15,7 @@ from .generators import (
 from .task import Task, compute_output, sensor_reading
 
 __all__ = [
+    "WORKLOADS",
     "Criticality",
     "DataflowGraph",
     "Flow",

@@ -12,7 +12,7 @@ of control loops in these domains.
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import Callable, Dict, List, Optional
 
 from ..sim.random import DeterministicRandom
 from ..sim.time import ms
@@ -387,3 +387,16 @@ def stretched_workload(graph: DataflowGraph, factor: int) -> DataflowGraph:
         sinks=graph.sinks,
         name=f"{graph.name}x{factor}",
     )
+
+
+#: The named workloads: the one name -> factory table behind the CLI's
+#: ``--workload`` and every recipe that rebuilds a workload by name in
+#: another process (:class:`~repro.perf.pool.GeoSweepSpec`, artifact
+#: ``meta``).
+WORKLOADS: Dict[str, Callable[[], DataflowGraph]] = {
+    "industrial": industrial_workload,
+    "avionics": avionics_workload,
+    "automotive": automotive_workload,
+    "pipeline": pipeline_workload,
+    "power_grid": power_grid_workload,
+}

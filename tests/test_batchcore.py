@@ -15,10 +15,8 @@ work. These tests pin that promise from five sides —
 * message pools: exhaustion grows the pool (never fails), growth is
   visible in the counters, recycling actually happens, and a warm pool
   carries across runs of one system — all without perturbing the trace;
-* sweeps and shared preparation: :func:`run_sweep` over shared frozen
-  plans is byte-identical to freshly constructed+prepared systems per
-  seed, and :func:`shared_prepare` hands the *same* strategy object to
-  identically-configured systems without re-planning;
+* sweeps: :func:`run_sweep` over shared frozen plans is byte-identical
+  to freshly constructed+prepared systems per seed;
 * sweep hygiene: scenario link scripts must not leak residual loss
   into later runs over the shared topology (the order-independence
   regression behind the pool sweep's byte-equality gate).
@@ -29,8 +27,7 @@ import pytest
 from repro import BTRConfig, BTRSystem
 from repro.faults.scenarios import stage
 from repro.net import full_mesh_topology
-from repro.perf.batchcore import (BatchRuntime, run_sweep, shared_prepare,
-                                  sibling_system, _PREPARE_MEMO, _prepare_key)
+from repro.perf.batchcore import BatchRuntime, run_sweep, sibling_system
 from repro.sim.trace import trace_fingerprint
 from repro.workload import industrial_workload
 from tests import golden
@@ -171,7 +168,7 @@ class TestSweepHygiene:
 
     @pytest.fixture(scope="class")
     def geo(self):
-        from repro.perf.shardcore import GeoSweepSpec, system_for_spec
+        from repro.perf.pool import GeoSweepSpec, system_for_spec
         system = system_for_spec(GeoSweepSpec(regions=3, nodes_per_region=4,
                                               trace_mode="full"))
         system.prepare()
@@ -196,31 +193,3 @@ class TestSweepHygiene:
         assert (trace_fingerprint(again.trace)
                 == trace_fingerprint(solo.trace))
 
-
-class TestSharedPrepare:
-    def test_identical_inputs_share_the_strategy_object(self):
-        first = BTRSystem(
-            industrial_workload(), full_mesh_topology(7, bandwidth=1e8),
-            BTRConfig(f=1, seed=42))
-        _PREPARE_MEMO.pop(_prepare_key(first), None)
-        budget_first = shared_prepare(first)
-        second = BTRSystem(
-            industrial_workload(), full_mesh_topology(7, bandwidth=1e8),
-            BTRConfig(f=1, seed=99))
-        budget_second = shared_prepare(second)
-        # The memo hands over the exact objects — plan-riding memos on
-        # the strategy stay warm — and the run seed is not in the key.
-        assert second.strategy is first.strategy
-        assert budget_second is budget_first
-
-    def test_different_f_misses_the_memo(self):
-        base = BTRSystem(
-            industrial_workload(), full_mesh_topology(7, bandwidth=1e8),
-            BTRConfig(f=1, seed=42))
-        other = BTRSystem(
-            industrial_workload(), full_mesh_topology(7, bandwidth=1e8),
-            BTRConfig(f=2, seed=42))
-        assert _prepare_key(base) != _prepare_key(other)
-        shared_prepare(base)
-        shared_prepare(other)
-        assert other.strategy is not base.strategy

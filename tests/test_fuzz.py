@@ -9,6 +9,8 @@ campaign turns.
 """
 
 import json
+import multiprocessing
+import os
 import subprocess
 import sys
 
@@ -170,6 +172,27 @@ def test_campaign_report_byte_identical_across_workers():
         pytest.skip("process pools unavailable in this environment")
     assert json.dumps(serial, sort_keys=True) \
         == json.dumps(parallel, sort_keys=True)
+
+
+def _timelines_dying_in_workers(result):
+    from repro.obs.recovery import reconstruct_timelines
+    if multiprocessing.parent_process() is not None:
+        os._exit(1)
+    return reconstruct_timelines(result)
+
+
+@pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
+                    reason="workers must inherit the patched module")
+def test_campaign_survives_a_dying_worker(monkeypatch):
+    params = tiny_params(R_us=30_000)
+    serial, _ = run_tiny(params)
+    monkeypatch.setattr("repro.fuzz.campaign.reconstruct_timelines",
+                        _timelines_dying_in_workers)
+    broken, stats = run_tiny(FuzzParams(**{**params.__dict__,
+                                           "workers": 2}))
+    assert stats.pool_fallback
+    assert json.dumps(broken, sort_keys=True) \
+        == json.dumps(serial, sort_keys=True)
 
 
 def test_minimised_counterexample_still_violates_parent_invariant():

@@ -7,6 +7,8 @@ the whole file stays in CI-smoke territory.
 """
 
 import json
+import multiprocessing
+import os
 
 import pytest
 
@@ -17,6 +19,9 @@ from repro.mc import (
     CheckParams,
     DeliveryPerturbation,
     cell_script,
+    explore_cell,
+    first_violating_prefix,
+    judge,
     replay_counterexample,
     run_campaign,
     state_fingerprint,
@@ -135,6 +140,48 @@ def test_state_fingerprint_separates_faulty_from_nominal():
     assert state_fingerprint(faulty) != state_fingerprint(base)
 
 
+# ------------------------------------------------------- judge and shrink
+
+
+def test_judge_is_the_run_path_plus_the_invariants():
+    system = small_system()
+    cell = Cell("n2", "commission", 40_000)
+    shape = dict(n_periods=17, R_us=30_000, k=1)
+    result, violations, observed = judge(
+        system, cell_script(cell, 0), record=True, **shape)
+    assert [v.invariant for v in violations] == ["recovery-bound"]
+    assert [point[0] for point in observed] == list(range(len(observed)))
+    # Recording observes; it never perturbs. Nothing is recorded unasked.
+    quiet, again, unrecorded = judge(system, cell_script(cell, 0), **shape)
+    assert unrecorded == []
+    assert again == violations
+    assert state_fingerprint(quiet) == state_fingerprint(result)
+    assert not judge(system, cell_script(cell, 0),
+                     **{**shape, "R_us": 10 ** 9})[1]
+
+
+def test_first_violating_prefix_is_the_shortest():
+    seen = []
+
+    def violations_of(prefix):
+        seen.append(prefix)
+        return ["boom"] if len(prefix) >= 2 else []
+
+    assert first_violating_prefix((5, 6, 7, 8), violations_of) \
+        == ((5, 6), ["boom"])
+    assert seen == [(), (5,), (5, 6)]
+    # ``shortest`` skips prefixes that cannot be judged (an empty fault
+    # script in the fuzzer's case).
+    seen.clear()
+    assert first_violating_prefix([1, 2, 3], lambda p: list(p),
+                                  shortest=1) == ([1], [1])
+
+
+def test_first_violating_prefix_refuses_a_non_reproducing_path():
+    with pytest.raises(AssertionError, match="not deterministic"):
+        first_violating_prefix((1, 2), lambda prefix: [])
+
+
 # ----------------------------------------------------------------- campaign
 
 
@@ -174,6 +221,61 @@ def test_campaign_byte_identical_across_worker_counts():
     assert json.dumps(serial, sort_keys=True) \
         == json.dumps(parallel, sort_keys=True)
     assert pstats.shared_prefix_share == sstats.shared_prefix_share
+
+
+def _explore_cell_dying_in_workers(system, cell, params):
+    if multiprocessing.parent_process() is not None:
+        os._exit(1)
+    return explore_cell(system, cell, params)
+
+
+@pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
+                    reason="workers must inherit the patched module")
+def test_campaign_survives_a_dying_worker(monkeypatch):
+    """A worker lost mid-campaign is the documented in-process fallback,
+    not a traceback: same report, ``pool_fallback`` set, and the
+    first-violation figures count cells that were really explored."""
+    params = tiny_params(kinds=("commission",), ticks=2, R_us=30_000)
+    serial, sstats = run_tiny(params)
+    monkeypatch.setattr("repro.mc.campaign.explore_cell",
+                        _explore_cell_dying_in_workers)
+    broken, bstats = run_tiny(
+        CheckParams(**{**params.__dict__, "workers": 2}))
+    assert bstats.pool_fallback and not sstats.pool_fallback
+    assert json.dumps(broken, sort_keys=True) \
+        == json.dumps(serial, sort_keys=True)
+    assert bstats.cells_to_first_violation \
+        == sstats.cells_to_first_violation > 0
+    assert bstats.first_violation_s <= bstats.wall_s
+
+
+def _campaigns():
+    from repro.fuzz import FuzzParams, run_fuzz_campaign
+    return [
+        pytest.param(run_campaign, tiny_params(), id="check"),
+        pytest.param(run_fuzz_campaign,
+                     FuzzParams(kinds=("crash",), ticks=1, generations=1,
+                                batch=2, elite=2), id="fuzz"),
+    ]
+
+
+@pytest.mark.parametrize("run, params", _campaigns())
+def test_campaign_plans_the_same_every_time(monkeypatch, run, params):
+    """A campaign's work does not depend on what the process ran before:
+    every run prepares once and computes every plan."""
+    plans = []
+    prepare = BTRSystem.prepare
+
+    def counting(self):
+        budget = prepare(self)
+        plans.append(self.plan_stats.plans_computed)
+        return budget
+
+    monkeypatch.setattr(BTRSystem, "prepare", counting)
+    for _ in range(2):
+        run(pipeline_workload(), full_mesh_topology(4), BTRConfig(f=1),
+            params)
+    assert len(plans) == 2 and plans[0] == plans[1] > 0
 
 
 def test_campaign_underprovisioned_R_yields_confirmed_counterexample():

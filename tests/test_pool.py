@@ -1,6 +1,10 @@
-"""Geo-scale sweeps (``repro.perf.shardcore``) and the engine on geo
-topologies.
+"""The worker pool and the geo-scale sweep over it (``repro.perf.pool``),
+and the engine on geo topologies.
 
+* the pool: results come back in input order for any worker count, each
+  process builds its context once, and a pool that cannot be created —
+  or loses a worker mid-map — degrades to the same results in-process
+  with ``fallback`` set;
 * byte-identity: full BTR runs on a geo deployment, under geo scenarios
   with fault and link scripts, equal the digests the per-message legacy
   path generated (``tests/golden``);
@@ -13,6 +17,8 @@ topologies.
 """
 
 import dataclasses
+import multiprocessing
+import os
 
 import networkx as nx
 import pytest
@@ -22,12 +28,15 @@ from repro.faults.scenarios import stage
 from repro.net import full_mesh_topology, geo_topology
 from repro.net.topology import TopologyError
 from repro.perf.batchcore import run_sweep, sibling_system
-from repro.perf.shardcore import (
+from repro.perf import pool as pool_module
+from repro.perf.pool import (
     GeoSweepSpec,
-    ShardingError,
+    PoolSweepError,
+    WorkerPool,
     run_sweep_pool,
     system_for_spec,
 )
+from repro.workload import WORKLOADS
 from tests import golden
 
 N_PERIODS = 6
@@ -42,6 +51,78 @@ def proto():
     system = system_for_spec(SPEC)
     system.prepare()
     return system
+
+
+# ------------------------------------------------------- the pool
+#
+# Tasks and builders are module-level: a pool ships them by import path.
+
+
+def _build(tag):
+    return {"tag": tag, "pid": os.getpid(), "tasks": 0}
+
+
+def _task(context, payload):
+    """Echo the payload with the context's identity and how many tasks
+    this context has served (a context rebuilt per task would always
+    answer 1)."""
+    context["tasks"] += 1
+    return payload, context["tag"], context["pid"], context["tasks"]
+
+
+def _task_dying_in_workers(context, payload):
+    if multiprocessing.parent_process() is not None:
+        os._exit(1)
+    return _task(context, payload)
+
+
+class TestWorkerPool:
+    PAYLOADS = list(range(12))
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_ordered_results_one_context_per_process(self, workers):
+        with WorkerPool(_task, _build, ("ctx",), workers=workers) as pool:
+            first = list(pool.map(self.PAYLOADS))
+            second = list(pool.map(self.PAYLOADS))
+        if pool.fallback:
+            pytest.skip("process pools unavailable in this environment")
+        assert [row[0] for row in first + second] == self.PAYLOADS * 2
+        assert {row[1] for row in first + second} == {"ctx"}
+        by_pid = {}
+        for _, _, pid, served in first + second:
+            by_pid.setdefault(pid, []).append(served)
+        assert len(by_pid) <= workers
+        assert (os.getpid() in by_pid) == (workers == 1)
+        # One context per process, kept across tasks and across maps.
+        for served in by_pid.values():
+            assert served == list(range(1, len(served) + 1))
+
+    def test_single_payload_and_own_context_stay_in_process(self):
+        own = _build("own")
+        with WorkerPool(_task, _build, ("ctx",), workers=2,
+                        own=own) as pool:
+            assert list(pool.map([7])) == [(7, "own", os.getpid(), 1)]
+        assert not pool.fallback
+
+    def test_falls_back_when_the_executor_cannot_start(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise OSError("no semaphores here")
+
+        monkeypatch.setattr(pool_module, "ProcessPoolExecutor", refuse)
+        with WorkerPool(_task, _build, ("ctx",), workers=2) as pool:
+            rows = list(pool.map(self.PAYLOADS))
+        assert pool.fallback
+        assert [row[0] for row in rows] == self.PAYLOADS
+        assert {row[2] for row in rows} == {os.getpid()}
+
+    def test_falls_back_when_a_worker_dies(self):
+        with WorkerPool(_task_dying_in_workers, _build, ("ctx",),
+                        workers=2) as pool:
+            rows = list(pool.map(self.PAYLOADS))
+            again = list(pool.map(self.PAYLOADS))
+        assert pool.fallback
+        assert [row[0] for row in rows + again] == self.PAYLOADS * 2
+        assert {row[2] for row in rows + again} == {os.getpid()}
 
 
 # ------------------------------------------------------- byte identity
@@ -97,7 +178,7 @@ class TestDeliveryHooks:
         golden.assert_matches(system, result, golden.HOOKED)
 
     def test_pool_sweep_rejects_hooks(self):
-        with pytest.raises(ShardingError, match="process boundaries"):
+        with pytest.raises(PoolSweepError, match="process boundaries"):
             run_sweep_pool(SPEC, (42, 43), workers=2,
                            delivery_hook=lambda s, r, t: t)
 
@@ -122,7 +203,15 @@ class TestPoolSweep:
         out = run_sweep_pool(SPEC, (), workers=4)
         assert out == {"runs": [], "workers": 0, "pooled": False}
 
+    @pytest.mark.parametrize("name", sorted(WORKLOADS))
+    def test_every_cli_workload_builds_through_a_spec(self, name):
+        from repro.cli import build_parser
+        build_parser().parse_args(["plan", "--workload", name])
+        spec = dataclasses.replace(SPEC, workload=name)
+        assert system_for_spec(spec).workload.name.startswith(
+            WORKLOADS[name]().name)
+
     def test_unknown_workload_is_refused(self):
         spec = dataclasses.replace(SPEC, workload="nope")
-        with pytest.raises(ShardingError, match="unknown workload"):
+        with pytest.raises(PoolSweepError, match="unknown workload"):
             system_for_spec(spec)

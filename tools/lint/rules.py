@@ -62,9 +62,9 @@ hold a simulator reference but do not own the engine (``repro/core``,
 ``repro/mc``, ``repro/obs``, ``repro/faults``, ``repro/fuzz``) plus the
 batched core's sanctioned transmit paths (which carry pragmas), and
 ``allocation-in-loop`` to the batched-core hot modules
-(``repro/perf/batchcore``, ``repro/sim/message``). The pool sweep
-(``repro/perf/shardcore``) sits in the node-order scope: its per-seed
-results cross a process boundary and are merged back in seed order.
+(``repro/perf/batchcore``, ``repro/sim/message``). The worker pool and
+its sweep (``repro/perf/pool``) sit in the node-order scope: results
+cross a process boundary and are merged back in input order.
 """
 
 from __future__ import annotations
@@ -80,7 +80,7 @@ RESTRICTED_FRAGMENTS = ("repro/sim/", "repro/core/", "repro/perf/",
                         "repro/fuzz/")
 #: Layers where node-id iteration order leaks into campaign reports.
 NODE_ORDER_FRAGMENTS = ("repro/mc/", "repro/faults/",
-                        "repro/perf/batchcore", "repro/perf/shardcore",
+                        "repro/perf/batchcore", "repro/perf/pool",
                         "repro/fuzz/", "repro/net/routing",
                         "repro/core/planner/", "repro/sched/")
 #: Layers beyond the restricted ones where a salted hash() would reach an

@@ -1,10 +1,13 @@
 """Shared machinery for the baseline fault-tolerance systems.
 
 Every baseline runs on exactly the same substrate as BTR — same simulator,
-same guarded links, same schedule synthesis, same fault injectors — so the
-comparisons in the benchmarks are apples-to-apples. A baseline differs only
-in its *policy*: how it augments the dataflow graph (replication degree,
-voters vs. checkers vs. nothing) and what its agents do at runtime.
+same guarded links crossed through the same hop runtime
+(:class:`~repro.perf.batchcore.BatchRuntime`: same lane arithmetic, same
+trace rows, same loss draws), same schedule synthesis, same fault
+injectors — so the comparisons in the benchmarks are apples-to-apples. A
+baseline differs only in its *policy*: how it augments the dataflow graph
+(replication degree, voters vs. checkers vs. nothing) and what its agents
+do at runtime.
 
 Baselines deliberately treat the workload as a black box (no criticality
 shedding, no strategy tree, no evidence) — that contrast is one of the
@@ -21,14 +24,14 @@ from ..faults.adversary import Adversary, FaultScript
 from ..faults.behaviors import FaultBehavior
 from ..net.routing import Router
 from ..net.topology import Topology
+from ..obs.metrics import MetricsRegistry
+from ..perf.batchcore import BatchRuntime
 from ..sched.lanes import LaneModel
 from ..sched.synthesis import GlobalSchedule, synthesize
 from ..sim.engine import Simulator
 from ..sim.message import Message, MessageKind
 from ..sim.trace import (
     FaultInjected,
-    MessageDelivered,
-    MessageSent,
     OutputProduced,
     TaskExecuted,
     Trace,
@@ -79,7 +82,6 @@ class BaselineAgent:
         #: (flow, period) -> value (baselines ship raw values, unsigned —
         #: none of them generate transferable evidence).
         self.inbox: Dict[tuple, int] = {}
-        node.add_handler(self._on_message)
 
     @property
     def sim(self) -> Simulator:
@@ -160,18 +162,22 @@ class BaselineAgent:
         )
         delay = self.behavior.delay_send(flow_name, k)
         if final == self.node_id:
-            self.sim.call_after(
-                max(1, delay),
-                lambda: self.node.deliver(message, self.sim.now))
+            self.sim.call_after(max(1, delay),
+                                lambda: self._deliver_local(message))
             return
         next_hop = self.plan.next_hop(flow_name, self.node_id)
         if next_hop is None:
             return
+        send = self.system.batch_runtime.send
         if delay > 0:
-            self.sim.call_after(delay, lambda: self.system.transmit(
-                self.node_id, next_hop, message))
+            self.sim.call_after(
+                delay, lambda: send(self.node_id, next_hop, message))
         else:
-            self.system.transmit(self.node_id, next_hop, message)
+            send(self.node_id, next_hop, message)
+
+    def _deliver_local(self, message: Message) -> None:
+        if not self.node.crashed:
+            self._on_message(message, self.sim.now)
 
     def _on_message(self, message: Message, at: int) -> None:
         payload = message.payload
@@ -184,7 +190,8 @@ class BaselineAgent:
                 return
             next_hop = self.plan.next_hop(flow_name, self.node_id)
             if next_hop is not None:
-                self.system.transmit(self.node_id, next_hop, message)
+                self.system.batch_runtime.send(self.node_id, next_hop,
+                                               message)
             return
         self.on_value(flow_name, k, value, at)
 
@@ -216,6 +223,12 @@ class BaselineSystem:
         self.router = Router(topology)
         self.lane_model = LaneModel(topology)
         self.plan: Optional[BaselinePlan] = None
+        #: Where link-loss drops are counted (baselines make no recovery
+        #: promise, so their RunResult carries no metrics snapshot).
+        self.metrics = MetricsRegistry()
+        #: The hop runtime, constructed on first run() and kept across
+        #: runs, as BTRSystem keeps its own.
+        self.batch_runtime: Optional[BatchRuntime] = None
         self.sim: Optional[Simulator] = None
         self.trace: Optional[Trace] = None
         self.agents: Dict[str, BaselineAgent] = {}
@@ -272,6 +285,11 @@ class BaselineSystem:
             node_id: self.make_agent(node)
             for node_id, node in sorted(self.topology.nodes.items())
         }
+        if self.batch_runtime is None:
+            # Baselines build their own messages: nothing to preallocate.
+            self.batch_runtime = BatchRuntime(pool_prealloc=0)
+        self.batch_runtime.begin_run(self.sim, self.trace, self.topology,
+                                     self.metrics, self.agents)
         script = self._resolve_script(adversary)
         for injection in script:
             agent = self.agents[injection.node]
@@ -289,6 +307,7 @@ class BaselineSystem:
 
         self.sim.call_at(0, lambda: tick(0))
         self.sim.run_until(n_periods * period)
+        self.batch_runtime.end_run()
         return RunResult(
             trace=self.trace,
             config=None,
@@ -317,22 +336,3 @@ class BaselineSystem:
         if flow.dst in self.plan.augmented.tasks:
             return self.plan.assignment.get(flow.dst)
         return self.topology.endpoint_map.get(flow.dst)
-
-    def transmit(self, sender: str, receiver: str, message: Message) -> None:
-        link = self.topology.nodes[sender].link_to(receiver)
-        if link is None:
-            return
-        self.trace.record(MessageSent(
-            time=self.sim.now, src=sender, dst=receiver,
-            kind=message.kind.value, size_bits=message.size_bits,
-            flow=message.flow,
-        ))
-
-        def deliver(msg: Message, at: int) -> None:
-            self.trace.record(MessageDelivered(
-                time=at, src=sender, dst=receiver, kind=msg.kind.value,
-                flow=msg.flow,
-            ))
-            self.topology.nodes[receiver].deliver(msg, at)
-
-        link.transmit(self.sim, message, sender, receiver, deliver)

@@ -53,6 +53,7 @@ Eight commands:
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from typing import List, Optional
 
@@ -71,8 +72,10 @@ from .baselines import (
     UnreplicatedSystem,
     ZZSystem,
 )
+from .core.planner import PlanningError
 from .faults import BEHAVIOR_FACTORIES, SingleFaultAdversary
 from .net import (
+    TopologyError,
     bus_topology,
     dual_star_topology,
     full_mesh_topology,
@@ -118,8 +121,27 @@ def make_topology(spec: str, bandwidth: float):
         )
     try:
         return builders[kind](arg or "7")
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, TopologyError) as exc:
         raise SystemExit(f"malformed topology {spec!r}: {exc}") from None
+
+
+def number(kind, zero_ok: bool = False):
+    """An argparse ``type=`` for a finite ``kind`` value that is
+    positive — or, with ``zero_ok``, not negative (where 0 means
+    something, e.g. "auto-size"). Anything else fails through argparse:
+    one line naming the flag, exit 2."""
+    def parse(text: str):
+        try:
+            value = kind(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"invalid {kind.__name__} value: {text!r}") from None
+        if not (math.isfinite(value)
+                and (value > 0 or (zero_ok and value == 0))):
+            raise argparse.ArgumentTypeError(
+                f"must be {'>= 0' if zero_ok else '> 0'}, got {text}")
+        return value
+    return parse
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -146,7 +168,8 @@ def build_parser() -> argparse.ArgumentParser:
                             "$REPRO_STRATEGY_CACHE if set)")
         p.add_argument("--no-cache", action="store_true",
                        help="replan even if $REPRO_STRATEGY_CACHE is set")
-        p.add_argument("--stretch", type=int, default=1, metavar="K",
+        p.add_argument("--stretch", type=number(int), default=1,
+                       metavar="K",
                        help="run the workload at Kx slower periods and "
                             "deadlines (geo deployments: WAN latency "
                             "must fit inside control deadlines)")
@@ -154,8 +177,7 @@ def build_parser() -> argparse.ArgumentParser:
                        default="full",
                        help="trace recording fidelity: full keeps every "
                             "event, milestones keeps recovery milestones "
-                            "and tallies per-hop traffic, counts-only "
-                            "keeps tallies alone")
+                            "and tallies per-hop traffic")
 
     plan = sub.add_parser("plan", help="run the offline planner")
     common(plan)
@@ -165,10 +187,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     run = sub.add_parser("run", help="run a deployment")
     common(run)
-    run.add_argument("--periods", type=int, default=30)
+    run.add_argument("--periods", type=number(int), default=30)
     run.add_argument("--fault", choices=sorted(BEHAVIOR_FACTORIES),
                      default=None, help="inject one fault of this kind")
-    run.add_argument("--fault-at", type=float, default=0.22,
+    run.add_argument("--fault-at", type=number(float, zero_ok=True),
+                     default=0.22,
                      help="fault injection time in seconds")
     run.add_argument("--timeline", action="store_true",
                      help="print the incident timeline")
@@ -183,10 +206,11 @@ def build_parser() -> argparse.ArgumentParser:
     compare = sub.add_parser("compare",
                              help="BTR vs baselines through one fault")
     common(compare)
-    compare.add_argument("--periods", type=int, default=30)
+    compare.add_argument("--periods", type=number(int), default=30)
     compare.add_argument("--fault", choices=sorted(BEHAVIOR_FACTORIES),
                          default="commission")
-    compare.add_argument("--fault-at", type=float, default=0.22)
+    compare.add_argument("--fault-at", type=number(float, zero_ok=True),
+                         default=0.22)
 
     verify = sub.add_parser(
         "verify", help="statically verify a strategy (plans + mode graph)")
@@ -209,7 +233,7 @@ def build_parser() -> argparse.ArgumentParser:
         "bounds", help="analytic worst-case recovery bounds (Layer 4) "
                        "per fault class and mode, vs the planned budget")
     common(bounds)
-    bounds.add_argument("--R", type=float, default=None, dest="R",
+    bounds.add_argument("--R", type=number(float), default=None, dest="R",
                         metavar="SECONDS",
                         help="pin the promised recovery bound R "
                              "(default: the computed budget); pinning "
@@ -224,7 +248,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     def search(p, kinds):
         """The flags ``check`` and ``fuzz campaign`` share."""
-        p.add_argument("--periods", type=int, default=0,
+        p.add_argument("--periods", type=number(int, zero_ok=True),
+                       default=0,
                        help="simulated periods per run (0 = auto-size so "
                             "the latest injection plus the recovery "
                             "budget fits)")
@@ -235,14 +260,14 @@ def build_parser() -> argparse.ArgumentParser:
                        metavar=("LO", "HI"),
                        help="injection window in periods: faults land in "
                             "[LO*P, HI*P]")
-        p.add_argument("--ticks", type=int, default=2,
+        p.add_argument("--ticks", type=number(int), default=2,
                        help="injection ticks sampled across the window")
-        p.add_argument("--R", type=float, default=None, dest="R",
+        p.add_argument("--R", type=number(float), default=None, dest="R",
                        help="recovery bound to check, in seconds "
                             "(default: the prepared budget)")
-        p.add_argument("--k", type=int, default=1,
+        p.add_argument("--k", type=number(int), default=1,
                        help="adversary strength multiplier: bound is k*R")
-        p.add_argument("--workers", type=int, default=1,
+        p.add_argument("--workers", type=number(int), default=1,
                        help="worker processes (the report is "
                             "byte-identical for every value)")
         p.add_argument("--report", metavar="FILE", default=None,
@@ -252,13 +277,15 @@ def build_parser() -> argparse.ArgumentParser:
         "check", help="bounded model checking of the mode-switch protocol")
     common(check)
     search(check, ["crash", "commission"])
-    check.add_argument("--max-depth", type=int, default=2,
+    check.add_argument("--max-depth", type=number(int, zero_ok=True),
+                       default=2,
                        help="max delivery perturbations along one path")
-    check.add_argument("--branch", type=int, default=3,
+    check.add_argument("--branch", type=number(int), default=3,
                        help="max candidate perturbations per expansion")
-    check.add_argument("--delay-quantum-us", type=int, default=2000,
+    check.add_argument("--delay-quantum-us", type=number(int),
+                       default=2000,
                        help="extra delay per perturbation, microseconds")
-    check.add_argument("--max-states", type=int, default=400,
+    check.add_argument("--max-states", type=number(int), default=400,
                        help="per-cell path cap; exceeding it leaves the "
                             "campaign uncertified")
     check.add_argument("--no-prune", action="store_true",
@@ -281,19 +308,19 @@ def build_parser() -> argparse.ArgumentParser:
     common(fuzz_campaign)
     search(fuzz_campaign, ["crash", "commission", "omission", "timing"])
     fuzz_campaign.add_argument(
-        "--generations", type=int, default=4,
+        "--generations", type=number(int, zero_ok=True), default=4,
         help="mutation generations after the seed generation")
     fuzz_campaign.add_argument(
-        "--batch", type=int, default=8,
+        "--batch", type=number(int), default=8,
         help="mutants generated per generation")
     fuzz_campaign.add_argument(
-        "--elite", type=int, default=4,
+        "--elite", type=number(int), default=4,
         help="top-fitness survivors eligible as mutation parents")
     fuzz_campaign.add_argument(
-        "--max-injections", type=int, default=1,
+        "--max-injections", type=number(int), default=1,
         help="max injections per script (the paper's k)")
     fuzz_campaign.add_argument(
-        "--max-artifacts", type=int, default=8,
+        "--max-artifacts", type=number(int, zero_ok=True), default=8,
         help="cap on minimised counterexample artifacts")
     fuzz_campaign.add_argument(
         "--corpus-dir", metavar="DIR", default=None,
@@ -668,10 +695,6 @@ def cmd_check(args) -> int:
 
     from .mc import CheckParams, run_campaign
 
-    if args.ticks < 1 or args.max_depth < 0 or args.branch < 1 \
-            or args.max_states < 1 or args.delay_quantum_us < 1:
-        print("repro check: bounds must be positive", file=sys.stderr)
-        return 2
     report, stats, wall = _search_campaign(
         args, "check", "path", run_campaign, CheckParams,
         max_depth=args.max_depth,
@@ -726,10 +749,6 @@ def cmd_check(args) -> int:
 def _fuzz_campaign(args) -> int:
     from .fuzz import FuzzParams, run_fuzz_campaign, write_corpus
 
-    if args.ticks < 1 or args.generations < 0 or args.batch < 1 \
-            or args.elite < 1 or args.max_injections < 1:
-        print("repro fuzz: bounds must be positive", file=sys.stderr)
-        return 2
     report, stats, wall = _search_campaign(
         args, "fuzz", "run", run_fuzz_campaign, FuzzParams,
         generations=args.generations,
@@ -817,7 +836,12 @@ def main(argv: Optional[List[str]] = None) -> int:
         "check": cmd_check,
         "fuzz": cmd_fuzz,
     }[args.command]
-    return handler(args)
+    try:
+        return handler(args)
+    except PlanningError as exc:
+        print(f"repro {args.command}: unschedulable deployment: {exc}",
+              file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

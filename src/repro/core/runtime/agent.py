@@ -100,14 +100,10 @@ class NodeAgent:
         #: one run, so both are plain attributes.
         self.sim = system.sim
         self.period = system.workload.period
-        #: Static topology: the sorted neighbour list never changes
-        #: mid-run, so it is computed once per agent (the batched
-        #: emitters build their per-sender fan-out plans from it).
-        self._neighbors = tuple(system.topology.neighbors(self.node_id))
-        #: The run's batched emitters and message pool: fan-outs route
-        #: through the vectorised emitters and hot-path messages come
-        #: from the pool.
-        self._batched = system.batch_runtime
+        #: The run's hop runtime and message pool: every send crosses a
+        #: link through it (unicast or vectorised fan-out) and hot-path
+        #: messages come from its pool.
+        self._hops = system.batch_runtime
         self.behavior: FaultBehavior = FaultBehavior()
         self.switcher = ModeSwitcher(
             system.strategy, system.workload.period, system.switch_lead_us,
@@ -173,7 +169,6 @@ class NodeAgent:
         #: (sender, period) -> control records whose verification this
         #: node has already paid for (per-sender CPU quota, §4.3).
         self._ctrl_quota: Dict[Tuple[str, int], int] = {}
-        node.add_handler(self._on_message)
 
     # ------------------------------------------------------------ plan info
 
@@ -591,7 +586,7 @@ class NodeAgent:
             return
         # Pooled on the transmit path: the delivery/drop paths release
         # the message once its journey ends.
-        message = self._batched.pool.acquire(
+        message = self._hops.pool.acquire(
             self.node_id, final, MessageKind.DATA,
             ("data", flow_copy, k, stmt), send.size_bits, flow=flow_copy,
         )
@@ -599,17 +594,18 @@ class NodeAgent:
             self._transmit_after(delay, send.next_hop, message)
 
     def _deliver_local(self, message: Message) -> None:
-        self.node.deliver(message, self.sim.now)
+        if not self.node.crashed:
+            self._on_message(message, self.sim.now)
 
     def _transmit_after(self, delay: int, next_hop: str,
                         message: Message) -> None:
         if delay > 0:
             self.sim.call_at(
                 self.sim.now + delay,
-                partial(self.system.transmit, self.node_id, next_hop,
+                partial(self._hops.send, self.node_id, next_hop,
                         message))
         else:
-            self.system.transmit(self.node_id, next_hop, message)
+            self._hops.send(self.node_id, next_hop, message)
 
     def _forward_data(self, message: Message) -> None:
         """Intermediate hop: pass the message along its planned route."""
@@ -628,7 +624,7 @@ class NodeAgent:
         kind = message.kind
         if kind == MessageKind.DATA:
             self._on_data(message, at)
-        elif kind in (MessageKind.EVIDENCE, MessageKind.BOGUS):
+        elif kind == MessageKind.EVIDENCE:
             self._on_evidence_message(message)
         elif kind == MessageKind.CONTROL:
             self._on_control(message)
@@ -912,7 +908,7 @@ class NodeAgent:
         # record is signed and immutable, so receivers can safely alias
         # it, and N neighbours cost one tuple build instead of N.
         envelope = payload + (endorsement,)
-        self._batched.flood_messages(self, MessageKind.EVIDENCE,
+        self._hops.flood_messages(self, MessageKind.EVIDENCE,
                                      envelope, bits, exclude)
 
     def _on_evidence_message(self, message: Message) -> None:
@@ -1041,8 +1037,8 @@ class NodeAgent:
         if self.node.crashed:
             return
         # Vectorised fan-out: one heap event per distinct arrival time,
-        # no Message objects for standard receivers.
-        self._batched.flood_heartbeat(self, origin, k, exclude)
+        # no Message objects.
+        self._hops.flood_heartbeat(self, origin, k, exclude)
 
     # ----------------------------------------------------------- control
 
@@ -1050,14 +1046,10 @@ class NodeAgent:
         payload = message.payload
         if not isinstance(payload, tuple):
             return
-        if payload[0] == "heartbeat":
-            _, origin, k = payload
-            self._flood_heartbeat(origin, k, exclude=message.src)
-            return
         if message.dst != self.node_id:
             next_hop = self.system.next_hop_static(self.node_id, message.dst)
             if next_hop:
-                self.system.transmit(self.node_id, next_hop, message)
+                self._hops.send(self.node_id, next_hop, message)
             return
         if payload[0] == "fetch_req":
             _, copy, base, k, requester = payload
@@ -1195,6 +1187,6 @@ class NodeAgent:
         if message.dst != self.node_id:
             next_hop = self.system.next_hop_static(self.node_id, message.dst)
             if next_hop:
-                self.system.transmit(self.node_id, next_hop, message)
+                self._hops.send(self.node_id, next_hop, message)
             return
         self.pending_state.discard(payload[1])

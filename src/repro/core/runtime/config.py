@@ -82,8 +82,8 @@ class BTRConfig:
 
     # --- trace recording --------------------------------------------------
     #: Trace recording mode: "full" keeps every event; "milestones" keeps
-    #: only recovery-relevant kinds and tallies per-hop traffic;
-    #: "counts-only" tallies everything (see :mod:`repro.sim.trace`).
+    #: only recovery-relevant kinds and tallies per-hop traffic (see
+    #: :mod:`repro.sim.trace`).
     trace_mode: str = "full"
 
     def __post_init__(self) -> None:

@@ -41,7 +41,6 @@ from ...sim.message import Message
 from ...sim.trace import (
     Custom,
     FaultInjected,
-    MessageDelivered,
     MessageDropped,
     MessageSent,
     ModeSwitchCompleted,
@@ -150,27 +149,15 @@ class BTRSystem:
         self.metrics = MetricsRegistry()
         #: Filled by prepare(): how the strategy was obtained.
         self.plan_stats: Optional[PlanningStats] = None
-        #: (sender, receiver, kind) -> (link, lane, node) memo. Topology
-        #: is static within a run (link scripts only mutate loss rates),
-        #: but lane objects are rebuilt by lane_model.install(), so run()
-        #: clears this cache. Filled lazily by transmit().
-        self._edge_cache: Dict[tuple, tuple] = {}
-        #: Batched fan-out emitters and the message pool
-        #: (:mod:`repro.perf.batchcore`), constructed on first run() and
-        #: kept across runs so batch-event and message free lists stay
-        #: warm.
+        #: The hop runtime every message crosses a link through, and the
+        #: message pool (:mod:`repro.perf.batchcore`), constructed on
+        #: first run() and kept across runs so batch-event and message
+        #: free lists stay warm.
         self.batch_runtime = None
         # Per-run state:
         self.sim: Optional[Simulator] = None
         self.trace: Optional[Trace] = None
         self.agents: Dict[str, NodeAgent] = {}
-        #: Per-run hot-path trace state (set by run()): whether per-hop
-        #: message events are retained, and the local tallies flushed into
-        #: the trace at end of run when they are not.
-        self._hops_retained = True
-        self._tally_sent = 0
-        self._tally_delivered = 0
-        self._tally_dropped = 0
 
     # ------------------------------------------------------------- prepare
 
@@ -308,18 +295,6 @@ class BTRSystem:
         self.sim.delivery_hook = delivery_hook
         self.trace = Trace(mode=self.config.trace_mode)
         self.directory.begin_run()
-        # Per-hop message events always share a fate across modes (full
-        # retains all three, the reduced modes none), so transmit() keys
-        # off one flag and counts locally instead of allocating.
-        self._hops_retained = (self.trace.retains(MessageSent)
-                               and self.trace.retains(MessageDelivered)
-                               and self.trace.retains(MessageDropped))
-        self._tally_sent = 0
-        self._tally_delivered = 0
-        self._tally_dropped = 0
-        # lane_model.install() below replaces every Lane object, so cached
-        # (link, lane, node) entries from a previous run are stale.
-        self._edge_cache.clear()
         clock_rng = self.sim.rng.fork("clocks")
         for node_id, node in sorted(self.topology.nodes.items()):
             node.reset()
@@ -334,15 +309,14 @@ class BTRSystem:
         if self.batch_runtime is None:
             # Imported lazily: repro.perf pulls in the planner stack.
             from ...perf.batchcore import BatchRuntime
-            self.batch_runtime = BatchRuntime(self)
+            self.batch_runtime = BatchRuntime()
 
         self.agents = {
             node_id: NodeAgent(self, node)
             for node_id, node in sorted(self.topology.nodes.items())
         }
-        # Handlers are registered in agent __init__, so the heartbeat
-        # dispatch shortcuts are resolvable now.
-        self.batch_runtime.begin_run(self.agents)
+        self.batch_runtime.begin_run(self.sim, self.trace, self.topology,
+                                     self.metrics, self.agents)
         self._install_clock_sync()
 
         script = self._resolve_script(adversary)
@@ -381,13 +355,7 @@ class BTRSystem:
             # pre-run residual loss so runs stay order-independent.
             for link, pristine in scripted_loss:
                 link.loss_probability = pristine
-
-        if self._tally_sent:
-            self.trace.tally(MessageSent, self._tally_sent)
-        if self._tally_delivered:
-            self.trace.tally(MessageDelivered, self._tally_delivered)
-        if self._tally_dropped:
-            self.trace.tally(MessageDropped, self._tally_dropped)
+        self.batch_runtime.end_run()
 
         # Flows deliberately shed by the plan in force at the end of the
         # run, excused from the first mode switch onward.
@@ -471,105 +439,12 @@ class BTRSystem:
 
     # ------------------------------------------------------------ messaging
 
-    def transmit(self, sender: str, receiver: str, message: Message) -> None:
-        """One-hop transmission on the shared substrate, with tracing.
-
-        Same lane math and RNG consumption (one draw iff the link is
-        lossy) as :meth:`~repro.sim.link.Link.transmit`, exactly one
-        scheduled event per hop — with the link/lane lookup memoised per
-        edge and the delivery/drop callbacks bound-method partials
-        instead of per-hop closures.
-        """
-        # kind._value_ (a str) rather than the enum member: tuple hashing
-        # then stays entirely at C level instead of calling Enum.__hash__
-        # per message, and the private attribute skips the
-        # DynamicClassAttribute descriptor behind ``.value``.
-        key = (sender, receiver, message.kind._value_)
-        entry = self._edge_cache.get(key)
-        if entry is None:
-            link = self.topology.nodes[sender].link_to(receiver)
-            if link is None:
-                return
-            entry = (link, link.lane_for(sender, message.kind),
-                     self.topology.nodes[receiver])
-            self._edge_cache[key] = entry
-        link, lane, node = entry
-        sim = self.sim
-        # Per-hop events dominate trace volume: a full trace gets a row
-        # (the event is built only if somebody reads it back), and in
-        # milestone/counts modes even that is skipped and the hop counted
-        # locally (the counters are flushed into the trace tallies at end
-        # of run).
-        if self._hops_retained:
-            self.trace.record_row(sim.now, (
-                MessageSent, sender, receiver, message.kind.value,
-                message.size_bits, message.flow))
-        else:
-            self._tally_sent += 1
-        now = sim.now
-        free = lane.next_free
-        start = now if now >= free else free
-        duration = message.size_bits / lane.rate_bits_per_us
-        duration = int(round(duration))
-        if duration < 1:
-            duration = 1
-        lane.next_free = start + duration
-        lane.bits_sent += message.size_bits
-        arrival = start + duration + link.propagation_us
-        if sim.delivery_hook is not None:
-            arrival = sim.delivery_hook(sender, receiver, arrival)
-        # schedule() (not call_at): delivery events are never cancelled,
-        # and arrival >= now by construction (start >= now, duration >= 1,
-        # hooks may only delay) — the engine re-checks the latter.
-        if link.loss_probability > 0.0 \
-                and sim.rng.random() < link.loss_probability:
-            sim.schedule(arrival, partial(  # lint: ignore[engine-schedule-bypass]
-                self._dropped, sender, receiver, message))
-            return
-        sim.schedule(arrival, partial(  # lint: ignore[engine-schedule-bypass]
-            self._deliver, node, sender, receiver, message, arrival))
-
-    def _deliver(self, node, sender: str, receiver: str,
-                 message: Message, arrival: int) -> None:
-        if self._hops_retained:
-            self.trace.record_row(arrival, (
-                MessageDelivered, sender, receiver, message.kind.value,
-                message.flow))
-        else:
-            self._tally_delivered += 1
-        # Inlined Node.deliver: same crashed check, same handler order.
-        # Handlers are registered once at run setup and never mutated
-        # mid-dispatch, so the defensive list() copy is skipped.
-        if not node.crashed:
-            for handler in node._handlers:
-                handler(message, arrival)
-        # Pooled messages are recycled once they reach their *final*
-        # destination; an intermediate hop leaves the message alive for
-        # the forwarding re-transmit.
-        if message.dst == receiver:
-            self.batch_runtime.pool.release(message)
-
-    def _dropped(self, sender: str, receiver: str,
-                 message: Message) -> None:
-        if self._hops_retained:
-            self.trace.record_row(self.sim.now, (
-                MessageDropped, sender, receiver, message.kind.value,
-                "link_loss"))
-        else:
-            self._tally_dropped += 1
-        self.metrics.inc("messages_dropped", reason="link_loss")
-        # A dropped frame ends the message's journey at this hop; pooled
-        # messages are recycled immediately (nothing retains them).
-        self.batch_runtime.pool.release(message)
-
     def send_routed(self, agent: NodeAgent, message: Message,
                     plan) -> None:
         """Send a control/state message along a static route that avoids
         the plan's known-faulty nodes."""
         if message.dst == agent.node_id:
-            self.sim.call_after(
-                1, lambda: self.topology.nodes[message.dst].deliver(
-                    message, self.sim.now))
+            self.sim.call_after(1, partial(agent._deliver_local, message))
             return
         try:
             path = self.router.route(agent.node_id, message.dst,
@@ -591,7 +466,7 @@ class BTRSystem:
                 kind=message.kind.value, reason="no_forward_hop",
             ))
             return
-        self.transmit(agent.node_id, path[1], message)
+        self.batch_runtime.send(agent.node_id, path[1], message)
 
     def next_hop_static(self, current: str, dst: str) -> Optional[str]:
         """Next hop on the nominal shortest path (control forwarding)."""

@@ -2,7 +2,7 @@
 
 :class:`DeliveryPerturbation` is what the model checker installs as
 :attr:`repro.sim.engine.Simulator.delivery_hook` (via ``BTRSystem.run``'s
-``delivery_hook`` parameter). Both transmit paths consult the hook at the
+``delivery_hook`` parameter). The hop runtime consults the hook at the
 moment a delivery's arrival time has been computed; the hook counts
 delivery points in encounter order, adds the schedule's extra delay at
 the chosen indices, and (when asked) records every point it saw so the

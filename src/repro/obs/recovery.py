@@ -53,10 +53,8 @@ from ..sim.trace import (
 )
 
 #: The trace-event kinds timeline reconstruction consumes. All are in
-#: :data:`repro.sim.trace.MILESTONE_KINDS`, so ``full`` and
-#: ``milestones`` recording modes both support observability;
-#: ``counts-only`` traces are rejected up front (see
-#: :func:`reconstruct_timelines`).
+#: :data:`repro.sim.trace.MILESTONE_KINDS`, so both recording modes
+#: (``full`` and ``milestones``) support observability.
 REQUIRED_KINDS: Tuple[type, ...] = (
     FaultInjected,
     PathDeclared,
@@ -137,15 +135,6 @@ def reconstruct_timelines(result) -> List[FaultTimeline]:
     """
     from ..analysis.correctness import recovery_times
 
-    retains = getattr(result.trace, "retains", None)
-    if retains is not None:
-        missing = [k.__name__ for k in REQUIRED_KINDS if not retains(k)]
-        if missing:
-            raise ValueError(
-                "trace was recorded without the event kinds timeline "
-                f"reconstruction needs ({', '.join(missing)}); rerun with "
-                "trace_mode='full' or 'milestones'"
-            )
     faults = sorted(result.trace.of_kind(FaultInjected),
                     key=lambda e: (e.time, e.node))
     if not faults:

@@ -1,8 +1,13 @@
-"""The engine's batched emitters: vectorised periodic traffic, pooled
-messages, and multi-seed sweep execution.
+"""The hop runtime: every link crossing of a run, pooled messages, and
+multi-seed sweep execution.
 
-The event classes that dominate steady-state traffic do not pay one heap
-event per message:
+:class:`BatchRuntime` is the substrate's one hop path. BTR and every
+baseline send through it, so every system pays the same lane arithmetic
+(the bus-guardian reservation of the paper's system model). It serves
+the three send shapes a run has:
+
+* **unicast** — :meth:`BatchRuntime.send`: one lane reservation and one
+  heap event per hop (data, state transfer, routed control traffic);
 
 * **fan-out batching** — a heartbeat flood or evidence broadcast emits N
   single-hop copies whose deliveries would be scheduled back-to-back
@@ -14,18 +19,22 @@ event per message:
   number between theirs (the emission loop issues no other schedules),
   so the (time, seq) total order of *observable* work is the one a
   heap event per message would give. ``events_executed`` is bumped per
-  logical delivery, so the gauge counts messages, not heap pops;
+  logical delivery, so the gauge counts messages, not heap pops.
+
+Every delivery calls the receiving agent directly, behind the receiving
+node's ``crashed`` check: ``_on_message``, or ``_flood_heartbeat`` for a
+heartbeat, which travels as no :class:`~repro.sim.message.Message` at
+all. Around that:
 
 * **message/event pools** — fan-out and data-plane messages come from a
   :class:`~repro.sim.message.MessagePool` (released when they reach
-  their final destination), heartbeats skip the message object entirely
-  when the receiving node's handler chain is the standard agent one, and
-  the batch events themselves are free-list recycled, so the
-  steady-state loop allocates almost nothing;
+  their final destination) and the batch events themselves are
+  free-list recycled, so the steady-state loop allocates almost nothing;
 
 * **hop rows** — in a ``full`` trace every send, delivery and link loss
-  here is handed to :meth:`~repro.sim.trace.Trace.record_row` as a row,
-  never built as an event. An evidence copy's row is one tuple; a
+  is handed to :meth:`~repro.sim.trace.Trace.record_row` as a row, never
+  built as an event; in ``milestones`` mode the runtime counts hops and
+  flushes the tallies into the trace at :meth:`BatchRuntime.end_run`. A
   heartbeat copy's three possible rows (sent, delivered, lost) are fixed
   for the run and ride prebuilt in its emission-plan entry, so recording
   a heartbeat copy — two thirds of a ``fullmesh:7`` trace — allocates
@@ -41,21 +50,22 @@ event per message:
 
 What an agent does per event under a plan is not this module's business:
 that is the node program. This module owns only what is fixed per *run*
-— the per-sender emission plans built in :meth:`BatchRuntime.begin_run`
-(lanes are re-installed every run), whose entries ride whole into the
-heartbeat batches.
+— the edge table and the per-sender emission plans built in
+:meth:`BatchRuntime.begin_run` (lanes are re-installed every run).
 
 The invariant gate is :func:`~repro.sim.trace.trace_fingerprint`
 equality with the digests committed in ``tests/golden/``, which a
-message-per-heap-event engine generated; see docs/PERFORMANCE.md
-("Engine") and the E19 benchmark.
+message-per-heap-event engine (BTR) and the baselines' own transmit path
+generated; see docs/PERFORMANCE.md ("Engine") and the E19 benchmark.
 """
 
 from __future__ import annotations
 
 import dataclasses
+from functools import partial
 from typing import Dict, List, Optional
 
+from ..sim.link import ReservationError
 from ..sim.message import Message, MessageKind, MessagePool
 from ..sim.trace import (
     MessageDelivered,
@@ -67,16 +77,17 @@ from ..sim.trace import (
 #: Heartbeat frames are tiny fixed-size CONTROL messages (agent.py).
 HEARTBEAT_BITS = 128
 
+#: (kind, kind value) per traffic class, in declaration order: iterating
+#: the Enum class itself costs twice as much per edge at set-up.
+_KINDS = tuple((kind, kind._value_) for kind in MessageKind)
+
 
 class _HeartbeatBatch:
     """One coalesced heap event delivering same-arrival heartbeat copies.
 
-    Carries no :class:`Message` objects at all: the handler chain for a
-    heartbeat is known (``_on_message`` -> ``_on_control`` -> re-flood),
-    so when the receiver's handlers are exactly the standard agent
-    dispatch the batch calls ``_flood_heartbeat`` directly. Receivers
-    with custom handlers (tests attach observers) get a real message
-    dispatched through the normal handler loop.
+    Carries no :class:`Message` objects at all: a heartbeat's only
+    handler is the receiving agent's ``_flood_heartbeat``, which the
+    batch calls directly.
     """
 
     __slots__ = ("runtime", "sender", "origin", "k", "arrival",
@@ -90,19 +101,17 @@ class _HeartbeatBatch:
         self.arrival = 0
         #: The sender's emission-plan entries (see
         #: :meth:`BatchRuntime.begin_run`), one per copy, whole: the
-        #: batch reads the receiver, the dispatch shortcut and the
-        #: delivered / lost trace rows off them.
+        #: batch reads the receiving node and agent and the delivered /
+        #: lost trace rows off them.
         self.entries: List[tuple] = []
         #: Positions in ``entries`` whose frame the link lost.
         self.lost: List[int] = []
 
     def __call__(self) -> None:
         runtime = self.runtime
-        system = runtime.system
-        sim = system.sim
-        trace = system.trace
-        retained = system._hops_retained
-        metrics = system.metrics
+        trace = runtime.trace
+        retained = runtime.retained
+        metrics = runtime.metrics
         sender = self.sender
         origin = self.origin
         k = self.k
@@ -112,7 +121,7 @@ class _HeartbeatBatch:
         n = len(entries)
         # One engine pop stands for n logical deliveries; the
         # events-executed gauge counts messages.
-        sim.events_executed += n - 1
+        runtime.sim.events_executed += n - 1
         runtime.batches_fired += 1
         runtime.entries_batched += n
         delivered = 0
@@ -130,32 +139,18 @@ class _HeartbeatBatch:
                 trace.record_row(arrival, entry[8])
             else:
                 delivered += 1
-            node = entry[3]
-            if node.crashed:
+            if entry[3].crashed:
                 continue
             agent = entry[4]
-            if agent is not None:
-                # Inlined seen-check: ~85% of steady-state deliveries are
-                # duplicate copies whose reflood call would return on its
-                # first line (without refreshing _last_heartbeat — only
-                # first receipt does that).
-                if seen_key in agent._heartbeats_seen:
-                    continue
-                agent._flood_heartbeat(origin, k, exclude=sender)
-            else:
-                # Non-standard handler chain: dispatch a real message so
-                # observers see every heartbeat copy.
-                message = Message(  # lint: ignore[allocation-in-loop]
-                    src=sender, dst=entry[0], kind=MessageKind.CONTROL,
-                    payload=("heartbeat", origin, k),
-                    size_bits=HEARTBEAT_BITS,
-                )
-                for handler in node._handlers:
-                    handler(message, arrival)
-        if delivered:
-            system._tally_delivered += delivered
-        if dropped:
-            system._tally_dropped += dropped
+            # Inlined seen-check: ~85% of steady-state deliveries are
+            # duplicate copies whose reflood call would return on its
+            # first line (without refreshing _last_heartbeat — only
+            # first receipt does that).
+            if seen_key in agent._heartbeats_seen:
+                continue
+            agent._flood_heartbeat(origin, k, exclude=sender)
+        runtime.delivered += delivered
+        runtime.dropped += dropped
         entries.clear()
         lost.clear()
         runtime._hb_free.append(self)
@@ -163,37 +158,36 @@ class _HeartbeatBatch:
 
 class _MessageBatch:
     """One coalesced heap event delivering same-arrival pooled messages
-    (evidence/declaration broadcast fan-out). Dispatch per entry is the
-    inlined ``Node.deliver`` of ``BTRSystem._deliver``; messages are
-    released to the pool once delivered at (or dropped short of) their
-    final destination."""
+    (evidence/declaration broadcast fan-out). Every copy is a single-hop
+    envelope, so it is at its final destination once dispatched and is
+    released to the pool right after (or as soon as the link drops it).
+    """
 
-    __slots__ = ("runtime", "sender", "arrival", "nodes", "messages",
+    __slots__ = ("runtime", "sender", "arrival", "entries", "messages",
                  "lost")
 
     def __init__(self, runtime: "BatchRuntime") -> None:
         self.runtime = runtime
         self.sender = ""
         self.arrival = 0
-        self.nodes: List = []
+        #: The sender's evidence-plan entries, one per copy.
+        self.entries: List[tuple] = []
         self.messages: List[Message] = []
         self.lost: List[bool] = []
 
     def __call__(self) -> None:
         runtime = self.runtime
-        system = runtime.system
-        sim = system.sim
-        trace = system.trace
-        retained = system._hops_retained
-        metrics = system.metrics
+        trace = runtime.trace
+        retained = runtime.retained
+        metrics = runtime.metrics
         pool = runtime.pool
         sender = self.sender
         arrival = self.arrival
-        nodes = self.nodes
+        entries = self.entries
         messages = self.messages
         lost = self.lost
         n = len(messages)
-        sim.events_executed += n - 1
+        runtime.sim.events_executed += n - 1
         runtime.batches_fired += 1
         runtime.entries_batched += n
         delivered = 0
@@ -216,104 +210,220 @@ class _MessageBatch:
                     message.kind.value, message.flow))
             else:
                 delivered += 1
-            node = nodes[i]
-            if not node.crashed:
-                for handler in node._handlers:
-                    handler(message, arrival)
-            # The batched emitter only produces single-hop envelopes
-            # (dst == the neighbour we just delivered to), so the message
-            # is at its final destination; a handler that needed payload
-            # fields after this point must have hoisted them (agent.py
-            # does, for the deferred evidence callbacks).
-            if message.dst == node.node_id:
-                pool.release(message)
-        if delivered:
-            system._tally_delivered += delivered
-        if dropped:
-            system._tally_dropped += dropped
-        nodes.clear()
+            entry = entries[i]
+            if not entry[3].crashed:
+                entry[4]._on_message(message, arrival)
+            # A handler that needed payload fields after this point must
+            # have hoisted them (agent.py does, for the deferred evidence
+            # callbacks).
+            pool.release(message)
+        runtime.delivered += delivered
+        runtime.dropped += dropped
+        entries.clear()
         messages.clear()
         lost.clear()
         runtime._msg_free.append(self)
 
 
 class BatchRuntime:
-    """Per-run state of the batched emitters, owned by a
-    :class:`~repro.core.runtime.system.BTRSystem`: the message pool, the
-    batch-event free lists, and the per-node heartbeat dispatch
-    shortcuts."""
+    """The hop runtime one system (BTR or a baseline) holds across its
+    runs: the message pool and the batch-event free lists live as long
+    as the system, the edge table, the emission plans, the hop-retained
+    flag and the sent / delivered / dropped tallies for one run
+    (:meth:`begin_run` … :meth:`end_run`)."""
 
-    def __init__(self, system, pool_prealloc: int = 256) -> None:
-        self.system = system
+    def __init__(self, pool_prealloc: int = 256) -> None:
         self.pool = MessagePool(prealloc=pool_prealloc)
         self._hb_free: List[_HeartbeatBatch] = []
         self._msg_free: List[_MessageBatch] = []
-        #: Static per-sender emission plans (see :meth:`begin_run`).
+        # Per-run state, set by begin_run():
+        self.sim = None
+        self.trace = None
+        self.metrics = None
+        self._topology = None
+        #: (sender, receiver, kind value) -> (link, lane, receiving
+        #: node, receiving agent).
+        self._edges: Dict[tuple, tuple] = {}
+        #: Static per-sender emission plans.
         self._hb_plans: Dict[str, list] = {}
         self._ev_plans: Dict[str, list] = {}
+        #: Whether hops are recorded as trace rows (``full``) or counted
+        #: into the tallies below (``milestones`` retains none of the
+        #: three hop-message kinds).
+        self.retained = True
+        self.sent = 0
+        self.delivered = 0
+        self.dropped = 0
         self.batches_fired = 0
         self.entries_batched = 0
 
-    def begin_run(self, agents: Dict[str, object]) -> None:
-        """Build the per-run static emission state; called by ``run()``
-        after agent construction (handlers are registered in agent
-        ``__init__``) and after ``lane_model.install()`` (the plans bind
-        the run's Lane objects).
+    def begin_run(self, sim, trace, topology, metrics,
+                  agents: Dict[str, object]) -> None:
+        """Bind the run and build its static hop state; called after
+        agent construction and after ``lane_model.install()`` (the edge
+        table and the plans bind the run's Lane objects).
 
-        The emission plan for one sender is its neighbour fan-out with
-        everything that cannot change mid-run resolved ahead of time:
-        the lane, the receiving node, the heartbeat dispatch shortcut,
-        and — for the fixed-size heartbeat frame — the serialization
+        The edge table holds, per neighbour edge and message kind, the
+        link, the sender's lane, the receiving node and the receiving
+        agent. A sender's emission plans are its neighbour fan-out with
+        everything that cannot change mid-run resolved ahead of time: the
+        lane, the receiving node and agent, and — for the fixed-size
+        heartbeat frame — the serialization
         duration itself and the three trace rows a copy can leave
         (``MessageSent`` / ``MessageDelivered`` / ``MessageDropped``:
         sender, neighbour, ``"control"`` and 128 bits never change), so
         a full trace records the plan's own tuples.
-        ``loss_probability`` is read live per emission (link scripts
-        mutate it mid-run)."""
-        self._hb_plans = {}
-        self._ev_plans = {}
+        ``loss_probability`` is read live per hop (link scripts mutate
+        it mid-run)."""
+        self.sim = sim
+        self.trace = trace
+        self.metrics = metrics
+        self._topology = topology
+        self.retained = (trace.retains(MessageSent)
+                         and trace.retains(MessageDelivered)
+                         and trace.retains(MessageDropped))
+        self.sent = 0
+        self.delivered = 0
+        self.dropped = 0
         self.batches_fired = 0
         self.entries_batched = 0
-        topology = self.system.topology
-        # node_id -> agent when the node's handler chain is exactly the
-        # standard agent dispatch (heartbeats then skip Message objects),
-        # else None (a real message is dispatched).
-        shortcut = {}
-        for node_id, agent in sorted(agents.items()):
-            handlers = agent.node._handlers
-            standard = (len(handlers) == 1
-                        and handlers[0] == agent._on_message)
-            shortcut[node_id] = agent if standard else None
-        for node_id, agent in sorted(agents.items()):
-            # Setup-time plan construction, once per run — not the
-            # steady-state loop the allocation rule protects.
+        edges = self._edges = {}
+        self._hb_plans = {}
+        self._ev_plans = {}
+        # Setup-time construction, once per run — not the steady-state
+        # loop the allocation rule protects.
+        for sender, agent in sorted(agents.items()):
             hb_plan = []  # lint: ignore[allocation-in-loop]
             ev_plan = []  # lint: ignore[allocation-in-loop]
-            sender_node = topology.nodes[node_id]
-            for neighbor in agent._neighbors:
+            sender_node = topology.nodes[sender]
+            for neighbor in topology.neighbors(sender):
                 link = sender_node.link_to(neighbor)
                 if link is None:
                     continue
                 node = topology.nodes[neighbor]
-                ctrl = link.lane_for(node_id, MessageKind.CONTROL)
+                peer = agents[neighbor]
+                for kind, value in _KINDS:
+                    lane = link.lane(sender, kind)
+                    if lane is not None:
+                        edges[sender, neighbor, value] = (
+                            link, lane, node, peer)
+                ctrl = link.lane_for(sender, MessageKind.CONTROL)
                 duration = int(round(HEARTBEAT_BITS
                                      / ctrl.rate_bits_per_us))
                 if duration < 1:
                     duration = 1
                 hb_plan.append((
-                    neighbor, link, ctrl, node, shortcut.get(neighbor),
+                    neighbor, link, ctrl, node, peer,
                     duration, duration + link.propagation_us,
-                    (MessageSent, node_id, neighbor, "control",
+                    (MessageSent, sender, neighbor, "control",
                      HEARTBEAT_BITS, None),
-                    (MessageDelivered, node_id, neighbor, "control", None),
-                    (MessageDropped, node_id, neighbor, "control",
+                    (MessageDelivered, sender, neighbor, "control", None),
+                    (MessageDropped, sender, neighbor, "control",
                      "link_loss")))
                 ev_plan.append((neighbor, link,
-                                link.lane_for(node_id,
-                                              MessageKind.EVIDENCE),
-                                node, link.propagation_us))
-            self._hb_plans[node_id] = hb_plan
-            self._ev_plans[node_id] = ev_plan
+                                link.lane_for(sender, MessageKind.EVIDENCE),
+                                node, peer, link.propagation_us))
+            self._hb_plans[sender] = hb_plan
+            self._ev_plans[sender] = ev_plan
+
+    def end_run(self) -> None:
+        """Flush the run's hop tallies into its trace (non-zero only when
+        the trace retains no hops)."""
+        if self.sent:
+            self.trace.tally(MessageSent, self.sent)
+        if self.delivered:
+            self.trace.tally(MessageDelivered, self.delivered)
+        if self.dropped:
+            self.trace.tally(MessageDropped, self.dropped)
+
+    # ------------------------------------------------------------ unicast
+
+    def send(self, sender: str, receiver: str, message: Message) -> None:
+        """One hop from ``sender`` to its neighbour ``receiver``.
+
+        Serializes ``message`` on the sender's lane for its kind, adds
+        the link's propagation delay, consults the delivery hook, draws
+        the loss RNG iff the link is lossy, and schedules exactly one
+        heap event: the delivery, or the drop. Raises
+        :class:`~repro.sim.link.ReservationError` when ``receiver`` is
+        not a neighbour or the sender holds no lane for the kind.
+        """
+        # kind._value_ (a str) rather than the enum member: tuple hashing
+        # then stays entirely at C level instead of calling Enum.__hash__
+        # per message, and the private attribute skips the
+        # DynamicClassAttribute descriptor behind ``.value``.
+        kind = message.kind._value_
+        edge = self._edges.get((sender, receiver, kind))
+        if edge is None:
+            raise self._unreserved(sender, receiver, message.kind)
+        link, lane, node, agent = edge
+        sim = self.sim
+        now = sim.now
+        bits = message.size_bits
+        if self.retained:
+            self.trace.record_row(now, (
+                MessageSent, sender, receiver, kind, bits, message.flow))
+        else:
+            self.sent += 1
+        free = lane.next_free
+        start = now if now >= free else free
+        duration = int(round(bits / lane.rate_bits_per_us))
+        if duration < 1:
+            duration = 1
+        lane.next_free = start + duration
+        lane.bits_sent += bits
+        arrival = start + duration + link.propagation_us
+        if sim.delivery_hook is not None:
+            arrival = sim.delivery_hook(sender, receiver, arrival)
+        # schedule() (not call_at): delivery events are never cancelled,
+        # and arrival >= now by construction (start >= now, duration >= 1,
+        # hooks may only delay) — the engine re-checks the latter.
+        if link.loss_probability > 0.0 \
+                and sim.rng.random() < link.loss_probability:
+            sim.schedule(arrival, partial(  # lint: ignore[engine-schedule-bypass]
+                self._dropped, sender, receiver, message))
+            return
+        sim.schedule(arrival, partial(  # lint: ignore[engine-schedule-bypass]
+            self._deliver, node, agent, sender, receiver, message,
+            arrival))
+
+    def _unreserved(self, sender: str, receiver: str,
+                    kind: MessageKind) -> ReservationError:
+        link = self._topology.nodes[sender].link_to(receiver)
+        if link is None:
+            return ReservationError(
+                f"{receiver} is not a neighbour of {sender}")
+        return ReservationError(
+            f"no lane for ({sender}, {kind.value}) on {link.link_id}")
+
+    def _deliver(self, node, agent, sender: str, receiver: str,
+                 message: Message, arrival: int) -> None:
+        if self.retained:
+            self.trace.record_row(arrival, (
+                MessageDelivered, sender, receiver, message.kind._value_,
+                message.flow))
+        else:
+            self.delivered += 1
+        if not node.crashed:
+            agent._on_message(message, arrival)
+        # Pooled messages are recycled once they reach their *final*
+        # destination; an intermediate hop leaves the message alive for
+        # the forwarding send.
+        if message.dst == receiver:
+            self.pool.release(message)
+
+    def _dropped(self, sender: str, receiver: str,
+                 message: Message) -> None:
+        if self.retained:
+            self.trace.record_row(self.sim.now, (
+                MessageDropped, sender, receiver, message.kind._value_,
+                "link_loss"))
+        else:
+            self.dropped += 1
+        self.metrics.inc("messages_dropped", reason="link_loss")
+        # A dropped frame ends the message's journey at this hop; pooled
+        # messages are recycled immediately (nothing retains them).
+        self.pool.release(message)
 
     # ------------------------------------------------------------ fan-out
 
@@ -323,10 +433,9 @@ class BatchRuntime:
         entry per receiver, one heap event per distinct arrival time.
         RNG draws (lossy links) and the delivery hook are consulted per
         receiver in emission order."""
-        system = self.system
-        sim = system.sim
-        trace = system.trace
-        retained = system._hops_retained
+        sim = self.sim
+        trace = self.trace
+        retained = self.retained
         hook = sim.delivery_hook
         rng_random = sim.rng.random
         sender = agent.node_id
@@ -344,8 +453,9 @@ class BatchRuntime:
                 trace.record_row(now, entry[7])
             else:
                 sent += 1
-            # Inlined Lane.reserve with the precomputed constant duration
-            # (the frame size and lane rate are fixed for the whole run).
+            # Inlined lane reservation with the precomputed constant
+            # duration (the frame size and lane rate are fixed for the
+            # whole run).
             free = lane.next_free
             start = now if now >= free else free
             lane.next_free = start + entry[5]
@@ -368,8 +478,7 @@ class BatchRuntime:
             if lost:
                 batch.lost.append(len(batch.entries))
             batch.entries.append(entry)
-        if sent:
-            system._tally_sent += sent
+        self.sent += sent
 
     def flood_messages(self, agent, kind: MessageKind, payload,
                        bits: int, exclude: Optional[str]) -> None:
@@ -377,10 +486,9 @@ class BatchRuntime:
         neighbours (evidence/declaration flooding): pooled per-receiver
         messages, one heap event per distinct arrival time. Only called
         for EVIDENCE-lane traffic (the endorsed control records)."""
-        system = self.system
-        sim = system.sim
-        trace = system.trace
-        retained = system._hops_retained
+        sim = self.sim
+        trace = self.trace
+        retained = self.retained
         hook = sim.delivery_hook
         rng_random = sim.rng.random
         pool = self.pool
@@ -408,7 +516,7 @@ class BatchRuntime:
                 duration = 1
             lane.next_free = start + duration
             lane.bits_sent += bits
-            arrival = start + duration + entry[4]
+            arrival = start + duration + entry[5]
             if hook is not None:
                 arrival = hook(sender, neighbor, arrival)
             loss = link.loss_probability
@@ -422,11 +530,10 @@ class BatchRuntime:
                 batch.arrival = arrival
                 groups[arrival] = batch
                 sim.schedule(arrival, batch)  # lint: ignore[engine-schedule-bypass]
-            batch.nodes.append(entry[3])
+            batch.entries.append(entry)
             batch.messages.append(message)
             batch.lost.append(lost)
-        if sent:
-            system._tally_sent += sent
+        self.sent += sent
 
     def stats(self) -> dict:
         return {

@@ -30,7 +30,6 @@ _LANE_OF_KIND = {
     MessageKind.STATE: "state",
     MessageKind.EVIDENCE: "evidence",
     MessageKind.CONTROL: "control",
-    MessageKind.BOGUS: "evidence",  # junk rides the evidence lane
 }
 
 

@@ -76,9 +76,9 @@ class Simulator:
         self.rng = DeterministicRandom(seed)
         #: Number of events executed so far (for diagnostics).
         self.events_executed = 0
-        #: Optional message-delivery choice point, consulted by the
-        #: transmit paths (``Link.transmit``, ``BTRSystem.transmit``, the
-        #: batched fan-outs) just before a delivery is scheduled:
+        #: Optional message-delivery choice point, consulted by the hop
+        #: runtime (``BatchRuntime.send`` and both fan-outs, once per
+        #: receiver) just before a delivery is scheduled:
         #: ``hook(sender, receiver, arrival) -> arrival``. The model checker
         #: (:mod:`repro.mc`) installs one to explore alternative delivery
         #: orderings; ``None`` (the default) costs one attribute read per

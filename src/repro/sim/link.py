@@ -12,20 +12,23 @@ Transmissions on a lane are serialized (a lane is a single queue); the
 transmission delay of a message is ``size_bits / lane_rate`` plus the link's
 propagation delay. Losses: the paper assumes FEC masks transmission errors,
 so the default residual loss probability is zero; a nonzero value exercises
-the loss-tolerance paths in tests.
+the loss-tolerance paths in tests. This module holds the reservations; the
+crossing itself — serialization, propagation, loss — is the hop runtime's
+(:class:`~repro.perf.batchcore.BatchRuntime`), the one path every system
+sends through.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
-from .engine import Simulator
-from .message import Message, MessageKind
+from .message import MessageKind
 
 
 class ReservationError(Exception):
-    """Raised when lane shares on a link would exceed its capacity."""
+    """Raised when lane shares on a link would exceed its capacity, or a
+    send finds no lane (or no link) reserved for it."""
 
 
 @dataclass
@@ -117,15 +120,13 @@ class Link:
             lane.next_free = 0
             lane.bits_sent = 0
 
-    # ----------------------------------------------------------- transmit
+    def lane_for(self, sender: str, kind: MessageKind) -> Lane:
+        """The reserved lane for ``(sender, kind)``; raises
+        :class:`ReservationError` when there is none.
 
-    def lane_for(self, sender: str, kind: MessageKind):
-        """The reserved lane for ``(sender, kind)``.
-
-        Same error contract as :meth:`transmit`; exposed so
-        ``BTRSystem.transmit`` can resolve the lane once per edge and
-        inline the serialization math instead of re-looking it up per
-        message.
+        The hop runtime (:class:`~repro.perf.batchcore.BatchRuntime`)
+        resolves lanes once per run into its edge table and emission
+        plans, and does the serialization arithmetic itself.
         """
         lane = self._lanes.get((sender, kind))
         if lane is None:
@@ -133,59 +134,6 @@ class Link:
                 f"no lane for ({sender}, {kind.value}) on {self.link_id}"
             )
         return lane
-
-    def transmission_time(self, sender: str, kind: MessageKind, size_bits: int) -> int:
-        """Pure transmission (serialization) delay on the sender's lane, µs."""
-        lane = self._lanes.get((sender, kind))
-        if lane is None:
-            raise ReservationError(
-                f"no lane for ({sender}, {kind.value}) on {self.link_id}"
-            )
-        return max(1, int(round(size_bits / lane.rate_bits_per_us)))
-
-    def transmit(
-        self,
-        sim: Simulator,
-        message: Message,
-        sender: str,
-        receiver: str,
-        deliver: Callable[[Message, int], None],
-        on_drop: Optional[Callable[[Message], None]] = None,
-    ) -> int:
-        """Send ``message`` from ``sender`` to ``receiver`` over this link.
-
-        Serializes on the sender's lane, applies propagation delay, and
-        invokes ``deliver(message, arrival_time)`` via the simulator. Returns
-        the scheduled arrival time. The residual (post-FEC) loss probability
-        is applied per transmission; dropped frames invoke ``on_drop``.
-        """
-        if receiver not in self.endpoints:
-            raise ReservationError(
-                f"{receiver} is not attached to {self.link_id}"
-            )
-        lane = self._lanes.get((sender, message.kind))
-        if lane is None:
-            raise ReservationError(
-                f"no lane for ({sender}, {message.kind.value}) on {self.link_id}"
-            )
-        start = max(sim.now, lane.next_free)
-        duration = max(1, int(round(message.size_bits / lane.rate_bits_per_us)))
-        lane.next_free = start + duration
-        lane.bits_sent += message.size_bits
-        arrival = start + duration + self.propagation_us
-        if sim.delivery_hook is not None:
-            arrival = sim.delivery_hook(sender, receiver, arrival)
-
-        lost = (
-            self.loss_probability > 0.0
-            and sim.rng.random() < self.loss_probability
-        )
-        if lost:
-            if on_drop is not None:
-                sim.call_at(arrival, lambda: on_drop(message))
-            return arrival
-        sim.call_at(arrival, lambda: deliver(message, arrival))
-        return arrival
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

@@ -21,7 +21,6 @@ class MessageKind(Enum):
     EVIDENCE = "evidence"   # fault evidence distribution (control plane)
     STATE = "state"         # task state transfer during mode changes
     CONTROL = "control"     # mode-change coordination, heartbeats
-    BOGUS = "bogus"         # adversarial junk (classified on inspection)
 
 
 _message_ids = itertools.count(1)

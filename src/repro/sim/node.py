@@ -7,22 +7,24 @@ A node is a resource container. It owns:
   (evidence verification and distribution) — the paper's "there are no extra
   resources for BTR" means these reservations must be explicit;
 * a :class:`~repro.sim.clock.LocalClock`;
-* attachments to the links it can reach, plus a delivery dispatcher.
+* attachments to the links it can reach.
 
-Behaviour (what the node computes and sends) lives in the runtime layer; a
-compromised node's behaviour is replaced wholesale by the fault injectors,
-but its *resources* — CPU speed, lane shares, link lanes — are still enforced
-by this layer, mirroring the hardware MAC assumption in the paper.
+Behaviour (what the node computes and sends) lives in the runtime layer,
+whose hop runtime (:class:`~repro.perf.batchcore.BatchRuntime`) hands each
+arriving message straight to the node's agent unless the node is
+``crashed``; a compromised node's behaviour is replaced wholesale by the
+fault injectors, but its *resources* — CPU speed, lane shares, link lanes
+— are still enforced by this layer, mirroring the hardware MAC assumption
+in the paper.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, Optional
 
 from .clock import LocalClock
 from .engine import Simulator
 from .link import Link
-from .message import Message
 
 
 class CpuLane:
@@ -93,9 +95,10 @@ class Node:
             "ctrl": CpuLane("ctrl", speed * control_share),
         }
         self._links: Dict[str, Link] = {}
-        self._handlers: List[Callable[[Message, int], None]] = []
         #: Set by fault injection; resources stay enforced regardless.
         self.compromised = False
+        #: Fail-stop: a crashed node refuses work, and arriving traffic is
+        #: dropped at the receiver.
         self.crashed = False
 
     # ------------------------------------------------------------ topology
@@ -118,22 +121,6 @@ class Node:
                 return link
         return None
 
-    # ------------------------------------------------------------ delivery
-
-    def add_handler(self, handler: Callable[[Message, int], None]) -> None:
-        """Register a message-delivery handler (runtime layer hooks here)."""
-        self._handlers.append(handler)
-
-    def deliver(self, message: Message, at: int) -> None:
-        """Dispatch an arriving message to all handlers.
-
-        Crashed nodes silently drop traffic (fail-stop at the receiver).
-        """
-        if self.crashed:
-            return
-        for handler in list(self._handlers):
-            handler(message, at)
-
     # ------------------------------------------------------------- compute
 
     def execute(
@@ -153,11 +140,10 @@ class Node:
         return self.clock.read(sim.now)
 
     def reset(self) -> None:
-        """Clear per-run state: CPU queues, handlers, fault flags."""
+        """Clear per-run state: CPU queues, fault flags."""
         for lane in self.lanes.values():
             lane.next_free = 0
             lane.busy_us = 0
-        self._handlers.clear()
         self.compromised = False
         self.crashed = False
 

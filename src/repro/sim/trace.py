@@ -13,8 +13,7 @@ Recording modes trade fidelity for speed on benchmark sweeps:
   (:data:`MILESTONE_KINDS`) are retained; per-hop traffic
   (:data:`HOP_KINDS`: ``MessageSent``/``MessageDelivered``/
   ``MessageDropped``/``TaskExecuted``) is tallied per kind but not
-  allocated;
-* ``counts-only`` — nothing is retained, everything is tallied.
+  allocated.
 
 Storage is columnar: a time column (``array('q')``) beside a row column,
 one entry each per retained event, in record order. A row is either the
@@ -178,8 +177,7 @@ E = TypeVar("E", bound=TraceEvent)
 #: Recording modes, in decreasing order of fidelity.
 MODE_FULL = "full"
 MODE_MILESTONES = "milestones"
-MODE_COUNTS_ONLY = "counts-only"
-TRACE_MODES = (MODE_FULL, MODE_MILESTONES, MODE_COUNTS_ONLY)
+TRACE_MODES = (MODE_FULL, MODE_MILESTONES)
 
 #: The kinds retained in ``milestones`` mode: everything the analysis and
 #: observability layers need to reconstruct recovery timelines and check
@@ -247,12 +245,8 @@ class Trace:
         self._hops_indexed = 0
         #: Per-kind-name counts of events tallied but not retained.
         self._tallies: Dict[str, int] = {}
-        if mode == MODE_FULL:
-            self._retained: Optional[frozenset] = None
-        elif mode == MODE_MILESTONES:
-            self._retained = MILESTONE_KINDS
-        else:
-            self._retained = frozenset()
+        self._retained: Optional[frozenset] = (
+            None if mode == MODE_FULL else MILESTONE_KINDS)
 
     def retains(self, kind: Type[TraceEvent]) -> bool:
         """Would an event of this kind be kept (vs merely tallied)?"""

@@ -14,9 +14,16 @@ artifact, the recovery budget, and SHA-256 of the ``compute_bounds`` and
 other committed file pins. It was generated by the planner at 3e48eeb,
 before the offline hot paths were rewritten.
 
-``python -m tests.golden [engine|planner]`` re-runs every cell on the
-current code and verifies it; with ``--write SOURCE`` it rewrites the
-file instead — only ever with a CHANGES.md line saying why the
+``baseline_digests.json`` pins the five baseline systems the same way
+the engine file pins BTR: per (baseline, fault, topology) cell, the
+full-trace fingerprint, ``events_executed`` and the event census, over
+one single-hop and two multi-hop topologies. It was generated by the
+baselines' own transmit path (``Link.transmit``) before they moved onto
+the shared hop runtime.
+
+``python -m tests.golden [engine|planner|baseline]`` re-runs every cell
+on the current code and verifies it; with ``--write SOURCE`` it rewrites
+the file instead — only ever with a CHANGES.md line saying why the
 observable behaviour was meant to change.
 """
 
@@ -28,8 +35,9 @@ import os
 import re
 
 from repro import BTRConfig, BTRSystem
-from repro.cli import WORKLOADS, make_topology
+from repro.cli import BASELINES, WORKLOADS, make_topology
 from repro.core.planner import PlanningError, strategy_to_json
+from repro.faults import SingleFaultAdversary
 from repro.faults.scenarios import stage
 from repro.net import full_mesh_topology, geo_topology
 from repro.sim.trace import trace_fingerprint
@@ -41,6 +49,8 @@ from repro.workload import industrial_workload, stretched_workload
 PATH = os.path.join(os.path.dirname(__file__), "engine_digests.json")
 PLANNER_PATH = os.path.join(os.path.dirname(__file__),
                             "planner_digests.json")
+BASELINE_PATH = os.path.join(os.path.dirname(__file__),
+                             "baseline_digests.json")
 
 #: Scenario name of the cell run without faults under :func:`delay_n0`.
 HOOKED = "fault_free+delay_n0"
@@ -176,13 +186,52 @@ def run_planner_cell(key: str) -> dict:
         return UNSCHEDULABLE
 
 
+# ----------------------------------------------------- baseline digests
+
+#: The baseline grid: every baseline × a full mesh and two multi-hop
+#: topologies (where baselines forward data hop by hop) × no fault / one
+#: commission / one crash, industrial workload, f=1, 24 periods, seed 42.
+BASELINE_TOPOLOGIES = ("fullmesh:7", "ring:6", "mesh:3x3")
+BASELINE_FAULTS = ("none", "commission", "crash")
+BASELINE_KEYS = tuple(
+    f"{name}/{fault}@{topology}/industrial/f1/p24/s42"
+    for name in sorted(BASELINES)
+    for topology in BASELINE_TOPOLOGIES for fault in BASELINE_FAULTS)
+_BASELINE_KEY = re.compile(r"(?P<name>\w+)/(?P<fault>\w+)@(?P<topology>[\w:]+)"
+                           r"/(?P<workload>\w+)/f(?P<f>\d+)/p(?P<periods>\d+)"
+                           r"/s(?P<seed>\d+)")
+#: When the faulted cells inject (period 4 of 50 ms periods).
+BASELINE_FAULT_AT = 220_000
+
+
+def expected_baseline(key: str) -> dict:
+    return _committed(BASELINE_PATH)[key]
+
+
+def run_baseline_cell(key: str) -> dict:
+    m = _BASELINE_KEY.fullmatch(key)
+    system = BASELINES[m["name"]](WORKLOADS[m["workload"]](),
+                                  make_topology(m["topology"], 1e8),
+                                  f=int(m["f"]), seed=int(m["seed"]))
+    try:
+        system.prepare()
+    except ValueError:
+        return UNSCHEDULABLE
+    adversary = (None if m["fault"] == "none"
+                 else SingleFaultAdversary(at=BASELINE_FAULT_AT,
+                                           kind=m["fault"]))
+    return digest(system, system.run(int(m["periods"]), adversary))
+
+
 # ------------------------------------------------------------ the files
 
 #: name -> (path, how one cell is recomputed, which cells the file holds:
-#: the engine file is its own grid, the planner grid is the one above).
+#: the engine file is its own grid, the planner and baseline grids are
+#: the ones above).
 FILES = {
     "engine": (PATH, run_cell, lambda: sorted(_committed())),
     "planner": (PLANNER_PATH, run_planner_cell, lambda: PLANNER_KEYS),
+    "baseline": (BASELINE_PATH, run_baseline_cell, lambda: BASELINE_KEYS),
 }
 
 
@@ -197,13 +246,13 @@ def write(path: str, cells: dict, source: str) -> None:
 
 
 def main() -> None:
-    """``python -m tests.golden [engine|planner]``: verify every cell of
-    the named file, or of both (exit 1 on a mismatch). With ``--write
-    SOURCE``: rewrite instead, with SOURCE (sha + why the digests were
-    meant to change) as the file's origin."""
+    """``python -m tests.golden [engine|planner|baseline]``: verify every
+    cell of the named file, or of all of them (exit 1 on a mismatch).
+    With ``--write SOURCE``: rewrite instead, with SOURCE (sha + why the
+    digests were meant to change) as the file's origin."""
     parser = argparse.ArgumentParser(prog="python -m tests.golden")
     parser.add_argument("file", nargs="?", choices=sorted(FILES),
-                        help="the digest file to check (default: both)")
+                        help="the digest file to check (default: all)")
     parser.add_argument("--write", metavar="SOURCE")
     args = parser.parse_args()
     if args.write and not args.file:

@@ -20,6 +20,7 @@ from repro.workload import (
     pipeline_workload,
     sensor_reading,
 )
+from tests import golden
 
 N_PERIODS = 24
 FAULT_AT = 220_000
@@ -199,6 +200,14 @@ def test_bft_outputs_arrive_later_than_unreplicated():
         return sum(lats) / len(lats)
 
     assert mean_latency(bft) > mean_latency(unrep)
+
+
+@pytest.mark.parametrize("key", golden.BASELINE_KEYS)
+def test_baseline_trace_equals_committed_digest(key):
+    """Every baseline cell — multi-hop forwarding included — records the
+    trace its own transmit path recorded before the baselines moved onto
+    the shared hop runtime (``tests/golden/baseline_digests.json``)."""
+    assert golden.run_baseline_cell(key) == golden.expected_baseline(key)
 
 
 def test_baseline_config_validation():

@@ -108,6 +108,17 @@ def test_cli_plan_export(tmp_path, capsys):
     (["plan", "--topology", "mesh:3"], "malformed topology"),
     (["plan", "--topology", "geo:2"], "malformed topology"),
     (["plan", "--f", "0"], "BTR needs f >= 1"),
+    (["run", "--periods", "-3"], "argument --periods: must be > 0"),
+    (["run", "--periods", "0"], "argument --periods: must be > 0"),
+    (["run", "--topology", "fullmesh:1"], "malformed topology"),
+    (["run", "--fault", "crash", "--fault-at", "-1"],
+     "argument --fault-at: must be >= 0"),
+    (["bounds", "--R", "-1"], "argument --R: must be > 0"),
+    (["plan", "--f", "9"], "unschedulable deployment"),
+    (["run", "--stretch", "0"], "argument --stretch: must be > 0"),
+    (["check", "--periods", "-1"], "argument --periods: must be >= 0"),
+    (["fuzz", "campaign", "--max-artifacts", "-1"],
+     "argument --max-artifacts: must be >= 0"),
 ])
 def test_cli_names_bad_input_in_one_line(argv, names, tmp_path, capsys):
     if "--strategy" in argv:  # the payload stands for a file holding it
@@ -209,8 +220,10 @@ def test_cli_check_replay_rejects_bad_artifact(tmp_path, capsys):
 
 
 def test_cli_check_rejects_bad_bounds(capsys):
-    code = main(["check", "--ticks", "0"])
-    assert code == 2
+    with pytest.raises(SystemExit) as exc:
+        main(["check", "--ticks", "0"])
+    assert exc.value.code == 2
+    assert "argument --ticks: must be > 0" in capsys.readouterr().err
 
 
 # --------------------------------------------------------------------- fuzz

@@ -300,6 +300,17 @@ def test_mc_layer_is_in_restricted_scope():
                      path=MC_PATH) == ["wallclock"]
 
 
+def test_baselines_are_in_restricted_and_schedule_scope():
+    """Baselines cross links through the same hop runtime and are
+    digest-pinned like BTR: clocks, global RNG and raw schedules are
+    forbidden there too."""
+    path = "src/repro/baselines/example.py"
+    assert rules_hit("import time\nt = time.time()\n",
+                     path=path) == ["wallclock"]
+    assert rules_hit("self.sim.schedule(5, cb)\n",
+                     path=path) == ["engine-schedule-bypass"]
+
+
 # ------------------------------------------------- allocation-in-loop
 
 

@@ -1,8 +1,13 @@
-"""Unit tests for links (guarded bandwidth) and nodes (CPU lanes)."""
+"""Unit tests for links (guarded bandwidth), crossing them through the hop
+runtime, and nodes (CPU lanes)."""
 
 import pytest
 from hypothesis import given, strategies as st
 
+from repro.net import Topology
+from repro.obs.metrics import MetricsRegistry
+from repro.perf.batchcore import BatchRuntime
+from repro.sched import LaneModel
 from repro.sim import (
     Link,
     Message,
@@ -11,6 +16,7 @@ from repro.sim import (
     ReservationError,
     Simulator,
 )
+from repro.sim.trace import MessageDelivered, MessageDropped, Trace
 
 
 def make_msg(src="a", dst="b", size=1000, kind=MessageKind.DATA):
@@ -46,86 +52,115 @@ def test_release_lane_frees_capacity():
     link.allocate_lane("b", MessageKind.DATA, 1.0)
 
 
+# ------------------------------------------------------- crossing a link
+#
+# A link only holds reservations; crossing it is the hop runtime's job
+# (``BatchRuntime.send``), the one path BTR and every baseline use. These
+# tests bind a runtime to a run over one link, with lanes per the static
+# lane model: DATA gets half of the link, split evenly between its
+# senders.
+
+
+class Receiver:
+    """Stands in for a node's agent: records what it is handed."""
+
+    def __init__(self, node):
+        self.node = node
+        self.got = []
+
+    def _on_message(self, message, at):
+        self.got.append((message.src, at))
+
+
+def hop_runtime(link, *, seed=0, others=(), unreserved=()):
+    """A hop runtime bound to a fresh run over ``link`` alone (plus the
+    unattached nodes ``others``), every node with a :class:`Receiver`;
+    the ``(sender, kind)`` lanes in ``unreserved`` are left out."""
+    topology = Topology()
+    for node_id in link.endpoints + tuple(others):
+        topology.add_node(Node(node_id))
+    topology.add_link(link)
+    LaneModel(topology).install()
+    for sender, kind in unreserved:
+        link.release_lane(sender, kind)
+    sim = Simulator(seed=seed)
+    agents = {node_id: Receiver(node)
+              for node_id, node in topology.nodes.items()}
+    runtime = BatchRuntime()
+    runtime.begin_run(sim, Trace(), topology, MetricsRegistry(), agents)
+    return runtime, sim, agents
+
+
 def test_transmission_delay_matches_bandwidth():
-    # 1 Mbps, full share -> 1 bit per µs; 1000 bits -> 1000 µs + propagation.
-    sim = Simulator()
+    # 1 Mbps, a's DATA lane a quarter of it -> 0.25 bit per µs; 1000 bits
+    # -> 4000 µs of serialization + 10 µs of propagation.
     link = Link("l1", ("a", "b"), bandwidth_bps=1e6, propagation_us=10)
-    link.allocate_lane("a", MessageKind.DATA, 1.0)
-    arrivals = []
-    link.transmit(sim, make_msg(size=1000), "a", "b",
-                  deliver=lambda m, t: arrivals.append(t))
+    runtime, sim, agents = hop_runtime(link)
+    runtime.send("a", "b", make_msg(size=1000))
     sim.run()
-    assert arrivals == [1010]
+    assert agents["b"].got == [("a", 4010)]
 
 
 def test_transmissions_serialize_on_one_lane():
-    sim = Simulator()
     link = Link("l1", ("a", "b"), bandwidth_bps=1e6, propagation_us=0)
-    link.allocate_lane("a", MessageKind.DATA, 1.0)
-    arrivals = []
+    runtime, sim, agents = hop_runtime(link)
     for _ in range(3):
-        link.transmit(sim, make_msg(size=100), "a", "b",
-                      deliver=lambda m, t: arrivals.append(t))
+        runtime.send("a", "b", make_msg(size=100))
     sim.run()
-    assert arrivals == [100, 200, 300]
+    assert [at for _, at in agents["b"].got] == [400, 800, 1200]
 
 
 def test_guardian_isolates_lanes():
     """A babbling sender cannot delay another sender's lane."""
-    sim = Simulator()
     link = Link("bus", ("a", "b", "c"), bandwidth_bps=1e6, propagation_us=0)
-    link.allocate_lane("a", MessageKind.DATA, 0.5)
-    link.allocate_lane("b", MessageKind.DATA, 0.5)
+    runtime, sim, agents = hop_runtime(link)
     # "a" babbles: floods its own lane.
     for _ in range(100):
-        link.transmit(sim, make_msg(src="a", dst="c", size=10_000), "a", "c",
-                      deliver=lambda m, t: None)
-    arrivals = []
-    link.transmit(sim, make_msg(src="b", dst="c", size=500), "b", "c",
-                  deliver=lambda m, t: arrivals.append(t))
+        runtime.send("a", "c", make_msg(src="a", dst="c", size=10_000))
+    runtime.send("b", "c", make_msg(src="b", dst="c", size=500))
     sim.run()
-    # b's 500-bit frame at 0.5 Mbps lane = 1000 µs, unaffected by a's flood.
-    assert arrivals == [1000]
+    # b's 500-bit frame on its 1/6-of-1-Mbps lane = 3000 µs, unaffected
+    # by a's flood.
+    assert [at for src, at in agents["c"].got if src == "b"] == [3000]
+    assert min(at for src, at in agents["c"].got if src == "a") == 60_000
 
 
 def test_transmit_without_lane_raises():
-    sim = Simulator()
     link = Link("l1", ("a", "b"), bandwidth_bps=1e6)
-    with pytest.raises(ReservationError):
-        link.transmit(sim, make_msg(), "a", "b", deliver=lambda m, t: None)
+    runtime, _, _ = hop_runtime(link, unreserved=[("a", MessageKind.DATA)])
+    with pytest.raises(ReservationError, match="no lane"):
+        runtime.send("a", "b", make_msg())
 
 
 def test_transmit_to_non_endpoint_raises():
-    sim = Simulator()
     link = Link("l1", ("a", "b"), bandwidth_bps=1e6)
-    link.allocate_lane("a", MessageKind.DATA, 1.0)
-    with pytest.raises(ReservationError):
-        link.transmit(sim, make_msg(dst="z"), "a", "z", deliver=lambda m, t: None)
+    runtime, _, _ = hop_runtime(link, others=["z"])
+    with pytest.raises(ReservationError, match="not a neighbour"):
+        runtime.send("a", "z", make_msg(dst="z"))
 
 
 def test_lossy_link_drops_and_reports():
-    sim = Simulator(seed=1)
     link = Link("l1", ("a", "b"), bandwidth_bps=1e9, loss_probability=1.0)
-    link.allocate_lane("a", MessageKind.DATA, 1.0)
-    delivered, dropped = [], []
-    link.transmit(sim, make_msg(), "a", "b",
-                  deliver=lambda m, t: delivered.append(m),
-                  on_drop=lambda m: dropped.append(m))
+    runtime, sim, agents = hop_runtime(link, seed=1)
+    runtime.send("a", "b", make_msg())
     sim.run()
-    assert delivered == []
-    assert len(dropped) == 1
+    assert agents["b"].got == []
+    dropped = runtime.trace.of_kind(MessageDropped)
+    assert [(e.src, e.dst, e.reason) for e in dropped] == [
+        ("a", "b", "link_loss")]
+    assert runtime.metrics.counter_value("messages_dropped",
+                                         reason="link_loss") == 1
 
 
 def test_lossless_by_default():
-    sim = Simulator(seed=1)
     link = Link("l1", ("a", "b"), bandwidth_bps=1e9)
-    link.allocate_lane("a", MessageKind.DATA, 1.0)
-    delivered = []
+    runtime, sim, agents = hop_runtime(link, seed=1)
     for _ in range(50):
-        link.transmit(sim, make_msg(), "a", "b",
-                      deliver=lambda m, t: delivered.append(m))
+        runtime.send("a", "b", make_msg())
     sim.run()
-    assert len(delivered) == 50
+    assert len(agents["b"].got) == 50
+    # Unicast is one heap event per hop, never a batch.
+    assert runtime.stats()["batches_fired"] == 0
 
 
 @given(
@@ -133,10 +168,15 @@ def test_lossless_by_default():
     share=st.floats(min_value=0.01, max_value=1.0),
 )
 def test_property_transmission_time_positive_and_monotone(size, share):
-    link = Link("l1", ("a", "b"), bandwidth_bps=1e6)
-    link.allocate_lane("a", MessageKind.DATA, share)
-    t1 = link.transmission_time("a", MessageKind.DATA, size)
-    t2 = link.transmission_time("a", MessageKind.DATA, size * 2)
+    # DATA lanes are a quarter of the link each: ``share`` bit per µs.
+    link = Link("l1", ("a", "b"), bandwidth_bps=4e6 * share,
+                propagation_us=0)
+    runtime, sim, agents = hop_runtime(link)
+    runtime.send("a", "b", make_msg(src="a", dst="b", size=size))
+    runtime.send("b", "a", make_msg(src="b", dst="a", size=size * 2))
+    sim.run()
+    [(_, t1)] = agents["b"].got
+    [(_, t2)] = agents["a"].got
     assert t1 >= 1
     assert t2 >= t1
 
@@ -177,13 +217,15 @@ def test_node_cpu_serializes_within_lane():
 
 
 def test_crashed_node_drops_deliveries_and_refuses_work():
-    sim = Simulator()
-    node = Node("n1")
-    got = []
-    node.add_handler(lambda m, t: got.append(m))
+    link = Link("l1", ("a", "b"), bandwidth_bps=1e6)
+    runtime, sim, agents = hop_runtime(link)
+    node = agents["b"].node
     node.crashed = True
-    node.deliver(make_msg(), 0)
-    assert got == []
+    runtime.send("a", "b", make_msg())
+    sim.run()
+    # The frame crossed the link; the crashed receiver dropped it.
+    assert runtime.trace.count(MessageDelivered) == 1
+    assert agents["b"].got == []
     with pytest.raises(RuntimeError):
         node.execute(sim, 10)
 

@@ -10,8 +10,8 @@ sides —
   eviction is deterministic;
 * canonicalization caching: one serialization per statement lifetime;
   a memo-less directory recomputes every verification;
-* trace modes: reduced modes keep the census and refuse reconstruction
-  they cannot support.
+* trace modes: the reduced mode keeps the census and every kind
+  reconstruction needs.
 """
 
 import pytest
@@ -91,14 +91,6 @@ class TestDeterminismProperty:
         assert miles.trace.kind_counts() == full.trace.kind_counts()
         # ...and the simulation itself executed the same event sequence.
         assert full_sys.sim.events_executed == mi_sys.sim.events_executed
-
-    def test_counts_only_keeps_census_but_refuses_timelines(self):
-        _, full = run_scenario(42, mode="full")
-        _, counts = run_scenario(42, mode="counts-only")
-        assert counts.trace.kind_counts() == full.trace.kind_counts()
-        assert len(counts.trace) == 0
-        with pytest.raises(ValueError, match="trace_mode"):
-            reconstruct_timelines(counts)
 
 
 class TestVerifyMemo:
@@ -233,7 +225,7 @@ class TestTraceModes:
             Trace(mode="everything")
         with pytest.raises(ValueError, match="trace_mode"):
             BTRConfig(trace_mode="everything")
-        assert TRACE_MODES == ("full", "milestones", "counts-only")
+        assert TRACE_MODES == ("full", "milestones")
 
     def test_required_kinds_are_retained_in_milestones_mode(self):
         assert set(REQUIRED_KINDS) <= MILESTONE_KINDS

@@ -41,8 +41,10 @@ numbers:
   still passes.
 
 The first two are scoped to ``src/repro/sim``, ``src/repro/core``,
-``src/repro/perf`` and ``src/repro/crypto`` (the determinism-critical
-layers; the verify memo's eviction lives in the last); the clock/RNG
+``src/repro/perf``, ``src/repro/crypto`` (the determinism-critical
+layers; the verify memo's eviction lives in the last), ``repro/obs``,
+``repro/mc``, ``repro/fuzz`` and ``repro/baselines`` (which drive the
+same engine and are digest-pinned the same way); the clock/RNG
 façades themselves (``sim/time.py``, ``sim/clock.py``,
 ``sim/random.py``) are exempt, being the sanctioned wrappers, as is
 ``perf/timing.py`` — the one module allowed to read the host clock,
@@ -59,8 +61,9 @@ event queue directly) and the planner (``repro/net/routing``,
 ``repro/core/planner``, ``repro/sched``: strategy artifacts are pinned
 byte for byte), ``engine-schedule-bypass`` to the layers that
 hold a simulator reference but do not own the engine (``repro/core``,
-``repro/mc``, ``repro/obs``, ``repro/faults``, ``repro/fuzz``) plus the
-batched core's sanctioned transmit paths (which carry pragmas), and
+``repro/mc``, ``repro/obs``, ``repro/faults``, ``repro/fuzz``,
+``repro/baselines``) plus the hop runtime's sanctioned schedule calls
+(which carry pragmas), and
 ``allocation-in-loop`` to the batched-core hot modules
 (``repro/perf/batchcore``, ``repro/sim/message``). The worker pool and
 its sweep (``repro/perf/pool``) sit in the node-order scope: results
@@ -77,7 +80,7 @@ Hit = Tuple[int, int, str]
 #: Path fragments of the determinism-critical layers (posix-style).
 RESTRICTED_FRAGMENTS = ("repro/sim/", "repro/core/", "repro/perf/",
                         "repro/crypto/", "repro/obs/", "repro/mc/",
-                        "repro/fuzz/")
+                        "repro/fuzz/", "repro/baselines/")
 #: Layers where node-id iteration order leaks into campaign reports.
 NODE_ORDER_FRAGMENTS = ("repro/mc/", "repro/faults/",
                         "repro/perf/batchcore", "repro/perf/pool",
@@ -90,7 +93,7 @@ HASH_FRAGMENTS = ("repro/faults/", "repro/net/", "repro/sched/",
 #: Layers that hold a simulator reference but do not own the engine.
 SCHEDULE_CLIENT_FRAGMENTS = ("repro/core/", "repro/mc/", "repro/obs/",
                              "repro/faults/", "repro/perf/batchcore",
-                             "repro/fuzz/")
+                             "repro/fuzz/", "repro/baselines/")
 #: Hot-path modules whose steady-state loops must not allocate.
 HOT_LOOP_FRAGMENTS = ("repro/perf/batchcore", "repro/sim/message")
 #: Modules whose time arithmetic must stay in integer microseconds.

@@ -14,7 +14,7 @@ bytes instead of re-running ``json.dumps`` per call site.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Any, Optional
 
 from .signatures import KeyDirectory, Signature, canonical_bytes
@@ -25,22 +25,31 @@ def digest(payload: Any) -> str:
     return hashlib.sha256(canonical_bytes(payload)).hexdigest()[:16]
 
 
-def _digest_of(canonical: bytes) -> str:
-    return hashlib.sha256(canonical).hexdigest()[:16]
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True, init=False)
 class AuthenticatedStatement:
     """A statement plus the signature of the node that made it.
 
     The payload dict is treated as frozen after construction (nothing in
     the runtime mutates a signed statement — doing so would invalidate
     the signature anyway), which is what makes the canonical-bytes and
-    digest caches sound.
+    digest caches sound. The caches take no part in equality, hash or
+    repr; like :class:`Signature`, ``__init__`` stores through the slot
+    descriptors.
     """
 
     statement: dict
     signature: Signature
+    _canonical: Optional[bytes] = field(default=None, compare=False,
+                                        repr=False)
+    _digest: Optional[str] = field(default=None, compare=False, repr=False)
+
+    def __init__(self, statement: dict, signature: Signature,
+                 canonical: Optional[bytes] = None) -> None:
+        """``canonical``, when given, is ``canonical_bytes(statement)``."""
+        _set_statement(self, statement)
+        _set_signature(self, signature)
+        _set_canonical(self, canonical)
+        _set_digest(self, None)
 
     @classmethod
     def make(cls, directory: KeyDirectory, signer: str, statement: dict,
@@ -50,10 +59,8 @@ class AuthenticatedStatement:
         runtime's compiled statement templates do)."""
         if canonical is None:
             canonical = canonical_bytes(statement)
-        stmt = cls(statement=statement,
-                   signature=directory.sign_bytes(signer, canonical))
-        object.__setattr__(stmt, "_canonical", canonical)
-        return stmt
+        return cls(statement, directory.sign_bytes(signer, canonical),
+                   canonical)
 
     @classmethod
     def make_batch(cls, directory: KeyDirectory, signer: str, statements,
@@ -67,28 +74,25 @@ class AuthenticatedStatement:
         if canonicals is None:
             canonicals = [canonical_bytes(s) for s in statements]
         signatures = directory.sign_bytes_batch(signer, canonicals)
-        out = []
-        for statement, canonical, signature in zip(statements, canonicals,
-                                                   signatures):
-            stmt = cls(statement=statement, signature=signature)
-            object.__setattr__(stmt, "_canonical", canonical)
-            out.append(stmt)
-        return out
+        return [cls(statement, signature, canonical)
+                for statement, canonical, signature
+                in zip(statements, canonicals, signatures)]
 
     def canonical(self) -> bytes:
         """The canonical serialization, computed at most once."""
-        cached = self.__dict__.get("_canonical")
+        cached = self._canonical
         if cached is None:
             cached = canonical_bytes(self.statement)
-            object.__setattr__(self, "_canonical", cached)
+            _set_canonical(self, cached)
         return cached
 
     def payload_digest(self) -> str:
-        """``digest(self.statement)``, computed at most once."""
-        cached = self.__dict__.get("_digest")
+        """``digest(self.statement)``, computed at most once. Evidence
+        ids and declaration dedup read it; signature checks do not."""
+        cached = self._digest
         if cached is None:
-            cached = _digest_of(self.canonical())
-            object.__setattr__(self, "_digest", cached)
+            cached = hashlib.sha256(self.canonical()).hexdigest()[:16]
+            _set_digest(self, cached)
         return cached
 
     def valid(self, directory: KeyDirectory) -> bool:
@@ -101,3 +105,9 @@ class AuthenticatedStatement:
     def wire_bits(self) -> int:
         """Approximate wire size: canonical payload + signature."""
         return len(self.canonical()) * 8 + Signature.WIRE_BITS
+
+
+_set_statement = AuthenticatedStatement.statement.__set__
+_set_signature = AuthenticatedStatement.signature.__set__
+_set_canonical = AuthenticatedStatement._canonical.__set__
+_set_digest = AuthenticatedStatement._digest.__set__

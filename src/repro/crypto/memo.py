@@ -4,7 +4,7 @@ The simulation hot path avoids redundant per-receiver crypto work the way
 real BFT implementations do — PBFT batches authenticators and Zyzzyva's
 speculative path exists for the same reason: :class:`VerifyMemo` is a
 positive-only memo of signature verification results keyed by
-``(signer, tag, payload_digest)``, consulted by
+``(signer, tag, canonical bytes)``, consulted by
 :meth:`~repro.crypto.signatures.KeyDirectory.verify_statement` so a
 statement broadcast to N correct receivers pays the HMAC once. Forged or
 otherwise invalid results are **never cached**: a miss always recomputes,
@@ -20,10 +20,11 @@ from __future__ import annotations
 from itertools import islice
 from typing import Dict, Tuple
 
-#: Memo key: (claimed signer, signature tag, payload digest). The digest
-#: is the statement's cached content digest, so building the key costs
-#: nothing beyond the tuple itself.
-MemoKey = Tuple[str, str, str]
+#: Memo key: (claimed signer, signature tag, canonical payload bytes).
+#: The bytes are the statement's cached serialization, and bytes cache
+#: their own hash, so building and looking up the key costs nothing
+#: beyond the tuple itself; the key is exactly what the HMAC reads.
+MemoKey = Tuple[str, str, bytes]
 
 #: Default memo capacity. A run's working set is one entry per distinct
 #: (statement, signer) pair in flight; 64k entries comfortably covers the

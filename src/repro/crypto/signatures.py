@@ -18,9 +18,15 @@ import hashlib
 import hmac
 import json
 from dataclasses import dataclass
-from typing import Any, Dict
+from typing import Any, Dict, Tuple
 
 from .memo import VerifyMemo
+
+#: SHA-256's block size in bytes: RFC 2104's ``B``.
+_BLOCK_BYTES = 64
+#: ``bytes.translate`` tables XOR-ing every byte with RFC 2104's pads.
+_IPAD = bytes(x ^ 0x36 for x in range(256))
+_OPAD = bytes(x ^ 0x5C for x in range(256))
 
 
 class SignatureError(Exception):
@@ -42,15 +48,51 @@ def _reject(obj: Any) -> Any:
     raise TypeError(f"unsignable object in payload: {type(obj).__name__}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True, init=False)
 class Signature:
-    """A (signer, tag) pair attached to a message or evidence record."""
+    """A (signer, tag) pair attached to a message or evidence record.
+
+    One is built per signature, so the frozen dataclass keeps its
+    equality, hash, repr and immutability but stores into ``__slots__``
+    through the slot descriptors: a generated frozen ``__init__`` pays
+    an ``object.__setattr__`` name lookup per field.
+    """
 
     signer: str
     tag: str
 
     #: Wire size of one signature, in bits (Ed25519-like: 64 bytes).
     WIRE_BITS = 512
+
+    def __init__(self, signer: str, tag: str) -> None:
+        _set_signer(self, signer)
+        _set_tag(self, tag)
+
+
+_set_signer = Signature.signer.__set__
+_set_tag = Signature.tag.__set__
+
+
+def hmac_pads(key: bytes) -> Tuple[Any, Any]:
+    """SHA-256 states that have absorbed RFC 2104's inner and outer key
+    blocks (a key longer than the block is hashed first, a shorter one
+    zero-padded). :func:`hmac_tag` forks them per message, so the key
+    schedule is paid once per signer instead of once per tag."""
+    if len(key) > _BLOCK_BYTES:
+        key = hashlib.sha256(key).digest()
+    key = key.ljust(_BLOCK_BYTES, b"\0")
+    return (hashlib.sha256(key.translate(_IPAD)),
+            hashlib.sha256(key.translate(_OPAD)))
+
+
+def hmac_tag(pads: Tuple[Any, Any], message: bytes) -> str:
+    """``hmac.new(key, message, sha256).hexdigest()`` from
+    ``hmac_pads(key)``: two ``copy()`` + ``update()`` passes."""
+    inner = pads[0].copy()
+    inner.update(message)
+    outer = pads[1].copy()
+    outer.update(inner.digest())
+    return outer.hexdigest()
 
 
 #: Derived keys shared across directories in one process, keyed by
@@ -73,12 +115,8 @@ class KeyDirectory:
     def __init__(self, master_seed: int = 0,
                  verify_memo: bool = False) -> None:
         self._master_seed = master_seed
-        self._keys: Dict[str, bytes] = {}
-        #: Per-signer HMAC prototypes (key schedule pre-applied): every
-        #: sign/verify pays the two key-block compressions once per signer
-        #: and one ``copy()+update()`` pass per message. ``HMAC.copy()``
-        #: forks the inner state exactly, so tags equal ``hmac.new``'s.
-        self._hmac_protos: Dict[str, "hmac.HMAC"] = {}
+        #: Per-signer :func:`hmac_pads`: the key schedule pre-applied.
+        self._pads: Dict[str, Tuple[Any, Any]] = {}
         #: HMAC computations actually performed (memo hits excluded).
         self.signs = 0
         self.verifies = 0
@@ -93,7 +131,7 @@ class KeyDirectory:
 
     def register(self, node_id: str) -> None:
         """Provision a key for ``node_id`` (idempotent)."""
-        if node_id not in self._keys:
+        if node_id not in self._pads:
             cache_key = (self._master_seed, node_id)
             key = _DERIVED_KEYS.get(cache_key)
             if key is None:
@@ -101,49 +139,35 @@ class KeyDirectory:
                     f"key:{self._master_seed}:{node_id}".encode()
                 ).digest()
                 _DERIVED_KEYS[cache_key] = key
-            self._keys[node_id] = key
+            self._pads[node_id] = hmac_pads(key)
 
     def knows(self, node_id: str) -> bool:
-        return node_id in self._keys
+        return node_id in self._pads
 
     def sign(self, signer: str, payload: Any) -> Signature:
         return self.sign_bytes(signer, canonical_bytes(payload))
 
     def sign_bytes(self, signer: str, canonical: bytes) -> Signature:
         """Sign an already-canonicalized payload."""
-        key = self._keys.get(signer)
-        if key is None:
+        pads = self._pads.get(signer)
+        if pads is None:
             raise SignatureError(f"no key registered for {signer!r}")
         self.signs += 1
-        mac = self._proto(signer, key).copy()
-        mac.update(canonical)
-        return Signature(signer=signer, tag=mac.hexdigest())
-
-    def _proto(self, signer: str, key: bytes) -> "hmac.HMAC":
-        proto = self._hmac_protos.get(signer)
-        if proto is None:
-            proto = hmac.new(key, digestmod=hashlib.sha256)
-            self._hmac_protos[signer] = proto
-        return proto
+        return Signature(signer, hmac_tag(pads, canonical))
 
     def sign_bytes_batch(self, signer: str,
                          canonicals) -> "list[Signature]":
         """Sign a batch of canonical payloads in one authenticator pass:
-        one key/prototype lookup for the batch, then :meth:`sign_bytes`'
-        message pass per item. ``signs`` counts every item, so the crypto
+        one key lookup for the batch, then :meth:`sign_bytes`' message
+        pass per item. ``signs`` counts every item, so the crypto
         accounting stays honest about logical signatures.
         """
-        key = self._keys.get(signer)
-        if key is None:
+        pads = self._pads.get(signer)
+        if pads is None:
             raise SignatureError(f"no key registered for {signer!r}")
-        proto = self._proto(signer, key)
-        signatures = []
-        for canonical in canonicals:
-            self.signs += 1
-            mac = proto.copy()
-            mac.update(canonical)
-            signatures.append(Signature(signer=signer, tag=mac.hexdigest()))
-        return signatures
+        self.signs += len(canonicals)
+        return [Signature(signer, hmac_tag(pads, canonical))
+                for canonical in canonicals]
 
     def verify(self, payload: Any, signature: Signature) -> bool:
         """True iff ``signature`` is a valid tag by its claimed signer."""
@@ -151,21 +175,22 @@ class KeyDirectory:
 
     def verify_bytes(self, canonical: bytes, signature: Signature) -> bool:
         """Verify against an already-canonicalized payload."""
-        key = self._keys.get(signature.signer)
-        if key is None:
+        pads = self._pads.get(signature.signer)
+        if pads is None:
             return False
         self.verifies += 1
-        mac = self._proto(signature.signer, key).copy()
-        mac.update(canonical)
-        return hmac.compare_digest(mac.hexdigest(), signature.tag)
+        return hmac.compare_digest(hmac_tag(pads, canonical), signature.tag)
 
     def verify_statement(self, stmt) -> bool:
         """Verify an :class:`AuthenticatedStatement`, memoised if enabled.
 
-        The memo key is ``(signer, tag, payload_digest)`` — everything
-        the HMAC check depends on — and only *valid* results are stored,
-        so a forged signature is recomputed (and rejected) on every call
-        and can never be served as valid from the cache.
+        The memo key is ``(signer, tag, canonical bytes)`` — exactly
+        what the HMAC check reads, with no digest standing in for the
+        bytes — and only *valid* results are stored, so a forged
+        signature is recomputed (and rejected) on every call and can
+        never be served as valid from the cache. The statement already
+        holds its canonical bytes, and bytes cache their own hash, so
+        building the key hashes nothing new.
 
         A memo-less directory re-serializes and re-verifies on every
         call.
@@ -174,10 +199,11 @@ class KeyDirectory:
         if memo is None:
             return self.verify(stmt.statement, stmt.signature)
         sig = stmt.signature
-        key = (sig.signer, sig.tag, stmt.payload_digest())
+        canonical = stmt.canonical()
+        key = (sig.signer, sig.tag, canonical)
         if memo.hit(key):
             return True
-        ok = self.verify_bytes(stmt.canonical(), sig)
+        ok = self.verify_bytes(canonical, sig)
         if ok:
             memo.add_valid(key)
         return ok
@@ -191,4 +217,4 @@ class KeyDirectory:
         bogus = hashlib.sha256(
             b"forged:" + canonical_bytes(payload)
         ).hexdigest()
-        return Signature(signer=claimed_signer, tag=bogus)
+        return Signature(claimed_signer, bogus)

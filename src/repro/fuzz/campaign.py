@@ -32,11 +32,9 @@ from typing import Dict, List, Optional, Tuple
 from ..faults.adversary import script_from_dict
 from ..mc.campaign import campaign_pool, prepare_campaign
 from ..mc.choices import Cell
-from ..mc.counterexample import (
-    counterexample_to_dict,
-    replay_counterexample,
-)
+from ..mc.counterexample import confirm_replay, counterexample_to_dict
 from ..mc.explorer import state_fingerprint
+from ..mc.invariants import Violation
 from ..mc.judge import first_violating_prefix, judge
 from ..obs.recovery import reconstruct_timelines
 from ..perf.timing import Stopwatch
@@ -119,13 +117,17 @@ def _evaluate(system, payload: dict, *, params: FuzzParams) -> dict:
     }
 
 
-def _make_artifact(system, payload: dict, params: FuzzParams,
+def _make_artifact(system, record: dict, params: FuzzParams,
                    meta: Optional[dict]) -> dict:
-    """Minimise, serialise (mc counterexample format), replay-confirm.
+    """Minimise, serialise (mc counterexample format), replay-confirm
+    one evaluated violating script (its :func:`_evaluate` record).
 
     Injections are time-ordered, so prefixes are the natural shrink: the
-    shortest non-empty injection prefix that still violates is kept.
+    shortest non-empty injection prefix that still violates is kept. The
+    whole script's verdict is the record's, so it is not re-run.
     """
+    payload = record["script"]
+
     def violations_of(entries):
         candidate = {"version": payload["version"], "injections": entries}
         return judge(system, script_from_dict(candidate),
@@ -133,7 +135,8 @@ def _make_artifact(system, payload: dict, params: FuzzParams,
                      k=params.k)[1]
 
     entries, violations = first_violating_prefix(
-        payload["injections"], violations_of, shortest=1)
+        payload["injections"], violations_of, shortest=1,
+        known=[Violation(**v) for v in record["violations"]])
     minimised = {"version": payload["version"], "injections": entries}
     first = entries[0]
     # The cell labels the artifact's first injection; the serialised
@@ -144,8 +147,7 @@ def _make_artifact(system, payload: dict, params: FuzzParams,
         violations, script=script_from_dict(minimised),
         n_periods=params.n_periods, R_us=params.R_us, k=params.k,
         seed=params.seed, meta=dict(meta or {}, source="fuzz"))
-    replayed, result = replay_counterexample(system, artifact)
-    artifact["replay_confirmed"] = bool(replayed)
+    result = confirm_replay(system, artifact)
     # The primitives-only path abstraction: corpus checks compare replays
     # across processes (and commits) by this digest.
     artifact["replay_digest"] = state_fingerprint(result)
@@ -245,8 +247,7 @@ def run_fuzz_campaign(workload, topology, config,
     for key in violating_keys:
         if len(artifacts) >= resolved.max_artifacts:
             break
-        artifact = _make_artifact(system, evaluated[key]["script"],
-                                  resolved, meta)
+        artifact = _make_artifact(system, evaluated[key], resolved, meta)
         minimised_key = canonical_script(artifact["fault_script"])
         if minimised_key not in seen_minimised:
             seen_minimised.add(minimised_key)

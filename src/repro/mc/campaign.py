@@ -33,7 +33,7 @@ from ..core.runtime.system import BTRSystem
 from ..perf.pool import WorkerPool
 from ..perf.timing import Stopwatch
 from .choices import Cell, cell_script
-from .counterexample import counterexample_to_dict, replay_counterexample
+from .counterexample import confirm_replay, counterexample_to_dict
 from .explorer import explore_cell
 from .invariants import static_mode_findings
 from .judge import first_violating_prefix, judge
@@ -233,15 +233,15 @@ def _explore_one(system, cell: Cell, *, params: CheckParams,
                          n_periods=params.n_periods, R_us=params.R_us,
                          k=params.k)[1]
 
+        schedule, known = report.violating[0]
         minimised, violations = first_violating_prefix(
-            report.violating[0][0], violations_of)
+            schedule, violations_of, known=known)
         artifact = counterexample_to_dict(
             cell, minimised, violations,
             script=cell_script(cell, params.seed),
             n_periods=params.n_periods, R_us=params.R_us,
             k=params.k, seed=params.seed, meta=meta)
-        replayed, _ = replay_counterexample(system, artifact)
-        artifact["replay_confirmed"] = bool(replayed)
+        confirm_replay(system, artifact)
         payload["counterexample"] = artifact
     return payload
 

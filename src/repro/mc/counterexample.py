@@ -17,7 +17,7 @@ from typing import List, Optional, Tuple
 from ..faults.adversary import FaultScript, script_from_dict, script_to_dict
 from .choices import Cell, DeliveryChoice, validate_schedule
 from .invariants import Violation
-from .judge import judge
+from .judge import NOT_DETERMINISTIC, judge
 
 #: Bumped when the artifact layout changes incompatibly.
 CEX_VERSION = 1
@@ -94,3 +94,19 @@ def replay_counterexample(system, payload: dict
         system, script, deliveries, n_periods=payload["n_periods"],
         R_us=payload["R_us"], k=payload["k"])
     return violations, result
+
+
+def confirm_replay(system, payload: dict):
+    """Replay a campaign's freshly minimised artifact and mark it
+    ``replay_confirmed``; returns the replayed result.
+
+    The search judged this very input violating a moment ago — the
+    minimiser took the known verdict instead of re-running it — so a
+    replay that no longer violates means the simulator is not
+    deterministic, and raises ``AssertionError``.
+    """
+    violations, result = replay_counterexample(system, payload)
+    if not violations:
+        raise AssertionError(NOT_DETERMINISTIC)
+    payload["replay_confirmed"] = True
+    return result

@@ -157,6 +157,10 @@ def explore_cell(system, cell: Cell, params) -> CellReport:
     :class:`~repro.mc.campaign.CheckParams`.
     """
     period = system.workload.period
+    lo, hi = _perturb_window(cell, period)
+    # The hook records only what _candidates ([lo, hi)) and _commutes
+    # (arrivals up to a candidate's delayed time) read.
+    window = (lo, hi + params.delay_quantum_us)
     report = CellReport(cell=cell, violating=[])
     visited: set = set()
     #: (schedule, time shared with the parent path).
@@ -169,7 +173,7 @@ def explore_cell(system, cell: Cell, params) -> CellReport:
         result, violations, observed = judge(
             system, cell_script(cell, params.seed), schedule,
             n_periods=params.n_periods, R_us=params.R_us, k=params.k,
-            record=True)
+            window=window)
         fingerprint = state_fingerprint(result)
         report.paths += 1
         report.shared_prefix_us += shared_us

@@ -11,7 +11,7 @@ from. :func:`first_violating_prefix` is the one shrinking loop on top.
 
 from __future__ import annotations
 
-from typing import Callable, List, Sequence, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple
 
 from .choices import DeliveryChoice
 from .hooks import DeliveryPerturbation, ObservedDelivery
@@ -19,37 +19,48 @@ from .invariants import Violation, check_path
 
 
 def judge(system, script, deliveries: Tuple[DeliveryChoice, ...] = (),
-          *, n_periods: int, R_us: int, k: int, record: bool = False
+          *, n_periods: int, R_us: int, k: int,
+          window: Optional[Tuple[int, int]] = None
           ) -> Tuple[object, List[Violation], List[ObservedDelivery]]:
     """One path through the normal run path (``BTRSystem.run``, the one
     ``repro run`` takes): ``(result, violations, observed deliveries)``.
 
     ``script`` is single-use (fault behaviours carry RNG state): build a
-    fresh one per call. ``observed`` is filled only under ``record``.
+    fresh one per call. ``observed`` holds the delivery points whose
+    base arrival lies in ``window`` (``[lo, hi)``), none without one.
     """
-    hook = (DeliveryPerturbation(deliveries, record=record)
-            if deliveries or record else None)
+    hook = (DeliveryPerturbation(deliveries, window)
+            if deliveries or window else None)
     result = system.run(n_periods=n_periods, adversary=script,
                         delivery_hook=hook)
     violations = check_path(result, system.strategy, R_us, k=k)
     return result, violations, hook.observed if hook else []
 
 
+#: Why a search stops when a violating path does not violate again.
+NOT_DETERMINISTIC = (
+    "path no longer violates on re-run — the simulator is not "
+    "deterministic, which voids every result of this campaign")
+
+
 def first_violating_prefix(items: Sequence,
                            violations_of: Callable[[Sequence], list],
-                           shortest: int = 0) -> Tuple[Sequence, list]:
+                           shortest: int = 0,
+                           known: Optional[list] = None
+                           ) -> Tuple[Sequence, list]:
     """The shortest prefix of ``items`` (at least ``shortest`` long) that
     still violates, with its violations.
 
-    ``items`` violates as a whole by assumption — it was just seen to —
-    so the scan always ends by returning; at most
-    ``len(items) - shortest + 1`` re-runs.
+    ``known`` is the verdict the caller already holds for the whole of
+    ``items`` (the search just judged it): the last cut returns it
+    without a run, so at most ``len(items) - shortest`` re-runs. Without
+    it the whole is re-run too, and must violate.
     """
     for cut in range(shortest, len(items) + 1):
-        violations = violations_of(items[:cut])
+        if cut == len(items) and known is not None:
+            violations = known
+        else:
+            violations = violations_of(items[:cut])
         if violations:
             return items[:cut], violations
-    raise AssertionError(
-        "path no longer violates on re-run — the simulator is not "
-        "deterministic, which voids every result of this campaign"
-    )
+    raise AssertionError(NOT_DETERMINISTIC)

@@ -375,15 +375,14 @@ class BatchRuntime:
         arrival = start + duration + link.propagation_us
         if sim.delivery_hook is not None:
             arrival = sim.delivery_hook(sender, receiver, arrival)
-        # schedule() (not call_at): delivery events are never cancelled,
-        # and arrival >= now by construction (start >= now, duration >= 1,
-        # hooks may only delay) — the engine re-checks the latter.
+        # arrival >= now by construction (start >= now, duration >= 1,
+        # hooks may only delay) — the engine re-checks it.
         if link.loss_probability > 0.0 \
                 and sim.rng.random() < link.loss_probability:
-            sim.schedule(arrival, partial(  # lint: ignore[engine-schedule-bypass]
+            sim.schedule(arrival, partial(
                 self._dropped, sender, receiver, message))
             return
-        sim.schedule(arrival, partial(  # lint: ignore[engine-schedule-bypass]
+        sim.schedule(arrival, partial(
             self._deliver, node, agent, sender, receiver, message,
             arrival))
 
@@ -474,7 +473,7 @@ class BatchRuntime:
                 batch.k = k
                 batch.arrival = arrival
                 groups[arrival] = batch
-                sim.schedule(arrival, batch)  # lint: ignore[engine-schedule-bypass]
+                sim.schedule(arrival, batch)
             if lost:
                 batch.lost.append(len(batch.entries))
             batch.entries.append(entry)
@@ -529,7 +528,7 @@ class BatchRuntime:
                 batch.sender = sender
                 batch.arrival = arrival
                 groups[arrival] = batch
-                sim.schedule(arrival, batch)  # lint: ignore[engine-schedule-bypass]
+                sim.schedule(arrival, batch)
             batch.entries.append(entry)
             batch.messages.append(message)
             batch.lost.append(lost)

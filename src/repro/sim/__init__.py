@@ -12,7 +12,7 @@ Public surface:
 """
 
 from .clock import ClockSync, LocalClock
-from .engine import EventHandle, SimulationError, Simulator
+from .engine import SimulationError, Simulator
 from .link import Lane, Link, ReservationError
 from .message import Message, MessageKind
 from .node import CpuLane, Node
@@ -44,7 +44,6 @@ from .trace import (
 __all__ = [
     "ClockSync",
     "LocalClock",
-    "EventHandle",
     "SimulationError",
     "Simulator",
     "Lane",

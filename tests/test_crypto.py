@@ -1,7 +1,12 @@
 """Tests for the simulated signature scheme and cost model."""
 
+import dataclasses
+import hashlib
+import hmac
+import pickle
+
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from repro.crypto import (
     AuthenticatedStatement,
@@ -12,6 +17,7 @@ from repro.crypto import (
     canonical_bytes,
     digest,
 )
+from repro.crypto.signatures import hmac_pads, hmac_tag
 
 
 @pytest.fixture
@@ -111,6 +117,56 @@ def test_authenticated_statement(directory):
     assert stmt.signer == "b"
     assert stmt.valid(directory)
     assert stmt.wire_bits() > Signature.WIRE_BITS
+
+
+@given(st.binary(max_size=200), st.binary(max_size=300))
+@example(b"k" * 64, b"at the block size")
+@example(b"k" * 65, b"one past it: the key is hashed first")
+def test_property_pad_tag_equals_hmac(key, message):
+    """Tags from the precomputed RFC 2104 pads are ``hmac.new``'s, for
+    keys on both sides of SHA-256's 64-byte block."""
+    assert hmac_tag(hmac_pads(key), message) \
+        == hmac.new(key, message, hashlib.sha256).hexdigest()
+
+
+def test_warm_memo_rejects_forged_tag_and_altered_payload():
+    d = KeyDirectory(master_seed=7, verify_memo=True)
+    d.register("a")
+    stmt = AuthenticatedStatement.make(d, "a", {"flow": "f", "value": 1})
+    assert stmt.valid(d) and stmt.valid(d)
+    memo = d.verify_memo
+    assert (len(memo), memo.hits) == (1, 1)
+    tag = stmt.signature.tag
+    forged = AuthenticatedStatement(
+        stmt.statement,
+        Signature("a", tag[:-1] + ("0" if tag[-1] != "0" else "1")))
+    altered = AuthenticatedStatement({"flow": "f", "value": 2},
+                                     stmt.signature)
+    for bad in (forged, altered, forged, altered):
+        assert not bad.valid(d)
+    assert (len(memo), memo.hits) == (1, 1)
+    assert d.verifies == 5  # one honest miss, four rejected recomputes
+
+
+def test_value_classes_behave_like_frozen_dataclasses():
+    sig = Signature("a", "00ff")
+    assert sig == Signature(signer="a", tag="00ff") != Signature("b", "00ff")
+    assert sig != ("a", "00ff")
+    assert hash(sig) == hash(("a", "00ff"))
+    assert repr(sig) == "Signature(signer='a', tag='00ff')"
+    stmt = AuthenticatedStatement({"x": 1}, sig)
+    assert stmt == AuthenticatedStatement(statement={"x": 1}, signature=sig)
+    assert repr(stmt) == ("AuthenticatedStatement(statement={'x': 1}, "
+                          "signature=Signature(signer='a', tag='00ff'))")
+    with pytest.raises(TypeError):
+        hash(stmt)  # the payload is a dict, as with the dataclass
+    for obj, field in ((sig, "tag"), (stmt, "signature")):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(obj, field, None)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            delattr(obj, field)
+        assert pickle.loads(pickle.dumps(obj)) == obj
+    assert pickle.loads(pickle.dumps(stmt)).canonical() == stmt.canonical()
 
 
 def test_crypto_costs_scaling():

@@ -207,6 +207,52 @@ def test_minimised_counterexample_still_violates_parent_invariant():
         assert recorded <= observed
 
 
+@pytest.mark.parametrize("injections, kept", [
+    ([("crash", "n2", 40_000), ("commission", "n1", 60_000)], 2),
+    ([("commission", "n1", 40_000), ("crash", "n2", 60_000)], 1),
+])
+def test_two_injection_script_minimises_as_a_full_rerun_would(
+        monkeypatch, injections, kept):
+    """The minimiser takes the evaluated verdict for the whole script
+    instead of re-running it, and keeps the prefix (and violations) a
+    minimiser that re-runs every cut, the whole script included, keeps."""
+    from repro.faults import script_from_dict
+    from repro.fuzz import campaign
+    from repro.mc import first_violating_prefix, judge
+    from repro.mc.campaign import prepare_campaign
+
+    system, params = prepare_campaign(
+        pipeline_workload(), full_mesh_topology(4, bandwidth=1e8),
+        BTRConfig(f=1), tiny_params(R_us=30_000, max_injections=2),
+        recoveries=2)
+    payload = {"version": 2, "injections": [
+        {"time": time, "node": node, "kind": kind}
+        for kind, node, time in injections]}
+    record = campaign._evaluate(system, payload, params=params)
+    assert record["violations"]
+
+    def rerun_violations(entries):
+        return judge(system, script_from_dict(
+            {"version": 2, "injections": entries}),
+            n_periods=params.n_periods, R_us=params.R_us, k=params.k)[1]
+
+    expected, violations = first_violating_prefix(
+        payload["injections"], rerun_violations, shortest=1)
+    assert len(expected) == kept
+
+    runs = []
+    monkeypatch.setattr(campaign, "judge",
+                        lambda *a, **kw: runs.append(1) or judge(*a, **kw))
+    monkeypatch.setattr("repro.mc.counterexample.judge",
+                        lambda *a, **kw: runs.append(1) or judge(*a, **kw))
+    artifact = campaign._make_artifact(system, record, params, None)
+    assert artifact["fault_script"]["injections"] == expected
+    assert artifact["violations"] == [v.to_dict() for v in violations]
+    assert artifact["replay_confirmed"]
+    # Cuts shorter than the whole (one here) plus the replay.
+    assert len(runs) == 2
+
+
 def test_campaign_coverage_guides_survival():
     """Coverage keys accumulate monotonically and the report's history
     accounts for every generation."""

@@ -259,37 +259,6 @@ def test_unsorted_node_iteration_scope_and_pragma():
     assert rules_hit(suppressed, path=MC_PATH) == []
 
 
-# --------------------------------------------- engine-schedule-bypass
-
-
-def test_engine_schedule_bypass_flags_raw_calls():
-    src = """\
-        def handler(self, sim):
-            sim.schedule(5, self.tick)
-            self.sim.schedule(9, self.tock)
-            self._sim.schedule(11, self.tack)
-    """
-    assert rules_hit(src, path=CORE_PATH) == ["engine-schedule-bypass"]
-    assert rules_hit(src, path=MC_PATH) == ["engine-schedule-bypass"]
-    assert rules_hit(src, path=FAULTS_PATH) == ["engine-schedule-bypass"]
-
-
-def test_engine_schedule_bypass_accepts_call_at_and_scope():
-    src = """\
-        def handler(self, node):
-            node.call_at(5, self.tick)
-            self.plan.schedule.makespan()
-            scheduler.schedule(5)
-    """
-    assert rules_hit(src, path=CORE_PATH) == []
-    # The engine layer itself owns schedule(); the rule does not apply.
-    raw = "sim.schedule(5, cb)\n"
-    assert rules_hit(raw, path=SIM_PATH) == []
-    suppressed = ("sim.schedule(5, cb)"
-                  "  # lint: ignore[engine-schedule-bypass]\n")
-    assert rules_hit(suppressed, path=CORE_PATH) == []
-
-
 def test_mc_layer_is_in_restricted_scope():
     """repro/mc drives the deterministic engine: wall-clock and global
     RNG are as forbidden there as in sim/core."""
@@ -302,13 +271,14 @@ def test_mc_layer_is_in_restricted_scope():
 
 def test_baselines_are_in_restricted_and_schedule_scope():
     """Baselines cross links through the same hop runtime and are
-    digest-pinned like BTR: clocks, global RNG and raw schedules are
-    forbidden there too."""
+    digest-pinned like BTR: clocks and the global RNG are forbidden
+    there too. ``sim.schedule`` and ``sim.call_at`` are one engine
+    push, so neither spelling is flagged."""
     path = "src/repro/baselines/example.py"
     assert rules_hit("import time\nt = time.time()\n",
                      path=path) == ["wallclock"]
-    assert rules_hit("self.sim.schedule(5, cb)\n",
-                     path=path) == ["engine-schedule-bypass"]
+    assert rules_hit("self.sim.schedule(5, cb)\n", path=path) == []
+    assert rules_hit("self.sim.call_at(5, cb)\n", path=path) == []
 
 
 # ------------------------------------------------- allocation-in-loop
@@ -372,9 +342,8 @@ def test_allocation_in_loop_outside_loops_is_fine():
 
 def test_batchcore_is_in_schedule_and_node_order_scope():
     """The batched core feeds the event queue directly, so the dict-view
-    ordering rule and the schedule-bypass rule both watch it."""
-    assert rules_hit("sim.schedule(5, cb)\n", path=BATCHCORE_PATH) \
-        == ["engine-schedule-bypass"]
+    ordering rule watches it; its schedule calls need no pragma."""
+    assert rules_hit("sim.schedule(5, cb)\n", path=BATCHCORE_PATH) == []
     assert rules_hit("pairs = [v for v in table.values()]\n",
                      path=BATCHCORE_PATH) == ["unsorted-node-iteration"]
 

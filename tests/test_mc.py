@@ -27,9 +27,10 @@ from repro.mc import (
     state_fingerprint,
 )
 from repro.mc.choices import validate_schedule
-from repro.mc.counterexample import counterexample_from_dict
+from repro.mc.counterexample import confirm_replay, counterexample_from_dict
 from repro.net import full_mesh_topology
 from repro.sim.engine import SimulationError, Simulator
+from repro.sim.time import NEVER
 from repro.workload import pipeline_workload
 
 
@@ -91,7 +92,7 @@ def test_validate_schedule_rejects_malformed():
 
 
 def test_delivery_hook_delays_chosen_deliveries():
-    hook = DeliveryPerturbation(((1, 500),), record=True)
+    hook = DeliveryPerturbation(((1, 500),), window=(0, NEVER))
     assert hook("a", "b", 100) == 100   # index 0: untouched
     assert hook("a", "c", 200) == 700   # index 1: +500
     assert hook("b", "c", 300) == 300
@@ -111,7 +112,7 @@ def test_engine_rejects_scheduling_into_the_past():
 def test_system_run_applies_delivery_hook():
     system = small_system()
     base = system.run(n_periods=6)
-    hook = DeliveryPerturbation((), record=True)
+    hook = DeliveryPerturbation(())
     observed_run = system.run(n_periods=6, delivery_hook=hook)
     assert hook.count > 0  # the hook saw the run's deliveries
     assert state_fingerprint(observed_run) == state_fingerprint(base)
@@ -148,7 +149,7 @@ def test_judge_is_the_run_path_plus_the_invariants():
     cell = Cell("n2", "commission", 40_000)
     shape = dict(n_periods=17, R_us=30_000, k=1)
     result, violations, observed = judge(
-        system, cell_script(cell, 0), record=True, **shape)
+        system, cell_script(cell, 0), window=(0, NEVER), **shape)
     assert [v.invariant for v in violations] == ["recovery-bound"]
     assert [point[0] for point in observed] == list(range(len(observed)))
     # Recording observes; it never perturbs. Nothing is recorded unasked.
@@ -158,6 +159,42 @@ def test_judge_is_the_run_path_plus_the_invariants():
     assert state_fingerprint(quiet) == state_fingerprint(result)
     assert not judge(system, cell_script(cell, 0),
                      **{**shape, "R_us": 10 ** 9})[1]
+
+
+def test_windowed_hook_records_the_window_of_the_unwindowed_points():
+    """A window filters what the hook records, never what it counts:
+    the points it keeps are exactly the unwindowed ones inside the
+    window, indices included, under a perturbing schedule too."""
+    system = small_system()
+    cell = Cell("n2", "commission", 40_000)
+    shape = dict(n_periods=12, R_us=10 ** 9, k=1)
+    schedule = ((3, 2000),)
+    lo, hi = 30_000, 70_000
+    _, _, everything = judge(system, cell_script(cell, 0), schedule,
+                             window=(0, NEVER), **shape)
+    _, _, windowed = judge(system, cell_script(cell, 0), schedule,
+                           window=(lo, hi), **shape)
+    assert windowed == [p for p in everything if lo <= p[3] < hi]
+    assert 0 < len(windowed) < len(everything)
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_campaign_report_independent_of_hook_window(monkeypatch, seed):
+    """The explorer records only its perturbation window (widened by a
+    delay quantum); recording every delivery instead changes no byte of
+    the report."""
+    params = tiny_params(kinds=("crash", "commission"), ticks=2,
+                         max_depth=2, max_paths=60, seed=seed)
+    windowed, _ = run_tiny(params)
+
+    def unwindowed(*args, window, **kw):
+        return judge(*args, window=(0, NEVER), **kw)
+
+    monkeypatch.setattr("repro.mc.explorer.judge", unwindowed)
+    everything, _ = run_tiny(params)
+    assert json.dumps(windowed, sort_keys=True) \
+        == json.dumps(everything, sort_keys=True)
+    assert windowed["totals"]["pruned"] > 0
 
 
 def test_first_violating_prefix_is_the_shortest():
@@ -175,11 +212,33 @@ def test_first_violating_prefix_is_the_shortest():
     seen.clear()
     assert first_violating_prefix([1, 2, 3], lambda p: list(p),
                                   shortest=1) == ([1], [1])
+    # A known verdict for the whole stands in for its re-run.
+    seen.clear()
+    assert first_violating_prefix((5, 6), violations_of,
+                                  known=["known"]) == ((5, 6), ["known"])
+    assert seen == [(), (5,)]
 
 
 def test_first_violating_prefix_refuses_a_non_reproducing_path():
     with pytest.raises(AssertionError, match="not deterministic"):
         first_violating_prefix((1, 2), lambda prefix: [])
+
+
+def test_replay_refuses_a_counterexample_that_stops_violating():
+    """The minimiser trusts the search's verdict for the whole path, so
+    the replay is where a path that no longer violates is caught."""
+    params = tiny_params(kinds=("commission",), R_us=30_000)
+    report, _ = run_tiny(params)
+    artifact = next(c["counterexample"] for c in report["cells"]
+                    if c.get("counterexample"))
+    system = small_system()
+    artifact["replay_confirmed"] = None
+    confirm_replay(system, artifact)
+    assert artifact["replay_confirmed"] is True
+    stale = dict(artifact, R_us=report["budget_us"], replay_confirmed=None)
+    with pytest.raises(AssertionError, match="not deterministic"):
+        confirm_replay(system, stale)
+    assert stale["replay_confirmed"] is None
 
 
 # ----------------------------------------------------------------- campaign

@@ -4,8 +4,8 @@ The contract under test:
 
 * the on-disk cache is content-keyed — hits round-trip losslessly, any
   planner-version bump (or input change) invalidates;
-* the Trace per-kind indices and the engine's O(1) live-event counter
-  agree with the naive O(n) definitions they replaced.
+* the Trace per-kind indices agree with the naive O(n) definitions
+  they replaced.
 """
 
 import pytest
@@ -20,7 +20,6 @@ from repro.core.planner import (
 from repro.net import Router, full_mesh_topology
 from repro.perf import StrategyCache, strategy_cache_key
 from repro.sched import LaneFractions
-from repro.sim.engine import Simulator
 from repro.sim.trace import Custom, MessageSent, OutputProduced, Trace
 from repro.workload import industrial_workload, pipeline_workload
 
@@ -208,54 +207,3 @@ class TestTraceIndices:
         trace.record(Custom(time=0, label="x", data={}))
         trace.of_kind(Custom).clear()
         assert trace.count(Custom) == 1
-
-
-# ------------------------------------------------------- engine events
-
-
-class TestEngineEventAccounting:
-    def test_pending_events_tracks_cancels(self):
-        sim = Simulator(seed=0)
-        handles = [sim.call_at(10 * (i + 1), lambda: None)
-                   for i in range(10)]
-        assert sim.pending_events() == 10
-        for h in handles[:4]:
-            h.cancel()
-        assert sim.pending_events() == 6
-        # Double-cancel must not double-count.
-        handles[0].cancel()
-        assert sim.pending_events() == 6
-
-    def test_cancel_after_fire_is_a_noop(self):
-        sim = Simulator(seed=0)
-        fired = []
-        handle = sim.call_at(5, lambda: fired.append(True))
-        sim.run_until(10)
-        assert fired
-        assert sim.pending_events() == 0
-        handle.cancel()
-        assert sim.pending_events() == 0
-
-    def test_heap_compaction_keeps_semantics(self):
-        sim = Simulator(seed=0)
-        fired = []
-        handles = []
-        for i in range(200):
-            handles.append(
-                sim.call_at(i + 1, lambda i=i: fired.append(i)))
-        # Cancel well over half: compaction must trigger and the
-        # survivors must still fire in order.
-        for h in handles[:150]:
-            h.cancel()
-        assert sim.pending_events() == 50
-        assert len(sim._queue) < 200  # compacted
-        sim.run_until(1000)
-        assert fired == list(range(150, 200))
-
-    def test_peek_skips_cancelled_head(self):
-        sim = Simulator(seed=0)
-        first = sim.call_at(5, lambda: None)
-        sim.call_at(7, lambda: None)
-        first.cancel()
-        assert sim.peek_next_time() == 7
-        assert sim.pending_events() == 1

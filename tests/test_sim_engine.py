@@ -76,32 +76,6 @@ def test_negative_delay_raises():
         sim.call_after(-1, lambda: None)
 
 
-def test_cancellation_prevents_firing():
-    sim = Simulator()
-    fired = []
-    handle = sim.call_at(10, lambda: fired.append("x"))
-    handle.cancel()
-    sim.run()
-    assert fired == []
-    assert handle.cancelled
-
-
-def test_cancel_is_idempotent():
-    sim = Simulator()
-    handle = sim.call_at(10, lambda: None)
-    handle.cancel()
-    handle.cancel()
-    sim.run()
-
-
-def test_peek_next_time_skips_cancelled():
-    sim = Simulator()
-    h1 = sim.call_at(10, lambda: None)
-    sim.call_at(20, lambda: None)
-    h1.cancel()
-    assert sim.peek_next_time() == 20
-
-
 def test_peek_next_time_empty_is_never():
     sim = Simulator()
     assert sim.peek_next_time() == NEVER
@@ -110,9 +84,11 @@ def test_peek_next_time_empty_is_never():
 def test_pending_events_counts_live_events():
     sim = Simulator()
     sim.call_at(10, lambda: None)
-    h = sim.call_at(20, lambda: None)
-    h.cancel()
+    sim.schedule(20, lambda: None)
+    assert sim.pending_events() == 2
+    sim.step()
     assert sim.pending_events() == 1
+    assert sim.peek_next_time() == 20
 
 
 def test_events_scheduled_during_run_execute():
@@ -228,25 +204,11 @@ def test_schedule_and_call_at_share_seq_order():
     assert sim.events_executed == 4
 
 
-def test_peek_next_time_skips_cancelled_fast_heap():
-    """Peek must drain every cancelled head entry, not report a dead
-    event's time."""
-    sim = Simulator()
-    h1 = sim.call_at(10, lambda: None)
-    h2 = sim.call_at(20, lambda: None)
-    sim.call_at(30, lambda: None)
-    h1.cancel()
-    h2.cancel()
-    assert sim.peek_next_time() == 30
-    assert sim.pending_events() == 1
-
-
 _OPS = st.lists(
     st.one_of(
         st.tuples(st.just("call_at"), st.integers(0, 500)),
         st.tuples(st.just("call_after"), st.integers(0, 100)),
         st.tuples(st.just("schedule"), st.integers(0, 500)),
-        st.tuples(st.just("cancel"), st.integers(0, 79)),
         st.tuples(st.just("step"), st.just(0)),
         st.tuples(st.just("run_until"), st.integers(0, 600)),
         st.tuples(st.just("observe"), st.just(0)),
@@ -257,7 +219,7 @@ _OPS = st.lists(
 
 class _Oracle:
     """Independent model of the engine: a list, stably sorted by time
-    (ties keep insertion order), cancelled and fired entries skipped."""
+    (ties keep insertion order), fired entries skipped."""
 
     def __init__(self):
         self.now, self.executed, self.entries = 0, 0, []
@@ -294,28 +256,22 @@ def test_property_op_programs_match_sort_oracle(ops):
     """Random op programs leave the engine in the state an independent
     model predicts: same fire log, same ``peek_next_time`` and
     ``pending_events`` after every operation, same clock and executed
-    count — including under cancellation and heap compaction."""
+    count."""
     sim, model = Simulator(seed=11), _Oracle()
     log, expected = [], []
-    handles = []
 
     def add(api, time, tag):
-        handle = api(time, lambda: log.append((tag, sim.now)))
-        return handle, model.add(time, tag)
+        api(time, lambda: log.append((tag, sim.now)))
+        model.add(time, tag)
 
     for op, arg in ops:
         if op == "call_at":
-            handles.append(add(sim.call_at, max(arg, sim.now), "fire"))
+            add(sim.call_at, max(arg, sim.now), "fire")
         elif op == "call_after":
-            handle = sim.call_after(
-                arg, lambda: log.append(("after", sim.now)))
-            handles.append((handle, model.add(model.now + arg, "after")))
+            sim.call_after(arg, lambda: log.append(("after", sim.now)))
+            model.add(model.now + arg, "after")
         elif op == "schedule":
             add(sim.schedule, max(arg, sim.now), "sched")
-        elif op == "cancel" and handles:
-            handle, entry = handles[arg % len(handles)]
-            handle.cancel()
-            entry["live"] = False
         elif op == "step":
             assert sim.step() == model.fire(expected)
         elif op == "run_until" and arg >= sim.now:
@@ -329,18 +285,3 @@ def test_property_op_programs_match_sort_oracle(ops):
     assert log == expected
     assert (sim.now, sim.peek_next_time(), sim.pending_events(),
             sim.events_executed) == model.observe()
-
-
-def test_fast_heap_compaction_spares_schedule_entries():
-    sim = Simulator()
-    fired = []
-    # Enough cancellable timers to trigger compaction (>= 64 queued,
-    # cancelled majority), with bare schedule() entries interleaved.
-    handles = [sim.call_at(100 + i, lambda: fired.append("timer"))
-               for i in range(80)]
-    for i in range(10):
-        sim.schedule(50 + i, lambda i=i: fired.append(i))
-    for h in handles:
-        h.cancel()
-    sim.run()
-    assert fired == list(range(10))

@@ -19,11 +19,6 @@ numbers:
   iterating ``.keys()``/``.values()``/``.items()`` of a node-id mapping
   (or a node-id set) without ``sorted(...)`` makes cell order, victim
   order, and therefore whole campaign reports insertion-dependent.
-* ``engine-schedule-bypass`` — handler code must post work through
-  ``node.call_at`` (which routes through the re-entrancy guard and the
-  node's fault filter), not raw ``sim.schedule()``; a bypassed guard
-  means a compromised node keeps scheduling after its behaviour should
-  have silenced it.
 * ``allocation-in-loop`` — the batched core's whole point is that the
   steady-state loop allocates nothing; a constructor call or container
   display inside one of its loops is either a perf regression waiting
@@ -59,11 +54,7 @@ outputs are persisted artifacts.
 ``mc`` reports do), the batched core (whose emission plans feed the
 event queue directly) and the planner (``repro/net/routing``,
 ``repro/core/planner``, ``repro/sched``: strategy artifacts are pinned
-byte for byte), ``engine-schedule-bypass`` to the layers that
-hold a simulator reference but do not own the engine (``repro/core``,
-``repro/mc``, ``repro/obs``, ``repro/faults``, ``repro/fuzz``,
-``repro/baselines``) plus the hop runtime's sanctioned schedule calls
-(which carry pragmas), and
+byte for byte), and
 ``allocation-in-loop`` to the batched-core hot modules
 (``repro/perf/batchcore``, ``repro/sim/message``). The worker pool and
 its sweep (``repro/perf/pool``) sit in the node-order scope: results
@@ -90,10 +81,6 @@ NODE_ORDER_FRAGMENTS = ("repro/mc/", "repro/faults/",
 #: ordering, a memo key that is iterated, or a persisted artifact.
 HASH_FRAGMENTS = ("repro/faults/", "repro/net/", "repro/sched/",
                   "repro/verify/")
-#: Layers that hold a simulator reference but do not own the engine.
-SCHEDULE_CLIENT_FRAGMENTS = ("repro/core/", "repro/mc/", "repro/obs/",
-                             "repro/faults/", "repro/perf/batchcore",
-                             "repro/fuzz/", "repro/baselines/")
 #: Hot-path modules whose steady-state loops must not allocate.
 HOT_LOOP_FRAGMENTS = ("repro/perf/batchcore", "repro/sim/message")
 #: Modules whose time arithmetic must stay in integer microseconds.
@@ -317,40 +304,6 @@ class UnsortedNodeIterationRule(Rule):
                            f".{it.func.attr}() view")
 
 
-class EngineScheduleBypassRule(Rule):
-    """Flag raw ``sim.schedule()`` calls from engine-client layers."""
-
-    id = "engine-schedule-bypass"
-    description = ("raw sim.schedule() from handler code bypasses the "
-                   "node's re-entrancy guard and fault filter; post work "
-                   "through node.call_at (the engine itself and "
-                   "sanctioned transmit paths carry a pragma)")
-
-    def applies_to(self, path: str) -> bool:
-        posix = _posix(path)
-        return any(fragment in posix
-                   for fragment in SCHEDULE_CLIENT_FRAGMENTS)
-
-    @staticmethod
-    def _is_sim_receiver(value: ast.expr) -> bool:
-        if isinstance(value, ast.Name):
-            return value.id == "sim" or value.id.endswith("_sim")
-        if isinstance(value, ast.Attribute):
-            return value.attr in ("sim", "_sim")
-        return False
-
-    def check(self, tree: ast.AST) -> Iterator[Hit]:
-        for node in ast.walk(tree):
-            if not isinstance(node, ast.Call):
-                continue
-            func = node.func
-            if (isinstance(func, ast.Attribute)
-                    and func.attr == "schedule"
-                    and self._is_sim_receiver(func.value)):
-                yield (node.lineno, node.col_offset,
-                       "raw sim.schedule() call from handler-layer code")
-
-
 class AllocationInLoopRule(Rule):
     """Flag allocations inside loops of the batched-core hot modules.
 
@@ -494,7 +447,6 @@ ALL_RULES = (
     SetIterationRule(),
     FloatEqualityRule(),
     UnsortedNodeIterationRule(),
-    EngineScheduleBypassRule(),
     AllocationInLoopRule(),
     FloatTimeArithmeticRule(),
     BuiltinHashRule(),
@@ -504,7 +456,6 @@ __all__ = [
     "ALL_RULES",
     "AllocationInLoopRule",
     "BuiltinHashRule",
-    "EngineScheduleBypassRule",
     "FloatEqualityRule",
     "FloatTimeArithmeticRule",
     "Rule",

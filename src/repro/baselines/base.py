@@ -289,7 +289,8 @@ class BaselineSystem:
             # Baselines build their own messages: nothing to preallocate.
             self.batch_runtime = BatchRuntime(pool_prealloc=0)
         self.batch_runtime.begin_run(self.sim, self.trace, self.topology,
-                                     self.metrics, self.agents)
+                                     self.metrics, self.agents,
+                                     n_periods * period)
         script = self._resolve_script(adversary)
         for injection in script:
             agent = self.agents[injection.node]

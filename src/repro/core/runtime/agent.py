@@ -1024,21 +1024,15 @@ class NodeAgent:
         compromised ones may keep beating to look alive, which only buys
         them the single-adjacency excuse — total omission breaks several
         adjacencies and is attributed regardless.
-        """
-        self._flood_heartbeat(self.node_id, k, exclude=None)
 
-    def _flood_heartbeat(self, origin: str, k: int,
-                         exclude: Optional[str]) -> None:
-        if (origin, k) in self._heartbeats_seen:
-            return
-        self._heartbeats_seen.add((origin, k))
-        if origin != self.node_id:
-            self._last_heartbeat[origin] = self.sim.now
-        if self.node.crashed:
-            return
+        Only the origin emits here (``on_period_start`` already skipped a
+        crashed node); receivers mark and re-flood inside the hop
+        runtime's heartbeat batch.
+        """
+        self._heartbeats_seen.add((self.node_id, k))
         # Vectorised fan-out: one heap event per distinct arrival time,
         # no Message objects.
-        self._hops.flood_heartbeat(self, origin, k, exclude)
+        self._hops.flood_heartbeat(self, self.node_id, k, None)
 
     # ----------------------------------------------------------- control
 

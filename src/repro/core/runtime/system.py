@@ -316,7 +316,7 @@ class BTRSystem:
             for node_id, node in sorted(self.topology.nodes.items())
         }
         self.batch_runtime.begin_run(self.sim, self.trace, self.topology,
-                                     self.metrics, self.agents)
+                                     self.metrics, self.agents, duration)
         self._install_clock_sync()
 
         script = self._resolve_script(adversary)

@@ -210,13 +210,28 @@ def script_from_dict(payload: dict, seed: int = 0) -> FaultScript:
     byte-identically to the original. ``seed`` roots the RNG forks for
     version-1 payloads (and v2 entries predating ``rng_seed``), where
     the same (payload, seed) pair always yields the same script.
+    Raises ``ValueError`` on any payload it did not write.
     """
+    if not isinstance(payload, dict):
+        raise ValueError(f"fault script must be an object, got {payload!r}")
     version = payload.get("version")
     if version not in (1, SCRIPT_VERSION):
         raise ValueError(f"unsupported fault-script version {version!r}")
+    entries = payload.get("injections")
+    if not isinstance(entries, list):
+        raise ValueError("fault script has no injections list")
+    for entry in entries:
+        # ``type(...) is int``: a JSON ``true`` is no time or seed.
+        if not (isinstance(entry, dict)
+                and type(entry.get("time")) is int and entry["time"] >= 0
+                and isinstance(entry.get("node"), str)
+                and isinstance(entry.get("kind"), str)
+                and isinstance(entry.get("params", {}), dict)
+                and type(entry.get("rng_seed", 0)) is int):
+            raise ValueError(f"malformed injection {entry!r}")
     root = DeterministicRandom(seed)
     injections = []
-    for i, entry in enumerate(payload["injections"]):
+    for i, entry in enumerate(entries):
         if version == 1:
             behavior = make_behavior(str(entry["kind"]),
                                      root.fork(f"inj{i}"))

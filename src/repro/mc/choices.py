@@ -63,9 +63,18 @@ class Cell:
 
     @classmethod
     def from_dict(cls, payload: dict) -> "Cell":
-        return cls(victim=payload.get("victim"),
-                   kind=payload.get("kind"),
-                   inject_at=payload.get("inject_at"))
+        """Decode :meth:`to_dict`'s output; ``ValueError`` on any other
+        shape (artifacts come from disk)."""
+        if not isinstance(payload, dict):
+            raise ValueError(f"cell must be an object, got {payload!r}")
+        victim = payload.get("victim")
+        kind = payload.get("kind")
+        inject_at = payload.get("inject_at")
+        # ``type(...) is int``: a JSON ``true`` is no injection time.
+        if not all(v is None or isinstance(v, str) for v in (victim, kind)) \
+                or not (inject_at is None or type(inject_at) is int):
+            raise ValueError(f"malformed cell {payload!r}")
+        return cls(victim=victim, kind=kind, inject_at=inject_at)
 
 
 def cell_script(cell: Cell, seed: int) -> FaultScript:

@@ -12,9 +12,11 @@ artifact is proof the violation exists outside the checker.
 
 from __future__ import annotations
 
+import math
 from typing import List, Optional, Tuple
 
 from ..faults.adversary import FaultScript, script_from_dict, script_to_dict
+from ..workload import WORKLOADS
 from .choices import Cell, DeliveryChoice, validate_schedule
 from .invariants import Violation
 from .judge import NOT_DETERMINISTIC, judge
@@ -55,9 +57,11 @@ def counterexample_from_dict(payload: dict
                                         Tuple[DeliveryChoice, ...]]:
     """Validate an artifact and decode its structured parts.
 
-    Raises ``ValueError`` on anything malformed, so callers loading
-    artifacts from disk get a diagnosis rather than a traceback deep in
-    the replay.
+    Raises ``ValueError`` on anything malformed — the cell, the delivery
+    schedule, the fault script, the run-shape integers, the recorded
+    violations, and the deployment names in ``meta`` — so callers
+    loading artifacts from disk get a diagnosis rather than a traceback
+    deep in the replay.
     """
     if not isinstance(payload, dict):
         raise ValueError("counterexample artifact must be a JSON object")
@@ -69,11 +73,60 @@ def counterexample_from_dict(payload: dict
         raise ValueError(
             f"unsupported counterexample version {payload['version']!r} "
             f"(this build reads version {CEX_VERSION})")
+    for key in ("n_periods", "R_us", "k"):
+        _require_int(key, payload[key], least=1)
+    _require_int("seed", payload["seed"])
     cell = Cell.from_dict(payload["cell"])
-    deliveries = tuple(
-        (int(index), int(delay)) for index, delay in payload["deliveries"])
+    raw = payload["deliveries"]
+    if not (isinstance(raw, list) and all(
+            isinstance(choice, list) and len(choice) == 2
+            and all(type(v) is int for v in choice) for choice in raw)):
+        raise ValueError(f"deliveries must be a list of [index, delay] "
+                         f"integer pairs, got {raw!r}")
+    deliveries = tuple((index, delay) for index, delay in raw)
     validate_schedule(deliveries)
+    script_from_dict(payload["fault_script"], seed=payload["seed"])
+    violations = payload["violations"]
+    if not (isinstance(violations, list) and all(
+            isinstance(v, dict) and isinstance(v.get("invariant"), str)
+            for v in violations)):
+        raise ValueError(f"malformed violations {violations!r}")
+    _check_meta(payload.get("meta"))
     return cell, deliveries
+
+
+def _require_int(name: str, value, least: Optional[int] = None) -> None:
+    # ``type(...) is int``: a JSON ``true`` is no count.
+    if type(value) is not int or (least is not None and value < least):
+        bound = "" if least is None else f" >= {least}"
+        raise ValueError(f"{name} must be an integer{bound}, got {value!r}")
+
+
+def _check_meta(meta) -> None:
+    """The deployment an artifact's ``meta`` pins must be one this build
+    can name: a known workload, a topology spec string, a positive
+    bandwidth, integer ``f`` and ``seed``. Absent keys are fine (the
+    CLI's flags fill them)."""
+    if meta is None:
+        return
+    if not isinstance(meta, dict):
+        raise ValueError(f"meta must be an object, got {meta!r}")
+    workload = meta.get("workload", "industrial")
+    if not isinstance(workload, str) or workload not in WORKLOADS:
+        raise ValueError(f"unknown workload {workload!r} in meta; choose "
+                         f"from {', '.join(sorted(WORKLOADS))}")
+    if not isinstance(meta.get("topology", ""), str):
+        raise ValueError(f"meta topology must be a spec string, "
+                         f"got {meta['topology']!r}")
+    bandwidth = meta.get("bandwidth", 1.0)
+    if type(bandwidth) not in (int, float) \
+            or not 0 < bandwidth < math.inf:
+        raise ValueError(f"meta bandwidth must be a positive number, "
+                         f"got {bandwidth!r}")
+    if "f" in meta:
+        _require_int("meta f", meta["f"], least=1)
+    if "seed" in meta:
+        _require_int("meta seed", meta["seed"])
 
 
 def replay_counterexample(system, payload: dict

@@ -21,10 +21,15 @@ the three send shapes a run has:
   heap event per message would give. ``events_executed`` is bumped per
   logical delivery, so the gauge counts messages, not heap pops.
 
+* **seen-copy tallies** — a heartbeat copy to a node that already holds
+  the heartbeat changes nothing on arrival but the hop counts, so when
+  hops are tallied (``milestones``) it is counted at send time and never
+  scheduled; a batch marks all its first receipts before any re-floods.
+
 Every delivery calls the receiving agent directly, behind the receiving
-node's ``crashed`` check: ``_on_message``, or ``_flood_heartbeat`` for a
-heartbeat, which travels as no :class:`~repro.sim.message.Message` at
-all. Around that:
+node's ``crashed`` check: ``_on_message``, or — for a heartbeat, which
+travels as no :class:`~repro.sim.message.Message` at all — the seen-set
+mark and the re-flood. Around that:
 
 * **message/event pools** — fan-out and data-plane messages come from a
   :class:`~repro.sim.message.MessagePool` (released when they reach
@@ -85,13 +90,13 @@ _KINDS = tuple((kind, kind._value_) for kind in MessageKind)
 class _HeartbeatBatch:
     """One coalesced heap event delivering same-arrival heartbeat copies.
 
-    Carries no :class:`Message` objects at all: a heartbeat's only
-    handler is the receiving agent's ``_flood_heartbeat``, which the
-    batch calls directly.
+    Carries no :class:`Message` objects at all: a heartbeat's whole
+    handler is the receiver's seen-set mark, its liveness stamp and its
+    re-flood, which the batch performs itself.
     """
 
     __slots__ = ("runtime", "sender", "origin", "k", "arrival",
-                 "entries", "lost")
+                 "entries", "lost", "firsts")
 
     def __init__(self, runtime: "BatchRuntime") -> None:
         self.runtime = runtime
@@ -106,27 +111,49 @@ class _HeartbeatBatch:
         self.entries: List[tuple] = []
         #: Positions in ``entries`` whose frame the link lost.
         self.lost: List[int] = []
+        #: Per entry, filled by pass 1: the receiving agent on a first
+        #: receipt (it re-floods in pass 2), else ``None``.
+        self.firsts: List[object] = []
 
     def __call__(self) -> None:
         runtime = self.runtime
         trace = runtime.trace
         retained = runtime.retained
         metrics = runtime.metrics
+        flood = runtime.flood_heartbeat
         sender = self.sender
         origin = self.origin
         k = self.k
         arrival = self.arrival
         entries = self.entries
         lost = self.lost
+        firsts = self.firsts
         n = len(entries)
         # One engine pop stands for n logical deliveries; the
         # events-executed gauge counts messages.
         runtime.sim.events_executed += n - 1
         runtime.batches_fired += 1
         runtime.entries_batched += n
+        seen_key = (origin, k)
+        # Pass 1: mark every first receipt before anyone re-floods, so
+        # each re-flood finds this whole batch seen and tallies its
+        # copies to it. Marking hooks, draws, records and schedules
+        # nothing, and no flood reads another receiver's seen set, so
+        # pass 2 keeps the one-loop order. (The origin marked its own
+        # heartbeat when it emitted it.)
+        for i, entry in enumerate(entries):
+            agent = entry[4]
+            if (lost and i in lost) or entry[3].crashed \
+                    or seen_key in agent._heartbeats_seen:
+                firsts.append(None)
+                continue
+            agent._heartbeats_seen.add(seen_key)
+            agent._last_heartbeat[origin] = arrival
+            firsts.append(agent)
+        # Pass 2: rows or tallies in entry order; a first receipt
+        # re-floods right after its own delivered row.
         delivered = 0
         dropped = 0
-        seen_key = (origin, k)
         for i, entry in enumerate(entries):
             if lost and i in lost:
                 if retained:
@@ -139,20 +166,14 @@ class _HeartbeatBatch:
                 trace.record_row(arrival, entry[8])
             else:
                 delivered += 1
-            if entry[3].crashed:
-                continue
-            agent = entry[4]
-            # Inlined seen-check: ~85% of steady-state deliveries are
-            # duplicate copies whose reflood call would return on its
-            # first line (without refreshing _last_heartbeat — only
-            # first receipt does that).
-            if seen_key in agent._heartbeats_seen:
-                continue
-            agent._flood_heartbeat(origin, k, exclude=sender)
+            agent = firsts[i]
+            if agent is not None:
+                flood(agent, origin, k, sender)
         runtime.delivered += delivered
         runtime.dropped += dropped
         entries.clear()
         lost.clear()
+        firsts.clear()
         runtime._hb_free.append(self)
 
 
@@ -251,6 +272,9 @@ class BatchRuntime:
         #: into the tallies below (``milestones`` retains none of the
         #: three hop-message kinds).
         self.retained = True
+        #: The run's end (``run_until``'s argument): a copy tallied at
+        #: send time counts only if it would have arrived by then.
+        self.horizon = 0
         self.sent = 0
         self.delivered = 0
         self.dropped = 0
@@ -258,10 +282,11 @@ class BatchRuntime:
         self.entries_batched = 0
 
     def begin_run(self, sim, trace, topology, metrics,
-                  agents: Dict[str, object]) -> None:
+                  agents: Dict[str, object], horizon: int) -> None:
         """Bind the run and build its static hop state; called after
         agent construction and after ``lane_model.install()`` (the edge
-        table and the plans bind the run's Lane objects).
+        table and the plans bind the run's Lane objects). ``horizon`` is
+        the time the run will be run until.
 
         The edge table holds, per neighbour edge and message kind, the
         link, the sender's lane, the receiving node and the receiving
@@ -282,6 +307,7 @@ class BatchRuntime:
         self.retained = (trace.retains(MessageSent)
                          and trace.retains(MessageDelivered)
                          and trace.retains(MessageDropped))
+        self.horizon = horizon
         self.sent = 0
         self.delivered = 0
         self.dropped = 0
@@ -431,15 +457,28 @@ class BatchRuntime:
         """Vectorised heartbeat fan-out: one lane reservation + trace
         entry per receiver, one heap event per distinct arrival time.
         RNG draws (lossy links) and the delivery hook are consulted per
-        receiver in emission order."""
+        receiver in emission order.
+
+        When hops are tallied, a copy to a receiver that already holds
+        ``(origin, k)`` is never scheduled — its delivery could only
+        count it (seen sets only grow; a seen receiver neither re-floods
+        nor restamps liveness, crashed or not) — so it is counted here,
+        if it arrives by the horizon: delivered, or dropped plus
+        ``messages_dropped``, and one executed event. In a ``full``
+        trace its delivered row has a place, so every copy is
+        scheduled."""
         sim = self.sim
         trace = self.trace
         retained = self.retained
+        horizon = self.horizon
         hook = sim.delivery_hook
         rng_random = sim.rng.random
         sender = agent.node_id
         now = sim.now
+        seen_key = (origin, k)
         sent = 0
+        delivered = 0
+        dropped = 0
         groups: Dict[int, _HeartbeatBatch] = {}
         hb_free = self._hb_free
         for entry in self._hb_plans[sender]:
@@ -464,6 +503,15 @@ class BatchRuntime:
                 arrival = hook(sender, neighbor, arrival)
             loss = link.loss_probability
             lost = loss > 0.0 and rng_random() < loss
+            if not retained and seen_key in entry[4]._heartbeats_seen:
+                if arrival <= horizon:
+                    if lost:
+                        dropped += 1
+                        self.metrics.inc("messages_dropped",
+                                         reason="link_loss")
+                    else:
+                        delivered += 1
+                continue
             batch = groups.get(arrival)
             if batch is None:
                 batch = (hb_free.pop() if hb_free
@@ -478,6 +526,9 @@ class BatchRuntime:
                 batch.lost.append(len(batch.entries))
             batch.entries.append(entry)
         self.sent += sent
+        self.delivered += delivered
+        self.dropped += dropped
+        sim.events_executed += delivered + dropped
 
     def flood_messages(self, agent, kind: MessageKind, payload,
                        bits: int, exclude: Optional[str]) -> None:

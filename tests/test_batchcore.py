@@ -10,8 +10,11 @@ work. These tests pin that promise from five sides —
   per-message legacy path generated (``tests/golden``), across scenarios
   and seeds — while the batch machinery demonstrably engages (fewer heap
   pops than logical deliveries);
-* trace modes: the reduced mode keeps the census and the milestone
-  subsequence exactly as the full run records them;
+* trace modes: the reduced mode keeps the census, the events-executed
+  gauge, the counters and the milestone subsequence exactly as the full
+  run records them — including the heartbeat copies it counts at send
+  time instead of scheduling (in flight at the horizon, lost on a lossy
+  link, under a delivery hook, and over drawn topologies and faults);
 * message pools: exhaustion grows the pool (never fails), growth is
   visible in the counters, recycling actually happens, and a warm pool
   carries across runs of one system — all without perturbing the trace;
@@ -23,9 +26,13 @@ work. These tests pin that promise from five sides —
 """
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro import BTRConfig, BTRSystem
+from repro.cli import make_topology
+from repro.faults import SingleFaultAdversary
 from repro.faults.scenarios import stage
+from repro.mc.hooks import DeliveryPerturbation
 from repro.net import full_mesh_topology
 from repro.perf.batchcore import BatchRuntime, run_sweep, sibling_system
 from repro.sim.trace import trace_fingerprint
@@ -78,13 +85,141 @@ class TestByteIdentity:
 
     @pytest.mark.parametrize("mode", ["milestones"])
     def test_reduced_modes_keep_census_and_milestones(self, mode):
-        _, full = run_scenario(42, mode="full")
+        full_system, full = run_scenario(42, mode="full")
         system, reduced = run_scenario(42, mode=mode)
         # Tallies fill the gap left by unretained per-hop records.
         assert reduced.trace.kind_counts() == full.trace.kind_counts()
+        assert system.sim.events_executed == full_system.sim.events_executed
         assert (golden.milestone_reprs(reduced.trace)
                 == golden.milestone_reprs(full.trace))
         assert system.batch_runtime.stats()["entries_batched"] > 0
+
+    @pytest.mark.parametrize("key", [
+        "single_commission@fullmesh15/industrial/f1/p30/s42",
+        f"{golden.HOOKED}@geo3x4/industrialx10/f1/p6/s42",
+        "wan_brownout@geo3x4/industrialx10/f1/p6/s42",
+        "gateway_crash@geo3x4/industrialx10/f1/p6/s42",
+    ])
+    def test_milestones_cells_keep_committed_census(self, key):
+        """The committed digests pin ``milestones`` runs too (the rest of
+        the 34 cells: ``python -m tests.golden engine``)."""
+        assert (golden.census(golden.run_cell(key, "milestones"))
+                == golden.census(golden.expected(key)))
+
+
+def run_in_both_modes(spec: str, n_periods: int, seed: int = 42,
+                      adversary=None, link_script=None, hook=None):
+    """``{mode: (system, result, hook)}`` for one run per trace mode on
+    fresh systems (the metrics registry lives as long as its system);
+    ``hook`` is a factory, called once per run."""
+    runs = {}
+    for mode in ("full", "milestones"):
+        system = BTRSystem(industrial_workload(), make_topology(spec, 1e8),
+                           BTRConfig(f=1, seed=seed, trace_mode=mode))
+        system.prepare()
+        links = link_script(system) if link_script else None
+        installed = hook(system) if hook else None
+        result = system.run(n_periods, adversary=adversary,
+                            link_script=links, delivery_hook=installed)
+        runs[mode] = (system, result, installed)
+    return runs
+
+
+def assert_modes_agree(runs) -> None:
+    """A ``milestones`` run counts every hop, event and drop the ``full``
+    run of the same inputs records, and keeps its milestones."""
+    (full_sys, full, _), (sys_, reduced, _) = (runs["full"],
+                                               runs["milestones"])
+    assert reduced.trace.kind_counts() == full.trace.kind_counts()
+    assert sys_.sim.events_executed == full_sys.sim.events_executed
+    assert reduced.metrics["counters"] == full.metrics["counters"]
+    assert (golden.milestone_reprs(reduced.trace)
+            == golden.milestone_reprs(full.trace))
+
+
+class TestSeenCopyTally:
+    """With hops tallied, a heartbeat copy to a node that already holds
+    the heartbeat is counted when it is sent and never scheduled; a
+    ``full`` trace schedules every copy. Both must count the same."""
+
+    def test_copies_in_flight_at_the_horizon_count_in_neither_mode(self):
+        n_periods = 6
+
+        def late_relay(system):
+            # n1's frames in the last period, its re-floods of the other
+            # nodes' heartbeats included, arrive a period after the end.
+            period = system.workload.period
+            last = (n_periods - 1) * period
+
+            def hook(sender, receiver, arrival):
+                if sender == "n1" and arrival > last:
+                    return arrival + period
+                return arrival
+            return hook
+
+        runs = run_in_both_modes("fullmesh:7", n_periods, hook=late_relay)
+        counts = runs["full"][1].trace.kind_counts()
+        assert counts["MessageSent"] > (counts["MessageDelivered"]
+                                        + counts.get("MessageDropped", 0))
+        assert_modes_agree(runs)
+        tallied = runs["milestones"][0].batch_runtime.stats()
+        assert (tallied["entries_batched"]
+                < runs["full"][0].batch_runtime.stats()["entries_batched"])
+
+    def test_lost_copies_to_seen_receivers_count_as_drops(self):
+        def lossy(system):
+            return [(0, link_id, 0.3)
+                    for link_id in sorted(system.topology.links)]
+
+        runs = run_in_both_modes("fullmesh:7", 8, link_script=lossy)
+        assert_modes_agree(runs)
+        assert runs["milestones"][1].metrics["counters"][
+            "messages_dropped{reason=link_loss}"] > 0
+
+    def test_hook_sees_the_same_calls_in_both_modes(self):
+        def perturbation(system):
+            return DeliveryPerturbation(
+                ((3, 2_000), (40, 500), (300, 7_000)),
+                window=(0, 8 * system.workload.period))
+
+        runs = run_in_both_modes("fullmesh:7", 8, hook=perturbation)
+        assert_modes_agree(runs)
+        full_hook = runs["full"][2]
+        reduced_hook = runs["milestones"][2]
+        assert reduced_hook.count == full_hook.count > 300
+        assert reduced_hook.observed == full_hook.observed
+
+
+@st.composite
+def tally_cells(draw):
+    """A topology, one crash / commission / link-loss fault at a drawn
+    time inside the run (industrial periods are 50 ms), and an odd
+    number of periods."""
+    spec = draw(st.sampled_from(["fullmesh:4", "fullmesh:7", "ring:6",
+                                 "mesh:3x3"]))
+    n_periods = draw(st.sampled_from([3, 5, 7, 9]))
+    at = draw(st.integers(min_value=0, max_value=n_periods * 50_000))
+    kind = draw(st.sampled_from(["crash", "commission", "loss"]))
+    loss = draw(st.sampled_from([0.1, 0.5, 1.0]))
+    link = draw(st.integers(min_value=0, max_value=100))
+    seed = draw(st.integers(min_value=0, max_value=1_000))
+    return spec, n_periods, at, kind, loss, link, seed
+
+
+@settings(max_examples=20, deadline=None)
+@given(cell=tally_cells())
+def test_full_and_milestones_count_alike(cell):
+    spec, n_periods, at, kind, loss, link, seed = cell
+    adversary = link_script = None
+    if kind == "loss":
+        def link_script(system):
+            links = sorted(system.topology.links)
+            return [(at, links[link % len(links)], loss)]
+    else:
+        adversary = SingleFaultAdversary(at=at, kind=kind)
+    assert_modes_agree(run_in_both_modes(
+        spec, n_periods, seed=seed, adversary=adversary,
+        link_script=link_script))
 
 
 class TestMessagePool:

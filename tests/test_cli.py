@@ -1,5 +1,8 @@
 """Tests for the command-line interface (``python -m repro``)."""
 
+import json
+import os
+
 import pytest
 
 from repro.cli import main, make_topology
@@ -217,6 +220,51 @@ def test_cli_check_replay_rejects_bad_artifact(tmp_path, capsys):
     err = capsys.readouterr().err
     assert code == 2
     assert "cannot replay artifact" in err
+
+
+#: A committed, replayable artifact that each case below breaks in one
+#: place.
+CORPUS_ENTRY = os.path.join(os.path.dirname(os.path.dirname(__file__)),
+                            "corpus", "fuzz-3a9355964d00.json")
+
+
+@pytest.mark.parametrize("argv", [["check", "--replay"], ["fuzz", "replay"]])
+@pytest.mark.parametrize("field,value", [
+    ("cell", 5),
+    ("cell", {"victim": ["n2"], "kind": "crash", "inject_at": 0}),
+    ("deliveries", [1, 2]),
+    ("deliveries", [[1, "2"]]),
+    ("fault_script", [{"x": 1}]),
+    ("fault_script", {"version": 2, "injections": [{"x": 1}]}),
+    ("n_periods", True),
+    ("k", 0),
+    ("seed", "7"),
+    ("violations", [{"detail": "no invariant"}]),
+    ("meta", {"workload": "nope"}),
+    ("meta", {"f": "1"}),
+    ("meta", []),
+    (None, None),  # the file cut in half
+])
+def test_cli_replay_names_each_malformed_artifact(tmp_path, capsys, argv,
+                                                  field, value):
+    """Hostile replay input: one named line and exit 2, never a
+    traceback."""
+    with open(CORPUS_ENTRY) as f:
+        text = f.read()
+    if field is not None:
+        payload = json.loads(text)
+        payload[field] = value
+        text = json.dumps(payload)
+    else:
+        text = text[:len(text) // 2]
+    path = tmp_path / "artifact.json"
+    path.write_text(text)
+    code = main([*argv, str(path)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    [line] = captured.err.splitlines()
+    assert "cannot replay artifact" in line
 
 
 def test_cli_check_rejects_bad_bounds(capsys):

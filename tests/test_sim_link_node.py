@@ -10,6 +10,7 @@ from repro.perf.batchcore import BatchRuntime
 from repro.sched import LaneModel
 from repro.sim import (
     Link,
+    NEVER,
     Message,
     MessageKind,
     Node,
@@ -87,7 +88,9 @@ def hop_runtime(link, *, seed=0, others=(), unreserved=()):
     agents = {node_id: Receiver(node)
               for node_id, node in topology.nodes.items()}
     runtime = BatchRuntime()
-    runtime.begin_run(sim, Trace(), topology, MetricsRegistry(), agents)
+    # The tests drain the queue with sim.run(): no horizon.
+    runtime.begin_run(sim, Trace(), topology, MetricsRegistry(), agents,
+                      NEVER)
     return runtime, sim, agents
 
 

@@ -3,9 +3,8 @@
 E17 measures the work *inside* each event; the batched emitters
 (``repro.perf.batchcore``) restructure the event stream itself: periodic
 heartbeat/sensor fan-outs become one vectorised step per (sender,
-arrival) group with authenticator batching, hot-path messages come from
-a recycling pool, and multi-seed sweeps share frozen plans and key
-directories in one process (``run_sweep``). The invariant is inherited
+arrival) group with authenticator batching, and multi-seed sweeps share
+frozen plans and key directories in one process (``run_sweep``). The invariant is inherited
 from E17 and checked harder: for every scenario × seed in the matrix the
 **full-mode trace is byte-identical** (fingerprint, ``events_executed``,
 census) to the digest a message-per-heap-event engine generated
@@ -42,8 +41,8 @@ from repro.workload import industrial_workload
 
 #: (scenario, n_nodes, f, n_periods) — the E17 scenario set on a
 #: geo-scale mesh: steady broadcast traffic, the audit fallback, and
-#: adversarial evidence load (where pooled messages must recycle under
-#: flood pressure without changing a byte).
+#: adversarial evidence load (where the batched evidence fan-out must
+#: not change a byte under flood pressure).
 SWEEP_FULL = [
     ("single_commission", 15, 1, 30),
     ("checker_host_crash", 15, 1, 30),
@@ -128,7 +127,6 @@ def run_case(name: str, n_nodes: int, f: int, n_periods: int, seed: int):
                                if sweep_wall else None),
         "batches_fired": batch_stats["batches_fired"],
         "entries_batched": batch_stats["entries_batched"],
-        "pool_reused": batch_stats["pool"]["reused"],
         "digest_match": True,
     }
 

@@ -36,7 +36,8 @@ from ..sim.trace import (
     TaskExecuted,
     Trace,
 )
-from ..workload.dataflow import DataflowGraph
+from ..workload.dataflow import DataflowGraph, Flow
+from ..workload.task import sensor_reading
 
 
 class BaselinePlan:
@@ -45,6 +46,8 @@ class BaselinePlan:
     def __init__(self, augmented: DataflowGraph, assignment: Dict[str, str],
                  schedule: GlobalSchedule, topology: Topology) -> None:
         self.augmented = augmented
+        #: Flow name -> flow of the augmented graph.
+        self.flows: Dict[str, Flow] = {f.name: f for f in augmented.flows}
         self.assignment = assignment
         self.schedule = schedule
         self.routes: Dict[str, List[str]] = {}
@@ -132,7 +135,17 @@ class BaselineAgent:
     # --------------------------------------------------- subclass hooks
 
     def emit_sources(self, k: int) -> None:
-        raise NotImplementedError
+        """Send this period's reading of every source hosted here."""
+        hosted = {
+            s for s, host in self.system.topology.endpoint_map.items()
+            if host == self.node_id and s in self.plan.augmented.sources
+        }
+        if not hosted:
+            return
+        # Flow order must match the synthesizer's lane serialization.
+        for flow in self.plan.augmented.flows:
+            if flow.src in hosted:
+                self.send_flow(flow.name, k, sensor_reading(flow.src, k))
 
     def execute_instance(self, instance: str, k: int) -> None:
         raise NotImplementedError
@@ -144,8 +157,7 @@ class BaselineAgent:
     # ------------------------------------------------------------ messaging
 
     def send_flow(self, flow_name: str, k: int, value: int) -> None:
-        flow = next((f for f in self.plan.augmented.flows
-                     if f.name == flow_name), None)
+        flow = self.plan.flows.get(flow_name)
         if flow is None:
             return
         final = self.system.consumer_node(flow)
@@ -226,9 +238,8 @@ class BaselineSystem:
         #: Where link-loss drops are counted (baselines make no recovery
         #: promise, so their RunResult carries no metrics snapshot).
         self.metrics = MetricsRegistry()
-        #: The hop runtime, constructed on first run() and kept across
-        #: runs, as BTRSystem keeps its own.
-        self.batch_runtime: Optional[BatchRuntime] = None
+        #: The hop runtime, kept across runs as BTRSystem keeps its own.
+        self.batch_runtime = BatchRuntime()
         self.sim: Optional[Simulator] = None
         self.trace: Optional[Trace] = None
         self.agents: Dict[str, BaselineAgent] = {}
@@ -285,9 +296,6 @@ class BaselineSystem:
             node_id: self.make_agent(node)
             for node_id, node in sorted(self.topology.nodes.items())
         }
-        if self.batch_runtime is None:
-            # Baselines build their own messages: nothing to preallocate.
-            self.batch_runtime = BatchRuntime(pool_prealloc=0)
         self.batch_runtime.begin_run(self.sim, self.trace, self.topology,
                                      self.metrics, self.agents,
                                      n_periods * period)

@@ -17,7 +17,7 @@ from typing import Dict, List, Tuple
 from ..core.planner import naming
 from ..crypto.signatures import Signature
 from ..workload.dataflow import DataflowGraph, Flow
-from ..workload.task import compute_output, sensor_reading
+from ..workload.task import compute_output
 from .base import BaselineAgent, BaselineSystem
 
 
@@ -93,18 +93,6 @@ class BFTAgent(BaselineAgent):
     def replicas(self) -> int:
         return 3 * self.system.f + 1
 
-    def emit_sources(self, k: int) -> None:
-        hosted = {
-            s for s, host in self.system.topology.endpoint_map.items()
-            if host == self.node_id and s in self.plan.augmented.sources
-        }
-        if not hosted:
-            return
-        # Flow order must match the synthesizer's lane serialization.
-        for flow in self.plan.augmented.flows:
-            if flow.src in hosted:
-                self.send_flow(flow.name, k, sensor_reading(flow.src, k))
-
     def execute_instance(self, instance: str, k: int) -> None:
         base = naming.base_task(instance)
         j = naming.replica_index(instance)
@@ -133,8 +121,7 @@ class BFTAgent(BaselineAgent):
 
     def on_value(self, flow_name: str, k: int, value: int, at: int) -> None:
         super().on_value(flow_name, k, value, at)
-        flow = next((f for f in self.plan.augmented.flows
-                     if f.name == flow_name), None)
+        flow = self.plan.flows.get(flow_name)
         if flow is None or flow.dst not in self.plan.augmented.sinks:
             return
         base = flow_name.rsplit("@", 1)[0]

@@ -18,24 +18,12 @@ from __future__ import annotations
 from ..core.planner import naming
 from ..core.planner.augment import AugmentConfig, augment
 from ..workload.dataflow import DataflowGraph
-from ..workload.task import compute_output, sensor_reading
+from ..workload.task import compute_output
 from .base import BaselineAgent, BaselineSystem
 
 
 class ZZAgent(BaselineAgent):
     """Replicas compute; checkers wait-compare-recompute-forward."""
-
-    def emit_sources(self, k: int) -> None:
-        hosted = {
-            s for s, host in self.system.topology.endpoint_map.items()
-            if host == self.node_id and s in self.plan.augmented.sources
-        }
-        if not hosted:
-            return
-        # Flow order must match the synthesizer's lane serialization.
-        for flow in self.plan.augmented.flows:
-            if flow.src in hosted:
-                self.send_flow(flow.name, k, sensor_reading(flow.src, k))
 
     def execute_instance(self, instance: str, k: int) -> None:
         base = naming.base_task(instance)
@@ -97,8 +85,7 @@ class ZZAgent(BaselineAgent):
 
     def on_value(self, flow_name: str, k: int, value: int, at: int) -> None:
         super().on_value(flow_name, k, value, at)
-        flow = next((f for f in self.plan.augmented.flows
-                     if f.name == flow_name), None)
+        flow = self.plan.flows.get(flow_name)
         if flow is not None and flow.dst in self.plan.augmented.sinks:
             self.record_output(flow.dst, naming.base_flow(flow_name), k,
                                value, at)

@@ -183,8 +183,5 @@ class EvidenceLog:
 
     # -------------------------------------------------------------- queries
 
-    def seen_count(self) -> int:
-        return len(self._seen)
-
     def accused_nodes(self) -> Set[str]:
         return {e.accused for e in self.accepted}

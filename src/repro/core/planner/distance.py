@@ -24,10 +24,6 @@ class PlanDistance:
     new_instances: int
     removed_instances: int
 
-    @property
-    def is_zero(self) -> bool:
-        return self.moved_instances == 0 and self.new_instances == 0
-
 
 def plan_distance(
     parent_assignment: Dict[str, str],

@@ -573,24 +573,13 @@ class NodeAgent:
         if self.behavior.drops_message(flow_copy, k, final):
             return
         delay = self.behavior.delay_send(flow_copy, k)
+        message = Message(self.node_id, final, MessageKind.DATA,
+                          ("data", flow_copy, k, stmt), send.size_bits,
+                          flow_copy)
         if final == self.node_id:
-            # Local deliveries keep a plain Message (nothing releases
-            # them).
-            message = Message(
-                src=final, dst=final, kind=MessageKind.DATA,
-                payload=("data", flow_copy, k, stmt),
-                size_bits=send.size_bits, flow=flow_copy,
-            )
             self.sim.call_at(self.sim.now + max(1, delay),
                              partial(self._deliver_local, message))
-            return
-        # Pooled on the transmit path: the delivery/drop paths release
-        # the message once its journey ends.
-        message = self._hops.pool.acquire(
-            self.node_id, final, MessageKind.DATA,
-            ("data", flow_copy, k, stmt), send.size_bits, flow=flow_copy,
-        )
-        if send.next_hop is not None:
+        elif send.next_hop is not None:
             self._transmit_after(delay, send.next_hop, message)
 
     def _deliver_local(self, message: Message) -> None:
@@ -916,9 +905,6 @@ class NodeAgent:
         if not isinstance(payload, tuple) or len(payload) != 3:
             return  # unendorsed records cost nothing: dropped outright
         tag, record, endorsement = payload
-        # Hoisted: the deferred verification callbacks below must not
-        # capture the message object — pooled messages are recycled as
-        # soon as delivery dispatch returns.
         src = message.src
         # §4.3: nodes endorse what they distribute. The endorsement must
         # be by the forwarding hop itself; anything else is dropped before

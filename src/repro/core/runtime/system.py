@@ -149,10 +149,9 @@ class BTRSystem:
         self.metrics = MetricsRegistry()
         #: Filled by prepare(): how the strategy was obtained.
         self.plan_stats: Optional[PlanningStats] = None
-        #: The hop runtime every message crosses a link through, and the
-        #: message pool (:mod:`repro.perf.batchcore`), constructed on
-        #: first run() and kept across runs so batch-event and message
-        #: free lists stay warm.
+        #: The hop runtime every message crosses a link through
+        #: (:mod:`repro.perf.batchcore`), constructed on first run() and
+        #: kept across runs so its batch-event free lists stay warm.
         self.batch_runtime = None
         # Per-run state:
         self.sim: Optional[Simulator] = None

@@ -151,19 +151,6 @@ class Router:
             for a, b in self.hops(src, dst, excluding)
         ]
 
-    def wan_crossings(self, src: str, dst: str,
-                      excluding: Optional[Collection[str]] = None) -> int:
-        """How many WAN (inter-region) links the route traverses.
-
-        Zero on flat topologies and for intra-region routes; the geo
-        scenarios use this to tell region-local from cross-region
-        traffic.
-        """
-        return sum(
-            1 for a, b in self.hops(src, dst, excluding)
-            if self.topology.link_between(a, b).is_wan
-        )
-
     def invalidate(self) -> None:
         """Drop every remembered route and hop table (topology mutated)."""
         self._cache.clear()

@@ -139,13 +139,6 @@ class Topology:
 
     # -------------------------------------------------------------- regions
 
-    def region_of(self, node_id: str) -> Optional[str]:
-        """The region tag of ``node_id`` (None on flat topologies)."""
-        try:
-            return self.nodes[node_id].region
-        except KeyError:
-            raise TopologyError(f"unknown node {node_id}") from None
-
     def region_names(self) -> List[str]:
         """Region names in the canonical (sorted) order.
 

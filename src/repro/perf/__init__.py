@@ -7,8 +7,8 @@ how fast the artifact is produced and whether work is recomputed at all:
 * :class:`StrategyCache` / :func:`strategy_cache_key` — content-keyed
   on-disk reuse of finished strategies;
 * :mod:`repro.perf.batchcore` — the hop runtime every system crosses
-  links through (unicast sends and vectorised fan-outs), pooled
-  messages, and multi-seed sweep execution;
+  links through (unicast sends and vectorised fan-outs) and multi-seed
+  sweep execution;
 * :mod:`repro.perf.pool` — the one worker pool (mc cells, fuzz
   generations, sweeps) and the geo-scale multi-seed pool sweep;
 * :mod:`repro.perf.timing` — the one sanctioned wall-clock module (the

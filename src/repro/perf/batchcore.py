@@ -1,5 +1,5 @@
-"""The hop runtime: every link crossing of a run, pooled messages, and
-multi-seed sweep execution.
+"""The hop runtime: every link crossing of a run, and multi-seed sweep
+execution.
 
 :class:`BatchRuntime` is the substrate's one hop path. BTR and every
 baseline send through it, so every system pays the same lane arithmetic
@@ -31,10 +31,10 @@ node's ``crashed`` check: ``_on_message``, or — for a heartbeat, which
 travels as no :class:`~repro.sim.message.Message` at all — the seen-set
 mark and the re-flood. Around that:
 
-* **message/event pools** — fan-out and data-plane messages come from a
-  :class:`~repro.sim.message.MessagePool` (released when they reach
-  their final destination) and the batch events themselves are
-  free-list recycled, so the steady-state loop allocates almost nothing;
+* **messages are values, batch events are recycled** — a message is
+  built once per copy and never rewritten, so a receiver may keep it;
+  the batch events never leave the runtime, so each fired one goes back
+  to a free list and the next fan-out reuses it;
 
 * **hop rows** — in a ``full`` trace every send, delivery and link loss
   is handed to :meth:`~repro.sim.trace.Trace.record_row` as a row, never
@@ -71,7 +71,7 @@ from functools import partial
 from typing import Dict, List, Optional
 
 from ..sim.link import ReservationError
-from ..sim.message import Message, MessageKind, MessagePool
+from ..sim.message import Message, MessageKind
 from ..sim.trace import (
     MessageDelivered,
     MessageDropped,
@@ -178,10 +178,9 @@ class _HeartbeatBatch:
 
 
 class _MessageBatch:
-    """One coalesced heap event delivering same-arrival pooled messages
-    (evidence/declaration broadcast fan-out). Every copy is a single-hop
-    envelope, so it is at its final destination once dispatched and is
-    released to the pool right after (or as soon as the link drops it).
+    """One coalesced heap event delivering same-arrival messages
+    (evidence/declaration broadcast fan-out), one single-hop message per
+    copy, in emission order.
     """
 
     __slots__ = ("runtime", "sender", "arrival", "entries", "messages",
@@ -201,7 +200,6 @@ class _MessageBatch:
         trace = runtime.trace
         retained = runtime.retained
         metrics = runtime.metrics
-        pool = runtime.pool
         sender = self.sender
         arrival = self.arrival
         entries = self.entries
@@ -223,7 +221,6 @@ class _MessageBatch:
                 else:
                     dropped += 1
                 metrics.inc("messages_dropped", reason="link_loss")
-                pool.release(message)
                 continue
             if retained:
                 trace.record_row(arrival, (
@@ -234,10 +231,6 @@ class _MessageBatch:
             entry = entries[i]
             if not entry[3].crashed:
                 entry[4]._on_message(message, arrival)
-            # A handler that needed payload fields after this point must
-            # have hoisted them (agent.py does, for the deferred evidence
-            # callbacks).
-            pool.release(message)
         runtime.delivered += delivered
         runtime.dropped += dropped
         entries.clear()
@@ -248,13 +241,12 @@ class _MessageBatch:
 
 class BatchRuntime:
     """The hop runtime one system (BTR or a baseline) holds across its
-    runs: the message pool and the batch-event free lists live as long
-    as the system, the edge table, the emission plans, the hop-retained
-    flag and the sent / delivered / dropped tallies for one run
-    (:meth:`begin_run` … :meth:`end_run`)."""
+    runs: the batch-event free lists live as long as the system, the
+    edge table, the emission plans, the hop-retained flag and the sent /
+    delivered / dropped tallies for one run (:meth:`begin_run` …
+    :meth:`end_run`)."""
 
-    def __init__(self, pool_prealloc: int = 256) -> None:
-        self.pool = MessagePool(prealloc=pool_prealloc)
+    def __init__(self) -> None:
         self._hb_free: List[_HeartbeatBatch] = []
         self._msg_free: List[_MessageBatch] = []
         # Per-run state, set by begin_run():
@@ -316,11 +308,9 @@ class BatchRuntime:
         edges = self._edges = {}
         self._hb_plans = {}
         self._ev_plans = {}
-        # Setup-time construction, once per run — not the steady-state
-        # loop the allocation rule protects.
         for sender, agent in sorted(agents.items()):
-            hb_plan = []  # lint: ignore[allocation-in-loop]
-            ev_plan = []  # lint: ignore[allocation-in-loop]
+            hb_plan = []
+            ev_plan = []
             sender_node = topology.nodes[sender]
             for neighbor in topology.neighbors(sender):
                 link = sender_node.link_to(neighbor)
@@ -431,11 +421,6 @@ class BatchRuntime:
             self.delivered += 1
         if not node.crashed:
             agent._on_message(message, arrival)
-        # Pooled messages are recycled once they reach their *final*
-        # destination; an intermediate hop leaves the message alive for
-        # the forwarding send.
-        if message.dst == receiver:
-            self.pool.release(message)
 
     def _dropped(self, sender: str, receiver: str,
                  message: Message) -> None:
@@ -446,9 +431,6 @@ class BatchRuntime:
         else:
             self.dropped += 1
         self.metrics.inc("messages_dropped", reason="link_loss")
-        # A dropped frame ends the message's journey at this hop; pooled
-        # messages are recycled immediately (nothing retains them).
-        self.pool.release(message)
 
     # ------------------------------------------------------------ fan-out
 
@@ -514,8 +496,7 @@ class BatchRuntime:
                 continue
             batch = groups.get(arrival)
             if batch is None:
-                batch = (hb_free.pop() if hb_free
-                         else _HeartbeatBatch(self))  # lint: ignore[allocation-in-loop]
+                batch = hb_free.pop() if hb_free else _HeartbeatBatch(self)
                 batch.sender = sender
                 batch.origin = origin
                 batch.k = k
@@ -533,15 +514,14 @@ class BatchRuntime:
     def flood_messages(self, agent, kind: MessageKind, payload,
                        bits: int, exclude: Optional[str]) -> None:
         """Vectorised single-hop broadcast of one payload envelope to all
-        neighbours (evidence/declaration flooding): pooled per-receiver
-        messages, one heap event per distinct arrival time. Only called
+        neighbours (evidence/declaration flooding): one message per
+        receiver, one heap event per distinct arrival time. Only called
         for EVIDENCE-lane traffic (the endorsed control records)."""
         sim = self.sim
         trace = self.trace
         retained = self.retained
         hook = sim.delivery_hook
         rng_random = sim.rng.random
-        pool = self.pool
         sender = agent.node_id
         kind_value = kind._value_
         now = sim.now
@@ -571,11 +551,10 @@ class BatchRuntime:
                 arrival = hook(sender, neighbor, arrival)
             loss = link.loss_probability
             lost = loss > 0.0 and rng_random() < loss
-            message = pool.acquire(sender, neighbor, kind, payload, bits)
+            message = Message(sender, neighbor, kind, payload, bits)
             batch = groups.get(arrival)
             if batch is None:
-                batch = (msg_free.pop() if msg_free
-                         else _MessageBatch(self))  # lint: ignore[allocation-in-loop]
+                batch = msg_free.pop() if msg_free else _MessageBatch(self)
                 batch.sender = sender
                 batch.arrival = arrival
                 groups[arrival] = batch
@@ -589,7 +568,10 @@ class BatchRuntime:
         return {
             "batches_fired": self.batches_fired,
             "entries_batched": self.entries_batched,
-            "pool": self.pool.stats(),
+            # There is no message pool. The key stays because
+            # benchmarks/e2e/layers.py::_observe_run reads both counts
+            # after every BTRSystem.run.
+            "pool": {"acquired": 0, "reused": 0},
         }
 
 
@@ -668,12 +650,10 @@ def run_sweep(system, seeds, n_periods: int, scenario: Optional[str] = None,
             staged = stage(scenario, target)
             adv = staged.script
             links = staged.link_script or None
-        # One allocation pair per *seed*, not per event — sweep driver
-        # code, outside the steady-state loop.
-        watch = Stopwatch()  # lint: ignore[allocation-in-loop]
+        watch = Stopwatch()
         result = target.run(n_periods, adversary=adv, link_script=links)
         wall = watch.elapsed_s()
-        runs.append(SweepRun(  # lint: ignore[allocation-in-loop]
+        runs.append(SweepRun(
             seed=seed, result=result, wall_s=wall,
             fingerprint=trace_fingerprint(result.trace),
         ))

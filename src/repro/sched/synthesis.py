@@ -64,9 +64,6 @@ class GlobalSchedule:
             return None
         return self.node_schedules[node].slot_for(task)
 
-    def transmissions_to(self, node: str) -> List[PlannedTransmission]:
-        return [t for t in self.transmissions if t.receiver == node]
-
     def final_hop(self, flow: str) -> Optional[PlannedTransmission]:
         """The last planned hop of ``flow`` (None for node-local flows)."""
         hops = [t for t in self.transmissions if t.flow == flow]

@@ -135,10 +135,6 @@ class Node:
             raise RuntimeError(f"node {self.node_id} is crashed")
         return self.lanes[lane].run(sim, work_us, callback)
 
-    def local_time(self, sim: Simulator) -> int:
-        """Current local-clock reading."""
-        return self.clock.read(sim.now)
-
     def reset(self) -> None:
         """Clear per-run state: CPU queues, fault flags."""
         for lane in self.lanes.values():

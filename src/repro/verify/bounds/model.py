@@ -76,12 +76,6 @@ class ClassBound:
     def total_us(self) -> int:
         return sum(self.phases.values())
 
-    def dominated_phases(self, empirical: Mapping[str, int]
-                         ) -> List[str]:
-        """Phase names whose empirical span exceeds this bound."""
-        return [p for p in PHASES
-                if empirical.get(p, 0) > self.phases.get(p, 0)]
-
     def to_dict(self) -> Dict[str, object]:
         return {
             "mode": self.mode,

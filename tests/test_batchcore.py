@@ -15,9 +15,8 @@ work. These tests pin that promise from five sides —
   run records them — including the heartbeat copies it counts at send
   time instead of scheduling (in flight at the horizon, lost on a lossy
   link, under a delivery hook, and over drawn topologies and faults);
-* message pools: exhaustion grows the pool (never fails), growth is
-  visible in the counters, recycling actually happens, and a warm pool
-  carries across runs of one system — all without perturbing the trace;
+* messages as values: a delivered message keeps the payload it arrived
+  with after the run, and re-running one system repeats its trace;
 * sweeps: :func:`run_sweep` over shared frozen plans is byte-identical
   to freshly constructed+prepared systems per seed;
 * sweep hygiene: scenario link scripts must not leak residual loss
@@ -30,11 +29,13 @@ from hypothesis import given, settings, strategies as st
 
 from repro import BTRConfig, BTRSystem
 from repro.cli import make_topology
+from repro.core.runtime.agent import NodeAgent
 from repro.faults import SingleFaultAdversary
 from repro.faults.scenarios import stage
 from repro.mc.hooks import DeliveryPerturbation
 from repro.net import full_mesh_topology
-from repro.perf.batchcore import BatchRuntime, run_sweep, sibling_system
+from repro.perf.batchcore import run_sweep, sibling_system
+from repro.sim.message import MessageKind
 from repro.sim.trace import trace_fingerprint
 from repro.workload import industrial_workload
 from tests import golden
@@ -222,29 +223,31 @@ def test_full_and_milestones_count_alike(cell):
         link_script=link_script))
 
 
-class TestMessagePool:
-    """Exhaustion grows the pool; recycling keeps the steady state
-    allocation-free; none of it is observable in the trace."""
+class TestMessagesAreValues:
+    """A delivered message is never rewritten, and re-running one system
+    repeats its trace."""
 
-    def test_exhaustion_grows_pool_without_perturbing_trace(self):
-        system = build_system(42, f=2)
-        # Pre-install a runtime with a pool far too small for the
-        # evidence flood: exhaustion must grow it, not fail.
-        system.batch_runtime = BatchRuntime(pool_prealloc=2)
-        scn = stage("flood_plus_fault", system)
-        result = system.run(N_PERIODS, adversary=scn.script,
-                            link_script=scn.link_script)
-        golden.assert_matches(system, result, "flood_plus_fault")
-        stats = system.batch_runtime.pool.stats()
-        # The flood acquired far more messages than were preallocated...
-        assert stats["acquired"] > stats["preallocated"] == 2
-        # ...growth allocated beyond the prealloc
-        assert stats["allocated"] > 0
-        # ...and released messages were actually recycled.
-        assert stats["reused"] > 0
-        assert stats["peak_free"] >= 2
+    def test_delivered_data_keeps_its_payload_after_the_run(self):
+        system = BTRSystem(industrial_workload(),
+                           full_mesh_topology(5, bandwidth=1e8),
+                           BTRConfig(f=1, seed=42))
+        system.prepare()
+        delivered = []
+        original = NodeAgent._on_message
 
-    def test_warm_pool_carries_across_runs(self):
+        def on_message(agent, message, at):
+            if message.kind is MessageKind.DATA:
+                delivered.append((message, message.payload))
+            original(agent, message, at)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(NodeAgent, "_on_message", on_message)
+            system.run(6)
+        assert len(delivered) > 100
+        assert all(message.payload is payload
+                   for message, payload in delivered)
+
+    def test_rerunning_one_system_repeats_its_trace(self):
         system = build_system(42)
         scn = stage("flood_plus_fault", system)
 
@@ -252,21 +255,8 @@ class TestMessagePool:
             return system.run(N_PERIODS, adversary=scn.script,
                               link_script=scn.link_script)
 
-        first = one_run()
-        pool = system.batch_runtime.pool
-        after_first = pool.stats()
-        second = one_run()
-        after_second = pool.stats()
-        # Re-running the same system is deterministic...
-        assert (trace_fingerprint(second.trace)
-                == trace_fingerprint(first.trace))
-        # ...and the second run is served mostly from the free list the
-        # first run populated: reuse grows, allocation barely does.
-        reused_delta = after_second["reused"] - after_first["reused"]
-        allocated_delta = (after_second["allocated"]
-                           - after_first["allocated"])
-        assert reused_delta > 0
-        assert allocated_delta < reused_delta
+        assert (trace_fingerprint(one_run().trace)
+                == trace_fingerprint(one_run().trace))
 
 
 class TestSweep:

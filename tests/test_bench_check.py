@@ -11,6 +11,8 @@ import json
 import subprocess
 import sys
 
+import pytest
+
 from tools.bench_check import check, load_runs
 from tools.run_experiments import STREAMS
 
@@ -131,6 +133,26 @@ def test_cli_rejects_unreadable_trajectory(tmp_path):
     assert out.returncode == 2
 
 
+@pytest.mark.parametrize("text", [
+    json.dumps({"runs": [1]}),
+    json.dumps({"runs": [{"by_scenario": [1, 2]}]}),
+    json.dumps({"runs": [{"by_scenario": {"flood": 3}}]}),
+    json.dumps({"runs": [_run("higher", "a", {"flood": FAST}),
+                         _run("higher", "b", {"flood": "fast"})]}),
+    json.dumps({"runs": [_run("higher", "a", {"flood": FAST})]})[:-7],
+], ids=["run-not-object", "groups-not-object", "group-not-object",
+        "compared-string", "truncated"])
+def test_cli_names_a_bad_trajectory_in_one_line(tmp_path, text):
+    path = tmp_path / "BENCH_sim.json"
+    path.write_text(text)
+    out = subprocess.run(
+        [sys.executable, "tools/bench_check.py", str(path), "--absolute"],
+        capture_output=True, text=True)
+    assert out.returncode == 2
+    [line] = out.stderr.splitlines()
+    assert line.startswith(f"bench_check: cannot read trajectory {path}: ")
+
+
 #: One latest entry per stream whose only defect is a broken must-hold.
 BROKEN = {
     "suite": {"by_experiment": {"benchmarks/test_e7.py": {"returncode": 1}}},
@@ -166,7 +188,7 @@ def test_cli_passes_committed_files_and_fails_each_broken_must_hold(
 def test_load_runs_accepts_legacy_bare_aggregate(tmp_path):
     path = tmp_path / "BENCH_sim.json"
     path.write_text(json.dumps({"cases": 3, "by_scenario": {}}))
-    assert len(load_runs(str(path))) == 1
+    assert len(load_runs(str(path), STREAMS["sim"])) == 1
 
 
 @both

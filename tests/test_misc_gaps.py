@@ -1,5 +1,5 @@
-"""Small-gap unit tests: message sizing, metrics helpers, analysis
-corners, distributor retry mechanics, generator parameters."""
+"""Small-gap unit tests: metrics helpers, analysis corners, distributor
+retry mechanics, generator parameters."""
 
 import pytest
 
@@ -14,7 +14,6 @@ from repro.analysis import (
     BTRVerdict,
     replica_count,
 )
-from repro.sim import Message, MessageKind, ms
 from repro.sched import PeriodicTask, response_time
 from repro.workload import (
     Criticality,
@@ -22,26 +21,6 @@ from repro.workload import (
     automotive_workload,
     compute_output,
 )
-
-
-# ------------------------------------------------------------------ message
-
-
-def test_message_sized_adds_bits_without_mutation():
-    msg = Message(src="a", dst="b", kind=MessageKind.DATA, payload=None,
-                  size_bits=100)
-    bigger = msg.sized(50)
-    assert bigger.size_bits == 150
-    assert msg.size_bits == 100
-    assert bigger.src == "a" and bigger.kind == MessageKind.DATA
-
-
-def test_message_ids_are_unique():
-    a = Message(src="a", dst="b", kind=MessageKind.DATA, payload=None,
-                size_bits=1)
-    b = Message(src="a", dst="b", kind=MessageKind.DATA, payload=None,
-                size_bits=1)
-    assert a.msg_id != b.msg_id
 
 
 # ------------------------------------------------------------------ metrics

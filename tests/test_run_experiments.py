@@ -60,7 +60,8 @@ MC_ROWS = [
 def test_aggregate_reproduces_the_committed_history():
     """Same rows in, same numbers out as the per-stream aggregators this
     table replaced: the flat BENCH_mc.json they wrote is runs[0] now."""
-    history = load_runs(os.path.join(RESULTS, "BENCH_mc.json"))[0]
+    history = load_runs(os.path.join(RESULTS, "BENCH_mc.json"),
+                        STREAMS["mc"])[0]
     # Those rows predate the ``shared_prefix_share`` column: it folds to
     # None and everything they did carry folds as it always has.
     history["by_expectation"] = {
@@ -112,7 +113,7 @@ def test_append_run_stamps_the_entry_and_keeps_history(tmp_path,
     assert append_run("mc", aggregate("mc", MC_ROWS), str(tmp_path))
     monkeypatch.delenv("REPRO_SWEEP")
     assert append_run("mc", aggregate("mc", MC_ROWS), str(tmp_path))
-    first, smoke, full = load_runs(str(path))
+    first, smoke, full = load_runs(str(path), STREAMS["mc"])
     assert first == history
     assert (smoke["sweep"], full["sweep"]) == ("smoke", "full")
     for fact in ("git_sha", "date_utc", "cores", "python"):

@@ -45,16 +45,48 @@ from tools.run_experiments import RESULTS, STREAMS  # noqa: E402
 FACTS = {"wall": ("cores", "python", "sweep"), "sim": ("sweep",)}
 
 
-def load_runs(path: str) -> list:
+#: What a compared or must-hold value may be, alone or as the values of
+#: an object (a dict-valued metric yields one label per key).
+SCALARS = (bool, int, float, type(None))
+
+
+def load_runs(path: str, spec: dict) -> list:
     """A trajectory's entries, oldest first; a bare aggregate (the
-    pre-trajectory format) counts as one unstamped entry."""
+    pre-trajectory format) counts as one unstamped entry.
+
+    Raises ValueError on a shape :func:`check` cannot read under
+    ``spec``: a run or a group that is not an object, or a compared or
+    must-hold value that is not a number, a bool or null."""
     with open(path) as f:
         payload = json.load(f)
     if isinstance(payload, dict) and isinstance(payload.get("runs"), list):
-        return payload["runs"]
-    if isinstance(payload, dict) and payload:
-        return [payload]
-    raise ValueError("no runs in trajectory")
+        runs = payload["runs"]
+    elif isinstance(payload, dict) and payload:
+        runs = [payload]
+    else:
+        raise ValueError("no runs in trajectory")
+    metrics = [*spec.get("compare", {})] + [
+        name for _, metric, expected in spec.get("must_hold", ())
+        for name in (metric, expected) if isinstance(name, str)]
+    for i, run in enumerate(runs):
+        if not isinstance(run, dict):
+            raise ValueError(f"run {i} is {run!r}, not an object")
+        if "by" in spec:
+            groups = run.get(spec["by"][0])
+            if groups is not None and not (
+                    isinstance(groups, dict)
+                    and all(isinstance(g, dict) for g in groups.values())):
+                raise ValueError(f"run {i}: {spec['by'][0]} is not an "
+                                 f"object of objects")
+        for label, entry in entries(run, spec):
+            for metric in metrics:
+                value = entry.get(metric)
+                if not all(isinstance(v, SCALARS) for v in (
+                        value.values() if isinstance(value, dict)
+                        else [value])):
+                    raise ValueError(f"run {i}: {label or 'entry'}: "
+                                     f"{metric} is {value!r}, not a number")
+    return runs
 
 
 def entries(run: dict, spec: dict) -> list:
@@ -159,7 +191,7 @@ def main() -> int:
         name = os.path.basename(path)
         try:
             spec = STREAMS[name[len("BENCH_"):-len(".json")]]
-            runs = load_runs(path)
+            runs = load_runs(path, spec)
         except (KeyError, OSError, ValueError) as exc:
             print(f"bench_check: cannot read trajectory {path}: {exc!r}",
                   file=sys.stderr)

@@ -19,11 +19,6 @@ numbers:
   iterating ``.keys()``/``.values()``/``.items()`` of a node-id mapping
   (or a node-id set) without ``sorted(...)`` makes cell order, victim
   order, and therefore whole campaign reports insertion-dependent.
-* ``allocation-in-loop`` — the batched core's whole point is that the
-  steady-state loop allocates nothing; a constructor call or container
-  display inside one of its loops is either a perf regression waiting
-  to be measured or an intentional preallocation, and the pragma makes
-  the author say which.
 * ``float-time-arithmetic`` — the static bounds analyzer's soundness
   claim is over *integer microseconds*: a stray true division or float
   literal in its arithmetic rounds a worst case down and quietly breaks
@@ -52,13 +47,12 @@ outputs are persisted artifacts.
 ``unsorted-node-iteration`` is scoped to ``repro/mc``, ``repro/faults``,
 ``repro/fuzz`` (campaign reports leak iteration order the same way
 ``mc`` reports do), the batched core (whose emission plans feed the
-event queue directly) and the planner (``repro/net/routing``,
+event queue directly), the worker pool and its sweep
+(``repro/perf/pool``: results cross a process boundary and are merged
+back in input order) and the planner (``repro/net/routing``,
 ``repro/core/planner``, ``repro/sched``: strategy artifacts are pinned
-byte for byte), and
-``allocation-in-loop`` to the batched-core hot modules
-(``repro/perf/batchcore``, ``repro/sim/message``). The worker pool and
-its sweep (``repro/perf/pool``) sit in the node-order scope: results
-cross a process boundary and are merged back in input order.
+byte for byte); ``float-time-arithmetic`` is scoped to the static
+bounds analyzer (``repro/verify/bounds``).
 """
 
 from __future__ import annotations
@@ -81,8 +75,6 @@ NODE_ORDER_FRAGMENTS = ("repro/mc/", "repro/faults/",
 #: ordering, a memo key that is iterated, or a persisted artifact.
 HASH_FRAGMENTS = ("repro/faults/", "repro/net/", "repro/sched/",
                   "repro/verify/")
-#: Hot-path modules whose steady-state loops must not allocate.
-HOT_LOOP_FRAGMENTS = ("repro/perf/batchcore", "repro/sim/message")
 #: Modules whose time arithmetic must stay in integer microseconds.
 INT_TIME_FRAGMENTS = ("repro/verify/bounds",)
 #: Sanctioned wrapper modules, exempt from the scoped rules.
@@ -304,63 +296,6 @@ class UnsortedNodeIterationRule(Rule):
                            f".{it.func.attr}() view")
 
 
-class AllocationInLoopRule(Rule):
-    """Flag allocations inside loops of the batched-core hot modules.
-
-    Constructor calls (Capitalized names, ``list``/``dict``/``set``/
-    ``bytearray``), container displays, and comprehensions inside a
-    ``for``/``while`` body defeat the pooling the batched core exists
-    for. Intentional allocations — pool preallocation/growth, trace
-    records that must be fresh objects, cold setup loops — carry a
-    ``# lint: ignore[allocation-in-loop]`` pragma stating as much.
-    """
-
-    id = "allocation-in-loop"
-    description = ("allocation inside a hot-module loop (constructor "
-                   "call, container display, or comprehension); pool "
-                   "it, hoist it, or mark intentional preallocation "
-                   "with a pragma")
-
-    _BUILTIN_ALLOCATORS = ("list", "dict", "set", "bytearray")
-
-    def applies_to(self, path: str) -> bool:
-        posix = _posix(path)
-        return any(fragment in posix for fragment in HOT_LOOP_FRAGMENTS)
-
-    def _allocation(self, node: ast.AST) -> str:
-        if isinstance(node, ast.Call):
-            func = node.func
-            if isinstance(func, ast.Name):
-                name = func.id
-                if name in self._BUILTIN_ALLOCATORS:
-                    return f"{name}() call"
-                if name[:1].isupper() and name.isidentifier():
-                    return f"constructor call {name}(...)"
-        elif isinstance(node, (ast.List, ast.Dict, ast.Set)):
-            return "container display"
-        elif isinstance(node, (ast.ListComp, ast.SetComp, ast.DictComp,
-                               ast.GeneratorExp)):
-            return "comprehension"
-        return ""
-
-    def check(self, tree: ast.AST) -> Iterator[Hit]:
-        seen = set()
-        for loop in ast.walk(tree):
-            if not isinstance(loop, (ast.For, ast.While)):
-                continue
-            for stmt in loop.body + loop.orelse:
-                for node in ast.walk(stmt):
-                    what = self._allocation(node)
-                    if not what:
-                        continue
-                    key = (node.lineno, node.col_offset)
-                    if key in seen:
-                        continue
-                    seen.add(key)
-                    yield (node.lineno, node.col_offset,
-                           f"{what} inside a hot-path loop")
-
-
 class FloatTimeArithmeticRule(Rule):
     """Keep the static-bounds analyzer in integer microseconds.
 
@@ -447,14 +382,12 @@ ALL_RULES = (
     SetIterationRule(),
     FloatEqualityRule(),
     UnsortedNodeIterationRule(),
-    AllocationInLoopRule(),
     FloatTimeArithmeticRule(),
     BuiltinHashRule(),
 )
 
 __all__ = [
     "ALL_RULES",
-    "AllocationInLoopRule",
     "BuiltinHashRule",
     "FloatEqualityRule",
     "FloatTimeArithmeticRule",

@@ -485,7 +485,7 @@ def cmd_verify(args) -> int:
             topology.place_endpoints_round_robin(workload.sources,
                                                  workload.sinks)
         router = Router(topology)
-        lane_model = LaneModel(topology, config.lanes)
+        lane_model = LaneModel(topology)
         origin = args.strategy
     else:
         system = BTRSystem(workload, topology, config)

@@ -27,12 +27,26 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from functools import lru_cache
+from typing import Dict, List, Optional, Sequence, Tuple
 
-from ...crypto.authenticator import AuthenticatedStatement
+from ...crypto.authenticator import AuthenticatedStatement, digest
 from ...crypto.signatures import canonical_bytes
 from ...workload.task import compute_output
-from ..evidence.records import input_digest
+
+
+def input_digest(values: Sequence[int]) -> str:
+    """Digest binding an output statement to the inputs it was computed
+    from (order-independent, like the task semantics)."""
+    return _digest_of_inputs(tuple(sorted(values)))
+
+
+@lru_cache(maxsize=4096)
+def _digest_of_inputs(sorted_values: Tuple[int, ...]) -> str:
+    """:func:`input_digest` of already-sorted inputs. Pure — a content
+    hash of its argument — so one bounded process-wide memo serves every
+    replica, checker and run."""
+    return digest(list(sorted_values))
 
 
 @dataclass

@@ -51,8 +51,12 @@ from typing import Callable, Dict, List, Optional, Set, Tuple
 
 from ...crypto.authenticator import AuthenticatedStatement
 
-#: Default number of distinct problem slots before attribution.
+#: Distinct (path, period, declarer) slots before attribution.
 DEFAULT_SLOT_THRESHOLD = 3
+#: Distinct declarers required for attribution.
+DEFAULT_MIN_DECLARERS = 2
+#: Extra wait beyond the arrival window before declaring an omission.
+OMISSION_GRACE_US = 1_000
 
 
 @dataclass
@@ -77,7 +81,7 @@ class BlameTracker:
     """Aggregates path declarations into fault attributions."""
 
     def __init__(self, slot_threshold: int = DEFAULT_SLOT_THRESHOLD,
-                 min_declarers: int = 2,
+                 min_declarers: int = DEFAULT_MIN_DECLARERS,
                  liveness: Optional[Callable[[str], bool]] = None,
                  metrics=None) -> None:
         if slot_threshold < 1 or min_declarers < 1:
@@ -196,23 +200,6 @@ class BlameTracker:
             if not common:
                 return False
         return bool(common)
-
-    def suspected_links(self, node: str) -> Set[tuple]:
-        """The adjacencies that would explain all charges against
-        ``node`` (empty unless attribution is being withheld)."""
-        state = self._state.get(node)
-        if state is None or not self._single_adjacency_explains(node):
-            return set()
-        partners: Optional[Set[str]] = None
-        for path, _period, _declarer in state.slots:
-            idx = path.index(node)
-            adjacent = set()
-            if idx > 0:
-                adjacent.add(path[idx - 1])
-            if idx + 1 < len(path):
-                adjacent.add(path[idx + 1])
-            partners = adjacent if partners is None else partners & adjacent
-        return {tuple(sorted((node, p))) for p in (partners or set())}
 
     def reset_charges(self) -> None:
         """Drop accumulated charges (mode switch: old-regime evidence)."""

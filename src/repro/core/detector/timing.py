@@ -75,3 +75,8 @@ class TimingPolicy:
         if deadline is not None and actual_arrival_offset > deadline:
             return SUSPICIOUS_ARRIVAL
         return OK
+
+
+#: The policy every node judges deliveries with; the recovery budget and
+#: the bounds analyzer price its slacks.
+DEFAULT_TIMING = TimingPolicy()

@@ -7,7 +7,6 @@ from .distributor import (
 )
 from .records import (
     ATTRIBUTION,
-    ATTRIBUTION_THRESHOLD,
     COMMISSION,
     EQUIVOCATION,
     Evidence,
@@ -24,7 +23,6 @@ __all__ = [
     "DistributionDecision",
     "EvidenceLog",
     "ATTRIBUTION",
-    "ATTRIBUTION_THRESHOLD",
     "COMMISSION",
     "EQUIVOCATION",
     "Evidence",

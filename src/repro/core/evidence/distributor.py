@@ -68,15 +68,6 @@ class EvidenceLog:
         :meth:`evaluate_evidence` so the runtime can drop duplicate copies
         (flooding delivers one per neighbour) *before* paying the
         control-lane CPU for validation.
-        """
-        eid = evidence.evidence_id
-        if eid in self._seen:
-            return False
-        self._seen.add(eid)
-        return True
-
-    def on_evidence(self, evidence: Evidence) -> DistributionDecision:
-        """Convenience: dedup gate + evaluation in one call.
 
         A record only *stays* seen once it reaches a terminal verdict
         (accepted / slander-counted / bad signature):
@@ -85,11 +76,11 @@ class EvidenceLog:
         plans should agree again — is genuinely re-evaluated instead of
         bouncing off the dedup gate forever.
         """
-        if not self.note_evidence(evidence):
-            self._count("duplicate")
-            return DistributionDecision(accept=False, forward=False,
-                                        reason="duplicate")
-        return self.evaluate_evidence(evidence)
+        eid = evidence.evidence_id
+        if eid in self._seen:
+            return False
+        self._seen.add(eid)
+        return True
 
     def evaluate_evidence(self, evidence: Evidence) -> DistributionDecision:
         """Validate a (new) record and decide accept/forward/implicate."""
@@ -141,14 +132,6 @@ class EvidenceLog:
         self._declarations_seen.add(key)
         return True
 
-    def on_declaration(self, decl: AuthenticatedStatement
-                       ) -> DistributionDecision:
-        """Convenience: dedup gate + evaluation in one call."""
-        if not self.note_declaration(decl):
-            return DistributionDecision(accept=False, forward=False,
-                                        reason="duplicate")
-        return self.evaluate_declaration(decl)
-
     def evaluate_declaration(self, decl: AuthenticatedStatement
                              ) -> DistributionDecision:
         """Path declarations are signed but unproven; validate signature
@@ -175,11 +158,6 @@ class EvidenceLog:
         count = self.invalid_counts.get(signer, 0) + 1
         self.invalid_counts[signer] = count
         return signer if count >= self.slander_threshold else None
-
-    def forget(self, evidence: Evidence) -> None:
-        """Drop a record from the dedup set so it can be re-evaluated
-        (used to retry plan-dependent evidence after a mode switch)."""
-        self._seen.discard(evidence.evidence_id)
 
     # -------------------------------------------------------------- queries
 

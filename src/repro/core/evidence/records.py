@@ -52,12 +52,14 @@ signer*).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Callable, Optional, Sequence, Tuple
 
-from ...crypto.authenticator import AuthenticatedStatement, digest
+from ...crypto.authenticator import AuthenticatedStatement
 from ...crypto.signatures import KeyDirectory
 from ...workload.task import compute_output
+from ..detector.checker import input_digest
+from ..detector.omission import DEFAULT_MIN_DECLARERS, DEFAULT_SLOT_THRESHOLD
+from ..detector.timing import DEFAULT_TIMING
 
 COMMISSION = "commission"
 EQUIVOCATION = "equivocation"
@@ -66,23 +68,6 @@ ATTRIBUTION = "attribution"
 FORWARD_MISMATCH = "forward_mismatch"
 
 KINDS = (COMMISSION, EQUIVOCATION, TIMING, ATTRIBUTION, FORWARD_MISMATCH)
-
-#: Minimum distinct (path, period) declarations to support an attribution.
-ATTRIBUTION_THRESHOLD = 3
-
-
-def input_digest(values: Sequence[int]) -> str:
-    """Digest binding an output statement to the inputs it was computed
-    from (order-independent, like the task semantics)."""
-    return _digest_of_inputs(tuple(sorted(values)))
-
-
-@lru_cache(maxsize=4096)
-def _digest_of_inputs(sorted_values: Tuple[int, ...]) -> str:
-    """:func:`input_digest` of already-sorted inputs. Pure — a content
-    hash of its argument — so one bounded process-wide memo serves every
-    replica, checker and run."""
-    return digest(list(sorted_values))
 
 
 @dataclass(frozen=True)
@@ -145,9 +130,9 @@ class EvidenceValidator:
     def __init__(self, directory: KeyDirectory,
                  roster_lookup: Optional[Callable[[str], Optional[dict]]]
                  = None,
-                 attribution_threshold: int = ATTRIBUTION_THRESHOLD,
+                 attribution_threshold: int = DEFAULT_SLOT_THRESHOLD,
                  period: Optional[int] = None,
-                 timing_slack: int = 1_000,
+                 timing_slack: int = DEFAULT_TIMING.slack_us,
                  attribution_freshness_us: Optional[int] = None) -> None:
         self.directory = directory
         #: Maps a base task name to {instance: host node} under the current
@@ -351,7 +336,7 @@ class EvidenceValidator:
         if evidence.accused in declarers:
             return False
         return (len(slots) >= self.attribution_threshold
-                and len(declarers) >= 2)
+                and len(declarers) >= DEFAULT_MIN_DECLARERS)
 
 
 def make_declaration(directory: KeyDirectory, declarer: str,

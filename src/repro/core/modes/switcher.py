@@ -22,6 +22,10 @@ from ..planner.plan import Plan
 from ..planner.strategy import Strategy
 from .faultset import FaultSet
 
+#: Periods after a switch during which omission declarations are
+#: suppressed (transition confusion tolerance, §4.4).
+SUPPRESS_PERIODS = 2
+
 
 @dataclass(frozen=True)
 class PendingSwitch:

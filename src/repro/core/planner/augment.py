@@ -69,10 +69,10 @@ class AugmentConfig:
             raise ValueError("check cost must be positive")
 
 
-def augment(workload: DataflowGraph, config: AugmentConfig) -> DataflowGraph:
+def augment(workload: DataflowGraph, params: AugmentConfig) -> DataflowGraph:
     """Return the augmented instance graph for ``workload``. See module
     docstring for the construction."""
-    r = config.replicas
+    r = params.replicas
     tasks: List[Task] = []
     flows: List[Flow] = []
 
@@ -88,7 +88,7 @@ def augment(workload: DataflowGraph, config: AugmentConfig) -> DataflowGraph:
             ))
         tasks.append(Task(
             name=naming.checker_name(task.name),
-            wcet=config.check_us,
+            wcet=params.check_us,
             criticality=task.criticality,
             state_bits=0,
         ))
@@ -104,7 +104,7 @@ def augment(workload: DataflowGraph, config: AugmentConfig) -> DataflowGraph:
                 name=naming.replica_output_flow(task.name, i),
                 src=naming.replica_name(task.name, i),
                 dst=naming.checker_name(task.name),
-                size_bits=out_bits + config.signature_bits,
+                size_bits=out_bits + params.signature_bits,
                 criticality=task.criticality,
             ))
 
@@ -117,7 +117,7 @@ def augment(workload: DataflowGraph, config: AugmentConfig) -> DataflowGraph:
         return endpoint
 
     for flow in workload.flows:
-        signed_size = flow.size_bits + config.signature_bits
+        signed_size = flow.size_bits + params.signature_bits
         src_instance = producer_of(flow.src)
         if flow.dst in workload.tasks:
             # One copy per consumer replica + one for the consumer's checker.
@@ -138,7 +138,7 @@ def augment(workload: DataflowGraph, config: AugmentConfig) -> DataflowGraph:
             ))
             # Audit copies: upstream replicas report their raw outputs to
             # the consumer's checker, so a corrupting forwarder is provable.
-            if config.audit_flows and flow.src in workload.tasks:
+            if params.audit_flows and flow.src in workload.tasks:
                 for i in range(r):
                     flows.append(Flow(
                         name=naming.flow_copy_name(flow.name, f"a{i}"),
@@ -160,7 +160,7 @@ def augment(workload: DataflowGraph, config: AugmentConfig) -> DataflowGraph:
             # ...and the replicas send audit copies to the sink host, so a
             # checker that corrupts an *actuator command* — the one edge
             # with no downstream checker to audit it — is still provable.
-            if config.audit_flows and flow.src in workload.tasks:
+            if params.audit_flows and flow.src in workload.tasks:
                 for i in range(r):
                     flows.append(Flow(
                         name=naming.flow_copy_name(flow.name, f"a{i}"),

@@ -23,7 +23,7 @@ from ...faults.patterns import (
     all_patterns_up_to,
     pattern as make_pattern,
 )
-from ...net.routing import Router, RoutingError
+from ...net.routing import Router
 from ...net.topology import Topology
 from ...sched.lanes import LaneModel
 from ...workload.dataflow import DataflowGraph
@@ -54,13 +54,13 @@ class StrategyConfig:
 
 
 def strategy_candidates(topology: Topology,
-                        config: StrategyConfig) -> List[str]:
+                        params: StrategyConfig) -> List[str]:
     """The nodes whose failures the strategy anticipates, in canonical
     (sorted) order."""
     endpoint_nodes = set(topology.endpoint_map.values())
     return [
         n for n in sorted(topology.nodes)
-        if not (config.protect_endpoints and n in endpoint_nodes)
+        if not (params.protect_endpoints and n in endpoint_nodes)
     ]
 
 
@@ -117,50 +117,6 @@ class Strategy:
         parent_plan = self._plans[parent]
         return plan_distance(parent_plan.assignment, child_plan.assignment,
                              child_plan.augmented)
-
-    def worst_transition_transfer_us(self, topology, router,
-                                     lane_model) -> int:
-        """Worst-case state-transfer time of any single-fault-step
-        transition, accounting for the actual routes and STATE-lane rates
-        available *after* the new fault — the quantity the paper's chess
-        example is about (a plan is bad if its successor must drag state
-        over a thin link)."""
-        from ...sim.message import MessageKind
-        from ..modes.transition import compute_transition
-
-        worst = 0
-        for child in self._plans:
-            if not child:
-                continue
-            for failed in child:
-                parent = child - {failed}
-                if parent not in self._plans:
-                    continue
-                child_plan = self._plans[child]
-                parent_plan = self._plans[parent]
-                for node in topology.nodes:
-                    if node in child:
-                        continue
-                    transition = compute_transition(
-                        node, parent_plan, child_plan, set(child))
-                    for fetch in transition.fetches:
-                        if fetch.source is None or fetch.source == node:
-                            continue
-                        try:
-                            path = router.route(fetch.source, node,
-                                                excluding=child)
-                        except RoutingError:
-                            # No fetch path with the faulty nodes cut out:
-                            # this transfer simply cannot happen, so it
-                            # contributes nothing to the worst case.
-                            continue
-                        transfer = 0
-                        for a, b in zip(path[:-1], path[1:]):
-                            link = topology.link_between(a, b)
-                            transfer += lane_model.transmission_us(
-                                link, MessageKind.STATE, fetch.bits)
-                        worst = max(worst, transfer)
-        return worst
 
     def max_transition_state_bits(self) -> int:
         """Worst-case state shipped by any single-fault-step transition."""

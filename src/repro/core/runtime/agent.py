@@ -34,6 +34,7 @@ from functools import partial
 from typing import Dict, List, Optional, Set, Tuple
 
 from ...crypto.authenticator import AuthenticatedStatement
+from ...crypto.costs import DEFAULT_COSTS
 from ...crypto.signatures import Signature
 from ...faults.behaviors import FaultBehavior
 from ...sim.message import Message, MessageKind
@@ -56,8 +57,17 @@ from ..detector.checker import (
     build_output_statement,
     run_check,
 )
-from ..detector.omission import BlameTracker
-from ..detector.timing import SELF_INCRIMINATING, SUSPICIOUS_ARRIVAL
+from ..detector.omission import (
+    DEFAULT_MIN_DECLARERS,
+    DEFAULT_SLOT_THRESHOLD,
+    OMISSION_GRACE_US,
+    BlameTracker,
+)
+from ..detector.timing import (
+    DEFAULT_TIMING,
+    SELF_INCRIMINATING,
+    SUSPICIOUS_ARRIVAL,
+)
 from ..evidence.distributor import EvidenceLog
 from ..evidence.records import (
     ATTRIBUTION,
@@ -69,7 +79,7 @@ from ..evidence.records import (
     TIMING,
     make_declaration,
 )
-from ..modes.switcher import ModeSwitcher
+from ..modes.switcher import SUPPRESS_PERIODS, ModeSwitcher
 from ..modes.transition import compute_transition
 from ..planner import naming
 from ..planner.plan import Plan
@@ -86,6 +96,14 @@ from .program import (
 CONTROL_BITS = 1_024
 #: Periods to wait for a state transfer before rebuilding locally.
 STATE_TIMEOUT_PERIODS = 2
+#: Max control-plane records a node will *verify* per sender per period.
+#: The CPU analogue of the reserved-bandwidth defence: a flooder can fill
+#: its own link lane, but it cannot spend more than this slice of anyone's
+#: control CPU (§4.3's DoS resistance).
+EVIDENCE_QUOTA_PER_SENDER = 8
+#: Local state rebuild rate (bits per µs) when no correct state source
+#: survives.
+REBUILD_BITS_PER_US = 50.0
 
 
 class NodeAgent:
@@ -100,13 +118,14 @@ class NodeAgent:
         #: one run, so both are plain attributes.
         self.sim = system.sim
         self.period = system.workload.period
-        #: The run's hop runtime and message pool: every send crosses a
-        #: link through it (unicast or vectorised fan-out) and hot-path
-        #: messages come from its pool.
+        #: The run's hop runtime: every send crosses a link through it
+        #: (unicast or vectorised fan-out).
         self._hops = system.batch_runtime
         self.behavior: FaultBehavior = FaultBehavior()
+        # The switch lead is the budget's distribution bound.
+        switch_lead = system.budget.distribution_us
         self.switcher = ModeSwitcher(
-            system.strategy, system.workload.period, system.switch_lead_us,
+            system.strategy, system.workload.period, switch_lead,
             metrics=system.metrics,
         )
         self.plan: Plan = system.strategy.nominal
@@ -121,31 +140,23 @@ class NodeAgent:
         #: Declarations may support an attribution only if made within
         #: this window before its detected_at (accumulation + confusion).
         attribution_freshness = (
-            (self.config.blame_slot_threshold
-             + self.config.suppress_periods + 2) * period
+            (DEFAULT_SLOT_THRESHOLD + SUPPRESS_PERIODS + 2) * period
             + system.budget.settling_us
         )
         #: Evidence older than this on receipt is dropped outright: the
         #: anti-backdating half of the freshness defence.
-        self._evidence_staleness = (4 * period + system.switch_lead_us
+        self._evidence_staleness = (4 * period + switch_lead
                                     + system.budget.settling_us)
         self.validator = EvidenceValidator(
             system.directory,
             roster_lookup=self._roster_lookup,
-            attribution_threshold=self.config.blame_slot_threshold,
             period=period,
-            timing_slack=self.config.timing.slack_us,
             attribution_freshness_us=attribution_freshness,
         )
         self.log = EvidenceLog(self.node_id, self.validator,
-                               slander_threshold=self.config.slander_threshold,
                                metrics=system.metrics)
-        self.blame = BlameTracker(
-            slot_threshold=self.config.blame_slot_threshold,
-            min_declarers=self.config.blame_min_declarers,
-            liveness=self._node_alive,
-            metrics=system.metrics,
-        )
+        self.blame = BlameTracker(liveness=self._node_alive,
+                                  metrics=system.metrics)
         #: origin -> time of last flooded heartbeat (liveness signal for
         #: the link-vs-node disambiguation in blame attribution).
         self._last_heartbeat: Dict[str, int] = {}
@@ -656,13 +667,13 @@ class NodeAgent:
         if offset is None:
             return
         arrival_offset = at - k * self.period
-        slack = self.config.timing.slack_us
+        slack = DEFAULT_TIMING.slack_us
         if not -slack <= offset <= self.period + slack:
             # Grossly invalid claimed send time: self-incriminating,
             # plan-independent — transferable evidence.
             self._emit_evidence(TIMING, stmt.signer, [stmt])
             return
-        verdict = self.config.timing.judge(
+        verdict = DEFAULT_TIMING.judge(
             self.plan, stmt.statement.get("flow", flow_copy), flow_copy,
             offset, arrival_offset,
         )
@@ -677,8 +688,7 @@ class NodeAgent:
         if self.behavior.suppresses_detection():
             return
         period_start = k * self.period
-        wait = (self.config.timing.arrival_slack_us
-                + self.config.omission_grace_us)
+        wait = DEFAULT_TIMING.arrival_slack_us + OMISSION_GRACE_US
         call_at = self.sim.call_at
         check = self._check_arrival_group
         for arrival, copies in self.program.arrival_groups:
@@ -828,7 +838,8 @@ class NodeAgent:
     def _minimal_attribution_support(self, accused: str
                                      ) -> Optional[List[AuthenticatedStatement]]:
         """The smallest declaration set that proves an attribution:
-        ``blame_slot_threshold`` distinct slots from >= 2 declarers.
+        ``DEFAULT_SLOT_THRESHOLD`` distinct slots from
+        ``DEFAULT_MIN_DECLARERS`` declarers.
 
         Keeping the record minimal matters operationally: every node on the
         flooding path verifies every statement on its reserved control
@@ -855,21 +866,21 @@ class NodeAgent:
         by_declarer: Dict[str, List[AuthenticatedStatement]] = {}
         for decl in unique:
             by_declarer.setdefault(decl.signer, []).append(decl)
-        if len(by_declarer) < self.config.blame_min_declarers:
+        if len(by_declarer) < DEFAULT_MIN_DECLARERS:
             return None
         # One slot from each declarer first (corroboration), then fill up
         # to the slot threshold.
         support: List[AuthenticatedStatement] = []
-        for signer in sorted(by_declarer)[: self.config.blame_min_declarers]:
+        for signer in sorted(by_declarer)[:DEFAULT_MIN_DECLARERS]:
             support.append(by_declarer[signer][0])
         seen = {id(s) for s in support}
         for decl in unique:
-            if len(support) >= self.config.blame_slot_threshold:
+            if len(support) >= DEFAULT_SLOT_THRESHOLD:
                 break
             if id(decl) not in seen:
                 support.append(decl)
                 seen.add(id(decl))
-        if len(support) < self.config.blame_slot_threshold:
+        if len(support) < DEFAULT_SLOT_THRESHOLD:
             return None
         return support
 
@@ -924,7 +935,7 @@ class NodeAgent:
                 return
             if not self.log.note_evidence(record):
                 return
-            cost = self.config.crypto.verify_us * (2 + len(record.statements))
+            cost = DEFAULT_COSTS.verify_us * (2 + len(record.statements))
             self.node.execute(
                 self.sim, cost,
                 callback=lambda: self._handle_evidence(
@@ -938,7 +949,7 @@ class NodeAgent:
             if not self.log.note_declaration(record):
                 return
             self.node.execute(
-                self.sim, self.config.crypto.verify_us,
+                self.sim, DEFAULT_COSTS.verify_us,
                 callback=lambda: self._handle_declaration(record, src),
                 lane="ctrl",
             )
@@ -951,7 +962,7 @@ class NodeAgent:
         buckets, so a declaration storm cannot crowd out an attribution."""
         key = (sender, tag, self.sim.now // self.period)
         spent = self._ctrl_quota.get(key, 0)
-        if spent >= self.config.evidence_quota_per_sender:
+        if spent >= EVIDENCE_QUOTA_PER_SENDER:
             return False
         self._ctrl_quota[key] = spent + 1
         return True
@@ -1059,7 +1070,7 @@ class NodeAgent:
         # innocents. The settling term covers worst-case state transfer.
         self.suppress_until = max(
             self.suppress_until,
-            pending.at + self.config.suppress_periods * self.period
+            pending.at + SUPPRESS_PERIODS * self.period
             + self.system.budget.settling_us,
         )
         self.sim.call_at(pending.at, self._adopt_current_target)
@@ -1093,7 +1104,7 @@ class NodeAgent:
                 1, lambda ev=evidence: self._retry_soft_rejected(ev))
         self.suppress_until = max(
             self.suppress_until,
-            self.sim.now + self.config.suppress_periods * self.period
+            self.sim.now + SUPPRESS_PERIODS * self.period
             + self.system.budget.settling_us,
         )
         # Old-plan charges describe the old regime; restart blame fresh
@@ -1125,7 +1136,7 @@ class NodeAgent:
         ))
 
     def _rebuild_state(self, instance: str, bits: int) -> None:
-        duration = max(1, int(bits / self.config.rebuild_bits_per_us))
+        duration = max(1, int(bits / REBUILD_BITS_PER_US))
         if self.node.crashed:
             return
         self.node.execute(

@@ -9,12 +9,13 @@ achievable R into its stages::
 
 * detection — commission/timing faults surface within one period (the
   checker runs every period); omission faults need the arrival window,
-  the grace wait, and enough periods to accumulate ``blame_slot_threshold``
-  declaration slots;
+  the grace wait, and enough periods to accumulate
+  ``DEFAULT_SLOT_THRESHOLD`` declaration slots;
 * distribution — network diameter × (per-hop transmission + propagation +
   control-lane verification);
 * switch alignment — the switch boundary is the next period start after
-  the lead time, costing up to one period plus the lead;
+  the lead time (the distribution bound), costing up to one period plus
+  the lead;
 * settling — one period for the new plan's pipeline to refill, plus
   state-transfer time for the worst single transition in the strategy.
 """
@@ -23,12 +24,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ...net.routing import Router
+from ...crypto.costs import DEFAULT_COSTS
 from ...net.topology import Topology
 from ...sched.lanes import LaneModel
 from ...sim.message import MessageKind
+from ..detector.omission import DEFAULT_SLOT_THRESHOLD, OMISSION_GRACE_US
+from ..detector.timing import DEFAULT_TIMING
+from ..modes.switcher import SUPPRESS_PERIODS
 from ..planner.strategy import Strategy
-from .config import BTRConfig
 
 #: Assumed worst-case evidence wire size for budgeting (a commission record
 #: with a handful of statements).
@@ -40,6 +43,8 @@ class RecoveryBudget:
     """Decomposed worst-case recovery time for one deployment."""
 
     detection_us: int
+    #: Also the switch lead: a mode switch takes effect at the first
+    #: period start this long after the evidence's timestamp.
     distribution_us: int
     switch_us: int
     settling_us: int
@@ -58,7 +63,6 @@ def recovery_bound_for_deadline(deadline_us: int, f: int) -> int:
 
 
 def distribution_bound(topology: Topology, lane_model: LaneModel,
-                       config: BTRConfig,
                        evidence_bits: int = EVIDENCE_BITS,
                        metrics=None) -> int:
     """Worst-case time for valid evidence to reach every correct node.
@@ -95,12 +99,11 @@ def distribution_bound(topology: Topology, lane_model: LaneModel,
     min_ctrl_speed = min(
         node.lanes["ctrl"].speed for node in topology.nodes.values()
     )
-    verify = int(config.crypto.verify_us * 6 / max(min_ctrl_speed, 1e-9))
+    verify = int(DEFAULT_COSTS.verify_us * 6 / max(min_ctrl_speed, 1e-9))
     return diameter * (worst_hop + verify)
 
 
-def detection_bound(period: int, config: BTRConfig,
-                    confusion_us: int = 0) -> int:
+def detection_bound(period: int, confusion_us: int = 0) -> int:
     """Worst-case time from fault manifestation to evidence generation.
 
     ``confusion_us`` covers a fault that manifests during the previous
@@ -116,20 +119,16 @@ def detection_bound(period: int, config: BTRConfig,
     # disambiguation): a silent node needs two more corroborating slots,
     # and an *alive* evader hiding behind the link excuse is escalated
     # only after its charges span slot_threshold + 2 distinct periods.
-    omission = ((2 * config.blame_slot_threshold + 3) * period
-                + config.timing.arrival_slack_us + config.omission_grace_us)
+    omission = ((2 * DEFAULT_SLOT_THRESHOLD + 3) * period
+                + DEFAULT_TIMING.arrival_slack_us + OMISSION_GRACE_US)
     return confusion_us + max(commission, omission)
 
 
 def compute_budget(strategy: Strategy, topology: Topology,
-                   lane_model: LaneModel, router: Router,
-                   config: BTRConfig, metrics=None) -> RecoveryBudget:
+                   lane_model: LaneModel, metrics=None) -> RecoveryBudget:
     """The achievable recovery bound of a prepared deployment."""
     period = strategy.nominal.workload.period
-    distribution = distribution_bound(topology, lane_model, config,
-                                      metrics=metrics)
-    switch_lead = (config.switch_lead_us if config.switch_lead_us is not None
-                   else distribution)
+    distribution = distribution_bound(topology, lane_model, metrics=metrics)
     # State transfer: worst single-step transition, shipped on STATE lanes.
     worst_bits = strategy.max_transition_state_bits()
     min_state_rate = min(
@@ -141,12 +140,12 @@ def compute_budget(strategy: Strategy, topology: Topology,
     settling = period + transfer
     # With f >= 2, a second fault can land inside the first recovery's
     # confusion window, during which its detection is suppressed.
-    confusion = (config.suppress_periods * period + settling
+    confusion = (SUPPRESS_PERIODS * period + settling
                  if strategy.f >= 2 else 0)
-    detection = detection_bound(period, config, confusion_us=confusion)
+    detection = detection_bound(period, confusion_us=confusion)
     return RecoveryBudget(
         detection_us=detection,
         distribution_us=distribution,
-        switch_us=switch_lead + period,
+        switch_us=distribution + period,
         settling_us=settling,
     )

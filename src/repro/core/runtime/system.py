@@ -36,6 +36,7 @@ from ...net.routing import Router, RoutingError
 from ...net.topology import Topology
 from ...obs.metrics import MetricsRegistry
 from ...sched.lanes import LaneModel
+from ...sim.clock import CLOCK_SYNC_INTERVAL_US
 from ...sim.engine import Simulator
 from ...sim.message import Message
 from ...sim.trace import (
@@ -52,7 +53,7 @@ from ..planner.strategy import Strategy, StrategyConfig, build_strategy
 from ..planner.placement import PlacementConfig
 from ..planner.augment import AugmentConfig
 from .agent import NodeAgent
-from .budget import RecoveryBudget, compute_budget, distribution_bound
+from .budget import RecoveryBudget, compute_budget
 from .config import BTRConfig
 
 
@@ -135,14 +136,13 @@ class BTRSystem:
             topology.place_endpoints_round_robin(workload.sources,
                                                  workload.sinks)
         self.router = Router(topology)
-        self.lane_model = LaneModel(topology, self.config.lanes)
+        self.lane_model = LaneModel(topology)
         self.directory = KeyDirectory(master_seed=self.config.seed,
                                       verify_memo=True)
         for node_id in topology.nodes:
             self.directory.register(node_id)
         self.strategy: Optional[Strategy] = None
         self.budget: Optional[RecoveryBudget] = None
-        self.switch_lead_us: int = 0
         #: Numeric observability channel (counters/gauges/histograms),
         #: shared by prepare()-time and run()-time instrumentation and
         #: snapshotted into each RunResult.
@@ -176,24 +176,15 @@ class BTRSystem:
         """
         strategy_config = StrategyConfig(
             minimize_distance=self.config.minimize_distance,
-            protect_endpoints=self.config.protect_endpoints,
             placement=PlacementConfig(
                 use_locality=self.config.use_locality,
                 use_distance=self.config.minimize_distance,
                 use_exposure=self.config.strategic_placement,
             ),
         )
-        augment_config = AugmentConfig(
-            replicas=self.config.f + 1, check_us=self.config.check_us,
-        )
+        augment_config = AugmentConfig(replicas=self.config.f + 1)
         self.strategy = self._obtain_strategy(strategy_config,
                                               augment_config)
-        self.switch_lead_us = (
-            self.config.switch_lead_us
-            if self.config.switch_lead_us is not None
-            else distribution_bound(self.topology, self.lane_model,
-                                    self.config, metrics=self.metrics)
-        )
         if strict:
             # Imported lazily: repro.verify depends on the planner layer,
             # and nothing on the non-strict path should pay for it.
@@ -205,8 +196,7 @@ class BTRSystem:
                                           config=self.config,
                                           lane_model=self.lane_model))
         self.budget = compute_budget(self.strategy, self.topology,
-                                     self.lane_model, self.router,
-                                     self.config, metrics=self.metrics)
+                                     self.lane_model, metrics=self.metrics)
         if (self.config.R_us is not None
                 and self.budget.total_us > self.config.R_us):
             raise ValueError(
@@ -238,7 +228,7 @@ class BTRSystem:
                 self.workload, self.topology, cfg.f,
                 strategy_config=strategy_config,
                 augment_config=augment_config,
-                lane_fractions=cfg.lanes,
+                lane_fractions=self.lane_model.fractions,
             )
             strategy = cache.load(stats.cache_key)
             if cache.quarantined:
@@ -404,9 +394,6 @@ class BTRSystem:
         assumption). Correct nodes are re-centred each round; a node whose
         behaviour pins a rogue clock ignores the round and keeps its
         offset."""
-        interval = self.config.clock_sync_interval_us
-        if interval <= 0:
-            return
 
         def sync_round() -> None:
             now = self.sim.now
@@ -416,9 +403,9 @@ class BTRSystem:
                     agent.node.clock.synchronize_to(now, now + offset)
                 else:
                     agent.node.clock.synchronize_to(now, now)
-            self.sim.call_after(interval, sync_round)
+            self.sim.call_after(CLOCK_SYNC_INTERVAL_US, sync_round)
 
-        self.sim.call_after(interval, sync_round)
+        self.sim.call_after(CLOCK_SYNC_INTERVAL_US, sync_round)
 
     def _resolve_script(self, adversary) -> FaultScript:
         if adversary is None:

@@ -20,16 +20,6 @@ class CryptoCosts:
     verify_us: int = 250
     hash_us: int = 10
 
-    def scaled(self, factor: float) -> "CryptoCosts":
-        """Costs for a proportionally faster/slower core."""
-        if factor <= 0:
-            raise ValueError("scale factor must be positive")
-        return CryptoCosts(
-            sign_us=max(1, int(round(self.sign_us * factor))),
-            verify_us=max(1, int(round(self.verify_us * factor))),
-            hash_us=max(1, int(round(self.hash_us * factor))),
-        )
-
 
 #: Default cost model used across the library.
 DEFAULT_COSTS = CryptoCosts()

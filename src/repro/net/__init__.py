@@ -1,6 +1,5 @@
-"""Network substrate: topologies, static routing, bandwidth reservation."""
+"""Network substrate: topologies and static routing."""
 
-from .reservation import PathReservation, ReservationManager
 from .routing import Router, RoutingError
 from .topology import (
     DEFAULT_BANDWIDTH,
@@ -19,8 +18,6 @@ from .topology import (
 )
 
 __all__ = [
-    "PathReservation",
-    "ReservationManager",
     "Router",
     "RoutingError",
     "DEFAULT_BANDWIDTH",

@@ -135,22 +135,6 @@ class Router:
                 f"no route {src} -> {dst} excluding {sorted(excluding or ())}"
             ) from None
 
-    def hops(self, src: str, dst: str,
-             excluding: Optional[Collection[str]] = None
-             ) -> List[Tuple[str, str]]:
-        """(sender, receiver) pairs along the route."""
-        path = self.route(src, dst, excluding)
-        return list(zip(path[:-1], path[1:]))
-
-    def links_on_route(self, src: str, dst: str,
-                       excluding: Optional[Collection[str]] = None
-                       ) -> List[str]:
-        """Link ids traversed along the route."""
-        return [
-            self.topology.link_between(a, b).link_id
-            for a, b in self.hops(src, dst, excluding)
-        ]
-
     def invalidate(self) -> None:
         """Drop every remembered route and hop table (topology mutated)."""
         self._cache.clear()

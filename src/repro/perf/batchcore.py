@@ -590,8 +590,8 @@ class SweepRun:
 def sibling_system(prototype, seed: int):
     """A prepared system for another seed, sharing the prototype's frozen
     planning artifacts: the strategy (with each plan's compiled node
-    programs and send-offset table), the recovery budget, the switch lead,
-    the router's path cache, and the lane model. The key directory is
+    programs and send-offset table), the recovery budget (which carries
+    the switch lead), the router's path cache, and the lane model. The key directory is
     rebuilt for the new seed (its master seed differs) but shares derived
     keys through the process-wide cache. The sibling's runs are
     byte-identical to a freshly constructed+prepared system on that seed
@@ -604,7 +604,6 @@ def sibling_system(prototype, seed: int):
     sibling.lane_model = prototype.lane_model
     sibling.strategy = prototype.strategy
     sibling.budget = prototype.budget
-    sibling.switch_lead_us = prototype.switch_lead_us
     return sibling
 
 

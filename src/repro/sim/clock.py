@@ -17,6 +17,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+#: Clock synchronization interval (µs). Between rounds, a node's clock
+#: error grows at its drift rate; the timing slack must absorb the
+#: resulting ε (the paper's synchrony assumption, made concrete).
+CLOCK_SYNC_INTERVAL_US = 1_000_000
+
 
 @dataclass
 class LocalClock:

@@ -18,15 +18,15 @@ on each recovery phase of the taxonomy
     faults are convicted by blame accumulation, which this module models
     *plan-aware*: the declarations a silent victim provokes are exactly
     the planned flow copies routed through it, so the periods until the
-    ``blame_slot_threshold`` bar (and the single-adjacency escalation,
+    ``DEFAULT_SLOT_THRESHOLD`` bar (and the single-adjacency escalation,
     and strict dominance over co-charged route nodes) are computed from
     the mode's own route table — see :func:`conviction_profile`;
 ``quorum``
     evidence flood depth over the surviving topology × (per-hop
     transmission + propagation + control-lane verification);
 ``switch``
-    the configured (or derived) switch lead plus boundary alignment to
-    the next period start;
+    the switch lead (the budget's distribution bound) plus boundary
+    alignment to the next period start;
 ``settle`` / ``residual``
     one period of pipeline refill plus the worst state transfer of the
     specific mode transition the fault forces.
@@ -42,15 +42,24 @@ from dataclasses import dataclass
 from typing import (Callable, Dict, FrozenSet, List, Mapping, Optional,
                     Sequence, Tuple)
 
+from ...core.detector.omission import (
+    DEFAULT_MIN_DECLARERS,
+    DEFAULT_SLOT_THRESHOLD,
+    OMISSION_GRACE_US,
+)
+from ...core.detector.timing import DEFAULT_TIMING
+from ...core.modes.switcher import SUPPRESS_PERIODS
 from ...core.planner import naming
 from ...core.planner.plan import Plan
 from ...core.planner.strategy import Strategy
-from ...core.runtime.budget import EVIDENCE_BITS, distribution_bound
+from ...core.runtime.budget import EVIDENCE_BITS
 from ...core.runtime.config import BTRConfig
+from ...crypto.costs import DEFAULT_COSTS
 from ...net.routing import Router
 from ...net.topology import Topology
 from ...obs.recovery import PHASES
 from ...sched.lanes import LaneModel
+from ...sim.clock import CLOCK_SYNC_INTERVAL_US
 from ...sim.message import MessageKind
 from .model import FAULT_CLASSES, BoundsReport, ClassBound
 
@@ -122,8 +131,7 @@ def _declaration_guaranteed(plan: Plan, copy_name: str,
     return True
 
 
-def conviction_profile(plan: Plan, victim: str,
-                       config: BTRConfig) -> ConvictionProfile:
+def conviction_profile(plan: Plan, victim: str) -> ConvictionProfile:
     """Statically replay the blame-attribution rules for one victim.
 
     A silent ``victim`` breaks exactly the planned flow copies whose
@@ -157,11 +165,11 @@ def conviction_profile(plan: Plan, victim: str,
             0, 0, 0, False, None,
             "no planned flow copy routes through the victim, so a "
             "silent fault provokes no declarations")
-    if len(declarers) < config.blame_min_declarers:
+    if len(declarers) < DEFAULT_MIN_DECLARERS:
         return ConvictionProfile(
             slots, len(declarers), 0, False, None,
             f"only {len(declarers)} distinct declarer(s); attribution "
-            f"needs {config.blame_min_declarers} (the paper's "
+            f"needs {DEFAULT_MIN_DECLARERS} (the paper's "
             "single-counterparty omission corner, E9)")
 
     # Co-charges: every non-declarer node on a charged path accumulates
@@ -196,13 +204,13 @@ def conviction_profile(plan: Plan, victim: str,
             break
     single_adjacency = bool(common)
 
-    periods = _ceil_div(config.blame_slot_threshold, slots)
+    periods = _ceil_div(DEFAULT_SLOT_THRESHOLD, slots)
     if single_adjacency:
         # The tracker escalates an excused suspect only once its charges
         # span threshold+2 distinct periods (alive evader) or reach
         # threshold+2 slots while its life signal is stale (dead node);
         # threshold+2 charged periods satisfies whichever branch applies.
-        periods = max(periods, config.blame_slot_threshold + 2)
+        periods = max(periods, DEFAULT_SLOT_THRESHOLD + 2)
     return ConvictionProfile(slots, len(declarers), co_max,
                              single_adjacency, periods)
 
@@ -223,8 +231,8 @@ def _flood_depth(router: Router, alive: Sequence[str],
     return max(depth, 1)
 
 
-def _evidence_hop_us(topology: Topology, lane_model: LaneModel,
-                     config: BTRConfig) -> Tuple[int, int, int]:
+def _evidence_hop_us(topology: Topology,
+                     lane_model: LaneModel) -> Tuple[int, int, int]:
     """(worst per-hop wire time, per-node *evidence* validation time,
     per-node *declaration* validation time), integer µs. Evidence
     records carry up to six signed statements; a relayed declaration is
@@ -238,9 +246,9 @@ def _evidence_hop_us(topology: Topology, lane_model: LaneModel,
     speeds = [_milli(node.lanes["ctrl"].speed)
               for node in topology.nodes.values()]
     min_speed = min(speeds, default=1000)
-    verify = _ceil_div(config.crypto.verify_us * 6 * 1000,
+    verify = _ceil_div(DEFAULT_COSTS.verify_us * 6 * 1000,
                        max(min_speed, 1))
-    decl_verify = _ceil_div(config.crypto.verify_us * 1000,
+    decl_verify = _ceil_div(DEFAULT_COSTS.verify_us * 1000,
                             max(min_speed, 1))
     return worst_hop, verify, decl_verify
 
@@ -256,7 +264,7 @@ def _min_state_rate_milli(topology: Topology,
 def _drift_eps_us(config: BTRConfig) -> int:
     """Worst clock skew between sync rounds, rounded up to whole µs."""
     ppm = int(config.clock_drift_ppm) + 1
-    return _ceil_div(config.clock_sync_interval_us * ppm, 1_000_000)
+    return _ceil_div(CLOCK_SYNC_INTERVAL_US * ppm, 1_000_000)
 
 
 def _silence_masking(plan: Plan,
@@ -341,31 +349,28 @@ def compute_bounds(strategy: Strategy, topology: Topology,
     """Derive the per-(fault-class, mode) worst-case recovery bounds.
 
     ``budget`` is the deployment's :class:`RecoveryBudget` when the
-    caller already computed one (``prepare()`` did); passing it only
-    fills the report's budget/R columns — the bounds themselves never
-    read it, which is what makes the cross-validation in
-    :mod:`.soundness` meaningful.
+    caller already computed one (``prepare()`` did). Besides the report's
+    budget/R columns, the bounds read only its distribution bound, which
+    is the runtime's switch lead; no bound reads a budget total, which is
+    what makes the cross-validation in :mod:`.soundness` meaningful.
     """
     router = Router(topology)
     if budget is None:
         from ...core.runtime.budget import compute_budget
-        budget = compute_budget(strategy, topology, lane_model, router,
-                                config)
+        budget = compute_budget(strategy, topology, lane_model)
     period = strategy.nominal.workload.period
     # Per topology: the evidence hop, the slowest STATE lane, the node
     # list. Per surviving node set: the flood depth (the same faulty set
     # is reached from each of its sub-patterns).
-    hop, verify, decl_verify = _evidence_hop_us(topology, lane_model,
-                                                config)
+    hop, verify, decl_verify = _evidence_hop_us(topology, lane_model)
     state_rate = _min_state_rate_milli(topology, lane_model)
     node_ids = topology.node_ids()
     flood_depths: Dict[FrozenSet[str], int] = {}
-    lead = (config.switch_lead_us if config.switch_lead_us is not None
-            else distribution_bound(topology, lane_model, config))
+    lead = budget.distribution_us
     drift = _drift_eps_us(config)
-    slack = config.timing.slack_us
-    arrival_slack = config.timing.arrival_slack_us
-    grace = config.omission_grace_us
+    slack = DEFAULT_TIMING.slack_us
+    arrival_slack = DEFAULT_TIMING.arrival_slack_us
+    grace = OMISSION_GRACE_US
 
     entries: List[ClassBound] = []
     for pattern in strategy.patterns():
@@ -408,10 +413,10 @@ def compute_bounds(strategy: Strategy, topology: Topology,
             # recovery's post-switch confusion window, during which
             # omission/timing detection is suppressed (mirrors the
             # budget's confusion term).
-            confusion = (config.suppress_periods * period + settle
+            confusion = (SUPPRESS_PERIODS * period + settle
                          if strategy.f >= 2 else 0)
 
-            profile = conviction_profile(plan, victim, config)
+            profile = conviction_profile(plan, victim)
             maskable = silence_maskable(victim)
             if profile.periods is None:
                 if not maskable:

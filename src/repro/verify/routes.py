@@ -4,11 +4,11 @@ A plan's per-flow routes are frozen at planning time; the runtime
 dispatcher forwards along them blindly. A route that references a missing
 link silently drops traffic, one that crosses a node the mode considers
 faulty hands the adversary the flow, and a set of routes that collectively
-over-subscribe a link breaks the static-reservation discipline of
-:mod:`repro.net.reservation` — the planned transmission times stop being
-achievable. These checks re-validate every route against the topology and
-re-run the reservation admission arithmetic without mutating any link
-state.
+over-subscribe a link breaks the static-reservation discipline — the
+planned transmission times stop being achievable. These checks re-validate
+every route against the topology and re-run the reservation admission
+arithmetic (:data:`HEADROOM` times each flow's mean rate, summed per link)
+without mutating any link state.
 """
 
 from __future__ import annotations
@@ -16,9 +16,12 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Tuple
 
 from ..core.planner.plan import Plan
-from ..net.reservation import ReservationManager
 from ..net.topology import Topology
 from .findings import Finding, Severity
+
+#: Multiplicative headroom over a flow's mean rate, covering burstiness
+#: within a period (a whole message is sent back-to-back, not smoothly).
+HEADROOM = 2.0
 
 
 def _host_of(plan: Plan, topology: Topology, endpoint: str) -> Optional[str]:
@@ -29,11 +32,7 @@ def _host_of(plan: Plan, topology: Topology, endpoint: str) -> Optional[str]:
     return topology.endpoint_map.get(endpoint)
 
 
-def check_routes(
-    plan: Plan,
-    topology: Topology,
-    headroom: float = ReservationManager.DEFAULT_HEADROOM,
-) -> List[Finding]:
+def check_routes(plan: Plan, topology: Topology) -> List[Finding]:
     """Verify every route of ``plan`` exists, avoids faulty nodes, starts
     and ends at the right hosts, and fits the link reservation budget."""
     findings: List[Finding] = []
@@ -86,9 +85,9 @@ def check_routes(
                          f"{flow.dst} is hosted on {dst_host}"),
             ))
 
-        # Reservation arithmetic (net/reservation.py): headroom times the
-        # flow's mean rate, as a fraction of each hop's raw link rate.
-        reserved_rate = headroom * (flow.size_bits / period_seconds)
+        # Reservation arithmetic: headroom times the flow's mean rate, as
+        # a fraction of each hop's raw link rate.
+        reserved_rate = HEADROOM * (flow.size_bits / period_seconds)
         for sender, receiver in zip(route[:-1], route[1:]):
             data = edge_data(sender, receiver)
             if data is None:
@@ -104,7 +103,7 @@ def check_routes(
                            + reserved_rate / link.bandwidth_bps)
 
     # Admission: the per-link sum of all accumulated sender shares must
-    # fit within the link (1.0), like ReservationManager.reserve_path.
+    # fit within the link (1.0).
     per_link: Dict[str, float] = {}
     for (link_id, _sender), share in shares.items():
         per_link[link_id] = per_link.get(link_id, 0.0) + share
@@ -115,7 +114,7 @@ def check_routes(
                 rule="route.overbooked", severity=Severity.ERROR,
                 mode=mode, subject=link_id,
                 message=(f"routed data traffic needs {total:.3f} of the "
-                         f"link (headroom {headroom}); only 1.0 is "
+                         f"link (headroom {HEADROOM}); only 1.0 is "
                          f"reservable"),
             ))
     return findings

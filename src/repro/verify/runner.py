@@ -15,7 +15,6 @@ from typing import Optional
 
 from ..core.planner.plan import Plan
 from ..core.planner.strategy import Strategy
-from ..net.reservation import ReservationManager
 from ..net.routing import Router
 from ..net.topology import Topology
 from .findings import Report
@@ -33,16 +32,12 @@ class VerificationError(Exception):
         self.report = report
 
 
-def verify_plan(
-    plan: Plan,
-    topology: Topology,
-    headroom: float = ReservationManager.DEFAULT_HEADROOM,
-) -> Report:
+def verify_plan(plan: Plan, topology: Topology) -> Report:
     """Statically verify one plan. Returns a report; never raises."""
     report = Report()
     report.extend(check_schedule(plan))
     report.extend(check_placement(plan, topology))
-    report.extend(check_routes(plan, topology, headroom=headroom))
+    report.extend(check_routes(plan, topology))
     return report
 
 
@@ -50,7 +45,6 @@ def verify_strategy(
     strategy: Strategy,
     topology: Topology,
     router: Optional[Router] = None,
-    headroom: float = ReservationManager.DEFAULT_HEADROOM,
     config=None,
     lane_model=None,
     budget=None,
@@ -58,18 +52,16 @@ def verify_strategy(
     """Statically verify a full strategy: every plan plus the mode graph.
 
     With both ``config`` and ``lane_model`` the ``bound.*`` rule family
-    runs too — the Layer-4 analyzer needs the runtime config (thresholds,
-    crypto costs, R) and the lane schedule to price recovery, which the
-    plan artifacts alone don't carry. Callers that only have the plans
+    runs too — the Layer-4 analyzer needs the runtime config (R, clock
+    drift) and the lane schedule to price recovery, which the plan
+    artifacts alone don't carry. Callers that only have the plans
     (plan-library linting, round-trip checks) simply get the first three
     layers, exactly as before.
     """
     report = Report()
     for pattern in strategy.patterns():
-        plan = strategy.plan_for(pattern)
-        report.extend(check_schedule(plan))
-        report.extend(check_placement(plan, topology))
-        report.extend(check_routes(plan, topology, headroom=headroom))
+        report.extend(verify_plan(strategy.plan_for(pattern),
+                                  topology).findings)
     report.extend(check_mode_graph(strategy, topology, router=router))
     if config is not None and lane_model is not None:
         from .bounds.rules import bounds_findings

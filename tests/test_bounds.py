@@ -16,6 +16,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro import BTRConfig, BTRSystem
 from repro.cli import main as cli_main
+from repro.core.detector.omission import DEFAULT_MIN_DECLARERS
 from repro.faults import SingleFaultAdversary
 from repro.fuzz import load_corpus
 from repro.mc import replay_counterexample
@@ -135,17 +136,16 @@ def test_report_roundtrips_to_dict(industrial_report):
 
 def test_conviction_profile_reachable_victim(industrial_system):
     strategy = industrial_system.strategy
-    config = industrial_system.config
     plan = strategy.plan_for(frozenset())
     reachable = [
         victim for victim in industrial_system.compromisable_nodes()
-        if conviction_profile(plan, victim, config).periods is not None
+        if conviction_profile(plan, victim).periods is not None
     ]
     assert reachable, "some victim must be statically attributable"
     for victim in reachable:
-        profile = conviction_profile(plan, victim, config)
+        profile = conviction_profile(plan, victim)
         assert profile.slots_per_period > 0
-        assert profile.declarers >= config.blame_min_declarers
+        assert profile.declarers >= DEFAULT_MIN_DECLARERS
         # Strict dominance: every co-charged rival accrues fewer slots.
         assert profile.co_charged_max < profile.slots_per_period
         assert profile.periods >= 1
@@ -159,7 +159,7 @@ def test_conviction_profile_single_declarer_unreachable():
                        BTRConfig(f=1, seed=42))
     system.prepare()
     plan = system.strategy.plan_for(frozenset())
-    profiles = {victim: conviction_profile(plan, victim, system.config)
+    profiles = {victim: conviction_profile(plan, victim)
                 for victim in system.compromisable_nodes()}
     unreachable = {v: p for v, p in profiles.items()
                    if p.periods is None}
@@ -173,8 +173,7 @@ def test_conviction_profile_off_route_node(pipeline_system):
     off_route = [n for n in pipeline_system.topology.node_ids()
                  if n not in routed]
     for victim in off_route:
-        profile = conviction_profile(plan, victim,
-                                     pipeline_system.config)
+        profile = conviction_profile(plan, victim)
         assert profile.periods is None
         assert profile.slots_per_period == 0
 

@@ -1,5 +1,8 @@
 """Unit tests for recovery-budget accounting (R := D/f and friends)."""
 
+import dataclasses
+
+import networkx as nx
 import pytest
 
 from repro import BTRConfig, BTRSystem
@@ -9,7 +12,7 @@ from repro.core.runtime.budget import (
     distribution_bound,
     recovery_bound_for_deadline,
 )
-from repro.net import Router, full_mesh_topology, line_topology, ring_topology
+from repro.net import full_mesh_topology, line_topology, ring_topology
 from repro.sched import LaneModel
 from repro.sim import ms, seconds
 from repro.workload import industrial_workload
@@ -28,33 +31,50 @@ def test_r_rule_rejects_nonsense():
         recovery_bound_for_deadline(seconds(1), 0)
 
 
+def test_config_keeps_only_fields_callers_set():
+    # A field exists only when two non-test callers need different values.
+    assert [f.name for f in dataclasses.fields(BTRConfig)] == [
+        "f", "R_us", "seed", "clock_drift_ppm", "minimize_distance",
+        "use_locality", "strategic_placement", "cache", "trace_mode",
+    ]
+
+
 def test_distribution_bound_grows_with_diameter():
-    config = BTRConfig(f=1)
     mesh = full_mesh_topology(7, bandwidth=1e8)      # diameter 1
     ring = ring_topology(7, bandwidth=1e8)           # diameter 3
     line = line_topology(7, bandwidth=1e8)           # diameter 6
     bounds = [
-        distribution_bound(topo, LaneModel(topo), config)
+        distribution_bound(topo, LaneModel(topo))
         for topo in (mesh, ring, line)
     ]
     assert bounds[0] < bounds[1] < bounds[2]
 
 
 def test_distribution_bound_shrinks_with_bandwidth():
-    config = BTRConfig(f=1)
     slow = ring_topology(6, bandwidth=1e6)
     fast = ring_topology(6, bandwidth=1e9)
-    assert (distribution_bound(fast, LaneModel(fast), config)
-            < distribution_bound(slow, LaneModel(slow), config))
+    assert (distribution_bound(fast, LaneModel(fast))
+            < distribution_bound(slow, LaneModel(slow)))
+
+
+def test_diameter_fallback_counted_once_per_prepare(monkeypatch):
+    # The switch lead is the budget's distribution bound, derived once:
+    # one prepare() asks for the diameter, and counts its fallback, once.
+    def no_diameter(graph):
+        raise nx.NetworkXError("forced")
+
+    monkeypatch.setattr(nx, "diameter", no_diameter)
+    system = BTRSystem(industrial_workload(), full_mesh_topology(5),
+                       BTRConfig(f=1))
+    system.prepare()
+    assert system.metrics.counter_value("budget_diameter_fallback",
+                                        reason="not_connected") == 1
 
 
 def test_detection_bound_dominated_by_omission_accumulation():
     period = ms(50)
-    config = BTRConfig(f=1, blame_slot_threshold=3)
-    bound = detection_bound(period, config)
+    bound = detection_bound(period)
     assert bound >= 3 * period  # slot accumulation dominates
-    tighter = detection_bound(period, BTRConfig(f=1, blame_slot_threshold=1))
-    assert tighter < bound
 
 
 def test_compute_budget_components_positive_and_consistent():
@@ -70,14 +90,6 @@ def test_compute_budget_components_positive_and_consistent():
                                + budget.switch_us + budget.settling_us)
 
 
-def test_explicit_switch_lead_overrides_derivation():
-    system = BTRSystem(industrial_workload(),
-                       full_mesh_topology(7, bandwidth=1e8),
-                       BTRConfig(f=1, seed=1, switch_lead_us=ms(40)))
-    system.prepare()
-    assert system.switch_lead_us == ms(40)
-
-
 def test_settling_includes_worst_state_transfer():
     # A strategy whose transitions move big state must budget more
     # settling than one whose transitions move nothing.
@@ -85,8 +97,7 @@ def test_settling_includes_worst_state_transfer():
     system = BTRSystem(industrial_workload(), topo, BTRConfig(f=1, seed=1))
     system.prepare()
     lane_model = system.lane_model
-    budget = compute_budget(system.strategy, topo, lane_model,
-                            system.router, system.config)
+    budget = compute_budget(system.strategy, topo, lane_model)
     worst_bits = system.strategy.max_transition_state_bits()
     if worst_bits:
         assert budget.settling_us > industrial_workload().period

@@ -10,7 +10,6 @@ from hypothesis import example, given, strategies as st
 
 from repro.crypto import (
     AuthenticatedStatement,
-    CryptoCosts,
     KeyDirectory,
     Signature,
     SignatureError,
@@ -167,11 +166,3 @@ def test_value_classes_behave_like_frozen_dataclasses():
             delattr(obj, field)
         assert pickle.loads(pickle.dumps(obj)) == obj
     assert pickle.loads(pickle.dumps(stmt)).canonical() == stmt.canonical()
-
-
-def test_crypto_costs_scaling():
-    costs = CryptoCosts(sign_us=100, verify_us=200, hash_us=10)
-    half = costs.scaled(0.5)
-    assert half.sign_us == 50 and half.verify_us == 100
-    with pytest.raises(ValueError):
-        costs.scaled(0)

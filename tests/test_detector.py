@@ -350,16 +350,6 @@ def test_blame_multi_adjacency_attributes_immediately(directory):
     assert tracker.newly_attributable() == ["bad"]
 
 
-def test_blame_suspected_links(directory):
-    tracker = BlameTracker(slot_threshold=2, min_declarers=2,
-                           liveness=lambda n: True)
-    for period, declarer in ((1, "w1"), (1, "w2"), (2, "w1")):
-        tracker.add_declaration(make_declaration(
-            directory, declarer, ["bad", "chk", declarer], "f", period, 0))
-    assert tracker.suspected_links("bad") == {("bad", "chk")}
-    assert tracker.suspected_links("nobody") == set()
-
-
 def test_blame_reset_clears_liveness_fallback(directory):
     tracker = BlameTracker()
     tracker.add_declaration(make_declaration(

@@ -150,6 +150,11 @@ def test_timing_evidence_needs_period(directory):
     with_period = EvidenceValidator(directory, period=5_000,
                                     timing_slack=500)
     assert with_period.validate(ev)
+    # Built with defaults, a validator judges with the runtime's slack:
+    # the runtime emits period + 700 as evidence, so it is not slander.
+    late = fwd_stmt(directory, "bad", "f0", 2, 42, offset=5_700)
+    assert EvidenceValidator(directory, period=5_000).validate(
+        Evidence.make(directory, TIMING, "bad", "det", 0, [late]))
 
 
 def test_timing_offset_within_period_rejected(directory):
@@ -243,10 +248,21 @@ def test_unknown_kind_rejected(directory):
 # -------------------------------------------------------------- EvidenceLog
 
 
+def submit(log, record):
+    """The runtime's two calls for a flooded record: the dedup gate, then
+    evaluation of a record new to the node. None for a duplicate."""
+    if isinstance(record, Evidence):
+        if log.note_evidence(record):
+            return log.evaluate_evidence(record)
+    elif log.note_declaration(record):
+        return log.evaluate_declaration(record)
+    return None
+
+
 def test_log_accepts_and_forwards_valid_evidence(directory, validator):
     log = EvidenceLog("n0", validator)
     ev = commission_evidence(directory)
-    decision = log.on_evidence(ev)
+    decision = submit(log, ev)
     assert decision.accept and decision.forward
     assert decision.implicate == "bad"
     assert log.accused_nodes() == {"bad"}
@@ -255,10 +271,8 @@ def test_log_accepts_and_forwards_valid_evidence(directory, validator):
 def test_log_dedups(directory, validator):
     log = EvidenceLog("n0", validator)
     ev = commission_evidence(directory)
-    log.on_evidence(ev)
-    again = log.on_evidence(ev)
-    assert not again.accept and not again.forward
-    assert again.reason == "duplicate"
+    assert submit(log, ev).accept
+    assert submit(log, ev) is None
 
 
 def test_log_rejects_bad_signature_cheaply(directory, validator):
@@ -269,7 +283,7 @@ def test_log_rejects_bad_signature_cheaply(directory, validator):
         detected_at=ev.detected_at, statements=ev.statements,
         envelope=ev.envelope,
     )
-    decision = log.on_evidence(tampered)
+    decision = submit(log, tampered)
     assert decision.reason == "bad_signature"
     assert decision.implicate is None
 
@@ -282,7 +296,7 @@ def test_log_counts_slander_against_signer(directory, validator):
         # Perturb detected_at to avoid dedup.
         ev = Evidence.make(directory, COMMISSION, "bad", "det",
                            len(implicated), list(ev.statements))
-        decision = log.on_evidence(ev)
+        decision = submit(log, ev)
         implicated.append(decision.implicate)
     assert implicated[0] is None
     assert implicated[1] == "det"  # threshold reached: slanderer implicated
@@ -291,10 +305,9 @@ def test_log_counts_slander_against_signer(directory, validator):
 def test_log_handles_declarations(directory, validator):
     log = EvidenceLog("n0", validator)
     d = decl(directory, "w1", ["bad", "w1"], 1)
-    decision = log.on_declaration(d)
+    decision = submit(log, d)
     assert decision.accept and decision.forward
-    dup = log.on_declaration(d)
-    assert dup.reason == "duplicate"
+    assert submit(log, d) is None
     assert len(log.declarations) == 1
 
 
@@ -306,7 +319,7 @@ def attribution_evidence(directory, n_slots=3):
 
 
 def test_soft_rejected_record_is_reevaluated_after_switch(directory):
-    # Regression: `on_evidence` used to mark records seen *before*
+    # Regression: the dedup gate used to mark records seen *before*
     # validation, so an ATTRIBUTION record soft-rejected mid-switch (the
     # validator's regime disagreed with the detector's) bounced off the
     # dedup gate as "duplicate" forever — despite the inline promise that
@@ -317,7 +330,7 @@ def test_soft_rejected_record_is_reevaluated_after_switch(directory):
     log = EvidenceLog("n0", validator)
     ev = attribution_evidence(directory, n_slots=3)
 
-    first = log.on_evidence(ev)
+    first = submit(log, ev)
     assert first.reason == "unsupported_soft"
     assert not first.accept and first.implicate is None  # not slander
 
@@ -325,14 +338,13 @@ def test_soft_rejected_record_is_reevaluated_after_switch(directory):
     # accepts the attribution). The retried record must be re-evaluated,
     # not deduplicated.
     validator.attribution_threshold = 3
-    second = log.on_evidence(ev)
+    second = submit(log, ev)
     assert second.reason == "valid"
     assert second.accept and second.implicate == "bad"
     assert log.accused_nodes() == {"bad"}
 
     # Acceptance is terminal: a third copy is now a duplicate.
-    third = log.on_evidence(ev)
-    assert third.reason == "duplicate"
+    assert submit(log, ev) is None
     assert len(log.accepted) == 1
 
 
@@ -345,7 +357,7 @@ def test_soft_reject_does_not_feed_slander_count(directory):
     log = EvidenceLog("n0", validator, slander_threshold=2)
     ev = attribution_evidence(directory, n_slots=3)
     for _ in range(4):
-        decision = log.on_evidence(ev)
+        decision = submit(log, ev)
         assert decision.reason == "unsupported_soft"
         assert decision.implicate is None
     assert log.invalid_counts == {}
@@ -357,8 +369,8 @@ def test_objective_unsupported_verdict_is_terminal(directory, validator):
     # are duplicates and cannot pump the slander count to the threshold.
     log = EvidenceLog("n0", validator, slander_threshold=2)
     ev = commission_evidence(directory, value_delta=0)  # correct value
-    first = log.on_evidence(ev)
+    first = submit(log, ev)
     assert first.reason == "unsupported"
     for _ in range(3):
-        assert log.on_evidence(ev).reason == "duplicate"
+        assert submit(log, ev) is None
     assert log.invalid_counts == {"det": 1}

@@ -8,6 +8,7 @@ from repro.core.evidence import (
     Evidence,
     EvidenceLog,
     EvidenceValidator,
+    FORWARD_MISMATCH,
 )
 from repro.crypto import AuthenticatedStatement, KeyDirectory
 from repro.analysis import (
@@ -109,17 +110,20 @@ def test_log_note_then_evaluate_contract(directory):
 
 
 def test_log_forget_allows_reevaluation(directory):
+    # A soft reject is not terminal: the log forgets the record, so the
+    # runtime's retry passes the dedup gate again and is re-evaluated.
     log = EvidenceLog("n", EvidenceValidator(directory))
     ev = make_commission(directory)
-    assert log.on_evidence(ev).accept
-    assert log.on_evidence(ev).reason == "duplicate"
-    log.forget(ev)
-    assert log.on_evidence(ev).accept       # fresh after forget
+    soft = Evidence.make(directory, FORWARD_MISMATCH, "bad", "det", 0,
+                         ev.statements[1:])  # no roster: plan-dependent
+    for _ in range(2):
+        assert log.note_evidence(soft)
+        assert log.evaluate_evidence(soft).reason == "unsupported_soft"
+    assert log.note_evidence(ev) and log.evaluate_evidence(ev).accept
+    assert not log.note_evidence(ev)        # acceptance is terminal
 
 
 def test_validator_without_roster_rejects_forward_mismatch(directory):
-    from repro.core.evidence import FORWARD_MISMATCH
-
     stmt = AuthenticatedStatement.make(directory, "bad", {
         "type": "fwd", "flow": "f", "period": 0, "value": 1,
         "send_offset": 0,
@@ -129,7 +133,8 @@ def test_validator_without_roster_rejects_forward_mismatch(directory):
     assert not validator.validate(ev)
     # And the rejection is soft (plan-dependent kind).
     log = EvidenceLog("n", validator)
-    assert log.on_evidence(ev).reason == "unsupported_soft"
+    assert log.note_evidence(ev)
+    assert log.evaluate_evidence(ev).reason == "unsupported_soft"
 
 
 def test_attribution_freshness_window(directory):

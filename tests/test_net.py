@@ -1,4 +1,4 @@
-"""Tests for topologies, routing, and bandwidth reservation."""
+"""Tests for topologies and routing."""
 
 import itertools
 
@@ -7,7 +7,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.net import (
-    ReservationManager,
     Router,
     RoutingError,
     Topology,
@@ -20,7 +19,7 @@ from repro.net import (
     ring_topology,
     star_topology,
 )
-from repro.sim import Link, MessageKind, Node, ReservationError, ms
+from repro.sim import Link, Node
 
 
 # ----------------------------------------------------------------- topology
@@ -119,7 +118,6 @@ def test_route_to_self():
     topo = line_topology(3)
     router = Router(topo)
     assert router.route("n1", "n1") == ["n1"]
-    assert router.hops("n1", "n1") == []
 
 
 def test_route_avoids_excluded_nodes():
@@ -144,12 +142,6 @@ def test_route_unknown_endpoint_raises():
     router = Router(topo)
     with pytest.raises(RoutingError):
         router.route("n0", "ghost")
-
-
-def test_links_on_route():
-    topo = line_topology(4)
-    router = Router(topo)
-    assert router.links_on_route("n0", "n3") == ["l0", "l1", "l2"]
 
 
 def test_route_cache_and_invalidate():
@@ -240,89 +232,3 @@ def test_invalidate_drops_hop_tables_and_adjacency():
     assert router.route("n0", "n3") == ["n0", "n3"]
     assert router.hop_count("n1", "n3", excluding={"n2"}) == 2
     assert router.route("n0", "n4") == ["n0", "n3", "n4"]
-
-
-# -------------------------------------------------------------- reservation
-
-
-def test_reservation_allocates_lanes_along_path():
-    topo = line_topology(3, bandwidth=1e6)
-    router = Router(topo)
-    mgr = ReservationManager(topo, router, headroom=1.0)
-    res = mgr.reserve_path("n0", "n2", MessageKind.DATA,
-                           bits_per_period=10_000, period=ms(100))
-    assert res.path == ["n0", "n1", "n2"]
-    # 10k bits / 0.1 s = 100 kbps on a 1 Mbps link = 0.1 share.
-    assert topo.links["l0"].lane("n0", MessageKind.DATA).share == pytest.approx(0.1)
-    assert topo.links["l1"].lane("n1", MessageKind.DATA).share == pytest.approx(0.1)
-
-
-def test_reservations_accumulate_per_sender():
-    topo = line_topology(2, bandwidth=1e6)
-    mgr = ReservationManager(topo, Router(topo), headroom=1.0)
-    mgr.reserve_path("n0", "n1", MessageKind.DATA, 10_000, ms(100))
-    mgr.reserve_path("n0", "n1", MessageKind.DATA, 10_000, ms(100))
-    assert topo.links["l0"].lane("n0", MessageKind.DATA).share == pytest.approx(0.2)
-
-
-def test_admission_control_rejects_overload():
-    topo = line_topology(2, bandwidth=1e6)
-    mgr = ReservationManager(topo, Router(topo), headroom=1.0)
-    mgr.reserve_path("n0", "n1", MessageKind.DATA, 90_000, ms(100))
-    with pytest.raises(ReservationError):
-        mgr.reserve_path("n0", "n1", MessageKind.DATA, 20_000, ms(100))
-
-
-def test_failed_reservation_commits_nothing():
-    # Second hop is saturated; first hop must not be charged either.
-    topo = line_topology(3, bandwidth=1e6)
-    mgr = ReservationManager(topo, Router(topo), headroom=1.0)
-    # Saturate l1 via a reservation from n1.
-    mgr.reserve_path("n1", "n2", MessageKind.DATA, 95_000, ms(100))
-    before = mgr.total_share("l0")
-    with pytest.raises(ReservationError):
-        mgr.reserve_path("n0", "n2", MessageKind.DATA, 20_000, ms(100))
-    assert mgr.total_share("l0") == before
-
-
-def test_headroom_scales_share():
-    topo = line_topology(2, bandwidth=1e6)
-    mgr = ReservationManager(topo, Router(topo), headroom=2.0)
-    mgr.reserve_path("n0", "n1", MessageKind.DATA, 10_000, ms(100))
-    assert topo.links["l0"].lane("n0", MessageKind.DATA).share == pytest.approx(0.2)
-
-
-def test_invalid_headroom_rejected():
-    topo = line_topology(2)
-    with pytest.raises(ValueError):
-        ReservationManager(topo, Router(topo), headroom=0.5)
-
-
-def test_control_plane_reservation_covers_all_links():
-    topo = ring_topology(4)
-    mgr = ReservationManager(topo, Router(topo))
-    mgr.reserve_control_plane(0.2)
-    for link in topo.links.values():
-        for sender in link.endpoints:
-            assert link.lane(sender, MessageKind.EVIDENCE) is not None
-            assert link.lane(sender, MessageKind.CONTROL) is not None
-
-
-def test_release_all_frees_data_lanes_keeps_control():
-    topo = line_topology(2, bandwidth=1e6)
-    mgr = ReservationManager(topo, Router(topo), headroom=1.0)
-    mgr.reserve_control_plane(0.1)
-    mgr.reserve_path("n0", "n1", MessageKind.DATA, 10_000, ms(100))
-    mgr.release_all()
-    assert topo.links["l0"].lane("n0", MessageKind.DATA) is None
-    assert topo.links["l0"].lane("n0", MessageKind.EVIDENCE) is not None
-    # Capacity is actually free again.
-    mgr.reserve_path("n0", "n1", MessageKind.DATA, 80_000, ms(100))
-
-
-def test_reservation_respects_excluded_nodes():
-    topo = ring_topology(5, bandwidth=1e7)
-    mgr = ReservationManager(topo, Router(topo), headroom=1.0)
-    res = mgr.reserve_path("n0", "n2", MessageKind.DATA, 1_000, ms(100),
-                           excluding={"n1"})
-    assert "n1" not in res.path

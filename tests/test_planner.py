@@ -349,24 +349,3 @@ def test_node_exposure_metric():
     topo.add_node(Node("d", clock=LocalClock()))
     topo.add_link(Link("ad", ("a", "d"), 1e8))
     assert node_exposure(topo, "d") == 100.0
-
-
-def test_worst_transition_transfer_metric():
-    from repro.sched import LaneModel
-
-    wl = industrial_workload()
-    topo = full_mesh_topology(7, bandwidth=1e8)
-    router = deployed(wl, topo)
-    strategy = build_strategy(wl, topo, router, f=1)
-    worst = strategy.worst_transition_transfer_us(
-        topo, router, LaneModel(topo))
-    assert worst >= 0
-    # It is bounded by shipping the biggest task state over the slowest
-    # STATE lane on the longest (here: single-hop) route.
-    from repro.sim import MessageKind
-
-    model = LaneModel(topo)
-    slowest = min(model.rate_bits_per_us(link, MessageKind.STATE)
-                  for link in topo.links.values())
-    biggest = max(t.state_bits for t in wl.tasks.values())
-    assert worst <= biggest / slowest + 1

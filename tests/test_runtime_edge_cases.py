@@ -9,6 +9,7 @@ from repro.analysis import (
     smallest_sufficient_R,
     timeliness,
 )
+from repro.core.runtime import agent as agent_module
 from repro.faults import (
     CrashFault,
     FaultScript,
@@ -167,10 +168,11 @@ def test_simultaneous_double_fault():
 # ------------------------------------------------------------------- quotas
 
 
-def test_quota_does_not_throttle_legitimate_recovery():
+def test_quota_does_not_throttle_legitimate_recovery(monkeypatch):
     # A tiny quota must still let a real fault's evidence through
     # (records arrive from several senders; dedup happens first).
-    system = make_system(evidence_quota_per_sender=2)
+    monkeypatch.setattr(agent_module, "EVIDENCE_QUOTA_PER_SENDER", 2)
+    system = make_system()
     result = system.run(N_PERIODS, SingleFaultAdversary(
         at=FAULT_AT, kind="crash"))
     verdict = btr_verdict(result, R_us=system.budget.total_us)

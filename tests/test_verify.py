@@ -5,6 +5,8 @@ clean, then hand-corrupt *clones* of its plans — one corruption per rule
 — and assert each corruption trips exactly the expected rule id.
 """
 
+import copy
+
 import pytest
 
 from repro import BTRConfig, BTRSystem
@@ -245,10 +247,13 @@ def test_wrong_first_hop_trips_route_endpoint_mismatch(system):
 
 
 def test_reservation_arithmetic_trips_route_overbooked(system):
-    # An absurd headroom makes the seed's own (feasible) routes exceed
-    # the reservable capacity — same arithmetic, shifted admission bar.
+    # Starved links make the seed's own (feasible) routes exceed the
+    # reservable capacity — same arithmetic, shifted admission bar.
     plan = clone(system.strategy.nominal)
-    findings = check_routes(plan, system.topology, headroom=1e12)
+    topology = copy.deepcopy(system.topology)
+    for link in topology.links.values():
+        link.bandwidth_bps /= 1e12
+    findings = check_routes(plan, topology)
     assert "route.overbooked" in rules_of(findings)
     assert rules_of(findings) == ["route.overbooked"]
 

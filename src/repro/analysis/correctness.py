@@ -52,9 +52,6 @@ class BTRVerdict:
     def disrupted_slots(self) -> List[SlotVerdict]:
         return [s for s in self.slots if s.status != CORRECT]
 
-    def excused_slots(self) -> List[SlotVerdict]:
-        return [s for s in self.slots if s.excused and s.status != CORRECT]
-
 
 def classify_slots(result: RunResult,
                    excused_flows: Optional[Mapping[str, int]] = None,

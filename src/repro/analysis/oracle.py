@@ -36,9 +36,6 @@ class ReferenceOracle:
         self._cache[period_index] = values
         return values
 
-    def task_value(self, task: str, period_index: int) -> int:
-        return self._values(period_index)[task]
-
     def sink_value(self, flow_base: str, period_index: int) -> int:
         """The unique correct value of a sink flow in a period."""
         flow = self.workload.flow(flow_base)

@@ -14,9 +14,9 @@ node."
   declarer** (you cannot build a case against others by your own say-so
   alone — nor accidentally against yourself);
 * a node becomes *attributable* once it is charged in at least
-  ``slot_threshold`` distinct (path, period, declarer) slots **from at
-  least two distinct declarers** (a single faulty declarer can never get a
-  correct node convicted);
+  :data:`DEFAULT_SLOT_THRESHOLD` distinct (path, period, declarer) slots
+  from at least :data:`DEFAULT_MIN_DECLARERS` distinct declarers (a
+  single faulty declarer can never get a correct node convicted);
 * among qualifying nodes, only the one with the **strictly dominant**
   charge count is attributed per round. A silent node breaks *every* path
   through it — including paths it merely forwarded — so it dominates; the
@@ -80,14 +80,8 @@ class BlameState:
 class BlameTracker:
     """Aggregates path declarations into fault attributions."""
 
-    def __init__(self, slot_threshold: int = DEFAULT_SLOT_THRESHOLD,
-                 min_declarers: int = DEFAULT_MIN_DECLARERS,
-                 liveness: Optional[Callable[[str], bool]] = None,
+    def __init__(self, liveness: Optional[Callable[[str], bool]] = None,
                  metrics=None) -> None:
-        if slot_threshold < 1 or min_declarers < 1:
-            raise ValueError("thresholds must be >= 1")
-        self.slot_threshold = slot_threshold
-        self.min_declarers = min_declarers
         #: Optional control-plane liveness oracle (heartbeats). Falls back
         #: to "has issued declarations" when absent.
         self.liveness = liveness
@@ -139,8 +133,8 @@ class BlameTracker:
             (state.slot_count, node)
             for node, state in sorted(self._state.items())
             if node not in self.attributed
-            and state.slot_count >= self.slot_threshold
-            and len(state.declarers) >= self.min_declarers
+            and state.slot_count >= DEFAULT_SLOT_THRESHOLD
+            and len(state.declarers) >= DEFAULT_MIN_DECLARERS
         ]
         if not qualifying:
             return []
@@ -150,7 +144,7 @@ class BlameTracker:
         if self._single_adjacency_explains(top_node):
             alive = (self.liveness(top_node) if self.liveness is not None
                      else top_node in self.seen_declarers)
-            sustained = state.period_span >= self.slot_threshold + 2
+            sustained = state.period_span >= DEFAULT_SLOT_THRESHOLD + 2
             if alive and not sustained:
                 # Alive + one suspect adjacency: most likely a link fault,
                 # not a node — wait. But the shield is not permanent: a
@@ -160,7 +154,7 @@ class BlameTracker:
                 # node-set-keyed strategy has (the excluded node's links —
                 # including the dead one — all leave service).
                 return []
-            if not alive and top_count < self.slot_threshold + 2:
+            if not alive and top_count < DEFAULT_SLOT_THRESHOLD + 2:
                 # Its life signal may still be in flight around the dead
                 # link: demand extra corroborating slots first.
                 return []

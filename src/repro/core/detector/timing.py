@@ -22,7 +22,6 @@ Two cases:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional, Tuple
 
 from ..planner.plan import Plan
@@ -38,14 +37,13 @@ def planned_send_offset(plan: Plan, flow_name: str) -> Optional[int]:
     return plan.planned_send_offset(flow_name)
 
 
-@dataclass(frozen=True)
 class TimingPolicy:
-    """Window slack parameters."""
+    """The delivery-window rule, with its two slacks."""
 
     #: Allowed deviation of the *claimed* send offset from the plan.
-    slack_us: int = 500
+    slack_us = 500
     #: Allowed deviation of the *actual* arrival from the plan.
-    arrival_slack_us: int = 1_000
+    arrival_slack_us = 1_000
 
     def send_window(self, plan: Plan, flow_name: str
                     ) -> Optional[Tuple[int, int]]:

@@ -41,11 +41,9 @@ class EvidenceLog:
     """One node's view of the evidence stream."""
 
     def __init__(self, node: str, validator: EvidenceValidator,
-                 slander_threshold: int = DEFAULT_SLANDER_THRESHOLD,
                  metrics=None) -> None:
         self.node = node
         self.validator = validator
-        self.slander_threshold = slander_threshold
         #: Optional :class:`~repro.obs.metrics.MetricsRegistry`; verdicts
         #: are counted as ``evidence_verdicts{reason}`` when present.
         self.metrics = metrics
@@ -106,12 +104,9 @@ class EvidenceLog:
             # Properly signed but objectively unsupported: slander.
             self._seen.add(eid)
             self._count("unsupported")
-            signer = evidence.detector
-            count = self.invalid_counts.get(signer, 0) + 1
-            self.invalid_counts[signer] = count
-            implicate = signer if count >= self.slander_threshold else None
             return DistributionDecision(
-                accept=False, forward=False, implicate=implicate,
+                accept=False, forward=False,
+                implicate=self.count_slander(evidence.detector),
                 reason="unsupported",
             )
         self._seen.add(eid)
@@ -157,9 +152,4 @@ class EvidenceLog:
         """
         count = self.invalid_counts.get(signer, 0) + 1
         self.invalid_counts[signer] = count
-        return signer if count >= self.slander_threshold else None
-
-    # -------------------------------------------------------------- queries
-
-    def accused_nodes(self) -> Set[str]:
-        return {e.accused for e in self.accepted}
+        return signer if count >= DEFAULT_SLANDER_THRESHOLD else None

@@ -115,8 +115,8 @@ class EvidenceValidator:
     """Validates evidence records. Stateless; shared by all nodes.
 
     ``roster_lookup`` supplies the current plan's instance->host map for a
-    task (forward-mismatch evidence needs it); ``period`` and
-    ``timing_slack`` define the plan-independent gross-timing rule.
+    task (forward-mismatch evidence needs it); ``period`` and the timing
+    policy's send slack define the plan-independent gross-timing rule.
     """
 
     #: Kinds whose validation depends only on signatures and arithmetic —
@@ -130,20 +130,16 @@ class EvidenceValidator:
     def __init__(self, directory: KeyDirectory,
                  roster_lookup: Optional[Callable[[str], Optional[dict]]]
                  = None,
-                 attribution_threshold: int = DEFAULT_SLOT_THRESHOLD,
                  period: Optional[int] = None,
-                 timing_slack: int = DEFAULT_TIMING.slack_us,
                  attribution_freshness_us: Optional[int] = None) -> None:
         self.directory = directory
         #: Maps a base task name to {instance: host node} under the current
         #: plan (replicas + checker) — needed for forward-mismatch evidence
         #: (which is therefore *plan-dependent*: see OBJECTIVE_KINDS).
         self.roster_lookup = roster_lookup
-        self.attribution_threshold = attribution_threshold
         #: Workload period: timing evidence is valid iff the signed send
         #: offset falls outside [-slack, period + slack].
         self.period = period
-        self.timing_slack = timing_slack
         #: Attributions must cite declarations made within this window
         #: *before their own detected_at* — a plan-independent freshness
         #: rule (every node reaches the same verdict at any time), so a
@@ -257,8 +253,8 @@ class EvidenceValidator:
         # Gross violation only: any offset inside the period could be
         # legitimate under *some* plan, and judging it against one plan
         # would make validation mode-dependent.
-        return not (-self.timing_slack <= offset
-                    <= self.period + self.timing_slack)
+        slack = DEFAULT_TIMING.slack_us
+        return not -slack <= offset <= self.period + slack
 
     def _validate_forward_mismatch(self, evidence: Evidence) -> bool:
         """The accused (a checker host) signed a forwarded value that none
@@ -310,7 +306,7 @@ class EvidenceValidator:
     def _validate_attribution(self, evidence: Evidence) -> bool:
         declarations = [s for s in evidence.statements
                         if s.statement.get("type") == "path_problem"]
-        if len(declarations) < self.attribution_threshold:
+        if len(declarations) < DEFAULT_SLOT_THRESHOLD:
             return False
         if self.attribution_freshness_us is not None:
             earliest = evidence.detected_at - self.attribution_freshness_us
@@ -335,7 +331,7 @@ class EvidenceValidator:
         declarers = {d.signer for d in declarations}
         if evidence.accused in declarers:
             return False
-        return (len(slots) >= self.attribution_threshold
+        return (len(slots) >= DEFAULT_SLOT_THRESHOLD
                 and len(declarers) >= DEFAULT_MIN_DECLARERS)
 
 

@@ -39,10 +39,6 @@ class NodeTransition:
     start: List[str] = field(default_factory=list)
     fetches: List[StateFetch] = field(default_factory=list)
 
-    @property
-    def is_noop(self) -> bool:
-        return not self.stop and not self.start
-
 
 def state_source(instance: str, old_plan: Plan, faulty: Set[str]
                  ) -> Optional[str]:

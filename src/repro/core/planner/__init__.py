@@ -17,9 +17,7 @@ from .serialize import (
 from .strategy import (
     PLANNER_VERSION,
     Strategy,
-    StrategyConfig,
     build_strategy,
-    strategy_candidates,
 )
 
 __all__ = [
@@ -46,7 +44,5 @@ __all__ = [
     "strategy_to_json",
     "PLANNER_VERSION",
     "Strategy",
-    "StrategyConfig",
     "build_strategy",
-    "strategy_candidates",
 ]

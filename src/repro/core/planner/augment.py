@@ -54,9 +54,6 @@ class AugmentConfig:
     #: Replica count per task. BTR uses f+1 (detection); BFT-style masking
     #: baselines pass 3f+1 here with voters instead of checkers.
     replicas: int = 2
-    check_us: int = DEFAULT_CHECK_US
-    #: Extra wire bits per message for the signature.
-    signature_bits: int = Signature.WIRE_BITS
     #: Emit replica→downstream-checker audit copies (BTR needs them to
     #: convict corrupting forwarders; the ZZ-style masking baseline, which
     #: recomputes instead of fast-forwarding, does not).
@@ -65,8 +62,6 @@ class AugmentConfig:
     def __post_init__(self) -> None:
         if self.replicas < 1:
             raise ValueError("need at least one replica")
-        if self.check_us <= 0:
-            raise ValueError("check cost must be positive")
 
 
 def augment(workload: DataflowGraph, params: AugmentConfig) -> DataflowGraph:
@@ -88,7 +83,7 @@ def augment(workload: DataflowGraph, params: AugmentConfig) -> DataflowGraph:
             ))
         tasks.append(Task(
             name=naming.checker_name(task.name),
-            wcet=params.check_us,
+            wcet=DEFAULT_CHECK_US,
             criticality=task.criticality,
             state_bits=0,
         ))
@@ -104,7 +99,7 @@ def augment(workload: DataflowGraph, params: AugmentConfig) -> DataflowGraph:
                 name=naming.replica_output_flow(task.name, i),
                 src=naming.replica_name(task.name, i),
                 dst=naming.checker_name(task.name),
-                size_bits=out_bits + params.signature_bits,
+                size_bits=out_bits + Signature.WIRE_BITS,
                 criticality=task.criticality,
             ))
 
@@ -117,7 +112,7 @@ def augment(workload: DataflowGraph, params: AugmentConfig) -> DataflowGraph:
         return endpoint
 
     for flow in workload.flows:
-        signed_size = flow.size_bits + params.signature_bits
+        signed_size = flow.size_bits + Signature.WIRE_BITS
         src_instance = producer_of(flow.src)
         if flow.dst in workload.tasks:
             # One copy per consumer replica + one for the consumer's checker.

@@ -76,8 +76,3 @@ def replica_index(instance: str) -> Optional[int]:
         return None
     suffix = instance[sep + len(REPLICA_SEP):]
     return int(suffix) if suffix.isdigit() else None
-
-
-def is_primary(instance: str) -> bool:
-    """Replica 0 is the primary: its output is forwarded on the fast path."""
-    return replica_index(instance) == 0

@@ -10,9 +10,10 @@ The placer is a deterministic greedy scorer. Instances are placed base-task
 by base-task in topological order (inputs are already placed, so locality is
 computable). Candidates are scored by::
 
-    score = w_load * projected_load
-          + w_locality * mean_hops_to_input_producers
-          + w_distance * migration_cost_from_parent_plan
+    score = W_LOAD * projected_load
+          + W_LOCALITY * mean_hops_to_input_producers
+          + W_DISTANCE * migration_cost_from_parent_plan
+          + W_EXPOSURE * connectivity_collapse * stranded_state
 
 Hard constraints: instances of the same base task pairwise on distinct
 nodes; no instance on a node in the mode's fault pattern. Lower score wins;
@@ -34,18 +35,22 @@ class PlacementError(Exception):
     """Raised when hard constraints cannot be satisfied."""
 
 
+#: The weights of the score in the module docstring.
+W_LOAD = 1.0
+W_LOCALITY = 0.15
+W_DISTANCE = 0.3
+W_EXPOSURE = 0.3
+
+
 @dataclass(frozen=True)
 class PlacementConfig:
-    """Scoring weights and toggles (the E11/E12/E13 ablations flip them)."""
+    """The planner's ablation toggles (E11/E12/E13 flip them)."""
 
-    w_load: float = 1.0
-    w_locality: float = 0.15
-    w_distance: float = 0.3
-    w_exposure: float = 0.3
+    #: Seed each child plan's placement with its parent's assignment, so
+    #: transitions move little state (ablation E11).
+    minimize_distance: bool = True
     #: Disable the locality heuristic (ablation E12).
     use_locality: bool = True
-    #: Disable parent-plan distance minimisation (ablation E11).
-    use_distance: bool = True
     #: Disable the strategic exposure term (ablation E13). The paper's
     #: chess analogy (§4.1): a plan that parks a big-state task on a node
     #: whose only high-bandwidth connection runs via Y makes the later
@@ -118,7 +123,7 @@ def place(
         for n in eligible:
             collapse = min(node_exposure(topology, n) - 1.0, 10.0)
             if collapse > 0:
-                exposure_cost[n] = config.w_exposure * collapse
+                exposure_cost[n] = W_EXPOSURE * collapse
 
     # Base tasks in topological order of the *original* graph structure so
     # input producers are placed before consumers. The augmented graph's own
@@ -143,9 +148,8 @@ def place(
                 if producer is not None:
                     hop_tables.append(router.hops_from(producer, excluding))
         parent_node = (parent_assignment.get(instance)
-                       if config.use_distance and parent_assignment is not None
-                       else None)
-        move_cost = config.w_distance * (1.0 + task.state_bits / 65536.0)
+                       if parent_assignment is not None else None)
+        move_cost = W_DISTANCE * (1.0 + task.state_bits / 65536.0)
         # Stateful instances risk migrating over the thin fallback; even
         # stateless ones push data-plane flows over it once the fat
         # uplink's neighbour fails.
@@ -154,10 +158,10 @@ def place(
         def score(node: str) -> float:
             projected = ((load[node] + task.wcet) / fg_speed[node]
                          / capacity_us)
-            value = config.w_load * projected
+            value = W_LOAD * projected
             if hop_tables:
                 hops = sum(t.get(node, unreachable) for t in hop_tables)
-                value += config.w_locality * (hops / len(hop_tables))
+                value += W_LOCALITY * (hops / len(hop_tables))
             if parent_node is not None and parent_node != node:
                 # Moving costs (normalised) state transfer.
                 value += move_cost

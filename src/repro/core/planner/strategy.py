@@ -6,7 +6,7 @@ analogy: the plan chosen for pattern {X} constrains which plans are cheaply
 reachable for {X, Y}; the builder therefore constructs plans breadth-first
 by pattern size and seeds each child's placement with its parent's
 assignment so transitions move as little state as possible (toggled by
-``minimize_distance`` for the E11 ablation).
+:attr:`PlacementConfig.minimize_distance` for the E11 ablation).
 
 The strategy is computed entirely offline ("choosing the strategy offline
 seems safer than dynamic rescheduling at runtime") and a copy is installed
@@ -15,7 +15,6 @@ on every node; lookups at runtime are pure dictionary reads.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Set
 
 from ...faults.patterns import (
@@ -34,34 +33,11 @@ from .plan import Plan, augmented_ladder, build_plan
 
 
 #: Version of the planning algorithm itself. Any change that can alter
-#: the plans produced for identical inputs (scoring weights, shedding
-#: order, synthesis tie-breaks, serialisation) must bump this — the
-#: on-disk strategy cache (:mod:`repro.perf.cache`) keys on it, so a
-#: bump invalidates every cached strategy.
+#: the plans produced for identical inputs (scoring weights, lane split,
+#: checker cost, shedding order, synthesis tie-breaks, serialisation)
+#: must bump this — the on-disk strategy cache (:mod:`repro.perf.cache`)
+#: keys on it, so a bump invalidates every cached strategy.
 PLANNER_VERSION = 2
-
-
-@dataclass(frozen=True)
-class StrategyConfig:
-    """Knobs for strategy construction."""
-
-    #: Seed each child plan's placement with its parent's assignment.
-    minimize_distance: bool = True
-    #: Nodes that host sources/sinks are not enumerated as fault patterns
-    #: (the paper's threat focuses on controllers, not sensors/actuators).
-    protect_endpoints: bool = True
-    placement: PlacementConfig = field(default_factory=PlacementConfig)
-
-
-def strategy_candidates(topology: Topology,
-                        params: StrategyConfig) -> List[str]:
-    """The nodes whose failures the strategy anticipates, in canonical
-    (sorted) order."""
-    endpoint_nodes = set(topology.endpoint_map.values())
-    return [
-        n for n in sorted(topology.nodes)
-        if not (params.protect_endpoints and n in endpoint_nodes)
-    ]
 
 
 class Strategy:
@@ -140,7 +116,7 @@ def build_strategy(
     router: Router,
     f: int,
     lane_model: Optional[LaneModel] = None,
-    config: Optional[StrategyConfig] = None,
+    config: Optional[PlacementConfig] = None,
     augment_config: Optional[AugmentConfig] = None,
 ) -> Strategy:
     """Compute plans for every fault pattern of size ≤ f. Raises
@@ -148,11 +124,16 @@ def build_strategy(
     after shedding."""
     if f < 0:
         raise ValueError("f must be >= 0")
-    config = config or StrategyConfig()
+    config = config or PlacementConfig()
     lane_model = lane_model or LaneModel(topology)
     augment_config = augment_config or AugmentConfig(replicas=f + 1)
 
-    candidates = strategy_candidates(topology, config)
+    # The failures the strategy anticipates, in canonical order. Nodes
+    # that host sources/sinks are not among them: the paper's threat
+    # focuses on controllers, not sensors/actuators.
+    endpoint_nodes = set(topology.endpoint_map.values())
+    candidates = [n for n in sorted(topology.nodes)
+                  if n not in endpoint_nodes]
     ladder = augmented_ladder(workload, augment_config)
     plans: Dict[FaultPattern, Plan] = {}
     for pattern in all_patterns_up_to(candidates, f):
@@ -167,7 +148,7 @@ def build_strategy(
         plans[pattern] = build_plan(
             workload, pattern, topology, router, f,
             lane_model=lane_model,
-            placement_config=config.placement,
+            placement_config=config,
             parent_assignment=parent_assignment,
             ladder=ladder,
         )

@@ -34,7 +34,7 @@ from functools import partial
 from typing import Dict, List, Optional, Set, Tuple
 
 from ...crypto.authenticator import AuthenticatedStatement
-from ...crypto.costs import DEFAULT_COSTS
+from ...crypto.costs import VERIFY_US
 from ...crypto.signatures import Signature
 from ...faults.behaviors import FaultBehavior
 from ...sim.message import Message, MessageKind
@@ -935,7 +935,7 @@ class NodeAgent:
                 return
             if not self.log.note_evidence(record):
                 return
-            cost = DEFAULT_COSTS.verify_us * (2 + len(record.statements))
+            cost = VERIFY_US * (2 + len(record.statements))
             self.node.execute(
                 self.sim, cost,
                 callback=lambda: self._handle_evidence(
@@ -949,7 +949,7 @@ class NodeAgent:
             if not self.log.note_declaration(record):
                 return
             self.node.execute(
-                self.sim, DEFAULT_COSTS.verify_us,
+                self.sim, VERIFY_US,
                 callback=lambda: self._handle_declaration(record, src),
                 lane="ctrl",
             )

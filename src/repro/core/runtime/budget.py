@@ -23,8 +23,11 @@ achievable R into its stages::
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Dict
 
-from ...crypto.costs import DEFAULT_COSTS
+import networkx as nx
+
+from ...crypto.costs import VERIFY_US
 from ...net.topology import Topology
 from ...sched.lanes import LaneModel
 from ...sim.message import MessageKind
@@ -54,6 +57,17 @@ class RecoveryBudget:
         return (self.detection_us + self.distribution_us
                 + self.switch_us + self.settling_us)
 
+    def to_dict(self) -> Dict[str, int]:
+        """The four components and their total, as obs reports and
+        bounds reports carry them."""
+        return {
+            "detection_us": int(self.detection_us),
+            "distribution_us": int(self.distribution_us),
+            "switch_us": int(self.switch_us),
+            "settling_us": int(self.settling_us),
+            "total_us": int(self.total_us),
+        }
+
 
 def recovery_bound_for_deadline(deadline_us: int, f: int) -> int:
     """The paper's R := D/f rule."""
@@ -63,43 +77,34 @@ def recovery_bound_for_deadline(deadline_us: int, f: int) -> int:
 
 
 def distribution_bound(topology: Topology, lane_model: LaneModel,
-                       evidence_bits: int = EVIDENCE_BITS,
                        metrics=None) -> int:
     """Worst-case time for valid evidence to reach every correct node.
 
     Evidence floods hop-by-hop on reserved EVIDENCE lanes; each hop costs
-    one lane transmission, propagation, and a full validation on the
-    receiver's control lane before re-forwarding.
+    one lane transmission of :data:`EVIDENCE_BITS`, propagation, and a
+    full validation on the receiver's control lane before re-forwarding.
 
     Falls back to node count (a safe over-estimate of the diameter) when
-    networkx is unavailable or the graph is not connected; each fallback
-    is counted on ``metrics`` as ``budget_diameter_fallback{reason}`` so a
+    the graph is not connected; each fallback is counted on ``metrics``
+    as ``budget_diameter_fallback{reason=not_connected}`` so a
     silently-pessimised budget stays visible.
     """
     try:
-        import networkx as nx
-    except ImportError:
+        diameter = nx.diameter(topology.graph)
+    except (nx.NetworkXError, ValueError):
+        # Disconnected / empty graphs have no finite diameter.
         diameter = len(topology.nodes)
         if metrics is not None:
-            metrics.inc("budget_diameter_fallback", reason="no_networkx")
-    else:
-        try:
-            diameter = nx.diameter(topology.graph)
-        except (nx.NetworkXError, ValueError):
-            # Disconnected / empty graphs have no finite diameter.
-            diameter = len(topology.nodes)
-            if metrics is not None:
-                metrics.inc("budget_diameter_fallback",
-                            reason="not_connected")
+            metrics.inc("budget_diameter_fallback", reason="not_connected")
     worst_hop = 0
     for link in topology.links.values():
         tx = lane_model.transmission_us(link, MessageKind.EVIDENCE,
-                                        evidence_bits)
+                                        EVIDENCE_BITS)
         worst_hop = max(worst_hop, tx + link.propagation_us)
     min_ctrl_speed = min(
         node.lanes["ctrl"].speed for node in topology.nodes.values()
     )
-    verify = int(DEFAULT_COSTS.verify_us * 6 / max(min_ctrl_speed, 1e-9))
+    verify = int(VERIFY_US * 6 / max(min_ctrl_speed, 1e-9))
     return diameter * (worst_hop + verify)
 
 
@@ -113,12 +118,12 @@ def detection_bound(period: int, confusion_us: int = 0) -> int:
     """
     commission = period  # caught by the next checker run
     # Omission: declarations accumulate one slot per broken edge per
-    # period; the threshold is reached after at most slot_threshold
-    # periods (real faults break several edges at once, so usually less).
+    # period; the threshold is reached after at most
+    # DEFAULT_SLOT_THRESHOLD periods (real faults break several edges at once, so usually less).
     # Extra periods cover the single-adjacency machinery (link-vs-node
     # disambiguation): a silent node needs two more corroborating slots,
     # and an *alive* evader hiding behind the link excuse is escalated
-    # only after its charges span slot_threshold + 2 distinct periods.
+    # only after its charges span DEFAULT_SLOT_THRESHOLD + 2 periods.
     omission = ((2 * DEFAULT_SLOT_THRESHOLD + 3) * period
                 + DEFAULT_TIMING.arrival_slack_us + OMISSION_GRACE_US)
     return confusion_us + max(commission, omission)

@@ -49,9 +49,8 @@ from ...sim.trace import (
     Trace,
 )
 from ...workload.dataflow import DataflowGraph
-from ..planner.strategy import Strategy, StrategyConfig, build_strategy
+from ..planner.strategy import Strategy, build_strategy
 from ..planner.placement import PlacementConfig
-from ..planner.augment import AugmentConfig
 from .agent import NodeAgent
 from .budget import RecoveryBudget, compute_budget
 from .config import BTRConfig
@@ -174,17 +173,11 @@ class BTRSystem:
         strategy offline seems safer" argument only holds if the offline
         artifact is itself audited before installation.
         """
-        strategy_config = StrategyConfig(
+        self.strategy = self._obtain_strategy(PlacementConfig(
             minimize_distance=self.config.minimize_distance,
-            placement=PlacementConfig(
-                use_locality=self.config.use_locality,
-                use_distance=self.config.minimize_distance,
-                use_exposure=self.config.strategic_placement,
-            ),
-        )
-        augment_config = AugmentConfig(replicas=self.config.f + 1)
-        self.strategy = self._obtain_strategy(strategy_config,
-                                              augment_config)
+            use_locality=self.config.use_locality,
+            use_exposure=self.config.strategic_placement,
+        ))
         if strict:
             # Imported lazily: repro.verify depends on the planner layer,
             # and nothing on the non-strict path should pay for it.
@@ -209,8 +202,8 @@ class BTRSystem:
             )
         return self.budget
 
-    def _obtain_strategy(self, strategy_config: StrategyConfig,
-                         augment_config: AugmentConfig) -> Strategy:
+    def _obtain_strategy(self, planner_config: PlacementConfig
+                         ) -> Strategy:
         """The cached strategy if ``config.cache`` holds one, otherwise
         a planned one (stored on the way out); ``self.plan_stats`` records
         which. The perf layer imports the planner, hence the late import.
@@ -225,11 +218,7 @@ class BTRSystem:
         if cfg.cache:
             cache = StrategyCache(cfg.cache)
             stats.cache_key = strategy_cache_key(
-                self.workload, self.topology, cfg.f,
-                strategy_config=strategy_config,
-                augment_config=augment_config,
-                lane_fractions=self.lane_model.fractions,
-            )
+                self.workload, self.topology, cfg.f, planner_config)
             strategy = cache.load(stats.cache_key)
             if cache.quarantined:
                 # A corrupt on-disk entry was set aside and treated as a
@@ -241,8 +230,7 @@ class BTRSystem:
         if strategy is None:
             strategy = build_strategy(
                 self.workload, self.topology, self.router, cfg.f,
-                lane_model=self.lane_model, config=strategy_config,
-                augment_config=augment_config,
+                lane_model=self.lane_model, config=planner_config,
             )
             stats.plans_computed = len(strategy)
             if cache is not None:

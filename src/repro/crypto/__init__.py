@@ -1,7 +1,7 @@
 """Simulated cryptography: signatures, authenticated statements, costs."""
 
 from .authenticator import AuthenticatedStatement, digest
-from .costs import DEFAULT_COSTS, CryptoCosts
+from .costs import VERIFY_US
 from .memo import VerifyMemo
 from .signatures import (
     KeyDirectory,
@@ -13,8 +13,7 @@ from .signatures import (
 __all__ = [
     "AuthenticatedStatement",
     "digest",
-    "DEFAULT_COSTS",
-    "CryptoCosts",
+    "VERIFY_US",
     "KeyDirectory",
     "Signature",
     "SignatureError",

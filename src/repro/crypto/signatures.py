@@ -7,8 +7,8 @@ exactly this — the fault injectors only hand compromised nodes *their own*
 keys, so a compromised node cannot forge statements by correct nodes, which
 is the property all of §4.2–4.3 rests on.
 
-CPU cost of signing/verifying is charged separately in *simulated* time via
-:class:`~repro.crypto.costs.CryptoCosts`; the Python-level HMAC here is just
+CPU cost of verifying is charged separately in *simulated* time via
+:data:`~repro.crypto.costs.VERIFY_US`; the Python-level HMAC here is just
 the soundness mechanism.
 """
 

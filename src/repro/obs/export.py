@@ -28,18 +28,6 @@ from .recovery import (
 REPORT_VERSION = 1
 
 
-def _budget_dict(budget) -> Optional[Dict[str, int]]:
-    if budget is None:
-        return None
-    return {
-        "detection_us": int(budget.detection_us),
-        "distribution_us": int(budget.distribution_us),
-        "switch_us": int(budget.switch_us),
-        "settling_us": int(budget.settling_us),
-        "total_us": int(budget.total_us),
-    }
-
-
 def run_report(result, timelines: Optional[List[FaultTimeline]] = None
                ) -> Dict[str, object]:
     """A JSON-ready observability report for one run.
@@ -55,7 +43,8 @@ def run_report(result, timelines: Optional[List[FaultTimeline]] = None
         "period_us": result.workload.period,
         "n_periods": result.n_periods,
         "duration_us": result.duration_us,
-        "budget": _budget_dict(result.budget),
+        "budget": (result.budget.to_dict()
+                   if result.budget is not None else None),
         "faults": [t.to_dict() for t in timelines],
         "metrics": result.metrics or {},
         "trace_counts": result.trace.kind_counts(),

@@ -110,18 +110,6 @@ class MetricsRegistry:
     def counter_value(self, name: str, **labels: object) -> int:
         return self._counters.get((name, _labels_key(labels)), 0)
 
-    def counter_total(self, name: str) -> int:
-        """Sum of ``name`` across every label combination."""
-        return sum(v for (n, _), v in self._counters.items() if n == name)
-
-    def counters_named(self, name: str) -> Dict[str, int]:
-        """All label combinations of ``name`` (rendered), sorted."""
-        out = {}
-        for (n, labels), value in sorted(self._counters.items()):
-            if n == name:
-                out[render_key(n, labels)] = value
-        return out
-
     # -------------------------------------------------------------- gauges
 
     def set_gauge(self, name: str, value: object, **labels: object) -> None:

@@ -25,20 +25,15 @@ import json
 import os
 from typing import Any, Dict, Optional
 
-from ..core.planner.augment import AugmentConfig
+from ..core.planner.placement import PlacementConfig
 from ..core.planner.serialize import (
     FORMAT_VERSION,
     StrategyFormatError,
     strategy_from_json,
     strategy_to_json,
 )
-from ..core.planner.strategy import (
-    PLANNER_VERSION,
-    Strategy,
-    StrategyConfig,
-)
+from ..core.planner.strategy import PLANNER_VERSION, Strategy
 from ..net.topology import Topology
-from ..sched.lanes import LaneFractions
 from ..workload.dataflow import DataflowGraph
 
 #: Environment variable naming a default cache directory. The benchmark
@@ -99,23 +94,16 @@ def strategy_cache_key(
     workload: DataflowGraph,
     topology: Topology,
     f: int,
-    strategy_config: Optional[StrategyConfig] = None,
-    augment_config: Optional[AugmentConfig] = None,
-    lane_fractions: Optional[LaneFractions] = None,
+    config: Optional[PlacementConfig] = None,
 ) -> str:
     """The content key for one planning problem (64 hex chars)."""
-    strategy_config = strategy_config or StrategyConfig()
-    augment_config = augment_config or AugmentConfig(replicas=f + 1)
-    lane_fractions = lane_fractions or LaneFractions()
     payload = {
         "planner_version": PLANNER_VERSION,
         "format_version": FORMAT_VERSION,
         "workload": _workload_fingerprint(workload),
         "topology": _topology_fingerprint(topology),
         "f": f,
-        "strategy_config": dataclasses.asdict(strategy_config),
-        "augment_config": dataclasses.asdict(augment_config),
-        "lane_fractions": dataclasses.asdict(lane_fractions),
+        "planner_config": dataclasses.asdict(config or PlacementConfig()),
     }
     canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()

@@ -10,7 +10,7 @@ from .analysis import (
     rta_schedulable,
     total_utilization,
 )
-from .lanes import LaneFractions, LaneModel
+from .lanes import LANE_FRACTIONS, LaneModel
 from .mixed_criticality import (
     MCTask,
     keep_levels,
@@ -35,7 +35,7 @@ __all__ = [
     "rm_utilization_bound",
     "rta_schedulable",
     "total_utilization",
-    "LaneFractions",
+    "LANE_FRACTIONS",
     "LaneModel",
     "MCTask",
     "keep_levels",

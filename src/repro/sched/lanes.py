@@ -17,53 +17,32 @@ agree, which is what makes the planner's feasibility check meaningful.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from types import MappingProxyType
 
 from ..sim.link import Link
 from ..sim.message import MessageKind
 from ..net.topology import Topology
 
 
-#: Which lane a traffic class rides.
-_LANE_OF_KIND = {
-    MessageKind.DATA: "data",
-    MessageKind.STATE: "state",
-    MessageKind.EVIDENCE: "evidence",
-    MessageKind.CONTROL: "control",
-}
-
-
-@dataclass(frozen=True)
-class LaneFractions:
-    """Fraction of each link's raw bandwidth granted to each traffic class."""
-
-    data: float = 0.5
-    state: float = 0.2
-    evidence: float = 0.15
-    control: float = 0.15
-
-    def __post_init__(self) -> None:
-        total = self.data + self.state + self.evidence + self.control
-        if total > 1.0 + 1e-9:
-            raise ValueError(f"lane fractions sum to {total} > 1")
-        if min(self.data, self.state, self.evidence, self.control) <= 0:
-            raise ValueError("all lane fractions must be positive")
-
-    def for_kind(self, kind: MessageKind) -> float:
-        return getattr(self, _LANE_OF_KIND[kind])
+#: Fraction of each link's raw bandwidth granted to each traffic class,
+#: in the order :meth:`LaneModel.install` allocates the lanes.
+LANE_FRACTIONS = MappingProxyType({
+    MessageKind.DATA: 0.5,
+    MessageKind.STATE: 0.2,
+    MessageKind.EVIDENCE: 0.15,
+    MessageKind.CONTROL: 0.15,
+})
 
 
 class LaneModel:
     """Derives per-sender lane shares and rates for a topology."""
 
-    def __init__(self, topology: Topology,
-                 fractions: LaneFractions | None = None) -> None:
+    def __init__(self, topology: Topology) -> None:
         self.topology = topology
-        self.fractions = fractions or LaneFractions()
 
     def share(self, link: Link, kind: MessageKind) -> float:
         """Share of ``link`` for one sender's lane of class ``kind``."""
-        return self.fractions.for_kind(kind) / len(link.endpoints)
+        return LANE_FRACTIONS[kind] / len(link.endpoints)
 
     def rate_bits_per_us(self, link: Link, kind: MessageKind) -> float:
         """Serialization rate of one sender's lane, in bits per µs."""
@@ -79,6 +58,5 @@ class LaneModel:
         """Allocate every lane on every link per this model (idempotent)."""
         for _, link in sorted(self.topology.links.items()):
             for sender in link.endpoints:
-                for kind in (MessageKind.DATA, MessageKind.STATE,
-                             MessageKind.EVIDENCE, MessageKind.CONTROL):
+                for kind in LANE_FRACTIONS:
                     link.allocate_lane(sender, kind, self.share(link, kind))

@@ -64,11 +64,6 @@ class GlobalSchedule:
             return None
         return self.node_schedules[node].slot_for(task)
 
-    def final_hop(self, flow: str) -> Optional[PlannedTransmission]:
-        """The last planned hop of ``flow`` (None for node-local flows)."""
-        hops = [t for t in self.transmissions if t.flow == flow]
-        return hops[-1] if hops else None
-
     def makespan(self) -> int:
         ends = [s.busy_until()
                 for _, s in sorted(self.node_schedules.items())]
@@ -78,10 +73,6 @@ class GlobalSchedule:
     def total_bits(self) -> int:
         """Bits scheduled on links per period (network cost metric)."""
         return sum(t.size_bits for t in self.transmissions)
-
-    def utilization_by_node(self) -> Dict[str, float]:
-        return {n: s.utilization()
-                for n, s in sorted(self.node_schedules.items())}
 
 
 def _effective_fg_speed(topology: Topology, node_id: str) -> float:

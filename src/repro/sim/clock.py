@@ -53,11 +53,6 @@ class LocalClock:
         """Signed difference local − true at ``true_time``."""
         return self.read(true_time) - true_time
 
-    def adjust(self, true_time: int, correction: int) -> None:
-        """Step the clock by ``correction`` µs (applied by clock sync)."""
-        self._anchor_local = self.read(true_time) + correction
-        self._anchor_true = true_time
-
     def synchronize_to(self, true_time: int, reference: int) -> None:
         """Step the clock so it reads ``reference`` at ``true_time``."""
         self._anchor_local = reference

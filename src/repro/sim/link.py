@@ -105,11 +105,6 @@ class Link:
     def lane(self, sender: str, kind: MessageKind) -> Optional[Lane]:
         return self._lanes.get((sender, kind))
 
-    def release_lane(self, sender: str, kind: MessageKind) -> None:
-        lane = self._lanes.pop((sender, kind), None)
-        if lane:
-            self._allocated -= lane.share
-
     @property
     def allocated_fraction(self) -> float:
         return self._allocated

@@ -75,8 +75,6 @@ class Node:
         speed: float = 1.0,
         clock: Optional[LocalClock] = None,
         control_share: float = DEFAULT_CONTROL_SHARE,
-        is_source: bool = False,
-        is_sink: bool = False,
         region: Optional[str] = None,
     ) -> None:
         if not 0.0 < control_share < 1.0:
@@ -87,8 +85,9 @@ class Node:
         #: deployments.
         self.region = region
         self.clock = clock or LocalClock()
-        self.is_source = is_source
-        self.is_sink = is_sink
+        #: Set when the topology places a source / sink endpoint here.
+        self.is_source = False
+        self.is_sink = False
         #: Foreground lane runs workload tasks; control lane runs BTR tasks.
         self.lanes: Dict[str, CpuLane] = {
             "fg": CpuLane("fg", speed * (1.0 - control_share)),

@@ -39,7 +39,7 @@ speeds, drift ppm) are scaled up front through :func:`_milli`.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import (Callable, Dict, FrozenSet, List, Mapping, Optional,
+from typing import (Callable, Dict, FrozenSet, List, Optional,
                     Sequence, Tuple)
 
 from ...core.detector.omission import (
@@ -54,7 +54,7 @@ from ...core.planner.plan import Plan
 from ...core.planner.strategy import Strategy
 from ...core.runtime.budget import EVIDENCE_BITS
 from ...core.runtime.config import BTRConfig
-from ...crypto.costs import DEFAULT_COSTS
+from ...crypto.costs import VERIFY_US
 from ...net.routing import Router
 from ...net.topology import Topology
 from ...obs.recovery import PHASES
@@ -246,10 +246,8 @@ def _evidence_hop_us(topology: Topology,
     speeds = [_milli(node.lanes["ctrl"].speed)
               for node in topology.nodes.values()]
     min_speed = min(speeds, default=1000)
-    verify = _ceil_div(DEFAULT_COSTS.verify_us * 6 * 1000,
-                       max(min_speed, 1))
-    decl_verify = _ceil_div(DEFAULT_COSTS.verify_us * 1000,
-                            max(min_speed, 1))
+    verify = _ceil_div(VERIFY_US * 6 * 1000, max(min_speed, 1))
+    decl_verify = _ceil_div(VERIFY_US * 1000, max(min_speed, 1))
     return worst_hop, verify, decl_verify
 
 
@@ -556,15 +554,8 @@ def compute_bounds(strategy: Strategy, topology: Topology,
                 victim_totals=dict(victim_totals[fault_class])))
 
     R_us = config.R_us if config.R_us is not None else budget.total_us
-    budget_dict: Mapping[str, int] = {
-        "detection_us": budget.detection_us,
-        "distribution_us": budget.distribution_us,
-        "switch_us": budget.switch_us,
-        "settling_us": budget.settling_us,
-        "total_us": budget.total_us,
-    }
     return BoundsReport(period_us=period, f=strategy.f, R_us=R_us,
-                        budget=budget_dict, entries=tuple(entries))
+                        budget=budget.to_dict(), entries=tuple(entries))
 
 
 __all__ = ["ConvictionProfile", "conviction_profile", "compute_bounds"]

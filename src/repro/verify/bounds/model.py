@@ -101,9 +101,6 @@ class BoundsReport:
     budget: Mapping[str, int]
     entries: Tuple[ClassBound, ...]
 
-    def for_mode(self, mode: str) -> List[ClassBound]:
-        return [e for e in self.entries if e.mode == mode]
-
     def for_class(self, fault_class: str) -> List[ClassBound]:
         return [e for e in self.entries if e.fault_class == fault_class]
 

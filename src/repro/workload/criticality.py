@@ -39,8 +39,3 @@ class Criticality(enum.Enum):
     def ordered(cls) -> list["Criticality"]:
         """Levels from most to least critical."""
         return [cls.A, cls.B, cls.C, cls.D]
-
-    @classmethod
-    def shedding_order(cls) -> list["Criticality"]:
-        """Levels in the order the planner sheds them (least critical first)."""
-        return [cls.D, cls.C, cls.B, cls.A]

@@ -35,6 +35,7 @@ import hashlib
 import json
 import os
 import re
+import sys
 
 from repro import BTRConfig, BTRSystem
 from repro.cli import BASELINES, WORKLOADS, make_topology
@@ -85,8 +86,19 @@ def digest(system, result) -> dict:
 
 @functools.lru_cache(maxsize=None)
 def _committed(path: str = PATH) -> dict:
+    """The ``cells`` of a digest file; ``ValueError`` unless the file is
+    an object whose ``cells`` object maps each key to an object."""
     with open(path) as f:
-        return json.load(f)["cells"]
+        data = json.load(f)
+    if not isinstance(data, dict):
+        raise ValueError("not a JSON object")
+    cells = data.get("cells")
+    if not isinstance(cells, dict):
+        raise ValueError('no "cells" object')
+    for key, cell in cells.items():
+        if not isinstance(cell, dict):
+            raise ValueError(f"cell {key!r} is not an object")
+    return cells
 
 
 def expected(key: str) -> dict:
@@ -258,7 +270,8 @@ def write(path: str, cells: dict, source: str) -> None:
 
 def main() -> None:
     """``python -m tests.golden [engine|planner|baseline]``: verify every
-    cell of the named file, or of all of them (exit 1 on a mismatch).
+    cell of the named file, or of all of them (exit 1 on a mismatch, 2
+    on a digest file it cannot read).
     With ``--write SOURCE``: rewrite instead, with SOURCE (sha + why the
     digests were meant to change) as the file's origin."""
     parser = argparse.ArgumentParser(prog="python -m tests.golden")
@@ -268,8 +281,20 @@ def main() -> None:
     args = parser.parse_args()
     if args.write and not args.file:
         parser.error("--write regenerates one file: name it")
+    names = [args.file] if args.file else list(FILES)
+    # Read every file to compare (and the engine file, which is its own
+    # grid) before recomputing any cell.
+    for name in names:
+        path = FILES[name][0]
+        if not args.write or name == "engine":
+            try:
+                _committed(path)
+            except (OSError, ValueError) as exc:
+                print(f"tests.golden: cannot read {path}: {exc}",
+                      file=sys.stderr)
+                raise SystemExit(2)
     failed = False
-    for name in [args.file] if args.file else FILES:
+    for name in names:
         path, run, keys = FILES[name]
         cells = {key: run(key) for key in keys()}
         if args.write:

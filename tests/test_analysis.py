@@ -59,10 +59,11 @@ def test_oracle_matches_manual_evaluation():
     value = oracle.sink_value("valve_cmd", 3)
     assert value == oracle.sink_value("valve_cmd", 3)  # cached & stable
     assert value != oracle.sink_value("valve_cmd", 4)
-    # Spot check: p_filter's value derives from the pressure sensor.
+    # Spot check: safety_mon reads the pressure sensor directly.
     from repro.workload import sensor_reading
-    p = compute_output("p_filter", 3, [sensor_reading("pressure_sensor", 3)])
-    assert oracle.task_value("p_filter", 3) == p
+    p = compute_output("safety_mon", 3,
+                       [sensor_reading("pressure_sensor", 3)])
+    assert oracle.sink_value("safety_cmd", 3) == p
 
 
 # ---------------------------------------------------------------- verdicts

@@ -88,7 +88,7 @@ def test_report_covers_every_mode_and_class(industrial_system,
                 if len(p) < strategy.f}
     assert modes == expected
     for mode in modes:
-        assert {e.fault_class for e in report.for_mode(mode)} \
+        assert {e.fault_class for e in report.entries if e.mode == mode} \
             == set(FAULT_CLASSES)
     for entry in report.entries:
         assert set(entry.phases) == set(PHASES)

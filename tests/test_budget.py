@@ -1,11 +1,15 @@
 """Unit tests for recovery-budget accounting (R := D/f and friends)."""
 
 import dataclasses
+import inspect
 
 import networkx as nx
 import pytest
 
 from repro import BTRConfig, BTRSystem
+from repro.core.detector import BlameTracker, TimingPolicy
+from repro.core.evidence import EvidenceLog, EvidenceValidator
+from repro.core.planner import AugmentConfig, PlacementConfig
 from repro.core.runtime.budget import (
     compute_budget,
     detection_bound,
@@ -32,11 +36,28 @@ def test_r_rule_rejects_nonsense():
 
 
 def test_config_keeps_only_fields_callers_set():
-    # A field exists only when two non-test callers need different values.
-    assert [f.name for f in dataclasses.fields(BTRConfig)] == [
+    # A setting exists only when two non-test callers need different
+    # values; every other value is one module constant.
+    def fields(cls):
+        return [f.name for f in dataclasses.fields(cls)]
+
+    def parameters(cls):
+        return list(inspect.signature(cls).parameters)
+
+    assert fields(BTRConfig) == [
         "f", "R_us", "seed", "clock_drift_ppm", "minimize_distance",
         "use_locality", "strategic_placement", "cache", "trace_mode",
     ]
+    assert fields(PlacementConfig) == [
+        "minimize_distance", "use_locality", "use_exposure"]
+    assert fields(AugmentConfig) == ["replicas", "audit_flows"]
+    # No threshold, slack or lane fraction is a constructor argument.
+    assert parameters(TimingPolicy) == []
+    assert parameters(BlameTracker) == ["liveness", "metrics"]
+    assert parameters(EvidenceValidator) == [
+        "directory", "roster_lookup", "period", "attribution_freshness_us"]
+    assert parameters(EvidenceLog) == ["node", "validator", "metrics"]
+    assert parameters(LaneModel) == ["topology"]
 
 
 def test_distribution_bound_grows_with_diameter():

@@ -4,14 +4,15 @@ import pytest
 from hypothesis import given, strategies as st
 
 from repro.core.detector import (
+    DEFAULT_SLOT_THRESHOLD,
     BlameTracker,
     OK,
     SELF_INCRIMINATING,
     SUSPICIOUS_ARRIVAL,
-    TimingPolicy,
     build_output_statement,
     run_check,
 )
+from repro.core.detector.timing import DEFAULT_TIMING
 from repro.core.evidence import input_digest, make_declaration
 from repro.core.planner.plan import Plan
 from repro.core.detector.checker import (
@@ -139,7 +140,7 @@ class _Slot:
 class PlanStub:
     """Minimal plan: one task-produced flow copy plus a source flow."""
 
-    # The real table behind TimingPolicy.send_window, over the stub's
+    # The real table behind DEFAULT_TIMING.send_window, over the stub's
     # flows / tasks / slots.
     _send_offsets = None
     planned_send_offset = Plan.planned_send_offset
@@ -159,38 +160,35 @@ class PlanStub:
 
 
 def test_timing_judgement_ok():
-    policy = TimingPolicy(slack_us=200, arrival_slack_us=300)
     plan = PlanStub()
-    assert policy.judge(plan, "f", "f@r0", claimed_send_offset=1_100,
-                        actual_arrival_offset=1_500) == OK
+    assert DEFAULT_TIMING.judge(plan, "f", "f@r0", claimed_send_offset=1_100,
+                                actual_arrival_offset=1_500) == OK
 
 
 def test_timing_self_incriminating():
-    policy = TimingPolicy(slack_us=200)
     plan = PlanStub()
-    assert policy.judge(plan, "f", "f@r0", claimed_send_offset=5_000,
-                        actual_arrival_offset=5_400) == SELF_INCRIMINATING
+    assert DEFAULT_TIMING.judge(plan, "f", "f@r0", claimed_send_offset=5_000,
+                                actual_arrival_offset=5_400
+                                ) == SELF_INCRIMINATING
 
 
 def test_timing_suspicious_arrival():
-    policy = TimingPolicy(slack_us=200, arrival_slack_us=300)
     plan = PlanStub()
     # Claimed send time fine, but arrival way past the deadline.
-    assert policy.judge(plan, "f", "f@r0", claimed_send_offset=1_050,
-                        actual_arrival_offset=9_000) == SUSPICIOUS_ARRIVAL
+    assert DEFAULT_TIMING.judge(plan, "f", "f@r0", claimed_send_offset=1_050,
+                                actual_arrival_offset=9_000
+                                ) == SUSPICIOUS_ARRIVAL
 
 
 def test_timing_source_flow_window_is_period_start():
-    policy = TimingPolicy(slack_us=200)
-    plan = PlanStub()
-    assert policy.send_window(plan, "sens") == (-200, 200)
+    slack = DEFAULT_TIMING.slack_us
+    assert DEFAULT_TIMING.send_window(PlanStub(), "sens") == (-slack, slack)
 
 
 def test_timing_unknown_flow_has_no_window():
-    policy = TimingPolicy()
     plan = PlanStub()
-    assert policy.send_window(plan, "ghost") is None
-    assert policy.judge(plan, "ghost", "ghost", 0, 0) == OK
+    assert DEFAULT_TIMING.send_window(plan, "ghost") is None
+    assert DEFAULT_TIMING.judge(plan, "ghost", "ghost", 0, 0) == OK
 
 
 # ---------------------------------------------------------------- templates
@@ -238,7 +236,7 @@ def test_forward_template_equals_canonical_bytes(flow, period, value,
 
 
 def test_blame_attribution_basic(directory):
-    tracker = BlameTracker(slot_threshold=3, min_declarers=2)
+    tracker = BlameTracker()
     for period, declarer in ((1, "w1"), (2, "w1"), (1, "w2")):
         tracker.add_declaration(make_declaration(
             directory, declarer, ["bad", declarer], "f", period, 0))
@@ -249,7 +247,7 @@ def test_blame_attribution_basic(directory):
 
 
 def test_blame_single_declarer_never_attributes(directory):
-    tracker = BlameTracker(slot_threshold=2, min_declarers=2)
+    tracker = BlameTracker()
     for period in range(10):
         tracker.add_declaration(make_declaration(
             directory, "w1", ["bad", "w1"], "f", period, 0))
@@ -267,7 +265,7 @@ def test_blame_declarer_not_charged_by_own_declaration(directory):
 def test_blame_slander_cannot_convict(directory):
     # "bad" floods declarations against w1's paths; w1 stays safe because
     # all charges come from a single declarer.
-    tracker = BlameTracker(slot_threshold=2, min_declarers=2)
+    tracker = BlameTracker()
     for period in range(5):
         tracker.add_declaration(make_declaration(
             directory, "bad", ["w1", "bad"], "f", period, 0))
@@ -284,21 +282,15 @@ def test_blame_supporting_declarations(directory):
     assert len(support) == 1 and support[0].signer == "w1"
 
 
-def test_blame_threshold_validation():
-    with pytest.raises(ValueError):
-        BlameTracker(slot_threshold=0)
-
-
 def test_blame_single_adjacency_withholds_for_live_nodes(directory):
     """Charges all consistent with one link + the node demonstrably alive
     => withhold (it may be the link, not the node)."""
-    tracker = BlameTracker(slot_threshold=2, min_declarers=2,
-                           liveness=lambda n: True)
+    tracker = BlameTracker(liveness=lambda n: True)
     for period, declarer in ((1, "w1"), (1, "w2"), (2, "w1")):
         tracker.add_declaration(make_declaration(
             directory, declarer, ["bad", "chk", declarer], "f", period, 0))
     # All paths have "bad" adjacent only to "chk".
-    assert tracker.charges_against("bad") >= 2
+    assert tracker.charges_against("bad") >= DEFAULT_SLOT_THRESHOLD
     assert tracker.newly_attributable() == []
 
 
@@ -307,9 +299,8 @@ def test_blame_single_adjacency_escalates_when_sustained(directory):
     escalate to attribution even for a live node. ("chk", the common
     neighbour, also declares — charging only "bad" — which is what makes
     "bad" strictly dominant, as in the real ring scenarios.)"""
-    tracker = BlameTracker(slot_threshold=2, min_declarers=2,
-                           liveness=lambda n: True)
-    for period in range(6):  # span >= slot_threshold + 2 periods
+    tracker = BlameTracker(liveness=lambda n: True)
+    for period in range(DEFAULT_SLOT_THRESHOLD + 2):  # the sustained span
         tracker.add_declaration(make_declaration(
             directory, "chk", ["bad", "chk"], "f", period, 0))
         tracker.add_declaration(make_declaration(
@@ -323,28 +314,26 @@ def test_blame_dead_node_needs_extra_slots_on_single_adjacency(directory):
     a dead node whose traffic all routed via one neighbour ("chk"): the
     neighbour's own declarations (charging only the dead node) are what
     break the dominance tie."""
-    tracker = BlameTracker(slot_threshold=2, min_declarers=2,
-                           liveness=lambda n: False)
-    tracker.add_declaration(make_declaration(
-        directory, "chk", ["bad", "chk"], "f", 1, 0))
+    tracker = BlameTracker(liveness=lambda n: False)
     tracker.add_declaration(make_declaration(
         directory, "w1", ["bad", "chk", "w1"], "f", 1, 0))
-    tracker.add_declaration(make_declaration(
-        directory, "chk", ["bad", "chk"], "f", 2, 0))
-    # Threshold (2 slots, 2 declarers) met; patience (threshold+2) not.
-    assert tracker.charges_against("bad") == 3
+    for period in range(1, DEFAULT_SLOT_THRESHOLD + 1):
+        tracker.add_declaration(make_declaration(
+            directory, "chk", ["bad", "chk"], "f", period, 0))
+    # Threshold (slots, 2 declarers) met; patience (threshold+2) not.
+    assert tracker.charges_against("bad") == DEFAULT_SLOT_THRESHOLD + 1
     assert tracker.newly_attributable() == []
     tracker.add_declaration(make_declaration(
-        directory, "chk", ["bad", "chk"], "f", 3, 0))
+        directory, "chk", ["bad", "chk"], "f", DEFAULT_SLOT_THRESHOLD + 1, 0))
     assert tracker.newly_attributable() == ["bad"]
 
 
 def test_blame_multi_adjacency_attributes_immediately(directory):
     """Charges via two distinct adjacencies cannot be one link."""
-    tracker = BlameTracker(slot_threshold=2, min_declarers=2,
-                           liveness=lambda n: True)
-    tracker.add_declaration(make_declaration(
-        directory, "w1", ["x", "bad", "w1"], "f", 1, 0))
+    tracker = BlameTracker(liveness=lambda n: True)
+    for period in range(1, DEFAULT_SLOT_THRESHOLD):
+        tracker.add_declaration(make_declaration(
+            directory, "w1", ["x", "bad", "w1"], "f", period, 0))
     tracker.add_declaration(make_declaration(
         directory, "w2", ["y", "bad", "w2"], "f", 1, 0))
     assert tracker.newly_attributable() == ["bad"]

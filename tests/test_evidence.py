@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.core.evidence import records
 from repro.core.evidence import (
     ATTRIBUTION,
     COMMISSION,
@@ -13,6 +14,7 @@ from repro.core.evidence import (
     input_digest,
     make_declaration,
 )
+from repro.core.evidence.distributor import DEFAULT_SLANDER_THRESHOLD
 from repro.crypto import AuthenticatedStatement, KeyDirectory
 from repro.workload import compute_output
 
@@ -147,13 +149,12 @@ def test_timing_evidence_needs_period(directory):
     ev = Evidence.make(directory, TIMING, "bad", "det", 0, [stmt])
     no_period = EvidenceValidator(directory)
     assert not no_period.validate(ev)
-    with_period = EvidenceValidator(directory, period=5_000,
-                                    timing_slack=500)
+    with_period = EvidenceValidator(directory, period=5_000)
     assert with_period.validate(ev)
-    # Built with defaults, a validator judges with the runtime's slack:
-    # the runtime emits period + 700 as evidence, so it is not slander.
+    # A validator judges with the runtime's slack: the runtime emits
+    # period + 700 as evidence, so it is not slander.
     late = fwd_stmt(directory, "bad", "f0", 2, 42, offset=5_700)
-    assert EvidenceValidator(directory, period=5_000).validate(
+    assert with_period.validate(
         Evidence.make(directory, TIMING, "bad", "det", 0, [late]))
 
 
@@ -162,14 +163,14 @@ def test_timing_offset_within_period_rejected(directory):
     # violations are objective evidence.
     stmt = fwd_stmt(directory, "bad", "f0", 2, 42, offset=4_000)
     ev = Evidence.make(directory, TIMING, "bad", "det", 0, [stmt])
-    validator = EvidenceValidator(directory, period=5_000, timing_slack=500)
+    validator = EvidenceValidator(directory, period=5_000)
     assert not validator.validate(ev)
 
 
 def test_timing_negative_offset_is_gross(directory):
     stmt = fwd_stmt(directory, "bad", "f0", 2, 42, offset=-2_000)
     ev = Evidence.make(directory, TIMING, "bad", "det", 0, [stmt])
-    validator = EvidenceValidator(directory, period=5_000, timing_slack=500)
+    validator = EvidenceValidator(directory, period=5_000)
     assert validator.validate(ev)
 
 
@@ -265,7 +266,7 @@ def test_log_accepts_and_forwards_valid_evidence(directory, validator):
     decision = submit(log, ev)
     assert decision.accept and decision.forward
     assert decision.implicate == "bad"
-    assert log.accused_nodes() == {"bad"}
+    assert log.accepted == [ev]
 
 
 def test_log_dedups(directory, validator):
@@ -289,17 +290,18 @@ def test_log_rejects_bad_signature_cheaply(directory, validator):
 
 
 def test_log_counts_slander_against_signer(directory, validator):
-    log = EvidenceLog("n0", validator, slander_threshold=2)
+    log = EvidenceLog("n0", validator)
     implicated = []
-    for delta in (0, 0):  # correct value => unsupported accusations
+    for _ in range(DEFAULT_SLANDER_THRESHOLD):
+        # A correct value => unsupported accusations.
         ev = commission_evidence(directory, value_delta=0)
         # Perturb detected_at to avoid dedup.
         ev = Evidence.make(directory, COMMISSION, "bad", "det",
                            len(implicated), list(ev.statements))
         decision = submit(log, ev)
         implicated.append(decision.implicate)
-    assert implicated[0] is None
-    assert implicated[1] == "det"  # threshold reached: slanderer implicated
+    assert implicated[:-1] == [None] * (DEFAULT_SLANDER_THRESHOLD - 1)
+    assert implicated[-1] == "det"  # threshold reached: slanderer implicated
 
 
 def test_log_handles_declarations(directory, validator):
@@ -318,7 +320,8 @@ def attribution_evidence(directory, n_slots=3):
     return Evidence.make(directory, ATTRIBUTION, "bad", "det", 0, decls)
 
 
-def test_soft_rejected_record_is_reevaluated_after_switch(directory):
+def test_soft_rejected_record_is_reevaluated_after_switch(directory,
+                                                         monkeypatch):
     # Regression: the dedup gate used to mark records seen *before*
     # validation, so an ATTRIBUTION record soft-rejected mid-switch (the
     # validator's regime disagreed with the detector's) bounced off the
@@ -326,7 +329,8 @@ def test_soft_rejected_record_is_reevaluated_after_switch(directory):
     # the caller may retry after its next switch. Only terminal verdicts
     # may stick now. We model the regime change the way the runtime does
     # across adopt(): the validator's notion of validity changes.
-    validator = EvidenceValidator(directory, attribution_threshold=5)
+    monkeypatch.setattr(records, "DEFAULT_SLOT_THRESHOLD", 5)
+    validator = EvidenceValidator(directory)
     log = EvidenceLog("n0", validator)
     ev = attribution_evidence(directory, n_slots=3)
 
@@ -337,26 +341,25 @@ def test_soft_rejected_record_is_reevaluated_after_switch(directory):
     # After the mode switch the plans agree again (here: the validator
     # accepts the attribution). The retried record must be re-evaluated,
     # not deduplicated.
-    validator.attribution_threshold = 3
+    monkeypatch.undo()
     second = submit(log, ev)
     assert second.reason == "valid"
     assert second.accept and second.implicate == "bad"
-    assert log.accused_nodes() == {"bad"}
 
     # Acceptance is terminal: a third copy is now a duplicate.
     assert submit(log, ev) is None
     assert len(log.accepted) == 1
 
 
-def test_soft_reject_does_not_feed_slander_count(directory):
+def test_soft_reject_does_not_feed_slander_count(directory, monkeypatch):
     # Slander-threshold interaction with the dedup fix: plan-dependent
     # soft rejects must never charge the detector, no matter how many
     # times the same record is re-submitted and re-evaluated — otherwise
     # the retry loop the fix enables would convict an honest detector.
-    validator = EvidenceValidator(directory, attribution_threshold=5)
-    log = EvidenceLog("n0", validator, slander_threshold=2)
+    monkeypatch.setattr(records, "DEFAULT_SLOT_THRESHOLD", 5)
+    log = EvidenceLog("n0", EvidenceValidator(directory))
     ev = attribution_evidence(directory, n_slots=3)
-    for _ in range(4):
+    for _ in range(DEFAULT_SLANDER_THRESHOLD + 1):
         decision = submit(log, ev)
         assert decision.reason == "unsupported_soft"
         assert decision.implicate is None
@@ -367,10 +370,10 @@ def test_objective_unsupported_verdict_is_terminal(directory, validator):
     # An objectively unsupported record is slander-counted exactly once:
     # the terminal verdict marks it seen, so re-floods of the same record
     # are duplicates and cannot pump the slander count to the threshold.
-    log = EvidenceLog("n0", validator, slander_threshold=2)
+    log = EvidenceLog("n0", validator)
     ev = commission_evidence(directory, value_delta=0)  # correct value
     first = submit(log, ev)
     assert first.reason == "unsupported"
-    for _ in range(3):
+    for _ in range(DEFAULT_SLANDER_THRESHOLD):
         assert submit(log, ev) is None
     assert log.invalid_counts == {"det": 1}

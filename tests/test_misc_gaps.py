@@ -172,5 +172,4 @@ def test_btr_verdict_slot_views():
     verdict = BTRVerdict(R_us=0, slots=slots, holds=False,
                          violations=[slots[2]])
     assert len(verdict.disrupted_slots()) == 2
-    assert len(verdict.excused_slots()) == 1
     assert not verdict.holds

@@ -12,14 +12,12 @@ import pytest
 
 from repro import BTRConfig, BTRSystem
 from repro.core.planner import (
-    AugmentConfig,
-    StrategyConfig,
+    PlacementConfig,
     build_strategy,
     strategy_to_json,
 )
 from repro.net import Router, full_mesh_topology
 from repro.perf import StrategyCache, strategy_cache_key
-from repro.sched import LaneFractions
 from repro.sim.trace import Custom, MessageSent, OutputProduced, Trace
 from repro.workload import industrial_workload, pipeline_workload
 
@@ -51,12 +49,9 @@ class TestStrategyCache:
         workload, topology, _ = planning_inputs()
         base = strategy_cache_key(workload, topology, 1)
         assert strategy_cache_key(workload, topology, 2) != base
-        for moved in (
-            {"strategy_config": StrategyConfig(minimize_distance=False)},
-            {"augment_config": AugmentConfig(replicas=2, check_us=7)},
-            {"lane_fractions": LaneFractions(data=0.4)},
-        ):
-            assert strategy_cache_key(workload, topology, 1, **moved) != base
+        for flag in ("minimize_distance", "use_locality", "use_exposure"):
+            moved = PlacementConfig(**{flag: False})
+            assert strategy_cache_key(workload, topology, 1, moved) != base
         other = pipeline_workload()
         topology.place_endpoints_round_robin(other.sources, other.sinks)
         assert strategy_cache_key(other, topology, 1) != base

@@ -9,7 +9,6 @@ from repro.core.planner import (
     PlacementError,
     PlanningError,
     Strategy,
-    StrategyConfig,
     augment,
     build_plan,
     build_strategy,
@@ -18,6 +17,7 @@ from repro.core.planner import (
     plan_distance,
     replication_overhead,
 )
+from repro.crypto import Signature
 from repro.net import Router, full_mesh_topology, line_topology, ring_topology
 from repro.sim import ms
 from repro.workload import (
@@ -44,7 +44,6 @@ def test_naming_roundtrip():
     assert naming.replica_index("t#c") is None
     assert naming.is_checker("t#c") and not naming.is_checker("t#r0")
     assert naming.is_replica("t#r0") and not naming.is_replica("t#c")
-    assert naming.is_primary("t#r0") and not naming.is_primary("t#r1")
     assert naming.base_flow("f@r1") == "f"
     assert naming.base_flow("f") == "f"
 
@@ -90,11 +89,11 @@ def test_augment_flow_fanout():
 
 def test_augment_signs_flows():
     wl = pipeline_workload(n_stages=1)
-    aug = augment(wl, AugmentConfig(replicas=2, signature_bits=512))
+    aug = augment(wl, AugmentConfig(replicas=2))
     original = wl.flow("pipeline.in").size_bits
     copy = next(f for f in aug.flows
                 if naming.base_flow(f.name) == "pipeline.in")
-    assert copy.size_bits == original + 512
+    assert copy.size_bits == original + Signature.WIRE_BITS
 
 
 def test_augment_preserves_criticality_and_state():
@@ -120,8 +119,6 @@ def test_replication_overhead_less_than_bft():
 def test_augment_config_validation():
     with pytest.raises(ValueError):
         AugmentConfig(replicas=0)
-    with pytest.raises(ValueError):
-        AugmentConfig(check_us=0)
 
 
 # -------------------------------------------------------------- placement
@@ -297,9 +294,9 @@ def test_strategy_minimizes_distance():
     topo.place_endpoints_round_robin(wl.sources, wl.sinks)
     router = Router(topo)
     near = build_strategy(wl, topo, router, f=1,
-                          config=StrategyConfig(minimize_distance=True))
+                          config=PlacementConfig(minimize_distance=True))
     far = build_strategy(wl, topo, router, f=1,
-                         config=StrategyConfig(minimize_distance=False))
+                         config=PlacementConfig(minimize_distance=False))
 
     def total_bits(strategy):
         total = 0

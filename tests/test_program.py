@@ -9,7 +9,7 @@ have intermediate hops and tie-breaks) and an f = 2 full mesh.
 
 import pytest
 
-from repro.core.detector import TimingPolicy
+from repro.core.detector.timing import DEFAULT_TIMING
 from repro.core.evidence import input_digest
 from repro.core.planner import naming
 from repro.core.runtime.program import node_program
@@ -78,7 +78,8 @@ def test_next_hops_equal_plan_next_hop(deployment):
 
 def test_send_offsets_and_windows_equal_the_scan(deployment):
     system, plans = deployment
-    policy = TimingPolicy(slack_us=123, arrival_slack_us=456)
+    policy = DEFAULT_TIMING
+    slack, arrival_slack = policy.slack_us, policy.arrival_slack_us
     for plan in plans:
         names = {f.name for f in plan.augmented.flows}
         names |= {naming.base_flow(n) for n in names} | {"ghost", "ghost@c"}
@@ -86,10 +87,11 @@ def test_send_offsets_and_windows_equal_the_scan(deployment):
             planned = scanned_send_offset(plan, name)
             assert plan.planned_send_offset(name) == planned
             assert policy.send_window(plan, name) == (
-                None if planned is None else (planned - 123, planned + 123))
+                None if planned is None
+                else (planned - slack, planned + slack))
             arrival = plan.planned_arrival(name)
             assert policy.arrival_deadline(plan, name) == (
-                None if arrival is None else arrival + 456)
+                None if arrival is None else arrival + arrival_slack)
 
 
 def test_consumed_copies_and_sends_name_the_final_consumer(deployment):

@@ -5,8 +5,8 @@ from hypothesis import given, settings, strategies as st
 
 from repro.net import Router, full_mesh_topology, line_topology
 from repro.sched import (
+    LANE_FRACTIONS,
     AssignmentError,
-    LaneFractions,
     LaneModel,
     NodeSchedule,
     ScheduleEntry,
@@ -58,15 +58,16 @@ def test_node_schedule_rejects_period_overrun():
 
 
 def test_lane_fractions_validation():
-    with pytest.raises(ValueError):
-        LaneFractions(data=0.9, state=0.2, evidence=0.15, control=0.15)
-    with pytest.raises(ValueError):
-        LaneFractions(data=0.0, state=0.5, evidence=0.25, control=0.25)
+    # Every traffic class gets a lane, and one sender's lanes never
+    # overbook a link.
+    assert set(LANE_FRACTIONS) == set(MessageKind)
+    assert min(LANE_FRACTIONS.values()) > 0
+    assert sum(LANE_FRACTIONS.values()) <= 1.0
 
 
 def test_lane_model_share_splits_among_endpoints():
     topo = line_topology(2, bandwidth=1e6)
-    model = LaneModel(topo, LaneFractions(data=0.5))
+    model = LaneModel(topo)  # DATA: half the link
     link = topo.links["l0"]
     assert model.share(link, MessageKind.DATA) == pytest.approx(0.25)
 
@@ -92,7 +93,7 @@ def test_lane_model_install_is_idempotent():
 
 def test_transmission_us_ceils():
     topo = line_topology(2, bandwidth=1e6)  # 1 bit/us raw
-    model = LaneModel(topo, LaneFractions(data=0.5))  # 0.25 bits/us per lane
+    model = LaneModel(topo)  # DATA: 0.25 bits/us per lane
     link = topo.links["l0"]
     assert model.transmission_us(link, MessageKind.DATA, 100) == 400
 
@@ -221,8 +222,9 @@ def test_flow_size_override_changes_transmission():
     base = synthesize(wl, assignment, topo, router)
     bigger = synthesize(wl, assignment, topo, router,
                         flow_sizes={"pipeline.f0": 50_000})
-    hop_base = base.final_hop("pipeline.f0")
-    hop_big = bigger.final_hop("pipeline.f0")
+    hop_base, hop_big = ([t for t in s.transmissions
+                          if t.flow == "pipeline.f0"][-1]
+                         for s in (base, bigger))
     assert hop_big.arrival - hop_big.start > hop_base.arrival - hop_base.start
     assert bigger.total_bits() > base.total_bits()
 
@@ -263,8 +265,8 @@ def test_makespan_and_utilization():
     schedule = synthesize(
         wl, {"pipeline.t0": "n0", "pipeline.t1": "n1"}, topo, router)
     assert schedule.makespan() > 0
-    util = schedule.utilization_by_node()
-    assert util["n0"] > 0 and util["n1"] > 0
+    assert all(schedule.node_schedules[n].utilization() > 0
+               for n in ("n0", "n1"))
 
 
 @settings(max_examples=15, deadline=None)

@@ -43,12 +43,6 @@ def test_negative_drift_runs_slow():
     assert clock.error(1 * S) == -50
 
 
-def test_adjust_steps_clock():
-    clock = LocalClock(offset=500)
-    clock.adjust(true_time=1000, correction=-500)
-    assert clock.error(1000) == 0
-
-
 def test_synchronize_to_reference():
     clock = LocalClock(drift_ppm=200.0, offset=999)
     clock.synchronize_to(true_time=5 * S, reference=5 * S)

@@ -7,7 +7,7 @@ from hypothesis import given, strategies as st
 from repro.net import Topology
 from repro.obs.metrics import MetricsRegistry
 from repro.perf.batchcore import BatchRuntime
-from repro.sched import LaneModel
+from repro.sched import LANE_FRACTIONS, LaneModel
 from repro.sim import (
     Link,
     NEVER,
@@ -46,13 +46,6 @@ def test_allocate_lane_for_foreign_node_raises():
         link.allocate_lane("c", MessageKind.DATA, 0.1)
 
 
-def test_release_lane_frees_capacity():
-    link = Link("l1", ("a", "b"), bandwidth_bps=1e6)
-    link.allocate_lane("a", MessageKind.DATA, 1.0)
-    link.release_lane("a", MessageKind.DATA)
-    link.allocate_lane("b", MessageKind.DATA, 1.0)
-
-
 # ------------------------------------------------------- crossing a link
 #
 # A link only holds reservations; crossing it is the hop runtime's job
@@ -81,9 +74,11 @@ def hop_runtime(link, *, seed=0, others=(), unreserved=()):
     for node_id in link.endpoints + tuple(others):
         topology.add_node(Node(node_id))
     topology.add_link(link)
-    LaneModel(topology).install()
-    for sender, kind in unreserved:
-        link.release_lane(sender, kind)
+    model = LaneModel(topology)
+    for sender in link.endpoints:
+        for kind in LANE_FRACTIONS:
+            if (sender, kind) not in unreserved:
+                link.allocate_lane(sender, kind, model.share(link, kind))
     sim = Simulator(seed=seed)
     agents = {node_id: Receiver(node)
               for node_id, node in topology.nodes.items()}

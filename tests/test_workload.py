@@ -29,7 +29,6 @@ def test_criticality_ordering():
     assert Criticality.ordered() == [
         Criticality.A, Criticality.B, Criticality.C, Criticality.D
     ]
-    assert Criticality.shedding_order()[0] == Criticality.D
 
 
 def test_criticality_min_max():

@@ -33,7 +33,6 @@ from repro import BTRConfig, BTRSystem
 from repro.analysis import format_table
 from repro.faults.scenarios import stage
 from repro.net import full_mesh_topology
-from repro.perf import online_stats
 from repro.perf.timing import Stopwatch
 from repro.workload import industrial_workload
 
@@ -90,13 +89,13 @@ def run_case(name: str, n_nodes: int, f: int, n_periods: int, seed: int):
     assert (golden.milestone_reprs(fast_res.trace)
             == golden.milestone_reprs(full_res.trace))
 
-    stats = online_stats(fast_sys)
-    memo = stats["memo"]
+    directory = fast_sys.directory
+    memo = directory.verify_memo.stats()
     # The memo actually absorbs repeat verifications...
     assert memo["hits"] > 0, f"{name}: verify memo never hit"
     # ...and HMAC work is conserved where it must be: every memo miss is
     # a real verification.
-    assert stats["verifies"] >= memo["misses"]
+    assert directory.verifies >= memo["misses"]
 
     return {
         "scenario": name,
@@ -112,8 +111,8 @@ def run_case(name: str, n_nodes: int, f: int, n_periods: int, seed: int):
         "events_per_s_full": round(events / full_s) if full_s else None,
         "events_per_s_milestones": (round(events / fast_s)
                                     if fast_s else None),
-        "signs": stats["signs"],
-        "verifies": stats["verifies"],
+        "signs": directory.signs,
+        "verifies": directory.verifies,
         "memo_hits": memo["hits"],
         "memo_misses": memo["misses"],
         "memo_hit_rate": memo["hit_rate"],

@@ -370,15 +370,22 @@ def config_from_args(args) -> BTRConfig:
         args.error(str(exc))  # the subcommand's parser.error: exits 2
 
 
+def prepared_system(args) -> BTRSystem:
+    """The deployment the common CLI flags select, planned."""
+    system = BTRSystem(workload_from_args(args),
+                       make_topology(args.topology, args.bandwidth),
+                       config_from_args(args))
+    system.prepare()
+    return system
+
+
 def cmd_plan(args) -> int:
-    workload = workload_from_args(args)
-    topology = make_topology(args.topology, args.bandwidth)
-    system = BTRSystem(workload, topology, config_from_args(args))
-    budget = system.prepare()
+    system = prepared_system(args)
+    budget = system.budget
     rows = []
     for pattern in system.strategy.patterns():
         plan = system.strategy.plan_for(pattern)
-        shed = plan.shed_tasks(workload)
+        shed = plan.shed_tasks(system.workload)
         rows.append([
             plan.mode,
             "".join(sorted(l.value for l in plan.kept_levels)),
@@ -408,10 +415,8 @@ def cmd_plan(args) -> int:
 
 
 def cmd_run(args) -> int:
-    workload = workload_from_args(args)
-    topology = make_topology(args.topology, args.bandwidth)
-    system = BTRSystem(workload, topology, config_from_args(args))
-    budget = system.prepare()
+    system = prepared_system(args)
+    budget = system.budget
     adversary = None
     link_script = None
     if args.scenario:
@@ -459,7 +464,6 @@ def cmd_trace(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    from .net import Router
     from .verify import RULES, verify_strategy
 
     if args.rules:
@@ -467,13 +471,12 @@ def cmd_verify(args) -> int:
             print(f"{rule_id}: {RULES[rule_id]}")
         return 0
 
-    workload = workload_from_args(args)
-    topology = make_topology(args.topology, args.bandwidth)
-    config = config_from_args(args)
-    budget = None
     if args.strategy:
         from .core.planner import StrategyFormatError, strategy_from_json
-        from .sched import LaneModel
+        # Unprepared: the deployment's placement, router and lanes only.
+        system = BTRSystem(workload_from_args(args),
+                           make_topology(args.topology, args.bandwidth),
+                           config_from_args(args))
         try:
             with open(args.strategy) as f:
                 strategy = strategy_from_json(f.read())
@@ -481,26 +484,18 @@ def cmd_verify(args) -> int:
             print(f"repro verify: cannot read strategy file: {exc}",
                   file=sys.stderr)
             return 2
-        if not set(workload.sources) <= set(topology.endpoint_map):
-            topology.place_endpoints_round_robin(workload.sources,
-                                                 workload.sinks)
-        router = Router(topology)
-        lane_model = LaneModel(topology)
         origin = args.strategy
     else:
-        system = BTRSystem(workload, topology, config)
-        system.prepare()
+        system = prepared_system(args)
         strategy = system.strategy
-        router = system.router
-        lane_model = system.lane_model
-        budget = system.budget
         origin = "freshly planned"
         if system.plan_stats.cache_hit:
             origin = "from cache"
 
-    report = verify_strategy(strategy, topology, router=router,
-                             config=config, lane_model=lane_model,
-                             budget=budget)
+    report = verify_strategy(strategy, system.topology, router=system.router,
+                             config=system.config,
+                             lane_model=system.lane_model,
+                             budget=system.budget)
     if args.waive:
         report = report.waive(args.waive)
     print(report.render(
@@ -512,10 +507,7 @@ def cmd_verify(args) -> int:
 def cmd_bounds(args) -> int:
     from .verify.bounds import compute_bounds
 
-    workload = workload_from_args(args)
-    topology = make_topology(args.topology, args.bandwidth)
-    system = BTRSystem(workload, topology, config_from_args(args))
-    system.prepare()
+    system = prepared_system(args)
     # Pin R on the *analysis* config only: prepare() rejects a pinned
     # R the budget cannot meet, but the whole point of
     # ``repro bounds --R`` is to report how far an aspirational R
@@ -543,10 +535,7 @@ def cmd_compare(args) -> int:
     fault_at = seconds(args.fault_at)
     rows = []
 
-    workload = workload_from_args(args)
-    topology = make_topology(args.topology, args.bandwidth)
-    system = BTRSystem(workload, topology, config_from_args(args))
-    system.prepare()
+    system = prepared_system(args)
     result = system.run(args.periods,
                         SingleFaultAdversary(at=fault_at, kind=args.fault))
     rows.append(_compare_row("btr", result, args))
@@ -587,20 +576,14 @@ def _compare_row(name: str, result, args) -> List[str]:
 def _system_for_meta(meta: dict, args) -> BTRSystem:
     """A prepared system on the deployment an artifact's meta pins.
 
-    CLI flags fill any gaps so hand-built artifacts remain replayable.
+    CLI flags fill any gaps so hand-built artifacts remain replayable;
+    the workload runs unstretched, as it was searched.
     """
-    from dataclasses import replace
-
-    workload = WORKLOADS[meta.get("workload", args.workload)]()
-    topology = make_topology(meta.get("topology", args.topology),
-                             meta.get("bandwidth", args.bandwidth))
-    config = config_from_args(args)
-    if "f" in meta or "seed" in meta:
-        config = replace(config, f=meta.get("f", config.f),
-                         seed=meta.get("seed", config.seed))
-    system = BTRSystem(workload, topology, config)
-    system.prepare()
-    return system
+    pinned = {key: meta[key] for key in
+              ("workload", "topology", "bandwidth", "f", "seed")
+              if key in meta}
+    return prepared_system(
+        argparse.Namespace(**{**vars(args), "stretch": 1, **pinned}))
 
 
 def _replay_artifact(path: str, args) -> int:

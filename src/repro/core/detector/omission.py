@@ -59,6 +59,14 @@ DEFAULT_MIN_DECLARERS = 2
 OMISSION_GRACE_US = 1_000
 
 
+def slot_key(decl: AuthenticatedStatement) -> Tuple[tuple, int, str]:
+    """The (path, period, declarer) slot a declaration charges.
+    Attribution counts distinct slots, so a declarer repeating itself in
+    one slot adds nothing."""
+    stmt = decl.statement
+    return tuple(stmt["path"]), stmt["period"], decl.signer
+
+
 @dataclass
 class BlameState:
     """Accumulated charges against one node."""
@@ -89,18 +97,14 @@ class BlameTracker:
         self.metrics = metrics
         self._state: Dict[str, BlameState] = {}
         self.attributed: Set[str] = set()
-        self.declared_paths: Set[tuple] = set()
         #: Nodes that have issued declarations since the last reset —
         #: proof of control-plane life (see module docstring).
         self.seen_declarers: Set[str] = set()
 
     def add_declaration(self, decl: AuthenticatedStatement) -> None:
         """Charge the nodes on a (signature-validated) declaration's path."""
-        stmt = decl.statement
-        path = tuple(stmt["path"])
-        period = stmt["period"]
-        declarer = decl.signer
-        self.declared_paths.add(path)
+        slot = slot_key(decl)
+        path, period, declarer = slot
         self.seen_declarers.add(declarer)
         if self.metrics is not None:
             self.metrics.inc("blame_declarations")
@@ -108,7 +112,7 @@ class BlameTracker:
             if node == declarer:
                 continue
             state = self._state.setdefault(node, BlameState())
-            state.slots.add((path, period, declarer))
+            state.slots.add(slot)
             state.declarers.add(declarer)
             state.periods.add(period)
 
@@ -198,5 +202,4 @@ class BlameTracker:
     def reset_charges(self) -> None:
         """Drop accumulated charges (mode switch: old-regime evidence)."""
         self._state.clear()
-        self.declared_paths.clear()
         self.seen_declarers.clear()

@@ -58,7 +58,11 @@ from ...crypto.authenticator import AuthenticatedStatement
 from ...crypto.signatures import KeyDirectory
 from ...workload.task import compute_output
 from ..detector.checker import input_digest
-from ..detector.omission import DEFAULT_MIN_DECLARERS, DEFAULT_SLOT_THRESHOLD
+from ..detector.omission import (
+    DEFAULT_MIN_DECLARERS,
+    DEFAULT_SLOT_THRESHOLD,
+    slot_key,
+)
 from ..detector.timing import DEFAULT_TIMING
 
 COMMISSION = "commission"
@@ -318,14 +322,12 @@ class EvidenceValidator:
         slots = set()
         for decl in declarations:
             path = decl.statement.get("path")
-            period = decl.statement.get("period")
-            if not path or period is None:
-                return False
-            if evidence.accused not in path:
+            if (not path or decl.statement.get("period") is None
+                    or evidence.accused not in path):
                 return False
             # A node cannot manufacture support by declaring against
             # itself-adjacent paths repeatedly in the same period.
-            slots.add((tuple(path), period, decl.signer))
+            slots.add(slot_key(decl))
         # Require corroboration: a single (possibly faulty) declarer can
         # never get a node attributed on its own say-so.
         declarers = {d.signer for d in declarations}

@@ -2,8 +2,9 @@
 
 §4.1: "some representation of the strategy is then installed in each
 node". A node under a plan does not derive its duties, it looks them up —
-so everything :class:`~repro.core.runtime.agent.NodeAgent` needs per
-event that is fixed by ``(plan, node)`` is worked out here once, from the
+so everything :class:`~repro.core.runtime.agent.node.NodeAgent` and its
+:class:`~repro.core.runtime.agent.detection.Detector` need per event
+that is fixed by ``(plan, node)`` is worked out here once, from the
 public :class:`~repro.core.planner.plan.Plan` / ``naming`` API, and read
 from tables afterwards:
 

@@ -27,22 +27,19 @@ consumes.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import partial
 from typing import Dict, List, Optional, Union
 
 from ...crypto.signatures import KeyDirectory
 from ...faults.adversary import Adversary, FaultScript
-from ...net.routing import Router, RoutingError
+from ...net.routing import Router
 from ...net.topology import Topology
 from ...obs.metrics import MetricsRegistry
 from ...sched.lanes import LaneModel
 from ...sim.clock import CLOCK_SYNC_INTERVAL_US
 from ...sim.engine import Simulator
-from ...sim.message import Message
 from ...sim.trace import (
     Custom,
     FaultInjected,
-    MessageDropped,
     MessageSent,
     ModeSwitchCompleted,
     OutputProduced,
@@ -337,15 +334,14 @@ class BTRSystem:
         # Flows deliberately shed by the plan in force at the end of the
         # run, excused from the first mode switch onward.
         excused: Dict[str, int] = {}
+        fault_sets = {n: a.switching.switcher.fault_set.snapshot()
+                      for n, a in self.agents.items()}
         switches = self.trace.of_kind(ModeSwitchCompleted)
         if switches:
             first_switch = switches[0].time
-            fault_sets = [a.switcher.fault_set.snapshot()
-                          for n, a in self.agents.items()
-                          if not self.topology.nodes[n].compromised]
-            union = frozenset().union(*fault_sets) if fault_sets \
-                else frozenset()
-            final_plan = self.strategy.plan_for(union)
+            final_plan = self.strategy.plan_for(frozenset().union(*(
+                fs for n, fs in fault_sets.items()
+                if not self.topology.nodes[n].compromised)))
             kept = {f.name for f in final_plan.workload.sink_flows()}
             for flow in self.workload.sink_flows():
                 if flow.name not in kept:
@@ -369,10 +365,7 @@ class BTRSystem:
             duration_us=duration,
             budget=self.budget,
             final_modes={n: a.plan.mode for n, a in self.agents.items()},
-            final_fault_sets={
-                n: a.switcher.fault_set.snapshot()
-                for n, a in self.agents.items()
-            },
+            final_fault_sets=fault_sets,
             excused_flows=excused,
             metrics=self.metrics.snapshot(),
         )
@@ -410,43 +403,3 @@ class BTRSystem:
         nominal = self.strategy.nominal
         hosting = set(nominal.assignment.values())
         return sorted(set(self.strategy.covered_nodes) & hosting)
-
-    # ------------------------------------------------------------ messaging
-
-    def send_routed(self, agent: NodeAgent, message: Message,
-                    plan) -> None:
-        """Send a control/state message along a static route that avoids
-        the plan's known-faulty nodes."""
-        if message.dst == agent.node_id:
-            self.sim.call_after(1, partial(agent._deliver_local, message))
-            return
-        try:
-            path = self.router.route(agent.node_id, message.dst,
-                                     excluding=plan.pattern)
-        except RoutingError:
-            # No route avoiding the faulty set: the plan has partitioned
-            # the sender from the destination. Count it — a silent drop
-            # here looks exactly like an omission fault downstream.
-            self.metrics.inc("messages_dropped", reason="no_route")
-            self.trace.record(MessageDropped(
-                time=self.sim.now, src=agent.node_id, dst=message.dst,
-                kind=message.kind.value, reason="no_route",
-            ))
-            return
-        if len(path) < 2:
-            self.metrics.inc("messages_dropped", reason="no_forward_hop")
-            self.trace.record(MessageDropped(
-                time=self.sim.now, src=agent.node_id, dst=message.dst,
-                kind=message.kind.value, reason="no_forward_hop",
-            ))
-            return
-        self.batch_runtime.send(agent.node_id, path[1], message)
-
-    def next_hop_static(self, current: str, dst: str) -> Optional[str]:
-        """Next hop on the nominal shortest path (control forwarding)."""
-        try:
-            path = self.router.route(current, dst)
-        except RoutingError:
-            self.metrics.inc("messages_dropped", reason="no_route_static")
-            return None
-        return path[1] if len(path) > 1 else None

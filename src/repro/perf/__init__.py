@@ -20,13 +20,7 @@ guarantees each piece preserves.
 
 from ..crypto.memo import VerifyMemo
 from ..sim.trace import trace_fingerprint
-from .batchcore import (
-    BatchRuntime,
-    SweepRun,
-    online_stats,
-    run_sweep,
-    sibling_system,
-)
+from .batchcore import BatchRuntime, SweepRun, run_sweep, sibling_system
 from .cache import (
     CACHE_ENV_VAR,
     StrategyCache,
@@ -51,7 +45,6 @@ __all__ = [
     "default_cache_dir",
     "strategy_cache_key",
     "VerifyMemo",
-    "online_stats",
     "trace_fingerprint",
     "GeoSweepSpec",
     "PoolSweepError",

@@ -79,7 +79,7 @@ from ..sim.trace import (
     trace_fingerprint,
 )
 
-#: Heartbeat frames are tiny fixed-size CONTROL messages (agent.py).
+#: Heartbeat frames are tiny fixed-size CONTROL messages.
 HEARTBEAT_BITS = 128
 
 #: (kind, kind value) per traffic class, in declaration order: iterating
@@ -605,22 +605,6 @@ def sibling_system(prototype, seed: int):
     sibling.strategy = prototype.strategy
     sibling.budget = prototype.budget
     return sibling
-
-
-def online_stats(system) -> Dict[str, object]:
-    """One run's online-runtime counters, pulled off a finished system.
-
-    Returns sign/verify HMAC counts from the system's
-    :class:`~repro.crypto.signatures.KeyDirectory` plus the verify-memo
-    stats. The E17 benchmark records these per scenario into
-    ``sim_stats.jsonl``.
-    """
-    directory = system.directory
-    return {
-        "signs": directory.signs,
-        "verifies": directory.verifies,
-        "memo": directory.verify_memo.stats(),
-    }
 
 
 def run_sweep(system, seeds, n_periods: int, scenario: Optional[str] = None,

@@ -22,6 +22,11 @@ class MessageKind(Enum):
     CONTROL = "control"     # mode-change coordination, heartbeats
 
 
+#: Wire size of a small control message, and of the envelope around the
+#: statement a fetch response or a flooded declaration carries.
+CONTROL_BITS = 1_024
+
+
 @dataclass(slots=True)
 class Message:
     """A unicast message between two nodes: a value that nothing in the

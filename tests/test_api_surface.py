@@ -1,0 +1,41 @@
+"""The program names the end-to-end benchmark wraps stay resolvable.
+
+``benchmarks/e2e/layers.py`` replaces every ``TARGETS`` entry with a
+span-recording wrapper, and reports a target it cannot resolve as
+missing rather than failing — so a refactor that loses one would show
+only in the benchmark's traced run. This resolves every target exactly
+as ``layers.install`` does, without installing anything.
+"""
+
+import importlib
+import os
+import sys
+
+E2E = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(
+    __file__))), "benchmarks", "e2e")
+
+
+def _layers():
+    if E2E not in sys.path:
+        sys.path.insert(0, E2E)
+    return importlib.import_module("layers")
+
+
+def test_every_wrap_target_resolves():
+    layers = _layers()
+    layers.import_program()
+    missing = []
+    for _span, target, _fine, _observe in layers.TARGETS:
+        module_name, _, path = target.partition(":")
+        module = importlib.import_module(module_name)
+        owner_name, _, attr = path.rpartition(".")
+        if owner_name:
+            # A class attribute must be defined on the class itself: an
+            # inherited method is not what install() would wrap.
+            owner = getattr(module, owner_name, None)
+            found = vars(owner).get(attr) if owner is not None else None
+        else:
+            found = getattr(module, attr, None)
+        if found is None:
+            missing.append(target)
+    assert missing == []

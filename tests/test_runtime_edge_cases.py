@@ -9,7 +9,7 @@ from repro.analysis import (
     smallest_sufficient_R,
     timeliness,
 )
-from repro.core.runtime import agent as agent_module
+from repro.core.runtime.agent import evidence as evidence_module
 from repro.faults import (
     CrashFault,
     FaultScript,
@@ -141,6 +141,37 @@ def test_state_rebuild_when_source_crashes_midway():
     assert all(fs == frozenset(victims) for fs in correct)
 
 
+def test_forwarded_state_traffic_avoids_the_crashed_node(monkeypatch):
+    """Every hop of a state request or transfer routes around the plan's
+    faulty set, not only the first: on mesh:3x3 the nominal routes from
+    n0 and n4 toward n6 cross the crashed n3, and state requests sent
+    into it would time out into local rebuilds."""
+    from repro.sim import MessageDelivered
+    from repro.sim.node import Node
+    from repro.workload import avionics_workload
+
+    rebuilds = []
+    execute = Node.execute
+
+    def counting_execute(node, sim, work_us, callback=None, lane="fg"):
+        if lane == "fg":  # the agent runs only state rebuilds on it
+            rebuilds.append(node.node_id)
+        return execute(node, sim, work_us, callback, lane)
+
+    monkeypatch.setattr(Node, "execute", counting_execute)
+    workload = avionics_workload()
+    system = BTRSystem(workload, mesh_topology(3, 3, bandwidth=1e8),
+                       BTRConfig(f=1, seed=42))
+    system.prepare()
+    result = system.run(12, FaultScript([
+        Injection(int(2.4 * workload.period), "n3", CrashFault()),
+    ]))
+    state_hops = [e for e in result.trace.of_kind(MessageDelivered)
+                  if e.kind == "state"]
+    assert len(state_hops) == 12
+    assert rebuilds == []
+
+
 def test_simultaneous_double_fault():
     system = BTRSystem(
         industrial_workload(), full_mesh_topology(9, bandwidth=1e8),
@@ -171,7 +202,7 @@ def test_simultaneous_double_fault():
 def test_quota_does_not_throttle_legitimate_recovery(monkeypatch):
     # A tiny quota must still let a real fault's evidence through
     # (records arrive from several senders; dedup happens first).
-    monkeypatch.setattr(agent_module, "EVIDENCE_QUOTA_PER_SENDER", 2)
+    monkeypatch.setattr(evidence_module, "EVIDENCE_QUOTA_PER_SENDER", 2)
     system = make_system()
     result = system.run(N_PERIODS, SingleFaultAdversary(
         at=FAULT_AT, kind="crash"))

@@ -407,9 +407,12 @@ def cmd_plan(args) -> int:
            else f"{stats.plans_computed} computed")
     print(f"planning: {stats.wall_s:.3f}s wall ({how})")
     if args.export:
+        import json
+
         from .core.planner import strategy_to_json
+        artifact = json.loads(strategy_to_json(system.strategy))
         with open(args.export, "w") as f:
-            f.write(strategy_to_json(system.strategy, indent=2))
+            f.write(json.dumps(artifact, indent=2, sort_keys=True))
         print(f"strategy written to {args.export}")
     return 0
 

@@ -11,7 +11,6 @@ from .serialize import (
     plan_to_dict,
     strategy_from_dict,
     strategy_from_json,
-    strategy_to_dict,
     strategy_to_json,
 )
 from .strategy import (
@@ -40,7 +39,6 @@ __all__ = [
     "plan_to_dict",
     "strategy_from_dict",
     "strategy_from_json",
-    "strategy_to_dict",
     "strategy_to_json",
     "PLANNER_VERSION",
     "Strategy",

@@ -7,12 +7,17 @@ module is that representation: a JSON-stable encoding of a complete
 augmented graph, assignment, timetable, and routes — with a lossless
 round-trip, so the offline planner can run on a workstation and the result
 can be shipped to (simulated) nodes, diffed, or archived with a deployment.
+
+The artifact is the compact text ``json.dumps(record, sort_keys=True)``
+would write for the strategy record. :func:`strategy_to_json` writes it
+field by field instead, so each graph the plans share is encoded once,
+and the strategy keeps the text.
 """
 
 from __future__ import annotations
 
 import json
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Tuple, Union
 
 from ...sched.synthesis import GlobalSchedule
 from ...sched.table import NodeSchedule, PlannedTransmission, ScheduleEntry
@@ -107,20 +112,62 @@ def _schedule_from_dict(data: dict) -> GlobalSchedule:
     )
 
 
-def plan_to_dict(
-    plan: Plan,
-    graph_to_dict: Callable[[DataflowGraph], dict] = _graph_to_dict,
-) -> dict:
+def _dumps(value: object) -> str:
+    return json.dumps(value, sort_keys=True)
+
+
+def _graph_json(graph: DataflowGraph) -> str:
+    return _dumps(_graph_to_dict(graph))
+
+
+#: A record whose leaves are already encoded: a ``str`` is a value's JSON
+#: text, a dict an object, a list an array.
+_Spliced = Union[str, Dict[str, "_Spliced"], List["_Spliced"]]
+
+
+def _splice(record: _Spliced, out: List[str]) -> List[str]:
+    """Append the pieces of ``record``'s JSON text to ``out``, object keys
+    sorted. With ``indent=None`` the encoder writes a value the same
+    wherever it sits, so the joined pieces are the text ``_dumps`` gives
+    for the decoded record; a leaf held by many records is copied once,
+    by the join."""
+    if isinstance(record, str):
+        out.append(record)
+    elif isinstance(record, dict):
+        out.append("{")
+        for n, (key, value) in enumerate(sorted(record.items())):
+            out.append(f", {_dumps(key)}: " if n else f"{_dumps(key)}: ")
+            _splice(value, out)
+        out.append("}")
+    else:
+        out.append("[")
+        for n, value in enumerate(record):
+            if n:
+                out.append(", ")
+            _splice(value, out)
+        out.append("]")
+    return out
+
+
+def _plan_record(plan: Plan, graph_json: Callable[[DataflowGraph], str]
+                 ) -> Dict[str, str]:
+    """One plan's record: the one place its fields are spelled."""
     return {
-        "pattern": sorted(plan.pattern),
-        "workload": graph_to_dict(plan.workload),
-        "augmented": graph_to_dict(plan.augmented),
-        "assignment": dict(plan.assignment),
-        "schedule": _schedule_to_dict(plan.schedule),
-        "kept_levels": sorted(l.value for l in plan.kept_levels),
-        "routes": {name: list(route)
-                   for name, route in sorted(plan.routes.items())},
+        "pattern": _dumps(sorted(plan.pattern)),
+        "workload": graph_json(plan.workload),
+        "augmented": graph_json(plan.augmented),
+        "assignment": _dumps(plan.assignment),
+        "schedule": _dumps(_schedule_to_dict(plan.schedule)),
+        "kept_levels": _dumps(sorted(l.value for l in plan.kept_levels)),
+        "routes": _dumps(plan.routes),
     }
+
+
+def plan_to_dict(plan: Plan) -> dict:
+    """One plan's record as plain data: its artifact text, decoded. Every
+    call builds fresh containers, so ``plan_from_dict(plan_to_dict(p))``
+    is a clone that shares nothing with ``p``."""
+    return json.loads("".join(_splice(_plan_record(plan, _graph_json), [])))
 
 
 def plan_from_dict(
@@ -163,24 +210,29 @@ class StrategyFormatError(ValueError):
     JSON, not the artifact's shape, or another ``FORMAT_VERSION``."""
 
 
-def strategy_to_dict(strategy: Strategy) -> dict:
-    """The artifact as plain data. Plans share graph objects (see
-    :class:`Plan`), so each distinct graph is encoded once per call and
-    the plan entries that hold it share the encoding — read-only."""
-    encoded: Dict[int, dict] = {}
+def strategy_to_json(strategy: Strategy) -> str:
+    """The artifact: ``json.dumps`` of the strategy record with sorted
+    keys, written with one encoding pass per distinct object. Plans share
+    graph objects (see :class:`Plan`), so each distinct graph becomes
+    text once per call and is spliced into every plan that holds it. A
+    strategy is never mutated (see :class:`Strategy`), so it keeps the
+    text from its first call and every later call returns that."""
+    if strategy._artifact is None:
+        graphs: Dict[int, str] = {}
 
-    def graph_to_dict(graph: DataflowGraph) -> dict:
-        if id(graph) not in encoded:
-            encoded[id(graph)] = _graph_to_dict(graph)
-        return encoded[id(graph)]
+        def graph_json(graph: DataflowGraph) -> str:
+            if id(graph) not in graphs:
+                graphs[id(graph)] = _graph_json(graph)
+            return graphs[id(graph)]
 
-    return {
-        "format_version": FORMAT_VERSION,
-        "f": strategy.f,
-        "covered_nodes": sorted(strategy.covered_nodes),
-        "plans": [plan_to_dict(strategy.plan_for(pattern), graph_to_dict)
-                  for pattern in strategy.patterns()],
-    }
+        strategy._artifact = "".join(_splice({
+            "format_version": _dumps(FORMAT_VERSION),
+            "f": _dumps(strategy.f),
+            "covered_nodes": _dumps(sorted(strategy.covered_nodes)),
+            "plans": [_plan_record(strategy.plan_for(pattern), graph_json)
+                      for pattern in strategy.patterns()],
+        }, []))
+    return strategy._artifact
 
 
 def strategy_from_dict(data: dict) -> Strategy:
@@ -194,13 +246,7 @@ def strategy_from_dict(data: dict) -> Strategy:
         plan = plan_from_dict(plan_data, graph_from_dict)
         plans[plan.pattern] = plan
     return Strategy(f=data["f"], plans=plans,
-                    covered_nodes=set(data["covered_nodes"]))
-
-
-def strategy_to_json(strategy: Strategy, indent: Optional[int] = None
-                     ) -> str:
-    return json.dumps(strategy_to_dict(strategy), indent=indent,
-                      sort_keys=True)
+                    covered_nodes=data["covered_nodes"])
 
 
 def strategy_from_json(text: str) -> Strategy:

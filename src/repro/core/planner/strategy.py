@@ -15,7 +15,7 @@ on every node; lookups at runtime are pure dictionary reads.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Set
+from typing import Dict, Iterable, List, Optional
 
 from ...faults.patterns import (
     FaultPattern,
@@ -41,13 +41,19 @@ PLANNER_VERSION = 2
 
 
 class Strategy:
-    """The installed mapping from fault patterns to plans."""
+    """The installed mapping from fault patterns to plans. Never mutated
+    after ``__init__``, like the :class:`Plan` objects it holds — which
+    is why it may keep its own artifact text."""
 
     def __init__(self, f: int, plans: Dict[FaultPattern, Plan],
-                 covered_nodes: Set[str]) -> None:
+                 covered_nodes: Iterable[str]) -> None:
         self.f = f
         self._plans = dict(plans)
-        self.covered_nodes = set(covered_nodes)
+        self.covered_nodes = frozenset(covered_nodes)
+        #: The ``strategy_to_json`` text, written by its first call. Only
+        #: that encoder fills it: text read from a file may be valid but
+        #: not canonical.
+        self._artifact: Optional[str] = None
 
     def __len__(self) -> int:
         return len(self._plans)
@@ -152,4 +158,4 @@ def build_strategy(
             parent_assignment=parent_assignment,
             ladder=ladder,
         )
-    return Strategy(f=f, plans=plans, covered_nodes=set(candidates))
+    return Strategy(f=f, plans=plans, covered_nodes=candidates)

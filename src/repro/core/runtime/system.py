@@ -402,4 +402,4 @@ class BTRSystem:
         covered nodes that actually host instances in the nominal plan."""
         nominal = self.strategy.nominal
         hosting = set(nominal.assignment.values())
-        return sorted(set(self.strategy.covered_nodes) & hosting)
+        return sorted(self.strategy.covered_nodes & hosting)

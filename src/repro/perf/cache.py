@@ -9,12 +9,14 @@ planning algorithm invalidates every cached artifact, because a stale
 plan silently installed on every node is the worst possible perf
 optimisation).
 
-Entries are full ``strategy_to_json`` artifacts — the same per-node
-representation ``repro plan --export`` ships — written via temp file +
-``os.replace`` so concurrent experiment shards never observe a torn
-entry. A hit therefore goes through the serializer's lossless
-round-trip, and ``repro verify --strict`` accepts a cached strategy
-exactly as it accepts a fresh one.
+Entries are full ``strategy_to_json`` artifacts — the per-node
+representation ``repro plan --export`` ships, there indented — written
+via temp file + ``os.replace`` so concurrent experiment shards never
+observe a torn entry. The strategy keeps the text a store encodes, so a
+later export or digest of the same strategy encodes nothing; a loaded
+strategy does not keep the text it was read from. A hit therefore goes
+through the serializer's lossless round-trip, and ``repro verify
+--strict`` accepts a cached strategy exactly as it accepts a fresh one.
 """
 
 from __future__ import annotations

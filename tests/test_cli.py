@@ -92,12 +92,19 @@ def test_cli_requires_command(capsys):
 
 def test_cli_plan_export(tmp_path, capsys):
     out_file = tmp_path / "strategy.json"
-    code, out = run_cli(capsys, "plan", "--export", str(out_file))
+    cache = tmp_path / "cache"
+    code, out = run_cli(capsys, "plan", "--export", str(out_file),
+                        "--cache", str(cache))
     assert code == 0
     assert "strategy written" in out
     from repro.core.planner import strategy_from_json
-    restored = strategy_from_json(out_file.read_text())
+    exported = out_file.read_text()
+    restored = strategy_from_json(exported)
     assert len(restored) >= 1
+    # The export is the cache entry's artifact, only indented.
+    (entry,) = cache.iterdir()
+    assert (json.dumps(json.loads(exported), sort_keys=True)
+            == entry.read_text())
 
 
 # ------------------------------------------------------------- bad input

@@ -10,12 +10,37 @@ from repro.core.planner import (
     plan_to_dict,
     StrategyFormatError,
     strategy_from_json,
-    strategy_to_dict,
     strategy_to_json,
+)
+from repro.core.planner.serialize import (
+    FORMAT_VERSION,
+    _graph_to_dict,
+    _schedule_to_dict,
 )
 from repro.faults import SingleFaultAdversary
 from repro.net import full_mesh_topology
+from repro.perf import StrategyCache
 from repro.workload import industrial_workload
+
+
+def reference_json(strategy):
+    """The artifact as ``json.dumps`` writes the whole record, built here
+    from the plan fields: what the field-by-field encoder must equal."""
+    plans = [strategy.plan_for(pattern) for pattern in strategy.patterns()]
+    return json.dumps({
+        "format_version": FORMAT_VERSION,
+        "f": strategy.f,
+        "covered_nodes": sorted(strategy.covered_nodes),
+        "plans": [{
+            "pattern": sorted(plan.pattern),
+            "workload": _graph_to_dict(plan.workload),
+            "augmented": _graph_to_dict(plan.augmented),
+            "assignment": plan.assignment,
+            "schedule": _schedule_to_dict(plan.schedule),
+            "kept_levels": sorted(l.value for l in plan.kept_levels),
+            "routes": plan.routes,
+        } for plan in plans],
+    }, sort_keys=True)
 
 
 @pytest.fixture(scope="module")
@@ -79,20 +104,36 @@ def test_plans_share_graphs_and_the_artifact_does_not_notice(system):
                              for p in peers)
 
     assert shares_graphs(system.strategy)
-    encoded = strategy_to_dict(system.strategy)["plans"]
-    assert encoded[0]["augmented"] is encoded[1]["augmented"]
-    assert (json.dumps(encoded[1], sort_keys=True)
-            == json.dumps(plan_to_dict(system.strategy.plan_for(
-                system.strategy.patterns()[1])), sort_keys=True))
+    text = strategy_to_json(system.strategy)
+    assert text == reference_json(system.strategy)
+    encoded = json.loads(text)["plans"]
+    assert encoded[1] == plan_to_dict(system.strategy.plan_for(
+        system.strategy.patterns()[1]))
     # A plan encoded on its own gets its own copy: clones stay corruptible.
     plan = system.strategy.nominal
     assert (plan_to_dict(plan)["augmented"]
             is not plan_to_dict(plan)["augmented"])
 
-    text = strategy_to_json(system.strategy)
     restored = strategy_from_json(text)
     assert shares_graphs(restored)
     assert strategy_to_json(restored) == text
+
+
+def test_strategy_keeps_the_artifact_only_its_encoder_wrote(system,
+                                                             tmp_path):
+    """The first encoding is stored on the (immutable) strategy; text read
+    back from a file never is, even when it decodes to the same plans."""
+    text = strategy_to_json(system.strategy)
+    assert strategy_to_json(system.strategy) is text
+    with pytest.raises(AttributeError):
+        system.strategy.covered_nodes.add("intruder")
+
+    cache = StrategyCache(str(tmp_path))
+    reindented = json.dumps(json.loads(text), indent=1)
+    with open(cache.path_for("key"), "w") as f:
+        f.write(reindented)
+    loaded = cache.load("key")
+    assert strategy_to_json(loaded) == text != reindented
 
 
 def test_strategy_json_rejects_unknown_version(system):
@@ -139,16 +180,21 @@ def test_property_serialization_roundtrips_random_strategies():
         topology = full_mesh_topology(7, bandwidth=1e8)
         topology.place_endpoints_round_robin(workload.sources,
                                              workload.sinks)
-        try:
-            strategy = build_strategy(workload, topology,
-                                      Router(topology), f=1)
-        except (PlanningError, PlacementError):
-            return
-        restored = strategy_from_json(strategy_to_json(strategy))
-        for pattern in strategy.patterns():
-            a, b = strategy.plan_for(pattern), restored.plan_for(pattern)
-            assert a.assignment == b.assignment
-            assert a.routes == b.routes
-            assert a.schedule.arrivals == b.schedule.arrivals
+        for f in (1, 2):
+            try:
+                strategy = build_strategy(workload, topology,
+                                          Router(topology), f=f)
+            except (PlanningError, PlacementError):
+                continue
+            text = strategy_to_json(strategy)
+            assert text == reference_json(strategy)
+            assert strategy_to_json(strategy) is text
+            restored = strategy_from_json(text)
+            assert strategy_to_json(restored) == text
+            for pattern in strategy.patterns():
+                a, b = strategy.plan_for(pattern), restored.plan_for(pattern)
+                assert a.assignment == b.assignment
+                assert a.routes == b.routes
+                assert a.schedule.arrivals == b.schedule.arrivals
 
     check()

@@ -14,9 +14,10 @@ import pytest
 
 from harness import one_shot, write_result
 from repro import BTRConfig, BTRSystem
-from repro.analysis import format_table, latency_breakdown, timeliness
+from repro.analysis import format_table, timeliness
 from repro.faults import FaultScript, Injection, OmissionFault
 from repro.net import mesh_topology
+from repro.obs import reconstruct_timelines
 from repro.sim import to_seconds
 from repro.workload import industrial_workload
 
@@ -49,12 +50,15 @@ def run_experiment():
             Injection(FAULT_AT, victim,
                       OmissionFault(drop_probability=1.0)),
         ]))
-        breakdown = latency_breakdown(faulty)
+        # Detection: manifest -> first conviction on the fault's timeline.
+        (timeline,) = reconstruct_timelines(faulty)
+        convicted = timeline.milestones["conviction"]
         data[label] = {
             "bit_hops": bit_hops,
             "mean_latency": report.mean_latency_us,
             "miss_rate": report.miss_rate,
-            "detection": breakdown.detection_us,
+            "detection": (None if convicted is None
+                          else convicted - timeline.manifest_us),
         }
     return data
 

@@ -30,33 +30,30 @@ sweep.
 """
 
 import os
+from dataclasses import replace
 
 from harness import one_shot, record, smoke, write_result
-from repro import BTRConfig, BTRSystem
+from repro import BTRSystem, Deployment
 from repro.analysis import format_table
 from repro.faults import SingleFaultAdversary
 from repro.fuzz import check_corpus, load_corpus
 from repro.mc import CheckParams, replay_counterexample, run_campaign
-from repro.net import full_mesh_topology, mesh_topology
 from repro.obs import reconstruct_timelines
 from repro.verify.bounds import (SoundnessCheck, check_timelines,
                                  compute_bounds)
-from repro.workload import (automotive_workload, avionics_workload,
-                            industrial_workload, pipeline_workload)
 
 N_PERIODS = 30
 
 #: The four benchmark deployments the tightness gate covers.
 SCENARIOS = [
-    ("industrial-fm7", industrial_workload,
-     lambda: full_mesh_topology(7, bandwidth=1e8)),
-    ("industrial-fm5", industrial_workload,
-     lambda: full_mesh_topology(5, bandwidth=1e8)),
-    ("avionics-mesh9", avionics_workload,
-     lambda: mesh_topology(3, 3, bandwidth=1e8)),
-    ("automotive-fm5", automotive_workload,
-     lambda: full_mesh_topology(5, bandwidth=1e8)),
+    ("industrial-fm7", Deployment("industrial", "fullmesh:7")),
+    ("industrial-fm5", Deployment("industrial", "fullmesh:5")),
+    ("avionics-mesh9", Deployment("avionics", "mesh:3x3")),
+    ("automotive-fm5", Deployment("automotive", "fullmesh:5")),
 ]
+
+#: The deployment the corpus and the mc counterexamples run on.
+PIPELINE = Deployment("pipeline", "fullmesh:4")
 
 #: Injection-offset grid density per fault kind. Forgery recoveries are
 #: the shortest (self-incrimination within a period), so their worst
@@ -79,9 +76,8 @@ CORPUS_DIR = os.path.join(os.path.dirname(os.path.dirname(
     os.path.abspath(__file__))), "corpus")
 
 
-def _prepared(workload_fn, topology_fn, seed: int = 42) -> BTRSystem:
-    system = BTRSystem(workload_fn(), topology_fn(),
-                       BTRConfig(f=1, seed=seed))
+def _prepared(deployment: Deployment) -> BTRSystem:
+    system = deployment.system()
     system.prepare()
     return system
 
@@ -92,9 +88,9 @@ def _bounds_report(system: BTRSystem):
                           budget=system.budget)
 
 
-def _grid_campaign(name, workload_fn, topology_fn) -> dict:
+def _grid_campaign(name, deployment) -> dict:
     """Sweep one deployment's fault grid against its static bounds."""
-    probe = _prepared(workload_fn, topology_fn)
+    probe = _prepared(deployment)
     report = _bounds_report(probe)
     period = probe.strategy.nominal.workload.period
     victims = [node for node in probe.topology.node_ids()
@@ -139,26 +135,17 @@ def _corpus_soundness() -> dict:
     not a number the benchmark deployments promise.
     """
     entries = load_corpus(CORPUS_DIR)
+    verdict = check_corpus(CORPUS_DIR, entries=entries)
     systems = {}
-
-    def build_system(meta: dict) -> BTRSystem:
-        key = (meta["workload"], meta["topology"], meta["f"],
-               meta["seed"])
-        if key not in systems:
-            assert meta["workload"] == "pipeline" \
-                and meta["topology"] == "fullmesh:4", \
-                f"unexpected corpus deployment: {meta}"
-            systems[key] = _prepared(
-                pipeline_workload,
-                lambda: full_mesh_topology(4,
-                                           bandwidth=meta["bandwidth"]),
-                seed=meta["seed"])
-        return systems[key]
-
-    verdict = check_corpus(CORPUS_DIR, build_system, entries=entries)
     check = SoundnessCheck()
     for _, payload in entries:
-        system = build_system(payload["meta"])
+        deployment = Deployment.from_meta(payload["meta"])
+        assert (deployment.workload, deployment.topology) \
+            == (PIPELINE.workload, PIPELINE.topology), \
+            f"unexpected corpus deployment: {deployment}"
+        if deployment not in systems:
+            systems[deployment] = _prepared(deployment)
+        system = systems[deployment]
         _, result = replay_counterexample(system, payload)
         check_timelines(_bounds_report(system),
                         reconstruct_timelines(result), check)
@@ -185,16 +172,16 @@ def _mc_counterexample_soundness() -> dict:
     the *planned* budget: the analyzer bounds the mechanism, not the
     operator's promise.
     """
-    workload_fn = pipeline_workload
-    topology_fn = lambda: full_mesh_topology(4, bandwidth=1e8)
     params = CheckParams(kinds=("commission",), ticks=1, max_depth=1,
                          branch=2, max_paths=40, R_us=30_000)
-    mc_report, _ = run_campaign(workload_fn(), topology_fn(),
-                                BTRConfig(f=1), params)
+    searched = replace(PIPELINE, seed=params.seed)
+    mc_report, _ = run_campaign(searched.build_workload(),
+                                searched.build_topology(),
+                                searched.config(), params)
     artifacts = [c["counterexample"] for c in mc_report["cells"]
                  if c.get("counterexample")]
     check = SoundnessCheck()
-    system = _prepared(workload_fn, topology_fn)
+    system = _prepared(PIPELINE)
     report = _bounds_report(system)
     for payload in artifacts:
         _, result = replay_counterexample(system, payload)

@@ -37,14 +37,12 @@ from harness import (
     smoke,
     write_result,
 )
-from repro import BTRConfig, BTRSystem
+from repro import BTRSystem, Deployment
 from repro.analysis import format_table
 from repro.faults.scenarios import stage
-from repro.net import geo_topology
 from repro.perf.batchcore import run_sweep
-from repro.perf.pool import GeoSweepSpec, run_sweep_pool, system_for_spec
+from repro.perf.pool import run_sweep_pool
 from repro.perf.timing import Stopwatch
-from repro.workload import industrial_workload, stretched_workload
 
 #: (regions, nodes_per_region, seeds, n_periods, pool). The 4x30 and
 #: 6x20 cases are the >=100-node deployments.
@@ -63,16 +61,17 @@ POOL_SEEDS = (42, 43, 44, 45)
 POOL_GATE = 1.5
 
 
+def _deployment(regions: int, npr: int, seed: int = 42) -> Deployment:
+    """The industrial workload at WAN-scale periods on a geo topology
+    (default WAN latency)."""
+    return Deployment("industrial", f"geo:{regions}x{npr}", seed=seed,
+                      stretch=10)
+
+
 def _prepared(regions: int, npr: int, seed: int,
               trace_mode: str) -> BTRSystem:
-    """A prepared geo system; same deployment recipe as GeoSweepSpec
-    (stretched industrial workload, default WAN latency)."""
-    system = BTRSystem(
-        stretched_workload(industrial_workload(), 10),
-        geo_topology(regions, npr, bandwidth=1e8),
-        BTRConfig(f=1, seed=seed, cache=harness_cache_dir(),
-                  trace_mode=trace_mode),
-    )
+    system = _deployment(regions, npr, seed).system(
+        cache=harness_cache_dir(), trace_mode=trace_mode)
     system.prepare()
     return system
 
@@ -124,12 +123,7 @@ def run_case(regions, npr, seeds, n_periods, pool):
     # --- The pool: per-seed fingerprints must survive the process
     # boundary; the speedup column scales with available cores. ---
     if pool:
-        spec = GeoSweepSpec(regions=regions, nodes_per_region=npr,
-                            n_periods=n_periods, scenario=scenario_name,
-                            cache=harness_cache_dir() or None,
-                            trace_mode="milestones")
-        proto = system_for_spec(spec)
-        proto.prepare()
+        proto = _prepared(regions, npr, 42, "milestones")
         watch = Stopwatch()
         serial = run_sweep(proto, POOL_SEEDS, n_periods,
                            scenario=scenario_name)
@@ -137,8 +131,10 @@ def run_case(regions, npr, seeds, n_periods, pool):
         serial_fps = {run.seed: run.fingerprint for run in serial}
         cores = os.cpu_count() or 1
         watch = Stopwatch()
-        out = run_sweep_pool(spec, POOL_SEEDS,
-                             workers=min(len(POOL_SEEDS), max(cores, 2)))
+        out = run_sweep_pool(_deployment(regions, npr), POOL_SEEDS,
+                             workers=min(len(POOL_SEEDS), max(cores, 2)),
+                             n_periods=n_periods, scenario=scenario_name,
+                             cache=harness_cache_dir())
         pool_s = watch.elapsed_s()
         for entry in out["runs"]:
             assert entry["fingerprint"] == serial_fps[entry["seed"]], (

@@ -5,6 +5,9 @@ Five-Second Rule" (Chen, Xiao, Haeberlen, Phan - HotOS XV, 2015):
 
 * :class:`BTRSystem` / :class:`BTRConfig` - the deployment API
   (offline planning + simulated execution);
+* :class:`Deployment` - one deployment named by primitives (workload,
+  topology spec, bandwidth, f, seed, stretch), as CLI flags, artifact
+  ``meta`` and pool workers name it;
 * :mod:`repro.workload` - periodic dataflow workloads with criticality;
 * :mod:`repro.net` - CPS topologies, routing, bandwidth reservation;
 * :mod:`repro.sched` - static schedule synthesis and analysis;
@@ -16,12 +19,14 @@ Five-Second Rule" (Chen, Xiao, Haeberlen, Phan - HotOS XV, 2015):
 """
 
 from .core import BTRConfig, BTRSystem, RecoveryBudget, RunResult
+from .deployment import Deployment
 
 __version__ = "1.0.0"
 
 __all__ = [
     "BTRConfig",
     "BTRSystem",
+    "Deployment",
     "RecoveryBudget",
     "RunResult",
     "__version__",

@@ -13,10 +13,8 @@ from .correctness import (
     smallest_sufficient_R,
 )
 from .metrics import (
-    LatencyBreakdown,
     TimelinessReport,
     criticality_survival,
-    latency_breakdown,
     replica_count,
     timeliness,
     traffic_bits,
@@ -32,7 +30,7 @@ from .plants import (
     WaterTank,
     commands_from_slots,
 )
-from .reporting import format_series, format_table, ratio, us_to_ms
+from .reporting import format_table, ratio
 from .timeline import TimelineEntry, build_timeline, render_timeline
 
 __all__ = [
@@ -46,10 +44,8 @@ __all__ = [
     "classify_slots",
     "recovery_times",
     "smallest_sufficient_R",
-    "LatencyBreakdown",
     "TimelinessReport",
     "criticality_survival",
-    "latency_breakdown",
     "replica_count",
     "timeliness",
     "traffic_bits",
@@ -65,8 +61,6 @@ __all__ = [
     "TimelineEntry",
     "build_timeline",
     "render_timeline",
-    "format_series",
     "format_table",
     "ratio",
-    "us_to_ms",
 ]

@@ -1,17 +1,15 @@
-"""Run metrics: timeliness, cost, criticality survival, latency breakdown."""
+"""Run metrics: timeliness, traffic cost, criticality survival.
+
+Where a recovery's time goes is read off its timeline
+(:func:`repro.obs.reconstruct_timelines`), not measured here."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 from ..core.runtime.system import RunResult
-from ..sim.trace import (
-    EvidenceAccepted,
-    EvidenceGenerated,
-    MessageSent,
-    ModeSwitchCompleted,
-)
+from ..sim.trace import MessageSent
 from .correctness import CORRECT, classify_slots
 
 
@@ -58,7 +56,14 @@ def timeliness(result: RunResult) -> TimelinessReport:
 
 
 def traffic_bits(result: RunResult) -> Dict[str, int]:
-    """Bits put on links per traffic class."""
+    """Bits put on links per traffic class.
+
+    Needs every hop: a ``milestones`` trace only tallies sends, so it
+    raises ``ValueError`` rather than report no traffic."""
+    if not result.trace.retains(MessageSent):
+        raise ValueError("traffic_bits needs a trace that keeps every "
+                         "MessageSent (trace_mode='full'); this one only "
+                         "tallies them")
     totals: Dict[str, int] = {}
     for event in result.trace.of_kind(MessageSent):
         totals[event.kind] = totals.get(event.kind, 0) + event.size_bits
@@ -80,58 +85,6 @@ def criticality_survival(result: RunResult) -> Dict[str, float]:
         level: sum(oks) / len(oks)
         for level, oks in sorted(by_level.items())
     }
-
-
-@dataclass(frozen=True)
-class LatencyBreakdown:
-    """E6: where the recovery time goes, for the first fault of a run."""
-
-    fault_time: int
-    detection_us: Optional[int]       # fault -> first evidence generated
-    distribution_us: Optional[int]    # first generated -> last node accepted
-    switch_us: Optional[int]          # last accepted -> last mode switch
-
-    @property
-    def total_us(self) -> Optional[int]:
-        parts = [self.detection_us, self.distribution_us, self.switch_us]
-        if any(p is None for p in parts):
-            return None
-        return sum(parts)
-
-
-def latency_breakdown(result: RunResult) -> Optional[LatencyBreakdown]:
-    faults = sorted(result.fault_times().items(), key=lambda kv: kv[1])
-    if not faults:
-        return None
-    fault_node, fault_time = faults[0]
-    generated = [e for e in result.trace.of_kind(EvidenceGenerated)
-                 if e.accused_node == fault_node and e.time >= fault_time]
-    if not generated:
-        return LatencyBreakdown(fault_time, None, None, None)
-    first_gen = generated[0].time
-    # Distribution ends when the *last* node learns of the fault — each
-    # node's FIRST acceptance counts (duplicate records keep trickling in
-    # long after the switch and must not pollute the measurement).
-    first_accept_per_node: Dict[str, int] = {}
-    for e in result.trace.of_kind(EvidenceAccepted):
-        if e.accused_node == fault_node:
-            first_accept_per_node.setdefault(e.node, e.time)
-    all_informed = max(first_accept_per_node.values(), default=None)
-    switches = [e for e in result.trace.of_kind(ModeSwitchCompleted)
-                if e.time >= first_gen]
-    first_switch_per_node: Dict[str, int] = {}
-    for e in switches:
-        first_switch_per_node.setdefault(e.node, e.time)
-    last_switch = max(first_switch_per_node.values(), default=None)
-    return LatencyBreakdown(
-        fault_time=fault_time,
-        detection_us=first_gen - fault_time,
-        distribution_us=(all_informed - first_gen
-                         if all_informed is not None else None),
-        switch_us=(max(0, last_switch - all_informed)
-                   if all_informed is not None and last_switch is not None
-                   else None),
-    )
 
 
 def replica_count(system_kind: str, f: int) -> int:

@@ -36,19 +36,6 @@ def format_table(title: str, headers: Sequence[str],
     return "\n".join(out)
 
 
-def format_series(title: str, x_label: str, y_label: str,
-                  points: Iterable[tuple]) -> str:
-    """Render a figure's (x, y, …) series as an aligned listing."""
-    pts = list(points)
-    extra = max((len(p) for p in pts), default=2) - 2
-    headers = [x_label, y_label] + [f"aux{i}" for i in range(extra)]
-    return format_table(title, headers, pts)
-
-
-def us_to_ms(us: float) -> str:
-    return f"{us / 1000:.1f}ms"
-
-
 def ratio(a: float, b: float) -> str:
     if b == 0:
         return "inf"

@@ -7,7 +7,18 @@ from .selfstab import SelfStabilizingSystem
 from .unreplicated import UnreplicatedSystem
 from .zz import ZZSystem
 
+#: The named baselines: the one name -> system table behind ``repro
+#: compare`` and the committed baseline digests.
+BASELINES = {
+    "unreplicated": UnreplicatedSystem,
+    "bft": BFTSystem,
+    "zz": ZZSystem,
+    "selfstab": SelfStabilizingSystem,
+    "crash_restart": CrashRestartSystem,
+}
+
 __all__ = [
+    "BASELINES",
     "BaselineAgent",
     "BaselinePlan",
     "BaselineSystem",

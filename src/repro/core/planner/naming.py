@@ -65,11 +65,6 @@ def is_checker(instance: str) -> bool:
     return instance.endswith(CHECKER_SUFFIX)
 
 
-def is_replica(instance: str) -> bool:
-    sep = instance.rfind(REPLICA_SEP)
-    return sep != -1 and instance[sep + len(REPLICA_SEP):].isdigit()
-
-
 def replica_index(instance: str) -> Optional[int]:
     sep = instance.rfind(REPLICA_SEP)
     if sep == -1:

@@ -170,16 +170,6 @@ def build_behavior(kind: str, params: Optional[dict] = None,
 SCRIPT_VERSION = 2
 
 
-def script_signature(script: FaultScript) -> tuple:
-    """The structural identity of a script: ``(time, node, kind)`` per
-    injection, in script order. Two scripts with equal signatures inject
-    the same faults at the same places and times; behaviour *parameters*
-    beyond the kind are not part of the identity (the serialised payload
-    carries them — compare :func:`script_to_dict` outputs for full
-    fidelity)."""
-    return tuple((i.time, i.node, i.behavior.kind) for i in script)
-
-
 def script_to_dict(script: FaultScript) -> dict:
     """Serialise a script for artifacts (counterexamples, replays).
 

@@ -15,8 +15,9 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
+from ..deployment import Deployment
 from ..mc.counterexample import (
     counterexample_from_dict,
     replay_counterexample,
@@ -25,19 +26,23 @@ from ..mc.explorer import state_fingerprint
 
 #: Artifact fields that determine what a replay executes (meta and the
 #: recorded verdicts are excluded: they describe, they don't replay —
-#: except the meta keys that pin the deployment, hashed separately).
+#: except the deployment the meta pins, hashed separately).
 _IDENTITY_KEYS = ("fault_script", "deliveries", "n_periods", "R_us", "k",
                   "seed")
-#: Meta keys that pin which deployment the artifact replays on.
-_DEPLOYMENT_KEYS = ("workload", "topology", "bandwidth", "f")
 
 
 def artifact_name(artifact: dict) -> str:
     """Content-derived corpus file name for one artifact."""
     identity = {key: artifact.get(key) for key in _IDENTITY_KEYS}
+    # The deployment as its meta names it. The meta seed is left out,
+    # and ``stretch`` is in only when it is not 1, so names given before
+    # either was hashed stay valid.
     meta = artifact.get("meta") or {}
     identity["deployment"] = {key: meta.get(key)
-                              for key in _DEPLOYMENT_KEYS}
+                              for key in Deployment().to_meta()
+                              if key != "seed"}
+    if meta.get("stretch", 1) != 1:
+        identity["deployment"]["stretch"] = meta["stretch"]
     digest = hashlib.sha256(
         json.dumps(identity, sort_keys=True,
                    separators=(",", ":")).encode()).hexdigest()
@@ -83,31 +88,28 @@ def load_corpus(dirpath: str) -> List[Tuple[str, dict]]:
     return entries
 
 
-def check_corpus(dirpath: str,
-                 build_system: Callable[[dict], object],
-                 entries: Optional[List[Tuple[str, dict]]] = None
-                 ) -> dict:
+def check_corpus(dirpath: str, base: Optional[Deployment] = None,
+                 entries: Optional[List[Tuple[str, dict]]] = None,
+                 cache: Optional[str] = None) -> dict:
     """Replay every corpus entry; the CI regression gate.
 
-    ``build_system`` maps an artifact's ``meta`` to a **prepared**
-    ``BTRSystem`` (the CLI builds one from the meta's workload/topology
-    keys); systems are cached per deployment so a corpus of N entries on
-    one config prepares once. Each entry passes iff its replay still
-    produces every recorded invariant verdict, and — when the artifact
-    recorded a ``replay_digest`` — the replayed path's primitives-only
-    fingerprint matches byte-for-byte.
+    Each entry replays on the :class:`~repro.deployment.Deployment` its
+    ``meta`` pins (keys it lacks come from ``base``), prepared once per
+    distinct deployment through the strategy ``cache``. Each entry
+    passes iff its replay still produces every recorded invariant
+    verdict, and — when the artifact recorded a ``replay_digest`` — the
+    replayed path's primitives-only fingerprint matches byte-for-byte.
     """
     if entries is None:
         entries = load_corpus(dirpath)
-    systems: Dict[tuple, object] = {}
+    systems: Dict[Deployment, object] = {}
     results = []
     for name, payload in entries:
-        meta = payload.get("meta") or {}
-        deployment = tuple(
-            (key, meta.get(key)) for key in _DEPLOYMENT_KEYS)
+        deployment = Deployment.from_meta(payload.get("meta"), base)
         system = systems.get(deployment)
         if system is None:
-            system = systems[deployment] = build_system(meta)
+            system = systems[deployment] = deployment.system(cache=cache)
+            system.prepare()
         violations, result = replay_counterexample(system, payload)
         recorded = sorted({v["invariant"]
                            for v in payload.get("violations", [])})

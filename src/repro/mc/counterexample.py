@@ -12,11 +12,10 @@ artifact is proof the violation exists outside the checker.
 
 from __future__ import annotations
 
-import math
 from typing import List, Optional, Tuple
 
+from ..deployment import Deployment, _require_int
 from ..faults.adversary import FaultScript, script_from_dict, script_to_dict
-from ..workload import WORKLOADS
 from .choices import Cell, DeliveryChoice, validate_schedule
 from .invariants import Violation
 from .judge import NOT_DETERMINISTIC, judge
@@ -91,42 +90,8 @@ def counterexample_from_dict(payload: dict
             isinstance(v, dict) and isinstance(v.get("invariant"), str)
             for v in violations)):
         raise ValueError(f"malformed violations {violations!r}")
-    _check_meta(payload.get("meta"))
+    Deployment.from_meta(payload.get("meta"))
     return cell, deliveries
-
-
-def _require_int(name: str, value, least: Optional[int] = None) -> None:
-    # ``type(...) is int``: a JSON ``true`` is no count.
-    if type(value) is not int or (least is not None and value < least):
-        bound = "" if least is None else f" >= {least}"
-        raise ValueError(f"{name} must be an integer{bound}, got {value!r}")
-
-
-def _check_meta(meta) -> None:
-    """The deployment an artifact's ``meta`` pins must be one this build
-    can name: a known workload, a topology spec string, a positive
-    bandwidth, integer ``f`` and ``seed``. Absent keys are fine (the
-    CLI's flags fill them)."""
-    if meta is None:
-        return
-    if not isinstance(meta, dict):
-        raise ValueError(f"meta must be an object, got {meta!r}")
-    workload = meta.get("workload", "industrial")
-    if not isinstance(workload, str) or workload not in WORKLOADS:
-        raise ValueError(f"unknown workload {workload!r} in meta; choose "
-                         f"from {', '.join(sorted(WORKLOADS))}")
-    if not isinstance(meta.get("topology", ""), str):
-        raise ValueError(f"meta topology must be a spec string, "
-                         f"got {meta['topology']!r}")
-    bandwidth = meta.get("bandwidth", 1.0)
-    if type(bandwidth) not in (int, float) \
-            or not 0 < bandwidth < math.inf:
-        raise ValueError(f"meta bandwidth must be a positive number, "
-                         f"got {bandwidth!r}")
-    if "f" in meta:
-        _require_int("meta f", meta["f"], least=1)
-    if "seed" in meta:
-        _require_int("meta seed", meta["seed"])
 
 
 def replay_counterexample(system, payload: dict

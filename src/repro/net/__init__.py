@@ -13,8 +13,10 @@ from .topology import (
     geo_topology,
     line_topology,
     mesh_topology,
+    parse_topology_spec,
     ring_topology,
     star_topology,
+    topology_from_spec,
 )
 
 __all__ = [
@@ -31,6 +33,8 @@ __all__ = [
     "geo_topology",
     "line_topology",
     "mesh_topology",
+    "parse_topology_spec",
     "ring_topology",
     "star_topology",
+    "topology_from_spec",
 ]

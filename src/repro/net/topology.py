@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import zlib
 from bisect import insort
-from typing import Dict, Iterable, List, Optional
+from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
 import networkx as nx
 
@@ -24,8 +24,9 @@ from ..sim.link import Link
 from ..sim.node import Node
 
 
-class TopologyError(Exception):
-    """Raised for malformed topologies or endpoint placements."""
+class TopologyError(ValueError):
+    """Raised for malformed topologies, topology specs or endpoint
+    placements."""
 
 
 #: Default raw link bandwidth: 10 Mbps, typical of embedded backbones.
@@ -383,3 +384,49 @@ def dual_star_topology(n_leaves: int, bandwidth: float = DEFAULT_BANDWIDTH,
                                propagation))
             link_idx += 1
     return topo
+
+
+#: The topology-spec grammar: ``kind:AxB…`` names a builder and its
+#: integer size arguments (``fullmesh:7``, ``mesh:3x3``, ``geo:3x8`` =
+#: regions x nodes-per-region); a bare kind means size 7.
+_SPEC_BUILDERS: Dict[str, Tuple[Callable[..., Topology], int]] = {
+    "fullmesh": (full_mesh_topology, 1),
+    "ring": (ring_topology, 1),
+    "line": (line_topology, 1),
+    "star": (star_topology, 1),
+    "bus": (bus_topology, 1),
+    "dualstar": (dual_star_topology, 1),
+    "mesh": (mesh_topology, 2),
+    "geo": (geo_topology, 2),
+}
+
+
+def parse_topology_spec(spec: str
+                        ) -> Tuple[Callable[..., Topology], Tuple[int, ...]]:
+    """``(builder, sizes)`` for a topology spec, without building it;
+    :class:`TopologyError` names an unknown kind or a malformed size."""
+    kind, _, arg = spec.partition(":")
+    if kind not in _SPEC_BUILDERS:
+        raise TopologyError(f"unknown topology {kind!r}; choose from "
+                            f"{', '.join(sorted(_SPEC_BUILDERS))}")
+    builder, arity = _SPEC_BUILDERS[kind]
+    parts = (arg or "7").split("x")
+    try:
+        sizes = tuple(int(part) for part in parts)
+    except ValueError as exc:
+        raise TopologyError(f"malformed topology {spec!r}: {exc}") from None
+    if len(sizes) != arity:
+        raise TopologyError(f"malformed topology {spec!r}: {kind} takes "
+                            f"{arity} size(s), got {len(sizes)}")
+    return builder, sizes
+
+
+def topology_from_spec(spec: str,
+                       bandwidth: float = DEFAULT_BANDWIDTH) -> Topology:
+    """Build the topology a spec names (see :func:`parse_topology_spec`)
+    at raw link ``bandwidth``."""
+    builder, sizes = parse_topology_spec(spec)
+    try:
+        return builder(*sizes, bandwidth=bandwidth)
+    except TopologyError as exc:
+        raise TopologyError(f"malformed topology {spec!r}: {exc}") from None

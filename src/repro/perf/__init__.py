@@ -27,13 +27,7 @@ from .cache import (
     default_cache_dir,
     strategy_cache_key,
 )
-from .pool import (
-    GeoSweepSpec,
-    PoolSweepError,
-    WorkerPool,
-    run_sweep_pool,
-    system_for_spec,
-)
+from .pool import WorkerPool, run_sweep_pool
 
 __all__ = [
     "BatchRuntime",
@@ -46,9 +40,6 @@ __all__ = [
     "strategy_cache_key",
     "VerifyMemo",
     "trace_fingerprint",
-    "GeoSweepSpec",
-    "PoolSweepError",
     "WorkerPool",
     "run_sweep_pool",
-    "system_for_spec",
 ]

@@ -16,15 +16,13 @@ two set :attr:`WorkerPool.fallback`. Tasks are pure functions of their
 payload, so results already yielded stay valid and the map carries on
 in-process from the first payload it has not yielded.
 
-**The geo sweep.** A :func:`~repro.net.topology.geo_topology`
+**The pool sweep.** A :func:`~repro.net.topology.geo_topology`
 deployment at 60-120 nodes runs seconds per seed, and runs are
-independent per seed: :class:`GeoSweepSpec` names a deployment with
-primitives only, :func:`system_for_spec` rebuilds it in any process, and
-:func:`run_sweep_pool` hands the seeds to pool workers. Per-seed trace
-fingerprints equal the serial in-process sweep's across the process
-boundary. Delivery hooks cannot cross one; :func:`run_sweep_pool`
-rejects them (:class:`PoolSweepError`) instead of silently running
-unperturbed schedules.
+independent per seed: a :class:`~repro.deployment.Deployment` names the
+deployment with primitives only, each worker builds its system from
+it, and :func:`run_sweep_pool` hands the seeds to pool workers. Per-seed
+trace fingerprints equal the serial in-process sweep's across the
+process boundary.
 """
 
 from __future__ import annotations
@@ -36,8 +34,7 @@ from concurrent.futures.process import BrokenProcessPool
 from functools import partial
 from typing import Any, Callable, Iterable, Iterator, Optional
 
-from ..net.topology import geo_topology
-from ..workload import WORKLOADS, stretched_workload
+from ..deployment import Deployment
 from .batchcore import run_sweep
 
 #: What "the pool cannot be created or kept" looks like from the caller's
@@ -135,73 +132,20 @@ class WorkerPool:
 
 # ------------------------------------------------------------ pool sweep
 
-class PoolSweepError(Exception):
-    """Raised for pool-sweep requests that cannot be honoured: an unknown
-    workload name, or semantics that cannot cross a process boundary
-    (delivery hooks)."""
-
-
-@dataclasses.dataclass(frozen=True)
-class GeoSweepSpec:
-    """A picklable recipe for one geo sweep configuration: everything a
-    worker process needs to rebuild the system from scratch (names and
-    numbers only — no callables, no live objects)."""
-
-    workload: str = "industrial"
-    #: Period/deadline stretch factor (see
-    #: :func:`~repro.workload.stretched_workload`): geo WAN latencies
-    #: do not fit inside millisecond CPS deadlines unstretched.
-    stretch: int = 10
-    regions: int = 3
-    nodes_per_region: int = 8
-    wan_latency: int = 5000
-    wan_jitter: int = 0
-    bandwidth: float = 1e8
-    f: int = 1
-    n_periods: int = 12
-    seed: int = 42
-    trace_mode: str = "milestones"
-    cache: Optional[str] = None
-    scenario: Optional[str] = None
-
-
-def system_for_spec(spec: GeoSweepSpec):
-    """Build (unprepared) the system a :class:`GeoSweepSpec` describes."""
-    from ..core.runtime.config import BTRConfig
-    from ..core.runtime.system import BTRSystem
-
-    try:
-        factory = WORKLOADS[spec.workload]
-    except KeyError:
-        raise PoolSweepError(
-            f"unknown workload {spec.workload!r}; pool sweeps rebuild "
-            f"workloads by name ({sorted(WORKLOADS)})"
-        ) from None
-    workload = factory()
-    if spec.stretch > 1:
-        workload = stretched_workload(workload, spec.stretch)
-    topology = geo_topology(spec.regions, spec.nodes_per_region,
-                            wan_latency=spec.wan_latency,
-                            wan_jitter=spec.wan_jitter,
-                            bandwidth=spec.bandwidth)
-    config = BTRConfig(f=spec.f, seed=spec.seed, cache=spec.cache,
-                       trace_mode=spec.trace_mode)
-    return BTRSystem(workload, topology, config)
-
-
-def _prepared_for_spec(spec: GeoSweepSpec):
-    """A pool seat's context: the spec's system, prepared (an on-disk
-    cache hit in a worker — the parent warmed it)."""
-    system = system_for_spec(spec)
+def _prepared(deployment: Deployment, cache: Optional[str]):
+    """A pool seat's context: the deployment's system on milestone
+    traces, prepared (an on-disk cache hit in a worker — the parent
+    warmed it)."""
+    system = deployment.system(cache=cache, trace_mode="milestones")
     system.prepare()
     return system
 
 
-def _sweep_seed(system, seed: int, *, spec: GeoSweepSpec) -> dict:
+def _sweep_seed(system, seed: int, *, n_periods: int,
+                scenario: Optional[str]) -> dict:
     """One seed of a pool sweep: run, ship back primitives only
     (RunResult traces are large and stay in the worker)."""
-    run, = run_sweep(system, (seed,), spec.n_periods,
-                     scenario=spec.scenario)
+    run, = run_sweep(system, (seed,), n_periods, scenario=scenario)
     return {
         "seed": run.seed,
         "fingerprint": run.fingerprint,
@@ -210,42 +154,34 @@ def _sweep_seed(system, seed: int, *, spec: GeoSweepSpec) -> dict:
     }
 
 
-def run_sweep_pool(spec: GeoSweepSpec, seeds, workers: int,
-                   delivery_hook=None) -> dict:
-    """Fan a multi-seed geo sweep out over worker processes.
+def run_sweep_pool(deployment: Deployment, seeds, workers: int, *,
+                   n_periods: int, scenario: Optional[str] = None,
+                   cache: Optional[str] = None) -> dict:
+    """Fan a multi-seed sweep of ``deployment`` out over worker
+    processes.
 
-    Each worker rebuilds the system from ``spec``, prepares it against
-    the shared on-disk strategy cache (the parent prepares first, so
+    Each worker builds the deployment's system, prepares it against the
+    shared on-disk strategy ``cache`` (the parent prepares first, so
     workers hit), and runs the seeds the pool hands it with
     :func:`run_sweep`. Results come back in the input seed order as
     primitive dicts (seed, trace fingerprint, wall seconds, events
-    executed) — callers gate on the fingerprints being equal to the
-    serial sweep's.
-
-    ``delivery_hook`` exists only to be rejected: hooks are live
-    callables consulted per delivery and cannot cross a process
-    boundary, so accepting one here would silently run unperturbed
-    schedules. Passing one raises :class:`PoolSweepError`; run
-    in-process instead.
+    executed) — callers gate on the fingerprints being equal to a
+    serial sweep's on milestone traces.
 
     If no process pool can be created or kept the sweep degrades to
     in-process execution and reports ``pooled: False`` — same results,
     no speedup, never a failure.
     """
-    if delivery_hook is not None:
-        raise PoolSweepError(
-            "delivery hooks cannot cross process boundaries; a pool "
-            "sweep with a hook would silently explore nothing — run "
-            "in-process instead"
-        )
     seeds = list(seeds)
     if not seeds:
         return {"runs": [], "workers": 0, "pooled": False}
     workers = max(1, min(workers, len(seeds)))
+    recipe = (deployment, cache)
     # Warm the on-disk strategy cache once, before any worker starts.
-    own = _prepared_for_spec(spec) if spec.cache else None
-    with WorkerPool(partial(_sweep_seed, spec=spec), _prepared_for_spec,
-                    (spec,), workers=workers, own=own) as pool:
+    own = _prepared(*recipe) if cache else None
+    task = partial(_sweep_seed, n_periods=n_periods, scenario=scenario)
+    with WorkerPool(task, _prepared, recipe, workers=workers,
+                    own=own) as pool:
         runs = list(pool.map(seeds))
     return {
         "runs": runs,

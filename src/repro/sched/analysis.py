@@ -1,9 +1,9 @@
 """Classical single-node schedulability analysis.
 
 The table synthesizer in :mod:`repro.sched.synthesis` is what BTR actually
-deploys, but the planner uses these closed-form tests for fast pre-filtering
-(is a candidate assignment even worth synthesizing?) and the benchmarks use
-them as reference points. Included:
+deploys, and the planner's feasibility test is that synthesis succeeding;
+nothing in the program path calls these closed-form tests. They remain as
+reference points only. Included:
 
 * EDF utilization bound (Liu & Layland): U ≤ 1 on a uniprocessor with
   implicit deadlines.

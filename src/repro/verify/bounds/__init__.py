@@ -24,7 +24,6 @@ from .soundness import (
     SoundnessCheck,
     SoundnessViolation,
     check_timelines,
-    tightness_rows,
 )
 
 __all__ = [
@@ -40,5 +39,4 @@ __all__ = [
     "class_of_kind",
     "compute_bounds",
     "conviction_profile",
-    "tightness_rows",
 ]

@@ -166,21 +166,4 @@ def check_timelines(report: BoundsReport,
     return check
 
 
-def tightness_rows(report: BoundsReport, check: SoundnessCheck
-                   ) -> List[List[str]]:
-    """Render-ready (kind, bound, worst empirical, ratio) rows for the
-    CLI and the benchmark reports."""
-    rows = []
-    tightness = check.tightness
-    for kind in sorted(tightness):
-        rows.append([
-            kind,
-            str(check.bound_total.get(kind, "-")),
-            str(check.worst_empirical.get(kind, "-")),
-            f"{tightness[kind]:.2f}x",
-        ])
-    return rows
-
-
-__all__ = ["SoundnessViolation", "SoundnessCheck", "check_timelines",
-           "tightness_rows"]
+__all__ = ["SoundnessViolation", "SoundnessCheck", "check_timelines"]

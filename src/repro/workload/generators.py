@@ -389,10 +389,9 @@ def stretched_workload(graph: DataflowGraph, factor: int) -> DataflowGraph:
     )
 
 
-#: The named workloads: the one name -> factory table behind the CLI's
-#: ``--workload`` and every recipe that rebuilds a workload by name in
-#: another process (:class:`~repro.perf.pool.GeoSweepSpec`, artifact
-#: ``meta``).
+#: The named workloads: the one name -> factory table behind
+#: :class:`~repro.deployment.Deployment`, and so behind the CLI's
+#: ``--workload``, artifact ``meta`` and pool-sweep workers.
 WORKLOADS: Dict[str, Callable[[], DataflowGraph]] = {
     "industrial": industrial_workload,
     "avionics": avionics_workload,

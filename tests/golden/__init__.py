@@ -38,16 +38,16 @@ import re
 import sys
 
 from repro import BTRConfig, BTRSystem
-from repro.cli import BASELINES, WORKLOADS, make_topology
+from repro.baselines import BASELINES
 from repro.core.planner import PlanningError, strategy_to_json
 from repro.faults import SingleFaultAdversary
 from repro.faults.scenarios import stage
-from repro.net import full_mesh_topology, geo_topology
+from repro.net import full_mesh_topology, geo_topology, topology_from_spec
 from repro.sim.trace import trace_fingerprint
 from repro.sim.trace import MILESTONE_KINDS
 from repro.verify import verify_strategy
 from repro.verify.bounds import compute_bounds
-from repro.workload import industrial_workload, stretched_workload
+from repro.workload import WORKLOADS, industrial_workload, stretched_workload
 
 PATH = os.path.join(os.path.dirname(__file__), "engine_digests.json")
 PLANNER_PATH = os.path.join(os.path.dirname(__file__),
@@ -177,7 +177,7 @@ def planner_system(key: str, **config) -> BTRSystem:
     m = _PLANNER_KEY.fullmatch(key)
     workload = stretched_workload(WORKLOADS[m["workload"]](),
                                   int(m["stretch"] or 1))
-    system = BTRSystem(workload, make_topology(m["topology"], 1e8),
+    system = BTRSystem(workload, topology_from_spec(m["topology"], 1e8),
                        BTRConfig(f=int(m["f"]), **config))
     system.prepare()
     return system
@@ -234,7 +234,7 @@ def expected_baseline(key: str) -> dict:
 def run_baseline_cell(key: str) -> dict:
     m = _BASELINE_KEY.fullmatch(key)
     system = BASELINES[m["name"]](WORKLOADS[m["workload"]](),
-                                  make_topology(m["topology"], 1e8),
+                                  topology_from_spec(m["topology"], 1e8),
                                   f=int(m["f"]), seed=int(m["seed"]))
     try:
         system.prepare()

@@ -17,7 +17,6 @@ from repro.analysis import (
     commands_from_slots,
     criticality_survival,
     format_table,
-    latency_breakdown,
     recovery_times,
     smallest_sufficient_R,
     timeliness,
@@ -25,6 +24,7 @@ from repro.analysis import (
 )
 from repro.faults import SingleFaultAdversary
 from repro.net import full_mesh_topology
+from repro.obs import reconstruct_timelines
 from repro.workload import compute_output, industrial_workload
 
 FAULT_AT = 220_000
@@ -128,17 +128,34 @@ def test_criticality_survival_clean(clean_run):
     assert all(v == 1.0 for v in survival.values())
 
 
+def test_traffic_bits_refuses_a_milestones_trace():
+    """A milestones trace only tallies sends: no traffic figure, not a
+    zero one."""
+    system = BTRSystem(industrial_workload(),
+                       full_mesh_topology(7, bandwidth=1e8),
+                       BTRConfig(f=1, seed=11, trace_mode="milestones"))
+    system.prepare()
+    with pytest.raises(ValueError, match="trace_mode='full'"):
+        traffic_bits(system.run(n_periods=4))
+
+
 def test_latency_breakdown(faulty_run):
-    breakdown = latency_breakdown(faulty_run)
-    assert breakdown is not None
-    assert breakdown.detection_us is not None and breakdown.detection_us > 0
-    assert breakdown.distribution_us is not None
-    assert breakdown.total_us is not None
-    assert breakdown.total_us <= faulty_run.budget.total_us
+    """Detection, distribution and switch are spans between the fault's
+    timeline milestones (what E6 and E12 tabulate)."""
+    (timeline,) = reconstruct_timelines(faulty_run)
+    marks = [timeline.manifest_us] + [
+        timeline.milestones[name]
+        for name in ("conviction", "quorum", "switch_boundary")]
+    assert None not in marks
+    detection, distribution, switch = (b - a for a, b in
+                                       zip(marks, marks[1:]))
+    assert detection > 0 and distribution >= 0 and switch >= 0
+    assert detection + distribution + switch \
+        <= faulty_run.budget.total_us
 
 
 def test_latency_breakdown_none_when_clean(clean_run):
-    assert latency_breakdown(clean_run) is None
+    assert reconstruct_timelines(clean_run) == []
 
 
 # ------------------------------------------------------------------- plants

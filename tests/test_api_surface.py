@@ -1,10 +1,12 @@
-"""The program names the end-to-end benchmark wraps stay resolvable.
+"""The program names outside callers bind to stay resolvable.
 
 ``benchmarks/e2e/layers.py`` replaces every ``TARGETS`` entry with a
 span-recording wrapper, and reports a target it cannot resolve as
 missing rather than failing — so a refactor that loses one would show
 only in the benchmark's traced run. This resolves every target exactly
-as ``layers.install`` does, without installing anything.
+as ``layers.install`` does, without installing anything, and resolves
+the ``[project.scripts]`` entry ``pip install`` turns into the ``repro``
+command.
 """
 
 import importlib
@@ -39,3 +41,17 @@ def test_every_wrap_target_resolves():
         if found is None:
             missing.append(target)
     assert missing == []
+
+
+def test_console_script_entry_resolves():
+    """``pip install`` points the ``repro`` command at the
+    ``[project.scripts]`` entry; it must name a callable."""
+    import tomllib
+
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    with open(os.path.join(root, "pyproject.toml"), "rb") as f:
+        scripts = tomllib.load(f)["project"]["scripts"]
+    assert scripts
+    for target in scripts.values():
+        module_name, _, attr = target.partition(":")
+        assert callable(getattr(importlib.import_module(module_name), attr))

@@ -27,8 +27,7 @@ work. These tests pin that promise from five sides —
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro import BTRConfig, BTRSystem
-from repro.cli import make_topology
+from repro import BTRConfig, BTRSystem, Deployment
 from repro.core.runtime.agent import NodeAgent
 from repro.faults import SingleFaultAdversary
 from repro.faults.scenarios import stage
@@ -115,8 +114,8 @@ def run_in_both_modes(spec: str, n_periods: int, seed: int = 42,
     ``hook`` is a factory, called once per run."""
     runs = {}
     for mode in ("full", "milestones"):
-        system = BTRSystem(industrial_workload(), make_topology(spec, 1e8),
-                           BTRConfig(f=1, seed=seed, trace_mode=mode))
+        system = Deployment("industrial", spec,
+                            seed=seed).system(trace_mode=mode)
         system.prepare()
         links = link_script(system) if link_script else None
         installed = hook(system) if hook else None
@@ -290,9 +289,8 @@ class TestSweepHygiene:
 
     @pytest.fixture(scope="class")
     def geo(self):
-        from repro.perf.pool import GeoSweepSpec, system_for_spec
-        system = system_for_spec(GeoSweepSpec(regions=3, nodes_per_region=4,
-                                              trace_mode="full"))
+        system = Deployment("industrial", "geo:3x4",
+                            stretch=10).system(trace_mode="full")
         system.prepare()
         return system
 

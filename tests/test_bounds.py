@@ -14,13 +14,12 @@ import os
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro import BTRConfig, BTRSystem
+from repro import Deployment
 from repro.cli import main as cli_main
 from repro.core.detector.omission import DEFAULT_MIN_DECLARERS
 from repro.faults import SingleFaultAdversary
 from repro.fuzz import load_corpus
 from repro.mc import replay_counterexample
-from repro.net import full_mesh_topology
 from repro.obs import reconstruct_timelines
 from repro.obs.recovery import PHASES
 from repro.verify.bounds import (FAULT_CLASSES, SoundnessCheck,
@@ -28,8 +27,6 @@ from repro.verify.bounds import (FAULT_CLASSES, SoundnessCheck,
                                  class_of_kind, compute_bounds,
                                  conviction_profile)
 from repro.verify.findings import Report, Severity
-from repro.workload import (automotive_workload, industrial_workload,
-                            pipeline_workload)
 
 CORPUS_DIR = os.path.join(os.path.dirname(os.path.dirname(
     os.path.abspath(__file__))), "corpus")
@@ -38,13 +35,15 @@ ANALYZED_KINDS = ("crash", "omission", "commission", "equivocation",
                   "timing", "rogue_clock")
 
 
-@pytest.fixture(scope="module")
-def pipeline_system():
-    system = BTRSystem(pipeline_workload(),
-                       full_mesh_topology(4, bandwidth=1e8),
-                       BTRConfig(f=1, seed=42))
+def prepared(deployment: Deployment):
+    system = deployment.system()
     system.prepare()
     return system
+
+
+@pytest.fixture(scope="module")
+def pipeline_system():
+    return prepared(Deployment("pipeline", "fullmesh:4"))
 
 
 @pytest.fixture(scope="module")
@@ -58,11 +57,7 @@ def pipeline_report(pipeline_system):
 
 @pytest.fixture(scope="module")
 def industrial_system():
-    system = BTRSystem(industrial_workload(),
-                       full_mesh_topology(5, bandwidth=1e8),
-                       BTRConfig(f=1, seed=42))
-    system.prepare()
-    return system
+    return prepared(Deployment("industrial", "fullmesh:5"))
 
 
 @pytest.fixture(scope="module")
@@ -154,10 +149,7 @@ def test_conviction_profile_reachable_victim(industrial_system):
 def test_conviction_profile_single_declarer_unreachable():
     # Automotive on fullmesh:5 leaves one victim with a single distinct
     # declarer — the paper's single-counterparty omission corner (E9).
-    system = BTRSystem(automotive_workload(),
-                       full_mesh_topology(5, bandwidth=1e8),
-                       BTRConfig(f=1, seed=42))
-    system.prepare()
+    system = prepared(Deployment("automotive", "fullmesh:5"))
     plan = system.strategy.plan_for(frozenset())
     profiles = {victim: conviction_profile(plan, victim)
                 for victim in system.compromisable_nodes()}
@@ -275,14 +267,10 @@ def test_corpus_replay_soundness(pipeline_report):
     assert entries, "the committed corpus must not be empty"
     check = SoundnessCheck()
     for _name, payload in entries:
-        meta = payload["meta"]
-        assert (meta["workload"], meta["topology"]) \
+        deployment = Deployment.from_meta(payload["meta"])
+        assert (deployment.workload, deployment.topology) \
             == ("pipeline", "fullmesh:4")
-        system = BTRSystem(
-            pipeline_workload(),
-            full_mesh_topology(4, bandwidth=meta["bandwidth"]),
-            BTRConfig(f=meta["f"], seed=meta["seed"]))
-        system.prepare()
+        system = prepared(deployment)
         report = compute_bounds(system.strategy, system.topology,
                                 system.lane_model, system.config,
                                 budget=system.budget)
@@ -304,11 +292,7 @@ def test_property_static_bound_dominates_empirical(kind, victim_index,
     """For any single fault the simulator produces, every empirical
     phase span and the end-to-end recovery sit at or below the static
     bound of the fault's class (the analyzer's soundness claim)."""
-    workload = pipeline_workload()
-    topology = full_mesh_topology(4, bandwidth=1e8)
-    config = BTRConfig(f=1, seed=42)
-    system = BTRSystem(workload, topology, config)
-    system.prepare()
+    system = prepared(Deployment("pipeline", "fullmesh:4"))
     report = compute_bounds(system.strategy, system.topology,
                             system.lane_model, system.config,
                             budget=system.budget)

@@ -2,10 +2,15 @@
 
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
-from repro.cli import main, make_topology
+from repro.cli import build_parser, main
+from repro.net import TopologyError, topology_from_spec
+
+REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
 def run_cli(capsys, *argv):
@@ -17,17 +22,48 @@ def run_cli(capsys, *argv):
 # ----------------------------------------------------------------- topology
 
 
-def test_make_topology_specs():
-    assert len(make_topology("fullmesh:5", 1e8).nodes) == 5
-    assert len(make_topology("ring:6", 1e8).nodes) == 6
-    assert len(make_topology("mesh:2x3", 1e8).nodes) == 6
-    assert len(make_topology("dualstar:4", 1e8).nodes) == 6
-    assert len(make_topology("bus:4", 1e8).nodes) == 4
+def test_topology_from_spec_builds_each_kind():
+    assert len(topology_from_spec("fullmesh:5", 1e8).nodes) == 5
+    assert len(topology_from_spec("ring:6", 1e8).nodes) == 6
+    assert len(topology_from_spec("mesh:2x3", 1e8).nodes) == 6
+    assert len(topology_from_spec("dualstar:4", 1e8).nodes) == 6
+    assert len(topology_from_spec("bus:4", 1e8).nodes) == 4
 
 
-def test_make_topology_rejects_unknown():
-    with pytest.raises(SystemExit):
-        make_topology("torus:9", 1e8)
+def test_topology_from_spec_rejects_unknown():
+    with pytest.raises(TopologyError, match="unknown topology"):
+        topology_from_spec("torus:9", 1e8)
+
+
+# -------------------------------------------------------------- the verbs
+
+#: Every verb, as ``python -m repro`` spells it.
+VERBS = [["plan"], ["run"], ["compare"], ["verify"], ["bounds"],
+         ["trace"], ["check"], ["fuzz", "campaign"], ["fuzz", "replay"],
+         ["fuzz", "corpus-check"]]
+
+
+@pytest.mark.parametrize("verb", VERBS, ids=" ".join)
+def test_python_m_repro_verb_help_exits_0(verb):
+    env = dict(os.environ, PYTHONPATH=os.path.join(REPO, "src"))
+    out = subprocess.run([sys.executable, "-m", "repro", *verb, "--help"],
+                         capture_output=True, text=True, env=env, cwd=REPO)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.startswith("usage: repro " + " ".join(verb))
+
+
+@pytest.mark.parametrize("verb", VERBS, ids=" ".join)
+def test_only_run_accepts_trace_mode(verb, capsys):
+    positional = {"trace": ["r.json"], "replay": ["a.json"]}
+    argv = [*verb, *positional.get(verb[-1], []),
+            "--trace-mode", "milestones"]
+    if verb == ["run"]:
+        assert build_parser().parse_args(argv).trace_mode == "milestones"
+        return
+    with pytest.raises(SystemExit) as exc:
+        build_parser().parse_args(argv)
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --trace-mode" in capsys.readouterr().err
 
 
 # --------------------------------------------------------------------- plan
@@ -216,6 +252,40 @@ def test_cli_check_counterexample_and_replay(tmp_path, capsys):
     artifacts = sorted(cex_dir.glob("cex_*.json"))
     assert artifacts
     code, out = run_cli(capsys, "check", "--replay", str(artifacts[0]))
+    assert code == 1
+    assert "replay CONFIRMS" in out
+
+
+#: A stretched deployment whose crash recovery overruns R = 20 ms.
+STRETCHED = ["--workload", "pipeline", "--topology", "fullmesh:4",
+             "--stretch", "2", "--R", "0.02", "--kinds", "crash",
+             "--ticks", "1"]
+
+
+def test_cli_stretched_check_counterexamples_replay(tmp_path, capsys):
+    """An artifact names its deployment's stretch, so ``check --replay``
+    re-runs the stretched workload the campaign searched."""
+    cex_dir = tmp_path / "cex"
+    code, out = run_cli(capsys, "check", *STRETCHED, "--max-depth", "0",
+                        "--cex-dir", str(cex_dir))
+    assert code == 1 and "replay-confirmed" in out
+    artifacts = sorted(cex_dir.glob("cex_*.json"))
+    assert len(artifacts) == 2
+    for path in artifacts:
+        assert json.loads(path.read_text())["meta"]["stretch"] == 2
+        code, out = run_cli(capsys, "check", "--replay", str(path))
+        assert code == 1
+        assert "replay CONFIRMS" in out
+
+
+def test_cli_stretched_fuzz_corpus_entry_replays(tmp_path, capsys):
+    corpus = tmp_path / "corpus"
+    code, _ = run_cli(capsys, "fuzz", "campaign", *STRETCHED,
+                      "--generations", "0", "--batch", "1",
+                      "--corpus-dir", str(corpus))
+    assert code == 1
+    (entry,) = corpus.glob("*.json")
+    code, out = run_cli(capsys, "fuzz", "replay", str(entry))
     assert code == 1
     assert "replay CONFIRMS" in out
 

@@ -224,14 +224,10 @@ def test_property_random_adversary_respects_k_and_horizon(seed, k):
 # -------------------------------------------- adversary determinism
 
 
-def _script_signature_task(args):
+def _script_payload_task(args):
     """Top-level so ProcessPoolExecutor can pickle it."""
     adversary_kind, seed = args
-    from repro.faults import (
-        PacingAdversary,
-        RandomAdversary,
-        script_signature,
-    )
+    from repro.faults import PacingAdversary, RandomAdversary, script_to_dict
     from repro.sim import DeterministicRandom
 
     candidates = [f"n{i}" for i in range(6)]
@@ -239,8 +235,7 @@ def _script_signature_task(args):
         adv = RandomAdversary(horizon=50_000, k=3)
     else:
         adv = PacingAdversary(start=10_000, interval=20_000, k=3)
-    return script_signature(adv.script(candidates,
-                                       DeterministicRandom(seed)))
+    return script_to_dict(adv.script(candidates, DeterministicRandom(seed)))
 
 
 @pytest.mark.parametrize("adversary_kind", ["random", "pacing"])
@@ -250,7 +245,7 @@ def test_adversary_identical_seeds_across_processes(adversary_kind):
     on."""
     from concurrent.futures import ProcessPoolExecutor
 
-    local = [_script_signature_task((adversary_kind, seed))
+    local = [_script_payload_task((adversary_kind, seed))
              for seed in (7, 7, 11)]
     assert local[0] == local[1]
     if adversary_kind == "random":
@@ -259,7 +254,7 @@ def test_adversary_identical_seeds_across_processes(adversary_kind):
         assert local[0] != local[2]
     try:
         with ProcessPoolExecutor(max_workers=2) as pool:
-            remote = list(pool.map(_script_signature_task,
+            remote = list(pool.map(_script_payload_task,
                                    [(adversary_kind, 7),
                                     (adversary_kind, 7),
                                     (adversary_kind, 11)]))
@@ -274,17 +269,14 @@ def test_adversary_identical_seeds_across_processes(adversary_kind):
     lambda: SingleFaultAdversary(at=30_000, kind="crash"),
 ])
 def test_fault_script_round_trips_through_serialisation(make):
-    from repro.faults import (
-        script_from_dict,
-        script_signature,
-        script_to_dict,
-    )
+    from repro.faults import script_from_dict, script_to_dict
 
     candidates = [f"n{i}" for i in range(6)]
     script = make().script(candidates, DeterministicRandom(9))
     payload = script_to_dict(script)
     rebuilt = script_from_dict(payload, seed=9)
-    assert script_signature(rebuilt) == script_signature(script)
+    assert [(i.time, i.node, i.behavior.kind) for i in rebuilt] \
+        == [(i.time, i.node, i.behavior.kind) for i in script]
     # Serialisation is stable: a round-tripped script re-serialises to
     # the same payload.
     assert script_to_dict(rebuilt) == payload
@@ -326,20 +318,20 @@ def test_random_adversary_dedupes_candidates_and_guards_faulty():
 @pytest.mark.parametrize("adversary_kind", ["random", "pacing"])
 def test_adversary_determinism_under_spawn_and_fork(adversary_kind,
                                                     method):
-    """Same seed → identical ``script_signature`` whichever start method
-    spawned the worker (spawn re-imports, fork inherits — both must
-    agree with the parent)."""
+    """Same seed → identical ``script_to_dict`` payload whichever start
+    method spawned the worker (spawn re-imports, fork inherits — both
+    must agree with the parent)."""
     import multiprocessing
     from concurrent.futures import ProcessPoolExecutor
 
     if method not in multiprocessing.get_all_start_methods():
         pytest.skip(f"start method {method!r} unavailable")
-    local = _script_signature_task((adversary_kind, 7))
+    local = _script_payload_task((adversary_kind, 7))
     try:
         with ProcessPoolExecutor(
                 max_workers=2,
                 mp_context=multiprocessing.get_context(method)) as pool:
-            remote = list(pool.map(_script_signature_task,
+            remote = list(pool.map(_script_payload_task,
                                    [(adversary_kind, 7)] * 2))
     except (OSError, ValueError, ImportError):
         pytest.skip("process pools unavailable in this environment")

@@ -16,8 +16,7 @@ import sys
 
 import pytest
 
-from repro.core.runtime.config import BTRConfig
-from repro.core.runtime.system import BTRSystem
+from repro import Deployment
 from repro.fuzz import (
     FuzzParams,
     MutationSpace,
@@ -32,19 +31,16 @@ from repro.fuzz import (
 )
 from repro.fuzz.fitness import fitness_vector
 from repro.mc import replay_counterexample
-from repro.net import full_mesh_topology
 from repro.sim import DeterministicRandom
-from repro.workload import pipeline_workload
 
-META = {"workload": "pipeline", "topology": "fullmesh:4",
-        "bandwidth": 1e8, "f": 1, "seed": 0}
+PIPELINE = Deployment("pipeline", "fullmesh:4", seed=0)
+
+CORPUS_DIR = os.path.join(os.path.dirname(os.path.dirname(
+    os.path.abspath(__file__))), "corpus")
 
 
-def small_system(**config_kw):
-    config = BTRConfig(f=1, trace_mode="milestones", **config_kw)
-    system = BTRSystem(pipeline_workload(),
-                       full_mesh_topology(4, bandwidth=META["bandwidth"]),
-                       config)
+def small_system():
+    system = PIPELINE.system(trace_mode="milestones")
     system.prepare()
     return system
 
@@ -57,11 +53,10 @@ def tiny_params(**kw):
 
 
 def run_tiny(params=None, **campaign_kw):
-    return run_fuzz_campaign(pipeline_workload(),
-                             full_mesh_topology(4,
-                                                bandwidth=META["bandwidth"]),
-                             BTRConfig(f=1), params or tiny_params(),
-                             meta=dict(META), **campaign_kw)
+    return run_fuzz_campaign(PIPELINE.build_workload(),
+                             PIPELINE.build_topology(), PIPELINE.config(),
+                             params or tiny_params(),
+                             meta=PIPELINE.to_meta(), **campaign_kw)
 
 
 def small_space(**kw):
@@ -222,8 +217,8 @@ def test_two_injection_script_minimises_as_a_full_rerun_would(
     from repro.mc.campaign import prepare_campaign
 
     system, params = prepare_campaign(
-        pipeline_workload(), full_mesh_topology(4, bandwidth=1e8),
-        BTRConfig(f=1), tiny_params(R_us=30_000, max_injections=2),
+        PIPELINE.build_workload(), PIPELINE.build_topology(),
+        PIPELINE.config(), tiny_params(R_us=30_000, max_injections=2),
         recoveries=2)
     payload = {"version": 2, "injections": [
         {"time": time, "node": node, "kind": kind}
@@ -275,21 +270,9 @@ def _corpus_check_digests(corpus_dir: str) -> list:
     """Corpus replay digests computed in a fresh interpreter."""
     code = f"""
 import json
-from repro.core.runtime.config import BTRConfig
-from repro.core.runtime.system import BTRSystem
 from repro.fuzz import check_corpus
-from repro.net import full_mesh_topology
-from repro.workload import pipeline_workload
 
-def build(meta):
-    system = BTRSystem(pipeline_workload(),
-                       full_mesh_topology(4, bandwidth=meta["bandwidth"]),
-                       BTRConfig(f=meta["f"], seed=meta["seed"],
-                                 trace_mode="milestones"))
-    system.prepare()
-    return system
-
-report = check_corpus({corpus_dir!r}, build)
+report = check_corpus({corpus_dir!r})
 print(json.dumps([(e["name"], e["digest"], e["confirmed"],
                    e["digest_match"]) for e in report["entries"]]))
 """
@@ -336,7 +319,7 @@ def test_corpus_check_flags_a_stale_entry(tmp_path):
     artifact["R_us"] = report["budget_us"]  # violation disappears
     corpus_dir = str(tmp_path / "corpus")
     write_corpus(corpus_dir, [artifact])
-    check = check_corpus(corpus_dir, lambda meta: small_system())
+    check = check_corpus(corpus_dir)
     assert not check["ok"]
     assert check["failed"] == 1
     assert not check["entries"][0]["confirmed"]
@@ -361,13 +344,36 @@ def test_checked_in_corpus_replays():
     """Every committed ``corpus/`` entry still reproduces its recorded
     verdict and digest — the same gate CI runs via
     ``repro fuzz corpus-check``."""
-    import os
-
-    corpus_dir = os.path.join(os.path.dirname(__file__), "..", "corpus")
-    if not os.path.isdir(corpus_dir):
-        pytest.skip("no checked-in corpus")
-    entries = load_corpus(corpus_dir)
+    entries = load_corpus(CORPUS_DIR)
     assert entries, "checked-in corpus must not be empty"
-    check = check_corpus(corpus_dir, lambda meta: small_system(),
-                         entries=entries)
+    check = check_corpus(CORPUS_DIR, entries=entries)
     assert check["ok"], check
+
+
+def test_checked_in_corpus_names_are_content_names():
+    """Every committed entry is filed under :func:`artifact_name` of its
+    own payload, so naming changes cannot orphan an entry."""
+    entries = load_corpus(CORPUS_DIR)
+    assert entries
+    for name, payload in entries:
+        assert name == artifact_name(payload)
+
+
+def test_corpus_check_prepares_one_system_per_deployment(monkeypatch):
+    """Entries on one deployment share a prepared system; an entry whose
+    meta differs only in its seed names another deployment, and gets
+    its own."""
+    entries = load_corpus(CORPUS_DIR)
+    name, payload = entries[0]
+    reseeded = dict(payload, meta=dict(payload["meta"], seed=8))
+    built = []
+    system = Deployment.system
+
+    def counting(self, **how):
+        built.append(self)
+        return system(self, **how)
+
+    monkeypatch.setattr(Deployment, "system", counting)
+    check_corpus(CORPUS_DIR, entries=entries + [("reseeded.json",
+                                                 reseeded)])
+    assert [d.seed for d in built] == [7, 8]

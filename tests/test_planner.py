@@ -43,7 +43,6 @@ def test_naming_roundtrip():
     assert naming.replica_index("t#r3") == 3
     assert naming.replica_index("t#c") is None
     assert naming.is_checker("t#c") and not naming.is_checker("t#r0")
-    assert naming.is_replica("t#r0") and not naming.is_replica("t#c")
     assert naming.base_flow("f@r1") == "f"
     assert naming.base_flow("f") == "f"
 
@@ -74,7 +73,7 @@ def test_augment_flow_fanout():
     assert len(from_checker) == 3
     assert len(audits) == 2
     assert all(f.dst == naming.checker_name("pipeline.t1") for f in audits)
-    assert all(naming.is_replica(f.src) for f in audits)
+    assert all(naming.replica_index(f.src) is not None for f in audits)
     # Sink flow: one @out copy from the checker plus one audit copy per
     # replica (so the sink host can audit actuator commands).
     outs = [f for f in aug.flows if naming.base_flow(f.name) == "pipeline.out"]
@@ -84,7 +83,8 @@ def test_augment_flow_fanout():
     assert command.deadline == wl.flow("pipeline.out").deadline
     sink_audits = [f for f in outs if "@a" in f.name]
     assert len(sink_audits) == 2
-    assert all(naming.is_replica(f.src) for f in sink_audits)
+    assert all(naming.replica_index(f.src) is not None
+               for f in sink_audits)
 
 
 def test_augment_signs_flows():

@@ -12,7 +12,7 @@ and the engine on geo topologies.
   blocks whose concatenation is the global sorted node order, with a
   strictly positive minimum WAN latency;
 * delivery hooks: a delay-only hook composes with the batched fan-outs
-  byte-identically; pool sweeps reject hooks outright;
+  byte-identically;
 * pool sweep: per-seed fingerprints survive the process boundary.
 """
 
@@ -24,31 +24,27 @@ import networkx as nx
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro import Deployment
 from repro.faults.scenarios import stage
 from repro.net import full_mesh_topology, geo_topology
 from repro.net.topology import TopologyError
 from repro.perf.batchcore import run_sweep, sibling_system
 from repro.perf import pool as pool_module
-from repro.perf.pool import (
-    GeoSweepSpec,
-    PoolSweepError,
-    WorkerPool,
-    run_sweep_pool,
-    system_for_spec,
-)
+from repro.perf.pool import WorkerPool, run_sweep_pool
 from repro.workload import WORKLOADS
 from tests import golden
 
 N_PERIODS = 6
 
-SPEC = GeoSweepSpec(regions=3, nodes_per_region=4, n_periods=N_PERIODS,
-                    trace_mode="full", scenario="geo:3x4")
+#: The stretched industrial workload on a 3-region geo topology.
+GEO = Deployment("industrial", "geo:3x4", stretch=10)
+SWEEP = dict(n_periods=N_PERIODS, scenario="geo:3x4")
 
 
 @pytest.fixture(scope="module")
 def proto():
     """One prepared geo system; siblings share its frozen plan."""
-    system = system_for_spec(SPEC)
+    system = GEO.system(trace_mode="full")
     system.prepare()
     return system
 
@@ -177,41 +173,37 @@ class TestDeliveryHooks:
         result = system.run(N_PERIODS, delivery_hook=golden.delay_n0)
         golden.assert_matches(system, result, golden.HOOKED)
 
-    def test_pool_sweep_rejects_hooks(self):
-        with pytest.raises(PoolSweepError, match="process boundaries"):
-            run_sweep_pool(SPEC, (42, 43), workers=2,
-                           delivery_hook=lambda s, r, t: t)
-
 
 # ------------------------------------------------------------ pool sweep
 
 
 class TestPoolSweep:
-    def test_pool_matches_serial_reference(self, proto, tmp_path):
+    def test_pool_matches_serial_reference(self, tmp_path):
         seeds = (42, 202)
+        reference = GEO.system(trace_mode="milestones")
+        reference.prepare()
         serial = {run.seed: run.fingerprint
-                  for run in run_sweep(proto, seeds, N_PERIODS,
-                                       scenario=SPEC.scenario)}
-        spec = dataclasses.replace(SPEC, cache=str(tmp_path))
-        out = run_sweep_pool(spec, seeds, workers=2)
+                  for run in run_sweep(reference, seeds, N_PERIODS,
+                                       scenario=SWEEP["scenario"])}
+        out = run_sweep_pool(GEO, seeds, workers=2, cache=str(tmp_path),
+                             **SWEEP)
         assert [row["seed"] for row in out["runs"]] == list(seeds)
         for row in out["runs"]:
             assert row["fingerprint"] == serial[row["seed"]], row["seed"]
         assert out["workers"] == 2
 
     def test_empty_seed_list_is_a_noop(self):
-        out = run_sweep_pool(SPEC, (), workers=4)
+        out = run_sweep_pool(GEO, (), workers=4, **SWEEP)
         assert out == {"runs": [], "workers": 0, "pooled": False}
 
     @pytest.mark.parametrize("name", sorted(WORKLOADS))
     def test_every_cli_workload_builds_through_a_spec(self, name):
         from repro.cli import build_parser
         build_parser().parse_args(["plan", "--workload", name])
-        spec = dataclasses.replace(SPEC, workload=name)
-        assert system_for_spec(spec).workload.name.startswith(
+        deployment = dataclasses.replace(GEO, workload=name)
+        assert deployment.system().workload.name.startswith(
             WORKLOADS[name]().name)
 
     def test_unknown_workload_is_refused(self):
-        spec = dataclasses.replace(SPEC, workload="nope")
-        with pytest.raises(PoolSweepError, match="unknown workload"):
-            system_for_spec(spec)
+        with pytest.raises(ValueError, match="unknown workload"):
+            dataclasses.replace(GEO, workload="nope")

@@ -47,7 +47,7 @@ def run_experiment():
             "R": R,
             "per_fault": per_fault,
             "total": sum(per_fault.values()),
-            "disrupted_slots": len(disrupted),
+            "disrupted": len(disrupted),
         }
     return data
 
@@ -63,7 +63,7 @@ def test_e5_adversary_pacing(benchmark):
             f"{to_seconds(d['R']):.3f}s",
             f"{to_seconds(d['total']):.3f}s",
             f"{to_seconds(k * d['R']):.3f}s",
-            d["disrupted_slots"],
+            d["disrupted"],
         ])
     write_result("e5_adversary_pacing", format_table(
         f"E5: pacing adversary (new fault every R), f={F} "

@@ -15,7 +15,6 @@ from .correctness import (
 from .metrics import (
     TimelinessReport,
     criticality_survival,
-    replica_count,
     timeliness,
     traffic_bits,
 )
@@ -46,7 +45,6 @@ __all__ = [
     "smallest_sufficient_R",
     "TimelinessReport",
     "criticality_survival",
-    "replica_count",
     "timeliness",
     "traffic_bits",
     "ReferenceOracle",

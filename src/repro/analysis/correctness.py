@@ -49,27 +49,22 @@ class BTRVerdict:
     #: Slots that were bad and not excused (empty iff holds).
     violations: List[SlotVerdict] = field(default_factory=list)
 
-    def disrupted_slots(self) -> List[SlotVerdict]:
-        return [s for s in self.slots if s.status != CORRECT]
-
 
 def classify_slots(result: RunResult,
                    excused_flows: Optional[Mapping[str, int]] = None,
-                   fault_times: Optional[Mapping[str, int]] = None,
                    R_us: int = 0) -> List[SlotVerdict]:
     """Judge every expected output slot of a run.
 
     ``excused_flows`` maps flow names to the time from which they are
-    permanently excused (criticality shedding). ``R_us`` + ``fault_times``
-    drive the per-slot fault-window excuse.
+    permanently excused (criticality shedding). ``R_us`` and the run's
+    fault times drive the per-slot fault-window excuse.
     """
     workload = result.workload
     oracle = ReferenceOracle(workload)
     if excused_flows is None:
         # Default to the run's own record of deliberately shed flows.
         excused_flows = getattr(result, "excused_flows", {}) or {}
-    fault_times = fault_times if fault_times is not None \
-        else result.fault_times()
+    fault_times = result.fault_times()
 
     produced: Dict[Tuple[str, int], List] = {}
     for output in result.outputs():

@@ -85,13 +85,3 @@ def criticality_survival(result: RunResult) -> Dict[str, float]:
         level: sum(oks) / len(oks)
         for level, oks in sorted(by_level.items())
     }
-
-
-def replica_count(system_kind: str, f: int) -> int:
-    """Replicas per task for each approach (the E2 headline table)."""
-    return {
-        "unreplicated": 1,
-        "btr": f + 1,          # + a checker, counted separately
-        "zz": f + 1,
-        "bft": 3 * f + 1,
-    }[system_kind]

@@ -82,9 +82,8 @@ class Plant:
                 return False
         return True
 
-    def max_tolerable_outage(self, dt: float, kind: str = HOSTILE_CMD,
-                             settle_periods: int = 50,
-                             max_outage_periods: int = 10_000) -> int:
+    def max_tolerable_outage(self, dt: float, kind: str = HOSTILE_CMD
+                             ) -> int:
         """Largest number of consecutive bad control periods the plant
         survives (R* in control periods): settle under correct control,
         inject ``kind`` for n periods, then resume correct control and
@@ -93,6 +92,9 @@ class Plant:
         This is the physical quantity that justifies BTR: any recovery
         bound R <= R* * dt keeps the plant safe.
         """
+        settle_periods = 50
+        max_outage_periods = 10_000
+
         def survives(n: int) -> bool:
             commands = ([CORRECT_CMD] * settle_periods
                         + [kind] * n

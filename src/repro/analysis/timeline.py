@@ -36,8 +36,11 @@ class TimelineEntry:
         return f"{format_time(self.time):>10}  {self.kind:<10} {self.text}"
 
 
-def build_timeline(result: RunResult,
-                   max_entries: int = 200) -> List[TimelineEntry]:
+#: The narrative stops after this many entries.
+_MAX_ENTRIES = 200
+
+
+def build_timeline(result: RunResult) -> List[TimelineEntry]:
     """The run's incident narrative, in time order."""
     entries: List[TimelineEntry] = []
 
@@ -103,12 +106,12 @@ def build_timeline(result: RunResult,
         ))
 
     entries.sort(key=lambda e: (e.time, e.kind))
-    return entries[:max_entries]
+    return entries[:_MAX_ENTRIES]
 
 
-def render_timeline(result: RunResult, max_entries: int = 200) -> str:
+def render_timeline(result: RunResult) -> str:
     """The narrative as printable text."""
-    entries = build_timeline(result, max_entries=max_entries)
+    entries = build_timeline(result)
     if not entries:
         return "(uneventful run: no faults, no detections, no switches)"
     return "\n".join(entry.render() for entry in entries)

@@ -16,7 +16,13 @@ from ..analysis import (
 from ..baselines import BASELINES
 from ..faults import BEHAVIOR_FACTORIES, SingleFaultAdversary
 from ..sim import seconds, to_seconds
-from .flags import add_deployment_flags, deployment, number, planned
+from .flags import (
+    add_deployment_flags,
+    deployment,
+    fault_time,
+    number,
+    planned,
+)
 
 
 def register(sub) -> None:
@@ -31,7 +37,7 @@ def register(sub) -> None:
 
 
 def handle(args) -> int:
-    fault_at = seconds(args.fault_at)
+    fault_at = fault_time(args)
     rows = []
 
     system = planned(args)

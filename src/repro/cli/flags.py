@@ -11,6 +11,7 @@ from typing import Optional
 
 from ..core.runtime.system import BTRSystem
 from ..deployment import Deployment
+from ..sim import seconds, to_seconds
 from ..workload import WORKLOADS
 
 
@@ -76,6 +77,20 @@ def cache_dir(args) -> Optional[str]:
         return args.cache
     from ..perf import default_cache_dir
     return default_cache_dir()
+
+
+def fault_time(args) -> int:
+    """``--fault-at`` in µs. A time at or after the run's end —
+    ``--periods`` periods of the deployment's (stretched) workload —
+    would inject nothing, so it fails through the verb's parser: one
+    line naming the run's end, exit 2."""
+    at = seconds(args.fault_at)
+    end = args.periods * deployment(args).build_workload().period
+    if at >= end:
+        args.error(f"--fault-at {args.fault_at:g}s is not before the "
+                   f"run's end at {to_seconds(end):g}s "
+                   f"({args.periods} periods)")
+    return at
 
 
 def planned(args, **how) -> BTRSystem:

@@ -1,23 +1,28 @@
 """``repro run``: execute a deployment, optionally under a fault or a
 staged scenario, and print the Definition 3.1 verdict, recovery time and
-timeliness report."""
+timeliness report.
+
+The run records ``milestones`` traces: nothing it prints or exports
+reads a hop row."""
 
 from __future__ import annotations
 
+import sys
+
 from ..analysis import btr_verdict, smallest_sufficient_R, timeliness
-from ..faults import BEHAVIOR_FACTORIES, SingleFaultAdversary
-from ..sim import TRACE_MODES, seconds, to_seconds
-from .flags import add_deployment_flags, number, planned
+from ..faults import (
+    BEHAVIOR_FACTORIES,
+    ScenarioError,
+    SingleFaultAdversary,
+    stage,
+)
+from ..sim import to_seconds
+from .flags import add_deployment_flags, fault_time, number, planned
 
 
 def register(sub) -> None:
     p = sub.add_parser("run", help="run a deployment")
     add_deployment_flags(p)
-    p.add_argument("--trace-mode", choices=list(TRACE_MODES),
-                   default="full",
-                   help="trace recording fidelity: full keeps every "
-                        "event, milestones keeps recovery milestones and "
-                        "tallies per-hop traffic")
     p.add_argument("--periods", type=number(int), default=30)
     p.add_argument("--fault", choices=sorted(BEHAVIOR_FACTORIES),
                    default=None, help="inject one fault of this kind")
@@ -36,19 +41,22 @@ def register(sub) -> None:
 
 
 def handle(args) -> int:
-    system = planned(args, trace_mode=args.trace_mode)
+    fault_at = fault_time(args) if args.fault and not args.scenario else None
+    system = planned(args, trace_mode="milestones")
     budget = system.budget
     adversary = None
     link_script = None
     if args.scenario:
-        from ..faults import stage
-        scenario = stage(args.scenario, system)
+        try:
+            scenario = stage(args.scenario, system)
+        except ScenarioError as exc:
+            print(f"repro run: {exc}", file=sys.stderr)
+            return 2
         print(f"scenario: {scenario.name} - {scenario.description}")
         adversary = scenario.script
         link_script = scenario.link_script or None
     elif args.fault:
-        adversary = SingleFaultAdversary(at=seconds(args.fault_at),
-                                         kind=args.fault)
+        adversary = SingleFaultAdversary(at=fault_at, kind=args.fault)
     result = system.run(n_periods=args.periods, adversary=adversary,
                         link_script=link_script)
     print(result.summary())

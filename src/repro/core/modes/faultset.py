@@ -15,14 +15,12 @@ class FaultSet:
 
     def __init__(self, initial: Iterable[str] = ()) -> None:
         self._members: Set[str] = set(initial)
-        self._generation = 0
 
     def add(self, node: str) -> bool:
         """Add a node; returns True iff this is new information."""
         if node in self._members:
             return False
         self._members.add(node)
-        self._generation += 1
         return True
 
     def __contains__(self, node: str) -> bool:
@@ -33,11 +31,6 @@ class FaultSet:
 
     def __iter__(self):
         return iter(sorted(self._members))
-
-    @property
-    def generation(self) -> int:
-        """Bumped on every addition; cheap change detection."""
-        return self._generation
 
     def snapshot(self) -> FrozenSet[str]:
         return frozenset(self._members)

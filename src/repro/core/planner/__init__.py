@@ -1,7 +1,7 @@
 """The offline planner (§4.1): augmentation, placement, plans, strategies."""
 
 from . import naming
-from .augment import AugmentConfig, augment, replication_overhead
+from .augment import AugmentConfig, augment
 from .distance import PlanDistance, plan_distance
 from .placement import PlacementConfig, PlacementError, node_exposure, place
 from .plan import Plan, PlanningError, augmented_ladder, build_plan
@@ -23,7 +23,6 @@ __all__ = [
     "naming",
     "AugmentConfig",
     "augment",
-    "replication_overhead",
     "PlanDistance",
     "plan_distance",
     "PlacementConfig",

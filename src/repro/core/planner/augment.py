@@ -177,11 +177,3 @@ def augment(workload: DataflowGraph, params: AugmentConfig) -> DataflowGraph:
         sinks=set(workload.sinks),
         name=f"{workload.name}|aug{r}",
     )
-
-
-def replication_overhead(workload: DataflowGraph,
-                         config: AugmentConfig) -> float:
-    """CPU demand of the augmented graph relative to the original."""
-    base = workload.total_wcet()
-    augmented = augment(workload, config).total_wcet()
-    return augmented / base if base else float("inf")

@@ -161,7 +161,6 @@ def build_plan(
     router: Router,
     f: int,
     lane_model: Optional[LaneModel] = None,
-    augment_config: Optional[AugmentConfig] = None,
     placement_config: Optional[PlacementConfig] = None,
     parent_assignment: Optional[Dict[str, str]] = None,
     ladder: Optional[Sequence[Rung]] = None,
@@ -174,8 +173,8 @@ def build_plan(
     built from one ladder share them."""
     lane_model = lane_model or LaneModel(topology)
     if ladder is None:
-        ladder = augmented_ladder(
-            full_workload, augment_config or AugmentConfig(replicas=f + 1))
+        ladder = augmented_ladder(full_workload,
+                                  AugmentConfig(replicas=f + 1))
 
     failures: List[str] = []
     for rung, augmented in ladder:

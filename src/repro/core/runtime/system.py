@@ -40,7 +40,6 @@ from ...sim.engine import Simulator
 from ...sim.trace import (
     Custom,
     FaultInjected,
-    MessageSent,
     ModeSwitchCompleted,
     OutputProduced,
     Trace,
@@ -105,9 +104,6 @@ class RunResult:
 
     def mode_switches(self) -> List[ModeSwitchCompleted]:
         return self.trace.of_kind(ModeSwitchCompleted)
-
-    def messages_sent(self) -> int:
-        return self.trace.count(MessageSent)
 
     def summary(self) -> str:
         faults = self.fault_times()

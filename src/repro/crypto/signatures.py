@@ -141,9 +141,6 @@ class KeyDirectory:
                 _DERIVED_KEYS[cache_key] = key
             self._pads[node_id] = hmac_pads(key)
 
-    def knows(self, node_id: str) -> bool:
-        return node_id in self._pads
-
     def sign(self, signer: str, payload: Any) -> Signature:
         return self.sign_bytes(signer, canonical_bytes(payload))
 

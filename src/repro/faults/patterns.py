@@ -20,9 +20,6 @@ def pattern(nodes: Iterable[str] = ()) -> FaultPattern:
     return frozenset(nodes)
 
 
-EMPTY: FaultPattern = pattern()
-
-
 def mode_id(fault_pattern: FaultPattern) -> str:
     """The deterministic mode name for a pattern ("" pattern => "nominal")."""
     if not fault_pattern:
@@ -42,22 +39,6 @@ def all_patterns_up_to(nodes: Iterable[str], f: int) -> List[FaultPattern]:
         for combo in itertools.combinations(sorted_nodes, size):
             result.append(frozenset(combo))
     return result
-
-
-def parents_of(fault_pattern: FaultPattern) -> List[FaultPattern]:
-    """The |F| immediate ancestors (remove one node each)."""
-    return [fault_pattern - {n} for n in sorted(fault_pattern)]
-
-
-def children_of(fault_pattern: FaultPattern, nodes: Iterable[str]
-                ) -> List[FaultPattern]:
-    """Immediate successors (add one non-member node each)."""
-    return [fault_pattern | {n} for n in sorted(nodes)
-            if n not in fault_pattern]
-
-
-def is_ancestor(smaller: FaultPattern, larger: FaultPattern) -> bool:
-    return smaller <= larger
 
 
 def strategy_size(n_nodes: int, f: int) -> int:

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Tuple
 
 from .adversary import FaultScript, Injection, make_behavior
 from .behaviors import (
@@ -35,6 +35,10 @@ class Scenario:
 
 class ScenarioError(Exception):
     """Raised when a scenario cannot be staged on this deployment."""
+
+
+#: Share of frames a browned-out WAN link drops.
+_BROWNOUT_LOSS = 0.3
 
 
 def _fault_time(system, periods: float = 4.4) -> int:
@@ -78,9 +82,9 @@ def checker_host_crash(system) -> Scenario:
     )
 
 
-def paced_double(system, kind: str = "commission") -> Scenario:
-    """Two faults paced one recovery bound apart (§3's kR worst case).
-    Requires f >= 2."""
+def paced_double(system) -> Scenario:
+    """Two commission faults paced one recovery bound apart (§3's kR
+    worst case). Requires f >= 2."""
     victims = system.compromisable_nodes()
     if system.config.f < 2 or len(victims) < 2:
         raise ScenarioError("paced_double needs f >= 2 and two victims")
@@ -88,17 +92,17 @@ def paced_double(system, kind: str = "commission") -> Scenario:
     interval = system.budget.total_us
     return Scenario(
         name="paced_double",
-        description=f"{kind} faults on {victims[0]} and {victims[1]}, "
+        description=f"commission faults on {victims[0]} and {victims[1]}, "
                      f"paced R apart",
         script=FaultScript([
-            Injection(at, victims[0], make_behavior(kind)),
-            Injection(at + interval, victims[1], make_behavior(kind)),
+            Injection(at, victims[0], CommissionFault()),
+            Injection(at + interval, victims[1], CommissionFault()),
         ]),
         link_script=[],
     )
 
 
-def flood_plus_fault(system, rate: int = 20) -> Scenario:
+def flood_plus_fault(system) -> Scenario:
     """Evidence flooding as cover for a real commission fault (§4.3's DoS
     concern). Two compromised nodes: budget f >= 2 to recover from both
     (the flooder is attributable through its endorsements)."""
@@ -112,20 +116,19 @@ def flood_plus_fault(system, rate: int = 20) -> Scenario:
                      f"{victims[1]} lies",
         script=FaultScript([
             Injection(at - system.workload.period, victims[0],
-                      EvidenceFloodFault(records_per_period=rate)),
+                      EvidenceFloodFault(records_per_period=20)),
             Injection(at, victims[1], CommissionFault()),
         ]),
         link_script=[],
     )
 
 
-def rogue_clock(system, offset_us: Optional[int] = None) -> Scenario:
+def rogue_clock(system) -> Scenario:
     """A node's clock breaks badly and ignores synchronization."""
     victims = system.compromisable_nodes()
     if not victims:
         raise ScenarioError("no compromisable nodes")
-    offset = offset_us if offset_us is not None \
-        else 3 * system.workload.period
+    offset = 3 * system.workload.period
     return Scenario(
         name="rogue_clock",
         description=f"{victims[0]}'s clock pinned {offset}us off",
@@ -189,7 +192,7 @@ def gateway_crash(system) -> Scenario:
     )
 
 
-def wan_brownout(system, loss: float = 0.3) -> Scenario:
+def wan_brownout(system) -> Scenario:
     """The first WAN link starts dropping frames (long-haul brownout:
     EMI, congestion, a flapping carrier) — E16's link-death study at
     geo scale, partial loss instead of total."""
@@ -202,9 +205,10 @@ def wan_brownout(system, loss: float = 0.3) -> Scenario:
     link = links[0]
     return Scenario(
         name="wan_brownout",
-        description=f"WAN link {link.link_id} drops {loss:.0%} of frames",
+        description=f"WAN link {link.link_id} drops "
+                    f"{_BROWNOUT_LOSS:.0%} of frames",
         script=FaultScript([]),
-        link_script=[(_fault_time(system), link.link_id, loss)],
+        link_script=[(_fault_time(system), link.link_id, _BROWNOUT_LOSS)],
     )
 
 
@@ -235,7 +239,7 @@ def geo_scenario(system, regions: int, nodes_per_region: int) -> Scenario:
     links = [l for l in system.topology.wan_links()
              if victim not in l.endpoints]
     link_script = ([(_fault_time(system, periods=3.4),
-                     links[0].link_id, 0.3)] if links else [])
+                     links[0].link_id, _BROWNOUT_LOSS)] if links else [])
     return Scenario(
         name=f"geo:{regions}x{nodes_per_region}",
         description=f"gateway {victim} crashes while "

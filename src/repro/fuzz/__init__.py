@@ -19,7 +19,7 @@ from .campaign import (
     run_fuzz_campaign,
 )
 from .corpus import artifact_name, check_corpus, load_corpus, write_corpus
-from .fitness import FITNESS_FIELDS, coverage_keys, fitness_vector
+from .fitness import coverage_keys, fitness_vector
 from .mutate import (
     MUTATIONS,
     MutationSpace,
@@ -37,7 +37,6 @@ __all__ = [
     "check_corpus",
     "load_corpus",
     "write_corpus",
-    "FITNESS_FIELDS",
     "coverage_keys",
     "fitness_vector",
     "MUTATIONS",

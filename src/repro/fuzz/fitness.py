@@ -20,19 +20,15 @@ from typing import FrozenSet, List, Tuple
 
 from ..sim.trace import ModeSwitchCompleted
 
-#: Fitness tuple field names, in comparison order.
-FITNESS_FIELDS: Tuple[str, ...] = (
-    "max_recovery_us", "total_recovery_us", "worst_phase_us",
-    "bound_gap_us",
-)
-
 
 def fitness_vector(timelines, R_us: int, k: int = 1) -> Tuple[int, ...]:
     """Score one run's timelines; larger is more adversarial.
 
-    ``bound_gap_us`` is ``max_recovery - kR``: positive exactly when the
-    Definition 3.1 bound broke, and otherwise "how close did we get" —
-    the gradient the search climbs toward a violation.
+    The tuple is ``(max_recovery_us, total_recovery_us, worst_phase_us,
+    bound_gap_us)``, compared in that order. ``bound_gap_us`` is
+    ``max_recovery - kR``: positive exactly when the Definition 3.1
+    bound broke, and otherwise "how close did we get" — the gradient
+    the search climbs toward a violation.
     """
     totals = [t.total_us for t in timelines]
     max_recovery = max(totals, default=0)

@@ -88,11 +88,8 @@ def _fresh_rng_seed(rng: DeterministicRandom) -> int:
 
 
 def _injection(time: int, node: str, kind: str,
-               rng: DeterministicRandom,
-               params: Optional[dict] = None) -> dict:
+               rng: DeterministicRandom) -> dict:
     entry: dict = {"time": time, "node": node, "kind": kind}
-    if params:
-        entry["params"] = params
     if kind in STOCHASTIC_KINDS:
         entry["rng_seed"] = _fresh_rng_seed(rng)
     return entry

@@ -154,7 +154,7 @@ def check_path(result, strategy, R_us: int, k: int = 1
     return violations
 
 
-def static_mode_findings(strategy, topology, router=None) -> List[Violation]:
+def static_mode_findings(strategy, topology) -> List[Violation]:
     """The verify layer's mode-graph errors, rendered as violations.
 
     Shared predicate, not a reimplementation: this calls the same
@@ -170,6 +170,6 @@ def static_mode_findings(strategy, topology, router=None) -> List[Violation]:
             invariant="mode-graph-static",
             detail=f"{finding.rule}: {finding.subject}: {finding.message}",
         )
-        for finding in check_mode_graph(strategy, topology, router=router)
+        for finding in check_mode_graph(strategy, topology)
         if finding.severity is Severity.ERROR
     ]

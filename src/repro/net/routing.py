@@ -17,7 +17,7 @@ What the router remembers, and what each answer depends on:
   pinned byte for byte to it.
 
 Hop tables and one-hop answers read a snapshot of the graph's adjacency
-taken on first use; everything is dropped by :meth:`Router.invalidate`.
+taken on first use: no code mutates a topology once a router is built.
 """
 
 from __future__ import annotations
@@ -122,21 +122,3 @@ class Router:
             frontier = reached
         self._hops[key] = table
         return table
-
-    def hop_count(self, src: str, dst: str,
-                  excluding: Optional[Collection[str]] = None) -> int:
-        adjacency = self._neighbors()
-        if src not in adjacency or dst not in adjacency:
-            raise RoutingError(f"unknown endpoint: {src} or {dst}")
-        try:
-            return self.hops_from(src, excluding)[dst]
-        except KeyError:
-            raise RoutingError(
-                f"no route {src} -> {dst} excluding {sorted(excluding or ())}"
-            ) from None
-
-    def invalidate(self) -> None:
-        """Drop every remembered route and hop table (topology mutated)."""
-        self._cache.clear()
-        self._hops.clear()
-        self._adjacency = None

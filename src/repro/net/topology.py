@@ -13,9 +13,8 @@ pinned to nodes through the topology's ``endpoint_map``.
 
 from __future__ import annotations
 
-import zlib
 from bisect import insort
-from typing import Callable, Dict, Iterable, List, Optional, Tuple
+from typing import Callable, Dict, Iterable, List, Tuple
 
 import networkx as nx
 
@@ -100,37 +99,26 @@ class Topology:
 
     def place_endpoints_round_robin(
         self, sources: Iterable[str], sinks: Iterable[str],
-        spread: int = 1,
     ) -> None:
         """Deterministically pin sources/sinks to dedicated I/O nodes.
 
-        Sensors go round-robin over the first ``spread`` nodes, actuators
-        over the last ``spread`` — mirroring CPS deployments where physical
-        I/O is wired to a few interface nodes, and leaving the remaining
-        nodes free to host (and lose) computation.
+        Sensors go to the first node, actuators to the last — mirroring
+        CPS deployments where physical I/O is wired to interface nodes,
+        and leaving the remaining nodes free to host (and lose)
+        computation.
         """
         node_ids = sorted(self.nodes)
-        spread = max(1, min(spread, len(node_ids)))
-        for i, src in enumerate(sorted(sources)):
-            node_id = node_ids[i % spread]
-            self.nodes[node_id].is_source = True
-            self.place_endpoint(src, node_id)
-        for i, sink in enumerate(sorted(sinks)):
-            node_id = node_ids[len(node_ids) - 1 - (i % spread)]
-            self.nodes[node_id].is_sink = True
-            self.place_endpoint(sink, node_id)
+        for src in sorted(sources):
+            self.nodes[node_ids[0]].is_source = True
+            self.place_endpoint(src, node_ids[0])
+        for sink in sorted(sinks):
+            self.nodes[node_ids[-1]].is_sink = True
+            self.place_endpoint(sink, node_ids[-1])
 
     # ------------------------------------------------------------- queries
 
     def node_ids(self) -> List[str]:
         return sorted(self.nodes)
-
-    def is_connected(self, excluding: Optional[set] = None) -> bool:
-        """Connectivity of the routing graph, optionally minus some nodes."""
-        g = self.graph
-        if excluding:
-            g = g.subgraph([n for n in g.nodes if n not in excluding])
-        return len(g) > 0 and nx.is_connected(g)
 
     def diameter(self) -> int:
         return nx.diameter(self.graph)
@@ -153,96 +141,78 @@ class Topology:
         return [self.links[lid] for lid in sorted(self.links)
                 if self.links[lid].is_wan]
 
-    def min_wan_latency_us(self) -> int:
-        """Minimum propagation delay over the WAN links: how long any
-        region runs before another region's traffic can reach it.
-
-        Raises :class:`TopologyError` when the topology has no WAN links.
-        """
-        wan = self.wan_links()
-        if not wan:
-            raise TopologyError(f"topology {self.name} has no WAN links")
-        return min(link.propagation_us for link in wan)
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (f"Topology({self.name}, {len(self.nodes)} nodes, "
                 f"{len(self.links)} links)")
 
 
-def _make_nodes(topology: Topology, count: int, speed: float,
-                control_share: float) -> List[str]:
+def _make_nodes(topology: Topology, count: int, **node_options
+                ) -> List[str]:
     ids = [f"n{i}" for i in range(count)]
     for node_id in ids:
-        topology.add_node(Node(node_id, speed=speed, clock=LocalClock(),
-                               control_share=control_share))
+        topology.add_node(Node(node_id, clock=LocalClock(), **node_options))
     return ids
 
 
 def line_topology(n: int, bandwidth: float = DEFAULT_BANDWIDTH,
-                  propagation: int = DEFAULT_PROPAGATION, speed: float = 1.0,
-                  control_share: float = 0.1) -> Topology:
+                  speed: float = 1.0, control_share: float = 0.1
+                  ) -> Topology:
     """n0 — n1 — … — n(k-1)."""
     if n < 2:
         raise TopologyError("line topology needs >= 2 nodes")
     topo = Topology(name=f"line{n}")
-    ids = _make_nodes(topo, n, speed, control_share)
+    ids = _make_nodes(topo, n, speed=speed, control_share=control_share)
     for i in range(n - 1):
         topo.add_link(Link(f"l{i}", (ids[i], ids[i + 1]), bandwidth,
-                           propagation))
+                           DEFAULT_PROPAGATION))
     return topo
 
 
-def ring_topology(n: int, bandwidth: float = DEFAULT_BANDWIDTH,
-                  propagation: int = DEFAULT_PROPAGATION, speed: float = 1.0,
-                  control_share: float = 0.1) -> Topology:
+def ring_topology(n: int, bandwidth: float = DEFAULT_BANDWIDTH) -> Topology:
     """A FlexRay-style ring; survives any single link failure."""
     if n < 3:
         raise TopologyError("ring topology needs >= 3 nodes")
     topo = Topology(name=f"ring{n}")
-    ids = _make_nodes(topo, n, speed, control_share)
+    ids = _make_nodes(topo, n)
     for i in range(n):
         topo.add_link(Link(f"l{i}", (ids[i], ids[(i + 1) % n]), bandwidth,
-                           propagation))
+                           DEFAULT_PROPAGATION))
     return topo
 
 
-def star_topology(n_leaves: int, bandwidth: float = DEFAULT_BANDWIDTH,
-                  propagation: int = DEFAULT_PROPAGATION, speed: float = 1.0,
-                  control_share: float = 0.1) -> Topology:
+def star_topology(n_leaves: int, bandwidth: float = DEFAULT_BANDWIDTH
+                  ) -> Topology:
     """Leaves around a hub node (the hub is ``n0``)."""
     if n_leaves < 2:
         raise TopologyError("star topology needs >= 2 leaves")
     topo = Topology(name=f"star{n_leaves}")
-    ids = _make_nodes(topo, n_leaves + 1, speed, control_share)
+    ids = _make_nodes(topo, n_leaves + 1)
     hub = ids[0]
     for i, leaf in enumerate(ids[1:]):
-        topo.add_link(Link(f"l{i}", (hub, leaf), bandwidth, propagation))
+        topo.add_link(Link(f"l{i}", (hub, leaf), bandwidth,
+                           DEFAULT_PROPAGATION))
     return topo
 
 
-def bus_topology(n: int, bandwidth: float = DEFAULT_BANDWIDTH,
-                 propagation: int = DEFAULT_PROPAGATION, speed: float = 1.0,
-                 control_share: float = 0.1) -> Topology:
+def bus_topology(n: int, bandwidth: float = DEFAULT_BANDWIDTH) -> Topology:
     """A single shared CAN-style bus connecting all nodes."""
     if n < 2:
         raise TopologyError("bus topology needs >= 2 nodes")
     topo = Topology(name=f"bus{n}")
-    ids = _make_nodes(topo, n, speed, control_share)
-    topo.add_link(Link("bus", tuple(ids), bandwidth, propagation))
+    ids = _make_nodes(topo, n)
+    topo.add_link(Link("bus", tuple(ids), bandwidth, DEFAULT_PROPAGATION))
     return topo
 
 
-def mesh_topology(rows: int, cols: int, bandwidth: float = DEFAULT_BANDWIDTH,
-                  propagation: int = DEFAULT_PROPAGATION, speed: float = 1.0,
-                  control_share: float = 0.1) -> Topology:
+def mesh_topology(rows: int, cols: int, bandwidth: float = DEFAULT_BANDWIDTH
+                  ) -> Topology:
     """A rows×cols grid mesh."""
     if rows < 1 or cols < 1 or rows * cols < 2:
         raise TopologyError("mesh needs >= 2 nodes")
     topo = Topology(name=f"mesh{rows}x{cols}")
     ids = [f"n{r * cols + c}" for r in range(rows) for c in range(cols)]
     for node_id in ids:
-        topo.add_node(Node(node_id, speed=speed, clock=LocalClock(),
-                           control_share=control_share))
+        topo.add_node(Node(node_id, clock=LocalClock()))
     link_idx = 0
     for r in range(rows):
         for c in range(cols):
@@ -250,30 +220,28 @@ def mesh_topology(rows: int, cols: int, bandwidth: float = DEFAULT_BANDWIDTH,
             if c + 1 < cols:
                 topo.add_link(Link(f"l{link_idx}",
                                    (here, f"n{r * cols + c + 1}"),
-                                   bandwidth, propagation))
+                                   bandwidth, DEFAULT_PROPAGATION))
                 link_idx += 1
             if r + 1 < rows:
                 topo.add_link(Link(f"l{link_idx}",
                                    (here, f"n{(r + 1) * cols + c}"),
-                                   bandwidth, propagation))
+                                   bandwidth, DEFAULT_PROPAGATION))
                 link_idx += 1
     return topo
 
 
 def full_mesh_topology(n: int, bandwidth: float = DEFAULT_BANDWIDTH,
-                       propagation: int = DEFAULT_PROPAGATION,
-                       speed: float = 1.0,
-                       control_share: float = 0.1) -> Topology:
+                       speed: float = 1.0) -> Topology:
     """Every pair directly connected (small controller clusters)."""
     if n < 2:
         raise TopologyError("full mesh needs >= 2 nodes")
     topo = Topology(name=f"fullmesh{n}")
-    ids = _make_nodes(topo, n, speed, control_share)
+    ids = _make_nodes(topo, n, speed=speed)
     link_idx = 0
     for i in range(n):
         for j in range(i + 1, n):
             topo.add_link(Link(f"l{link_idx}", (ids[i], ids[j]), bandwidth,
-                               propagation))
+                               DEFAULT_PROPAGATION))
             link_idx += 1
     return topo
 
@@ -284,31 +252,21 @@ def full_mesh_topology(n: int, bandwidth: float = DEFAULT_BANDWIDTH,
 DEFAULT_WAN_LATENCY = 5000
 
 
-def geo_topology(regions: int, nodes_per_region: int,
-                 wan_latency: int = DEFAULT_WAN_LATENCY,
-                 wan_jitter: int = 0,
-                 gateways: int = 2,
-                 bandwidth: float = DEFAULT_BANDWIDTH,
-                 propagation: int = DEFAULT_PROPAGATION,
-                 speed: float = 1.0,
-                 control_share: float = 0.1) -> Topology:
+def geo_topology(regions: int, nodes_per_region: int, gateways: int = 2,
+                 bandwidth: float = DEFAULT_BANDWIDTH) -> Topology:
     """A multi-region deployment: full-mesh regions bridged by WAN links.
 
     Each region ``r0..r{R-1}`` holds ``nodes_per_region`` nodes
     (``r0n0``, ``r0n1``, …) in a full mesh of fast local links; the
     first ``gateways`` nodes of each region are its WAN gateways, and
     gateway ``g`` of every region pair is joined by a plane-``g`` WAN
-    link whose propagation delay is ``wan_latency`` plus a
-    deterministic per-link jitter in ``[0, wan_jitter]`` (derived from
-    the link id, never from the run RNG, so jitter cannot perturb the
-    simulation's random stream). Two gateway planes by default: a
-    single gateway would be a single point of partition, and no f >= 1
-    strategy can plan around a region that one crash can cut off.
+    link whose propagation delay is :data:`DEFAULT_WAN_LATENCY`. Two
+    gateway planes by default: a single gateway would be a single point
+    of partition, and no f >= 1 strategy can plan around a region that
+    one crash can cut off.
 
     Every node and intra-region link is tagged with its region; WAN
-    links are tagged ``is_wan``. ``wan_latency`` must dominate the
-    intra-region ``propagation`` for the deployment to be geo-scale at
-    all — the builder enforces a 10x separation floor.
+    links are tagged ``is_wan``.
 
     Region names are zero-padded to a fixed width so that sorted region
     order equals the string-sorted order of their node-id blocks (e.g.
@@ -318,17 +276,9 @@ def geo_topology(regions: int, nodes_per_region: int,
         raise TopologyError("geo topology needs >= 2 regions")
     if nodes_per_region < 2:
         raise TopologyError("geo topology needs >= 2 nodes per region")
-    if wan_jitter < 0:
-        raise TopologyError("wan_jitter must be >= 0")
     if not 1 <= gateways <= nodes_per_region:
         raise TopologyError(
             f"gateways ({gateways}) must be in [1, nodes_per_region]"
-        )
-    if wan_latency < 10 * propagation:
-        raise TopologyError(
-            f"wan_latency ({wan_latency}) must be >= 10x the intra-region "
-            f"propagation ({propagation}); WAN latency must dominate "
-            f"local delays"
         )
     topo = Topology(name=f"geo{regions}x{nodes_per_region}")
     width = len(str(regions - 1))
@@ -336,33 +286,27 @@ def geo_topology(regions: int, nodes_per_region: int,
     for region in names:
         ids = [f"{region}n{i}" for i in range(nodes_per_region)]
         for node_id in ids:
-            topo.add_node(Node(node_id, speed=speed, clock=LocalClock(),
-                               control_share=control_share,
+            topo.add_node(Node(node_id, clock=LocalClock(),
                                region=region))
         link_idx = 0
         for i in range(nodes_per_region):
             for j in range(i + 1, nodes_per_region):
                 topo.add_link(Link(f"{region}l{link_idx}",
                                    (ids[i], ids[j]), bandwidth,
-                                   propagation, region=region))
+                                   DEFAULT_PROPAGATION, region=region))
                 link_idx += 1
     for g in range(gateways):
         for a in range(regions):
             for b in range(a + 1, regions):
-                link_id = f"wan{g}{names[a]}-{names[b]}"
-                jitter = (zlib.crc32(link_id.encode()) % (wan_jitter + 1)
-                          if wan_jitter else 0)
-                topo.add_link(Link(link_id,
+                topo.add_link(Link(f"wan{g}{names[a]}-{names[b]}",
                                    (f"{names[a]}n{g}", f"{names[b]}n{g}"),
-                                   bandwidth, wan_latency + jitter,
+                                   bandwidth, DEFAULT_WAN_LATENCY,
                                    is_wan=True))
     return topo
 
 
-def dual_star_topology(n_leaves: int, bandwidth: float = DEFAULT_BANDWIDTH,
-                       propagation: int = DEFAULT_PROPAGATION,
-                       speed: float = 1.0,
-                       control_share: float = 0.1) -> Topology:
+def dual_star_topology(n_leaves: int, bandwidth: float = DEFAULT_BANDWIDTH
+                       ) -> Topology:
     """Two redundant hubs (AFDX-style): every leaf connects to both.
 
     Hubs are ``sw0`` and ``sw1``; leaves are ``n0..``. Survives the loss of
@@ -372,16 +316,14 @@ def dual_star_topology(n_leaves: int, bandwidth: float = DEFAULT_BANDWIDTH,
         raise TopologyError("dual star needs >= 2 leaves")
     topo = Topology(name=f"dualstar{n_leaves}")
     for hub in ("sw0", "sw1"):
-        topo.add_node(Node(hub, speed=speed, clock=LocalClock(),
-                           control_share=control_share))
+        topo.add_node(Node(hub, clock=LocalClock()))
     link_idx = 0
     for i in range(n_leaves):
         leaf = f"n{i}"
-        topo.add_node(Node(leaf, speed=speed, clock=LocalClock(),
-                           control_share=control_share))
+        topo.add_node(Node(leaf, clock=LocalClock()))
         for hub in ("sw0", "sw1"):
             topo.add_link(Link(f"l{link_idx}", (hub, leaf), bandwidth,
-                               propagation))
+                               DEFAULT_PROPAGATION))
             link_idx += 1
     return topo
 

@@ -21,7 +21,6 @@ from .recovery import (
     MILESTONES,
     PHASE_BUDGET_COMPONENT,
     PHASES,
-    REQUIRED_KINDS,
     FaultTimeline,
     budget_attribution,
     reconstruct_timelines,
@@ -43,7 +42,6 @@ __all__ = [
     "PHASES",
     "PHASE_BUDGET_COMPONENT",
     "REPORT_VERSION",
-    "REQUIRED_KINDS",
     "budget_attribution",
     "export_run",
     "load_report",

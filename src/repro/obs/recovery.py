@@ -52,19 +52,6 @@ from ..sim.trace import (
     PathDeclared,
 )
 
-#: The trace-event kinds timeline reconstruction consumes. All are in
-#: :data:`repro.sim.trace.MILESTONE_KINDS`, so both recording modes
-#: (``full`` and ``milestones``) support observability.
-REQUIRED_KINDS: Tuple[type, ...] = (
-    FaultInjected,
-    PathDeclared,
-    EvidenceGenerated,
-    EvidenceAccepted,
-    ModeSwitchStarted,
-    ModeSwitchCompleted,
-    OutputProduced,
-)
-
 #: Phase names, in timeline order.
 PHASES: Tuple[str, ...] = (
     "detect", "convict", "quorum", "switch", "settle", "residual",
@@ -131,7 +118,9 @@ def reconstruct_timelines(result) -> List[FaultTimeline]:
     ``result`` is a :class:`~repro.core.runtime.system.RunResult` (typed
     loosely to keep this module import-light). Faults are windowed
     ``[t_i, t_{i+1})`` so overlapping recoveries attribute their events to
-    the fault that triggered them.
+    the fault that triggered them. Every kind read here is in
+    :data:`repro.sim.trace.MILESTONE_KINDS`, so both recording modes
+    support reconstruction.
     """
     from ..analysis.correctness import recovery_times
 

@@ -607,16 +607,16 @@ def sibling_system(prototype, seed: int):
     return sibling
 
 
-def run_sweep(system, seeds, n_periods: int, scenario: Optional[str] = None,
-              adversary=None, link_script=None) -> List[SweepRun]:
+def run_sweep(system, seeds, n_periods: int, scenario: Optional[str] = None
+              ) -> List[SweepRun]:
     """Run ``n_periods`` under each seed in one process, sharing the
     prepared strategy and every derived artifact across seeds.
 
     ``system`` must be prepared; its own seed reuses it directly, every
     other seed gets a :func:`sibling_system`. ``scenario`` (a name from
     :mod:`repro.faults.scenarios`) is staged per seed — scenario scripts
-    are seed-relative; alternatively pass ``adversary``/``link_script``
-    directly. Returns one :class:`SweepRun` per seed, in order, each with
+    are seed-relative; without one the runs are fault-free. Returns one
+    :class:`SweepRun` per seed, in order, each with
     the run's trace fingerprint so callers can gate on byte-identity
     against independently constructed runs.
     """
@@ -626,8 +626,7 @@ def run_sweep(system, seeds, n_periods: int, scenario: Optional[str] = None,
     for seed in seeds:
         target = (system if seed == system.config.seed
                   else sibling_system(system, seed))
-        adv = adversary
-        links = link_script
+        adv = links = None
         if scenario is not None:
             from ..faults.scenarios import stage
             staged = stage(scenario, target)

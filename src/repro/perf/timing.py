@@ -36,11 +36,8 @@ class Stopwatch:
         self._start = time.perf_counter()
 
     def elapsed_s(self) -> float:
-        """Seconds since construction (or the last :meth:`restart`)."""
+        """Seconds since construction."""
         return time.perf_counter() - self._start
-
-    def restart(self) -> None:
-        self._start = time.perf_counter()
 
 
 def append_jsonl(path: str, record: Dict[str, Any]) -> None:

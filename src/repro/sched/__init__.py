@@ -1,23 +1,8 @@
-"""Real-time scheduling substrate: tables, synthesis, analysis, MC."""
+"""Real-time scheduling substrate: lanes, tables, synthesis and the
+mixed-criticality shedding ladder."""
 
-from .analysis import (
-    PeriodicTask,
-    deadline_monotonic_order,
-    edf_schedulable,
-    response_time,
-    rm_schedulable,
-    rm_utilization_bound,
-    rta_schedulable,
-    total_utilization,
-)
 from .lanes import LANE_FRACTIONS, LaneModel
-from .mixed_criticality import (
-    MCTask,
-    keep_levels,
-    shed_workload,
-    shedding_ladder,
-    vestal_schedulable,
-)
+from .mixed_criticality import keep_levels, shed_workload, shedding_ladder
 from .synthesis import AssignmentError, GlobalSchedule, synthesize
 from .table import (
     NodeSchedule,
@@ -27,21 +12,11 @@ from .table import (
 )
 
 __all__ = [
-    "PeriodicTask",
-    "deadline_monotonic_order",
-    "edf_schedulable",
-    "response_time",
-    "rm_schedulable",
-    "rm_utilization_bound",
-    "rta_schedulable",
-    "total_utilization",
     "LANE_FRACTIONS",
     "LaneModel",
-    "MCTask",
     "keep_levels",
     "shed_workload",
     "shedding_ladder",
-    "vestal_schedulable",
     "AssignmentError",
     "GlobalSchedule",
     "synthesize",

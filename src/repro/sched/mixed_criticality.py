@@ -1,61 +1,18 @@
-"""Mixed-criticality admission (Vestal-style) and shedding order.
+"""Mixed-criticality shedding order.
 
 The paper leans on mixed-criticality workloads twice: normal operation runs
 everything, but "when a fault occurs, the system can disable some of the less
 critical tasks and allocate their resources to the more critical ones" (§1).
 This module answers the planner's question: *given reduced capacity, which
 criticality levels can be kept?*
-
-We follow Vestal's model in spirit: each task may carry per-level WCETs
-(a task is budgeted more pessimistically at higher assurance levels); the
-admission test checks, for each level L, that the tasks of criticality ≥ L
-fit the capacity using their level-L budgets.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Set
+from typing import List, Set
 
 from ..workload.criticality import Criticality
 from ..workload.dataflow import DataflowGraph
-
-
-@dataclass(frozen=True)
-class MCTask:
-    """A task with per-criticality-level execution budgets."""
-
-    name: str
-    criticality: Criticality
-    period: int
-    #: Budget per assurance level; missing levels fall back to the highest
-    #: provided budget at or below the requested level.
-    budgets: Dict[Criticality, int] = field(default_factory=dict)
-
-    def budget_at(self, level: Criticality) -> int:
-        """WCET budget when analysed at assurance ``level``."""
-        if level in self.budgets:
-            return self.budgets[level]
-        # Use the most pessimistic budget available at a lower level.
-        candidates = [c for lvl, c in sorted(self.budgets.items())
-                      if lvl <= level]
-        if candidates:
-            return max(candidates)
-        return max(self.budgets.values())
-
-
-def vestal_schedulable(tasks: Sequence[MCTask], capacity: float = 1.0
-                       ) -> bool:
-    """Per-level utilization test: for each level L, tasks with criticality
-    ≥ L must fit using their level-L budgets."""
-    for level in Criticality.ordered():
-        relevant = [t for t in tasks if t.criticality >= level]
-        if not relevant:
-            continue
-        utilization = sum(t.budget_at(level) / t.period for t in relevant)
-        if utilization > capacity + 1e-12:
-            return False
-    return True
 
 
 def keep_levels(levels_kept: int) -> Set[Criticality]:
@@ -65,10 +22,8 @@ def keep_levels(levels_kept: int) -> Set[Criticality]:
     return set(Criticality.ordered()[:levels_kept])
 
 
-def shed_workload(
-    workload: DataflowGraph, levels: Set[Criticality],
-    name: Optional[str] = None,
-) -> DataflowGraph:
+def shed_workload(workload: DataflowGraph, levels: Set[Criticality]
+                  ) -> DataflowGraph:
     """Restrict a workload to tasks at the given criticality levels,
     together with everything their surviving sink flows depend on.
 
@@ -87,7 +42,7 @@ def shed_workload(
     for task_name in list(keep):
         keep |= workload.upstream_closure(task_name)
     return workload.restricted_to(
-        keep, name=name or f"{workload.name}|{''.join(sorted(l.value for l in levels))}"
+        keep, name=f"{workload.name}|{''.join(sorted(l.value for l in levels))}"
     )
 
 

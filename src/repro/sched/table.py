@@ -65,13 +65,10 @@ class PlannedTransmission:
 class NodeSchedule:
     """A validated, non-overlapping timetable for one node and one period."""
 
-    def __init__(self, node: str, period: int,
-                 entries: Optional[List[ScheduleEntry]] = None) -> None:
+    def __init__(self, node: str, period: int) -> None:
         self.node = node
         self.period = period
         self.entries: List[ScheduleEntry] = []
-        for entry in entries or []:
-            self.add(entry)
 
     def add(self, entry: ScheduleEntry) -> None:
         if entry.finish > self.period:
@@ -92,9 +89,6 @@ class NodeSchedule:
             if entry.task == task:
                 return entry
         return None
-
-    def utilization(self) -> float:
-        return sum(e.duration for e in self.entries) / self.period
 
     def busy_until(self) -> int:
         """End of the last slot (0 if empty)."""

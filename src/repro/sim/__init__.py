@@ -6,18 +6,18 @@ Public surface:
 * :class:`Node`, :class:`CpuLane` — processing resources with reservations.
 * :class:`Link`, :class:`Lane` — guarded-bandwidth links.
 * :class:`Message`, :class:`MessageKind` — traffic.
-* :class:`LocalClock`, :class:`ClockSync` — bounded-drift clocks.
+* :class:`LocalClock` — bounded-drift clocks.
 * :class:`Trace` and event dataclasses — the observable record of a run.
 * time helpers (:func:`seconds`, :func:`ms`, :func:`us`, constants).
 """
 
-from .clock import ClockSync, LocalClock
+from .clock import LocalClock
 from .engine import SimulationError, Simulator
 from .link import Lane, Link, ReservationError
 from .message import Message, MessageKind
 from .node import CpuLane, Node
 from .random import DeterministicRandom
-from .time import MS, NEVER, S, US, format_time, ms, seconds, to_seconds, us
+from .time import MS, NEVER, S, format_time, ms, seconds, to_seconds, us
 from .trace import (
     HOP_KINDS,
     MILESTONE_KINDS,
@@ -42,7 +42,6 @@ from .trace import (
 )
 
 __all__ = [
-    "ClockSync",
     "LocalClock",
     "SimulationError",
     "Simulator",
@@ -57,7 +56,6 @@ __all__ = [
     "MS",
     "NEVER",
     "S",
-    "US",
     "format_time",
     "ms",
     "seconds",

@@ -7,10 +7,10 @@ affine function of true (simulated) time::
 
     local(t) = t + offset + drift_ppm * 1e-6 * (t - t0)
 
-A :class:`ClockSync` service periodically re-centres the offset, which keeps
-``|local(t) - t| <= epsilon`` for correct nodes. Timing-fault detection
-(:mod:`repro.core.detector.timing`) must tolerate ε of slack; tests assert
-that the bound holds across sync rounds.
+The runtime re-centres every correct node's clock once per
+:data:`CLOCK_SYNC_INTERVAL_US`, which keeps ``|local(t) - t| <= epsilon``.
+Timing-fault detection (:mod:`repro.core.detector.timing`) must tolerate ε
+of slack.
 """
 
 from __future__ import annotations
@@ -57,41 +57,3 @@ class LocalClock:
         """Step the clock so it reads ``reference`` at ``true_time``."""
         self._anchor_local = reference
         self._anchor_true = true_time
-
-
-class ClockSync:
-    """Periodic clock synchronization keeping all clocks within ε.
-
-    This abstracts the hardware-assisted / reference-broadcast schemes the
-    paper cites. Each round, every registered clock is stepped to the
-    reference (true) time plus a bounded residual; between rounds, drift can
-    accumulate at most ``drift_ppm * interval`` µs.
-    """
-
-    def __init__(self, interval: int, residual: int = 0) -> None:
-        if interval <= 0:
-            raise ValueError("sync interval must be positive")
-        self.interval = interval
-        self.residual = residual
-        self._clocks: list[LocalClock] = []
-
-    def register(self, clock: LocalClock) -> None:
-        self._clocks.append(clock)
-
-    def epsilon(self, max_drift_ppm: float) -> int:
-        """Worst-case |local − true| between sync rounds."""
-        return self.residual + int(round(max_drift_ppm * 1e-6 * self.interval)) + 1
-
-    def sync_round(self, true_time: int) -> None:
-        """Re-centre every registered clock at ``true_time``."""
-        for clock in self._clocks:
-            clock.synchronize_to(true_time, true_time + self.residual)
-
-    def install(self, sim) -> None:
-        """Schedule periodic sync rounds on ``sim`` forever (self-renewing)."""
-
-        def round_and_reschedule() -> None:
-            self.sync_round(sim.now)
-            sim.call_after(self.interval, round_and_reschedule)
-
-        sim.call_after(self.interval, round_and_reschedule)

@@ -105,10 +105,6 @@ class Link:
     def lane(self, sender: str, kind: MessageKind) -> Optional[Lane]:
         return self._lanes.get((sender, kind))
 
-    @property
-    def allocated_fraction(self) -> float:
-        return self._allocated
-
     def reset(self) -> None:
         """Clear per-run lane state (queues, counters); keep allocations."""
         for lane in self._lanes.values():

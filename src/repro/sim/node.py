@@ -36,7 +36,6 @@ class CpuLane:
         self.name = name
         self.speed = speed
         self.next_free = 0
-        self.busy_us = 0
 
     def run(
         self,
@@ -53,14 +52,9 @@ class CpuLane:
         start = max(sim.now, self.next_free)
         finish = start + duration
         self.next_free = finish
-        self.busy_us += duration
         if callback is not None:
             sim.call_at(finish, callback)
         return finish
-
-    def utilization(self, horizon: int) -> float:
-        """Fraction of [0, horizon] this lane spent busy."""
-        return self.busy_us / horizon if horizon > 0 else 0.0
 
 
 class Node:
@@ -138,7 +132,6 @@ class Node:
         """Clear per-run state: CPU queues, fault flags."""
         for lane in self.lanes.values():
             lane.next_free = 0
-            lane.busy_us = 0
         self.compromised = False
         self.crashed = False
 

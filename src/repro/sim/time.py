@@ -14,8 +14,6 @@ The helpers here convert human-friendly quantities into microsecond counts::
 
 from __future__ import annotations
 
-#: One microsecond (the base unit).
-US = 1
 #: One millisecond in microseconds.
 MS = 1_000
 #: One second in microseconds.

@@ -22,7 +22,7 @@ object it is, or a *hop row* — the plain tuple ``(kind, *fields after
 time)`` a hot producer handed to :meth:`Trace.record_row` instead of
 building the dataclass. Only :data:`HOP_KINDS` may arrive as rows. An
 event object for a hop row exists only while somebody reads it:
-``__iter__`` / ``of_kind`` / ``between`` / ``last`` build
+``__iter__`` / ``of_kind`` / ``last`` build
 ``kind(time, *fields)`` from column + row on the way out; ``len``,
 ``count`` and ``kind_counts`` never do. The out-of-order check runs on
 every recorded time, whichever way it arrives.
@@ -39,7 +39,6 @@ from __future__ import annotations
 
 import hashlib
 from array import array
-from bisect import bisect_left
 from dataclasses import dataclass, field
 from typing import (
     Any,
@@ -221,7 +220,7 @@ class Trace:
     as they are recorded, so the analysis layer's ``of_kind`` queries
     (issued per flow, per node, per metric) are a list copy; hop kinds
     are indexed by column position, lazily, on the first query that
-    needs them. ``between`` binary-searches the time column.
+    needs them.
     """
 
     def __init__(self, mode: str = MODE_FULL) -> None:
@@ -346,13 +345,6 @@ class Trace:
         else:
             retained = len(self._by_kind.get(kind, ()))
         return retained + self._tallies.get(kind.__name__, 0)
-
-    def between(self, start: int, end: int) -> List[TraceEvent]:
-        """Events with start ≤ time < end."""
-        times = self._times
-        return [self._event(pos)
-                for pos in range(bisect_left(times, start),
-                                 bisect_left(times, end))]
 
     def outputs(self) -> List[OutputProduced]:
         return self.of_kind(OutputProduced)

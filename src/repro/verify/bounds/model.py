@@ -135,10 +135,9 @@ class BoundsReport:
             return None
         return self.worst_for_class(fault_class)
 
-    def exceeding(self, R_us: Optional[int] = None) -> List[ClassBound]:
+    def exceeding(self) -> List[ClassBound]:
         """Entries whose total bound exceeds the promised R."""
-        bound = self.R_us if R_us is None else R_us
-        return [e for e in self.entries if e.total_us > bound]
+        return [e for e in self.entries if e.total_us > self.R_us]
 
     def to_dict(self) -> Dict[str, object]:
         return {

@@ -102,17 +102,6 @@ class SoundnessCheck:
             if empirical > 0
         }
 
-    def merge(self, other: "SoundnessCheck") -> None:
-        self.checked += other.checked
-        self.skipped_unachievable += other.skipped_unachievable
-        self.violations.extend(other.violations)
-        for kind, total in other.bound_total.items():
-            self.bound_total[kind] = max(
-                self.bound_total.get(kind, 0), total)
-        for kind, total in other.worst_empirical.items():
-            self.worst_empirical[kind] = max(
-                self.worst_empirical.get(kind, 0), total)
-
     def to_dict(self) -> Dict[str, object]:
         return {
             "checked": self.checked,

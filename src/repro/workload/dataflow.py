@@ -243,11 +243,6 @@ class DataflowGraph:
     def total_wcet(self) -> int:
         return sum(t.wcet for t in self.tasks.values())
 
-    def utilization(self, node_count: int, speed: float = 1.0) -> float:
-        """Aggregate CPU demand per period as a fraction of total capacity."""
-        capacity = node_count * speed * self.period
-        return self.total_wcet() / capacity if capacity else float("inf")
-
     def restricted_to(self, keep_tasks: Set[str], name: Optional[str] = None
                       ) -> "DataflowGraph":
         """A sub-workload containing only ``keep_tasks`` and flows between

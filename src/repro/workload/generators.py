@@ -26,14 +26,14 @@ def pipeline_workload(
     period: int = ms(20),
     wcet: int = 500,
     deadline: Optional[int] = None,
-    criticality: Criticality = Criticality.A,
-    name: str = "pipeline",
 ) -> DataflowGraph:
-    """A linear source → t1 → … → tn → sink pipeline (test workhorse)."""
+    """A linear source → t1 → … → tn → sink pipeline (test workhorse),
+    every stage criticality A."""
     if n_stages < 1:
         raise ValueError("need at least one stage")
+    name = "pipeline"
     tasks = [
-        Task(name=f"{name}.t{i}", wcet=wcet, criticality=criticality,
+        Task(name=f"{name}.t{i}", wcet=wcet, criticality=Criticality.A,
              state_bits=1024)
         for i in range(n_stages)
     ]
@@ -46,7 +46,7 @@ def pipeline_workload(
     flows.append(Flow(
         name=f"{name}.out", src=tasks[-1].name, dst=f"{name}.actuator",
         deadline=deadline if deadline is not None else period,
-        criticality=criticality,
+        criticality=Criticality.A,
     ))
     return DataflowGraph(
         period=period, tasks=tasks, flows=flows,
@@ -130,13 +130,14 @@ def avionics_workload(period: int = ms(20), n_ife_channels: int = 1,
     )
 
 
-def industrial_workload(period: int = ms(50)) -> DataflowGraph:
+def industrial_workload() -> DataflowGraph:
     """Pressure-vessel control (paper §2): sensor → controller → valve.
 
     "When a sensor indicates a pressure increase ... the system may need to
     respond within seconds — e.g., by opening a safety valve — to prevent an
     explosion."
     """
+    period = ms(50)
     tasks = [
         Task("p_filter", wcet=400, criticality=Criticality.A,
              state_bits=2048),
@@ -185,9 +186,9 @@ def industrial_workload(period: int = ms(50)) -> DataflowGraph:
     )
 
 
-def automotive_workload(n_wheels: int = 4, period: int = ms(10)
-                        ) -> DataflowGraph:
+def automotive_workload(n_wheels: int = 4) -> DataflowGraph:
     """A many-ECU car (paper §2: "about a hundred microprocessors")."""
+    period = ms(10)
     tasks = [
         Task("abs_ctrl", wcet=700, criticality=Criticality.A,
              state_bits=4096),
@@ -233,8 +234,7 @@ def automotive_workload(n_wheels: int = 4, period: int = ms(10)
     )
 
 
-def power_grid_workload(n_feeders: int = 3, period: int = ms(40)
-                        ) -> DataflowGraph:
+def power_grid_workload(n_feeders: int = 3) -> DataflowGraph:
     """A substation protection-and-control workload (SCADA-class CPS).
 
     The paper's §2 cites factory/power-plant control [54] and the
@@ -244,6 +244,7 @@ def power_grid_workload(n_feeders: int = 3, period: int = ms(40)
     B: voltage regulation. C: the SCADA historian. D: the operator
     dashboard.
     """
+    period = ms(40)
     if n_feeders < 1:
         raise ValueError("need at least one feeder")
     tasks = [
@@ -294,14 +295,13 @@ def random_workload(
     n_tasks: int = 10,
     n_layers: int = 3,
     period: int = ms(50),
-    wcet_range: tuple[int, int] = (200, 2000),
-    name: str = "random",
 ) -> DataflowGraph:
     """A random layered DAG: sources feed layer 0, last layer feeds sinks.
 
     Every task gets at least one input and one output, so the result always
     satisfies the model's structural invariants.
     """
+    name = "random"
     if n_tasks < n_layers:
         raise ValueError("need at least one task per layer")
     crits = Criticality.ordered()
@@ -310,7 +310,7 @@ def random_workload(
         layer = i % n_layers
         task = Task(
             name=f"{name}.t{i}",
-            wcet=rng.randint(*wcet_range),
+            wcet=rng.randint(200, 2000),
             criticality=rng.choice(crits),
             state_bits=rng.choice([1024, 4096, 16384]),
         )

@@ -54,12 +54,11 @@ def test_python_m_repro_verb_help_exits_0(verb):
 
 @pytest.mark.parametrize("verb", VERBS, ids=" ".join)
 def test_only_run_accepts_trace_mode(verb, capsys):
+    """No verb accepts ``--trace-mode``: ``run`` records milestones,
+    ``compare`` keeps full traces for its traffic column."""
     positional = {"trace": ["r.json"], "replay": ["a.json"]}
     argv = [*verb, *positional.get(verb[-1], []),
             "--trace-mode", "milestones"]
-    if verb == ["run"]:
-        assert build_parser().parse_args(argv).trace_mode == "milestones"
-        return
     with pytest.raises(SystemExit) as exc:
         build_parser().parse_args(argv)
     assert exc.value.code == 2
@@ -106,6 +105,32 @@ def test_cli_run_with_fault(capsys):
 def test_cli_run_rejects_unknown_fault(capsys):
     with pytest.raises(SystemExit):
         main(["run", "--fault", "gremlins"])
+
+
+@pytest.mark.parametrize("argv, names", [
+    (["--scenario", "nosuch"], "unknown scenario 'nosuch'"),
+    (["--scenario", "gateway_crash", "--topology", "fullmesh:5"],
+     "no WAN links"),
+    (["--scenario", "paced_double", "--f", "1"], "needs f >= 2"),
+])
+def test_cli_run_names_a_scenario_it_cannot_stage(argv, names, capsys):
+    assert main(["run", "--periods", "4", *argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("repro run: ")
+    assert names in captured.err and len(captured.err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("verb", ["run", "compare"])
+def test_cli_refuses_a_fault_at_or_after_the_run_end(verb, capsys):
+    """4 periods of industrial's 50 ms end at 0.2 s; stretched 10x they
+    end at 2 s, so the same fault is inside the run."""
+    argv = [verb, "--fault", "crash", "--fault-at", "1", "--periods", "4"]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert ("--fault-at 1s is not before the run's end at 0.2s (4 periods)"
+            in capsys.readouterr().err)
+    assert main(argv + ["--stretch", "10"]) == 0
 
 
 # ------------------------------------------------------------------ compare

@@ -19,11 +19,8 @@ from repro.faults import (
     SingleFaultAdversary,
     TimingFault,
     all_patterns_up_to,
-    children_of,
-    is_ancestor,
     make_behavior,
     mode_id,
-    parents_of,
     pattern,
     strategy_size,
 )
@@ -127,27 +124,14 @@ def test_all_patterns_up_to_counts():
     assert patterns[0] == frozenset()
     # Parents precede children.
     for i, p in enumerate(patterns):
-        for parent in parents_of(p):
-            assert patterns.index(parent) < i
+        for node in p:
+            assert patterns.index(p - {node}) < i
 
 
 def test_strategy_size_matches_enumeration():
     nodes = [f"n{i}" for i in range(7)]
     for f in range(4):
         assert strategy_size(7, f) == len(all_patterns_up_to(nodes, f))
-
-
-def test_parents_and_children():
-    p = pattern(["a", "b"])
-    assert set(parents_of(p)) == {frozenset({"a"}), frozenset({"b"})}
-    kids = children_of(p, ["a", "b", "c", "d"])
-    assert frozenset({"a", "b", "c"}) in kids
-    assert all(len(k) == 3 for k in kids)
-
-
-def test_is_ancestor():
-    assert is_ancestor(pattern(["a"]), pattern(["a", "b"]))
-    assert not is_ancestor(pattern(["c"]), pattern(["a", "b"]))
 
 
 @given(st.sets(st.sampled_from(["a", "b", "c", "d", "e"]), max_size=3))

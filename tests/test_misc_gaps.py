@@ -1,5 +1,5 @@
-"""Small-gap unit tests: metrics helpers, analysis corners, distributor
-retry mechanics, generator parameters."""
+"""Small-gap unit tests: verdict views, distributor retry mechanics,
+generator parameters."""
 
 import pytest
 
@@ -11,44 +11,13 @@ from repro.core.evidence import (
     FORWARD_MISMATCH,
 )
 from repro.crypto import AuthenticatedStatement, KeyDirectory
-from repro.analysis import (
-    BTRVerdict,
-    replica_count,
-)
-from repro.sched import PeriodicTask, response_time
+from repro.analysis import BTRVerdict
 from repro.workload import (
     Criticality,
     avionics_workload,
     automotive_workload,
     compute_output,
 )
-
-
-# ------------------------------------------------------------------ metrics
-
-
-def test_replica_count_table():
-    assert replica_count("unreplicated", 1) == 1
-    assert replica_count("btr", 1) == 2
-    assert replica_count("btr", 2) == 3
-    assert replica_count("bft", 2) == 7
-    with pytest.raises(KeyError):
-        replica_count("magic", 1)
-
-
-# ----------------------------------------------------------- sched analysis
-
-
-def test_response_time_diverges_at_full_utilization():
-    # The hog saturates the CPU: the fixed point escapes the deadline.
-    tasks = [PeriodicTask("hog", 10, 10), PeriodicTask("low", 5, 1000)]
-    assert response_time(1, tasks) is None
-
-
-def test_deadline_monotonic_tie_breaks_by_name():
-    from repro.sched import deadline_monotonic_order
-    tasks = [PeriodicTask("b", 1, 10), PeriodicTask("a", 1, 10)]
-    assert [t.name for t in deadline_monotonic_order(tasks)] == ["a", "b"]
 
 
 # --------------------------------------------------------------- generators
@@ -171,5 +140,5 @@ def test_btr_verdict_slot_views():
     ]
     verdict = BTRVerdict(R_us=0, slots=slots, holds=False,
                          violations=[slots[2]])
-    assert len(verdict.disrupted_slots()) == 2
+    assert len([s for s in verdict.slots if s.status != "correct"]) == 2
     assert not verdict.holds

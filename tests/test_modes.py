@@ -28,15 +28,6 @@ def test_faultset_is_append_only():
     assert len(fs) == 2
 
 
-def test_faultset_generation_bumps_on_new_info_only():
-    fs = FaultSet()
-    g0 = fs.generation
-    fs.add("x")
-    g1 = fs.generation
-    fs.add("x")
-    assert g1 > g0 and fs.generation == g1
-
-
 def test_faultset_snapshot_is_immutable_copy():
     fs = FaultSet(["a"])
     snap = fs.snapshot()

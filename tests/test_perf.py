@@ -190,13 +190,6 @@ class TestTraceIndices:
         assert trace.count(Custom) == 0
         assert trace.last(Custom) is None
 
-    def test_between_uses_time_slicing(self):
-        trace = Trace()
-        for i in range(20):
-            trace.record(Custom(time=i * 100, label="x", data={}))
-        window = trace.between(500, 1500)
-        assert [e.time for e in window] == [500 + 100 * k for k in range(10)]
-
     def test_of_kind_returns_a_copy(self):
         trace = Trace()
         trace.record(Custom(time=0, label="x", data={}))

@@ -15,7 +15,6 @@ from repro.core.planner import (
     naming,
     place,
     plan_distance,
-    replication_overhead,
 )
 from repro.crypto import Signature
 from repro.net import Router, full_mesh_topology, line_topology, ring_topology
@@ -105,15 +104,6 @@ def test_augment_preserves_criticality_and_state():
     checker = aug.tasks[naming.checker_name("ctrl_law")]
     assert checker.criticality == Criticality.A
     assert checker.state_bits == 0
-
-
-def test_replication_overhead_less_than_bft():
-    wl = avionics_workload()
-    f = 1
-    btr = replication_overhead(wl, AugmentConfig(replicas=f + 1))
-    bft = replication_overhead(wl, AugmentConfig(replicas=3 * f + 1))
-    assert btr < bft
-    assert btr < 3.0  # f+1 replicas + small checkers
 
 
 def test_augment_config_validation():

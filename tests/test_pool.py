@@ -26,8 +26,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro import Deployment
 from repro.faults.scenarios import stage
-from repro.net import full_mesh_topology, geo_topology
-from repro.net.topology import TopologyError
+from repro.net import geo_topology
 from repro.perf.batchcore import run_sweep, sibling_system
 from repro.perf import pool as pool_module
 from repro.perf.pool import WorkerPool, run_sweep_pool
@@ -155,13 +154,8 @@ def test_property_geo_partitions_connected_with_positive_lookahead(
         assert nx.is_connected(local)
         seen.extend(members)
     assert seen == sorted(topo.node_ids())
-    assert topo.min_wan_latency_us() > 0
-
-
-class TestPlanning:
-    def test_min_wan_latency_requires_wan_links(self):
-        with pytest.raises(TopologyError, match="no WAN links"):
-            full_mesh_topology(4, bandwidth=1e8).min_wan_latency_us()
+    assert len(topo.wan_links()) == gateways * regions * (regions - 1) // 2
+    assert all(link.propagation_us > 0 for link in topo.wan_links())
 
 
 # ------------------------------------------------------- delivery hooks

@@ -1,157 +1,9 @@
-"""Tests for classical schedulability analysis and mixed criticality."""
+"""Tests for the mixed-criticality shedding order."""
 
 import pytest
-from hypothesis import given, settings, strategies as st
 
-from repro.sched import (
-    MCTask,
-    PeriodicTask,
-    deadline_monotonic_order,
-    edf_schedulable,
-    keep_levels,
-    response_time,
-    rm_schedulable,
-    rm_utilization_bound,
-    rta_schedulable,
-    shed_workload,
-    shedding_ladder,
-    total_utilization,
-    vestal_schedulable,
-)
+from repro.sched import keep_levels, shed_workload, shedding_ladder
 from repro.workload import Criticality, avionics_workload
-
-
-def T(name, c, p, d=None):
-    return PeriodicTask(name=name, wcet=c, period=p, deadline=d)
-
-
-# ---------------------------------------------------------------- classical
-
-
-def test_utilization_sum():
-    tasks = [T("a", 1, 4), T("b", 1, 2)]
-    assert total_utilization(tasks) == pytest.approx(0.75)
-
-
-def test_edf_bound():
-    assert edf_schedulable([T("a", 1, 2), T("b", 1, 2)])
-    assert not edf_schedulable([T("a", 1, 2), T("b", 2, 3)])
-
-
-def test_edf_with_capacity():
-    assert edf_schedulable([T("a", 1, 2)], capacity=0.5)
-    assert not edf_schedulable([T("a", 2, 3)], capacity=0.5)
-
-
-def test_rm_bound_decreases_to_ln2():
-    assert rm_utilization_bound(1) == pytest.approx(1.0)
-    assert rm_utilization_bound(2) == pytest.approx(0.8284, abs=1e-3)
-    assert rm_utilization_bound(1000) == pytest.approx(0.6934, abs=1e-3)
-
-
-def test_rm_bound_rejects_nonpositive():
-    with pytest.raises(ValueError):
-        rm_utilization_bound(0)
-
-
-def test_rm_sufficient_test():
-    assert rm_schedulable([T("a", 1, 4), T("b", 1, 5)])
-    assert rm_schedulable([])
-
-
-def test_rta_classic_example():
-    # Classic three-task example: schedulable despite U > RM bound.
-    tasks = [T("a", 1, 4), T("b", 2, 6), T("c", 3, 12)]
-    assert total_utilization(tasks) > rm_utilization_bound(3)
-    assert rta_schedulable(tasks)
-    assert response_time(0, tasks) == 1
-    assert response_time(1, tasks) == 3
-    # c: r = 3 + ceil(r/4)*1 + ceil(r/6)*2 -> fixed point at 10.
-    assert response_time(2, tasks) == 10
-
-
-def test_rta_detects_deadline_miss():
-    tasks = [T("a", 3, 5), T("b", 3, 6)]
-    assert response_time(1, tasks) is None
-    assert not rta_schedulable(tasks)
-
-
-def test_deadline_monotonic_order():
-    tasks = [T("late", 1, 10, d=9), T("soon", 1, 10, d=3)]
-    ordered = deadline_monotonic_order(tasks)
-    assert [t.name for t in ordered] == ["soon", "late"]
-
-
-def test_periodic_task_validation():
-    with pytest.raises(ValueError):
-        T("bad", 0, 5)
-    with pytest.raises(ValueError):
-        T("bad", 5, 5, d=4)
-
-
-@settings(max_examples=50, deadline=None)
-@given(st.lists(
-    st.tuples(st.integers(1, 5), st.integers(10, 100)),
-    min_size=1, max_size=6,
-))
-def test_property_rm_implies_rta(params):
-    tasks = deadline_monotonic_order([
-        T(f"t{i}", c, p) for i, (c, p) in enumerate(params)
-    ])
-    # The sufficient RM test must never accept an RTA-infeasible set.
-    if rm_schedulable(tasks):
-        assert rta_schedulable(tasks)
-
-
-@settings(max_examples=50, deadline=None)
-@given(st.lists(
-    st.tuples(st.integers(1, 5), st.integers(10, 100)),
-    min_size=1, max_size=6,
-))
-def test_property_rta_implies_edf_bound(params):
-    tasks = deadline_monotonic_order([
-        T(f"t{i}", c, p) for i, (c, p) in enumerate(params)
-    ])
-    # Fixed-priority feasible => U <= 1 (EDF optimality on one CPU).
-    if rta_schedulable(tasks):
-        assert edf_schedulable(tasks)
-
-
-# ----------------------------------------------------------- mixed-criticality
-
-
-def mc(name, crit, period, lo, hi=None):
-    budgets = {Criticality.D: lo}
-    if hi is not None:
-        budgets[Criticality.A] = hi
-    return MCTask(name=name, criticality=crit, period=period, budgets=budgets)
-
-
-def test_vestal_all_levels_fit():
-    tasks = [
-        mc("ctrl", Criticality.A, 10, lo=2, hi=4),
-        mc("ife", Criticality.D, 10, lo=5),
-    ]
-    # Level D: 2/10 + 5/10 = 0.7 ok; level A: 4/10 = 0.4 ok.
-    assert vestal_schedulable(tasks)
-
-
-def test_vestal_rejects_high_level_overload():
-    tasks = [
-        mc("ctrl", Criticality.A, 10, lo=2, hi=11),
-    ]
-    assert not vestal_schedulable(tasks)
-
-
-def test_vestal_capacity_parameter():
-    tasks = [mc("x", Criticality.B, 10, lo=4)]
-    assert vestal_schedulable(tasks, capacity=0.5)
-    assert not vestal_schedulable(tasks, capacity=0.3)
-
-
-def test_budget_fallback_uses_most_pessimistic_lower_level():
-    task = mc("x", Criticality.A, 10, lo=3)
-    assert task.budget_at(Criticality.A) == 3
 
 
 def test_keep_levels():

@@ -45,7 +45,7 @@ def test_node_schedule_rejects_overlap():
         sched.add(ScheduleEntry("b", 40, 60))
     sched.add(ScheduleEntry("b", 50, 60))
     assert len(sched) == 2
-    assert sched.utilization() == pytest.approx(0.6)
+    assert sum(e.duration for e in sched) == 60
 
 
 def test_node_schedule_rejects_period_overrun():
@@ -72,23 +72,29 @@ def test_lane_model_share_splits_among_endpoints():
     assert model.share(link, MessageKind.DATA) == pytest.approx(0.25)
 
 
+def allocated(link):
+    """The link's reserved share: one lane per (endpoint, kind), each of
+    which must exist."""
+    return sum(link.lane(sender, kind).share
+               for sender in link.endpoints
+               for kind in (MessageKind.DATA, MessageKind.STATE,
+                            MessageKind.EVIDENCE, MessageKind.CONTROL))
+
+
 def test_lane_model_install_allocates_everything():
     topo = line_topology(3)
     LaneModel(topo).install()
     for link in topo.links.values():
-        for sender in link.endpoints:
-            for kind in (MessageKind.DATA, MessageKind.STATE,
-                         MessageKind.EVIDENCE, MessageKind.CONTROL):
-                assert link.lane(sender, kind) is not None
-        assert link.allocated_fraction <= 1.0 + 1e-9
+        assert allocated(link) <= 1.0 + 1e-9
 
 
 def test_lane_model_install_is_idempotent():
     topo = line_topology(2)
     model = LaneModel(topo)
     model.install()
+    allocated_once = allocated(topo.links["l0"])
     model.install()
-    assert topo.links["l0"].allocated_fraction <= 1.0 + 1e-9
+    assert allocated(topo.links["l0"]) == allocated_once <= 1.0 + 1e-9
 
 
 def test_transmission_us_ceils():
@@ -265,7 +271,7 @@ def test_makespan_and_utilization():
     schedule = synthesize(
         wl, {"pipeline.t0": "n0", "pipeline.t1": "n1"}, topo, router)
     assert schedule.makespan() > 0
-    assert all(schedule.node_schedules[n].utilization() > 0
+    assert all(schedule.node_schedules[n].busy_until() > 0
                for n in ("n0", "n1"))
 
 

@@ -1,16 +1,13 @@
-"""Unit tests for local clocks, clock sync, time helpers, and traces."""
+"""Unit tests for local clocks, time helpers, and traces."""
 
 import pytest
 from hypothesis import given, strategies as st
 
 from repro.sim import (
-    ClockSync,
     FaultInjected,
     LocalClock,
-    MS,
     OutputProduced,
     S,
-    Simulator,
     Trace,
     format_time,
     ms,
@@ -49,24 +46,6 @@ def test_synchronize_to_reference():
     assert clock.error(5 * S) == 0
     # Drift resumes from the new anchor.
     assert clock.error(6 * S) == 200
-
-
-def test_clock_sync_bounds_error_across_rounds():
-    sim = Simulator()
-    clocks = [LocalClock(drift_ppm=d) for d in (150.0, -150.0, 80.0)]
-    sync = ClockSync(interval=100 * MS)
-    for c in clocks:
-        sync.register(c)
-    sync.install(sim)
-    epsilon = sync.epsilon(max_drift_ppm=150.0)
-    sim.run_until(2 * S)
-    for c in clocks:
-        assert abs(c.error(sim.now)) <= epsilon
-
-
-def test_clock_sync_invalid_interval():
-    with pytest.raises(ValueError):
-        ClockSync(interval=0)
 
 
 @given(st.floats(min_value=-500, max_value=500),
@@ -111,13 +90,6 @@ def test_trace_rejects_out_of_order():
     trace.record(FaultInjected(time=10, node="a", fault_kind="crash"))
     with pytest.raises(ValueError):
         trace.record(FaultInjected(time=5, node="b", fault_kind="crash"))
-
-
-def test_trace_between_is_half_open():
-    trace = Trace()
-    for t in (10, 20, 30):
-        trace.record(FaultInjected(time=t, node="a", fault_kind="crash"))
-    assert [e.time for e in trace.between(10, 30)] == [10, 20]
 
 
 def test_trace_last():

@@ -66,7 +66,3 @@ def test_timeline_dedups_repeat_detections(faulted_run):
 def test_clean_run_timeline_is_empty(clean_run):
     assert build_timeline(clean_run) == []
     assert "uneventful" in render_timeline(clean_run)
-
-
-def test_max_entries_cap(faulted_run):
-    assert len(build_timeline(faulted_run, max_entries=2)) == 2

@@ -23,9 +23,20 @@ from repro.crypto.memo import VerifyMemo
 from repro.crypto.signatures import KeyDirectory, Signature, canonical_bytes
 from repro.faults.scenarios import stage
 from repro.net import full_mesh_topology
-from repro.obs import REQUIRED_KINDS
 from repro.obs.recovery import reconstruct_timelines
-from repro.sim.trace import MILESTONE_KINDS, TRACE_MODES, Trace, MessageSent
+from repro.sim.trace import (
+    MILESTONE_KINDS,
+    TRACE_MODES,
+    EvidenceAccepted,
+    EvidenceGenerated,
+    FaultInjected,
+    MessageSent,
+    ModeSwitchCompleted,
+    ModeSwitchStarted,
+    OutputProduced,
+    PathDeclared,
+    Trace,
+)
 from repro.workload import industrial_workload
 from tests import golden
 
@@ -228,9 +239,13 @@ class TestTraceModes:
         assert TRACE_MODES == ("full", "milestones")
 
     def test_required_kinds_are_retained_in_milestones_mode(self):
-        assert set(REQUIRED_KINDS) <= MILESTONE_KINDS
+        # The kinds reconstruct_timelines reads.
+        required = {FaultInjected, PathDeclared, EvidenceGenerated,
+                    EvidenceAccepted, ModeSwitchStarted,
+                    ModeSwitchCompleted, OutputProduced}
+        assert required <= MILESTONE_KINDS
         trace = Trace(mode="milestones")
-        for kind in REQUIRED_KINDS:
+        for kind in required:
             assert trace.retains(kind)
 
     def test_tally_merges_into_census(self):

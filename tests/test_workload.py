@@ -183,13 +183,6 @@ def test_restricted_to_drops_tasks_and_flows():
     sub.validate()
 
 
-def test_utilization():
-    g = simple_graph()
-    # 200us of work per 20ms period on 1 node = 0.01
-    assert g.utilization(node_count=1) == pytest.approx(0.01)
-    assert g.utilization(node_count=2) == pytest.approx(0.005)
-
-
 # --------------------------------------------------------------- generators
 
 

@@ -17,7 +17,10 @@ and wide topologies where per-period flooding is O(n²) while plan
 execution is O(n)). Columns per scenario: absolute events/sec on the
 milestone trace (the benchmark configuration), the sweep throughput, and
 the coalescing ratio; recorded with the host's core count and
-interpreter version in ``BENCH_sim.json``, never asserted.
+interpreter version in ``BENCH_sim.json``, never asserted. A last column
+counts the settled heartbeat re-floods the milestone run paid per sender
+instead of per copy: asserted > 0 there and 0 on the full trace, so the
+deferral cannot switch itself off unseen.
 
 ``REPRO_SWEEP=smoke`` — single scenario, small mesh.
 """
@@ -79,6 +82,7 @@ def run_case(name: str, n_nodes: int, f: int, n_periods: int, seed: int):
     full_res, _ = _timed_run(full_sys, full_scn, n_periods)
     golden.assert_matches(full_sys, full_res, name)
     events = full_sys.sim.events_executed
+    full_deferred = full_sys.batch_runtime.stats()["deferred_refloods"]
 
     # --- The clocks: milestone trace, the benchmark configuration. ---
     bat_sys, bat_scn = _prepared(name, n_nodes, f, seed, "milestones")
@@ -127,6 +131,8 @@ def run_case(name: str, n_nodes: int, f: int, n_periods: int, seed: int):
                                if sweep_wall else None),
         "batches_fired": batch_stats["batches_fired"],
         "entries_batched": batch_stats["entries_batched"],
+        "deferred_refloods": batch_stats["deferred_refloods"],
+        "deferred_refloods_full": full_deferred,
         "digest_match": True,
     }
 
@@ -150,6 +156,7 @@ def test_e19_batched_core(benchmark):
         c["scenario"], c["n_nodes"], c["seed"], c["sim_events"],
         f"{c['events_per_s_milestones']:,}", f"{c['sweep_events_per_s']:,}",
         f"{c['entries_batched']}/{c['batches_fired']}",
+        c["deferred_refloods"],
         "matches",
     ] for c in cases]
     write_result("e19_batched_core", format_table(
@@ -157,7 +164,7 @@ def test_e19_batched_core(benchmark):
         "mesh; milestone traces, absolute events/s of this host; full "
         "traces asserted byte-identical to the per-message digests)",
         ["scenario", "n", "seed", "sim events", "ev/s", "ev/s sweep",
-         "batched entries/events", "legacy digest"],
+         "batched entries/events", "deferred re-floods", "legacy digest"],
         rows,
     ))
 
@@ -167,3 +174,7 @@ def test_e19_batched_core(benchmark):
         # than batched entries (otherwise the emitters degenerated to
         # the one-event-per-message shape).
         assert c["batches_fired"] < c["entries_batched"]
+        # Settled heartbeat re-floods are paid per sender on milestone
+        # traces, and never deferred where every hop is a trace row.
+        assert c["deferred_refloods"] > 0
+        assert c["deferred_refloods_full"] == 0

@@ -303,6 +303,8 @@ class BTRSystem:
 
             def degrade(l=link, p=loss, lid=link_id) -> None:
                 l.loss_probability = p
+                # From now on every heartbeat copy may draw a loss.
+                self.batch_runtime.defer_settled = False
                 self.trace.record(Custom(
                     time=self.sim.now, label="link_degraded",
                     data={"link": lid, "loss": p},

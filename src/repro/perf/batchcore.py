@@ -25,6 +25,13 @@ the three send shapes a run has:
   the heartbeat changes nothing on arrival but the hop counts, so when
   hops are tallied (``milestones``) it is counted at send time and never
   scheduled; a batch marks all its first receipts before any re-floods.
+  Once every node holds ``(origin, k)`` or is crashed (the key is
+  *settled*), and while no link is lossy and no delivery hook is
+  installed, a flood of it reserves nothing copy by copy either: it
+  becomes a debt on its sender, and all the sender's floods of one
+  instant are paid together — ``n`` frames back to back per lane, those
+  arriving by the horizon counted — before anything next reads the
+  sender's lanes (its own per-copy flood, a unicast send, ``end_run``).
 
 Every delivery calls the receiving agent directly, behind the receiving
 node's ``crashed`` check: ``_on_message``, or — for a heartbeat, which
@@ -267,11 +274,24 @@ class BatchRuntime:
         #: The run's end (``run_until``'s argument): a copy tallied at
         #: send time counts only if it would have arrived by then.
         self.horizon = 0
+        #: Whether a settled heartbeat flood may be deferred (see
+        #: :meth:`flood_heartbeat`): hops are tallied, no delivery hook is
+        #: installed and no link has been lossy so far in the run. A link
+        #: script's ``degrade`` clears it.
+        self.defer_settled = False
+        #: (node, agent) per node of the run, sorted: the settled scan.
+        self._members: List[tuple] = []
+        #: Heartbeat keys ``(origin, k)`` found settled this run.
+        self._settled: set = set()
+        #: sender -> [time, floods, {excluded neighbour: count}]: the
+        #: deferred settled floods it has not paid for yet.
+        self._debts: Dict[str, list] = {}
         self.sent = 0
         self.delivered = 0
         self.dropped = 0
         self.batches_fired = 0
         self.entries_batched = 0
+        self.deferred_refloods = 0
 
     def begin_run(self, sim, trace, topology, metrics,
                   agents: Dict[str, object], horizon: int) -> None:
@@ -300,11 +320,20 @@ class BatchRuntime:
                          and trace.retains(MessageDelivered)
                          and trace.retains(MessageDropped))
         self.horizon = horizon
+        self.defer_settled = (
+            not self.retained and sim.delivery_hook is None
+            and not any(link.loss_probability > 0.0
+                        for _, link in sorted(topology.links.items())))
+        self._members = [(topology.nodes[node_id], agent)
+                         for node_id, agent in sorted(agents.items())]
+        self._settled = set()
+        self._debts = {}
         self.sent = 0
         self.delivered = 0
         self.dropped = 0
         self.batches_fired = 0
         self.entries_batched = 0
+        self.deferred_refloods = 0
         edges = self._edges = {}
         self._hb_plans = {}
         self._ev_plans = {}
@@ -343,8 +372,10 @@ class BatchRuntime:
             self._ev_plans[sender] = ev_plan
 
     def end_run(self) -> None:
-        """Flush the run's hop tallies into its trace (non-zero only when
-        the trace retains no hops)."""
+        """Pay every deferred flood, then flush the run's hop tallies
+        into its trace (non-zero only when the trace retains no hops)."""
+        for sender in sorted(self._debts):
+            self._pay(sender)
         if self.sent:
             self.trace.tally(MessageSent, self.sent)
         if self.delivered:
@@ -373,6 +404,8 @@ class BatchRuntime:
         if edge is None:
             raise self._unreserved(sender, receiver, message.kind)
         link, lane, node, agent = edge
+        if sender in self._debts:
+            self._pay(sender)
         sim = self.sim
         now = sim.now
         bits = message.size_bits
@@ -387,7 +420,6 @@ class BatchRuntime:
         if duration < 1:
             duration = 1
         lane.next_free = start + duration
-        lane.bits_sent += bits
         arrival = start + duration + link.propagation_us
         if sim.delivery_hook is not None:
             arrival = sim.delivery_hook(sender, receiver, arrival)
@@ -448,16 +480,37 @@ class BatchRuntime:
         if it arrives by the horizon: delivered, or dropped plus
         ``messages_dropped``, and one executed event. In a ``full``
         trace its delivered row has a place, so every copy is
-        scheduled."""
+        scheduled.
+
+        When the whole flood is such copies — ``(origin, k)`` is
+        settled — and nothing draws or hooks per copy
+        (:attr:`defer_settled`), not even the lane reservations are made
+        here: the flood becomes a debt on the sender, which
+        :meth:`_pay` settles for all its floods of one instant at once,
+        before anything next reads the sender's lanes."""
         sim = self.sim
+        sender = agent.node_id
+        now = sim.now
+        seen_key = (origin, k)
+        debts = self._debts
+        if self.defer_settled and self._is_settled(seen_key):
+            debt = debts.get(sender)
+            if debt is None or debt[0] != now:
+                if debt is not None:
+                    self._pay(sender)
+                debt = debts[sender] = [now, 0, {}]
+            debt[1] += 1
+            excluded = debt[2]
+            excluded[exclude] = excluded.get(exclude, 0) + 1
+            self.deferred_refloods += 1
+            return
+        if sender in debts:
+            self._pay(sender)
         trace = self.trace
         retained = self.retained
         horizon = self.horizon
         hook = sim.delivery_hook
         rng_random = sim.rng.random
-        sender = agent.node_id
-        now = sim.now
-        seen_key = (origin, k)
         sent = 0
         delivered = 0
         dropped = 0
@@ -479,7 +532,6 @@ class BatchRuntime:
             free = lane.next_free
             start = now if now >= free else free
             lane.next_free = start + entry[5]
-            lane.bits_sent += HEARTBEAT_BITS
             arrival = start + entry[6]
             if hook is not None:
                 arrival = hook(sender, neighbor, arrival)
@@ -510,6 +562,52 @@ class BatchRuntime:
         self.delivered += delivered
         self.dropped += dropped
         sim.events_executed += delivered + dropped
+
+    def _is_settled(self, key: tuple) -> bool:
+        """Whether every node of the run holds heartbeat ``key`` or is
+        crashed. Both only grow within a run (seen sets never shrink; a
+        crash never recovers), so a settled key stays settled."""
+        settled = self._settled
+        if key in settled:
+            return True
+        for node, agent in self._members:
+            if key not in agent._heartbeats_seen and not node.crashed:
+                return False
+        settled.add(key)
+        return True
+
+    def _pay(self, sender: str) -> None:
+        """Make the lane reservations of ``sender``'s deferred floods and
+        count their copies, as the per-copy path would have.
+
+        All the floods of one debt happened at one instant, so each
+        neighbour's copies go out back to back on its lane from the
+        first free moment, one frame duration apart, and each copy that
+        arrives by the horizon counts as delivered and as one executed
+        event. Its receiver holds the heartbeat or is crashed, so the
+        delivery would have done nothing else."""
+        now, floods, excluded = self._debts.pop(sender)
+        horizon = self.horizon
+        sent = 0
+        delivered = 0
+        for entry in self._hb_plans[sender]:
+            n = floods - excluded.get(entry[0], 0)
+            if not n:
+                continue
+            lane = entry[2]
+            duration = entry[5]
+            free = lane.next_free
+            start = now if now >= free else free
+            lane.next_free = start + n * duration
+            sent += n
+            # Copy i (from 0) arrives at start + i·duration + entry[6].
+            slack = horizon - entry[6] - start
+            if slack >= 0:
+                arrived = slack // duration + 1
+                delivered += n if arrived > n else arrived
+        self.sent += sent
+        self.delivered += delivered
+        self.sim.events_executed += delivered
 
     def flood_messages(self, agent, kind: MessageKind, payload,
                        bits: int, exclude: Optional[str]) -> None:
@@ -545,7 +643,6 @@ class BatchRuntime:
             if duration < 1:
                 duration = 1
             lane.next_free = start + duration
-            lane.bits_sent += bits
             arrival = start + duration + entry[5]
             if hook is not None:
                 arrival = hook(sender, neighbor, arrival)
@@ -568,6 +665,7 @@ class BatchRuntime:
         return {
             "batches_fired": self.batches_fired,
             "entries_batched": self.entries_batched,
+            "deferred_refloods": self.deferred_refloods,
             # There is no message pool. The key stays because
             # benchmarks/e2e/layers.py::_observe_run reads both counts
             # after every BTRSystem.run.

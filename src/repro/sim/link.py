@@ -40,7 +40,6 @@ class Lane:
     share: float            # fraction of the link's raw bandwidth
     rate_bits_per_us: float
     next_free: int = 0      # earliest time the lane can start a new frame
-    bits_sent: int = 0
 
 
 class Link:
@@ -97,7 +96,6 @@ class Link:
         lane = Lane(sender=sender, kind=kind, share=share, rate_bits_per_us=rate)
         if existing:
             lane.next_free = existing.next_free
-            lane.bits_sent = existing.bits_sent
         self._lanes[key] = lane
         self._allocated = new_total
         return lane
@@ -106,10 +104,9 @@ class Link:
         return self._lanes.get((sender, kind))
 
     def reset(self) -> None:
-        """Clear per-run lane state (queues, counters); keep allocations."""
+        """Clear per-run lane state (queues); keep allocations."""
         for lane in self._lanes.values():
             lane.next_free = 0
-            lane.bits_sent = 0
 
     def lane_for(self, sender: str, kind: MessageKind) -> Lane:
         """The reserved lane for ``(sender, kind)``; raises

@@ -3,7 +3,7 @@ events.
 
 The batched emitters (``repro.perf.batchcore``) promise the run a
 message-per-heap-event engine produces, byte for byte, for less engine
-work. These tests pin that promise from five sides —
+work. These tests pin that promise from six sides —
 
 * byte-identity: the full-mode trace fingerprint, the
   ``events_executed`` gauge and the event census equal the digests the
@@ -15,6 +15,9 @@ work. These tests pin that promise from five sides —
   run records them — including the heartbeat copies it counts at send
   time instead of scheduling (in flight at the horizon, lost on a lossy
   link, under a delivery hook, and over drawn topologies and faults);
+* settled re-flood debts: a flood of a heartbeat that every node holds
+  or is crashed is paid per sender, and leaves every lane, count and
+  executed event where paying copy by copy would;
 * messages as values: a delivered message keeps the payload it arrived
   with after the run, and re-running one system repeats its trace;
 * sweeps: :func:`run_sweep` over shared frozen plans is byte-identical
@@ -24,18 +27,30 @@ work. These tests pin that promise from five sides —
   regression behind the pool sweep's byte-equality gate).
 """
 
+from functools import partial
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro import BTRConfig, BTRSystem, Deployment
+from repro.baselines import CrashRestartSystem, SelfStabilizingSystem
+from repro.baselines.unreplicated import UnreplicatedAgent
 from repro.core.runtime.agent import NodeAgent
 from repro.faults import SingleFaultAdversary
 from repro.faults.scenarios import stage
 from repro.mc.hooks import DeliveryPerturbation
 from repro.net import full_mesh_topology
-from repro.perf.batchcore import run_sweep, sibling_system
-from repro.sim.message import MessageKind
-from repro.sim.trace import trace_fingerprint
+from repro.obs.metrics import MetricsRegistry
+from repro.perf.batchcore import (
+    HEARTBEAT_BITS,
+    BatchRuntime,
+    run_sweep,
+    sibling_system,
+)
+from repro.sched import LaneModel
+from repro.sim import Simulator
+from repro.sim.message import Message, MessageKind
+from repro.sim.trace import Custom, Trace, trace_fingerprint
 from repro.workload import industrial_workload
 from tests import golden
 
@@ -220,6 +235,233 @@ def test_full_and_milestones_count_alike(cell):
     assert_modes_agree(run_in_both_modes(
         spec, n_periods, seed=seed, adversary=adversary,
         link_script=link_script))
+
+
+# ------------------------------------------------- settled re-flood debts
+#
+# When every node holds a heartbeat or is crashed, a flood of it is a
+# debt on its sender, paid when the sender's lanes are next read. These
+# drive a hop runtime directly over a small full mesh of stand-in agents
+# and check it against the per-copy arithmetic. Every live node holds
+# KEY, so KEY is settled; every live node but one (the ``lacker``) holds
+# UNSETTLED, so a flood of it that excludes the lacker takes the
+# per-copy path and schedules nothing.
+
+KEY = ("n0", 0)
+UNSETTLED = ("n0", 1)
+
+
+class Holder:
+    """Stands in for a node's agent: the heartbeats it holds, and a
+    unicast handler that ignores what it is handed."""
+
+    def __init__(self, node_id, seen):
+        self.node_id = node_id
+        self._heartbeats_seen = set(seen)
+
+    def _on_message(self, message, at):
+        pass
+
+
+def driven_runtime(mode, horizon, crashed=(), lacker=None):
+    """A hop runtime bound to a run over ``fullmesh:4`` at 1 Mbps (a
+    heartbeat frame takes 1 707 µs on a CONTROL lane), with pushes onto
+    the heap counted in ``sim.pushes``."""
+    topology = full_mesh_topology(4, bandwidth=1e6)
+    LaneModel(topology).install()
+    agents = {}
+    for node_id, node in sorted(topology.nodes.items()):
+        node.crashed = node_id in crashed
+        seen = ((KEY,) if node_id == lacker else (KEY, UNSETTLED))
+        agents[node_id] = Holder(node_id, () if node.crashed else seen)
+    sim = Simulator(seed=0)
+    sim.pushes = 0
+    push = sim.schedule
+
+    def counted(at, callback):
+        sim.pushes += 1
+        push(at, callback)
+
+    sim.schedule = counted
+    runtime = BatchRuntime()
+    runtime.begin_run(sim, Trace(mode=mode), topology, MetricsRegistry(),
+                      agents, horizon)
+    return runtime, sim, agents, topology
+
+
+def control_lane(topology, sender, receiver):
+    return topology.nodes[sender].link_to(receiver).lane_for(
+        sender, MessageKind.CONTROL)
+
+
+def per_copy_model(topology, ops, horizon):
+    """Every lane's ``next_free`` and the sent / delivered / executed
+    totals when each copy reserves its own lane in emission order, and
+    each op and each copy that arrives by ``horizon`` is one event."""
+    free = {}
+    sent = delivered = events = 0
+    for at, sender, other, what, bits in ops:
+        if at > horizon:
+            continue
+        events += 1
+        targets = ([(other, bits)] if what == "send" else
+                   [(m, HEARTBEAT_BITS) for m in topology.neighbors(sender)
+                    if m != other])
+        for receiver, size in targets:
+            lane = control_lane(topology, sender, receiver)
+            duration = max(1, round(size / lane.rate_bits_per_us))
+            start = max(at, free.get((sender, receiver), 0))
+            free[sender, receiver] = start + duration
+            sent += 1
+            propagation = topology.nodes[sender].link_to(
+                receiver).propagation_us
+            if start + duration + propagation <= horizon:
+                delivered += 1
+                events += 1
+    return free, sent, delivered, events
+
+
+@st.composite
+def debt_scripts(draw):
+    """On ``fullmesh:4``, up to two crashed nodes, and at drawn times:
+    settled floods (any excluded neighbour, or none), floods of
+    UNSETTLED that exclude the lacker, and unicast CONTROL sends; the
+    horizon may cut through the traffic."""
+    ids = [f"n{i}" for i in range(4)]
+    crashed = draw(st.sets(st.sampled_from(ids), max_size=2))
+    lacker = min(set(ids) - crashed)
+    ops = []
+    for _ in range(draw(st.integers(min_value=0, max_value=24))):
+        at = draw(st.sampled_from([0, 0, 500, 1_707, 3_000, 9_000]))
+        what = draw(st.sampled_from(["settled", "unsettled", "send"]))
+        sender = draw(st.sampled_from(
+            [i for i in ids if i != lacker] if what == "unsettled"
+            else ids))
+        offset = draw(st.integers(min_value=0, max_value=3))
+        other = ids[(ids.index(sender) + offset) % 4]
+        if what == "unsettled":
+            other = lacker
+        elif other == sender:
+            other = (None if what == "settled"
+                     else ids[(ids.index(sender) + 1) % 4])
+        bits = draw(st.integers(min_value=1, max_value=2_000))
+        ops.append((at, sender, other, what, bits))
+    ops.sort(key=lambda op: op[0])
+    horizon = draw(st.integers(min_value=0, max_value=40_000))
+    return ops, crashed, lacker, horizon
+
+
+@settings(max_examples=60, deadline=None)
+@given(script=debt_scripts())
+def test_paid_debts_equal_per_copy_reservations(script):
+    ops, crashed, lacker, horizon = script
+    runtime, sim, agents, topology = driven_runtime(
+        "milestones", horizon, crashed, lacker)
+    assert runtime.defer_settled
+
+    def run_op(sender, other, what, bits):
+        if what == "send":
+            runtime.send(sender, other, Message(
+                sender, other, MessageKind.CONTROL, None, bits))
+        else:
+            key = KEY if what == "settled" else UNSETTLED
+            runtime.flood_heartbeat(agents[sender], *key, other)
+
+    for at, *op in ops:
+        sim.call_at(at, partial(run_op, *op))
+    sim.run_until(horizon)
+    runtime.end_run()
+    free, sent, delivered, events = per_copy_model(topology, ops, horizon)
+    for sender in sorted(topology.nodes):
+        for receiver in topology.neighbors(sender):
+            assert (control_lane(topology, sender, receiver).next_free
+                    == free.get((sender, receiver), 0))
+    assert (runtime.sent, runtime.delivered) == (sent, delivered)
+    assert sim.events_executed == events
+    assert runtime.stats()["deferred_refloods"] == sum(
+        1 for at, _, _, what, _ in ops if what == "settled" and at <= horizon)
+
+
+class TestSettledRefloods:
+    """A settled flood is a debt on its sender: paid before the sender's
+    lanes are next read, counted as the per-copy path counts it."""
+
+    def test_crashed_receivers_count_alike_when_the_horizon_cuts_a_wave(
+            self):
+        # Three live senders re-flood at t=0 to the others, n3 crashed
+        # and never holding the heartbeat: each sender's lane to n3
+        # carries two back-to-back copies, and the run ends as the first
+        # copy on every lane lands.
+        horizon = 1_707 + 10
+        runs = {}
+        for mode in ("full", "milestones"):
+            runtime, sim, agents, _ = driven_runtime(mode, horizon, {"n3"})
+
+            def wave():
+                for sender in ("n0", "n1", "n2"):
+                    for exclude in ("n0", "n1", "n2"):
+                        if exclude != sender:
+                            runtime.flood_heartbeat(agents[sender], *KEY,
+                                                    exclude)
+
+            sim.call_at(0, wave)
+            sim.run_until(horizon)
+            runtime.end_run()
+            runs[mode] = (runtime.trace.kind_counts(), sim.events_executed,
+                          sim.pushes, runtime.stats())
+        (full_counts, full_events, _, full_stats), (
+            counts, events, pushes, stats) = runs["full"], runs["milestones"]
+        assert counts == full_counts
+        assert events == full_events
+        copies = counts["MessageSent"]
+        assert counts["MessageDelivered"] == 9
+        assert copies == 12
+        assert pushes < copies
+        assert stats["deferred_refloods"] == 6
+        assert full_stats["deferred_refloods"] == 0
+
+    def test_a_link_going_lossy_ends_the_deferral_after_paying(self):
+        def late_loss(system):
+            return [(150_000, "l0", 0.5)]
+
+        clean = run_in_both_modes("fullmesh:7", 8)
+        runs = run_in_both_modes("fullmesh:7", 8, link_script=late_loss)
+        assert_modes_agree(runs)
+        assert runs["milestones"][1].metrics["counters"][
+            "messages_dropped{reason=link_loss}"] > 0
+        deferred = runs["milestones"][0].batch_runtime.stats()[
+            "deferred_refloods"]
+        assert 0 < deferred < clean["milestones"][0].batch_runtime.stats()[
+            "deferred_refloods"]
+        assert runs["full"][0].batch_runtime.stats()[
+            "deferred_refloods"] == 0
+
+        def lanes(system):
+            return {(link_id, lane.sender, lane.kind): lane.next_free
+                    for link_id, link in sorted(system.topology.links.items())
+                    for lane in link._lanes.values()}
+
+        assert lanes(runs["milestones"][0]) == lanes(runs["full"][0])
+
+    @pytest.mark.parametrize("cls", [CrashRestartSystem,
+                                     SelfStabilizingSystem])
+    def test_reboot_baselines_flood_no_heartbeats(self, cls):
+        """Settled keys stay settled because a BTR crash never recovers;
+        the baselines that reboot a node run agents that flood none."""
+        system = cls(industrial_workload(),
+                     full_mesh_topology(5, bandwidth=1e8), f=1, seed=3)
+        system.prepare()
+        floods = []
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(BatchRuntime, "flood_heartbeat",
+                          lambda *args: floods.append(args))
+            result = system.run(24, SingleFaultAdversary(at=220_000,
+                                                         kind="crash"))
+        assert floods == []
+        assert all(type(agent) is UnreplicatedAgent
+                   for agent in system.agents.values())
+        assert any(event.label in ("reboot", "global_reset")
+                   for event in result.trace.of_kind(Custom))
 
 
 class TestMessagesAreValues:

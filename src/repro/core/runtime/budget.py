@@ -25,9 +25,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict
 
-import networkx as nx
-
 from ...crypto.costs import VERIFY_US
+from ...net.routing import Router
 from ...net.topology import Topology
 from ...sched.lanes import LaneModel
 from ...sim.message import MessageKind
@@ -89,10 +88,8 @@ def distribution_bound(topology: Topology, lane_model: LaneModel,
     as ``budget_diameter_fallback{reason=not_connected}`` so a
     silently-pessimised budget stays visible.
     """
-    try:
-        diameter = nx.diameter(topology.graph)
-    except (nx.NetworkXError, ValueError):
-        # Disconnected / empty graphs have no finite diameter.
+    diameter = Router(topology).diameter()
+    if diameter is None:
         diameter = len(topology.nodes)
         if metrics is not None:
             metrics.inc("budget_diameter_fallback", reason="not_connected")

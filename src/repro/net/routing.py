@@ -9,22 +9,24 @@ What the router remembers, and what each answer depends on:
 
 * hop counts — one BFS distance table per (source, excluded set); a hop
   count is a property of the graph alone, so no tie-break can move it;
+  :meth:`Router.diameter` is the greatest of them;
 * one-hop routes — nothing: directly linked endpoints have exactly one
   shortest path, read off the adjacency;
-* multi-hop routes — one networkx shortest path per (source, destination,
-  excluded set), computed exactly as before, because *which* of several
-  equally short paths is chosen is networkx's tie-break and plans are
-  pinned byte for byte to it.
+* multi-hop routes — one path per (source, destination, excluded set).
+  Plans are pinned byte for byte to *which* of several equally short
+  paths it is, so the tie-break is a contract: a bidirectional BFS over
+  ``Topology.adjacency`` grows one whole level of the smaller fringe at a
+  time (the forward one, from ``src``, on a tie), visits neighbours in
+  adjacency order, skips excluded intermediates, and stops at the first
+  node the other side has already reached — networkx 3.6's
+  ``bidirectional_shortest_path``, which the tests hold it equal to.
 
-Hop tables and one-hop answers read a snapshot of the graph's adjacency
-taken on first use: no code mutates a topology once a router is built.
+No code mutates a topology once a router is built.
 """
 
 from __future__ import annotations
 
 from typing import Collection, Dict, FrozenSet, List, Mapping, Optional, Tuple
-
-import networkx as nx
 
 from .topology import Topology
 
@@ -47,13 +49,6 @@ class Router:
         self.topology = topology
         self._cache: Dict[Tuple[str, str, FrozenSet[str]], List[str]] = {}
         self._hops: Dict[Tuple[str, FrozenSet[str]], Dict[str, int]] = {}
-        self._adjacency: Optional[Dict[str, Mapping[str, object]]] = None
-
-    def _neighbors(self) -> Dict[str, Mapping[str, object]]:
-        """node -> its neighbours, in the graph's own (insertion) order."""
-        if self._adjacency is None:
-            self._adjacency = dict(self.topology.graph.adjacency())
-        return self._adjacency
 
     def route(
         self, src: str, dst: str,
@@ -63,7 +58,7 @@ class Router:
         ``excluding``. Intermediate hops never include excluded nodes;
         ``src``/``dst`` themselves are allowed regardless (a plan never asks
         a faulty node for anything, but routing shouldn't hide that bug)."""
-        adjacency = self._neighbors()
+        adjacency = self.topology.adjacency
         if src not in adjacency or dst not in adjacency:
             raise RoutingError(f"unknown endpoint: {src} or {dst}")
         if src == dst:
@@ -74,18 +69,11 @@ class Router:
         path = self._cache.get(key)
         if path is not None:
             return path
-        graph = self.topology.graph
-        if excluding:
-            keep = [n for n in graph.nodes
-                    if n not in excluding or n in (src, dst)]
-            graph = graph.subgraph(keep)
-        try:
-            # Deterministic: nx BFS order is stable given node insert order.
-            path = nx.shortest_path(graph, src, dst)
-        except nx.NetworkXNoPath:
+        path = _shortest_path(adjacency, src, dst, key[2] - {src, dst})
+        if path is None:
             raise RoutingError(
                 f"no route {src} -> {dst} excluding {sorted(excluding or ())}"
-            ) from None
+            )
         self._cache[key] = path
         return path
 
@@ -103,7 +91,7 @@ class Router:
         table = self._hops.get(key)
         if table is not None:
             return table
-        adjacency = self._neighbors()
+        adjacency = self.topology.adjacency
         if src not in adjacency:
             raise RoutingError(f"unknown endpoint: {src}")
         excluded = key[1]
@@ -122,3 +110,53 @@ class Router:
             frontier = reached
         self._hops[key] = table
         return table
+
+    def diameter(self, excluding: Optional[Collection[str]] = None
+                 ) -> Optional[int]:
+        """Greatest hop count between two nodes outside ``excluding``,
+        over paths that relay through none of ``excluding``; ``None``
+        when some pair of them is cut off."""
+        excluded = _frozen(excluding)
+        alive = [n for n in self.topology.adjacency if n not in excluded]
+        depth = 0
+        for start in alive:
+            hops = self.hops_from(start, excluded)
+            reached = [hops[n] for n in alive if n in hops]
+            if len(reached) < len(alive):
+                return None
+            depth = max(depth, *reached)
+        return depth
+
+
+def _shortest_path(adjacency: Mapping[str, Mapping[str, str]],
+                   src: str, dst: str, blocked: FrozenSet[str]
+                   ) -> Optional[List[str]]:
+    """The bidirectional BFS whose tie-break the module docstring states;
+    ``None`` when every path relays through ``blocked``."""
+    parents: Tuple[Dict[str, Optional[str]], ...] = ({src: None}, {dst: None})
+    fringes = [[src], [dst]]
+    while fringes[0] and fringes[1]:
+        side = 0 if len(fringes[0]) <= len(fringes[1]) else 1
+        mine, theirs = parents[side], parents[1 - side]
+        level, fringes[side] = fringes[side], []
+        for node in level:
+            for neighbor in adjacency[node]:
+                if neighbor in blocked:
+                    continue
+                if neighbor not in mine:
+                    mine[neighbor] = node
+                    fringes[side].append(neighbor)
+                if neighbor in theirs:
+                    return (_walk(parents[0], neighbor)[::-1]
+                            + _walk(parents[1], parents[1][neighbor]))
+    return None
+
+
+def _walk(parents: Mapping[str, Optional[str]],
+          node: Optional[str]) -> List[str]:
+    """``node``, its parent, its parent's parent, ... up to a root."""
+    path = []
+    while node is not None:
+        path.append(node)
+        node = parents[node]
+    return path

@@ -1,11 +1,11 @@
 """Network topologies for CPS deployments.
 
 A :class:`Topology` bundles the simulator-facing objects — :class:`Node` and
-:class:`Link` instances — with a :mod:`networkx` graph used for routing and
-reachability analysis. Builders cover the shapes common in the CPS domain the
-paper targets: a shared bus (CAN-like), ring (FlexRay-like), star and
-dual-star (switched avionics backbones à la AFDX), line, grid mesh, and
-fully-connected meshes for small controller clusters.
+:class:`Link` instances — with their adjacency (``Topology.adjacency``),
+which routing and reachability analysis read. Builders cover the shapes
+common in the CPS domain the paper targets: a shared bus (CAN-like), ring
+(FlexRay-like), star and dual-star (switched avionics backbones à la AFDX),
+line, grid mesh, and fully-connected meshes for small controller clusters.
 
 Workload endpoints (sources/sinks — the physical sensors and actuators) are
 pinned to nodes through the topology's ``endpoint_map``.
@@ -15,8 +15,6 @@ from __future__ import annotations
 
 from bisect import insort
 from typing import Callable, Dict, Iterable, List, Tuple
-
-import networkx as nx
 
 from ..sim.clock import LocalClock
 from ..sim.link import Link
@@ -35,13 +33,15 @@ DEFAULT_PROPAGATION = 10
 
 
 class Topology:
-    """Nodes + links + a routing graph, with workload endpoint placement."""
+    """Nodes + links + their adjacency, with workload endpoint placement."""
 
     def __init__(self, name: str = "topology") -> None:
         self.name = name
         self.nodes: Dict[str, Node] = {}
         self.links: Dict[str, Link] = {}
-        self.graph = nx.Graph()
+        #: node -> {neighbour: link id}, nodes then neighbours in
+        #: insertion order; a pair linked twice keeps the later link id.
+        self.adjacency: Dict[str, Dict[str, str]] = {}
         #: Maps workload source/sink names to hosting node ids.
         self.endpoint_map: Dict[str, str] = {}
         #: Region name -> sorted node ids, for region-tagged (geo)
@@ -54,7 +54,7 @@ class Topology:
         if node.node_id in self.nodes:
             raise TopologyError(f"duplicate node id {node.node_id}")
         self.nodes[node.node_id] = node
-        self.graph.add_node(node.node_id)
+        self.adjacency[node.node_id] = {}
         if node.region is not None:
             members = self.regions.setdefault(node.region, [])
             insort(members, node.node_id)
@@ -71,18 +71,18 @@ class Topology:
         self.links[link.link_id] = link
         for endpoint in link.endpoints:
             self.nodes[endpoint].attach(link)
-        # A multi-access link contributes a clique to the routing graph.
+        # A multi-access link contributes a clique to the adjacency.
         endpoints = list(link.endpoints)
         for i, a in enumerate(endpoints):
             for b in endpoints[i + 1:]:
-                self.graph.add_edge(a, b, link_id=link.link_id)
+                self.adjacency[a][b] = self.adjacency[b][a] = link.link_id
         return link
 
     def link_between(self, a: str, b: str) -> Link:
-        data = self.graph.get_edge_data(a, b)
-        if data is None:
+        link_id = self.adjacency.get(a, {}).get(b)
+        if link_id is None:
             raise TopologyError(f"no link between {a} and {b}")
-        return self.links[data["link_id"]]
+        return self.links[link_id]
 
     # --------------------------------------------------------- endpoints
 
@@ -120,11 +120,8 @@ class Topology:
     def node_ids(self) -> List[str]:
         return sorted(self.nodes)
 
-    def diameter(self) -> int:
-        return nx.diameter(self.graph)
-
     def neighbors(self, node_id: str) -> List[str]:
-        return sorted(self.graph.neighbors(node_id))
+        return sorted(self.adjacency[node_id])
 
     # -------------------------------------------------------------- regions
 

@@ -349,9 +349,6 @@ class Trace:
     def outputs(self) -> List[OutputProduced]:
         return self.of_kind(OutputProduced)
 
-    def faults(self) -> List[FaultInjected]:
-        return self.of_kind(FaultInjected)
-
     def last(self, kind: Type[E]) -> Optional[E]:
         if kind in HOP_KINDS:
             positions = self._index_hops()[kind]

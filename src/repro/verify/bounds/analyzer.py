@@ -39,8 +39,7 @@ speeds, drift ppm) are scaled up front through :func:`_milli`.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import (Callable, Dict, FrozenSet, List, Optional,
-                    Sequence, Tuple)
+from typing import Callable, Dict, FrozenSet, List, Optional, Tuple
 
 from ...core.detector.omission import (
     DEFAULT_MIN_DECLARERS,
@@ -215,22 +214,6 @@ def conviction_profile(plan: Plan, victim: str) -> ConvictionProfile:
                              single_adjacency, periods)
 
 
-def _flood_depth(router: Router, alive: Sequence[str],
-                 excluding: FrozenSet[str]) -> int:
-    """Diameter of the surviving routing graph (the router's BFS hop
-    tables, no networkx), with the node count as the safe fallback for
-    disconnected survivors."""
-    depth = 0
-    for start in alive:
-        reached = [hops for node, hops
-                   in router.hops_from(start, excluding).items()
-                   if node not in excluding]
-        if len(reached) < len(alive):
-            return max(len(alive), 1)
-        depth = max(depth, max(reached))
-    return max(depth, 1)
-
-
 def _evidence_hop_us(topology: Topology,
                      lane_model: LaneModel) -> Tuple[int, int, int]:
     """(worst per-hop wire time, per-node *evidence* validation time,
@@ -397,9 +380,12 @@ def compute_bounds(strategy: Strategy, topology: Topology,
             faulty = pattern | {victim}
             depth = flood_depths.get(faulty)
             if depth is None:
-                depth = flood_depths[faulty] = _flood_depth(
-                    router, [n for n in node_ids if n not in faulty],
-                    faulty)
+                depth = router.diameter(faulty)
+                if depth is None:
+                    # Survivors cut off from each other: their count is
+                    # a safe over-estimate of the flood depth.
+                    depth = sum(n not in faulty for n in node_ids)
+                depth = flood_depths[faulty] = max(depth, 1)
             flood = depth * (hop + verify)
             decl_flood = depth * (hop + decl_verify)
             # Worst-case state transfer of this specific mode transition.

@@ -39,7 +39,7 @@ def check_routes(plan: Plan, topology: Topology) -> List[Finding]:
     mode = plan.mode
     faulty = set(plan.pattern)
     period_seconds = plan.augmented.period / 1e6
-    edge_data = topology.graph.get_edge_data
+    adjacency = topology.adjacency
     links = topology.links
     # (link_id, sender) -> accumulated DATA share, reservation-style.
     shares: Dict[Tuple[str, str], float] = {}
@@ -89,15 +89,15 @@ def check_routes(plan: Plan, topology: Topology) -> List[Finding]:
         # a fraction of each hop's raw link rate.
         reserved_rate = HEADROOM * (flow.size_bits / period_seconds)
         for sender, receiver in zip(route[:-1], route[1:]):
-            data = edge_data(sender, receiver)
-            if data is None:
+            link_id = adjacency.get(sender, {}).get(receiver)
+            if link_id is None:
                 findings.append(Finding(
                     rule="route.broken-path", severity=Severity.ERROR,
                     mode=mode, subject=flow_name,
                     message=f"no link between {sender} and {receiver}",
                 ))
                 continue
-            link = links[data["link_id"]]
+            link = links[link_id]
             key = (link.link_id, sender)
             shares[key] = (shares.get(key, 0.0)
                            + reserved_rate / link.bandwidth_bps)

@@ -11,6 +11,7 @@ command.
 
 import importlib
 import os
+import subprocess
 import sys
 
 E2E = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(
@@ -55,3 +56,15 @@ def test_console_script_entry_resolves():
     for target in scripts.values():
         module_name, _, attr = target.partition(":")
         assert callable(getattr(importlib.import_module(module_name), attr))
+
+
+def test_cli_import_leaves_networkx_unloaded():
+    """networkx is a test-only dependency: the program, from the
+    ``repro`` command's module down, must not import it."""
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    env = dict(os.environ, PYTHONPATH=os.path.join(root, "src"))
+    out = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, repro.cli; print('networkx' in sys.modules)"],
+        env=env, capture_output=True, text=True, timeout=120)
+    assert (out.returncode, out.stdout.strip()) == (0, "False"), out.stderr

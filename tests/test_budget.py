@@ -3,7 +3,6 @@
 import dataclasses
 import inspect
 
-import networkx as nx
 import pytest
 
 from repro import BTRConfig, BTRSystem
@@ -16,7 +15,8 @@ from repro.core.runtime.budget import (
     distribution_bound,
     recovery_bound_for_deadline,
 )
-from repro.net import full_mesh_topology, line_topology, ring_topology
+from repro.net import (Router, full_mesh_topology, line_topology,
+                       ring_topology)
 from repro.sched import LaneModel
 from repro.sim import ms, seconds
 from repro.workload import industrial_workload
@@ -81,10 +81,7 @@ def test_distribution_bound_shrinks_with_bandwidth():
 def test_diameter_fallback_counted_once_per_prepare(monkeypatch):
     # The switch lead is the budget's distribution bound, derived once:
     # one prepare() asks for the diameter, and counts its fallback, once.
-    def no_diameter(graph):
-        raise nx.NetworkXError("forced")
-
-    monkeypatch.setattr(nx, "diameter", no_diameter)
+    monkeypatch.setattr(Router, "diameter", lambda self, excluding=None: None)
     system = BTRSystem(industrial_workload(), full_mesh_topology(5),
                        BTRConfig(f=1))
     system.prepare()

@@ -20,7 +20,9 @@ from repro.net import (
     mesh_topology,
     ring_topology,
     star_topology,
+    topology_from_spec,
 )
+from repro.net.topology import _SPEC_BUILDERS
 from repro.sim import Link, Node
 
 
@@ -173,11 +175,22 @@ def test_property_full_mesh_routes_are_single_hop(n):
     assert router.hops_from("n0")[f"n{n - 1}"] == 1
 
 
-def oracle_route(topo, src, dst, excluding):
-    """``Router.route`` as it was before the router kept hop tables and
-    read one-hop routes off the adjacency: networkx on the subgraph view,
-    every time. The reference stays here, not in ``src/``."""
-    graph = topo.graph
+def oracle_graph(topo):
+    """The routing graph ``Topology`` kept before it kept an adjacency
+    map: nodes in insertion order, then each link, in order, as a clique.
+    (Walking ``topo.adjacency`` instead would order neighbours
+    differently.) The reference stays here, not in ``src/``."""
+    graph = nx.Graph()
+    graph.add_nodes_from(topo.nodes)
+    for link in topo.links.values():
+        graph.add_edges_from(itertools.combinations(link.endpoints, 2),
+                             link_id=link.link_id)
+    return graph
+
+
+def oracle_route(graph, src, dst, excluding):
+    """``Router.route`` as it was when it ran networkx on the subgraph
+    view, every time."""
     if excluding:
         keep = [n for n in graph.nodes
                 if n not in excluding or n in (src, dst)]
@@ -192,6 +205,13 @@ def oracle_route(topo, src, dst, excluding):
         ) from None
 
 
+def oracle_diameter(graph, excluding):
+    """``nx.diameter`` of the survivors, ``None`` when they are cut off
+    from each other."""
+    survivors = graph.subgraph(n for n in graph if n not in excluding)
+    return nx.diameter(survivors) if nx.is_connected(survivors) else None
+
+
 def outcome(query, *args):
     try:
         return query(*args)
@@ -203,29 +223,49 @@ NODE_IDS = [f"n{i}" for i in range(7)]
 PAIRS = list(itertools.combinations(NODE_IDS, 2))
 
 
+@st.composite
+def topologies(draw):
+    """Nodes added in any order; point-to-point links in any order, each
+    with its endpoints either way round; maybe one 3-endpoint bus, which
+    may link a pair a point-to-point link already links."""
+    topo = Topology()
+    for node_id in draw(st.permutations(NODE_IDS)):
+        topo.add_node(Node(node_id))
+    links = [pair[::-1] if flip else pair for pair, flip in draw(
+        st.lists(st.tuples(st.sampled_from(PAIRS), st.booleans()),
+                 unique_by=lambda edge: edge[0], max_size=len(PAIRS)))]
+    bus = draw(st.none() | st.permutations(NODE_IDS).map(
+        lambda ids: tuple(ids[:3])))
+    if bus is not None:
+        links.insert(draw(st.integers(0, len(links))), bus)
+    for i, endpoints in enumerate(links):
+        topo.add_link(Link(f"l{i}", endpoints, 1e6))
+    return topo
+
+
 @settings(max_examples=40, deadline=None)
-@given(edges=st.sets(st.sampled_from(PAIRS), max_size=len(PAIRS)),
+@given(topo=topologies(),
        excluded_sets=st.lists(st.sets(st.sampled_from(NODE_IDS),
                                       max_size=4), min_size=1, max_size=3),
        as_frozenset=st.booleans())
-def test_property_router_equals_networkx_oracle(edges, excluded_sets,
+def test_property_router_equals_networkx_oracle(topo, excluded_sets,
                                                 as_frozenset):
     """Connected or partitioned graph, any excluded set (endpoints
     included), every endpoint pair plus an unknown node: same path (and
     its length in the source's hop table), or the same ``RoutingError``
     message — on one router, so later answers come out of what earlier
-    ones remembered."""
-    topo = Topology()
-    for node_id in NODE_IDS:
-        topo.add_node(Node(node_id))
-    for i, pair in enumerate(sorted(edges)):
-        topo.add_link(Link(f"l{i}", pair, 1e6))
+    ones remembered. The adjacency is the oracle graph's, neighbour
+    order and link ids included."""
+    graph = oracle_graph(topo)
+    assert ([(n, list(nbrs.items())) for n, nbrs in topo.adjacency.items()]
+            == [(n, [(m, data["link_id"]) for m, data in nbrs.items()])
+                for n, nbrs in graph.adjacency()])
     router = Router(topo)
     endpoints = NODE_IDS + ["ghost"]
     for excluded in excluded_sets + [set()]:
         excluding = frozenset(excluded) if as_frozenset else excluded
         for src, dst in itertools.product(endpoints, repeat=2):
-            expected = outcome(oracle_route, topo, src, dst, excluded)
+            expected = outcome(oracle_route, graph, src, dst, excluded)
             assert outcome(router.route, src, dst, excluding) == expected
             if src == "ghost":
                 continue
@@ -234,3 +274,30 @@ def test_property_router_equals_networkx_oracle(edges, excluded_sets,
                 assert hops[dst] == len(expected) - 1
             else:
                 assert dst not in hops
+
+
+@settings(max_examples=40, deadline=None)
+@given(topo=topologies(),
+       excluded_sets=st.lists(st.sets(st.sampled_from(NODE_IDS),
+                                      max_size=6), min_size=1, max_size=4))
+def test_property_diameter_equals_networkx(topo, excluded_sets):
+    """Any survivors (at least one): the greatest hop count between two
+    of them, or ``None`` exactly when they are cut off from each other."""
+    graph = oracle_graph(topo)
+    router = Router(topo)
+    for excluded in excluded_sets + [set()]:
+        assert router.diameter(excluded) == oracle_diameter(graph, excluded)
+
+
+@pytest.mark.parametrize("kind", sorted(_SPEC_BUILDERS))
+def test_diameter_equals_networkx_on_every_spec_shape(kind):
+    """Every builder, with no node, any one node or any two nodes
+    excluded."""
+    topo = topology_from_spec(
+        f"{kind}:{'x'.join(['3'] * _SPEC_BUILDERS[kind][1])}")
+    graph = oracle_graph(topo)
+    router = Router(topo)
+    for size in (0, 1, 2):
+        for excluded in itertools.combinations(topo.nodes, size):
+            assert (router.diameter(excluded)
+                    == oracle_diameter(graph, excluded))

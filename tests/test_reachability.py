@@ -5,7 +5,10 @@ Every public function, class, method and module constant under
 ``benchmarks/`` or ``tools/`` — outside its own definition; ``tests/``
 does not count. A reference is a name, an attribute, or a
 ``"module:attr"`` string (how ``benchmarks/e2e/layers.py`` names its
-wrap targets). Matching is by name alone, so the census errs toward
+wrap targets); a method is reached only through an attribute or such a
+string, never through a bare name that happens to match (a local
+variable ``observe`` does not call ``MetricsRegistry.observe``).
+Matching is otherwise by name alone, so the census errs toward
 "reached": a name it reports really is reached by nothing but tests.
 
 The names in ``KEEP`` stay on purpose, each for the reason given.
@@ -38,6 +41,11 @@ KEEP: Dict[str, str] = {
     "plan_to_dict":
         "read-only view: tests clone a shared plan through it before "
         "corrupting the clone",
+    "Trace.last":
+        "read-only accessor: tests read a run's last event of a kind",
+    "MetricsRegistry.observe":
+        "the histogram channel's only writer: every run's metrics "
+        "snapshot carries a histograms section, and tests fill it",
 }
 
 
@@ -50,16 +58,18 @@ def _py_files(top: str) -> Iterator[str]:
                 yield os.path.join(directory, name)
 
 
-def _references(tree: ast.AST) -> Iterator[Tuple[str, int]]:
+def _references(tree: ast.AST) -> Iterator[Tuple[str, int, bool]]:
+    """``(name, line, bare)``: ``bare`` marks a plain ``Name``, which
+    cannot reach a method."""
     for node in ast.walk(tree):
         if isinstance(node, ast.Name):
-            yield node.id, node.lineno
+            yield node.id, node.lineno, True
         elif isinstance(node, ast.Attribute):
-            yield node.attr, node.lineno
+            yield node.attr, node.lineno, False
         elif (isinstance(node, ast.Constant) and isinstance(node.value, str)
               and ":" in node.value and " " not in node.value):
             for part in node.value.partition(":")[2].split("."):
-                yield part, node.lineno
+                yield part, node.lineno, False
 
 
 def _definitions(tree: ast.Module) -> Iterator[Tuple[str, ast.AST]]:
@@ -90,20 +100,21 @@ def _parse(path: str) -> ast.Module:
 def test_only_program_paths_keep_names_alive():
     trees = {path: _parse(path)
              for top in PROGRAM_PATHS for path in _py_files(top)}
-    reached: Dict[str, List[Tuple[str, int]]] = {}
+    reached: Dict[str, List[Tuple[str, int, bool]]] = {}
     for path, tree in trees.items():
-        for name, line in _references(tree):
-            reached.setdefault(name, []).append((path, line))
+        for name, line, bare in _references(tree):
+            reached.setdefault(name, []).append((path, line, bare))
     unreached: List[str] = []
     kept: Set[str] = set()
     for path in _py_files("src"):
         for qualified, node in _definitions(trees[path]):
-            name = qualified.rpartition(".")[2]
+            owner, _, name = qualified.rpartition(".")
             if name.startswith("_"):
                 continue
             if any(not (where == path
                         and node.lineno <= line <= node.end_lineno)
-                   for where, line in reached.get(name, ())):
+                   and not (owner and bare)
+                   for where, line, bare in reached.get(name, ())):
                 continue
             if qualified in KEEP:
                 kept.add(qualified)

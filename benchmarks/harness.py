@@ -27,7 +27,7 @@ from repro.net import full_mesh_topology
 from repro.perf import CACHE_ENV_VAR
 from repro.perf.timing import append_jsonl
 from repro.workload import industrial_workload
-from tests import golden  # noqa: F401  (re-exported to E17/E19/E22)
+from tests import golden  # noqa: F401  (re-exported to E17)
 
 RESULTS_DIR = os.path.join(os.path.dirname(__file__), "results")
 
@@ -121,31 +121,3 @@ def prepared_btr(workload=None, n_nodes: int = 7, f: int = 1,
 def single_fault(kind: str, at: int = FAULT_AT,
                  node: Optional[str] = None) -> SingleFaultAdversary:
     return SingleFaultAdversary(at=at, kind=kind, node=node)
-
-
-def sweep_btr(seeds, scenario: Optional[str] = None, n_periods: int = 40,
-              workload=None, n_nodes: int = 7, f: int = 1,
-              bandwidth: float = 1e8,
-              config: Optional[BTRConfig] = None) -> list:
-    """Run one prepared scenario across ``seeds`` in a single process.
-
-    Thin benchmark-facing wrapper over
-    :func:`repro.perf.batchcore.run_sweep`: the first seed's system is
-    planned through the shared strategy cache (and the in-process
-    prepare memo), the rest are cheap siblings sharing the frozen plan,
-    key directory, and routing memos. Returns the list of
-    :class:`~repro.perf.batchcore.SweepRun` results in seed order.
-    """
-    from repro.perf import run_sweep
-
-    seeds = list(seeds)
-    workload = workload or industrial_workload()
-    topology = full_mesh_topology(n_nodes, bandwidth=bandwidth)
-    config = config or BTRConfig(f=f, seed=seeds[0])
-    if config.cache is None:
-        config = dataclasses.replace(config, cache=harness_cache_dir())
-    config = dataclasses.replace(config, seed=seeds[0])
-    system = BTRSystem(workload, topology, config)
-    system.prepare()
-    record("planner", planning_row(system))
-    return run_sweep(system, seeds, n_periods, scenario=scenario)

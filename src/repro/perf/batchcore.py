@@ -68,7 +68,7 @@ that is the node program. This module owns only what is fixed per *run*
 The invariant gate is :func:`~repro.sim.trace.trace_fingerprint`
 equality with the digests committed in ``tests/golden/``, which a
 message-per-heap-event engine (BTR) and the baselines' own transmit path
-generated; see docs/PERFORMANCE.md ("Engine") and the E19 benchmark.
+generated; see docs/PERFORMANCE.md ("Engine") and the E17 benchmark.
 """
 
 from __future__ import annotations
@@ -693,7 +693,7 @@ def sibling_system(prototype, seed: int):
     rebuilt for the new seed (its master seed differs) but shares derived
     keys through the process-wide cache. The sibling's runs are
     byte-identical to a freshly constructed+prepared system on that seed
-    (the batchcore tests and the E19 sweep gate assert this)."""
+    (the batchcore tests and E17's sweep check assert this)."""
     from ..core.runtime.system import BTRSystem
 
     config = dataclasses.replace(prototype.config, seed=seed)

@@ -95,16 +95,6 @@ class Simulator:
         queue = self._queue
         return queue[0][0] if queue else NEVER
 
-    def step(self) -> bool:
-        """Execute the next pending event. Returns False if queue is empty."""
-        if not self._queue:
-            return False
-        time, _seq, callback = heapq.heappop(self._queue)
-        self.now = time
-        self.events_executed += 1
-        callback()
-        return True
-
     def run_until(self, end_time: int) -> None:
         """Run all events with time ≤ ``end_time``; advance clock to it."""
         if self._running:
@@ -130,17 +120,6 @@ class Simulator:
             # event standing for a batch); the loop's own count joins
             # theirs once, at the end.
             self.events_executed += executed
-            self._running = False
-
-    def run(self) -> None:
-        """Run until the event queue drains completely."""
-        if self._running:
-            raise SimulationError("run called re-entrantly")
-        self._running = True
-        try:
-            while self.step():
-                pass
-        finally:
             self._running = False
 
     def pending_events(self) -> int:

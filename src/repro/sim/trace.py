@@ -377,8 +377,8 @@ class Trace:
 def trace_fingerprint(events: Iterable) -> str:
     """A content hash of a trace (or any iterable of trace events).
 
-    The committed engine digests (``tests/golden/``), E17/E19/E22 and
-    the determinism property tests compare runs by this fingerprint:
+    The committed engine digests (``tests/golden/``), E17 and the
+    determinism property tests compare runs by this fingerprint:
     dataclass ``repr`` covers every field, and the events iterate in
     record order, so two traces fingerprint equal iff they are
     event-for-event, field-for-field identical. Stable across processes

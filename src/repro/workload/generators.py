@@ -365,7 +365,7 @@ def stretched_workload(graph: DataflowGraph, factor: int) -> DataflowGraph:
     state sizes) is unchanged, but the period and every flow deadline
     are multiplied by ``factor``. Task WCETs are *not* scaled — compute
     does not slow down because the plant is far away — so stretching
-    strictly adds slack. The geo experiments (E22) use this to place
+    strictly adds slack. E17's geo cells use this to place
     millisecond-deadline CPS workloads on topologies whose inter-region
     links alone cost several milliseconds.
     """

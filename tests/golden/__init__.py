@@ -4,8 +4,8 @@
 n_periods, seed) cell, the full-trace fingerprint, the ``events_executed``
 gauge and the event census of a run. It was generated by the per-message
 legacy path before that path was deleted (HACKING.md records the sha and
-invocation); the byte-identity tests and E17/E19/E22 assert the engine
-against it.
+invocation); the byte-identity tests and E17 assert the engine against
+it.
 
 ``planner_digests.json`` plays the same role for the offline half: per
 (workload, topology, f) cell, SHA-256 of the ``strategy_to_json``
@@ -36,18 +36,18 @@ import json
 import os
 import re
 import sys
+from typing import NamedTuple
 
-from repro import BTRConfig, BTRSystem
+from repro import BTRConfig, BTRSystem, Deployment
 from repro.baselines import BASELINES
 from repro.core.planner import PlanningError, strategy_to_json
 from repro.faults import SingleFaultAdversary
 from repro.faults.scenarios import stage
-from repro.net import full_mesh_topology, geo_topology, topology_from_spec
-from repro.sim.trace import trace_fingerprint
-from repro.sim.trace import MILESTONE_KINDS
+from repro.net import topology_from_spec
+from repro.sim.trace import MILESTONE_KINDS, trace_fingerprint
 from repro.verify import verify_strategy
 from repro.verify.bounds import compute_bounds
-from repro.workload import WORKLOADS, industrial_workload, stretched_workload
+from repro.workload import WORKLOADS, stretched_workload
 
 PATH = os.path.join(os.path.dirname(__file__), "engine_digests.json")
 PLANNER_PATH = os.path.join(os.path.dirname(__file__),
@@ -111,6 +111,27 @@ def milestone_reprs(trace) -> list:
     return [repr(e) for e in trace if type(e) in MILESTONE_KINDS]
 
 
+def digest_and_reprs(system, result) -> tuple:
+    """``(digest(system, result), milestone_reprs(result.trace))`` from
+    one pass over the trace: on a full trace the pass is most of what
+    either costs (a ``geo:4x30`` cell's 6.5 M rows take longer to
+    fingerprint than to simulate)."""
+    reprs = []
+
+    def teed():
+        for event in result.trace:
+            if type(event) in MILESTONE_KINDS:
+                reprs.append(repr(event))
+            yield event
+
+    found = {
+        "fingerprint": trace_fingerprint(teed()),
+        "events_executed": system.sim.events_executed,
+        "kind_counts": result.trace.kind_counts(),
+    }
+    return found, reprs
+
+
 def assert_matches(system, result, scenario: str) -> None:
     """The finished full-trace run equals its committed digest."""
     key = cell_key(system, scenario, result.n_periods)
@@ -124,34 +145,50 @@ def census(digest: dict) -> dict:
     return {key: digest[key] for key in ("events_executed", "kind_counts")}
 
 
+class Cell(NamedTuple):
+    """What an engine cell key names: ``scenario`` run for ``n_periods``
+    on ``deployment``."""
+
+    scenario: str
+    deployment: Deployment
+    n_periods: int
+
+
+def parse_cell(key: str) -> Cell:
+    m = _KEY.fullmatch(key)
+    deployment = Deployment("industrial", f"{m['kind']}:{m['shape']}",
+                            f=int(m["f"]), seed=int(m["seed"]),
+                            stretch=int(m["stretch"] or 1))
+    return Cell(m["scenario"], deployment, int(m["periods"]))
+
+
+def run_scenario(system, cell: Cell):
+    """Run the prepared ``system`` through ``cell``'s scenario."""
+    if cell.scenario == HOOKED:
+        return system.run(cell.n_periods, delivery_hook=delay_n0)
+    scn = stage(cell.scenario, system)
+    return system.run(cell.n_periods, adversary=scn.script,
+                      link_script=scn.link_script or None)
+
+
 def run_cell(key: str, mode: str = "full") -> dict:
     """Rebuild the cell ``key`` names from scratch, run it under the
     trace ``mode``, digest it."""
-    m = _KEY.fullmatch(key)
-    shape = [int(n) for n in m["shape"].split("x")]
-    topology = (geo_topology(*shape, bandwidth=1e8) if m["kind"] == "geo"
-                else full_mesh_topology(*shape, bandwidth=1e8))
-    workload = industrial_workload()
-    if m["stretch"]:
-        workload = stretched_workload(workload, int(m["stretch"]))
-    system = BTRSystem(workload, topology,
-                       BTRConfig(f=int(m["f"]), seed=int(m["seed"]),
-                                 trace_mode=mode))
+    cell = parse_cell(key)
+    system = cell.deployment.system(trace_mode=mode)
     system.prepare()
-    if m["scenario"] == HOOKED:
-        result = system.run(int(m["periods"]), delivery_hook=delay_n0)
-    else:
-        scn = stage(m["scenario"], system)
-        result = system.run(int(m["periods"]), adversary=scn.script,
-                            link_script=scn.link_script or None)
-    return digest(system, result)
+    return digest(system, run_scenario(system, cell))
+
+
+def engine_keys() -> list:
+    return sorted(_committed())
 
 
 # ------------------------------------------------------ planner digests
 
 #: The planner grid. Every multi-hop family the builders offer, plus one
 #: full mesh as the cell the e2e goldens already cover from another side.
-#: Geo cells stretch the workload x10, as E22 does: a 5 ms WAN hop does
+#: Geo cells stretch the workload x10, as E17's do: a 5 ms WAN hop does
 #: not fit the domain workloads' native periods.
 PLANNER_TOPOLOGIES = ("ring:6", "line:5", "mesh:3x3", "dualstar:5",
                       "geo:2x4", "fullmesh:6")
@@ -252,7 +289,7 @@ def run_baseline_cell(key: str) -> dict:
 #: the engine file is its own grid, the planner and baseline grids are
 #: the ones above).
 FILES = {
-    "engine": (PATH, run_cell, lambda: sorted(_committed())),
+    "engine": (PATH, run_cell, engine_keys),
     "planner": (PLANNER_PATH, run_planner_cell, lambda: PLANNER_KEYS),
     "baseline": (BASELINE_PATH, run_baseline_cell, lambda: BASELINE_KEYS),
 }

@@ -32,3 +32,18 @@ def test_malformed_digest_file_is_refused_before_any_cell(
     err = capsys.readouterr().err
     assert err.startswith(f"tests.golden: cannot read {path}: ")
     assert err.count("\n") == 1
+
+
+def test_one_pass_digest_and_reprs_equal_the_two_passes():
+    """E17 takes a full trace's digest and milestone events from one pass
+    over it: exactly what :func:`digest` and :func:`milestone_reprs`
+    return from two."""
+    key = "geo:2x4@geo2x4/industrialx10/f1/p6/s42"
+    cell = golden.parse_cell(key)
+    system = cell.deployment.system()
+    system.prepare()
+    result = golden.run_scenario(system, cell)
+    found, reprs = golden.digest_and_reprs(system, result)
+    assert found == golden.digest(system, result) == golden.expected(key)
+    assert reprs == golden.milestone_reprs(result.trace)
+    assert reprs

@@ -10,7 +10,7 @@ import pytest
 
 from tools.bench_check import compared, load_runs
 from tools.run_experiments import (REPO, RESULTS, STREAMS, aggregate,
-                                   append_run)
+                                   append_run, select)
 
 #: One row per stream, shaped as the benchmarks record it (columns the
 #: table does not read are left out).
@@ -25,7 +25,8 @@ SAMPLE_ROWS = {
             "phase_sum_mismatch": False,
             "phases": {"detect": 32537, "convict": 6063, "quorum": 5000,
                        "switch": 36400, "settle": 892, "residual": 49108}},
-    "sim": {"experiment": "e17:single_commission:s42", "n_nodes": 7,
+    "sim": {"experiment": "e17:single_commission@fullmesh7/industrial/f1/p20"
+                          "/s42", "n_nodes": 7,
             "scenario": "single_commission", "sim_events": 8060,
             "events_per_s_full": 131976, "events_per_s_milestones": 172610,
             "sweep_events_per_s": 153203, "pool_speedup": 1.61,
@@ -122,13 +123,22 @@ def test_append_run_stamps_the_entry_and_keeps_history(tmp_path,
         "by_expectation"]
 
 
+def test_only_matches_the_experiment_id_not_a_substring():
+    """``--only e1`` is E1 alone, not E1 and E10-E19."""
+    assert [os.path.basename(path) for path in select("e1")] == [
+        "test_e1_recovery_bound.py"]
+    assert len(select("e1,e17")) == 2
+    assert len(select("")) == len(glob.glob(
+        os.path.join(REPO, "benchmarks", "test_*.py")))
+
+
 @pytest.mark.parametrize("stream", sorted(STREAMS))
 def test_table_is_consistent(stream):
     spec = STREAMS[stream]
     # The smoke leg's experiments exist...
     for needle in spec["experiments"]:
         assert glob.glob(os.path.join(
-            REPO, "benchmarks", f"test_{needle}*.py")), needle
+            REPO, "benchmarks", f"test_{needle}_*.py")), needle
     # ...CI's one smoke matrix has a leg that runs exactly them...
     with open(os.path.join(REPO, ".github", "workflows", "ci.yml")) as f:
         legs = dict(re.findall(r'stream: (\w+), only: "([\w,]+)"', f.read()))

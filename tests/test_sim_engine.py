@@ -6,13 +6,19 @@ from hypothesis import given, strategies as st
 from repro.sim import NEVER, SimulationError, Simulator
 
 
+def drain(sim):
+    """Fire every pending event, leaving the clock at the last one."""
+    while sim.pending_events():
+        sim.run_until(sim.peek_next_time())
+
+
 def test_events_fire_in_time_order():
     sim = Simulator()
     order = []
     sim.call_at(30, lambda: order.append("c"))
     sim.call_at(10, lambda: order.append("a"))
     sim.call_at(20, lambda: order.append("b"))
-    sim.run()
+    drain(sim)
     assert order == ["a", "b", "c"]
 
 
@@ -21,7 +27,7 @@ def test_ties_break_in_insertion_order():
     order = []
     for label in "abcde":
         sim.call_at(100, lambda label=label: order.append(label))
-    sim.run()
+    drain(sim)
     assert order == list("abcde")
 
 
@@ -29,7 +35,7 @@ def test_now_advances_to_event_time():
     sim = Simulator()
     seen = []
     sim.call_at(42, lambda: seen.append(sim.now))
-    sim.run()
+    drain(sim)
     assert seen == [42]
     assert sim.now == 42
 
@@ -38,7 +44,7 @@ def test_call_after_is_relative():
     sim = Simulator()
     times = []
     sim.call_at(100, lambda: sim.call_after(50, lambda: times.append(sim.now)))
-    sim.run()
+    drain(sim)
     assert times == [150]
 
 
@@ -65,7 +71,7 @@ def test_event_at_run_until_boundary_fires():
 def test_scheduling_in_past_raises():
     sim = Simulator()
     sim.call_at(10, lambda: None)
-    sim.run()
+    drain(sim)
     with pytest.raises(SimulationError):
         sim.call_at(5, lambda: None)
 
@@ -86,7 +92,7 @@ def test_pending_events_counts_live_events():
     sim.call_at(10, lambda: None)
     sim.schedule(20, lambda: None)
     assert sim.pending_events() == 2
-    sim.step()
+    sim.run_until(10)
     assert sim.pending_events() == 1
     assert sim.peek_next_time() == 20
 
@@ -100,7 +106,7 @@ def test_events_scheduled_during_run_execute():
         sim.call_after(5, lambda: order.append("second"))
 
     sim.call_at(10, first)
-    sim.run()
+    drain(sim)
     assert order == ["first", "second"]
     assert sim.now == 15
 
@@ -109,7 +115,7 @@ def test_events_executed_counter():
     sim = Simulator()
     for t in (1, 2, 3):
         sim.call_at(t, lambda: None)
-    sim.run()
+    drain(sim)
     assert sim.events_executed == 3
 
 
@@ -119,7 +125,7 @@ def test_property_events_always_fire_in_nondecreasing_time(times):
     fired = []
     for t in times:
         sim.call_at(t, lambda t=t: fired.append(sim.now))
-    sim.run()
+    drain(sim)
     assert fired == sorted(times)
 
 
@@ -150,24 +156,6 @@ def test_rng_forks_with_different_labels_differ():
 # ------------------------------------------------------ tuple heap / guards
 
 
-def test_run_is_reentrancy_guarded():
-    sim = Simulator()
-    seen = []
-
-    def reenter():
-        with pytest.raises(SimulationError, match="re-entrantly"):
-            sim.run()
-        seen.append(sim.now)
-
-    sim.call_at(5, reenter)
-    sim.run()
-    assert seen == [5]
-    # The guard releases: a fresh run() afterwards works.
-    sim.call_at(10, lambda: seen.append(sim.now))
-    sim.run()
-    assert seen == [5, 10]
-
-
 def test_run_until_is_reentrancy_guarded_with_fast_heap():
     sim = Simulator()
 
@@ -178,6 +166,11 @@ def test_run_until_is_reentrancy_guarded_with_fast_heap():
     sim.call_at(1, reenter)
     sim.run_until(50)
     assert sim.now == 50
+    # The guard releases: a fresh run_until afterwards works.
+    fired = []
+    sim.call_at(60, lambda: fired.append(sim.now))
+    sim.run_until(100)
+    assert fired == [60]
 
 
 def test_removed_legacy_heap_mode_is_named():
@@ -199,7 +192,7 @@ def test_schedule_and_call_at_share_seq_order():
     sim.call_at(7, lambda: fired.append("c"))
     sim.schedule(5, lambda: fired.append("early"))
     assert sim.pending_events() == 4
-    sim.run()
+    drain(sim)
     assert fired == ["early", "a", "b", "c"]
     assert sim.events_executed == 4
 
@@ -209,7 +202,7 @@ _OPS = st.lists(
         st.tuples(st.just("call_at"), st.integers(0, 500)),
         st.tuples(st.just("call_after"), st.integers(0, 100)),
         st.tuples(st.just("schedule"), st.integers(0, 500)),
-        st.tuples(st.just("step"), st.just(0)),
+        st.tuples(st.just("next"), st.just(0)),
         st.tuples(st.just("run_until"), st.integers(0, 600)),
         st.tuples(st.just("observe"), st.just(0)),
     ),
@@ -232,18 +225,15 @@ class _Oracle:
         return sorted((e for e in self.entries if e["live"]),
                       key=lambda e: e["time"])
 
-    def fire(self, log, until=None):
-        """The next live entry (``until=None``), else all up to ``until``."""
+    def fire(self, log, until):
+        """Every live entry up to ``until``."""
         for entry in self.live():
-            if until is not None and entry["time"] > until:
+            if entry["time"] > until:
                 break
             entry["live"] = False
             self.now = entry["time"]
             self.executed += 1
             log.append((entry["tag"], entry["time"]))
-            if until is None:
-                return True
-        return False
 
     def observe(self):
         live = self.live()
@@ -272,15 +262,17 @@ def test_property_op_programs_match_sort_oracle(ops):
             model.add(model.now + arg, "after")
         elif op == "schedule":
             add(sim.schedule, max(arg, sim.now), "sched")
-        elif op == "step":
-            assert sim.step() == model.fire(expected)
+        elif op == "next" and sim.pending_events():
+            until = sim.peek_next_time()
+            sim.run_until(until)
+            model.fire(expected, until=until)
         elif op == "run_until" and arg >= sim.now:
             sim.run_until(arg)
             model.fire(expected, until=arg)
             model.now = arg
         assert (sim.now, sim.peek_next_time(), sim.pending_events(),
                 sim.events_executed) == model.observe()
-    sim.run()
+    drain(sim)
     model.fire(expected, until=NEVER)
     assert log == expected
     assert (sim.now, sim.peek_next_time(), sim.pending_events(),

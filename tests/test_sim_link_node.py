@@ -84,7 +84,7 @@ def hop_runtime(link, *, seed=0, others=(), unreserved=()):
     agents = {node_id: Receiver(node)
               for node_id, node in topology.nodes.items()}
     runtime = BatchRuntime()
-    # The tests drain the queue with sim.run(): no horizon.
+    # The tests drain the queue with sim.run_until(NEVER): no horizon.
     runtime.begin_run(sim, Trace(), topology, MetricsRegistry(), agents,
                       NEVER)
     return runtime, sim, agents
@@ -96,7 +96,7 @@ def test_transmission_delay_matches_bandwidth():
     link = Link("l1", ("a", "b"), bandwidth_bps=1e6, propagation_us=10)
     runtime, sim, agents = hop_runtime(link)
     runtime.send("a", "b", make_msg(size=1000))
-    sim.run()
+    sim.run_until(NEVER)
     assert agents["b"].got == [("a", 4010)]
 
 
@@ -105,7 +105,7 @@ def test_transmissions_serialize_on_one_lane():
     runtime, sim, agents = hop_runtime(link)
     for _ in range(3):
         runtime.send("a", "b", make_msg(size=100))
-    sim.run()
+    sim.run_until(NEVER)
     assert [at for _, at in agents["b"].got] == [400, 800, 1200]
 
 
@@ -117,7 +117,7 @@ def test_guardian_isolates_lanes():
     for _ in range(100):
         runtime.send("a", "c", make_msg(src="a", dst="c", size=10_000))
     runtime.send("b", "c", make_msg(src="b", dst="c", size=500))
-    sim.run()
+    sim.run_until(NEVER)
     # b's 500-bit frame on its 1/6-of-1-Mbps lane = 3000 µs, unaffected
     # by a's flood.
     assert [at for src, at in agents["c"].got if src == "b"] == [3000]
@@ -142,7 +142,7 @@ def test_lossy_link_drops_and_reports():
     link = Link("l1", ("a", "b"), bandwidth_bps=1e9, loss_probability=1.0)
     runtime, sim, agents = hop_runtime(link, seed=1)
     runtime.send("a", "b", make_msg())
-    sim.run()
+    sim.run_until(NEVER)
     assert agents["b"].got == []
     dropped = runtime.trace.of_kind(MessageDropped)
     assert [(e.src, e.dst, e.reason) for e in dropped] == [
@@ -156,7 +156,7 @@ def test_lossless_by_default():
     runtime, sim, agents = hop_runtime(link, seed=1)
     for _ in range(50):
         runtime.send("a", "b", make_msg())
-    sim.run()
+    sim.run_until(NEVER)
     assert len(agents["b"].got) == 50
     # Unicast is one heap event per hop, never a batch.
     assert runtime.stats()["batches_fired"] == 0
@@ -173,7 +173,7 @@ def test_property_transmission_time_positive_and_monotone(size, share):
     runtime, sim, agents = hop_runtime(link)
     runtime.send("a", "b", make_msg(src="a", dst="b", size=size))
     runtime.send("b", "a", make_msg(src="b", dst="a", size=size * 2))
-    sim.run()
+    sim.run_until(NEVER)
     [(_, t1)] = agents["b"].got
     [(_, t2)] = agents["a"].got
     assert t1 >= 1
@@ -189,7 +189,7 @@ def test_node_cpu_lane_scales_work_by_speed():
     # fg lane speed = 2.0 * 0.5 = 1.0 -> 100 us work takes 100 us
     done = []
     node.execute(sim, 100, callback=lambda: done.append(sim.now))
-    sim.run()
+    sim.run_until(NEVER)
     assert done == [100]
 
 
@@ -200,7 +200,7 @@ def test_node_lanes_are_independent():
     node.execute(sim, 50, callback=lambda: done.setdefault("fg", sim.now), lane="fg")
     node.execute(sim, 50, callback=lambda: done.setdefault("ctrl", sim.now),
                  lane="ctrl")
-    sim.run()
+    sim.run_until(NEVER)
     # Both lanes at speed 0.5 -> both complete at 100, in parallel.
     assert done == {"fg": 100, "ctrl": 100}
 
@@ -211,7 +211,7 @@ def test_node_cpu_serializes_within_lane():
     finishes = []
     node.execute(sim, 50, callback=lambda: finishes.append(sim.now))
     node.execute(sim, 50, callback=lambda: finishes.append(sim.now))
-    sim.run()
+    sim.run_until(NEVER)
     assert finishes == [100, 200]
 
 
@@ -221,7 +221,7 @@ def test_crashed_node_drops_deliveries_and_refuses_work():
     node = agents["b"].node
     node.crashed = True
     runtime.send("a", "b", make_msg())
-    sim.run()
+    sim.run_until(NEVER)
     # The frame crossed the link; the crashed receiver dropped it.
     assert runtime.trace.count(MessageDelivered) == 1
     assert agents["b"].got == []
@@ -255,5 +255,5 @@ def test_lane_utilization():
     sim = Simulator()
     node = Node("n1", speed=1.0, control_share=0.5)
     assert node.execute(sim, 50) == 100  # 100 us on fg lane at speed 0.5
-    sim.run()
+    sim.run_until(NEVER)
     assert node.lanes["fg"].next_free == 100

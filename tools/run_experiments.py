@@ -12,7 +12,7 @@ benchmarks append rows to per-stream scratch files, :data:`STREAMS` says
 how rows fold into an aggregate, :func:`append_run` appends it to the
 tracked ``BENCH_<stream>.json``, ``tools/bench_check.py`` gates that.
 
-Usage:  python tools/run_experiments.py [--jobs N] [--only SUBSTR]
+Usage:  python tools/run_experiments.py [--jobs N] [--only eN[,eM...]]
                 [--cache DIR | --no-cache] [--skip-run] [--skip-verify]
 """
 
@@ -39,9 +39,8 @@ ORDER = [
     "e9_targeted_omission", "e10_evidence_flooding",
     "e11_ablation_plan_distance", "e12_ablation_placement",
     "e13_ablation_strategic", "e14_clock_sync", "e14_rogue_clock",
-    "e15_resource_dependence", "e16_link_faults", "e17_online_throughput",
-    "e18_model_check", "e19_batched_core", "e20_fuzz", "e21_static_bounds",
-    "e22_geo_shards",
+    "e15_resource_dependence", "e16_link_faults", "e17_engine",
+    "e18_model_check", "e20_fuzz", "e21_static_bounds",
 ]
 
 #: ``repro verify --strict`` arguments for the scenarios whose strategies
@@ -87,7 +86,7 @@ STREAMS = {
         "compare": {"plans_per_sec": ("higher", "wall")},
     },
     "obs": {
-        "experiments": ("e1_",), "by": ("by_fault_kind", "{fault_kind}"),
+        "experiments": ("e1",), "by": ("by_fault_kind", "{fault_kind}"),
         "top": {"timelines": COUNT, "messages_dropped": SUM,
                 "phase_sum_mismatches": ("sum", "phase_sum_mismatch")},
         "group": {"timelines": COUNT, "min_total_us": ("min", "total_us"),
@@ -97,7 +96,7 @@ STREAMS = {
         "compare": {"max_total_us": ("lower", "sim")},
     },
     "sim": {
-        "experiments": ("e17", "e19", "e22"),
+        "experiments": ("e17",),
         "by": ("by_scenario", "{scenario}@n{n_nodes}"),
         "top": {"cases": COUNT, "all_digests_match": ("all", "digest_match")},
         "group": {
@@ -261,6 +260,15 @@ def run_shard(path: str, env: dict) -> dict:
             "returncode": proc.returncode}
 
 
+def select(only: str) -> list:
+    """The benchmark files ``--only`` names: those whose ``eN`` (of
+    ``test_eN_*.py``) is one of the comma-separated ids; all for ""."""
+    ids = {n.strip() for n in only.split(",") if n.strip()}
+    return [path for path in sorted(glob.glob(
+        os.path.join(REPO, "benchmarks", "test_*.py")))
+        if not ids or os.path.basename(path).split("_")[1] in ids]
+
+
 def collate_report(only: str) -> int:
     sections, missing = [], []
     for name in ORDER:
@@ -288,8 +296,9 @@ def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--jobs", type=int, default=1, metavar="N",
                         help="benchmark files to run concurrently")
-    parser.add_argument("--only", default="", metavar="SUBSTRS",
-                        help="only files whose name contains one of a,b,c")
+    parser.add_argument("--only", default="", metavar="IDS",
+                        help="only the experiments e1,e7,... "
+                             "(benchmarks/test_eN_*.py)")
     parser.add_argument("--cache", default=DEFAULT_CACHE, metavar="DIR",
                         help="shared strategy cache directory")
     parser.add_argument("--no-cache", action="store_true",
@@ -316,10 +325,7 @@ def main() -> int:
         if proc.returncode != 0:
             sys.exit("static verification FAILED; refusing to benchmark "
                      "an unsound strategy")
-    needles = [n.strip() for n in args.only.split(",") if n.strip()]
-    files = [f for f in sorted(glob.glob(
-        os.path.join(REPO, "benchmarks", "test_*.py")))
-        if not needles or any(n in os.path.basename(f) for n in needles)]
+    files = select(args.only)
     if not files:
         parser.error(f"no benchmark files match --only {args.only!r}")
     # The row streams are this run's scratch: start each one empty.

@@ -91,8 +91,11 @@ def _prepared(cell, mode: str, seed=None):
 
 
 def _timed_run(system, cell):
-    # What earlier runs left can be millions of objects (a full trace):
-    # collect it before the clock starts, not during this run.
+    # A dropped run is freed by reference counting, so this finds next
+    # to nothing; it stays because it leaves the clock, and before the
+    # pool forks the workers, a collector with freshly reset counts.
+    # Without the two collections the geo:4x30 pool speedup read lower
+    # (docs/PERFORMANCE.md, "Multi-seed sweeps").
     gc.collect()
     watch = Stopwatch()
     result = golden.run_scenario(system, cell)
@@ -193,8 +196,7 @@ def pool_check(cell) -> dict:
     serial = {run.seed: run.fingerprint for run in run_sweep(
         proto, POOL_SEEDS, cell.n_periods, scenario=cell.scenario)}
     serial_s = watch.elapsed_s()
-    # The workers fork this heap: leave no finished run in it for their
-    # collectors to walk.
+    # The workers fork this heap (see _timed_run).
     del proto
     gc.collect()
     cores = os.cpu_count() or 1

@@ -16,6 +16,7 @@ paper's main arguments for BTR.
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Dict, List, Optional, Union
 
 from ..core.planner.placement import PlacementConfig, place
@@ -50,6 +51,8 @@ class BaselinePlan:
         self.flows: Dict[str, Flow] = {f.name: f for f in augmented.flows}
         self.assignment = assignment
         self.schedule = schedule
+        #: Source / sink endpoint -> the node it is placed on.
+        self.endpoint_map = topology.endpoint_map
         self.routes: Dict[str, List[str]] = {}
         for t in schedule.transmissions:
             path = self.routes.setdefault(t.flow, [])
@@ -62,6 +65,13 @@ class BaselinePlan:
                                       topology.endpoint_map.get(flow.src))
                 if node is not None:
                     self.routes[flow.name] = [node]
+
+    def consumer_node(self, flow) -> Optional[str]:
+        """The node that consumes ``flow``: its task's host, or the node
+        its sink endpoint is placed on."""
+        if flow.dst in self.augmented.tasks:
+            return self.assignment.get(flow.dst)
+        return self.endpoint_map.get(flow.dst)
 
     def instances_on(self, node: str) -> List[str]:
         return sorted(i for i, n in self.assignment.items() if n == node)
@@ -78,31 +88,35 @@ class BaselineAgent:
     """Common agent plumbing: dispatch, data plane, sink recording."""
 
     def __init__(self, system: "BaselineSystem", node) -> None:
-        self.system = system
         self.node = node
         self.node_id = node.node_id
+        # The collaborators the agent uses, not the system itself: the
+        # system holds its agents, so an agent pointing back up would tie
+        # every finished run into a reference cycle.
+        self.sim: Simulator = system.sim
+        self.plan: BaselinePlan = system.plan
+        self.trace: Trace = system.trace
+        self.workload = system.workload
+        self.period: int = system.workload.period
+        self.f = system.f
+        #: The run's hop runtime, whose emission plans hold this agent;
+        #: dropped by :meth:`release`.
+        self._hops = system.batch_runtime
         self.behavior: FaultBehavior = FaultBehavior()
         #: (flow, period) -> value (baselines ship raw values, unsigned —
         #: none of them generate transferable evidence).
         self.inbox: Dict[tuple, int] = {}
 
-    @property
-    def sim(self) -> Simulator:
-        return self.system.sim
-
-    @property
-    def plan(self) -> BaselinePlan:
-        return self.system.plan
-
-    @property
-    def period(self) -> int:
-        return self.system.workload.period
+    def release(self) -> None:
+        """The run is over: drop the hop runtime, the one pointer that
+        leads back to this agent."""
+        self._hops = None
 
     def compromise(self, behavior: FaultBehavior) -> None:
         self.behavior = behavior
         self.node.compromised = True
         behavior.on_activate(self)
-        self.system.trace.record(FaultInjected(
+        self.trace.record(FaultInjected(
             time=self.sim.now, node=self.node_id, fault_kind=behavior.kind,
         ))
 
@@ -117,16 +131,14 @@ class BaselineAgent:
             slot = self.plan.schedule.slot_for(instance)
             if slot is None:
                 continue
-            self.sim.call_at(
-                period_start + slot.finish,
-                lambda inst=instance, kk=k: self._execute_guarded(inst, kk),
-            )
+            self.sim.call_at(period_start + slot.finish,
+                             partial(self._execute_guarded, instance, k))
 
     def _execute_guarded(self, instance: str, k: int) -> None:
         if self.node.crashed:
             return
         slot = self.plan.schedule.slot_for(instance)
-        self.system.trace.record(TaskExecuted(
+        self.trace.record(TaskExecuted(
             time=self.sim.now, node=self.node_id, task=instance,
             period_index=k, duration=slot.duration if slot else 0,
         ))
@@ -137,7 +149,7 @@ class BaselineAgent:
     def emit_sources(self, k: int) -> None:
         """Send this period's reading of every source hosted here."""
         hosted = {
-            s for s, host in self.system.topology.endpoint_map.items()
+            s for s, host in self.plan.endpoint_map.items()
             if host == self.node_id and s in self.plan.augmented.sources
         }
         if not hosted:
@@ -160,7 +172,7 @@ class BaselineAgent:
         flow = self.plan.flows.get(flow_name)
         if flow is None:
             return
-        final = self.system.consumer_node(flow)
+        final = self.plan.consumer_node(flow)
         if final is None:
             return
         if self.behavior.drops_message(flow_name, k, final):
@@ -175,17 +187,16 @@ class BaselineAgent:
         delay = self.behavior.delay_send(flow_name, k)
         if final == self.node_id:
             self.sim.call_after(max(1, delay),
-                                lambda: self._deliver_local(message))
+                                partial(self._deliver_local, message))
             return
         next_hop = self.plan.next_hop(flow_name, self.node_id)
         if next_hop is None:
             return
-        send = self.system.batch_runtime.send
         if delay > 0:
-            self.sim.call_after(
-                delay, lambda: send(self.node_id, next_hop, message))
+            self.sim.call_after(delay, partial(
+                self._hops.send, self.node_id, next_hop, message))
         else:
-            send(self.node_id, next_hop, message)
+            self._hops.send(self.node_id, next_hop, message)
 
     def _deliver_local(self, message: Message) -> None:
         if not self.node.crashed:
@@ -202,16 +213,15 @@ class BaselineAgent:
                 return
             next_hop = self.plan.next_hop(flow_name, self.node_id)
             if next_hop is not None:
-                self.system.batch_runtime.send(self.node_id, next_hop,
-                                               message)
+                self._hops.send(self.node_id, next_hop, message)
             return
         self.on_value(flow_name, k, value, at)
 
     def record_output(self, sink: str, flow_base: str, k: int, value: int,
                       at: int) -> None:
-        workload = self.system.workload
+        workload = self.workload
         flow = workload.flow(flow_base)
-        self.system.trace.record(OutputProduced(
+        self.trace.record(OutputProduced(
             time=at, sink=sink, flow=flow_base, period_index=k, value=value,
             deadline=k * self.period + (flow.deadline or self.period),
             criticality=workload.flow_criticality(flow).value,
@@ -301,21 +311,19 @@ class BaselineSystem:
                                      n_periods * period)
         script = self._resolve_script(adversary)
         for injection in script:
-            agent = self.agents[injection.node]
-            self.sim.call_at(
-                injection.time,
-                lambda a=agent, b=injection.behavior: a.compromise(b),
-            )
+            self.sim.call_at(injection.time, partial(
+                self.agents[injection.node].compromise, injection.behavior))
         self.on_run_start(n_periods)
-
-        def tick(k: int) -> None:
-            for node_id in sorted(self.agents):
-                self.agents[node_id].on_period_start(k)
-            if k + 1 < n_periods:
-                self.sim.call_at((k + 1) * period, lambda: tick(k + 1))
-
-        self.sim.call_at(0, lambda: tick(0))
-        self.sim.run_until(n_periods * period)
+        self.sim.call_at(0, partial(self._tick, 0, n_periods))
+        try:
+            self.sim.run_until(n_periods * period)
+        finally:
+            # As BTRSystem.run: drop what is two-way only during the run
+            # (queued callbacks, the agents' hop runtime) so a finished
+            # run is freed by reference counting.
+            self.sim.close()
+            for agent in self.agents.values():
+                agent.release()
         self.batch_runtime.end_run()
         return RunResult(
             trace=self.trace,
@@ -327,6 +335,15 @@ class BaselineSystem:
             final_modes={n: self.name for n in self.agents},
             final_fault_sets={n: frozenset() for n in self.agents},
         )
+
+    def _tick(self, k: int, n_periods: int) -> None:
+        """Period ``k`` starts on every node; schedules period ``k + 1``."""
+        agents = self.agents
+        for node_id in sorted(agents):
+            agents[node_id].on_period_start(k)
+        if k + 1 < n_periods:
+            self.sim.call_at((k + 1) * self.workload.period,
+                             partial(self._tick, k + 1, n_periods))
 
     def _resolve_script(self, adversary) -> FaultScript:
         if adversary is None:
@@ -340,8 +357,3 @@ class BaselineSystem:
         endpoint_nodes = set(self.topology.endpoint_map.values())
         hosting = set(self.plan.assignment.values())
         return sorted(hosting - endpoint_nodes)
-
-    def consumer_node(self, flow) -> Optional[str]:
-        if flow.dst in self.plan.augmented.tasks:
-            return self.plan.assignment.get(flow.dst)
-        return self.topology.endpoint_map.get(flow.dst)

@@ -91,12 +91,12 @@ class BFTAgent(BaselineAgent):
 
     @property
     def replicas(self) -> int:
-        return 3 * self.system.f + 1
+        return 3 * self.f + 1
 
     def execute_instance(self, instance: str, k: int) -> None:
         base = naming.base_task(instance)
         j = naming.replica_index(instance)
-        workload = self.system.workload
+        workload = self.workload
         values = []
         for flow in workload.inputs_of(base):
             if flow.src in workload.tasks:
@@ -106,7 +106,7 @@ class BFTAgent(BaselineAgent):
                 ]
                 received = [v for v in copies if v is not None]
                 # Enough copies to out-vote up to f wrong ones?
-                if len(received) < 2 * self.system.f + 1:
+                if len(received) < 2 * self.f + 1:
                     return
                 values.append(majority(received))
             else:
@@ -127,7 +127,7 @@ class BFTAgent(BaselineAgent):
         base = flow_name.rsplit("@", 1)[0]
         key = (base, k)
         self._votes.setdefault(key, []).append(value)
-        quorum = 2 * self.system.f + 1
+        quorum = 2 * self.f + 1
         if key not in self._released and len(self._votes[key]) >= quorum:
             self._released.add(key)
             self.record_output(flow.dst, base, k,

@@ -14,6 +14,8 @@ surface:
 
 from __future__ import annotations
 
+from functools import partial
+
 from ..sim.trace import Custom
 from ..faults.behaviors import FaultBehavior
 from ..workload.dataflow import DataflowGraph
@@ -41,25 +43,26 @@ class CrashRestartSystem(BaselineSystem):
         return UnreplicatedAgent(self, node)
 
     def on_run_start(self, n_periods: int) -> None:
+        #: node -> when the watchdog first saw it crashed (this run).
+        self._crashed_since: dict = {}
+        self.sim.call_after(self.workload.period, self._watchdog)
+
+    def _watchdog(self) -> None:
+        """One watchdog round over every node; schedules the next."""
         period = self.workload.period
-        crashed_since: dict = {}
-
-        def watchdog() -> None:
-            now = self.sim.now
-            for node_id, agent in sorted(self.agents.items()):
-                node = agent.node
-                if node.crashed:
-                    since = crashed_since.setdefault(node_id, now)
-                    if now - since >= self.watchdog_periods * period:
-                        delay = self.reboot_periods * period
-                        crashed_since.pop(node_id, None)
-                        self.sim.call_after(
-                            delay, lambda a=agent: self._reboot(a))
-                else:
+        crashed_since = self._crashed_since
+        now = self.sim.now
+        for node_id, agent in sorted(self.agents.items()):
+            node = agent.node
+            if node.crashed:
+                since = crashed_since.setdefault(node_id, now)
+                if now - since >= self.watchdog_periods * period:
+                    delay = self.reboot_periods * period
                     crashed_since.pop(node_id, None)
-            self.sim.call_after(period, watchdog)
-
-        self.sim.call_after(period, watchdog)
+                    self.sim.call_after(delay, partial(self._reboot, agent))
+            else:
+                crashed_since.pop(node_id, None)
+        self.sim.call_after(period, self._watchdog)
 
     def _reboot(self, agent: UnreplicatedAgent) -> None:
         # The watchdog restores a crashed node to correct operation; it has

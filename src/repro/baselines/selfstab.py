@@ -43,22 +43,22 @@ class SelfStabilizingSystem(BaselineSystem):
         return UnreplicatedAgent(self, node)
 
     def on_run_start(self, n_periods: int) -> None:
-        period = self.workload.period
-        interval = self.reset_every * period
+        self.sim.call_after(self.reset_every * self.workload.period,
+                            self._global_reset)
 
-        def global_reset() -> None:
-            self.trace.record(Custom(time=self.sim.now, label="global_reset"))
-            for node_id, agent in sorted(self.agents.items()):
-                node = agent.node
-                if node.crashed:
-                    # A reset repairs fail-stop damage (watchdog reboot)...
-                    node.crashed = False
-                if node.compromised and agent.behavior.is_crash():
-                    agent.behavior = FaultBehavior()
-                    node.compromised = False
-                # ...but a Byzantine compromise persists: the adversary
-                # still controls the node after the reset.
-                agent.inbox.clear()
-            self.sim.call_after(interval, global_reset)
-
-        self.sim.call_after(interval, global_reset)
+    def _global_reset(self) -> None:
+        """One global reset; schedules the next."""
+        self.trace.record(Custom(time=self.sim.now, label="global_reset"))
+        for node_id, agent in sorted(self.agents.items()):
+            node = agent.node
+            if node.crashed:
+                # A reset repairs fail-stop damage (watchdog reboot)...
+                node.crashed = False
+            if node.compromised and agent.behavior.is_crash():
+                agent.behavior = FaultBehavior()
+                node.compromised = False
+            # ...but a Byzantine compromise persists: the adversary
+            # still controls the node after the reset.
+            agent.inbox.clear()
+        self.sim.call_after(self.reset_every * self.workload.period,
+                            self._global_reset)

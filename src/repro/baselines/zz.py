@@ -35,7 +35,7 @@ class ZZAgent(BaselineAgent):
     def _run_replica(self, instance: str, base: str, k: int) -> None:
         suffix = f"r{naming.replica_index(instance)}"
         values = []
-        for flow in self.system.workload.inputs_of(base):
+        for flow in self.workload.inputs_of(base):
             value = self.inbox.get(
                 (naming.flow_copy_name(flow.name, suffix), k))
             if value is None:
@@ -47,7 +47,7 @@ class ZZAgent(BaselineAgent):
                 self.send_flow(flow.name, k, result)
 
     def _run_checker(self, base: str, k: int) -> None:
-        r = self.system.f + 1
+        r = self.f + 1
         replica_values = {}
         for i in range(r):
             value = self.inbox.get((naming.replica_output_flow(base, i), k))
@@ -62,7 +62,7 @@ class ZZAgent(BaselineAgent):
             # Disagreement: re-execute from the checker's own input copies
             # (ZZ's "activate agreement" analogue) and mask the fault.
             own = []
-            for flow in self.system.workload.inputs_of(base):
+            for flow in self.workload.inputs_of(base):
                 value = self.inbox.get(
                     (naming.flow_copy_name(flow.name, "c"), k))
                 if value is None:
@@ -74,8 +74,8 @@ class ZZAgent(BaselineAgent):
                 forward = replica_values[min(replica_values)]
             else:
                 forward = compute_output(base, k, own)
-        for flow in self.system.workload.outputs_of(base):
-            if flow.dst in self.system.workload.tasks:
+        for flow in self.workload.outputs_of(base):
+            if flow.dst in self.workload.tasks:
                 suffixes = [f"r{i}" for i in range(r)] + ["c"]
             else:
                 suffixes = ["out"]

@@ -49,6 +49,10 @@ class Detector:
         self.demoted.clear()
         self._investigations.clear()
 
+    def release(self) -> None:
+        """The run is over: drop the pointer back up to the agent."""
+        self.agent = None
+
     # ---------------------------------------------------------------- timing
 
     def judge_timing(self, flow_copy: str, stmt: AuthenticatedStatement,
@@ -140,12 +144,12 @@ class Detector:
             return  # known fault on the path; the switch is already coming
         now = agent.sim.now
         flow = naming.base_flow(flow_copy)
-        agent.system.trace.record(PathDeclared(
+        agent.trace.record(PathDeclared(
             time=now, declarer=agent.node_id, path=tuple(route),
             flow=flow, period_index=k,
         ))
         agent.evidence.declare(make_declaration(
-            agent.system.directory, agent.node_id, route, flow, k, now))
+            agent.directory, agent.node_id, route, flow, k, now))
 
     # ---------------------------------------------------------------- audits
 
@@ -233,7 +237,7 @@ class Detector:
     def handle_fetch_response(self, copy: str, base: str, k: int,
                               stmt: AuthenticatedStatement) -> None:
         agent = self.agent
-        if not stmt.valid(agent.system.directory):
+        if not stmt.valid(agent.directory):
             return
         for key, outstanding in list(self._investigations.items()):
             outstanding.discard(copy)

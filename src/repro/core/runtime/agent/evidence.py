@@ -44,21 +44,20 @@ EVIDENCE_QUOTA_PER_SENDER = 8
 class EvidenceEndpoint:
     """One node's end of the evidence plane."""
 
-    def __init__(self, agent) -> None:
+    def __init__(self, agent, budget) -> None:
         self.agent = agent
-        system = agent.system
         period = agent.period
-        settling = system.budget.settling_us
+        settling = budget.settling_us
         #: Declarations older than this describe a previous plan regime
         #: (pre-switch cascades); neither local blame accounting nor
         #: attribution validation may use them.
         self._blame_cutoff = 0
         #: Evidence older than this on receipt is dropped outright: the
         #: anti-backdating half of the freshness defence.
-        self._evidence_staleness = (4 * period + system.budget.distribution_us
+        self._evidence_staleness = (4 * period + budget.distribution_us
                                     + settling)
         self.validator = EvidenceValidator(
-            system.directory,
+            agent.directory,
             roster_lookup=self._roster_lookup,
             period=period,
             # Declarations may support an attribution only if made within
@@ -69,15 +68,24 @@ class EvidenceEndpoint:
                 + settling),
         )
         self.log = EvidenceLog(agent.node_id, self.validator,
-                               metrics=system.metrics)
+                               metrics=agent.metrics)
         self.blame = BlameTracker(liveness=agent._node_alive,
-                                  metrics=system.metrics)
+                                  metrics=agent.metrics)
         #: Plan-dependent evidence rejected mid-switch; retried after the
         #: next mode change, when the plans should agree again.
         self._retry_evidence: List[Evidence] = []
         #: (sender, record class, period) -> control records whose
         #: verification this node has already paid for (§4.3).
         self._ctrl_quota: Dict[Tuple[str, str, int], int] = {}
+
+    def release(self) -> None:
+        """The run is over: drop every pointer back up to the agent —
+        its own, and the two callbacks bound to the agent or to this
+        endpoint (the validator's roster lookup, the blame tracker's
+        liveness oracle)."""
+        self.agent = None
+        self.validator.roster_lookup = None
+        self.blame.liveness = None
 
     def _roster_lookup(self, base: str) -> Optional[dict]:
         roster = {
@@ -98,10 +106,10 @@ class EvidenceEndpoint:
             return  # already known faulty; don't re-litigate
         now = agent.sim.now
         evidence = Evidence.make(
-            agent.system.directory, kind, accused, agent.node_id,
+            agent.directory, kind, accused, agent.node_id,
             detected_at=now, statements=statements,
         )
-        agent.system.trace.record(EvidenceGenerated(
+        agent.trace.record(EvidenceGenerated(
             time=now, detector_node=agent.node_id,
             accused_node=accused, fault_kind=kind,
             evidence_id=int(evidence.evidence_id[:8], 16),
@@ -126,7 +134,7 @@ class EvidenceEndpoint:
             # Too old to act on: either a backdated harvest attempt or a
             # record that crawled here long after its recovery concluded.
             return
-        trace = agent.system.trace
+        trace = agent.trace
         decision = self.log.evaluate_evidence(evidence)
         reason = decision.reason
         if reason in ("bad_signature", "unsupported"):
@@ -139,7 +147,7 @@ class EvidenceEndpoint:
         # not — and correct nodes validate before forwarding, so endorsing
         # junk is slander by the endorser.
         if (reason == "bad_signature" and endorsement is not None
-                and agent.system.directory.verify(
+                and agent.directory.verify(
                     {"type": "endorse", "ref": evidence.evidence_id},
                     endorsement)):
             implicated = self.log.count_slander(endorsement.signer)
@@ -163,7 +171,7 @@ class EvidenceEndpoint:
     def _retry_soft_rejected(self, evidence: Evidence) -> None:
         """Re-submit a plan-dependent record after a mode switch."""
         if self.log.note_evidence(evidence):
-            self.agent.system.metrics.inc("evidence_retries")
+            self.agent.metrics.inc("evidence_retries")
             self._handle_evidence(evidence, None)
 
     def _handle_declaration(self, decl: AuthenticatedStatement,
@@ -246,7 +254,7 @@ class EvidenceEndpoint:
         record = payload[1]
         ref = (record.evidence_id if isinstance(record, Evidence)
                else record.payload_digest())
-        endorsement = agent.system.directory.sign(
+        endorsement = agent.directory.sign(
             agent.node_id, {"type": "endorse", "ref": ref})
         # One frozen envelope shared by every per-neighbour copy: the
         # record is signed and immutable, so receivers can safely alias
@@ -310,10 +318,10 @@ class EvidenceEndpoint:
         :class:`~repro.faults.behaviors.EvidenceFloodFault`."""
         agent = self.agent
         behavior = agent.behavior
-        directory = agent.system.directory
+        directory = agent.directory
         node_id = agent.node_id
         now = agent.sim.now
-        others = [n for n in agent.system.topology.node_ids()
+        others = [n for n in agent.topology.node_ids()
                   if n != node_id]
         for i in range(behavior.records_per_period):
             accused = behavior.accused or others[(k + i) % len(others)]

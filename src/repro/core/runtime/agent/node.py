@@ -55,15 +55,25 @@ class NodeAgent:
     """Runtime state machine for one node."""
 
     def __init__(self, system, node) -> None:
-        self.system = system
         self.node = node
         self.node_id = node.node_id
         #: The run's simulator and the workload period: agents live for
         #: one run, so both are plain attributes.
         self.sim = system.sim
         self.period = system.workload.period
+        # The collaborators the agent and its roles use, not the system
+        # itself: the system holds its agents, so an agent pointing back
+        # up would tie every finished run into a reference cycle.
+        self.trace = system.trace
+        self.directory = system.directory
+        self.metrics = system.metrics
+        self.router = system.router
+        self.topology = system.topology
+        self.strategy = system.strategy
+        self.workload = system.workload
+        self.config = system.config
         #: The run's hop runtime: every send crosses a link through it
-        #: (unicast or vectorised fan-out).
+        #: (unicast or vectorised fan-out). Dropped by :meth:`release`.
         self._hops = system.batch_runtime
         self.behavior: FaultBehavior = FaultBehavior()
         self.install(system.strategy.nominal)
@@ -75,8 +85,8 @@ class NodeAgent:
         self.inbox: Dict[Tuple[str, int], AuthenticatedStatement] = {}
         #: Signature cache: one statement per (logical flow, period).
         self._sign_cache: Dict[Tuple[str, int], AuthenticatedStatement] = {}
-        self.switching = ModeSwitching(self)
-        self.evidence = EvidenceEndpoint(self)
+        self.switching = ModeSwitching(self, system.budget)
+        self.evidence = EvidenceEndpoint(self, system.budget)
         self.detector = Detector(self)
 
     def install(self, plan: Plan) -> None:
@@ -84,8 +94,19 @@ class NodeAgent:
         self.plan = plan
         #: This node's compiled tables under :attr:`plan`.
         self.program: NodeProgram = node_program(
-            plan, self.node_id, self.system.topology.endpoint_map,
-            self.system.config.f + 1)
+            plan, self.node_id, self.topology.endpoint_map,
+            self.config.f + 1)
+
+    def release(self) -> None:
+        """The run is over: drop the pointers that are two-way only while
+        it runs — the hop runtime (whose emission plans hold this agent)
+        and each role's pointer back up to this agent. What the run left
+        behind (plan, program, inbox, liveness stamps, fault set) stays
+        readable."""
+        self._hops = None
+        self.switching.release()
+        self.evidence.release()
+        self.detector.release()
 
     def _local_offset(self, k: int) -> int:
         """Period-relative time by this node's *local* clock — what the
@@ -99,7 +120,7 @@ class NodeAgent:
         self.behavior = behavior
         self.node.compromised = True
         behavior.on_activate(self)
-        self.system.trace.record(FaultInjected(
+        self.trace.record(FaultInjected(
             time=self.sim.now, node=self.node_id, fault_kind=behavior.kind,
         ))
 
@@ -151,7 +172,7 @@ class NodeAgent:
         if pending:
             payloads, canonicals = zip(*pending.values())
             signed = AuthenticatedStatement.make_batch(
-                self.system.directory, self.node_id, payloads, canonicals)
+                self.directory, self.node_id, payloads, canonicals)
             cache.update(zip(pending, signed))
         for send, key in emissions:
             if send is not None:
@@ -177,7 +198,7 @@ class NodeAgent:
         # the events-executed gauge counts logical events.
         self.sim.events_executed += len(instances) - 1
         pending = self.switching.pending_state
-        trace = self.system.trace
+        trace = self.trace
         for instance in instances:
             # Looked up at execution time: a group scheduled under the
             # previous plan executes the current plan's member, or nothing
@@ -224,7 +245,7 @@ class NodeAgent:
                 self._local_offset(k), member.finish),
         )
         stmt = AuthenticatedStatement.make(
-            self.system.directory, self.node_id, payload,
+            self.directory, self.node_id, payload,
             member.template.canonical(payload))
         # One statement, several recipients: own checker + audit copies.
         for send in member.outputs:
@@ -342,7 +363,7 @@ class NodeAgent:
                         reconstructed=reconstructed,
                     )
                     stmt = cache[key] = AuthenticatedStatement.make(
-                        self.system.directory, self.node_id, payload,
+                        self.directory, self.node_id, payload,
                         template.canonical(payload))
                 if send is not None:
                     self._send_copy(send, stmt, k)
@@ -422,7 +443,7 @@ class NodeAgent:
             return
         if not isinstance(stmt, AuthenticatedStatement):
             return
-        if not stmt.valid(self.system.directory):
+        if not stmt.valid(self.directory):
             return  # unauthenticated data is ignored outright
         self.inbox[(flow_copy, k)] = stmt
         self.detector.judge_timing(flow_copy, stmt, k, at)
@@ -431,7 +452,7 @@ class NodeAgent:
             # An actuator command (audit copies to the sink host are
             # not commands).
             sink, flow, criticality, deadline = consumed.output
-            self.system.trace.record(OutputProduced(
+            self.trace.record(OutputProduced(
                 time=at, sink=sink, flow=flow, period_index=k,
                 value=stmt.statement.get("value"),
                 deadline=k * self.period + (deadline or self.period),
@@ -450,14 +471,14 @@ class NodeAgent:
             self.sim.call_after(1, partial(self._deliver_local, message))
             return
         try:
-            path = self.system.router.route(self.node_id, message.dst,
-                                            excluding=self.plan.pattern)
+            path = self.router.route(self.node_id, message.dst,
+                                     excluding=self.plan.pattern)
         except RoutingError:
             # No route avoiding the faulty set: the plan has partitioned
             # the sender from the destination. Count it — a silent drop
             # here looks exactly like an omission fault downstream.
-            self.system.metrics.inc("messages_dropped", reason="no_route")
-            self.system.trace.record(MessageDropped(
+            self.metrics.inc("messages_dropped", reason="no_route")
+            self.trace.record(MessageDropped(
                 time=self.sim.now, src=self.node_id, dst=message.dst,
                 kind=message.kind.value, reason="no_route",
             ))

@@ -27,13 +27,12 @@ REBUILD_BITS_PER_US = 50.0
 class ModeSwitching:
     """One node's mode switches and state transfers."""
 
-    def __init__(self, agent) -> None:
+    def __init__(self, agent, budget) -> None:
         self.agent = agent
-        budget = agent.system.budget
         # The switch lead is the budget's distribution bound.
         self.switcher = ModeSwitcher(
-            agent.system.strategy, agent.period, budget.distribution_us,
-            metrics=agent.system.metrics,
+            agent.strategy, agent.period, budget.distribution_us,
+            metrics=agent.metrics,
         )
         #: No omission or timing judgement before this time (switch
         #: confusion).
@@ -48,6 +47,10 @@ class ModeSwitching:
         self._confusion_us = (SUPPRESS_PERIODS * agent.period
                               + budget.settling_us)
 
+    def release(self) -> None:
+        """The run is over: drop the pointer back up to the agent."""
+        self.agent = None
+
     def _confused_from(self, start: int) -> None:
         self.suppress_until = max(self.suppress_until,
                                   start + self._confusion_us)
@@ -59,7 +62,7 @@ class ModeSwitching:
                                               sim.now)
         if pending is None:
             return
-        agent.system.trace.record(ModeSwitchStarted(
+        agent.trace.record(ModeSwitchStarted(
             time=sim.now, node=agent.node_id,
             from_mode=agent.plan.mode, to_mode=pending.plan.mode,
             boundary=pending.at,
@@ -72,9 +75,8 @@ class ModeSwitching:
         agent = self.agent
         if agent.node.crashed:
             return
-        system = agent.system
         faulty = self.switcher.fault_set.snapshot()
-        new_plan = system.strategy.plan_for(faulty)
+        new_plan = agent.strategy.plan_for(faulty)
         old_plan = agent.plan
         if new_plan.mode == old_plan.mode:
             return
@@ -97,18 +99,18 @@ class ModeSwitching:
         # Record criticality shedding once, from a single designated node
         # (all correct nodes shed identically; one record per task is
         # enough for the analysis layer).
-        if agent.node_id == min(system.topology.nodes):
-            previously_shed = set(old_plan.shed_tasks(system.workload))
-            for task in new_plan.shed_tasks(system.workload):
+        if agent.node_id == min(agent.topology.nodes):
+            workload = agent.workload
+            previously_shed = set(old_plan.shed_tasks(workload))
+            for task in new_plan.shed_tasks(workload):
                 if task in previously_shed:
                     continue
-                system.trace.record(TaskShed(
+                agent.trace.record(TaskShed(
                     time=now, task=task,
-                    criticality=system.workload.tasks[task]
-                    .criticality.value,
+                    criticality=workload.tasks[task].criticality.value,
                     mode=new_plan.mode,
                 ))
-        system.trace.record(ModeSwitchCompleted(
+        agent.trace.record(ModeSwitchCompleted(
             time=now, node=agent.node_id, mode=new_plan.mode,
         ))
 

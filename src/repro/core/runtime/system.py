@@ -27,6 +27,7 @@ consumes.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Dict, List, Optional, Union
 
 from ...crypto.signatures import KeyDirectory
@@ -171,18 +172,21 @@ class BTRSystem:
             use_locality=self.config.use_locality,
             use_exposure=self.config.strategic_placement,
         ))
+        budget = compute_budget(self.strategy, self.topology,
+                                self.lane_model, metrics=self.metrics)
         if strict:
             # Imported lazily: repro.verify depends on the planner layer,
             # and nothing on the non-strict path should pay for it.
             # Config + lane model switch on the Layer-4 ``bound.*`` rules
-            # (analytic recovery bounds vs. the promised R).
+            # (analytic recovery bounds vs. the promised R), which price
+            # recovery against the budget just computed.
             from ...verify import require_clean, verify_strategy
             require_clean(verify_strategy(self.strategy, self.topology,
                                           router=self.router,
                                           config=self.config,
-                                          lane_model=self.lane_model))
-        self.budget = compute_budget(self.strategy, self.topology,
-                                     self.lane_model, metrics=self.metrics)
+                                          lane_model=self.lane_model,
+                                          budget=budget))
+        self.budget = budget
         if (self.config.R_us is not None
                 and self.budget.total_us > self.config.R_us):
             raise ValueError(
@@ -258,8 +262,7 @@ class BTRSystem:
         """
         if self.strategy is None:
             raise NotPreparedError("call prepare() before run()")
-        period = self.workload.period
-        duration = n_periods * period
+        duration = n_periods * self.workload.period
 
         self.sim = Simulator(seed=self.config.seed)
         self.sim.delivery_hook = delivery_hook
@@ -287,15 +290,12 @@ class BTRSystem:
         }
         self.batch_runtime.begin_run(self.sim, self.trace, self.topology,
                                      self.metrics, self.agents, duration)
-        self._install_clock_sync()
+        self.sim.call_after(CLOCK_SYNC_INTERVAL_US, self._sync_clocks)
 
         script = self._resolve_script(adversary)
         for injection in script:
-            agent = self.agents[injection.node]
-            self.sim.call_at(
-                injection.time,
-                lambda a=agent, b=injection.behavior: a.compromise(b),
-            )
+            self.sim.call_at(injection.time, partial(
+                self.agents[injection.node].compromise, injection.behavior))
         scripted_loss = []
         for at, link_id, loss in (link_script or []):
             link = self.topology.links[link_id]
@@ -312,13 +312,7 @@ class BTRSystem:
 
             self.sim.call_at(at, degrade)
 
-        def tick(k: int) -> None:
-            for node_id in sorted(self.agents):
-                self.agents[node_id].on_period_start(k)
-            if k + 1 < n_periods:
-                self.sim.call_at((k + 1) * period, lambda: tick(k + 1))
-
-        self.sim.call_at(0, lambda: tick(0))
+        self.sim.call_at(0, partial(self._tick, 0, n_periods))
         try:
             self.sim.run_until(duration)
         finally:
@@ -327,6 +321,7 @@ class BTRSystem:
             # pre-run residual loss so runs stay order-independent.
             for link, pristine in scripted_loss:
                 link.loss_probability = pristine
+            self._release_run()
         self.batch_runtime.end_run()
 
         # Flows deliberately shed by the plan in force at the end of the
@@ -368,23 +363,38 @@ class BTRSystem:
             metrics=self.metrics.snapshot(),
         )
 
-    def _install_clock_sync(self) -> None:
-        """Periodic clock synchronization (the paper's synchrony
-        assumption). Correct nodes are re-centred each round; a node whose
-        behaviour pins a rogue clock ignores the round and keeps its
-        offset."""
+    def _tick(self, k: int, n_periods: int) -> None:
+        """Period ``k`` starts on every node; schedules period ``k + 1``."""
+        agents = self.agents
+        for node_id in sorted(agents):
+            agents[node_id].on_period_start(k)
+        if k + 1 < n_periods:
+            self.sim.call_at((k + 1) * self.workload.period,
+                             partial(self._tick, k + 1, n_periods))
 
-        def sync_round() -> None:
-            now = self.sim.now
-            for node_id, agent in sorted(self.agents.items()):
-                offset = agent.behavior.rogue_clock_offset_us
-                if offset is not None:
-                    agent.node.clock.synchronize_to(now, now + offset)
-                else:
-                    agent.node.clock.synchronize_to(now, now)
-            self.sim.call_after(CLOCK_SYNC_INTERVAL_US, sync_round)
+    def _sync_clocks(self) -> None:
+        """One round of periodic clock synchronization (the paper's
+        synchrony assumption); schedules the next. Correct nodes are
+        re-centred each round; a node whose behaviour pins a rogue clock
+        ignores the round and keeps its offset."""
+        now = self.sim.now
+        for node_id, agent in sorted(self.agents.items()):
+            offset = agent.behavior.rogue_clock_offset_us
+            if offset is not None:
+                agent.node.clock.synchronize_to(now, now + offset)
+            else:
+                agent.node.clock.synchronize_to(now, now)
+        self.sim.call_after(CLOCK_SYNC_INTERVAL_US, self._sync_clocks)
 
-        self.sim.call_after(CLOCK_SYNC_INTERVAL_US, sync_round)
+    def _release_run(self) -> None:
+        """Drop what is two-way only while a run runs, so a finished run
+        (and a dropped system) is freed by reference counting: the events
+        still queued past the horizon and the delivery hook (the
+        simulator's callbacks into the agents, the hop runtime and this
+        system), and every agent's pointers back up to itself."""
+        self.sim.close()
+        for agent in self.agents.values():
+            agent.release()
 
     def _resolve_script(self, adversary) -> FaultScript:
         if adversary is None:

@@ -41,7 +41,12 @@ mark and the re-flood. Around that:
 * **messages are values, batch events are recycled** — a message is
   built once per copy and never rewritten, so a receiver may keep it;
   the batch events never leave the runtime, so each fired one goes back
-  to a free list and the next fan-out reuses it;
+  to a free list and the next fan-out reuses it. A batch event holds its
+  runtime only while it is queued: the fan-out that queues it binds it,
+  and it unbinds itself when it fires, before it rejoins the free list.
+  So no free list points back at its runtime, and a batch still queued
+  past the horizon leaves with the simulator's queue when the run is
+  released (:meth:`~repro.sim.engine.Simulator.close`);
 
 * **hop rows** — in a ``full`` trace every send, delivery and link loss
   is handed to :meth:`~repro.sim.trace.Trace.record_row` as a row, never
@@ -105,8 +110,10 @@ class _HeartbeatBatch:
     __slots__ = ("runtime", "sender", "origin", "k", "arrival",
                  "entries", "lost", "firsts")
 
-    def __init__(self, runtime: "BatchRuntime") -> None:
-        self.runtime = runtime
+    def __init__(self) -> None:
+        #: The runtime that queued this batch, set only while it is
+        #: queued (see :meth:`BatchRuntime.flood_heartbeat`).
+        self.runtime: Optional["BatchRuntime"] = None
         self.sender = ""
         self.origin = ""
         self.k = 0
@@ -181,6 +188,7 @@ class _HeartbeatBatch:
         entries.clear()
         lost.clear()
         firsts.clear()
+        self.runtime = None
         runtime._hb_free.append(self)
 
 
@@ -193,8 +201,9 @@ class _MessageBatch:
     __slots__ = ("runtime", "sender", "arrival", "entries", "messages",
                  "lost")
 
-    def __init__(self, runtime: "BatchRuntime") -> None:
-        self.runtime = runtime
+    def __init__(self) -> None:
+        #: The runtime that queued this batch, set only while it is queued.
+        self.runtime: Optional["BatchRuntime"] = None
         self.sender = ""
         self.arrival = 0
         #: The sender's evidence-plan entries, one per copy.
@@ -243,6 +252,7 @@ class _MessageBatch:
         entries.clear()
         messages.clear()
         lost.clear()
+        self.runtime = None
         runtime._msg_free.append(self)
 
 
@@ -548,7 +558,8 @@ class BatchRuntime:
                 continue
             batch = groups.get(arrival)
             if batch is None:
-                batch = hb_free.pop() if hb_free else _HeartbeatBatch(self)
+                batch = hb_free.pop() if hb_free else _HeartbeatBatch()
+                batch.runtime = self
                 batch.sender = sender
                 batch.origin = origin
                 batch.k = k
@@ -651,7 +662,8 @@ class BatchRuntime:
             message = Message(sender, neighbor, kind, payload, bits)
             batch = groups.get(arrival)
             if batch is None:
-                batch = msg_free.pop() if msg_free else _MessageBatch(self)
+                batch = msg_free.pop() if msg_free else _MessageBatch()
+                batch.runtime = self
                 batch.sender = sender
                 batch.arrival = arrival
                 groups[arrival] = batch

@@ -122,6 +122,16 @@ class Simulator:
             self.events_executed += executed
             self._running = False
 
+    def close(self) -> None:
+        """End the simulation: drop the events still queued (those past
+        the last ``run_until`` horizon) and the delivery hook. Both hold
+        callbacks into the run that built this simulator, and that run
+        holds the simulator, so once dropped a finished run is freed by
+        reference counting. The clock, the counters and the RNG stay
+        readable."""
+        self._queue.clear()
+        self.delivery_hook = None
+
     def pending_events(self) -> int:
         """Number of pending events. O(1)."""
         return len(self._queue)

@@ -341,6 +341,30 @@ def test_prepare_strict_accepts_the_seed_scenario():
     assert budget.total_us > 0
 
 
+def test_prepare_strict_computes_the_budget_once(monkeypatch):
+    """The bound rules price recovery against the budget ``prepare()``
+    computes; they do not compute a second one of their own."""
+    import importlib
+    calls = []
+    for name in ("repro.core.runtime.budget", "repro.core.runtime.system"):
+        module = importlib.import_module(name)
+        real = module.compute_budget
+
+        def counting(*args, _real=real, **kwargs):
+            calls.append(args)
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(module, "compute_budget", counting)
+    sys_ = BTRSystem(
+        industrial_workload(),
+        full_mesh_topology(5, bandwidth=1e8),
+        BTRConfig(f=1, seed=42),
+    )
+    budget = sys_.prepare(strict=True)
+    assert len(calls) == 1
+    assert sys_.budget is budget
+
+
 # ---------------------------------------------------------------- the CLI
 
 

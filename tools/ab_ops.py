@@ -14,12 +14,16 @@ Usage:  python tools/ab_ops.py A_ROOT B_ROOT WORKLOAD [PAIRS] [WARMUP]
 ``A_ROOT`` / ``B_ROOT`` are checkouts of this repository (``git clone``
 the parent commit into a scratch directory for A); the ratio printed is
 A's time over B's, so > 1 means B is faster. ``A_ROOT == B_ROOT`` is the
-A/A control.
+A/A control. When its stdin closes, each child reports its peak RSS
+(``ru_maxrss``, MiB, as ``benchmarks/e2e`` measures ``peak_rss_mb``), and
+the summary line prints both sides', so a memory claim gets the same
+alternating check as a time claim.
 """
 
 import json
 import os
 import random
+import resource
 import shutil
 import statistics
 import subprocess
@@ -51,6 +55,8 @@ def child(root: str, name: str, out_dir: str) -> None:
         print(json.dumps({
             "s": elapsed, "sha": workloads.sha(observed),
             "problems": workload.check(inp, observed, detail)}), flush=True)
+    print(json.dumps({"peak_rss_mb": resource.getrusage(
+        resource.RUSAGE_SELF).ru_maxrss / 1024}), flush=True)
 
 
 def main(a_root: str, b_root: str, name: str, pairs: int = 16,
@@ -89,8 +95,10 @@ def main(a_root: str, b_root: str, name: str, pairs: int = 16,
         ratios.append(a["s"] / b["s"])
         print(f"pair {i - warmup:2d} {inp[0]:>20s}  A {a['s'] * 1e3:8.1f} ms"
               f"  B {b['s'] * 1e3:8.1f} ms  A/B {ratios[-1]:.3f}", flush=True)
+    peaks = []
     for proc in sides:
         proc.stdin.close()
+        peaks.append(json.loads(proc.stdout.readline())["peak_rss_mb"])
         proc.wait()
     shutil.rmtree(scratch, ignore_errors=True)
     q1, _, q3 = statistics.quantiles(ratios, n=4)
@@ -98,7 +106,8 @@ def main(a_root: str, b_root: str, name: str, pairs: int = 16,
           f"{statistics.median(ratios):.3f} (quartiles {q1:.3f} {q3:.3f}), "
           f"summed-time A/B {a_s / b_s:.3f}, B faster in "
           f"{sum(r > 1 for r in ratios)}/{len(ratios)}, "
-          f"{mismatches} output mismatches")
+          f"{mismatches} output mismatches, peak RSS A {peaks[0]:.1f} MiB "
+          f"B {peaks[1]:.1f} MiB")
     return 1 if mismatches else 0
 
 

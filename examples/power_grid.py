@@ -8,8 +8,9 @@ deadline while lower-criticality SCADA functions share the same platform.
 
 This example deploys the substation workload, ships the planner's strategy
 as the JSON artifact each controller would install, rides through a
-compromised controller going silent, and prints the incident timeline an
-operator would read afterwards.
+compromised controller going silent, and prints where inside R the
+recovery went: the phase report an operator would read afterwards (the
+same text ``repro trace`` prints for the run's exported report).
 
 Run:  python examples/power_grid.py
 """
@@ -19,12 +20,12 @@ from repro.analysis import (
     btr_verdict,
     criticality_survival,
     format_table,
-    render_timeline,
     smallest_sufficient_R,
 )
 from repro.core.planner import strategy_to_json
 from repro.faults import FaultScript, Injection, OmissionFault
 from repro.net import dual_star_topology
+from repro.obs import render_timeline
 from repro.sim import to_seconds
 from repro.workload import power_grid_workload
 

@@ -1,4 +1,8 @@
-"""Analysis layer: correctness (Def. 3.1), plants, metrics, reporting."""
+"""Analysis layer: correctness (Def. 3.1), plants, metrics, reporting.
+
+``render_timeline`` is the observability layer's phase report of a
+finished run (:func:`repro.obs.export.render_timeline`), re-exported here
+for callers that import it from this layer."""
 
 from .correctness import (
     BTRVerdict,
@@ -30,7 +34,7 @@ from .plants import (
     commands_from_slots,
 )
 from .reporting import format_table, ratio
-from .timeline import TimelineEntry, build_timeline, render_timeline
+from ..obs.export import render_timeline
 
 __all__ = [
     "BTRVerdict",
@@ -56,8 +60,6 @@ __all__ = [
     "Plant",
     "WaterTank",
     "commands_from_slots",
-    "TimelineEntry",
-    "build_timeline",
     "render_timeline",
     "format_table",
     "ratio",

@@ -29,7 +29,8 @@ def register(sub) -> None:
     p.add_argument("--fault-at", type=number(float, zero_ok=True),
                    default=0.22, help="fault injection time in seconds")
     p.add_argument("--timeline", action="store_true",
-                   help="print the incident timeline")
+                   help="print the recovery phase report (the text "
+                        "`repro trace` prints for this run's --obs file)")
     p.add_argument("--scenario", default=None,
                    help="stage a named scenario (see repro.faults."
                         "scenarios) instead of --fault")
@@ -69,7 +70,7 @@ def handle(args) -> int:
     print(f"timeliness: {report.on_time}/{report.total_slots} on time "
           f"({report.miss_rate:.1%} missed)")
     if args.timeline:
-        from ..analysis import render_timeline
+        from ..obs import render_timeline
         print("\nincident timeline:")
         print(render_timeline(result))
     if args.obs:

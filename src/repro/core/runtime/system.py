@@ -93,8 +93,8 @@ class RunResult:
     #: degradation), mapped to the time from which they are excused. The
     #: analysis layer uses this for Definition 3.1's shedding extension.
     excused_flows: Dict[str, int] = field(default_factory=dict)
-    #: Snapshot of the system's metrics registry (counters/gauges/
-    #: histograms) at the end of the run; empty for baseline systems.
+    #: Snapshot of the system's metrics registry (counters and gauges)
+    #: at the end of the run; empty for baseline systems.
     metrics: Dict[str, Dict] = field(default_factory=dict)
 
     def outputs(self) -> List[OutputProduced]:
@@ -136,7 +136,7 @@ class BTRSystem:
             self.directory.register(node_id)
         self.strategy: Optional[Strategy] = None
         self.budget: Optional[RecoveryBudget] = None
-        #: Numeric observability channel (counters/gauges/histograms),
+        #: Numeric observability channel (counters and gauges),
         #: shared by prepare()-time and run()-time instrumentation and
         #: snapshotted into each RunResult.
         self.metrics = MetricsRegistry()

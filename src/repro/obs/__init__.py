@@ -3,7 +3,7 @@
 Two channels, one layer:
 
 * :mod:`repro.obs.metrics` — a deterministic low-overhead registry of
-  counters/gauges/histograms (sim-time), owned by each
+  counters and gauges (sim-time), owned by each
   :class:`~repro.core.runtime.system.BTRSystem` and snapshotted into
   ``RunResult.metrics``. Its headline metric is
   ``messages_dropped{reason}``: nothing in the runtime may swallow a
@@ -13,10 +13,11 @@ Two channels, one layer:
   switch boundary → first correct output) reconstructed purely from the
   :class:`~repro.sim.trace.Trace`, with phase spans that sum exactly to
   the empirical end-to-end recovery time, exported per run to JSON and
-  rendered by the ``repro trace`` CLI.
+  rendered by ``repro trace`` from a saved report and by ``repro run
+  --timeline`` from the run just finished — one view of a recovery.
 """
 
-from .metrics import DEFAULT_BUCKETS_US, Histogram, MetricsRegistry, render_key
+from .metrics import MetricsRegistry, render_key
 from .recovery import (
     MILESTONES,
     PHASE_BUDGET_COMPONENT,
@@ -30,13 +31,12 @@ from .export import (
     export_run,
     load_report,
     render_phase_report,
+    render_timeline,
     run_report,
 )
 
 __all__ = [
-    "DEFAULT_BUCKETS_US",
     "FaultTimeline",
-    "Histogram",
     "MetricsRegistry",
     "MILESTONES",
     "PHASES",
@@ -48,5 +48,6 @@ __all__ = [
     "reconstruct_timelines",
     "render_key",
     "render_phase_report",
+    "render_timeline",
     "run_report",
 ]

@@ -3,8 +3,11 @@
 ``run_report`` condenses a finished run into a diffable, deterministic
 dictionary — fault timelines with their phase spans, the promised budget
 decomposition, the metrics-registry snapshot, and an event census — and
-``export_run``/``load_report`` round-trip it through JSON on disk. The
-``repro trace`` CLI renders a saved report with ``render_phase_report``.
+``export_run``/``load_report`` round-trip it through JSON on disk.
+``render_phase_report`` is the one rendering of a recovery: ``repro
+trace`` applies it to a saved report, and ``repro run --timeline``
+(through ``render_timeline``) to the run just finished, so both print the
+same text for the same run.
 
 The report is the contract between the experiment harness and the
 documentation: EXPERIMENTS E1's recovery numbers are read back out of
@@ -15,7 +18,7 @@ from __future__ import annotations
 
 import json
 import os
-from typing import Dict, List, Optional
+from typing import Dict, Iterable, List, Optional, Tuple
 
 from .recovery import (
     PHASES,
@@ -78,9 +81,30 @@ def export_run(result, path: str,
 #: Keys every report carries; absence means a truncated or foreign file.
 _REQUIRED_REPORT_KEYS = ("version", "period_us", "n_periods",
                          "duration_us", "budget", "faults", "metrics")
-#: Keys every fault entry needs before the renderer may touch it.
-_REQUIRED_FAULT_KEYS = ("node", "fault_kind", "manifest_us", "phases",
-                        "total_us")
+#: Keys every fault entry needs before the renderer may touch it, and the
+#: type each must have.
+_FAULT_KEY_TYPES = (("node", str), ("fault_kind", str),
+                    ("manifest_us", int), ("phases", dict),
+                    ("total_us", int))
+#: The integer components a non-null budget carries.
+_BUDGET_KEYS = ("detection_us", "distribution_us", "switch_us",
+                "settling_us", "total_us")
+_TYPE_NAMES = {int: "an integer", str: "a string", dict: "an object",
+               list: "a list"}
+
+
+def _check_types(path: str, where: str, obj: Dict[str, object],
+                 key_types: Iterable[Tuple[str, type]]) -> None:
+    """Raise ``ValueError`` naming the first key of ``obj`` that is
+    absent or not of its type (a JSON ``true`` is no integer)."""
+    for key, kind in key_types:
+        if key not in obj:
+            raise ValueError(f"{path}: {where} is missing key {key!r}")
+        value = obj[key]
+        if not isinstance(value, kind) or isinstance(value, bool):
+            raise ValueError(
+                f"{path}: {where}[{key!r}] must be {_TYPE_NAMES[kind]}, "
+                f"got {type(value).__name__}")
 
 
 def load_report(path: str) -> Dict[str, object]:
@@ -88,8 +112,9 @@ def load_report(path: str) -> Dict[str, object]:
 
     Raises ``ValueError`` (with the offending path and key) on anything
     that is not a complete report — truncated writes, wrong JSON
-    documents, missing phase tables — so callers like ``repro trace``
-    can print a diagnosis instead of tracebacking mid-render.
+    documents, missing phase tables, values of the wrong type — so
+    callers like ``repro trace`` can print a diagnosis instead of
+    tracebacking mid-render.
     """
     with open(path, "r", encoding="utf-8") as fh:
         try:
@@ -112,24 +137,24 @@ def load_report(path: str) -> Dict[str, object]:
         raise ValueError(
             f"{path}: report version {report['version']!r} is not "
             f"supported (this build reads version {REPORT_VERSION})")
+    budget = report["budget"]
+    if budget is not None:
+        _check_types(path, "report", report, [("budget", dict)])
+        _check_types(path, "budget", budget,
+                     [(key, int) for key in _BUDGET_KEYS])
+    _check_types(path, "report", report,
+                 [("metrics", dict), ("faults", list)])
+    if "counters" in report["metrics"]:
+        _check_types(path, "metrics", report["metrics"],
+                     [("counters", dict)])
     faults = report["faults"]
-    if not isinstance(faults, list):
-        raise ValueError(f"{path}: 'faults' must be a list, got "
-                         f"{type(faults).__name__}")
     for i, fault in enumerate(faults):
         if not isinstance(fault, dict):
             raise ValueError(f"{path}: faults[{i}] must be an object, "
                              f"got {type(fault).__name__}")
-        absent = [k for k in _REQUIRED_FAULT_KEYS if k not in fault]
-        if absent:
-            raise ValueError(f"{path}: faults[{i}] is missing keys: "
-                             f"{', '.join(absent)}")
-        phases = fault["phases"]
-        if not isinstance(phases, dict) or \
-                not set(PHASES) <= set(phases):
-            raise ValueError(
-                f"{path}: faults[{i}] has an incomplete phase table "
-                f"(need {', '.join(PHASES)})")
+        _check_types(path, f"faults[{i}]", fault, _FAULT_KEY_TYPES)
+        _check_types(path, f"faults[{i}]['phases']", fault["phases"],
+                     [(phase, int) for phase in PHASES])
     return report
 
 
@@ -143,7 +168,10 @@ def render_phase_report(report: Dict[str, object]) -> str:
     faults = report.get("faults", [])
     budget = report.get("budget")
 
-    header = (f"{'fault':<12} {'node':<8} {'manifest':>10} "
+    # Never under 12 columns, so the common kinds keep one layout, and as
+    # wide as the longest kind (``evidence_flood`` has 14).
+    kind_width = max([12] + [len(fault["fault_kind"]) for fault in faults])
+    header = (f"{'fault':<{kind_width}} {'node':<8} {'manifest':>10} "
               + " ".join(f"{p:>9}" for p in PHASES)
               + f" {'total':>9}")
     lines.append("Recovery phase breakdown (ms)")
@@ -152,7 +180,7 @@ def render_phase_report(report: Dict[str, object]) -> str:
     for fault in faults:
         phases = fault["phases"]
         lines.append(
-            f"{fault['fault_kind']:<12} {fault['node']:<8} "
+            f"{fault['fault_kind']:<{kind_width}} {fault['node']:<8} "
             f"{_fmt_ms(fault['manifest_us']):>10} "
             + " ".join(f"{_fmt_ms(phases[p]):>9}" for p in PHASES)
             + f" {_fmt_ms(fault['total_us']):>9}"
@@ -191,3 +219,10 @@ def render_phase_report(report: Dict[str, object]) -> str:
         for key in sorted(dropped):
             lines.append(f"  {key}: {dropped[key]}")
     return "\n".join(lines)
+
+
+def render_timeline(result) -> str:
+    """The phase report of a finished run: what ``repro run --timeline``
+    prints, byte for byte what ``repro trace`` prints for the report
+    ``export_run`` writes of the same run."""
+    return render_phase_report(run_report(result))

@@ -2,9 +2,8 @@
 
 The registry is the runtime's *numeric* observability channel, next to the
 :class:`~repro.sim.trace.Trace` (the event channel): counters for things
-that happen (``messages_dropped{reason=...}``), gauges for things that are
-(``sim_events_executed``), histograms for distributions measured in
-sim-time µs (``evidence_validation_us``).
+that happen (``messages_dropped{reason=...}``) and gauges for things that
+are (``sim_events_executed``).
 
 Design constraints, in order:
 
@@ -14,7 +13,6 @@ Design constraints, in order:
   are passed in by the instrumented code.
 * **Low overhead.** One dict lookup per increment on the hot path; label
   normalisation is a ``tuple(sorted(...))`` over at most a few pairs.
-  Histograms use fixed bucket bounds so observation is O(#buckets).
 * **Silent-failure hostile.** The registry exists so that swallowed
   exceptions and dropped messages become visible; incrementing must never
   itself raise on the hot path (labels are coerced to strings).
@@ -22,13 +20,7 @@ Design constraints, in order:
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Tuple
-
-#: Default histogram bucket upper bounds, in sim-time µs. The last bucket
-#: is implicit (+inf). Spans one event-loop tick to multi-second recoveries.
-DEFAULT_BUCKETS_US: Tuple[int, ...] = (
-    10, 100, 1_000, 10_000, 100_000, 1_000_000, 10_000_000,
-)
+from typing import Dict, Iterable, Tuple
 
 _Key = Tuple[str, Tuple[Tuple[str, str], ...]]
 
@@ -46,47 +38,8 @@ def render_key(name: str, labels: Iterable[Tuple[str, str]]) -> str:
     return f"{name}{{{inner}}}"
 
 
-class Histogram:
-    """Fixed-bound bucket histogram over integer sim-time values."""
-
-    __slots__ = ("bounds", "bucket_counts", "count", "total", "min", "max")
-
-    def __init__(self, bounds: Tuple[int, ...] = DEFAULT_BUCKETS_US) -> None:
-        self.bounds = bounds
-        self.bucket_counts: List[int] = [0] * (len(bounds) + 1)
-        self.count = 0
-        self.total = 0
-        self.min: Optional[int] = None
-        self.max: Optional[int] = None
-
-    def observe(self, value: int) -> None:
-        self.count += 1
-        self.total += value
-        if self.min is None or value < self.min:
-            self.min = value
-        if self.max is None or value > self.max:
-            self.max = value
-        for i, bound in enumerate(self.bounds):
-            if value <= bound:
-                self.bucket_counts[i] += 1
-                return
-        self.bucket_counts[-1] += 1
-
-    def to_dict(self) -> Dict[str, object]:
-        buckets = {f"le_{bound}": count
-                   for bound, count in zip(self.bounds, self.bucket_counts)}
-        buckets["le_inf"] = self.bucket_counts[-1]
-        return {
-            "count": self.count,
-            "sum": self.total,
-            "min": self.min,
-            "max": self.max,
-            "buckets": buckets,
-        }
-
-
 class MetricsRegistry:
-    """Counters, gauges, and histograms for one system's lifetime.
+    """Counters and gauges for one system's lifetime.
 
     A :class:`~repro.core.runtime.system.BTRSystem` owns one registry;
     ``prepare()``-time instrumentation (planner fallbacks, cache
@@ -98,7 +51,6 @@ class MetricsRegistry:
     def __init__(self) -> None:
         self._counters: Dict[_Key, int] = {}
         self._gauges: Dict[_Key, object] = {}
-        self._histograms: Dict[_Key, Histogram] = {}
 
     # ------------------------------------------------------------ counters
 
@@ -118,15 +70,6 @@ class MetricsRegistry:
     def gauge_value(self, name: str, **labels: object) -> object:
         return self._gauges.get((name, _labels_key(labels)))
 
-    # ---------------------------------------------------------- histograms
-
-    def observe(self, name: str, value: int, **labels: object) -> None:
-        key = (name, _labels_key(labels))
-        hist = self._histograms.get(key)
-        if hist is None:
-            hist = self._histograms[key] = Histogram()
-        hist.observe(value)
-
     # ------------------------------------------------------------ snapshot
 
     def snapshot(self) -> Dict[str, Dict[str, object]]:
@@ -140,12 +83,7 @@ class MetricsRegistry:
                 render_key(name, labels): value
                 for (name, labels), value in sorted(self._gauges.items())
             },
-            "histograms": {
-                render_key(name, labels): hist.to_dict()
-                for (name, labels), hist in sorted(self._histograms.items())
-            },
         }
 
     def __len__(self) -> int:
-        return (len(self._counters) + len(self._gauges)
-                + len(self._histograms))
+        return len(self._counters) + len(self._gauges)

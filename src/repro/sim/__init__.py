@@ -17,7 +17,7 @@ from .link import Lane, Link, ReservationError
 from .message import Message, MessageKind
 from .node import CpuLane, Node
 from .random import DeterministicRandom
-from .time import MS, NEVER, S, format_time, ms, seconds, to_seconds, us
+from .time import MS, NEVER, S, ms, seconds, to_seconds, us
 from .trace import (
     HOP_KINDS,
     MILESTONE_KINDS,
@@ -56,7 +56,6 @@ __all__ = [
     "MS",
     "NEVER",
     "S",
-    "format_time",
     "ms",
     "seconds",
     "to_seconds",

@@ -41,20 +41,3 @@ def seconds(value: float) -> int:
 def to_seconds(t: int) -> float:
     """Convert integer microseconds back to (float) seconds for reporting."""
     return t / S
-
-
-def format_time(t: int) -> str:
-    """Render a time value for logs, picking a readable unit.
-
-    >>> format_time(1500)
-    '1.500ms'
-    >>> format_time(2_500_000)
-    '2.500s'
-    """
-    if t == NEVER:
-        return "never"
-    if abs(t) >= S:
-        return f"{t / S:.3f}s"
-    if abs(t) >= MS:
-        return f"{t / MS:.3f}ms"
-    return f"{t}us"

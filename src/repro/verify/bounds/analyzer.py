@@ -39,7 +39,7 @@ speeds, drift ppm) are scaled up front through :func:`_milli`.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, FrozenSet, List, Optional, Tuple
+from typing import Callable, Dict, FrozenSet, List, Optional, Set, Tuple
 
 from ...core.detector.omission import (
     DEFAULT_MIN_DECLARERS,
@@ -262,64 +262,54 @@ def _silence_masking(plan: Plan,
     deliberately don't count as masking (they inform detection, not
     actuation).
 
-    Where each stage's replicas sit, and which hosts carry some exotic
-    singleton role, depends on the plan alone and is worked out here,
-    once, not per victim."""
+    Where each stage's replicas sit, which nodes their routes cross, and
+    which hosts carry some exotic singleton role depend on the plan alone
+    and are worked out here, once, not per victim. A victim is then judged
+    stage by stage in dependency order (a dataflow graph is a DAG), so
+    every upstream verdict is known before its consumers are judged."""
     workload = plan.workload
     assignment = plan.assignment
-    replicas: Dict[str, List[Tuple[int, str]]] = {}
+
+    def route_nodes(copy_name: str) -> Set[str]:
+        return set(plan.routes.get(copy_name) or ())
+
+    # task -> [(replica host, every node on its input and output routes)]
+    replicas: Dict[str, List[Tuple[str, Set[str]]]] = {}
     exotic_hosts = set()
     for inst, host in assignment.items():
         index = naming.replica_index(inst)
         if index is not None:
-            replicas.setdefault(naming.base_task(inst), []).append(
-                (index, host))
+            task = naming.base_task(inst)
+            crossed = route_nodes(naming.replica_output_flow(task, index))
+            for inp in workload.inputs_of(task):
+                crossed |= route_nodes(
+                    naming.flow_copy_name(inp.name, f"r{index}"))
+            replicas.setdefault(task, []).append((host, crossed))
         elif not naming.is_checker(inst):
             exotic_hosts.add(host)  # assume its silence is disruptive
+    stages = [(task, assignment.get(naming.checker_name(task)),
+               [inp.src for inp in workload.inputs_of(task)
+                if inp.src in workload.tasks],
+               replicas.get(task, ()))
+              for task in workload.topological_order()]
+    sinks = [(topology.endpoint_map.get(flow.dst), flow.src,
+              route_nodes(naming.flow_copy_name(flow.name, "out")))
+             for flow in workload.sink_flows()]
 
     def maskable(victim: str) -> bool:
         if victim in exotic_hosts:
             return False
-
-        def route_ok(copy_name: str) -> bool:
-            route = plan.routes.get(copy_name)
-            return route is None or victim not in route
-
-        memo: Dict[str, bool] = {}
-
-        def stage_ok(task: str) -> bool:
-            if task in memo:
-                return memo[task]
-            memo[task] = False  # cycle guard, conservative
-            if assignment.get(naming.checker_name(task)) == victim:
-                return False
-            working = False
-            for index, host in replicas.get(task, ()):
-                if host == victim:
-                    continue
-                fed = True
-                for inp in workload.inputs_of(task):
-                    if not route_ok(
-                            naming.flow_copy_name(inp.name, f"r{index}")):
-                        fed = False
-                        break
-                    if inp.src in workload.tasks and not stage_ok(inp.src):
-                        fed = False
-                        break
-                if fed and route_ok(naming.replica_output_flow(task, index)):
-                    working = True
-                    break
-            memo[task] = working
-            return working
-
-        for flow in workload.sink_flows():
-            if topology.endpoint_map.get(flow.dst) == victim:
-                continue  # the only consumer died with the victim
-            if flow.src in workload.tasks and not stage_ok(flow.src):
-                return False
-            if not route_ok(naming.flow_copy_name(flow.name, "out")):
-                return False
-        return True
+        working: Dict[str, bool] = {}
+        for task, checker_host, upstream, stage_replicas in stages:
+            working[task] = (
+                checker_host != victim
+                and all(working[src] for src in upstream)
+                and any(host != victim and victim not in crossed
+                        for host, crossed in stage_replicas))
+        # A sink whose only consumer died with the victim needs nothing.
+        return all(consumer == victim
+                   or (working.get(src, True) and victim not in crossed)
+                   for consumer, src, crossed in sinks)
 
     return maskable
 

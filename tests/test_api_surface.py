@@ -7,6 +7,10 @@ only in the benchmark's traced run. This resolves every target exactly
 as ``layers.install`` does, without installing anything, and resolves
 the ``[project.scripts]`` entry ``pip install`` turns into the ``repro``
 command.
+
+``RETIRED`` names the targets the frozen harness still lists although
+the program deleted them on purpose; the benchmark reports exactly these
+as missing until its own target table drops them.
 """
 
 import importlib
@@ -16,6 +20,17 @@ import sys
 
 E2E = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(
     __file__))), "benchmarks", "e2e")
+
+
+#: Wrap target -> why the program no longer defines it.
+RETIRED = {
+    "repro.analysis.timeline:build_timeline":
+        "the second recovery narrative is gone; `repro run --timeline` "
+        "prints the obs phase report",
+    "repro.analysis.timeline:render_timeline":
+        "now `repro.obs.export:render_timeline`, re-exported as "
+        "`repro.analysis.render_timeline`, which the harness calls",
+}
 
 
 def _layers():
@@ -30,7 +45,11 @@ def test_every_wrap_target_resolves():
     missing = []
     for _span, target, _fine, _observe in layers.TARGETS:
         module_name, _, path = target.partition(":")
-        module = importlib.import_module(module_name)
+        try:
+            module = importlib.import_module(module_name)
+        except ImportError:
+            missing.append(target)
+            continue
         owner_name, _, attr = path.rpartition(".")
         if owner_name:
             # A class attribute must be defined on the class itself: an
@@ -41,7 +60,7 @@ def test_every_wrap_target_resolves():
             found = getattr(module, attr, None)
         if found is None:
             missing.append(target)
-    assert missing == []
+    assert sorted(missing) == sorted(RETIRED)
 
 
 def test_console_script_entry_resolves():

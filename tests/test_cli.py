@@ -230,15 +230,58 @@ def test_cli_trace_truncated_json(tmp_path, capsys):
     assert "truncated" in err
 
 
+#: Parts of a report that passes every check ``load_report`` makes.
+VALID_BUDGET = {"detection_us": 1, "distribution_us": 1, "switch_us": 1,
+                "settling_us": 1, "total_us": 4}
+VALID_FAULT = {"node": "n1", "fault_kind": "crash", "manifest_us": 0,
+               "phases": {p: 0 for p in ("detect", "convict", "quorum",
+                                         "switch", "settle", "residual")},
+               "total_us": 0}
+
+
 def test_cli_trace_structurally_invalid(tmp_path, capsys):
+    base = {"version": 1, "period_us": 1, "n_periods": 1,
+            "duration_us": 1, "budget": VALID_BUDGET,
+            "faults": [VALID_FAULT], "metrics": {}}
+    no_detection = {k: v for k, v in VALID_BUDGET.items()
+                    if k != "detection_us"}
+    # (what replaces part of the valid report, text the one line names)
+    cases = [
+        ({"faults": [{"node": "n1"}]}, "faults[0]"),
+        ({"budget": no_detection}, "detection_us"),
+        ({"budget": [1, 2]}, "'budget'"),
+        ({"faults": [dict(VALID_FAULT, manifest_us="x")]}, "manifest_us"),
+        ({"metrics": [1]}, "'metrics'"),
+    ]
     path = tmp_path / "bad.json"
-    path.write_text('{"version": 1, "faults": [{"node": "n1"}], '
-                    '"period_us": 1, "n_periods": 1, "duration_us": 1, '
-                    '"budget": null, "metrics": {}}')
-    code = main(["trace", str(path)])
-    err = capsys.readouterr().err
-    assert code == 2
-    assert "faults[0]" in err
+    path.write_text(json.dumps(base))
+    assert main(["trace", str(path)]) == 0
+    capsys.readouterr()
+    for change, named in cases:
+        path.write_text(json.dumps(dict(base, **change)))
+        code = main(["trace", str(path)])
+        err = capsys.readouterr().err
+        assert code == 2, change
+        assert err.startswith("repro trace: cannot read report: "), err
+        assert err.count("\n") == 1 and named in err, err
+
+
+def test_cli_run_timeline_prints_what_trace_prints(tmp_path, capsys):
+    """One view of a recovery: the block ``run --timeline`` prints is,
+    byte for byte, what ``trace`` prints for the same run's report."""
+    obs = tmp_path / "run.json"
+    code, out = run_cli(capsys, "run", "--workload", "pipeline",
+                        "--topology", "fullmesh:4", "--periods", "12",
+                        "--fault", "crash", "--fault-at", "0.05",
+                        "--timeline", "--obs", str(obs))
+    assert code == 0
+    block = out.split("\nincident timeline:\n", 1)[1]
+    block = block.split("observability report written", 1)[0]
+    code, rendered = run_cli(capsys, "trace", str(obs))
+    assert code == 0
+    assert "Recovery phase breakdown" in rendered
+    assert block == rendered
+    assert all(len(line) < 120 for line in block.splitlines())
 
 
 def test_cli_trace_renders_valid_report(tmp_path, capsys):

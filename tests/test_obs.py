@@ -11,7 +11,6 @@ from repro.net import full_mesh_topology
 from repro.obs import (
     MILESTONES,
     PHASES,
-    Histogram,
     MetricsRegistry,
     budget_attribution,
     export_run,
@@ -40,6 +39,11 @@ def btr_run(kind="commission", workload=None, n_periods=30, seed=42,
 @pytest.fixture(scope="module")
 def commission_run():
     return btr_run("commission")
+
+
+@pytest.fixture(scope="module")
+def crash_run():
+    return btr_run("crash", n_periods=24, seed=41)
 
 
 # ------------------------------------------------------------------ metrics
@@ -72,23 +76,12 @@ class TestMetricsRegistry:
         assert m.gauge_value("sim_events_executed") == 456
         assert m.gauge_value("missing") is None
 
-    def test_histogram_buckets(self):
-        h = Histogram(bounds=(10, 100))
-        for v in (1, 10, 11, 1_000):
-            h.observe(v)
-        d = h.to_dict()
-        assert d["count"] == 4
-        assert d["sum"] == 1_022
-        assert d["min"] == 1 and d["max"] == 1_000
-        assert d["buckets"] == {"le_10": 2, "le_100": 1, "le_inf": 1}
-
     def test_snapshot_is_deterministic_and_json_ready(self):
         def build(order):
             m = MetricsRegistry()
             for reason in order:
                 m.inc("messages_dropped", reason=reason)
             m.set_gauge("g", 1)
-            m.observe("h_us", 50)
             return m.snapshot()
 
         a = build(["b", "a", "c"])
@@ -100,8 +93,7 @@ class TestMetricsRegistry:
     def test_empty_registry(self):
         m = MetricsRegistry()
         assert len(m) == 0
-        assert m.snapshot() == {"counters": {}, "gauges": {},
-                                "histograms": {}}
+        assert m.snapshot() == {"counters": {}, "gauges": {}}
 
 
 # ----------------------------------------------------------------- timeline
@@ -121,17 +113,21 @@ class TestReconstruction:
         assert set(t.phases) == set(PHASES)
         assert all(span >= 0 for span in t.phases.values())
 
-    def test_milestones_are_ordered_when_observed(self, commission_run):
-        _, result = commission_run
-        t = reconstruct_timelines(result)[0]
-        observed = [t.milestones[m] for m in MILESTONES
-                    if t.milestones[m] is not None]
-        assert observed, "expected at least one observed milestone"
-        assert all(v >= t.manifest_us for v in observed)
-        # The conviction cannot precede the first charge, nor the quorum
-        # the conviction.
-        assert t.milestones["first_charge"] <= t.milestones["conviction"]
-        assert t.milestones["conviction"] <= t.milestones["quorum"]
+    def test_milestones_are_ordered_when_observed(self, commission_run,
+                                                  crash_run):
+        for _, result in (commission_run, crash_run):
+            t = reconstruct_timelines(result)[0]
+            observed = [t.milestones[m] for m in MILESTONES
+                        if t.milestones[m] is not None]
+            assert observed, "expected at least one observed milestone"
+            assert all(v >= t.manifest_us for v in observed)
+            # The conviction cannot precede the first charge, nor the
+            # quorum the conviction; the fleet switches only after the
+            # first charge (fault -> detect -> switch).
+            assert t.milestones["first_charge"] <= t.milestones["conviction"]
+            assert t.milestones["conviction"] <= t.milestones["quorum"]
+            assert t.milestones["first_charge"] <= \
+                t.milestones["switch_boundary"]
 
     def test_fault_free_run_has_no_timelines(self):
         _, result = btr_run(kind=None, n_periods=5,
@@ -231,6 +227,19 @@ class TestExport:
         for phase in PHASES:
             assert phase in text
         assert "Budget attribution" in text
+
+        # A kind longer than the fault column's 12 characters
+        # (flood_plus_fault's evidence_flood) widens the column: every
+        # row stays aligned under the header.
+        report = run_report(result)
+        report["faults"].append(dict(report["faults"][0],
+                                     fault_kind="evidence_flood"))
+        lines = render_phase_report(report).splitlines()
+        header, rows = lines[1], lines[3:3 + len(report["faults"])]
+        for fault, row in zip(report["faults"], rows):
+            assert row.startswith(fault["fault_kind"])
+            assert row[header.index("node"):].startswith(fault["node"])
+            assert len(row) == len(header)
 
     def test_render_handles_faultless_report(self):
         _, result = btr_run(kind=None, n_periods=5,

@@ -7,7 +7,7 @@ does not count. A reference is a name, an attribute, or a
 ``"module:attr"`` string (how ``benchmarks/e2e/layers.py`` names its
 wrap targets); a method is reached only through an attribute or such a
 string, never through a bare name that happens to match (a local
-variable ``observe`` does not call ``MetricsRegistry.observe``).
+variable ``inc`` does not call ``MetricsRegistry.inc``).
 Matching is otherwise by name alone, so the census errs toward
 "reached": a name it reports really is reached by nothing but tests.
 
@@ -43,9 +43,6 @@ KEEP: Dict[str, str] = {
         "corrupting the clone",
     "Trace.last":
         "read-only accessor: tests read a run's last event of a kind",
-    "MetricsRegistry.observe":
-        "the histogram channel's only writer: every run's metrics "
-        "snapshot carries a histograms section, and tests fill it",
 }
 
 

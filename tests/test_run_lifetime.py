@@ -24,6 +24,7 @@ from repro.mc.campaign import prepare_campaign
 from repro.net import full_mesh_topology
 from repro.perf.batchcore import sibling_system
 from repro.sim.time import NEVER
+from repro.verify.bounds import compute_bounds
 from repro.workload import industrial_workload
 
 PIPELINE = Deployment("pipeline", "fullmesh:4", seed=0)
@@ -110,5 +111,20 @@ def test_fuzz_evaluation_frees_itself():
     def scenario():
         system, params, payload = search_campaign()
         _evaluate(system, payload, params=params)
+
+    assert unreachable_after(scenario) == 0
+
+
+def test_compute_bounds_frees_itself():
+    """The analyzer judges each victim's silence per plan; no predicate
+    it builds for that may reach itself."""
+    system = BTRSystem(industrial_workload(), full_mesh_topology(6),
+                       BTRConfig(f=1, seed=3))
+    system.prepare()
+
+    def scenario():
+        compute_bounds(system.strategy, system.topology,
+                       system.lane_model, system.config,
+                       budget=system.budget)
 
     assert unreachable_after(scenario) == 0

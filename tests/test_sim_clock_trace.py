@@ -9,7 +9,6 @@ from repro.sim import (
     OutputProduced,
     S,
     Trace,
-    format_time,
     ms,
     seconds,
     to_seconds,
@@ -64,12 +63,6 @@ def test_time_conversions():
     assert ms(1.5) == 1500
     assert us(2.4) == 2
     assert to_seconds(2_500_000) == pytest.approx(2.5)
-
-
-def test_format_time_units():
-    assert format_time(500) == "500us"
-    assert format_time(1500) == "1.500ms"
-    assert format_time(2_500_000) == "2.500s"
 
 
 # -------------------------------------------------------------------- trace

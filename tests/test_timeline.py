@@ -1,11 +1,11 @@
-"""Tests for the incident-timeline narrative."""
+"""Tests for the recovery timeline ``repro run --timeline`` prints."""
 
 import pytest
 
 from repro import BTRConfig, BTRSystem
-from repro.analysis import build_timeline, render_timeline
 from repro.faults import SingleFaultAdversary
 from repro.net import full_mesh_topology
+from repro.obs import MILESTONES, reconstruct_timelines, render_timeline
 from repro.workload import industrial_workload
 
 
@@ -28,41 +28,26 @@ def clean_run():
 
 
 def test_timeline_tells_the_whole_story(faulted_run):
-    entries = build_timeline(faulted_run)
-    kinds = [e.kind for e in entries]
-    # The canonical arc, in order.
-    for stage in ("FAULT", "DETECT", "SPREAD", "SWITCH", "RECOVERED"):
-        assert stage in kinds, f"missing stage {stage}"
-    assert kinds.index("FAULT") < kinds.index("DETECT")
-    assert kinds.index("DETECT") < kinds.index("SWITCH")
-    assert kinds.index("SWITCH") <= kinds.index("RECOVERED")
-
-
-def test_timeline_is_time_ordered(faulted_run):
-    entries = build_timeline(faulted_run)
-    times = [e.time for e in entries]
-    assert times == sorted(times)
-
-
-def test_timeline_renders_readably(faulted_run):
-    text = render_timeline(faulted_run)
-    assert "compromised" in text
-    assert "evidence against" in text
-    assert "adopted plan" in text
-    assert all(len(line) < 120 for line in text.splitlines())
-
-
-def test_timeline_dedups_repeat_detections(faulted_run):
-    entries = build_timeline(faulted_run)
-    detects = [e for e in entries if e.kind == "DETECT"]
-    seen = set()
-    for entry in detects:
-        assert entry.text not in seen or True
-        seen.add(entry.text)
-    # One DETECT line per (accused, kind), not one per record.
-    assert len(detects) <= 3
+    timelines = reconstruct_timelines(faulted_run)
+    assert len(timelines) == 1
+    t = timelines[0]
+    assert t.fault_kind == "crash"
+    # The canonical arc: every milestone is observed ...
+    for stage in MILESTONES:
+        assert t.milestones[stage] is not None, f"missing stage {stage}"
+    # ... in order: fault -> detect -> spread -> switch -> recovered.
+    recovered = t.manifest_us + t.total_us
+    assert t.manifest_us < t.milestones["first_charge"]
+    assert t.milestones["first_charge"] <= t.milestones["conviction"]
+    assert t.milestones["conviction"] <= t.milestones["quorum"]
+    assert t.milestones["first_charge"] < t.milestones["switch_boundary"]
+    assert t.milestones["switch_boundary"] <= recovered
+    assert t.phase_sum() == t.total_us > 0
+    # The rendered timeline names the fault on its own row.
+    rows = render_timeline(faulted_run).splitlines()
+    assert any(row.split()[:2] == ["crash", t.node] for row in rows)
 
 
 def test_clean_run_timeline_is_empty(clean_run):
-    assert build_timeline(clean_run) == []
-    assert "uneventful" in render_timeline(clean_run)
+    assert reconstruct_timelines(clean_run) == []
+    assert "no faults injected" in render_timeline(clean_run)

@@ -73,8 +73,7 @@ SWEEPS = {
 #: The sweep check runs ``run_sweep`` over (seed, seed + SIBLING).
 SIBLING = 1000
 
-#: Pool sweep seeds: enough work per worker for the fork and rebuild to
-#: amortise.
+#: Pool sweep seeds: enough work per worker for the fork to amortise.
 POOL_SEEDS = (42, 43, 44, 45)
 
 #: Pool sweeps are gated only where parallelism is physically possible.
@@ -196,16 +195,14 @@ def pool_check(cell) -> dict:
     serial = {run.seed: run.fingerprint for run in run_sweep(
         proto, POOL_SEEDS, cell.n_periods, scenario=cell.scenario)}
     serial_s = watch.elapsed_s()
-    # The workers fork this heap (see _timed_run).
-    del proto
+    # The workers fork this heap, proto included, so neither side pays
+    # for a prepare() (see _timed_run).
     gc.collect()
     cores = os.cpu_count() or 1
     watch = Stopwatch()
     out = run_sweep_pool(
-        dataclasses.replace(cell.deployment, seed=POOL_SEEDS[0]), POOL_SEEDS,
-        workers=min(len(POOL_SEEDS), max(cores, 2)),
-        n_periods=cell.n_periods, scenario=cell.scenario,
-        cache=harness_cache_dir())
+        proto, POOL_SEEDS, workers=min(len(POOL_SEEDS), max(cores, 2)),
+        n_periods=cell.n_periods, scenario=cell.scenario)
     pool_s = watch.elapsed_s()
     for entry in out["runs"]:
         assert entry["fingerprint"] == serial[entry["seed"]], (

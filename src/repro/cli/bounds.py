@@ -5,6 +5,7 @@ Exits 1 when a bound exceeds it."""
 
 from __future__ import annotations
 
+from ..persist import write_atomic
 from ..sim import seconds
 from .flags import add_deployment_flags, number, planned
 
@@ -44,8 +45,7 @@ def handle(args) -> int:
                f"({args.workload} on {args.topology})")))
     if args.json:
         import json
-        with open(args.json, "w") as f:
-            json.dump(report.to_dict(), f, indent=2, sort_keys=True)
-            f.write("\n")
+        write_atomic(args.json, json.dumps(report.to_dict(), indent=2,
+                                           sort_keys=True) + "\n")
         print(f"bounds report written to {args.json}")
     return 1 if report.exceeding() else 0

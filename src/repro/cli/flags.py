@@ -11,6 +11,7 @@ from typing import Optional
 
 from ..core.runtime.system import BTRSystem
 from ..deployment import Deployment
+from ..persist import write_atomic
 from ..sim import seconds, to_seconds
 from ..workload import WORKLOADS
 
@@ -102,6 +103,5 @@ def planned(args, **how) -> BTRSystem:
 
 
 def write_json(path: str, payload, what: str, hint: str = "") -> None:
-    with open(path, "w") as f:
-        json.dump(payload, f, indent=2, sort_keys=True)
+    write_atomic(path, json.dumps(payload, indent=2, sort_keys=True))
     print(f"{what} written to {path}{hint}")

@@ -6,7 +6,7 @@ from __future__ import annotations
 
 from ..analysis import format_table
 from ..sim import to_seconds
-from .flags import add_deployment_flags, planned
+from .flags import add_deployment_flags, planned, write_json
 
 
 def register(sub) -> None:
@@ -48,8 +48,6 @@ def handle(args) -> int:
         import json
 
         from ..core.planner import strategy_to_json
-        artifact = json.loads(strategy_to_json(system.strategy))
-        with open(args.export, "w") as f:
-            f.write(json.dumps(artifact, indent=2, sort_keys=True))
-        print(f"strategy written to {args.export}")
+        write_json(args.export, json.loads(strategy_to_json(
+            system.strategy)), "strategy")
     return 0

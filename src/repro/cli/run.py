@@ -69,13 +69,14 @@ def handle(args) -> int:
           f"{to_seconds(smallest_sufficient_R(result)):.3f}s")
     print(f"timeliness: {report.on_time}/{report.total_slots} on time "
           f"({report.miss_rate:.1%} missed)")
+    if args.timeline or args.obs:
+        from ..obs import export_run, reconstruct_timelines, render_timeline
+        timelines = reconstruct_timelines(result)
     if args.timeline:
-        from ..obs import render_timeline
         print("\nincident timeline:")
-        print(render_timeline(result))
+        print(render_timeline(result, timelines))
     if args.obs:
-        from ..obs import export_run
-        export_run(result, args.obs)
+        export_run(result, args.obs, timelines=timelines)
         print(f"observability report written to {args.obs} "
               f"(render with: repro trace {args.obs})")
     return 0 if verdict.holds else 1

@@ -4,7 +4,7 @@ The planner computes a strategy for one deployment: a workload, a
 topology and a fault budget f (§4.1 of the paper). A Definition 3.1 or
 kR verdict is a claim about that deployment, so every surface that
 names one — the CLI flags, the ``meta`` of an mc / fuzz artifact, a
-corpus entry, a pool-sweep worker — names it with one
+corpus entry — names it with one
 :class:`Deployment`: six primitives that pickle, serialise to JSON and
 compare by value.
 

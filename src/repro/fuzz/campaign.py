@@ -30,13 +30,14 @@ from functools import partial
 from typing import Dict, List, Optional, Tuple
 
 from ..faults.adversary import script_from_dict
-from ..mc.campaign import campaign_pool, prepare_campaign
+from ..mc.campaign import prepare_campaign
 from ..mc.choices import Cell
 from ..mc.counterexample import confirm_replay, counterexample_to_dict
 from ..mc.explorer import state_fingerprint
 from ..mc.invariants import Violation
 from ..mc.judge import first_violating_prefix, judge
 from ..obs.recovery import reconstruct_timelines
+from ..perf.pool import WorkerPool
 from ..perf.timing import Stopwatch
 from ..sim.random import DeterministicRandom
 from .fitness import (
@@ -186,8 +187,8 @@ def run_fuzz_campaign(workload, topology, config,
         max_injections=resolved.max_injections)
 
     # One pool, held open across generations.
-    pool = campaign_pool(system, partial(_evaluate, params=resolved),
-                         resolved.workers)
+    pool = WorkerPool(partial(_evaluate, params=resolved), system,
+                      workers=resolved.workers)
     stats = FuzzStats(workers=pool.workers)
 
     evaluated: Dict[str, dict] = {}

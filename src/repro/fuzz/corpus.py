@@ -23,6 +23,7 @@ from ..mc.counterexample import (
     replay_counterexample,
 )
 from ..mc.explorer import state_fingerprint
+from ..persist import write_atomic
 
 #: Artifact fields that determine what a replay executes (meta and the
 #: recorded verdicts are excluded: they describe, they don't replay —
@@ -59,9 +60,8 @@ def write_corpus(dirpath: str, artifacts: List[dict]) -> List[str]:
     paths = []
     for artifact in artifacts:
         path = os.path.join(dirpath, artifact_name(artifact))
-        with open(path, "w") as f:
-            json.dump(artifact, f, indent=2, sort_keys=True)
-            f.write("\n")
+        write_atomic(path,
+                     json.dumps(artifact, indent=2, sort_keys=True) + "\n")
         paths.append(path)
     return paths
 

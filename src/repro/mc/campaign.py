@@ -18,8 +18,9 @@ separate :class:`CheckStats`, never in the report.
 **Parallelism is an optimisation, never a semantic**
 (:class:`~repro.perf.pool.WorkerPool`): a pool that cannot be created or
 kept degrades to in-process exploration, flagged ``pool_fallback``.
-:func:`prepare_campaign` / :func:`campaign_pool` are the preamble every
-search campaign shares (docs/PERFORMANCE.md, "Search loop").
+:func:`prepare_campaign` is the preamble every search campaign shares,
+and its prepared system is the one the pool's workers are forked with
+(docs/PERFORMANCE.md, "Search loop").
 """
 
 from __future__ import annotations
@@ -171,14 +172,6 @@ def exploration_order(system, cells: List[Cell], R_us: int) -> List[int]:
     return sorted(range(len(cells)), key=lambda i: (margin(cells[i]), i))
 
 
-def prepared_system(workload, topology, config) -> BTRSystem:
-    """One prepared system: what each pool worker builds once, and what
-    the campaign itself searches on in-process."""
-    system = BTRSystem(workload, topology, config)
-    system.prepare()
-    return system
-
-
 def prepare_campaign(workload, topology, config, params,
                      recoveries: int = 1):
     """The preamble of every search campaign: ``(system, resolved)``.
@@ -190,8 +183,9 @@ def prepare_campaign(workload, topology, config, params,
     ``recoveries`` recovery budgets and a settling period fit inside the
     run — agreement at end-of-run is then meaningful unconditionally.
     """
-    system = prepared_system(workload, topology,
-                             replace(config, trace_mode="milestones"))
+    system = BTRSystem(workload, topology,
+                       replace(config, trace_mode="milestones"))
+    system.prepare()
     period = workload.period
     budget_us = system.budget.total_us
     window_end_us = int(params.window[1] * period)
@@ -202,16 +196,6 @@ def prepare_campaign(workload, topology, config, params,
         R_us=budget_us if params.R_us is None else params.R_us,
         n_periods=max(params.n_periods, min_periods))
     return system, resolved
-
-
-def campaign_pool(system, task, workers: int) -> WorkerPool:
-    """The campaign's fan-out: ``task(system, payload)`` over workers
-    that each hold their own :func:`prepared_system` on the campaign's
-    deployment, the campaign's ``system`` serving in-process work."""
-    return WorkerPool(
-        task, prepared_system,
-        (system.workload, system.topology, system.config),
-        workers=workers, own=system)
 
 
 def _explore_one(system, cell: Cell, *, params: CheckParams,
@@ -276,9 +260,8 @@ def run_campaign(workload, topology, config,
     else:
         order = list(range(len(cells)))
 
-    pool = campaign_pool(
-        system, partial(_explore_one, params=resolved, meta=meta),
-        resolved.workers)
+    pool = WorkerPool(partial(_explore_one, params=resolved, meta=meta),
+                      system, workers=resolved.workers)
     stats = CheckStats(workers=pool.workers)
     ordered: List[dict] = []
     with pool:

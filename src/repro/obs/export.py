@@ -20,6 +20,7 @@ import json
 import os
 from typing import Dict, Iterable, List, Optional, Tuple
 
+from ..persist import write_atomic
 from .recovery import (
     PHASES,
     PHASE_BUDGET_COMPONENT,
@@ -57,24 +58,11 @@ def run_report(result, timelines: Optional[List[FaultTimeline]] = None
 def export_run(result, path: str,
                timelines: Optional[List[FaultTimeline]] = None
                ) -> Dict[str, object]:
-    """Write the run's observability report to ``path`` atomically and
-    return it: a write or rename that fails takes its temp file with it
-    and leaves whatever ``path`` held before untouched."""
+    """Write the run's observability report to ``path`` atomically
+    (:func:`~repro.persist.write_atomic`) and return it."""
     report = run_report(result, timelines)
-    directory = os.path.dirname(os.path.abspath(path))
-    os.makedirs(directory, exist_ok=True)
-    tmp = f"{path}.tmp.{os.getpid()}"
-    try:
-        with open(tmp, "w", encoding="utf-8") as fh:
-            json.dump(report, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-        os.replace(tmp, path)
-    except BaseException:
-        try:
-            os.unlink(tmp)
-        except OSError:
-            pass
-        raise
+    os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
+    write_atomic(path, json.dumps(report, indent=2, sort_keys=True) + "\n")
     return report
 
 
@@ -221,8 +209,10 @@ def render_phase_report(report: Dict[str, object]) -> str:
     return "\n".join(lines)
 
 
-def render_timeline(result) -> str:
+def render_timeline(result,
+                    timelines: Optional[List[FaultTimeline]] = None) -> str:
     """The phase report of a finished run: what ``repro run --timeline``
     prints, byte for byte what ``repro trace`` prints for the report
-    ``export_run`` writes of the same run."""
-    return render_phase_report(run_report(result))
+    ``export_run`` writes of the same run. ``timelines`` as for
+    :func:`run_report`."""
+    return render_phase_report(run_report(result, timelines))

@@ -36,6 +36,7 @@ from ..core.planner.serialize import (
 )
 from ..core.planner.strategy import PLANNER_VERSION, Strategy
 from ..net.topology import Topology
+from ..persist import write_atomic
 from ..workload.dataflow import DataflowGraph
 
 #: Environment variable naming a default cache directory. The benchmark
@@ -167,15 +168,5 @@ class StrategyCache:
         artifact = strategy_to_json(strategy)
         os.makedirs(self.root, exist_ok=True)
         path = self.path_for(key)
-        tmp = f"{path}.tmp.{os.getpid()}"
-        try:
-            with open(tmp, "w") as f:
-                f.write(artifact)
-            os.replace(tmp, path)
-        except BaseException:
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
-            raise
+        write_atomic(path, artifact)
         return path

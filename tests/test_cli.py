@@ -284,6 +284,32 @@ def test_cli_run_timeline_prints_what_trace_prints(tmp_path, capsys):
     assert all(len(line) < 120 for line in block.splitlines())
 
 
+def test_cli_run_timeline_and_obs_reconstruct_once(tmp_path, capsys,
+                                                   monkeypatch):
+    """``run --timeline --obs F`` prints and exports one reconstruction
+    of the run's timelines."""
+    import repro.obs
+    import repro.obs.export
+    import repro.obs.recovery
+
+    reconstruct = repro.obs.recovery.reconstruct_timelines
+    calls = []
+
+    def counting(result):
+        calls.append(result)
+        return reconstruct(result)
+
+    for module in (repro.obs, repro.obs.export, repro.obs.recovery):
+        monkeypatch.setattr(module, "reconstruct_timelines", counting)
+    code, out = run_cli(capsys, "run", "--workload", "pipeline",
+                        "--topology", "fullmesh:4", "--periods", "12",
+                        "--fault", "crash", "--fault-at", "0.05",
+                        "--timeline", "--obs", str(tmp_path / "run.json"))
+    assert code == 0
+    assert "\nincident timeline:\n" in out
+    assert len(calls) == 1
+
+
 def test_cli_trace_renders_valid_report(tmp_path, capsys):
     obs = tmp_path / "run.json"
     code = main(["run", "--workload", "pipeline", "--topology",

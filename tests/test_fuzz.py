@@ -176,8 +176,6 @@ def _timelines_dying_in_workers(result):
     return reconstruct_timelines(result)
 
 
-@pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
-                    reason="workers must inherit the patched module")
 def test_campaign_survives_a_dying_worker(monkeypatch):
     params = tiny_params(R_us=30_000)
     serial, _ = run_tiny(params)

@@ -288,8 +288,6 @@ def _explore_cell_dying_in_workers(system, cell, params):
     return explore_cell(system, cell, params)
 
 
-@pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
-                    reason="workers must inherit the patched module")
 def test_campaign_survives_a_dying_worker(monkeypatch):
     """A worker lost mid-campaign is the documented in-process fallback,
     not a traceback: same report, ``pool_fallback`` set, and the

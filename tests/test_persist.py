@@ -1,0 +1,117 @@
+"""Every persisted JSON artifact is written whole or not at all
+(``repro.persist.write_atomic``).
+
+Each writer below keeps its file's bytes (the layout is pinned per
+writer), and a write whose rename fails leaves the previous file as it
+was and no temp file beside it.
+"""
+
+import json
+import os
+
+import pytest
+
+from repro import Deployment
+from repro.cli import main as cli_main
+from repro.cli.flags import write_json
+from repro.core.planner.serialize import strategy_to_json
+from repro.fuzz.corpus import load_corpus, write_corpus
+from repro.obs import export_run
+from repro.perf import StrategyCache, strategy_cache_key
+
+CORPUS_DIR = os.path.join(os.path.dirname(os.path.dirname(
+    os.path.abspath(__file__))), "corpus")
+
+PAYLOAD = {"b": [1, 2], "a": {"z": None, "y": "text"}}
+
+
+def _json(payload, newline: bool) -> str:
+    return json.dumps(payload, indent=2, sort_keys=True) + (
+        "\n" if newline else "")
+
+
+@pytest.fixture(scope="module")
+def system():
+    system = Deployment("pipeline", "fullmesh:4").system(
+        trace_mode="milestones")
+    system.prepare()
+    return system
+
+
+@pytest.fixture(scope="module")
+def result(system):
+    return system.run(n_periods=6)
+
+
+def _write_json(tmp_path, system, result):
+    path = str(tmp_path / "report.json")
+    write_json(path, PAYLOAD, "report")
+    return path, _json(PAYLOAD, newline=False)
+
+
+def _bounds_json(tmp_path, system, result):
+    path = str(tmp_path / "bounds.json")
+    cli_main(["bounds", "--workload", "pipeline", "--topology",
+              "fullmesh:4", "--json", path])
+    with open(path) as fh:
+        return path, _json(json.load(fh), newline=True)
+
+
+def _plan_export(tmp_path, system, result):
+    path = str(tmp_path / "strategy.json")
+    cli_main(["plan", "--workload", "pipeline", "--topology", "fullmesh:4",
+              "--export", path])
+    with open(path) as fh:
+        return path, _json(json.load(fh), newline=False)
+
+
+def _write_corpus(tmp_path, system, result):
+    _, artifact = load_corpus(CORPUS_DIR)[0]
+    path, = write_corpus(str(tmp_path), [artifact])
+    return path, _json(artifact, newline=True)
+
+
+def _export_run(tmp_path, system, result):
+    path = str(tmp_path / "run.json")
+    report = export_run(result, path)
+    return path, _json(report, newline=True)
+
+
+def _cache_store(tmp_path, system, result):
+    key = strategy_cache_key(system.workload, system.topology,
+                             system.config.f)
+    path = StrategyCache(str(tmp_path)).store(key, system.strategy)
+    return path, strategy_to_json(system.strategy)
+
+
+WRITERS = {
+    "cli.flags.write_json": _write_json,
+    "repro bounds --json": _bounds_json,
+    "repro plan --export": _plan_export,
+    "fuzz.write_corpus": _write_corpus,
+    "obs.export_run": _export_run,
+    "StrategyCache.store": _cache_store,
+}
+
+
+@pytest.mark.parametrize("writer", sorted(WRITERS))
+def test_failed_rename_keeps_the_previous_file_and_no_temp_file(
+        writer, tmp_path, system, result, monkeypatch, capsys):
+    write = WRITERS[writer]
+    path, expected = write(tmp_path, system, result)
+    with open(path, encoding="utf-8") as fh:
+        assert fh.read() == expected
+    # The previous file differs from what the failing write would leave.
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("previous")
+    listing = sorted(os.listdir(tmp_path))
+
+    def refuse(_src, _dst):
+        raise OSError("rename refused")
+
+    monkeypatch.setattr(os, "replace", refuse)
+    with pytest.raises(OSError, match="rename refused"):
+        write(tmp_path, system, result)
+    with open(path, encoding="utf-8") as fh:
+        assert fh.read() == "previous"
+    assert sorted(os.listdir(tmp_path)) == listing

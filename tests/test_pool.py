@@ -2,9 +2,10 @@
 and the engine on geo topologies.
 
 * the pool: results come back in input order for any worker count, each
-  process builds its context once, and a pool that cannot be created —
-  or loses a worker mid-map — degrades to the same results in-process
-  with ``fallback`` set;
+  worker is forked with the caller's context and keeps its one copy —
+  nothing in the context is pickled — and a pool that cannot be created
+  (no ``fork`` start method, no executor) or loses a worker mid-map
+  degrades to the same results in-process with ``fallback`` set;
 * byte-identity: full BTR runs on a geo deployment, under geo scenarios
   with fault and link scripts, equal the digests the per-message legacy
   path generated (``tests/golden``);
@@ -13,12 +14,14 @@ and the engine on geo topologies.
   strictly positive minimum WAN latency;
 * delivery hooks: a delay-only hook composes with the batched fan-outs
   byte-identically;
-* pool sweep: per-seed fingerprints survive the process boundary.
+* pool sweep: per-seed fingerprints of one prepared system survive the
+  process boundary.
 """
 
 import dataclasses
 import multiprocessing
 import os
+import pickle
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -49,19 +52,20 @@ def proto():
 
 # ------------------------------------------------------- the pool
 #
-# Tasks and builders are module-level: a pool ships them by import path.
+# Payloads and results cross the process boundary by pickle; the task
+# and the context are inherited at the fork.
 
 
-def _build(tag):
-    return {"tag": tag, "pid": os.getpid(), "tasks": 0}
+def _context(tag):
+    return {"tag": tag, "tasks": 0}
 
 
 def _task(context, payload):
-    """Echo the payload with the context's identity and how many tasks
-    this context has served (a context rebuilt per task would always
-    answer 1)."""
+    """Echo the payload with the context's tag, the serving process and
+    how many tasks this context has served (a context copied per task
+    would always answer 1)."""
     context["tasks"] += 1
-    return payload, context["tag"], context["pid"], context["tasks"]
+    return payload, context["tag"], os.getpid(), context["tasks"]
 
 
 def _task_dying_in_workers(context, payload):
@@ -75,7 +79,7 @@ class TestWorkerPool:
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_ordered_results_one_context_per_process(self, workers):
-        with WorkerPool(_task, _build, ("ctx",), workers=workers) as pool:
+        with WorkerPool(_task, _context("ctx"), workers=workers) as pool:
             first = list(pool.map(self.PAYLOADS))
             second = list(pool.map(self.PAYLOADS))
         if pool.fallback:
@@ -92,25 +96,55 @@ class TestWorkerPool:
             assert served == list(range(1, len(served) + 1))
 
     def test_single_payload_and_own_context_stay_in_process(self):
-        own = _build("own")
-        with WorkerPool(_task, _build, ("ctx",), workers=2,
-                        own=own) as pool:
+        own = _context("own")
+        with WorkerPool(_task, own, workers=2) as pool:
             assert list(pool.map([7])) == [(7, "own", os.getpid(), 1)]
         assert not pool.fallback
+        assert own["tasks"] == 1
+
+    def test_workers_serve_an_unpicklable_context(self):
+        context = dict(_context("ctx"), bump=lambda x: x + 100)
+        with pytest.raises((pickle.PicklingError, AttributeError)):
+            pickle.dumps(context)
+
+        def task(ctx, payload):
+            return ctx["bump"](payload), os.getpid()
+
+        with WorkerPool(task, context, workers=2) as pool:
+            rows = list(pool.map(self.PAYLOADS))
+        if pool.fallback:
+            pytest.skip("process pools unavailable in this environment")
+        assert [row[0] for row in rows] == [p + 100 for p in self.PAYLOADS]
+        assert os.getpid() not in {row[1] for row in rows}
+
+    def test_falls_back_when_fork_is_unavailable(self, monkeypatch):
+        get_context = multiprocessing.get_context
+
+        def no_fork(method=None):
+            if method == "fork":
+                raise ValueError("cannot find context for 'fork'")
+            return get_context(method)
+
+        monkeypatch.setattr(multiprocessing, "get_context", no_fork)
+        with WorkerPool(_task, _context("ctx"), workers=2) as pool:
+            rows = list(pool.map(self.PAYLOADS))
+        assert pool.fallback
+        assert rows == [(p, "ctx", os.getpid(), i + 1)
+                        for i, p in enumerate(self.PAYLOADS)]
 
     def test_falls_back_when_the_executor_cannot_start(self, monkeypatch):
         def refuse(*args, **kwargs):
             raise OSError("no semaphores here")
 
         monkeypatch.setattr(pool_module, "ProcessPoolExecutor", refuse)
-        with WorkerPool(_task, _build, ("ctx",), workers=2) as pool:
+        with WorkerPool(_task, _context("ctx"), workers=2) as pool:
             rows = list(pool.map(self.PAYLOADS))
         assert pool.fallback
         assert [row[0] for row in rows] == self.PAYLOADS
         assert {row[2] for row in rows} == {os.getpid()}
 
     def test_falls_back_when_a_worker_dies(self):
-        with WorkerPool(_task_dying_in_workers, _build, ("ctx",),
+        with WorkerPool(_task_dying_in_workers, _context("ctx"),
                         workers=2) as pool:
             rows = list(pool.map(self.PAYLOADS))
             again = list(pool.map(self.PAYLOADS))
@@ -171,22 +205,43 @@ class TestDeliveryHooks:
 
 
 class TestPoolSweep:
-    def test_pool_matches_serial_reference(self, tmp_path):
-        seeds = (42, 202)
+    @staticmethod
+    def _serial(seeds):
         reference = GEO.system(trace_mode="milestones")
         reference.prepare()
-        serial = {run.seed: run.fingerprint
-                  for run in run_sweep(reference, seeds, N_PERIODS,
-                                       scenario=SWEEP["scenario"])}
-        out = run_sweep_pool(GEO, seeds, workers=2, cache=str(tmp_path),
-                             **SWEEP)
+        return {run.seed: run.fingerprint
+                for run in run_sweep(reference, seeds, N_PERIODS,
+                                     scenario=SWEEP["scenario"])}
+
+    def test_pool_matches_serial_reference(self, tmp_path):
+        seeds = (42, 202)
+        serial = self._serial(seeds)
+        system = GEO.system(cache=str(tmp_path), trace_mode="milestones")
+        system.prepare()
+        out = run_sweep_pool(system, seeds, workers=2, **SWEEP)
         assert [row["seed"] for row in out["runs"]] == list(seeds)
         for row in out["runs"]:
             assert row["fingerprint"] == serial[row["seed"]], row["seed"]
         assert out["workers"] == 2
 
-    def test_empty_seed_list_is_a_noop(self):
-        out = run_sweep_pool(GEO, (), workers=4, **SWEEP)
+    def test_uncached_system_matches_its_own_serial_sweep(self):
+        seeds = (42, 202, 7)
+        system = GEO.system(trace_mode="milestones")
+        assert system.config.cache is None
+        system.prepare()
+        out = run_sweep_pool(system, seeds, workers=2, **SWEEP)
+        if not out["pooled"]:
+            pytest.skip("process pools unavailable in this environment")
+        serial = run_sweep(system, seeds, N_PERIODS,
+                           scenario=SWEEP["scenario"])
+        assert [row["fingerprint"] for row in out["runs"]] == [
+            run.fingerprint for run in serial]
+        assert [row["events"] for row in out["runs"]] == [
+            run.result.metrics["gauges"]["sim_events_executed"]
+            for run in serial]
+
+    def test_empty_seed_list_is_a_noop(self, proto):
+        out = run_sweep_pool(proto, (), workers=4, **SWEEP)
         assert out == {"runs": [], "workers": 0, "pooled": False}
 
     @pytest.mark.parametrize("name", sorted(WORKLOADS))

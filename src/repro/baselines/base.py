@@ -23,7 +23,6 @@ from ..core.planner.placement import PlacementConfig, place
 from ..core.runtime.system import RunResult
 from ..faults.adversary import Adversary, FaultScript
 from ..faults.behaviors import FaultBehavior
-from ..net.routing import Router
 from ..net.topology import Topology
 from ..obs.metrics import MetricsRegistry
 from ..perf.batchcore import BatchRuntime
@@ -242,7 +241,7 @@ class BaselineSystem:
         if not set(workload.sources) <= set(topology.endpoint_map):
             topology.place_endpoints_round_robin(workload.sources,
                                                  workload.sinks)
-        self.router = Router(topology)
+        self.router = topology.router
         self.lane_model = LaneModel(topology)
         self.plan: Optional[BaselinePlan] = None
         #: Where link-loss drops are counted (baselines make no recovery

@@ -5,7 +5,7 @@ Exits 1 when a bound exceeds it."""
 
 from __future__ import annotations
 
-from ..persist import write_atomic
+from ..persist import json_text, write_atomic
 from ..sim import seconds
 from .flags import add_deployment_flags, number, planned
 
@@ -44,8 +44,6 @@ def handle(args) -> int:
         title=(f"repro bounds: f={report.f}, period={report.period_us}us "
                f"({args.workload} on {args.topology})")))
     if args.json:
-        import json
-        write_atomic(args.json, json.dumps(report.to_dict(), indent=2,
-                                           sort_keys=True) + "\n")
+        write_atomic(args.json, json_text(report.to_dict()) + "\n")
         print(f"bounds report written to {args.json}")
     return 1 if report.exceeding() else 0

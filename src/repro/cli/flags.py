@@ -5,13 +5,12 @@ the system they build."""
 from __future__ import annotations
 
 import argparse
-import json
 import math
 from typing import Optional
 
 from ..core.runtime.system import BTRSystem
 from ..deployment import Deployment
-from ..persist import write_atomic
+from ..persist import json_text, write_atomic
 from ..sim import seconds, to_seconds
 from ..workload import WORKLOADS
 
@@ -103,5 +102,5 @@ def planned(args, **how) -> BTRSystem:
 
 
 def write_json(path: str, payload, what: str, hint: str = "") -> None:
-    write_atomic(path, json.dumps(payload, indent=2, sort_keys=True))
+    write_atomic(path, json_text(payload))
     print(f"{what} written to {path}{hint}")

@@ -51,15 +51,8 @@ def state_source(instance: str, old_plan: Plan, faulty: Set[str]
     old_host = old_plan.assignment.get(instance)
     if old_host is not None and old_host not in faulty:
         return old_host
-    base = naming.base_task(instance)
-    for sibling, host in sorted(old_plan.assignment.items()):
-        if sibling == instance:
-            continue
-        if naming.base_task(sibling) != base:
-            continue
-        if naming.is_checker(sibling):
-            continue
-        if host not in faulty:
+    for sibling, host in old_plan.replica_hosts(naming.base_task(instance)):
+        if sibling != instance and host not in faulty:
             return host
     return None
 

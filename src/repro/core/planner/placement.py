@@ -94,7 +94,8 @@ def place(
     change as little as possible").
     """
     config = config or PlacementConfig()
-    eligible = [n for n in sorted(topology.nodes) if n not in excluding]
+    excluded = frozenset(excluding)  # the router's hop-table key, once
+    eligible = [n for n in sorted(topology.nodes) if n not in excluded]
     if not eligible:
         raise PlacementError("no eligible nodes")
 
@@ -146,7 +147,7 @@ def place(
                 producer = (assignment.get(flow.src)
                             or topology.endpoint_map.get(flow.src))
                 if producer is not None:
-                    hop_tables.append(router.hops_from(producer, excluding))
+                    hop_tables.append(router.hops_from(producer, excluded))
         parent_node = (parent_assignment.get(instance)
                        if parent_assignment is not None else None)
         move_cost = W_DISTANCE * (1.0 + task.state_bits / 65536.0)
@@ -155,12 +156,18 @@ def place(
         # uplink's neighbour fails.
         stranded = 0.2 + task.state_bits / 65536.0
 
-        def score(node: str) -> float:
-            projected = ((load[node] + task.wcet) / fg_speed[node]
-                         / capacity_us)
-            value = W_LOAD * projected
+        # The lowest score wins; candidates are in name order, so the
+        # first of equal scores is the tie-break's winner.
+        wcet = task.wcet
+        best = candidates[0]
+        best_score: Optional[float] = None
+        for node in candidates:
+            value = W_LOAD * ((load[node] + wcet) / fg_speed[node]
+                              / capacity_us)
             if hop_tables:
-                hops = sum(t.get(node, unreachable) for t in hop_tables)
+                hops = 0
+                for table in hop_tables:
+                    hops += table.get(node, unreachable)
                 value += W_LOCALITY * (hops / len(hop_tables))
             if parent_node is not None and parent_node != node:
                 # Moving costs (normalised) state transfer.
@@ -168,10 +175,9 @@ def place(
             exposed = exposure_cost.get(node)
             if exposed is not None:
                 value += exposed * stranded
-            return value
-
-        best = min(candidates, key=lambda n: (score(n), n))
+            if best_score is None or value < best_score:
+                best, best_score = node, value
         assignment[instance] = best
-        load[best] += task.wcet
+        load[best] += wcet
 
     return assignment

@@ -66,14 +66,39 @@ class Plan:
     #: :meth:`planned_send_offset` on first use.
     _send_offsets: Optional[Dict[str, Optional[int]]] = field(
         default=None, init=False, repr=False, compare=False)
+    #: node -> its instances, sorted; filled by :meth:`instances_on`.
+    _hosted: Optional[Dict[str, List[str]]] = field(
+        default=None, init=False, repr=False, compare=False)
+    #: base task -> ``(instance, host)`` of its replicas, sorted by
+    #: instance; filled by :meth:`replica_hosts`.
+    _replicas: Optional[Dict[str, List[Tuple[str, str]]]] = field(
+        default=None, init=False, repr=False, compare=False)
 
     @property
     def mode(self) -> str:
         return mode_id(self.pattern)
 
     def instances_on(self, node: str) -> List[str]:
-        return sorted(inst for inst in self.assignment
-                      if self.assignment[inst] == node)
+        """The instances ``node`` hosts, sorted (a fresh list)."""
+        hosted = self._hosted
+        if hosted is None:
+            hosted = self._hosted = {}
+            for inst in sorted(self.assignment):
+                hosted.setdefault(self.assignment[inst], []).append(inst)
+        return list(hosted.get(node, ()))
+
+    def replica_hosts(self, task: str) -> List[Tuple[str, str]]:
+        """``(instance, host)`` of every non-checker instance of base
+        task ``task``, sorted by instance (read-only; the list is
+        shared)."""
+        replicas = self._replicas
+        if replicas is None:
+            replicas = self._replicas = {}
+            for inst, host in sorted(self.assignment.items()):
+                if not naming.is_checker(inst):
+                    replicas.setdefault(naming.base_task(inst), []).append(
+                        (inst, host))
+        return replicas.get(task, [])
 
     def planned_arrival(self, flow_copy: str) -> Optional[int]:
         """Planned arrival (µs after period start) at the final consumer."""

@@ -43,7 +43,7 @@ PLANNER_VERSION = 2
 class Strategy:
     """The installed mapping from fault patterns to plans. Never mutated
     after ``__init__``, like the :class:`Plan` objects it holds — which
-    is why it may keep its own artifact text."""
+    is why it may keep its own artifact text and analyzer report."""
 
     def __init__(self, f: int, plans: Dict[FaultPattern, Plan],
                  covered_nodes: Iterable[str]) -> None:
@@ -54,6 +54,11 @@ class Strategy:
         #: that encoder fills it: text read from a file may be valid but
         #: not canonical.
         self._artifact: Optional[str] = None
+        #: The last :func:`repro.verify.bounds.compute_bounds` report with
+        #: the inputs it was computed from, as ``(topology, lane_model,
+        #: config, budget, report)``; only that function reads or writes
+        #: it.
+        self._bounds: Optional[tuple] = None
 
     def __len__(self) -> int:
         return len(self._plans)

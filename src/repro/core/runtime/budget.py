@@ -26,7 +26,6 @@ from dataclasses import dataclass
 from typing import Dict
 
 from ...crypto.costs import VERIFY_US
-from ...net.routing import Router
 from ...net.topology import Topology
 from ...sched.lanes import LaneModel
 from ...sim.message import MessageKind
@@ -88,7 +87,7 @@ def distribution_bound(topology: Topology, lane_model: LaneModel,
     as ``budget_diameter_fallback{reason=not_connected}`` so a
     silently-pessimised budget stays visible.
     """
-    diameter = Router(topology).diameter()
+    diameter = topology.router.diameter()
     if diameter is None:
         diameter = len(topology.nodes)
         if metrics is not None:

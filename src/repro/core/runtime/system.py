@@ -32,7 +32,6 @@ from typing import Dict, List, Optional, Union
 
 from ...crypto.signatures import KeyDirectory
 from ...faults.adversary import Adversary, FaultScript
-from ...net.routing import Router
 from ...net.topology import Topology
 from ...obs.metrics import MetricsRegistry
 from ...sched.lanes import LaneModel
@@ -128,7 +127,7 @@ class BTRSystem:
         if not set(workload.sources) <= set(topology.endpoint_map):
             topology.place_endpoints_round_robin(workload.sources,
                                                  workload.sinks)
-        self.router = Router(topology)
+        self.router = topology.router
         self.lane_model = LaneModel(topology)
         self.directory = KeyDirectory(master_seed=self.config.seed,
                                       verify_memo=True)

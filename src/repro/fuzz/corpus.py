@@ -23,7 +23,7 @@ from ..mc.counterexample import (
     replay_counterexample,
 )
 from ..mc.explorer import state_fingerprint
-from ..persist import write_atomic
+from ..persist import json_text, write_atomic
 
 #: Artifact fields that determine what a replay executes (meta and the
 #: recorded verdicts are excluded: they describe, they don't replay —
@@ -60,8 +60,7 @@ def write_corpus(dirpath: str, artifacts: List[dict]) -> List[str]:
     paths = []
     for artifact in artifacts:
         path = os.path.join(dirpath, artifact_name(artifact))
-        write_atomic(path,
-                     json.dumps(artifact, indent=2, sort_keys=True) + "\n")
+        write_atomic(path, json_text(artifact) + "\n")
         paths.append(path)
     return paths
 

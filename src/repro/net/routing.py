@@ -9,7 +9,7 @@ What the router remembers, and what each answer depends on:
 
 * hop counts — one BFS distance table per (source, excluded set); a hop
   count is a property of the graph alone, so no tie-break can move it;
-  :meth:`Router.diameter` is the greatest of them;
+  :meth:`Router.diameter` is the greatest of them, one per excluded set;
 * one-hop routes — nothing: directly linked endpoints have exactly one
   shortest path, read off the adjacency;
 * multi-hop routes — one path per (source, destination, excluded set).
@@ -21,14 +21,22 @@ What the router remembers, and what each answer depends on:
   node the other side has already reached — networkx 3.6's
   ``bidirectional_shortest_path``, which the tests hold it equal to.
 
-No code mutates a topology once a router is built.
+A topology holds one router (:attr:`Topology.router`), so the planner,
+the verifier, the budget and the analyzer share its tables; the router
+reads the topology's adjacency and holds no reference back to the
+topology. Adding a node or link drops the topology's router, and no
+code mutates a topology once it has planned.
 """
 
 from __future__ import annotations
 
-from typing import Collection, Dict, FrozenSet, List, Mapping, Optional, Tuple
+from typing import (
+    TYPE_CHECKING, Collection, Dict, FrozenSet, List, Mapping, Optional,
+    Tuple,
+)
 
-from .topology import Topology
+if TYPE_CHECKING:
+    from .topology import Topology
 
 
 class RoutingError(Exception):
@@ -46,9 +54,10 @@ class Router:
     """Shortest-path routing with failure-aware recomputation."""
 
     def __init__(self, topology: Topology) -> None:
-        self.topology = topology
+        self.adjacency = topology.adjacency
         self._cache: Dict[Tuple[str, str, FrozenSet[str]], List[str]] = {}
         self._hops: Dict[Tuple[str, FrozenSet[str]], Dict[str, int]] = {}
+        self._diameters: Dict[FrozenSet[str], Optional[int]] = {}
 
     def route(
         self, src: str, dst: str,
@@ -58,7 +67,7 @@ class Router:
         ``excluding``. Intermediate hops never include excluded nodes;
         ``src``/``dst`` themselves are allowed regardless (a plan never asks
         a faulty node for anything, but routing shouldn't hide that bug)."""
-        adjacency = self.topology.adjacency
+        adjacency = self.adjacency
         if src not in adjacency or dst not in adjacency:
             raise RoutingError(f"unknown endpoint: {src} or {dst}")
         if src == dst:
@@ -91,7 +100,7 @@ class Router:
         table = self._hops.get(key)
         if table is not None:
             return table
-        adjacency = self.topology.adjacency
+        adjacency = self.adjacency
         if src not in adjacency:
             raise RoutingError(f"unknown endpoint: {src}")
         excluded = key[1]
@@ -117,14 +126,18 @@ class Router:
         over paths that relay through none of ``excluding``; ``None``
         when some pair of them is cut off."""
         excluded = _frozen(excluding)
-        alive = [n for n in self.topology.adjacency if n not in excluded]
+        if excluded in self._diameters:
+            return self._diameters[excluded]
+        alive = [n for n in self.adjacency if n not in excluded]
         depth = 0
         for start in alive:
             hops = self.hops_from(start, excluded)
             reached = [hops[n] for n in alive if n in hops]
             if len(reached) < len(alive):
+                self._diameters[excluded] = None
                 return None
             depth = max(depth, *reached)
+        self._diameters[excluded] = depth
         return depth
 
 

@@ -14,11 +14,12 @@ pinned to nodes through the topology's ``endpoint_map``.
 from __future__ import annotations
 
 from bisect import insort
-from typing import Callable, Dict, Iterable, List, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
 from ..sim.clock import LocalClock
 from ..sim.link import Link
 from ..sim.node import Node
+from .routing import Router
 
 
 class TopologyError(ValueError):
@@ -47,12 +48,23 @@ class Topology:
         #: Region name -> sorted node ids, for region-tagged (geo)
         #: topologies; empty for flat deployments.
         self.regions: Dict[str, List[str]] = {}
+        self._router: Optional[Router] = None
+
+    @property
+    def router(self) -> Router:
+        """The topology's one :class:`Router`, built on first use: every
+        planner, verifier and analyzer reading this topology shares its
+        hop tables and routes."""
+        if self._router is None:
+            self._router = Router(self)
+        return self._router
 
     # ------------------------------------------------------------ building
 
     def add_node(self, node: Node) -> Node:
         if node.node_id in self.nodes:
             raise TopologyError(f"duplicate node id {node.node_id}")
+        self._router = None
         self.nodes[node.node_id] = node
         self.adjacency[node.node_id] = {}
         if node.region is not None:
@@ -68,6 +80,7 @@ class Topology:
                 raise TopologyError(
                     f"link {link.link_id} references unknown node {endpoint}"
                 )
+        self._router = None
         self.links[link.link_id] = link
         for endpoint in link.endpoints:
             self.nodes[endpoint].attach(link)

@@ -20,7 +20,7 @@ import json
 import os
 from typing import Dict, Iterable, List, Optional, Tuple
 
-from ..persist import write_atomic
+from ..persist import json_text, write_atomic
 from .recovery import (
     PHASES,
     PHASE_BUDGET_COMPONENT,
@@ -62,7 +62,7 @@ def export_run(result, path: str,
     (:func:`~repro.persist.write_atomic`) and return it."""
     report = run_report(result, timelines)
     os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
-    write_atomic(path, json.dumps(report, indent=2, sort_keys=True) + "\n")
+    write_atomic(path, json_text(report) + "\n")
     return report
 
 

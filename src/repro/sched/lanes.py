@@ -11,13 +11,19 @@ equally among the attached senders::
     CONTROL   : mode-change coordination
 
 The schedule synthesizer computes transmission times from these rates, and
-the runtime allocates exactly the same lanes — so planned and actual timing
-agree, which is what makes the planner's feasibility check meaningful.
+the runtime allocates exactly the same lanes, at the same rates. The two
+round differently: the planner charges a hop ``ceil(bits / rate)`` µs
+(:meth:`LaneModel.transmission_us`), while the hop runtime
+(:class:`repro.perf.batchcore.BatchRuntime`: a send, an evidence flood,
+the heartbeat plans) charges ``max(1, round(bits / rate))``. So an
+executed hop takes the planned time or up to 1 µs less, never more, and
+the planner's feasibility check stays a safe upper bound.
 """
 
 from __future__ import annotations
 
 from types import MappingProxyType
+from typing import Dict, Tuple
 
 from ..sim.link import Link
 from ..sim.message import MessageKind
@@ -39,6 +45,9 @@ class LaneModel:
 
     def __init__(self, topology: Topology) -> None:
         self.topology = topology
+        #: (link, kind, size) -> :meth:`transmission_us`, each computed
+        #: once: a link's bandwidth and endpoints never change.
+        self._durations: Dict[Tuple[Link, MessageKind, int], int] = {}
 
     def share(self, link: Link, kind: MessageKind) -> float:
         """Share of ``link`` for one sender's lane of class ``kind``."""
@@ -50,9 +59,14 @@ class LaneModel:
 
     def transmission_us(self, link: Link, kind: MessageKind,
                         size_bits: int) -> int:
-        """Serialization delay for one message on one hop."""
-        rate = self.rate_bits_per_us(link, kind)
-        return max(1, int(-(-size_bits // max(rate, 1e-12))))  # ceil
+        """Serialization delay for one message on one hop, rounded up."""
+        key = (link, kind, size_bits)
+        duration = self._durations.get(key)
+        if duration is None:
+            rate = self.rate_bits_per_us(link, kind)
+            duration = self._durations[key] = max(
+                1, int(-(-size_bits // max(rate, 1e-12))))  # ceil
+        return duration
 
     def install(self) -> None:
         """Allocate every lane on every link per this model (idempotent)."""

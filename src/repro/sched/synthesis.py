@@ -125,43 +125,48 @@ def synthesize(
     arrivals: Dict[str, int] = {}
     node_free: Dict[str, int] = {n: 0 for n in node_schedules}
     lane_free: Dict[Tuple[str, str], int] = {}
+    adjacency = topology.adjacency
+    links = topology.links
+    transmission_us = lane_model.transmission_us
+    data = MessageKind.DATA
 
     def endpoint_node(endpoint: str) -> str:
-        if endpoint in assignment:
-            return assignment[endpoint]
-        return topology.node_of_endpoint(endpoint)
+        node = assignment.get(endpoint)
+        if node is None:
+            return topology.node_of_endpoint(endpoint)
+        return node
 
     def schedule_flow(flow: Flow, ready_at: int) -> None:
         """Transmit ``flow`` starting no earlier than ``ready_at``."""
+        name = flow.name
         src_node = endpoint_node(flow.src)
         dst_node = endpoint_node(flow.dst)
-        size = flow_sizes.get(flow.name, flow.size_bits)
         if src_node == dst_node:
-            arrivals[flow.name] = ready_at
+            arrivals[name] = ready_at
             return
+        size = flow_sizes.get(name, flow.size_bits)
         try:
             path = router.route(src_node, dst_node, excluding)
         except RoutingError as exc:
-            violations.append(f"flow {flow.name}: {exc}")
-            arrivals[flow.name] = workload.period + 1
+            violations.append(f"flow {name}: {exc}")
+            arrivals[name] = workload.period + 1
             return
         t = ready_at
-        for sender, receiver in zip(path[:-1], path[1:]):
-            link = topology.link_between(sender, receiver)
-            key = (link.link_id, sender)
-            tx_start = max(t, lane_free.get(key, 0))
-            duration = lane_model.transmission_us(
-                link, MessageKind.DATA, size
-            )
-            lane_free[key] = tx_start + duration
-            arrival = tx_start + duration + link.propagation_us
+        for sender, receiver in zip(path, path[1:]):
+            # A route only crosses linked pairs.
+            link_id = adjacency[sender][receiver]
+            link = links[link_id]
+            key = (link_id, sender)
+            free = lane_free.get(key, 0)
+            tx_start = t if t >= free else free
+            done = tx_start + transmission_us(link, data, size)
+            lane_free[key] = done
+            t = done + link.propagation_us
+            # Positional: a keyword call costs twice as much, thousands
+            # of times per strategy.
             transmissions.append(PlannedTransmission(
-                flow=flow.name, sender=sender, receiver=receiver,
-                link_id=link.link_id, start=tx_start, arrival=arrival,
-                size_bits=size,
-            ))
-            t = arrival
-        arrivals[flow.name] = t
+                name, sender, receiver, link_id, tx_start, t, size))
+        arrivals[name] = t
 
     # Source readings are available at the hosting node at period start.
     for flow in workload.source_flows():
@@ -170,8 +175,11 @@ def synthesize(
     for task_name in workload.deadline_driven_order():
         task = workload.tasks[task_name]
         node = assignment[task_name]
-        inputs = workload.inputs_of(task_name)
-        ready = max((arrivals[f.name] for f in inputs), default=0)
+        ready = 0
+        for flow in workload.inputs_of(task_name):
+            arrival = arrivals[flow.name]
+            if arrival > ready:
+                ready = arrival
         start = max(ready, node_free[node])
         speed = _effective_fg_speed(topology, node)
         duration = max(1, int(-(-task.wcet // max(speed, 1e-12))))
@@ -183,9 +191,7 @@ def synthesize(
                 f"> period {workload.period}"
             )
         else:
-            node_schedules[node].add(ScheduleEntry(
-                task=task_name, start=start, finish=finish,
-            ))
+            node_schedules[node].add(ScheduleEntry(task_name, start, finish))
         for flow in workload.outputs_of(task_name):
             schedule_flow(flow, ready_at=finish)
 

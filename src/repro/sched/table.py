@@ -19,7 +19,13 @@ class ScheduleError(Exception):
     """Raised for malformed schedule tables (overlaps, period overruns)."""
 
 
-@dataclass(frozen=True)
+# The table entries are plain slotted dataclasses, not frozen ones: a
+# frozen ``__init__`` pays one ``object.__setattr__`` per field, and a
+# cold plan builds thousands of entries. Nothing assigns to an entry once
+# it is built.
+
+
+@dataclass(slots=True)
 class ScheduleEntry:
     """One task execution slot within the period: [start, finish)."""
 
@@ -38,7 +44,7 @@ class ScheduleEntry:
         return self.finish - self.start
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class PlannedTransmission:
     """One planned hop of one flow instance within the period.
 
@@ -81,8 +87,10 @@ class NodeSchedule:
                 raise ScheduleError(
                     f"{entry.task} overlaps {existing.task} on {self.node}"
                 )
-        self.entries.append(entry)
-        self.entries.sort(key=lambda e: e.start)
+        entries = self.entries
+        entries.append(entry)
+        if len(entries) > 1 and entries[-2].start > entry.start:
+            entries.sort(key=lambda e: e.start)
 
     def slot_for(self, task: str) -> Optional[ScheduleEntry]:
         for entry in self.entries:

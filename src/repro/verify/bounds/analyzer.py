@@ -54,7 +54,6 @@ from ...core.planner.strategy import Strategy
 from ...core.runtime.budget import EVIDENCE_BITS
 from ...core.runtime.config import BTRConfig
 from ...crypto.costs import VERIFY_US
-from ...net.routing import Router
 from ...net.topology import Topology
 from ...obs.recovery import PHASES
 from ...sched.lanes import LaneModel
@@ -324,19 +323,29 @@ def compute_bounds(strategy: Strategy, topology: Topology,
     budget/R columns, the bounds read only its distribution bound, which
     is the runtime's switch lead; no bound reads a budget total, which is
     what makes the cross-validation in :mod:`.soundness` meaningful.
+
+    The strategy keeps the last report: asked again with the same
+    topology and lane model objects and an equal config and budget (as
+    ``prepare(strict=True)``'s ``bound.*`` rules and then the caller
+    ask), this returns that report object; any other inputs compute a
+    fresh report, which the strategy keeps instead.
     """
-    router = Router(topology)
+    held = strategy._bounds
+    if (held is not None and held[0] is topology and held[1] is lane_model
+            and held[2] == config and held[3] == budget):
+        return held[4]
+    inputs = (topology, lane_model, config, budget)
+    router = topology.router
     if budget is None:
         from ...core.runtime.budget import compute_budget
         budget = compute_budget(strategy, topology, lane_model)
     period = strategy.nominal.workload.period
     # Per topology: the evidence hop, the slowest STATE lane, the node
-    # list. Per surviving node set: the flood depth (the same faulty set
-    # is reached from each of its sub-patterns).
+    # list. The flood depth is the topology router's diameter over the
+    # survivors, which the router keeps per faulty set.
     hop, verify, decl_verify = _evidence_hop_us(topology, lane_model)
     state_rate = _min_state_rate_milli(topology, lane_model)
     node_ids = topology.node_ids()
-    flood_depths: Dict[FrozenSet[str], int] = {}
     lead = budget.distribution_us
     drift = _drift_eps_us(config)
     slack = DEFAULT_TIMING.slack_us
@@ -368,14 +377,12 @@ def compute_bounds(strategy: Strategy, topology: Topology,
 
         for victim in victims:
             faulty = pattern | {victim}
-            depth = flood_depths.get(faulty)
+            depth = router.diameter(faulty)
             if depth is None:
-                depth = router.diameter(faulty)
-                if depth is None:
-                    # Survivors cut off from each other: their count is
-                    # a safe over-estimate of the flood depth.
-                    depth = sum(n not in faulty for n in node_ids)
-                depth = flood_depths[faulty] = max(depth, 1)
+                # Survivors cut off from each other: their count is a
+                # safe over-estimate of the flood depth.
+                depth = sum(n not in faulty for n in node_ids)
+            depth = max(depth, 1)
             flood = depth * (hop + verify)
             decl_flood = depth * (hop + decl_verify)
             # Worst-case state transfer of this specific mode transition.
@@ -530,8 +537,10 @@ def compute_bounds(strategy: Strategy, topology: Topology,
                 victim_totals=dict(victim_totals[fault_class])))
 
     R_us = config.R_us if config.R_us is not None else budget.total_us
-    return BoundsReport(period_us=period, f=strategy.f, R_us=R_us,
-                        budget=budget.to_dict(), entries=tuple(entries))
+    report = BoundsReport(period_us=period, f=strategy.f, R_us=R_us,
+                          budget=budget.to_dict(), entries=tuple(entries))
+    strategy._bounds = inputs + (report,)
+    return report
 
 
 __all__ = ["ConvictionProfile", "conviction_profile", "compute_bounds"]

@@ -28,7 +28,7 @@ def check_mode_graph(
 ) -> List[Finding]:
     """Verify coverage and transition soundness of ``strategy``."""
     findings: List[Finding] = []
-    router = router or Router(topology)
+    router = router or topology.router
 
     # --- completeness: every anticipated pattern has a plan ------------
     for pattern in all_patterns_up_to(strategy.covered_nodes, strategy.f):

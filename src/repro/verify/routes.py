@@ -13,7 +13,7 @@ without mutating any link state.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 from ..core.planner.plan import Plan
 from ..net.topology import Topology
@@ -24,30 +24,25 @@ from .findings import Finding, Severity
 HEADROOM = 2.0
 
 
-def _host_of(plan: Plan, topology: Topology, endpoint: str) -> Optional[str]:
-    """Node hosting a flow endpoint: assigned instance or pinned I/O."""
-    node = plan.assignment.get(endpoint)
-    if node is not None:
-        return node
-    return topology.endpoint_map.get(endpoint)
-
-
 def check_routes(plan: Plan, topology: Topology) -> List[Finding]:
     """Verify every route of ``plan`` exists, avoids faulty nodes, starts
     and ends at the right hosts, and fits the link reservation budget."""
     findings: List[Finding] = []
     mode = plan.mode
-    faulty = set(plan.pattern)
+    faulty = plan.pattern
     period_seconds = plan.augmented.period / 1e6
     adjacency = topology.adjacency
     links = topology.links
+    flow_of = plan.augmented.flow
+    assignment = plan.assignment
+    endpoint_map = topology.endpoint_map
     # (link_id, sender) -> accumulated DATA share, reservation-style.
     shares: Dict[Tuple[str, str], float] = {}
 
     for flow_name in sorted(plan.routes):
         route = plan.routes[flow_name]
         try:
-            flow = plan.augmented.flow(flow_name)
+            flow = flow_of(flow_name)
         except KeyError:
             findings.append(Finding(
                 rule="route.unknown-flow", severity=Severity.WARNING,
@@ -59,17 +54,23 @@ def check_routes(plan: Plan, topology: Topology) -> List[Finding]:
         if not route:
             continue
 
-        for node in route:
-            if node in faulty:
-                findings.append(Finding(
-                    rule="route.faulty-node", severity=Severity.ERROR,
-                    mode=mode, subject=flow_name,
-                    message=(f"route {'>'.join(route)} passes through "
-                             f"faulty node {node}"),
-                ))
+        if not faulty.isdisjoint(route):
+            for node in route:
+                if node in faulty:
+                    findings.append(Finding(
+                        rule="route.faulty-node", severity=Severity.ERROR,
+                        mode=mode, subject=flow_name,
+                        message=(f"route {'>'.join(route)} passes through "
+                                 f"faulty node {node}"),
+                    ))
 
-        src_host = _host_of(plan, topology, flow.src)
-        dst_host = _host_of(plan, topology, flow.dst)
+        # Each endpoint's host: its assigned instance or pinned I/O node.
+        src_host = assignment.get(flow.src)
+        if src_host is None:
+            src_host = endpoint_map.get(flow.src)
+        dst_host = assignment.get(flow.dst)
+        if dst_host is None:
+            dst_host = endpoint_map.get(flow.dst)
         if src_host is not None and route[0] != src_host:
             findings.append(Finding(
                 rule="route.endpoint-mismatch", severity=Severity.ERROR,
@@ -88,8 +89,10 @@ def check_routes(plan: Plan, topology: Topology) -> List[Finding]:
         # Reservation arithmetic: headroom times the flow's mean rate, as
         # a fraction of each hop's raw link rate.
         reserved_rate = HEADROOM * (flow.size_bits / period_seconds)
-        for sender, receiver in zip(route[:-1], route[1:]):
-            link_id = adjacency.get(sender, {}).get(receiver)
+        for sender, receiver in zip(route, route[1:]):
+            neighbours = adjacency.get(sender)
+            link_id = (neighbours.get(receiver)
+                       if neighbours is not None else None)
             if link_id is None:
                 findings.append(Finding(
                     rule="route.broken-path", severity=Severity.ERROR,
@@ -97,10 +100,9 @@ def check_routes(plan: Plan, topology: Topology) -> List[Finding]:
                     message=f"no link between {sender} and {receiver}",
                 ))
                 continue
-            link = links[link_id]
-            key = (link.link_id, sender)
+            key = (link_id, sender)
             shares[key] = (shares.get(key, 0.0)
-                           + reserved_rate / link.bandwidth_bps)
+                           + reserved_rate / links[link_id].bandwidth_bps)
 
     # Admission: the per-link sum of all accumulated sender shares must
     # fit within the link (1.0).

@@ -15,9 +15,10 @@ synthesizer recorded about its own feasibility:
 
 from __future__ import annotations
 
-from typing import List
+from typing import Dict, List
 
 from ..core.planner.plan import Plan
+from ..sched.table import ScheduleEntry
 from .findings import Finding, Severity
 
 
@@ -49,10 +50,20 @@ def check_schedule(plan: Plan) -> List[Finding]:
                 ))
 
     # --- precedence: a consumer never starts before its inputs ---------
+    # Per node, each task's first slot: what ``schedule.slot_for`` finds
+    # on the task's assigned node, indexed once for every flow.
+    slots: Dict[str, Dict[str, ScheduleEntry]] = {
+        node: {} for node in schedule.node_schedules}
+    for node, node_schedule in schedule.node_schedules.items():
+        for entry in node_schedule.entries:
+            slots[node].setdefault(entry.task, entry)
+    assignment = schedule.assignment
+    tasks = plan.augmented.tasks
     for flow in plan.augmented.flows:
-        if flow.dst not in plan.augmented.tasks:
+        if flow.dst not in tasks:
             continue
-        consumer_slot = schedule.slot_for(flow.dst)
+        host = assignment.get(flow.dst)
+        consumer_slot = None if host is None else slots[host].get(flow.dst)
         arrival = schedule.arrivals.get(flow.name)
         if consumer_slot is None or arrival is None:
             continue

@@ -26,6 +26,8 @@ from repro.verify.bounds import (FAULT_CLASSES, SoundnessCheck,
                                  bounds_findings, check_timelines,
                                  class_of_kind, compute_bounds,
                                  conviction_profile)
+from repro.core.planner.serialize import strategy_from_json, strategy_to_json
+from repro.sched.lanes import LaneModel
 from repro.verify.findings import Report, Severity
 
 CORPUS_DIR = os.path.join(os.path.dirname(os.path.dirname(
@@ -233,6 +235,90 @@ def test_waive_by_rule_and_subject(industrial_system):
                  if f.rule == "bound.exceeds-budget"}
     assert target not in remaining
     assert remaining == subjects - {target}
+
+
+# ------------------------------------------------------- the kept report
+
+INDUSTRIAL = Deployment("industrial", "fullmesh:5")
+
+
+def _cold(system, topology, lane_model, config, budget):
+    """The report computed from scratch: a clone of the strategy holds
+    no report yet."""
+    clone = strategy_from_json(strategy_to_json(system.strategy))
+    return compute_bounds(clone, topology, lane_model, config,
+                          budget=budget)
+
+
+def test_repeated_compute_bounds_returns_the_kept_report():
+    system = prepared(INDUSTRIAL)
+    args = (system.strategy, system.topology, system.lane_model,
+            system.config)
+    first = compute_bounds(*args, budget=system.budget)
+    assert compute_bounds(*args, budget=system.budget) is first
+    # An equal config and budget are the same inputs.
+    assert compute_bounds(
+        system.strategy, system.topology, system.lane_model,
+        dataclasses.replace(system.config),
+        budget=dataclasses.replace(system.budget)) is first
+    # The bound.* rules of a strict prepare() read the same report.
+    assert bounds_findings(*args, budget=system.budget) == \
+        bounds_findings(*args, budget=system.budget, report=first)
+
+
+def test_strict_prepare_leaves_the_report_the_caller_reads():
+    system = INDUSTRIAL.system()
+    budget = system.prepare(strict=True)
+    held = system.strategy._bounds
+    assert held is not None
+    assert compute_bounds(system.strategy, system.topology,
+                          system.lane_model, system.config,
+                          budget=budget) is held[-1]
+
+
+def _other_config(system):
+    return system.topology, system.lane_model, dataclasses.replace(
+        system.config, R_us=123_456), system.budget
+
+
+def _other_topology(system):
+    topology = INDUSTRIAL.build_topology()
+    topology.place_endpoints_round_robin(system.workload.sources,
+                                         system.workload.sinks)
+    return topology, LaneModel(topology), system.config, system.budget
+
+
+def _other_lane_model(system):
+    return (system.topology, LaneModel(system.topology), system.config,
+            system.budget)
+
+
+def _other_budget(system):
+    budget = dataclasses.replace(
+        system.budget, distribution_us=system.budget.distribution_us + 7)
+    return system.topology, system.lane_model, system.config, budget
+
+
+@pytest.mark.parametrize("inputs", [_other_config, _other_topology,
+                                    _other_lane_model, _other_budget])
+def test_other_inputs_get_a_fresh_report(inputs):
+    system = prepared(INDUSTRIAL)
+    kept = compute_bounds(system.strategy, system.topology,
+                          system.lane_model, system.config,
+                          budget=system.budget)
+    topology, lane_model, config, budget = inputs(system)
+    fresh = compute_bounds(system.strategy, topology, lane_model, config,
+                           budget=budget)
+    assert fresh is not kept
+    cold = _cold(system, topology, lane_model, config, budget)
+    assert fresh.to_dict() == cold.to_dict()
+    # The strategy now keeps the fresh report, for the new inputs only.
+    assert compute_bounds(system.strategy, topology, lane_model, config,
+                          budget=budget) is fresh
+    again = compute_bounds(system.strategy, system.topology,
+                           system.lane_model, system.config,
+                           budget=system.budget)
+    assert again is not kept and again.to_dict() == kept.to_dict()
 
 
 # -------------------------------------------------------------- bounds CLI

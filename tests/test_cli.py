@@ -310,6 +310,29 @@ def test_cli_run_timeline_and_obs_reconstruct_once(tmp_path, capsys,
     assert len(calls) == 1
 
 
+def test_cli_bounds_pins_r_after_a_prepare_that_priced_the_budget(
+        tmp_path, capsys, monkeypatch):
+    """The strategy keeps the report a strict ``prepare()`` priced at the
+    computed budget; ``repro bounds --R`` still reports its pinned R."""
+    import repro.cli.bounds
+
+    planned = repro.cli.bounds.planned
+
+    def priced(args, **how):
+        system = planned(args, **how)
+        system.prepare(strict=True)
+        assert system.strategy._bounds[-1].R_us == system.budget.total_us
+        return system
+
+    monkeypatch.setattr(repro.cli.bounds, "planned", priced)
+    out = tmp_path / "bounds.json"
+    code, _ = run_cli(capsys, "bounds", "--workload", "industrial",
+                      "--topology", "fullmesh:5", "--f", "1",
+                      "--R", "0.5", "--json", str(out))
+    assert code == 0
+    assert json.loads(out.read_text())["R_us"] == 500_000
+
+
 def test_cli_trace_renders_valid_report(tmp_path, capsys):
     obs = tmp_path / "run.json"
     code = main(["run", "--workload", "pipeline", "--topology",

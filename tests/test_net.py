@@ -1,11 +1,15 @@
 """Tests for topologies and routing."""
 
+import gc
 import itertools
+import weakref
 
 import networkx as nx
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro import Deployment
+from repro.baselines import BASELINES
 from repro.net import (
     DEFAULT_PROPAGATION,
     DEFAULT_WAN_LATENCY,
@@ -165,6 +169,48 @@ def test_route_cache_and_invalidate():
     router = Router(topo)
     first = router.route("n0", "n3")
     assert router.route("n0", "n3") is first  # cached object
+
+
+def test_topology_holds_one_router_until_it_grows():
+    topo = line_topology(3)
+    router = topo.router
+    assert topo.router is router
+    assert router.diameter() == 2
+    assert router.diameter() is router.diameter()  # kept per excluded set
+    topo.add_node(Node("n3"))
+    topo.add_link(Link("l9", ("n2", "n3"), 1e6))
+    assert topo.router is not router
+    assert topo.router.diameter() == 3
+
+
+def test_router_holds_no_reference_to_its_topology():
+    """The topology holds its router, so the router must not hold the
+    topology: dropping the topology frees both by reference counting."""
+    topo = ring_topology(5)
+    topo.router.diameter(frozenset({"n1"}))
+    assert topo not in gc.get_referents(topo.router)
+    gc.collect()
+    gc.disable()
+    try:
+        freed = weakref.ref(topo)
+        router = weakref.ref(topo.router)
+        del topo
+        assert freed() is None and router() is None
+    finally:
+        gc.enable()
+
+
+def test_planner_verifier_and_analyzer_share_the_topology_router():
+    system = Deployment("industrial", "fullmesh:5").system()
+    topology = system.topology
+    router = topology.router
+    assert system.router is router
+    system.prepare(strict=True)
+    assert topology.router is router
+    # The budget and the analyzer asked the same router for diameters.
+    assert frozenset() in router._diameters
+    assert len(router._diameters) > 1
+    assert BASELINES["zz"](system.workload, topology).router is router
 
 
 @settings(max_examples=20, deadline=None)

@@ -1,15 +1,18 @@
 """Every persisted JSON artifact is written whole or not at all
-(``repro.persist.write_atomic``).
+(``repro.persist.write_atomic``), and every indented one by
+``repro.persist.json_text``, which leaves no reference cycle behind.
 
 Each writer below keeps its file's bytes (the layout is pinned per
 writer), and a write whose rename fails leaves the previous file as it
 was and no temp file beside it.
 """
 
+import gc
 import json
 import os
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro import Deployment
 from repro.cli import main as cli_main
@@ -18,6 +21,7 @@ from repro.core.planner.serialize import strategy_to_json
 from repro.fuzz.corpus import load_corpus, write_corpus
 from repro.obs import export_run
 from repro.perf import StrategyCache, strategy_cache_key
+from repro.persist import json_text
 
 CORPUS_DIR = os.path.join(os.path.dirname(os.path.dirname(
     os.path.abspath(__file__))), "corpus")
@@ -115,3 +119,50 @@ def test_failed_rename_keeps_the_previous_file_and_no_temp_file(
     with open(path, encoding="utf-8") as fh:
         assert fh.read() == "previous"
     assert sorted(os.listdir(tmp_path)) == listing
+
+
+# ---------------------------------------------------------- the JSON text
+
+JSON_LEAVES = (st.none() | st.booleans() | st.integers()
+               | st.floats(allow_nan=True, allow_infinity=True)
+               | st.text())
+JSON_VALUES = st.recursive(
+    JSON_LEAVES,
+    lambda children: (st.lists(children, max_size=4)
+                      | st.dictionaries(st.text(), children, max_size=4)),
+    max_leaves=24)
+
+
+@settings(max_examples=300, deadline=None)
+@given(value=JSON_VALUES)
+def test_property_json_text_is_the_indented_sorted_dump(value):
+    """Nested string-keyed JSON values, empty containers, unicode,
+    floats, bools and ``None`` included."""
+    assert json_text(value) == json.dumps(value, indent=2, sort_keys=True)
+
+
+def test_json_text_keeps_the_standard_key_and_tuple_rules():
+    value = {1: (), 2.5: [True, -0.0], False: {}, None: ("é", 3)}
+    for dump in (json_text,
+                 lambda v: json.dumps(v, indent=2, sort_keys=True)):
+        with pytest.raises(TypeError):
+            dump(value)  # keys of mixed types do not sort
+    for keys in ({1: "a", 2: "b"}, {2.5: 1, 0.5: 2}, {True: 1, False: 0}):
+        assert json_text(keys) == json.dumps(keys, indent=2,
+                                             sort_keys=True)
+    assert json_text(((), ("x",))) == json.dumps(((), ("x",)), indent=2)
+    with pytest.raises(TypeError):
+        json_text({"set": {1}})
+
+
+def test_json_text_leaves_no_cycle():
+    value = {"b": [1, {"c": [2.5, None]}], "a": {"z": [], "y": "text"}}
+    json_text(value)
+    gc.collect()
+    gc.disable()
+    try:
+        for _ in range(10):
+            json_text(value)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()

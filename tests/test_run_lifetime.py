@@ -22,6 +22,7 @@ from repro.fuzz.campaign import _evaluate
 from repro.mc import judge
 from repro.mc.campaign import prepare_campaign
 from repro.net import full_mesh_topology
+from repro.obs import export_run
 from repro.perf.batchcore import sibling_system
 from repro.sim.time import NEVER
 from repro.verify.bounds import compute_bounds
@@ -117,14 +118,29 @@ def test_fuzz_evaluation_frees_itself():
 
 def test_compute_bounds_frees_itself():
     """The analyzer judges each victim's silence per plan; no predicate
-    it builds for that may reach itself."""
-    system = BTRSystem(industrial_workload(), full_mesh_topology(6),
-                       BTRConfig(f=1, seed=3))
-    system.prepare()
+    it builds for that may reach itself. The strategy keeps the report
+    it computed, and the topology its router, without a cycle."""
+    def scenario():
+        system = BTRSystem(industrial_workload(), full_mesh_topology(6),
+                           BTRConfig(f=1, seed=3))
+        system.prepare()
+        for _ in range(2):  # computed, then the kept report
+            compute_bounds(system.strategy, system.topology,
+                           system.lane_model, system.config,
+                           budget=system.budget)
+
+    assert unreachable_after(scenario) == 0
+
+
+def test_export_run_frees_itself(tmp_path):
+    """The indented report text is written without the standard
+    encoder's closures, which refer to each other."""
+    system = industrial("milestones")
+    result = system.run(10, SingleFaultAdversary(at=150_000,
+                                                 kind="crash"))
+    path = str(tmp_path / "run.json")
 
     def scenario():
-        compute_bounds(system.strategy, system.topology,
-                       system.lane_model, system.config,
-                       budget=system.budget)
+        export_run(result, path)
 
     assert unreachable_after(scenario) == 0

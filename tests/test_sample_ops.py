@@ -37,3 +37,16 @@ def test_sampler_prints_self_and_inclusive_shares():
     # Every sample lies inside an op, so the op itself is at 100 %.
     top = ROW.fullmatch(tables[1][0])
     assert top[3] == "workloads:ColdPlanF2.op" and top[2] == "100.00"
+
+
+def test_sampler_prints_the_rows_it_is_asked_for():
+    out = subprocess.run(
+        [sys.executable, os.path.join("tools", "sample_ops.py"),
+         "cold_plan_f2", "1", "3"],
+        cwd=REPO, capture_output=True, text=True, timeout=600)
+    assert out.returncode == 0, out.stderr
+    lines = out.stdout.splitlines()
+    by_self = lines.index("by self share")
+    by_inclusive = lines.index("by inclusive share")
+    assert len(lines[by_self + 2:by_inclusive - 1]) == 3
+    assert len(lines[by_inclusive + 2:]) == 3

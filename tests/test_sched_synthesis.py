@@ -3,12 +3,13 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.net import Router, full_mesh_topology, line_topology
+from repro.net import Router, bus_topology, full_mesh_topology, line_topology
 from repro.sched import (
     LANE_FRACTIONS,
     AssignmentError,
     LaneModel,
     NodeSchedule,
+    PlannedTransmission,
     ScheduleEntry,
     ScheduleError,
     synthesize,
@@ -36,6 +37,19 @@ def test_schedule_entry_validation():
         ScheduleEntry("t", 10, 10)
     with pytest.raises(ScheduleError):
         ScheduleEntry("t", -1, 5)
+
+
+def test_planned_transmission_validation():
+    ok = PlannedTransmission("f", "n0", "n1", "l0", 5, 6, 8)
+    assert ok == PlannedTransmission(flow="f", sender="n0", receiver="n1",
+                                     link_id="l0", start=5, arrival=6,
+                                     size_bits=8)
+    assert repr(ok) == ("PlannedTransmission(flow='f', sender='n0', "
+                        "receiver='n1', link_id='l0', start=5, arrival=6, "
+                        "size_bits=8)")
+    for arrival in (5, 4):
+        with pytest.raises(ScheduleError):
+            PlannedTransmission("f", "n0", "n1", "l0", 5, arrival)
 
 
 def test_node_schedule_rejects_overlap():
@@ -102,6 +116,45 @@ def test_transmission_us_ceils():
     model = LaneModel(topo)  # DATA: 0.25 bits/us per lane
     link = topo.links["l0"]
     assert model.transmission_us(link, MessageKind.DATA, 100) == 400
+
+
+def test_transmission_us_is_computed_once_per_link_kind_and_size():
+    topo = line_topology(3, bandwidth=1e6)
+    model = LaneModel(topo)
+    first, second = topo.links["l0"], topo.links["l1"]
+    assert model.transmission_us(first, MessageKind.DATA, 100) == 400
+    assert model.transmission_us(first, MessageKind.STATE, 100) == 1000
+    assert model.transmission_us(second, MessageKind.DATA, 100) == 400
+    assert model.transmission_us(first, MessageKind.DATA, 101) == 404
+    assert model.transmission_us(first, MessageKind.DATA, 100) == 400
+    assert len(model._durations) == 4
+
+
+def runtime_duration(link, sender, kind, bits):
+    """What the hop runtime charges one send on an installed lane
+    (``BatchRuntime.send``, ``flood_messages``, the heartbeat plans)."""
+    rate = link.lane(sender, kind).rate_bits_per_us
+    return max(1, int(round(bits / rate)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(bandwidth=st.floats(min_value=1e3, max_value=1e10),
+       endpoints=st.integers(min_value=2, max_value=8),
+       kind=st.sampled_from(list(MessageKind)),
+       bits=st.integers(min_value=0, max_value=10 ** 7))
+def test_property_runtime_hop_is_never_longer_than_planned(
+        bandwidth, endpoints, kind, bits):
+    """The planner rounds a hop's duration up and the runtime rounds it
+    to nearest, on the same lane rate: an executed hop takes the planned
+    time or 1 µs less, never more."""
+    topo = bus_topology(endpoints, bandwidth=bandwidth)
+    model = LaneModel(topo)
+    model.install()
+    link = topo.links["bus"]
+    planned = model.transmission_us(link, kind, bits)
+    for sender in link.endpoints:
+        assert planned - 1 <= runtime_duration(link, sender, kind, bits) \
+            <= planned
 
 
 # ----------------------------------------------------------------- synthesis

@@ -70,6 +70,29 @@ def test_plan_roundtrip_preserves_everything(system):
     restored.augmented.validate()
 
 
+def test_f2_plan_roundtrip_rebuilds_equal_table_entries():
+    """A plan of a double fault decodes to equal timetable entries
+    (dataclass equality, field by field) and to the same record. The
+    graphs and node schedules compare by identity, so the plans
+    themselves are compared through their records."""
+    system = BTRSystem(industrial_workload(),
+                       full_mesh_topology(7, bandwidth=1e8),
+                       BTRConfig(f=2, seed=13))
+    system.prepare()
+    pattern = max(system.strategy.patterns(), key=len)
+    assert len(pattern) == 2
+    plan = system.strategy.plan_for(pattern)
+    restored = plan_from_dict(plan_to_dict(plan))
+    assert restored.schedule.transmissions == plan.schedule.transmissions
+    assert len(plan.schedule.transmissions) > 0
+    assert sorted(restored.schedule.node_schedules) == \
+        sorted(plan.schedule.node_schedules)
+    for node, schedule in plan.schedule.node_schedules.items():
+        assert restored.schedule.node_schedules[node].entries == \
+            schedule.entries
+    assert plan_to_dict(restored) == plan_to_dict(plan)
+
+
 def test_plan_dict_is_json_stable(system):
     plan = system.strategy.plan_for(
         frozenset({sorted(system.strategy.covered_nodes)[0]}))

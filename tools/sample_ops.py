@@ -14,7 +14,9 @@ The workload is set up and one round of ops is run untimed first
 whole rounds of ops are sampled until ``SECONDS`` of wall time have
 passed. Shares are of all samples taken inside the ops.
 
-Usage:  python tools/sample_ops.py WORKLOAD [SECONDS]
+``ROWS`` (default 30) is how many rows each table prints.
+
+Usage:  python tools/sample_ops.py WORKLOAD [SECONDS [ROWS]]
 """
 
 import os
@@ -27,7 +29,7 @@ from collections import Counter
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 #: CPU seconds between samples.
 INTERVAL_S = 0.001
-#: Rows printed per table.
+#: Rows printed per table, unless the command line names another count.
 ROWS = 30
 
 
@@ -89,15 +91,15 @@ def sample(name: str, seconds: float, out_dir: str):
 
 
 def _table(title: str, counts: Counter, self_counts: Counter,
-           inclusive: Counter, taken: int) -> None:
+           inclusive: Counter, taken: int, rows: int) -> None:
     print(f"\n{title}")
     print(f"{'self%':>7} {'incl%':>7}  module:function")
-    for label, _ in counts.most_common(ROWS):
+    for label, _ in counts.most_common(rows):
         print(f"{100 * self_counts[label] / taken:7.2f} "
               f"{100 * inclusive[label] / taken:7.2f}  {label}")
 
 
-def main(name: str, seconds: float = 10.0) -> int:
+def main(name: str, seconds: float = 10.0, rows: int = ROWS) -> int:
     with tempfile.TemporaryDirectory(prefix="sample_ops-") as out_dir:
         self_counts, inclusive, taken, ops, op_s = sample(
             name, seconds, out_dir)
@@ -106,12 +108,15 @@ def main(name: str, seconds: float = 10.0) -> int:
           f"({INTERVAL_S * 1e3:g} ms CPU interval requested)")
     if not taken:
         return 1
-    _table("by self share", self_counts, self_counts, inclusive, taken)
-    _table("by inclusive share", inclusive, self_counts, inclusive, taken)
+    _table("by self share", self_counts, self_counts, inclusive, taken,
+           rows)
+    _table("by inclusive share", inclusive, self_counts, inclusive, taken,
+           rows)
     return 0
 
 
 if __name__ == "__main__":
-    if not 2 <= len(sys.argv) <= 3:
+    if not 2 <= len(sys.argv) <= 4:
         sys.exit(__doc__.strip().splitlines()[-1])
-    sys.exit(main(sys.argv[1], *(float(v) for v in sys.argv[2:])))
+    sys.exit(main(sys.argv[1], *(float(v) for v in sys.argv[2:3]),
+                  *(int(v) for v in sys.argv[3:])))

@@ -1,6 +1,6 @@
 """Baseline fault-tolerance systems on the same substrate as BTR."""
 
-from .base import BaselineAgent, BaselinePlan, BaselineSystem
+from .base import BaselineAgent, BaselineSystem
 from .bft import BFTSystem, bft_augment, majority
 from .crash_restart import CrashRestartSystem
 from .selfstab import SelfStabilizingSystem
@@ -20,7 +20,6 @@ BASELINES = {
 __all__ = [
     "BASELINES",
     "BaselineAgent",
-    "BaselinePlan",
     "BaselineSystem",
     "BFTSystem",
     "bft_augment",

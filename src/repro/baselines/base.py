@@ -20,6 +20,7 @@ from functools import partial
 from typing import Dict, List, Optional, Union
 
 from ..core.planner.placement import PlacementConfig, place
+from ..core.planner.plan import Plan, derive_routes
 from ..core.runtime.system import RunResult
 from ..faults.adversary import Adversary, FaultScript
 from ..faults.behaviors import FaultBehavior
@@ -36,51 +37,9 @@ from ..sim.trace import (
     TaskExecuted,
     Trace,
 )
+from ..workload.criticality import Criticality
 from ..workload.dataflow import DataflowGraph, Flow
 from ..workload.task import sensor_reading
-
-
-class BaselinePlan:
-    """A single static deployment (no modes): graph, assignment, schedule."""
-
-    def __init__(self, augmented: DataflowGraph, assignment: Dict[str, str],
-                 schedule: GlobalSchedule, topology: Topology) -> None:
-        self.augmented = augmented
-        #: Flow name -> flow of the augmented graph.
-        self.flows: Dict[str, Flow] = {f.name: f for f in augmented.flows}
-        self.assignment = assignment
-        self.schedule = schedule
-        #: Source / sink endpoint -> the node it is placed on.
-        self.endpoint_map = topology.endpoint_map
-        self.routes: Dict[str, List[str]] = {}
-        for t in schedule.transmissions:
-            path = self.routes.setdefault(t.flow, [])
-            if not path:
-                path.append(t.sender)
-            path.append(t.receiver)
-        for flow in augmented.flows:
-            if flow.name not in self.routes:
-                node = assignment.get(flow.src,
-                                      topology.endpoint_map.get(flow.src))
-                if node is not None:
-                    self.routes[flow.name] = [node]
-
-    def consumer_node(self, flow) -> Optional[str]:
-        """The node that consumes ``flow``: its task's host, or the node
-        its sink endpoint is placed on."""
-        if flow.dst in self.augmented.tasks:
-            return self.assignment.get(flow.dst)
-        return self.endpoint_map.get(flow.dst)
-
-    def instances_on(self, node: str) -> List[str]:
-        return sorted(i for i, n in self.assignment.items() if n == node)
-
-    def next_hop(self, flow: str, current: str) -> Optional[str]:
-        route = self.routes.get(flow)
-        if not route or current not in route:
-            return None
-        idx = route.index(current)
-        return route[idx + 1] if idx + 1 < len(route) else None
 
 
 class BaselineAgent:
@@ -93,7 +52,9 @@ class BaselineAgent:
         # system holds its agents, so an agent pointing back up would tie
         # every finished run into a reference cycle.
         self.sim: Simulator = system.sim
-        self.plan: BaselinePlan = system.plan
+        self.plan: Plan = system.plan
+        #: Source / sink endpoint -> the node it is placed on.
+        self.endpoint_map: Dict[str, str] = system.topology.endpoint_map
         self.trace: Trace = system.trace
         self.workload = system.workload
         self.period: int = system.workload.period
@@ -137,10 +98,9 @@ class BaselineAgent:
         if self.node.crashed:
             return
         slot = self.plan.schedule.slot_for(instance)
-        self.trace.record(TaskExecuted(
-            time=self.sim.now, node=self.node_id, task=instance,
-            period_index=k, duration=slot.duration if slot else 0,
-        ))
+        self.trace.record_row(self.sim.now, (
+            TaskExecuted, self.node_id, instance, k,
+            slot.duration if slot else 0))
         self.execute_instance(instance, k)
 
     # --------------------------------------------------- subclass hooks
@@ -148,7 +108,7 @@ class BaselineAgent:
     def emit_sources(self, k: int) -> None:
         """Send this period's reading of every source hosted here."""
         hosted = {
-            s for s, host in self.plan.endpoint_map.items()
+            s for s, host in sorted(self.endpoint_map.items())
             if host == self.node_id and s in self.plan.augmented.sources
         }
         if not hosted:
@@ -165,13 +125,20 @@ class BaselineAgent:
         """Called for every delivered (or local) flow value."""
         self.inbox[(flow, k)] = value
 
+    def consumer_node(self, flow: Flow) -> Optional[str]:
+        """The node that consumes ``flow``: its task's host, or the node
+        its sink endpoint is placed on."""
+        if flow.dst in self.plan.augmented.tasks:
+            return self.plan.assignment.get(flow.dst)
+        return self.endpoint_map.get(flow.dst)
+
     # ------------------------------------------------------------ messaging
 
     def send_flow(self, flow_name: str, k: int, value: int) -> None:
-        flow = self.plan.flows.get(flow_name)
+        flow = self.plan.augmented.find_flow(flow_name)
         if flow is None:
             return
-        final = self.plan.consumer_node(flow)
+        final = self.consumer_node(flow)
         if final is None:
             return
         if self.behavior.drops_message(flow_name, k, final):
@@ -243,7 +210,9 @@ class BaselineSystem:
                                                  workload.sinks)
         self.router = topology.router
         self.lane_model = LaneModel(topology)
-        self.plan: Optional[BaselinePlan] = None
+        #: The one deployment, a planner :class:`Plan` for the empty
+        #: fault pattern; filled by :meth:`prepare`.
+        self.plan: Optional[Plan] = None
         #: Where link-loss drops are counted (baselines make no recovery
         #: promise, so their RunResult carries no metrics snapshot).
         self.metrics = MetricsRegistry()
@@ -282,8 +251,13 @@ class BaselineSystem:
                 f"({schedule.violations[0]}; {len(schedule.violations)} "
                 f"violations total)"
             )
-        self.plan = BaselinePlan(augmented, assignment, schedule,
-                                 self.topology)
+        self.plan = Plan(
+            pattern=frozenset(), workload=self.workload,
+            augmented=augmented, assignment=assignment, schedule=schedule,
+            # Baselines shed nothing.
+            kept_levels=set(Criticality),
+            routes=derive_routes(schedule, augmented, self.topology,
+                                 assignment))
         return schedule
 
     # ------------------------------------------------------------------ run
@@ -296,9 +270,9 @@ class BaselineSystem:
         period = self.workload.period
         self.sim = Simulator(seed=self.seed)
         self.trace = Trace()
-        for node in self.topology.nodes.values():
+        for _, node in sorted(self.topology.nodes.items()):
             node.reset()
-        for link in self.topology.links.values():
+        for _, link in sorted(self.topology.links.items()):
             link.reset()
         self.lane_model.install()
         self.agents = {
@@ -321,7 +295,7 @@ class BaselineSystem:
             # (queued callbacks, the agents' hop runtime) so a finished
             # run is freed by reference counting.
             self.sim.close()
-            for agent in self.agents.values():
+            for _, agent in sorted(self.agents.items()):
                 agent.release()
         self.batch_runtime.end_run()
         return RunResult(

@@ -37,7 +37,10 @@ def majority(values: List[int]) -> int:
 def bft_augment(workload: DataflowGraph, replicas: int) -> DataflowGraph:
     """3f+1-way replication with full replica-to-replica fan-out."""
     tasks = []
-    for task in workload.tasks.values():
+    # In declaration order, as augment() walks the workload: the
+    # deployed graph keeps its tasks in the workload's order.
+    tasks_in_order = workload.tasks.values()
+    for task in tasks_in_order:  # lint: ignore[unsorted-node-iteration]
         for i in range(replicas):
             tasks.append(type(task)(
                 name=naming.replica_name(task.name, i),
@@ -121,7 +124,7 @@ class BFTAgent(BaselineAgent):
 
     def on_value(self, flow_name: str, k: int, value: int, at: int) -> None:
         super().on_value(flow_name, k, value, at)
-        flow = self.plan.flows.get(flow_name)
+        flow = self.plan.augmented.find_flow(flow_name)
         if flow is None or flow.dst not in self.plan.augmented.sinks:
             return
         base = flow_name.rsplit("@", 1)[0]

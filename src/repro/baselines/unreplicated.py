@@ -29,7 +29,7 @@ class UnreplicatedAgent(BaselineAgent):
 
     def on_value(self, flow_name: str, k: int, value: int, at: int) -> None:
         super().on_value(flow_name, k, value, at)
-        flow = self.plan.flows.get(flow_name)
+        flow = self.plan.augmented.find_flow(flow_name)
         if flow is not None and flow.dst in self.plan.augmented.sinks:
             self.record_output(flow.dst, flow.name, k, value, at)
 

@@ -85,7 +85,7 @@ class ZZAgent(BaselineAgent):
 
     def on_value(self, flow_name: str, k: int, value: int, at: int) -> None:
         super().on_value(flow_name, k, value, at)
-        flow = self.plan.flows.get(flow_name)
+        flow = self.plan.augmented.find_flow(flow_name)
         if flow is not None and flow.dst in self.plan.augmented.sinks:
             self.record_output(flow.dst, naming.base_flow(flow_name), k,
                                value, at)

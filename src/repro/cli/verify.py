@@ -44,7 +44,7 @@ def handle(args) -> int:
         # Unprepared: the deployment's placement, router and lanes only.
         system = deployment(args).system(cache=cache_dir(args))
         try:
-            with open(args.strategy) as f:
+            with open(args.strategy, "rb") as f:
                 strategy = strategy_from_json(f.read())
         except (OSError, StrategyFormatError) as exc:
             print(f"repro verify: cannot read strategy file: {exc}",

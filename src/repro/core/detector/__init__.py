@@ -13,7 +13,6 @@ from .timing import (
     SELF_INCRIMINATING,
     SUSPICIOUS_ARRIVAL,
     TimingPolicy,
-    planned_send_offset,
 )
 
 __all__ = [
@@ -29,5 +28,4 @@ __all__ = [
     "SELF_INCRIMINATING",
     "SUSPICIOUS_ARRIVAL",
     "TimingPolicy",
-    "planned_send_offset",
 ]

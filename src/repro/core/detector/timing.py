@@ -5,7 +5,8 @@ Senders sign **once per logical flow and period** — all copies of a flow
 carry the same statement, which is what makes equivocation provable (two
 different signed values for one (flow, period) slot).
 
-The plan fixes when each statement should be handed to the MAC: the
+The plan fixes when each statement should be handed to the MAC
+(:meth:`~repro.core.planner.plan.Plan.planned_send_offset`): the
 producing instance's slot finish (or period start, for sensor readings at a
 source host). The receiver judges incoming messages against::
 
@@ -29,12 +30,6 @@ from ..planner.plan import Plan
 OK = "ok"
 SELF_INCRIMINATING = "self_incriminating"
 SUSPICIOUS_ARRIVAL = "suspicious_arrival"
-
-
-def planned_send_offset(plan: Plan, flow_name: str) -> Optional[int]:
-    """Planned period-relative handoff time of a logical flow or copy:
-    :meth:`Plan.planned_send_offset`."""
-    return plan.planned_send_offset(flow_name)
 
 
 class TimingPolicy:

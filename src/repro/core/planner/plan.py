@@ -145,9 +145,13 @@ class Plan:
         return sorted(set(full_workload.tasks) - set(self.workload.tasks))
 
 
-def _derive_routes(schedule: GlobalSchedule, augmented: DataflowGraph,
-                   topology: Topology, assignment: Dict[str, str]
-                   ) -> Dict[str, List[str]]:
+def derive_routes(schedule: GlobalSchedule, augmented: DataflowGraph,
+                  topology: Topology, assignment: Dict[str, str]
+                  ) -> Dict[str, List[str]]:
+    """Each flow's route (node path, inclusive), read off the planned
+    hops of ``schedule``; a flow with no hop is local to its producer's
+    node. Every deployment's plan — BTR's modes and the baselines' one
+    plan — takes its routes from here."""
     routes: Dict[str, List[str]] = {}
     for t in schedule.transmissions:
         path = routes.setdefault(t.flow, [])
@@ -222,7 +226,7 @@ def build_plan(
                 f"(first: {schedule.violations[0]})"
             )
             continue
-        routes = _derive_routes(schedule, augmented, topology, assignment)
+        routes = derive_routes(schedule, augmented, topology, assignment)
         return Plan(
             pattern=pattern,
             workload=rung,

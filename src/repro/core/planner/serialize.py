@@ -249,14 +249,19 @@ def strategy_from_dict(data: dict) -> Strategy:
                     covered_nodes=data["covered_nodes"])
 
 
-def strategy_from_json(text: str) -> Strategy:
+def strategy_from_json(text: Union[str, bytes]) -> Strategy:
+    """Decode an artifact; bytes (as read from a file) are UTF-8. Text
+    that is not an artifact raises :class:`StrategyFormatError`."""
     try:
+        if isinstance(text, bytes):
+            text = text.decode("utf-8")
         return strategy_from_dict(json.loads(text))
     except StrategyFormatError:
         raise
     except (ValueError, KeyError, TypeError, AttributeError,
             IndexError) as exc:
-        # json.JSONDecodeError is a ValueError; the rest are well-formed
-        # JSON of the wrong shape hitting the decoder.
+        # json.JSONDecodeError and UnicodeDecodeError are ValueErrors;
+        # the rest are well-formed JSON of the wrong shape hitting the
+        # decoder.
         raise StrategyFormatError(
             f"malformed strategy artifact: {exc!r}") from exc

@@ -206,11 +206,8 @@ class NodeAgent:
             member = self.program.members.get(instance)
             if self.node.crashed or instance in pending or member is None:
                 continue
-            if trace.wants(TaskExecuted):
-                trace.record_row(self.sim.now, (
-                    TaskExecuted, self.node_id, instance, k, member.duration))
-            else:
-                trace.tally(TaskExecuted)
+            trace.record_row(self.sim.now, (
+                TaskExecuted, self.node_id, instance, k, member.duration))
             if member.is_checker:
                 self._run_checker(member, k)
             else:

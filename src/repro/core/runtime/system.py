@@ -143,7 +143,7 @@ class BTRSystem:
         self.plan_stats: Optional[PlanningStats] = None
         #: The hop runtime every message crosses a link through
         #: (:mod:`repro.perf.batchcore`), constructed on first run() and
-        #: kept across runs so its batch-event free lists stay warm.
+        #: rebound by every later one.
         self.batch_runtime = None
         # Per-run state:
         self.sim: Optional[Simulator] = None

@@ -38,14 +38,11 @@ node's ``crashed`` check: ``_on_message``, or — for a heartbeat, which
 travels as no :class:`~repro.sim.message.Message` at all — the seen-set
 mark and the re-flood. Around that:
 
-* **messages are values, batch events are recycled** — a message is
-  built once per copy and never rewritten, so a receiver may keep it;
-  the batch events never leave the runtime, so each fired one goes back
-  to a free list and the next fan-out reuses it. A batch event holds its
-  runtime only while it is queued: the fan-out that queues it binds it,
-  and it unbinds itself when it fires, before it rejoins the free list.
-  So no free list points back at its runtime, and a batch still queued
-  past the horizon leaves with the simulator's queue when the run is
+* **messages and batch events are values** — a message is built once
+  per copy and never rewritten, so a receiver may keep it; a batch event
+  is built with its fields when its group opens and dropped when it
+  fires. Only the simulator's queue holds a batch, so a batch still
+  queued past the horizon leaves with that queue when the run is
   released (:meth:`~repro.sim.engine.Simulator.close`);
 
 * **hop rows** — in a ``full`` trace every send, delivery and link loss
@@ -108,16 +105,15 @@ class _HeartbeatBatch:
     """
 
     __slots__ = ("runtime", "sender", "origin", "k", "arrival",
-                 "entries", "lost", "firsts")
+                 "entries", "lost")
 
-    def __init__(self) -> None:
-        #: The runtime that queued this batch, set only while it is
-        #: queued (see :meth:`BatchRuntime.flood_heartbeat`).
-        self.runtime: Optional["BatchRuntime"] = None
-        self.sender = ""
-        self.origin = ""
-        self.k = 0
-        self.arrival = 0
+    def __init__(self, runtime: "BatchRuntime", sender: str, origin: str,
+                 k: int, arrival: int) -> None:
+        self.runtime = runtime
+        self.sender = sender
+        self.origin = origin
+        self.k = k
+        self.arrival = arrival
         #: The sender's emission-plan entries (see
         #: :meth:`BatchRuntime.begin_run`), one per copy, whole: the
         #: batch reads the receiving node and agent and the delivered /
@@ -125,9 +121,6 @@ class _HeartbeatBatch:
         self.entries: List[tuple] = []
         #: Positions in ``entries`` whose frame the link lost.
         self.lost: List[int] = []
-        #: Per entry, filled by pass 1: the receiving agent on a first
-        #: receipt (it re-floods in pass 2), else ``None``.
-        self.firsts: List[object] = []
 
     def __call__(self) -> None:
         runtime = self.runtime
@@ -141,7 +134,9 @@ class _HeartbeatBatch:
         arrival = self.arrival
         entries = self.entries
         lost = self.lost
-        firsts = self.firsts
+        # Per entry: the receiving agent on a first receipt (it
+        # re-floods in pass 2), else None.
+        firsts: List[object] = []
         n = len(entries)
         # One engine pop stands for n logical deliveries; the
         # events-executed gauge counts messages.
@@ -185,11 +180,6 @@ class _HeartbeatBatch:
                 flood(agent, origin, k, sender)
         runtime.delivered += delivered
         runtime.dropped += dropped
-        entries.clear()
-        lost.clear()
-        firsts.clear()
-        self.runtime = None
-        runtime._hb_free.append(self)
 
 
 class _MessageBatch:
@@ -201,11 +191,11 @@ class _MessageBatch:
     __slots__ = ("runtime", "sender", "arrival", "entries", "messages",
                  "lost")
 
-    def __init__(self) -> None:
-        #: The runtime that queued this batch, set only while it is queued.
-        self.runtime: Optional["BatchRuntime"] = None
-        self.sender = ""
-        self.arrival = 0
+    def __init__(self, runtime: "BatchRuntime", sender: str,
+                 arrival: int) -> None:
+        self.runtime = runtime
+        self.sender = sender
+        self.arrival = arrival
         #: The sender's evidence-plan entries, one per copy.
         self.entries: List[tuple] = []
         self.messages: List[Message] = []
@@ -249,23 +239,15 @@ class _MessageBatch:
                 entry[4]._on_message(message, arrival)
         runtime.delivered += delivered
         runtime.dropped += dropped
-        entries.clear()
-        messages.clear()
-        lost.clear()
-        self.runtime = None
-        runtime._msg_free.append(self)
 
 
 class BatchRuntime:
     """The hop runtime one system (BTR or a baseline) holds across its
-    runs: the batch-event free lists live as long as the system, the
-    edge table, the emission plans, the hop-retained flag and the sent /
-    delivered / dropped tallies for one run (:meth:`begin_run` …
-    :meth:`end_run`)."""
+    runs: the edge table, the emission plans, the hop-retained flag and
+    the sent / delivered / dropped tallies for one run
+    (:meth:`begin_run` … :meth:`end_run`)."""
 
     def __init__(self) -> None:
-        self._hb_free: List[_HeartbeatBatch] = []
-        self._msg_free: List[_MessageBatch] = []
         # Per-run state, set by begin_run():
         self.sim = None
         self.trace = None
@@ -525,7 +507,6 @@ class BatchRuntime:
         delivered = 0
         dropped = 0
         groups: Dict[int, _HeartbeatBatch] = {}
-        hb_free = self._hb_free
         for entry in self._hb_plans[sender]:
             neighbor = entry[0]
             if neighbor == exclude:
@@ -558,13 +539,8 @@ class BatchRuntime:
                 continue
             batch = groups.get(arrival)
             if batch is None:
-                batch = hb_free.pop() if hb_free else _HeartbeatBatch()
-                batch.runtime = self
-                batch.sender = sender
-                batch.origin = origin
-                batch.k = k
-                batch.arrival = arrival
-                groups[arrival] = batch
+                batch = groups[arrival] = _HeartbeatBatch(
+                    self, sender, origin, k, arrival)
                 sim.schedule(arrival, batch)
             if lost:
                 batch.lost.append(len(batch.entries))
@@ -636,7 +612,6 @@ class BatchRuntime:
         now = sim.now
         sent = 0
         groups: Dict[int, _MessageBatch] = {}
-        msg_free = self._msg_free
         for entry in self._ev_plans[sender]:
             neighbor = entry[0]
             if neighbor == exclude:
@@ -662,11 +637,8 @@ class BatchRuntime:
             message = Message(sender, neighbor, kind, payload, bits)
             batch = groups.get(arrival)
             if batch is None:
-                batch = msg_free.pop() if msg_free else _MessageBatch()
-                batch.runtime = self
-                batch.sender = sender
-                batch.arrival = arrival
-                groups[arrival] = batch
+                batch = groups[arrival] = _MessageBatch(self, sender,
+                                                        arrival)
                 sim.schedule(arrival, batch)
             batch.entries.append(entry)
             batch.messages.append(message)

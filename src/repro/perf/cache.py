@@ -136,7 +136,7 @@ class StrategyCache:
         """
         path = self.path_for(key)
         try:
-            with open(path) as f:
+            with open(path, "rb") as f:
                 raw = f.read()
         except OSError:
             self.misses += 1

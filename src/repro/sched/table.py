@@ -98,6 +98,14 @@ class NodeSchedule:
                 return entry
         return None
 
+    def __eq__(self, other: object) -> bool:
+        """Value equality: same node, period and entries (``__eq__``
+        leaves the class unhashable; no table is hashed)."""
+        if not isinstance(other, NodeSchedule):
+            return NotImplemented
+        return (self.node == other.node and self.period == other.period
+                and self.entries == other.entries)
+
     def busy_until(self) -> int:
         """End of the last slot (0 if empty)."""
         return self.entries[-1].finish if self.entries else 0

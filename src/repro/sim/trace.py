@@ -27,12 +27,13 @@ event object for a hop row exists only while somebody reads it:
 ``count`` and ``kind_counts`` never do. The out-of-order check runs on
 every recorded time, whichever way it arrives.
 
-Hot producers should ask :meth:`Trace.wants` before building even the row
-and count locally (or :meth:`Trace.tally`) when the answer is no.
-``record()`` accepts any event in any mode (tallying unretained kinds),
-so cold producers build the event and need know none of this.
-``count()``/``kind_counts()`` merge tallies with retained events, so the
-event census is mode-independent.
+The trace keeps one census, a count per kind, in every mode:
+``record``, ``record_row`` and ``tally`` add to it whether or not they
+retain the event, and ``count`` / ``kind_counts`` read it, so the event
+census is mode-independent. ``record()`` accepts any event in any mode,
+so cold producers build the event and need know none of this; hot
+producers hand hops to ``record_row`` (tallied outside ``full``) or
+count locally and :meth:`Trace.tally` the sum.
 """
 
 from __future__ import annotations
@@ -198,9 +199,8 @@ MILESTONE_KINDS = frozenset({
 
 #: The per-hop kinds that dominate event volume — everything outside
 #: :data:`MILESTONE_KINDS`. These are the only kinds a hot producer may
-#: hand to :meth:`Trace.record_row` as a row, and the only kinds whose
-#: per-kind index is positions into the columns rather than a list of
-#: event objects.
+#: hand to :meth:`Trace.record_row` as a row, and the kinds the trace
+#: keeps no per-kind list of (``of_kind`` scans the columns for them).
 HOP_KINDS = frozenset({
     MessageSent,
     MessageDelivered,
@@ -218,9 +218,8 @@ class Trace:
     Two parallel columns hold the log (module docstring): ``_times`` and
     ``_rows``. Milestone-kind events are also indexed by concrete type
     as they are recorded, so the analysis layer's ``of_kind`` queries
-    (issued per flow, per node, per metric) are a list copy; hop kinds
-    are indexed by column position, lazily, on the first query that
-    needs them.
+    (issued per flow, per node, per metric) are a list copy; a query for
+    a hop kind scans the columns.
     """
 
     def __init__(self, mode: str = MODE_FULL) -> None:
@@ -237,13 +236,11 @@ class Trace:
         #: Per-concrete-type index of the milestone-kind (strictly: not
         #: hop-kind) event objects, maintained on record().
         self._by_kind: Dict[type, List[TraceEvent]] = {}
-        #: Per-hop-kind column positions, filled by _index_hops() up to
-        #: ``_hops_indexed``.
-        self._hop_positions: Dict[type, array] = {
-            kind: array("I") for kind in HOP_KINDS}
-        self._hops_indexed = 0
-        #: Per-kind-name counts of events tallied but not retained.
-        self._tallies: Dict[str, int] = {}
+        #: The census: kind -> events of it recorded or tallied. Only the
+        #: hop kinds start in it, so ``record_row``'s ``+= 1`` refuses a
+        #: row of a milestone kind with a KeyError (unless an event of
+        #: that kind was counted before).
+        self._census: Dict[type, int] = dict.fromkeys(HOP_KINDS, 0)
         self._retained: Optional[frozenset] = (
             None if mode == MODE_FULL else MILESTONE_KINDS)
 
@@ -251,15 +248,10 @@ class Trace:
         """Would an event of this kind be kept (vs merely tallied)?"""
         return self._retained is None or kind in self._retained
 
-    # ``wants`` is the hot-producer spelling of ``retains``: call it
-    # before building the row (or event), and ``tally`` instead when the
-    # answer is no — skipping the allocation entirely.
-    wants = retains
-
     def tally(self, kind: Type[TraceEvent], n: int = 1) -> None:
         """Count ``n`` events of ``kind`` without allocating them."""
-        name = kind.__name__
-        self._tallies[name] = self._tallies.get(name, 0) + n
+        census = self._census
+        census[kind] = census.get(kind, 0) + n
 
     def _out_of_order(self, time: int) -> ValueError:
         # Events are produced by the engine in time order; a violation
@@ -271,8 +263,9 @@ class Trace:
 
     def record(self, event: TraceEvent) -> None:
         kind = type(event)
+        census = self._census
+        census[kind] = census.get(kind, 0) + 1
         if not self.retains(kind):
-            self.tally(kind)
             return
         time = event.time
         if time < self._last_time:
@@ -288,36 +281,15 @@ class Trace:
         after time)`` with ``kind`` one of :data:`HOP_KINDS`. The row is
         kept as handed over (producers may pass the same prebuilt tuple
         every time) and becomes ``kind(time, *fields)`` only when read."""
+        self._census[row[0]] += 1
         if self._retained is not None:
             # No hop kind is retained outside ``full``.
-            self.tally(row[0])
             return
         if time < self._last_time:
             raise self._out_of_order(time)
         self._last_time = time
         self._times.append(time)
         self._rows.append(row)
-
-    def _event(self, pos: int) -> TraceEvent:
-        row = self._rows[pos]
-        if type(row) is tuple:
-            return row[0](self._times[pos], *row[1:])
-        return row
-
-    def _index_hops(self) -> Dict[type, array]:
-        """Bring the hop-kind position index up to date with the columns
-        (incremental: each entry is looked at once per trace)."""
-        rows = self._rows
-        positions = self._hop_positions
-        for pos in range(self._hops_indexed, len(rows)):
-            row = rows[pos]
-            if type(row) is tuple:
-                # KeyError: somebody handed over a row of a non-hop kind.
-                positions[row[0]].append(pos)
-            elif type(row) in positions:
-                positions[type(row)].append(pos)
-        self._hops_indexed = len(rows)
-        return positions
 
     def __len__(self) -> int:
         return len(self._rows)
@@ -329,48 +301,33 @@ class Trace:
     def of_kind(self, kind: Type[E]) -> List[E]:
         """All events of exactly the given type, in time order."""
         if kind in HOP_KINDS:
-            return [self._event(pos)  # type: ignore[misc]
-                    for pos in self._index_hops()[kind]]
+            return [row[0](time, *row[1:]) if type(row) is tuple else row
+                    for time, row in zip(self._times, self._rows)
+                    if (row[0] if type(row) is tuple else type(row)) is kind]
         # Copy so later record() calls don't mutate what callers hold.
         return list(self._by_kind.get(kind, ()))  # type: ignore[arg-type]
 
     def count(self, kind: Type[E]) -> int:
-        """Number of events of exactly the given type; never builds one.
-
-        Includes tallied-but-unretained events, so counts are
-        mode-independent.
-        """
-        if kind in HOP_KINDS:
-            retained = len(self._index_hops()[kind])
-        else:
-            retained = len(self._by_kind.get(kind, ()))
-        return retained + self._tallies.get(kind.__name__, 0)
+        """Number of events of exactly the given type, retained or
+        tallied; never builds one."""
+        return self._census.get(kind, 0)
 
     def outputs(self) -> List[OutputProduced]:
         return self.of_kind(OutputProduced)
 
     def last(self, kind: Type[E]) -> Optional[E]:
-        if kind in HOP_KINDS:
-            positions = self._index_hops()[kind]
-            return self._event(positions[-1]) if positions else None  # type: ignore[return-value]
-        events = self._by_kind.get(kind)
+        events = (self.of_kind(kind) if kind in HOP_KINDS
+                  else self._by_kind.get(kind))
         return events[-1] if events else None  # type: ignore[return-value]
 
     def kind_counts(self) -> Dict[str, int]:
-        """Event counts per concrete type name, alphabetically ordered.
+        """Event counts per concrete type name, alphabetically ordered,
+        for every kind with at least one event, retained or tallied.
 
         The observability layer exports this as the run's event census;
         keeping the ordering deterministic keeps the JSON diffable.
-        Tallied-but-unretained events are included, so the census is the
-        same in every recording mode.
         """
-        counts = {cls.__name__: len(events)
-                  for cls, events in self._by_kind.items()}
-        for cls, positions in self._index_hops().items():
-            if positions:
-                counts[cls.__name__] = len(positions)
-        for name, n in self._tallies.items():
-            counts[name] = counts.get(name, 0) + n
+        counts = {kind.__name__: n for kind, n in self._census.items() if n}
         return {name: counts[name] for name in sorted(counts)}
 
 

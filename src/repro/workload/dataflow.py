@@ -146,6 +146,11 @@ class DataflowGraph:
     def flow(self, name: str) -> Flow:
         return self._flows_by_name[name]
 
+    def find_flow(self, name: str) -> Optional[Flow]:
+        """The flow called ``name``, or None when the graph has none (a
+        name read off a delivered message is not trusted to be one)."""
+        return self._flows_by_name.get(name)
+
     def inputs_of(self, task_name: str) -> Tuple[Flow, ...]:
         """Flows consumed by ``task_name``, in declaration order."""
         return self._inputs.get(task_name, ())
@@ -278,6 +283,18 @@ class DataflowGraph:
             sinks=used_sinks,
             name=name or f"{self.name}|restricted",
         )
+
+    def __eq__(self, other: object) -> bool:
+        """Value equality: same name, period, tasks and flows (each in
+        declaration order), sources and sinks. A graph is never mutated,
+        and none is hashed (``__eq__`` leaves the class unhashable)."""
+        if not isinstance(other, DataflowGraph):
+            return NotImplemented
+        return self is other or (
+            self.name == other.name and self.period == other.period
+            and list(self.tasks.values()) == list(other.tasks.values())
+            and self.flows == other.flows
+            and self.sources == other.sources and self.sinks == other.sinks)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

@@ -1,5 +1,5 @@
 """Unit-level tests for baseline internals: voting edge cases, watchdog
-timing, reset mechanics, BaselinePlan plumbing."""
+timing, reset mechanics, the deployed plan's plumbing."""
 
 import pytest
 

@@ -4,6 +4,7 @@ that the paper's argument rests on."""
 import pytest
 
 from repro.baselines import (
+    BASELINES,
     BFTSystem,
     CrashRestartSystem,
     SelfStabilizingSystem,
@@ -12,9 +13,11 @@ from repro.baselines import (
     bft_augment,
     majority,
 )
+from repro.core.planner.plan import Plan, derive_routes
 from repro.faults import SingleFaultAdversary
-from repro.net import full_mesh_topology
+from repro.net import full_mesh_topology, topology_from_spec
 from repro.sim.trace import MessageSent
+from repro.verify import check_placement, check_routes, check_schedule
 from repro.workload import (
     compute_output,
     industrial_workload,
@@ -83,6 +86,26 @@ def test_bft_augment_shape():
     assert len([f for f in aug.flows
                 if f.name.startswith("pipeline.in@")]) == 4
     aug.validate()
+
+
+@pytest.mark.parametrize("spec", golden.BASELINE_TOPOLOGIES)
+@pytest.mark.parametrize("name", sorted(BASELINES))
+def test_baseline_deploys_a_plan_the_verifier_passes(name, spec):
+    """Baselines are checked like BTR: every deployment of the golden
+    baseline grid is a planner :class:`Plan` for the empty fault
+    pattern, its routes are the planner's derivation, and the route,
+    schedule and placement rules find nothing in it."""
+    topology = topology_from_spec(spec, 1e8)
+    system = BASELINES[name](industrial_workload(), topology, f=1, seed=42)
+    system.prepare()
+    plan = system.plan
+    assert type(plan) is Plan
+    assert plan.pattern == frozenset()
+    assert plan.routes == derive_routes(plan.schedule, plan.augmented,
+                                        topology, plan.assignment)
+    assert check_routes(plan, topology) == []
+    assert check_schedule(plan) == []
+    assert check_placement(plan, topology) == []
 
 
 def test_baseline_requires_prepare():

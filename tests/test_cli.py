@@ -190,11 +190,16 @@ def test_cli_plan_export(tmp_path, capsys):
     (["check", "--periods", "-1"], "argument --periods: must be >= 0"),
     (["fuzz", "campaign", "--max-artifacts", "-1"],
      "argument --max-artifacts: must be >= 0"),
+    (["verify", "--strategy", b"\xff\xfe"], "cannot read strategy file"),
 ])
 def test_cli_names_bad_input_in_one_line(argv, names, tmp_path, capsys):
     if "--strategy" in argv:  # the payload stands for a file holding it
         path = tmp_path / "strategy.json"
-        path.write_text(argv[-1])
+        payload = argv[-1]
+        if isinstance(payload, bytes):
+            path.write_bytes(payload)
+        else:
+            path.write_text(payload)
         argv = argv[:-1] + [str(path)]
     try:
         code = main(argv)

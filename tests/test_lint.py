@@ -281,13 +281,16 @@ def test_mc_layer_is_in_restricted_scope():
 def test_baselines_are_in_restricted_and_schedule_scope():
     """Baselines cross links through the same hop runtime and are
     digest-pinned like BTR: clocks and the global RNG are forbidden
-    there too. ``sim.schedule`` and ``sim.call_at`` are one engine
-    push, so neither spelling is flagged."""
+    there too, and so is unsorted dict-view iteration. ``sim.schedule``
+    and ``sim.call_at`` are one engine push, so neither spelling is
+    flagged."""
     path = "src/repro/baselines/example.py"
     assert rules_hit("import time\nt = time.time()\n",
                      path=path) == ["wallclock"]
     assert rules_hit("self.sim.schedule(5, cb)\n", path=path) == []
     assert rules_hit("self.sim.call_at(5, cb)\n", path=path) == []
+    assert rules_hit("pairs = [v for v in table.values()]\n",
+                     path=path) == ["unsorted-node-iteration"]
 
 
 # ------------------------------------------------------- hop runtime

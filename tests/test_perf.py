@@ -91,6 +91,16 @@ class TestStrategyCache:
         assert not entry.exists()
         assert (tmp_path / f"{key}.json.corrupt").read_text() == garbage
 
+    def test_non_utf8_entry_is_quarantined(self, tmp_path):
+        cache = StrategyCache(str(tmp_path))
+        key = "3" * 64
+        entry = tmp_path / f"{key}.json"
+        entry.write_bytes(b"\xff\xfe")
+        assert cache.load(key) is None
+        assert (cache.misses, cache.quarantined) == (1, 1)
+        assert (tmp_path / f"{key}.json.corrupt").read_bytes() == \
+            b"\xff\xfe"
+
     def test_missing_entry_is_plain_miss_not_quarantine(self, tmp_path):
         cache = StrategyCache(str(tmp_path))
         assert cache.load("2" * 64) is None

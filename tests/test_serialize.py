@@ -71,10 +71,9 @@ def test_plan_roundtrip_preserves_everything(system):
 
 
 def test_f2_plan_roundtrip_rebuilds_equal_table_entries():
-    """A plan of a double fault decodes to equal timetable entries
-    (dataclass equality, field by field) and to the same record. The
-    graphs and node schedules compare by identity, so the plans
-    themselves are compared through their records."""
+    """A plan of a double fault decodes to an equal plan: equal
+    timetable entries, graphs and node schedules (all compared by
+    value), and the same record."""
     system = BTRSystem(industrial_workload(),
                        full_mesh_topology(7, bandwidth=1e8),
                        BTRConfig(f=2, seed=13))
@@ -90,6 +89,8 @@ def test_f2_plan_roundtrip_rebuilds_equal_table_entries():
     for node, schedule in plan.schedule.node_schedules.items():
         assert restored.schedule.node_schedules[node].entries == \
             schedule.entries
+    assert restored == plan
+    assert restored.augmented is not plan.augmented
     assert plan_to_dict(restored) == plan_to_dict(plan)
 
 

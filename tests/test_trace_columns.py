@@ -3,6 +3,7 @@ the event ``record()`` would have stored, from every public method, and
 the fingerprint cannot tell the two apart."""
 
 import dataclasses
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -73,7 +74,7 @@ def test_rows_read_back_as_the_events_record_would_have_kept(steps):
         else:
             columns.record(build(ALL_KINDS[kind_index], now, n))
         if query:
-            # Exercises the incremental fill of the hop position index.
+            # The census is read while the trace still grows.
             assert (columns.count(type(event))
                     == objects.count(type(event)))
     assert list(columns) == list(objects)
@@ -84,6 +85,64 @@ def test_rows_read_back_as_the_events_record_would_have_kept(steps):
         assert columns.count(kind) == objects.count(kind)
     assert columns.kind_counts() == objects.kind_counts()
     assert trace_fingerprint(columns) == trace_fingerprint(objects)
+
+
+census_steps = st.lists(
+    st.tuples(st.integers(0, 3),                    # time since last event
+              st.integers(0, len(ALL_KINDS) - 1),   # kind
+              st.integers(0, 5),                    # field values
+              st.sampled_from(("record", "row", "tally")),
+              st.integers(1, 4)),                   # events tallied
+    max_size=60)
+
+
+@settings(deadline=None, max_examples=120)
+@given(st.sampled_from(TRACE_MODES), census_steps)
+def test_the_census_is_iteration_plus_tallies(mode, steps):
+    trace = Trace(mode=mode)
+    tallied = Counter()
+    now = 0
+    for dt, kind_index, n, how, many in steps:
+        now += dt
+        kind = ALL_KINDS[kind_index]
+        if how == "tally":
+            trace.tally(kind, many)
+            tallied[kind.__name__] += many
+            continue
+        event = build(kind, now, n)
+        if how == "row" and kind in HOP_KINDS:
+            trace.record_row(now, as_row(event))
+        else:
+            trace.record(event)
+        if not trace.retains(kind):
+            tallied[kind.__name__] += 1
+    census = Counter(type(event).__name__ for event in trace) + tallied
+    assert trace.kind_counts() == dict(sorted(census.items()))
+    for kind in ALL_KINDS:
+        assert trace.count(kind) == census[kind.__name__]
+
+
+@pytest.mark.parametrize("scenario", [None, "single_commission",
+                                      "single_crash"])
+def test_a_run_has_one_census_in_every_mode(scenario):
+    """The milestones census of a run is its full census, and the full
+    census counts what iterating the full trace yields."""
+    censuses = {}
+    for mode in TRACE_MODES:
+        system = BTRSystem(industrial_workload(),
+                           full_mesh_topology(5, bandwidth=1e8),
+                           BTRConfig(f=1, seed=5, trace_mode=mode))
+        system.prepare()
+        staged = stage(scenario, system) if scenario else None
+        result = system.run(
+            10, adversary=staged.script if staged else None,
+            link_script=staged.link_script if staged else None)
+        censuses[mode] = result.trace.kind_counts()
+        if mode == "full":
+            iterated = Counter(type(event).__name__
+                               for event in result.trace)
+    assert censuses["full"] == censuses["milestones"] \
+        == dict(sorted(iterated.items()))
 
 
 def test_out_of_order_row_raises_what_an_out_of_order_event_raises():
@@ -107,11 +166,13 @@ def test_out_of_order_row_raises_what_an_out_of_order_event_raises():
     assert set(messages) == {"out-of-order trace event at 5 (last was 10)"}
 
 
-def test_a_row_of_a_milestone_kind_is_refused_at_the_first_census():
-    trace = Trace()
-    trace.record_row(1, (FaultInjected, "n0", "crash"))
+@pytest.mark.parametrize("mode", TRACE_MODES)
+def test_a_row_of_a_milestone_kind_is_refused_when_handed_over(mode):
+    trace = Trace(mode=mode)
     with pytest.raises(KeyError):
-        trace.kind_counts()
+        trace.record_row(1, (FaultInjected, "n0", "crash"))
+    assert len(trace) == 0
+    assert trace.kind_counts() == {}
 
 
 @pytest.mark.parametrize("mode", TRACE_MODES)

@@ -172,6 +172,17 @@ def test_tasks_feeding_sink_flow():
     assert "ife_head" not in g.tasks_feeding_sink_flow(flow)
 
 
+def test_graphs_compare_by_value_and_are_not_hashed():
+    g = avionics_workload()
+    assert g == avionics_workload()
+    assert g != g.restricted_to(set(g.tasks), name=g.name + "'")
+    assert g != g.restricted_to(set(g.tasks) - {"ife_head"}, name=g.name)
+    assert g.find_flow("elevator_cmd") is g.flow("elevator_cmd")
+    assert g.find_flow("no such flow") is None
+    with pytest.raises(TypeError):
+        hash(g)
+
+
 def test_restricted_to_drops_tasks_and_flows():
     g = avionics_workload()
     keep = {n for n, t in g.tasks.items()

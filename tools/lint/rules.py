@@ -51,7 +51,8 @@ event queue directly), the worker pool and its sweep
 (``repro/perf/pool``: results cross a process boundary and are merged
 back in input order) and the planner (``repro/net/routing``,
 ``repro/core/planner``, ``repro/sched``: strategy artifacts are pinned
-byte for byte); ``float-time-arithmetic`` is scoped to the static
+byte for byte) and the baselines (``repro/baselines``: digest-pinned,
+and they drive the same event queue); ``float-time-arithmetic`` is scoped to the static
 bounds analyzer (``repro/verify/bounds``).
 """
 
@@ -70,7 +71,8 @@ RESTRICTED_FRAGMENTS = ("repro/sim/", "repro/core/", "repro/perf/",
 NODE_ORDER_FRAGMENTS = ("repro/mc/", "repro/faults/",
                         "repro/perf/batchcore", "repro/perf/pool",
                         "repro/fuzz/", "repro/net/routing",
-                        "repro/core/planner/", "repro/sched/")
+                        "repro/core/planner/", "repro/sched/",
+                        "repro/baselines/")
 #: Layers beyond the restricted ones where a salted hash() would reach an
 #: ordering, a memo key that is iterated, or a persisted artifact.
 HASH_FRAGMENTS = ("repro/faults/", "repro/net/", "repro/sched/",

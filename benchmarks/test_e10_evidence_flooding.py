@@ -85,25 +85,3 @@ def test_e10_evidence_flooding(benchmark):
     recoveries = [r for _, _, r, _, _, _ in outcomes]
     assert max(recoveries) <= min(recoveries) * 2 + 100_000
 
-
-def test_e10_cheap_reject_cost(benchmark):
-    """Micro-benchmark: the cheap check on a forged record is one
-    signature verification, far less than full validation."""
-    from repro.core.evidence import COMMISSION, Evidence, EvidenceValidator
-    from repro.crypto import AuthenticatedStatement, KeyDirectory
-
-    directory = KeyDirectory(master_seed=1)
-    directory.register("flooder")
-    payload = {"type": "evidence", "kind": COMMISSION, "accused": "x",
-               "detector": "flooder", "detected_at": 0, "support": []}
-    forged = Evidence(
-        kind=COMMISSION, accused="x", detector="flooder", detected_at=0,
-        statements=(),
-        envelope=AuthenticatedStatement(
-            statement=payload,
-            signature=directory.forge("flooder", payload),
-        ),
-    )
-    validator = EvidenceValidator(directory)
-    result = benchmark(lambda: validator.cheap_check(forged))
-    assert result is False

@@ -1,9 +1,9 @@
-"""E17 — The online engine across scale: byte-identical traces, and what
-a run costs, from a 7-node full mesh to 120-node geo deployments.
+"""E17 — The online engine across scale: byte-identical traces from a
+7-node full mesh to 120-node geo deployments.
 
 The paper's online half is cheap because the hard thinking happens
-offline; this experiment checks that the engine stays right, and
-measures what it costs, as deployments grow. It runs the cells pinned in
+offline; this experiment checks that the engine stays right as
+deployments grow. It runs the cells pinned in
 ``tests/golden/engine_digests.json`` (digests a per-message legacy
 engine generated before it was deleted) over one scale column:
 ``fullmesh:7`` and ``fullmesh:15`` under the industrial workload, then
@@ -29,9 +29,9 @@ freshly planned system; at the pool scale, ``run_sweep_pool``'s per-seed
 fingerprints equal the serial sweep's, and on >= 2 cores the pool is at
 least ``POOL_GATE`` times faster.
 
-Absolute events/s of this host (full and milestones runs, the sweep) and
-the pool speedup are recorded in ``BENCH_sim.json`` with the host's core
-count and interpreter version; only the pool gate asserts a wall clock.
+The pool speedup, this experiment's only wall clock, is recorded in
+``BENCH_sim.json`` with the host's core count and interpreter version;
+what a run costs in host time is E23's to record.
 
 ``REPRO_SWEEP=smoke`` — one ``fullmesh:7`` and one ``geo:3x8`` cell,
 which carry the sweep and pool checks; no pool gate.
@@ -89,20 +89,13 @@ def _prepared(cell, mode: str, seed=None):
     return system
 
 
-def _timed_run(system, cell):
+def _run(system, cell):
     # A dropped run is freed by reference counting, so this finds next
-    # to nothing; it stays because it leaves the clock, and before the
-    # pool forks the workers, a collector with freshly reset counts.
-    # Without the two collections the geo:4x30 pool speedup read lower
-    # (docs/PERFORMANCE.md, "Multi-seed sweeps").
+    # to nothing; without it and the collection before the pool forks,
+    # the geo:4x30 pool speedup read lower (docs/PERFORMANCE.md,
+    # "Multi-seed sweeps").
     gc.collect()
-    watch = Stopwatch()
-    result = golden.run_scenario(system, cell)
-    return result, watch.elapsed_s()
-
-
-def _per_s(events: int, wall_s: float):
-    return round(events / wall_s) if wall_s else None
+    return golden.run_scenario(system, cell)
 
 
 def run_cell(key: str, sweep: bool) -> dict:
@@ -110,7 +103,7 @@ def run_cell(key: str, sweep: bool) -> dict:
     run against the full one, and the sweep check if ``sweep``."""
     cell = golden.parse_cell(key)
     system = _prepared(cell, "full")
-    result, full_s = _timed_run(system, cell)
+    result = _run(system, cell)
     found, reprs = golden.digest_and_reprs(system, result)
     assert found == golden.expected(key), key
     full_rows = len(result.trace)
@@ -118,7 +111,7 @@ def run_cell(key: str, sweep: bool) -> dict:
     del system, result  # millions of rows at geo scale
 
     miles_sys = _prepared(cell, "milestones")
-    miles_res, miles_s = _timed_run(miles_sys, cell)
+    miles_res = _run(miles_sys, cell)
     events = found["events_executed"]
     assert miles_sys.sim.events_executed == events, key
     assert miles_res.trace.kind_counts() == found["kind_counts"], key
@@ -146,10 +139,6 @@ def run_cell(key: str, sweep: bool) -> dict:
         "sim_events": events,
         "trace_events_full": full_rows,
         "trace_events_milestones": len(miles_res.trace),
-        "wall_full_s": round(full_s, 4),
-        "wall_milestones_s": round(miles_s, 4),
-        "events_per_s_full": _per_s(events, full_s),
-        "events_per_s_milestones": _per_s(events, miles_s),
         "signs": directory.signs,
         "verifies": directory.verifies,
         "memo_hits": memo["hits"],
@@ -162,11 +151,11 @@ def run_cell(key: str, sweep: bool) -> dict:
         "digest_match": True,
     }
     if sweep:
-        row.update(sweep_check(cell, trace_fingerprint(miles_res.trace)))
+        sweep_check(cell, trace_fingerprint(miles_res.trace))
     return row
 
 
-def sweep_check(cell, fingerprint: str) -> dict:
+def sweep_check(cell, fingerprint: str) -> None:
     """``run_sweep`` reproduces freshly planned runs: its first seed the
     cell's own milestones run (``fingerprint``), its sibling seed a new
     system on that seed."""
@@ -176,15 +165,10 @@ def sweep_check(cell, fingerprint: str) -> dict:
                      cell.n_periods, scenario=cell.scenario)
     assert runs[0].fingerprint == fingerprint, (
         f"{cell}: sweep diverged from the fresh-system run")
-    fresh, _ = _timed_run(_prepared(cell, "milestones", sibling), cell)
+    fresh = _run(_prepared(cell, "milestones", sibling), cell)
     assert runs[1].fingerprint == trace_fingerprint(fresh.trace), (
         f"{cell}: sibling seed {sibling} diverged from a freshly planned "
         f"system")
-    events = sum(run.result.metrics["gauges"]["sim_events_executed"]
-                 for run in runs)
-    return {"sweep_seeds": len(runs),
-            "sweep_events_per_s": _per_s(events,
-                                         sum(run.wall_s for run in runs))}
 
 
 def pool_check(cell) -> dict:
@@ -196,7 +180,7 @@ def pool_check(cell) -> dict:
         proto, POOL_SEEDS, cell.n_periods, scenario=cell.scenario)}
     serial_s = watch.elapsed_s()
     # The workers fork this heap, proto included, so neither side pays
-    # for a prepare() (see _timed_run).
+    # for a prepare() (see _run).
     gc.collect()
     cores = os.cpu_count() or 1
     watch = Stopwatch()
@@ -238,25 +222,19 @@ def run_experiment() -> list:
 
 def test_e17_engine(benchmark):
     rows = one_shot(benchmark, run_experiment)
-
-    def optional(row, column, fmt):
-        return fmt.format(**row) if row.get(column) else "-"
-
     write_result("e17_engine", format_table(
         "E17: the online engine across scale (industrial workload, "
         "stretched x10 on geo; every full trace byte-identical to its "
-        "committed digest; absolute events/s of this host)",
-        ["topology", "scenario", "seed", "sim events", "ev/s full",
-         "ev/s miles", "trace full->miles", "memo hits",
-         "entries/batches", "deferred", "ev/s sweep", "pool"],
+        "committed digest)",
+        ["topology", "scenario", "seed", "sim events", "trace full->miles",
+         "memo hits", "entries/batches", "deferred", "pool"],
         [[r["topology"], r["scenario"], r["seed"], f"{r['sim_events']:,}",
-          f"{r['events_per_s_full']:,}", f"{r['events_per_s_milestones']:,}",
           f"{r['trace_events_full']} -> {r['trace_events_milestones']}",
           f"{100 * r['memo_hit_rate']:.0f}%",
           f"{r['entries_batched']}/{r['batches_fired']}",
           r["deferred_refloods"],
-          optional(r, "sweep_events_per_s", "{sweep_events_per_s:,}"),
-          optional(r, "pool_speedup", "{pool_speedup:.2f}x@{pool_workers}w")]
+          f"{r['pool_speedup']:.2f}x@{r['pool_workers']}w"
+          if r.get("pool_speedup") else "-"]
          for r in rows],
     ))
 

@@ -15,10 +15,10 @@ victim):
   normal run path confirms the recovery-bound violation.
 
 Each campaign appends one row to ``mc_stats.jsonl`` (paths explored,
-dedup hit-rate, pruning ratio, states/sec, expectation label);
+dedup hit-rate, pruning ratio, expectation label);
 ``tools/run_experiments.py`` aggregates the stream into
-``BENCH_mc.json``. States/sec is recorded, never asserted — wall-clock
-on shared runners is advice, not ground truth.
+``BENCH_mc.json``. What a search costs in host time is E23's
+``search_n4`` to record.
 
 ``REPRO_SWEEP=smoke`` — tighter bounds (fewer ticks/kinds).
 """
@@ -68,12 +68,9 @@ def _row(name: str, report: dict, stats) -> dict:
         "replay_confirmed": sum(
             1 for c in report["cells"]
             if c.get("counterexample", {}).get("replay_confirmed")),
-        "wall_s": stats.wall_s,
-        "states_per_sec": stats.states_per_sec,
         "workers": stats.workers,
         "pool_fallback": stats.pool_fallback,
         "cells_to_first_violation": stats.cells_to_first_violation,
-        "first_violation_s": stats.first_violation_s,
         "shared_prefix_share": stats.shared_prefix_share,
     }
 
@@ -143,14 +140,12 @@ def run_experiment():
         f"{r['prune_ratio']:.0%}",
         str(r["violating_paths"]),
         str(r["cells_to_first_violation"]),
-        f"{r['states_per_sec']:.0f}",
         f"{r['shared_prefix_share']:.1%}",
     ] for r in rows]
     write_result("e18_model_check", format_table(
         "E18 - Bounded model checking (pipeline on fullmesh:4, f=1)",
         ["campaign", "certified", "paths", "distinct", "dedup",
-         "pruned", "violations", "1st-viol cell", "paths/s",
-         "shared prefix"],
+         "pruned", "violations", "1st-viol cell", "shared prefix"],
         table_rows,
     ) + (
         "\nCertify: exhaustive pass at the prepared budget, "

@@ -78,17 +78,3 @@ def test_e7_planner_scalability(benchmark):
     else:  # smoke sweep
         assert by_config[(8, 2)][0] > by_config[(8, 1)][0]
 
-
-def test_e7_single_plan_cost(benchmark):
-    """Per-plan cost in isolation (augment + place + synthesize)."""
-    from repro.core.planner import build_plan
-    from repro.net import Router
-
-    workload = industrial_workload()
-    topology = full_mesh_topology(10, bandwidth=1e8)
-    topology.place_endpoints_round_robin(workload.sources, workload.sinks)
-    router = Router(topology)
-
-    plan = benchmark(lambda: build_plan(
-        workload, frozenset(), topology, router, f=1))
-    assert plan.schedule.feasible

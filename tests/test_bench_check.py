@@ -3,8 +3,8 @@
 A trajectory starts life empty, grows to one entry on the first suite
 run, and gains scenarios over time — exactly the shapes the checker must
 handle without a baseline to regress against. Every comparison case
-runs for a higher-is-better wall-clock metric (sim events/s) *and* a
-lower-is-better sim-time one (bounds tightness).
+runs for a higher-is-better wall-clock metric (e2e ops/s, per workload)
+*and* a lower-is-better sim-time one (bounds tightness, per scenario).
 """
 
 import json
@@ -13,28 +13,32 @@ import sys
 
 import pytest
 
-from tools.bench_check import check, load_runs
+from tools.bench_check import check
 from tools.run_experiments import STREAMS
 
-METRIC = "best_events_per_s_milestones"
+METRIC = "ops_per_s"
 FAST, SLOW = 3.0, 1.0
 
-#: (stream, the metric's label, must-hold flag, values that read as
+#: (stream, the metric's label, the stream's groups, values that read as
 #: good / >20% worse for that polarity).
 POLARITIES = {
-    "higher": ("sim", METRIC, "all_digests_match", FAST, SLOW),
-    "lower": ("bounds", "class_tightness[forgery]", "all_sound", SLOW, FAST),
+    "higher": ("e2e", METRIC, "by_workload", FAST, SLOW),
+    "lower": ("bounds", "class_tightness[forgery]", "by_scenario", SLOW,
+              FAST),
 }
 
 
-def _run(better, sha, scenarios, holds=True, **facts):
-    stream, _, flag, _, _ = POLARITIES[better]
-    if stream == "sim":
-        by = {name: {METRIC: value} for name, value in scenarios.items()}
+def _run(better, sha, groups, holds=True, **facts):
+    """One entry; ``holds=False`` breaks every group's must-hold (an e2e
+    op failed, a bound is unsound)."""
+    stream, _, by, _, _ = POLARITIES[better]
+    if stream == "e2e":
+        made = {name: {METRIC: value, "ops_failed": 0 if holds else 1}
+                for name, value in groups.items()}
     else:
-        by = {name: {"sound": True, "class_tightness": {"forgery": value}}
-              for name, value in scenarios.items()}
-    return {"git_sha": sha, flag: holds, "by_scenario": by, **facts}
+        made = {name: {"sound": holds, "class_tightness": {"forgery": value}}
+                for name, value in groups.items()}
+    return {"git_sha": sha, by: made, **facts}
 
 
 def _check(better, runs):
@@ -108,13 +112,13 @@ def test_wall_clock_metrics_need_absolute_sim_time_ones_do_not():
         _, _, _, good, bad = POLARITIES[better]
         return [_run(better, "a", {"flood": good}),
                 _run(better, "b", {"flood": bad})]
-    assert check(runs("higher"), STREAMS["sim"]) == ([], [])
+    assert check(runs("higher"), STREAMS["e2e"]) == ([], [])
     problems, _ = check(runs("lower"), STREAMS["bounds"])
     assert len(problems) == 1
 
 
 def test_cli_passes_on_one_entry_trajectory(tmp_path):
-    path = tmp_path / "BENCH_sim.json"
+    path = tmp_path / "BENCH_e2e.json"
     path.write_text(json.dumps({
         "schema": 4, "runs": [_run("higher", "a", {"flood": FAST})]}))
     out = subprocess.run(
@@ -135,15 +139,15 @@ def test_cli_rejects_unreadable_trajectory(tmp_path):
 
 @pytest.mark.parametrize("text", [
     json.dumps({"runs": [1]}),
-    json.dumps({"runs": [{"by_scenario": [1, 2]}]}),
-    json.dumps({"runs": [{"by_scenario": {"flood": 3}}]}),
+    json.dumps({"runs": [{"by_workload": [1, 2]}]}),
+    json.dumps({"runs": [{"by_workload": {"flood": 3}}]}),
     json.dumps({"runs": [_run("higher", "a", {"flood": FAST}),
                          _run("higher", "b", {"flood": "fast"})]}),
     json.dumps({"runs": [_run("higher", "a", {"flood": FAST})]})[:-7],
 ], ids=["run-not-object", "groups-not-object", "group-not-object",
         "compared-string", "truncated"])
 def test_cli_names_a_bad_trajectory_in_one_line(tmp_path, text):
-    path = tmp_path / "BENCH_sim.json"
+    path = tmp_path / "BENCH_e2e.json"
     path.write_text(text)
     out = subprocess.run(
         [sys.executable, "tools/bench_check.py", str(path), "--absolute"],
@@ -163,6 +167,7 @@ BROKEN = {
         "campaigns": 2, "certified": 1, "violating_paths": 0}}},
     "fuzz": {"by_expectation": {"clean": {"violating_scripts": 3}}},
     "bounds": {"all_sound": False},
+    "e2e": {"by_workload": {"search_n4": {"ops_failed": 1}}},
 }
 
 
@@ -185,18 +190,12 @@ def test_cli_passes_committed_files_and_fails_each_broken_must_hold(
         assert "invariant broken" in out.stderr
 
 
-def test_load_runs_accepts_legacy_bare_aggregate(tmp_path):
-    path = tmp_path / "BENCH_sim.json"
-    path.write_text(json.dumps({"cases": 3, "by_scenario": {}}))
-    assert len(load_runs(str(path), STREAMS["sim"])) == 1
-
-
 @both
 def test_other_host_entries_are_never_a_baseline(better, label, good, bad):
-    """Wall-clock metrics only compare under equal (cores, python, sweep)
-    stamps, sim-time ones under an equal sweep. Entries that predate the
-    sweep stamp were full sweeps: without host stamps they are no
-    wall-clock baseline, but they still anchor sim-time ratios."""
+    """Wall-clock metrics (e2e) only compare under equal (cores, python,
+    sweep) stamps, sim-time ones under an equal sweep. Entries that
+    predate the sweep stamp were full sweeps: without host stamps they
+    are no wall-clock baseline, but they still anchor sim-time ratios."""
     other = _run(better, "a", {"s1": good}, cores=8, python="3.12.1",
                  sweep="smoke")
     history = _run(better, "b", {"s1": good})

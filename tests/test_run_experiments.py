@@ -28,9 +28,8 @@ SAMPLE_ROWS = {
     "sim": {"experiment": "e17:single_commission@fullmesh7/industrial/f1/p20"
                           "/s42", "n_nodes": 7,
             "scenario": "single_commission", "sim_events": 8060,
-            "events_per_s_full": 131976, "events_per_s_milestones": 172610,
-            "sweep_events_per_s": 153203, "pool_speedup": 1.61,
-            "memo_hits": 758, "memo_misses": 525, "digest_match": True},
+            "pool_speedup": 1.61, "memo_hits": 758, "memo_misses": 525,
+            "digest_match": True},
     "mc": {"experiment": "e18_model_check", "expect": "certify",
            "certified": True, "paths": 38, "distinct_states": 11,
            "dedup_hits": 27, "pruned": 4, "violating_paths": 0,
@@ -38,12 +37,17 @@ SAMPLE_ROWS = {
     "fuzz": {"experiment": "e20_fuzz", "expect": "find", "found": True,
              "scripts_evaluated": 21, "coverage_keys": 35,
              "violating_scripts": 3, "counterexamples": 3,
-             "replay_confirmed": 3, "runs_per_sec": 40.84013914974205},
+             "replay_confirmed": 3},
     "bounds": {"experiment": "e21_static_bounds", "grid": "full",
                "scenario": "industrial-fm7", "sound": True, "checked": 480,
                "skipped_unachievable": 0, "R_us": 594786,
                "class_tightness": {"forgery": 2.4769, "silence": 2.2797,
                                    "timing": 2.3429}},
+    "e2e": {"experiment": "e23_host_time", "workload": "search_n4",
+            "ops_per_s": 0.8871, "op_p50_ms": 1115.2, "setup_s": 2.9512,
+            "peak_rss_mb": 96.4, "ops_attempted": 18, "ops_failed": 0,
+            "setup_spread": 0.093, "half_split_ratio": 1.021,
+            "noisy": False},
 }
 
 #: The three E18 rows behind the committed, pre-trajectory BENCH_mc.json
@@ -64,9 +68,12 @@ def test_aggregate_reproduces_the_committed_history():
     history = load_runs(os.path.join(RESULTS, "BENCH_mc.json"),
                         STREAMS["mc"])[0]
     # Those rows predate the ``shared_prefix_share`` column: it folds to
-    # None and everything they did carry folds as it always has.
+    # None and everything they did carry folds as it always has, except
+    # the retired host rate ``best_states_per_sec`` (now E23's search_n4).
     history["by_expectation"] = {
-        key: {**group, "shared_prefix_share": None}
+        key: {**{k: v for k, v in group.items()
+                 if k != "best_states_per_sec"},
+              "shared_prefix_share": None}
         for key, group in history["by_expectation"].items()}
     assert aggregate("mc", MC_ROWS) == history
 
@@ -74,13 +81,12 @@ def test_aggregate_reproduces_the_committed_history():
 def test_aggregate_folds_groups_ratios_and_dict_columns():
     sim = aggregate("sim", [
         SAMPLE_ROWS["sim"],
-        {**SAMPLE_ROWS["sim"], "events_per_s_milestones": 150000,
-         "events_per_s_full": None, "digest_match": False}])
+        {**SAMPLE_ROWS["sim"], "sim_events": 9000, "pool_speedup": None,
+         "digest_match": False}])
     assert sim["cases"] == 2 and sim["all_digests_match"] is False
     entry = sim["by_scenario"]["single_commission@n7"]
-    assert entry["best_events_per_s_milestones"] == 172610
-    assert entry["worst_events_per_s_milestones"] == 150000
-    assert entry["best_events_per_s_full"] == 131976
+    assert entry["sim_events"] == 9000
+    assert entry["best_pool_speedup"] == 1.61
     assert entry["memo_hit_rate"] == round(1516 / 2566, 3)
     obs = aggregate("obs", [
         SAMPLE_ROWS["obs"],
@@ -91,6 +97,25 @@ def test_aggregate_folds_groups_ratios_and_dict_columns():
     assert obs["messages_dropped"] == {"messages_dropped.dead": 2}
     worst = obs["by_fault_kind"]["crash"]["worst_phase_us"]
     assert worst["detect"] == 32537 and worst["quorum"] == 9000
+
+
+def test_e2e_rows_fold_one_group_per_workload():
+    """E23 records one row per workload; each folds, unchanged, into its
+    own ``by_workload`` group, where the must-hold and the four compared
+    metrics read it."""
+    other = {**SAMPLE_ROWS["e2e"], "workload": "cold_plan_f2",
+             "ops_per_s": 6.25, "op_p50_ms": 158.0, "ops_failed": 1,
+             "noisy": True}
+    e2e = aggregate("e2e", [SAMPLE_ROWS["e2e"], other])
+    assert e2e["workloads"] == 2
+    assert e2e["experiments_seen"] == ["e23_host_time"]
+    for row in (SAMPLE_ROWS["e2e"], other):
+        group = e2e["by_workload"][row["workload"]]
+        assert group == {k: v for k, v in row.items()
+                         if k not in ("experiment", "workload")}
+    assert sorted(compared(e2e, STREAMS["e2e"], absolute=True)) == [
+        f"{workload}: {metric}" for workload in ("cold_plan_f2", "search_n4")
+        for metric in ("op_p50_ms", "ops_per_s", "peak_rss_mb", "setup_s")]
 
 
 @pytest.mark.parametrize("stream", sorted(STREAMS))

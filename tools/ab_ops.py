@@ -15,9 +15,10 @@ Usage:  python tools/ab_ops.py A_ROOT B_ROOT WORKLOAD [PAIRS] [WARMUP]
 the parent commit into a scratch directory for A); the ratio printed is
 A's time over B's, so > 1 means B is faster. ``A_ROOT == B_ROOT`` is the
 A/A control. When its stdin closes, each child reports its peak RSS
-(``ru_maxrss``, MiB, as ``benchmarks/e2e`` measures ``peak_rss_mb``), and
-the summary line prints both sides', so a memory claim gets the same
-alternating check as a time claim.
+(``ru_maxrss``, MiB, as ``benchmarks/e2e`` measures ``peak_rss_mb``).
+The last line is one JSON object (median A/B, its quartiles, summed-time
+A/B, pairs B won, output mismatches, each side's peak RSS), which a
+claiming change quotes for A/B and for the A/A control.
 """
 
 import json
@@ -101,13 +102,14 @@ def main(a_root: str, b_root: str, name: str, pairs: int = 16,
         peaks.append(json.loads(proc.stdout.readline())["peak_rss_mb"])
         proc.wait()
     shutil.rmtree(scratch, ignore_errors=True)
-    q1, _, q3 = statistics.quantiles(ratios, n=4)
-    print(f"{name}: {len(ratios)} pairs, median A/B "
-          f"{statistics.median(ratios):.3f} (quartiles {q1:.3f} {q3:.3f}), "
-          f"summed-time A/B {a_s / b_s:.3f}, B faster in "
-          f"{sum(r > 1 for r in ratios)}/{len(ratios)}, "
-          f"{mismatches} output mismatches, peak RSS A {peaks[0]:.1f} MiB "
-          f"B {peaks[1]:.1f} MiB")
+    print(json.dumps({
+        "workload": name, "pairs": len(ratios),
+        "median_ab": round(statistics.median(ratios), 3),
+        "quartiles": [round(q, 3) for q in statistics.quantiles(
+            ratios, n=4)[::2]],
+        "summed_ab": round(a_s / b_s, 3),
+        "b_wins": sum(r > 1 for r in ratios), "mismatches": mismatches,
+        "peak_rss_mb": {"A": round(peaks[0], 1), "B": round(peaks[1], 1)}}))
     return 1 if mismatches else 0
 
 

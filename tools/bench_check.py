@@ -13,8 +13,8 @@ file's ``STREAMS`` table (docs/HACKING.md, "Benchmark pipeline"):
 * **compared metrics** are held against the best earlier entry *with
   equal comparability facts* and fail when more than ``--threshold``
   percent worse. Sim-time metrics (tightness ratios) need an equal
-  ``sweep`` and are always checked; wall-clock ones (events/s) also
-  need equal ``cores`` and ``python`` and are only checked with
+  ``sweep`` and are always checked; wall-clock ones (``BENCH_e2e``)
+  also need equal ``cores`` and ``python`` and are only checked with
   ``--absolute`` — throughput on shared CI runners is advice, not
   ground truth; enable it locally on a quiet machine. Entries with other
   facts, including the unstamped history, are never a baseline.
@@ -51,20 +51,17 @@ SCALARS = (bool, int, float, type(None))
 
 
 def load_runs(path: str, spec: dict) -> list:
-    """A trajectory's entries, oldest first; a bare aggregate (the
-    pre-trajectory format) counts as one unstamped entry.
+    """A trajectory's entries, oldest first.
 
     Raises ValueError on a shape :func:`check` cannot read under
     ``spec``: a run or a group that is not an object, or a compared or
     must-hold value that is not a number, a bool or null."""
     with open(path) as f:
         payload = json.load(f)
-    if isinstance(payload, dict) and isinstance(payload.get("runs"), list):
-        runs = payload["runs"]
-    elif isinstance(payload, dict) and payload:
-        runs = [payload]
-    else:
+    if not (isinstance(payload, dict)
+            and isinstance(payload.get("runs"), list)):
         raise ValueError("no runs in trajectory")
+    runs = payload["runs"]
     metrics = [*spec.get("compare", {})] + [
         name for _, metric, expected in spec.get("must_hold", ())
         for name in (metric, expected) if isinstance(name, str)]

@@ -40,7 +40,7 @@ ORDER = [
     "e11_ablation_plan_distance", "e12_ablation_placement",
     "e13_ablation_strategic", "e14_clock_sync", "e14_rogue_clock",
     "e15_resource_dependence", "e16_link_faults", "e17_engine",
-    "e18_model_check", "e20_fuzz", "e21_static_bounds",
+    "e18_model_check", "e20_fuzz", "e21_static_bounds", "e23_host_time",
 ]
 
 #: ``repro verify --strict`` arguments for the scenarios whose strategies
@@ -78,12 +78,8 @@ STREAMS = {
                                ("cache_hits", "cache_misses"), 3),
             "plans_computed": SUM, "plans_total": SUM,
             "cache_quarantined": SUM,
-            "planning_wall_s": ("sum", "wall_s", 3),
-            "plans_per_sec": ("ratio", ("plans_computed",),
-                              ("planning_wall_s",), 1),
         },
         "must_hold": [(None, "cache_quarantined", 0)],
-        "compare": {"plans_per_sec": ("higher", "wall")},
     },
     "obs": {
         "experiments": ("e1",), "by": ("by_fault_kind", "{fault_kind}"),
@@ -101,21 +97,13 @@ STREAMS = {
         "top": {"cases": COUNT, "all_digests_match": ("all", "digest_match")},
         "group": {
             "cases": COUNT, "sim_events": ("max",),
-            "best_events_per_s_full": ("max", "events_per_s_full"),
-            "best_events_per_s_milestones": ("max", "events_per_s_milestones"),
-            "worst_events_per_s_milestones": (
-                "min", "events_per_s_milestones"),
-            "best_sweep_events_per_s": ("max", "sweep_events_per_s"),
             "best_pool_speedup": ("max", "pool_speedup"),
             "memo_hits": SUM, "memo_misses": SUM,
             "memo_hit_rate": ("ratio", ("memo_hits",),
                               ("memo_hits", "memo_misses"), 3),
         },
         "must_hold": [(None, "all_digests_match", True)],
-        "compare": dict.fromkeys((
-            "best_events_per_s_full", "best_events_per_s_milestones",
-            "best_sweep_events_per_s", "best_pool_speedup"),
-            ("higher", "wall")),
+        "compare": {"best_pool_speedup": ("higher", "wall")},
     },
     "mc": {
         "experiments": ("e18",), "by": ("by_expectation", "{expect}"),
@@ -124,14 +112,12 @@ STREAMS = {
             "campaigns": COUNT, "certified": SUM, "paths": SUM,
             "distinct_states": SUM, "dedup_hits": SUM, "pruned": SUM,
             "violating_paths": SUM, "replay_confirmed": SUM,
-            "best_states_per_sec": ("max", "states_per_sec", 1),
             "shared_prefix_share": ("max", "shared_prefix_share", 3),
             "dedup_hit_rate": ("ratio", ("dedup_hits",), ("paths",), 3),
             "prune_ratio": ("ratio", ("pruned",), ("pruned", "paths"), 3),
         },
         "must_hold": [("certify", "certified", "campaigns"),
                       ("certify", "violating_paths", 0)],
-        "compare": {"best_states_per_sec": ("higher", "wall")},
     },
     "fuzz": {
         "experiments": ("e20",), "by": ("by_expectation", "{expect}"),
@@ -140,11 +126,9 @@ STREAMS = {
             "campaigns": COUNT, "found": SUM, "scripts_evaluated": SUM,
             "coverage_keys": ("max",), "violating_scripts": SUM,
             "counterexamples": SUM, "replay_confirmed": SUM,
-            "best_runs_per_sec": ("max", "runs_per_sec", 1),
         },
         "must_hold": [("find", "found", "campaigns"),
                       ("clean", "violating_scripts", 0)],
-        "compare": {"best_runs_per_sec": ("higher", "wall")},
     },
     "bounds": {
         "experiments": ("e21",), "by": ("by_scenario", "{scenario}"),
@@ -154,6 +138,18 @@ STREAMS = {
                   "skipped_unachievable": SUM, "class_tightness": ("max",)},
         "must_hold": [(None, "all_sound", True), ("*", "sound", True)],
         "compare": {"class_tightness": ("lower", "sim")},
+    },
+    # The one host-time stream, one row per workload (docs/HACKING.md).
+    "e2e": {
+        "experiments": ("e23",), "by": ("by_workload", "{workload}"),
+        "top": {"workloads": COUNT},
+        "group": dict.fromkeys((
+            "ops_per_s", "op_p50_ms", "setup_s", "peak_rss_mb",
+            "ops_attempted", "ops_failed", "setup_spread",
+            "half_split_ratio", "noisy"), ("max",)),
+        "must_hold": [("*", "ops_failed", 0)],
+        "compare": {"ops_per_s": ("higher", "wall"), **dict.fromkeys(
+            ("op_p50_ms", "setup_s", "peak_rss_mb"), ("lower", "wall"))},
     },
 }
 

@@ -117,6 +117,27 @@ def test_wall_clock_metrics_need_absolute_sim_time_ones_do_not():
     assert len(problems) == 1
 
 
+def test_unresolved_groups_are_never_a_baseline():
+    """An e2e group its own run flagged ``noisy``, or whose set-up
+    spread exceeds the threshold, is no baseline; the latest entry is
+    compared all the same."""
+    fast = [_run("higher", sha, {"flood": FAST, "fm5": FAST})
+            for sha in "ab"]
+    fast[0]["by_workload"]["flood"]["noisy"] = True
+    fast[1]["by_workload"]["fm5"]["setup_spread"] = 0.21
+    slow = _run("higher", "c", {"flood": SLOW, "fm5": SLOW})
+    problems, new = _check("higher", fast + [slow])
+    assert [p.split(" regressed")[0] for p in problems] == [
+        f"flood: {METRIC}", f"fm5: {METRIC}"]
+    problems, new = _check("higher", [fast[1], fast[0]])
+    assert problems == [] and new == [f"fm5: {METRIC}"]
+    fast[1]["by_workload"]["fm5"]["setup_spread"] = 0.2
+    assert _check("higher", [fast[1], slow])[1] == []
+    slow["by_workload"]["flood"]["noisy"] = True
+    problems, _ = _check("higher", [fast[1], slow])
+    assert len(problems) == 2
+
+
 def test_cli_passes_on_one_entry_trajectory(tmp_path):
     path = tmp_path / "BENCH_e2e.json"
     path.write_text(json.dumps({

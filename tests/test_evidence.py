@@ -233,10 +233,21 @@ def test_attribution_self_declarations_do_not_count(directory, validator):
 
 def test_forged_envelope_cheap_rejected(directory, validator):
     ev = commission_evidence(directory)
-    forged = Evidence(
+    assert validator.cheap_check(ev)
+    tampered = Evidence(
         kind=ev.kind, accused="up",  # tampered accusation
         detector=ev.detector, detected_at=ev.detected_at,
         statements=ev.statements, envelope=ev.envelope,
+    )
+    assert not validator.cheap_check(tampered)
+    # Every field agrees with the envelope; only its signature is forged.
+    statement = ev.envelope.statement
+    forged = Evidence(
+        kind=ev.kind, accused=ev.accused, detector=ev.detector,
+        detected_at=ev.detected_at, statements=ev.statements,
+        envelope=AuthenticatedStatement(
+            statement=statement,
+            signature=directory.forge(ev.detector, statement)),
     )
     assert not validator.cheap_check(forged)
 

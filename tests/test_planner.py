@@ -174,13 +174,14 @@ def test_distance_weight_keeps_instances_in_place():
 
 def test_build_plan_nominal_industrial():
     wl = industrial_workload()
-    topo = full_mesh_topology(6, bandwidth=1e8)
-    router = deployed(wl, topo)
-    plan = build_plan(wl, frozenset(), topo, router, f=1)
-    assert plan.mode == "nominal"
-    assert plan.schedule.feasible
-    assert plan.kept_levels == set(Criticality.ordered())
-    assert len(plan.workload.tasks) == len(wl.tasks)  # nothing shed
+    for n_nodes in (6, 10):
+        topo = full_mesh_topology(n_nodes, bandwidth=1e8)
+        router = deployed(wl, topo)
+        plan = build_plan(wl, frozenset(), topo, router, f=1)
+        assert plan.mode == "nominal"
+        assert plan.schedule.feasible
+        assert plan.kept_levels == set(Criticality.ordered())
+        assert len(plan.workload.tasks) == len(wl.tasks)  # nothing shed
 
 
 def test_build_plan_sheds_under_pressure():

@@ -17,7 +17,9 @@ file's ``STREAMS`` table (docs/HACKING.md, "Benchmark pipeline"):
   also need equal ``cores`` and ``python`` and are only checked with
   ``--absolute`` — throughput on shared CI runners is advice, not
   ground truth; enable it locally on a quiet machine. Entries with other
-  facts, including the unstamped history, are never a baseline.
+  facts, including the unstamped history, are never a baseline; nor is
+  a group its own run flagged ``noisy`` or whose ``setup_spread``
+  exceeds the threshold (an unresolved ``BENCH_e2e`` row).
 
 Usage:  python tools/bench_check.py [--absolute] [--threshold PCT]
                 [BENCH_<stream>.json ...]
@@ -110,11 +112,16 @@ def broken_must_holds(latest: dict, spec: dict) -> list:
     return problems
 
 
-def compared(run: dict, spec: dict, absolute: bool) -> dict:
+def compared(run: dict, spec: dict, absolute: bool, bound=None) -> dict:
     """``{label: (value, better, facts)}`` for every present, non-null
-    compared metric; a dict-valued metric yields one label per key."""
+    compared metric; a dict-valued metric yields one label per key.
+    With ``bound`` (a baseline's), an unresolved group yields nothing:
+    one flagged ``noisy``, or whose ``setup_spread`` exceeds ``bound``."""
     out = {}
     for where, entry in entries(run, spec):
+        if bound is not None and (entry.get("noisy") or
+                                  (entry.get("setup_spread") or 0) > bound):
+            continue
         for metric, (better, clock) in spec.get("compare", {}).items():
             if clock == "wall" and not absolute:
                 continue
@@ -139,8 +146,9 @@ def check(runs: list, spec: dict, threshold_pct: float = 20.0,
     metric's baseline is the *best* value over all earlier entries with
     the latest entry's comparability facts — a slow run appended
     yesterday must not become an excuse for being slow today, and
-    numbers from another machine or another sweep are no baseline at
-    all. A metric the baseline measured but the latest run didn't is
+    numbers from another machine or another sweep, or from a group its
+    own run left unresolved (:func:`compared`), are no baseline at all.
+    A metric the baseline measured but the latest run didn't is
     skipped; one present **only** in the latest run is returned in
     ``new`` so a freshly added column is announced, never silently
     ignored. An empty trajectory passes cleanly.
@@ -150,13 +158,13 @@ def check(runs: list, spec: dict, threshold_pct: float = 20.0,
     problems = broken_must_holds(runs[-1], spec)
     current = compared(runs[-1], spec, absolute)
     baseline: dict = {}
+    slack = threshold_pct / 100.0
     for run in runs[:-1]:
         for label, (value, better, facts) in compared(
-                run, spec, absolute).items():
+                run, spec, absolute, slack).items():
             if label in current and facts == current[label][2]:
                 best = max if better == "higher" else min
                 baseline[label] = best(baseline.get(label, value), value)
-    slack = threshold_pct / 100.0
     for label, base in sorted(baseline.items()):
         value, better, _ = current[label]
         if better == "higher" and value < base * (1.0 - slack):

@@ -23,18 +23,18 @@ Every cell, at every scale, gets the same checks:
 * settled heartbeat re-floods are paid per sender on the milestones run
   and never on the full trace.
 
-Two checks run at one scale each: at the sweep scale, ``run_sweep``'s
-first seed equals the cell's own milestones run and its sibling seed a
-freshly planned system; at the pool scale, ``run_sweep_pool``'s per-seed
-fingerprints equal the serial sweep's, and on >= 2 cores the pool is at
-least ``POOL_GATE`` times faster.
+One check runs at one scale: the sweep check. ``run_sweep`` with one
+worker reproduces freshly planned runs — its first seed the cell's own
+milestones run, its second a newly planned system on that seed — and
+with one worker per core it returns the same fingerprints; on >= 2 cores
+the pooled sweep is at least ``POOL_GATE`` times faster.
 
 The pool speedup, this experiment's only wall clock, is recorded in
 ``BENCH_sim.json`` with the host's core count and interpreter version;
 what a run costs in host time is E23's to record.
 
-``REPRO_SWEEP=smoke`` — one ``fullmesh:7`` and one ``geo:3x8`` cell,
-which carry the sweep and pool checks; no pool gate.
+``REPRO_SWEEP=smoke`` — one ``fullmesh:7`` and one ``geo:3x8`` cell;
+the ``geo:3x8`` cell carries the sweep check; no pool gate.
 """
 
 import dataclasses
@@ -50,31 +50,27 @@ from harness import (
     write_result,
 )
 from repro.analysis import format_table
-from repro.perf import trace_fingerprint
-from repro.perf.batchcore import run_sweep
-from repro.perf.pool import run_sweep_pool
+from repro.perf import run_sweep, trace_fingerprint
 from repro.perf.timing import Stopwatch
 
 #: Per sweep: the scale column as (topology, periods), smallest first —
-#: every pinned cell at one of them runs — and the scales that carry the
-#: sweep check and the pool check.
+#: every pinned cell at one of them runs — and the scale whose first
+#: cell carries the sweep check.
 SWEEPS = {
     "full": {
         "scales": (("fullmesh:7", 40), ("fullmesh:15", 30),
                    ("geo:3x20", 8), ("geo:6x20", 8), ("geo:4x30", 8)),
-        "sweep": "fullmesh:15", "pool": "geo:4x30",
+        "sweep": "geo:4x30",
     },
     "smoke": {
         "scales": (("fullmesh:7", 20), ("geo:3x8", 6)),
-        "sweep": "fullmesh:7", "pool": "geo:3x8",
+        "sweep": "geo:3x8",
     },
 }
 
-#: The sweep check runs ``run_sweep`` over (seed, seed + SIBLING).
-SIBLING = 1000
-
-#: Pool sweep seeds: enough work per worker for the fork to amortise.
-POOL_SEEDS = (42, 43, 44, 45)
+#: Seeds per sweep, from the cell's own: enough work per worker for the
+#: fork to amortise.
+SWEEP_SEEDS = 4
 
 #: Pool sweeps are gated only where parallelism is physically possible.
 POOL_GATE = 1.5
@@ -151,49 +147,48 @@ def run_cell(key: str, sweep: bool) -> dict:
         "digest_match": True,
     }
     if sweep:
-        sweep_check(cell, trace_fingerprint(miles_res.trace))
+        fingerprint = trace_fingerprint(miles_res.trace)
+        # The pooled sweep forks this heap: drop the run first.
+        del miles_sys, miles_res, directory
+        row.update(sweep_check(cell, fingerprint))
     return row
 
 
-def sweep_check(cell, fingerprint: str) -> None:
-    """``run_sweep`` reproduces freshly planned runs: its first seed the
-    cell's own milestones run (``fingerprint``), its sibling seed a new
-    system on that seed."""
+def sweep_check(cell, fingerprint: str) -> dict:
+    """``run_sweep`` reproduces freshly planned runs: with one worker its
+    first seed is the cell's own milestones run (``fingerprint``) and
+    its second a new system planned on that seed; with one worker per
+    core every seed's fingerprint is the one-worker sweep's. Returns the
+    two sweeps' wall times and their ratio."""
     seed = cell.deployment.seed
-    sibling = seed + SIBLING
-    runs = run_sweep(_prepared(cell, "milestones"), (seed, sibling),
-                     cell.n_periods, scenario=cell.scenario)
-    assert runs[0].fingerprint == fingerprint, (
-        f"{cell}: sweep diverged from the fresh-system run")
-    fresh = _run(_prepared(cell, "milestones", sibling), cell)
-    assert runs[1].fingerprint == trace_fingerprint(fresh.trace), (
-        f"{cell}: sibling seed {sibling} diverged from a freshly planned "
-        f"system")
-
-
-def pool_check(cell) -> dict:
-    """``run_sweep_pool``'s per-seed fingerprints survive the process
-    boundary; its speedup over the serial sweep scales with cores."""
-    proto = _prepared(cell, "milestones", POOL_SEEDS[0])
+    seeds = tuple(range(seed, seed + SWEEP_SEEDS))
+    sweep = dict(n_periods=cell.n_periods, scenario=cell.scenario)
+    proto = _prepared(cell, "milestones")
     watch = Stopwatch()
-    serial = {run.seed: run.fingerprint for run in run_sweep(
-        proto, POOL_SEEDS, cell.n_periods, scenario=cell.scenario)}
+    serial = run_sweep(proto, seeds, **sweep)
     serial_s = watch.elapsed_s()
+    fingerprints = [run["fingerprint"] for run in serial["runs"]]
+    assert fingerprints[0] == fingerprint, (
+        f"{cell}: sweep diverged from the fresh-system run")
     # The workers fork this heap, proto included, so neither side pays
     # for a prepare() (see _run).
     gc.collect()
     cores = os.cpu_count() or 1
     watch = Stopwatch()
-    out = run_sweep_pool(
-        proto, POOL_SEEDS, workers=min(len(POOL_SEEDS), max(cores, 2)),
-        n_periods=cell.n_periods, scenario=cell.scenario)
+    out = run_sweep(proto, seeds, workers=min(len(seeds), max(cores, 2)),
+                    **sweep)
     pool_s = watch.elapsed_s()
-    for entry in out["runs"]:
-        assert entry["fingerprint"] == serial[entry["seed"]], (
-            f"{cell} seed={entry['seed']}: pool worker diverged from the "
-            f"serial sweep")
+    for run, expected in zip(out["runs"], fingerprints):
+        assert run["fingerprint"] == expected, (
+            f"{cell} seed={run['seed']}: pool worker diverged from the "
+            f"one-worker sweep")
+    del proto
+    fresh = _run(_prepared(cell, "milestones", seeds[1]), cell)
+    assert fingerprints[1] == trace_fingerprint(fresh.trace), (
+        f"{cell}: sibling seed {seeds[1]} diverged from a freshly planned "
+        f"system")
     return {
-        "pool_seeds": len(POOL_SEEDS),
+        "pool_seeds": len(seeds),
         "pool_workers": out["workers"],
         "pooled": out["pooled"],
         "cores": cores,
@@ -211,9 +206,8 @@ def run_experiment() -> list:
         keys = [key for key, cell in cells.items()
                 if (cell.deployment.topology, cell.n_periods)
                 == (topology, n_periods)]
-        scale = [run_cell(key, topology == sweep["sweep"]) for key in keys]
-        if topology == sweep["pool"]:
-            scale[0].update(pool_check(cells[keys[0]]))
+        scale = [run_cell(key, topology == sweep["sweep"] and key == keys[0])
+                 for key in keys]
         for key, row in zip(keys, scale):
             record("sim", row, label=f"e17:{key}")
         rows += scale

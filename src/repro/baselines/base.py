@@ -322,6 +322,7 @@ class BaselineSystem:
         if adversary is None:
             return FaultScript()
         if isinstance(adversary, FaultScript):
+            adversary.check_nodes(self.topology.nodes)
             return adversary
         return adversary.script(self.compromisable_nodes(),
                                 self.sim.rng.fork("adversary"))

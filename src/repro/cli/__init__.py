@@ -2,10 +2,10 @@
 
 One module per verb, each owning its flags, its help text and its
 handler: ``plan``, ``run``, ``compare``, ``verify``, ``bounds``,
-``trace``, ``check`` and ``fuzz`` (``campaign`` / ``replay`` /
-``corpus-check``). Every verb that names a deployment does so with the
-six flags of :class:`~repro.deployment.Deployment` (:mod:`.flags`);
-``check`` and ``fuzz`` share their search flags and artifact replay
+``trace``, ``check``, ``fuzz`` (``campaign`` / ``corpus-check``) and
+``replay``. Every verb that names a deployment does so with the six
+flags of :class:`~repro.deployment.Deployment` (:mod:`.flags`);
+``check`` and ``fuzz campaign`` share their search flags
 (:mod:`.search`). Each verb accepts only the flags it reads.
 """
 
@@ -17,10 +17,11 @@ from typing import List, Optional
 
 from ..core.planner import PlanningError
 from ..net import TopologyError
-from . import bounds, check, compare, fuzz, plan, run, trace, verify
+from . import (bounds, check, compare, fuzz, plan, replay, run, trace,
+               verify)
 
 #: The verbs, in ``--help`` order.
-VERBS = (plan, run, compare, verify, bounds, trace, check, fuzz)
+VERBS = (plan, run, compare, verify, bounds, trace, check, fuzz, replay)
 
 
 def build_parser() -> argparse.ArgumentParser:

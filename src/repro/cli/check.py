@@ -3,20 +3,15 @@
 Explore the product space of adversary choices × delivery orderings on a
 small config, check the ``kR`` bound, agreement, and mode reachability
 on every path, and either certify the config or emit a minimised,
-replay-confirmed counterexample. Exits 0 when certified, 1 on violations
-(or truncation), 2 on usage errors."""
+replay-confirmed counterexample (``repro replay`` re-runs it). Exits 0
+when certified, 1 on violations (or truncation), 2 on usage errors."""
 
 from __future__ import annotations
 
 import os
 
 from .flags import add_deployment_flags, number, write_json
-from .search import (
-    add_search_flags,
-    print_counterexample,
-    replay,
-    run_search,
-)
+from .search import add_search_flags, print_counterexample, run_search
 
 
 def register(sub) -> None:
@@ -41,16 +36,10 @@ def register(sub) -> None:
                    help="skip the fault-free cell")
     p.add_argument("--cex-dir", metavar="DIR", default=None,
                    help="write each counterexample artifact into DIR")
-    p.add_argument("--replay", metavar="FILE", default=None,
-                   help="replay a counterexample artifact through the "
-                        "normal run path instead of exploring")
     p.set_defaults(handler=handle)
 
 
 def handle(args) -> int:
-    if args.replay:
-        return replay(args.replay, args)
-
     from ..mc import CheckParams, run_campaign
 
     report, stats, wall = run_search(
@@ -93,7 +82,7 @@ def handle(args) -> int:
         for i, artifact in enumerate(counterexamples):
             path = os.path.join(args.cex_dir, f"cex_{i}.json")
             write_json(path, artifact, "  counterexample",
-                       f" (replay with: repro check --replay {path})")
+                       f" (replay with: repro replay {path})")
     if args.report:
         write_json(args.report, report, "campaign report")
 

@@ -4,8 +4,9 @@
 adversary's axes, climbs a recovery-timeline fitness signal toward the
 ``kR`` bound, and emits minimised, replay-confirmed counterexamples into
 a corpus of regression benchmarks; exits 1 when it finds a violation.
-``replay`` re-manifests one saved counterexample. ``corpus-check``
-replays every corpus entry and exits 1 when any stops reproducing."""
+``corpus-check`` replays every corpus entry and exits 1 when any stops
+reproducing, 2 on an entry it cannot replay (``repro replay`` re-runs
+one entry)."""
 
 from __future__ import annotations
 
@@ -18,12 +19,7 @@ from .flags import (
     number,
     write_json,
 )
-from .search import (
-    add_search_flags,
-    print_counterexample,
-    replay,
-    run_search,
-)
+from .search import add_search_flags, print_counterexample, run_search
 
 
 def register(sub) -> None:
@@ -55,13 +51,6 @@ def register(sub) -> None:
         help="write each replay-confirmed counterexample into DIR "
              "(content-named, append-only)")
     campaign.set_defaults(handler=handle_campaign)
-
-    replayer = verbs.add_parser(
-        "replay", help="re-manifest one saved counterexample")
-    add_deployment_flags(replayer)
-    replayer.add_argument("artifact", metavar="FILE",
-                          help="a counterexample artifact JSON")
-    replayer.set_defaults(handler=lambda args: replay(args.artifact, args))
 
     corpus = verbs.add_parser(
         "corpus-check",
@@ -101,7 +90,7 @@ def handle_campaign(args) -> int:
                      if a["replay_confirmed"]]
         for path in write_corpus(args.corpus_dir, confirmed):
             print(f"  corpus entry written to {path} "
-                  f"(replay with: repro fuzz replay {path})")
+                  f"(replay with: repro replay {path})")
     if args.report:
         write_json(args.report, report, "campaign report")
 
@@ -125,8 +114,12 @@ def handle_corpus_check(args) -> int:
     if not entries:
         print(f"repro fuzz: corpus {args.corpus} is empty")
         return 0
-    report = check_corpus(args.corpus, deployment(args), entries=entries,
-                          cache=cache_dir(args))
+    try:
+        report = check_corpus(args.corpus, deployment(args),
+                              entries=entries, cache=cache_dir(args))
+    except ValueError as exc:
+        print(f"repro fuzz: cannot replay corpus: {exc}", file=sys.stderr)
+        return 2
     for entry in report["entries"]:
         status = ("ok" if entry["confirmed"] and entry["digest_match"]
                   else "FAIL")

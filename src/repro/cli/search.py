@@ -1,12 +1,8 @@
-"""What ``check`` and ``fuzz`` share: the search flags, the campaign
-preamble, counterexample printing, and artifact replay."""
+"""What ``check`` and ``fuzz campaign`` share: the search flags, the
+campaign preamble and counterexample printing."""
 
 from __future__ import annotations
 
-import json
-import sys
-
-from ..deployment import Deployment
 from ..faults import BEHAVIOR_FACTORIES
 from ..sim import seconds
 from .flags import cache_dir, deployment, number
@@ -80,36 +76,3 @@ def print_counterexample(artifact: dict, size: str) -> None:
           f"{size}, {confirmed}):")
     for violation in artifact["violations"]:
         print(f"    [{violation['invariant']}] {violation['detail']}")
-
-
-def replay(path: str, args) -> int:
-    """Re-manifest a saved counterexample through the normal run path,
-    on the deployment its ``meta`` pins (the flags fill absent keys)."""
-    from ..mc import replay_counterexample
-    from ..mc.counterexample import counterexample_from_dict
-
-    try:
-        with open(path) as f:
-            payload = json.load(f)
-        cell, deliveries = counterexample_from_dict(payload)
-        system = Deployment.from_meta(payload.get("meta"),
-                                      deployment(args)
-                                      ).system(cache=cache_dir(args))
-    except (OSError, ValueError) as exc:
-        print(f"repro {args.command}: cannot replay artifact: {exc}",
-              file=sys.stderr)
-        return 2
-    system.prepare()
-    violations, result = replay_counterexample(system, payload)
-    print(f"replaying {cell.label()} with "
-          f"{len(deliveries)} delivery perturbation(s) over "
-          f"{payload['n_periods']} periods (R={payload['R_us']}us, "
-          f"k={payload['k']})")
-    print(result.summary())
-    if violations:
-        print(f"replay CONFIRMS {len(violations)} violation(s):")
-        for violation in violations:
-            print(f"  [{violation.invariant}] {violation.detail}")
-        return 1
-    print("replay does NOT reproduce the violation")
-    return 0

@@ -399,6 +399,7 @@ class BTRSystem:
         if adversary is None:
             return FaultScript()
         if isinstance(adversary, FaultScript):
+            adversary.check_nodes(self.topology.nodes)
             return adversary
         candidates = self.compromisable_nodes()
         return adversary.script(candidates,

@@ -97,7 +97,7 @@ def hmac_tag(pads: Tuple[Any, Any], message: bytes) -> str:
 
 #: Derived keys shared across directories in one process, keyed by
 #: (master_seed, node_id). Key derivation is a pure function of the key
-#: string, so multi-seed sweeps (:func:`repro.perf.batchcore.run_sweep`)
+#: string, so multi-seed sweeps (:func:`repro.perf.run_sweep`)
 #: and repeated benchmark systems on the same seed share the SHA-256
 #: work instead of re-deriving per directory.
 _DERIVED_KEYS: Dict[tuple, bytes] = {}

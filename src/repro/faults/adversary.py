@@ -56,6 +56,14 @@ class FaultScript:
     def faulty_nodes(self) -> List[str]:
         return [i.node for i in self.injections]
 
+    def check_nodes(self, nodes) -> None:
+        """``ValueError`` naming each injected node not among ``nodes``
+        (the deployment's), raised before a run schedules anything."""
+        unknown = sorted(set(self.faulty_nodes).difference(nodes))
+        if unknown:
+            raise ValueError(f"fault script injects {', '.join(unknown)}: "
+                             f"no such node in the deployment")
+
     def __iter__(self):
         return iter(self.injections)
 

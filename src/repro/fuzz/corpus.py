@@ -68,8 +68,8 @@ def write_corpus(dirpath: str, artifacts: List[dict]) -> List[str]:
 def load_corpus(dirpath: str) -> List[Tuple[str, dict]]:
     """All corpus entries as (name, payload), sorted by name.
 
-    Raises ``ValueError`` on a malformed entry — a corpus that does not
-    parse must fail the gate loudly, not slip through it.
+    Raises ``ValueError`` naming the entry on a malformed one — a corpus
+    that does not parse must fail the gate loudly, not slip through it.
     """
     entries = []
     for name in sorted(os.listdir(dirpath)):
@@ -82,7 +82,10 @@ def load_corpus(dirpath: str) -> List[Tuple[str, dict]]:
         except (OSError, json.JSONDecodeError) as exc:
             raise ValueError(f"corpus entry {name}: unreadable: {exc}"
                              ) from None
-        counterexample_from_dict(payload)  # structural validation
+        try:
+            counterexample_from_dict(payload)  # structural validation
+        except ValueError as exc:
+            raise ValueError(f"corpus entry {name}: {exc}") from None
         entries.append((name, payload))
     return entries
 
@@ -98,6 +101,8 @@ def check_corpus(dirpath: str, base: Optional[Deployment] = None,
     passes iff its replay still produces every recorded invariant
     verdict, and — when the artifact recorded a ``replay_digest`` — the
     replayed path's primitives-only fingerprint matches byte-for-byte.
+    An entry whose script cannot run on its deployment raises
+    ``ValueError`` naming the entry.
     """
     if entries is None:
         entries = load_corpus(dirpath)
@@ -109,7 +114,10 @@ def check_corpus(dirpath: str, base: Optional[Deployment] = None,
         if system is None:
             system = systems[deployment] = deployment.system(cache=cache)
             system.prepare()
-        violations, result = replay_counterexample(system, payload)
+        try:
+            violations, result = replay_counterexample(system, payload)
+        except ValueError as exc:  # a script naming a node not deployed
+            raise ValueError(f"corpus entry {name}: {exc}") from None
         recorded = sorted({v["invariant"]
                            for v in payload.get("violations", [])})
         observed = sorted({v.invariant for v in violations})

@@ -7,10 +7,10 @@ how fast the artifact is produced and whether work is recomputed at all:
 * :class:`StrategyCache` / :func:`strategy_cache_key` — content-keyed
   on-disk reuse of finished strategies;
 * :mod:`repro.perf.batchcore` — the hop runtime every system crosses
-  links through (unicast sends and vectorised fan-outs) and multi-seed
-  sweep execution;
+  links through (unicast sends and vectorised fan-outs) and the sweep
+  sibling of a prepared system;
 * :mod:`repro.perf.pool` — the one worker pool (mc cells, fuzz
-  generations, sweeps) and the geo-scale multi-seed pool sweep;
+  generations, sweeps) and the one multi-seed sweep, :func:`run_sweep`;
 * :mod:`repro.perf.timing` — the one sanctioned wall-clock module (the
   determinism lint restricts ``repro/perf/`` and exempts only it).
 
@@ -20,19 +20,17 @@ guarantees each piece preserves.
 
 from ..crypto.memo import VerifyMemo
 from ..sim.trace import trace_fingerprint
-from .batchcore import BatchRuntime, SweepRun, run_sweep, sibling_system
+from .batchcore import BatchRuntime, sibling_system
 from .cache import (
     CACHE_ENV_VAR,
     StrategyCache,
     default_cache_dir,
     strategy_cache_key,
 )
-from .pool import WorkerPool, run_sweep_pool
+from .pool import WorkerPool, run_sweep
 
 __all__ = [
     "BatchRuntime",
-    "SweepRun",
-    "run_sweep",
     "sibling_system",
     "CACHE_ENV_VAR",
     "StrategyCache",
@@ -41,5 +39,5 @@ __all__ = [
     "VerifyMemo",
     "trace_fingerprint",
     "WorkerPool",
-    "run_sweep_pool",
+    "run_sweep",
 ]

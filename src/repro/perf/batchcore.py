@@ -1,5 +1,5 @@
-"""The hop runtime: every link crossing of a run, and multi-seed sweep
-execution.
+"""The hop runtime: every link crossing of a run, and the sweep sibling
+of a prepared system.
 
 :class:`BatchRuntime` is the substrate's one hop path. BTR and every
 baseline send through it, so every system pays the same lane arithmetic
@@ -52,15 +52,7 @@ mark and the re-flood. Around that:
   heartbeat copy's three possible rows (sent, delivered, lost) are fixed
   for the run and ride prebuilt in its emission-plan entry, so recording
   a heartbeat copy — two thirds of a ``fullmesh:7`` trace — allocates
-  nothing;
-
-* **multi-seed sweeps** — :func:`run_sweep` runs N seeds in one process
-  against one prepared system: the frozen strategy (and, held by each
-  plan, its compiled node programs —
-  :mod:`repro.core.runtime.program`), the router's path cache, and the
-  derived signing keys (module-level cache in
-  :mod:`repro.crypto.signatures`) are shared across seeds instead of
-  being rebuilt per run.
+  nothing.
 
 What an agent does per event under a plan is not this module's business:
 that is the node program. This module owns only what is fixed per *run*
@@ -81,12 +73,7 @@ from typing import Dict, List, Optional
 
 from ..sim.link import ReservationError
 from ..sim.message import Message, MessageKind
-from ..sim.trace import (
-    MessageDelivered,
-    MessageDropped,
-    MessageSent,
-    trace_fingerprint,
-)
+from ..sim.trace import MessageDelivered, MessageDropped, MessageSent
 
 #: Heartbeat frames are tiny fixed-size CONTROL messages.
 HEARTBEAT_BITS = 128
@@ -659,25 +646,17 @@ class BatchRuntime:
 
 # --------------------------------------------------------------- sweeps
 
-@dataclasses.dataclass
-class SweepRun:
-    """One seed's outcome inside a :func:`run_sweep` execution."""
-
-    seed: int
-    result: object          # RunResult
-    wall_s: float
-    fingerprint: str
-
-
 def sibling_system(prototype, seed: int):
     """A prepared system for another seed, sharing the prototype's frozen
     planning artifacts: the strategy (with each plan's compiled node
     programs and send-offset table), the recovery budget (which carries
-    the switch lead), the router's path cache, and the lane model. The key directory is
-    rebuilt for the new seed (its master seed differs) but shares derived
-    keys through the process-wide cache. The sibling's runs are
-    byte-identical to a freshly constructed+prepared system on that seed
-    (the batchcore tests and E17's sweep check assert this)."""
+    the switch lead), the router's path cache, and the lane model. The
+    key directory is rebuilt for the new seed (its master seed differs)
+    but shares derived keys through the process-wide cache. The
+    sibling's runs are byte-identical to a freshly constructed+prepared
+    system on that seed (``tests/test_pool.py`` and E17's sweep check
+    assert this); the multi-seed sweep, :func:`repro.perf.pool.run_sweep`,
+    runs on them."""
     from ..core.runtime.system import BTRSystem
 
     config = dataclasses.replace(prototype.config, seed=seed)
@@ -688,37 +667,3 @@ def sibling_system(prototype, seed: int):
     sibling.budget = prototype.budget
     return sibling
 
-
-def run_sweep(system, seeds, n_periods: int, scenario: Optional[str] = None
-              ) -> List[SweepRun]:
-    """Run ``n_periods`` under each seed in one process, sharing the
-    prepared strategy and every derived artifact across seeds.
-
-    ``system`` must be prepared; its own seed reuses it directly, every
-    other seed gets a :func:`sibling_system`. ``scenario`` (a name from
-    :mod:`repro.faults.scenarios`) is staged per seed — scenario scripts
-    are seed-relative; without one the runs are fault-free. Returns one
-    :class:`SweepRun` per seed, in order, each with
-    the run's trace fingerprint so callers can gate on byte-identity
-    against independently constructed runs.
-    """
-    from .timing import Stopwatch
-
-    runs: List[SweepRun] = []
-    for seed in seeds:
-        target = (system if seed == system.config.seed
-                  else sibling_system(system, seed))
-        adv = links = None
-        if scenario is not None:
-            from ..faults.scenarios import stage
-            staged = stage(scenario, target)
-            adv = staged.script
-            links = staged.link_script or None
-        watch = Stopwatch()
-        result = target.run(n_periods, adversary=adv, link_script=links)
-        wall = watch.elapsed_s()
-        runs.append(SweepRun(
-            seed=seed, result=result, wall_s=wall,
-            fingerprint=trace_fingerprint(result.trace),
-        ))
-    return runs

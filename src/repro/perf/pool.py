@@ -1,4 +1,4 @@
-"""The one worker pool, and the geo-scale sweep that fans out over it.
+"""The one worker pool, and the multi-seed sweep that fans out over it.
 
 **The pool.** :class:`WorkerPool` is an ordered, streaming
 ``map(payloads)`` over N worker processes. The workers are forked from
@@ -10,7 +10,7 @@ so a context may hold anything. The start method is ``fork`` by name,
 not the platform default, which may pickle. The executor forks every
 worker on the first submit, before it starts a thread of its own, so a
 single-threaded caller forks no lock that another thread holds. The mc
-cell fan-out, the fuzz generation batches and :func:`run_sweep_pool`
+cell fan-out, the fuzz generation batches and :func:`run_sweep`
 are its users (docs/PERFORMANCE.md, "Search loop").
 
 **Parallelism is an optimisation, never a semantic.** The same ``task``
@@ -23,11 +23,13 @@ pure functions of their payload, so results already yielded stay valid
 and the map carries on in-process from the first payload it has not
 yielded.
 
-**The pool sweep.** A :func:`~repro.net.topology.geo_topology`
-deployment at 60-120 nodes runs seconds per seed, and runs are
-independent per seed: :func:`run_sweep_pool` hands the seeds of one
-prepared system to pool workers. Per-seed trace fingerprints equal the
-serial in-process sweep's across the process boundary.
+**The sweep.** :func:`run_sweep` runs one prepared system under N
+seeds: the frozen strategy (with each plan's compiled node programs),
+the router's path cache and the derived signing keys are shared across
+seeds instead of rebuilt per run. Runs are independent per seed, so the
+pool may hand them to workers; a :func:`~repro.net.topology.geo_topology`
+deployment at 60-120 nodes runs seconds per seed. Per-seed trace
+fingerprints are the same for every worker count.
 """
 
 from __future__ import annotations
@@ -38,7 +40,9 @@ from concurrent.futures.process import BrokenProcessPool
 from functools import partial
 from typing import Any, Callable, Iterable, Iterator, Optional
 
-from .batchcore import run_sweep
+from ..sim.trace import trace_fingerprint
+from .batchcore import sibling_system
+from .timing import Stopwatch
 
 #: What "the pool cannot be created or kept" looks like from the caller's
 #: side: construction / process start failing (``OSError``, ``ValueError``
@@ -115,35 +119,44 @@ class WorkerPool:
             yield self._task(self._context, payload)
 
 
-# ------------------------------------------------------------ pool sweep
+# ----------------------------------------------------------------- sweep
 
 def _sweep_seed(system, seed: int, *, n_periods: int,
                 scenario: Optional[str]) -> dict:
-    """One seed of a pool sweep: run, ship back primitives only
-    (RunResult traces are large and stay in the worker)."""
-    run, = run_sweep(system, (seed,), n_periods, scenario=scenario)
+    """One seed of a sweep, as primitives: a RunResult's trace is large
+    and stays where it ran."""
+    target = (system if seed == system.config.seed
+              else sibling_system(system, seed))
+    adversary = links = None
+    if scenario is not None:
+        from ..faults.scenarios import stage
+        staged = stage(scenario, target)
+        adversary, links = staged.script, staged.link_script or None
+    watch = Stopwatch()
+    result = target.run(n_periods, adversary=adversary, link_script=links)
     return {
-        "seed": run.seed,
-        "fingerprint": run.fingerprint,
-        "wall_s": run.wall_s,
-        "events": run.result.metrics["gauges"]["sim_events_executed"],
+        "seed": seed,
+        "fingerprint": trace_fingerprint(result.trace),
+        "wall_s": watch.elapsed_s(),
+        "events": result.metrics["gauges"]["sim_events_executed"],
     }
 
 
-def run_sweep_pool(system, seeds, workers: int, *, n_periods: int,
-                   scenario: Optional[str] = None) -> dict:
-    """Fan a multi-seed sweep of the prepared ``system`` out over worker
-    processes.
+def run_sweep(system, seeds, *, n_periods: int,
+              scenario: Optional[str] = None, workers: int = 1) -> dict:
+    """Run ``n_periods`` of the prepared ``system`` under each seed.
 
-    Each worker is forked with ``system`` and runs the seeds the pool
-    hands it with :func:`run_sweep`, as the serial sweep does. Results
-    come back in the input seed order as primitive dicts (seed, trace
-    fingerprint, wall seconds, events executed) — callers gate on the
-    fingerprints being equal to a serial sweep's on milestone traces.
+    The system's own seed runs on it, every other seed on a
+    :func:`~repro.perf.batchcore.sibling_system`. ``scenario`` (a name
+    from :mod:`repro.faults.scenarios`) is staged per seed — scenario
+    scripts are seed-relative; without one the runs are fault-free.
+    Results come back in seed order as primitive dicts (seed, trace
+    fingerprint, wall seconds, events executed), so callers can gate on
+    byte-identity against independently prepared runs.
 
-    If no process pool can be created or kept the sweep degrades to
-    in-process execution and reports ``pooled: False`` — same results,
-    no speedup, never a failure.
+    ``workers > 1`` forks that many pool workers with ``system``; if no
+    pool can be created or kept, the sweep runs in-process and reports
+    ``pooled: False`` — same results, no speedup, never a failure.
     """
     seeds = list(seeds)
     if not seeds:

@@ -22,11 +22,12 @@ baselines' own transmit path (``Link.transmit``) before they moved onto
 the shared hop runtime.
 
 ``python -m tests.golden [engine|planner|baseline]`` re-runs every cell
-on the current code and verifies it — each engine cell a second time in
-``milestones`` mode against the same entry's :func:`census`, since
-sweeps, mc and fuzz run there; with ``--write SOURCE`` it rewrites
-the file instead — only ever with a CHANGES.md line saying why the
-observable behaviour was meant to change.
+on the current code, spread over one worker process per core, and
+verifies it — each engine cell a second time in ``milestones`` mode
+against the same entry's :func:`census`, since sweeps, mc and fuzz run
+there. A cell that differs prints what moved (:func:`moved`). With
+``--write SOURCE`` it rewrites the file instead — only ever with a
+CHANGES.md line saying why the observable behaviour was meant to change.
 """
 
 import argparse
@@ -36,7 +37,7 @@ import json
 import os
 import re
 import sys
-from typing import NamedTuple
+from typing import NamedTuple, Optional
 
 from repro import BTRConfig, BTRSystem, Deployment
 from repro.baselines import BASELINES
@@ -44,6 +45,7 @@ from repro.core.planner import PlanningError, strategy_to_json
 from repro.faults import SingleFaultAdversary
 from repro.faults.scenarios import stage
 from repro.net import topology_from_spec
+from repro.perf import WorkerPool
 from repro.sim.trace import MILESTONE_KINDS, trace_fingerprint
 from repro.verify import verify_strategy
 from repro.verify.bounds import compute_bounds
@@ -285,11 +287,18 @@ def run_baseline_cell(key: str) -> dict:
 
 # ------------------------------------------------------------ the files
 
+def _heaviest_first() -> list:
+    """The engine grid by committed ``events_executed``, largest first:
+    handed out in that order, no worker is left with a long tail."""
+    return sorted(engine_keys(), key=lambda key: -expected(key)[
+        "events_executed"])
+
+
 #: name -> (path, how one cell is recomputed, which cells the file holds:
 #: the engine file is its own grid, the planner and baseline grids are
 #: the ones above).
 FILES = {
-    "engine": (PATH, run_cell, engine_keys),
+    "engine": (PATH, run_cell, _heaviest_first),
     "planner": (PLANNER_PATH, run_planner_cell, lambda: PLANNER_KEYS),
     "baseline": (BASELINE_PATH, run_baseline_cell, lambda: BASELINE_KEYS),
 }
@@ -303,6 +312,44 @@ def write(path: str, cells: dict, source: str) -> None:
     with open(path, "w") as f:
         f.write('{\n  "schema": 1,\n  "source": %s,\n  "cells": {\n%s\n'
                 '  }\n}\n' % (json.dumps(source), body))
+
+
+def moved(found: Optional[dict], committed: Optional[dict]) -> str:
+    """What moved between a recomputed cell and its committed digest: the
+    ``events_executed`` delta and each census kind's, or "census equal,
+    fingerprint differs"; for a digest without a census (planner cells),
+    the fields that differ."""
+    if committed is None or found is None:
+        return ("no committed digest" if committed is None
+                else "not in the grid")
+    if "kind_counts" not in found or "kind_counts" not in committed:
+        return "differs in " + ", ".join(sorted(
+            key for key in set(found) | set(committed)
+            if found.get(key) != committed.get(key)))
+    new, old = found["kind_counts"], committed["kind_counts"]
+    deltas = [("events_executed",
+               found["events_executed"] - committed["events_executed"])]
+    deltas += [(kind, new.get(kind, 0) - old.get(kind, 0))
+               for kind in sorted(set(new) | set(old))]
+    return (", ".join(f"{name} {delta:+d}" for name, delta in deltas
+                      if delta)
+            or "census equal, fingerprint differs")
+
+
+def compare(cells: dict, committed: dict) -> list:
+    """One line per cell that differs: its key and what moved."""
+    return [f"{key}: {moved(cells.get(key), committed.get(key))}"
+            for key in sorted(set(cells) | set(committed))
+            if cells.get(key) != committed.get(key)]
+
+
+def recompute(run, keys) -> dict:
+    """``{key: run(key)}``, the cells spread over one worker per core
+    (no more workers than cells: a forking pool starts them all)."""
+    keys = list(keys)
+    workers = min(len(keys), os.cpu_count() or 1)
+    with WorkerPool(lambda _, key: run(key), None, workers=workers) as pool:
+        return dict(zip(keys, pool.map(keys)))
 
 
 def main() -> None:
@@ -333,23 +380,24 @@ def main() -> None:
     failed = False
     for name in names:
         path, run, keys = FILES[name]
-        cells = {key: run(key) for key in keys()}
+        cells = recompute(run, keys())
         if args.write:
             write(path, cells, args.write)
             print(f"{name}: {len(cells)} cells written")
             continue
         committed = _committed(path)
-        changed = [key for key in sorted(set(cells) | set(committed))
-                   if cells.get(key) != committed.get(key)]
+        changed = compare(cells, committed)
         print(f"{name}: {len(cells)} cells, {len(changed)} differ",
               *changed, sep="\n")
         failed = failed or bool(changed)
         if name == "engine":
             # Sweeps, mc and fuzz run in ``milestones``: the same cells
             # there must keep the committed gauge and census.
-            changed = [key for key in keys()
-                       if census(run_cell(key, "milestones"))
-                       != census(committed[key])]
+            found = recompute(
+                functools.partial(run_cell, mode="milestones"), keys())
+            changed = compare(
+                {key: census(digest) for key, digest in found.items()},
+                {key: census(committed[key]) for key in found})
             print(f"engine (milestones): {len(committed)} cells, "
                   f"{len(changed)} differ", *changed, sep="\n")
             failed = failed or bool(changed)

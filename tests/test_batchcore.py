@@ -3,7 +3,7 @@ events.
 
 The batched emitters (``repro.perf.batchcore``) promise the run a
 message-per-heap-event engine produces, byte for byte, for less engine
-work. These tests pin that promise from six sides —
+work. These tests pin that promise from five sides —
 
 * byte-identity: the full-mode trace fingerprint, the
   ``events_executed`` gauge and the event census equal the digests the
@@ -20,11 +20,9 @@ work. These tests pin that promise from six sides —
   executed event where paying copy by copy would;
 * messages as values: a delivered message keeps the payload it arrived
   with after the run, and re-running one system repeats its trace;
-* sweeps: :func:`run_sweep` over shared frozen plans is byte-identical
-  to freshly constructed+prepared systems per seed;
 * sweep hygiene: scenario link scripts must not leak residual loss
   into later runs over the shared topology (the order-independence
-  regression behind the pool sweep's byte-equality gate).
+  regression behind the sweep's byte-equality gate).
 """
 
 from functools import partial
@@ -41,12 +39,7 @@ from repro.faults.scenarios import stage
 from repro.mc.hooks import DeliveryPerturbation
 from repro.net import full_mesh_topology
 from repro.obs.metrics import MetricsRegistry
-from repro.perf.batchcore import (
-    HEARTBEAT_BITS,
-    BatchRuntime,
-    run_sweep,
-    sibling_system,
-)
+from repro.perf.batchcore import HEARTBEAT_BITS, BatchRuntime, sibling_system
 from repro.sched import LaneModel
 from repro.sim import Simulator
 from repro.sim.message import Message, MessageKind
@@ -498,32 +491,6 @@ class TestMessagesAreValues:
 
         assert (trace_fingerprint(one_run().trace)
                 == trace_fingerprint(one_run().trace))
-
-
-class TestSweep:
-    """run_sweep shares the frozen plans across seeds and stays
-    byte-identical to independently prepared systems."""
-
-    def test_sweep_matches_fresh_reference_per_seed(self):
-        seeds = (42, 43, 44)
-        system = build_system(42)
-        runs = run_sweep(system, seeds, N_PERIODS,
-                         scenario="single_commission")
-        assert [r.seed for r in runs] == list(seeds)
-        for run in runs:
-            key = golden.cell_key(system, "single_commission", N_PERIODS,
-                                  seed=run.seed)
-            assert run.fingerprint == golden.expected(key)["fingerprint"]
-            assert run.fingerprint == trace_fingerprint(run.result.trace)
-            assert run.wall_s >= 0.0
-
-    def test_sweep_siblings_share_frozen_artifacts(self):
-        system = build_system(42)
-        sibling = sibling_system(system, 43)
-        assert sibling.strategy is system.strategy
-        assert sibling.budget is system.budget
-        assert sibling.router is system.router
-        assert sibling.config.seed == 43
 
 
 class TestSweepHygiene:

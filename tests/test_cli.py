@@ -39,8 +39,8 @@ def test_topology_from_spec_rejects_unknown():
 
 #: Every verb, as ``python -m repro`` spells it.
 VERBS = [["plan"], ["run"], ["compare"], ["verify"], ["bounds"],
-         ["trace"], ["check"], ["fuzz", "campaign"], ["fuzz", "replay"],
-         ["fuzz", "corpus-check"]]
+         ["trace"], ["check"], ["fuzz", "campaign"], ["fuzz", "corpus-check"],
+         ["replay"]]
 
 
 @pytest.mark.parametrize("verb", VERBS, ids=" ".join)
@@ -373,7 +373,7 @@ def test_cli_check_counterexample_and_replay(tmp_path, capsys):
     assert "replay-confirmed" in out
     artifacts = sorted(cex_dir.glob("cex_*.json"))
     assert artifacts
-    code, out = run_cli(capsys, "check", "--replay", str(artifacts[0]))
+    code, out = run_cli(capsys, "replay", str(artifacts[0]))
     assert code == 1
     assert "replay CONFIRMS" in out
 
@@ -385,8 +385,8 @@ STRETCHED = ["--workload", "pipeline", "--topology", "fullmesh:4",
 
 
 def test_cli_stretched_check_counterexamples_replay(tmp_path, capsys):
-    """An artifact names its deployment's stretch, so ``check --replay``
-    re-runs the stretched workload the campaign searched."""
+    """An artifact names its deployment's stretch, so ``replay`` re-runs
+    the stretched workload the campaign searched."""
     cex_dir = tmp_path / "cex"
     code, out = run_cli(capsys, "check", *STRETCHED, "--max-depth", "0",
                         "--cex-dir", str(cex_dir))
@@ -395,7 +395,7 @@ def test_cli_stretched_check_counterexamples_replay(tmp_path, capsys):
     assert len(artifacts) == 2
     for path in artifacts:
         assert json.loads(path.read_text())["meta"]["stretch"] == 2
-        code, out = run_cli(capsys, "check", "--replay", str(path))
+        code, out = run_cli(capsys, "replay", str(path))
         assert code == 1
         assert "replay CONFIRMS" in out
 
@@ -407,7 +407,7 @@ def test_cli_stretched_fuzz_corpus_entry_replays(tmp_path, capsys):
                       "--corpus-dir", str(corpus))
     assert code == 1
     (entry,) = corpus.glob("*.json")
-    code, out = run_cli(capsys, "fuzz", "replay", str(entry))
+    code, out = run_cli(capsys, "replay", str(entry))
     assert code == 1
     assert "replay CONFIRMS" in out
 
@@ -415,7 +415,7 @@ def test_cli_stretched_fuzz_corpus_entry_replays(tmp_path, capsys):
 def test_cli_check_replay_rejects_bad_artifact(tmp_path, capsys):
     path = tmp_path / "junk.json"
     path.write_text("[1, 2]")
-    code = main(["check", "--replay", str(path)])
+    code = main(["replay", str(path)])
     err = capsys.readouterr().err
     assert code == 2
     assert "cannot replay artifact" in err
@@ -427,7 +427,20 @@ CORPUS_ENTRY = os.path.join(os.path.dirname(os.path.dirname(__file__)),
                             "corpus", "fuzz-3a9355964d00.json")
 
 
-@pytest.mark.parametrize("argv", [["check", "--replay"], ["fuzz", "replay"]])
+def _unknown_node_script():
+    with open(CORPUS_ENTRY) as f:
+        script = json.load(f)["fault_script"]
+    script["injections"][0]["node"] = "zz"
+    return script
+
+
+#: The entry's script, well-formed but injecting a node it lacks.
+UNKNOWN_NODE = _unknown_node_script()
+
+
+#: Every verb that replays an artifact: ``replay`` reads the file,
+#: ``fuzz corpus-check`` the corpus directory holding it.
+@pytest.mark.parametrize("argv", [["replay"], ["fuzz", "corpus-check"]])
 @pytest.mark.parametrize("field,value", [
     ("cell", 5),
     ("cell", {"victim": ["n2"], "kind": "crash", "inject_at": 0}),
@@ -442,12 +455,13 @@ CORPUS_ENTRY = os.path.join(os.path.dirname(os.path.dirname(__file__)),
     ("meta", {"workload": "nope"}),
     ("meta", {"f": "1"}),
     ("meta", []),
+    ("fault_script", UNKNOWN_NODE),
     (None, None),  # the file cut in half
 ])
 def test_cli_replay_names_each_malformed_artifact(tmp_path, capsys, argv,
                                                   field, value):
-    """Hostile replay input: one named line and exit 2, never a
-    traceback."""
+    """Hostile replay input: one line naming the artifact and exit 2,
+    never a traceback."""
     with open(CORPUS_ENTRY) as f:
         text = f.read()
     if field is not None:
@@ -458,12 +472,28 @@ def test_cli_replay_names_each_malformed_artifact(tmp_path, capsys, argv,
         text = text[:len(text) // 2]
     path = tmp_path / "artifact.json"
     path.write_text(text)
-    code = main([*argv, str(path)])
+    where = (["--corpus", str(tmp_path)] if argv[0] == "fuzz"
+             else [str(path)])
+    code = main([*argv, *where])
     captured = capsys.readouterr()
     assert code == 2
     assert captured.out == ""
     [line] = captured.err.splitlines()
-    assert "cannot replay artifact" in line
+    assert line.startswith(f"repro {argv[0]}: cannot ")
+    assert ("corpus entry artifact.json: " if argv[0] == "fuzz"
+            else "cannot replay artifact: ") in line
+    if value == UNKNOWN_NODE:
+        assert "injects zz: no such node" in line
+
+
+@pytest.mark.parametrize("argv", [["check", "--replay"], ["fuzz", "replay"]])
+def test_cli_retired_replay_entry_points_exit_2(argv, capsys):
+    """``repro replay`` is the one replay verb: the entry points it
+    replaced are argparse errors, not silent aliases."""
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, CORPUS_ENTRY])
+    assert exc.value.code == 2
+    assert "error: " in capsys.readouterr().err.splitlines()[-1]
 
 
 def test_cli_check_rejects_bad_bounds(capsys):

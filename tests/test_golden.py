@@ -1,7 +1,9 @@
 """``python -m tests.golden`` reads every digest file it will compare
 before it recomputes a cell: a malformed file is one named line and
-exit 2, never a traceback after minutes of recomputation."""
+exit 2, never a traceback after minutes of recomputation. A cell that
+differs prints what moved, not just its key."""
 
+import copy
 import sys
 
 import pytest
@@ -47,3 +49,38 @@ def test_one_pass_digest_and_reprs_equal_the_two_passes():
     assert found == golden.digest(system, result) == golden.expected(key)
     assert reprs == golden.milestone_reprs(result.trace)
     assert reprs
+
+
+#: A small committed engine cell the comparison tests perturb.
+KEY = "single_commission@fullmesh7/industrial/f1/p12/s42"
+
+
+def _fewer_sends(digest):
+    digest["kind_counts"]["MessageSent"] -= 2
+
+
+def _more_events_and_switches_no_outputs(digest):
+    digest["events_executed"] += 2
+    digest["kind_counts"]["ModeSwitchStarted"] += 1
+    del digest["kind_counts"]["OutputProduced"]
+
+
+def _other_fingerprint(digest):
+    digest["fingerprint"] = "0" * 64
+
+
+@pytest.mark.parametrize("perturb, line", [
+    (_fewer_sends, "MessageSent +2"),
+    (_more_events_and_switches_no_outputs,
+     "events_executed -2, ModeSwitchStarted -1, OutputProduced +56"),
+    (_other_fingerprint, "census equal, fingerprint differs"),
+], ids=["kind", "events_and_kinds", "fingerprint_only"])
+def test_a_moved_cell_names_what_moved(perturb, line):
+    """The recomputed digest is the committed one; the expected digest
+    fed to the comparison is perturbed."""
+    found = golden.expected(KEY)
+    perturbed = copy.deepcopy(found)
+    perturb(perturbed)
+    assert golden.compare({KEY: found}, {KEY: perturbed}) == [
+        f"{KEY}: {line}"]
+    assert golden.compare({KEY: found}, {KEY: found}) == []

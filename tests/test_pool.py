@@ -14,8 +14,10 @@ and the engine on geo topologies.
   strictly positive minimum WAN latency;
 * delivery hooks: a delay-only hook composes with the batched fan-outs
   byte-identically;
-* pool sweep: per-seed fingerprints of one prepared system survive the
-  process boundary.
+* the sweep: :func:`repro.perf.run_sweep` over one prepared system's
+  shared frozen plans equals freshly prepared systems per seed, and its
+  per-seed fingerprints are the same in-process and across the process
+  boundary.
 """
 
 import dataclasses
@@ -29,9 +31,8 @@ from hypothesis import given, settings, strategies as st
 from repro import Deployment
 from repro.faults.scenarios import stage
 from repro.net import Router, geo_topology
-from repro.perf.batchcore import run_sweep, sibling_system
+from repro.perf import WorkerPool, run_sweep, sibling_system
 from repro.perf import pool as pool_module
-from repro.perf.pool import WorkerPool, run_sweep_pool
 from repro.workload import WORKLOADS
 from tests import golden
 
@@ -201,27 +202,48 @@ class TestDeliveryHooks:
         golden.assert_matches(system, result, golden.HOOKED)
 
 
-# ------------------------------------------------------------ pool sweep
+# ----------------------------------------------------------------- sweep
 
 
 class TestPoolSweep:
-    @staticmethod
-    def _serial(seeds):
-        reference = GEO.system(trace_mode="milestones")
-        reference.prepare()
-        return {run.seed: run.fingerprint
-                for run in run_sweep(reference, seeds, N_PERIODS,
-                                     scenario=SWEEP["scenario"])}
+    """The one multi-seed sweep shares the frozen plans across seeds and
+    returns the same runs for every worker count."""
+
+    def test_sweep_matches_fresh_reference_per_seed(self):
+        seeds = (42, 43, 44)
+        system = Deployment("industrial", "fullmesh:7").system(
+            trace_mode="full")
+        system.prepare()
+        out = run_sweep(system, seeds, n_periods=12,
+                        scenario="single_commission")
+        assert [row["seed"] for row in out["runs"]] == list(seeds)
+        assert (out["workers"], out["pooled"]) == (1, False)
+        for row in out["runs"]:
+            key = golden.cell_key(system, "single_commission", 12,
+                                  seed=row["seed"])
+            committed = golden.expected(key)
+            assert row["fingerprint"] == committed["fingerprint"]
+            assert row["events"] == committed["events_executed"]
+            assert row["wall_s"] >= 0.0
+
+    def test_sweep_siblings_share_frozen_artifacts(self, proto):
+        sibling = sibling_system(proto, 43)
+        assert sibling.strategy is proto.strategy
+        assert sibling.budget is proto.budget
+        assert sibling.router is proto.router
+        assert sibling.config.seed == 43
 
     def test_pool_matches_serial_reference(self, tmp_path):
         seeds = (42, 202)
-        serial = self._serial(seeds)
+        reference = GEO.system(trace_mode="milestones")
+        reference.prepare()
+        serial = run_sweep(reference, seeds, **SWEEP)
         system = GEO.system(cache=str(tmp_path), trace_mode="milestones")
         system.prepare()
-        out = run_sweep_pool(system, seeds, workers=2, **SWEEP)
+        out = run_sweep(system, seeds, workers=2, **SWEEP)
         assert [row["seed"] for row in out["runs"]] == list(seeds)
-        for row in out["runs"]:
-            assert row["fingerprint"] == serial[row["seed"]], row["seed"]
+        assert ([row["fingerprint"] for row in out["runs"]]
+                == [row["fingerprint"] for row in serial["runs"]])
         assert out["workers"] == 2
 
     def test_uncached_system_matches_its_own_serial_sweep(self):
@@ -229,19 +251,16 @@ class TestPoolSweep:
         system = GEO.system(trace_mode="milestones")
         assert system.config.cache is None
         system.prepare()
-        out = run_sweep_pool(system, seeds, workers=2, **SWEEP)
+        out = run_sweep(system, seeds, workers=2, **SWEEP)
         if not out["pooled"]:
             pytest.skip("process pools unavailable in this environment")
-        serial = run_sweep(system, seeds, N_PERIODS,
-                           scenario=SWEEP["scenario"])
-        assert [row["fingerprint"] for row in out["runs"]] == [
-            run.fingerprint for run in serial]
-        assert [row["events"] for row in out["runs"]] == [
-            run.result.metrics["gauges"]["sim_events_executed"]
-            for run in serial]
+        serial = run_sweep(system, seeds, **SWEEP)
+        for key in ("seed", "fingerprint", "events"):
+            assert ([row[key] for row in out["runs"]]
+                    == [row[key] for row in serial["runs"]]), key
 
     def test_empty_seed_list_is_a_noop(self, proto):
-        out = run_sweep_pool(proto, (), workers=4, **SWEEP)
+        out = run_sweep(proto, (), workers=4, **SWEEP)
         assert out == {"runs": [], "workers": 0, "pooled": False}
 
     @pytest.mark.parametrize("name", sorted(WORKLOADS))

@@ -34,8 +34,6 @@ KEEP: Dict[str, str] = {
         "read-only accessor: tests read the event queue's length",
     "Simulator.peek_next_time":
         "read-only accessor: tests read the next event's time",
-    "FaultScript.faulty_nodes":
-        "read-only accessor: tests read a script's victims",
     "BlameTracker.charges_against":
         "read-only accessor: tests read the omission charges",
     "plan_to_dict":

@@ -9,6 +9,7 @@ import re
 import pytest
 
 from tools.bench_check import compared, load_runs
+from tools import run_experiments
 from tools.run_experiments import (REPO, RESULTS, STREAMS, aggregate,
                                    append_run, select)
 
@@ -182,3 +183,23 @@ def test_table_is_consistent(stream):
     found = {label.split(": ")[-1].split("[")[0]
              for label in compared(entry, spec, absolute=True)}
     assert found == set(spec.get("compare", {}))
+
+
+@pytest.mark.parametrize("loads, waited", [
+    ([3.0, 1.5, 1.0], 2 * run_experiments.QUIET_POLL_S),
+    ([5.0], run_experiments.QUIET_WAIT_S),
+], ids=["falls", "capped"])
+def test_e23_waits_for_the_load_to_fall(loads, waited, monkeypatch,
+                                        capsys):
+    """On 2 cores E23 starts once the 1-minute load reads <= 1, or after
+    the cap; every poll sleeps, and the wait is printed."""
+    readings = iter(loads)
+    sleeps = []
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(os, "getloadavg",
+                        lambda: (next(readings, loads[-1]), 0.0, 0.0))
+    monkeypatch.setattr(run_experiments.time, "sleep", sleeps.append)
+    assert run_experiments.wait_for_quiet() == waited
+    assert sleeps == [run_experiments.QUIET_POLL_S] * (
+        waited // run_experiments.QUIET_POLL_S)
+    assert f"waited {waited}s" in capsys.readouterr().out

@@ -241,6 +241,25 @@ def append_run(stream: str, measurements: dict, results=RESULTS) -> bool:
     return True
 
 
+#: The longest E23 waits for the load the pooled shards left to fall,
+#: and how often it looks.
+QUIET_WAIT_S, QUIET_POLL_S = 120, 5
+
+
+def wait_for_quiet() -> int:
+    """Poll the 1-minute load average until it reads at most ``cores -
+    1`` — above that, E23's measurement flags its runs ``noisy`` — for at
+    most :data:`QUIET_WAIT_S`; print and return the seconds waited."""
+    ceiling = (os.cpu_count() or 1) - 1
+    waited = 0
+    while os.getloadavg()[0] > ceiling and waited < QUIET_WAIT_S:
+        time.sleep(QUIET_POLL_S)
+        waited += QUIET_POLL_S
+    print(f"waited {waited}s for the 1-minute load to fall to {ceiling} "
+          f"(cap {QUIET_WAIT_S}s)")
+    return waited
+
+
 def run_shard(path: str, env: dict) -> dict:
     """One benchmark file under pytest, as its ``suite`` stream row."""
     rel = os.path.relpath(path, REPO)
@@ -333,11 +352,14 @@ def main() -> int:
     print(f"running {len(files)} benchmark shards (jobs={args.jobs}, "
           f"cache={cache_dir or 'disabled'})...")
     start = time.perf_counter()
-    # E23 measures host time: it runs alone, after the pool.
+    # E23 measures host time: it runs alone, after the pool has quietened.
     pooled = [path for path in files if "test_e23_" not in path]
     with ThreadPoolExecutor(max_workers=args.jobs) as pool:
         shards = list(pool.map(lambda path: run_shard(path, env), pooled))
-    shards += [run_shard(path, env) for path in files if path not in pooled]
+    alone = [path for path in files if path not in pooled]
+    if alone:
+        wait_for_quiet()
+    shards += [run_shard(path, env) for path in alone]
     wall = time.perf_counter() - start
     rows = {"suite": shards}
     for stream, path in scratch.items():

@@ -1,13 +1,16 @@
 """Shared machinery for the baseline fault-tolerance systems.
 
-Every baseline runs on exactly the same substrate as BTR — same simulator,
-same guarded links crossed through the same hop runtime
+Every baseline runs on exactly the same substrate as BTR, through the
+same run loop (:class:`~repro.core.runtime.system.SimulatedSystem`): same
+simulator, same guarded links crossed through the same hop runtime
 (:class:`~repro.perf.batchcore.BatchRuntime`: same lane arithmetic, same
-trace rows, same loss draws), same schedule synthesis, same fault
-injectors — so the comparisons in the benchmarks are apples-to-apples. A
-baseline differs only in its *policy*: how it augments the dataflow graph
-(replication degree, voters vs. checkers vs. nothing) and what its agents
-do at runtime.
+trace rows, same loss draws), same schedule synthesis, same fault script
+scheduling and period tick — so the comparisons in the benchmarks are
+apples-to-apples. A baseline differs only in its *policy*: how it
+augments the dataflow graph (:meth:`BaselineSystem.make_augmented`:
+replication degree, voters vs. checkers vs. nothing), what its agents do
+at runtime (``make_agent``) and which system-level services it runs
+(``start_services``: a watchdog, a global reset).
 
 Baselines deliberately treat the workload as a black box (no criticality
 shedding, no strategy tree, no evidence) — that contrast is one of the
@@ -21,13 +24,10 @@ from typing import Dict, List, Optional, Union
 
 from ..core.planner.placement import PlacementConfig, place
 from ..core.planner.plan import Plan, derive_routes
-from ..core.runtime.system import RunResult
+from ..core.runtime.system import RunResult, SimulatedSystem
 from ..faults.adversary import Adversary, FaultScript
 from ..faults.behaviors import FaultBehavior
 from ..net.topology import Topology
-from ..obs.metrics import MetricsRegistry
-from ..perf.batchcore import BatchRuntime
-from ..sched.lanes import LaneModel
 from ..sched.synthesis import GlobalSchedule, synthesize
 from ..sim.engine import Simulator
 from ..sim.message import Message, MessageKind
@@ -194,44 +194,23 @@ class BaselineAgent:
         ))
 
 
-class BaselineSystem:
+class BaselineSystem(SimulatedSystem):
     """Template for a single-plan fault-tolerance system."""
 
     name = "baseline"
 
     def __init__(self, workload: DataflowGraph, topology: Topology,
                  f: int = 1, seed: int = 0) -> None:
-        self.workload = workload
-        self.topology = topology
+        super().__init__(workload, topology, seed)
         self.f = f
-        self.seed = seed
-        if not set(workload.sources) <= set(topology.endpoint_map):
-            topology.place_endpoints_round_robin(workload.sources,
-                                                 workload.sinks)
-        self.router = topology.router
-        self.lane_model = LaneModel(topology)
         #: The one deployment, a planner :class:`Plan` for the empty
         #: fault pattern; filled by :meth:`prepare`.
         self.plan: Optional[Plan] = None
-        #: Where link-loss drops are counted (baselines make no recovery
-        #: promise, so their RunResult carries no metrics snapshot).
-        self.metrics = MetricsRegistry()
-        #: The hop runtime, kept across runs as BTRSystem keeps its own.
-        self.batch_runtime = BatchRuntime()
-        self.sim: Optional[Simulator] = None
-        self.trace: Optional[Trace] = None
-        self.agents: Dict[str, BaselineAgent] = {}
 
     # ------------------------------------------------------ subclass hooks
 
     def make_augmented(self) -> DataflowGraph:
         raise NotImplementedError
-
-    def make_agent(self, node) -> BaselineAgent:
-        raise NotImplementedError
-
-    def on_run_start(self, n_periods: int) -> None:
-        """Hook for system-level services (watchdogs, reset timers)."""
 
     # -------------------------------------------------------------- prepare
 
@@ -267,65 +246,17 @@ class BaselineSystem:
             ) -> RunResult:
         if self.plan is None:
             raise ValueError(f"{self.name}: call prepare() before run()")
-        period = self.workload.period
-        self.sim = Simulator(seed=self.seed)
-        self.trace = Trace()
-        for _, node in sorted(self.topology.nodes.items()):
-            node.reset()
-        for _, link in sorted(self.topology.links.items()):
-            link.reset()
-        self.lane_model.install()
-        self.agents = {
-            node_id: self.make_agent(node)
-            for node_id, node in sorted(self.topology.nodes.items())
-        }
-        self.batch_runtime.begin_run(self.sim, self.trace, self.topology,
-                                     self.metrics, self.agents,
-                                     n_periods * period)
-        script = self._resolve_script(adversary)
-        for injection in script:
-            self.sim.call_at(injection.time, partial(
-                self.agents[injection.node].compromise, injection.behavior))
-        self.on_run_start(n_periods)
-        self.sim.call_at(0, partial(self._tick, 0, n_periods))
-        try:
-            self.sim.run_until(n_periods * period)
-        finally:
-            # As BTRSystem.run: drop what is two-way only during the run
-            # (queued callbacks, the agents' hop runtime) so a finished
-            # run is freed by reference counting.
-            self.sim.close()
-            for _, agent in sorted(self.agents.items()):
-                agent.release()
-        self.batch_runtime.end_run()
+        duration = self._run_periods(n_periods, adversary, Trace())
         return RunResult(
             trace=self.trace,
             config=None,
             workload=self.workload,
             n_periods=n_periods,
-            duration_us=n_periods * period,
+            duration_us=duration,
             budget=None,
             final_modes={n: self.name for n in self.agents},
             final_fault_sets={n: frozenset() for n in self.agents},
         )
-
-    def _tick(self, k: int, n_periods: int) -> None:
-        """Period ``k`` starts on every node; schedules period ``k + 1``."""
-        agents = self.agents
-        for node_id in sorted(agents):
-            agents[node_id].on_period_start(k)
-        if k + 1 < n_periods:
-            self.sim.call_at((k + 1) * self.workload.period,
-                             partial(self._tick, k + 1, n_periods))
-
-    def _resolve_script(self, adversary) -> FaultScript:
-        if adversary is None:
-            return FaultScript()
-        if isinstance(adversary, FaultScript):
-            adversary.check_nodes(self.topology.nodes)
-            return adversary
-        return adversary.script(self.compromisable_nodes(),
-                                self.sim.rng.fork("adversary"))
 
     def compromisable_nodes(self) -> List[str]:
         endpoint_nodes = set(self.topology.endpoint_map.values())

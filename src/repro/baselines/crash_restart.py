@@ -42,7 +42,7 @@ class CrashRestartSystem(BaselineSystem):
     def make_agent(self, node) -> UnreplicatedAgent:
         return UnreplicatedAgent(self, node)
 
-    def on_run_start(self, n_periods: int) -> None:
+    def start_services(self, n_periods: int) -> None:
         #: node -> when the watchdog first saw it crashed (this run).
         self._crashed_since: dict = {}
         self.sim.call_after(self.workload.period, self._watchdog)

@@ -42,7 +42,7 @@ class SelfStabilizingSystem(BaselineSystem):
     def make_agent(self, node) -> UnreplicatedAgent:
         return UnreplicatedAgent(self, node)
 
-    def on_run_start(self, n_periods: int) -> None:
+    def start_services(self, n_periods: int) -> None:
         self.sim.call_after(self.reset_every * self.workload.period,
                             self._global_reset)
 

@@ -66,7 +66,7 @@ class NodeAgent:
         # up would tie every finished run into a reference cycle.
         self.trace = system.trace
         self.directory = system.directory
-        self.metrics = system.metrics
+        self.metrics = system.run_metrics
         self.router = system.router
         self.topology = system.topology
         self.strategy = system.strategy

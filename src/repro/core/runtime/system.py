@@ -92,8 +92,8 @@ class RunResult:
     #: degradation), mapped to the time from which they are excused. The
     #: analysis layer uses this for Definition 3.1's shedding extension.
     excused_flows: Dict[str, int] = field(default_factory=dict)
-    #: Snapshot of the system's metrics registry (counters and gauges)
-    #: at the end of the run; empty for baseline systems.
+    #: This run's counters and gauges on top of the system's set-up
+    #: counters (``MetricsRegistry.snapshot``); empty for baseline systems.
     metrics: Dict[str, Dict] = field(default_factory=dict)
 
     def outputs(self) -> List[OutputProduced]:
@@ -116,39 +116,139 @@ class RunResult:
         )
 
 
-class BTRSystem:
-    """A BTR deployment: workload + topology + config, prepared then run."""
+class SimulatedSystem:
+    """A workload deployed on a topology and run on the simulator: the
+    construction plumbing and the one run lifecycle that BTR and every
+    baseline share.
+
+    A system supplies :meth:`make_agent` (one agent per node),
+    :meth:`compromisable_nodes` (the adversary's candidates) and, if it
+    has any, :meth:`start_services` (periodic system-level events); its
+    own ``run()`` checks it is prepared, calls :meth:`_run_periods` and
+    builds its :class:`RunResult` from the finished run.
+    """
 
     def __init__(self, workload: DataflowGraph, topology: Topology,
-                 config: Optional[BTRConfig] = None) -> None:
+                 seed: int) -> None:
         self.workload = workload
         self.topology = topology
-        self.config = config or BTRConfig()
+        self.seed = seed
         if not set(workload.sources) <= set(topology.endpoint_map):
             topology.place_endpoints_round_robin(workload.sources,
                                                  workload.sinks)
         self.router = topology.router
         self.lane_model = LaneModel(topology)
+        #: Set-up counters (``prepare()``-time: planner fallbacks, cache
+        #: quarantines). Each run counts into :attr:`run_metrics`, a copy
+        #: of this registry made as the run starts, so a run's metrics
+        #: are the set-up counters plus that run alone.
+        self.metrics = MetricsRegistry()
+        # Imported lazily: repro.perf pulls in the planner stack.
+        from ...perf.batchcore import BatchRuntime
+        #: The hop runtime every message crosses a link through
+        #: (:mod:`repro.perf.batchcore`), rebound by every run.
+        self.batch_runtime = BatchRuntime()
+        # Per-run state:
+        self.sim: Optional[Simulator] = None
+        self.trace: Optional[Trace] = None
+        self.run_metrics: Optional[MetricsRegistry] = None
+        self.agents: Dict[str, object] = {}
+
+    # ------------------------------------------------------- system hooks
+
+    def make_agent(self, node):
+        raise NotImplementedError
+
+    def compromisable_nodes(self) -> List[str]:
+        raise NotImplementedError
+
+    def start_services(self, n_periods: int) -> None:
+        """Schedule the run's system-level services (clock sync,
+        watchdogs, reset timers); called after the fault script is
+        scheduled and before the first period tick."""
+
+    # ---------------------------------------------------------------- run
+
+    def _run_periods(self, n_periods: int, adversary, trace: Trace,
+                     delivery_hook=None, **services) -> int:
+        """Run ``n_periods`` on a fresh simulator recording into
+        ``trace``; returns the run's duration. ``services`` go to
+        :meth:`start_services`.
+
+        The run is released in a ``finally``: the events still queued
+        past the horizon and the delivery hook are dropped
+        (``Simulator.close()``), and so is every agent's pointer back up,
+        so a finished run (and a dropped system) is freed by reference
+        counting."""
+        if (isinstance(n_periods, bool) or not isinstance(n_periods, int)
+                or n_periods < 1):
+            raise ValueError(
+                f"n_periods must be an int >= 1, got {n_periods!r}")
+        duration = n_periods * self.workload.period
+        self.sim = Simulator(seed=self.seed)
+        self.sim.delivery_hook = delivery_hook
+        self.trace = trace
+        self.run_metrics = self.metrics.copy()
+        for _, node in sorted(self.topology.nodes.items()):
+            node.reset()
+        for _, link in sorted(self.topology.links.items()):
+            link.reset()
+        self.lane_model.install()
+        self.agents = {
+            node_id: self.make_agent(node)
+            for node_id, node in sorted(self.topology.nodes.items())
+        }
+        self.batch_runtime.begin_run(self.sim, trace, self.topology,
+                                     self.run_metrics, self.agents,
+                                     duration)
+        for injection in self._resolve_script(adversary):
+            self.sim.call_at(injection.time, partial(
+                self.agents[injection.node].compromise, injection.behavior))
+        self.start_services(n_periods, **services)
+        self.sim.call_at(0, partial(self._tick, 0, n_periods))
+        try:
+            self.sim.run_until(duration)
+        finally:
+            self.sim.close()
+            for _, agent in sorted(self.agents.items()):
+                agent.release()
+        self.batch_runtime.end_run()
+        return duration
+
+    def _tick(self, k: int, n_periods: int) -> None:
+        """Period ``k`` starts on every node; schedules period ``k + 1``."""
+        agents = self.agents
+        for node_id in sorted(agents):
+            agents[node_id].on_period_start(k)
+        if k + 1 < n_periods:
+            self.sim.call_at((k + 1) * self.workload.period,
+                             partial(self._tick, k + 1, n_periods))
+
+    def _resolve_script(self, adversary) -> FaultScript:
+        if adversary is None:
+            return FaultScript()
+        if isinstance(adversary, FaultScript):
+            adversary.check_nodes(self.topology.nodes)
+            return adversary
+        return adversary.script(self.compromisable_nodes(),
+                                self.sim.rng.fork("adversary"))
+
+
+class BTRSystem(SimulatedSystem):
+    """A BTR deployment: workload + topology + config, prepared then run."""
+
+    def __init__(self, workload: DataflowGraph, topology: Topology,
+                 config: Optional[BTRConfig] = None) -> None:
+        self.config = config or BTRConfig()
+        super().__init__(workload, topology, self.config.seed)
         self.directory = KeyDirectory(master_seed=self.config.seed,
                                       verify_memo=True)
         for node_id in topology.nodes:
             self.directory.register(node_id)
         self.strategy: Optional[Strategy] = None
         self.budget: Optional[RecoveryBudget] = None
-        #: Numeric observability channel (counters and gauges),
-        #: shared by prepare()-time and run()-time instrumentation and
-        #: snapshotted into each RunResult.
-        self.metrics = MetricsRegistry()
         #: Filled by prepare(): how the strategy was obtained.
         self.plan_stats: Optional[PlanningStats] = None
-        #: The hop runtime every message crosses a link through
-        #: (:mod:`repro.perf.batchcore`), constructed on first run() and
-        #: rebound by every later one.
-        self.batch_runtime = None
-        # Per-run state:
-        self.sim: Optional[Simulator] = None
-        self.trace: Optional[Trace] = None
-        self.agents: Dict[str, NodeAgent] = {}
 
     # ------------------------------------------------------------- prepare
 
@@ -261,67 +361,21 @@ class BTRSystem:
         """
         if self.strategy is None:
             raise NotPreparedError("call prepare() before run()")
-        duration = n_periods * self.workload.period
-
-        self.sim = Simulator(seed=self.config.seed)
-        self.sim.delivery_hook = delivery_hook
-        self.trace = Trace(mode=self.config.trace_mode)
         self.directory.begin_run()
-        clock_rng = self.sim.rng.fork("clocks")
-        for node_id, node in sorted(self.topology.nodes.items()):
-            node.reset()
-            drift = self.config.clock_drift_ppm
-            node.clock = type(node.clock)(
-                drift_ppm=clock_rng.uniform(-drift, drift) if drift else 0.0,
-            )
-        for link in self.topology.links.values():
-            link.reset()
-        self.lane_model.install()
-
-        if self.batch_runtime is None:
-            # Imported lazily: repro.perf pulls in the planner stack.
-            from ...perf.batchcore import BatchRuntime
-            self.batch_runtime = BatchRuntime()
-
-        self.agents = {
-            node_id: NodeAgent(self, node)
-            for node_id, node in sorted(self.topology.nodes.items())
-        }
-        self.batch_runtime.begin_run(self.sim, self.trace, self.topology,
-                                     self.metrics, self.agents, duration)
-        self.sim.call_after(CLOCK_SYNC_INTERVAL_US, self._sync_clocks)
-
-        script = self._resolve_script(adversary)
-        for injection in script:
-            self.sim.call_at(injection.time, partial(
-                self.agents[injection.node].compromise, injection.behavior))
-        scripted_loss = []
-        for at, link_id, loss in (link_script or []):
-            link = self.topology.links[link_id]
-            scripted_loss.append((link, link.loss_probability))
-
-            def degrade(l=link, p=loss, lid=link_id) -> None:
-                l.loss_probability = p
-                # From now on every heartbeat copy may draw a loss.
-                self.batch_runtime.defer_settled = False
-                self.trace.record(Custom(
-                    time=self.sim.now, label="link_degraded",
-                    data={"link": lid, "loss": p},
-                ))
-
-            self.sim.call_at(at, degrade)
-
-        self.sim.call_at(0, partial(self._tick, 0, n_periods))
+        link_script = link_script or ()
+        links = self.topology.links
+        # Link scripts mutate Link objects that outlive the run (the
+        # topology is shared across sweep siblings); restore the pre-run
+        # residual loss so runs stay order-independent.
+        pristine = [(links[link_id], links[link_id].loss_probability)
+                    for _, link_id, _ in link_script]
         try:
-            self.sim.run_until(duration)
+            duration = self._run_periods(
+                n_periods, adversary, Trace(mode=self.config.trace_mode),
+                delivery_hook, link_script=link_script)
         finally:
-            # Link scripts mutate Link objects that outlive the run (the
-            # topology is shared across sweep siblings); restore the
-            # pre-run residual loss so runs stay order-independent.
-            for link, pristine in scripted_loss:
-                link.loss_probability = pristine
-            self._release_run()
-        self.batch_runtime.end_run()
+            for link, loss in pristine:
+                link.loss_probability = loss
 
         # Flows deliberately shed by the plan in force at the end of the
         # run, excused from the first mode switch onward.
@@ -339,16 +393,15 @@ class BTRSystem:
                 if flow.name not in kept:
                     excused[flow.name] = first_switch
 
-        self.metrics.set_gauge("sim_events_executed",
-                               self.sim.events_executed)
-        self.metrics.set_gauge("trace_events", len(self.trace))
-        self.metrics.inc("crypto_hmac", value=self.directory.signs,
-                         op="sign")
-        self.metrics.inc("crypto_hmac", value=self.directory.verifies,
-                         op="verify")
+        metrics = self.run_metrics
+        metrics.set_gauge("sim_events_executed", self.sim.events_executed)
+        metrics.set_gauge("trace_events", len(self.trace))
+        metrics.inc("crypto_hmac", value=self.directory.signs, op="sign")
+        metrics.inc("crypto_hmac", value=self.directory.verifies,
+                    op="verify")
         memo = self.directory.verify_memo
-        self.metrics.inc("verify_memo", value=memo.hits, result="hit")
-        self.metrics.inc("verify_memo", value=memo.misses, result="miss")
+        metrics.inc("verify_memo", value=memo.hits, result="hit")
+        metrics.inc("verify_memo", value=memo.misses, result="miss")
         return RunResult(
             trace=self.trace,
             config=self.config,
@@ -359,17 +412,34 @@ class BTRSystem:
             final_modes={n: a.plan.mode for n, a in self.agents.items()},
             final_fault_sets=fault_sets,
             excused_flows=excused,
-            metrics=self.metrics.snapshot(),
+            metrics=metrics.snapshot(),
         )
 
-    def _tick(self, k: int, n_periods: int) -> None:
-        """Period ``k`` starts on every node; schedules period ``k + 1``."""
-        agents = self.agents
-        for node_id in sorted(agents):
-            agents[node_id].on_period_start(k)
-        if k + 1 < n_periods:
-            self.sim.call_at((k + 1) * self.workload.period,
-                             partial(self._tick, k + 1, n_periods))
+    def make_agent(self, node) -> NodeAgent:
+        return NodeAgent(self, node)
+
+    def start_services(self, n_periods: int, link_script=()) -> None:
+        """Every node's clock drifts from the start and is re-synchronised
+        every :data:`CLOCK_SYNC_INTERVAL_US`; the link script degrades
+        its links on time."""
+        clock_rng = self.sim.rng.fork("clocks")
+        drift = self.config.clock_drift_ppm
+        for _, node in sorted(self.topology.nodes.items()):
+            node.clock = type(node.clock)(
+                drift_ppm=clock_rng.uniform(-drift, drift) if drift else 0.0,
+            )
+        self.sim.call_after(CLOCK_SYNC_INTERVAL_US, self._sync_clocks)
+        for at, link_id, loss in link_script:
+            self.sim.call_at(at, partial(self._degrade, link_id, loss))
+
+    def _degrade(self, link_id: str, loss: float) -> None:
+        self.topology.links[link_id].loss_probability = loss
+        # From now on every heartbeat copy may draw a loss.
+        self.batch_runtime.defer_settled = False
+        self.trace.record(Custom(
+            time=self.sim.now, label="link_degraded",
+            data={"link": link_id, "loss": loss},
+        ))
 
     def _sync_clocks(self) -> None:
         """One round of periodic clock synchronization (the paper's
@@ -384,26 +454,6 @@ class BTRSystem:
             else:
                 agent.node.clock.synchronize_to(now, now)
         self.sim.call_after(CLOCK_SYNC_INTERVAL_US, self._sync_clocks)
-
-    def _release_run(self) -> None:
-        """Drop what is two-way only while a run runs, so a finished run
-        (and a dropped system) is freed by reference counting: the events
-        still queued past the horizon and the delivery hook (the
-        simulator's callbacks into the agents, the hop runtime and this
-        system), and every agent's pointers back up to itself."""
-        self.sim.close()
-        for agent in self.agents.values():
-            agent.release()
-
-    def _resolve_script(self, adversary) -> FaultScript:
-        if adversary is None:
-            return FaultScript()
-        if isinstance(adversary, FaultScript):
-            adversary.check_nodes(self.topology.nodes)
-            return adversary
-        candidates = self.compromisable_nodes()
-        return adversary.script(candidates,
-                                self.sim.rng.fork("adversary"))
 
     def compromisable_nodes(self) -> List[str]:
         """Nodes the experiments let the adversary pick from: strategy-

@@ -39,13 +39,12 @@ def render_key(name: str, labels: Iterable[Tuple[str, str]]) -> str:
 
 
 class MetricsRegistry:
-    """Counters and gauges for one system's lifetime.
+    """Counters and gauges.
 
-    A :class:`~repro.core.runtime.system.BTRSystem` owns one registry;
-    ``prepare()``-time instrumentation (planner fallbacks, cache
-    quarantines) and ``run()``-time instrumentation (message drops,
-    evidence verdicts, switches) share it, and ``RunResult.metrics``
-    carries a snapshot.
+    A system owns one registry for its ``prepare()``-time instrumentation
+    (planner fallbacks, cache quarantines). Each run counts its own
+    (message drops, evidence verdicts, switches) into a :meth:`copy` of
+    it, and ``RunResult.metrics`` carries that copy's snapshot.
     """
 
     def __init__(self) -> None:
@@ -69,6 +68,13 @@ class MetricsRegistry:
 
     def gauge_value(self, name: str, **labels: object) -> object:
         return self._gauges.get((name, _labels_key(labels)))
+
+    def copy(self) -> "MetricsRegistry":
+        """A new registry that starts from this one's values."""
+        twin = MetricsRegistry()
+        twin._counters = dict(self._counters)
+        twin._gauges = dict(self._gauges)
+        return twin
 
     # ------------------------------------------------------------ snapshot
 

@@ -13,6 +13,7 @@ from repro.baselines import (
     bft_augment,
     majority,
 )
+from repro import BTRConfig, BTRSystem
 from repro.core.planner.plan import Plan, derive_routes
 from repro.faults import SingleFaultAdversary
 from repro.net import full_mesh_topology, topology_from_spec
@@ -113,6 +114,38 @@ def test_baseline_requires_prepare():
     system = UnreplicatedSystem(wl, full_mesh_topology(6, bandwidth=1e8))
     with pytest.raises(ValueError, match="prepare"):
         system.run(1)
+
+
+@pytest.fixture(scope="module", params=["btr", *BASELINES])
+def prepared(request):
+    workload = industrial_workload()
+    topology = full_mesh_topology(5, bandwidth=1e8)
+    if request.param == "btr":
+        system = BTRSystem(workload, topology, BTRConfig(f=1, seed=3))
+    else:
+        system = BASELINES[request.param](workload, topology, f=1, seed=3)
+    system.prepare()
+    return system
+
+
+@pytest.mark.parametrize("n_periods", [0, -2, 1.5, True])
+def test_run_refuses_a_period_count_that_is_not_a_positive_int(
+        prepared, n_periods):
+    """BTR and every baseline share one run loop, and it refuses the
+    count before any event is scheduled."""
+    with pytest.raises(ValueError, match=f"got {n_periods!r}$"):
+        prepared.run(n_periods)
+    assert prepared.sim is None
+
+
+@pytest.mark.parametrize("name", sorted(BASELINES))
+def test_rerun_of_one_baseline_repeats_a_fresh_run(name):
+    """A crash run leaves nothing behind: a fault-free rerun on the same
+    instance equals a fresh instance's fault-free run."""
+    system, _ = run_baseline(BASELINES[name], kind="crash")
+    rerun = golden.digest(system, system.run(N_PERIODS))
+    fresh, result = run_baseline(BASELINES[name])
+    assert rerun == golden.digest(fresh, result)
 
 
 @pytest.mark.parametrize("cls,kwargs", [

@@ -489,8 +489,10 @@ class TestMessagesAreValues:
             return system.run(N_PERIODS, adversary=scn.script,
                               link_script=scn.link_script)
 
-        assert (trace_fingerprint(one_run().trace)
-                == trace_fingerprint(one_run().trace))
+        first, second = one_run(), one_run()
+        assert (trace_fingerprint(first.trace)
+                == trace_fingerprint(second.trace))
+        assert first.metrics == second.metrics
 
 
 class TestSweepHygiene:

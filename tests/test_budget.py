@@ -87,6 +87,12 @@ def test_diameter_fallback_counted_once_per_prepare(monkeypatch):
     system.prepare()
     assert system.metrics.counter_value("budget_diameter_fallback",
                                         reason="not_connected") == 1
+    # Every run's metrics start from the set-up counters, which stay put.
+    for _ in range(2):
+        assert system.run(2).metrics["counters"][
+            "budget_diameter_fallback{reason=not_connected}"] == 1
+    assert system.metrics.counter_value("budget_diameter_fallback",
+                                        reason="not_connected") == 1
 
 
 def test_detection_bound_dominated_by_omission_accumulation():

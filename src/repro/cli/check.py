@@ -8,10 +8,13 @@ when certified, 1 on violations (or truncation), 2 on usage errors."""
 
 from __future__ import annotations
 
-import os
-
 from .flags import add_deployment_flags, number, write_json
-from .search import add_search_flags, print_counterexample, run_search
+from .search import (
+    add_search_flags,
+    print_counterexample,
+    run_search,
+    write_artifacts,
+)
 
 
 def register(sub) -> None:
@@ -34,8 +37,6 @@ def register(sub) -> None:
                         "deliveries (explores the pruned branches too)")
     p.add_argument("--no-nominal", action="store_true",
                    help="skip the fault-free cell")
-    p.add_argument("--cex-dir", metavar="DIR", default=None,
-                   help="write each counterexample artifact into DIR")
     p.set_defaults(handler=handle)
 
 
@@ -59,7 +60,7 @@ def handle(args) -> int:
           f"{totals['distinct_states']} distinct states, "
           f"dedup hit-rate {dedup_rate:.0%}, "
           f"{totals['pruned']} branches pruned "
-          + wall(stats.states_per_sec))
+          + wall(totals["paths"]))
     for violation in report["static_violations"]:
         print(f"  [static] [{violation['invariant']}] "
               f"{violation['detail']}")
@@ -77,12 +78,7 @@ def handle(args) -> int:
             artifact,
             f"{len(artifact['deliveries'])} delivery perturbation(s)")
 
-    if args.cex_dir and counterexamples:
-        os.makedirs(args.cex_dir, exist_ok=True)
-        for i, artifact in enumerate(counterexamples):
-            path = os.path.join(args.cex_dir, f"cex_{i}.json")
-            write_json(path, artifact, "  counterexample",
-                       f" (replay with: repro replay {path})")
+    write_artifacts(args, counterexamples)
     if args.report:
         write_json(args.report, report, "campaign report")
 

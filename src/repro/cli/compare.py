@@ -14,7 +14,7 @@ from ..analysis import (
     traffic_bits,
 )
 from ..baselines import BASELINES
-from ..faults import BEHAVIOR_FACTORIES, SingleFaultAdversary
+from ..faults import BEHAVIORS, SingleFaultAdversary
 from ..sim import seconds, to_seconds
 from .flags import (
     add_deployment_flags,
@@ -29,7 +29,7 @@ def register(sub) -> None:
     p = sub.add_parser("compare", help="BTR vs baselines through one fault")
     add_deployment_flags(p)
     p.add_argument("--periods", type=number(int), default=30)
-    p.add_argument("--fault", choices=sorted(BEHAVIOR_FACTORIES),
+    p.add_argument("--fault", choices=sorted(BEHAVIORS),
                    default="commission")
     p.add_argument("--fault-at", type=number(float, zero_ok=True),
                    default=0.22)

@@ -19,7 +19,12 @@ from .flags import (
     number,
     write_json,
 )
-from .search import add_search_flags, print_counterexample, run_search
+from .search import (
+    add_search_flags,
+    print_counterexample,
+    run_search,
+    write_artifacts,
+)
 
 
 def register(sub) -> None:
@@ -46,10 +51,6 @@ def register(sub) -> None:
     campaign.add_argument(
         "--max-artifacts", type=number(int, zero_ok=True), default=8,
         help="cap on minimised counterexample artifacts")
-    campaign.add_argument(
-        "--corpus-dir", metavar="DIR", default=None,
-        help="write each replay-confirmed counterexample into DIR "
-             "(content-named, append-only)")
     campaign.set_defaults(handler=handle_campaign)
 
     corpus = verbs.add_parser(
@@ -64,7 +65,7 @@ def register(sub) -> None:
 
 
 def handle_campaign(args) -> int:
-    from ..fuzz import FuzzParams, run_fuzz_campaign, write_corpus
+    from ..fuzz import FuzzParams, run_fuzz_campaign
 
     report, stats, wall = run_search(
         args, "fuzz", "run", run_fuzz_campaign, FuzzParams,
@@ -79,18 +80,13 @@ def handle_campaign(args) -> int:
           f"{len(report['generations'])} generations: "
           f"{len(report['coverage'])} coverage keys, "
           f"best fitness {report['best_fitness']} "
-          + wall(stats.runs_per_sec))
+          + wall(report["evaluated"]))
 
     for artifact in report["counterexamples"]:
         print_counterexample(
             artifact,
             f"{len(artifact['fault_script']['injections'])} injection(s)")
-    if args.corpus_dir:
-        confirmed = [a for a in report["counterexamples"]
-                     if a["replay_confirmed"]]
-        for path in write_corpus(args.corpus_dir, confirmed):
-            print(f"  corpus entry written to {path} "
-                  f"(replay with: repro replay {path})")
+    write_artifacts(args, report["counterexamples"])
     if args.report:
         write_json(args.report, report, "campaign report")
 

@@ -11,7 +11,7 @@ import sys
 
 from ..analysis import btr_verdict, smallest_sufficient_R, timeliness
 from ..faults import (
-    BEHAVIOR_FACTORIES,
+    BEHAVIORS,
     ScenarioError,
     SingleFaultAdversary,
     stage,
@@ -24,7 +24,7 @@ def register(sub) -> None:
     p = sub.add_parser("run", help="run a deployment")
     add_deployment_flags(p)
     p.add_argument("--periods", type=number(int), default=30)
-    p.add_argument("--fault", choices=sorted(BEHAVIOR_FACTORIES),
+    p.add_argument("--fault", choices=sorted(BEHAVIORS),
                    default=None, help="inject one fault of this kind")
     p.add_argument("--fault-at", type=number(float, zero_ok=True),
                    default=0.22, help="fault injection time in seconds")

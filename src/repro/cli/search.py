@@ -1,9 +1,9 @@
 """What ``check`` and ``fuzz campaign`` share: the search flags, the
-campaign preamble and counterexample printing."""
+campaign preamble, counterexample printing and the corpus they write."""
 
 from __future__ import annotations
 
-from ..faults import BEHAVIOR_FACTORIES
+from ..faults import BEHAVIORS
 from ..sim import seconds
 from .flags import cache_dir, deployment, number
 
@@ -14,7 +14,7 @@ def add_search_flags(p, kinds) -> None:
                    help="simulated periods per run (0 = auto-size so the "
                         "latest injection plus the recovery budget fits)")
     p.add_argument("--kinds", nargs="+", metavar="KIND",
-                   choices=sorted(BEHAVIOR_FACTORIES), default=kinds,
+                   choices=sorted(BEHAVIORS), default=kinds,
                    help="fault kinds the adversary may pick")
     p.add_argument("--window", nargs=2, type=float, default=[2.0, 3.0],
                    metavar=("LO", "HI"),
@@ -32,24 +32,33 @@ def add_search_flags(p, kinds) -> None:
                         "for every value)")
     p.add_argument("--report", metavar="FILE", default=None,
                    help="write the full campaign report as JSON")
+    p.add_argument("--corpus-dir", metavar="DIR", default=None,
+                   help="write each replay-confirmed counterexample into "
+                        "DIR (content-named, append-only)")
 
 
 def run_search(args, verb: str, per: str, run, params_cls, **own):
     """Params (search flags + the verb's ``own`` fields), the campaign
     on the flags' deployment — its ``meta`` naming that deployment — and
-    the header line. ``wall(rate)`` renders the summary's stats clause.
+    the header line. ``wall(count)`` renders the summary's stats clause,
+    its rate ``count`` per wall-clock second. Params the record refuses
+    (a window outside ``0 <= LO <= HI``, ...) fail through the verb's
+    parser: one line, exit 2.
     """
-    params = params_cls(
-        kinds=tuple(sorted(set(args.kinds))),
-        window=(args.window[0], args.window[1]),
-        ticks=args.ticks,
-        n_periods=args.periods,
-        R_us=None if args.R is None else seconds(args.R),
-        k=args.k,
-        workers=args.workers,
-        seed=args.seed,
-        **own,
-    )
+    try:
+        params = params_cls(
+            kinds=tuple(sorted(set(args.kinds))),
+            window=(args.window[0], args.window[1]),
+            ticks=args.ticks,
+            n_periods=args.periods,
+            R_us=None if args.R is None else seconds(args.R),
+            k=args.k,
+            workers=args.workers,
+            seed=args.seed,
+            **own,
+        )
+    except ValueError as exc:
+        args.error(str(exc))
     named = deployment(args)
     report, stats = run(named.build_workload(), named.build_topology(),
                         named.config(cache=cache_dir(args)), params=params,
@@ -59,12 +68,25 @@ def run_search(args, verb: str, per: str, run, params_cls, **own):
           f"R={resolved['R_us']}us, k={resolved['k']}, "
           f"{resolved['n_periods']} periods/{per}")
 
-    def wall(rate: float) -> str:
+    def wall(count: int) -> str:
+        rate = count / stats.wall_s if stats.wall_s > 0 else 0.0
         return (f"({stats.wall_s:.2f}s wall, {rate:.1f} {per}s/s, "
                 f"workers={stats.workers}"
                 + (", pool fallback" if stats.pool_fallback else "") + ")")
 
     return report, stats, wall
+
+
+def write_artifacts(args, artifacts) -> None:
+    """``--corpus-dir``: each counterexample becomes a corpus entry
+    (:func:`~repro.fuzz.write_corpus`)."""
+    if not args.corpus_dir:
+        return
+    from ..fuzz import write_corpus
+
+    for path in write_corpus(args.corpus_dir, artifacts):
+        print(f"  corpus entry written to {path} "
+              f"(replay with: repro replay {path})")
 
 
 def print_counterexample(artifact: dict, size: str) -> None:

@@ -71,42 +71,42 @@ class FaultScript:
         return len(self.injections)
 
 
-#: Factory for each named fault kind, given a fork of the run's RNG.
-BEHAVIOR_FACTORIES: dict = {
-    "crash": lambda rng: CrashFault(),
-    "omission": lambda rng: OmissionFault(rng=rng),
-    "commission": lambda rng: CommissionFault(),
-    "timing": lambda rng: TimingFault(),
-    "equivocation": lambda rng: EquivocationFault(),
-    "evidence_flood": lambda rng: EvidenceFloodFault(),
-    "rogue_clock": lambda rng: RogueClockFault(),
-}
-
-#: Concrete class per fault kind, for parameterised (re)construction.
-BEHAVIOR_CLASSES: dict = {
-    "crash": CrashFault,
-    "omission": OmissionFault,
-    "commission": CommissionFault,
-    "timing": TimingFault,
-    "equivocation": EquivocationFault,
-    "evidence_flood": EvidenceFloodFault,
-    "rogue_clock": RogueClockFault,
-}
+#: Every fault kind, by its class's ``kind``: the one registry the CLI
+#: choices, the fuzzer and artifact decoding read. A new kind joins here.
+BEHAVIORS: dict = {cls.kind: cls for cls in (
+    CrashFault, OmissionFault, CommissionFault, TimingFault,
+    EquivocationFault, EvidenceFloodFault, RogueClockFault)}
 
 #: Behaviour parameters typed ``Optional[frozenset]``; serialised as
 #: sorted lists (JSON has no set type) and decoded back.
-_FROZENSET_PARAMS = frozenset({"target_flows", "target_tasks", "lied_to",
-                               "accused"})
+_FROZENSET_PARAMS = frozenset({"target_flows", "target_tasks", "lied_to"})
 
 
-def make_behavior(kind: str, rng: Optional[DeterministicRandom] = None
-                  ) -> FaultBehavior:
-    """Instantiate a behaviour by kind name."""
+def make_behavior(kind: str, rng: Optional[DeterministicRandom] = None,
+                  params: Optional[dict] = None) -> FaultBehavior:
+    """Construct a behaviour of a registered kind.
+
+    ``params`` are its non-default fields, as :func:`behavior_params`
+    writes them; a kind whose class has an ``rng`` field draws from
+    ``rng`` (default ``DeterministicRandom(0)``). Unknown kinds and
+    unknown parameters raise ``ValueError``, so corrupt artifacts are
+    diagnosed at load time, not deep in a run."""
     try:
-        factory = BEHAVIOR_FACTORIES[kind]
+        cls = BEHAVIORS[kind]
     except KeyError:
         raise ValueError(f"unknown fault kind {kind!r}") from None
-    return factory(rng or DeterministicRandom(0))
+    decoded = {}
+    for key, value in sorted((params or {}).items()):
+        if key in _FROZENSET_PARAMS and isinstance(value, (list, tuple)):
+            value = frozenset(value)
+        decoded[key] = value
+    if "rng" in getattr(cls, "__dataclass_fields__", {}):
+        decoded.setdefault("rng", rng or DeterministicRandom(0))
+    try:
+        return cls(**decoded)
+    except TypeError as exc:
+        raise ValueError(
+            f"bad parameters for fault kind {kind!r}: {exc}") from None
 
 
 def behavior_params(behavior: FaultBehavior) -> dict:
@@ -142,31 +142,6 @@ def behavior_rng_seed(behavior: FaultBehavior) -> Optional[int]:
     if isinstance(rng, DeterministicRandom):
         return rng.seed_value
     return None
-
-
-def build_behavior(kind: str, params: Optional[dict] = None,
-                   rng: Optional[DeterministicRandom] = None
-                   ) -> FaultBehavior:
-    """Construct a behaviour from (kind, params, rng) — the v2 payload
-    triple. Unknown kinds and unknown parameters raise ``ValueError`` so
-    corrupt artifacts are diagnosed at load time, not deep in a run."""
-    try:
-        cls = BEHAVIOR_CLASSES[kind]
-    except KeyError:
-        raise ValueError(f"unknown fault kind {kind!r}") from None
-    decoded = {}
-    for key, value in sorted((params or {}).items()):
-        if key in _FROZENSET_PARAMS and isinstance(value, (list, tuple)):
-            value = frozenset(value)
-        decoded[key] = value
-    if dataclasses.is_dataclass(cls) and any(
-            f.name == "rng" for f in dataclasses.fields(cls)):
-        decoded.setdefault("rng", rng or DeterministicRandom(0))
-    try:
-        return cls(**decoded)
-    except TypeError as exc:
-        raise ValueError(
-            f"bad parameters for fault kind {kind!r}: {exc}") from None
 
 
 #: Bumped when the serialised script layout changes incompatibly.
@@ -237,8 +212,8 @@ def script_from_dict(payload: dict, seed: int = 0) -> FaultScript:
             rng_seed = entry.get("rng_seed")
             rng = (DeterministicRandom(int(rng_seed))
                    if rng_seed is not None else root.fork(f"inj{i}"))
-            behavior = build_behavior(str(entry["kind"]),
-                                      entry.get("params"), rng)
+            behavior = make_behavior(str(entry["kind"]), rng,
+                                     entry.get("params"))
         injections.append(Injection(int(entry["time"]),
                                     str(entry["node"]), behavior))
     return FaultScript(injections)

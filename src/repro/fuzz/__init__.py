@@ -15,7 +15,6 @@ benchmarks. See ``docs/FUZZING.md``.
 from .campaign import (
     FUZZ_REPORT_VERSION,
     FuzzParams,
-    FuzzStats,
     run_fuzz_campaign,
 )
 from .corpus import artifact_name, check_corpus, load_corpus, write_corpus
@@ -31,7 +30,6 @@ from .mutate import (
 __all__ = [
     "FUZZ_REPORT_VERSION",
     "FuzzParams",
-    "FuzzStats",
     "run_fuzz_campaign",
     "artifact_name",
     "check_corpus",

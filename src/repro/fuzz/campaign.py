@@ -16,8 +16,8 @@ evaluation is a pure function of its genome; batches are evaluated by
 the order-preserving :meth:`~repro.perf.pool.WorkerPool.map` and merged
 in candidate order regardless of completion order. ``workers=4``
 therefore serialises byte-identically to ``workers=1`` — the tests
-assert it. Wall-clock figures live in the separate :class:`FuzzStats`,
-never in the report.
+assert it. Wall-clock figures live in the separate
+:class:`~repro.mc.campaign.SearchStats`, never in the report.
 
 **Parallelism is an optimisation, never a semantic**: same preamble,
 pool and ``pool_fallback`` contract as :mod:`repro.mc.campaign`.
@@ -30,10 +30,9 @@ from functools import partial
 from typing import Dict, List, Optional, Tuple
 
 from ..faults.adversary import script_from_dict
-from ..mc.campaign import prepare_campaign
+from ..mc.campaign import SearchParams, SearchStats, prepare_campaign
 from ..mc.choices import Cell
 from ..mc.counterexample import confirm_replay, counterexample_to_dict
-from ..mc.explorer import state_fingerprint
 from ..mc.invariants import Violation
 from ..mc.judge import first_violating_prefix, judge
 from ..obs.recovery import reconstruct_timelines
@@ -53,17 +52,12 @@ FUZZ_REPORT_VERSION = 1
 
 
 @dataclass(frozen=True)
-class FuzzParams:
-    """Bounds and knobs of one campaign; frozen so it ships to workers
-    and into the report verbatim."""
+class FuzzParams(SearchParams):
+    """A fuzz campaign's bounds: the shared
+    :class:`~repro.mc.campaign.SearchParams` (``ticks`` places the seed
+    population) plus the generations that mutate it."""
 
-    #: Fault kinds the mutator may pick.
     kinds: Tuple[str, ...] = ("crash", "commission", "omission", "timing")
-    #: Injection window in periods: faults land in
-    #: ``[window[0] * P, window[1] * P]``.
-    window: Tuple[float, float] = (2.0, 3.0)
-    #: Injection ticks the seed population samples across the window.
-    ticks: int = 2
     #: Mutation generations after the seed generation.
     generations: int = 4
     #: Mutants generated per generation.
@@ -72,30 +66,8 @@ class FuzzParams:
     elite: int = 4
     #: Max injections per script (the paper's k ≤ f).
     max_injections: int = 1
-    #: Simulated periods per run; 0 auto-sizes so the latest injection
-    #: plus ``max_injections`` recovery budgets fit before the run ends.
-    n_periods: int = 0
-    #: Recovery bound to check, µs; None means the prepared budget.
-    R_us: Optional[int] = None
-    #: Definition 3.1 adversary strength multiplier (bound is ``k * R``).
-    k: int = 1
     #: Cap on minimised + replay-confirmed artifacts in the report.
     max_artifacts: int = 8
-    #: Worker processes for candidate evaluation.
-    workers: int = 1
-    #: Seed every candidate genome derives from.
-    seed: int = 0
-
-
-@dataclass
-class FuzzStats:
-    """Wall-clock figures, kept out of the byte-compared report."""
-
-    workers: int = 1
-    pool_fallback: bool = False
-    wall_s: float = 0.0
-    runs: int = 0
-    runs_per_sec: float = 0.0
 
 
 def _evaluate(system, payload: dict, *, params: FuzzParams) -> dict:
@@ -148,10 +120,7 @@ def _make_artifact(system, record: dict, params: FuzzParams,
         violations, script=script_from_dict(minimised),
         n_periods=params.n_periods, R_us=params.R_us, k=params.k,
         seed=params.seed, meta=dict(meta or {}, source="fuzz"))
-    result = confirm_replay(system, artifact)
-    # The primitives-only path abstraction: corpus checks compare replays
-    # across processes (and commits) by this digest.
-    artifact["replay_digest"] = state_fingerprint(result)
+    confirm_replay(system, artifact)
     return artifact
 
 
@@ -168,12 +137,12 @@ def _survivor_pool(evaluated: Dict[str, dict], novel: List[str],
 def run_fuzz_campaign(workload, topology, config,
                       params: Optional[FuzzParams] = None,
                       meta: Optional[dict] = None
-                      ) -> Tuple[dict, FuzzStats]:
+                      ) -> Tuple[dict, SearchStats]:
     """Run one coverage-guided fuzz campaign.
 
     Returns ``(report, stats)``: the report is deterministic and
     byte-comparable across worker counts; the stats carry wall-clock
-    figures (runs/sec, pool fallback) for the benchmark layer.
+    figures (wall time, pool fallback) for the benchmark layer.
     """
     watch = Stopwatch()
     params = params or FuzzParams()
@@ -189,7 +158,7 @@ def run_fuzz_campaign(workload, topology, config,
     # One pool, held open across generations.
     pool = WorkerPool(partial(_evaluate, params=resolved), system,
                       workers=resolved.workers)
-    stats = FuzzStats(workers=pool.workers)
+    stats = SearchStats(workers=pool.workers)
 
     evaluated: Dict[str, dict] = {}
     coverage_total: set = set()
@@ -256,14 +225,10 @@ def run_fuzz_campaign(workload, topology, config,
 
     overall_best = max((evaluated[key]["fitness"]
                         for key in sorted(evaluated)), default=None)
-    # Worker count is an execution detail (like wall-clock): it lives in
-    # the stats, never in the byte-compared report.
-    params_payload = asdict(resolved)
-    del params_payload["workers"]
     report = {
         "version": FUZZ_REPORT_VERSION,
         "meta": dict(meta or {}),
-        "params": params_payload,
+        "params": resolved.report_params(),
         "budget_us": system.budget.total_us,
         "space": asdict(space),
         "generations": history,
@@ -274,8 +239,5 @@ def run_fuzz_campaign(workload, topology, config,
         "counterexamples": artifacts,
         "found": bool(artifacts),
     }
-    stats.runs = len(evaluated)
     stats.wall_s = watch.elapsed_s()
-    if stats.wall_s > 0:
-        stats.runs_per_sec = stats.runs / stats.wall_s
     return report, stats

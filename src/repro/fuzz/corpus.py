@@ -1,7 +1,8 @@
 """The corpus: found counterexamples as permanent regression benchmarks.
 
-Every artifact the fuzzer confirms gets written into a ``corpus/``
-directory, named by a content hash of its replay-relevant fields, so a
+Every artifact a search confirms — ``fuzz campaign``'s or ``check``'s,
+through ``--corpus-dir`` — gets written into a ``corpus/`` directory,
+named by its source and a content hash of its replay-relevant fields, so a
 corpus is append-only and merge-friendly: re-finding a known script is
 a no-op, two campaigns never collide on a name, and renames cannot
 detach an entry from its content. ``check_corpus`` is the regression
@@ -33,7 +34,9 @@ _IDENTITY_KEYS = ("fault_script", "deliveries", "n_periods", "R_us", "k",
 
 
 def artifact_name(artifact: dict) -> str:
-    """Content-derived corpus file name for one artifact."""
+    """Content-derived corpus file name for one artifact, prefixed by
+    the search that found it (``meta["source"]``; mc's artifacts carry
+    none)."""
     identity = {key: artifact.get(key) for key in _IDENTITY_KEYS}
     # The deployment as its meta names it. The meta seed is left out,
     # and ``stretch`` is in only when it is not 1, so names given before
@@ -47,7 +50,7 @@ def artifact_name(artifact: dict) -> str:
     digest = hashlib.sha256(
         json.dumps(identity, sort_keys=True,
                    separators=(",", ":")).encode()).hexdigest()
-    return f"fuzz-{digest[:12]}.json"
+    return f"{meta.get('source', 'mc')}-{digest[:12]}.json"
 
 
 def write_corpus(dirpath: str, artifacts: List[dict]) -> List[str]:

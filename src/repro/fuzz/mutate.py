@@ -30,11 +30,14 @@ import json
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
-from ..faults.adversary import script_from_dict
+from ..faults.adversary import BEHAVIORS, script_from_dict
+from ..mc.choices import injection_ticks
 from ..sim.random import DeterministicRandom
 
-#: Behaviour kinds whose drop stream is seeded (worth reseeding).
-STOCHASTIC_KINDS = ("omission",)
+#: Behaviour kinds whose class draws from a seeded RNG (worth reseeding).
+STOCHASTIC_KINDS = tuple(
+    kind for kind, cls in sorted(BEHAVIORS.items())
+    if "rng" in getattr(cls, "__dataclass_fields__", {}))
 
 
 @dataclass(frozen=True)
@@ -62,12 +65,14 @@ class MutationSpace:
                     max_injections: int) -> "MutationSpace":
         workload = system.workload
         period = workload.period
+        # The grid's two-tick form is exactly the window's end points.
+        times = injection_ticks(period, window, 2)
         return cls(
             nodes=tuple(system.compromisable_nodes()),
             flows=tuple(sorted(f.name for f in workload.flows)),
             tasks=tuple(sorted(workload.tasks)),
             period_us=period,
-            window_us=(int(window[0] * period), int(window[1] * period)),
+            window_us=(times[0], times[-1]),
             kinds=tuple(sorted(kinds)),
             max_injections=max_injections,
         )
@@ -98,13 +103,9 @@ def _injection(time: int, node: str, kind: str,
 def seed_scripts(space: MutationSpace, ticks: int = 2) -> List[dict]:
     """The deterministic initial population: one single-injection script
     per (kind, tick) over the first victim — the hand-written scenarios'
-    shape, from which mutation explores outward."""
-    lo, hi = space.window_us
-    if ticks <= 1:
-        times = [lo]
-    else:
-        step = max(1, (hi - lo) // (ticks - 1))
-        times = sorted({lo + i * step for i in range(ticks)})
+    shape, from which mutation explores outward. The ticks are mc's
+    grid over the window (already in µs, hence a period of 1)."""
+    times = injection_ticks(1, space.window_us, ticks)
     seeds = []
     for kind in space.kinds:
         for t in times:

@@ -33,7 +33,8 @@ from typing import List, Optional, Tuple
 from ..core.runtime.system import BTRSystem
 from ..perf.pool import WorkerPool
 from ..perf.timing import Stopwatch
-from .choices import Cell, cell_script
+from ..faults.adversary import BEHAVIORS
+from .choices import Cell, cell_script, injection_ticks
 from .counterexample import confirm_replay, counterexample_to_dict
 from .explorer import explore_cell
 from .invariants import static_mode_findings
@@ -44,17 +45,68 @@ MC_REPORT_VERSION = 1
 
 
 @dataclass(frozen=True)
-class CheckParams:
-    """Bounds and knobs of one campaign; frozen so it ships to workers
-    and into the report verbatim."""
+class SearchParams:
+    """The bounds both searches take — ``check``'s cells and ``fuzz
+    campaign``'s scripts; frozen so a campaign ships it to workers and
+    into its report verbatim. A bad value raises ``ValueError`` on
+    construction, before anything is prepared."""
 
-    #: Fault kinds the adversary may pick per cell.
-    kinds: Tuple[str, ...] = ("crash", "commission")
+    #: Fault kinds the adversary may pick (``BEHAVIORS`` names).
+    kinds: Tuple[str, ...]
     #: Injection window in periods: faults land in
     #: ``[window[0] * P, window[1] * P]``.
     window: Tuple[float, float] = (2.0, 3.0)
-    #: Injection ticks sampled evenly across the window.
+    #: Injection ticks sampled evenly across the window
+    #: (:func:`~repro.mc.choices.injection_ticks`).
     ticks: int = 2
+    #: Simulated periods per run; 0 auto-sizes so the latest injection
+    #: plus one recovery budget per possible injection fits before the
+    #: run ends.
+    n_periods: int = 0
+    #: Recovery bound to check, µs; None means the prepared budget.
+    R_us: Optional[int] = None
+    #: Definition 3.1 adversary strength multiplier (bound is ``k * R``).
+    k: int = 1
+    #: Worker processes (an execution detail, kept out of the report).
+    workers: int = 1
+    #: Seed every fault-behaviour RNG fork and candidate genome derives
+    #: from.
+    seed: int = 0
+
+    def __post_init__(self) -> None:
+        unknown = sorted(set(self.kinds) - set(BEHAVIORS))
+        if not self.kinds or unknown:
+            raise ValueError(f"kinds must name registered fault kinds, "
+                             f"got {list(self.kinds)!r}")
+        lo, hi = self.window
+        if not 0 <= lo <= hi < math.inf:
+            raise ValueError(f"injection window must satisfy "
+                             f"0 <= LO <= HI < inf, got {lo:g} {hi:g}")
+        for name in ("ticks", "k", "workers"):
+            if getattr(self, name) < 1:
+                raise ValueError(
+                    f"{name} must be >= 1, got {getattr(self, name)}")
+        if self.n_periods < 0:
+            raise ValueError(f"n_periods must be >= 0, got {self.n_periods}")
+        if self.R_us is not None and self.R_us <= 0:
+            raise ValueError(f"R_us must be > 0, got {self.R_us}")
+
+    def report_params(self) -> dict:
+        """The report's ``params``: every field but the execution-only
+        ``workers`` and mc's ``order_by_margin``, which change how a
+        campaign runs, never what it reports."""
+        payload = asdict(self)
+        for name in ("workers", "order_by_margin"):
+            payload.pop(name, None)
+        return payload
+
+
+@dataclass(frozen=True)
+class CheckParams(SearchParams):
+    """A check campaign's bounds: the shared :class:`SearchParams` plus
+    the delivery-schedule search."""
+
+    kinds: Tuple[str, ...] = ("crash", "commission")
     #: Max delivery perturbations along one path.
     max_depth: int = 2
     #: Max candidate perturbations expanded per path.
@@ -64,13 +116,6 @@ class CheckParams:
     #: Per-cell path cap; exceeding it marks the cell truncated (and the
     #: campaign uncertified).
     max_paths: int = 400
-    #: Simulated periods per path; 0 auto-sizes so the latest injection
-    #: plus a full recovery budget fits before the run ends.
-    n_periods: int = 0
-    #: Recovery bound to check, µs; None means the prepared budget.
-    R_us: Optional[int] = None
-    #: Definition 3.1 adversary strength multiplier (bound is ``k * R``).
-    k: int = 1
     #: Sleep-set pruning of commuting deliveries.
     prune: bool = True
     #: Explore cells in ascending static-bound margin (Layer-4 analytic
@@ -83,45 +128,29 @@ class CheckParams:
     order_by_margin: bool = True
     #: Explore the fault-free cell too.
     include_fault_free: bool = True
-    #: Worker processes for the cell fan-out.
-    workers: int = 1
-    #: Seed all fault-behaviour RNG forks derive from.
-    seed: int = 0
 
 
 @dataclass
-class CheckStats:
-    """Wall-clock figures, kept out of the byte-compared report."""
+class SearchStats:
+    """Wall-clock figures, kept out of the byte-compared report (its
+    counts — paths, evaluated scripts — are in the report)."""
 
     workers: int = 1
     pool_fallback: bool = False
     wall_s: float = 0.0
-    paths: int = 0
-    states_per_sec: float = 0.0
+
+
+@dataclass
+class CheckStats(SearchStats):
     #: 1-based rank, in *exploration* order, of the first explored cell
     #: with a violating path (0 = campaign found none). The margin
     #: ordering exists to drive this toward 1.
     cells_to_first_violation: int = 0
-    #: Wall-clock seconds until that cell's result was in hand.
-    first_violation_s: float = 0.0
     #: Share of the explored paths' simulated time that each path has in
     #: common with its parent (Σ base arrival of the first perturbed
     #: delivery ÷ Σ ``n_periods × period``): the ceiling on what a free
     #: snapshot-and-fork of the simulator could skip.
     shared_prefix_share: float = 0.0
-
-
-def injection_ticks(period: int, window: Tuple[float, float],
-                    ticks: int) -> List[int]:
-    """Evenly spaced injection times across the bounded window."""
-    lo = int(window[0] * period)
-    hi = int(window[1] * period)
-    if lo < 0 or hi < lo:
-        raise ValueError(f"bad injection window {window!r}")
-    if ticks <= 1:
-        return [lo]
-    step = (hi - lo) // (ticks - 1)
-    return sorted({lo + i * step for i in range(ticks)})
 
 
 def build_cells(victims: List[str], period: int,
@@ -172,7 +201,7 @@ def exploration_order(system, cells: List[Cell], R_us: int) -> List[int]:
     return sorted(range(len(cells)), key=lambda i: (margin(cells[i]), i))
 
 
-def prepare_campaign(workload, topology, config, params,
+def prepare_campaign(workload, topology, config, params: SearchParams,
                      recoveries: int = 1):
     """The preamble of every search campaign: ``(system, resolved)``.
 
@@ -238,7 +267,7 @@ def run_campaign(workload, topology, config,
 
     Returns ``(report, stats)``: the report is deterministic and
     byte-comparable across worker counts; the stats carry wall-clock
-    figures (states/sec, pool fallback) for the benchmark layer.
+    figures (wall time, pool fallback) for the benchmark layer.
     """
     watch = Stopwatch()
     system, resolved = prepare_campaign(workload, topology, config,
@@ -269,7 +298,6 @@ def run_campaign(workload, topology, config,
             ordered.append(payload)
             if stats.cells_to_first_violation == 0 and payload["violating"]:
                 stats.cells_to_first_violation = len(ordered)
-                stats.first_violation_s = watch.elapsed_s()
     stats.pool_fallback = pool.fallback
     shared_prefix_us = sum(p.pop("shared_prefix_us") for p in ordered)
     by_index = dict(zip(order, ordered))
@@ -287,26 +315,18 @@ def run_campaign(workload, topology, config,
     certified = (not static
                  and totals["violating_paths"] == 0
                  and totals["truncated_cells"] == 0)
-    # Worker count is an execution detail (like wall-clock): it lives in
-    # the stats, never in the byte-compared report.
-    params_payload = asdict(resolved)
-    del params_payload["workers"]
-    del params_payload["order_by_margin"]
     report = {
         "version": MC_REPORT_VERSION,
         "meta": dict(meta or {}),
-        "params": params_payload,
+        "params": resolved.report_params(),
         "budget_us": system.budget.total_us,
         "static_violations": [v.to_dict() for v in static],
         "cells": results,
         "totals": totals,
         "certified": certified,
     }
-    stats.paths = totals["paths"]
-    if stats.paths:
+    if totals["paths"]:
         stats.shared_prefix_share = shared_prefix_us / (
-            stats.paths * resolved.n_periods * period)
+            totals["paths"] * resolved.n_periods * period)
     stats.wall_s = watch.elapsed_s()
-    if stats.wall_s > 0:
-        stats.states_per_sec = totals["paths"] / stats.wall_s
     return report, stats

@@ -17,7 +17,7 @@ portable artifacts (:mod:`repro.mc.counterexample`).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import List, Optional, Tuple
 
 from ..faults.adversary import FaultScript, Injection, make_behavior
 from ..sim.random import DeterministicRandom
@@ -92,6 +92,22 @@ def cell_script(cell: Cell, seed: int) -> FaultScript:
         Injection(cell.inject_at, cell.victim,
                   make_behavior(cell.kind, rng)),
     ])
+
+
+def injection_ticks(period: int, window: Tuple[float, float],
+                    ticks: int) -> List[int]:
+    """The injection grid both searches share: ``ticks`` evenly spaced
+    times across ``[window[0] * P, window[1] * P]``, deduplicated (a
+    window narrower than ``ticks - 1`` µs yields fewer times, never a
+    time outside it)."""
+    lo = int(window[0] * period)
+    hi = int(window[1] * period)
+    if lo < 0 or hi < lo:
+        raise ValueError(f"bad injection window {window!r}")
+    if ticks <= 1:
+        return [lo]
+    step = (hi - lo) // (ticks - 1)
+    return sorted({lo + i * step for i in range(ticks)})
 
 
 def validate_schedule(deliveries: Tuple[DeliveryChoice, ...]) -> None:

@@ -17,6 +17,7 @@ from typing import List, Optional, Tuple
 from ..deployment import Deployment, _require_int
 from ..faults.adversary import FaultScript, script_from_dict, script_to_dict
 from .choices import Cell, DeliveryChoice, validate_schedule
+from .explorer import state_fingerprint
 from .invariants import Violation
 from .judge import NOT_DETERMINISTIC, judge
 
@@ -114,9 +115,11 @@ def replay_counterexample(system, payload: dict
     return violations, result
 
 
-def confirm_replay(system, payload: dict):
-    """Replay a campaign's freshly minimised artifact and mark it
-    ``replay_confirmed``; returns the replayed result.
+def confirm_replay(system, payload: dict) -> None:
+    """Replay a campaign's freshly minimised artifact, mark it
+    ``replay_confirmed`` and stamp its ``replay_digest`` — the replayed
+    path's primitives-only fingerprint, which corpus checks compare
+    across processes and commits.
 
     The search judged this very input violating a moment ago — the
     minimiser took the known verdict instead of re-running it — so a
@@ -127,4 +130,4 @@ def confirm_replay(system, payload: dict):
     if not violations:
         raise AssertionError(NOT_DETERMINISTIC)
     payload["replay_confirmed"] = True
-    return result
+    payload["replay_digest"] = state_fingerprint(result)

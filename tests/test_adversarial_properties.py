@@ -15,13 +15,13 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro import BTRConfig, BTRSystem
 from repro.analysis import btr_verdict
-from repro.faults import RandomAdversary
+from repro.faults import BEHAVIORS, RandomAdversary
 from repro.net import full_mesh_topology
 from repro.workload import industrial_workload
 
 N_PERIODS = 28
-KINDS = ("crash", "omission", "commission", "timing", "equivocation",
-         "evidence_flood", "rogue_clock")
+#: Every registered kind: a new one joins the battery by construction.
+KINDS = tuple(BEHAVIORS)
 
 _SYSTEMS = {}
 

@@ -191,6 +191,12 @@ def test_cli_plan_export(tmp_path, capsys):
     (["fuzz", "campaign", "--max-artifacts", "-1"],
      "argument --max-artifacts: must be >= 0"),
     (["verify", "--strategy", b"\xff\xfe"], "cannot read strategy file"),
+    (["check", "--window", "3", "2"], "injection window must satisfy"),
+    (["check", "--window", "-1", "2"], "injection window must satisfy"),
+    (["fuzz", "campaign", "--window", "-1", "2"],
+     "injection window must satisfy"),
+    (["fuzz", "campaign", "--window", "3", "2"],
+     "injection window must satisfy"),
 ])
 def test_cli_names_bad_input_in_one_line(argv, names, tmp_path, capsys):
     if "--strategy" in argv:  # the payload stands for a file holding it
@@ -364,14 +370,14 @@ def test_cli_check_certifies(capsys):
 
 
 def test_cli_check_counterexample_and_replay(tmp_path, capsys):
-    cex_dir = tmp_path / "cex"
+    corpus = tmp_path / "corpus"
     code, out = run_cli(capsys, *CHECK_SMOKE, "--kinds", "commission",
-                        "--R", "0.03", "--cex-dir", str(cex_dir),
+                        "--R", "0.03", "--corpus-dir", str(corpus),
                         "--report", str(tmp_path / "report.json"))
     assert code == 1
     assert "NOT CERTIFIED" in out
     assert "replay-confirmed" in out
-    artifacts = sorted(cex_dir.glob("cex_*.json"))
+    artifacts = sorted(corpus.glob("mc-*.json"))
     assert artifacts
     code, out = run_cli(capsys, "replay", str(artifacts[0]))
     assert code == 1
@@ -387,17 +393,45 @@ STRETCHED = ["--workload", "pipeline", "--topology", "fullmesh:4",
 def test_cli_stretched_check_counterexamples_replay(tmp_path, capsys):
     """An artifact names its deployment's stretch, so ``replay`` re-runs
     the stretched workload the campaign searched."""
-    cex_dir = tmp_path / "cex"
+    corpus = tmp_path / "corpus"
     code, out = run_cli(capsys, "check", *STRETCHED, "--max-depth", "0",
-                        "--cex-dir", str(cex_dir))
+                        "--corpus-dir", str(corpus))
     assert code == 1 and "replay-confirmed" in out
-    artifacts = sorted(cex_dir.glob("cex_*.json"))
+    artifacts = sorted(corpus.glob("mc-*.json"))
     assert len(artifacts) == 2
     for path in artifacts:
         assert json.loads(path.read_text())["meta"]["stretch"] == 2
         code, out = run_cli(capsys, "replay", str(path))
         assert code == 1
         assert "replay CONFIRMS" in out
+
+
+#: The smallest check that finds counterexamples (two cells, ~0.4 s).
+CHECK_FINDS = ["check", "--workload", "pipeline", "--topology",
+               "fullmesh:4", "--kinds", "commission", "--R", "0.03",
+               "--max-depth", "0", "--ticks", "1"]
+
+
+def test_cli_check_counterexamples_are_corpus_entries(tmp_path, capsys):
+    """``check --corpus-dir`` writes what ``fuzz campaign`` does: each
+    counterexample under its content name, with a replay digest the
+    corpus gate confirms, and a rerun rewrites the same names."""
+    from repro.fuzz import check_corpus, load_corpus
+
+    corpus = tmp_path / "corpus"
+    code, _ = run_cli(capsys, *CHECK_FINDS, "--corpus-dir", str(corpus))
+    assert code == 1
+    names = sorted(p.name for p in corpus.iterdir())
+    assert names and all(n.startswith("mc-") for n in names)
+    assert all("replay_digest" in payload
+               for _, payload in load_corpus(str(corpus)))
+    report = check_corpus(str(corpus))
+    assert report["ok"] and report["checked"] == len(names)
+    assert all(e["confirmed"] and e["digest_match"]
+               for e in report["entries"])
+    code, _ = run_cli(capsys, *CHECK_FINDS, "--corpus-dir", str(corpus))
+    assert code == 1
+    assert sorted(p.name for p in corpus.iterdir()) == names
 
 
 def test_cli_stretched_fuzz_corpus_entry_replays(tmp_path, capsys):
@@ -486,10 +520,12 @@ def test_cli_replay_names_each_malformed_artifact(tmp_path, capsys, argv,
         assert "injects zz: no such node" in line
 
 
-@pytest.mark.parametrize("argv", [["check", "--replay"], ["fuzz", "replay"]])
+@pytest.mark.parametrize("argv", [["check", "--replay"], ["fuzz", "replay"],
+                                  ["check", "--cex-dir"]])
 def test_cli_retired_replay_entry_points_exit_2(argv, capsys):
-    """``repro replay`` is the one replay verb: the entry points it
-    replaced are argparse errors, not silent aliases."""
+    """``repro replay`` is the one replay verb and ``--corpus-dir`` the
+    one artifact sink: the entry points they replaced are argparse
+    errors, not silent aliases."""
     with pytest.raises(SystemExit) as exc:
         main([*argv, CORPUS_ENTRY])
     assert exc.value.code == 2

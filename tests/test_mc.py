@@ -244,13 +244,29 @@ def test_replay_refuses_a_counterexample_that_stops_violating():
 # ----------------------------------------------------------------- campaign
 
 
+@pytest.mark.parametrize("search", ["check", "fuzz"])
+@pytest.mark.parametrize("bad", [
+    {"kinds": ()}, {"kinds": ("gremlins",)}, {"window": (3.0, 2.0)},
+    {"window": (-1.0, 2.0)}, {"window": (2.0, float("inf"))},
+    {"ticks": 0}, {"k": 0}, {"workers": 0}, {"n_periods": -1},
+    {"R_us": 0},
+], ids=repr)
+def test_search_params_refuse_bad_bounds(search, bad):
+    """Both searches' parameters are validated once, by the shared
+    record, before anything is prepared."""
+    from repro.fuzz import FuzzParams
+
+    params_cls = CheckParams if search == "check" else FuzzParams
+    with pytest.raises(ValueError):
+        params_cls(**bad)
+
+
 def test_campaign_certifies_sufficient_R():
-    report, stats = run_tiny()
+    report, _ = run_tiny()
     assert report["certified"]
     assert report["totals"]["violating_paths"] == 0
     assert report["totals"]["truncated_cells"] == 0
     assert report["totals"]["paths"] > 0
-    assert stats.paths == report["totals"]["paths"]
 
 
 def test_campaign_dedup_is_nontrivial():
@@ -291,7 +307,7 @@ def _explore_cell_dying_in_workers(system, cell, params):
 def test_campaign_survives_a_dying_worker(monkeypatch):
     """A worker lost mid-campaign is the documented in-process fallback,
     not a traceback: same report, ``pool_fallback`` set, and the
-    first-violation figures count cells that were really explored."""
+    first-violation rank counts cells that were really explored."""
     params = tiny_params(kinds=("commission",), ticks=2, R_us=30_000)
     serial, sstats = run_tiny(params)
     monkeypatch.setattr("repro.mc.campaign.explore_cell",
@@ -303,7 +319,6 @@ def test_campaign_survives_a_dying_worker(monkeypatch):
         == json.dumps(serial, sort_keys=True)
     assert bstats.cells_to_first_violation \
         == sstats.cells_to_first_violation > 0
-    assert bstats.first_violation_s <= bstats.wall_s
 
 
 def _campaigns():

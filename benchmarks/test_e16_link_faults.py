@@ -65,7 +65,7 @@ def run_ring():
 
 
 def stats(system, result):
-    slots = classify_slots(result, R_us=0)
+    slots = classify_slots(result)
     disrupted = [s for s in slots if s.status != "correct"]
     implicated = sorted(set().union(*result.final_fault_sets.values()))
     verdict = btr_verdict(result, R_us=system.budget.total_us)

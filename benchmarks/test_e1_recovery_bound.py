@@ -6,7 +6,8 @@ Byzantine flavour, reconstruct the recovery timeline from the trace
 (manifest → first charge → conviction → quorum → switch boundary → first
 correct output), and check that (a) the phase spans sum exactly to the
 empirical end-to-end recovery, (b) the Definition 3.1 checker holds at the
-deployment's promised bound. The recovery numbers reported to
+deployment's promised bound, (c) it holds at the empirical recovery and
+fails one µs below it. The recovery numbers reported to
 EXPERIMENTS.md come *from the timeline* — the observability layer is the
 single source of the figure, not an ad hoc recomputation.
 """
@@ -53,12 +54,14 @@ def run_experiment():
                 **t.to_dict(),
             }, label=f"e1:{kind}")
         timeline = timelines[0]
-        # The reported figure IS the timeline total; cross-check it
-        # against the independent Definition 3.1 measurement.
+        # The reported figure IS the timeline total; the checker judges
+        # it through the excuse rule, not through the fault windows.
         empirical = timeline.total_us
         verdict = btr_verdict(result, R_us=promised)
+        tight = (btr_verdict(result, R_us=empirical).holds,
+                 btr_verdict(result, R_us=empirical - 1).holds)
         checks.append((kind, verdict, timeline, empirical, promised,
-                       smallest_sufficient_R(result)))
+                       tight))
         rows.append([
             kind,
             f"{to_seconds(empirical):.3f}s",
@@ -119,7 +122,7 @@ def test_e1_recovery_bound(benchmark):
          "promised", "used"],
         attribution_rows,
     ))
-    for kind, verdict, timeline, empirical, promised, independent in checks:
+    for kind, verdict, timeline, empirical, promised, tight in checks:
         assert verdict.holds, (
             f"{kind}: BTR violated at R={promised}: "
             f"{[(v.flow, v.period_index, v.status) for v in verdict.violations[:4]]}"
@@ -128,11 +131,15 @@ def test_e1_recovery_bound(benchmark):
             f"{kind}: recovery {empirical} outside (0, {promised}]"
         )
         # The timeline's phase decomposition must account for every µs of
-        # the end-to-end figure, and that figure must equal the
-        # independent Definition 3.1 measurement.
-        assert timeline.phase_sum() == empirical == independent, (
+        # the end-to-end figure, and that figure must be the smallest R
+        # under which Definition 3.1 holds.
+        assert timeline.phase_sum() == empirical, (
             f"{kind}: phases {timeline.phases} sum to "
-            f"{timeline.phase_sum()}, expected {independent}"
+            f"{timeline.phase_sum()}, expected {empirical}"
+        )
+        assert tight == (True, False), (
+            f"{kind}: Definition 3.1 holds at R={empirical} / "
+            f"R={empirical - 1}: {tight}, expected (True, False)"
         )
         # Every milestone the phases are cut at was actually observed.
         missing = [m for m, t in timeline.milestones.items() if t is None]

@@ -41,7 +41,7 @@ def run_experiment():
                                     kind="commission")
         result = system.run(N_PERIODS, adversary)
         per_fault = recovery_times(result)
-        disrupted = [s for s in classify_slots(result, R_us=0)
+        disrupted = [s for s in classify_slots(result)
                      if s.status != "correct" and not s.excused]
         data[k] = {
             "R": R,
@@ -92,7 +92,7 @@ def test_e5_budget_rule_protects_the_plant(benchmark):
 
     def valve_commands(result):
         slots = sorted(
-            (s for s in classify_slots(result, R_us=0, excused_flows={})
+            (s for s in classify_slots(result, excused_flows={})
              if s.flow == "valve_cmd"),
             key=lambda s: s.period_index,
         )

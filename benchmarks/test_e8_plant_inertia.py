@@ -91,7 +91,7 @@ def test_e8_btr_recovery_stays_inside_plant_tolerance(benchmark):
         result = system.run(40, single_fault("commission"))
         recovery_us = smallest_sufficient_R(result)
         slots = sorted(
-            (s for s in classify_slots(result, R_us=0)
+            (s for s in classify_slots(result)
              if s.flow == "valve_cmd"),
             key=lambda s: s.period_index,
         )

@@ -55,7 +55,7 @@ def main() -> None:
         ["faulty node", "recovery", "within R?"], rows,
     ))
 
-    disrupted = [s for s in classify_slots(result, R_us=0)
+    disrupted = [s for s in classify_slots(result)
                  if s.status != "correct" and not s.excused]
     total_disruption = sum(per_fault.values())
     print(f"total disrupted time across k={F} paced faults: "

@@ -78,7 +78,7 @@ def main() -> None:
     # Feed the elevator command stream into the pitch-axis plant: correct
     # slots actuate properly; wrong slots actuate adversarially; missing
     # slots hold the last command.
-    slots = [s for s in classify_slots(result, R_us=0)
+    slots = [s for s in classify_slots(result)
              if s.flow == "elevator_cmd"]
     slots.sort(key=lambda s: s.period_index)
     commands = commands_from_slots([s.status for s in slots])

@@ -42,7 +42,7 @@ def make_tank():
 
 
 def valve_commands(result):
-    slots = [s for s in classify_slots(result, R_us=0)
+    slots = [s for s in classify_slots(result)
              if s.flow == "valve_cmd"]
     slots.sort(key=lambda s: s.period_index)
     return commands_from_slots([s.status for s in slots])

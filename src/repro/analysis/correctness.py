@@ -4,21 +4,23 @@ Definition 3.1 (bounded-time recovery): *a system offers recovery with a
 time bound R if its outputs are correct in any interval [t1, t2] such that
 no fault has manifested in [t1 − R, t2).*
 
-Operationally, over a trace: every expected output slot — one (sink flow,
-period) pair, due at its deadline ``d`` — must be **correct** (right value,
-delivered by ``d``) unless some fault manifested in ``(d − R, d]``, in
-which case the slot is *excused*. The mixed-criticality extension the paper
-sketches ("allowing a certain set of outputs to fail permanently") is
-captured by ``excused_flows``: flows shed by the post-fault plan are excused
-from their shedding time onward.
+This module alone knows the definition's three rules. **Slots**: every
+expected output slot — one (sink flow, period) pair, due at its deadline
+``d`` — is correct (right value, delivered by ``d``), wrong, late or
+missing; flows the post-fault plan shed are excused from their shedding
+time on (the paper's mixed-criticality sketch). **Excuse**: a bad, unshed
+slot is excused under bound R by a fault at ``t`` with ``0 <= d − t <= R``.
+**Windows**: faults in (time, node) order, fault ``i`` owning ``[t_i,
+t_{i+1})`` and recovering at the latest bad, unshed due time in it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from ..core.runtime.system import RunResult
+from ..sim.trace import FaultInjected, OutputProduced
 from .oracle import ReferenceOracle
 
 CORRECT = "correct"
@@ -35,8 +37,11 @@ class SlotVerdict:
     period_index: int
     due: int
     status: str          # CORRECT / WRONG_VALUE / LATE / MISSING
+    #: Bad, and its flow was shed by the plan by the slot's due time.
     excused: bool
     criticality: str
+    #: Time of the slot's first output; None when it has none.
+    delivered_at: Optional[int] = None
 
 
 @dataclass
@@ -44,105 +49,121 @@ class BTRVerdict:
     """The outcome of checking Definition 3.1 over a whole run."""
 
     R_us: int
-    slots: List[SlotVerdict]
+    #: The run's slot table (``excused`` means shed by the plan).
+    slots: Sequence[SlotVerdict]
     holds: bool
     #: Slots that were bad and not excused (empty iff holds).
     violations: List[SlotVerdict] = field(default_factory=list)
 
 
+@dataclass
+class FaultWindow:
+    """One injected fault, its window ``[fault.time, end)`` (``end`` is
+    None for the last fault) and its recovery (0: no output disrupted)."""
+
+    fault: FaultInjected
+    end: Optional[int]
+    recovery_us: int = 0
+
+    def contains(self, t: int) -> bool:
+        return t >= self.fault.time and (self.end is None or t < self.end)
+
+
 def classify_slots(result: RunResult,
-                   excused_flows: Optional[Mapping[str, int]] = None,
-                   R_us: int = 0) -> List[SlotVerdict]:
-    """Judge every expected output slot of a run.
+                   excused_flows: Optional[Mapping[str, int]] = None
+                   ) -> Tuple[SlotVerdict, ...]:
+    """The run's slot table: every expected output slot, judged.
 
     ``excused_flows`` maps flow names to the time from which they are
-    permanently excused (criticality shedding). ``R_us`` and the run's
-    fault times drive the per-slot fault-window excuse.
+    permanently excused (criticality shedding). By default it is the
+    run's own record of shed flows, and the table is then built once and
+    kept on the result; an explicit mapping builds a fresh table.
     """
+    if excused_flows is None:
+        if result._slot_table is None:
+            result._slot_table = classify_slots(result,
+                                                result.excused_flows)
+        return result._slot_table
     workload = result.workload
     oracle = ReferenceOracle(workload)
-    if excused_flows is None:
-        # Default to the run's own record of deliberately shed flows.
-        excused_flows = getattr(result, "excused_flows", {}) or {}
-    fault_times = result.fault_times()
-
-    produced: Dict[Tuple[str, int], List] = {}
+    first: Dict[Tuple[str, int], OutputProduced] = {}
     for output in result.outputs():
-        produced.setdefault((output.flow, output.period_index),
-                            []).append(output)
-
-    def fault_in_window(due: int) -> bool:
-        return any(due - R_us < t <= due for t in fault_times.values())
+        key = (output.flow, output.period_index)
+        if key not in first or output.time < first[key].time:
+            first[key] = output
 
     slots: List[SlotVerdict] = []
     for flow in workload.sink_flows():
+        criticality = workload.flow_criticality(flow).value
+        shed_from = excused_flows.get(flow.name)
         for k in range(result.n_periods):
             due = k * workload.period + (flow.deadline or workload.period)
-            records = produced.get((flow.name, k), [])
-            if not records:
+            output = first.get((flow.name, k))
+            if output is None:
                 status = MISSING
+            elif output.value != oracle.sink_value(flow.name, k):
+                status = WRONG_VALUE
+            elif output.time > due:
+                status = LATE
             else:
-                first = min(records, key=lambda o: o.time)
-                expected = oracle.sink_value(flow.name, k)
-                if first.value != expected:
-                    status = WRONG_VALUE
-                elif first.time > due:
-                    status = LATE
-                else:
-                    status = CORRECT
-            shed_from = excused_flows.get(flow.name)
-            excused = (
-                status != CORRECT
-                and (fault_in_window(due)
-                     or (shed_from is not None and due >= shed_from))
-            )
+                status = CORRECT
             slots.append(SlotVerdict(
                 flow=flow.name, period_index=k, due=due, status=status,
-                excused=excused,
-                criticality=workload.flow_criticality(flow).value,
+                excused=(status != CORRECT and shed_from is not None
+                         and due >= shed_from),
+                criticality=criticality,
+                delivered_at=None if output is None else output.time,
             ))
-    return slots
+    return tuple(slots)
 
 
 def btr_verdict(result: RunResult, R_us: int,
                 excused_flows: Optional[Mapping[str, int]] = None
                 ) -> BTRVerdict:
     """Check Definition 3.1 with bound ``R_us`` over a run."""
-    slots = classify_slots(result, excused_flows=excused_flows, R_us=R_us)
-    violations = [s for s in slots if s.status != CORRECT and not s.excused]
+    slots = classify_slots(result, excused_flows)
+    fault_times = result.fault_times().values()
+    violations = [
+        s for s in slots
+        if s.status != CORRECT and not s.excused
+        and not any(0 <= s.due - t <= R_us for t in fault_times)
+    ]
     return BTRVerdict(R_us=R_us, slots=slots, holds=not violations,
                       violations=violations)
+
+
+def fault_windows(result: RunResult,
+                  excused_flows: Optional[Mapping[str, int]] = None
+                  ) -> List[FaultWindow]:
+    """Every injected fault's window, in (time, node) order."""
+    faults = sorted(result.trace.of_kind(FaultInjected),
+                    key=lambda e: (e.time, e.node))
+    if not faults:
+        return []
+    bad = [s.due for s in classify_slots(result, excused_flows)
+           if s.status != CORRECT and not s.excused]
+    windows: List[FaultWindow] = []
+    for i, fault in enumerate(faults):
+        window = FaultWindow(
+            fault, faults[i + 1].time if i + 1 < len(faults) else None)
+        dues = [d for d in bad if window.contains(d)]
+        window.recovery_us = max(dues) - fault.time if dues else 0
+        windows.append(window)
+    return windows
 
 
 def recovery_times(result: RunResult,
                    excused_flows: Optional[Mapping[str, int]] = None
                    ) -> Dict[str, int]:
-    """Empirical recovery time per injected fault.
-
-    For each fault at time ``t_f``: the latest due time of a disrupted,
-    non-shed slot in ``[t_f, next fault)``, minus ``t_f`` (0 if the fault
-    never disrupted an output). This is the smallest R that would have
-    excused all of that fault's disruption.
-    """
-    slots = classify_slots(result, excused_flows=excused_flows, R_us=0)
-    disrupted_dues = sorted(
-        s.due for s in slots if s.status != CORRECT and not s.excused
-    )
-    faults = sorted(result.fault_times().items(), key=lambda kv: kv[1])
-    recovery: Dict[str, int] = {}
-    for i, (node, t_f) in enumerate(faults):
-        window_end = faults[i + 1][1] if i + 1 < len(faults) else None
-        relevant = [
-            d for d in disrupted_dues
-            if d >= t_f and (window_end is None or d < window_end)
-        ]
-        recovery[node] = (max(relevant) - t_f) if relevant else 0
-    return recovery
+    """Empirical recovery time per injected fault: its window's
+    ``recovery_us``, the smallest R that excuses all of that fault's
+    disruption."""
+    return {w.fault.node: w.recovery_us
+            for w in fault_windows(result, excused_flows)}
 
 
 def smallest_sufficient_R(result: RunResult,
                           excused_flows: Optional[Mapping[str, int]] = None
                           ) -> int:
     """The smallest R for which Definition 3.1 holds over this run."""
-    times = recovery_times(result, excused_flows=excused_flows)
-    return max(times.values(), default=0)
+    return max(recovery_times(result, excused_flows).values(), default=0)

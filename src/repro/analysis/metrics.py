@@ -32,25 +32,18 @@ class TimelinessReport:
 
 
 def timeliness(result: RunResult) -> TimelinessReport:
-    workload = result.workload
-    expected = len(workload.sink_flows()) * result.n_periods
-    latencies: List[int] = []
-    on_time = 0
-    seen = set()
-    for output in result.outputs():
-        key = (output.flow, output.period_index)
-        if key in seen:
-            continue
-        seen.add(key)
-        release = output.period_index * workload.period
-        latencies.append(output.time - release)
-        if output.time <= output.deadline:
-            on_time += 1
-    latencies.sort()
+    """Delivery and latency of each expected slot's first output, read
+    off the run's slot table."""
+    period = result.workload.period
+    slots = classify_slots(result)
+    latencies = sorted(s.delivered_at - s.period_index * period
+                       for s in slots if s.delivered_at is not None)
+    on_time = sum(1 for s in slots
+                  if s.delivered_at is not None and s.delivered_at <= s.due)
     mean = sum(latencies) / len(latencies) if latencies else 0.0
     p99 = latencies[int(0.99 * (len(latencies) - 1))] if latencies else 0
     return TimelinessReport(
-        total_slots=expected, delivered=len(seen), on_time=on_time,
+        total_slots=len(slots), delivered=len(latencies), on_time=on_time,
         mean_latency_us=mean, p99_latency_us=p99,
     )
 
@@ -76,9 +69,8 @@ def criticality_survival(result: RunResult) -> Dict[str, float]:
     This is the E4 metric: as faults accumulate, level A should stay at
     1.0 while D degrades first.
     """
-    slots = classify_slots(result, R_us=0)
     by_level: Dict[str, List[bool]] = {}
-    for slot in slots:
+    for slot in classify_slots(result):
         by_level.setdefault(slot.criticality, []).append(
             slot.status == CORRECT)
     return {

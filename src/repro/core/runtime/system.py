@@ -95,6 +95,10 @@ class RunResult:
     #: This run's counters and gauges on top of the system's set-up
     #: counters (``MetricsRegistry.snapshot``); empty for baseline systems.
     metrics: Dict[str, Dict] = field(default_factory=dict)
+    #: The slot table :func:`repro.analysis.classify_slots` builds on
+    #: first use, so every judge of the run reads one table.
+    _slot_table: Optional[tuple] = field(
+        default=None, init=False, compare=False, repr=False)
 
     def outputs(self) -> List[OutputProduced]:
         return self.trace.of_kind(OutputProduced)

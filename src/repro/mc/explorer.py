@@ -53,7 +53,7 @@ def state_fingerprint(result) -> str:
     """
     slots = tuple(
         (s.flow, s.period_index, s.status, s.excused)
-        for s in classify_slots(result, R_us=0)
+        for s in classify_slots(result)
     )
     faults = tuple(sorted(result.fault_times().items()))
     switches = tuple(

@@ -50,20 +50,17 @@ class Violation:
 def recovery_bound_violations(result, R_us: int, k: int = 1
                               ) -> List[Violation]:
     """Check every injected fault's recovery against the ``kR`` bound."""
-    bound = k * R_us
+    late = sorted(recovery_times(result).items())
+    late = [(node, us) for node, us in late if us > k * R_us]
+    if not late:
+        return []
+    # Reconstructed only now: timelines cost a trace pass, and paths
+    # that hold the bound (the overwhelming majority) skip it.
+    from ..obs.recovery import reconstruct_timelines
+    phases_by_node = {t.node: t.phases
+                      for t in reconstruct_timelines(result)}
     violations: List[Violation] = []
-    times = recovery_times(result)
-    phases_by_node: Dict[str, Dict[str, int]] = {}
-    if times and max(times.values()) > bound:
-        # Reconstructed lazily: timelines cost a trace pass, and paths
-        # that hold the bound (the overwhelming majority) skip it.
-        from ..obs.recovery import reconstruct_timelines
-        phases_by_node = {t.node: dict(t.phases)
-                          for t in reconstruct_timelines(result)}
-    for node in sorted(times):
-        recovery = times[node]
-        if recovery <= bound:
-            continue
+    for node, recovery in late:
         phases = phases_by_node.get(node, {})
         spent = ", ".join(f"{p}={phases[p]}us" for p in sorted(phases)
                           if phases[p] > 0)

@@ -21,9 +21,8 @@ fault, the phase milestones out of the run's :class:`~repro.sim.trace.Trace`:
 ``first_correct_output``
     the first provably correct sink output at/after the boundary;
 ``recovered``
-    the due time of the last disrupted, non-excused output slot — the
-    empirical end of recovery (``manifest`` + the run's per-fault
-    empirical recovery time from :mod:`repro.analysis.correctness`).
+    ``manifest`` plus the fault's recovery, which its Definition 3.1
+    window owns (:func:`repro.analysis.correctness.fault_windows`).
 
 From the milestones we derive six consecutive **phase spans** (detect,
 convict, quorum, switch, settle, residual) clamped to the recovery window
@@ -45,7 +44,6 @@ from typing import Dict, List, Optional, Tuple
 from ..sim.trace import (
     EvidenceAccepted,
     EvidenceGenerated,
-    FaultInjected,
     ModeSwitchCompleted,
     ModeSwitchStarted,
     OutputProduced,
@@ -75,8 +73,7 @@ class FaultTimeline:
     milestones: Dict[str, Optional[int]]
     #: Clamped consecutive phase spans (µs); sums to ``total_us`` exactly.
     phases: Dict[str, int]
-    #: Empirical end-to-end recovery (µs): last disrupted non-excused
-    #: output slot due time minus manifestation (0 = no disruption).
+    #: The fault window's recovery (µs; 0 = no disruption).
     total_us: int
 
     def phase_sum(self) -> int:
@@ -116,19 +113,13 @@ def reconstruct_timelines(result) -> List[FaultTimeline]:
     """Per-fault recovery timelines for one run, in manifestation order.
 
     ``result`` is a :class:`~repro.core.runtime.system.RunResult` (typed
-    loosely to keep this module import-light). Faults are windowed
-    ``[t_i, t_{i+1})`` so overlapping recoveries attribute their events to
-    the fault that triggered them. Every kind read here is in
-    :data:`repro.sim.trace.MILESTONE_KINDS`, so both recording modes
-    support reconstruction.
+    loosely to keep this module import-light). Each fault reads events in
+    its window (:func:`repro.analysis.correctness.fault_windows`), so
+    overlapping recoveries attribute their events to the fault that
+    triggered them. Every kind read here is in
+    :data:`repro.sim.trace.MILESTONE_KINDS`, so both modes support it.
     """
-    from ..analysis.correctness import recovery_times
-
-    faults = sorted(result.trace.of_kind(FaultInjected),
-                    key=lambda e: (e.time, e.node))
-    if not faults:
-        return []
-    recovery = recovery_times(result)
+    from ..analysis.correctness import fault_windows
 
     declared = result.trace.of_kind(PathDeclared)
     generated = result.trace.of_kind(EvidenceGenerated)
@@ -137,13 +128,10 @@ def reconstruct_timelines(result) -> List[FaultTimeline]:
     completed = result.trace.of_kind(ModeSwitchCompleted)
 
     timelines: List[FaultTimeline] = []
-    for i, fault in enumerate(faults):
+    for window in fault_windows(result):
+        fault = window.fault
         t0 = fault.time
-        t1 = faults[i + 1].time if i + 1 < len(faults) else None
-
-        def in_window(t: int) -> bool:
-            return t >= t0 and (t1 is None or t < t1)
-
+        in_window = window.contains
         accused = fault.node
 
         charge_times = [e.time for e in declared
@@ -153,17 +141,14 @@ def reconstruct_timelines(result) -> List[FaultTimeline]:
                          if in_window(e.time) and e.accused_node == accused]
         first_charge = min(charge_times) if charge_times else None
 
-        accept_times = [e.time for e in accepted
-                        if in_window(e.time) and e.accused_node == accused]
-        conviction = min(accept_times) if accept_times else None
-
-        # Quorum: every correct node that ever accepted has accepted.
-        first_accept_per_node: Dict[str, int] = {}
+        # Conviction: the first node accepts; quorum: every correct node
+        # that ever accepts has accepted.
+        first_accept: Dict[str, int] = {}
         for e in accepted:
             if in_window(e.time) and e.accused_node == accused:
-                first_accept_per_node.setdefault(e.node, e.time)
-        quorum = (max(first_accept_per_node.values())
-                  if first_accept_per_node else None)
+                first_accept.setdefault(e.node, e.time)
+        conviction = min(first_accept.values(), default=None)
+        quorum = max(first_accept.values(), default=None)
 
         boundaries = [e.boundary for e in started
                       if in_window(e.time) and e.boundary >= 0]
@@ -174,10 +159,10 @@ def reconstruct_timelines(result) -> List[FaultTimeline]:
             switch_boundary = min(switch_times) if switch_times else None
 
         first_correct = _first_correct_output(
-            result, switch_boundary if switch_boundary is not None else t0,
-            t1) if switch_boundary is not None else None
+            result, switch_boundary, window.end
+        ) if switch_boundary is not None else None
 
-        total = recovery.get(accused, 0)
+        total = window.recovery_us
         milestones: Dict[str, Optional[int]] = {
             "first_charge": first_charge,
             "conviction": conviction,

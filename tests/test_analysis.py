@@ -97,8 +97,52 @@ def test_recovery_times_keyed_by_fault(faulty_run):
     assert all(t >= 0 for t in times.values())
 
 
+@pytest.mark.parametrize("kind", ["commission", "crash", "omission",
+                                  "timing", "equivocation"])
+def test_smallest_sufficient_r_is_sufficient_and_smallest(kind):
+    """The verdict and the per-fault windows apply one excuse rule: the
+    verdict holds at ``smallest_sufficient_R`` and fails one µs below."""
+    system = BTRSystem(industrial_workload(),
+                       full_mesh_topology(6, bandwidth=1e8),
+                       BTRConfig(f=1, seed=42))
+    system.prepare()
+    result = system.run(n_periods=12, adversary=SingleFaultAdversary(
+        at=FAULT_AT, kind=kind))
+    s = smallest_sufficient_R(result)
+    assert btr_verdict(result, R_us=s).holds
+    if s > 0:
+        assert not btr_verdict(result, R_us=s - 1).holds
+
+
+def test_one_slot_table_per_run(monkeypatch):
+    """Every judge of a run reads the one slot table built for it."""
+    import repro.analysis.correctness as correctness
+    from repro.mc import state_fingerprint
+
+    builds = []
+
+    def counting_oracle(workload):
+        builds.append(workload)
+        return ReferenceOracle(workload)
+
+    monkeypatch.setattr(correctness, "ReferenceOracle", counting_oracle)
+    system = BTRSystem(industrial_workload(),
+                       full_mesh_topology(6, bandwidth=1e8),
+                       BTRConfig(f=1, seed=11))
+    system.prepare()
+    result = system.run(n_periods=12, adversary=SingleFaultAdversary(
+        at=FAULT_AT, kind="commission"))
+    reconstruct_timelines(result)
+    btr_verdict(result, R_us=system.budget.total_us)
+    recovery_times(result)
+    state_fingerprint(result)
+    timeliness(result)
+    assert len(builds) == 1
+    assert classify_slots(result) is classify_slots(result)
+
+
 def test_excused_flows_forgive_shedding(faulty_run):
-    slots = classify_slots(faulty_run, R_us=0)
+    slots = classify_slots(faulty_run)
     bad_flows = {s.flow for s in slots if s.status != CORRECT}
     if bad_flows:
         flow = sorted(bad_flows)[0]

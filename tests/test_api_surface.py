@@ -63,14 +63,27 @@ def test_every_wrap_target_resolves():
     assert sorted(missing) == sorted(RETIRED)
 
 
+def _project_scripts(path: str) -> dict:
+    """The ``[project.scripts]`` table of ``pyproject.toml``, one
+    ``name = "module:attr"`` line per entry. Read by hand: ``tomllib``
+    arrived in Python 3.11 and the project supports 3.10."""
+    scripts, inside = {}, False
+    with open(path) as f:
+        for line in f:
+            line = line.strip()
+            if line.startswith("["):
+                inside = line == "[project.scripts]"
+            elif inside and "=" in line:
+                name, _, target = line.partition("=")
+                scripts[name.strip()] = target.strip().strip('"')
+    return scripts
+
+
 def test_console_script_entry_resolves():
     """``pip install`` points the ``repro`` command at the
     ``[project.scripts]`` entry; it must name a callable."""
-    import tomllib
-
     root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-    with open(os.path.join(root, "pyproject.toml"), "rb") as f:
-        scripts = tomllib.load(f)["project"]["scripts"]
+    scripts = _project_scripts(os.path.join(root, "pyproject.toml"))
     assert scripts
     for target in scripts.values():
         module_name, _, attr = target.partition(":")

@@ -191,7 +191,7 @@ def test_simultaneous_double_fault():
     assert victims[0] in union or victims[1] in union
     # Clean at the end of the run.
     from repro.analysis import classify_slots
-    disrupted = {s.period_index for s in classify_slots(result, R_us=0)
+    disrupted = {s.period_index for s in classify_slots(result)
                  if s.status != "correct" and not s.excused}
     assert not disrupted & set(range(34, 40))
 

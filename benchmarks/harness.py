@@ -24,7 +24,6 @@ sys.path.insert(0, os.path.dirname(os.path.dirname(os.path.abspath(
 from repro import BTRConfig, BTRSystem
 from repro.faults import SingleFaultAdversary
 from repro.net import full_mesh_topology
-from repro.perf import CACHE_ENV_VAR
 from repro.perf.timing import append_jsonl
 from repro.workload import industrial_workload
 from tests import golden  # noqa: F401  (re-exported to E17)
@@ -33,22 +32,6 @@ RESULTS_DIR = os.path.join(os.path.dirname(__file__), "results")
 
 #: Standard single-fault time for the 50 ms industrial workload.
 FAULT_AT = 220_000
-
-
-def harness_cache_dir() -> Optional[str]:
-    """The strategy-cache directory the benchmarks share.
-
-    ``$REPRO_STRATEGY_CACHE`` wins when set (``run_experiments.py``
-    threads one directory through every experiment shard; setting it
-    empty disables caching); otherwise ``benchmarks/.strategy_cache``,
-    so repeated local pytest runs of experiments that reuse the
-    canonical (industrial, fullmesh:7, f=1) scenario stop re-planning
-    it from scratch.
-    """
-    value = os.environ.get(CACHE_ENV_VAR)
-    if value is not None:
-        return value.strip() or None
-    return os.path.join(os.path.dirname(__file__), ".strategy_cache")
 
 
 def smoke() -> bool:
@@ -76,11 +59,7 @@ def record(stream: str, row: dict, label: Optional[str] = None) -> None:
 
 def planning_row(system: BTRSystem) -> dict:
     """The ``planner`` row for one ``prepare()``."""
-    stats = system.plan_stats
-    # Only prepares that consulted a cache can miss it; E7 deliberately
-    # plans uncached to measure raw planner cost.
-    return {**dataclasses.asdict(stats),
-            "cache_miss": bool(stats.cache_key) and not stats.cache_hit}
+    return dataclasses.asdict(system.plan_stats)
 
 
 def write_result(name: str, text: str) -> None:
@@ -100,19 +79,10 @@ def one_shot(benchmark, fn):
 def prepared_btr(workload=None, n_nodes: int = 7, f: int = 1,
                  seed: int = 42, bandwidth: float = 1e8,
                  config: Optional[BTRConfig] = None) -> BTRSystem:
-    """A prepared BTR system, planned through the shared strategy cache.
-
-    The cache key covers every planning input (workload, topology, f,
-    planner config and version), so threading one cache through all
-    benchmarks is safe: experiments that reuse a scenario hit — whatever
-    their run seed — and every other configuration misses and plans.
-    """
+    """A prepared BTR system on a full mesh of ``n_nodes``."""
     workload = workload or industrial_workload()
     topology = full_mesh_topology(n_nodes, bandwidth=bandwidth)
-    config = config or BTRConfig(f=f, seed=seed)
-    if config.cache is None:
-        config = dataclasses.replace(config, cache=harness_cache_dir())
-    system = BTRSystem(workload, topology, config)
+    system = BTRSystem(workload, topology, config or BTRConfig(f=f, seed=seed))
     system.prepare()
     record("planner", planning_row(system))
     return system

@@ -45,7 +45,6 @@ import os
 
 from harness import (
     golden,
-    harness_cache_dir,
     one_shot,
     record,
     smoke,
@@ -82,7 +81,7 @@ def _prepared(cell, mode: str, seed=None):
     deployment = cell.deployment
     if seed is not None:
         deployment = dataclasses.replace(deployment, seed=seed)
-    system = deployment.system(cache=harness_cache_dir(), trace_mode=mode)
+    system = deployment.system(trace_mode=mode)
     system.prepare()
     return system
 

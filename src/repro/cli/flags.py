@@ -1,12 +1,10 @@
 """What every deployment verb shares: the flags that name a
-:class:`~repro.deployment.Deployment` and pick its strategy cache, and
-the system they build."""
+:class:`~repro.deployment.Deployment`, and the system they plan."""
 
 from __future__ import annotations
 
 import argparse
 import math
-from typing import Optional
 
 from ..core.runtime.system import BTRSystem
 from ..deployment import Deployment
@@ -35,7 +33,7 @@ def number(kind, zero_ok: bool = False):
 
 
 def add_deployment_flags(p: argparse.ArgumentParser) -> None:
-    """The six flags naming a deployment, and the strategy cache's two."""
+    """The six flags naming a deployment."""
     p.set_defaults(error=p.error)  # for deployment()
     default = Deployment()
     p.add_argument("--workload", choices=sorted(WORKLOADS),
@@ -52,11 +50,6 @@ def add_deployment_flags(p: argparse.ArgumentParser) -> None:
                    help="run the workload at Kx slower periods and "
                         "deadlines (geo deployments: WAN latency must fit "
                         "inside control deadlines)")
-    p.add_argument("--cache", metavar="DIR", default=None,
-                   help="strategy cache directory (default: "
-                        "$REPRO_STRATEGY_CACHE if set)")
-    p.add_argument("--no-cache", action="store_true",
-                   help="replan even if $REPRO_STRATEGY_CACHE is set")
 
 
 def deployment(args) -> Deployment:
@@ -67,16 +60,6 @@ def deployment(args) -> Deployment:
                           args.f, args.seed, args.stretch)
     except ValueError as exc:
         args.error(str(exc))
-
-
-def cache_dir(args) -> Optional[str]:
-    """The strategy cache the flags pick (``None``: replan)."""
-    if args.no_cache:
-        return None
-    if args.cache is not None:
-        return args.cache
-    from ..perf import default_cache_dir
-    return default_cache_dir()
 
 
 def fault_time(args) -> int:
@@ -94,9 +77,9 @@ def fault_time(args) -> int:
 
 
 def planned(args, **how) -> BTRSystem:
-    """The flags' deployment, planned through the flags' cache; ``how``
-    adds the verb's own run settings (``trace_mode``)."""
-    system = deployment(args).system(cache=cache_dir(args), **how)
+    """The flags' deployment, planned; ``how`` adds the verb's own run
+    settings (``trace_mode``)."""
+    system = deployment(args).system(**how)
     system.prepare()
     return system
 

@@ -14,7 +14,6 @@ import sys
 
 from .flags import (
     add_deployment_flags,
-    cache_dir,
     deployment,
     number,
     write_json,
@@ -112,7 +111,7 @@ def handle_corpus_check(args) -> int:
         return 0
     try:
         report = check_corpus(args.corpus, deployment(args),
-                              entries=entries, cache=cache_dir(args))
+                              entries=entries)
     except ValueError as exc:
         print(f"repro fuzz: cannot replay corpus: {exc}", file=sys.stderr)
         return 2

@@ -41,9 +41,8 @@ def handle(args) -> int:
           f"switch {to_seconds(budget.switch_us):.3f}s, "
           f"settling {to_seconds(budget.settling_us):.3f}s)")
     stats = system.plan_stats
-    how = (f"cache hit ({stats.cache_key[:12]})" if stats.cache_hit
-           else f"{stats.plans_computed} computed")
-    print(f"planning: {stats.wall_s:.3f}s wall ({how})")
+    print(f"planning: {stats.wall_s:.3f}s wall "
+          f"({stats.plans_computed} computed)")
     if args.export:
         import json
 

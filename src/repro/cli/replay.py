@@ -10,7 +10,7 @@ import json
 import sys
 
 from ..deployment import Deployment
-from .flags import add_deployment_flags, cache_dir, deployment
+from .flags import add_deployment_flags, deployment
 
 
 def register(sub) -> None:
@@ -32,8 +32,7 @@ def handle(args) -> int:
             payload = json.load(f)
         cell, deliveries = counterexample_from_dict(payload)
         system = Deployment.from_meta(payload.get("meta"),
-                                      deployment(args)
-                                      ).system(cache=cache_dir(args))
+                                      deployment(args)).system()
         system.prepare()
         violations, result = replay_counterexample(system, payload)
     except (OSError, ValueError) as exc:

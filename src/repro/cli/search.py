@@ -5,7 +5,7 @@ from __future__ import annotations
 
 from ..faults import BEHAVIORS
 from ..sim import seconds
-from .flags import cache_dir, deployment, number
+from .flags import deployment, number
 
 
 def add_search_flags(p, kinds) -> None:
@@ -61,7 +61,7 @@ def run_search(args, verb: str, per: str, run, params_cls, **own):
         args.error(str(exc))
     named = deployment(args)
     report, stats = run(named.build_workload(), named.build_topology(),
-                        named.config(cache=cache_dir(args)), params=params,
+                        named.config(), params=params,
                         meta=named.to_meta())
     resolved = report["params"]
     print(f"repro {verb}: {args.workload} on {args.topology}, f={args.f}, "

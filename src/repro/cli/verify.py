@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import sys
 
-from .flags import add_deployment_flags, cache_dir, deployment, planned
+from .flags import add_deployment_flags, deployment, planned
 
 
 def register(sub) -> None:
@@ -42,7 +42,7 @@ def handle(args) -> int:
     if args.strategy:
         from ..core.planner import StrategyFormatError, strategy_from_json
         # Unprepared: the deployment's placement, router and lanes only.
-        system = deployment(args).system(cache=cache_dir(args))
+        system = deployment(args).system()
         try:
             with open(args.strategy, "rb") as f:
                 strategy = strategy_from_json(f.read())
@@ -55,8 +55,6 @@ def handle(args) -> int:
         system = planned(args)
         strategy = system.strategy
         origin = "freshly planned"
-        if system.plan_stats.cache_hit:
-            origin = "from cache"
 
     report = verify_strategy(strategy, system.topology, router=system.router,
                              config=system.config,

@@ -20,9 +20,14 @@ import json
 from typing import Callable, Dict, List, Tuple, Union
 
 from ...sched.synthesis import GlobalSchedule
-from ...sched.table import NodeSchedule, PlannedTransmission, ScheduleEntry
+from ...sched.table import (
+    NodeSchedule,
+    PlannedTransmission,
+    ScheduleEntry,
+    ScheduleError,
+)
 from ...workload.criticality import Criticality
-from ...workload.dataflow import DataflowGraph, Flow
+from ...workload.dataflow import DataflowGraph, Flow, WorkloadError
 from ...workload.task import Task
 from .plan import Plan
 from .strategy import Strategy
@@ -258,10 +263,10 @@ def strategy_from_json(text: Union[str, bytes]) -> Strategy:
         return strategy_from_dict(json.loads(text))
     except StrategyFormatError:
         raise
-    except (ValueError, KeyError, TypeError, AttributeError,
-            IndexError) as exc:
+    except (ValueError, KeyError, TypeError, AttributeError, IndexError,
+            WorkloadError, ScheduleError) as exc:
         # json.JSONDecodeError and UnicodeDecodeError are ValueErrors;
         # the rest are well-formed JSON of the wrong shape hitting the
-        # decoder.
+        # decoder, or a plan whose graph or schedule does not validate.
         raise StrategyFormatError(
             f"malformed strategy artifact: {exc!r}") from exc

@@ -39,7 +39,8 @@ class BTRConfig:
     # --- offline planning performance (repro.perf) -----------------------
     #: Directory of the on-disk strategy cache, or ``None`` to replan
     #: every time. Keys include the planner version, so a stale cache is
-    #: never silently reused across algorithm changes.
+    #: never silently reused across algorithm changes. Only the frozen
+    #: end-to-end benchmark harness sets it.
     cache: Optional[str] = None
 
     # --- trace recording --------------------------------------------------

@@ -11,8 +11,7 @@ compare by value.
 :meth:`Deployment.system` is the only code that turns those primitives
 into a workload, a topology and an unprepared
 :class:`~repro.core.runtime.system.BTRSystem`. Its keyword arguments
-choose *how* the system runs (strategy cache, trace fidelity), never
-*what* it is.
+choose *how* the system runs (trace fidelity), never *what* it is.
 """
 
 from __future__ import annotations
@@ -109,13 +108,10 @@ class Deployment:
     def build_topology(self) -> Topology:
         return topology_from_spec(self.topology, self.bandwidth)
 
-    def config(self, *, cache: Optional[str] = None,
-               trace_mode: str = "full") -> BTRConfig:
-        return BTRConfig(f=self.f, seed=self.seed, cache=cache,
-                         trace_mode=trace_mode)
+    def config(self, *, trace_mode: str = "full") -> BTRConfig:
+        return BTRConfig(f=self.f, seed=self.seed, trace_mode=trace_mode)
 
-    def system(self, *, cache: Optional[str] = None,
-               trace_mode: str = "full") -> BTRSystem:
+    def system(self, *, trace_mode: str = "full") -> BTRSystem:
         """An unprepared system on this deployment."""
         return BTRSystem(self.build_workload(), self.build_topology(),
-                         self.config(cache=cache, trace_mode=trace_mode))
+                         self.config(trace_mode=trace_mode))

@@ -94,16 +94,15 @@ def load_corpus(dirpath: str) -> List[Tuple[str, dict]]:
 
 
 def check_corpus(dirpath: str, base: Optional[Deployment] = None,
-                 entries: Optional[List[Tuple[str, dict]]] = None,
-                 cache: Optional[str] = None) -> dict:
+                 entries: Optional[List[Tuple[str, dict]]] = None) -> dict:
     """Replay every corpus entry; the CI regression gate.
 
     Each entry replays on the :class:`~repro.deployment.Deployment` its
     ``meta`` pins (keys it lacks come from ``base``), prepared once per
-    distinct deployment through the strategy ``cache``. Each entry
-    passes iff its replay still produces every recorded invariant
-    verdict, and — when the artifact recorded a ``replay_digest`` — the
-    replayed path's primitives-only fingerprint matches byte-for-byte.
+    distinct deployment. Each entry passes iff its replay still produces
+    every recorded invariant verdict, and — when the artifact recorded a
+    ``replay_digest`` — the replayed path's primitives-only fingerprint
+    matches byte-for-byte.
     An entry whose script cannot run on its deployment raises
     ``ValueError`` naming the entry.
     """
@@ -115,7 +114,7 @@ def check_corpus(dirpath: str, base: Optional[Deployment] = None,
         deployment = Deployment.from_meta(payload.get("meta"), base)
         system = systems.get(deployment)
         if system is None:
-            system = systems[deployment] = deployment.system(cache=cache)
+            system = systems[deployment] = deployment.system()
             system.prepare()
         try:
             violations, result = replay_counterexample(system, payload)

@@ -22,6 +22,7 @@ from typing import Dict, Iterable, List, Optional, Tuple
 
 from ..persist import json_text, write_atomic
 from .recovery import (
+    MILESTONES,
     PHASES,
     PHASE_BUDGET_COMPONENT,
     FaultTimeline,
@@ -69,16 +70,20 @@ def export_run(result, path: str,
 #: Keys every report carries; absence means a truncated or foreign file.
 _REQUIRED_REPORT_KEYS = ("version", "period_us", "n_periods",
                          "duration_us", "budget", "faults", "metrics")
+#: The run's integer shape.
+_RUN_KEYS = ("period_us", "n_periods", "duration_us")
 #: Keys every fault entry needs before the renderer may touch it, and the
 #: type each must have.
 _FAULT_KEY_TYPES = (("node", str), ("fault_kind", str),
-                    ("manifest_us", int), ("phases", dict),
-                    ("total_us", int))
+                    ("manifest_us", int), ("milestones", dict),
+                    ("phases", dict), ("total_us", int))
 #: The integer components a non-null budget carries.
 _BUDGET_KEYS = ("detection_us", "distribution_us", "switch_us",
                 "settling_us", "total_us")
+#: A milestone never observed is null.
+_OPTIONAL_INT = (int, type(None))
 _TYPE_NAMES = {int: "an integer", str: "a string", dict: "an object",
-               list: "a list"}
+               list: "a list", _OPTIONAL_INT: "an integer or null"}
 
 
 def _check_types(path: str, where: str, obj: Dict[str, object],
@@ -99,10 +104,11 @@ def load_report(path: str) -> Dict[str, object]:
     """Load and structurally validate a saved observability report.
 
     Raises ``ValueError`` (with the offending path and key) on anything
-    that is not a complete report — truncated writes, wrong JSON
-    documents, missing phase tables, values of the wrong type — so
-    callers like ``repro trace`` can print a diagnosis instead of
-    tracebacking mid-render.
+    that is not a report :func:`export_run` could have written —
+    truncated writes, wrong JSON documents, missing phase tables, values
+    of the wrong type, a negative phase, phases that do not sum to the
+    fault's total — so callers like ``repro trace`` can print a
+    diagnosis instead of tracebacking mid-render or rendering nonsense.
     """
     with open(path, "r", encoding="utf-8") as fh:
         try:
@@ -131,7 +137,8 @@ def load_report(path: str) -> Dict[str, object]:
         _check_types(path, "budget", budget,
                      [(key, int) for key in _BUDGET_KEYS])
     _check_types(path, "report", report,
-                 [("metrics", dict), ("faults", list)])
+                 [(key, int) for key in _RUN_KEYS]
+                 + [("metrics", dict), ("faults", list)])
     if "counters" in report["metrics"]:
         _check_types(path, "metrics", report["metrics"],
                      [("counters", dict)])
@@ -141,8 +148,21 @@ def load_report(path: str) -> Dict[str, object]:
             raise ValueError(f"{path}: faults[{i}] must be an object, "
                              f"got {type(fault).__name__}")
         _check_types(path, f"faults[{i}]", fault, _FAULT_KEY_TYPES)
-        _check_types(path, f"faults[{i}]['phases']", fault["phases"],
+        _check_types(path, f"faults[{i}]['milestones']",
+                     fault["milestones"],
+                     [(name, _OPTIONAL_INT) for name in MILESTONES])
+        phases = fault["phases"]
+        _check_types(path, f"faults[{i}]['phases']", phases,
                      [(phase, int) for phase in PHASES])
+        for phase in PHASES:
+            if phases[phase] < 0:
+                raise ValueError(f"{path}: faults[{i}]['phases']"
+                                 f"[{phase!r}] is negative: {phases[phase]}")
+        spent = sum(phases[phase] for phase in PHASES)
+        if spent != fault["total_us"]:
+            raise ValueError(
+                f"{path}: faults[{i}]'s phases sum to {spent} us, not its "
+                f"total_us {fault['total_us']}")
     return report
 
 

@@ -5,7 +5,8 @@ Nothing in here changes *what* the planner or runtime computes — only
 how fast the artifact is produced and whether work is recomputed at all:
 
 * :class:`StrategyCache` / :func:`strategy_cache_key` — content-keyed
-  on-disk reuse of finished strategies;
+  on-disk reuse of finished strategies (only the end-to-end benchmark
+  harness still configures one);
 * :mod:`repro.perf.batchcore` — the hop runtime every system crosses
   links through (unicast sends and vectorised fan-outs) and the sweep
   sibling of a prepared system;
@@ -21,20 +22,13 @@ guarantees each piece preserves.
 from ..crypto.memo import VerifyMemo
 from ..sim.trace import trace_fingerprint
 from .batchcore import BatchRuntime, sibling_system
-from .cache import (
-    CACHE_ENV_VAR,
-    StrategyCache,
-    default_cache_dir,
-    strategy_cache_key,
-)
+from .cache import StrategyCache, strategy_cache_key
 from .pool import WorkerPool, run_sweep
 
 __all__ = [
     "BatchRuntime",
     "sibling_system",
-    "CACHE_ENV_VAR",
     "StrategyCache",
-    "default_cache_dir",
     "strategy_cache_key",
     "VerifyMemo",
     "trace_fingerprint",

@@ -1,5 +1,10 @@
 """On-disk strategy cache: content-keyed, atomically written.
 
+No CLI verb, experiment or tool reads it: a strategy comes from the
+planner, and ``repro plan --export`` ships it. Only the end-to-end
+benchmark under ``benchmarks/e2e/`` still sets ``BTRConfig.cache``
+(docs/PERFORMANCE.md, "The strategy cache").
+
 Strategies are pure functions of their planning inputs — the workload,
 the topology, the fault budget, the planner configuration, and the
 planner algorithm itself; never the run seed, which planning does not
@@ -11,8 +16,8 @@ optimisation).
 
 Entries are full ``strategy_to_json`` artifacts — the per-node
 representation ``repro plan --export`` ships, there indented — written
-via temp file + ``os.replace`` so concurrent experiment shards never
-observe a torn entry. The strategy keeps the text a store encodes, so a
+via temp file + ``os.replace`` so a concurrent reader never observes a
+torn entry. The strategy keeps the text a store encodes, so a
 later export or digest of the same strategy encodes nothing; a loaded
 strategy does not keep the text it was read from. A hit therefore goes
 through the serializer's lossless round-trip, and ``repro verify
@@ -38,18 +43,6 @@ from ..core.planner.strategy import PLANNER_VERSION, Strategy
 from ..net.topology import Topology
 from ..persist import write_atomic
 from ..workload.dataflow import DataflowGraph
-
-#: Environment variable naming a default cache directory. The benchmark
-#: harness and ``tools/run_experiments.py`` use it to thread one shared
-#: cache through every experiment subprocess.
-CACHE_ENV_VAR = "REPRO_STRATEGY_CACHE"
-
-
-def default_cache_dir() -> Optional[str]:
-    """The cache directory named by :data:`CACHE_ENV_VAR`, if any."""
-    value = os.environ.get(CACHE_ENV_VAR, "").strip()
-    return value or None
-
 
 def _workload_fingerprint(workload: DataflowGraph) -> Dict[str, Any]:
     return {
@@ -117,8 +110,6 @@ class StrategyCache:
 
     def __init__(self, root: str) -> None:
         self.root = root
-        self.hits = 0
-        self.misses = 0
         #: Corrupt entries moved aside (``<entry>.corrupt``) this session.
         self.quarantined = 0
 
@@ -126,7 +117,7 @@ class StrategyCache:
         return os.path.join(self.root, f"{key}.json")
 
     def load(self, key: str) -> Optional[Strategy]:
-        """The cached strategy for ``key``, or None (counted as a miss).
+        """The cached strategy for ``key``, or None.
 
         A missing entry is a plain miss. A present-but-unparseable entry
         (truncated write, stale format, bit rot) is *quarantined*: moved
@@ -139,16 +130,12 @@ class StrategyCache:
             with open(path, "rb") as f:
                 raw = f.read()
         except OSError:
-            self.misses += 1
             return None
         try:
-            strategy = strategy_from_json(raw)
+            return strategy_from_json(raw)
         except StrategyFormatError:
             self.quarantine(path)
-            self.misses += 1
             return None
-        self.hits += 1
-        return strategy
 
     def quarantine(self, path: str) -> None:
         """Move a corrupt entry to ``<path>.corrupt`` (best effort)."""

@@ -153,19 +153,49 @@ def test_cli_requires_command(capsys):
 
 def test_cli_plan_export(tmp_path, capsys):
     out_file = tmp_path / "strategy.json"
-    cache = tmp_path / "cache"
-    code, out = run_cli(capsys, "plan", "--export", str(out_file),
-                        "--cache", str(cache))
+    code, out = run_cli(capsys, "plan", "--export", str(out_file))
     assert code == 0
     assert "strategy written" in out
-    from repro.core.planner import strategy_from_json
+    from repro import Deployment
+    from repro.core.planner import strategy_from_json, strategy_to_json
     exported = out_file.read_text()
     restored = strategy_from_json(exported)
     assert len(restored) >= 1
-    # The export is the cache entry's artifact, only indented.
-    (entry,) = cache.iterdir()
+    # The export is the planned strategy's artifact, only indented.
+    system = Deployment().system()
+    system.prepare()
     assert (json.dumps(json.loads(exported), sort_keys=True)
-            == entry.read_text())
+            == strategy_to_json(system.strategy))
+
+
+def test_cli_verify_names_a_plan_that_does_not_rebuild(tmp_path, capsys):
+    """An exported strategy whose plan graph no longer validates (a flow
+    from an unknown task) is not a strategy artifact: one line, exit 2."""
+    path = tmp_path / "strategy.json"
+    assert run_cli(capsys, "plan", "--export", str(path))[0] == 0
+    data = json.loads(path.read_text())
+    data["plans"][0]["workload"]["flows"][0]["src"] = "nowhere"
+    path.write_text(json.dumps(data))
+    assert main(["verify", "--strategy", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert err.count("\n") == 1 and "cannot read strategy file" in err
+
+
+@pytest.mark.parametrize("verb", [v for v in VERBS if v != ["trace"]],
+                         ids=" ".join)
+@pytest.mark.parametrize("flag", [["--cache", "DIR"], ["--no-cache"]],
+                         ids=lambda flag: flag[0])
+def test_no_deployment_verb_takes_a_strategy_cache(verb, flag, capsys):
+    """A strategy comes from the planner: no verb reads a cache."""
+    positional = {"replay": ["a.json"]}
+    with pytest.raises(SystemExit) as exc:
+        build_parser().parse_args(
+            [*verb, *positional.get(verb[-1], []), *flag])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: repro ")
+    assert f"unrecognized arguments: {' '.join(flag)}" in err
 
 
 # ------------------------------------------------------------- bad input
@@ -245,6 +275,9 @@ def test_cli_trace_truncated_json(tmp_path, capsys):
 VALID_BUDGET = {"detection_us": 1, "distribution_us": 1, "switch_us": 1,
                 "settling_us": 1, "total_us": 4}
 VALID_FAULT = {"node": "n1", "fault_kind": "crash", "manifest_us": 0,
+               "milestones": {m: None for m in (
+                   "first_charge", "conviction", "quorum",
+                   "switch_boundary", "first_correct_output")},
                "phases": {p: 0 for p in ("detect", "convict", "quorum",
                                          "switch", "settle", "residual")},
                "total_us": 0}

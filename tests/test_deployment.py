@@ -65,9 +65,8 @@ def test_from_meta_names_the_bad_field(meta, names):
 
 def test_system_takes_how_not_what():
     deployment = Deployment("pipeline", "fullmesh:4", seed=5, stretch=3)
-    system = deployment.system(cache="/nonexistent", trace_mode="milestones")
-    assert system.config == BTRConfig(f=1, seed=5, cache="/nonexistent",
-                                      trace_mode="milestones")
+    system = deployment.system(trace_mode="milestones")
+    assert system.config == BTRConfig(f=1, seed=5, trace_mode="milestones")
     assert system.workload.name == "pipelinex3"
     assert system.topology.name == "fullmesh4"
     assert system.strategy is None  # unprepared

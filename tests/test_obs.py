@@ -2,6 +2,7 @@
 reconstruction, export round-trip, and the silent-failure counters."""
 
 import json
+import re
 
 import pytest
 
@@ -200,6 +201,37 @@ class TestExport:
         assert f"version {REPORT_VERSION + 1}" in message
         assert f"version {REPORT_VERSION})" in message
         assert cli_main(["trace", str(path)]) == 2
+
+    @pytest.mark.parametrize("corrupt, named", [
+        # Phases summing to 100,000 us beside a total of 5 us.
+        (lambda r, f: f.update(
+            phases=dict.fromkeys(PHASES, 0) | {"detect": 100_000},
+            total_us=5), "sum to 100000 us, not its total_us 5"),
+        # A negative phase, the sum kept.
+        (lambda r, f: f["phases"].update(
+            detect=-1, residual=f["phases"]["residual"] + 1),
+         "'detect'] is negative"),
+        (lambda r, f: f["milestones"].update(first_charge="x"),
+         "'first_charge'] must be an integer or null"),
+        (lambda r, f: r.update(duration_us="x"),
+         "'duration_us'] must be an integer"),
+    ], ids=["phase sum", "negative phase", "string milestone",
+            "string duration"])
+    def test_load_rejects_a_report_no_writer_produces(
+            self, commission_run, tmp_path, capsys, corrupt, named):
+        from repro.cli import main as cli_main
+
+        _, result = commission_run
+        path = tmp_path / "run.json"
+        report = export_run(result, str(path))
+        corrupt(report, report["faults"][0])
+        path.write_text(json.dumps(report))
+        with pytest.raises(ValueError, match=re.escape(named)):
+            load_report(str(path))
+        assert cli_main(["trace", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("repro trace: cannot read report: ")
+        assert err.count("\n") == 1 and named in err
 
     def test_failed_export_leaves_no_litter_and_the_previous_report(
             self, commission_run, tmp_path, monkeypatch):

@@ -28,7 +28,7 @@ import pickle
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro import Deployment
+from repro import BTRSystem, Deployment
 from repro.faults.scenarios import stage
 from repro.net import Router, geo_topology
 from repro.perf import WorkerPool, run_sweep, sibling_system
@@ -238,7 +238,12 @@ class TestPoolSweep:
         reference = GEO.system(trace_mode="milestones")
         reference.prepare()
         serial = run_sweep(reference, seeds, **SWEEP)
-        system = GEO.system(cache=str(tmp_path), trace_mode="milestones")
+        # A cache-configured system, as the e2e benchmark builds, pools
+        # as the uncached reference sweeps.
+        system = BTRSystem(GEO.build_workload(), GEO.build_topology(),
+                           dataclasses.replace(
+                               GEO.config(trace_mode="milestones"),
+                               cache=str(tmp_path)))
         system.prepare()
         out = run_sweep(system, seeds, workers=2, **SWEEP)
         assert [row["seed"] for row in out["runs"]] == list(seeds)

@@ -167,6 +167,71 @@ def test_strategy_json_rejects_unknown_version(system):
         strategy_from_json(json.dumps(data))
 
 
+def _flow(plan, field, value):
+    plan["workload"]["flows"][0][field] = value
+
+
+def _sink_flow(plan, **fields):
+    graph = plan["workload"]
+    next(f for f in graph["flows"] if f["dst"] in graph["sinks"]
+         ).update(fields)
+
+
+def _idle_task(plan):
+    plan["workload"]["tasks"].append(
+        {"name": "idle", "wcet": 1, "criticality": "C", "state_bits": 0})
+
+
+def _slot(plan, start, finish):
+    entries = next(e for e in plan["schedule"]["node_schedules"].values()
+                   if e)
+    entries[0][1:] = [start, finish]
+
+
+def _overlap(plan):
+    entries = next(e for e in plan["schedule"]["node_schedules"].values()
+                   if e)
+    entries.append(list(entries[0]))
+
+
+def _instant_hop(plan):
+    hop = plan["schedule"]["transmissions"][0]
+    hop[5] = hop[4]  # arrival = start
+
+
+#: One well-formed-JSON mutation per raise site a plan's rebuild reaches:
+#: the graph's validation (WorkloadError) and the node timetables'
+#: (ScheduleError). Each must fail as a strategy artifact.
+REBUILD_FAULTS = {
+    "unknown flow src": (lambda p: _flow(p, "src", "nowhere"),
+                         "unknown src"),
+    "unknown flow dst": (lambda p: _flow(p, "dst", "nowhere"),
+                         "unknown dst"),
+    "deadline beyond the period": (lambda p: _flow(p, "deadline", 10**30),
+                                   "exceeds period"),
+    "sink flow without a deadline": (lambda p: _sink_flow(p, deadline=None),
+                                     "needs a deadline"),
+    "source-to-sink flow": (
+        lambda p: _sink_flow(p, src=p["workload"]["sources"][0]),
+        "direct source-to-sink"),
+    "task without outputs": (_idle_task, "has no outputs"),
+    "empty slot": (lambda p: _slot(p, 5, 5), "bad slot"),
+    "slot past the period": (lambda p: _slot(p, 0, 10**30),
+                             "overruns the period"),
+    "overlapping slots": (_overlap, "overlaps"),
+    "hop arriving as it starts": (_instant_hop, "arrives before it starts"),
+}
+
+
+@pytest.mark.parametrize("fault", sorted(REBUILD_FAULTS))
+def test_strategy_json_rejects_a_plan_that_does_not_rebuild(system, fault):
+    mutate, message = REBUILD_FAULTS[fault]
+    data = json.loads(strategy_to_json(system.strategy))
+    mutate(data["plans"][0])
+    with pytest.raises(StrategyFormatError, match=message):
+        strategy_from_json(json.dumps(data))
+
+
 def test_deserialized_strategy_runs_identically(system):
     """The shipped artifact drives the runtime exactly like the original."""
     adversary = SingleFaultAdversary(at=220_000, kind="commission")

@@ -3,9 +3,9 @@
 
 Statically verifies the strategies the experiments rely on (a number
 from an unsound strategy is worse than no number), runs the suite one
-pytest shard per benchmark file — sharing one strategy cache, so a warm
-rerun skips all replanning — and stitches ``benchmarks/results/*.txt``
-into ``REPORT.txt``, the file EXPERIMENTS.md quotes from.
+pytest shard per benchmark file — each shard plans the strategies it
+runs — and stitches ``benchmarks/results/*.txt`` into ``REPORT.txt``,
+the file EXPERIMENTS.md quotes from.
 
 Measurements take one path (docs/HACKING.md, "Benchmark pipeline"):
 benchmarks append rows to per-stream scratch files, :data:`STREAMS` says
@@ -13,7 +13,7 @@ how rows fold into an aggregate, :func:`append_run` appends it to the
 tracked ``BENCH_<stream>.json``, ``tools/bench_check.py`` gates that.
 
 Usage:  python tools/run_experiments.py [--jobs N] [--only eN[,eM...]]
-                [--cache DIR | --no-cache] [--skip-run] [--skip-verify]
+                [--skip-run] [--skip-verify]
 """
 
 import argparse
@@ -28,7 +28,6 @@ from datetime import datetime, timezone
 
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 RESULTS = os.path.join(REPO, "benchmarks", "results")
-DEFAULT_CACHE = os.path.join(REPO, "benchmarks", ".strategy_cache")
 SCHEMA = 4  # of ``{"schema", "runs": [entry, ...]}``, oldest entry first
 
 ORDER = [
@@ -72,11 +71,7 @@ STREAMS = {
     "planner": {
         "experiments": ("e7",),
         "top": {
-            "prepares": COUNT, "cache_hits": ("sum", "cache_hit"),
-            "cache_misses": ("sum", "cache_miss"),
-            "cache_hit_rate": ("ratio", ("cache_hits",),
-                               ("cache_hits", "cache_misses"), 3),
-            "plans_computed": SUM, "plans_total": SUM,
+            "prepares": COUNT, "plans_computed": SUM, "plans_total": SUM,
             "cache_quarantined": SUM,
         },
         "must_hold": [(None, "cache_quarantined", 0)],
@@ -314,10 +309,6 @@ def main() -> int:
     parser.add_argument("--only", default="", metavar="IDS",
                         help="only the experiments e1,e7,... "
                              "(benchmarks/test_eN_*.py)")
-    parser.add_argument("--cache", default=DEFAULT_CACHE, metavar="DIR",
-                        help="shared strategy cache directory")
-    parser.add_argument("--no-cache", action="store_true",
-                        help="disable the strategy cache (replan everything)")
     parser.add_argument("--skip-run", action="store_true",
                         help="collate existing results without re-running")
     parser.add_argument("--skip-verify", action="store_true",
@@ -328,9 +319,7 @@ def main() -> int:
     if args.skip_run:
         return collate_report(args.only)
 
-    # For every subprocess; an empty cache variable disables caching.
-    cache_dir = "" if args.no_cache else args.cache
-    env = {**os.environ, "REPRO_STRATEGY_CACHE": cache_dir,
+    env = {**os.environ,
            "PYTHONPATH": os.pathsep.join(filter(None, [
                os.path.join(REPO, "src"), os.environ.get("PYTHONPATH")]))}
     for scenario in [] if args.skip_verify else VERIFY_SCENARIOS:
@@ -349,8 +338,7 @@ def main() -> int:
                for stream in STREAMS if stream != "suite"}
     for path in scratch.values():
         open(path, "w").close()
-    print(f"running {len(files)} benchmark shards (jobs={args.jobs}, "
-          f"cache={cache_dir or 'disabled'})...")
+    print(f"running {len(files)} benchmark shards (jobs={args.jobs})...")
     start = time.perf_counter()
     # E23 measures host time: it runs alone, after the pool has quietened.
     pooled = [path for path in files if "test_e23_" not in path]

@@ -7,6 +7,11 @@ handler: ``plan``, ``run``, ``compare``, ``verify``, ``bounds``,
 flags of :class:`~repro.deployment.Deployment` (:mod:`.flags`);
 ``check`` and ``fuzz campaign`` share their search flags
 (:mod:`.search`). Each verb accepts only the flags it reads.
+
+Exit codes (README, "Command line"): 0 and 1 are a verb's verdict. A
+handler raises; only :func:`main` turns input it cannot use — an
+:class:`~repro.persist.InputError`, an unschedulable deployment or an
+``OSError`` — into one line and exit 2.
 """
 
 from __future__ import annotations
@@ -16,7 +21,7 @@ import sys
 from typing import List, Optional
 
 from ..core.planner import PlanningError
-from ..net import TopologyError
+from ..persist import InputError
 from . import (bounds, check, compare, fuzz, plan, replay, run, trace,
                verify)
 
@@ -41,12 +46,11 @@ def main(argv: Optional[List[str]] = None) -> int:
     try:
         return args.handler(args)
     except PlanningError as exc:
-        print(f"repro {args.command}: unschedulable deployment: {exc}",
-              file=sys.stderr)
-        return 1
-    except TopologyError as exc:  # a well-formed spec its builder refuses
-        print(f"repro {args.command}: {exc}", file=sys.stderr)
-        return 2
+        message = f"unschedulable deployment: {exc}"
+    except (InputError, OSError) as exc:
+        message = str(exc)
+    print(f"repro {args.command}: {message}", file=sys.stderr)
+    return 2
 
 
 __all__ = ["VERBS", "build_parser", "main"]

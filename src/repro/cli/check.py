@@ -4,7 +4,8 @@ Explore the product space of adversary choices × delivery orderings on a
 small config, check the ``kR`` bound, agreement, and mode reachability
 on every path, and either certify the config or emit a minimised,
 replay-confirmed counterexample (``repro replay`` re-runs it). Exits 0
-when certified, 1 on violations (or truncation), 2 on usage errors."""
+when certified, 1 on violations (or truncation), 2 on input it cannot
+use."""
 
 from __future__ import annotations
 

@@ -6,9 +6,6 @@ cannot replay."""
 
 from __future__ import annotations
 
-import json
-import sys
-
 from ..deployment import Deployment
 from .flags import add_deployment_flags, deployment
 
@@ -24,23 +21,15 @@ def register(sub) -> None:
 
 
 def handle(args) -> int:
-    from ..mc import replay_counterexample
-    from ..mc.counterexample import counterexample_from_dict
+    from ..mc import Cell, read_counterexample, replay_counterexample
 
-    try:
-        with open(args.artifact) as f:
-            payload = json.load(f)
-        cell, deliveries = counterexample_from_dict(payload)
-        system = Deployment.from_meta(payload.get("meta"),
-                                      deployment(args)).system()
-        system.prepare()
-        violations, result = replay_counterexample(system, payload)
-    except (OSError, ValueError) as exc:
-        print(f"repro replay: cannot replay artifact: {exc}",
-              file=sys.stderr)
-        return 2
-    print(f"replaying {cell.label()} with "
-          f"{len(deliveries)} delivery perturbation(s) over "
+    payload = read_counterexample(args.artifact)
+    system = Deployment.from_meta(payload.get("meta"),
+                                  deployment(args)).system()
+    system.prepare()
+    violations, result = replay_counterexample(system, payload)
+    print(f"replaying {Cell.from_dict(payload['cell']).label()} with "
+          f"{len(payload['deliveries'])} delivery perturbation(s) over "
           f"{payload['n_periods']} periods (R={payload['R_us']}us, "
           f"k={payload['k']})")
     print(result.summary())

@@ -7,15 +7,8 @@ reads a hop row."""
 
 from __future__ import annotations
 
-import sys
-
 from ..analysis import btr_verdict, smallest_sufficient_R, timeliness
-from ..faults import (
-    BEHAVIORS,
-    ScenarioError,
-    SingleFaultAdversary,
-    stage,
-)
+from ..faults import BEHAVIORS, SingleFaultAdversary, stage
 from ..sim import to_seconds
 from .flags import add_deployment_flags, fault_time, number, planned
 
@@ -48,11 +41,7 @@ def handle(args) -> int:
     adversary = None
     link_script = None
     if args.scenario:
-        try:
-            scenario = stage(args.scenario, system)
-        except ScenarioError as exc:
-            print(f"repro run: {exc}", file=sys.stderr)
-            return 2
+        scenario = stage(args.scenario, system)
         print(f"scenario: {scenario.name} - {scenario.description}")
         adversary = scenario.script
         link_script = scenario.link_script or None

@@ -4,8 +4,6 @@ table, and any dropped-message counters."""
 
 from __future__ import annotations
 
-import sys
-
 
 def register(sub) -> None:
     p = sub.add_parser("trace", help="render a saved observability report")
@@ -17,10 +15,5 @@ def register(sub) -> None:
 def handle(args) -> int:
     from ..obs import load_report, render_phase_report
 
-    try:
-        report = load_report(args.report)
-    except (OSError, ValueError) as exc:
-        print(f"repro trace: cannot read report: {exc}", file=sys.stderr)
-        return 2
-    print(render_phase_report(report))
+    print(render_phase_report(load_report(args.report)))
     return 0

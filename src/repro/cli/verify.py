@@ -6,8 +6,6 @@ any error finding (and on warnings with ``--strict``)."""
 
 from __future__ import annotations
 
-import sys
-
 from .flags import add_deployment_flags, deployment, planned
 
 
@@ -40,16 +38,10 @@ def handle(args) -> int:
         return 0
 
     if args.strategy:
-        from ..core.planner import StrategyFormatError, strategy_from_json
+        from ..core.planner import read_strategy
         # Unprepared: the deployment's placement, router and lanes only.
         system = deployment(args).system()
-        try:
-            with open(args.strategy, "rb") as f:
-                strategy = strategy_from_json(f.read())
-        except (OSError, StrategyFormatError) as exc:
-            print(f"repro verify: cannot read strategy file: {exc}",
-                  file=sys.stderr)
-            return 2
+        strategy = read_strategy(args.strategy)
         origin = args.strategy
     else:
         system = planned(args)

@@ -9,6 +9,7 @@ from .serialize import (
     StrategyFormatError,
     plan_from_dict,
     plan_to_dict,
+    read_strategy,
     strategy_from_dict,
     strategy_from_json,
     strategy_to_json,
@@ -36,6 +37,7 @@ __all__ = [
     "StrategyFormatError",
     "plan_from_dict",
     "plan_to_dict",
+    "read_strategy",
     "strategy_from_dict",
     "strategy_from_json",
     "strategy_to_json",

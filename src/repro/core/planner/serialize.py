@@ -12,13 +12,16 @@ The artifact is the compact text ``json.dumps(record, sort_keys=True)``
 would write for the strategy record. :func:`strategy_to_json` writes it
 field by field instead, so each graph the plans share is encoded once,
 and the strategy keeps the text.
+The decoder refuses what the encoder could not have written, so the
+verifier only ever sees plans the planner's types describe.
 """
 
 from __future__ import annotations
 
 import json
-from typing import Callable, Dict, List, Tuple, Union
+from typing import Callable, Dict, Iterable, List, NoReturn, Tuple, Union
 
+from ...persist import InputError, read_json
 from ...sched.synthesis import GlobalSchedule
 from ...sched.table import (
     NodeSchedule,
@@ -31,6 +34,26 @@ from ...workload.dataflow import DataflowGraph, Flow, WorkloadError
 from ...workload.task import Task
 from .plan import Plan
 from .strategy import Strategy
+
+
+FORMAT_VERSION = 1
+
+
+class StrategyFormatError(InputError):
+    """The text is not a strategy artifact this code can decode: not
+    JSON, not the artifact's shape, or another ``FORMAT_VERSION``."""
+
+
+def _refuse(what: str, value: object) -> NoReturn:
+    raise StrategyFormatError(f"{what} is not what the encoder writes: "
+                              f"{value!r}")
+
+
+def _only(kind: type, values: Iterable[object], what: str) -> None:
+    # ``type(...) is``: a JSON ``true`` is no int, and ``1.5`` no time.
+    for value in values:
+        if type(value) is not kind:
+            _refuse(what, value)
 
 
 def _graph_to_dict(graph: DataflowGraph) -> dict:
@@ -97,22 +120,36 @@ def _schedule_to_dict(schedule: GlobalSchedule) -> dict:
 
 
 def _schedule_from_dict(data: dict) -> GlobalSchedule:
+    period = data["period"]
+    _only(int, [period], "schedule period")
     node_schedules = {}
     for node, entries in sorted(data["node_schedules"].items()):
-        ns = NodeSchedule(node, data["period"])
+        ns = NodeSchedule(node, period)
         for task, start, finish in entries:
+            _only(str, [task], "slot task")
+            _only(int, [start, finish], "slot time")
             ns.add(ScheduleEntry(task=task, start=start, finish=finish))
         node_schedules[node] = ns
+    # The synthesizer gives every node it may assign to a timetable.
+    hosts = dict(data["assignment"])
+    _only(str, hosts.values(), "schedule host")
+    for host in sorted(set(hosts.values()) - node_schedules.keys()):
+        _refuse("schedule host", host)
+    transmissions = []
+    for flow, sender, receiver, link, start, arrival, bits in \
+            data["transmissions"]:
+        _only(str, [flow, sender, receiver, link], "transmission name")
+        _only(int, [start, arrival, bits], "transmission time")
+        transmissions.append(PlannedTransmission(
+            flow, sender, receiver, link, start, arrival, bits))
+    arrivals = dict(data["arrivals"])
+    _only(int, arrivals.values(), "arrival")
     return GlobalSchedule(
-        period=data["period"],
-        assignment=dict(data["assignment"]),
+        period=period,
+        assignment=hosts,
         node_schedules=node_schedules,
-        transmissions=[
-            PlannedTransmission(flow=f, sender=s, receiver=r, link_id=l,
-                                start=st, arrival=a, size_bits=b)
-            for f, s, r, l, st, a, b in data["transmissions"]
-        ],
-        arrivals=dict(data["arrivals"]),
+        transmissions=transmissions,
+        arrivals=arrivals,
         violations=list(data["violations"]),
     )
 
@@ -179,15 +216,23 @@ def plan_from_dict(
     data: dict,
     graph_from_dict: Callable[[dict], DataflowGraph] = _graph_from_dict,
 ) -> Plan:
+    _only(list, [data["pattern"]], "fault pattern")
+    _only(str, data["pattern"], "fault pattern node")
+    hosts = dict(data["assignment"])
+    _only(str, hosts.values(), "assigned node")
+    routes = {}
+    for name, route in sorted(data["routes"].items()):
+        _only(list, [route], "route")
+        _only(str, route, "route hop")
+        routes[name] = list(route)
     return Plan(
         pattern=frozenset(data["pattern"]),
         workload=graph_from_dict(data["workload"]),
         augmented=graph_from_dict(data["augmented"]),
-        assignment=dict(data["assignment"]),
+        assignment=hosts,
         schedule=_schedule_from_dict(data["schedule"]),
         kept_levels={Criticality(v) for v in data["kept_levels"]},
-        routes={name: list(route)
-                for name, route in sorted(data["routes"].items())},
+        routes=routes,
     )
 
 
@@ -205,14 +250,6 @@ def shared_graphs() -> Callable[[dict], DataflowGraph]:
         return decoded[-1][1]
 
     return graph_from_dict
-
-
-FORMAT_VERSION = 1
-
-
-class StrategyFormatError(ValueError):
-    """The text is not a strategy artifact this code can decode: not
-    JSON, not the artifact's shape, or another ``FORMAT_VERSION``."""
 
 
 def strategy_to_json(strategy: Strategy) -> str:
@@ -241,32 +278,47 @@ def strategy_to_json(strategy: Strategy) -> str:
 
 
 def strategy_from_dict(data: dict) -> Strategy:
-    if data.get("format_version") != FORMAT_VERSION:
+    """Decode a strategy record. Anything the encoder could not have
+    written raises :class:`StrategyFormatError`."""
+    try:
+        if data.get("format_version") != FORMAT_VERSION:
+            raise StrategyFormatError(f"unsupported strategy format "
+                                      f"{data.get('format_version')!r}")
+        _only(int, [data["f"]], "strategy f")
+        _only(list, [data["covered_nodes"]], "covered nodes")
+        _only(str, data["covered_nodes"], "covered node")
+        graph_from_dict = shared_graphs()
+        plans = {}
+        for plan_data in data["plans"]:
+            plan = plan_from_dict(plan_data, graph_from_dict)
+            plans[plan.pattern] = plan
+        if frozenset() not in plans:
+            raise StrategyFormatError("strategy has no nominal plan")
+        return Strategy(f=data["f"], plans=plans,
+                        covered_nodes=data["covered_nodes"])
+    except StrategyFormatError:
+        raise
+    except (ValueError, KeyError, TypeError, AttributeError, IndexError,
+            WorkloadError, ScheduleError) as exc:
+        # Well-formed JSON of the wrong shape hitting the decoder, or a
+        # plan whose graph or schedule does not validate.
         raise StrategyFormatError(
-            f"unsupported strategy format {data.get('format_version')!r}"
-        )
-    graph_from_dict = shared_graphs()
-    plans = {}
-    for plan_data in data["plans"]:
-        plan = plan_from_dict(plan_data, graph_from_dict)
-        plans[plan.pattern] = plan
-    return Strategy(f=data["f"], plans=plans,
-                    covered_nodes=data["covered_nodes"])
+            f"malformed strategy artifact: {exc!r}") from exc
 
 
 def strategy_from_json(text: Union[str, bytes]) -> Strategy:
     """Decode an artifact; bytes (as read from a file) are UTF-8. Text
     that is not an artifact raises :class:`StrategyFormatError`."""
     try:
-        if isinstance(text, bytes):
-            text = text.decode("utf-8")
-        return strategy_from_dict(json.loads(text))
-    except StrategyFormatError:
-        raise
-    except (ValueError, KeyError, TypeError, AttributeError, IndexError,
-            WorkloadError, ScheduleError) as exc:
-        # json.JSONDecodeError and UnicodeDecodeError are ValueErrors;
-        # the rest are well-formed JSON of the wrong shape hitting the
-        # decoder, or a plan whose graph or schedule does not validate.
+        data = json.loads(text.decode("utf-8") if isinstance(text, bytes)
+                          else text)
+    except (ValueError, RecursionError) as exc:  # or nested too deep
         raise StrategyFormatError(
             f"malformed strategy artifact: {exc!r}") from exc
+    return strategy_from_dict(data)
+
+
+def read_strategy(path: str) -> Strategy:
+    """The strategy artifact (``repro plan --export``) in the file at
+    ``path``; anything else raises :class:`StrategyFormatError`."""
+    return read_json(path, StrategyFormatError, strategy_from_dict)

@@ -29,7 +29,7 @@ from ...workload.dataflow import DataflowGraph
 from .augment import AugmentConfig
 from .distance import PlanDistance, plan_distance
 from .placement import PlacementConfig
-from .plan import Plan, augmented_ladder, build_plan
+from .plan import Plan, PlanningError, augmented_ladder, build_plan
 
 
 #: Version of the planning algorithm itself. Any change that can alter
@@ -135,6 +135,11 @@ def build_strategy(
     after shedding."""
     if f < 0:
         raise ValueError("f must be >= 0")
+    if f + 2 > len(topology.nodes):  # placement's refusal, before augment()
+        raise PlanningError(
+            f"f={f} needs {f + 2} nodes (f + 1 replicas of each task and "
+            f"its checker on distinct nodes); the topology has "
+            f"{len(topology.nodes)}")
     config = config or PlacementConfig()
     lane_model = lane_model or LaneModel(topology)
     augment_config = augment_config or AugmentConfig(replicas=f + 1)

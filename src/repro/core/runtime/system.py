@@ -34,10 +34,12 @@ from ...crypto.signatures import KeyDirectory
 from ...faults.adversary import Adversary, FaultScript
 from ...net.topology import Topology
 from ...obs.metrics import MetricsRegistry
+from ...persist import InputError
 from ...sched.lanes import LaneModel
 from ...sim.clock import CLOCK_SYNC_INTERVAL_US
 from ...sim.engine import Simulator
 from ...sim.trace import (
+    LAST_TIME,
     Custom,
     FaultInjected,
     ModeSwitchCompleted,
@@ -186,9 +188,12 @@ class SimulatedSystem:
         counting."""
         if (isinstance(n_periods, bool) or not isinstance(n_periods, int)
                 or n_periods < 1):
-            raise ValueError(
+            raise InputError(
                 f"n_periods must be an int >= 1, got {n_periods!r}")
         duration = n_periods * self.workload.period
+        if duration > LAST_TIME:
+            raise InputError(f"{n_periods} periods end at {duration} us, "
+                             f"past the trace's last time ({LAST_TIME} us)")
         self.sim = Simulator(seed=self.seed)
         self.sim.delivery_hook = delivery_hook
         self.trace = trace

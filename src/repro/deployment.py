@@ -23,6 +23,7 @@ from typing import Optional
 from .core.runtime.config import BTRConfig
 from .core.runtime.system import BTRSystem
 from .net.topology import Topology, parse_topology_spec, topology_from_spec
+from .persist import InputError
 from .workload import WORKLOADS, stretched_workload
 from .workload.dataflow import DataflowGraph
 
@@ -31,7 +32,7 @@ def _require_int(name: str, value, least: Optional[int] = None) -> None:
     # ``type(...) is int``: a JSON ``true`` is no count.
     if type(value) is not int or (least is not None and value < least):
         bound = "" if least is None else f" >= {least}"
-        raise ValueError(f"{name} must be an integer{bound}, got {value!r}")
+        raise InputError(f"{name} must be an integer{bound}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -40,7 +41,7 @@ class Deployment:
     the fault budget f, the run seed, and the period/deadline stretch
     (see :func:`~repro.workload.stretched_workload`).
 
-    Construction validates every field (``ValueError`` naming the first
+    Construction validates every field (``InputError`` naming the first
     bad one), so a ``Deployment`` that exists can be built.
     """
 
@@ -54,19 +55,19 @@ class Deployment:
     def __post_init__(self) -> None:
         if not isinstance(self.workload, str) \
                 or self.workload not in WORKLOADS:
-            raise ValueError(f"unknown workload {self.workload!r}; choose "
+            raise InputError(f"unknown workload {self.workload!r}; choose "
                              f"from {', '.join(sorted(WORKLOADS))}")
         if not isinstance(self.topology, str):
-            raise ValueError(f"topology must be a spec string, "
+            raise InputError(f"topology must be a spec string, "
                              f"got {self.topology!r}")
         parse_topology_spec(self.topology)
         if type(self.bandwidth) not in (int, float) \
                 or not 0 < self.bandwidth < math.inf:
-            raise ValueError(f"bandwidth must be a positive number, "
+            raise InputError(f"bandwidth must be a positive number, "
                              f"got {self.bandwidth!r}")
         _require_int("f", self.f)
         if self.f < 1:
-            raise ValueError("BTR needs f >= 1 (use the unreplicated "
+            raise InputError("BTR needs f >= 1 (use the unreplicated "
                              "baseline for f = 0)")
         _require_int("seed", self.seed)
         _require_int("stretch", self.stretch, least=1)
@@ -80,13 +81,13 @@ class Deployment:
 
         Keys the meta lacks come from ``base`` (default: the record's
         defaults) — the CLI passes the one its flags name — and keys
-        that name no field (``source``) are ignored. ``ValueError`` on
+        that name no field (``source``) are ignored. ``InputError`` on
         a meta that is not an object or pins a malformed field.
         """
         if meta is None:
             meta = {}
         if not isinstance(meta, dict):
-            raise ValueError(f"meta must be an object, got {meta!r}")
+            raise InputError(f"meta must be an object, got {meta!r}")
         pinned = {field.name: meta[field.name] for field in fields(cls)
                   if field.name in meta}
         return replace(base or cls(), **pinned)

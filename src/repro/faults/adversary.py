@@ -13,6 +13,7 @@ import dataclasses
 from dataclasses import dataclass, field
 from typing import List, Optional, Sequence
 
+from ..persist import InputError
 from ..sim.random import DeterministicRandom
 from .behaviors import (
     CommissionFault,
@@ -46,7 +47,7 @@ class FaultScript:
         seen = set()
         for injection in self.injections:
             if injection.node in seen:
-                raise ValueError(
+                raise InputError(
                     f"node {injection.node} injected twice (a compromised "
                     f"node stays compromised)"
                 )
@@ -57,11 +58,11 @@ class FaultScript:
         return [i.node for i in self.injections]
 
     def check_nodes(self, nodes) -> None:
-        """``ValueError`` naming each injected node not among ``nodes``
+        """``InputError`` naming each injected node not among ``nodes``
         (the deployment's), raised before a run schedules anything."""
         unknown = sorted(set(self.faulty_nodes).difference(nodes))
         if unknown:
-            raise ValueError(f"fault script injects {', '.join(unknown)}: "
+            raise InputError(f"fault script injects {', '.join(unknown)}: "
                              f"no such node in the deployment")
 
     def __iter__(self):
@@ -89,12 +90,12 @@ def make_behavior(kind: str, rng: Optional[DeterministicRandom] = None,
     ``params`` are its non-default fields, as :func:`behavior_params`
     writes them; a kind whose class has an ``rng`` field draws from
     ``rng`` (default ``DeterministicRandom(0)``). Unknown kinds and
-    unknown parameters raise ``ValueError``, so corrupt artifacts are
+    unknown parameters raise ``InputError``, so corrupt artifacts are
     diagnosed at load time, not deep in a run."""
     try:
         cls = BEHAVIORS[kind]
     except KeyError:
-        raise ValueError(f"unknown fault kind {kind!r}") from None
+        raise InputError(f"unknown fault kind {kind!r}") from None
     decoded = {}
     for key, value in sorted((params or {}).items()):
         if key in _FROZENSET_PARAMS and isinstance(value, (list, tuple)):
@@ -105,7 +106,7 @@ def make_behavior(kind: str, rng: Optional[DeterministicRandom] = None,
     try:
         return cls(**decoded)
     except TypeError as exc:
-        raise ValueError(
+        raise InputError(
             f"bad parameters for fault kind {kind!r}: {exc}") from None
 
 
@@ -183,16 +184,16 @@ def script_from_dict(payload: dict, seed: int = 0) -> FaultScript:
     byte-identically to the original. ``seed`` roots the RNG forks for
     version-1 payloads (and v2 entries predating ``rng_seed``), where
     the same (payload, seed) pair always yields the same script.
-    Raises ``ValueError`` on any payload it did not write.
+    Raises ``InputError`` on any payload it did not write.
     """
     if not isinstance(payload, dict):
-        raise ValueError(f"fault script must be an object, got {payload!r}")
+        raise InputError(f"fault script must be an object, got {payload!r}")
     version = payload.get("version")
     if version not in (1, SCRIPT_VERSION):
-        raise ValueError(f"unsupported fault-script version {version!r}")
+        raise InputError(f"unsupported fault-script version {version!r}")
     entries = payload.get("injections")
     if not isinstance(entries, list):
-        raise ValueError("fault script has no injections list")
+        raise InputError("fault script has no injections list")
     for entry in entries:
         # ``type(...) is int``: a JSON ``true`` is no time or seed.
         if not (isinstance(entry, dict)
@@ -201,7 +202,7 @@ def script_from_dict(payload: dict, seed: int = 0) -> FaultScript:
                 and isinstance(entry.get("kind"), str)
                 and isinstance(entry.get("params", {}), dict)
                 and type(entry.get("rng_seed", 0)) is int):
-            raise ValueError(f"malformed injection {entry!r}")
+            raise InputError(f"malformed injection {entry!r}")
     root = DeterministicRandom(seed)
     injections = []
     for i, entry in enumerate(entries):

@@ -35,7 +35,7 @@ def all_patterns_up_to(nodes: Iterable[str], f: int) -> List[FaultPattern]:
     """
     sorted_nodes = sorted(nodes)
     result: List[FaultPattern] = []
-    for size in range(f + 1):
+    for size in range(min(f, len(sorted_nodes)) + 1):
         for combo in itertools.combinations(sorted_nodes, size):
             result.append(frozenset(combo))
     return result
@@ -45,7 +45,7 @@ def strategy_size(n_nodes: int, f: int) -> int:
     """Number of plans a complete strategy needs: sum_{k<=f} C(n, k)."""
     total = 0
     c = 1
-    for k in range(f + 1):
+    for k in range(min(f, n_nodes) + 1):
         total += c
         c = c * (n_nodes - k) // (k + 1)
     return total

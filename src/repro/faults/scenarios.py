@@ -14,6 +14,7 @@ import re
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Tuple
 
+from ..persist import InputError
 from .adversary import FaultScript, Injection, make_behavior
 from .behaviors import (
     CommissionFault,
@@ -33,7 +34,7 @@ class Scenario:
     link_script: List[Tuple[int, str, float]]
 
 
-class ScenarioError(Exception):
+class ScenarioError(InputError):
     """Raised when a scenario cannot be staged on this deployment."""
 
 

@@ -20,11 +20,12 @@ from typing import Dict, List, Optional, Tuple
 
 from ..deployment import Deployment
 from ..mc.counterexample import (
-    counterexample_from_dict,
+    CounterexampleError,
+    read_counterexample,
     replay_counterexample,
 )
 from ..mc.explorer import state_fingerprint
-from ..persist import json_text, write_atomic
+from ..persist import InputError, json_text, write_atomic
 
 #: Artifact fields that determine what a replay executes (meta and the
 #: recorded verdicts are excluded: they describe, they don't replay —
@@ -69,28 +70,12 @@ def write_corpus(dirpath: str, artifacts: List[dict]) -> List[str]:
 
 
 def load_corpus(dirpath: str) -> List[Tuple[str, dict]]:
-    """All corpus entries as (name, payload), sorted by name.
-
-    Raises ``ValueError`` naming the entry on a malformed one — a corpus
-    that does not parse must fail the gate loudly, not slip through it.
+    """All corpus entries as (name, payload), sorted by name. A malformed
+    one fails the gate loudly: ``CounterexampleError`` naming its file.
     """
-    entries = []
-    for name in sorted(os.listdir(dirpath)):
-        if not name.endswith(".json"):
-            continue
-        path = os.path.join(dirpath, name)
-        try:
-            with open(path) as f:
-                payload = json.load(f)
-        except (OSError, json.JSONDecodeError) as exc:
-            raise ValueError(f"corpus entry {name}: unreadable: {exc}"
-                             ) from None
-        try:
-            counterexample_from_dict(payload)  # structural validation
-        except ValueError as exc:
-            raise ValueError(f"corpus entry {name}: {exc}") from None
-        entries.append((name, payload))
-    return entries
+    return [(name, read_counterexample(os.path.join(dirpath, name)))
+            for name in sorted(os.listdir(dirpath))
+            if name.endswith(".json")]
 
 
 def check_corpus(dirpath: str, base: Optional[Deployment] = None,
@@ -104,7 +89,7 @@ def check_corpus(dirpath: str, base: Optional[Deployment] = None,
     ``replay_digest`` — the replayed path's primitives-only fingerprint
     matches byte-for-byte.
     An entry whose script cannot run on its deployment raises
-    ``ValueError`` naming the entry.
+    ``CounterexampleError`` naming the entry's file.
     """
     if entries is None:
         entries = load_corpus(dirpath)
@@ -118,8 +103,9 @@ def check_corpus(dirpath: str, base: Optional[Deployment] = None,
             system.prepare()
         try:
             violations, result = replay_counterexample(system, payload)
-        except ValueError as exc:  # a script naming a node not deployed
-            raise ValueError(f"corpus entry {name}: {exc}") from None
+        except InputError as exc:  # a script naming a node not deployed
+            raise CounterexampleError(
+                f"{os.path.join(dirpath, name)}: {exc}") from None
         recorded = sorted({v["invariant"]
                            for v in payload.get("violations", [])})
         observed = sorted({v.invariant for v in violations})

@@ -25,8 +25,10 @@ space and the soundness caveats of the bounded window.
 from .campaign import CheckParams, run_campaign
 from .choices import Cell, cell_script
 from .counterexample import (
+    CounterexampleError,
     counterexample_from_dict,
     counterexample_to_dict,
+    read_counterexample,
     replay_counterexample,
 )
 from .explorer import explore_cell, state_fingerprint
@@ -37,6 +39,7 @@ from .judge import first_violating_prefix, judge
 __all__ = [
     "Cell",
     "CheckParams",
+    "CounterexampleError",
     "DeliveryPerturbation",
     "Violation",
     "cell_script",
@@ -46,6 +49,7 @@ __all__ = [
     "explore_cell",
     "first_violating_prefix",
     "judge",
+    "read_counterexample",
     "replay_counterexample",
     "run_campaign",
     "state_fingerprint",

@@ -93,11 +93,10 @@ class SearchParams:
 
     def report_params(self) -> dict:
         """The report's ``params``: every field but the execution-only
-        ``workers`` and mc's ``order_by_margin``, which change how a
-        campaign runs, never what it reports."""
+        ``workers``, which changes how a campaign runs, never what it
+        reports."""
         payload = asdict(self)
-        for name in ("workers", "order_by_margin"):
-            payload.pop(name, None)
+        del payload["workers"]
         return payload
 
 
@@ -118,14 +117,6 @@ class CheckParams(SearchParams):
     max_paths: int = 400
     #: Sleep-set pruning of commuting deliveries.
     prune: bool = True
-    #: Explore cells in ascending static-bound margin (Layer-4 analytic
-    #: bound vs R): cells whose fault class sits closest to — or beyond —
-    #: the bound are explored first, cells far inside R last. Pure
-    #: execution detail: the merged report is byte-identical either way
-    #: (results are re-merged in canonical cell order), but a violating
-    #: campaign surfaces its first counterexample much earlier. E18
-    #: measures the effect.
-    order_by_margin: bool = True
     #: Explore the fault-free cell too.
     include_fault_free: bool = True
 
@@ -142,10 +133,6 @@ class SearchStats:
 
 @dataclass
 class CheckStats(SearchStats):
-    #: 1-based rank, in *exploration* order, of the first explored cell
-    #: with a violating path (0 = campaign found none). The margin
-    #: ordering exists to drive this toward 1.
-    cells_to_first_violation: int = 0
     #: Share of the explored paths' simulated time that each path has in
     #: common with its parent (Σ base arrival of the first perturbed
     #: delivery ÷ Σ ``n_periods × period``): the ceiling on what a free
@@ -165,40 +152,6 @@ def build_cells(victims: List[str], period: int,
             for inject_at in times:
                 cells.append(Cell(victim, kind, inject_at))
     return cells
-
-
-def exploration_order(system, cells: List[Cell], R_us: int) -> List[int]:
-    """Cell indices sorted by ascending static-bound margin.
-
-    The Layer-4 analyzer prices each (victim, fault class) pair's worst
-    recovery from the prepared artifacts alone; ``R - bound`` is then a
-    free prediction of how close each cell sits to a recovery-bound
-    violation. Tight or negative margins go first (a violating campaign
-    exhibits its witness almost immediately), comfortable cells and the
-    fault-free cell go last. Ties — and anything the analyzer makes no
-    claim about — fall back to canonical cell order, so the ordering is
-    deterministic for a given prepared system.
-    """
-    from ..verify.bounds import compute_bounds
-    report = compute_bounds(system.strategy, system.topology,
-                            system.lane_model, system.config,
-                            budget=system.budget)
-    far_last = 10 ** 12
-
-    def margin(cell: Cell) -> int:
-        if cell.fault_free:
-            return far_last  # nothing to recover from: explore last
-        bound = report.worst_for_kind(cell.kind)
-        if bound is None:
-            return 0  # out-of-scope kind: no claim, explore early
-        total = bound.victim_totals.get(cell.victim)
-        if total is None:
-            # No finite bound for this victim (conviction statically
-            # unreachable): the most suspicious cell there is.
-            return -far_last
-        return R_us - total
-
-    return sorted(range(len(cells)), key=lambda i: (margin(cells[i]), i))
 
 
 def prepare_campaign(workload, topology, config, params: SearchParams,
@@ -280,28 +233,13 @@ def run_campaign(workload, topology, config,
         cells = build_cells(system.compromisable_nodes(), period,
                             resolved)
 
-    # Exploration order is an execution detail (like the worker count):
-    # tight-margin cells run first so violations surface early, but the
-    # results are re-merged in canonical cell order below, keeping the
-    # report byte-identical whatever the ordering or worker count.
-    if resolved.order_by_margin and len(cells) > 1:
-        order = exploration_order(system, cells, resolved.R_us)
-    else:
-        order = list(range(len(cells)))
-
     pool = WorkerPool(partial(_explore_one, params=resolved, meta=meta),
                       system, workers=resolved.workers)
     stats = CheckStats(workers=pool.workers)
-    ordered: List[dict] = []
     with pool:
-        for payload in pool.map([cells[i] for i in order]):
-            ordered.append(payload)
-            if stats.cells_to_first_violation == 0 and payload["violating"]:
-                stats.cells_to_first_violation = len(ordered)
+        results = list(pool.map(cells))
     stats.pool_fallback = pool.fallback
-    shared_prefix_us = sum(p.pop("shared_prefix_us") for p in ordered)
-    by_index = dict(zip(order, ordered))
-    results = [by_index[i] for i in range(len(cells))]
+    shared_prefix_us = sum(p.pop("shared_prefix_us") for p in results)
 
     totals = {
         "cells": len(results),

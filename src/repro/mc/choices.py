@@ -20,6 +20,7 @@ from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
 from ..faults.adversary import FaultScript, Injection, make_behavior
+from ..persist import InputError
 from ..sim.random import DeterministicRandom
 
 #: One delivery perturbation: (0-based delivery index, extra delay µs).
@@ -41,12 +42,12 @@ class Cell:
     def __post_init__(self) -> None:
         if (self.victim is None) != (self.kind is None) or \
                 (self.victim is None) != (self.inject_at is None):
-            raise ValueError(
+            raise InputError(
                 "a cell is either fault-free (all fields None) or a full "
                 "(victim, kind, inject_at) triple"
             )
         if self.inject_at is not None and self.inject_at < 0:
-            raise ValueError(f"negative injection time {self.inject_at}")
+            raise InputError(f"negative injection time {self.inject_at}")
 
     @property
     def fault_free(self) -> bool:
@@ -63,17 +64,17 @@ class Cell:
 
     @classmethod
     def from_dict(cls, payload: dict) -> "Cell":
-        """Decode :meth:`to_dict`'s output; ``ValueError`` on any other
+        """Decode :meth:`to_dict`'s output; ``InputError`` on any other
         shape (artifacts come from disk)."""
         if not isinstance(payload, dict):
-            raise ValueError(f"cell must be an object, got {payload!r}")
+            raise InputError(f"cell must be an object, got {payload!r}")
         victim = payload.get("victim")
         kind = payload.get("kind")
         inject_at = payload.get("inject_at")
         # ``type(...) is int``: a JSON ``true`` is no injection time.
         if not all(v is None or isinstance(v, str) for v in (victim, kind)) \
                 or not (inject_at is None or type(inject_at) is int):
-            raise ValueError(f"malformed cell {payload!r}")
+            raise InputError(f"malformed cell {payload!r}")
         return cls(victim=victim, kind=kind, inject_at=inject_at)
 
 
@@ -116,12 +117,12 @@ def validate_schedule(deliveries: Tuple[DeliveryChoice, ...]) -> None:
     last = -1
     for index, delay in deliveries:
         if index <= last:
-            raise ValueError(
+            raise InputError(
                 f"delivery indices must be strictly increasing "
                 f"(got {index} after {last})"
             )
         if delay <= 0:
-            raise ValueError(
+            raise InputError(
                 f"delivery delays must be positive (hooks may only "
                 f"delay, never accelerate; got {delay})"
             )

@@ -16,6 +16,7 @@ from typing import List, Optional, Tuple
 
 from ..deployment import Deployment, _require_int
 from ..faults.adversary import FaultScript, script_from_dict, script_to_dict
+from ..persist import InputError, read_json
 from .choices import Cell, DeliveryChoice, validate_schedule
 from .explorer import state_fingerprint
 from .invariants import Violation
@@ -26,6 +27,11 @@ CEX_VERSION = 1
 
 _REQUIRED_KEYS = ("version", "cell", "fault_script", "deliveries",
                   "n_periods", "R_us", "k", "seed", "violations")
+
+
+class CounterexampleError(InputError):
+    """A file or payload that is not a counterexample artifact this
+    build replays — an mc artifact or a corpus entry."""
 
 
 def counterexample_to_dict(cell: Cell,
@@ -57,20 +63,20 @@ def counterexample_from_dict(payload: dict
                                         Tuple[DeliveryChoice, ...]]:
     """Validate an artifact and decode its structured parts.
 
-    Raises ``ValueError`` on anything malformed — the cell, the delivery
-    schedule, the fault script, the run-shape integers, the recorded
-    violations, and the deployment names in ``meta`` — so callers
-    loading artifacts from disk get a diagnosis rather than a traceback
-    deep in the replay.
+    Raises :class:`InputError` on anything malformed — the cell, the
+    delivery schedule, the fault script, the run-shape integers, the
+    recorded violations, and the deployment names in ``meta`` — so
+    callers loading artifacts from disk get a diagnosis rather than a
+    traceback deep in the replay.
     """
     if not isinstance(payload, dict):
-        raise ValueError("counterexample artifact must be a JSON object")
+        raise CounterexampleError("artifact must be a JSON object")
     missing = [key for key in _REQUIRED_KEYS if key not in payload]
     if missing:
-        raise ValueError(
+        raise CounterexampleError(
             f"counterexample artifact missing keys: {', '.join(missing)}")
     if payload["version"] != CEX_VERSION:
-        raise ValueError(
+        raise CounterexampleError(
             f"unsupported counterexample version {payload['version']!r} "
             f"(this build reads version {CEX_VERSION})")
     for key in ("n_periods", "R_us", "k"):
@@ -81,8 +87,8 @@ def counterexample_from_dict(payload: dict
     if not (isinstance(raw, list) and all(
             isinstance(choice, list) and len(choice) == 2
             and all(type(v) is int for v in choice) for choice in raw)):
-        raise ValueError(f"deliveries must be a list of [index, delay] "
-                         f"integer pairs, got {raw!r}")
+        raise CounterexampleError(f"deliveries must be a list of [index, "
+                                  f"delay] integer pairs, got {raw!r}")
     deliveries = tuple((index, delay) for index, delay in raw)
     validate_schedule(deliveries)
     script_from_dict(payload["fault_script"], seed=payload["seed"])
@@ -90,9 +96,21 @@ def counterexample_from_dict(payload: dict
     if not (isinstance(violations, list) and all(
             isinstance(v, dict) and isinstance(v.get("invariant"), str)
             for v in violations)):
-        raise ValueError(f"malformed violations {violations!r}")
+        raise CounterexampleError(f"malformed violations {violations!r}")
     Deployment.from_meta(payload.get("meta"))
     return cell, deliveries
+
+
+def read_counterexample(path: str) -> dict:
+    """The artifact in the file at ``path``, validated by
+    :func:`counterexample_from_dict`. Anything else raises
+    :class:`CounterexampleError` naming ``path``."""
+    return read_json(path, CounterexampleError, _validated)
+
+
+def _validated(payload: dict) -> dict:
+    counterexample_from_dict(payload)
+    return payload
 
 
 def replay_counterexample(system, payload: dict

@@ -16,13 +16,14 @@ from __future__ import annotations
 from bisect import insort
 from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
+from ..persist import InputError
 from ..sim.clock import LocalClock
 from ..sim.link import Link
 from ..sim.node import Node
 from .routing import Router
 
 
-class TopologyError(ValueError):
+class TopologyError(InputError):
     """Raised for malformed topologies, topology specs or endpoint
     placements."""
 

@@ -28,6 +28,7 @@ from .recovery import (
 )
 from .export import (
     REPORT_VERSION,
+    ReportError,
     export_run,
     load_report,
     render_phase_report,
@@ -42,6 +43,7 @@ __all__ = [
     "PHASES",
     "PHASE_BUDGET_COMPONENT",
     "REPORT_VERSION",
+    "ReportError",
     "budget_attribution",
     "export_run",
     "load_report",

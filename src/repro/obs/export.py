@@ -16,11 +16,10 @@ these reports, never recomputed ad hoc.
 
 from __future__ import annotations
 
-import json
 import os
 from typing import Dict, Iterable, List, Optional, Tuple
 
-from ..persist import json_text, write_atomic
+from ..persist import InputError, json_text, read_json, write_atomic
 from .recovery import (
     MILESTONES,
     PHASES,
@@ -67,6 +66,11 @@ def export_run(result, path: str,
     return report
 
 
+class ReportError(InputError):
+    """A file that is not an observability report :func:`export_run`
+    could have written."""
+
+
 #: Keys every report carries; absence means a truncated or foreign file.
 _REQUIRED_REPORT_KEYS = ("version", "period_us", "n_periods",
                          "duration_us", "budget", "faults", "metrics")
@@ -86,82 +90,72 @@ _TYPE_NAMES = {int: "an integer", str: "a string", dict: "an object",
                list: "a list", _OPTIONAL_INT: "an integer or null"}
 
 
-def _check_types(path: str, where: str, obj: Dict[str, object],
+def _check_types(where: str, obj: Dict[str, object],
                  key_types: Iterable[Tuple[str, type]]) -> None:
-    """Raise ``ValueError`` naming the first key of ``obj`` that is
+    """Raise :class:`ReportError` naming the first key of ``obj`` that is
     absent or not of its type (a JSON ``true`` is no integer)."""
     for key, kind in key_types:
         if key not in obj:
-            raise ValueError(f"{path}: {where} is missing key {key!r}")
+            raise ReportError(f"{where} is missing key {key!r}")
         value = obj[key]
         if not isinstance(value, kind) or isinstance(value, bool):
-            raise ValueError(
-                f"{path}: {where}[{key!r}] must be {_TYPE_NAMES[kind]}, "
-                f"got {type(value).__name__}")
+            raise ReportError(f"{where}[{key!r}] must be "
+                              f"{_TYPE_NAMES[kind]}, got "
+                              f"{type(value).__name__}")
 
 
 def load_report(path: str) -> Dict[str, object]:
-    """Load and structurally validate a saved observability report.
-
-    Raises ``ValueError`` (with the offending path and key) on anything
-    that is not a report :func:`export_run` could have written —
-    truncated writes, wrong JSON documents, missing phase tables, values
-    of the wrong type, a negative phase, phases that do not sum to the
-    fault's total — so callers like ``repro trace`` can print a
-    diagnosis instead of tracebacking mid-render or rendering nonsense.
+    """Load and structurally validate a saved observability report:
+    truncated writes, other JSON documents, missing phase tables, values
+    of the wrong type, a negative phase, or phases that do not sum to
+    the fault's total raise :class:`ReportError` naming the path and key.
     """
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            report = json.load(fh)
-        except ValueError as exc:
-            raise ValueError(
-                f"{path}: not valid JSON ({exc}) — was the file "
-                f"truncated mid-write?") from None
+    return read_json(path, ReportError, _checked_report)
+
+
+def _checked_report(report: object) -> Dict[str, object]:
     if not isinstance(report, dict):
-        raise ValueError(
-            f"{path}: expected a report object, got "
-            f"{type(report).__name__} — is this a `repro run --obs` "
-            f"report?")
+        raise ReportError(
+            f"expected a report object, got {type(report).__name__} — "
+            f"is this a `repro run --obs` report?")
     missing = [k for k in _REQUIRED_REPORT_KEYS if k not in report]
     if missing:
-        raise ValueError(
-            f"{path}: report is missing keys: {', '.join(missing)} — "
-            f"is this a `repro run --obs` report?")
+        raise ReportError(
+            f"report is missing keys: {', '.join(missing)} — is this a "
+            f"`repro run --obs` report?")
     if report["version"] != REPORT_VERSION:
-        raise ValueError(
-            f"{path}: report version {report['version']!r} is not "
-            f"supported (this build reads version {REPORT_VERSION})")
+        raise ReportError(
+            f"report version {report['version']!r} is not supported "
+            f"(this build reads version {REPORT_VERSION})")
     budget = report["budget"]
     if budget is not None:
-        _check_types(path, "report", report, [("budget", dict)])
-        _check_types(path, "budget", budget,
+        _check_types("report", report, [("budget", dict)])
+        _check_types("budget", budget,
                      [(key, int) for key in _BUDGET_KEYS])
-    _check_types(path, "report", report,
+    _check_types("report", report,
                  [(key, int) for key in _RUN_KEYS]
                  + [("metrics", dict), ("faults", list)])
     if "counters" in report["metrics"]:
-        _check_types(path, "metrics", report["metrics"],
-                     [("counters", dict)])
+        _check_types("metrics", report["metrics"], [("counters", dict)])
     faults = report["faults"]
     for i, fault in enumerate(faults):
         if not isinstance(fault, dict):
-            raise ValueError(f"{path}: faults[{i}] must be an object, "
-                             f"got {type(fault).__name__}")
-        _check_types(path, f"faults[{i}]", fault, _FAULT_KEY_TYPES)
-        _check_types(path, f"faults[{i}]['milestones']",
-                     fault["milestones"],
+            raise ReportError(f"faults[{i}] must be an object, "
+                              f"got {type(fault).__name__}")
+        _check_types(f"faults[{i}]", fault, _FAULT_KEY_TYPES)
+        _check_types(f"faults[{i}]['milestones']", fault["milestones"],
                      [(name, _OPTIONAL_INT) for name in MILESTONES])
         phases = fault["phases"]
-        _check_types(path, f"faults[{i}]['phases']", phases,
+        _check_types(f"faults[{i}]['phases']", phases,
                      [(phase, int) for phase in PHASES])
         for phase in PHASES:
             if phases[phase] < 0:
-                raise ValueError(f"{path}: faults[{i}]['phases']"
-                                 f"[{phase!r}] is negative: {phases[phase]}")
+                raise ReportError(f"faults[{i}]['phases'][{phase!r}] is "
+                                  f"negative: {phases[phase]}")
         spent = sum(phases[phase] for phase in PHASES)
         if spent != fault["total_us"]:
-            raise ValueError(
-                f"{path}: faults[{i}]'s phases sum to {spent} us, not its "
+            raise ReportError(
+                f"faults[{i}]'s phases sum to {spent} us, not its "
                 f"total_us {fault['total_us']}")
     return report
 

@@ -1,18 +1,48 @@
-"""Writing a persisted artifact: whole or not at all.
+"""Persisted artifacts: written whole or not at all, read through one
+checked reader.
 
 Every JSON file the program leaves on disk — strategy cache entries and
 exported strategies, observability reports, check / fuzz / bounds
-reports, counterexamples and corpus entries — goes through :func:`write_atomic`, so a reader (a
-concurrent experiment shard, the next ``repro trace``) sees the previous
-file or the new one, never a torn one. The indented ones are written by
-:func:`json_text`.
+reports, counterexamples and corpus entries — goes through
+:func:`write_atomic`, so a reader (a concurrent experiment shard, the
+next ``repro trace``) sees the previous file or the new one, never a
+torn one. The indented ones are written by :func:`json_text`.
+
+Every artifact a ``repro`` verb reads goes through :func:`read_json`,
+and every format's error derives from :class:`InputError`.
 """
 
 from __future__ import annotations
 
+import json
 import os
 from json.encoder import INFINITY, encode_basestring_ascii
-from typing import List
+from typing import Any, Callable, List, Type, TypeVar
+
+T = TypeVar("T")
+
+
+class InputError(ValueError):
+    """Input the program cannot use: not the artifact its writer writes,
+    or no deployment, script or run that can be built."""
+
+
+def read_json(path: str, error: Type[InputError],
+              decode: Callable[[Any], T]) -> T:
+    """``decode`` (a format's checks) of the UTF-8 JSON document in the
+    file at ``path``. Bytes that are not JSON, or an :class:`InputError`
+    from ``decode``, raise ``error`` naming ``path``."""
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    try:
+        document = json.loads(raw.decode("utf-8"))
+    except (ValueError, RecursionError) as exc:  # or nested too deep
+        raise error(f"{path}: not valid JSON ({exc}) — was the file "
+                    f"truncated mid-write?") from None
+    try:
+        return decode(document)
+    except InputError as exc:
+        raise error(f"{path}: {exc}") from None
 
 
 def json_text(value: object) -> str:

@@ -210,6 +210,8 @@ HOP_KINDS = frozenset({
 
 #: Below any recordable time: ``array('q')`` cannot hold less.
 _BEFORE_ALL = -(1 << 63)
+#: The latest recordable time: ``array('q')`` cannot hold more.
+LAST_TIME = (1 << 63) - 1
 
 
 class Trace:

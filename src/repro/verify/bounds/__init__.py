@@ -7,8 +7,7 @@ worst-case recovery bound, decomposed into the same detect / convict /
 quorum / switch / settle phase taxonomy the observability layer
 measures — computed purely from the prepared artifacts, so it holds for
 configurations too large to simulate or explore. Exposed as the
-``repro bounds`` CLI subcommand, as the ``bound.*`` verify rules, and as
-an exploration-ordering signal for the bounded model checker.
+``repro bounds`` CLI subcommand and as the ``bound.*`` verify rules.
 """
 
 from .analyzer import ConvictionProfile, compute_bounds, conviction_profile

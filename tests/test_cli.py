@@ -179,7 +179,8 @@ def test_cli_verify_names_a_plan_that_does_not_rebuild(tmp_path, capsys):
     assert main(["verify", "--strategy", str(path)]) == 2
     err = capsys.readouterr().err
     assert "Traceback" not in err
-    assert err.count("\n") == 1 and "cannot read strategy file" in err
+    assert err.count("\n") == 1
+    assert err.startswith(f"repro verify: {path}: malformed strategy ")
 
 
 @pytest.mark.parametrize("verb", [v for v in VERBS if v != ["trace"]],
@@ -202,9 +203,9 @@ def test_no_deployment_verb_takes_a_strategy_cache(verb, flag, capsys):
 
 
 @pytest.mark.parametrize("argv, names", [
-    (["verify", "--strategy", "{not json"], "cannot read strategy file"),
+    (["verify", "--strategy", "{not json"], "strategy.json: not valid JSON"),
     (["verify", "--strategy", '{"format_version": 1}'],
-     "cannot read strategy file"),
+     "strategy.json: malformed strategy artifact"),
     (["plan", "--topology", "fullmesh:abc"], "malformed topology"),
     (["plan", "--topology", "mesh:3"], "malformed topology"),
     (["plan", "--topology", "geo:2"], "malformed topology"),
@@ -220,7 +221,7 @@ def test_no_deployment_verb_takes_a_strategy_cache(verb, flag, capsys):
     (["check", "--periods", "-1"], "argument --periods: must be >= 0"),
     (["fuzz", "campaign", "--max-artifacts", "-1"],
      "argument --max-artifacts: must be >= 0"),
-    (["verify", "--strategy", b"\xff\xfe"], "cannot read strategy file"),
+    (["verify", "--strategy", b"\xff\xfe"], "strategy.json: not valid JSON"),
     (["check", "--window", "3", "2"], "injection window must satisfy"),
     (["check", "--window", "-1", "2"], "injection window must satisfy"),
     (["fuzz", "campaign", "--window", "-1", "2"],
@@ -259,7 +260,8 @@ def test_cli_trace_missing_file(tmp_path, capsys):
     code = main(["trace", str(tmp_path / "nope.json")])
     err = capsys.readouterr().err
     assert code == 2
-    assert "cannot read report" in err
+    assert err.startswith("repro trace: ") and err.count("\n") == 1
+    assert "No such file or directory" in err and "nope.json" in err
 
 
 def test_cli_trace_truncated_json(tmp_path, capsys):
@@ -306,7 +308,7 @@ def test_cli_trace_structurally_invalid(tmp_path, capsys):
         code = main(["trace", str(path)])
         err = capsys.readouterr().err
         assert code == 2, change
-        assert err.startswith("repro trace: cannot read report: "), err
+        assert err.startswith(f"repro trace: {path}: "), err
         assert err.count("\n") == 1 and named in err, err
 
 
@@ -485,7 +487,7 @@ def test_cli_check_replay_rejects_bad_artifact(tmp_path, capsys):
     code = main(["replay", str(path)])
     err = capsys.readouterr().err
     assert code == 2
-    assert "cannot replay artifact" in err
+    assert err.startswith(f"repro replay: {path}: ")
 
 
 #: A committed, replayable artifact that each case below breaks in one
@@ -546,11 +548,13 @@ def test_cli_replay_names_each_malformed_artifact(tmp_path, capsys, argv,
     assert code == 2
     assert captured.out == ""
     [line] = captured.err.splitlines()
-    assert line.startswith(f"repro {argv[0]}: cannot ")
-    assert ("corpus entry artifact.json: " if argv[0] == "fuzz"
-            else "cannot replay artifact: ") in line
+    assert line.startswith(f"repro {argv[0]}: ")
     if value == UNKNOWN_NODE:
+        # The script decodes; the run refuses it on its deployment.
         assert "injects zz: no such node" in line
+        assert argv[0] == "replay" or f"{path}: " in line
+    else:
+        assert line.startswith(f"repro {argv[0]}: {path}: ")
 
 
 @pytest.mark.parametrize("argv", [["check", "--replay"], ["fuzz", "replay"],

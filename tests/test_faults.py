@@ -134,6 +134,12 @@ def test_strategy_size_matches_enumeration():
         assert strategy_size(7, f) == len(all_patterns_up_to(nodes, f))
 
 
+def test_a_budget_beyond_the_nodes_enumerates_every_subset_once():
+    nodes = [f"n{i}" for i in range(4)]
+    assert strategy_size(4, 10**30) == len(
+        all_patterns_up_to(nodes, 10**30)) == 2 ** 4
+
+
 @given(st.sets(st.sampled_from(["a", "b", "c", "d", "e"]), max_size=3))
 def test_property_mode_id_injective_on_small_sets(nodes):
     p = frozenset(nodes)

@@ -230,7 +230,7 @@ class TestExport:
             load_report(str(path))
         assert cli_main(["trace", str(path)]) == 2
         err = capsys.readouterr().err
-        assert err.startswith("repro trace: cannot read report: ")
+        assert err.startswith(f"repro trace: {path}: ")
         assert err.count("\n") == 1 and named in err
 
     def test_failed_export_leaves_no_litter_and_the_previous_report(

@@ -4,10 +4,13 @@
 
 Each writer below keeps its file's bytes (the layout is pinned per
 writer), and a write whose rename fails leaves the previous file as it
-was and no temp file beside it.
+was and no temp file beside it. A ``repro`` verb reports that failure
+as one line and exit 2.
 """
 
+import contextlib
 import gc
+import io
 import json
 import os
 
@@ -53,18 +56,30 @@ def _write_json(tmp_path, system, result):
     return path, _json(PAYLOAD, newline=False)
 
 
+def _cli(*argv):
+    """Run a verb. A write it could not finish is its one line and exit
+    2, raised here as the ``OSError`` that line reports."""
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = cli_main(list(argv))
+    if code == 2:
+        [line] = err.getvalue().splitlines()
+        raise OSError(line)
+    assert code == 0
+
+
 def _bounds_json(tmp_path, system, result):
     path = str(tmp_path / "bounds.json")
-    cli_main(["bounds", "--workload", "pipeline", "--topology",
-              "fullmesh:4", "--json", path])
+    _cli("bounds", "--workload", "pipeline", "--topology", "fullmesh:4",
+         "--json", path)
     with open(path) as fh:
         return path, _json(json.load(fh), newline=True)
 
 
 def _plan_export(tmp_path, system, result):
     path = str(tmp_path / "strategy.json")
-    cli_main(["plan", "--workload", "pipeline", "--topology", "fullmesh:4",
-              "--export", path])
+    _cli("plan", "--workload", "pipeline", "--topology", "fullmesh:4",
+         "--export", path)
     with open(path) as fh:
         return path, _json(json.load(fh), newline=False)
 

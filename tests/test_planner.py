@@ -320,6 +320,48 @@ def test_build_strategy_rejects_negative_f():
         build_strategy(wl, topo, router, f=-1)
 
 
+#: Plans industrial on fullmesh:4 at f = 10**30 in a child process and
+#: prints how long ``build_strategy`` took to refuse.
+_HUGE_F = """
+import time
+from repro import Deployment
+from repro.core.planner import PlanningError, build_strategy
+system = Deployment(topology="fullmesh:4").system()
+start = time.perf_counter()
+try:
+    build_strategy(system.workload, system.topology, system.router,
+                   f=10**30)
+except PlanningError as exc:
+    print(time.perf_counter() - start, exc)
+"""
+
+
+def test_build_strategy_refuses_a_budget_beyond_the_nodes_at_once():
+    """f + 1 replicas and a checker need f + 2 nodes: a larger f is
+    refused before an augmentation of f + 1 replicas is built. The child
+    runs under a memory cap and a timeout, so a regression fails here
+    instead of hanging (or exhausting) the host."""
+    import os
+    import resource
+    import subprocess
+    import sys
+
+    def cap_memory():
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+    src = os.path.join(os.path.dirname(os.path.dirname(
+        os.path.abspath(__file__))), "src")
+    out = subprocess.run([sys.executable, "-c", _HUGE_F],
+                         env=dict(os.environ, PYTHONPATH=src),
+                         preexec_fn=cap_memory, capture_output=True,
+                         text=True, timeout=60)
+    assert out.returncode == 0, out.stderr
+    seconds, message = out.stdout.split(" ", 1)
+    assert float(seconds) < 1
+    assert "needs 1000000000000000000000000000002 nodes" in message
+    assert "the topology has 4" in message
+
+
 def test_node_exposure_metric():
     from repro.core.planner import node_exposure
     from repro.sim import Link, LocalClock, Node

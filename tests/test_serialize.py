@@ -232,6 +232,71 @@ def test_strategy_json_rejects_a_plan_that_does_not_rebuild(system, fault):
         strategy_from_json(json.dumps(data))
 
 
+def _first(mapping):
+    return next(iter(mapping))
+
+
+def _set_first(mapping, value):
+    mapping[_first(mapping)] = value
+
+
+def _first_hop(plan, value):
+    route = next(r for r in plan["routes"].values() if r)
+    route[0] = value
+
+
+def _first_entry_task(plan, value):
+    entries = next(e for e in plan["schedule"]["node_schedules"].values()
+                   if e)
+    entries[0][0] = value
+
+
+def _sink_arrival(plan, value):
+    graph = plan["augmented"]
+    flow = next(f["name"] for f in graph["flows"]
+                if f["dst"] in graph["sinks"])
+    plan["schedule"]["arrivals"][flow] = value
+
+
+def _every_arrival(plan, value):
+    arrivals = plan["schedule"]["arrivals"]
+    for flow in arrivals:
+        arrivals[flow] = value
+
+
+#: One decodable mutation per place the verifier used to raise on a plan
+#: whose fields have another type than the encoder writes (the verifier
+#: site each reached). Each must fail as a strategy artifact instead.
+WRONG_TYPES = {
+    "schedule host no timetable names (verify/schedule.py:66 KeyError)": (
+        lambda p: _set_first(p["schedule"]["assignment"], "zz"),
+        "schedule host"),
+    "schedule host a list (verify/schedule.py:66 TypeError)": (
+        lambda p: _set_first(p["schedule"]["assignment"], []),
+        "schedule host"),
+    "arrival a string (verify/schedule.py:70)": (
+        lambda p: _every_arrival(p, "x"), "arrival"),
+    "sink arrival a string (verify/schedule.py:89)": (
+        lambda p: _sink_arrival(p, "x"), "arrival"),
+    "slot task a list (verify/schedule.py:59)": (
+        lambda p: _first_entry_task(p, []), "slot task"),
+    "route hop a list (verify/routes.py:57)": (
+        lambda p: _first_hop(p, []), "route hop"),
+    "assigned node a list (verify/placement.py:36)": (
+        lambda p: _set_first(p["assignment"], []), "assigned node"),
+}
+
+
+@pytest.mark.parametrize("fault", sorted(WRONG_TYPES))
+def test_strategy_json_rejects_a_field_of_another_type(system, fault):
+    mutate, message = WRONG_TYPES[fault]
+    data = json.loads(strategy_to_json(system.strategy))
+    mutate(data["plans"][0])
+    with pytest.raises(StrategyFormatError,
+                       match=f"{message}.* is not what the encoder writes"):
+        strategy_from_json(json.dumps(data))
+
+
 def test_deserialized_strategy_runs_identically(system):
     """The shipped artifact drives the runtime exactly like the original."""
     adversary = SingleFaultAdversary(at=220_000, kind="commission")

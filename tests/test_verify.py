@@ -381,7 +381,9 @@ def test_cli_verify_rejects_missing_strategy_file(tmp_path, capsys):
     from repro.cli import main
     rc = main(["verify", "--strategy", str(tmp_path / "nope.json")])
     assert rc == 2
-    assert "cannot read strategy file" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err.startswith("repro verify: ") and err.count("\n") == 1
+    assert "No such file or directory" in err and "nope.json" in err
 
 
 def test_cli_verify_rules_prints_catalogue(capsys):

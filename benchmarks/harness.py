@@ -22,7 +22,6 @@ sys.path.insert(0, os.path.dirname(os.path.dirname(os.path.abspath(
     __file__))))
 
 from repro import BTRConfig, BTRSystem
-from repro.faults import SingleFaultAdversary
 from repro.net import full_mesh_topology
 from repro.perf.timing import append_jsonl
 from repro.workload import industrial_workload
@@ -86,8 +85,3 @@ def prepared_btr(workload=None, n_nodes: int = 7, f: int = 1,
     system.prepare()
     record("planner", planning_row(system))
     return system
-
-
-def single_fault(kind: str, at: int = FAULT_AT,
-                 node: Optional[str] = None) -> SingleFaultAdversary:
-    return SingleFaultAdversary(at=at, kind=kind, node=node)

@@ -14,9 +14,10 @@ an actual fault.
 
 import pytest
 
-from harness import FAULT_AT, one_shot, single_fault, write_result
+from harness import FAULT_AT, one_shot, write_result
 from repro import BTRConfig, BTRSystem
 from repro.analysis import format_table, smallest_sufficient_R, traffic_bits
+from repro.faults import single_fault
 from repro.net import full_mesh_topology
 from repro.sim import to_seconds
 from repro.workload import avionics_workload
@@ -54,7 +55,8 @@ def run_experiment():
     for label, minimize in (("distance-aware", True), ("naive", False)):
         system = build(minimize)
         bits, moves, transitions = transition_cost(system)
-        result = system.run(N_PERIODS, single_fault("crash", at=110_000))
+        result = system.run(
+            N_PERIODS, single_fault(system, "crash", at=110_000).script)
         data[label] = {
             "bits": bits,
             "moves": moves,

@@ -18,7 +18,7 @@ from harness import one_shot, write_result
 from repro import BTRConfig, BTRSystem
 from repro.analysis import format_table, smallest_sufficient_R
 from repro.core.planner.plan import PlanningError
-from repro.faults import SingleFaultAdversary
+from repro.faults import single_fault
 from repro.net import full_mesh_topology
 from repro.sim import to_seconds
 from repro.workload import Criticality, avionics_workload
@@ -43,8 +43,8 @@ def run_point(speed: float):
         1 for p in system.strategy.patterns()
         if Criticality.D not in system.strategy.plan_for(p).kept_levels
     )
-    result = system.run(N_PERIODS, SingleFaultAdversary(
-        at=FAULT_AT, kind="commission"))
+    result = system.run(N_PERIODS, single_fault(
+        system, "commission", at=FAULT_AT).script)
     return {
         "plans": len(system.strategy),
         "budget": budget.total_us,

@@ -22,10 +22,10 @@ from harness import (
     one_shot,
     prepared_btr,
     record,
-    single_fault,
     write_result,
 )
 from repro.analysis import btr_verdict, format_table, smallest_sufficient_R
+from repro.faults import single_fault
 from repro.obs import (PHASES, budget_attribution, export_run,
                        reconstruct_timelines)
 from repro.sim import to_seconds
@@ -41,7 +41,8 @@ def run_experiment():
     budget = None
     for kind in FAULT_KINDS:
         system = prepared_btr(seed=42)
-        result = system.run(N_PERIODS, single_fault(kind))
+        result = system.run(
+            N_PERIODS, single_fault(system, kind, at=FAULT_AT).script)
         budget = system.budget
         promised = budget.total_us
         timelines = reconstruct_timelines(result)

@@ -35,7 +35,7 @@ from dataclasses import replace
 from harness import one_shot, record, smoke, write_result
 from repro import BTRSystem, Deployment
 from repro.analysis import format_table
-from repro.faults import SingleFaultAdversary
+from repro.faults import single_fault
 from repro.fuzz import check_corpus, load_corpus
 from repro.mc import CheckParams, replay_counterexample, run_campaign
 from repro.obs import reconstruct_timelines
@@ -103,9 +103,8 @@ def _grid_campaign(name, deployment) -> dict:
         for victim in victims:
             for i in range(n_offsets):
                 at = 4 * period + i * period // n_offsets + 17
-                result = probe.run(
-                    N_PERIODS,
-                    SingleFaultAdversary(at=at, kind=kind, node=victim))
+                result = probe.run(N_PERIODS, single_fault(
+                    probe, kind, at=at, node=victim).script)
                 check_timelines(report, reconstruct_timelines(result),
                                 check)
                 runs += 1

@@ -11,9 +11,10 @@ outputs keep flowing.
 
 import pytest
 
-from harness import one_shot, prepared_btr, single_fault, write_result
+from harness import FAULT_AT, one_shot, prepared_btr, write_result
 from repro.baselines import BFTSystem, UnreplicatedSystem, ZZSystem
 from repro.analysis import format_table, timeliness
+from repro.faults import single_fault
 from repro.net import full_mesh_topology
 from repro.sim import to_seconds
 from repro.workload import industrial_workload
@@ -37,7 +38,8 @@ def run_experiment():
 
     # The fast path under a crashed primary: outputs keep flowing.
     btr2 = prepared_btr(seed=9, n_nodes=8)
-    crash_result = btr2.run(N_PERIODS, single_fault("crash"))
+    crash_result = btr2.run(
+        N_PERIODS, single_fault(btr2, "crash", at=FAULT_AT).script)
     reports["btr (crashed primary)"] = timeliness(crash_result)
     return reports
 

@@ -20,7 +20,7 @@ from repro.analysis import (
     format_table,
     recovery_times,
 )
-from repro.faults import PacingAdversary
+from repro.faults import paced, single_fault
 from repro.net import full_mesh_topology
 from repro.sim import to_seconds
 from repro.workload import industrial_workload
@@ -37,9 +37,8 @@ def run_experiment():
                            BTRConfig(f=F, seed=17))
         system.prepare()
         R = system.budget.total_us
-        adversary = PacingAdversary(start=200_000, interval=R, k=k,
-                                    kind="commission")
-        result = system.run(N_PERIODS, adversary)
+        attack = paced(system, k, "commission", start=200_000, interval=R)
+        result = system.run(N_PERIODS, attack.script)
         per_fault = recovery_times(result)
         disrupted = [s for s in classify_slots(result)
                      if s.status != "correct" and not s.excused]
@@ -88,7 +87,6 @@ def test_e5_budget_rule_protects_the_plant(benchmark):
     recovery case the budgeting rule guards against)."""
     from repro.analysis import WaterTank, commands_from_slots
     from repro.baselines import UnreplicatedSystem
-    from repro.faults import SingleFaultAdversary
 
     def valve_commands(result):
         slots = sorted(
@@ -123,10 +121,9 @@ def test_e5_budget_rule_protects_the_plant(benchmark):
             if system.strategy.nominal.assignment[i]
             in system.compromisable_nodes()
         ]
-        adversary = PacingAdversary(start=200_000, interval=R, k=F,
-                                    kind="commission",
-                                    victims=ctrl_hosts[:F])
-        btr_result = system.run(N_PERIODS, adversary)
+        attack = paced(system, F, "commission", start=200_000, interval=R,
+                       victims=ctrl_hosts)
+        btr_result = system.run(N_PERIODS, attack.script)
         btr_safe = tank().run_sequence(period_s,
                                        valve_commands(btr_result))
 
@@ -138,10 +135,8 @@ def test_e5_budget_rule_protects_the_plant(benchmark):
         baseline.prepare()
         victim = baseline.plan.assignment["plant_ctrl"]
         base_periods = 4 + capacity_periods + 30
-        base_result = baseline.run(
-            base_periods,
-            SingleFaultAdversary(at=200_000, kind="commission",
-                                 node=victim))
+        base_result = baseline.run(base_periods, single_fault(
+            baseline, "commission", at=200_000, node=victim).script)
         base_safe = tank().run_sequence(period_s,
                                         valve_commands(base_result))
         return btr_safe, base_safe

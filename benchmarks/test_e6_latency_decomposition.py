@@ -14,7 +14,7 @@ import pytest
 from harness import one_shot, write_result
 from repro import BTRConfig, BTRSystem
 from repro.analysis import format_table
-from repro.faults import SingleFaultAdversary
+from repro.faults import single_fault
 from repro.net import full_mesh_topology, mesh_topology, ring_topology
 from repro.obs import reconstruct_timelines
 from repro.sim import to_seconds
@@ -56,8 +56,8 @@ def run_experiment():
             system = BTRSystem(industrial_workload(), factory(),
                                BTRConfig(f=1, seed=23))
             budget = system.prepare()
-            result = system.run(N_PERIODS, SingleFaultAdversary(
-                at=FAULT_AT, kind=kind))
+            result = system.run(N_PERIODS, single_fault(
+                system, kind, at=FAULT_AT).script)
             spans = stages(result)
             rows.append([topo_name, kind] + [
                 to_seconds(us) if us is not None else "-" for us in spans])

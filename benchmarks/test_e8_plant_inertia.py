@@ -14,7 +14,7 @@ recovery is below R* keeps the plant safe through a real fault.
 
 import pytest
 
-from harness import one_shot, prepared_btr, single_fault, write_result
+from harness import FAULT_AT, one_shot, prepared_btr, write_result
 from repro.analysis import (
     CORRECT_CMD,
     HOSTILE_CMD,
@@ -26,6 +26,7 @@ from repro.analysis import (
     format_table,
     smallest_sufficient_R,
 )
+from repro.faults import single_fault
 from repro.sim import to_seconds
 
 DT = 0.02  # 20 ms control period
@@ -88,7 +89,8 @@ def test_e8_outage_sweep(benchmark):
 def test_e8_btr_recovery_stays_inside_plant_tolerance(benchmark):
     def run():
         system = prepared_btr(seed=8)
-        result = system.run(40, single_fault("commission"))
+        result = system.run(
+            40, single_fault(system, "commission", at=FAULT_AT).script)
         recovery_us = smallest_sufficient_R(result)
         slots = sorted(
             (s for s in classify_slots(result)

@@ -21,7 +21,7 @@ from repro.analysis import (
     format_table,
     recovery_times,
 )
-from repro.faults import PacingAdversary
+from repro.faults import paced
 from repro.net import full_mesh_topology
 from repro.sim import to_seconds
 from repro.workload import industrial_workload
@@ -41,9 +41,8 @@ def main() -> None:
 
     # Pace the second compromise to land right as recovery from the first
     # completes — the worst case the paper describes.
-    adversary = PacingAdversary(start=200_000, interval=R, k=F,
-                                kind="commission")
-    result = system.run(n_periods=N_PERIODS, adversary=adversary)
+    attack = paced(system, F, "commission", start=200_000, interval=R)
+    result = system.run(n_periods=N_PERIODS, adversary=attack.script)
     print(f"\nrun: {result.summary()}")
 
     per_fault = recovery_times(result)

@@ -17,7 +17,7 @@ Run:  python examples/automotive.py
 
 from repro import BTRConfig, BTRSystem
 from repro.analysis import format_table, smallest_sufficient_R, timeliness
-from repro.faults import SingleFaultAdversary
+from repro.faults import single_fault
 from repro.net import full_mesh_topology
 from repro.sim import EvidenceGenerated, to_seconds
 from repro.workload import automotive_workload
@@ -41,8 +41,8 @@ def main() -> None:
                                       "abs_ctrl#c")
         if assignment[inst] in candidates
     )
-    adversary = SingleFaultAdversary(at=55_000, kind="omission", node=victim)
-    result = system.run(n_periods=100, adversary=adversary)
+    fault = single_fault(system, "omission", at=55_000, node=victim)
+    result = system.run(n_periods=100, adversary=fault.script)
     print(f"\nrun: {result.summary()}")
 
     # How the system pinned the blame, step by step.

@@ -29,7 +29,7 @@ from repro.analysis import (
     format_table,
     smallest_sufficient_R,
 )
-from repro.faults import SingleFaultAdversary
+from repro.faults import single_fault
 from repro.net import full_mesh_topology
 from repro.sim import to_seconds
 from repro.workload import avionics_workload
@@ -57,8 +57,8 @@ def main() -> None:
     ))
 
     # --- fly through a fault ---------------------------------------------
-    adversary = SingleFaultAdversary(at=110_000, kind="commission")
-    result = system.run(n_periods=60, adversary=adversary)
+    fault = single_fault(system, "commission", at=110_000)
+    result = system.run(n_periods=60, adversary=fault.script)
     print(f"run: {result.summary()}")
     print(f"promised R: {to_seconds(budget.total_us):.3f}s; "
           f"empirical recovery: "

@@ -26,7 +26,7 @@ from repro.analysis import (
 )
 from repro.baselines import CrashRestartSystem, SelfStabilizingSystem
 from repro.core.runtime.budget import recovery_bound_for_deadline
-from repro.faults import SingleFaultAdversary
+from repro.faults import single_fault
 from repro.net import full_mesh_topology
 from repro.sim import to_seconds
 from repro.workload import industrial_workload
@@ -76,9 +76,8 @@ def main() -> None:
     #    controller's primary replica, and drive the plant from the actual
     #    valve-command stream.
     victim = system.strategy.nominal.assignment["plant_ctrl#r0"]
-    adversary = SingleFaultAdversary(at=FAULT_AT, kind="commission",
-                                     node=victim)
-    result = system.run(n_periods=N_PERIODS, adversary=adversary)
+    fault = single_fault(system, "commission", at=FAULT_AT, node=victim)
+    result = system.run(n_periods=N_PERIODS, adversary=fault.script)
     tank = make_tank()
     safe = tank.run_sequence(dt, valve_commands(result))
     print(f"\nBTR run: {result.summary()}")
@@ -95,9 +94,8 @@ def main() -> None:
                        f=F, seed=21, **kwargs)
         baseline.prepare()
         base_victim = baseline.plan.assignment["plant_ctrl"]
-        base_result = baseline.run(
-            N_PERIODS, SingleFaultAdversary(at=FAULT_AT, kind="commission",
-                                            node=base_victim))
+        base_result = baseline.run(N_PERIODS, single_fault(
+            baseline, "commission", at=FAULT_AT, node=base_victim).script)
         base_safe = make_tank().run_sequence(dt, valve_commands(base_result))
         recovery = smallest_sufficient_R(base_result, excused_flows={})
         never = recovery >= (N_PERIODS - 1) * workload.period - FAULT_AT

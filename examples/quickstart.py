@@ -12,7 +12,7 @@ from repro.analysis import (
     smallest_sufficient_R,
     timeliness,
 )
-from repro.faults import SingleFaultAdversary
+from repro.faults import single_fault
 from repro.net import full_mesh_topology
 from repro.sim import to_seconds
 from repro.workload import industrial_workload
@@ -41,8 +41,8 @@ def main() -> None:
 
     # 4. Run 30 periods; at t = 220 ms the adversary compromises one node
     #    and makes it send wrong values (a Byzantine commission fault).
-    adversary = SingleFaultAdversary(at=220_000, kind="commission")
-    result = system.run(n_periods=30, adversary=adversary)
+    fault = single_fault(system, "commission", at=220_000)
+    result = system.run(n_periods=30, adversary=fault.script)
     print(f"\nrun: {result.summary()}")
 
     # 5. Verify Definition 3.1: outputs must be correct in every interval

@@ -20,12 +20,12 @@ paper's main arguments for BTR.
 from __future__ import annotations
 
 from functools import partial
-from typing import Dict, List, Optional, Union
+from typing import Dict, List, Optional
 
 from ..core.planner.placement import PlacementConfig, place
 from ..core.planner.plan import Plan, derive_routes
 from ..core.runtime.system import RunResult, SimulatedSystem
-from ..faults.adversary import Adversary, FaultScript
+from ..faults.adversary import FaultScript
 from ..faults.behaviors import FaultBehavior
 from ..net.topology import Topology
 from ..sched.synthesis import GlobalSchedule, synthesize
@@ -242,7 +242,7 @@ class BaselineSystem(SimulatedSystem):
     # ------------------------------------------------------------------ run
 
     def run(self, n_periods: int,
-            adversary: Optional[Union[Adversary, FaultScript]] = None
+            adversary: Optional[FaultScript] = None
             ) -> RunResult:
         if self.plan is None:
             raise ValueError(f"{self.name}: call prepare() before run()")

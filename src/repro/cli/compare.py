@@ -14,9 +14,10 @@ from ..analysis import (
     traffic_bits,
 )
 from ..baselines import BASELINES
-from ..faults import BEHAVIORS, SingleFaultAdversary
+from ..faults import BEHAVIORS, single_fault
 from ..sim import seconds, to_seconds
 from .flags import (
+    FAULT_AT_S,
     add_deployment_flags,
     deployment,
     fault_time,
@@ -32,7 +33,7 @@ def register(sub) -> None:
     p.add_argument("--fault", choices=sorted(BEHAVIORS),
                    default="commission")
     p.add_argument("--fault-at", type=number(float, zero_ok=True),
-                   default=0.22)
+                   default=FAULT_AT_S)
     p.set_defaults(handler=handle)
 
 
@@ -41,8 +42,8 @@ def handle(args) -> int:
     rows = []
 
     system = planned(args)
-    result = system.run(args.periods,
-                        SingleFaultAdversary(at=fault_at, kind=args.fault))
+    result = system.run(
+        args.periods, single_fault(system, args.fault, at=fault_at).script)
     rows.append(_row("btr", result, args))
 
     named = deployment(args)
@@ -52,7 +53,7 @@ def handle(args) -> int:
         baseline.prepare()
         result = baseline.run(
             args.periods,
-            SingleFaultAdversary(at=fault_at, kind=args.fault))
+            single_fault(baseline, args.fault, at=fault_at).script)
         rows.append(_row(name, result, args))
 
     print(format_table(

@@ -62,15 +62,20 @@ def deployment(args) -> Deployment:
         args.error(str(exc))
 
 
+#: ``--fault-at``'s time, in seconds, when the flag is not given.
+FAULT_AT_S = 0.22
+
+
 def fault_time(args) -> int:
-    """``--fault-at`` in µs. A time at or after the run's end —
-    ``--periods`` periods of the deployment's (stretched) workload —
-    would inject nothing, so it fails through the verb's parser: one
-    line naming the run's end, exit 2."""
-    at = seconds(args.fault_at)
+    """``--fault-at`` (default :data:`FAULT_AT_S`) in µs. A time at or
+    after the run's end — ``--periods`` periods of the deployment's
+    (stretched) workload — would inject nothing, so it fails through the
+    verb's parser: one line naming the run's end, exit 2."""
+    fault_at = FAULT_AT_S if args.fault_at is None else args.fault_at
+    at = seconds(fault_at)
     end = args.periods * deployment(args).build_workload().period
     if at >= end:
-        args.error(f"--fault-at {args.fault_at:g}s is not before the "
+        args.error(f"--fault-at {fault_at:g}s is not before the "
                    f"run's end at {to_seconds(end):g}s "
                    f"({args.periods} periods)")
     return at

@@ -8,25 +8,34 @@ reads a hop row."""
 from __future__ import annotations
 
 from ..analysis import btr_verdict, smallest_sufficient_R, timeliness
-from ..faults import BEHAVIORS, SingleFaultAdversary, stage
+from ..faults import BEHAVIORS, single_fault, stage
 from ..sim import to_seconds
-from .flags import add_deployment_flags, fault_time, number, planned
+from .flags import (
+    FAULT_AT_S,
+    add_deployment_flags,
+    fault_time,
+    number,
+    planned,
+)
 
 
 def register(sub) -> None:
     p = sub.add_parser("run", help="run a deployment")
     add_deployment_flags(p)
     p.add_argument("--periods", type=number(int), default=30)
-    p.add_argument("--fault", choices=sorted(BEHAVIORS),
-                   default=None, help="inject one fault of this kind")
+    faults = p.add_mutually_exclusive_group()
+    faults.add_argument("--fault", choices=sorted(BEHAVIORS),
+                        default=None, help="inject one fault of this kind")
+    faults.add_argument("--scenario", default=None,
+                        help="stage a named scenario (see repro.faults."
+                             "scenarios) instead of --fault")
     p.add_argument("--fault-at", type=number(float, zero_ok=True),
-                   default=0.22, help="fault injection time in seconds")
+                   default=None,
+                   help=f"--fault's injection time in seconds (default "
+                        f"{FAULT_AT_S})")
     p.add_argument("--timeline", action="store_true",
                    help="print the recovery phase report (the text "
                         "`repro trace` prints for this run's --obs file)")
-    p.add_argument("--scenario", default=None,
-                   help="stage a named scenario (see repro.faults."
-                        "scenarios) instead of --fault")
     p.add_argument("--obs", metavar="FILE", default=None,
                    help="export the observability report (recovery "
                         "timelines + metrics) as JSON; render it with "
@@ -35,20 +44,19 @@ def register(sub) -> None:
 
 
 def handle(args) -> int:
-    fault_at = fault_time(args) if args.fault and not args.scenario else None
+    if args.fault_at is not None and not args.fault:
+        args.error("--fault-at needs --fault")
+    fault_at = fault_time(args) if args.fault else None
     system = planned(args, trace_mode="milestones")
     budget = system.budget
-    adversary = None
-    link_script = None
-    if args.scenario:
-        scenario = stage(args.scenario, system)
+    if args.scenario or args.fault:
+        scenario = (stage(args.scenario, system) if args.scenario
+                    else single_fault(system, args.fault, at=fault_at))
         print(f"scenario: {scenario.name} - {scenario.description}")
-        adversary = scenario.script
-        link_script = scenario.link_script or None
-    elif args.fault:
-        adversary = SingleFaultAdversary(at=fault_at, kind=args.fault)
-    result = system.run(n_periods=args.periods, adversary=adversary,
-                        link_script=link_script)
+        result = system.run(args.periods, scenario.script,
+                            link_script=scenario.link_script)
+    else:
+        result = system.run(args.periods)
     print(result.summary())
     verdict = btr_verdict(result, R_us=budget.total_us)
     report = timeliness(result)

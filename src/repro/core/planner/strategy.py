@@ -21,6 +21,7 @@ from ...faults.patterns import (
     FaultPattern,
     all_patterns_up_to,
     pattern as make_pattern,
+    strategy_size,
 )
 from ...net.routing import Router
 from ...net.topology import Topology
@@ -38,6 +39,15 @@ from .plan import Plan, PlanningError, augmented_ladder, build_plan
 #: must bump this — the on-disk strategy cache (:mod:`repro.perf.cache`)
 #: keys on it, so a bump invalidates every cached strategy.
 PLANNER_VERSION = 2
+
+#: The most plans a strategy may hold. The largest strategies planned
+#: anywhere here hold 159 plans (industrial on ``geo:4x40`` at f=1) and
+#: 92 (industrial on ``fullmesh:15`` at f=2). Strategies of 988 plans
+#: (pipeline on ``fullmesh:20`` at f=3) and 991 (industrial on
+#: ``fullmesh:46`` at f=2) plan in 0.6 s and 2.6 s on a 2-core x86 host
+#: with Python 3.11; pipeline on ``fullmesh:20`` at f=8 needs 106,762
+#: and had not finished after 15 s.
+MAX_STRATEGY_PLANS = 1_000
 
 
 class Strategy:
@@ -150,6 +160,12 @@ def build_strategy(
     endpoint_nodes = set(topology.endpoint_map.values())
     candidates = [n for n in sorted(topology.nodes)
                   if n not in endpoint_nodes]
+    n_plans = strategy_size(len(candidates), f)
+    if n_plans > MAX_STRATEGY_PLANS:
+        raise PlanningError(
+            f"f={f} over {len(candidates)} eligible nodes needs {n_plans} "
+            f"plans, more than the {MAX_STRATEGY_PLANS} a strategy may "
+            f"hold")
     ladder = augmented_ladder(workload, augment_config)
     plans: Dict[FaultPattern, Plan] = {}
     for pattern in all_patterns_up_to(candidates, f):

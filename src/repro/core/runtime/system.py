@@ -5,33 +5,32 @@ Typical use::
     from repro import BTRSystem, BTRConfig
     from repro.net import full_mesh_topology
     from repro.workload import industrial_workload
-    from repro.faults import SingleFaultAdversary
+    from repro.faults import single_fault
 
     workload = industrial_workload()
     topology = full_mesh_topology(6)
     system = BTRSystem(workload, topology, BTRConfig(f=1))
     system.prepare()                           # offline planning
-    result = system.run(
-        n_periods=40,
-        adversary=SingleFaultAdversary(at=250_000, kind="commission"),
-    )
+    fault = single_fault(system, "commission", at=250_000)
+    result = system.run(n_periods=40, adversary=fault.script)
     print(result.summary())
 
 ``prepare()`` runs the offline planner (strategy over all fault patterns up
 to f) and computes the achievable recovery budget; ``run()`` executes the
-deployment on a fresh discrete-event simulation, optionally under an
-adversary, and returns a :class:`RunResult` whose trace the analysis layer
-consumes.
+deployment on a fresh discrete-event simulation, optionally under a
+:class:`~repro.faults.FaultScript` built beforehand (the builders in
+:mod:`repro.faults.scenarios` build one from the prepared system), and
+returns a :class:`RunResult` whose trace the analysis layer consumes.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import partial
-from typing import Dict, List, Optional, Union
+from typing import Dict, List, Optional
 
 from ...crypto.signatures import KeyDirectory
-from ...faults.adversary import Adversary, FaultScript
+from ...faults.adversary import FaultScript
 from ...net.topology import Topology
 from ...obs.metrics import MetricsRegistry
 from ...persist import InputError
@@ -128,10 +127,11 @@ class SimulatedSystem:
     baseline share.
 
     A system supplies :meth:`make_agent` (one agent per node),
-    :meth:`compromisable_nodes` (the adversary's candidates) and, if it
-    has any, :meth:`start_services` (periodic system-level events); its
-    own ``run()`` checks it is prepared, calls :meth:`_run_periods` and
-    builds its :class:`RunResult` from the finished run.
+    :meth:`compromisable_nodes` (the victims the scenario builders pick
+    from) and, if it has any, :meth:`start_services` (periodic
+    system-level events); its own ``run()`` checks it is prepared, calls
+    :meth:`_run_periods` and builds its :class:`RunResult` from the
+    finished run.
     """
 
     def __init__(self, workload: DataflowGraph, topology: Topology,
@@ -175,11 +175,12 @@ class SimulatedSystem:
 
     # ---------------------------------------------------------------- run
 
-    def _run_periods(self, n_periods: int, adversary, trace: Trace,
+    def _run_periods(self, n_periods: int,
+                     adversary: Optional[FaultScript], trace: Trace,
                      delivery_hook=None, **services) -> int:
-        """Run ``n_periods`` on a fresh simulator recording into
-        ``trace``; returns the run's duration. ``services`` go to
-        :meth:`start_services`.
+        """Run ``n_periods`` under the fault script ``adversary`` on a
+        fresh simulator recording into ``trace``; returns the run's
+        duration. ``services`` go to :meth:`start_services`.
 
         The run is released in a ``finally``: the events still queued
         past the horizon and the delivery hook are dropped
@@ -194,6 +195,12 @@ class SimulatedSystem:
         if duration > LAST_TIME:
             raise InputError(f"{n_periods} periods end at {duration} us, "
                              f"past the trace's last time ({LAST_TIME} us)")
+        if adversary is None:
+            adversary = FaultScript()
+        elif not isinstance(adversary, FaultScript):
+            raise TypeError(f"run() takes a FaultScript or None, not "
+                            f"{type(adversary).__name__}")
+        adversary.check_nodes(self.topology.nodes)
         self.sim = Simulator(seed=self.seed)
         self.sim.delivery_hook = delivery_hook
         self.trace = trace
@@ -210,7 +217,7 @@ class SimulatedSystem:
         self.batch_runtime.begin_run(self.sim, trace, self.topology,
                                      self.run_metrics, self.agents,
                                      duration)
-        for injection in self._resolve_script(adversary):
+        for injection in adversary:
             self.sim.call_at(injection.time, partial(
                 self.agents[injection.node].compromise, injection.behavior))
         self.start_services(n_periods, **services)
@@ -232,15 +239,6 @@ class SimulatedSystem:
         if k + 1 < n_periods:
             self.sim.call_at((k + 1) * self.workload.period,
                              partial(self._tick, k + 1, n_periods))
-
-    def _resolve_script(self, adversary) -> FaultScript:
-        if adversary is None:
-            return FaultScript()
-        if isinstance(adversary, FaultScript):
-            adversary.check_nodes(self.topology.nodes)
-            return adversary
-        return adversary.script(self.compromisable_nodes(),
-                                self.sim.rng.fork("adversary"))
 
 
 class BTRSystem(SimulatedSystem):
@@ -347,10 +345,11 @@ class BTRSystem(SimulatedSystem):
     # ----------------------------------------------------------------- run
 
     def run(self, n_periods: int,
-            adversary: Optional[Union[Adversary, FaultScript]] = None,
+            adversary: Optional[FaultScript] = None,
             link_script: Optional[List[tuple]] = None,
             delivery_hook=None) -> RunResult:
-        """Execute ``n_periods`` of the deployment under ``adversary``.
+        """Execute ``n_periods`` of the deployment under the fault script
+        ``adversary`` (``None``: no faults).
 
         ``link_script`` optionally degrades links mid-run: a list of
         ``(time_us, link_id, loss_probability)`` events (e.g. a connector

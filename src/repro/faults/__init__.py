@@ -1,13 +1,10 @@
-"""Fault injection: Byzantine behaviours, patterns, adversary strategies."""
+"""Fault injection: Byzantine behaviours, fault scripts, the scenario
+builders that script them, and fault patterns."""
 
 from .adversary import (
-    Adversary,
     BEHAVIORS,
     FaultScript,
     Injection,
-    PacingAdversary,
-    RandomAdversary,
-    SingleFaultAdversary,
     behavior_params,
     behavior_rng_seed,
     make_behavior,
@@ -24,7 +21,15 @@ from .behaviors import (
     RogueClockFault,
     TimingFault,
 )
-from .scenarios import SCENARIOS, Scenario, ScenarioError, stage
+from .scenarios import (
+    SCENARIOS,
+    Scenario,
+    ScenarioError,
+    paced,
+    random_faults,
+    single_fault,
+    stage,
+)
 from .patterns import (
     FaultPattern,
     all_patterns_up_to,
@@ -37,14 +42,13 @@ __all__ = [
     "SCENARIOS",
     "Scenario",
     "ScenarioError",
+    "paced",
+    "random_faults",
+    "single_fault",
     "stage",
-    "Adversary",
     "BEHAVIORS",
     "FaultScript",
     "Injection",
-    "PacingAdversary",
-    "RandomAdversary",
-    "SingleFaultAdversary",
     "behavior_params",
     "behavior_rng_seed",
     "make_behavior",

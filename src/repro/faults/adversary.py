@@ -1,17 +1,18 @@
-"""Adversary strategies: who gets compromised, when, and how.
+"""What an adversary does to a run: a :class:`FaultScript`.
 
-An :class:`Adversary` produces a :class:`FaultScript` — a deterministic list
-of (time, node, behaviour) injections the runtime executes. The marquee
-strategy is :class:`PacingAdversary`, the paper's §3 worst case: "if an
-adversary controls k ≤ f nodes, he can trigger a new fault every R seconds
-and thus potentially force the system to produce bad outputs for kR seconds".
+A script is a deterministic, time-ordered list of (time, node, behaviour)
+injections, built before the run and executed by it. The recipes that
+choose victims and times from a prepared deployment — one fault, the
+paper's §3 pacing worst case, random faults — are the builders in
+:mod:`repro.faults.scenarios`. This module holds the script itself, the
+behaviour registry and the script's (de)serialisation.
 """
 
 from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence
+from typing import List, Optional
 
 from ..persist import InputError
 from ..sim.random import DeterministicRandom
@@ -219,102 +220,3 @@ def script_from_dict(payload: dict, seed: int = 0) -> FaultScript:
                                     str(entry["node"]), behavior))
     return FaultScript(injections)
 
-
-class Adversary:
-    """Base adversary: compromises nothing."""
-
-    def script(self, candidate_nodes: Sequence[str],
-               rng: DeterministicRandom) -> FaultScript:
-        return FaultScript()
-
-
-@dataclass
-class SingleFaultAdversary(Adversary):
-    """Compromises one chosen (or first candidate) node at a fixed time."""
-
-    at: int
-    kind: str = "commission"
-    node: Optional[str] = None
-
-    def script(self, candidate_nodes, rng) -> FaultScript:
-        if not candidate_nodes:
-            return FaultScript()
-        node = self.node if self.node is not None else sorted(candidate_nodes)[0]
-        if node not in candidate_nodes:
-            raise ValueError(f"{node} is not a candidate for compromise")
-        return FaultScript([
-            Injection(self.at, node, make_behavior(self.kind, rng)),
-        ])
-
-
-@dataclass
-class PacingAdversary(Adversary):
-    """The §3 worst case: a new fault every ``interval`` µs, k faults total.
-
-    With interval = R, each fault lands just as the system finishes
-    recovering from the previous one, maximising total disruption (≈ kR).
-    """
-
-    start: int
-    interval: int
-    k: int
-    kind: str = "commission"
-    #: Explicit victim order (defaults to sorted candidates).
-    victims: Optional[Sequence[str]] = None
-
-    def script(self, candidate_nodes, rng) -> FaultScript:
-        victims = list(self.victims if self.victims is not None
-                       else sorted(candidate_nodes))[: self.k]
-        if len(victims) < self.k:
-            raise ValueError(
-                f"adversary wants {self.k} victims, only {len(victims)} "
-                f"candidates"
-            )
-        return FaultScript([
-            Injection(self.start + i * self.interval, node,
-                      make_behavior(self.kind, rng.fork(f"pace{i}")))
-            for i, node in enumerate(victims)
-        ])
-
-
-@dataclass
-class RandomAdversary(Adversary):
-    """k faults at random times and nodes (seeded, reproducible).
-
-    Victims are drawn from the *deduplicated* candidate set (a caller
-    passing repeated node ids must not make double-injection of one node
-    possible), nodes in ``already_faulty`` are never re-injected (a
-    compromised node stays compromised — re-injecting it would violate
-    the :class:`FaultScript` invariant mid-build), and each (time, node)
-    pair is drawn jointly so no two injections can collide on the same
-    (tick, node).
-    """
-
-    horizon: int
-    k: int
-    kinds: Sequence[str] = ("crash", "omission", "commission", "timing")
-    min_time: int = 0
-    #: Nodes compromised before this script runs; excluded up front.
-    already_faulty: Sequence[str] = ()
-
-    def script(self, candidate_nodes, rng) -> FaultScript:
-        faulty = set(self.already_faulty)
-        candidates = sorted(set(candidate_nodes) - faulty)
-        if len(candidates) < self.k:
-            raise ValueError(
-                f"adversary wants {self.k} victims, only "
-                f"{len(candidates)} distinct un-compromised candidates")
-        victims = rng.sample(candidates, self.k)
-        # Times are drawn per victim (in victim order) and the pairs then
-        # sorted jointly, so the (tick, node) pairing is a pure function
-        # of the seed — not an artifact of sorting times independently.
-        pairs = sorted(
-            (rng.randint(self.min_time, self.horizon), node)
-            for node in victims
-        )
-        return FaultScript([
-            Injection(t, node,
-                      make_behavior(rng.choice(list(self.kinds)),
-                                    rng.fork(f"rand{i}")))
-            for i, (t, node) in enumerate(pairs)
-        ])

@@ -1,27 +1,29 @@
-"""Named fault scenarios: the situations worth rehearsing, canned.
+"""Fault scenarios: every recipe that builds a run's faults from its
+deployment.
 
-Each scenario is a recipe that, given a prepared :class:`BTRSystem`,
-produces the fault script (and optional link script) for a situation the
-literature and the experiments care about. They pick sensible victims from
-the deployment (e.g. "the node hosting the most checkers") so callers
-don't need to reverse-engineer placements. Used by ``python -m repro run
---scenario`` and by tests.
+Each builder takes a prepared system (BTR or a baseline) and returns a
+:class:`Scenario`: the fault script (and optional link script) for a
+situation the literature and the experiments care about. The builders
+pick victims, times and R from the deployment (e.g. "the node hosting
+the most checkers") so callers don't need to reverse-engineer
+placements; a run takes the script they build. The parameterised ones —
+:func:`single_fault`, :func:`paced` and :func:`random_faults` — are what
+``repro run --fault``, ``repro compare`` and the experiments call;
+:data:`SCENARIOS` names the canned ones ``repro run --scenario``
+stages.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import re
-from dataclasses import dataclass
-from typing import Callable, Dict, List, Tuple
+from dataclasses import dataclass, field
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..persist import InputError
+from ..sim.random import DeterministicRandom
 from .adversary import FaultScript, Injection, make_behavior
-from .behaviors import (
-    CommissionFault,
-    CrashFault,
-    EvidenceFloodFault,
-    RogueClockFault,
-)
+from .behaviors import CommissionFault, EvidenceFloodFault, RogueClockFault
 
 
 @dataclass(frozen=True)
@@ -30,8 +32,8 @@ class Scenario:
 
     name: str
     description: str
-    script: FaultScript
-    link_script: List[Tuple[int, str, float]]
+    script: FaultScript = field(default_factory=FaultScript)
+    link_script: List[Tuple[int, str, float]] = field(default_factory=list)
 
 
 class ScenarioError(InputError):
@@ -46,97 +48,122 @@ def _fault_time(system, periods: float = 4.4) -> int:
     return int(periods * system.workload.period)
 
 
-def _checker_heavy_victim(system) -> str:
-    plan = system.strategy.nominal
-    candidates = system.compromisable_nodes()
-    if not candidates:
-        raise ScenarioError("no compromisable nodes in this deployment")
-    return max(candidates, key=lambda n: (
-        sum(1 for i in plan.instances_on(n) if i.endswith("#c")), n))
-
-
-def single_fault(system, kind: str = "commission") -> Scenario:
-    """One Byzantine fault of the given kind, mid-run."""
+def _victims(system, k: int, what: str) -> List[str]:
+    """The compromisable nodes; ``what`` is refused when they are fewer
+    than ``k``."""
     victims = system.compromisable_nodes()
-    if not victims:
-        raise ScenarioError("no compromisable nodes")
-    at = _fault_time(system)
+    if len(victims) < k:
+        raise ScenarioError(f"{what}: {len(victims)} compromisable "
+                            f"nodes, {k} needed")
+    return victims
+
+
+def single_fault(system, kind: str = "commission", at: Optional[int] = None,
+                 node: Optional[str] = None) -> Scenario:
+    """One fault of the given kind on ``node`` (default: the first
+    compromisable node) at ``at`` µs (default: 4.4 periods in)."""
+    if node is None:
+        node = _victims(system, 1, f"a {kind} fault")[0]
+    elif node not in system.compromisable_nodes():
+        raise ScenarioError(f"{node} is not a candidate for compromise")
+    at = _fault_time(system) if at is None else at
+    return Scenario(f"single_{kind}", f"one {kind} fault on {node}",
+                    FaultScript([Injection(at, node, make_behavior(kind))]))
+
+
+def paced(system, k: int, kind: str = "commission",
+          start: Optional[int] = None, interval: Optional[int] = None,
+          victims: Optional[Sequence[str]] = None) -> Scenario:
+    """The §3 worst case: "if an adversary controls k ≤ f nodes, he can
+    trigger a new fault every R seconds and thus potentially force the
+    system to produce bad outputs for kR seconds". ``k`` faults of
+    ``kind``, the i-th on ``victims[i]`` (default: the compromisable
+    nodes in order) at ``start + i * interval`` (defaults: 4.4 periods
+    in, and R, so each fault lands as the last recovery ends)."""
+    chosen = list(victims if victims is not None
+                  else _victims(system, k, f"{k} paced faults"))[:k]
+    if len(chosen) < k:
+        raise ScenarioError(f"{k} paced faults need {k} victims, only "
+                            f"{len(chosen)} given")
+    start = _fault_time(system) if start is None else start
+    interval = system.budget.total_us if interval is None else interval
     return Scenario(
-        name=f"single_{kind}",
-        description=f"one {kind} fault on {victims[0]}",
-        script=FaultScript([Injection(at, victims[0],
-                                      make_behavior(kind))]),
-        link_script=[],
-    )
+        f"paced_{k}",
+        f"{kind} faults on {', '.join(chosen)}, paced {interval}us apart",
+        FaultScript([
+            Injection(start + i * interval, node, make_behavior(kind))
+            for i, node in enumerate(chosen)]))
+
+
+def random_faults(system, k: int, rng: DeterministicRandom, horizon: int,
+                  kinds: Sequence[str] = ("crash", "omission", "commission",
+                                          "timing"),
+                  min_time: int = 0) -> Scenario:
+    """``k`` faults on distinct compromisable nodes, each at a time in
+    ``[min_time, horizon]`` and of a kind from ``kinds``, all drawn from
+    ``rng``: the same ``rng`` stream gives the same script. Times are
+    drawn per victim and the pairs then sorted jointly, so the
+    (tick, node) pairing is a function of the stream alone."""
+    victims = _victims(system, k, f"{k} random faults")
+    pairs = sorted((rng.randint(min_time, horizon), node)
+                   for node in rng.sample(victims, k))
+    return Scenario(
+        f"random_{k}",
+        f"{k} random faults on {', '.join(n for _, n in pairs)}",
+        FaultScript([
+            Injection(t, node, make_behavior(rng.choice(list(kinds)),
+                                             rng.fork(f"rand{i}")))
+            for i, (t, node) in enumerate(pairs)]))
 
 
 def checker_host_crash(system) -> Scenario:
     """Crash the node hosting the most checking tasks — the forwarding
     bottleneck the audit-reconstruction fallback exists for."""
-    victim = _checker_heavy_victim(system)
-    return Scenario(
-        name="checker_host_crash",
-        description=f"crash of checker-heavy node {victim}",
-        script=FaultScript([Injection(_fault_time(system), victim,
-                                      CrashFault())]),
-        link_script=[],
-    )
+    plan = system.strategy.nominal
+    victim = max(_victims(system, 1, "checker_host_crash"), key=lambda n: (
+        sum(1 for i in plan.instances_on(n) if i.endswith("#c")), n))
+    return dataclasses.replace(
+        single_fault(system, "crash", node=victim), name="checker_host_crash",
+        description=f"crash of checker-heavy node {victim}")
 
 
 def paced_double(system) -> Scenario:
     """Two commission faults paced one recovery bound apart (§3's kR
     worst case). Requires f >= 2."""
-    victims = system.compromisable_nodes()
-    if system.config.f < 2 or len(victims) < 2:
-        raise ScenarioError("paced_double needs f >= 2 and two victims")
-    at = _fault_time(system)
-    interval = system.budget.total_us
-    return Scenario(
-        name="paced_double",
-        description=f"commission faults on {victims[0]} and {victims[1]}, "
-                     f"paced R apart",
-        script=FaultScript([
-            Injection(at, victims[0], CommissionFault()),
-            Injection(at + interval, victims[1], CommissionFault()),
-        ]),
-        link_script=[],
-    )
+    if system.config.f < 2:
+        raise ScenarioError("paced_double needs f >= 2")
+    pair = paced(system, 2)
+    first, second = pair.script.faulty_nodes
+    return dataclasses.replace(
+        pair, name="paced_double",
+        description=f"commission faults on {first} and {second}, "
+                    f"paced R apart")
 
 
 def flood_plus_fault(system) -> Scenario:
     """Evidence flooding as cover for a real commission fault (§4.3's DoS
     concern). Two compromised nodes: budget f >= 2 to recover from both
     (the flooder is attributable through its endorsements)."""
-    victims = system.compromisable_nodes()
-    if len(victims) < 2:
-        raise ScenarioError("flood_plus_fault needs two victims")
+    flooder, liar = _victims(system, 2, "flood_plus_fault")[:2]
     at = _fault_time(system)
     return Scenario(
-        name="flood_plus_fault",
-        description=f"{victims[0]} floods forged evidence while "
-                     f"{victims[1]} lies",
-        script=FaultScript([
-            Injection(at - system.workload.period, victims[0],
+        "flood_plus_fault", f"{flooder} floods forged evidence while "
+                            f"{liar} lies",
+        FaultScript([
+            Injection(at - system.workload.period, flooder,
                       EvidenceFloodFault(records_per_period=20)),
-            Injection(at, victims[1], CommissionFault()),
-        ]),
-        link_script=[],
-    )
+            Injection(at, liar, CommissionFault()),
+        ]))
 
 
 def rogue_clock(system) -> Scenario:
     """A node's clock breaks badly and ignores synchronization."""
-    victims = system.compromisable_nodes()
-    if not victims:
-        raise ScenarioError("no compromisable nodes")
+    victim = _victims(system, 1, "rogue_clock")[0]
     offset = 3 * system.workload.period
     return Scenario(
-        name="rogue_clock",
-        description=f"{victims[0]}'s clock pinned {offset}us off",
-        script=FaultScript([Injection(_fault_time(system), victims[0],
-                                      RogueClockFault(offset_us=offset))]),
-        link_script=[],
-    )
+        "rogue_clock", f"{victim}'s clock pinned {offset}us off",
+        FaultScript([Injection(_fault_time(system), victim,
+                               RogueClockFault(offset_us=offset))]))
 
 
 def link_death(system) -> Scenario:
@@ -150,27 +177,19 @@ def link_death(system) -> Scenario:
     if not load:
         raise ScenarioError("no inter-node flows to disrupt")
     busiest = max(sorted(load), key=lambda l: load[l])
-    return Scenario(
-        name="link_death",
-        description=f"link {busiest} loses every frame",
-        script=FaultScript([]),
-        link_script=[(_fault_time(system), busiest, 1.0)],
-    )
+    return Scenario("link_death", f"link {busiest} loses every frame",
+                    link_script=[(_fault_time(system), busiest, 1.0)])
 
 
-
-
-def _wan_gateways(system) -> List[str]:
-    """Sorted WAN gateway node ids (endpoints of WAN links)."""
-    gateways = set()
-    for link in system.topology.wan_links():
-        gateways.update(link.endpoints)
-    if not gateways:
+def _wan_links(system) -> list:
+    """The topology's WAN links; refused when it has none."""
+    links = system.topology.wan_links()
+    if not links:
         raise ScenarioError(
             f"topology {system.topology.name} has no WAN links; geo "
             f"scenarios need a geo topology (see geo_topology)"
         )
-    return sorted(gateways)
+    return links
 
 
 def gateway_crash(system) -> Scenario:
@@ -178,39 +197,26 @@ def gateway_crash(system) -> Scenario:
     and every cross-region flow through it must re-route — the geo
     analogue of checker_host_crash, and the fault that makes
     single-gateway regions unplannable in the first place."""
-    victims = [n for n in system.compromisable_nodes()
-               if n in set(_wan_gateways(system))]
+    gateways = {n for link in _wan_links(system) for n in link.endpoints}
+    victims = [n for n in system.compromisable_nodes() if n in gateways]
     if not victims:
         raise ScenarioError("no compromisable WAN gateway (gateways "
                             "host only protected endpoints here)")
-    victim = victims[0]
-    return Scenario(
+    return dataclasses.replace(
+        single_fault(system, "crash", node=victims[0]),
         name="gateway_crash",
-        description=f"crash of WAN gateway {victim}",
-        script=FaultScript([Injection(_fault_time(system), victim,
-                                      CrashFault())]),
-        link_script=[],
-    )
+        description=f"crash of WAN gateway {victims[0]}")
 
 
 def wan_brownout(system) -> Scenario:
     """The first WAN link starts dropping frames (long-haul brownout:
     EMI, congestion, a flapping carrier) — E16's link-death study at
     geo scale, partial loss instead of total."""
-    links = system.topology.wan_links()
-    if not links:
-        raise ScenarioError(
-            f"topology {system.topology.name} has no WAN links; geo "
-            f"scenarios need a geo topology (see geo_topology)"
-        )
-    link = links[0]
+    link = _wan_links(system)[0]
     return Scenario(
-        name="wan_brownout",
-        description=f"WAN link {link.link_id} drops "
-                    f"{_BROWNOUT_LOSS:.0%} of frames",
-        script=FaultScript([]),
-        link_script=[(_fault_time(system), link.link_id, _BROWNOUT_LOSS)],
-    )
+        "wan_brownout",
+        f"WAN link {link.link_id} drops {_BROWNOUT_LOSS:.0%} of frames",
+        link_script=[(_fault_time(system), link.link_id, _BROWNOUT_LOSS)])
 
 
 def geo_scenario(system, regions: int, nodes_per_region: int) -> Scenario:

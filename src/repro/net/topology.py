@@ -13,6 +13,7 @@ pinned to nodes through the topology's ``endpoint_map``.
 
 from __future__ import annotations
 
+import math
 from bisect import insort
 from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
@@ -352,12 +353,20 @@ _SPEC_BUILDERS: Dict[str, Tuple[Callable[..., Topology], int]] = {
     "mesh": (mesh_topology, 2),
     "geo": (geo_topology, 2),
 }
+#: Nodes a spec's builder adds beyond the product of its sizes (hubs).
+_SPEC_HUBS = {"star": 1, "dualstar": 2}
+#: The most nodes a spec may name. The largest deployment planned
+#: anywhere here is ``geo:4x40`` (160 nodes: industrial at f=1 plans in
+#: 1.2 s, pipeline on ``fullmesh:160`` in 1.7 s, on a 2-core x86 host
+#: with Python 3.11); ``fullmesh:400`` was still planning after 20 s.
+MAX_TOPOLOGY_NODES = 160
 
 
 def parse_topology_spec(spec: str
                         ) -> Tuple[Callable[..., Topology], Tuple[int, ...]]:
     """``(builder, sizes)`` for a topology spec, without building it;
-    :class:`TopologyError` names an unknown kind or a malformed size."""
+    :class:`TopologyError` names an unknown kind, a malformed size or
+    more than :data:`MAX_TOPOLOGY_NODES` nodes."""
     kind, _, arg = spec.partition(":")
     if kind not in _SPEC_BUILDERS:
         raise TopologyError(f"unknown topology {kind!r}; choose from "
@@ -371,6 +380,11 @@ def parse_topology_spec(spec: str
     if len(sizes) != arity:
         raise TopologyError(f"malformed topology {spec!r}: {kind} takes "
                             f"{arity} size(s), got {len(sizes)}")
+    n_nodes = math.prod(sizes) + _SPEC_HUBS.get(kind, 0)
+    if n_nodes > MAX_TOPOLOGY_NODES:
+        raise TopologyError(f"topology {spec!r} has {n_nodes} nodes, more "
+                            f"than the {MAX_TOPOLOGY_NODES} a deployment "
+                            f"may have")
     return builder, sizes
 
 

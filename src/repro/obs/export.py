@@ -107,9 +107,11 @@ def _check_types(where: str, obj: Dict[str, object],
 def load_report(path: str) -> Dict[str, object]:
     """Load and structurally validate a saved observability report:
     truncated writes, other JSON documents, missing phase tables, values
-    of the wrong type, a negative phase, or phases that do not sum to
-    the fault's total raise :class:`ReportError` naming the path and key.
-    """
+    of the wrong type, a negative phase, phases that do not sum to the
+    fault's total, or times outside the run (a duration that is not
+    ``period_us * n_periods``, a recovery window or a milestone outside
+    ``[0, duration_us]``) raise :class:`ReportError` naming the path and
+    key."""
     return read_json(path, ReportError, _checked_report)
 
 
@@ -137,6 +139,11 @@ def _checked_report(report: object) -> Dict[str, object]:
                  + [("metrics", dict), ("faults", list)])
     if "counters" in report["metrics"]:
         _check_types("metrics", report["metrics"], [("counters", dict)])
+    period, n_periods, duration = (report[key] for key in _RUN_KEYS)
+    if period < 1 or n_periods < 1 or duration != period * n_periods:
+        raise ReportError(
+            f"duration_us {duration} is not period_us {period} * "
+            f"n_periods {n_periods} with both >= 1")
     faults = report["faults"]
     for i, fault in enumerate(faults):
         if not isinstance(fault, dict):
@@ -157,6 +164,17 @@ def _checked_report(report: object) -> Dict[str, object]:
             raise ReportError(
                 f"faults[{i}]'s phases sum to {spent} us, not its "
                 f"total_us {fault['total_us']}")
+        manifest = fault["manifest_us"]
+        if manifest < 0 or manifest + spent > duration:
+            raise ReportError(
+                f"faults[{i}] manifests at {manifest} us and recovers "
+                f"{spent} us later, outside the run's [0, {duration}] us")
+        for name in MILESTONES:
+            at = fault["milestones"][name]
+            if at is not None and not 0 <= at <= duration:
+                raise ReportError(
+                    f"faults[{i}]['milestones'][{name!r}] at {at} us is "
+                    f"outside the run's [0, {duration}] us")
     return report
 
 

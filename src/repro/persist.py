@@ -30,13 +30,20 @@ class InputError(ValueError):
 def read_json(path: str, error: Type[InputError],
               decode: Callable[[Any], T]) -> T:
     """``decode`` (a format's checks) of the UTF-8 JSON document in the
-    file at ``path``. Bytes that are not JSON, or an :class:`InputError`
-    from ``decode``, raise ``error`` naming ``path``."""
+    file at ``path``. Bytes that are not UTF-8 text or not JSON, a
+    document nested deeper than the decoder recurses, or an
+    :class:`InputError` from ``decode``, raise ``error`` naming
+    ``path``."""
     with open(path, "rb") as fh:
         raw = fh.read()
     try:
         document = json.loads(raw.decode("utf-8"))
-    except (ValueError, RecursionError) as exc:  # or nested too deep
+    except UnicodeDecodeError as exc:  # before ValueError, its base
+        raise error(f"{path}: not UTF-8 text ({exc})") from None
+    except RecursionError:
+        raise error(f"{path}: nested deeper than the decoder "
+                    f"allows") from None
+    except ValueError as exc:
         raise error(f"{path}: not valid JSON ({exc}) — was the file "
                     f"truncated mid-write?") from None
     try:
@@ -134,15 +141,19 @@ def _encode(value: object, out: List[str], newline: str) -> None:
 def write_atomic(path: str, text: str) -> None:
     """Write ``text`` to ``path`` through a temp file beside it and
     ``os.replace``. A write or rename that fails takes its temp file
-    with it, leaves whatever ``path`` held untouched, and re-raises."""
+    with it, leaves whatever ``path`` held untouched, and re-raises; an
+    operating-system error is re-raised naming ``path`` alone, not the
+    temp file the caller never asked for."""
     tmp = f"{path}.tmp.{os.getpid()}"
     try:
         with open(tmp, "w", encoding="utf-8") as fh:
             fh.write(text)
         os.replace(tmp, path)
-    except BaseException:
+    except BaseException as exc:
         try:
             os.unlink(tmp)
         except OSError:
             pass
+        if isinstance(exc, OSError) and exc.errno is not None:
+            raise OSError(exc.errno, exc.strerror, path) from None
         raise

@@ -42,7 +42,7 @@ from typing import NamedTuple, Optional
 from repro import BTRConfig, BTRSystem, Deployment
 from repro.baselines import BASELINES
 from repro.core.planner import PlanningError, strategy_to_json
-from repro.faults import SingleFaultAdversary
+from repro.faults import single_fault
 from repro.faults.scenarios import stage
 from repro.net import topology_from_spec
 from repro.perf import WorkerPool
@@ -279,10 +279,10 @@ def run_baseline_cell(key: str) -> dict:
         system.prepare()
     except ValueError:
         return UNSCHEDULABLE
-    adversary = (None if m["fault"] == "none"
-                 else SingleFaultAdversary(at=BASELINE_FAULT_AT,
-                                           kind=m["fault"]))
-    return digest(system, system.run(int(m["periods"]), adversary))
+    script = (None if m["fault"] == "none"
+              else single_fault(system, m["fault"],
+                                at=BASELINE_FAULT_AT).script)
+    return digest(system, system.run(int(m["periods"]), script))
 
 
 # ------------------------------------------------------------ the files

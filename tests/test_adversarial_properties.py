@@ -15,7 +15,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro import BTRConfig, BTRSystem
 from repro.analysis import btr_verdict
-from repro.faults import BEHAVIORS, RandomAdversary
+from repro.faults import BEHAVIORS, random_faults
 from repro.net import full_mesh_topology
 from repro.workload import industrial_workload
 
@@ -49,16 +49,15 @@ def prepared(f: int) -> BTRSystem:
 )
 def test_property_btr_holds_under_any_in_budget_adversary(seed, f, kinds):
     system = prepared(f)
-    adversary = RandomAdversary(
-        horizon=(N_PERIODS - 10) * system.workload.period,
-        k=min(f, len(system.compromisable_nodes())),
-        kinds=kinds,
-        min_time=2 * system.workload.period,
-    )
     # Vary the adversary, not the deployment: seed only the script.
     from repro.sim import DeterministicRandom
-    script = adversary.script(system.compromisable_nodes(),
-                              DeterministicRandom(seed))
+    script = random_faults(
+        system, min(f, len(system.compromisable_nodes())),
+        DeterministicRandom(seed),
+        horizon=(N_PERIODS - 10) * system.workload.period,
+        kinds=kinds,
+        min_time=2 * system.workload.period,
+    ).script
     result = system.run(N_PERIODS, script)
 
     faulty = set(result.fault_times())

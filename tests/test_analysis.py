@@ -22,7 +22,7 @@ from repro.analysis import (
     timeliness,
     traffic_bits,
 )
-from repro.faults import SingleFaultAdversary
+from repro.faults import single_fault
 from repro.net import full_mesh_topology
 from repro.obs import reconstruct_timelines
 from repro.workload import compute_output, industrial_workload
@@ -47,7 +47,7 @@ def faulty_run():
     system.prepare()
     return system.run(
         n_periods=20,
-        adversary=SingleFaultAdversary(at=FAULT_AT, kind="commission"))
+        adversary=single_fault(system, "commission", at=FAULT_AT).script)
 
 
 # ------------------------------------------------------------------- oracle
@@ -106,8 +106,8 @@ def test_smallest_sufficient_r_is_sufficient_and_smallest(kind):
                        full_mesh_topology(6, bandwidth=1e8),
                        BTRConfig(f=1, seed=42))
     system.prepare()
-    result = system.run(n_periods=12, adversary=SingleFaultAdversary(
-        at=FAULT_AT, kind=kind))
+    result = system.run(n_periods=12, adversary=single_fault(
+        system, kind, at=FAULT_AT).script)
     s = smallest_sufficient_R(result)
     assert btr_verdict(result, R_us=s).holds
     if s > 0:
@@ -130,8 +130,8 @@ def test_one_slot_table_per_run(monkeypatch):
                        full_mesh_topology(6, bandwidth=1e8),
                        BTRConfig(f=1, seed=11))
     system.prepare()
-    result = system.run(n_periods=12, adversary=SingleFaultAdversary(
-        at=FAULT_AT, kind="commission"))
+    result = system.run(n_periods=12, adversary=single_fault(
+        system, "commission", at=FAULT_AT).script)
     reconstruct_timelines(result)
     btr_verdict(result, R_us=system.budget.total_us)
     recovery_times(result)

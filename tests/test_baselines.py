@@ -15,7 +15,7 @@ from repro.baselines import (
 )
 from repro import BTRConfig, BTRSystem
 from repro.core.planner.plan import Plan, derive_routes
-from repro.faults import SingleFaultAdversary
+from repro.faults import single_fault
 from repro.net import full_mesh_topology, topology_from_spec
 from repro.sim.trace import MessageSent
 from repro.verify import check_placement, check_routes, check_schedule
@@ -47,7 +47,7 @@ def run_baseline(cls, kind=None, n_nodes=8, n_periods=N_PERIODS, **kwargs):
     topology = full_mesh_topology(n_nodes, bandwidth=1e8)
     system = cls(workload, topology, f=1, seed=3, **kwargs)
     system.prepare()
-    adversary = (SingleFaultAdversary(at=FAULT_AT, kind=kind)
+    adversary = (single_fault(system, kind, at=FAULT_AT).script
                  if kind else None)
     return system, system.run(n_periods, adversary)
 

@@ -34,7 +34,7 @@ from repro import BTRConfig, BTRSystem, Deployment
 from repro.baselines import CrashRestartSystem, SelfStabilizingSystem
 from repro.baselines.unreplicated import UnreplicatedAgent
 from repro.core.runtime.agent import NodeAgent
-from repro.faults import SingleFaultAdversary
+from repro.faults import single_fault
 from repro.faults.scenarios import stage
 from repro.mc.hooks import DeliveryPerturbation
 from repro.net import full_mesh_topology
@@ -119,15 +119,17 @@ def run_in_both_modes(spec: str, n_periods: int, seed: int = 42,
                       adversary=None, link_script=None, hook=None):
     """``{mode: (system, result, hook)}`` for one run per trace mode on
     fresh systems (the metrics registry lives as long as its system);
-    ``hook`` is a factory, called once per run."""
+    ``adversary``, ``link_script`` and ``hook`` are factories of the
+    prepared system, called once per run."""
     runs = {}
     for mode in ("full", "milestones"):
         system = Deployment("industrial", spec,
                             seed=seed).system(trace_mode=mode)
         system.prepare()
+        script = adversary(system) if adversary else None
         links = link_script(system) if link_script else None
         installed = hook(system) if hook else None
-        result = system.run(n_periods, adversary=adversary,
+        result = system.run(n_periods, adversary=script,
                             link_script=links, delivery_hook=installed)
         runs[mode] = (system, result, installed)
     return runs
@@ -224,7 +226,8 @@ def test_full_and_milestones_count_alike(cell):
             links = sorted(system.topology.links)
             return [(at, links[link % len(links)], loss)]
     else:
-        adversary = SingleFaultAdversary(at=at, kind=kind)
+        def adversary(system):
+            return single_fault(system, kind, at=at).script
     assert_modes_agree(run_in_both_modes(
         spec, n_periods, seed=seed, adversary=adversary,
         link_script=link_script))
@@ -448,8 +451,8 @@ class TestSettledRefloods:
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(BatchRuntime, "flood_heartbeat",
                           lambda *args: floods.append(args))
-            result = system.run(24, SingleFaultAdversary(at=220_000,
-                                                         kind="crash"))
+            result = system.run(24, single_fault(
+                system, "crash", at=220_000).script)
         assert floods == []
         assert all(type(agent) is UnreplicatedAgent
                    for agent in system.agents.values())

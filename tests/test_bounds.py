@@ -17,7 +17,7 @@ from hypothesis import given, settings, strategies as st
 from repro import Deployment
 from repro.cli import main as cli_main
 from repro.core.detector.omission import DEFAULT_MIN_DECLARERS
-from repro.faults import SingleFaultAdversary
+from repro.faults import single_fault
 from repro.fuzz import load_corpus
 from repro.mc import replay_counterexample
 from repro.obs import reconstruct_timelines
@@ -387,7 +387,7 @@ def test_property_static_bound_dominates_empirical(kind, victim_index,
     victim = victims[victim_index % len(victims)]
     period = system.strategy.nominal.workload.period
     at = 4 * period + offset % period
-    result = system.run(20, SingleFaultAdversary(at=at, kind=kind,
-                                                 node=victim))
+    result = system.run(20, single_fault(
+        system, kind, at=at, node=victim).script)
     check = check_timelines(report, reconstruct_timelines(result))
     assert check.ok, [str(v) for v in check.violations]

@@ -107,6 +107,36 @@ def test_cli_run_rejects_unknown_fault(capsys):
         main(["run", "--fault", "gremlins"])
 
 
+def test_cli_run_fault_names_its_victim(capsys):
+    """``--fault K --fault-at T`` stages ``single_fault`` and prints the
+    line ``--scenario`` prints."""
+    code, out = run_cli(capsys, "run", "--workload", "pipeline",
+                        "--topology", "fullmesh:4", "--periods", "12",
+                        "--fault", "crash", "--fault-at", "0.05")
+    assert code == 0
+    assert out.splitlines()[0] == "scenario: single_crash - one crash " \
+                                  "fault on n1"
+
+
+@pytest.mark.parametrize("argv, names", [
+    (["--scenario", "single_crash", "--fault", "commission"],
+     "argument --fault: not allowed with argument --scenario"),
+    (["--scenario", "single_crash", "--fault-at", "0.05"],
+     "--fault-at needs --fault"),
+    (["--fault-at", "0.05"], "--fault-at needs --fault"),
+])
+def test_cli_run_refuses_a_fault_flag_it_would_drop(argv, names, capsys):
+    """``--scenario`` stages its own faults: a ``--fault`` or
+    ``--fault-at`` beside it, or a ``--fault-at`` with no ``--fault``,
+    is a usage error before anything is planned, not silently
+    dropped."""
+    with pytest.raises(SystemExit) as exc:
+        main(["run", "--workload", "pipeline", "--topology", "fullmesh:4",
+              "--periods", "4", *argv])
+    assert exc.value.code == 2
+    assert f"repro run: error: {names}" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("argv, names", [
     (["--scenario", "nosuch"], "unknown scenario 'nosuch'"),
     (["--scenario", "gateway_crash", "--topology", "fullmesh:5"],
@@ -221,7 +251,7 @@ def test_no_deployment_verb_takes_a_strategy_cache(verb, flag, capsys):
     (["check", "--periods", "-1"], "argument --periods: must be >= 0"),
     (["fuzz", "campaign", "--max-artifacts", "-1"],
      "argument --max-artifacts: must be >= 0"),
-    (["verify", "--strategy", b"\xff\xfe"], "strategy.json: not valid JSON"),
+    (["verify", "--strategy", b"\xff\xfe"], "strategy.json: not UTF-8 text"),
     (["check", "--window", "3", "2"], "injection window must satisfy"),
     (["check", "--window", "-1", "2"], "injection window must satisfy"),
     (["fuzz", "campaign", "--window", "-1", "2"],

@@ -54,11 +54,11 @@ def test_domain_plans_and_runs_clean(domain):
 @pytest.mark.parametrize("domain", sorted(DOMAINS))
 @pytest.mark.parametrize("kind", ["commission", "crash", "omission"])
 def test_domain_recovers_from_fault(domain, kind):
-    from repro.faults import SingleFaultAdversary
+    from repro.faults import single_fault
 
     system = prepared(domain)
     result = system.run(
-        32, SingleFaultAdversary(at=fault_time(system), kind=kind))
+        32, single_fault(system, kind, at=fault_time(system)).script)
     verdict = btr_verdict(result, R_us=system.budget.total_us)
     assert verdict.holds, (
         domain, kind,

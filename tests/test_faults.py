@@ -1,6 +1,7 @@
 """Tests for fault behaviours, patterns, and adversary scripting."""
 
 import math
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -14,14 +15,14 @@ from repro.faults import (
     FaultScript,
     Injection,
     OmissionFault,
-    PacingAdversary,
-    RandomAdversary,
-    SingleFaultAdversary,
     TimingFault,
     all_patterns_up_to,
     make_behavior,
     mode_id,
+    paced,
     pattern,
+    random_faults,
+    single_fault,
     strategy_size,
 )
 from repro.sim import DeterministicRandom
@@ -165,47 +166,49 @@ def test_fault_script_sorts_and_rejects_double_injection():
         ])
 
 
+def candidates(*nodes):
+    """What the builders read of a prepared system: its sorted
+    compromisable nodes."""
+    return SimpleNamespace(compromisable_nodes=lambda: sorted(nodes))
+
+
 def test_single_fault_adversary_defaults_to_first_candidate():
-    adv = SingleFaultAdversary(at=1000, kind="crash")
-    script = adv.script(["n2", "n1"], DeterministicRandom(0))
+    script = single_fault(candidates("n2", "n1"), "crash", at=1000).script
     assert script.faulty_nodes == ["n1"]
     assert script.injections[0].time == 1000
 
 
 def test_single_fault_adversary_validates_choice():
-    adv = SingleFaultAdversary(at=0, node="ghost")
     with pytest.raises(ValueError):
-        adv.script(["n1"], DeterministicRandom(0))
+        single_fault(candidates("n1"), "commission", at=0, node="ghost")
 
 
 def test_pacing_adversary_spacing():
-    adv = PacingAdversary(start=1000, interval=5000, k=3, kind="crash")
-    script = adv.script(["n1", "n2", "n3", "n4"], DeterministicRandom(0))
+    script = paced(candidates("n1", "n2", "n3", "n4"), 3, "crash",
+                   start=1000, interval=5000).script
     times = [i.time for i in script]
     assert times == [1000, 6000, 11000]
     assert len(set(script.faulty_nodes)) == 3
 
 
 def test_pacing_adversary_needs_enough_victims():
-    adv = PacingAdversary(start=0, interval=1, k=5)
     with pytest.raises(ValueError):
-        adv.script(["n1", "n2"], DeterministicRandom(0))
+        paced(candidates("n1", "n2"), 5, start=0, interval=1)
 
 
 def test_random_adversary_is_reproducible():
-    adv = RandomAdversary(horizon=100_000, k=3)
-    s1 = adv.script(["n1", "n2", "n3", "n4", "n5"], DeterministicRandom(9))
-    s2 = adv.script(["n1", "n2", "n3", "n4", "n5"], DeterministicRandom(9))
-    assert [(i.time, i.node, i.behavior.kind) for i in s1] == [
-        (i.time, i.node, i.behavior.kind) for i in s2]
+    system = candidates("n1", "n2", "n3", "n4", "n5")
+    s1 = random_faults(system, 3, DeterministicRandom(9), horizon=100_000)
+    s2 = random_faults(system, 3, DeterministicRandom(9), horizon=100_000)
+    assert [(i.time, i.node, i.behavior.kind) for i in s1.script] == [
+        (i.time, i.node, i.behavior.kind) for i in s2.script]
 
 
 @settings(max_examples=20, deadline=None)
 @given(seed=st.integers(0, 10**6), k=st.integers(1, 4))
 def test_property_random_adversary_respects_k_and_horizon(seed, k):
-    adv = RandomAdversary(horizon=50_000, k=k)
-    script = adv.script([f"n{i}" for i in range(6)],
-                        DeterministicRandom(seed))
+    script = random_faults(candidates(*(f"n{i}" for i in range(6))), k,
+                           DeterministicRandom(seed), horizon=50_000).script
     assert len(script) == k
     assert len(set(script.faulty_nodes)) == k
     assert all(0 <= i.time <= 50_000 for i in script)
@@ -217,15 +220,16 @@ def test_property_random_adversary_respects_k_and_horizon(seed, k):
 def _script_payload_task(args):
     """Top-level so ProcessPoolExecutor can pickle it."""
     adversary_kind, seed = args
-    from repro.faults import PacingAdversary, RandomAdversary, script_to_dict
+    from repro.faults import script_to_dict
     from repro.sim import DeterministicRandom
 
-    candidates = [f"n{i}" for i in range(6)]
+    system = candidates(*(f"n{i}" for i in range(6)))
     if adversary_kind == "random":
-        adv = RandomAdversary(horizon=50_000, k=3)
+        built = random_faults(system, 3, DeterministicRandom(seed),
+                              horizon=50_000)
     else:
-        adv = PacingAdversary(start=10_000, interval=20_000, k=3)
-    return script_to_dict(adv.script(candidates, DeterministicRandom(seed)))
+        built = paced(system, 3, start=10_000, interval=20_000)
+    return script_to_dict(built.script)
 
 
 @pytest.mark.parametrize("adversary_kind", ["random", "pacing"])
@@ -254,15 +258,15 @@ def test_adversary_identical_seeds_across_processes(adversary_kind):
 
 
 @pytest.mark.parametrize("make", [
-    lambda: RandomAdversary(horizon=50_000, k=3),
-    lambda: PacingAdversary(start=10_000, interval=20_000, k=2),
-    lambda: SingleFaultAdversary(at=30_000, kind="crash"),
+    lambda system: random_faults(system, 3, DeterministicRandom(9),
+                                 horizon=50_000),
+    lambda system: paced(system, 2, start=10_000, interval=20_000),
+    lambda system: single_fault(system, "crash", at=30_000),
 ])
 def test_fault_script_round_trips_through_serialisation(make):
     from repro.faults import script_from_dict, script_to_dict
 
-    candidates = [f"n{i}" for i in range(6)]
-    script = make().script(candidates, DeterministicRandom(9))
+    script = make(candidates(*(f"n{i}" for i in range(6)))).script
     payload = script_to_dict(script)
     rebuilt = script_from_dict(payload, seed=9)
     assert [(i.time, i.node, i.behavior.kind) for i in rebuilt] \
@@ -275,33 +279,12 @@ def test_fault_script_round_trips_through_serialisation(make):
 def test_script_from_dict_rejects_bad_payloads():
     from repro.faults import script_from_dict, script_to_dict
 
-    script = SingleFaultAdversary(at=5_000, kind="crash").script(
-        ["n0"], DeterministicRandom(1))
+    script = single_fault(candidates("n0"), "crash", at=5_000).script
     payload = script_to_dict(script)
     with pytest.raises(ValueError):
         script_from_dict({**payload, "version": 99})
     with pytest.raises(ValueError):
         script_from_dict({"injections": payload["injections"]})
-
-
-def test_random_adversary_dedupes_candidates_and_guards_faulty():
-    """Duplicate candidate ids collapse to one victim slot, and nodes
-    already compromised before the script are never re-injected."""
-    adv = RandomAdversary(horizon=50_000, k=3)
-    script = adv.script(["n1", "n1", "n2", "n2", "n3", "n4"],
-                        DeterministicRandom(5))
-    assert len(set(script.faulty_nodes)) == 3
-
-    guarded = RandomAdversary(horizon=50_000, k=2,
-                              already_faulty=("n1", "n2"))
-    script = guarded.script(["n1", "n2", "n3", "n4"],
-                            DeterministicRandom(5))
-    assert set(script.faulty_nodes) <= {"n3", "n4"}
-
-    with pytest.raises(ValueError, match="distinct un-compromised"):
-        RandomAdversary(horizon=50_000, k=3,
-                        already_faulty=("n1", "n2")).script(
-            ["n1", "n1", "n2", "n3", "n4"], DeterministicRandom(5))
 
 
 @pytest.mark.parametrize("method", ["spawn", "fork"])
@@ -372,9 +355,9 @@ def test_script_round_trip_replays_byte_identically():
                        full_mesh_topology(4, bandwidth=1e8),
                        BTRConfig(f=1))
     system.prepare()
-    script = RandomAdversary(horizon=120_000, min_time=40_000, k=1,
-                             kinds=("omission",)).script(
-        system.compromisable_nodes(), DeterministicRandom(3))
+    script = random_faults(system, 1, DeterministicRandom(3),
+                           horizon=120_000, kinds=("omission",),
+                           min_time=40_000).script
     reference = system.run(n_periods=10, adversary=script)
     rebuilt = script_from_dict(script_to_dict(script))
     replayed = system.run(n_periods=10, adversary=rebuilt)

@@ -31,7 +31,7 @@ from hypothesis import given, settings, strategies as st
 from repro import Deployment
 from repro.cli import main
 from repro.core.planner import strategy_to_json
-from repro.faults import SingleFaultAdversary
+from repro.faults import single_fault
 from repro.obs import export_run
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -104,7 +104,7 @@ def _report_file(directory):
     system = Deployment("pipeline", "fullmesh:4").system(
         trace_mode="milestones")
     system.prepare()
-    result = system.run(8, SingleFaultAdversary(at=50_000, kind="crash"))
+    result = system.run(8, single_fault(system, "crash", at=50_000).script)
     path = os.path.join(directory, "run.json")
     export_run(result, path)
     return path
@@ -211,7 +211,8 @@ def _deep(directory):
 #: (argv given a scratch directory, what the one line names). Each is
 #: exit 2 within the deadline: the unschedulable deployments exited 1
 #: (a verdict code), the export onto a directory and the deep file ended
-#: in a traceback, and the two 10**30 horizons never returned.
+#: in a traceback, and the two 10**30 horizons, the 400-node topology and
+#: the 106,762-plan strategy never returned.
 REFUSED = {
     "replay an unschedulable deployment": (
         lambda d: ["replay", _entry(d, meta={"f": 3})],
@@ -227,11 +228,20 @@ REFUSED = {
     "replay at f=10**30": (
         lambda d: ["replay", _entry(d, meta={"f": 10**30})],
         "unschedulable deployment: f=10000"),
+    "replay on a 400-node topology": (
+        lambda d: ["replay", _entry(d, meta={"topology": "fullmesh:400"})],
+        "topology 'fullmesh:400' has 400 nodes, more than the 160"),
+    "replay a strategy of 106,762 plans": (
+        lambda d: ["replay", _entry(d, meta={"topology": "fullmesh:20",
+                                             "f": 8})],
+        "unschedulable deployment: f=8 over 18 eligible nodes needs "
+        "106762 plans, more than the 1000"),
     "replay over 10**30 periods": (
         lambda d: ["replay", _entry(d, n_periods=10**30)],
         "past the trace's last time"),
     "read a too deeply nested file": (
-        lambda d: ["trace", _deep(d)], "deep.json: not valid JSON"),
+        lambda d: ["trace", _deep(d)],
+        "deep.json: nested deeper than the decoder allows"),
     "export onto a directory": (
         lambda d: ["plan", "--workload", "pipeline", "--topology",
                    "fullmesh:4", "--export", d],

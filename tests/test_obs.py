@@ -7,7 +7,7 @@ import re
 import pytest
 
 from repro import BTRConfig, BTRSystem
-from repro.faults import SingleFaultAdversary
+from repro.faults import single_fault
 from repro.net import full_mesh_topology
 from repro.obs import (
     MILESTONES,
@@ -32,7 +32,7 @@ def btr_run(kind="commission", workload=None, n_periods=30, seed=42,
                        full_mesh_topology(7),
                        BTRConfig(f=1, seed=seed, **config_kw))
     system.prepare()
-    adversary = (SingleFaultAdversary(at=FAULT_AT, kind=kind)
+    adversary = (single_fault(system, kind, at=FAULT_AT).script
                  if kind else None)
     return system, system.run(n_periods, adversary)
 
@@ -215,8 +215,22 @@ class TestExport:
          "'first_charge'] must be an integer or null"),
         (lambda r, f: r.update(duration_us="x"),
          "'duration_us'] must be an integer"),
+        # A phase of 10**30 beside a matching total.
+        (lambda r, f: (f["phases"].update(detect=10**30),
+                       f.update(total_us=sum(f["phases"].values()))),
+         "outside the run's [0, 1500000] us"),
+        (lambda r, f: f.update(manifest_us=-1),
+         "manifests at -1 us"),
+        (lambda r, f: f["milestones"].update(conviction=1_500_001),
+         "'conviction'] at 1500001 us is outside the run's [0, 1500000]"),
+        (lambda r, f: r.update(duration_us=r["duration_us"] + 1),
+         "duration_us 1500001 is not period_us 50000 * n_periods 30"),
+        (lambda r, f: r.update(period_us=0, duration_us=0),
+         "duration_us 0 is not period_us 0 * n_periods 30 with both >= 1"),
     ], ids=["phase sum", "negative phase", "string milestone",
-            "string duration"])
+            "string duration", "phase past the run", "negative manifest",
+            "milestone past the run", "duration not periods",
+            "zero period"])
     def test_load_rejects_a_report_no_writer_produces(
             self, commission_run, tmp_path, capsys, corrupt, named):
         from repro.cli import main as cli_main

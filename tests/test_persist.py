@@ -24,7 +24,7 @@ from repro.core.planner.serialize import strategy_to_json
 from repro.fuzz.corpus import load_corpus, write_corpus
 from repro.obs import export_run
 from repro.perf import StrategyCache, strategy_cache_key
-from repro.persist import json_text
+from repro.persist import InputError, json_text, read_json, write_atomic
 
 CORPUS_DIR = os.path.join(os.path.dirname(os.path.dirname(
     os.path.abspath(__file__))), "corpus")
@@ -134,6 +134,35 @@ def test_failed_rename_keeps_the_previous_file_and_no_temp_file(
     with open(path, encoding="utf-8") as fh:
         assert fh.read() == "previous"
     assert sorted(os.listdir(tmp_path)) == listing
+
+
+def test_failed_write_names_the_target_not_its_temp_file(tmp_path):
+    """``repro plan --export D`` onto a directory ``D`` reports ``D``."""
+    target = tmp_path / "taken"
+    target.mkdir()
+    with pytest.raises(IsADirectoryError) as exc:
+        write_atomic(str(target), "{}")
+    assert exc.value.filename == str(target)
+    assert ".tmp." not in str(exc.value) and exc.value.filename2 is None
+    assert os.listdir(tmp_path) == ["taken"]
+
+
+@pytest.mark.parametrize("content, says", [
+    (b"\xff\xfe[]", "not UTF-8 text ('utf-8' codec can't decode"),
+    (b"[" * 100_000 + b"]" * 100_000,
+     "nested deeper than the decoder allows"),
+    (b'{"a": [1, 2', "not valid JSON (Expecting"),
+], ids=["not-utf8", "too-deep", "truncated"])
+def test_read_json_names_why_it_cannot_decode(content, says, tmp_path):
+    """Only a JSON syntax error gets the truncated-write hint."""
+    path = tmp_path / "artifact.json"
+    path.write_bytes(content)
+    with pytest.raises(InputError) as exc:
+        read_json(str(path), InputError, lambda document: document)
+    message = str(exc.value)
+    assert message.startswith(f"{path}: {says}"), message
+    assert ("truncated mid-write" in message) == (says.startswith(
+        "not valid JSON")), message
 
 
 # ---------------------------------------------------------- the JSON text

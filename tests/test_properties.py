@@ -176,7 +176,7 @@ def test_property_random_workload_runs_recover(seed):
     """Any schedulable random workload recovers from a commission fault."""
     from repro import BTRConfig, BTRSystem
     from repro.analysis import btr_verdict
-    from repro.faults import SingleFaultAdversary
+    from repro.faults import single_fault
 
     workload = random_workload(DeterministicRandom(seed), n_tasks=6,
                                n_layers=2, period=ms(100))
@@ -189,7 +189,7 @@ def test_property_random_workload_runs_recover(seed):
     if not system.compromisable_nodes():
         return
     result = system.run(
-        24, SingleFaultAdversary(at=250_000, kind="commission"))
+        24, single_fault(system, "commission", at=250_000).script)
     verdict = btr_verdict(result, R_us=budget.total_us)
     assert verdict.holds, [
         (v.flow, v.period_index, v.status) for v in verdict.violations[:5]]

@@ -24,7 +24,7 @@ PROGRAM_PATHS = ("src", "benchmarks", "tools")
 #: Qualified name -> why it stays although only tests reach it.
 KEEP: Dict[str, str] = {
     "random_workload": "property tests draw their workloads from it",
-    "RandomAdversary": "property tests draw their adversaries from it",
+    "random_faults": "property tests draw their fault scripts from it",
     "recovery_bound_for_deadline": "the paper's R = D/f rule",
     "MetricsRegistry.counter_value":
         "read-only accessor: tests read a run's counters through it",

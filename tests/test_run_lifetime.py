@@ -16,7 +16,7 @@ import pytest
 
 from repro import BTRConfig, BTRSystem, Deployment
 from repro.baselines import BASELINES
-from repro.faults import SingleFaultAdversary, script_from_dict
+from repro.faults import script_from_dict, single_fault
 from repro.fuzz import FuzzParams
 from repro.fuzz.campaign import _evaluate
 from repro.mc import judge
@@ -56,7 +56,7 @@ def industrial(mode: str) -> BTRSystem:
 def test_fault_run_rerun_and_sibling_run_free_themselves(mode):
     def scenario():
         system = industrial(mode)
-        system.run(20, SingleFaultAdversary(at=250_000, kind="commission"))
+        system.run(20, single_fault(system, "commission", at=250_000).script)
         system.run(10)
         sibling_system(system, 4).run(10)
 
@@ -82,7 +82,7 @@ def test_baseline_runs_free_themselves(name):
         system = BASELINES[name](industrial_workload(),
                                  full_mesh_topology(7), f=1, seed=3)
         system.prepare()
-        system.run(10, SingleFaultAdversary(at=150_000, kind="crash"))
+        system.run(10, single_fault(system, "crash", at=150_000).script)
         system.run(10)
 
     assert unreachable_after(scenario) == 0
@@ -136,8 +136,7 @@ def test_export_run_frees_itself(tmp_path):
     """The indented report text is written without the standard
     encoder's closures, which refer to each other."""
     system = industrial("milestones")
-    result = system.run(10, SingleFaultAdversary(at=150_000,
-                                                 kind="crash"))
+    result = system.run(10, single_fault(system, "crash", at=150_000).script)
     path = str(tmp_path / "run.json")
 
     def scenario():

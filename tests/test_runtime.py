@@ -14,8 +14,8 @@ from repro.faults import (
     EvidenceFloodFault,
     FaultScript,
     Injection,
-    PacingAdversary,
-    SingleFaultAdversary,
+    paced,
+    single_fault,
 )
 from repro.net import full_mesh_topology
 from repro.sim import (
@@ -54,7 +54,7 @@ def run_system(kind=None, f=1, seed=42, n_nodes=7, n_periods=PERIOD_COUNT,
                        config or BTRConfig(f=f, seed=seed))
     system.prepare()
     if adversary is None and kind is not None:
-        adversary = SingleFaultAdversary(at=FAULT_AT, kind=kind)
+        adversary = single_fault(system, kind, at=FAULT_AT).script
     return system, system.run(n_periods=n_periods, adversary=adversary)
 
 
@@ -214,9 +214,9 @@ def test_pacing_adversary_with_f2_is_contained():
     system = BTRSystem(workload, full_mesh_topology(9, bandwidth=1e8),
                        BTRConfig(f=2, seed=1))
     system.prepare()
-    adversary = PacingAdversary(start=200_000, interval=300_000, k=2,
-                                kind="commission")
-    result = system.run(n_periods=30, adversary=adversary)
+    attack = paced(system, 2, "commission", start=200_000,
+                   interval=300_000)
+    result = system.run(n_periods=30, adversary=attack.script)
     wrong, missing = classify_periods(result, n_periods=30)
     disrupted = set(wrong) | set(missing)
     # Two separate disruption windows, both bounded; clean at the end.

@@ -16,7 +16,7 @@ from repro.faults import (
     Injection,
     OmissionFault,
     RogueClockFault,
-    SingleFaultAdversary,
+    single_fault,
 )
 from repro.net import (
     dual_star_topology,
@@ -91,8 +91,8 @@ def test_small_rogue_offset_goes_down_the_declaration_route():
 ])
 def test_recovery_on_multihop_topologies(factory):
     system = make_system(topology=factory())
-    result = system.run(N_PERIODS, SingleFaultAdversary(
-        at=FAULT_AT, kind="commission"))
+    result = system.run(N_PERIODS, single_fault(
+        system, "commission", at=FAULT_AT).script)
     verdict = btr_verdict(result, R_us=system.budget.total_us)
     assert verdict.holds, [
         (v.flow, v.period_index, v.status) for v in verdict.violations[:5]]
@@ -204,8 +204,8 @@ def test_quota_does_not_throttle_legitimate_recovery(monkeypatch):
     # (records arrive from several senders; dedup happens first).
     monkeypatch.setattr(evidence_module, "EVIDENCE_QUOTA_PER_SENDER", 2)
     system = make_system()
-    result = system.run(N_PERIODS, SingleFaultAdversary(
-        at=FAULT_AT, kind="crash"))
+    result = system.run(N_PERIODS, single_fault(
+        system, "crash", at=FAULT_AT).script)
     verdict = btr_verdict(result, R_us=system.budget.total_us)
     assert verdict.holds
 
@@ -216,8 +216,8 @@ def test_quota_does_not_throttle_legitimate_recovery(monkeypatch):
 def test_endpoint_nodes_are_never_accused():
     system = make_system()
     protected = set(system.topology.endpoint_map.values())
-    result = system.run(N_PERIODS, SingleFaultAdversary(
-        at=FAULT_AT, kind="omission"))
+    result = system.run(N_PERIODS, single_fault(
+        system, "omission", at=FAULT_AT).script)
     for fs in result.final_fault_sets.values():
         assert not fs & protected
 
@@ -233,8 +233,8 @@ def test_strategic_placement_flag_roundtrip():
 
 def test_mode_switches_complete_for_every_correct_node():
     system = make_system()
-    result = system.run(N_PERIODS, SingleFaultAdversary(
-        at=FAULT_AT, kind="commission"))
+    result = system.run(N_PERIODS, single_fault(
+        system, "commission", at=FAULT_AT).script)
     switched = {e.node for e in result.trace.of_kind(ModeSwitchCompleted)}
     correct = set(system.topology.nodes) - set(result.fault_times())
     assert correct <= switched
@@ -295,8 +295,8 @@ def test_heartbeats_flood_to_all_nodes():
 def test_crashed_node_liveness_decays():
     system = make_system()
     victim = system.compromisable_nodes()[0]
-    result = system.run(N_PERIODS, SingleFaultAdversary(
-        at=FAULT_AT, kind="crash"))
+    result = system.run(N_PERIODS, single_fault(
+        system, "crash", at=FAULT_AT).script)
     observer = next(n for n in system.agents if n != victim)
     agent = system.agents[observer]
     assert not agent._node_alive(victim)

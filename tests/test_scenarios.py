@@ -4,7 +4,17 @@ import pytest
 
 from repro import BTRConfig, BTRSystem
 from repro.analysis import btr_verdict, smallest_sufficient_R
-from repro.faults import SCENARIOS, ScenarioError, stage
+from repro.faults import (
+    SCENARIOS,
+    CrashFault,
+    FaultScript,
+    Injection,
+    ScenarioError,
+    paced,
+    script_to_dict,
+    single_fault,
+    stage,
+)
 from repro.faults.scenarios import geo_scenario
 from repro.net import full_mesh_topology, geo_topology
 from repro.workload import industrial_workload, stretched_workload
@@ -65,6 +75,47 @@ def test_flood_plus_fault_needs_a_two_fault_budget(f2_system):
     correct = [fs for n, fs in result.final_fault_sets.items()
                if n not in faulty]
     assert all(fs <= faulty for fs in correct)
+
+
+def test_single_fault_builder_defaults_and_refusals(f1_system):
+    """4.4 periods in, on the first compromisable node; a node that is
+    not a candidate is refused."""
+    scenario = single_fault(f1_system, "crash")
+    (injection,) = scenario.script
+    assert injection.time == int(4.4 * f1_system.workload.period)
+    assert injection.node == f1_system.compromisable_nodes()[0]
+    assert scenario.description == f"one crash fault on {injection.node}"
+    assert (script_to_dict(stage("single_crash", f1_system).script)
+            == script_to_dict(scenario.script))
+    protected = sorted(set(f1_system.topology.nodes)
+                       - set(f1_system.compromisable_nodes()))[0]
+    with pytest.raises(ScenarioError, match="not a candidate"):
+        single_fault(f1_system, "crash", node=protected)
+
+
+def test_paced_builder_spaces_faults_one_recovery_bound_apart(f2_system):
+    R = f2_system.budget.total_us
+    scenario = paced(f2_system, 2, start=100_000)
+    assert [(i.time, i.node) for i in scenario.script] == [
+        (100_000, f2_system.compromisable_nodes()[0]),
+        (100_000 + R, f2_system.compromisable_nodes()[1])]
+    assert (script_to_dict(stage("paced_double", f2_system).script)
+            == script_to_dict(paced(f2_system, 2).script))
+    with pytest.raises(ScenarioError, match="need 3 victims, only 2"):
+        paced(f2_system, 3, victims=["n1", "n2"])
+
+
+@pytest.mark.parametrize("adversary", [
+    Injection(0, "n1", CrashFault()), [], "single_crash"])
+def test_run_refuses_anything_but_a_fault_script(f1_system, adversary):
+    """A run takes a FaultScript or nothing: any other value is refused,
+    naming its type, before the run builds a simulator."""
+    before = f1_system.sim
+    with pytest.raises(TypeError, match=(
+            f"takes a FaultScript or None, not {type(adversary).__name__}$")):
+        f1_system.run(4, adversary)
+    assert f1_system.sim is before
+    assert len(f1_system.run(4, FaultScript()).fault_times()) == 0
 
 
 def test_paced_double_recovers(f2_system):

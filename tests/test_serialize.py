@@ -17,7 +17,7 @@ from repro.core.planner.serialize import (
     _graph_to_dict,
     _schedule_to_dict,
 )
-from repro.faults import SingleFaultAdversary
+from repro.faults import single_fault
 from repro.net import full_mesh_topology
 from repro.perf import StrategyCache
 from repro.workload import industrial_workload
@@ -299,7 +299,7 @@ def test_strategy_json_rejects_a_field_of_another_type(system, fault):
 
 def test_deserialized_strategy_runs_identically(system):
     """The shipped artifact drives the runtime exactly like the original."""
-    adversary = SingleFaultAdversary(at=220_000, kind="commission")
+    adversary = single_fault(system, "commission", at=220_000).script
     original = system.run(20, adversary)
 
     clone = BTRSystem(industrial_workload(),

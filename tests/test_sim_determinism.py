@@ -14,9 +14,10 @@ import pytest
 import repro
 from repro import BTRConfig, BTRSystem
 from repro.baselines import BFTSystem, ZZSystem
-from repro.faults import PacingAdversary, SingleFaultAdversary
+from repro.faults import paced, random_faults, single_fault
 from repro.net import full_mesh_topology, ring_topology
 from repro.sim import (
+    DeterministicRandom,
     MessageDelivered,
     MessageSent,
     OutputProduced,
@@ -39,21 +40,24 @@ def fingerprint(result):
     return events
 
 
-def btr_run(seed, adversary=None, topo_factory=None, drift=50.0):
+def btr_run(seed, scenario=None, topo_factory=None, drift=50.0):
+    """20 periods under ``scenario(system)``'s fault script, if given."""
     system = BTRSystem(
         industrial_workload(),
         (topo_factory or (lambda: full_mesh_topology(7, bandwidth=1e8)))(),
         BTRConfig(f=1, seed=seed, clock_drift_ppm=drift),
     )
     system.prepare()
-    return system.run(20, adversary)
+    return system.run(20, scenario(system).script if scenario else None)
+
+
+def one_fault(kind):
+    return lambda system: single_fault(system, kind, at=220_000)
 
 
 def test_full_trace_identical_across_processes_worth_of_state():
-    a = fingerprint(btr_run(3, SingleFaultAdversary(at=220_000,
-                                                    kind="commission")))
-    b = fingerprint(btr_run(3, SingleFaultAdversary(at=220_000,
-                                                    kind="commission")))
+    a = fingerprint(btr_run(3, one_fault("commission")))
+    b = fingerprint(btr_run(3, one_fault("commission")))
     assert a == b
 
 
@@ -80,17 +84,20 @@ def test_trace_fingerprint_is_equal_across_hash_seeds():
 def test_different_seeds_differ_under_random_adversary():
     # Fault-free runs are intentionally seed-independent in their event
     # timing (drift only affects signed timestamps); the seed drives the
-    # adversary and clock assignment.
-    from repro.faults import RandomAdversary
+    # adversary (its stream is forked from the system's seed) and clock
+    # assignment.
+    def adversary(system):
+        rng = DeterministicRandom(system.seed).fork("adversary")
+        return random_faults(system, 1, rng, horizon=600_000,
+                             min_time=100_000)
 
-    adversary = RandomAdversary(horizon=600_000, k=1, min_time=100_000)
     a = fingerprint(btr_run(1, adversary))
     b = fingerprint(btr_run(2, adversary))
     assert a != b
 
 
 def test_trace_is_time_ordered_everywhere():
-    result = btr_run(5, SingleFaultAdversary(at=220_000, kind="crash"))
+    result = btr_run(5, one_fault("crash"))
     times = [e.time for e in result.trace]
     assert times == sorted(times)
 
@@ -113,7 +120,7 @@ def test_ring_runs_deterministic_under_pacing():
                            BTRConfig(f=1, seed=11))
         system.prepare()
         return fingerprint(system.run(
-            24, SingleFaultAdversary(at=220_000, kind="omission")))
+            24, single_fault(system, "omission", at=220_000).script))
 
     assert run() == run()
 
@@ -135,8 +142,8 @@ def test_f2_pacing_deterministic():
                            full_mesh_topology(9, bandwidth=1e8),
                            BTRConfig(f=2, seed=21))
         system.prepare()
-        adversary = PacingAdversary(start=200_000, interval=300_000, k=2,
-                                    kind="crash")
-        return fingerprint(system.run(24, adversary))
+        attack = paced(system, 2, "crash", start=200_000,
+                       interval=300_000)
+        return fingerprint(system.run(24, attack.script))
 
     assert run() == run()

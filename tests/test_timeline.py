@@ -3,7 +3,7 @@
 import pytest
 
 from repro import BTRConfig, BTRSystem
-from repro.faults import SingleFaultAdversary
+from repro.faults import single_fault
 from repro.net import full_mesh_topology
 from repro.obs import MILESTONES, reconstruct_timelines, render_timeline
 from repro.workload import industrial_workload
@@ -15,7 +15,7 @@ def faulted_run():
                        full_mesh_topology(7, bandwidth=1e8),
                        BTRConfig(f=1, seed=41))
     system.prepare()
-    return system.run(24, SingleFaultAdversary(at=220_000, kind="crash"))
+    return system.run(24, single_fault(system, "crash", at=220_000).script)
 
 
 @pytest.fixture(scope="module")

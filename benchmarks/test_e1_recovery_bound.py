@@ -156,6 +156,7 @@ def test_e1_fault_free_needs_no_recovery(benchmark):
                 reconstruct_timelines(result))
 
     empirical, verdict, timelines = one_shot(benchmark, run)
-    assert empirical == 0
+    # None: a bad slot that no fault excuses under any R.
+    assert empirical == 0, f"fault-free run needs R = {empirical}"
     assert verdict.holds  # R = 0: classical fault tolerance, trivially met
     assert timelines == []  # no faults, no timelines

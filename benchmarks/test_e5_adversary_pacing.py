@@ -37,7 +37,7 @@ def run_experiment():
                            BTRConfig(f=F, seed=17))
         system.prepare()
         R = system.budget.total_us
-        attack = paced(system, k, "commission", start=200_000, interval=R)
+        attack = paced(system, k, start=200_000, interval=R)
         result = system.run(N_PERIODS, attack.script)
         per_fault = recovery_times(result)
         disrupted = [s for s in classify_slots(result)
@@ -121,7 +121,7 @@ def test_e5_budget_rule_protects_the_plant(benchmark):
             if system.strategy.nominal.assignment[i]
             in system.compromisable_nodes()
         ]
-        attack = paced(system, F, "commission", start=200_000, interval=R,
+        attack = paced(system, F, start=200_000, interval=R,
                        victims=ctrl_hosts)
         btr_result = system.run(N_PERIODS, attack.script)
         btr_safe = tank().run_sequence(period_s,

@@ -41,7 +41,7 @@ def main() -> None:
 
     # Pace the second compromise to land right as recovery from the first
     # completes — the worst case the paper describes.
-    attack = paced(system, F, "commission", start=200_000, interval=R)
+    attack = paced(system, F, start=200_000, interval=R)
     result = system.run(n_periods=N_PERIODS, adversary=attack.script)
     print(f"\nrun: {result.summary()}")
 

@@ -117,11 +117,9 @@ def classify_slots(result: RunResult,
     return tuple(slots)
 
 
-def btr_verdict(result: RunResult, R_us: int,
-                excused_flows: Optional[Mapping[str, int]] = None
-                ) -> BTRVerdict:
+def btr_verdict(result: RunResult, R_us: int) -> BTRVerdict:
     """Check Definition 3.1 with bound ``R_us`` over a run."""
-    slots = classify_slots(result, excused_flows)
+    slots = classify_slots(result)
     fault_times = result.fault_times().values()
     violations = [
         s for s in slots
@@ -164,6 +162,15 @@ def recovery_times(result: RunResult,
 
 def smallest_sufficient_R(result: RunResult,
                           excused_flows: Optional[Mapping[str, int]] = None
-                          ) -> int:
-    """The smallest R for which Definition 3.1 holds over this run."""
+                          ) -> Optional[int]:
+    """The smallest R for which Definition 3.1 holds over this run, or
+    None when no R does: a bad, unexcused slot is due before the first
+    injected fault (in a run that injects none, any bad slot), so no
+    fault can excuse it."""
+    first = min((e.time for e in result.trace.of_kind(FaultInjected)),
+                default=None)
+    if any(s.status != CORRECT and not s.excused
+           and (first is None or s.due < first)
+           for s in classify_slots(result, excused_flows)):
+        return None
     return max(recovery_times(result, excused_flows).values(), default=0)

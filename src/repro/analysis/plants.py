@@ -82,12 +82,12 @@ class Plant:
                 return False
         return True
 
-    def max_tolerable_outage(self, dt: float, kind: str = HOSTILE_CMD
-                             ) -> int:
+    def max_tolerable_outage(self, dt: float) -> int:
         """Largest number of consecutive bad control periods the plant
         survives (R* in control periods): settle under correct control,
-        inject ``kind`` for n periods, then resume correct control and
-        require the envelope to hold throughout and for a recovery tail.
+        inject hostile commands for n periods, then resume correct
+        control and require the envelope to hold throughout and for a
+        recovery tail.
 
         This is the physical quantity that justifies BTR: any recovery
         bound R <= R* * dt keeps the plant safe.
@@ -97,7 +97,7 @@ class Plant:
 
         def survives(n: int) -> bool:
             commands = ([CORRECT_CMD] * settle_periods
-                        + [kind] * n
+                        + [HOSTILE_CMD] * n
                         + [CORRECT_CMD] * settle_periods)
             return self.run_sequence(dt, commands)
 

@@ -68,12 +68,17 @@ def handle(args) -> int:
 def _row(name: str, result, args) -> List[str]:
     recovery = smallest_sufficient_R(result, excused_flows={})
     horizon = (args.periods - 1) * result.workload.period
-    never = recovery >= horizon - seconds(args.fault_at)
+    if recovery is None:
+        shown = "none"
+    elif recovery >= horizon - seconds(args.fault_at):
+        shown = "never"
+    else:
+        shown = f"{to_seconds(recovery):.3f}s"
     report = timeliness(result)
     data_bits = traffic_bits(result).get("data", 0)
     return [
         name,
-        "never" if never else f"{to_seconds(recovery):.3f}s",
+        shown,
         f"{report.on_time}/{report.total_slots}",
         f"{data_bits / 1e6:.2f} Mbit",
     ]

@@ -89,6 +89,6 @@ def planned(args, **how) -> BTRSystem:
     return system
 
 
-def write_json(path: str, payload, what: str, hint: str = "") -> None:
+def write_json(path: str, payload, what: str) -> None:
     write_atomic(path, json_text(payload))
-    print(f"{what} written to {path}{hint}")
+    print(f"{what} written to {path}")

@@ -62,8 +62,9 @@ def handle(args) -> int:
     report = timeliness(result)
     print(f"Definition 3.1 holds at R={to_seconds(budget.total_us):.3f}s: "
           f"{verdict.holds}")
-    print(f"empirical recovery: "
-          f"{to_seconds(smallest_sufficient_R(result)):.3f}s")
+    recovery = smallest_sufficient_R(result)
+    print("empirical recovery: " + ("none" if recovery is None
+                                    else f"{to_seconds(recovery):.3f}s"))
     print(f"timeliness: {report.on_time}/{report.total_slots} on time "
           f"({report.miss_rate:.1%} missed)")
     if args.timeline or args.obs:

@@ -7,14 +7,14 @@ each correct node, the system should converge to a single, consistent plan."
 
 from __future__ import annotations
 
-from typing import FrozenSet, Iterable, Set
+from typing import FrozenSet, Set
 
 
 class FaultSet:
     """A monotone (append-only) set of nodes believed faulty."""
 
-    def __init__(self, initial: Iterable[str] = ()) -> None:
-        self._members: Set[str] = set(initial)
+    def __init__(self) -> None:
+        self._members: Set[str] = set()
 
     def add(self, node: str) -> bool:
         """Add a node; returns True iff this is new information."""

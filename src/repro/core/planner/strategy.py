@@ -138,7 +138,6 @@ def build_strategy(
     f: int,
     lane_model: Optional[LaneModel] = None,
     config: Optional[PlacementConfig] = None,
-    augment_config: Optional[AugmentConfig] = None,
 ) -> Strategy:
     """Compute plans for every fault pattern of size ≤ f. Raises
     :class:`PlanningError` if any anticipated pattern is unschedulable even
@@ -152,7 +151,6 @@ def build_strategy(
             f"{len(topology.nodes)}")
     config = config or PlacementConfig()
     lane_model = lane_model or LaneModel(topology)
-    augment_config = augment_config or AugmentConfig(replicas=f + 1)
 
     # The failures the strategy anticipates, in canonical order. Nodes
     # that host sources/sinks are not among them: the paper's threat
@@ -166,7 +164,7 @@ def build_strategy(
             f"f={f} over {len(candidates)} eligible nodes needs {n_plans} "
             f"plans, more than the {MAX_STRATEGY_PLANS} a strategy may "
             f"hold")
-    ladder = augmented_ladder(workload, augment_config)
+    ladder = augmented_ladder(workload, AugmentConfig(replicas=f + 1))
     plans: Dict[FaultPattern, Plan] = {}
     for pattern in all_patterns_up_to(candidates, f):
         parent_assignment = None

@@ -248,8 +248,7 @@ class BTRSystem(SimulatedSystem):
                  config: Optional[BTRConfig] = None) -> None:
         self.config = config or BTRConfig()
         super().__init__(workload, topology, self.config.seed)
-        self.directory = KeyDirectory(master_seed=self.config.seed,
-                                      verify_memo=True)
+        self.directory = KeyDirectory(master_seed=self.config.seed)
         for node_id in topology.nodes:
             self.directory.register(node_id)
         self.strategy: Optional[Strategy] = None
@@ -385,9 +384,14 @@ class BTRSystem(SimulatedSystem):
             for link, loss in pristine:
                 link.loss_probability = loss
 
-        # Flows deliberately shed by the plan in force at the end of the
-        # run, excused from the first mode switch onward.
-        excused: Dict[str, int] = {}
+        # Flows deliberately shed: by the nominal plan, excused from the
+        # start; by the plan in force at the end of the run, from the
+        # first mode switch onward.
+        nominal_kept = {f.name for f in
+                        self.strategy.nominal.workload.sink_flows()}
+        excused: Dict[str, int] = {
+            f.name: 0 for f in self.workload.sink_flows()
+            if f.name not in nominal_kept}
         fault_sets = {n: a.switching.switcher.fault_set.snapshot()
                       for n, a in self.agents.items()}
         switches = self.trace.of_kind(ModeSwitchCompleted)
@@ -399,7 +403,7 @@ class BTRSystem(SimulatedSystem):
             kept = {f.name for f in final_plan.workload.sink_flows()}
             for flow in self.workload.sink_flows():
                 if flow.name not in kept:
-                    excused[flow.name] = first_switch
+                    excused.setdefault(flow.name, first_switch)
 
         metrics = self.run_metrics
         metrics.set_gauge("sim_events_executed", self.sim.events_executed)

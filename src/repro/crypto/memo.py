@@ -11,7 +11,7 @@ otherwise invalid results are **never cached**: a miss always recomputes,
 so a forgery can never be laundered into validity by a cache hit.
 
 Determinism: the memo stores only results that are pure functions of its
-key; eviction (when the memo exceeds ``max_entries``) drops the oldest
+key; eviction (when the memo holds ``MEMO_ENTRIES``) drops the oldest
 half in insertion order — no wall clock, no randomness.
 """
 
@@ -26,10 +26,10 @@ from typing import Dict, Tuple
 #: beyond the tuple itself; the key is exactly what the HMAC reads.
 MemoKey = Tuple[str, str, bytes]
 
-#: Default memo capacity. A run's working set is one entry per distinct
+#: Memo capacity. A run's working set is one entry per distinct
 #: (statement, signer) pair in flight; 64k entries comfortably covers the
 #: benchmark sweeps while bounding memory under evidence-flooding attacks.
-DEFAULT_MEMO_ENTRIES = 1 << 16
+MEMO_ENTRIES = 1 << 16
 
 
 class VerifyMemo:
@@ -48,12 +48,9 @@ class VerifyMemo:
     identical memo decisions at every step.
     """
 
-    __slots__ = ("max_entries", "hits", "misses", "evictions", "_valid")
+    __slots__ = ("hits", "misses", "evictions", "_valid")
 
-    def __init__(self, max_entries: int = DEFAULT_MEMO_ENTRIES) -> None:
-        if max_entries < 2:
-            raise ValueError("verify memo needs max_entries >= 2")
-        self.max_entries = max_entries
+    def __init__(self) -> None:
         self.hits = 0
         self.misses = 0
         self.evictions = 0
@@ -69,7 +66,7 @@ class VerifyMemo:
 
     def add_valid(self, key: MemoKey) -> None:
         """Record a *successful* verification (the only kind stored)."""
-        if len(self._valid) >= self.max_entries:
+        if len(self._valid) >= MEMO_ENTRIES:
             drop = len(self._valid) // 2
             for stale in list(islice(self._valid, drop)):
                 del self._valid[stale]

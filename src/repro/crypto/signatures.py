@@ -95,14 +95,6 @@ def hmac_tag(pads: Tuple[Any, Any], message: bytes) -> str:
     return outer.hexdigest()
 
 
-#: Derived keys shared across directories in one process, keyed by
-#: (master_seed, node_id). Key derivation is a pure function of the key
-#: string, so multi-seed sweeps (:func:`repro.perf.run_sweep`)
-#: and repeated benchmark systems on the same seed share the SHA-256
-#: work instead of re-deriving per directory.
-_DERIVED_KEYS: Dict[tuple, bytes] = {}
-
-
 class KeyDirectory:
     """Per-node signing keys, derived deterministically from a master seed.
 
@@ -113,7 +105,7 @@ class KeyDirectory:
     """
 
     def __init__(self, master_seed: int = 0,
-                 verify_memo: bool = False) -> None:
+                 verify_memo: bool = True) -> None:
         self._master_seed = master_seed
         #: Per-signer :func:`hmac_pads`: the key schedule pre-applied.
         self._pads: Dict[str, Tuple[Any, Any]] = {}
@@ -132,14 +124,8 @@ class KeyDirectory:
     def register(self, node_id: str) -> None:
         """Provision a key for ``node_id`` (idempotent)."""
         if node_id not in self._pads:
-            cache_key = (self._master_seed, node_id)
-            key = _DERIVED_KEYS.get(cache_key)
-            if key is None:
-                key = hashlib.sha256(
-                    f"key:{self._master_seed}:{node_id}".encode()
-                ).digest()
-                _DERIVED_KEYS[cache_key] = key
-            self._pads[node_id] = hmac_pads(key)
+            self._pads[node_id] = hmac_pads(hashlib.sha256(
+                f"key:{self._master_seed}:{node_id}".encode()).digest())
 
     def sign(self, signer: str, payload: Any) -> Signature:
         return self.sign_bytes(signer, canonical_bytes(payload))

@@ -71,13 +71,13 @@ def single_fault(system, kind: str = "commission", at: Optional[int] = None,
                     FaultScript([Injection(at, node, make_behavior(kind))]))
 
 
-def paced(system, k: int, kind: str = "commission",
-          start: Optional[int] = None, interval: Optional[int] = None,
+def paced(system, k: int, start: Optional[int] = None,
+          interval: Optional[int] = None,
           victims: Optional[Sequence[str]] = None) -> Scenario:
     """The §3 worst case: "if an adversary controls k ≤ f nodes, he can
     trigger a new fault every R seconds and thus potentially force the
-    system to produce bad outputs for kR seconds". ``k`` faults of
-    ``kind``, the i-th on ``victims[i]`` (default: the compromisable
+    system to produce bad outputs for kR seconds". ``k`` commission
+    faults, the i-th on ``victims[i]`` (default: the compromisable
     nodes in order) at ``start + i * interval`` (defaults: 4.4 periods
     in, and R, so each fault lands as the last recovery ends)."""
     chosen = list(victims if victims is not None
@@ -89,9 +89,11 @@ def paced(system, k: int, kind: str = "commission",
     interval = system.budget.total_us if interval is None else interval
     return Scenario(
         f"paced_{k}",
-        f"{kind} faults on {', '.join(chosen)}, paced {interval}us apart",
+        f"commission faults on {', '.join(chosen)}, paced {interval}us "
+        "apart",
         FaultScript([
-            Injection(start + i * interval, node, make_behavior(kind))
+            Injection(start + i * interval, node,
+                      make_behavior("commission"))
             for i, node in enumerate(chosen)]))
 
 

@@ -39,10 +39,9 @@ def counterexample_to_dict(cell: Cell,
                            violations: List[Violation],
                            *, script: FaultScript, n_periods: int,
                            R_us: int, k: int, seed: int,
-                           meta: Optional[dict] = None,
-                           replay_confirmed: Optional[bool] = None
-                           ) -> dict:
-    """Serialise one minimised violating path as a portable artifact."""
+                           meta: Optional[dict] = None) -> dict:
+    """Serialise one minimised violating path as a portable artifact;
+    ``replay_confirmed`` stays None until :func:`confirm_replay`."""
     return {
         "version": CEX_VERSION,
         "meta": dict(meta or {}),
@@ -54,7 +53,7 @@ def counterexample_to_dict(cell: Cell,
         "k": k,
         "seed": seed,
         "violations": [v.to_dict() for v in violations],
-        "replay_confirmed": replay_confirmed,
+        "replay_confirmed": None,
     }
 
 

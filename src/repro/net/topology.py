@@ -166,14 +166,13 @@ def _make_nodes(topology: Topology, count: int, **node_options
     return ids
 
 
-def line_topology(n: int, bandwidth: float = DEFAULT_BANDWIDTH,
-                  speed: float = 1.0, control_share: float = 0.1
+def line_topology(n: int, bandwidth: float = DEFAULT_BANDWIDTH
                   ) -> Topology:
     """n0 — n1 — … — n(k-1)."""
     if n < 2:
         raise TopologyError("line topology needs >= 2 nodes")
     topo = Topology(name=f"line{n}")
-    ids = _make_nodes(topo, n, speed=speed, control_share=control_share)
+    ids = _make_nodes(topo, n)
     for i in range(n - 1):
         topo.add_link(Link(f"l{i}", (ids[i], ids[i + 1]), bandwidth,
                            DEFAULT_PROPAGATION))
@@ -264,18 +263,18 @@ def full_mesh_topology(n: int, bandwidth: float = DEFAULT_BANDWIDTH,
 DEFAULT_WAN_LATENCY = 5000
 
 
-def geo_topology(regions: int, nodes_per_region: int, gateways: int = 2,
+def geo_topology(regions: int, nodes_per_region: int,
                  bandwidth: float = DEFAULT_BANDWIDTH) -> Topology:
     """A multi-region deployment: full-mesh regions bridged by WAN links.
 
     Each region ``r0..r{R-1}`` holds ``nodes_per_region`` nodes
     (``r0n0``, ``r0n1``, …) in a full mesh of fast local links; the
-    first ``gateways`` nodes of each region are its WAN gateways, and
-    gateway ``g`` of every region pair is joined by a plane-``g`` WAN
-    link whose propagation delay is :data:`DEFAULT_WAN_LATENCY`. Two
-    gateway planes by default: a single gateway would be a single point
-    of partition, and no f >= 1 strategy can plan around a region that
-    one crash can cut off.
+    first two nodes of each region are its WAN gateways, and gateway
+    ``g`` of every region pair is joined by a plane-``g`` WAN link whose
+    propagation delay is :data:`DEFAULT_WAN_LATENCY`. Two gateway
+    planes: a single gateway would be a single point of partition, and
+    no f >= 1 strategy can plan around a region that one crash can cut
+    off.
 
     Every node and intra-region link is tagged with its region; WAN
     links are tagged ``is_wan``.
@@ -288,10 +287,6 @@ def geo_topology(regions: int, nodes_per_region: int, gateways: int = 2,
         raise TopologyError("geo topology needs >= 2 regions")
     if nodes_per_region < 2:
         raise TopologyError("geo topology needs >= 2 nodes per region")
-    if not 1 <= gateways <= nodes_per_region:
-        raise TopologyError(
-            f"gateways ({gateways}) must be in [1, nodes_per_region]"
-        )
     topo = Topology(name=f"geo{regions}x{nodes_per_region}")
     width = len(str(regions - 1))
     names = [f"r{j:0{width}d}" for j in range(regions)]
@@ -307,7 +302,7 @@ def geo_topology(regions: int, nodes_per_region: int, gateways: int = 2,
                                    (ids[i], ids[j]), bandwidth,
                                    DEFAULT_PROPAGATION, region=region))
                 link_idx += 1
-    for g in range(gateways):
+    for g in range(2):
         for a in range(regions):
             for b in range(a + 1, regions):
                 topo.add_link(Link(f"wan{g}{names[a]}-{names[b]}",

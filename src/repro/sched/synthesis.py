@@ -87,7 +87,6 @@ def synthesize(
     router: Router,
     lane_model: Optional[LaneModel] = None,
     excluding: Optional[Set[str]] = None,
-    flow_sizes: Optional[Dict[str, int]] = None,
 ) -> GlobalSchedule:
     """Build one period's global schedule. See module docstring.
 
@@ -96,13 +95,9 @@ def synthesize(
     excluding:
         Nodes considered faulty in this mode; routes avoid them, and the
         assignment must not use them.
-    flow_sizes:
-        Optional per-flow wire-size overrides (the planner enlarges flows
-        that carry signatures).
     """
     lane_model = lane_model or LaneModel(topology)
     excluding = excluding or set()
-    flow_sizes = flow_sizes or {}
 
     for task_name in workload.tasks:
         node = assignment.get(task_name)
@@ -144,7 +139,7 @@ def synthesize(
         if src_node == dst_node:
             arrivals[name] = ready_at
             return
-        size = flow_sizes.get(name, flow.size_bits)
+        size = flow.size_bits
         try:
             path = router.route(src_node, dst_node, excluding)
         except RoutingError as exc:

@@ -51,7 +51,6 @@ class Link:
         endpoints: tuple[str, ...],
         bandwidth_bps: float,
         propagation_us: int = 10,
-        loss_probability: float = 0.0,
         region: Optional[str] = None,
         is_wan: bool = False,
     ) -> None:
@@ -63,7 +62,8 @@ class Link:
         self.endpoints = tuple(endpoints)
         self.bandwidth_bps = bandwidth_bps
         self.propagation_us = propagation_us
-        self.loss_probability = loss_probability
+        #: Chance that a frame is lost; a run's link script sets it.
+        self.loss_probability = 0.0
         #: Region tag for intra-region links (geo topologies); None for
         #: flat deployments and for inter-region (WAN) links.
         self.region = region

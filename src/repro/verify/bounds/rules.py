@@ -25,7 +25,7 @@ machinery as every other rule family so ``repro verify`` and
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import List
 
 from ...core.planner.strategy import Strategy
 from ...core.runtime.config import BTRConfig
@@ -33,7 +33,6 @@ from ...net.topology import Topology
 from ...sched.lanes import LaneModel
 from ..findings import Finding, Severity
 from .analyzer import compute_bounds
-from .model import BoundsReport
 
 #: A phase bound larger than this fraction of R (numerator/denominator)
 #: triggers ``bound.phase-dominates-r``.
@@ -42,13 +41,11 @@ DOMINANCE_NUM, DOMINANCE_DEN = 3, 5
 
 def bounds_findings(strategy: Strategy, topology: Topology,
                     lane_model: LaneModel, config: BTRConfig,
-                    budget=None,
-                    report: Optional[BoundsReport] = None
-                    ) -> List[Finding]:
-    """Run the ``bound.*`` rules; pass ``report`` to reuse a computed one."""
-    if report is None:
-        report = compute_bounds(strategy, topology, lane_model, config,
-                                budget=budget)
+                    budget=None) -> List[Finding]:
+    """Run the ``bound.*`` rules over :func:`compute_bounds`' report,
+    which the strategy keeps for an equal repeat call."""
+    report = compute_bounds(strategy, topology, lane_model, config,
+                            budget=budget)
     findings: List[Finding] = []
     seen_unachievable = set()
     pinned = config.R_us is not None

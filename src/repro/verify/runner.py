@@ -5,8 +5,8 @@ placement validity, route/bandwidth feasibility); ``verify_strategy``
 runs them over every plan and adds the cross-plan mode-graph checks.
 Both return a :class:`~repro.verify.findings.Report` — they never raise
 on findings, so callers decide the policy. :class:`VerificationError`
-is what strict callers (``BTRSystem.prepare(strict=True)``, the CLI's
-``--strict``) raise when a report is not clean.
+is what ``BTRSystem.prepare(strict=True)`` raises when a report has an
+error.
 """
 
 from __future__ import annotations
@@ -70,12 +70,10 @@ def verify_strategy(
     return report
 
 
-def require_clean(report: Report, strict: bool = False) -> Report:
-    """Raise :class:`VerificationError` unless ``report`` is clean.
-
-    Non-strict: errors raise, warnings pass. Strict: any finding raises.
-    """
-    if report.exit_code(strict=strict) != 0:
+def require_clean(report: Report) -> Report:
+    """Raise :class:`VerificationError` if ``report`` has an error;
+    warnings pass."""
+    if report.exit_code() != 0:
         raise VerificationError(report)
     return report
 

@@ -200,16 +200,19 @@ def test_exceeds_budget_error_when_r_pinned(industrial_system):
 
 def test_exceeds_budget_warning_when_r_derived(pipeline_system,
                                                pipeline_report):
-    # Force the derived-R path onto an exceeding report by shrinking
-    # R_us in the computed report rather than pinning config.R_us.
+    # Force the derived-R path onto an exceeding report with a budget
+    # whose total is half the first class's bound, rather than pinning
+    # config.R_us. Its switch lead (distribution) is the one component
+    # the bounds read, so they stay as they are.
     assert pipeline_system.config.R_us is None
-    tight = dataclasses.replace(pipeline_report,
-                                R_us=pipeline_report.entries[0].total_us
-                                // 2)
+    budget = pipeline_system.budget
+    excess = budget.total_us - pipeline_report.entries[0].total_us // 2
+    tight = dataclasses.replace(budget,
+                                detection_us=budget.detection_us - excess)
     findings = bounds_findings(pipeline_system.strategy,
                                pipeline_system.topology,
                                pipeline_system.lane_model,
-                               pipeline_system.config, report=tight)
+                               pipeline_system.config, budget=tight)
     exceeds = [f for f in findings if f.rule == "bound.exceeds-budget"]
     assert exceeds
     assert all(f.severity is Severity.WARNING for f in exceeds)
@@ -261,9 +264,6 @@ def test_repeated_compute_bounds_returns_the_kept_report():
         system.strategy, system.topology, system.lane_model,
         dataclasses.replace(system.config),
         budget=dataclasses.replace(system.budget)) is first
-    # The bound.* rules of a strict prepare() read the same report.
-    assert bounds_findings(*args, budget=system.budget) == \
-        bounds_findings(*args, budget=system.budget, report=first)
 
 
 def test_strict_prepare_leaves_the_report_the_caller_reads():

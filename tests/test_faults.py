@@ -184,7 +184,7 @@ def test_single_fault_adversary_validates_choice():
 
 
 def test_pacing_adversary_spacing():
-    script = paced(candidates("n1", "n2", "n3", "n4"), 3, "crash",
+    script = paced(candidates("n1", "n2", "n3", "n4"), 3,
                    start=1000, interval=5000).script
     times = [i.time for i in script]
     assert times == [1000, 6000, 11000]

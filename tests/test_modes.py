@@ -29,7 +29,8 @@ def test_faultset_is_append_only():
 
 
 def test_faultset_snapshot_is_immutable_copy():
-    fs = FaultSet(["a"])
+    fs = FaultSet()
+    fs.add("a")
     snap = fs.snapshot()
     fs.add("b")
     assert snap == frozenset({"a"})

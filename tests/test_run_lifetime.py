@@ -34,7 +34,7 @@ PIPELINE = Deployment("pipeline", "fullmesh:4", seed=0)
 def unreachable_after(scenario) -> int:
     """Objects the cyclic collector finds once ``scenario`` has run and
     dropped everything it built. A first, untimed call fills the
-    process-wide caches (derived keys, imports), which are not garbage."""
+    process-wide caches (imports), which are not garbage."""
     scenario()
     gc.collect()
     gc.disable()

@@ -214,8 +214,7 @@ def test_pacing_adversary_with_f2_is_contained():
     system = BTRSystem(workload, full_mesh_topology(9, bandwidth=1e8),
                        BTRConfig(f=2, seed=1))
     system.prepare()
-    attack = paced(system, 2, "commission", start=200_000,
-                   interval=300_000)
+    attack = paced(system, 2, start=200_000, interval=300_000)
     result = system.run(n_periods=30, adversary=attack.script)
     wrong, missing = classify_periods(result, n_periods=30)
     disrupted = set(wrong) | set(missing)

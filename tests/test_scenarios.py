@@ -126,12 +126,23 @@ def test_paced_double_recovers(f2_system):
     assert verdict.holds
 
 
-def test_link_death_is_masked_on_full_mesh(f1_system):
-    scenario = stage("link_death", f1_system)
+@pytest.mark.parametrize("crash_at", [None, 1_500_000])
+def test_bad_slots_no_fault_owns_have_no_sufficient_R(crash_at):
+    """A dead link is not masked on a full mesh: a flow the plan routes
+    over it goes missing with no fault injected (or before the only
+    one), and no R excuses that, so there is no sufficient R."""
+    system = BTRSystem(industrial_workload(),
+                       full_mesh_topology(7, bandwidth=1e8),
+                       BTRConfig(f=1, seed=3))
+    system.prepare()
+    scenario = stage("link_death", system)
     assert scenario.link_script and not len(scenario.script)
-    result = f1_system.run(36, scenario.script,
-                           link_script=scenario.link_script)
-    assert smallest_sufficient_R(result) == 0  # redundancy masks it
+    script = (scenario.script if crash_at is None else FaultScript([
+        Injection(crash_at, system.compromisable_nodes()[0],
+                  CrashFault())]))
+    result = system.run(40, script, link_script=scenario.link_script)
+    assert not btr_verdict(result, R_us=system.budget.total_us).holds
+    assert smallest_sufficient_R(result) is None
 
 
 def test_scenarios_registry_is_complete():

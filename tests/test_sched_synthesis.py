@@ -1,5 +1,7 @@
 """Tests for the global schedule synthesizer and lane model."""
 
+from dataclasses import replace
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -265,22 +267,27 @@ def test_routing_failure_reported_as_violation():
 
 def test_slower_node_stretches_execution():
     wl = pipeline_workload(n_stages=1, period=ms(20), wcet=1000)
-    topo = line_topology(2, bandwidth=1e7, speed=1.0, control_share=0.5)
+    topo = full_mesh_topology(2, bandwidth=1e7, speed=0.5)
     router = deploy(wl, topo)
     schedule = synthesize(wl, {"pipeline.t0": "n0"}, topo, router)
     slot = schedule.slot_for("pipeline.t0")
-    # fg speed = 0.5 -> 1000 us wcet takes 2000 us.
-    assert slot.duration == 2000
+    # fg speed = 0.5 x (1 - 0.1 control share) -> 1000 us wcet takes
+    # 2222.2 us, rounded up.
+    assert slot.duration == 2223
 
 
-def test_flow_size_override_changes_transmission():
+def test_bigger_flow_takes_longer_on_the_wire():
     wl = pipeline_workload(n_stages=2, period=ms(20))
+    big = DataflowGraph(
+        wl.period, wl.tasks.values(),
+        [replace(f, size_bits=50_000) if f.name == "pipeline.f0" else f
+         for f in wl.flows],
+        wl.sources, wl.sinks, wl.name)
     topo = line_topology(2, bandwidth=1e6)
     router = deploy(wl, topo)
     assignment = {"pipeline.t0": "n0", "pipeline.t1": "n1"}
     base = synthesize(wl, assignment, topo, router)
-    bigger = synthesize(wl, assignment, topo, router,
-                        flow_sizes={"pipeline.f0": 50_000})
+    bigger = synthesize(big, assignment, topo, router)
     hop_base, hop_big = ([t for t in s.transmissions
                           if t.flow == "pipeline.f0"][-1]
                          for s in (base, bigger))

@@ -142,8 +142,7 @@ def test_f2_pacing_deterministic():
                            full_mesh_topology(9, bandwidth=1e8),
                            BTRConfig(f=2, seed=21))
         system.prepare()
-        attack = paced(system, 2, "crash", start=200_000,
-                       interval=300_000)
+        attack = paced(system, 2, start=200_000, interval=300_000)
         return fingerprint(system.run(24, attack.script))
 
     assert run() == run()

@@ -139,7 +139,8 @@ def test_transmit_to_non_endpoint_raises():
 
 
 def test_lossy_link_drops_and_reports():
-    link = Link("l1", ("a", "b"), bandwidth_bps=1e9, loss_probability=1.0)
+    link = Link("l1", ("a", "b"), bandwidth_bps=1e9)
+    link.loss_probability = 1.0
     runtime, sim, agents = hop_runtime(link, seed=1)
     runtime.send("a", "b", make_msg())
     sim.run_until(NEVER)

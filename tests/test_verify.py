@@ -10,7 +10,13 @@ import copy
 import pytest
 
 from repro import BTRConfig, BTRSystem
-from repro.core.planner import AugmentConfig, Strategy, build_strategy
+from repro.core.planner import (
+    AugmentConfig,
+    Strategy,
+    augmented_ladder,
+    build_plan,
+    build_strategy,
+)
 from repro.core.planner.serialize import plan_from_dict, plan_to_dict
 from repro.net import Router, full_mesh_topology
 from repro.sched.table import ScheduleEntry
@@ -276,8 +282,11 @@ def test_single_replica_strategy_trips_mode_orphan_fetch():
     topology = full_mesh_topology(5, bandwidth=1e8)
     topology.place_endpoints_round_robin(workload.sources, workload.sinks)
     router = Router(topology)
-    strategy = build_strategy(workload, topology, router, f=1,
-                              augment_config=AugmentConfig(replicas=1))
+    nominal = build_strategy(workload, topology, router, f=1)
+    ladder = augmented_ladder(workload, AugmentConfig(replicas=1))
+    strategy = Strategy(f=1, plans={
+        p: build_plan(workload, p, topology, router, 1, ladder=ladder)
+        for p in nominal.patterns()}, covered_nodes=nominal.covered_nodes)
     report = Report(check_mode_graph(strategy, topology, router=router))
     assert report.rules_violated() == ["mode.orphan-fetch"]
     assert not report.ok
@@ -313,12 +322,11 @@ def test_require_clean_raises_on_errors():
     assert "1 error(s)" in str(exc.value)
 
 
-def test_require_clean_strict_raises_on_warnings():
+def test_require_clean_lets_warnings_pass():
     finding = Finding(rule="route.unknown-flow", severity=Severity.WARNING,
                       mode="nominal", subject="f", message="stray")
-    require_clean(Report([finding]))  # non-strict: warnings pass
-    with pytest.raises(VerificationError):
-        require_clean(Report([finding]), strict=True)
+    report = Report([finding])
+    assert require_clean(report) is report
 
 
 def test_report_render_names_the_rule(system):

@@ -19,6 +19,7 @@ import pytest
 from repro import BTRConfig, BTRSystem
 from repro.core.evidence.records import Evidence
 from repro.crypto.authenticator import AuthenticatedStatement
+from repro.crypto import memo as memo_module
 from repro.crypto.memo import VerifyMemo
 from repro.crypto.signatures import KeyDirectory, Signature, canonical_bytes
 from repro.faults.scenarios import stage
@@ -147,15 +148,16 @@ class TestVerifyMemo:
         assert not crossed.valid(directory)
         assert directory.verify_memo.hits == 1  # only the honest repeat
 
-    def test_eviction_is_deterministic_and_bounded(self):
-        memo = VerifyMemo(max_entries=4)
+    def test_eviction_is_deterministic_and_bounded(self, monkeypatch):
+        monkeypatch.setattr(memo_module, "MEMO_ENTRIES", 4)
+        memo = VerifyMemo()
         keys = [("n", f"tag{i}", f"d{i}") for i in range(5)]
         for key in keys:
             assert not memo.hit(key)
             memo.add_valid(key)
         # Inserting the 5th evicted the oldest half (insertion order).
         assert memo.evictions == 2
-        assert len(memo._valid) <= memo.max_entries
+        assert len(memo._valid) <= 4
         assert not memo.hit(keys[0])
         assert not memo.hit(keys[1])
         assert memo.hit(keys[4])

@@ -11,9 +11,11 @@ changed a fingerprint shows up as a mismatch, not as a win.
 
 Usage:  python tools/ab_ops.py A_ROOT B_ROOT WORKLOAD [PAIRS] [WARMUP]
 
-``A_ROOT`` / ``B_ROOT`` are checkouts of this repository (``git clone``
-the parent commit into a scratch directory for A); the ratio printed is
-A's time over B's, so > 1 means B is faster. ``A_ROOT == B_ROOT`` is the
+``A_ROOT`` / ``B_ROOT`` are checkouts of this repository, or git
+revisions of it (``93ea48d``, ``HEAD~1``), which are extracted with
+``git archive`` into the run's scratch directory, leaving the working
+tree untouched; the ratio printed is A's time over B's, so > 1 means B
+is faster. ``A_ROOT == B_ROOT`` is the
 A/A control. When its stdin closes, each child reports its peak RSS
 (``ru_maxrss``, MiB, as ``benchmarks/e2e`` measures ``peak_rss_mb``).
 The last line is one JSON object (median A/B, its quartiles, summed-time
@@ -29,8 +31,27 @@ import shutil
 import statistics
 import subprocess
 import sys
+import tarfile
 import tempfile
 import time
+
+REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+
+def extract(repo: str, revision: str, dest: str) -> str:
+    """The tree of ``revision`` in the git repository ``repo``, written
+    under ``dest`` with ``git archive``; exits with one line when
+    ``revision`` names nothing."""
+    archive = dest + ".tar"
+    made = subprocess.run(["git", "-C", repo, "archive", "-o", archive,
+                           revision], capture_output=True, text=True)
+    if made.returncode:
+        sys.exit(f"ab_ops.py: {revision!r} is neither a directory nor a "
+                 f"git revision: {made.stderr.strip()}")
+    with tarfile.open(archive) as tar:
+        tar.extractall(dest)
+    os.remove(archive)
+    return dest
 
 
 def child(root: str, name: str, out_dir: str) -> None:
@@ -67,6 +88,8 @@ def main(a_root: str, b_root: str, name: str, pairs: int = 16,
     for label, root in (("A", a_root), ("B", b_root)):
         out_dir = os.path.join(scratch, label)
         os.makedirs(out_dir)
+        if not os.path.isdir(root):
+            root = extract(REPO, root, os.path.join(scratch, label + "-tree"))
         proc = subprocess.Popen(
             [sys.executable, os.path.abspath(__file__), "--child",
              os.path.abspath(root), name, out_dir],

@@ -51,8 +51,9 @@ from harness import (
     write_result,
 )
 from repro.analysis import format_table
-from repro.perf import run_sweep, trace_fingerprint
+from repro.perf import run_sweep
 from repro.perf.timing import Stopwatch
+from repro.sim.trace import trace_fingerprint
 
 #: Per sweep: the scale column as (topology, periods), smallest first —
 #: every pinned cell at one of them runs — and the scale whose first

@@ -219,11 +219,10 @@ class BaselineSystem(SimulatedSystem):
         # Baselines place by load balance alone — the locality heuristic is
         # a BTR planner feature, and with lightly-loaded singleton tasks it
         # would degenerately pile everything next to the sources.
-        assignment = place(augmented, self.topology, self.router,
-                           excluding=set(),
+        assignment = place(augmented, self.topology, excluding=set(),
                            config=PlacementConfig(use_locality=False))
         schedule = synthesize(augmented, assignment, self.topology,
-                              self.router, lane_model=self.lane_model)
+                              lane_model=self.lane_model)
         if not schedule.feasible:
             raise ValueError(
                 f"{self.name}: unschedulable "

@@ -39,7 +39,7 @@ def handle(args) -> int:
 
     if args.strategy:
         from ..core.planner import read_strategy
-        # Unprepared: the deployment's placement, router and lanes only.
+        # Unprepared: the deployment's placement and lanes only.
         system = deployment(args).system()
         strategy = read_strategy(args.strategy)
         origin = args.strategy
@@ -48,7 +48,7 @@ def handle(args) -> int:
         strategy = system.strategy
         origin = "freshly planned"
 
-    report = verify_strategy(strategy, system.topology, router=system.router,
+    report = verify_strategy(strategy, system.topology,
                              config=system.config,
                              lane_model=system.lane_model,
                              budget=system.budget)

@@ -25,7 +25,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Set
 
-from ...net.routing import Router
 from ...net.topology import Topology
 from ...workload.dataflow import DataflowGraph
 from . import naming
@@ -81,7 +80,6 @@ def node_exposure(topology: Topology, node_id: str) -> float:
 def place(
     augmented: DataflowGraph,
     topology: Topology,
-    router: Router,
     excluding: Set[str],
     config: Optional[PlacementConfig] = None,
     parent_assignment: Optional[Dict[str, str]] = None,
@@ -94,6 +92,7 @@ def place(
     change as little as possible").
     """
     config = config or PlacementConfig()
+    router = topology.router
     excluded = frozenset(excluding)  # the router's hop-table key, once
     eligible = [n for n in sorted(topology.nodes) if n not in excluded]
     if not eligible:

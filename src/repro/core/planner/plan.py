@@ -24,7 +24,6 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from ...faults.patterns import FaultPattern, mode_id
-from ...net.routing import Router
 from ...net.topology import Topology
 from ...sched.lanes import LaneModel
 from ...sched.mixed_criticality import shedding_ladder
@@ -187,7 +186,6 @@ def build_plan(
     full_workload: DataflowGraph,
     pattern: FaultPattern,
     topology: Topology,
-    router: Router,
     f: int,
     lane_model: Optional[LaneModel] = None,
     placement_config: Optional[PlacementConfig] = None,
@@ -209,7 +207,7 @@ def build_plan(
     for rung, augmented in ladder:
         try:
             assignment = place(
-                augmented, topology, router, pattern,
+                augmented, topology, pattern,
                 config=placement_config,
                 parent_assignment=parent_assignment,
             )
@@ -217,7 +215,7 @@ def build_plan(
             failures.append(f"{rung.name}: placement: {exc}")
             continue
         schedule = synthesize(
-            augmented, assignment, topology, router,
+            augmented, assignment, topology,
             lane_model=lane_model, excluding=pattern,
         )
         if not schedule.feasible:

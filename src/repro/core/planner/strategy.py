@@ -23,7 +23,6 @@ from ...faults.patterns import (
     pattern as make_pattern,
     strategy_size,
 )
-from ...net.routing import Router
 from ...net.topology import Topology
 from ...sched.lanes import LaneModel
 from ...workload.dataflow import DataflowGraph
@@ -134,7 +133,6 @@ class Strategy:
 def build_strategy(
     workload: DataflowGraph,
     topology: Topology,
-    router: Router,
     f: int,
     lane_model: Optional[LaneModel] = None,
     config: Optional[PlacementConfig] = None,
@@ -176,7 +174,7 @@ def build_strategy(
             if parent_plan is not None:
                 parent_assignment = parent_plan.assignment
         plans[pattern] = build_plan(
-            workload, pattern, topology, router, f,
+            workload, pattern, topology, f,
             lane_model=lane_model,
             placement_config=config,
             parent_assignment=parent_assignment,

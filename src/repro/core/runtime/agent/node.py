@@ -67,7 +67,7 @@ class NodeAgent:
         self.trace = system.trace
         self.directory = system.directory
         self.metrics = system.run_metrics
-        self.router = system.router
+        self.router = system.topology.router
         self.topology = system.topology
         self.strategy = system.strategy
         self.workload = system.workload
@@ -146,14 +146,11 @@ class NodeAgent:
         # synthesizer serialized the source lanes in exactly this order,
         # so any other order would reshuffle lane queueing and break the
         # timetable (a small reading queued behind a large one misses its
-        # consumer's slot). Build every frame's payload in that order,
-        # sign the uncached ones in one authenticator pass
-        # (:meth:`AuthenticatedStatement.make_batch` — same tags and
-        # ``signs`` count as signing each miss on its own), then send the
-        # copies in the same order; signing schedules nothing, so the
-        # two passes are trace-identical to sign-then-send per flow.
+        # consumer's slot). Build every frame's payload and sign the
+        # uncached ones in that order, then send the copies in the same
+        # order; signing schedules nothing, so the two passes are
+        # trace-identical to sign-then-send per flow.
         emissions = []
-        pending: Dict[tuple, tuple] = {}
         cache = self._sign_cache
         claimed_send_offset = self.behavior.claimed_send_offset
         actual_offset = self._local_offset(k)
@@ -162,18 +159,14 @@ class NodeAgent:
             send_offset = claimed_send_offset(actual_offset, 0)
             key = (emission.flow, k, value)
             emissions.append((emission.send, key))
-            if key not in cache and key not in pending:
+            if key not in cache:
                 payload = build_forward_statement(
                     flow=emission.flow, period=k, value=value,
                     send_offset=send_offset,
                 )
-                pending[key] = (payload,
-                                emission.template.canonical(payload))
-        if pending:
-            payloads, canonicals = zip(*pending.values())
-            signed = AuthenticatedStatement.make_batch(
-                self.directory, self.node_id, payloads, canonicals)
-            cache.update(zip(pending, signed))
+                cache[key] = AuthenticatedStatement.make(
+                    self.directory, self.node_id, payload,
+                    emission.template.canonical(payload))
         for send, key in emissions:
             if send is not None:
                 self._send_copy(send, cache[key], k)

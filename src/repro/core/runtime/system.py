@@ -142,7 +142,6 @@ class SimulatedSystem:
         if not set(workload.sources) <= set(topology.endpoint_map):
             topology.place_endpoints_round_robin(workload.sources,
                                                  workload.sinks)
-        self.router = topology.router
         self.lane_model = LaneModel(topology)
         #: Set-up counters (``prepare()``-time: planner fallbacks, cache
         #: quarantines). Each run counts into :attr:`run_metrics`, a copy
@@ -287,7 +286,6 @@ class BTRSystem(SimulatedSystem):
             # recovery against the budget just computed.
             from ...verify import require_clean, verify_strategy
             require_clean(verify_strategy(self.strategy, self.topology,
-                                          router=self.router,
                                           config=self.config,
                                           lane_model=self.lane_model,
                                           budget=budget))
@@ -331,7 +329,7 @@ class BTRSystem(SimulatedSystem):
             stats.cache_hit = strategy is not None
         if strategy is None:
             strategy = build_strategy(
-                self.workload, self.topology, self.router, cfg.f,
+                self.workload, self.topology, cfg.f,
                 lane_model=self.lane_model, config=planner_config,
             )
             stats.plans_computed = len(strategy)

@@ -62,22 +62,6 @@ class AuthenticatedStatement:
         return cls(statement, directory.sign_bytes(signer, canonical),
                    canonical)
 
-    @classmethod
-    def make_batch(cls, directory: KeyDirectory, signer: str, statements,
-                   canonicals=None) -> "list[AuthenticatedStatement]":
-        """Sign several statements by one signer in one authenticator
-        pass (:meth:`KeyDirectory.sign_bytes_batch`): the batched core
-        uses this for a source host's per-period sensor frames. The
-        resulting statements are indistinguishable from per-call
-        :meth:`make` — same tags, same cached canonical bytes.
-        ``canonicals`` as in :meth:`make`, one per statement."""
-        if canonicals is None:
-            canonicals = [canonical_bytes(s) for s in statements]
-        signatures = directory.sign_bytes_batch(signer, canonicals)
-        return [cls(statement, signature, canonical)
-                for statement, canonical, signature
-                in zip(statements, canonicals, signatures)]
-
     def canonical(self) -> bytes:
         """The canonical serialization, computed at most once."""
         cached = self._canonical

@@ -102,24 +102,31 @@ class KeyDirectory:
     their private key (the HMAC secret) and verify using the public mapping.
     Access control is enforced by the fault injectors — only the behaviour
     running *as* node X calls ``sign(X, ...)``.
+
+    ``verify_memo`` is accepted for callers written when a memo-less
+    directory also existed; ``True`` is its only legal value.
     """
 
     def __init__(self, master_seed: int = 0,
                  verify_memo: bool = True) -> None:
+        if verify_memo is not True:
+            raise ValueError(
+                "verify_memo=False selected the memo-less verify mode, "
+                "which was removed; every directory memoises valid "
+                "signature checks")
         self._master_seed = master_seed
         #: Per-signer :func:`hmac_pads`: the key schedule pre-applied.
         self._pads: Dict[str, Tuple[Any, Any]] = {}
         #: HMAC computations actually performed (memo hits excluded).
         self.signs = 0
         self.verifies = 0
-        self.verify_memo = VerifyMemo() if verify_memo else None
+        self.verify_memo = VerifyMemo()
 
     def begin_run(self) -> None:
         """Reset per-run state (memo + counters) so runs stay independent."""
         self.signs = 0
         self.verifies = 0
-        if self.verify_memo is not None:
-            self.verify_memo.clear()
+        self.verify_memo.clear()
 
     def register(self, node_id: str) -> None:
         """Provision a key for ``node_id`` (idempotent)."""
@@ -138,20 +145,6 @@ class KeyDirectory:
         self.signs += 1
         return Signature(signer, hmac_tag(pads, canonical))
 
-    def sign_bytes_batch(self, signer: str,
-                         canonicals) -> "list[Signature]":
-        """Sign a batch of canonical payloads in one authenticator pass:
-        one key lookup for the batch, then :meth:`sign_bytes`' message
-        pass per item. ``signs`` counts every item, so the crypto
-        accounting stays honest about logical signatures.
-        """
-        pads = self._pads.get(signer)
-        if pads is None:
-            raise SignatureError(f"no key registered for {signer!r}")
-        self.signs += len(canonicals)
-        return [Signature(signer, hmac_tag(pads, canonical))
-                for canonical in canonicals]
-
     def verify(self, payload: Any, signature: Signature) -> bool:
         """True iff ``signature`` is a valid tag by its claimed signer."""
         return self.verify_bytes(canonical_bytes(payload), signature)
@@ -165,7 +158,7 @@ class KeyDirectory:
         return hmac.compare_digest(hmac_tag(pads, canonical), signature.tag)
 
     def verify_statement(self, stmt) -> bool:
-        """Verify an :class:`AuthenticatedStatement`, memoised if enabled.
+        """Verify an :class:`AuthenticatedStatement` through the memo.
 
         The memo key is ``(signer, tag, canonical bytes)`` — exactly
         what the HMAC check reads, with no digest standing in for the
@@ -174,13 +167,8 @@ class KeyDirectory:
         never be served as valid from the cache. The statement already
         holds its canonical bytes, and bytes cache their own hash, so
         building the key hashes nothing new.
-
-        A memo-less directory re-serializes and re-verifies on every
-        call.
         """
         memo = self.verify_memo
-        if memo is None:
-            return self.verify(stmt.statement, stmt.signature)
         sig = stmt.signature
         canonical = stmt.canonical()
         key = (sig.signer, sig.tag, canonical)

@@ -180,17 +180,17 @@ def script_to_dict(script: FaultScript) -> dict:
 def script_from_dict(payload: dict, seed: int = 0) -> FaultScript:
     """Rebuild a script serialised by :func:`script_to_dict`.
 
-    Version-2 payloads rebuild each behaviour from its recorded
-    parameters and persisted RNG seed, so the rebuilt script replays
-    byte-identically to the original. ``seed`` roots the RNG forks for
-    version-1 payloads (and v2 entries predating ``rng_seed``), where
-    the same (payload, seed) pair always yields the same script.
-    Raises ``InputError`` on any payload it did not write.
+    Each behaviour is rebuilt from its recorded parameters and
+    persisted RNG seed, so the rebuilt script replays byte-identically
+    to the original. ``seed`` roots the RNG forks of entries without an
+    ``rng_seed``, where the same (payload, seed) pair always yields the
+    same script. Raises ``InputError`` on any payload it did not write,
+    the retired version-1 layout included.
     """
     if not isinstance(payload, dict):
         raise InputError(f"fault script must be an object, got {payload!r}")
     version = payload.get("version")
-    if version not in (1, SCRIPT_VERSION):
+    if version != SCRIPT_VERSION:
         raise InputError(f"unsupported fault-script version {version!r}")
     entries = payload.get("injections")
     if not isinstance(entries, list):
@@ -207,15 +207,11 @@ def script_from_dict(payload: dict, seed: int = 0) -> FaultScript:
     root = DeterministicRandom(seed)
     injections = []
     for i, entry in enumerate(entries):
-        if version == 1:
-            behavior = make_behavior(str(entry["kind"]),
-                                     root.fork(f"inj{i}"))
-        else:
-            rng_seed = entry.get("rng_seed")
-            rng = (DeterministicRandom(int(rng_seed))
-                   if rng_seed is not None else root.fork(f"inj{i}"))
-            behavior = make_behavior(str(entry["kind"]), rng,
-                                     entry.get("params"))
+        rng_seed = entry.get("rng_seed")
+        rng = (DeterministicRandom(int(rng_seed))
+               if rng_seed is not None else root.fork(f"inj{i}"))
+        behavior = make_behavior(str(entry["kind"]), rng,
+                                 entry.get("params"))
         injections.append(Injection(int(entry["time"]),
                                     str(entry["node"]), behavior))
     return FaultScript(injections)

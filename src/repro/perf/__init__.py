@@ -19,8 +19,6 @@ See ``docs/PERFORMANCE.md`` for the architecture and the determinism
 guarantees each piece preserves.
 """
 
-from ..crypto.memo import VerifyMemo
-from ..sim.trace import trace_fingerprint
 from .batchcore import BatchRuntime, sibling_system
 from .cache import StrategyCache, strategy_cache_key
 from .pool import WorkerPool, run_sweep
@@ -30,8 +28,6 @@ __all__ = [
     "sibling_system",
     "StrategyCache",
     "strategy_cache_key",
-    "VerifyMemo",
-    "trace_fingerprint",
     "WorkerPool",
     "run_sweep",
 ]

@@ -650,18 +650,17 @@ def sibling_system(prototype, seed: int):
     """A prepared system for another seed, sharing the prototype's frozen
     planning artifacts: the strategy (with each plan's compiled node
     programs and send-offset table), the recovery budget (which carries
-    the switch lead), the router's path cache, and the lane model. The
-    key directory is rebuilt for the new seed (its master seed differs)
-    but shares derived keys through the process-wide cache. The
-    sibling's runs are byte-identical to a freshly constructed+prepared
-    system on that seed (``tests/test_pool.py`` and E17's sweep check
-    assert this); the multi-seed sweep, :func:`repro.perf.pool.run_sweep`,
-    runs on them."""
+    the switch lead), the topology (with its router's path cache), and
+    the lane model. The key directory is built for the new seed and
+    derives its own keys (the master seed differs). The sibling's runs
+    are byte-identical to a freshly constructed+prepared system on that
+    seed (``tests/test_pool.py`` and E17's sweep check assert this);
+    the multi-seed sweep, :func:`repro.perf.pool.run_sweep`, runs on
+    them."""
     from ..core.runtime.system import BTRSystem
 
     config = dataclasses.replace(prototype.config, seed=seed)
     sibling = BTRSystem(prototype.workload, prototype.topology, config)
-    sibling.router = prototype.router
     sibling.lane_model = prototype.lane_model
     sibling.strategy = prototype.strategy
     sibling.budget = prototype.budget

@@ -24,10 +24,10 @@ and the map carries on in-process from the first payload it has not
 yielded.
 
 **The sweep.** :func:`run_sweep` runs one prepared system under N
-seeds: the frozen strategy (with each plan's compiled node programs),
-the router's path cache and the derived signing keys are shared across
-seeds instead of rebuilt per run. Runs are independent per seed, so the
-pool may hand them to workers; a :func:`~repro.net.topology.geo_topology`
+seeds: the frozen strategy (with each plan's compiled node programs)
+and the router's path cache are shared across seeds instead of rebuilt
+per run; each seed's key directory derives its own signing keys. Runs
+are independent per seed, so the pool may hand them to workers; a :func:`~repro.net.topology.geo_topology`
 deployment at 60-120 nodes runs seconds per seed. Per-seed trace
 fingerprints are the same for every worker count.
 """

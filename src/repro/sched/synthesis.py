@@ -30,7 +30,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Set, Tuple
 
-from ..net.routing import Router, RoutingError
+from ..net.routing import RoutingError
 from ..net.topology import Topology
 from ..sim.message import MessageKind
 from ..workload.dataflow import DataflowGraph, Flow
@@ -84,7 +84,6 @@ def synthesize(
     workload: DataflowGraph,
     assignment: Dict[str, str],
     topology: Topology,
-    router: Router,
     lane_model: Optional[LaneModel] = None,
     excluding: Optional[Set[str]] = None,
 ) -> GlobalSchedule:
@@ -98,6 +97,7 @@ def synthesize(
     """
     lane_model = lane_model or LaneModel(topology)
     excluding = excluding or set()
+    router = topology.router
 
     for task_name in workload.tasks:
         node = assignment.get(task_name)

@@ -11,12 +11,12 @@ voids the recovery-time argument of §4.4).
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import List
 
 from ..core.modes.transition import compute_transition
 from ..core.planner.strategy import Strategy
 from ..faults.patterns import all_patterns_up_to, mode_id
-from ..net.routing import Router, RoutingError
+from ..net.routing import RoutingError
 from ..net.topology import Topology
 from .findings import Finding, Severity
 
@@ -24,11 +24,10 @@ from .findings import Finding, Severity
 def check_mode_graph(
     strategy: Strategy,
     topology: Topology,
-    router: Optional[Router] = None,
 ) -> List[Finding]:
     """Verify coverage and transition soundness of ``strategy``."""
     findings: List[Finding] = []
-    router = router or topology.router
+    router = topology.router
 
     # --- completeness: every anticipated pattern has a plan ------------
     for pattern in all_patterns_up_to(strategy.covered_nodes, strategy.f):

@@ -2,21 +2,19 @@
 
 ``verify_plan`` runs the per-plan rule families (schedule soundness,
 placement validity, route/bandwidth feasibility); ``verify_strategy``
-runs them over every plan and adds the cross-plan mode-graph checks.
-Both return a :class:`~repro.verify.findings.Report` — they never raise
-on findings, so callers decide the policy. :class:`VerificationError`
-is what ``BTRSystem.prepare(strict=True)`` raises when a report has an
-error.
+runs them over every plan and adds the cross-plan mode-graph and
+analytic-bound checks. Both return a
+:class:`~repro.verify.findings.Report` — they never raise on findings,
+so callers decide the policy. :class:`VerificationError` is what
+``BTRSystem.prepare(strict=True)`` raises when a report has an error.
 """
 
 from __future__ import annotations
 
-from typing import Optional
-
 from ..core.planner.plan import Plan
 from ..core.planner.strategy import Strategy
-from ..net.routing import Router
 from ..net.topology import Topology
+from .bounds.rules import bounds_findings
 from .findings import Report
 from .modegraph import check_mode_graph
 from .placement import check_placement
@@ -44,29 +42,24 @@ def verify_plan(plan: Plan, topology: Topology) -> Report:
 def verify_strategy(
     strategy: Strategy,
     topology: Topology,
-    router: Optional[Router] = None,
-    config=None,
-    lane_model=None,
+    config,
+    lane_model,
     budget=None,
 ) -> Report:
-    """Statically verify a full strategy: every plan plus the mode graph.
+    """Statically verify a full strategy: every plan, the mode graph and
+    the ``bound.*`` rule family.
 
-    With both ``config`` and ``lane_model`` the ``bound.*`` rule family
-    runs too — the Layer-4 analyzer needs the runtime config (R, clock
-    drift) and the lane schedule to price recovery, which the plan
-    artifacts alone don't carry. Callers that only have the plans
-    (plan-library linting, round-trip checks) simply get the first three
-    layers, exactly as before.
+    The bound rules need the runtime config (R, clock drift) and the lane
+    schedule to price recovery, which the plan artifacts alone don't
+    carry, so both are required: every call runs every rule.
     """
     report = Report()
     for pattern in strategy.patterns():
         report.extend(verify_plan(strategy.plan_for(pattern),
                                   topology).findings)
-    report.extend(check_mode_graph(strategy, topology, router=router))
-    if config is not None and lane_model is not None:
-        from .bounds.rules import bounds_findings
-        report.extend(bounds_findings(strategy, topology, lane_model,
-                                      config, budget=budget))
+    report.extend(check_mode_graph(strategy, topology))
+    report.extend(bounds_findings(strategy, topology, lane_model, config,
+                                  budget=budget))
     return report
 
 

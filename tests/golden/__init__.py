@@ -227,7 +227,7 @@ def planner_digest(system) -> dict:
                             system.lane_model, system.config,
                             budget=system.budget)
     report = verify_strategy(system.strategy, system.topology,
-                             router=system.router, config=system.config,
+                             config=system.config,
                              lane_model=system.lane_model)
     return {
         "artifact_sha": _sha(strategy_to_json(system.strategy)),

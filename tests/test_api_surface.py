@@ -30,6 +30,10 @@ RETIRED = {
     "repro.analysis.timeline:render_timeline":
         "now `repro.obs.export:render_timeline`, re-exported as "
         "`repro.analysis.render_timeline`, which the harness calls",
+    "repro.crypto.signatures:KeyDirectory.sign_bytes_batch":
+        "the second signing path is gone; the agent signs each sensor "
+        "frame through `KeyDirectory.sign_bytes`, which the harness "
+        "also wraps",
 }
 
 

@@ -17,6 +17,7 @@ from repro.crypto import (
     digest,
 )
 from repro.crypto.signatures import hmac_pads, hmac_tag
+from tests import golden
 
 
 @pytest.fixture
@@ -166,3 +167,22 @@ def test_value_classes_behave_like_frozen_dataclasses():
             delattr(obj, field)
         assert pickle.loads(pickle.dumps(obj)) == obj
     assert pickle.loads(pickle.dumps(stmt)).canonical() == stmt.canonical()
+
+
+def test_a_runs_crypto_work_is_pinned():
+    """The HMAC and memo counters of a committed engine cell. No digest
+    pins them, yet a change to how statements are signed or checked
+    must leave them as they are: the same signatures, each verified by
+    HMAC once per run and served from the memo after."""
+    cell = golden.parse_cell(
+        "single_commission@fullmesh7/industrial/f1/p12/s42")
+    system = cell.deployment.system()
+    system.prepare()
+    counters = golden.run_scenario(system, cell).metrics["counters"]
+    assert {name: counters[name] for name in (
+        "crypto_hmac{op=sign}", "crypto_hmac{op=verify}",
+        "verify_memo{result=hit}", "verify_memo{result=miss}",
+    )} == {
+        "crypto_hmac{op=sign}": 323, "crypto_hmac{op=verify}": 309,
+        "verify_memo{result=hit}": 470, "verify_memo{result=miss}": 309,
+    }

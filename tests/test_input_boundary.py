@@ -211,8 +211,9 @@ def _deep(directory):
 #: (argv given a scratch directory, what the one line names). Each is
 #: exit 2 within the deadline: the unschedulable deployments exited 1
 #: (a verdict code), the export onto a directory and the deep file ended
-#: in a traceback, and the two 10**30 horizons, the 400-node topology and
-#: the 106,762-plan strategy never returned.
+#: in a traceback, the two 10**30 horizons, the 400-node topology and
+#: the 106,762-plan strategy never returned, and a version-1 fault
+#: script, a layout no writer has produced since version 2, was read.
 REFUSED = {
     "replay an unschedulable deployment": (
         lambda d: ["replay", _entry(d, meta={"f": 3})],
@@ -239,6 +240,9 @@ REFUSED = {
     "replay over 10**30 periods": (
         lambda d: ["replay", _entry(d, n_periods=10**30)],
         "past the trace's last time"),
+    "replay a version-1 fault script": (
+        lambda d: ["replay", _entry(d, fault_script={"version": 1})],
+        "unsupported fault-script version 1"),
     "read a too deeply nested file": (
         lambda d: ["trace", _deep(d)],
         "deep.json: nested deeper than the decoder allows"),

@@ -10,7 +10,7 @@ from repro.core.modes import (
     switch_boundary,
 )
 from repro.core.planner import build_plan
-from repro.net import Router, full_mesh_topology
+from repro.net import full_mesh_topology
 from repro.sim import ms
 from repro.workload import pipeline_workload
 
@@ -80,13 +80,12 @@ def two_plans():
     wl = pipeline_workload(n_stages=2, period=ms(50))
     topo = full_mesh_topology(6, bandwidth=1e8)
     topo.place_endpoints_round_robin(wl.sources, wl.sinks)
-    router = Router(topo)
-    nominal = build_plan(wl, frozenset(), topo, router, f=1)
+    nominal = build_plan(wl, frozenset(), topo, f=1)
     # Fail a node that hosts something.
     hosting = sorted(set(nominal.assignment.values())
                      - set(topo.endpoint_map.values()))
     faulty = hosting[0]
-    degraded = build_plan(wl, frozenset({faulty}), topo, router, f=1,
+    degraded = build_plan(wl, frozenset({faulty}), topo, f=1,
                           parent_assignment=nominal.assignment)
     return nominal, degraded, faulty
 
@@ -151,7 +150,7 @@ def switcher():
     topo = full_mesh_topology(6, bandwidth=1e8)
     topo.place_endpoints_round_robin(wl.sources, wl.sinks)
     from repro.core.planner import build_strategy
-    strategy = build_strategy(wl, topo, Router(topo), f=1)
+    strategy = build_strategy(wl, topo, f=1)
     return ModeSwitcher(strategy, period=ms(50), switch_lead=ms(10)), strategy
 
 
@@ -193,7 +192,7 @@ def test_switcher_reimplication_is_counted_not_rescheduled():
     topo = full_mesh_topology(6, bandwidth=1e8)
     topo.place_endpoints_round_robin(wl.sources, wl.sinks)
     from repro.core.planner import build_strategy
-    strategy = build_strategy(wl, topo, Router(topo), f=1)
+    strategy = build_strategy(wl, topo, f=1)
     metrics = MetricsRegistry()
     sw = ModeSwitcher(strategy, period=ms(50), switch_lead=ms(10),
                       metrics=metrics)

@@ -47,10 +47,9 @@ KEEP: Dict[str, str] = {
         "the only value the engine accepts",
     "KeyDirectory(verify_memo)":
         "the frozen e2e harness (benchmarks/e2e/probes.py) passes True, "
-        "the default; the memo-less path serves only tests",
+        "the only value the directory accepts",
     "AuthenticatedStatement(canonical)":
-        "make() and make_batch() construct through cls(statement, "
-        "signature, canonical)",
+        "make() constructs through cls(statement, signature, canonical)",
     "run_campaign(meta)":
         "cli/search.py::run_search calls the verb's campaign function "
         "as run(..., meta=...)",
@@ -190,3 +189,22 @@ def test_only_program_paths_keep_options_alive():
     assert kept == set(KEEP), (
         "a program path now sets these, or they are gone; drop them "
         f"from KEEP: {sorted(set(KEEP) - kept)}")
+
+
+def test_no_function_takes_a_router():
+    """A topology holds its one router (``Topology.router``), so every
+    function that has the topology reads the router from it; a second
+    ``router`` argument beside it is a second source."""
+    takes = []
+    for path in _py_files("src"):
+        for node in ast.walk(_parse(path)):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                args = node.args
+                if any(a.arg == "router"
+                       for a in args.posonlyargs + args.args
+                       + args.kwonlyargs):
+                    takes.append(f"{os.path.relpath(path, ROOT)}:"
+                                 f"{node.lineno}: {node.name}")
+    assert not takes, (
+        "read topology.router instead of taking a router:\n  "
+        + "\n  ".join(takes))

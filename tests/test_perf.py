@@ -18,7 +18,7 @@ from repro.core.planner import (
     build_strategy,
     strategy_to_json,
 )
-from repro.net import Router, full_mesh_topology
+from repro.net import full_mesh_topology
 from repro.perf import StrategyCache, strategy_cache_key
 from repro.sim.trace import Custom, MessageSent, OutputProduced, Trace
 from repro.workload import industrial_workload, pipeline_workload
@@ -28,7 +28,7 @@ def planning_inputs(n_nodes=6, workload=None):
     workload = workload or industrial_workload()
     topology = full_mesh_topology(n_nodes, bandwidth=1e8)
     topology.place_endpoints_round_robin(workload.sources, workload.sinks)
-    return workload, topology, Router(topology)
+    return workload, topology
 
 
 # --------------------------------------------------------------- cache
@@ -36,8 +36,8 @@ def planning_inputs(n_nodes=6, workload=None):
 
 class TestStrategyCache:
     def test_miss_then_hit_round_trips(self, tmp_path):
-        workload, topology, router = planning_inputs()
-        strategy = build_strategy(workload, topology, router, f=1)
+        workload, topology = planning_inputs()
+        strategy = build_strategy(workload, topology, f=1)
         cache = StrategyCache(str(tmp_path))
         key = strategy_cache_key(workload, topology, 1)
         assert cache.load(key) is None
@@ -48,7 +48,7 @@ class TestStrategyCache:
         assert cache.quarantined == 0
 
     def test_key_covers_inputs(self):
-        workload, topology, _ = planning_inputs()
+        workload, topology = planning_inputs()
         base = strategy_cache_key(workload, topology, 1)
         assert strategy_cache_key(workload, topology, 2) != base
         for flag in ("minimize_distance", "use_locality", "use_exposure"):
@@ -59,7 +59,7 @@ class TestStrategyCache:
         assert strategy_cache_key(other, topology, 1) != base
 
     def test_planner_version_bump_invalidates(self, monkeypatch):
-        workload, topology, _ = planning_inputs()
+        workload, topology = planning_inputs()
         before = strategy_cache_key(workload, topology, 1)
         import repro.perf.cache as cache_module
         monkeypatch.setattr(cache_module, "PLANNER_VERSION",

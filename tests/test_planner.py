@@ -17,7 +17,7 @@ from repro.core.planner import (
     plan_distance,
 )
 from repro.crypto import Signature
-from repro.net import Router, full_mesh_topology, line_topology, ring_topology
+from repro.net import full_mesh_topology, line_topology, ring_topology
 from repro.sim import ms
 from repro.workload import (
     Criticality,
@@ -29,7 +29,6 @@ from repro.workload import (
 
 def deployed(workload, topo):
     topo.place_endpoints_round_robin(workload.sources, workload.sinks)
-    return Router(topo)
 
 
 # ------------------------------------------------------------------- naming
@@ -117,9 +116,9 @@ def test_augment_config_validation():
 def test_replica_anti_affinity():
     wl = pipeline_workload(n_stages=2)
     topo = full_mesh_topology(4, bandwidth=1e7)
-    router = deployed(wl, topo)
+    deployed(wl, topo)
     aug = augment(wl, AugmentConfig(replicas=2))
-    assignment = place(aug, topo, router, excluding=set())
+    assignment = place(aug, topo, excluding=set())
     for base in wl.tasks:
         nodes = {assignment[i] for i in aug.tasks
                  if naming.base_task(i) == base}
@@ -130,41 +129,41 @@ def test_replica_anti_affinity():
 def test_placement_avoids_excluded_nodes():
     wl = pipeline_workload(n_stages=2)
     topo = full_mesh_topology(5, bandwidth=1e7)
-    router = deployed(wl, topo)
+    deployed(wl, topo)
     aug = augment(wl, AugmentConfig(replicas=2))
-    assignment = place(aug, topo, router, excluding={"n0", "n1"})
+    assignment = place(aug, topo, excluding={"n0", "n1"})
     assert not {"n0", "n1"} & set(assignment.values())
 
 
 def test_placement_fails_when_too_few_nodes():
     wl = pipeline_workload(n_stages=1)
     topo = line_topology(2, bandwidth=1e7)
-    router = deployed(wl, topo)
+    deployed(wl, topo)
     aug = augment(wl, AugmentConfig(replicas=3))  # 4 instances, 2 nodes
     with pytest.raises(PlacementError):
-        place(aug, topo, router, excluding=set())
+        place(aug, topo, excluding=set())
 
 
 def test_placement_is_deterministic():
     wl = avionics_workload()
     topo = full_mesh_topology(6, bandwidth=1e8)
-    router = deployed(wl, topo)
+    deployed(wl, topo)
     aug = augment(wl, AugmentConfig(replicas=2))
-    a1 = place(aug, topo, router, excluding=set())
-    a2 = place(aug, topo, router, excluding=set())
+    a1 = place(aug, topo, excluding=set())
+    a2 = place(aug, topo, excluding=set())
     assert a1 == a2
 
 
 def test_distance_weight_keeps_instances_in_place():
     wl = pipeline_workload(n_stages=2)
     topo = full_mesh_topology(8, bandwidth=1e7)
-    router = deployed(wl, topo)
+    deployed(wl, topo)
     aug = augment(wl, AugmentConfig(replicas=2))
-    parent = place(aug, topo, router, excluding=set())
+    parent = place(aug, topo, excluding=set())
     # Exclude a node that hosts nothing; child should match parent exactly.
     unused = next(n for n in topo.node_ids()
                   if n not in set(parent.values()))
-    child = place(aug, topo, router, excluding={unused},
+    child = place(aug, topo, excluding={unused},
                   parent_assignment=parent)
     assert child == parent
 
@@ -176,8 +175,8 @@ def test_build_plan_nominal_industrial():
     wl = industrial_workload()
     for n_nodes in (6, 10):
         topo = full_mesh_topology(n_nodes, bandwidth=1e8)
-        router = deployed(wl, topo)
-        plan = build_plan(wl, frozenset(), topo, router, f=1)
+        deployed(wl, topo)
+        plan = build_plan(wl, frozenset(), topo, f=1)
         assert plan.mode == "nominal"
         assert plan.schedule.feasible
         assert plan.kept_levels == set(Criticality.ordered())
@@ -189,13 +188,13 @@ def test_build_plan_sheds_under_pressure():
     # heavy workload -> the low-criticality rungs must go.
     wl = avionics_workload(period=ms(20))
     topo = full_mesh_topology(4, bandwidth=1e8, speed=1.0)
-    router = deployed(wl, topo)
-    nominal = build_plan(wl, frozenset(), topo, router, f=1)
+    deployed(wl, topo)
+    nominal = build_plan(wl, frozenset(), topo, f=1)
     # Find a pattern that forces shedding (may not always shed, but the
     # plan must still be feasible).
     candidates = [n for n in topo.node_ids()
                   if n not in set(topo.endpoint_map.values())]
-    faulty = build_plan(wl, frozenset(candidates[:1]), topo, router, f=1,
+    faulty = build_plan(wl, frozenset(candidates[:1]), topo, f=1,
                         parent_assignment=nominal.assignment)
     assert faulty.schedule.feasible
     assert faulty.kept_levels <= nominal.kept_levels
@@ -204,16 +203,16 @@ def test_build_plan_sheds_under_pressure():
 def test_build_plan_raises_when_hopeless():
     wl = pipeline_workload(n_stages=2, period=ms(1), wcet=ms(2))
     topo = full_mesh_topology(4, bandwidth=1e8)
-    router = deployed(wl, topo)
+    deployed(wl, topo)
     with pytest.raises(PlanningError):
-        build_plan(wl, frozenset(), topo, router, f=1)
+        build_plan(wl, frozenset(), topo, f=1)
 
 
 def test_plan_routes_and_instances():
     wl = pipeline_workload(n_stages=2)
     topo = full_mesh_topology(4, bandwidth=1e7)
-    router = deployed(wl, topo)
-    plan = build_plan(wl, frozenset(), topo, router, f=1)
+    deployed(wl, topo)
+    plan = build_plan(wl, frozenset(), topo, f=1)
     hosted = [plan.instances_on(n) for n in topo.node_ids()]
     assert sum(len(h) for h in hosted) == len(plan.augmented.tasks)
     for flow in plan.augmented.flows:
@@ -230,8 +229,7 @@ def test_plan_next_hop():
     topo = line_topology(3, bandwidth=1e7)
     topo.place_endpoint("pipeline.sensor", "n0")
     topo.place_endpoint("pipeline.actuator", "n2")
-    router = Router(topo)
-    plan = build_plan(wl, frozenset(), topo, router, f=1)
+    plan = build_plan(wl, frozenset(), topo, f=1)
     for flow_name, route in plan.routes.items():
         if len(route) >= 2:
             assert plan.next_hop(flow_name, route[0]) == route[1]
@@ -246,8 +244,7 @@ def small_strategy():
     wl = pipeline_workload(n_stages=2, period=ms(50))
     topo = full_mesh_topology(6, bandwidth=1e8)
     topo.place_endpoints_round_robin(wl.sources, wl.sinks)
-    router = Router(topo)
-    return wl, topo, build_strategy(wl, topo, router, f=1)
+    return wl, topo, build_strategy(wl, topo, f=1)
 
 
 def test_strategy_covers_all_patterns(small_strategy):
@@ -283,10 +280,9 @@ def test_strategy_minimizes_distance():
     wl = pipeline_workload(n_stages=2, period=ms(50))
     topo = full_mesh_topology(6, bandwidth=1e8)
     topo.place_endpoints_round_robin(wl.sources, wl.sinks)
-    router = Router(topo)
-    near = build_strategy(wl, topo, router, f=1,
+    near = build_strategy(wl, topo, f=1,
                           config=PlacementConfig(minimize_distance=True))
-    far = build_strategy(wl, topo, router, f=1,
+    far = build_strategy(wl, topo, f=1,
                          config=PlacementConfig(minimize_distance=False))
 
     def total_bits(strategy):
@@ -315,9 +311,9 @@ def test_plan_distance_accounting():
 def test_build_strategy_rejects_negative_f():
     wl = pipeline_workload()
     topo = full_mesh_topology(4)
-    router = deployed(wl, topo)
+    deployed(wl, topo)
     with pytest.raises(ValueError):
-        build_strategy(wl, topo, router, f=-1)
+        build_strategy(wl, topo, f=-1)
 
 
 #: Plans industrial on fullmesh:4 at f = 10**30 in a child process and
@@ -329,8 +325,7 @@ from repro.core.planner import PlanningError, build_strategy
 system = Deployment(topology="fullmesh:4").system()
 start = time.perf_counter()
 try:
-    build_strategy(system.workload, system.topology, system.router,
-                   f=10**30)
+    build_strategy(system.workload, system.topology, f=10**30)
 except PlanningError as exc:
     print(time.perf_counter() - start, exc)
 """

@@ -230,7 +230,7 @@ class TestPoolSweep:
         sibling = sibling_system(proto, 43)
         assert sibling.strategy is proto.strategy
         assert sibling.budget is proto.budget
-        assert sibling.router is proto.router
+        assert sibling.topology is proto.topology
         assert sibling.config.seed == 43
 
     def test_pool_matches_serial_reference(self, tmp_path):

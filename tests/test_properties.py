@@ -12,7 +12,7 @@ from repro.core.planner import (
     place,
 )
 from repro.core.planner.plan import PlanningError, build_plan
-from repro.net import Router, full_mesh_topology
+from repro.net import full_mesh_topology
 from repro.sim import DeterministicRandom, MessageKind, ms
 from repro.workload import random_workload
 
@@ -22,7 +22,7 @@ SEEDS = st.integers(min_value=0, max_value=10**6)
 def deployed(workload, n_nodes=6, bandwidth=1e8):
     topo = full_mesh_topology(n_nodes, bandwidth=bandwidth)
     topo.place_endpoints_round_robin(workload.sources, workload.sinks)
-    return topo, Router(topo)
+    return topo
 
 
 # ------------------------------------------------------------- augmentation
@@ -80,9 +80,9 @@ def test_property_placement_always_satisfies_anti_affinity(seed):
     workload = random_workload(DeterministicRandom(seed), n_tasks=6,
                                n_layers=2, period=ms(100))
     aug = augment(workload, AugmentConfig(replicas=2))
-    topo, router = deployed(workload, n_nodes=7)
+    topo = deployed(workload, n_nodes=7)
     try:
-        assignment = place(aug, topo, router, excluding=set())
+        assignment = place(aug, topo, excluding=set())
     except PlacementError:
         return  # legitimately infeasible
     groups = {}
@@ -99,9 +99,9 @@ def test_property_placement_respects_exclusions(seed, excluded):
     workload = random_workload(DeterministicRandom(seed), n_tasks=5,
                                n_layers=2, period=ms(100))
     aug = augment(workload, AugmentConfig(replicas=2))
-    topo, router = deployed(workload, n_nodes=7)
+    topo = deployed(workload, n_nodes=7)
     try:
-        assignment = place(aug, topo, router, excluding=set(excluded))
+        assignment = place(aug, topo, excluding=set(excluded))
     except PlacementError:
         return
     assert not set(assignment.values()) & set(excluded)
@@ -115,9 +115,9 @@ def test_property_placement_respects_exclusions(seed, excluded):
 def test_property_feasible_plans_meet_their_own_timetable(seed):
     workload = random_workload(DeterministicRandom(seed), n_tasks=6,
                                n_layers=2, period=ms(100))
-    topo, router = deployed(workload, n_nodes=7)
+    topo = deployed(workload, n_nodes=7)
     try:
-        plan = build_plan(workload, frozenset(), topo, router, f=1)
+        plan = build_plan(workload, frozenset(), topo, f=1)
     except PlanningError:
         return
     schedule = plan.schedule
@@ -157,10 +157,10 @@ def test_property_feasible_plans_meet_their_own_timetable(seed):
 def test_property_plan_routes_avoid_the_fault_pattern(seed):
     workload = random_workload(DeterministicRandom(seed), n_tasks=5,
                                n_layers=2, period=ms(100))
-    topo, router = deployed(workload, n_nodes=7)
+    topo = deployed(workload, n_nodes=7)
     pattern = frozenset({"n2"})
     try:
-        plan = build_plan(workload, pattern, topo, router, f=1)
+        plan = build_plan(workload, pattern, topo, f=1)
     except PlanningError:
         return
     for route in plan.routes.values():

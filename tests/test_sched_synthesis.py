@@ -5,7 +5,7 @@ from dataclasses import replace
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.net import Router, bus_topology, full_mesh_topology, line_topology
+from repro.net import bus_topology, full_mesh_topology, line_topology
 from repro.sched import (
     LANE_FRACTIONS,
     AssignmentError,
@@ -28,7 +28,6 @@ from repro.workload import (
 
 def deploy(workload, topo):
     topo.place_endpoints_round_robin(workload.sources, workload.sinks)
-    return Router(topo)
 
 
 # -------------------------------------------------------------------- table
@@ -165,9 +164,9 @@ def test_property_runtime_hop_is_never_longer_than_planned(
 def test_pipeline_on_two_nodes_is_feasible():
     wl = pipeline_workload(n_stages=2, period=ms(20), wcet=500)
     topo = line_topology(2, bandwidth=1e7)
-    router = deploy(wl, topo)
+    deploy(wl, topo)
     schedule = synthesize(
-        wl, {"pipeline.t0": "n0", "pipeline.t1": "n1"}, topo, router)
+        wl, {"pipeline.t0": "n0", "pipeline.t1": "n1"}, topo)
     assert schedule.feasible, schedule.violations
     # Both tasks have slots; t1 starts after t0's output arrives.
     slot0 = schedule.slot_for("pipeline.t0")
@@ -179,9 +178,9 @@ def test_pipeline_on_two_nodes_is_feasible():
 def test_same_node_flows_have_zero_network_delay():
     wl = pipeline_workload(n_stages=2, period=ms(20), wcet=500)
     topo = line_topology(2, bandwidth=1e7)
-    router = deploy(wl, topo)
+    deploy(wl, topo)
     schedule = synthesize(
-        wl, {"pipeline.t0": "n0", "pipeline.t1": "n0"}, topo, router)
+        wl, {"pipeline.t0": "n0", "pipeline.t1": "n0"}, topo)
     slot0 = schedule.slot_for("pipeline.t0")
     slot1 = schedule.slot_for("pipeline.t1")
     assert slot1.start == slot0.finish
@@ -206,8 +205,7 @@ def test_node_contention_serializes_tasks():
     topo = line_topology(2, bandwidth=1e7)
     topo.place_endpoint("s", "n0")
     topo.place_endpoint("k", "n0")
-    router = Router(topo)
-    schedule = synthesize(wl, {"a": "n0", "b": "n0"}, topo, router)
+    schedule = synthesize(wl, {"a": "n0", "b": "n0"}, topo)
     slots = sorted(
         (schedule.slot_for(t) for t in ("a", "b")), key=lambda s: s.start)
     assert slots[0].finish <= slots[1].start
@@ -216,17 +214,17 @@ def test_node_contention_serializes_tasks():
 def test_unassigned_task_raises():
     wl = pipeline_workload(n_stages=2)
     topo = line_topology(2)
-    router = deploy(wl, topo)
+    deploy(wl, topo)
     with pytest.raises(AssignmentError):
-        synthesize(wl, {"pipeline.t0": "n0"}, topo, router)
+        synthesize(wl, {"pipeline.t0": "n0"}, topo)
 
 
 def test_assignment_to_excluded_node_raises():
     wl = pipeline_workload(n_stages=1)
     topo = line_topology(2)
-    router = deploy(wl, topo)
+    deploy(wl, topo)
     with pytest.raises(AssignmentError):
-        synthesize(wl, {"pipeline.t0": "n1"}, topo, router,
+        synthesize(wl, {"pipeline.t0": "n1"}, topo,
                    excluding={"n1"})
 
 
@@ -237,8 +235,7 @@ def test_deadline_violation_reported_not_raised():
     topo = line_topology(2, bandwidth=1e4)
     topo.place_endpoint("pipeline.sensor", "n0")
     topo.place_endpoint("pipeline.actuator", "n1")
-    router = Router(topo)
-    schedule = synthesize(wl, {"pipeline.t0": "n0"}, topo, router)
+    schedule = synthesize(wl, {"pipeline.t0": "n0"}, topo)
     assert not schedule.feasible
     assert any("deadline" in v for v in schedule.violations)
 
@@ -246,8 +243,8 @@ def test_deadline_violation_reported_not_raised():
 def test_wcet_overrun_of_period_reported():
     wl = pipeline_workload(n_stages=1, period=ms(1), wcet=ms(2))
     topo = line_topology(2, bandwidth=1e7)
-    router = deploy(wl, topo)
-    schedule = synthesize(wl, {"pipeline.t0": "n0"}, topo, router)
+    deploy(wl, topo)
+    schedule = synthesize(wl, {"pipeline.t0": "n0"}, topo)
     assert any("period" in v for v in schedule.violations)
 
 
@@ -256,10 +253,9 @@ def test_routing_failure_reported_as_violation():
     topo = line_topology(3, bandwidth=1e7)
     topo.place_endpoint("pipeline.sensor", "n0")
     topo.place_endpoint("pipeline.actuator", "n0")
-    router = Router(topo)
     # t1 on n2 but n1 (the only route) is excluded -> no path.
     schedule = synthesize(
-        wl, {"pipeline.t0": "n0", "pipeline.t1": "n2"}, topo, router,
+        wl, {"pipeline.t0": "n0", "pipeline.t1": "n2"}, topo,
         excluding={"n1"})
     assert not schedule.feasible
     assert any("no route" in v for v in schedule.violations)
@@ -268,8 +264,8 @@ def test_routing_failure_reported_as_violation():
 def test_slower_node_stretches_execution():
     wl = pipeline_workload(n_stages=1, period=ms(20), wcet=1000)
     topo = full_mesh_topology(2, bandwidth=1e7, speed=0.5)
-    router = deploy(wl, topo)
-    schedule = synthesize(wl, {"pipeline.t0": "n0"}, topo, router)
+    deploy(wl, topo)
+    schedule = synthesize(wl, {"pipeline.t0": "n0"}, topo)
     slot = schedule.slot_for("pipeline.t0")
     # fg speed = 0.5 x (1 - 0.1 control share) -> 1000 us wcet takes
     # 2222.2 us, rounded up.
@@ -284,10 +280,10 @@ def test_bigger_flow_takes_longer_on_the_wire():
          for f in wl.flows],
         wl.sources, wl.sinks, wl.name)
     topo = line_topology(2, bandwidth=1e6)
-    router = deploy(wl, topo)
+    deploy(wl, topo)
     assignment = {"pipeline.t0": "n0", "pipeline.t1": "n1"}
-    base = synthesize(wl, assignment, topo, router)
-    bigger = synthesize(big, assignment, topo, router)
+    base = synthesize(wl, assignment, topo)
+    bigger = synthesize(big, assignment, topo)
     hop_base, hop_big = ([t for t in s.transmissions
                           if t.flow == "pipeline.f0"][-1]
                          for s in (base, bigger))
@@ -313,8 +309,7 @@ def test_link_contention_serializes_transmissions():
     topo = line_topology(2, bandwidth=1e6)
     topo.place_endpoint("s", "n0")
     topo.place_endpoint("k", "n1")
-    router = Router(topo)
-    schedule = synthesize(wl, {"a": "n0", "b": "n0"}, topo, router)
+    schedule = synthesize(wl, {"a": "n0", "b": "n0"}, topo)
     hops = sorted((t for t in schedule.transmissions
                    if t.flow in ("out_a", "out_b")), key=lambda t: t.start)
     assert len(hops) == 2
@@ -327,9 +322,9 @@ def test_link_contention_serializes_transmissions():
 def test_makespan_and_utilization():
     wl = pipeline_workload(n_stages=2, period=ms(20), wcet=500)
     topo = line_topology(2, bandwidth=1e7)
-    router = deploy(wl, topo)
+    deploy(wl, topo)
     schedule = synthesize(
-        wl, {"pipeline.t0": "n0", "pipeline.t1": "n1"}, topo, router)
+        wl, {"pipeline.t0": "n0", "pipeline.t1": "n1"}, topo)
     assert schedule.makespan() > 0
     assert all(schedule.node_schedules[n].busy_until() > 0
                for n in ("n0", "n1"))
@@ -341,12 +336,12 @@ def test_property_synthesis_is_deterministic(seed):
     rng = DeterministicRandom(seed)
     wl = random_workload(rng, n_tasks=8, n_layers=2, period=ms(100))
     topo = full_mesh_topology(4, bandwidth=1e7)
-    router = deploy(wl, topo)
+    deploy(wl, topo)
     nodes = topo.node_ids()
     assignment = {t: nodes[i % len(nodes)]
                   for i, t in enumerate(sorted(wl.tasks))}
-    s1 = synthesize(wl, assignment, topo, router)
-    s2 = synthesize(wl, assignment, topo, router)
+    s1 = synthesize(wl, assignment, topo)
+    s2 = synthesize(wl, assignment, topo)
     assert s1.arrivals == s2.arrivals
     assert [
         (t.flow, t.start, t.arrival) for t in s1.transmissions
@@ -359,11 +354,11 @@ def test_property_feasible_schedules_meet_all_deadlines(seed):
     rng = DeterministicRandom(seed)
     wl = random_workload(rng, n_tasks=6, n_layers=2, period=ms(100))
     topo = full_mesh_topology(3, bandwidth=1e7)
-    router = deploy(wl, topo)
+    deploy(wl, topo)
     nodes = topo.node_ids()
     assignment = {t: nodes[i % len(nodes)]
                   for i, t in enumerate(sorted(wl.tasks))}
-    schedule = synthesize(wl, assignment, topo, router)
+    schedule = synthesize(wl, assignment, topo)
     if schedule.feasible:
         for flow in wl.sink_flows():
             assert schedule.arrivals[flow.name] <= flow.deadline

@@ -322,7 +322,6 @@ def test_property_serialization_roundtrips_random_strategies():
     from repro.core.planner import build_strategy
     from repro.core.planner.plan import PlanningError
     from repro.core.planner.placement import PlacementError
-    from repro.net import Router
     from repro.sim import DeterministicRandom, ms
     from repro.workload import random_workload
 
@@ -336,8 +335,7 @@ def test_property_serialization_roundtrips_random_strategies():
                                              workload.sinks)
         for f in (1, 2):
             try:
-                strategy = build_strategy(workload, topology,
-                                          Router(topology), f=f)
+                strategy = build_strategy(workload, topology, f=f)
             except (PlanningError, PlacementError):
                 continue
             text = strategy_to_json(strategy)

@@ -18,7 +18,7 @@ from repro.core.planner import (
     build_strategy,
 )
 from repro.core.planner.serialize import plan_from_dict, plan_to_dict
-from repro.net import Router, full_mesh_topology
+from repro.net import full_mesh_topology
 from repro.sched.table import ScheduleEntry
 from repro.verify import (
     RULES,
@@ -108,7 +108,9 @@ def test_findings_reference_catalogued_rules_only(system):
 
 def test_seed_strategy_verifies_clean(system):
     report = verify_strategy(system.strategy, system.topology,
-                             router=system.router)
+                             config=system.config,
+                             lane_model=system.lane_model,
+                             budget=system.budget)
     assert report.findings == []
     assert report.ok
     assert report.exit_code() == 0
@@ -281,13 +283,12 @@ def test_single_replica_strategy_trips_mode_orphan_fetch():
     workload = industrial_workload()
     topology = full_mesh_topology(5, bandwidth=1e8)
     topology.place_endpoints_round_robin(workload.sources, workload.sinks)
-    router = Router(topology)
-    nominal = build_strategy(workload, topology, router, f=1)
+    nominal = build_strategy(workload, topology, f=1)
     ladder = augmented_ladder(workload, AugmentConfig(replicas=1))
     strategy = Strategy(f=1, plans={
-        p: build_plan(workload, p, topology, router, 1, ladder=ladder)
+        p: build_plan(workload, p, topology, 1, ladder=ladder)
         for p in nominal.patterns()}, covered_nodes=nominal.covered_nodes)
-    report = Report(check_mode_graph(strategy, topology, router=router))
+    report = Report(check_mode_graph(strategy, topology))
     assert report.rules_violated() == ["mode.orphan-fetch"]
     assert not report.ok
 
@@ -299,8 +300,7 @@ def test_dropped_pattern_trips_mode_missing_plan(system):
     del plans[victim]
     crippled = Strategy(f=system.strategy.f, plans=plans,
                         covered_nodes=system.strategy.covered_nodes)
-    findings = check_mode_graph(crippled, system.topology,
-                                router=system.router)
+    findings = check_mode_graph(crippled, system.topology)
     assert rules_of(findings) == ["mode.missing-plan"]
     assert any(sorted(victim)[0] in f.subject for f in findings)
 

@@ -3,35 +3,24 @@
 
 The paper's online half is cheap because the hard thinking happens
 offline; this experiment checks that the engine stays right as
-deployments grow. It runs the cells pinned in
+deployments grow. It runs every cell pinned in
 ``tests/golden/engine_digests.json`` (digests a per-message legacy
-engine generated before it was deleted) over one scale column:
-``fullmesh:7`` and ``fullmesh:15`` under the industrial workload, then
-``geo:RxM`` deployments (3–6 regions of 20–30 nodes, WAN links three
-orders of magnitude slower than local ones, the workload stretched x10
-to WAN-scale periods).
+engine generated before it was deleted), from ``fullmesh:7`` to
+``geo:4x30`` (regions of local meshes joined by WAN links three orders
+of magnitude slower, the industrial workload stretched x10 to WAN-scale
+periods), through the job ``python -m tests.golden engine`` runs
+(:func:`tests.golden.engine_job`): the full trace against its digest,
+then a ``milestones`` run against its census and the per-cell facts of
+:func:`tests.golden.broken_facts`. Any line that check prints fails it.
 
-Every cell, at every scale, gets the same checks:
-
-* the full trace equals the committed digest (fingerprint,
-  ``events_executed``, census);
-* a ``milestones`` run (the trace mode sweeps, mc and fuzz use) executes
-  the same events with the same census and milestone events, in under a
-  quarter of the full trace's rows;
-* the verify memo hits, and every memo miss is a real HMAC verification;
-* the batched emitters coalesce: fewer batch events than entries;
-* settled heartbeat re-floods are paid per sender on the milestones run
-  and never on the full trace.
-
-One check runs at one scale: the sweep check. ``run_sweep`` with one
-worker reproduces freshly planned runs — its first seed the cell's own
-milestones run, its second a newly planned system on that seed — and
-with one worker per core it returns the same fingerprints; on >= 2 cores
-the pooled sweep is at least ``POOL_GATE`` times faster.
-
-The pool speedup, this experiment's only wall clock, is recorded in
-``BENCH_sim.json`` with the host's core count and interpreter version;
-what a run costs in host time is E23's to record.
+Its own check runs first, before any pool forks a heap other cells
+have filled: ``run_sweep`` with one worker reproduces freshly planned
+runs (its first seed the cell's own milestones run, its second a newly
+planned system on that seed), with one worker per core it returns the
+same fingerprints, and on >= 2 cores the median of ``SWEEP_PAIRS``
+alternating pairs is at least ``POOL_GATE`` times faster pooled. That
+ratio, this experiment's only wall clock, is recorded in
+``BENCH_sim.json`` with the host's core count and interpreter version.
 
 ``REPRO_SWEEP=smoke`` — one ``fullmesh:7`` and one ``geo:3x8`` cell;
 the ``geo:3x8`` cell carries the sweep check, whose ``pool_speedup`` is
@@ -43,31 +32,19 @@ import dataclasses
 import gc
 import os
 
-from harness import (
-    golden,
-    one_shot,
-    record,
-    smoke,
-    write_result,
-)
+from harness import golden, one_shot, record, smoke, write_result
 from repro.analysis import format_table
 from repro.perf import run_sweep
 from repro.perf.timing import Stopwatch
 from repro.sim.trace import trace_fingerprint
 
-#: Per sweep: the scale column as (topology, periods), smallest first —
-#: every pinned cell at one of them runs — and the scale whose first
-#: cell carries the sweep check.
+#: Per sweep: the pinned cells it runs (None: every one) and the cell
+#: that carries the sweep check.
 SWEEPS = {
-    "full": {
-        "scales": (("fullmesh:7", 40), ("fullmesh:15", 30),
-                   ("geo:3x20", 8), ("geo:6x20", 8), ("geo:4x30", 8)),
-        "sweep": "geo:4x30",
-    },
-    "smoke": {
-        "scales": (("fullmesh:7", 20), ("geo:3x8", 6)),
-        "sweep": "geo:3x8",
-    },
+    "full": (None, "geo:4x30@geo4x30/industrialx10/f1/p8/s42"),
+    "smoke": (("single_commission@fullmesh7/industrial/f1/p20/s42",
+               "geo:3x8@geo3x8/industrialx10/f1/p6/s42"),
+              "geo:3x8@geo3x8/industrialx10/f1/p6/s42"),
 }
 
 #: Seeds per sweep, from the cell's own: enough work per worker for the
@@ -77,120 +54,55 @@ SWEEP_SEEDS = 4
 #: Pool sweeps are gated only where parallelism is physically possible.
 POOL_GATE = 1.5
 
+#: One-worker / pooled sweep pairs the full sweep times, alternating; it
+#: gates the median pair's ratio (one pair, timed alone, read 1.43x on a
+#: 2-core host whose other tenants share its cores).
+SWEEP_PAIRS = 3
 
-def _prepared(cell, mode: str, seed=None):
-    deployment = cell.deployment
-    if seed is not None:
-        deployment = dataclasses.replace(deployment, seed=seed)
-    system = deployment.system(trace_mode=mode)
+
+def _prepared(cell, seed):
+    deployment = dataclasses.replace(cell.deployment, seed=seed)
+    system = deployment.system(trace_mode="milestones")
     system.prepare()
     return system
 
 
-def _run(system, cell):
-    # A dropped run is freed by reference counting, so this finds next
-    # to nothing; without it and the collection before the pool forks,
-    # the geo:4x30 pool speedup read lower (docs/PERFORMANCE.md,
-    # "Multi-seed sweeps").
-    gc.collect()
-    return golden.run_scenario(system, cell)
-
-
-def run_cell(key: str, sweep: bool) -> dict:
-    """One pinned cell: the full run against its digest, the milestones
-    run against the full one, and the sweep check if ``sweep``."""
-    cell = golden.parse_cell(key)
-    system = _prepared(cell, "full")
-    result = _run(system, cell)
-    found, reprs = golden.digest_and_reprs(system, result)
-    assert found == golden.expected(key), key
-    full_rows = len(result.trace)
-    full_deferred = system.batch_runtime.stats()["deferred_refloods"]
-    del system, result  # millions of rows at geo scale
-
-    miles_sys = _prepared(cell, "milestones")
-    miles_res = _run(miles_sys, cell)
-    events = found["events_executed"]
-    assert miles_sys.sim.events_executed == events, key
-    assert miles_res.trace.kind_counts() == found["kind_counts"], key
-    assert golden.milestone_reprs(miles_res.trace) == reprs, key
-    assert len(miles_res.trace) < 0.25 * full_rows, key
-    directory = miles_sys.directory
-    memo = directory.verify_memo.stats()
-    assert memo["hits"] > 0, f"{key}: verify memo never hit"
-    # Every memo miss is a real verification.
-    assert directory.verifies >= memo["misses"], key
-    batch = miles_sys.batch_runtime.stats()
-    # Fewer heap events than batched entries, or the emitters have
-    # degenerated to one event per message.
-    assert batch["batches_fired"] < batch["entries_batched"], key
-    assert batch["deferred_refloods"] > 0, key
-    assert full_deferred == 0, key
-
-    row = {
-        "scenario": cell.scenario,
-        "topology": cell.deployment.topology,
-        "n_nodes": len(miles_sys.topology.nodes),
-        "f": cell.deployment.f,
-        "n_periods": cell.n_periods,
-        "seed": cell.deployment.seed,
-        "sim_events": events,
-        "trace_events_full": full_rows,
-        "trace_events_milestones": len(miles_res.trace),
-        "signs": directory.signs,
-        "verifies": directory.verifies,
-        "memo_hits": memo["hits"],
-        "memo_misses": memo["misses"],
-        "memo_hit_rate": memo["hit_rate"],
-        "batches_fired": batch["batches_fired"],
-        "entries_batched": batch["entries_batched"],
-        "deferred_refloods": batch["deferred_refloods"],
-        "deferred_refloods_full": full_deferred,
-        "digest_match": True,
-    }
-    if sweep:
-        fingerprint = trace_fingerprint(miles_res.trace)
-        # The pooled sweep forks this heap: drop the run first.
-        del miles_sys, miles_res, directory
-        row.update(sweep_check(cell, fingerprint))
-    return row
-
-
-def sweep_check(cell, fingerprint: str) -> dict:
-    """``run_sweep`` reproduces freshly planned runs: with one worker its
-    first seed is the cell's own milestones run (``fingerprint``) and
-    its second a new system planned on that seed; with one worker per
-    core every seed's fingerprint is the one-worker sweep's. Returns the
-    two sweeps' wall times and their ratio."""
+def sweep_check(cell) -> tuple:
+    """The sweep check of the module docstring over :data:`SWEEP_PAIRS`
+    pairs (one in the smoke sweep, which records no ratio): the median
+    pair's wall times and ratio, and the one-worker sweep's fingerprints
+    (the first is the cell's own milestones run's)."""
     seed = cell.deployment.seed
     seeds = tuple(range(seed, seed + SWEEP_SEEDS))
     sweep = dict(n_periods=cell.n_periods, scenario=cell.scenario)
-    proto = _prepared(cell, "milestones")
-    watch = Stopwatch()
-    serial = run_sweep(proto, seeds, **sweep)
-    serial_s = watch.elapsed_s()
-    fingerprints = [run["fingerprint"] for run in serial["runs"]]
-    assert fingerprints[0] == fingerprint, (
-        f"{cell}: sweep diverged from the fresh-system run")
-    # The workers fork this heap, proto included, so neither side pays
-    # for a prepare() (see _run).
-    gc.collect()
+    proto = _prepared(cell, seed)
     cores = os.cpu_count() or 1
-    watch = Stopwatch()
-    out = run_sweep(proto, seeds, workers=min(len(seeds), max(cores, 2)),
-                    **sweep)
-    pool_s = watch.elapsed_s()
-    for run, expected in zip(out["runs"], fingerprints):
-        assert run["fingerprint"] == expected, (
-            f"{cell} seed={run['seed']}: pool worker diverged from the "
-            f"one-worker sweep")
+    pairs = []
+    for _ in range(1 if smoke() else SWEEP_PAIRS):
+        watch = Stopwatch()
+        serial = run_sweep(proto, seeds, **sweep)
+        serial_s = watch.elapsed_s()
+        fingerprints = [run["fingerprint"] for run in serial["runs"]]
+        # The workers fork this heap, proto included, so neither side
+        # pays for a prepare(). This finds next to nothing, yet without
+        # it the speedup read lower (docs/PERFORMANCE.md, "Multi-seed sweeps").
+        gc.collect()
+        watch = Stopwatch()
+        out = run_sweep(proto, seeds,
+                        workers=min(len(seeds), max(cores, 2)), **sweep)
+        pool_s = watch.elapsed_s()
+        for run, expected in zip(out["runs"], fingerprints):
+            assert run["fingerprint"] == expected, (
+                f"{cell} seed={run['seed']}: pool worker diverged from the "
+                f"one-worker sweep")
+        pairs.append((serial_s / pool_s, serial_s, pool_s))
     del proto
-    fresh = _run(_prepared(cell, "milestones", seeds[1]), cell)
+    fresh = golden.run_scenario(_prepared(cell, seeds[1]), cell)
     assert fingerprints[1] == trace_fingerprint(fresh.trace), (
         f"{cell}: sibling seed {seeds[1]} diverged from a freshly planned "
         f"system")
+    speedup, serial_s, pool_s = sorted(pairs)[len(pairs) // 2]
     return {
-        "pool_seeds": len(seeds),
         "pool_workers": out["workers"],
         "pooled": out["pooled"],
         "cores": cores,
@@ -199,24 +111,34 @@ def sweep_check(cell, fingerprint: str) -> dict:
         # A smoke sweep is over before the workers have paid for their
         # fork, so its ratio times the fork, not the pool (0.57-0.87 at
         # geo:3x8): it is recorded as null.
-        "pool_speedup": (round(serial_s / pool_s, 2)
-                         if pool_s and not smoke() else None),
-    }
+        "pool_speedup": None if smoke() else round(speedup, 2),
+        "pool_speedups": None if smoke() else [round(p[0], 2) for p in pairs],
+    }, fingerprints
 
 
 def run_experiment() -> list:
-    sweep = SWEEPS["smoke" if smoke() else "full"]
-    cells = {key: golden.parse_cell(key) for key in golden.engine_keys()}
-    rows = []
-    for topology, n_periods in sweep["scales"]:
-        keys = [key for key, cell in cells.items()
-                if (cell.deployment.topology, cell.n_periods)
-                == (topology, n_periods)]
-        scale = [run_cell(key, topology == sweep["sweep"] and key == keys[0])
-                 for key in keys]
-        for key, row in zip(keys, scale):
-            record("sim", row, label=f"e17:{key}")
-        rows += scale
+    cells, sweep = SWEEPS["smoke" if smoke() else "full"]
+    timing, fingerprints = sweep_check(golden.parse_cell(sweep))
+    jobs = golden.recompute(golden.engine_job, cells or golden.engine_keys())
+    rows, problems = [], []
+    for key, job in sorted(jobs.items(), key=lambda item: (
+            item[1]["counts"]["n_nodes"], item[0])):
+        cell = golden.parse_cell(key)
+        rows.append({
+            "scenario": cell.scenario, "topology": cell.deployment.topology,
+            "f": cell.deployment.f, "n_periods": cell.n_periods,
+            "seed": cell.deployment.seed,
+            "sim_events": job["digest"]["events_executed"], **job["counts"],
+            "digest_match": job["digest"] == golden.expected(key),
+            **(timing if key == sweep else {}),
+        })
+        record("sim", rows[-1], label=f"e17:{key}")
+        problems += golden.compare({key: job["digest"]},
+                                   {key: golden.expected(key)})
+        problems += golden.broken_facts(key, job)
+    assert not problems, "\n".join(problems)
+    assert fingerprints[0] == jobs[sweep]["milestones"]["fingerprint"], (
+        f"{sweep}: sweep diverged from the fresh-system run")
     return rows
 
 
@@ -226,9 +148,11 @@ def test_e17_engine(benchmark):
         "E17: the online engine across scale (industrial workload, "
         "stretched x10 on geo; every full trace byte-identical to its "
         "committed digest)",
-        ["topology", "scenario", "seed", "sim events", "trace full->miles",
-         "memo hits", "entries/batches", "deferred", "pool"],
-        [[r["topology"], r["scenario"], r["seed"], f"{r['sim_events']:,}",
+        ["topology", "scenario", "f", "periods", "seed", "sim events",
+         "trace full->miles", "memo hits", "entries/batches", "deferred",
+         "pool"],
+        [[r["topology"], r["scenario"], r["f"], r["n_periods"], r["seed"],
+          f"{r['sim_events']:,}",
           f"{r['trace_events_full']} -> {r['trace_events_milestones']}",
           f"{100 * r['memo_hit_rate']:.0f}%",
           f"{r['entries_batched']}/{r['batches_fired']}",

@@ -22,12 +22,13 @@ baselines' own transmit path (``Link.transmit``) before they moved onto
 the shared hop runtime.
 
 ``python -m tests.golden [engine|planner|baseline]`` re-runs every cell
-on the current code, spread over one worker process per core, and
-verifies it — each engine cell a second time in ``milestones`` mode
-against the same entry's :func:`census`, since sweeps, mc and fuzz run
-there. A cell that differs prints what moved (:func:`moved`). With
-``--write SOURCE`` it rewrites the file instead — only ever with a
-CHANGES.md line saying why the observable behaviour was meant to change.
+on the current code, one worker process per core, and verifies it; an
+engine cell's :func:`engine_job` also runs it in ``milestones`` mode,
+checked against the same entry's :func:`census` and the per-cell facts
+of :func:`broken_facts`. A cell that differs prints what moved
+(:func:`moved`, :func:`first_difference`). With ``--write SOURCE`` it
+rewrites the file instead — only ever with a CHANGES.md line saying why
+the observable behaviour was meant to change.
 """
 
 import argparse
@@ -113,27 +114,6 @@ def milestone_reprs(trace) -> list:
     return [repr(e) for e in trace if type(e) in MILESTONE_KINDS]
 
 
-def digest_and_reprs(system, result) -> tuple:
-    """``(digest(system, result), milestone_reprs(result.trace))`` from
-    one pass over the trace: on a full trace the pass is most of what
-    either costs (a ``geo:4x30`` cell's 6.5 M rows take longer to
-    fingerprint than to simulate)."""
-    reprs = []
-
-    def teed():
-        for event in result.trace:
-            if type(event) in MILESTONE_KINDS:
-                reprs.append(repr(event))
-            yield event
-
-    found = {
-        "fingerprint": trace_fingerprint(teed()),
-        "events_executed": system.sim.events_executed,
-        "kind_counts": result.trace.kind_counts(),
-    }
-    return found, reprs
-
-
 def assert_matches(system, result, scenario: str) -> None:
     """The finished full-trace run equals its committed digest."""
     key = cell_key(system, scenario, result.n_periods)
@@ -173,17 +153,111 @@ def run_scenario(system, cell: Cell):
                       link_script=scn.link_script or None)
 
 
-def run_cell(key: str, mode: str = "full") -> dict:
-    """Rebuild the cell ``key`` names from scratch, run it under the
-    trace ``mode``, digest it."""
-    cell = parse_cell(key)
+def _run(cell: Cell, mode: str):
+    """``(system, result)`` of ``cell`` built afresh, run in ``mode``."""
     system = cell.deployment.system(trace_mode=mode)
     system.prepare()
-    return digest(system, run_scenario(system, cell))
+    return system, run_scenario(system, cell)
+
+
+def run_cell(key: str, mode: str = "full") -> dict:
+    """The digest of the cell ``key`` names, built afresh and run in
+    trace ``mode``."""
+    return digest(*_run(parse_cell(key), mode))
+
+
+def engine_job(key: str) -> dict:
+    """Everything checked of one pinned engine cell, in one worker: its
+    full trace's ``digest``, then a ``milestones`` run's, the milestone
+    ``events`` of both, and the ``counts`` the per-cell facts
+    (:func:`broken_facts`) and E17's table read."""
+    cell = parse_cell(key)
+    system, result = _run(cell, "full")
+    full_events = []
+
+    def teed():
+        # One pass for the fingerprint and the milestone events: a geo:4x30
+        # cell's 6.5 M rows take longer to walk than to simulate.
+        for event in result.trace:
+            if type(event) in MILESTONE_KINDS:
+                full_events.append(repr(event))
+            yield event
+
+    found = {"fingerprint": trace_fingerprint(teed()),
+             "events_executed": system.sim.events_executed,
+             "kind_counts": result.trace.kind_counts()}
+    full_rows = len(result.trace)
+    full_deferred = system.batch_runtime.stats()["deferred_refloods"]
+    del system, result  # millions of rows at geo scale
+    system, result = _run(cell, "milestones")
+    memo = system.directory.verify_memo.stats()
+    batch = system.batch_runtime.stats()
+    return {
+        "digest": found,
+        "milestones": digest(system, result),
+        "events": {"full": full_events,
+                   "milestones": milestone_reprs(result.trace)},
+        "counts": {
+            "n_nodes": len(system.topology.nodes),
+            "trace_events_full": full_rows,
+            "trace_events_milestones": len(result.trace),
+            "verifies": system.directory.verifies,
+            **{f"memo_{k}": memo[k] for k in ("hits", "misses", "hit_rate")},
+            **{k: batch[k] for k in ("batches_fired", "entries_batched",
+                                     "deferred_refloods")},
+            "deferred_refloods_full": full_deferred,
+        },
+    }
+
+
+def first_difference(full: list, milestones: list) -> Optional[str]:
+    """Where a milestones run's milestone events first leave the full
+    trace's (index, both events) or how many more it has; None if equal."""
+    for index, (want, got) in enumerate(zip(full, milestones)):
+        if want != got:
+            return f"milestone event {index}: full {want}, milestones {got}"
+    extra = len(milestones) - len(full)
+    return f"milestones run has {extra:+d} milestone events" if extra else None
+
+
+def broken_facts(key: str, job: dict) -> list:
+    """One ``key: …`` line per per-cell fact the :func:`engine_job` result
+    breaks: a milestones run keeps the committed :func:`census` (the line
+    says what moved) and the full trace's milestone events, in under a
+    quarter of its rows; the verify memo hits, and every miss is
+    a real verification; batches coalesce (or the emitters degenerated
+    to one event per message); settled re-floods are deferred on the
+    milestones run, except under the :data:`HOOKED` cell's delivery hook
+    (which turns deferral off), and never on the full trace."""
+    c = job["counts"]
+    deferred, rows = c["deferred_refloods"], c["trace_events_milestones"]
+    moved_at = first_difference(job["events"]["full"],
+                                job["events"]["milestones"])
+    facts = [
+        (moved_at is None, moved_at),
+        (rows < 0.25 * c["trace_events_full"], f"{rows} milestone rows, "
+         f"not under a quarter of the full trace's {c['trace_events_full']}"),
+        (c["memo_hits"] > 0, "verify memo never hit"),
+        (c["verifies"] >= c["memo_misses"], f"{c['memo_misses']} memo "
+         f"misses but {c['verifies']} verifications"),
+        (c["batches_fired"] < c["entries_batched"], f"{c['batches_fired']} "
+         f"batches fired for {c['entries_batched']} entries"),
+        (c["deferred_refloods_full"] == 0, f"{c['deferred_refloods_full']} "
+         f"re-floods deferred on the full trace"),
+        (deferred == 0, f"{deferred} re-floods deferred under the delivery "
+         f"hook") if parse_cell(key).scenario == HOOKED else
+        (deferred > 0, "no settled re-flood deferred"),
+    ]
+    return compare({key: census(job["milestones"])},
+                   {key: census(expected(key))}) + [
+        f"{key}: {line}" for holds, line in facts if not holds]
 
 
 def engine_keys() -> list:
-    return sorted(_committed())
+    """The engine grid by committed ``events_executed``, largest first:
+    handed out in that order, no worker is left with a long tail."""
+    return sorted(_committed(), key=lambda key: -expected(key)[
+        "events_executed"])
 
 
 # ------------------------------------------------------ planner digests
@@ -287,18 +361,11 @@ def run_baseline_cell(key: str) -> dict:
 
 # ------------------------------------------------------------ the files
 
-def _heaviest_first() -> list:
-    """The engine grid by committed ``events_executed``, largest first:
-    handed out in that order, no worker is left with a long tail."""
-    return sorted(engine_keys(), key=lambda key: -expected(key)[
-        "events_executed"])
-
-
 #: name -> (path, how one cell is recomputed, which cells the file holds:
 #: the engine file is its own grid, the planner and baseline grids are
-#: the ones above).
+#: the ones above). An engine cell's job returns more than its digest.
 FILES = {
-    "engine": (PATH, run_cell, _heaviest_first),
+    "engine": (PATH, engine_job, engine_keys),
     "planner": (PLANNER_PATH, run_planner_cell, lambda: PLANNER_KEYS),
     "baseline": (BASELINE_PATH, run_baseline_cell, lambda: BASELINE_KEYS),
 }
@@ -381,25 +448,27 @@ def main() -> None:
     for name in names:
         path, run, keys = FILES[name]
         cells = recompute(run, keys())
+        if name == "engine":
+            jobs, cells = cells, {key: job["digest"] for key, job in
+                                  cells.items()}
         if args.write:
             write(path, cells, args.write)
             print(f"{name}: {len(cells)} cells written")
             continue
-        committed = _committed(path)
-        changed = compare(cells, committed)
+        changed = compare(cells, _committed(path))
         print(f"{name}: {len(cells)} cells, {len(changed)} differ",
               *changed, sep="\n")
         failed = failed or bool(changed)
         if name == "engine":
             # Sweeps, mc and fuzz run in ``milestones``: the same cells
-            # there must keep the committed gauge and census.
-            found = recompute(
-                functools.partial(run_cell, mode="milestones"), keys())
-            changed = compare(
-                {key: census(digest) for key, digest in found.items()},
-                {key: census(committed[key]) for key in found})
-            print(f"engine (milestones): {len(committed)} cells, "
-                  f"{len(changed)} differ", *changed, sep="\n")
-            failed = failed or bool(changed)
+            # there must keep the committed gauge and census, and every
+            # per-cell fact must hold.
+            problems = [broken_facts(key, job)
+                        for key, job in sorted(jobs.items())]
+            print(f"engine (milestones): {len(jobs)} cells, "
+                  f"{sum(map(bool, problems))} differ",
+                  *(line for lines in problems for line in lines),
+                  sep="\n")
+            failed = failed or any(problems)
     if failed:
         raise SystemExit(1)
